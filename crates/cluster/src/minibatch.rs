@@ -7,11 +7,13 @@
 //! (`svc_ivm::batch_change_plans` — all chunks share one plan shape and one
 //! binding set, the multi-query batch-evaluation setting), evaluates the
 //! batch on the shared [`WorkerPool`] (`WorkerPool::evaluate_plans`), and
-//! folds the resulting change tables into the materialized view with the
-//! driver-side merge plan (`svc_ivm::merge_change_plan`). Larger batches
-//! amortize the per-batch driver work (plan compilation, merge folding)
-//! over more records — the Figure 14 shape, now measured on real plans
-//! instead of modeled with synthetic busy-work.
+//! folds the resulting change tables into the materialized view by group
+//! key (`svc_ivm::KeyedFold`): each change row is looked up, merged or
+//! inserted, so a fold costs what its change table holds, not what the view
+//! holds. Larger batches amortize the per-batch driver work (partitioning,
+//! dispatch, the fold's per-group lookups) over more records — the
+//! Figure 14 shape, measured on real plans instead of modeled with
+//! synthetic busy-work.
 //!
 //! Chunk-level parallelism is exact when no cross-chunk delta interactions
 //! exist: single-table batches through tree-shaped views (each touched
@@ -19,8 +21,9 @@
 //! tables touched under a join, or a touched table scanned by more than
 //! one leaf — run as one chunk; views outside the change-table class
 //! (min/max under deletions, median, non-aggregate or nested-aggregate
-//! views) fall back to their full sequential maintenance plan, still
-//! evaluated on the pool.
+//! views — whatever `svc_ivm::strategy::change_table_expr` rejects) fall
+//! back to their full sequential maintenance plan, still evaluated on the
+//! pool.
 //!
 //! [`SpinPipeline`] keeps the previous synthetic cost model (fixed per-batch
 //! overhead plus per-record spin work) for calibrating the Figure 14 curves
@@ -33,8 +36,9 @@ use std::time::{Duration, Instant};
 
 use svc_catalog::Catalog;
 use svc_ivm::delta::{del_leaf, del_leaf_at, ins_leaf, ins_leaf_at};
+use svc_ivm::fold::{KeyedFold, StagedEdits};
 use svc_ivm::strategy::{
-    batch_change_plans, maintenance_plan, merge_change_plan, MaintCatalog, CHANGE_LEAF, STALE_LEAF,
+    batch_change_plans, change_table_expr, maintenance_plan, MaintCatalog, STALE_LEAF,
 };
 use svc_ivm::view::{maintenance_bindings, MaterializedView};
 use svc_relalg::derive::Derived;
@@ -91,8 +95,10 @@ impl BatchRun {
 /// How [`BatchPipeline::maintain`] responds to a failing mini-batch.
 ///
 /// Under either policy the view itself is safe: maintain folds batches into
-/// a *shadow* table and commits it to the view in one epoch swap at the
-/// end, so no failure mode can expose a partial fold.
+/// a *shadow* copy of the view — each batch's edits staged first and applied
+/// only once the whole batch succeeded — and commits the shadow in one epoch
+/// swap at the end, so no failure mode can expose a partial fold and no
+/// retry can apply an edit twice.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FailurePolicy {
     /// The default: the first failing batch aborts the call with an error
@@ -162,11 +168,10 @@ pub struct BatchPipeline {
     /// on), batch plans additionally get cost-based join reordering, with
     /// the delta-chunk and stale-view leaves overlaid on the fly.
     pub catalog: Option<Arc<Catalog>>,
-    /// Morsel size for intra-plan parallelism. When set, the plans that
-    /// run as a *single* task per batch — the sequential fallback
-    /// maintenance plan of non-change-table views and the driver-side
-    /// merge plan — execute morsel-parallel on the shared pool
-    /// (`PhysicalPlan::run_parallel`), their scans split into row ranges
+    /// Morsel size for intra-plan parallelism. When set, the one plan that
+    /// runs as a *single* task — the sequential fallback maintenance plan
+    /// of non-change-table views — executes morsel-parallel on the shared
+    /// pool (`PhysicalPlan::run_parallel`), its scans split into row ranges
     /// that interleave with other sessions' tasks on the shared queue.
     /// `Some(0)` means "morsel-parallel, size auto-tuned": the size is
     /// derived per plan from the attached catalog's row counts (or the
@@ -176,10 +181,9 @@ pub struct BatchPipeline {
     /// small plans already saturate the pool).
     pub morsel_size: Option<usize>,
     /// Hash-partition count for join builds and set-op dedup inside the
-    /// morsel-parallel plan runs above (the fallback maintenance plan and
-    /// the merge fold); distinct from [`BatchPipeline::partitions`], which
-    /// chunks *deltas* across change plans. `0` (the default) auto-tunes
-    /// from the build input size
+    /// morsel-parallel run of the fallback maintenance plan; distinct from
+    /// [`BatchPipeline::partitions`], which chunks *deltas* across change
+    /// plans. `0` (the default) auto-tunes from the build input size
     /// ([`svc_relalg::exec::auto_partition_count`]); any value is rounded
     /// up to a power of two. Results are identical for every value — this
     /// is purely a parallelism/skew knob. Ignored when `morsel_size` is
@@ -343,22 +347,27 @@ impl CompileCache {
     }
 }
 
+/// What every mini-batch of one change-table [`BatchPipeline::maintain`]
+/// call shares.
+struct MaintainCall<'a> {
+    db: &'a Database,
+    canonical: &'a svc_ivm::Canonical,
+    cat: &'a MaintCatalog<'a>,
+    /// The view's keyed fold, bound once per call.
+    fold: &'a KeyedFold,
+    /// Cache identity of the view's batch plans (see `maintain`).
+    view_key: &'a str,
+    /// Whether batches may split into per-partition chunks
+    /// ([`chunk_parallel_exact`]).
+    chunk_parallel: bool,
+    /// Mini-batches in the call, for diagnoses.
+    batches: usize,
+}
+
 impl BatchPipeline {
     /// Default pipeline on `workers` threads with `2 × workers` partitions.
     pub fn new(workers: usize) -> BatchPipeline {
-        BatchPipeline {
-            pool: Arc::new(WorkerPool::new(workers)),
-            partitions: workers * 2,
-            optimize_plans: true,
-            catalog: None,
-            morsel_size: None,
-            join_partitions: 0,
-            tracer: None,
-            policy: FailurePolicy::default(),
-            quarantine: Arc::default(),
-            cache: Arc::default(),
-            counters: Arc::default(),
-        }
+        BatchPipeline::on_pool(Arc::new(WorkerPool::new(workers)))
     }
 
     /// A pipeline sharing an existing pool.
@@ -392,17 +401,12 @@ impl BatchPipeline {
     }
 
     /// Resolve the configured [`BatchPipeline::morsel_size`] for one plan
-    /// run over `leaves` (plus, optionally, the stale view the plan also
-    /// scans): `None` stays sequential, an explicit size passes through,
-    /// and `Some(0)` derives a size from the catalog's row counts —
-    /// falling back to the live tables when no catalog is attached — via
-    /// [`svc_relalg::exec::auto_morsel_size`] on the largest input.
-    fn resolved_morsel(
-        &self,
-        db: &Database,
-        leaves: &[&str],
-        stale: Option<&svc_storage::Table>,
-    ) -> Option<usize> {
+    /// run over `leaves` and the stale view: `None` stays sequential, an
+    /// explicit size passes through, and `Some(0)` derives a size from the
+    /// catalog's row counts — falling back to the live tables when no
+    /// catalog is attached — via [`svc_relalg::exec::auto_morsel_size`] on
+    /// the largest input.
+    fn resolved_morsel(&self, db: &Database, leaves: &[&str], stale: &Table) -> Option<usize> {
         let morsel = self.morsel_size?;
         if morsel != 0 {
             return Some(morsel);
@@ -423,9 +427,7 @@ impl BatchPipeline {
                 }
             }
         }
-        if let Some(t) = stale {
-            note(t.len(), t.schema().len());
-        }
+        note(stale.len(), stale.schema().len());
         Some(svc_relalg::exec::auto_morsel_size(best.0, best.1))
     }
 
@@ -529,11 +531,8 @@ impl BatchPipeline {
         let _maintain_span = self.tracer.as_deref().map(|t| t.span("maintain", "pipeline"));
 
         let info = svc_ivm::DeltaInfo::of(&pending);
-        let eligible =
-            canonical.agg.is_some() && canonical.change_table_eligible(info.has_deletions());
-        // The catalog and the driver-side merge plan depend only on the
-        // canonical view and the stale schema/key, which are invariant
-        // across every batch of this call — build them once.
+        // The catalog depends only on the canonical view and the stale
+        // schema/key, which are invariant across every batch of this call.
         let cat = MaintCatalog {
             db,
             stale: Derived {
@@ -541,6 +540,11 @@ impl BatchPipeline {
                 key: view.table().key().to_vec(),
             },
         };
+        // The change-table strategy's own gate decides, as it does for
+        // `maintenance_plan`: merge rules the deltas rule out (min/max under
+        // deletions, median), non-aggregates and inputs without a delta
+        // derivation (nested aggregates) all take the fallback below.
+        let eligible = change_table_expr(&canonical, &cat, &info).is_ok();
         if !eligible {
             // Fallback: the whole pending set through the view's
             // maintenance plan — a real plan (delta-apply or recompute).
@@ -585,12 +589,8 @@ impl BatchPipeline {
             return Ok(run);
         }
 
-        // The merge plan is invariant across batches: optimize and compile
-        // it once per call, run it once per change-table fold.
-        let merge = {
-            let (m, _) = optimize(&merge_change_plan(&canonical, &cat)?, &cat)?;
-            compile(&m, &cat)?
-        };
+        // The keyed fold is invariant across batches: bind it once per call.
+        let fold = KeyedFold::new(&canonical, view.table())?;
         // Cache identity of this view's batch plans: the generated plan
         // set is a pure function of the canonical plan and the stale type
         // (plus the chunk signature appended per batch) — and the compiled
@@ -614,101 +614,78 @@ impl BatchPipeline {
         // state, so batches (like chunks) must not interact.
         let exact = chunk_parallel_exact(&canonical.plan, &pending);
         let n_batches = if exact { run.records.div_ceil(batch_size) } else { 1 };
-        // Shadow fold: batches accumulate into a local table and the view
-        // commits exactly once at the end, so an error (or panic) anywhere
-        // in the loop leaves the view at its pre-maintain epoch with every
-        // delta unconsumed — no failure mode exposes a partial fold.
+        // Shadow fold: the view is cloned once (on the first batch that
+        // lands), every batch stages its keyed edits against the shadow and
+        // applies them only after its last fold step succeeded, and the view
+        // commits exactly once at the end. An error (or panic) anywhere in
+        // the loop leaves the view at its pre-maintain epoch with every
+        // delta unconsumed, and a failed attempt leaves the shadow as it
+        // found it — a retry never applies an edit twice, a quarantined
+        // batch stays out.
         let batches = pending.partition(n_batches);
-        let total = batches.len();
-        let mut folded: Option<Table> = None;
+        let call = MaintainCall {
+            db,
+            canonical: &canonical,
+            cat: &cat,
+            fold: &fold,
+            view_key: &view_key,
+            chunk_parallel: exact,
+            batches: batches.len(),
+        };
+        let mut shadow: Option<Table> = None;
         for (idx, batch) in batches.into_iter().enumerate() {
             let records = batch.len();
             let _batch_span = self.tracer.as_deref().map(|t| t.span("batch", "pipeline"));
-            if let Some((next, plans)) = self.fold_one_batch(
-                db,
-                view,
-                &canonical,
-                &cat,
-                &merge,
-                batch,
-                exact,
-                &view_key,
-                folded.as_ref(),
-                idx,
-                total,
-                &mut run,
-            )? {
-                folded = Some(next);
+            if let Some((staged, plans)) =
+                self.fold_one_batch(&call, view, batch, shadow.as_ref(), idx, &mut run)?
+            {
+                let apply_start = Instant::now();
+                let _apply_span = self.tracer.as_deref().map(|t| t.span("apply", "pipeline"));
+                staged.apply(shadow.get_or_insert_with(|| view.table().clone()));
+                self.counters.fold_ns.add(apply_start.elapsed().as_nanos() as u64);
                 run.plans_evaluated += plans;
             }
             self.counters.backlog.add(-(records as i64));
             run.batches += 1;
         }
-        if let Some(table) = folded {
+        if let Some(table) = shadow {
             view.set_table(table);
         }
         run.seconds = start.elapsed().as_secs_f64();
         Ok(run)
     }
 
-    /// Fold one mini-batch into the shadow table under the pipeline's
-    /// failure policy. Returns the folded-so-far table and the plan count,
-    /// or `Ok(None)` when the batch was quarantined (retry policy only).
-    #[allow(clippy::too_many_arguments)]
+    /// Stage one mini-batch's edits against the shadow table (or the view,
+    /// before the first batch landed) under the pipeline's failure policy.
+    /// Returns the staged edits and the plan count, or `Ok(None)` when the
+    /// batch was quarantined (retry policy only).
     fn fold_one_batch(
         &self,
-        db: &Database,
+        call: &MaintainCall<'_>,
         view: &mut MaterializedView,
-        canonical: &svc_ivm::Canonical,
-        cat: &MaintCatalog<'_>,
-        merge: &PhysicalPlan,
         batch: Deltas,
-        chunk_parallel: bool,
-        view_key: &str,
-        folded: Option<&Table>,
+        shadow: Option<&Table>,
         idx: usize,
-        total: usize,
         run: &mut BatchRun,
-    ) -> Result<Option<(Table, usize)>> {
+    ) -> Result<Option<(StagedEdits, usize)>> {
+        let target = shadow.unwrap_or_else(|| view.table());
         match self.policy {
             FailurePolicy::Strict => {
-                let stale = folded.unwrap_or_else(|| view.table());
-                self.run_change_batch(
-                    db,
-                    canonical,
-                    cat,
-                    merge,
-                    batch,
-                    chunk_parallel,
-                    view_key,
-                    stale,
-                )
-                .map(Some)
-                .map_err(|e| {
+                self.stage_change_batch(call, batch, target).map(Some).map_err(|e| {
                     StorageError::Invalid(format!(
                         "mini-batch {}/{} failed; view kept its pre-maintain epoch, deltas \
-                             unconsumed: {e}",
+                         unconsumed: {e}",
                         idx + 1,
-                        total
+                        call.batches
                     ))
                 })
             }
             FailurePolicy::RetryQuarantine { retries, backoff_ms } => {
-                let stale = folded.unwrap_or_else(|| view.table());
                 let attempt = self.with_retries(retries, backoff_ms, run, || {
-                    self.run_change_batch(
-                        db,
-                        canonical,
-                        cat,
-                        merge,
-                        batch.clone(),
-                        chunk_parallel,
-                        view_key,
-                        stale,
-                    )
+                    self.stage_change_batch(call, batch.clone(), target)
                 });
                 match attempt {
-                    Ok(folded) => Ok(Some(folded)),
+                    Ok(staged) => Ok(Some(staged)),
                     Err(e) => {
                         self.quarantine_batch(view, idx, batch, retries + 1, &e);
                         run.quarantined += 1;
@@ -868,8 +845,7 @@ impl BatchPipeline {
         let est = scoped.as_ref().map(|s| s.estimator());
         let est: Option<&dyn svc_relalg::optimizer::CardEstimator> =
             est.as_ref().map(|e| e as &dyn svc_relalg::optimizer::CardEstimator);
-        if let Some(morsel) =
-            self.resolved_morsel(db, &canonical.plan.leaf_tables(), Some(view.table()))
+        if let Some(morsel) = self.resolved_morsel(db, &canonical.plan.leaf_tables(), view.table())
         {
             let optimized = if self.optimize_plans {
                 match est {
@@ -899,28 +875,23 @@ impl BatchPipeline {
         }
     }
 
-    /// Execute one change-table mini-batch against `stale` (the shadow
-    /// table folded so far) without touching the view; returns the next
-    /// shadow table and the plan count.
-    #[allow(clippy::too_many_arguments)]
-    fn run_change_batch(
+    /// Execute one change-table mini-batch and stage its keyed edits
+    /// against `target` (the shadow folded so far) without touching it;
+    /// returns the staged edits and the plan count.
+    fn stage_change_batch(
         &self,
-        db: &Database,
-        canonical: &svc_ivm::Canonical,
-        cat: &MaintCatalog<'_>,
-        merge: &PhysicalPlan,
+        call: &MaintainCall<'_>,
         batch: Deltas,
-        chunk_parallel: bool,
-        view_key: &str,
-        stale: &Table,
-    ) -> Result<(Table, usize)> {
+        target: &Table,
+    ) -> Result<(StagedEdits, usize)> {
         // Map stage: one signed change table per delta chunk, all plans
         // bound side by side (`Deltas::partition` never emits empty chunks,
         // so no worker slot is burned on a no-op partition). The batch is
         // consumed — partitioning moves rows into their chunks.
-        let chunks = if chunk_parallel { batch.partition(self.partitions) } else { vec![batch] };
-        let compiled = self.compiled_batch_plans(canonical, cat, &chunks, view_key)?;
-        let mut bindings = Bindings::from_database(db);
+        let chunks =
+            if call.chunk_parallel { batch.partition(self.partitions) } else { vec![batch] };
+        let compiled = self.compiled_batch_plans(call, &chunks)?;
+        let mut bindings = Bindings::from_database(call.db);
         for (p, chunk) in chunks.iter().enumerate() {
             for (name, set) in chunk.iter() {
                 bindings.bind(ins_leaf_at(name, p), &set.insertions);
@@ -930,38 +901,20 @@ impl BatchPipeline {
         svc_fault::fail_point!(svc_fault::site::BATCH_EVALUATE, StorageError::Invalid);
         let changes = self.pool.run_compiled(&compiled, &bindings)?;
 
-        // Reduce stage (driver): fold each change table into the shadow
-        // table. The merge is associative for the change-table-eligible
-        // merge rules, so chunk order does not matter.
+        // Reduce stage (driver): fold each change table, in plan order, into
+        // the staged edits — O(|change|) lookups by group key, the target
+        // only read. Plan order is chunk order, so the result is the same
+        // for every worker count.
         let fold_start = Instant::now();
         let _fold_span = self.tracer.as_deref().map(|t| t.span("fold", "pipeline"));
-        let mut current: Option<Table> = None;
+        let mut staged = StagedEdits::default();
         for change in &changes {
             svc_fault::fail_point!(svc_fault::site::BATCH_FOLD, StorageError::Invalid);
-            let stale_now: &Table = current.as_ref().unwrap_or(stale);
-            let next = {
-                let mut mb = Bindings::new();
-                mb.bind(STALE_LEAF, stale_now);
-                mb.bind(CHANGE_LEAF, change);
-                // The merge plan's inputs are the stale view and one change
-                // table; the view dominates, so it sizes the morsels.
-                match self.resolved_morsel(db, &[], Some(stale_now)) {
-                    Some(morsel) => merge.run_with(
-                        &mb,
-                        svc_relalg::exec::ExecMode::morsel(self.pool.as_ref(), morsel)
-                            .partitions(self.join_partitions),
-                    )?,
-                    None => merge.run(&mb)?,
-                }
-            };
-            current = Some(next);
+            call.fold.stage(target, &mut staged, change)?;
         }
         self.counters.fold_ns.add(fold_start.elapsed().as_nanos() as u64);
         self.counters.folds.add(changes.len() as u64);
-        // `Deltas::partition` never emits empty chunks and the batch is
-        // non-empty, so at least one change table always folds.
-        let folded = current.unwrap_or_else(|| stale.clone());
-        Ok((folded, compiled.len()))
+        Ok((staged, compiled.len()))
     }
 
     /// The compiled per-partition change plans for one batch: served from
@@ -969,12 +922,11 @@ impl BatchPipeline {
     /// (optimize → compile, once per plan) and cached otherwise.
     fn compiled_batch_plans(
         &self,
-        canonical: &svc_ivm::Canonical,
-        cat: &MaintCatalog<'_>,
+        call: &MaintainCall<'_>,
         chunks: &[Deltas],
-        view_key: &str,
     ) -> Result<Arc<Vec<PhysicalPlan>>> {
         use std::fmt::Write;
+        let MaintainCall { canonical, cat, view_key, .. } = *call;
         // The generated plan set depends on the epoch knobs, the view, the
         // chunk count, and per chunk which tables have pending
         // insertions/deletions (the change-table expression prunes absent
@@ -1004,8 +956,8 @@ impl BatchPipeline {
             // With a catalog attached, overlay stats for every chunk's
             // delta leaves (tiny tables — the build scan is noise) so the
             // per-partition change plans get cost-based join order too.
-            // Change plans never read `__stale` (the merge plan does, and
-            // it is optimized separately), so no view-wide stats build.
+            // Change plans never read `__stale` (the keyed fold does the
+            // merge), so no view-wide stats build.
             // Optimization + compilation fan out on the pool: this is the
             // once-per-epoch cold path, but with many partitions it still
             // should not serialize on the driver.
@@ -1550,29 +1502,41 @@ mod tests {
         assert!(v.table().approx_same_contents(&expected, 1e-9));
     }
 
-    /// `morsel_size` changes scheduling only, never results: fallback and
-    /// merge plans produce the same tables with and without it — including
-    /// `Some(0)`, the catalog-derived auto-tuned size.
+    /// A non-change-table view over the join: median never merges, so it
+    /// takes the fallback plan — the only plan the morsel and
+    /// join-partition knobs still govern.
+    fn median_join_view() -> Plan {
+        Plan::scan("log")
+            .join(Plan::scan("video"), JoinKind::Inner, &[("videoId", "videoId")])
+            .aggregate(&["videoId"], vec![AggSpec::new("med", AggFunc::Median, col("duration"))])
+    }
+
+    /// `morsel_size` changes scheduling only, never results: the fallback
+    /// plan produces the same table with and without it — including
+    /// `Some(0)`, the catalog-derived auto-tuned size — and the
+    /// change-table path ignores it.
     #[test]
     fn morsel_size_is_result_invariant() {
         let db = db();
         let deltas = log_stream(&db, 400);
-        let view = MaterializedView::create("v", visit_view(), &db).unwrap();
-        let expected = view.recompute_fresh(&db, &deltas).unwrap();
-        for morsel in [Some(0), Some(1), Some(33), Some(usize::MAX), None] {
-            let mut pipeline = BatchPipeline::new(2);
-            if morsel == Some(0) {
-                // Auto-tuning should read row counts off the catalog when
-                // one is attached (and off the live tables otherwise).
-                pipeline = pipeline.with_catalog(Arc::new(Catalog::build(&db)));
+        for def in [visit_view(), median_join_view()] {
+            let view = MaterializedView::create("v", def, &db).unwrap();
+            let expected = view.recompute_fresh(&db, &deltas).unwrap();
+            for morsel in [Some(0), Some(1), Some(33), Some(usize::MAX), None] {
+                let mut pipeline = BatchPipeline::new(2);
+                if morsel == Some(0) {
+                    // Auto-tuning should read row counts off the catalog when
+                    // one is attached (and off the live tables otherwise).
+                    pipeline = pipeline.with_catalog(Arc::new(Catalog::build(&db)));
+                }
+                pipeline.morsel_size = morsel;
+                let mut v = view.clone();
+                pipeline.maintain(&db, &mut v, &deltas, 80).unwrap();
+                assert!(
+                    v.table().approx_same_contents(&expected, 1e-9),
+                    "morsel_size {morsel:?} changed the maintenance result"
+                );
             }
-            pipeline.morsel_size = morsel;
-            let mut v = view.clone();
-            pipeline.maintain(&db, &mut v, &deltas, 80).unwrap();
-            assert!(
-                v.table().approx_same_contents(&expected, 1e-9),
-                "morsel_size {morsel:?} changed the maintenance result"
-            );
         }
     }
 
@@ -1582,18 +1546,101 @@ mod tests {
     fn join_partitions_are_result_invariant() {
         let db = db();
         let deltas = log_stream(&db, 400);
-        let view = MaterializedView::create("v", visit_view(), &db).unwrap();
+        for def in [visit_view(), median_join_view()] {
+            let view = MaterializedView::create("v", def, &db).unwrap();
+            let expected = view.recompute_fresh(&db, &deltas).unwrap();
+            for parts in [0usize, 1, 3, 8, 64] {
+                let mut pipeline = BatchPipeline::new(2);
+                pipeline.morsel_size = Some(16);
+                pipeline.join_partitions = parts;
+                let mut v = view.clone();
+                pipeline.maintain(&db, &mut v, &deltas, 80).unwrap();
+                assert!(
+                    v.table().approx_same_contents(&expected, 1e-9),
+                    "join_partitions {parts} changed the maintenance result"
+                );
+            }
+        }
+    }
+
+    /// Cost shape of the change-table path: however many mini-batches a
+    /// `maintain` call runs over a big view, the driver copies the view
+    /// exactly once (the shadow) — every fold touches only the groups its
+    /// change table names — while `folds` keeps counting change tables and
+    /// `fold_ns` keeps timing them. Chunking and pool size never change the
+    /// result (measures are exactly summable, so equality is exact).
+    #[test]
+    fn maintain_clones_the_view_once_however_many_batches_fold() {
+        let mut db = Database::new();
+        let mut events = Table::new(
+            Schema::from_pairs(&[
+                ("id", DataType::Int),
+                ("grp", DataType::Int),
+                ("x", DataType::Float),
+            ])
+            .unwrap(),
+            &["id"],
+        )
+        .unwrap();
+        for id in 0..60_000i64 {
+            events
+                .insert(vec![
+                    Value::Int(id),
+                    Value::Int(id % 20_000),
+                    Value::Float(0.25 * (id % 17) as f64),
+                ])
+                .unwrap();
+        }
+        db.create_table("events", events);
+        let def = Plan::scan("events").aggregate(
+            &["grp"],
+            vec![AggSpec::count_all("n"), AggSpec::new("avgX", AggFunc::Avg, col("x"))],
+        );
+        let view = MaterializedView::create("big", def, &db).unwrap();
+        assert!(view.len() >= 20_000);
+
+        // New rows for old and new groups, scattered deletions, and group
+        // 7000 deleted to zero.
+        let mut deltas = Deltas::new();
+        for id in 60_000..60_500i64 {
+            deltas
+                .insert(
+                    &db,
+                    "events",
+                    vec![Value::Int(id), Value::Int(id % 20_100), Value::Float(1.75)],
+                )
+                .unwrap();
+        }
+        for id in (0..90i64).map(|i| i * 601).chain([7_000, 27_000, 47_000]) {
+            deltas.delete(&db, "events", &vec![Value::Int(id), Value::Null, Value::Null]).unwrap();
+        }
         let expected = view.recompute_fresh(&db, &deltas).unwrap();
-        for parts in [0usize, 1, 3, 8, 64] {
-            let mut pipeline = BatchPipeline::new(2);
-            pipeline.morsel_size = Some(16);
-            pipeline.join_partitions = parts;
-            let mut v = view.clone();
-            pipeline.maintain(&db, &mut v, &deltas, 80).unwrap();
-            assert!(
-                v.table().approx_same_contents(&expected, 1e-9),
-                "join_partitions {parts} changed the maintenance result"
-            );
+        assert!(expected.get(&svc_storage::KeyTuple(vec![Value::Int(7_000)])).is_none());
+
+        let mut first: Option<Table> = None;
+        for workers in [1, 2] {
+            for partitions in [1, 4, 8] {
+                for batch_size in [25, 300] {
+                    let mut pipeline = BatchPipeline::new(workers);
+                    pipeline.partitions = partitions;
+                    let mut v = view.clone();
+                    let clones_before = Table::clone_count();
+                    let run = pipeline.maintain(&db, &mut v, &deltas, batch_size).unwrap();
+                    let clones = Table::clone_count() - clones_before;
+                    let label = format!("{workers}w/{partitions}p/batch {batch_size}");
+                    assert_eq!(run.batches, deltas.len().div_ceil(batch_size), "{label}");
+                    // The shadow, plus the insertion and deletion tables of
+                    // the one touched base table (`Deltas::restricted_to`
+                    // copies the pending set) — none of it per batch.
+                    assert_eq!(clones, 1 + 2, "{label}: driver-side table clones");
+                    let m = pipeline.metrics();
+                    assert_eq!(m.folds as usize, run.plans_evaluated, "{label}: folds");
+                    assert!(m.folds as usize >= run.batches && m.fold_ns > 0, "{label}");
+                    assert!(v.table().approx_same_contents(&expected, 1e-9), "{label}");
+                    let first = first.get_or_insert_with(|| v.table().clone());
+                    assert!(v.table().same_contents(first), "{label}: result depends on chunking");
+                }
+            }
         }
     }
 

@@ -20,18 +20,19 @@
 //! * [`strategy`] — builds the maintenance plan: the change-table method of
 //!   Gupta & Mumick [22,23] used by the paper's experiments, with a
 //!   recomputation fallback expressed *as a plan* so sampling still applies;
+//! * [`fold`] — the keyed change-table fold: apply a materialized change
+//!   table to the view group by group, O(|change|), staged then committed;
 //! * [`view`] — [`view::MaterializedView`]: definition + materialized state
 //!   + staleness bookkeeping + `maintain()`.
 
 pub mod canon;
 pub mod delta;
+pub mod fold;
 pub mod strategy;
 pub mod view;
 
 pub use canon::{canonicalize, Canonical};
 pub use delta::{derive_delta, DeltaInfo, DeltaPlan};
-pub use strategy::{
-    batch_change_plans, maintenance_plan, merge_change_plan, MaintCatalog, PlanKind, CHANGE_LEAF,
-    STALE_LEAF,
-};
+pub use fold::{KeyedFold, StagedEdits};
+pub use strategy::{batch_change_plans, maintenance_plan, MaintCatalog, PlanKind, STALE_LEAF};
 pub use view::MaterializedView;

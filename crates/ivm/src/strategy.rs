@@ -20,24 +20,17 @@
 //!   Definition 3 allows — mirroring the paper's observation that V21/V22
 //!   benefit less but still work.
 
-use svc_storage::{Database, Result, StorageError};
+use svc_storage::{Database, Result, Schema, StorageError};
 
 use svc_relalg::derive::{derive, Derived, LeafProvider};
-use svc_relalg::optimizer::{optimize, optimize_with, CardEstimator, OptimizeReport};
 use svc_relalg::plan::{JoinKind, Plan};
 use svc_relalg::scalar::{col, lit, Expr, Func};
 
-use crate::canon::{Canonical, MergeRule, SVC_CNT};
+use crate::canon::{AggShape, Canonical, MergeRule, SVC_CNT};
 use crate::delta::{derive_delta, new_state, DeltaInfo};
 
 /// Leaf name bound to the stale view inside maintenance plans.
 pub const STALE_LEAF: &str = "__stale";
-
-/// Leaf name bound to an already-materialized signed change table inside
-/// [`merge_change_plan`] — the driver-side merge step of mini-batch
-/// maintenance, where workers evaluate per-partition change tables and the
-/// results are folded into the view one at a time.
-pub const CHANGE_LEAF: &str = "__change";
 
 /// Which maintenance strategy a plan implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,8 +56,7 @@ pub struct MaintCatalog<'a> {
 
 impl LeafProvider for MaintCatalog<'_> {
     fn leaf(&self, name: &str) -> Option<Derived> {
-        // The change table has the canonical view's schema and key.
-        if name == STALE_LEAF || name == CHANGE_LEAF {
+        if name == STALE_LEAF {
             return Some(self.stale.clone());
         }
         let base =
@@ -113,14 +105,14 @@ pub fn maintenance_plan(
         return Ok((Plan::scan(STALE_LEAF), PlanKind::NoOp));
     }
 
-    if let Some(shape) = &canonical.agg {
-        if canonical.change_table_eligible(info.has_deletions()) {
-            if let Ok(plan) = change_table_plan(canonical, cat, info) {
-                return Ok((plan, PlanKind::ChangeTable));
-            }
-        }
-        let _ = shape; // shape consumed inside change_table_plan
-        return Ok((recompute_plan(&canonical.plan, cat, info)?, PlanKind::Recompute));
+    if canonical.agg.is_some() {
+        // `change_table_expr` (inside `change_table_plan`) is the strategy's
+        // one gate: merge rules the deltas rule out and inputs without a
+        // delta derivation (nested aggregates) error there and recompute.
+        return match change_table_plan(canonical, cat, info) {
+            Ok(plan) => Ok((plan, PlanKind::ChangeTable)),
+            Err(_) => Ok((recompute_plan(&canonical.plan, cat, info)?, PlanKind::Recompute)),
+        };
     }
 
     // SPJ view: keyed delta application against the stale view.
@@ -149,75 +141,86 @@ pub fn maintenance_plan(
     }
 }
 
-/// [`maintenance_plan`] followed by the standard optimizer — the form every
-/// execution path evaluates. Callers that wrap the plan further (e.g. the
-/// SVC cleaning path, which adds η on top before optimizing) should use the
-/// raw [`maintenance_plan`] instead so each evaluated plan is optimized
-/// exactly once.
-pub fn optimized_maintenance_plan(
-    canonical: &Canonical,
-    cat: &MaintCatalog<'_>,
-    info: &DeltaInfo,
-) -> Result<(Plan, PlanKind, OptimizeReport)> {
-    optimized_maintenance_plan_with(canonical, cat, info, None)
-}
-
-/// [`optimized_maintenance_plan`] with an optional cardinality estimator:
-/// when present, the optimizer additionally reorders the maintenance
-/// plan's join regions by estimated cost (base-table statistics come from
-/// the `svc-catalog` crate, which implements the estimator).
-pub fn optimized_maintenance_plan_with(
-    canonical: &Canonical,
-    cat: &MaintCatalog<'_>,
-    info: &DeltaInfo,
-    est: Option<&dyn CardEstimator>,
-) -> Result<(Plan, PlanKind, OptimizeReport)> {
-    let (plan, kind) = maintenance_plan(canonical, cat, info)?;
-    let (plan, report) = match est {
-        Some(est) => optimize_with(&plan, cat, est)?,
-        None => optimize(&plan, cat)?,
-    };
-    Ok((plan, kind, report))
-}
-
 /// Canonical output column names of an aggregate view: group fields
 /// followed by aggregate aliases.
-struct CanonNames {
+pub(crate) struct CanonNames {
     all: Vec<String>,
     group: Vec<String>,
     agg: Vec<String>,
+}
+
+impl CanonNames {
+    /// Split the canonical `schema` after its `groups` leading group columns.
+    pub(crate) fn new(schema: &Schema, groups: usize) -> Result<CanonNames> {
+        let all: Vec<String> = schema.names().iter().map(|s| s.to_string()).collect();
+        if groups > all.len() {
+            return Err(StorageError::Invalid("canonical schema is narrower than its key".into()));
+        }
+        let (group, agg) = (all[..groups].to_vec(), all[groups..].to_vec());
+        Ok(CanonNames { all, group, agg })
+    }
 }
 
 fn canon_names(canonical: &Canonical, cat: &MaintCatalog<'_>) -> Result<CanonNames> {
     let Plan::Aggregate { group_by, .. } = &canonical.plan else {
         return Err(StorageError::Invalid("canonical plan is not an aggregate".into()));
     };
-    let canon_schema = derive(&canonical.plan, cat)?.schema;
-    let all: Vec<String> = canon_schema.names().iter().map(|s| s.to_string()).collect();
-    let group = all[..group_by.len()].to_vec();
-    let agg = all[group_by.len()..].to_vec();
-    Ok(CanonNames { all, group, agg })
+    CanonNames::new(&derive(&canonical.plan, cat)?.schema, group_by.len())
+}
+
+/// Prefix of a change row's columns wherever it sits beside the stale row of
+/// its group: the join output of [`merge_with_stale`] and the concatenated
+/// row of the keyed fold ([`crate::fold`]).
+pub(crate) const CHANGE_PREFIX: &str = "__c_";
+
+/// The canonical columns of a stale row merged with its group's change row,
+/// over the schema `[names…, __c_names…]`: group columns pass through and
+/// every aggregate combines by its merge rule. The one definition of the
+/// merge arithmetic (`coalesce0`, NULL handling, `eval_arith` typing), shared
+/// by the maintenance plan and the keyed fold.
+pub(crate) fn merged_columns(shape: &AggShape, names: &CanonNames) -> Result<Vec<(String, Expr)>> {
+    let mut merged: Vec<(String, Expr)> =
+        names.group.iter().map(|g| (g.clone(), col(g.clone()))).collect();
+    for (a, rule) in names.agg.iter().zip(shape.cols.iter().map(|c| &c.rule)) {
+        let s = col(a.clone());
+        let c = col(format!("{CHANGE_PREFIX}{a}"));
+        let expr = match rule {
+            MergeRule::Additive => coalesce0(s).add(coalesce0(c)),
+            MergeRule::TakeMin => least(s, c),
+            MergeRule::TakeMax => greatest(s, c),
+            MergeRule::Recompute => {
+                return Err(StorageError::Invalid(
+                    "non-mergeable aggregate in change-table plan".into(),
+                ))
+            }
+        };
+        merged.push((a.clone(), expr));
+    }
+    Ok(merged)
+}
+
+/// Group liveness over a canonical row: groups whose rows were all deleted
+/// (superfluous rows) are dropped from the maintained view.
+pub(crate) fn group_is_live() -> Expr {
+    col(SVC_CNT).gt(lit(0i64))
 }
 
 /// The *signed change table* of a canonical aggregate view for the given
 /// deltas, as a plan over `{base tables, __ins.T, __del.T}` — the γ half of
 /// the change-table strategy, without the stale-view merge. Returns `None`
 /// when the deltas cannot touch the view (every branch pruned).
+///
+/// This is also the strategy's eligibility gate, shared by every
+/// maintenance path (`maintenance_plan`, `MaterializedView::maintain`, the
+/// mini-batch pipeline): it errors when the view is not a top-level
+/// aggregate, when a merge rule rules the deltas out (min/max under
+/// deletions, median), and when the aggregate's input has no delta
+/// derivation (nested aggregates, outer joins) — callers fall back to
+/// their full maintenance plan on any error.
 pub fn change_table_expr(
     canonical: &Canonical,
     cat: &MaintCatalog<'_>,
     info: &DeltaInfo,
-) -> Result<Option<Plan>> {
-    change_table_expr_with(canonical, cat, info, &canon_names(canonical, cat)?)
-}
-
-/// [`change_table_expr`] with the canonical names precomputed — the batch
-/// path calls this once per chunk without re-deriving the view plan.
-fn change_table_expr_with(
-    canonical: &Canonical,
-    cat: &MaintCatalog<'_>,
-    info: &DeltaInfo,
-    names: &CanonNames,
 ) -> Result<Option<Plan>> {
     let shape = canonical
         .agg
@@ -226,8 +229,14 @@ fn change_table_expr_with(
     let Plan::Aggregate { aggregates, group_by, .. } = &canonical.plan else {
         return Err(StorageError::Invalid("canonical plan is not an aggregate".into()));
     };
+    if !canonical.change_table_eligible(info.has_deletions()) {
+        return Err(StorageError::Invalid(
+            "a merge rule of the view rules out change-table maintenance for these deltas".into(),
+        ));
+    }
 
     let d = derive_delta(&shape.input, info, cat)?;
+    let names = canon_names(canonical, cat)?;
     let gamma = |input: Plan| Plan::Aggregate {
         input: Box::new(input),
         group_by: group_by.clone(),
@@ -296,40 +305,24 @@ fn change_table_expr_with(
 
 /// Merge an arbitrary change-table-shaped plan with `Scan __stale` using the
 /// canonical merge rules — the second half of the change-table strategy.
-fn merge_with_stale(canonical: &Canonical, cat: &MaintCatalog<'_>, change: Plan) -> Result<Plan> {
+pub(crate) fn merge_with_stale(
+    canonical: &Canonical,
+    cat: &MaintCatalog<'_>,
+    change: Plan,
+) -> Result<Plan> {
     let shape = canonical
         .agg
         .as_ref()
         .ok_or_else(|| StorageError::Invalid("change table requires an aggregate view".into()))?;
     let names = canon_names(canonical, cat)?;
 
-    let identity_cols = |names: &[String]| -> Vec<(String, Expr)> {
-        names.iter().map(|n| (n.clone(), col(n.clone()))).collect()
-    };
-
-    let change_renamed = rename_all(change, &names.all, "__c_");
+    let change_renamed = rename_all(change, &names.all, CHANGE_PREFIX);
     let stale = Plan::scan(STALE_LEAF);
     let on: Vec<(String, String)> =
-        names.group.iter().map(|g| (g.clone(), format!("__c_{g}"))).collect();
+        names.group.iter().map(|g| (g.clone(), format!("{CHANGE_PREFIX}{g}"))).collect();
     let on_rev: Vec<(String, String)> = on.iter().map(|(l, r)| (r.clone(), l.clone())).collect();
 
-    let mut merged_cols: Vec<(String, Expr)> =
-        names.group.iter().map(|g| (g.clone(), col(g.clone()))).collect();
-    for (a, rule) in names.agg.iter().zip(shape.cols.iter().map(|c| &c.rule)) {
-        let s = col(a.clone());
-        let c = col(format!("__c_{a}"));
-        let merged = match rule {
-            MergeRule::Additive => coalesce0(s).add(coalesce0(c)),
-            MergeRule::TakeMin => least(s, c),
-            MergeRule::TakeMax => greatest(s, c),
-            MergeRule::Recompute => {
-                return Err(StorageError::Invalid(
-                    "non-mergeable aggregate in change-table plan".into(),
-                ))
-            }
-        };
-        merged_cols.push((a.clone(), merged));
-    }
+    let merged_cols = merged_columns(shape, &names)?;
     let matched_v = Plan::Project {
         input: Box::new(Plan::Join {
             left: Box::new(stale.clone()),
@@ -352,19 +345,21 @@ fn merge_with_stale(canonical: &Canonical, cat: &MaintCatalog<'_>, change: Plan)
             kind: JoinKind::Anti,
             on: on_rev,
         }),
-        columns: identity_cols(&names.all)
-            .into_iter()
-            .map(|(n, _)| (n.clone(), col(format!("__c_{n}"))))
+        columns: names
+            .all
+            .iter()
+            .map(|n| (n.clone(), col(format!("{CHANGE_PREFIX}{n}"))))
             .collect(),
     };
 
     let merged = matched_v.union(stale_only.union(change_only));
-    // Drop groups whose rows were all deleted (superfluous rows).
-    Ok(merged.select(col(SVC_CNT).gt(lit(0i64))))
+    Ok(merged.select(group_is_live()))
 }
 
 /// The change-table strategy for a canonical top-level aggregate: signed
-/// change table over the deltas, merged with the stale view.
+/// change table over the deltas, merged with the stale view. Kept as a plan
+/// (rather than a keyed fold) for the cleaning path, where η pushes through
+/// the merge.
 fn change_table_plan(
     canonical: &Canonical,
     cat: &MaintCatalog<'_>,
@@ -374,15 +369,6 @@ fn change_table_plan(
         None => Ok(Plan::scan(STALE_LEAF)),
         Some(change) => merge_with_stale(canonical, cat, change),
     }
-}
-
-/// The driver-side merge plan of mini-batch maintenance: fold one
-/// already-materialized change table (bound as [`CHANGE_LEAF`]) into the
-/// stale view (bound as [`STALE_LEAF`]). For additive merge rules the fold
-/// is associative, so per-partition change tables can be applied in any
-/// order and one at a time.
-pub fn merge_change_plan(canonical: &Canonical, cat: &MaintCatalog<'_>) -> Result<Plan> {
-    merge_with_stale(canonical, cat, Plan::scan(CHANGE_LEAF))
 }
 
 /// Compile a batch of delta chunks into per-partition change-table plans.
@@ -403,18 +389,14 @@ pub fn batch_change_plans(
     cat: &MaintCatalog<'_>,
     chunks: &[svc_storage::Deltas],
 ) -> Result<Vec<Plan>> {
-    let names = canon_names(canonical, cat)?;
     let mut plans = Vec::with_capacity(chunks.len());
     for (p, chunk) in chunks.iter().enumerate() {
-        let info = DeltaInfo::of(chunk);
-        if !canonical.change_table_eligible(info.has_deletions()) {
-            return Err(StorageError::Invalid(
-                "batch change-table maintenance requires a change-table-eligible view".into(),
-            ));
-        }
-        let change = change_table_expr_with(canonical, cat, &info, &names)?.ok_or_else(|| {
-            StorageError::Invalid(format!("delta chunk {p} is empty; partition before batching"))
-        })?;
+        let change =
+            change_table_expr(canonical, cat, &DeltaInfo::of(chunk))?.ok_or_else(|| {
+                StorageError::Invalid(format!(
+                    "delta chunk {p} is empty; partition before batching"
+                ))
+            })?;
         let suffixed = change.rename_leaves(&mut |name| {
             (name.starts_with("__ins.") || name.starts_with("__del."))
                 .then(|| format!("{name}@{p}"))
@@ -490,7 +472,6 @@ mod tests {
             assert_eq!(d.schema.names(), vec!["id", "x"], "schema of `{name}`");
         }
         assert!(cat.leaf(STALE_LEAF).is_some());
-        assert!(cat.leaf(CHANGE_LEAF).is_some());
         // Non-numeric or prefix-less '@' names are not partition suffixes.
         assert!(cat.leaf("__ins.log@x7").is_none());
         assert!(cat.leaf("log@3").is_none());

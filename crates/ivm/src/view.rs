@@ -7,15 +7,14 @@ use svc_storage::{Database, Deltas, Result, StorageError, Table};
 
 use svc_relalg::derive::{derive_project, Derived};
 use svc_relalg::eval::{evaluate, Bindings};
-use svc_relalg::optimizer::optimize;
+use svc_relalg::optimizer::{optimize, optimize_with};
 use svc_relalg::plan::Plan;
 use svc_relalg::scalar::Expr;
 
 use crate::canon::{canonicalize, Canonical};
 use crate::delta::{del_leaf, ins_leaf, DeltaInfo};
-use crate::strategy::{
-    maintenance_plan, optimized_maintenance_plan_with, MaintCatalog, PlanKind, STALE_LEAF,
-};
+use crate::fold::KeyedFold;
+use crate::strategy::{change_table_expr, maintenance_plan, MaintCatalog, PlanKind, STALE_LEAF};
 
 /// A materialized view: the user-facing definition, its canonical
 /// (change-table maintainable) form, and the materialized canonical state.
@@ -205,22 +204,12 @@ impl MaterializedView {
     /// maintenance period ends). The maintenance plan goes through the
     /// optimizer exactly once. Returns the strategy that was used.
     pub fn maintain(&mut self, db: &Database, deltas: &Deltas) -> Result<PlanKind> {
-        self.maintain_with(db, deltas, None)
+        self.maintain_with_mode(db, deltas, None, svc_relalg::exec::ExecMode::sequential())
     }
 
     /// [`MaterializedView::maintain`] with an optional cardinality
-    /// estimator: the maintenance plan's joins are then reordered by
-    /// estimated cost before evaluation.
-    pub fn maintain_with(
-        &mut self,
-        db: &Database,
-        deltas: &Deltas,
-        est: Option<&dyn svc_relalg::optimizer::CardEstimator>,
-    ) -> Result<PlanKind> {
-        self.maintain_with_mode(db, deltas, est, svc_relalg::exec::ExecMode::sequential())
-    }
-
-    /// [`MaterializedView::maintain_with`] with an execution mode: when the
+    /// estimator — the maintenance plan's joins are then reordered by
+    /// estimated cost before evaluation — and an execution mode: when the
     /// mode carries a morsel scheduler (e.g. `svc-cluster`'s `WorkerPool`),
     /// the compiled maintenance plan runs morsel-parallel — base and delta
     /// scans split into row ranges, γ group maps merge at the barrier.
@@ -241,15 +230,31 @@ impl MaterializedView {
             db,
             stale: Derived { schema: self.table.schema().clone(), key: self.table.key().to_vec() },
         };
-        let (plan, kind, _report) =
-            optimized_maintenance_plan_with(&self.canonical, &cat, &info, est)?;
-        // Compile against the maintenance catalog (schemas only), then run
-        // against the concrete bindings: the compile/run split of the
-        // streaming executor, spelled out where the plan is built.
-        let compiled = svc_relalg::exec::compile_with(&plan, &cat, est)?;
-        let new_table = {
-            let bindings = maintenance_bindings(db, deltas, &self.table);
-            compiled.run_with(&bindings, mode)?
+        // The compile/run split of the streaming executor, spelled out where
+        // the plan is built: optimize once, compile against the maintenance
+        // catalog (schemas only), run against the concrete bindings.
+        let run = |plan: &Plan| -> Result<Table> {
+            let (optimized, _report) = match est {
+                Some(est) => optimize_with(plan, &cat, est)?,
+                None => optimize(plan, &cat)?,
+            };
+            let compiled = svc_relalg::exec::compile_with(&optimized, &cat, est)?;
+            compiled.run_with(&maintenance_bindings(db, deltas, &self.table), mode)
+        };
+        let (new_table, kind) = match change_table_expr(&self.canonical, &cat, &info) {
+            // Change-table class: evaluate the signed change table alone and
+            // fold it into a copy of the view by group key — the merge plan
+            // would scan the whole view three times for the same rows.
+            Ok(Some(change)) => {
+                let change = run(&change)?;
+                let mut next = Table::clone(&self.table);
+                KeyedFold::new(&self.canonical, &next)?.fold(&mut next, &change)?;
+                (next, PlanKind::ChangeTable)
+            }
+            _ => {
+                let (plan, kind) = maintenance_plan(&self.canonical, &cat, &info)?;
+                (run(&plan)?, kind)
+            }
         };
         // Failpoint site: everything above is side-effect free on `self`,
         // so an injected failure here proves the commit is all-or-nothing.
@@ -486,7 +491,7 @@ mod tests {
     #[test]
     fn batched_change_plans_fold_to_full_maintenance() {
         use crate::delta::{del_leaf_at, ins_leaf_at};
-        use crate::strategy::{batch_change_plans, merge_change_plan, CHANGE_LEAF};
+        use crate::strategy::batch_change_plans;
 
         let db = db();
         let mut view = MaterializedView::create("v", visit_view(), &db).unwrap();
@@ -525,13 +530,10 @@ mod tests {
         let changes: Vec<Table> = plans.iter().map(|pl| evaluate(pl, &b).unwrap()).collect();
 
         // Fold the per-partition change tables into the view one at a time.
-        let merge = merge_change_plan(view.canonical(), &cat).unwrap();
         let mut current = view.table().clone();
+        let fold = KeyedFold::new(view.canonical(), &current).unwrap();
         for c in &changes {
-            let mut mb = Bindings::new();
-            mb.bind(crate::strategy::STALE_LEAF, &current);
-            mb.bind(CHANGE_LEAF, c);
-            current = evaluate(&merge, &mb).unwrap();
+            fold.fold(&mut current, c).unwrap();
         }
         assert!(
             current.approx_same_contents(&expected, 1e-9),

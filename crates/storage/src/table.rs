@@ -283,14 +283,18 @@ impl Table {
             });
         }
         let key = self.key_of(&row);
+        Ok(self.put(key, row))
+    }
+
+    /// Store `row` under `key` (its own key), returning the row it replaced.
+    fn put(&mut self, key: KeyTuple, row: Row) -> Option<Row> {
         self.touch();
         if let Some(&pos) = self.index.get(&key) {
-            let old = std::mem::replace(&mut self.rows[pos], row);
-            Ok(Some(old))
+            Some(std::mem::replace(&mut self.rows[pos], row))
         } else {
             self.index.insert(key, self.rows.len());
             self.rows.push(row);
-            Ok(None)
+            None
         }
     }
 
@@ -315,6 +319,22 @@ impl Table {
             self.index.insert(moved_key, pos);
         }
         Some(row)
+    }
+
+    /// Apply keyed edits in order: `Some(row)` replaces or inserts the row
+    /// stored under the key, `None` deletes it. The commit step of a staged
+    /// fold: it must not stop part-way, so unlike [`Table::upsert`] it hosts
+    /// no failpoint and a row of the wrong arity or key is a caller bug.
+    pub fn apply_edits(&mut self, edits: impl IntoIterator<Item = (KeyTuple, Option<Row>)>) {
+        for (key, row) in edits {
+            let Some(row) = row else {
+                self.delete(&key);
+                continue;
+            };
+            assert_eq!(row.len(), self.schema.len(), "edit row arity");
+            debug_assert_eq!(self.key_of(&row), key, "edit row stored under a foreign key");
+            self.put(key, row);
+        }
     }
 
     /// An empty table with the same schema and key.

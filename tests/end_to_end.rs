@@ -1,10 +1,13 @@
 //! End-to-end integration: the full SVC pipeline over the TPCD workload,
 //! crossing every crate (storage → relalg → ivm → sampling → core →
-//! workloads).
+//! workloads), and the mini-batch pipeline over the Conviva views.
 
+use stale_view_cleaning::cluster::minibatch::BatchPipeline;
 use stale_view_cleaning::core::{query::relative_error, AggQuery, Method, SvcConfig, SvcView};
+use stale_view_cleaning::ivm::view::MaterializedView;
 use stale_view_cleaning::relalg::scalar::{col, lit};
 use stale_view_cleaning::sampling::check_correspondence;
+use stale_view_cleaning::workloads::conviva::{self, ConvivaConfig};
 use stale_view_cleaning::workloads::tpcd::{TpcdConfig, TpcdData};
 use stale_view_cleaning::workloads::tpcd_views::{complex_views, join_view, revenue_expr};
 
@@ -120,4 +123,26 @@ fn sampling_ratio_controls_accuracy_cost_tradeoff() {
         widths.push(est.ci.unwrap().half_width);
     }
     assert!(widths[0] > widths[2], "CI width must shrink as m grows: {widths:?}");
+}
+
+/// Regression (the `fig15` panic): the nested-aggregate views V4/V5 pass the
+/// merge-rule check but have no delta derivation, so the pipeline must route
+/// them to the fallback plan as `maintenance_plan` does — not start
+/// mini-batching and abort inside `change_table_expr`.
+#[test]
+fn nested_conviva_views_take_the_pipeline_fallback() {
+    let cfg = ConvivaConfig { base_events: 3_000, ..Default::default() };
+    let db = conviva::generate(cfg).unwrap();
+    let deltas = conviva::appended_updates(&db, cfg, 400, 7).unwrap();
+    for id in ["V4", "V5"] {
+        let def = conviva::views().into_iter().find(|v| v.id == id).unwrap();
+        let mut view = MaterializedView::create(id, def.plan, &db).unwrap();
+        let expected = view.recompute_fresh(&db, &deltas).unwrap();
+        let run = BatchPipeline::new(2).maintain(&db, &mut view, &deltas, 50).unwrap();
+        assert_eq!((run.batches, run.fallback_batches), (1, 1), "{id}: one fallback batch");
+        assert!(
+            view.table().approx_same_contents(&expected, 1e-9),
+            "{id}: fallback maintenance diverged from recompute_fresh"
+        );
+    }
 }

@@ -454,6 +454,74 @@ fn partial_fold_failure_rolls_back_and_names_the_batch() {
     assert!(v.table().same_contents(&expected));
 }
 
+/// Satellite regression: a `BATCH_FOLD` failure *inside* a batch — after at
+/// least one of its change tables was already staged — must leave the
+/// shadow exactly as the batch found it. Observable two ways: a retried
+/// batch converges bit-identically to the failure-free baseline (a leaked
+/// edit would be applied twice), and a quarantined batch stays out until it
+/// is re-folded, after which the view is the baseline again. The site is
+/// still passed once per change table.
+#[test]
+fn mid_batch_fold_failure_leaves_the_shadow_untouched() {
+    let _g = chaos_guard();
+    let db = chaos_db();
+    let view = MaterializedView::create("v", visit_view(), &db).unwrap();
+    let deltas = log_stream(&db, 600);
+    let expected = baseline(&db, &view, &deltas, None);
+
+    // Shape of a clean run: change tables per batch and in total.
+    let clean = BatchPipeline::new(2);
+    let per_batch = clean.partitions as u64;
+    let tables = clean.maintain(&db, &mut view.clone(), &deltas, BATCH).unwrap().plans_evaluated;
+    assert_eq!(clean.metrics().folds, tables as u64);
+    assert!(per_batch >= 2 && tables as u64 == per_batch * deltas.len().div_ceil(BATCH) as u64);
+
+    // Every skip lands mid-batch: `skip % per_batch` tables already staged.
+    for (i, skip) in
+        [1, per_batch + 1, 2 * per_batch + 3, tables as u64 - 1].into_iter().enumerate()
+    {
+        let staged_before_failure = skip % per_batch;
+        assert!(staged_before_failure >= 1, "skip {skip} must land inside a batch");
+        let action = if i % 2 == 0 { FailAction::Error } else { FailAction::Panic };
+
+        // Arm A: one retry — the batch re-stages from the untouched shadow.
+        let pipeline = BatchPipeline::new(2)
+            .with_policy(FailurePolicy::RetryQuarantine { retries: 1, backoff_ms: 0 });
+        let mut v = view.clone();
+        fault::set(site::BATCH_FOLD, FailSpec { skip, count: 1, action });
+        let run = pipeline.maintain(&db, &mut v, &deltas, BATCH).unwrap();
+        let hits = fault::hits(site::BATCH_FOLD);
+        fault::clear_all();
+        assert_eq!((run.retries, run.quarantined), (1, 0), "skip {skip}");
+        assert!(
+            v.table().same_contents(&expected),
+            "skip {skip}: retried batch diverged — a staged edit leaked into the shadow"
+        );
+        assert_eq!(v.epoch(), view.epoch() + 1, "skip {skip}: exactly one commit");
+        // Once per change table: every landed table, plus the failed
+        // attempt's staged tables and the one that fired.
+        assert_eq!(hits, tables as u64 + staged_before_failure + 1, "skip {skip}");
+        assert_eq!(pipeline.metrics().folds, tables as u64, "skip {skip}: folds count landed");
+
+        // Arm B: no retry — the batch quarantines and stays out entirely.
+        let pipeline = BatchPipeline::new(2)
+            .with_policy(FailurePolicy::RetryQuarantine { retries: 0, backoff_ms: 0 });
+        let mut v = view.clone();
+        fault::set(site::BATCH_FOLD, FailSpec { skip, count: 1, action });
+        let run = pipeline.maintain(&db, &mut v, &deltas, BATCH).unwrap();
+        fault::clear_all();
+        assert_eq!((run.retries, run.quarantined), (0, 1), "skip {skip}");
+        assert!(v.is_dirty() && !v.table().same_contents(&expected), "skip {skip}");
+        assert_eq!(pipeline.metrics().folds, tables as u64 - per_batch, "skip {skip}");
+        let recovered = pipeline.retry_quarantined(&db, &mut v, BATCH).unwrap();
+        assert_eq!(recovered, 1, "skip {skip}");
+        assert!(
+            v.table().same_contents(&expected),
+            "skip {skip}: late re-fold diverged — the quarantined batch was partly applied"
+        );
+    }
+}
+
 /// Database for the partitioned-join chaos sweep: `video` carries a
 /// non-key `ownerId` column, so a join on it cannot take the pk-probe
 /// path — it must build a partitioned hash map, which is where the
