@@ -1,57 +1,93 @@
-//! Figure 16 — CPU utilization over time: periodic IVM leaves workers idle
-//! at shuffle barriers (skewed stragglers); running SVC concurrently fills
-//! those gaps.
+//! Figure 16 — CPU utilization per maintenance round, read off the live
+//! pool's busy-time gauges: a lone IVM pipeline leaves workers idle while
+//! its driver partitions, dispatches and folds (and while skewed chunks
+//! straggle); SVC sample cleanings submitted to the same pool fill those
+//! gaps.
+//!
+//! Utilization of a round = Δ`PoolMetrics::busy_ns` / (workers × Δwall).
+//! Each round maintains Conviva V2 over a fresh chunk of the Zipf-skewed
+//! activity stream and checks the result against `recompute_fresh`.
 
-use svc_bench::Report;
-use svc_cluster::executor::{spin, WorkerPool};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
-type Stage = Vec<Box<dyn FnOnce() + Send>>;
+use svc_bench::{bench_scale, Report};
+use svc_cluster::{BatchPipeline, WorkerPool};
+use svc_core::{SvcConfig, SvcView};
+use svc_ivm::MaterializedView;
+use svc_workloads::conviva::{appended_updates_at, generate, views, ConvivaConfig};
 
-/// IVM maintenance: a sequence of shuffle stages, each with one straggler
-/// partition (skew) and several small partitions.
-fn ivm_stages(rounds: usize, with_svc_filler: bool) -> Vec<Stage> {
-    let mut stages = Vec::new();
-    for _ in 0..rounds {
-        let mut tasks: Stage = vec![Box::new(|| {
-            spin(40_000); // straggler partition
-        })];
-        for _ in 0..5 {
-            tasks.push(Box::new(|| {
-                spin(6_000);
-            }));
-        }
-        if with_svc_filler {
-            // SVC sample-cleaning tasks: many small units that slot into
-            // idle workers while the straggler runs.
-            for _ in 0..12 {
-                tasks.push(Box::new(|| {
-                    spin(2_500);
-                }));
-            }
-        }
-        stages.push(tasks);
-    }
-    stages
+/// Busy fraction of `pool` over the wall time of `f`.
+fn utilization(pool: &WorkerPool, f: impl FnOnce()) -> f64 {
+    let busy = pool.metrics().total_busy_ns();
+    let start = Instant::now();
+    f();
+    let wall = start.elapsed().as_nanos() as f64;
+    (pool.metrics().total_busy_ns() - busy) as f64 / (pool.workers() as f64 * wall)
 }
 
 fn main() {
     let workers = std::thread::available_parallelism().map(|n| n.get().clamp(2, 4)).unwrap_or(2);
-    let pool = WorkerPool::new(workers);
-    let buckets = 40;
+    let cfg =
+        ConvivaConfig { base_events: (12_000.0 * bench_scale()) as usize, ..Default::default() };
+    let db = generate(cfg).expect("conviva");
+    let v2 = views().into_iter().find(|v| v.id == "V2").expect("V2");
+    let svc = SvcView::create("V2", v2.plan, &db, SvcConfig::with_ratio(0.1)).expect("view");
+    let pool = Arc::new(WorkerPool::new(workers));
+    let pipeline = BatchPipeline::on_pool(pool.clone());
+    let rounds = 8;
+    let chunk = ((2_000.0 * bench_scale()) as usize).max(200);
+    let batch = (chunk / 8).max(1);
 
-    let ivm = pool.run_stages(ivm_stages(6, false));
-    let both = pool.run_stages(ivm_stages(6, true));
+    let mut report = Report::new("fig16", &["round", "ivm_util", "ivm_svc_util", "cleanings"]);
+    let (mut sum_ivm, mut sum_both) = (0.0, 0.0);
+    for t in 0..rounds {
+        let start_id = 10_000_000 + (t * chunk) as i64;
+        let deltas =
+            appended_updates_at(&db, cfg, chunk, 1000 + t as u64, start_id).expect("chunk");
+        let expected = svc.view.recompute_fresh(&db, &deltas).expect("recompute oracle");
+        let maintain = |v: &mut MaterializedView| {
+            pipeline.maintain(&db, v, &deltas, batch).expect("maintain");
+        };
 
-    let u_ivm = ivm.utilization(buckets);
-    let u_both = both.utilization(buckets);
+        let mut alone = svc.view.clone();
+        let ivm = utilization(&pool, || maintain(&mut alone));
 
-    let mut report = Report::new("fig16", &["time_bucket", "ivm_util", "ivm_svc_util"]);
-    for b in 0..buckets {
-        report.row(vec![b.to_string(), Report::f(u_ivm[b]), Report::f(u_both[b])]);
+        let mut shared = svc.view.clone();
+        let mut cleanings = 0usize;
+        let both = utilization(&pool, || {
+            let stop = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                let cleaner = s.spawn(|| {
+                    let mut n = 0;
+                    loop {
+                        pool.run_batch(workers, |_| svc.clean_sample(&db, &deltas).map(drop))
+                            .expect("cleaning");
+                        n += workers;
+                        if stop.load(Ordering::Relaxed) {
+                            return n;
+                        }
+                    }
+                });
+                maintain(&mut shared);
+                stop.store(true, Ordering::Relaxed);
+                cleanings = cleaner.join().expect("cleaner panicked");
+            });
+        });
+
+        for v in [&alone, &shared] {
+            assert!(v.table().approx_same_contents(&expected, 1e-9), "round {t} diverged");
+        }
+        assert!(ivm > 0.0 && both > 0.0, "round {t}: the pool did no work");
+        sum_ivm += ivm;
+        sum_both += both;
+        report.row(vec![t.to_string(), Report::f(ivm), Report::f(both), cleanings.to_string()]);
     }
     report.finish(format!(
-        "CPU utilization over time ({workers} workers): overall IVM {:.2} vs IVM+SVC {:.2}",
-        ivm.overall_utilization(),
-        both.overall_utilization()
+        "pool utilization per maintenance round ({workers} workers): mean IVM {:.2} vs IVM+SVC \
+         {:.2}",
+        sum_ivm / rounds as f64,
+        sum_both / rounds as f64
     ));
 }

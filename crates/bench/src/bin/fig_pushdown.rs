@@ -7,13 +7,23 @@
 //! standard optimizer pass (predicate pushdown, projection pruning, and the
 //! η rule). Emits a table, a CSV (via the shared `Report` harness), and a
 //! JSON file for the benchmark trajectory.
+//!
+//! A second table prices the optimizer itself: `optimize()` threads
+//! `Derived` types through its rule recursions (one `derive_tree` pass per
+//! sweep), so its cost grows ~linearly with plan depth. The
+//! pre-memoization cost model — re-deriving every node's subtree at every
+//! visit, exactly what each rule sweep used to do — is measured alongside
+//! as the quadratic baseline, and the optimizer must grow slower than it.
 
-use std::fs;
-
-use svc_bench::{experiments_dir, median_of, time, tpcd, Report};
+use svc_bench::{median_of, time, tpcd, write_json, Report};
 use svc_core::{SvcConfig, SvcView};
 use svc_ivm::view::maintenance_bindings;
+use svc_relalg::derive::derive;
 use svc_relalg::eval::evaluate;
+use svc_relalg::optimizer::optimize;
+use svc_relalg::plan::Plan;
+use svc_relalg::scalar::{col, lit};
+use svc_storage::Database;
 use svc_workloads::tpcd_views::join_view;
 
 struct Point {
@@ -22,6 +32,97 @@ struct Point {
     optimized_s: f64,
     eta_descended: usize,
     sampled_leaves: usize,
+}
+
+/// A depth-`d` unary chain (alternating σ / Π) over the join view — the
+/// deep-plan shape whose optimization cost the depth table measures.
+fn deep_plan(depth: usize) -> Plan {
+    let mut plan = join_view();
+    for i in 0..depth {
+        plan = if i % 2 == 0 {
+            plan.select(col("l_orderkey").ge(lit(i as i64)))
+        } else {
+            plan.project(vec![
+                ("l_orderkey", col("l_orderkey")),
+                ("l_linenumber", col("l_linenumber")),
+                ("o_orderdate", col("o_orderdate")),
+            ])
+        };
+    }
+    plan
+}
+
+/// The pre-memoization cost model of one rule sweep: call `derive` on every
+/// node of the plan (each call re-derives the whole subtree) and return the
+/// wall time — the O(n²) work profile the rules had before `Derived` was
+/// threaded through their recursions.
+fn rederive_every_node(plan: &Plan, db: &Database) -> f64 {
+    fn walk(plan: &Plan, db: &Database) {
+        derive(plan, db).expect("derive");
+        match plan {
+            Plan::Scan { .. } => {}
+            Plan::Select { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Aggregate { input, .. }
+            | Plan::Hash { input, .. } => walk(input, db),
+            Plan::Join { left, right, .. }
+            | Plan::Union { left, right }
+            | Plan::Intersect { left, right }
+            | Plan::Difference { left, right } => {
+                walk(left, db);
+                walk(right, db);
+            }
+        }
+    }
+    time(|| walk(plan, db)).1
+}
+
+/// `optimize()` cost vs plan depth against the per-node re-derive baseline;
+/// returns the JSON rows.
+fn depth_table(db: &Database) -> Vec<String> {
+    let reps = 5;
+    let mut report =
+        Report::new("fig_pushdown_depth", &["depth", "nodes", "optimize_ms", "rederive_ms"]);
+    let mut json_rows = Vec::new();
+    let mut measured = Vec::new();
+    for d in [4usize, 8, 16, 32, 64] {
+        let plan = deep_plan(d);
+        let nodes = plan.node_count();
+        let mut t_opt = Vec::with_capacity(reps);
+        let mut t_red = Vec::with_capacity(reps);
+        for _ in 0..reps {
+            let (r, t) = time(|| optimize(&plan, db).expect("optimize"));
+            std::hint::black_box(r);
+            t_opt.push(t);
+            t_red.push(rederive_every_node(&plan, db));
+        }
+        let (o, r) = (median_of(&t_opt), median_of(&t_red));
+        report.row(vec![
+            d.to_string(),
+            nodes.to_string(),
+            format!("{:.4}", o * 1e3),
+            format!("{:.4}", r * 1e3),
+        ]);
+        json_rows.push(format!(
+            "{{\"depth\":{d},\"nodes\":{nodes},\"optimize_s\":{o},\"rederive_s\":{r}}}"
+        ));
+        measured.push((d, o, r));
+    }
+    report.finish("optimize() cost vs plan depth: Derived threaded (vs per-node re-derive)");
+
+    // Growth check: from depth 8 to 64 the memoized optimizer must grow
+    // strictly slower than the per-node re-derivation baseline (linear vs
+    // quadratic; ratios are used so absolute machine speed cancels).
+    let at = |d: usize| measured.iter().find(|&&(x, _, _)| x == d).expect("depth measured");
+    let opt_growth = at(64).1 / at(8).1.max(1e-9);
+    let red_growth = at(64).2 / at(8).2.max(1e-9);
+    println!("growth 8→64: optimize {opt_growth:.1}x, per-node re-derive {red_growth:.1}x");
+    assert!(
+        opt_growth < red_growth,
+        "memoized optimize() must grow slower than the quadratic re-derive baseline: \
+         {opt_growth:.1}x vs {red_growth:.1}x"
+    );
+    json_rows
 }
 
 fn main() {
@@ -99,18 +200,16 @@ fn main() {
     }
     report.finish("cleaning latency, optimizer off vs on (TPC-D join view, 10% updates)");
 
-    let json = format!(
-        "{{\"bench\":\"fig_pushdown\",\"workload\":\"tpcd_join_view\",\"update_frac\":0.1,\
-         \"reps\":{reps},\"points\":[{}]}}\n",
-        json_rows.join(",")
+    let depth_rows = depth_table(&data.db);
+    write_json(
+        "fig_pushdown",
+        &format!(
+            "{{\"bench\":\"fig_pushdown\",\"workload\":\"tpcd_join_view\",\"update_frac\":0.1,\
+             \"reps\":{reps},\"points\":[{}],\"optimize_depth\":[{}]}}\n",
+            json_rows.join(","),
+            depth_rows.join(",")
+        ),
     );
-    let dir = experiments_dir();
-    let _ = fs::create_dir_all(&dir);
-    let path = dir.join("fig_pushdown.json");
-    match fs::write(&path, &json) {
-        Ok(()) => println!("[written {}]", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
 
     let worst =
         points.iter().map(|p| p.unoptimized_s / p.optimized_s).fold(f64::INFINITY, f64::min);

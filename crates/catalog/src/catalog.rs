@@ -142,12 +142,6 @@ impl ScopedStats<'_> {
         self
     }
 
-    /// Bind `name` to precomputed stats.
-    pub fn bind_stats(&mut self, name: impl Into<String>, stats: TableStats) -> &mut Self {
-        self.extra.insert(name.into(), stats);
-        self
-    }
-
     /// The estimator to hand to `optimize_with`.
     pub fn estimator(&self) -> CatalogEstimator<'_> {
         CatalogEstimator::new(self)

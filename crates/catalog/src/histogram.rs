@@ -98,16 +98,6 @@ impl Histogram {
         };
         (acc as f64 + within) / total as f64
     }
-
-    /// Estimated selectivity of a range predicate `lo_incl ≤ v ≤ hi_incl`
-    /// (pass `-inf`/`+inf` for open ends).
-    pub fn fraction_between(&self, lo: f64, hi: f64) -> f64 {
-        if hi < lo {
-            return 0.0;
-        }
-        (self.fraction_le(hi) - if lo > f64::NEG_INFINITY { self.fraction_le(lo) } else { 0.0 })
-            .clamp(0.0, 1.0)
-    }
 }
 
 #[cfg(test)]

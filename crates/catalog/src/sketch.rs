@@ -48,11 +48,6 @@ impl DistinctSketch {
         }
     }
 
-    /// Number of registers.
-    pub fn register_count(&self) -> usize {
-        self.registers.len()
-    }
-
     /// The raw registers (for exactness comparisons in tests).
     pub fn registers(&self) -> &[u8] {
         &self.registers

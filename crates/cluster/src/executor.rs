@@ -1,20 +1,19 @@
-//! A worker pool with a **shared work queue**, stage barriers, and
-//! per-worker busy-time accounting — the synchronous-parallelism model
-//! whose idle gaps Figure 16 visualizes — plus the mini-batch
-//! plan-evaluation entry point ([`WorkerPool::evaluate_plans`]) that routes
-//! every plan through the `svc-relalg` optimizer exactly once before
-//! scheduling it.
+//! A worker pool with a **shared work queue** and per-worker busy-time
+//! accounting ([`PoolMetrics::busy_ns`] — the gauge Figure 16 reads), plus
+//! the mini-batch plan-evaluation entry point
+//! ([`WorkerPool::evaluate_plans`]) that routes every plan through the
+//! `svc-relalg` optimizer exactly once before scheduling it.
 //!
 //! The pool owns `workers` persistent threads that pull tasks off one
 //! shared queue. Every entry point ([`WorkerPool::submit`],
-//! [`WorkerPool::run_batch`], [`WorkerPool::run_stages`], and the
-//! [`MorselScheduler`] impl behind `PhysicalPlan::run_parallel`) enqueues
-//! into that same queue, so tasks from *concurrent* callers — two
-//! `BatchPipeline`s maintaining different views, a plan batch and a
-//! morsel-parallel merge — interleave across one set of workers instead of
-//! each call spinning up its own thread scope. Task panics are caught on
-//! the worker, reported as an error to the submitting session only, and
-//! never corrupt or stall other sessions sharing the pool.
+//! [`WorkerPool::run_batch`], and the [`MorselScheduler`] impl behind
+//! `PhysicalPlan::run_parallel`) enqueues into that same queue, so tasks
+//! from *concurrent* callers — two `BatchPipeline`s maintaining different
+//! views, a plan batch and a morsel-parallel merge — interleave across one
+//! set of workers instead of each call spinning up its own thread scope.
+//! Task panics are caught on the worker, reported as an error to the
+//! submitting session only, and never corrupt or stall other sessions
+//! sharing the pool.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -24,72 +23,10 @@ use std::time::Instant;
 
 use svc_relalg::eval::Bindings;
 use svc_relalg::exec::{compile, MorselScheduler, PhysicalPlan};
-use svc_relalg::optimizer::{optimize, optimize_with, CardEstimator};
+use svc_relalg::optimizer::optimize;
 use svc_relalg::plan::Plan;
 use svc_storage::{Result, StorageError, Table};
 use svc_telemetry::{Counter, Gauge};
-
-/// One recorded busy interval of one worker, in seconds since the trace
-/// epoch.
-#[derive(Debug, Clone, Copy)]
-pub struct BusyInterval {
-    /// Worker index.
-    pub worker: usize,
-    /// Interval start (s).
-    pub start: f64,
-    /// Interval end (s).
-    pub end: f64,
-}
-
-/// The execution record of one or more stages on the pool.
-#[derive(Debug, Clone, Default)]
-pub struct ExecutionTrace {
-    /// All busy intervals.
-    pub intervals: Vec<BusyInterval>,
-    /// Total wall-clock duration (s).
-    pub wall: f64,
-    /// Number of workers.
-    pub workers: usize,
-}
-
-impl ExecutionTrace {
-    /// Average CPU utilization in `buckets` equal time slices: the fraction
-    /// of worker-time spent busy per slice (the Figure 16 series).
-    pub fn utilization(&self, buckets: usize) -> Vec<f64> {
-        assert!(buckets > 0);
-        let mut out = vec![0.0; buckets];
-        if self.wall <= 0.0 || self.workers == 0 {
-            return out;
-        }
-        let width = self.wall / buckets as f64;
-        for iv in &self.intervals {
-            // Distribute the interval over the buckets it spans.
-            let first = ((iv.start / width) as usize).min(buckets - 1);
-            let last = ((iv.end / width) as usize).min(buckets - 1);
-            for (b, slot) in out.iter_mut().enumerate().take(last + 1).skip(first) {
-                let lo = (b as f64 * width).max(iv.start);
-                let hi = ((b + 1) as f64 * width).min(iv.end);
-                if hi > lo {
-                    *slot += hi - lo;
-                }
-            }
-        }
-        let capacity = width * self.workers as f64;
-        for v in out.iter_mut() {
-            *v /= capacity;
-        }
-        out
-    }
-
-    /// Overall busy fraction.
-    pub fn overall_utilization(&self) -> f64 {
-        if self.wall <= 0.0 || self.workers == 0 {
-            return 0.0;
-        }
-        let busy: f64 = self.intervals.iter().map(|iv| iv.end - iv.start).sum();
-        busy / (self.wall * self.workers as f64)
-    }
-}
 
 /// One unit of queued work: an index into its session's task range.
 struct QueuedTask {
@@ -223,9 +160,6 @@ impl std::fmt::Debug for QueuedTask {
     }
 }
 
-/// A stage task: claimed exactly once by the submitted closure.
-type StageTask = Mutex<Option<Box<dyn FnOnce() + Send>>>;
-
 thread_local! {
     /// `(pool id, worker index)` of the pool worker running on this thread,
     /// if any. Lets `submit` detect nested submission from one of its own
@@ -238,9 +172,9 @@ thread_local! {
 static NEXT_POOL_ID: AtomicUsize = AtomicUsize::new(0);
 
 /// A fixed-size worker pool: `workers` persistent threads pulling from one
-/// shared task queue. Barrier-style entry points ([`WorkerPool::run_stages`])
-/// are built on top of the queue, as is the `MorselScheduler` impl that
-/// lets compiled plans run morsel-parallel on the pool.
+/// shared task queue. [`WorkerPool::run_batch`] is built on top of the
+/// queue, as is the `MorselScheduler` impl that lets compiled plans run
+/// morsel-parallel on the pool.
 #[derive(Debug)]
 pub struct WorkerPool {
     workers: usize,
@@ -370,78 +304,23 @@ impl WorkerPool {
         session_outcome(p.panic_msg.take())
     }
 
-    /// Run `stages` sequentially; within a stage, tasks are pulled from the
-    /// shared queue by all workers, and the stage ends when every task
-    /// completed (the barrier). Returns the busy-interval trace.
-    pub fn run_stages(&self, stages: Vec<Vec<Box<dyn FnOnce() + Send>>>) -> ExecutionTrace {
-        let epoch = Instant::now();
-        let intervals: Mutex<Vec<BusyInterval>> = Mutex::new(Vec::new());
-
-        for stage in stages {
-            let tasks: Vec<StageTask> = stage.into_iter().map(|t| Mutex::new(Some(t))).collect();
-            self.submit(tasks.len(), &|i, w| {
-                let task = tasks[i].lock().unwrap().take().expect("task taken once");
-                let start = epoch.elapsed().as_secs_f64();
-                task();
-                let end = epoch.elapsed().as_secs_f64();
-                intervals.lock().unwrap().push(BusyInterval { worker: w, start, end });
-            })
-            .expect("stage task panicked");
-        }
-
-        ExecutionTrace {
-            intervals: intervals.into_inner().expect("interval lock poisoned"),
-            wall: epoch.elapsed().as_secs_f64(),
-            workers: self.workers,
-        }
-    }
-
     /// Evaluate a batch of plans against shared bindings on the pool — the
     /// mini-batch maintenance path: one plan per view (or per delta chunk),
     /// all reading the same bound relations.
     ///
-    /// Each plan is run through the standard optimizer exactly once, as
-    /// part of its worker task. Results come back in input order; once any
-    /// plan errors, workers stop picking up new plans (in-flight
-    /// evaluations finish) and the error is returned.
-    pub fn evaluate_plans(&self, plans: &[Plan], bindings: &Bindings<'_>) -> Result<Vec<Table>> {
-        self.evaluate_plans_with(plans, bindings, None)
-    }
-
-    /// [`WorkerPool::evaluate_plans`] with an optional cardinality
-    /// estimator: each plan's join regions are then reordered by estimated
-    /// cost — the per-partition batch plans of mini-batch maintenance all
-    /// share one join shape, so one good order pays off across the whole
-    /// batch. Each plan is optimized and **compiled exactly once** before
-    /// it runs; both happen *inside* the worker tasks (the rule engine,
-    /// estimator, and bindings are all read-only), so the compile cost
+    /// Each plan is run through the standard optimizer and **compiled
+    /// exactly once** before it runs; both happen *inside* the worker tasks
+    /// (the rule engine and bindings are read-only), so the compile cost
     /// parallelizes with the evaluation instead of serializing on the
-    /// driver. Callers that reuse plans across calls should compile
-    /// themselves and use [`WorkerPool::run_compiled`].
-    pub fn evaluate_plans_with(
-        &self,
-        plans: &[Plan],
-        bindings: &Bindings<'_>,
-        est: Option<&dyn CardEstimator>,
-    ) -> Result<Vec<Table>> {
+    /// driver. Results come back in input order; once any plan errors,
+    /// workers stop picking up new plans (in-flight evaluations finish) and
+    /// the error is returned. Callers that reuse plans across calls should
+    /// compile themselves and use [`WorkerPool::run_compiled`].
+    pub fn evaluate_plans(&self, plans: &[Plan], bindings: &Bindings<'_>) -> Result<Vec<Table>> {
         self.run_batch(plans.len(), |i| {
-            let (optimized, _) = match est {
-                Some(e) => optimize_with(&plans[i], bindings, e)?,
-                None => optimize(&plans[i], bindings)?,
-            };
+            let (optimized, _) = optimize(&plans[i], bindings)?;
             compile(&optimized, bindings)?.run(bindings)
         })
-    }
-
-    /// [`WorkerPool::evaluate_plans`] without the optimizer pass: every plan
-    /// is compiled and run exactly as written. The optimizer-off arm of the
-    /// mini-batch benchmarks.
-    pub fn evaluate_plans_raw(
-        &self,
-        plans: &[Plan],
-        bindings: &Bindings<'_>,
-    ) -> Result<Vec<Table>> {
-        self.run_batch(plans.len(), |i| compile(&plans[i], bindings)?.run(bindings))
     }
 
     /// Evaluate pre-compiled physical plans against shared bindings — the
@@ -558,17 +437,6 @@ fn worker_loop(shared: &PoolShared, pool_id: usize, w: usize) {
         });
         task.session.complete(panic_msg);
     }
-}
-
-/// Deterministic CPU-bound busy work: `units` rounds of integer mixing.
-/// Used by the benchmarks to model per-record processing cost.
-pub fn spin(units: u64) -> u64 {
-    let mut x = 0x9e3779b97f4a7c15u64 ^ units;
-    for i in 0..units * 400 {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
-        x ^= x >> 29;
-    }
-    std::hint::black_box(x)
 }
 
 #[cfg(test)]
@@ -782,73 +650,31 @@ mod tests {
     #[test]
     fn all_tasks_run_once() {
         let pool = WorkerPool::new(4);
-        let counter = std::sync::Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..64)
-            .map(|_| {
-                let c = counter.clone();
-                Box::new(move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                    spin(5);
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        let trace = pool.run_stages(vec![tasks]);
-        assert_eq!(counter.load(Ordering::Relaxed), 64);
-        assert_eq!(trace.intervals.len(), 64);
-        assert!(trace.wall > 0.0);
+        let runs: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        let before = pool.metrics().tasks;
+        pool.submit(64, &|i, _w| {
+            runs[i].fetch_add(1, Ordering::Relaxed);
+        })
+        .unwrap();
+        let seen = pool.run_batch(64, |i| Ok(runs[i].fetch_add(1, Ordering::Relaxed))).unwrap();
+        assert_eq!(seen, vec![1; 64], "every index ran exactly once under submit");
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 2), "and once under run_batch");
+        assert_eq!(pool.metrics().tasks - before, 128);
     }
 
+    /// The busy-time gauges behind every utilization figure: each task's
+    /// run time lands on exactly one worker, so the pool total is at least
+    /// the work done and no worker is busier than the wall clock.
     #[test]
-    fn skewed_stages_leave_idle_time() {
-        // One straggler task per stage → utilization well below 1.
-        let pool = WorkerPool::new(4);
-        let mut stages = Vec::new();
-        for _ in 0..3 {
-            let mut tasks: Vec<Box<dyn FnOnce() + Send>> = vec![Box::new(|| {
-                spin(2000);
-            })];
-            for _ in 0..3 {
-                tasks.push(Box::new(|| {
-                    spin(50);
-                }));
-            }
-            stages.push(tasks);
-        }
-        let trace = pool.run_stages(stages);
-        let u = trace.overall_utilization();
-        assert!(u < 0.8, "expected idle time at barriers, utilization {u}");
-    }
-
-    #[test]
-    fn balanced_stage_is_well_utilized() {
-        // Tasks must be large enough that per-task bookkeeping is noise.
-        let pool = WorkerPool::new(4);
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..16)
-            .map(|_| {
-                Box::new(|| {
-                    spin(20_000);
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        let trace = pool.run_stages(vec![tasks]);
-        let u = trace.overall_utilization();
-        assert!(u > 0.5, "balanced work should keep workers busy, got {u}");
-    }
-
-    #[test]
-    fn utilization_buckets_sum_to_overall() {
+    fn busy_time_is_bounded_by_work_and_wall() {
         let pool = WorkerPool::new(2);
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..8)
-            .map(|_| {
-                Box::new(|| {
-                    spin(200);
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        let trace = pool.run_stages(vec![tasks]);
-        let buckets = trace.utilization(10);
-        let mean = buckets.iter().sum::<f64>() / buckets.len() as f64;
-        assert!((mean - trace.overall_utilization()).abs() < 0.05);
-        assert!(buckets.iter().all(|&b| (0.0..=1.01).contains(&b)));
+        let nap = std::time::Duration::from_millis(2);
+        let start = Instant::now();
+        pool.submit(8, &|_, _| std::thread::sleep(nap)).unwrap();
+        let wall = start.elapsed().as_nanos() as u64;
+        let m = pool.metrics();
+        assert_eq!(m.busy_ns.len(), 2);
+        assert!(m.total_busy_ns() >= 8 * nap.as_nanos() as u64, "work unaccounted: {m:?}");
+        assert!(m.busy_ns.iter().all(|&b| b <= wall), "a worker busier than the wall: {m:?}");
     }
 }

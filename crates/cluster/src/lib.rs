@@ -15,19 +15,17 @@
 //! so this crate reproduces the three mechanisms those experiments depend
 //! on:
 //!
-//! 1. **batch amortization** — per-batch driver work (plan compilation,
-//!    change-table merge folding) makes small batches slow (Figure 14a).
-//!    [`minibatch::BatchPipeline`] measures this on *real* maintenance
-//!    plans: delta chunks compile to per-partition change tables
-//!    (`svc-ivm`), evaluate on the pool (`WorkerPool::evaluate_plans`), and
-//!    merge into the view. The synthetic spin model survives as
-//!    [`minibatch::SpinPipeline`] for calibration only;
+//! 1. **batch amortization** — per-batch driver work (partitioning,
+//!    dispatch, the fold's per-group lookups) makes small batches slow
+//!    (Figure 14a). [`minibatch::BatchPipeline`] measures this on *real*
+//!    maintenance plans: delta chunks compile to per-partition change
+//!    tables (`svc-ivm`), evaluate on the pool, and fold into the view;
 //! 2. **contention** — two concurrent maintenance pipelines share the
 //!    worker pool and reduce each other's throughput, less so at large
 //!    batch sizes (Figure 14b);
-//! 3. **synchronization idle time** — stage barriers with skewed task sizes
-//!    leave workers idle, which SVC's small sampling tasks can absorb
-//!    (Figure 16).
+//! 3. **synchronization idle time** — a lone maintenance driver leaves
+//!    workers idle between its plan batches, which SVC's small cleaning
+//!    tasks can absorb (Figure 16, read off [`PoolMetrics::busy_ns`]).
 //!
 //! [`timeline`] drives the *real* SVC machinery — IVM refreshes routed
 //! through the plan-driven [`minibatch::BatchPipeline`] — over a periodic
@@ -38,6 +36,6 @@ pub mod executor;
 pub mod minibatch;
 pub mod timeline;
 
-pub use executor::{ExecutionTrace, PoolMetrics, WorkerPool};
-pub use minibatch::{BatchPipeline, BatchRun, PipelineMetrics, SpinPipeline, ThroughputPoint};
-pub use timeline::{timeline_max_error, timeline_max_error_on, TimelineConfig, TimelineResult};
+pub use executor::{PoolMetrics, WorkerPool};
+pub use minibatch::{BatchPipeline, BatchRun, PipelineMetrics, ThroughputPoint};
+pub use timeline::{timeline_max_error, TimelineConfig, TimelineResult};

@@ -1,4 +1,4 @@
-//! Mini-batch maintenance pipelines and the throughput / batch-size
+//! The mini-batch maintenance pipeline and the throughput / batch-size
 //! trade-off (Section 7.6.2, Figure 14).
 //!
 //! [`BatchPipeline`] is a real mini-batch IVM executor: it drains pending
@@ -12,8 +12,7 @@
 //! inserted, so a fold costs what its change table holds, not what the view
 //! holds. Larger batches amortize the per-batch driver work (partitioning,
 //! dispatch, the fold's per-group lookups) over more records — the
-//! Figure 14 shape, measured on real plans instead of modeled with
-//! synthetic busy-work.
+//! Figure 14 shape, measured on real plans (`fig14`).
 //!
 //! Chunk-level parallelism is exact when no cross-chunk delta interactions
 //! exist: single-table batches through tree-shaped views (each touched
@@ -22,12 +21,8 @@
 //! one leaf — run as one chunk; views outside the change-table class
 //! (min/max under deletions, median, non-aggregate or nested-aggregate
 //! views — whatever `svc_ivm::strategy::change_table_expr` rejects) fall
-//! back to their full sequential maintenance plan, still evaluated on the
-//! pool.
-//!
-//! [`SpinPipeline`] keeps the previous synthetic cost model (fixed per-batch
-//! overhead plus per-record spin work) for calibrating the Figure 14 curves
-//! against an idealized Spark-like scheduler.
+//! back to `MaterializedView::maintained`, the same optimize → compile →
+//! run every other maintenance call takes, still evaluated on the pool.
 
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,19 +32,17 @@ use std::time::{Duration, Instant};
 use svc_catalog::Catalog;
 use svc_ivm::delta::{del_leaf, del_leaf_at, ins_leaf, ins_leaf_at};
 use svc_ivm::fold::{KeyedFold, StagedEdits};
-use svc_ivm::strategy::{
-    batch_change_plans, change_table_expr, maintenance_plan, MaintCatalog, STALE_LEAF,
-};
-use svc_ivm::view::{maintenance_bindings, MaterializedView};
+use svc_ivm::strategy::{batch_change_plans, change_table_expr, MaintCatalog, STALE_LEAF};
+use svc_ivm::view::MaterializedView;
 use svc_relalg::derive::Derived;
 use svc_relalg::eval::Bindings;
-use svc_relalg::exec::{compile, PhysicalPlan};
-use svc_relalg::optimizer::{optimize, optimize_with};
+use svc_relalg::exec::{ExecMode, PhysicalPlan};
+use svc_relalg::optimizer::{optimize, optimize_with, CardEstimator};
 use svc_relalg::plan::Plan;
 use svc_storage::{Database, Deltas, Result, StorageError, Table};
 use svc_telemetry::{Counter, Gauge, TraceRecorder};
 
-use crate::executor::{panic_text, spin, WorkerPool};
+use crate::executor::{panic_text, WorkerPool};
 
 /// One measured point of the throughput curve.
 #[derive(Debug, Clone, Copy)]
@@ -161,12 +154,9 @@ pub struct BatchPipeline {
     pub pool: Arc<WorkerPool>,
     /// Maximum delta chunks (map tasks) per batch.
     pub partitions: usize,
-    /// Run every change plan through the optimizer before evaluation
-    /// (disabled by the benchmarks to measure the optimizer's contribution).
-    pub optimize_plans: bool,
-    /// Base-table statistics catalog; when set (and `optimize_plans` is
-    /// on), batch plans additionally get cost-based join reordering, with
-    /// the delta-chunk and stale-view leaves overlaid on the fly.
+    /// Base-table statistics catalog; when set, batch plans additionally
+    /// get cost-based join reordering, with the delta-chunk and stale-view
+    /// leaves overlaid on the fly.
     pub catalog: Option<Arc<Catalog>>,
     /// Morsel size for intra-plan parallelism. When set, the one plan that
     /// runs as a *single* task — the sequential fallback maintenance plan
@@ -283,9 +273,9 @@ impl Drop for BacklogGuard<'_> {
 /// The cache of compiled batch plans.
 ///
 /// Everything a compiled plan set depends on is part of its key: the
-/// partition count and optimizer toggle (the *partitioning epoch* knobs —
-/// a repartition therefore never sees stale plans, it simply keys to a
-/// fresh entry and recompiles exactly once), the canonical view plan and
+/// partition count (the *partitioning epoch* knob — a repartition
+/// therefore never sees stale plans, it simply keys to a fresh entry and
+/// recompiles exactly once), the canonical view plan and
 /// stale type, the batch's chunk signature (chunk count and, per chunk,
 /// which tables have pending insertions/deletions), and the statistics
 /// catalog the entry was optimized under — by *identity*, since cached
@@ -376,7 +366,6 @@ impl BatchPipeline {
         BatchPipeline {
             pool,
             partitions,
-            optimize_plans: true,
             catalog: None,
             morsel_size: None,
             join_partitions: 0,
@@ -544,30 +533,26 @@ impl BatchPipeline {
         // `maintenance_plan`: merge rules the deltas rule out (min/max under
         // deletions, median), non-aggregates and inputs without a delta
         // derivation (nested aggregates) all take the fallback below.
-        let eligible = change_table_expr(&canonical, &cat, &info).is_ok();
-        if !eligible {
+        if change_table_expr(&canonical, &cat, &info).is_err() {
             // Fallback: the whole pending set through the view's
             // maintenance plan — a real plan (delta-apply or recompute).
             // Splitting it into mini-batches would be unsound: each batch's
             // plan reads the *original* base tables, so earlier batches
             // would be forgotten.
-            let (plan, _kind) = maintenance_plan(&canonical, &cat, &info)?;
             let committed = match self.policy {
                 FailurePolicy::Strict => {
-                    let result = self
-                        .run_fallback_plan(db, view, &cat, &canonical, &plan, &pending)
-                        .map_err(|e| {
-                            StorageError::Invalid(format!(
-                                "fallback maintenance failed; view kept its pre-maintain \
-                                     epoch, deltas unconsumed: {e}"
-                            ))
-                        })?;
+                    let result = self.fallback_table(db, view, &pending).map_err(|e| {
+                        StorageError::Invalid(format!(
+                            "fallback maintenance failed; view kept its pre-maintain epoch, \
+                             deltas unconsumed: {e}"
+                        ))
+                    })?;
                     view.set_table(result);
                     true
                 }
                 FailurePolicy::RetryQuarantine { retries, backoff_ms } => {
                     let attempt = self.with_retries(retries, backoff_ms, &mut run, || {
-                        self.run_fallback_plan(db, view, &cat, &canonical, &plan, &pending)
+                        self.fallback_table(db, view, &pending)
                     });
                     match attempt {
                         Ok(result) => {
@@ -817,61 +802,41 @@ impl BatchPipeline {
         Ok(())
     }
 
-    /// Run the whole pending set through the view's full maintenance plan
-    /// (non-eligible views). With a morsel size set, this single plan runs
-    /// morsel-parallel on the pool (a lone sequential plan is exactly where
-    /// intra-plan parallelism pays); otherwise it runs as one pool task.
-    /// Returns the new view table without committing it.
-    fn run_fallback_plan(
+    /// The whole pending set through [`MaterializedView::maintained`]
+    /// (non-eligible views), executed **on the pool**: with a morsel size
+    /// set, the plan runs morsel-parallel (a lone sequential plan is exactly
+    /// where intra-plan parallelism pays); otherwise it runs as one pool
+    /// task, so dispatch failpoints, panic isolation and the busy-time
+    /// gauges see it like any other plan. Returns the new view table
+    /// without committing it.
+    fn fallback_table(
         &self,
         db: &Database,
         view: &MaterializedView,
-        cat: &MaintCatalog<'_>,
-        canonical: &svc_ivm::Canonical,
-        plan: &Plan,
         pending: &Deltas,
     ) -> Result<Table> {
         svc_fault::fail_point!(svc_fault::site::BATCH_FALLBACK, StorageError::Invalid);
-        let bindings = maintenance_bindings(db, pending, view.table());
         // The maintenance plan reads the stale view and the plain
         // `__ins.T`/`__del.T` leaves; overlay stats for both.
-        let scoped = if self.optimize_plans {
-            self.catalog.as_deref().map(|c| {
-                delta_leaf_stats(c, Some(view.table()), std::slice::from_ref(pending), false)
-            })
-        } else {
-            None
-        };
+        let scoped = self
+            .catalog
+            .as_deref()
+            .map(|c| delta_leaf_stats(c, Some(view.table()), std::slice::from_ref(pending), false));
         let est = scoped.as_ref().map(|s| s.estimator());
-        let est: Option<&dyn svc_relalg::optimizer::CardEstimator> =
-            est.as_ref().map(|e| e as &dyn svc_relalg::optimizer::CardEstimator);
-        if let Some(morsel) = self.resolved_morsel(db, &canonical.plan.leaf_tables(), view.table())
-        {
-            let optimized = if self.optimize_plans {
-                match est {
-                    Some(e) => optimize_with(plan, cat, e)?.0,
-                    None => optimize(plan, cat)?.0,
-                }
-            } else {
-                plan.clone()
-            };
-            svc_relalg::exec::compile_with(&optimized, cat, est)?.run_with(
-                &bindings,
-                svc_relalg::exec::ExecMode::morsel(self.pool.as_ref(), morsel)
-                    .partitions(self.join_partitions),
-            )
-        } else if self.optimize_plans {
-            Ok(self
+        let est = est.as_ref().map(|e| e as &dyn CardEstimator);
+        let run = |mode: ExecMode<'_>| {
+            let maintained = view.maintained(db, pending, est, mode)?;
+            Ok(maintained.expect("maintain returns early on empty deltas").0)
+        };
+        match self.resolved_morsel(db, &view.canonical().plan.leaf_tables(), view.table()) {
+            Some(morsel) => {
+                run(ExecMode::morsel(self.pool.as_ref(), morsel).partitions(self.join_partitions))
+            }
+            None => Ok(self
                 .pool
-                .evaluate_plans_with(std::slice::from_ref(plan), &bindings, est)?
+                .run_batch(1, |_| run(ExecMode::sequential()))?
                 .pop()
-                .expect("one plan, one result"))
-        } else {
-            Ok(self
-                .pool
-                .evaluate_plans_raw(std::slice::from_ref(plan), &bindings)?
-                .pop()
-                .expect("one plan, one result"))
+                .expect("one task, one result")),
         }
     }
 
@@ -931,7 +896,7 @@ impl BatchPipeline {
         // chunk count, and per chunk which tables have pending
         // insertions/deletions (the change-table expression prunes absent
         // delta sides). Record exactly that.
-        let mut key = format!("p{}|o{}|{view_key}", self.partitions, u8::from(self.optimize_plans));
+        let mut key = format!("p{}|{view_key}", self.partitions);
         for chunk in chunks {
             key.push(';');
             for (name, set) in chunk.iter() {
@@ -952,29 +917,24 @@ impl BatchPipeline {
         let _compile_span = self.tracer.as_deref().map(|t| t.span("compile", "pipeline"));
 
         let plans = batch_change_plans(canonical, cat, chunks)?;
-        let compiled: Vec<PhysicalPlan> = if self.optimize_plans {
-            // With a catalog attached, overlay stats for every chunk's
-            // delta leaves (tiny tables — the build scan is noise) so the
-            // per-partition change plans get cost-based join order too.
-            // Change plans never read `__stale` (the keyed fold does the
-            // merge), so no view-wide stats build.
-            // Optimization + compilation fan out on the pool: this is the
-            // once-per-epoch cold path, but with many partitions it still
-            // should not serialize on the driver.
-            let scoped = self.catalog.as_deref().map(|c| delta_leaf_stats(c, None, chunks, true));
-            let est = scoped.as_ref().map(|s| s.estimator());
-            let est: Option<&dyn svc_relalg::optimizer::CardEstimator> =
-                est.as_ref().map(|e| e as &dyn svc_relalg::optimizer::CardEstimator);
-            self.pool.run_batch(plans.len(), |i| {
-                let (optimized, _) = match est {
-                    Some(e) => optimize_with(&plans[i], cat, e)?,
-                    None => optimize(&plans[i], cat)?,
-                };
-                svc_relalg::exec::compile_with(&optimized, cat, est)
-            })?
-        } else {
-            self.pool.run_batch(plans.len(), |i| compile(&plans[i], cat))?
-        };
+        // With a catalog attached, overlay stats for every chunk's delta
+        // leaves (tiny tables — the build scan is noise) so the
+        // per-partition change plans get cost-based join order too. Change
+        // plans never read `__stale` (the keyed fold does the merge), so no
+        // view-wide stats build.
+        // Optimization + compilation fan out on the pool: this is the
+        // once-per-epoch cold path, but with many partitions it still
+        // should not serialize on the driver.
+        let scoped = self.catalog.as_deref().map(|c| delta_leaf_stats(c, None, chunks, true));
+        let est = scoped.as_ref().map(|s| s.estimator());
+        let est = est.as_ref().map(|e| e as &dyn CardEstimator);
+        let compiled: Vec<PhysicalPlan> = self.pool.run_batch(plans.len(), |i| {
+            let (optimized, _) = match est {
+                Some(e) => optimize_with(&plans[i], cat, e)?,
+                None => optimize(&plans[i], cat)?,
+            };
+            svc_relalg::exec::compile_with(&optimized, cat, est)
+        })?;
         let compiled = Arc::new(compiled);
         self.cache_lock().store(&self.catalog, key, compiled.clone());
         self.counters.compiles.inc();
@@ -1067,107 +1027,12 @@ fn has_binary_node(plan: &Plan) -> bool {
     }
 }
 
-/// The legacy synthetic mini-batch model: a fixed per-batch overhead (spun
-/// on-CPU, not slept, so contention is real) plus per-record work executed
-/// on a worker pool with a shuffle barrier. Kept for calibrating the
-/// Figure 14 curves against an idealized Spark-like scheduler; the real
-/// maintenance path is [`BatchPipeline`].
-#[derive(Debug, Clone)]
-pub struct SpinPipeline {
-    /// Shared worker pool.
-    pub pool: Arc<WorkerPool>,
-    /// Fixed overhead per batch, in spin units (scheduling + shuffle setup).
-    pub overhead_units: u64,
-    /// Work per record, in spin units.
-    pub per_record_units: u64,
-    /// Number of map tasks per batch (partitions).
-    pub partitions: usize,
-}
-
-impl SpinPipeline {
-    /// Default pipeline on `workers` threads.
-    pub fn new(workers: usize) -> SpinPipeline {
-        SpinPipeline {
-            pool: Arc::new(WorkerPool::new(workers)),
-            overhead_units: 60_000,
-            per_record_units: 12,
-            partitions: workers * 2,
-        }
-    }
-
-    /// Process `total_records` in batches of `batch_size`; returns the
-    /// achieved throughput (records/s).
-    pub fn run(&self, total_records: usize, batch_size: usize) -> f64 {
-        assert!(batch_size > 0);
-        let start = std::time::Instant::now();
-        let mut remaining = total_records;
-        while remaining > 0 {
-            let this_batch = remaining.min(batch_size);
-            remaining -= this_batch;
-            // Fixed overhead: a serial task (driver-side scheduling).
-            spin(self.overhead_units);
-            // Map stage: records split across partitions, barrier at end.
-            // Short final batches fill fewer partitions; empty ones are
-            // skipped so no worker slot is burned on a no-op closure.
-            let per_part = this_batch.div_ceil(self.partitions);
-            let unit = self.per_record_units;
-            let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..self.partitions)
-                .map(|p| per_part.min(this_batch.saturating_sub(p * per_part)))
-                .filter(|&records| records > 0)
-                .map(|records| {
-                    Box::new(move || {
-                        spin(records as u64 * unit);
-                    }) as Box<dyn FnOnce() + Send>
-                })
-                .collect();
-            // Reduce stage: one merge task per worker-pair (smaller).
-            let merges: Vec<Box<dyn FnOnce() + Send>> = (0..self.partitions / 2)
-                .map(|_| {
-                    Box::new(move || {
-                        spin(unit * 40);
-                    }) as Box<dyn FnOnce() + Send>
-                })
-                .collect();
-            self.pool.run_stages(vec![tasks, merges]);
-        }
-        total_records as f64 / start.elapsed().as_secs_f64()
-    }
-
-    /// Measure throughput across batch sizes (Figure 14a).
-    pub fn throughput_curve(
-        &self,
-        total_records: usize,
-        batch_sizes: &[usize],
-    ) -> Vec<ThroughputPoint> {
-        batch_sizes
-            .iter()
-            .map(|&b| ThroughputPoint { batch_size: b, throughput: self.run(total_records, b) })
-            .collect()
-    }
-
-    /// Measure throughput with a second pipeline running concurrently on
-    /// its own pool of equal size — the two-maintenance-threads setup of
-    /// Figure 14b. Returns this pipeline's throughput.
-    pub fn throughput_with_contention(&self, total_records: usize, batch_size: usize) -> f64 {
-        let other = self.clone();
-        let mut main_tp = 0.0;
-        std::thread::scope(|s| {
-            let handle = s.spawn(move || {
-                other.run(total_records, batch_size);
-            });
-            main_tp = self.run(total_records, batch_size);
-            handle.join().expect("concurrent pipeline panicked");
-        });
-        main_tp
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use svc_relalg::aggregate::{AggFunc, AggSpec};
     use svc_relalg::plan::JoinKind;
-    use svc_relalg::scalar::col;
+    use svc_relalg::scalar::{col, lit};
     use svc_storage::{DataType, Schema, Table, Value};
 
     fn db() -> Database {
@@ -1275,40 +1140,81 @@ mod tests {
         assert_eq!(run.fallback_batches, run.batches);
     }
 
-    #[test]
-    fn pipeline_without_optimizer_is_still_exact() {
-        let db = db();
-        let view = MaterializedView::create("v", visit_view(), &db).unwrap();
-        let deltas = log_stream(&db, 300);
-        let expected = view.recompute_fresh(&db, &deltas).unwrap();
-
-        let mut pipeline = BatchPipeline::new(2);
-        pipeline.optimize_plans = false;
-        let mut v = view;
-        pipeline.maintain(&db, &mut v, &deltas, 100).unwrap();
-        assert!(v.table().approx_same_contents(&expected, 1e-9));
-    }
-
+    /// Views outside the change-table class run as ONE fallback batch, and
+    /// the pipeline (sequential pool task or morsel-parallel), plain
+    /// `MaterializedView::maintain` and `recompute_fresh` all agree exactly.
     #[test]
     fn non_change_table_views_fall_back_to_sequential_plans() {
+        use svc_workloads::conviva;
         let db = db();
-        // Median never merges: every batch must use the recompute fallback.
-        let def = Plan::scan("video").aggregate(
-            &["videoId"],
-            vec![AggSpec::new("medDur", AggFunc::Median, col("duration"))],
-        );
-        let view = MaterializedView::create("v", def, &db).unwrap();
-        let mut deltas = Deltas::new();
+        let mut video_deltas = Deltas::new();
         for v in 80..120i64 {
-            deltas.insert(&db, "video", vec![Value::Int(v), Value::Float(3.0)]).unwrap();
+            video_deltas.insert(&db, "video", vec![Value::Int(v), Value::Float(3.0)]).unwrap();
         }
-        let expected = view.recompute_fresh(&db, &deltas).unwrap();
+        let mut video_churn = video_deltas.clone();
+        for v in (0..80i64).step_by(7) {
+            video_churn.delete(&db, "video", &vec![Value::Int(v), Value::Null]).unwrap();
+        }
+        let cfg = conviva::ConvivaConfig { base_events: 2_000, ..Default::default() };
+        let conviva_db = conviva::generate(cfg).unwrap();
+        let v5 = conviva::views().into_iter().find(|v| v.id == "V5").unwrap().plan;
 
-        let pipeline = BatchPipeline::new(2);
-        let mut v = view;
-        let run = pipeline.maintain(&db, &mut v, &deltas, 10).unwrap();
-        assert!(v.table().approx_same_contents(&expected, 1e-9));
-        assert_eq!(run.fallback_batches, run.batches);
+        let cases = [
+            // Median never merges.
+            (
+                "median",
+                &db,
+                Plan::scan("video").aggregate(
+                    &["videoId"],
+                    vec![AggSpec::new("medDur", AggFunc::Median, col("duration"))],
+                ),
+                video_deltas,
+            ),
+            // Not an aggregate: delta-apply over the stale view.
+            (
+                "spj join",
+                &db,
+                Plan::scan("log")
+                    .join(Plan::scan("video"), JoinKind::Inner, &[("videoId", "videoId")])
+                    .select(col("duration").gt(lit(1.0))),
+                log_stream(&db, 300),
+            ),
+            // Max merges under insertions only; the deletions rule it out.
+            (
+                "max under deletions",
+                &db,
+                Plan::scan("video").aggregate(
+                    &["duration"],
+                    vec![AggSpec::new("maxId", AggFunc::Max, col("videoId"))],
+                ),
+                video_churn,
+            ),
+            // Nested aggregate: no delta derivation.
+            (
+                "conviva V5",
+                &conviva_db,
+                v5,
+                conviva::appended_updates(&conviva_db, cfg, 300, 7).unwrap(),
+            ),
+        ];
+        for (label, db, def, deltas) in cases {
+            let view = MaterializedView::create("v", def, db).unwrap();
+            let expected = view.recompute_fresh(db, &deltas).unwrap();
+            let mut ivm = view.clone();
+            ivm.maintain(db, &deltas).unwrap();
+            assert!(ivm.table().same_contents(&expected), "{label}: IVM diverged from recompute");
+            for morsel in [None, Some(0)] {
+                let mut pipeline = BatchPipeline::new(2);
+                pipeline.morsel_size = morsel;
+                let mut v = view.clone();
+                let run = pipeline.maintain(db, &mut v, &deltas, 10).unwrap();
+                assert_eq!((run.batches, run.fallback_batches), (1, 1), "{label} {morsel:?}");
+                assert!(
+                    v.table().same_contents(ivm.table()),
+                    "{label}: pipeline (morsel {morsel:?}) diverged from MaterializedView::maintain"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1684,30 +1590,41 @@ mod tests {
         assert!(v.table().approx_same_contents(&expected, 1e-9));
     }
 
+    /// Figure 14's amortization in counts, not seconds: the same 4 000
+    /// records at growing batch sizes run fewer batches and evaluate fewer
+    /// plans (the per-batch driver work that small batches pay), off one
+    /// compiled plan set, to the identical view.
     #[test]
-    fn spin_model_larger_batches_amortize_overhead() {
-        let p = SpinPipeline::new(2);
-        let n = 6_000;
-        let small = p.run(n, 200);
-        let large = p.run(n, 3_000);
-        assert!(large > small * 1.5, "large batches should be much faster: {large} vs {small}");
-    }
+    fn larger_batches_amortize_per_batch_work() {
+        let db = db();
+        let view = MaterializedView::create("v", visit_view(), &db).unwrap();
+        // Insert-only: every batch has the same chunk signature.
+        let mut deltas = Deltas::new();
+        for s in 2_000..6_000i64 {
+            deltas.insert(&db, "log", vec![Value::Int(s), Value::Int(s % 80)]).unwrap();
+        }
+        let expected = view.recompute_fresh(&db, &deltas).unwrap();
+        let pipeline = BatchPipeline::new(2);
+        let curve = pipeline.throughput_curve(&db, &view, &deltas, &[250, 1_000, 4_000]).unwrap();
+        assert_eq!(curve.len(), 3);
 
-    #[test]
-    fn spin_model_contention_reduces_throughput() {
-        let p = SpinPipeline::new(2);
-        let n = 4_000;
-        let solo = p.run(n, 1_000);
-        let contended = p.throughput_with_contention(n, 1_000);
-        assert!(contended < solo, "two pipelines must contend: {contended} vs solo {solo}");
-    }
-
-    #[test]
-    fn spin_model_throughput_curve_is_monotone_ish() {
-        let p = SpinPipeline::new(2);
-        let pts = p.throughput_curve(4_000, &[250, 1_000, 4_000]);
-        assert_eq!(pts.len(), 3);
-        assert!(pts[2].throughput > pts[0].throughput);
+        let mut plans_before = usize::MAX;
+        let mut first: Option<Table> = None;
+        for batch_size in [250, 1_000, 4_000] {
+            let mut v = view.clone();
+            let run = pipeline.maintain(&db, &mut v, &deltas, batch_size).unwrap();
+            assert_eq!(run.batches, 4_000usize.div_ceil(batch_size));
+            assert!(
+                run.plans_evaluated < plans_before,
+                "batch {batch_size}: {} plans, not fewer than {plans_before}",
+                run.plans_evaluated
+            );
+            plans_before = run.plans_evaluated;
+            assert!(v.table().approx_same_contents(&expected, 1e-9));
+            let first = first.get_or_insert_with(|| v.table().clone());
+            assert!(v.table().same_contents(first), "result depends on the batch size");
+        }
+        assert_eq!(pipeline.metrics().compiles, 1, "one chunk signature, one compile");
     }
 
     /// A panic while the compile cache is held must not wedge the pipeline

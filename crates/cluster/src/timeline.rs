@@ -10,7 +10,7 @@
 //! the optimum the paper finds at 3% (V2) and 6% (V5).
 
 use svc_core::query::{relative_error, AggQuery};
-use svc_core::{Method, SvcConfig, SvcView};
+use svc_core::{SvcConfig, SvcView};
 use svc_relalg::plan::Plan;
 use svc_storage::{Database, Deltas, Result, StorageError};
 
@@ -45,23 +45,10 @@ pub struct TimelineResult {
 /// chunks (answering queries by SVC+CORR in between), and report the error
 /// profile. `make_chunk(db, t)` must generate non-conflicting keys per `t`.
 ///
-/// IVM refreshes run through a default plan-driven [`BatchPipeline`] on two
-/// workers; use [`timeline_max_error_on`] to share a configured pipeline.
+/// Every IVM refresh drains the pending deltas through a plan-driven
+/// [`BatchPipeline`] on two workers (real per-partition change-table plans
+/// on the worker pool), then redraws the SVC sample.
 pub fn timeline_max_error(
-    base: &Database,
-    view_def: Plan,
-    make_chunk: &mut dyn FnMut(&Database, usize) -> Result<Deltas>,
-    queries: &[AggQuery],
-    cfg: &TimelineConfig,
-) -> Result<TimelineResult> {
-    timeline_max_error_on(&BatchPipeline::new(2), base, view_def, make_chunk, queries, cfg)
-}
-
-/// [`timeline_max_error`] on an explicit mini-batch pipeline: every IVM
-/// refresh drains the pending deltas through `pipeline` (real per-partition
-/// change-table plans on the worker pool), then redraws the SVC sample.
-pub fn timeline_max_error_on(
-    pipeline: &BatchPipeline,
     base: &Database,
     view_def: Plan,
     make_chunk: &mut dyn FnMut(&Database, usize) -> Result<Deltas>,
@@ -84,6 +71,7 @@ pub fn timeline_max_error_on(
         ));
     }
 
+    let pipeline = BatchPipeline::new(2);
     let mut db = base.clone();
     let svc_cfg = SvcConfig::with_ratio(cfg.ratio).reseeded(cfg.seed);
     let mut svc = SvcView::create("timeline", view_def, &db, svc_cfg)?;
@@ -125,11 +113,12 @@ pub fn timeline_max_error_on(
             }
         }
 
-        // Error of the current answers against the live truth.
+        // Error of the current answers against the live truth: one fresh
+        // recompute per chunk, every query answered on it.
+        let fresh = svc.view.public_of(&svc.view.recompute_fresh(&db, &pending)?)?;
         let mut errs: Vec<f64> = Vec::with_capacity(queries.len());
         for (a, q) in answers.iter().zip(queries) {
-            let truth = svc.query_fresh_oracle(&db, &pending, q)?;
-            errs.push(relative_error(*a, truth));
+            errs.push(relative_error(*a, q.exact(&fresh)?));
         }
         errs.sort_by(f64::total_cmp);
         let median = errs[errs.len() / 2];
@@ -139,15 +128,6 @@ pub fn timeline_max_error_on(
     }
 
     Ok(TimelineResult { max_error, mean_error: err_sum / err_n.max(1) as f64 })
-}
-
-/// Convenience: answer mode used between refreshes (kept for reporting).
-pub fn between_refresh_method(svc_enabled: bool) -> Method {
-    if svc_enabled {
-        Method::Correction
-    } else {
-        Method::Stale
-    }
 }
 
 #[cfg(test)]

@@ -85,33 +85,6 @@ pub fn clean_select_with(
     cfg: &SvcConfig,
     stats: Option<&TableStats>,
 ) -> Result<CleanSelectResult> {
-    clean_select_with_mode(
-        stale_view,
-        stale_sample,
-        clean_sample,
-        predicate,
-        m,
-        cfg,
-        stats,
-        svc_relalg::exec::ExecMode::sequential(),
-    )
-}
-
-/// [`clean_select_with`] with an execution mode: a mode carrying a morsel
-/// scheduler runs the O(|view|) stale σ scan morsel-parallel — the one
-/// view-sized pass of select cleaning (the sample patch passes are
-/// O(sample) and stay on the driver).
-#[allow(clippy::too_many_arguments)]
-pub fn clean_select_with_mode(
-    stale_view: &Table,
-    stale_sample: &Table,
-    clean_sample: &Table,
-    predicate: &Expr,
-    m: f64,
-    cfg: &SvcConfig,
-    stats: Option<&TableStats>,
-    mode: svc_relalg::exec::ExecMode<'_>,
-) -> Result<CleanSelectResult> {
     let pred = predicate.bind(stale_view.schema())?;
     let estimated_stale_matches = stats.map(|s| s.estimate_filter_rows(predicate));
     let provably_empty = stats.is_some_and(|s| s.prove_empty_filter(predicate));
@@ -127,7 +100,7 @@ pub fn clean_select_with_mode(
         let plan = Plan::scan(VIEW_LEAF).select(predicate.clone());
         let mut bindings = Bindings::new();
         bindings.bind(VIEW_LEAF, stale_view);
-        svc_relalg::exec::compile(&plan, &bindings)?.run_with(&bindings, mode)?
+        svc_relalg::exec::compile(&plan, &bindings)?.run(&bindings)?
     };
 
     let mut updated = 0usize;

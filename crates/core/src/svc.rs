@@ -194,20 +194,6 @@ impl SvcView {
         deltas: &Deltas,
         catalog: Option<&Catalog>,
     ) -> Result<CleanedSample> {
-        self.clean_sample_with_mode(db, deltas, catalog, svc_relalg::exec::ExecMode::sequential())
-    }
-
-    /// [`SvcView::clean_sample_with`] with an execution mode: a mode
-    /// carrying a morsel scheduler runs the compiled cleaning expression
-    /// morsel-parallel — the η-filtered base/delta/stale scans split into
-    /// row ranges that fan out across the scheduler's workers.
-    pub fn clean_sample_with_mode(
-        &self,
-        db: &Database,
-        deltas: &Deltas,
-        catalog: Option<&Catalog>,
-        mode: svc_relalg::exec::ExecMode<'_>,
-    ) -> Result<CleanedSample> {
         svc_fault::fail_point!(svc_fault::site::CORE_CLEAN, StorageError::Invalid);
         let (plan, report, plan_kind) = self.cleaning_plan_with(db, deltas, catalog)?;
         // When the η reached every stale-view leaf, those branches read only
@@ -231,7 +217,7 @@ impl SvcView {
             // filters run over borrowed base/delta/stale rows, cloning
             // only hash-selected survivors.
             let bindings = maintenance_bindings(db, deltas, stale_binding);
-            svc_relalg::exec::compile(&plan, &bindings)?.run_with(&bindings, mode)?
+            svc_relalg::exec::compile(&plan, &bindings)?.run(&bindings)?
         };
         let public = self.view.public_of(&canonical)?;
         self.counters.cleanings.inc();

@@ -239,9 +239,9 @@ pub mod site {
     pub const BATCH_FOLD: &str = "cluster::batch::fold";
     /// The non-change-table fallback maintenance plan of `BatchPipeline`.
     pub const BATCH_FALLBACK: &str = "cluster::batch::fallback";
-    /// `MaterializedView::maintain_with_mode`, before the commit.
+    /// `MaterializedView::maintain`, between evaluation and the commit.
     pub const VIEW_MAINTAIN: &str = "ivm::view::maintain";
-    /// `SvcView::clean_sample_with_mode`, before counters are touched.
+    /// `SvcView::clean_sample_with`, before counters are touched.
     pub const CORE_CLEAN: &str = "core::svc::clean";
 
     /// Every site, for schedule generators.

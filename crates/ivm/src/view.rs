@@ -204,27 +204,40 @@ impl MaterializedView {
     /// maintenance period ends). The maintenance plan goes through the
     /// optimizer exactly once. Returns the strategy that was used.
     pub fn maintain(&mut self, db: &Database, deltas: &Deltas) -> Result<PlanKind> {
-        self.maintain_with_mode(db, deltas, None, svc_relalg::exec::ExecMode::sequential())
+        let Some((new_table, kind)) =
+            self.maintained(db, deltas, None, svc_relalg::exec::ExecMode::sequential())?
+        else {
+            return Ok(PlanKind::NoOp);
+        };
+        // Failpoint site: everything above is side-effect free on `self`,
+        // so an injected failure here proves the commit is all-or-nothing.
+        svc_fault::fail_point!(svc_fault::site::VIEW_MAINTAIN, StorageError::Invalid);
+        self.set_table(new_table);
+        Ok(kind)
     }
 
-    /// [`MaterializedView::maintain`] with an optional cardinality
-    /// estimator — the maintenance plan's joins are then reordered by
-    /// estimated cost before evaluation — and an execution mode: when the
-    /// mode carries a morsel scheduler (e.g. `svc-cluster`'s `WorkerPool`),
-    /// the compiled maintenance plan runs morsel-parallel — base and delta
-    /// scans split into row ranges, γ group maps merge at the barrier.
-    pub fn maintain_with_mode(
-        &mut self,
+    /// The maintained state for `deltas` and the strategy that produced it,
+    /// **without committing**: `self` is only read, so callers choose their
+    /// own commit point ([`MaterializedView::maintain`] commits at once; the
+    /// mini-batch pipeline commits under its failure policy). `None` when
+    /// nothing is pending — no copy of the view through the `Scan __stale`
+    /// no-op plan, no new epoch.
+    ///
+    /// With an estimator the plan's joins are reordered by estimated cost
+    /// before evaluation; a mode carrying a morsel scheduler (e.g.
+    /// `svc-cluster`'s `WorkerPool`) runs the compiled plan morsel-parallel
+    /// — base and delta scans split into row ranges, γ group maps merge at
+    /// the barrier.
+    pub fn maintained(
+        &self,
         db: &Database,
         deltas: &Deltas,
         est: Option<&dyn svc_relalg::optimizer::CardEstimator>,
         mode: svc_relalg::exec::ExecMode<'_>,
-    ) -> Result<PlanKind> {
+    ) -> Result<Option<(Table, PlanKind)>> {
         let info = DeltaInfo::of(deltas);
         if info.is_empty() {
-            // Nothing pending: don't copy the whole view through the
-            // `Scan __stale` no-op plan, and don't commit a new epoch.
-            return Ok(PlanKind::NoOp);
+            return Ok(None);
         }
         let cat = MaintCatalog {
             db,
@@ -241,7 +254,7 @@ impl MaterializedView {
             let compiled = svc_relalg::exec::compile_with(&optimized, &cat, est)?;
             compiled.run_with(&maintenance_bindings(db, deltas, &self.table), mode)
         };
-        let (new_table, kind) = match change_table_expr(&self.canonical, &cat, &info) {
+        Ok(Some(match change_table_expr(&self.canonical, &cat, &info) {
             // Change-table class: evaluate the signed change table alone and
             // fold it into a copy of the view by group key — the merge plan
             // would scan the whole view three times for the same rows.
@@ -255,12 +268,7 @@ impl MaterializedView {
                 let (plan, kind) = maintenance_plan(&self.canonical, &cat, &info)?;
                 (run(&plan)?, kind)
             }
-        };
-        // Failpoint site: everything above is side-effect free on `self`,
-        // so an injected failure here proves the commit is all-or-nothing.
-        svc_fault::fail_point!(svc_fault::site::VIEW_MAINTAIN, StorageError::Invalid);
-        self.set_table(new_table);
-        Ok(kind)
+        }))
     }
 
     /// Ground truth: evaluate the definition against the post-delta base

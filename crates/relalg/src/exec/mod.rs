@@ -82,9 +82,9 @@ impl MorselScheduler for SequentialScheduler {
 /// How a compiled plan executes: sequentially on the calling thread
 /// (default), or morsel-parallel on a scheduler; vectorized fused-scan
 /// kernels (default), or the row-at-a-time reference path. A copyable
-/// knob so the higher layers (`MaterializedView::maintain_with_mode`,
-/// `SvcView::clean_sample_with_mode`, `BatchPipeline`) can thread one
-/// execution policy through their hot paths.
+/// knob: `MaterializedView::maintained` takes one, which is how
+/// `BatchPipeline` runs a fallback maintenance plan morsel-parallel on its
+/// pool.
 #[derive(Clone, Copy, Default)]
 pub struct ExecMode<'a> {
     sched: Option<&'a dyn MorselScheduler>,
@@ -132,11 +132,6 @@ impl<'a> ExecMode<'a> {
     pub fn partitions(mut self, partitions: usize) -> ExecMode<'a> {
         self.partitions = partitions;
         self
-    }
-
-    /// True when a scheduler is attached.
-    pub fn is_parallel(&self) -> bool {
-        self.sched.is_some()
     }
 }
 

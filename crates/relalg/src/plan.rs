@@ -126,14 +126,6 @@ impl Plan {
         }
     }
 
-    /// Projection of bare columns by name.
-    pub fn project_cols(self, names: &[&str]) -> Plan {
-        Plan::Project {
-            input: Box::new(self),
-            columns: names.iter().map(|n| (n.to_string(), crate::scalar::col(*n))).collect(),
-        }
-    }
-
     /// Equi-join with another plan.
     pub fn join(self, other: Plan, kind: JoinKind, on: &[(&str, &str)]) -> Plan {
         Plan::Join {

@@ -342,17 +342,6 @@ impl ColumnSet {
         Ok(())
     }
 
-    /// Hot-path hook: panics on a corrupt set when the `verify` feature is
-    /// on, compiles to nothing otherwise (the `debug_assert` idiom, but
-    /// keyed to `verify` so release + verify still checks).
-    #[inline]
-    pub fn debug_check(&self) {
-        #[cfg(feature = "verify")]
-        if let Err(e) = self.check() {
-            panic!("{e}");
-        }
-    }
-
     /// Reconstruct row `i` into `out` (cleared first). Exact inverse of
     /// [`ColumnSet::from_rows`] for that row.
     pub fn gather_row(&self, i: usize, out: &mut Row) {

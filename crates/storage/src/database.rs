@@ -42,11 +42,6 @@ impl Database {
         self.tables.insert(name.into(), table);
     }
 
-    /// Remove a table.
-    pub fn drop_table(&mut self, name: &str) -> Option<Table> {
-        self.tables.remove(name)
-    }
-
     /// Fetch a table by name.
     pub fn table(&self, name: &str) -> Result<&Table> {
         self.tables.get(name).ok_or_else(|| StorageError::UnknownTable(name.to_string()))

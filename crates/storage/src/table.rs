@@ -354,22 +354,6 @@ impl Table {
         self.rows.iter().map(move |r| (self.key_of(r), r))
     }
 
-    /// Sort rows by primary key (stable, ascending). Useful for deterministic
-    /// output and comparisons in tests.
-    pub fn sort_by_key(&mut self) {
-        self.touch();
-        let key = self.key.clone();
-        self.rows.sort_by(|a, b| KeyTuple::of(a, &key).cmp(&KeyTuple::of(b, &key)));
-        self.reindex();
-    }
-
-    fn reindex(&mut self) {
-        self.index.clear();
-        for (i, r) in self.rows.iter().enumerate() {
-            self.index.insert(KeyTuple::of(r, &self.key), i);
-        }
-    }
-
     /// Two tables are *equivalent* if they have the same schema, key, and
     /// the same set of rows (order-insensitive, keyed comparison).
     pub fn same_contents(&self, other: &Table) -> bool {
