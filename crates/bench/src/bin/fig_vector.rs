@@ -3,8 +3,8 @@
 //!
 //! Both paths run the *same* compiled `PhysicalPlan`; the only difference
 //! is `ExecMode`: `run()` drives fused scans through typed column slices
-//! and selection vectors, `run_rowwise()` replays the row-based reference
-//! kernels. Scenarios:
+//! and selection vectors, `ExecMode::rowwise()` replays the row-based
+//! reference kernels. Scenarios:
 //!
 //! * `scan_sigma` — a fused filter over the large `lineitem` base
 //!   relation, swept across selectivities 0.001 → 0.9. The vectorized
@@ -62,7 +62,8 @@ fn measure(
     label: &str,
 ) -> (usize, f64, f64) {
     let vector = compiled.run(bindings).expect("vectorized run");
-    let rowwise = compiled.run_rowwise(bindings).expect("rowwise run");
+    let rowwise_mode = ExecMode::sequential().rowwise();
+    let rowwise = compiled.run_with(bindings, rowwise_mode).expect("rowwise run");
     assert!(
         vector.rows() == rowwise.rows() && vector.schema() == rowwise.schema(),
         "{label}: vectorized and rowwise paths diverged ({} vs {} rows)",
@@ -73,7 +74,7 @@ fn measure(
     let mut t_vector = f64::INFINITY;
     for _ in 0..reps {
         t_rowwise = t_rowwise.min(bench_min_ms(1, iters, || {
-            std::hint::black_box(compiled.run_rowwise(bindings).expect("rowwise"));
+            std::hint::black_box(compiled.run_with(bindings, rowwise_mode).expect("rowwise"));
         }));
         t_vector = t_vector.min(bench_min_ms(1, iters, || {
             std::hint::black_box(compiled.run(bindings).expect("vectorized"));

@@ -7,7 +7,7 @@
 //! The pool owns `workers` persistent threads that pull tasks off one
 //! shared queue. Every entry point ([`WorkerPool::submit`],
 //! [`WorkerPool::run_batch`], and the [`MorselScheduler`] impl behind
-//! `PhysicalPlan::run_parallel`) enqueues into that same queue, so tasks
+//! `ExecMode::morsel`) enqueues into that same queue, so tasks
 //! from *concurrent* callers — two `BatchPipeline`s maintaining different
 //! views, a plan batch and a morsel-parallel merge — interleave across one
 //! set of workers instead of each call spinning up its own thread scope.
@@ -376,9 +376,9 @@ impl WorkerPool {
     }
 }
 
-/// Morsel tasks from `PhysicalPlan::run_parallel` land on the same shared
-/// queue as whole-plan tasks, so intra-plan morsels and inter-plan batches
-/// from concurrent callers interleave across one set of workers.
+/// Morsel tasks from a plan run under `ExecMode::morsel` land on the same
+/// shared queue as whole-plan tasks, so intra-plan morsels and inter-plan
+/// batches from concurrent callers interleave across one set of workers.
 impl MorselScheduler for WorkerPool {
     fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync)) -> Result<()> {
         self.submit(n, &|i, _w| task(i))

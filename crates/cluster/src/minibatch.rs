@@ -34,7 +34,6 @@ use svc_ivm::delta::{del_leaf, del_leaf_at, ins_leaf, ins_leaf_at};
 use svc_ivm::fold::{KeyedFold, StagedEdits};
 use svc_ivm::strategy::{batch_change_plans, change_table_expr, MaintCatalog, STALE_LEAF};
 use svc_ivm::view::MaterializedView;
-use svc_relalg::derive::Derived;
 use svc_relalg::eval::Bindings;
 use svc_relalg::exec::{ExecMode, PhysicalPlan};
 use svc_relalg::optimizer::{optimize, optimize_with, CardEstimator};
@@ -161,7 +160,7 @@ pub struct BatchPipeline {
     /// Morsel size for intra-plan parallelism. When set, the one plan that
     /// runs as a *single* task — the sequential fallback maintenance plan
     /// of non-change-table views — executes morsel-parallel on the shared
-    /// pool (`PhysicalPlan::run_parallel`), its scans split into row ranges
+    /// pool (`ExecMode::morsel`), its scans split into row ranges
     /// that interleave with other sessions' tasks on the shared queue.
     /// `Some(0)` means "morsel-parallel, size auto-tuned": the size is
     /// derived per plan from the attached catalog's row counts (or the
@@ -522,13 +521,7 @@ impl BatchPipeline {
         let info = svc_ivm::DeltaInfo::of(&pending);
         // The catalog depends only on the canonical view and the stale
         // schema/key, which are invariant across every batch of this call.
-        let cat = MaintCatalog {
-            db,
-            stale: Derived {
-                schema: view.table().schema().clone(),
-                key: view.table().key().to_vec(),
-            },
-        };
+        let cat = view.maint_catalog(db);
         // The change-table strategy's own gate decides, as it does for
         // `maintenance_plan`: merge rules the deltas rule out (min/max under
         // deletions, median), non-aggregates and inputs without a delta

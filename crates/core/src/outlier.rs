@@ -20,10 +20,10 @@ use std::collections::HashSet;
 use svc_storage::{Database, Deltas, KeyTuple, Result, StorageError, Table};
 
 use svc_ivm::delta::{new_state, DeltaInfo};
-use svc_ivm::strategy::MaintCatalog;
-use svc_ivm::view::MaterializedView;
-use svc_relalg::derive::{derive, Derived};
-use svc_relalg::eval::{evaluate, Bindings};
+use svc_ivm::strategy::{recompute_plan, MaintCatalog};
+use svc_ivm::view::{maintenance_bindings, MaterializedView};
+use svc_relalg::derive::derive;
+use svc_relalg::eval::evaluate;
 use svc_relalg::plan::{JoinKind, Plan};
 
 use crate::config::SvcConfig;
@@ -125,13 +125,7 @@ impl OutlierIndex {
         deltas: &Deltas,
     ) -> Result<Table> {
         let info = DeltaInfo::of(deltas);
-        let cat = MaintCatalog {
-            db,
-            stale: Derived {
-                schema: view.table().schema().clone(),
-                key: view.table().key().to_vec(),
-            },
-        };
+        let cat = view.maint_catalog(db);
         let canon_plan = &view.canonical().plan;
 
         // Marker pass: the view definition with the indexed relation
@@ -139,7 +133,7 @@ impl OutlierIndex {
         // new state. For SPJ views this *is* O; for aggregate views it
         // identifies the affected groups.
         let marker_plan = substitute_new_states(canon_plan, &self.spec.table, &info, &cat)?;
-        let mut bindings = maintenance_bindings_with(db, deltas);
+        let mut bindings = maintenance_bindings(db, deltas, view.table());
         bindings.bind(OUTLIER_LEAF, &self.records);
         let marker = evaluate(&marker_plan, &bindings)?;
 
@@ -148,7 +142,7 @@ impl OutlierIndex {
                 // Affected group keys.
                 let keys: Table = distinct_keys(&marker, group_by.len())?;
                 // Exact recomputation of those groups over the new state.
-                let new_input = new_state_with_all(input, &info, &cat)?;
+                let new_input = recompute_plan(input, &cat, &info)?;
                 let group_cols: Vec<(String, String)> = {
                     let in_d = derive(&new_input, &cat)?;
                     group_by
@@ -176,7 +170,7 @@ impl OutlierIndex {
                     group_by: group_by.clone(),
                     aggregates: aggregates.clone(),
                 };
-                let mut b2 = maintenance_bindings_with(db, deltas);
+                let mut b2 = maintenance_bindings(db, deltas, view.table());
                 b2.bind(KEYS_LEAF, &keys);
                 evaluate(&exact_plan, &b2)
             }
@@ -198,15 +192,6 @@ impl OutlierIndex {
 
 const OUTLIER_LEAF: &str = "__outliers";
 const KEYS_LEAF: &str = "__okeys";
-
-fn maintenance_bindings_with<'a>(db: &'a Database, deltas: &'a Deltas) -> Bindings<'a> {
-    let mut b = Bindings::from_database(db);
-    for (name, set) in deltas.iter() {
-        b.bind(svc_ivm::delta::ins_leaf(name), &set.insertions);
-        b.bind(svc_ivm::delta::del_leaf(name), &set.deletions);
-    }
-    b
-}
 
 /// Replace `Scan target` with `Scan __outliers` and every other scan with
 /// its new state.
@@ -252,11 +237,6 @@ fn substitute_new_states(
         },
         Plan::Hash { .. } => return Err(StorageError::Invalid("η inside view definition".into())),
     })
-}
-
-/// Every scan replaced by its new state.
-fn new_state_with_all(plan: &Plan, info: &DeltaInfo, cat: &MaintCatalog<'_>) -> Result<Plan> {
-    svc_ivm::strategy::recompute_plan(plan, cat, info)
 }
 
 /// Distinct prefixes (group keys) of a table's rows as a keyed table.

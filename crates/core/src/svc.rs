@@ -13,9 +13,8 @@ use svc_storage::{Database, Deltas, Result, StorageError, Table};
 
 use svc_catalog::{Catalog, ScopedStats};
 use svc_ivm::delta::{del_leaf, ins_leaf};
-use svc_ivm::strategy::{MaintCatalog, PlanKind, STALE_LEAF};
+use svc_ivm::strategy::{PlanKind, STALE_LEAF};
 use svc_ivm::view::{maintenance_bindings, MaterializedView};
-use svc_relalg::derive::Derived;
 
 use svc_relalg::optimizer::{optimize, optimize_with};
 use svc_relalg::plan::Plan;
@@ -144,13 +143,7 @@ impl SvcView {
         }
         let key_refs: Vec<&str> = key_names.iter().map(|s| s.as_str()).collect();
         let hashed = mplan.hash(&key_refs, self.config.ratio, self.config.hash_spec());
-        let cat = MaintCatalog {
-            db,
-            stale: Derived {
-                schema: self.view.table().schema().clone(),
-                key: self.view.table().key().to_vec(),
-            },
-        };
+        let cat = self.view.maint_catalog(db);
         let (optimized, report) = match catalog {
             Some(c) => {
                 let scoped = self.maintenance_stats(c, deltas);

@@ -192,11 +192,18 @@ impl MaterializedView {
         deltas: &Deltas,
     ) -> Result<(Plan, PlanKind)> {
         let info = DeltaInfo::of(deltas);
-        let cat = MaintCatalog {
+        let cat = self.maint_catalog(db);
+        maintenance_plan(&self.canonical, &cat, &info)
+    }
+
+    /// The leaf catalog maintenance plans over this view are derived and
+    /// compiled against: `db`'s tables and delta relations plus the stale
+    /// view's own schema and key.
+    pub fn maint_catalog<'a>(&self, db: &'a Database) -> MaintCatalog<'a> {
+        MaintCatalog {
             db,
             stale: Derived { schema: self.table.schema().clone(), key: self.table.key().to_vec() },
-        };
-        maintenance_plan(&self.canonical, &cat, &info)
+        }
     }
 
     /// Bring the view up to date with respect to `deltas` (which are *not*
@@ -239,10 +246,7 @@ impl MaterializedView {
         if info.is_empty() {
             return Ok(None);
         }
-        let cat = MaintCatalog {
-            db,
-            stale: Derived { schema: self.table.schema().clone(), key: self.table.key().to_vec() },
-        };
+        let cat = self.maint_catalog(db);
         // The compile/run split of the streaming executor, spelled out where
         // the plan is built: optimize once, compile against the maintenance
         // catalog (schemas only), run against the concrete bindings.
@@ -515,13 +519,7 @@ mod tests {
         deltas.update(&db, "log", vec![Value::Int(7), Value::Int(59)]).unwrap();
         let expected = view.recompute_fresh(&db, &deltas).unwrap();
 
-        let cat = MaintCatalog {
-            db: &db,
-            stale: Derived {
-                schema: view.table().schema().clone(),
-                key: view.table().key().to_vec(),
-            },
-        };
+        let cat = view.maint_catalog(&db);
         let chunks = deltas.clone().partition(4);
         assert!(chunks.len() > 1, "enough records to actually partition");
         let plans = batch_change_plans(view.canonical(), &cat, &chunks).unwrap();

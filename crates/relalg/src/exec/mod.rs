@@ -105,7 +105,7 @@ impl<'a> ExecMode<'a> {
     }
 
     /// Morsel-parallel execution on `sched` with `morsel_size` rows per
-    /// morsel.
+    /// morsel; `0` means auto — the same mode as [`ExecMode::morsel_auto`].
     pub fn morsel(sched: &'a dyn MorselScheduler, morsel_size: usize) -> ExecMode<'a> {
         ExecMode { sched: Some(sched), morsel: morsel_size, partitions: 0, rowwise: false }
     }
@@ -132,6 +132,21 @@ impl<'a> ExecMode<'a> {
     pub fn partitions(mut self, partitions: usize) -> ExecMode<'a> {
         self.partitions = partitions;
         self
+    }
+
+    /// The mode the walker runs under: no scheduler means nothing ever
+    /// splits (`morsel = usize::MAX`, one hash partition), and an auto
+    /// morsel size is derived from the largest leaf `root` reads under
+    /// `bindings`.
+    fn resolved(self, root: &Node, bindings: &Bindings<'_>) -> ExecMode<'a> {
+        match self.sched {
+            None => ExecMode { morsel: usize::MAX, partitions: 1, ..self },
+            Some(_) if self.morsel == 0 => {
+                let (rows, width) = largest_leaf(root, bindings);
+                ExecMode { morsel: auto_morsel_size(rows, width), ..self }
+            }
+            Some(_) => self,
+        }
     }
 }
 
@@ -185,89 +200,43 @@ impl PhysicalPlan {
     /// Evaluate against concrete bindings, producing the keyed output
     /// table. May be called any number of times, against different
     /// bindings, as long as every leaf keeps the compiled schema.
-    /// Fused-scan segments run on the vectorized column kernels; the
-    /// result is row-for-row identical to [`PhysicalPlan::run_rowwise`].
+    /// Shorthand for [`PhysicalPlan::run_with`] under
+    /// [`ExecMode::sequential`].
     pub fn run(&self, bindings: &Bindings<'_>) -> Result<Table> {
-        let rows = run::run_node(&self.root, bindings, true, None)?;
-        run::finish_root(&self.root, &self.out, rows)
+        self.run_with(bindings, ExecMode::sequential())
     }
 
-    /// Evaluate on the row-at-a-time reference path — same semantics, no
-    /// columnar kernels. Kept for the equivalence harnesses
-    /// (`tests/exec_prop.rs`) and the `fig_vector` benchmark baseline.
-    pub fn run_rowwise(&self, bindings: &Bindings<'_>) -> Result<Table> {
-        let rows = run::run_node(&self.root, bindings, false, None)?;
-        run::finish_root(&self.root, &self.out, rows)
-    }
-
-    /// Evaluate morsel-parallel: base scans split into `morsel_size`-row
-    /// chunk ranges over the leaf's shared column set, one vectorized
-    /// pass runs per morsel on the scheduler, join morsels probe a build
-    /// side constructed once, and per-morsel γ group maps merge at the
-    /// pipeline barrier. Hash-join build sides (and large set-op dedups)
-    /// hash-partition ([`auto_partition_count`] partitions by default) and
-    /// build one map shard per partition concurrently — each shard owned by
-    /// exactly one task, probed read-only by every morsel. The result —
-    /// including output order at the keyed root — is a function of the
-    /// morsel size only, never of the scheduler's thread count,
-    /// interleaving, or the partition count; it matches
-    /// [`PhysicalPlan::run`] exactly up to float-sum rounding (partial sums
-    /// per morsel combine at the barrier).
-    pub fn run_parallel(
-        &self,
-        bindings: &Bindings<'_>,
-        sched: &dyn MorselScheduler,
-        morsel_size: usize,
-    ) -> Result<Table> {
-        self.run_parallel_impl(bindings, sched, morsel_size, 0, true, None)
-    }
-
-    fn run_parallel_impl(
-        &self,
-        bindings: &Bindings<'_>,
-        sched: &dyn MorselScheduler,
-        morsel_size: usize,
-        partitions: usize,
-        vec: bool,
-        m: run::OptMeter<'_>,
-    ) -> Result<Table> {
-        if morsel_size == 0 {
-            return Err(StorageError::Invalid("morsel_size must be at least 1".into()));
-        }
-        let par = run::Par { sched, morsel: morsel_size, vec, parts: partitions };
-        let rows = run::run_node_par(&self.root, bindings, &par, m)?;
-        run::finish_root(&self.root, &self.out, rows)
-    }
-
-    /// Dispatch on an [`ExecMode`]: sequential or morsel-parallel,
-    /// vectorized or rowwise. A parallel mode without an explicit morsel
-    /// size ([`ExecMode::morsel_auto`]) derives one from the largest
-    /// bound leaf via [`auto_morsel_size`].
+    /// Evaluate under an [`ExecMode`]. Every mode is the same tree walker
+    /// (`exec/run.rs`) with a different morsel size: base scans split into
+    /// morsel-sized chunk ranges over the leaf's shared column set, probe
+    /// and fused inputs into morsel-sized owned chunks, one operator core
+    /// runs per range, join morsels probe a build side constructed once,
+    /// and per-morsel γ group maps merge at the pipeline barrier.
+    /// Hash-join build sides (and large set-op dedups) hash-partition
+    /// ([`auto_partition_count`] partitions by default) and build one map
+    /// shard per partition concurrently — each shard owned by exactly one
+    /// task, probed read-only by every morsel. A scheduler is only engaged
+    /// where an input exceeds one morsel; [`ExecMode::sequential`] has none
+    /// and never splits. The result — including output order at the keyed
+    /// root — is a function of the morsel size only, never of the
+    /// scheduler's thread count, interleaving, or the partition count; a
+    /// split run matches the sequential one exactly up to float-sum
+    /// rounding (partial sums per morsel combine at the barrier).
+    /// [`ExecMode::rowwise`] swaps the vectorized fused-scan kernels for the
+    /// row-at-a-time reference path — row-for-row identical results.
     pub fn run_with(&self, bindings: &Bindings<'_>, mode: ExecMode<'_>) -> Result<Table> {
-        self.dispatch(bindings, mode, None)
+        self.execute(bindings, mode, None)
     }
 
-    fn dispatch(
+    fn execute(
         &self,
         bindings: &Bindings<'_>,
         mode: ExecMode<'_>,
         m: run::OptMeter<'_>,
     ) -> Result<Table> {
-        match mode.sched {
-            Some(sched) => {
-                let morsel = if mode.morsel == 0 {
-                    let (rows, width) = largest_leaf(&self.root, bindings);
-                    auto_morsel_size(rows, width)
-                } else {
-                    mode.morsel
-                };
-                self.run_parallel_impl(bindings, sched, morsel, mode.partitions, !mode.rowwise, m)
-            }
-            None => {
-                let rows = run::run_node(&self.root, bindings, !mode.rowwise, m)?;
-                run::finish_root(&self.root, &self.out, rows)
-            }
-        }
+        let mode = mode.resolved(&self.root, bindings);
+        let rows = run::run_node(&self.root, bindings, &mode, m)?;
+        run::finish_root(&self.root, &self.out, rows)
     }
 
     /// Number of physical nodes in the compiled tree — the slot count a
@@ -317,7 +286,7 @@ impl PhysicalPlan {
                 self.node_count()
             )));
         }
-        self.dispatch(bindings, mode, Some(run::Meter { sink, id: 0 }))
+        self.execute(bindings, mode, Some(run::Meter { sink, id: 0 }))
     }
 
     /// The derived output type (schema + key) of the plan.
@@ -687,8 +656,8 @@ mod tests {
         }
     }
 
-    /// `run_parallel` with the inline scheduler is the sequential executor
-    /// with extra seams; results and output order must match exactly.
+    /// A morsel mode on the inline scheduler is the sequential run with
+    /// extra seams; results and output order must match exactly.
     #[test]
     fn inline_parallel_run_matches_run_exactly() {
         let db = video_db();
@@ -706,7 +675,8 @@ mod tests {
             let compiled = compile(&plan, &b).unwrap();
             let seq = compiled.run(&b).unwrap();
             for morsel in [1, 13, usize::MAX] {
-                let par = compiled.run_parallel(&b, &SequentialScheduler, morsel).unwrap();
+                let mode = ExecMode::morsel(&SequentialScheduler, morsel);
+                let par = compiled.run_with(&b, mode).unwrap();
                 assert!(par.rows() == seq.rows(), "morsel {morsel} changed rows or order");
                 assert_eq!(par.schema(), seq.schema());
             }

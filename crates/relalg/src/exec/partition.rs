@@ -29,7 +29,8 @@ use svc_storage::{ColumnSet, Result, Row, StorageError, Value};
 use crate::join::{join_hash, key_has_null, JoinBuild};
 
 use super::column::hash_key_at;
-use super::run::{fan_out, ranges, Par};
+use super::run::{fan_out, ranges};
+use super::ExecMode;
 
 /// One scatter chunk's output: per partition, the `(row id, hash)` pairs
 /// that landed there, in row order.
@@ -53,14 +54,14 @@ pub(super) fn build_join_par<'r>(
     cols: Option<&ColumnSet>,
     on_idx: &[(usize, usize)],
     partitions: usize,
-    par: &Par<'_>,
+    mode: &ExecMode<'_>,
 ) -> Result<JoinBuild<'r>> {
     let right_cols: Vec<usize> = on_idx.iter().map(|&(_, r)| r).collect();
     let p = partitions.max(1).next_power_of_two();
     let mask = (p - 1) as u64;
     let spec = join_hash();
-    let rs = ranges(rows.len(), par.morsel);
-    let scattered: Vec<Scatter> = fan_out(par, rs.len(), &|t| {
+    let rs = ranges(rows.len(), mode.morsel);
+    let scattered: Vec<Scatter> = fan_out(mode, rs.len(), &|t| {
         let (lo, hi) = rs[t];
         let mut lists: Scatter = vec![Vec::new(); p];
         match cols {
@@ -82,7 +83,7 @@ pub(super) fn build_join_par<'r>(
         }
         Ok(lists)
     })?;
-    let maps = fan_out(par, p, &|pi| {
+    let maps = fan_out(mode, p, &|pi| {
         // Failpoint site: one partition's map build, mid-fan-out. An
         // injected `Error` surfaces through this task's result slot; an
         // injected `Panic` unwinds into the scheduler's session isolation
@@ -113,11 +114,16 @@ pub(super) fn build_join_par<'r>(
 /// Scatter the concatenation `left ++ right` by whole-row hash. Equal rows
 /// always land in the same partition, so partition-local dedup decisions
 /// equal global ones.
-fn scatter_rows(l: &[Row], r: &[Row], partitions: usize, par: &Par<'_>) -> Result<Vec<Scatter>> {
+fn scatter_rows(
+    l: &[Row],
+    r: &[Row],
+    partitions: usize,
+    mode: &ExecMode<'_>,
+) -> Result<Vec<Scatter>> {
     let mask = (partitions - 1) as u64;
     let spec = join_hash();
-    let rs = ranges(l.len() + r.len(), par.morsel);
-    fan_out(par, rs.len(), &|t| {
+    let rs = ranges(l.len() + r.len(), mode.morsel);
+    fan_out(mode, rs.len(), &|t| {
         let (lo, hi) = rs[t];
         let mut lists: Scatter = vec![Vec::new(); partitions];
         for i in lo..hi {
@@ -191,14 +197,14 @@ pub(super) fn union_rows_par(
     left: &mut Vec<Row>,
     right: &mut Vec<Row>,
     partitions: usize,
-    par: &Par<'_>,
+    mode: &ExecMode<'_>,
     out: &mut Vec<Row>,
 ) -> Result<u64> {
     let p = partitions.max(1).next_power_of_two();
     let nl = left.len();
     let (l, r) = (&left[..], &right[..]);
-    let scattered = scatter_rows(l, r, p, par)?;
-    let keeps: Vec<Vec<u32>> = fan_out(par, p, &|pi| {
+    let scattered = scatter_rows(l, r, p, mode)?;
+    let keeps: Vec<Vec<u32>> = fan_out(mode, p, &|pi| {
         let mut seen = RowSet { chains: HashMap::new(), l, r };
         let mut keep: Vec<u32> = Vec::new();
         // Chunk order == global row order, so first occurrences match the
@@ -238,14 +244,14 @@ pub(super) fn filter_rows_par(
     left: &mut Vec<Row>,
     right: &[Row],
     partitions: usize,
-    par: &Par<'_>,
+    mode: &ExecMode<'_>,
     out: &mut Vec<Row>,
 ) -> Result<u64> {
     let p = partitions.max(1).next_power_of_two();
     let nl = left.len();
     let l = &left[..];
-    let scattered = scatter_rows(l, right, p, par)?;
-    let keeps: Vec<Vec<u32>> = fan_out(par, p, &|pi| {
+    let scattered = scatter_rows(l, right, p, mode)?;
+    let keeps: Vec<Vec<u32>> = fan_out(mode, p, &|pi| {
         // Membership set: this partition's right rows. Equal rows share a
         // partition, so the local set answers global membership exactly.
         let mut rset = RowSet { chains: HashMap::new(), l, r: right };
@@ -287,8 +293,8 @@ mod tests {
 
     use crate::exec::SequentialScheduler;
 
-    fn par(morsel: usize) -> Par<'static> {
-        Par { sched: &SequentialScheduler, morsel, vec: false, parts: 0 }
+    fn par(morsel: usize) -> ExecMode<'static> {
+        ExecMode::morsel(&SequentialScheduler, morsel)
     }
 
     fn rows(vals: &[i64]) -> Vec<Row> {

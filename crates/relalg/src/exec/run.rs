@@ -4,23 +4,29 @@
 //! the per-thread pool ([`super::batch`]) and consumed inputs are recycled
 //! into it, so re-running a compiled plan allocates almost nothing.
 //!
-//! Two drivers share the per-operator cores:
+//! There is one tree walker, [`run_node`], and every operator is written
+//! once, in the same shape: split the input into morsel ranges ([`ranges`]
+//! / [`map_chunks`] — a single range when the input fits one morsel), run
+//! the operator core per range ([`fan_out`] — inline on the calling thread
+//! when there is one range, on the mode's [`super::MorselScheduler`]
+//! otherwise), then concatenate the per-range batches / merge the
+//! per-range γ [`GroupMap`]s **in morsel order**. The result — including
+//! output order at the keyed root — is therefore a function of the morsel
+//! size only, never of the scheduler's thread count or interleaving.
 //!
-//! * [`run_node`] — the sequential executor: one thread walks the tree.
-//! * [`run_node_par`] — the morsel-parallel executor: base scans and
-//!   probe/fused inputs split into row-range morsels that run on a
-//!   [`super::MorselScheduler`]; per-morsel outputs concatenate **in
-//!   morsel order** and per-morsel γ [`GroupMap`]s merge in morsel order
-//!   at the pipeline barrier, so the result — including output order at
-//!   the keyed root — is a function of the morsel size only, never of the
-//!   scheduler's thread count or interleaving.
+//! Sequential execution is not a second path: [`ExecMode::sequential`]
+//! resolves to *no scheduler, morsel = `usize::MAX`, one hash partition*,
+//! so every operator takes the one-range branch — no scheduler session, no
+//! `Mutex` result slot, no `EXEC_MORSEL` failpoint hit — exactly what an
+//! input that fits one morsel does under a parallel mode.
 //!
-//! Both drivers take an optional [`Meter`]: with `None` (the plain `run`
+//! The walker takes an optional [`Meter`]: with `None` (the plain `run`
 //! paths) no metric state is touched or allocated; with a sink installed,
-//! each node accumulates an [`OpMetrics`] on the stack (per morsel task in
-//! parallel) and merges it into the sink's per-node slot at the end — the
-//! same merge-at-the-barrier shape as the γ group maps, so instrumented
-//! totals are as deterministic as the rows.
+//! each node accumulates an [`OpMetrics`] on the stack and merges it into
+//! the sink's per-node slot at the end, per-range facts (survivors, zone
+//! skips) riding back with the range results — the same
+//! merge-at-the-barrier shape as the γ group maps, so instrumented totals
+//! are as deterministic as the rows.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -29,16 +35,17 @@ use svc_storage::{Result, Row, StorageError, Table, Value};
 use svc_telemetry::{MetricsSink, OpMetrics, OpSlot};
 
 use crate::aggregate::GroupMap;
+use crate::derive::SetOpKind;
 use crate::eval::Bindings;
 use crate::join::{join_rows_pk_probe_into, JoinBuild};
 use crate::plan::JoinKind;
 use crate::setops::{difference_rows_into, intersect_rows_into, union_rows_into};
 
 use super::batch;
-use super::column::{run_ops, ColumnChunk};
+use super::column::{profitable, run_ops, ColumnChunk};
 use super::compile::{JoinRight, Node};
 use super::pipeline::{feed_borrowed, feed_owned, RowSink};
-use super::MorselScheduler;
+use super::ExecMode;
 
 /// A metering handle for one plan node: the shared sink plus the node's
 /// pre-order slot id. Copied down the tree; absent (`None`) on the
@@ -89,10 +96,10 @@ impl RowSink for Counting<'_, '_> {
 }
 
 /// A node's output rows for read-only consumers (join build sides, set-op
-/// right inputs): a bare leaf scan lends the bound table's rows directly —
-/// no clone at all — while anything else materializes.
+/// right inputs): a bare leaf scan lends the bound table directly — no
+/// clone at all — while anything else materializes.
 enum Batch<'a> {
-    Borrowed(&'a [Row]),
+    Borrowed(&'a Table),
     Owned(Vec<Row>),
 }
 
@@ -109,7 +116,7 @@ impl std::ops::Deref for Batch<'_> {
     type Target = [Row];
     fn deref(&self) -> &[Row] {
         match self {
-            Batch::Borrowed(rows) => rows,
+            Batch::Borrowed(t) => t.rows(),
             Batch::Owned(rows) => rows,
         }
     }
@@ -121,7 +128,7 @@ impl std::ops::Deref for Batch<'_> {
 fn run_node_ref<'a>(
     node: &Node,
     b: &Bindings<'a>,
-    vec: bool,
+    mode: &ExecMode<'_>,
     m: OptMeter<'_>,
 ) -> Result<Batch<'a>> {
     match node {
@@ -131,9 +138,9 @@ fn run_node_ref<'a>(
                 let n = t.len() as u64;
                 mm.slot().merge(&OpMetrics { rows_in: n, rows_out: n, ..Default::default() });
             }
-            Ok(Batch::Borrowed(t.rows()))
+            Ok(Batch::Borrowed(t))
         }
-        other => Ok(Batch::Owned(run_node(other, b, vec, m)?)),
+        other => Ok(Batch::Owned(run_node(other, b, mode, m)?)),
     }
 }
 
@@ -154,211 +161,6 @@ fn run_vec_segment(
     (out, zone_skips)
 }
 
-/// Run a node to a materialized row batch. `vec` selects the vectorized
-/// kernels for fused-scan segments; everything downstream of the
-/// chunk→row boundary is identical either way.
-pub(super) fn run_node(
-    node: &Node,
-    b: &Bindings<'_>,
-    vec: bool,
-    m: OptMeter<'_>,
-) -> Result<Vec<Row>> {
-    let t0 = m.is_some().then(Instant::now);
-    let mut stat = OpMetrics::default();
-    let out = match node {
-        Node::FusedScan { leaf, ops, vops } => {
-            let t = leaf.resolve(b)?;
-            stat.rows_in = t.len() as u64;
-            if ops.is_empty() {
-                // Bare scan: every row survives; clone the rows, skip the
-                // per-row op dispatch.
-                let mut out = batch::take(t.len());
-                out.extend_from_slice(t.rows());
-                out
-            } else if vec && super::column::profitable(vops) {
-                // Leaf conversion: the bound table's cached columnar
-                // projection (built once per mutation epoch).
-                let cols = t.columns();
-                let (out, zone_skips) = run_vec_segment(&cols, vops, 0, cols.len);
-                stat.vec_chunks = 1;
-                stat.zone_skips = u64::from(zone_skips);
-                out
-            } else {
-                stat.row_batches = 1;
-                let mut out = batch::take(0);
-                for row in t.rows() {
-                    feed_borrowed(row, ops, &mut out);
-                }
-                out
-            }
-        }
-        Node::Fused { input, ops } => {
-            let mut rows = run_node(input, b, vec, child(m, 1))?;
-            stat.rows_in = rows.len() as u64;
-            stat.row_batches = 1;
-            let mut out = batch::take(rows.len());
-            for row in rows.drain(..) {
-                feed_owned(row, ops, &mut out);
-            }
-            batch::recycle(rows);
-            out
-        }
-        Node::Join { left, right, kind, on_idx, pad_left, pad_right } => {
-            let mut lrows = run_node(left, b, vec, child(m, 1))?;
-            stat.probe_rows = lrows.len() as u64;
-            let left_cols: Vec<usize> = on_idx.iter().map(|&(l, _)| l).collect();
-            let mut out = batch::take(lrows.len());
-            match right {
-                JoinRight::PkProbeLeaf(leaf) => {
-                    let t = leaf.resolve(b)?;
-                    stat.build_rows = t.len() as u64;
-                    join_rows_pk_probe_into(&mut lrows, t, *kind, &left_cols, *pad_right, &mut out);
-                }
-                JoinRight::Build(rnode) => {
-                    let rrows = run_node_ref(rnode, b, vec, child(m, 1 + left.subtree_size()))?;
-                    stat.build_rows = rrows.len() as u64;
-                    let build = JoinBuild::new(&rrows, on_idx);
-                    stat.partitions = build.partition_count() as u64;
-                    stat.part_max_rows = build.max_partition_rows();
-                    let mut matched: Vec<u32> = Vec::new();
-                    build.probe(&mut lrows, *kind, &left_cols, *pad_right, &mut out, &mut matched);
-                    if matches!(kind, JoinKind::Right | JoinKind::Full) {
-                        build.emit_unmatched_right(&matched, *pad_left, &mut out);
-                    }
-                    rrows.recycle();
-                }
-            }
-            stat.rows_in = stat.probe_rows + stat.build_rows;
-            batch::recycle(lrows);
-            out
-        }
-        Node::Aggregate { input, group_idx, aggs, groups_hint } => {
-            let make = |input_len: usize| match groups_hint {
-                Some(h) => GroupMap::with_capacity(group_idx, aggs, *h),
-                None => GroupMap::with_input_len(group_idx, aggs, input_len),
-            };
-            let cm = child(m, 1);
-            let gm = match &**input {
-                // γ over a fused scan: the filtered input batch never
-                // exists. Vectorized, kernels refine the selection first
-                // and only survivors are gathered (into a reused scratch
-                // row) for group accumulation — same order, so the group
-                // map contents are identical to the row path's.
-                Node::FusedScan { leaf, ops, vops }
-                    if vec && !ops.is_empty() && super::column::profitable(vops) =>
-                {
-                    let t = leaf.resolve(b)?;
-                    let cols = t.columns();
-                    let mut chunk = ColumnChunk::over(&cols, 0, cols.len);
-                    let mut scratch = Row::new();
-                    let zone_skips = run_ops(&mut chunk, vops, &mut scratch);
-                    let mut gm = make(chunk.len());
-                    let cs = chunk.columns();
-                    for i in chunk.sel.iter() {
-                        cs.gather_row(i, &mut scratch);
-                        gm.push(&scratch);
-                    }
-                    if let Some(c) = cm {
-                        c.slot().merge(&OpMetrics {
-                            rows_in: t.len() as u64,
-                            rows_out: chunk.len() as u64,
-                            vec_chunks: 1,
-                            zone_skips: u64::from(zone_skips),
-                            ..Default::default()
-                        });
-                    }
-                    stat.rows_in = chunk.len() as u64;
-                    gm
-                }
-                Node::FusedScan { leaf, ops, .. } => {
-                    let t = leaf.resolve(b)?;
-                    let mut gm = make(t.len());
-                    if let Some(c) = cm {
-                        let mut survivors = 0u64;
-                        {
-                            let mut sink = Counting { gm: &mut gm, n: &mut survivors };
-                            for row in t.rows() {
-                                feed_borrowed(row, ops, &mut sink);
-                            }
-                        }
-                        c.slot().merge(&OpMetrics {
-                            rows_in: t.len() as u64,
-                            rows_out: survivors,
-                            row_batches: 1,
-                            ..Default::default()
-                        });
-                        stat.rows_in = survivors;
-                    } else {
-                        for row in t.rows() {
-                            feed_borrowed(row, ops, &mut gm);
-                        }
-                    }
-                    gm
-                }
-                other => {
-                    let rows = run_node(other, b, vec, cm)?;
-                    stat.rows_in = rows.len() as u64;
-                    let mut gm = make(rows.len());
-                    for row in &rows {
-                        gm.push(row);
-                    }
-                    batch::recycle(rows);
-                    gm
-                }
-            };
-            stat.groups = gm.group_count() as u64;
-            let mut out = batch::take(gm.group_count());
-            gm.finish_into(&mut out);
-            out
-        }
-        Node::SetOp { kind, left, right } => {
-            let rm = child(m, 1 + left.subtree_size());
-            let mut lrows = run_node(left, b, vec, child(m, 1))?;
-            stat.rows_in = lrows.len() as u64;
-            let mut out = batch::take(lrows.len());
-            match kind {
-                crate::derive::SetOpKind::Union => {
-                    let mut rrows = run_node(right, b, vec, rm)?;
-                    stat.rows_in += rrows.len() as u64;
-                    union_rows_into(&mut lrows, &mut rrows, &mut out);
-                    batch::recycle(rrows);
-                }
-                crate::derive::SetOpKind::Intersect => {
-                    let rrows = run_node_ref(right, b, vec, rm)?;
-                    stat.rows_in += rrows.len() as u64;
-                    intersect_rows_into(&mut lrows, &rrows, &mut out);
-                    rrows.recycle();
-                }
-                crate::derive::SetOpKind::Difference => {
-                    let rrows = run_node_ref(right, b, vec, rm)?;
-                    stat.rows_in += rrows.len() as u64;
-                    difference_rows_into(&mut lrows, &rrows, &mut out);
-                    rrows.recycle();
-                }
-            }
-            batch::recycle(lrows);
-            out
-        }
-    };
-    if let (Some(mm), Some(t0)) = (m, t0) {
-        stat.rows_out = out.len() as u64;
-        stat.wall_ns = t0.elapsed().as_nanos() as u64;
-        mm.slot().merge(&stat);
-    }
-    Ok(out)
-}
-
-/// Morsel-parallel execution context: the scheduler the morsel tasks run
-/// on, the rows-per-morsel split size, whether fused-scan segments run
-/// vectorized, and the hash-partition count for join builds and set-op
-/// dedup (`0` = derive from the build input size at run time).
-pub(super) struct Par<'e> {
-    pub sched: &'e dyn MorselScheduler,
-    pub morsel: usize,
-    pub vec: bool,
-    pub parts: usize,
-}
-
 /// The effective partition count for a hash phase over `rows` build-side
 /// rows: the explicit knob rounded up to a power of two, or the size-based
 /// auto tune.
@@ -370,8 +172,12 @@ fn resolve_parts(knob: usize, rows: usize) -> usize {
     }
 }
 
-/// Split `len` rows into morsel-sized `(lo, hi)` index ranges.
+/// Split `len` rows into morsel-sized `(lo, hi)` index ranges — exactly
+/// one (possibly empty) range when they fit a single morsel.
 pub(super) fn ranges(len: usize, morsel: usize) -> Vec<(usize, usize)> {
+    if len <= morsel {
+        return vec![(0, len)];
+    }
     let mut out = Vec::with_capacity(len.div_ceil(morsel));
     let mut lo = 0;
     while lo < len {
@@ -382,17 +188,33 @@ pub(super) fn ranges(len: usize, morsel: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Fan a morsel closure out over `n` tasks on the scheduler and collect the
-/// per-morsel results in morsel order. A scheduler failure (a panicked
-/// morsel) surfaces as the scheduler's error; individual morsel errors come
-/// back in index order.
+/// The `morsels` metric for a node whose input ran as `n` ranges: morsel
+/// tasks fanned out, so 0 when nothing split.
+fn fanned(n: usize) -> u64 {
+    if n > 1 {
+        n as u64
+    } else {
+        0
+    }
+}
+
+/// Run a per-range closure over `n` ranges and collect the results in
+/// range order. One range (or a mode without a scheduler) runs inline on
+/// the calling thread — the scheduler is only engaged where a split
+/// exists. Otherwise the ranges are morsel tasks on the mode's scheduler:
+/// a scheduler failure (a panicked morsel) surfaces as the scheduler's
+/// error; individual morsel errors come back in index order.
 pub(super) fn fan_out<T: Send>(
-    par: &Par<'_>,
+    mode: &ExecMode<'_>,
     n: usize,
     f: &(dyn Fn(usize) -> Result<T> + Sync),
 ) -> Result<Vec<T>> {
+    let sched = match mode.sched {
+        Some(sched) if n > 1 => sched,
+        _ => return (0..n).map(f).collect(),
+    };
     let slots: Vec<Mutex<Option<Result<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    par.sched.run_tasks(n, &|i| {
+    sched.run_tasks(n, &|i| {
         // Failpoint site: one morsel of a parallel run. The closure has no
         // error channel of its own, so an injected `Error` lands in the
         // morsel's result slot (surfacing through the index-order collect
@@ -423,29 +245,38 @@ pub(super) fn fan_out<T: Send>(
         .collect()
 }
 
-/// Move a batch into morsel-sized owned chunks — rows are moved, never
-/// cloned — each behind a `Mutex` so exactly one morsel task takes it.
-fn owned_chunks(rows: Vec<Row>, morsel: usize) -> Vec<Mutex<Option<Vec<Row>>>> {
-    let mut chunks = Vec::with_capacity(rows.len().div_ceil(morsel));
+/// Run `core` over a batch in morsel-sized owned chunks — rows are moved,
+/// never cloned — collecting the results in morsel order and recording the
+/// fan-out in `stat.morsels`. A batch that fits one morsel is handed to
+/// `core` as it is (same buffer, no re-collect); a larger one is cut into
+/// chunks, each behind a `Mutex` so exactly one morsel task takes it.
+fn map_chunks<T: Send>(
+    mode: &ExecMode<'_>,
+    rows: Vec<Row>,
+    stat: &mut OpMetrics,
+    core: &(dyn Fn(Vec<Row>) -> Result<T> + Sync),
+) -> Result<Vec<T>> {
+    if rows.len() <= mode.morsel {
+        return Ok(vec![core(rows)?]);
+    }
+    let mut chunks = Vec::with_capacity(rows.len().div_ceil(mode.morsel));
     let mut it = rows.into_iter();
     loop {
-        let chunk: Vec<Row> = it.by_ref().take(morsel).collect();
+        let chunk: Vec<Row> = it.by_ref().take(mode.morsel).collect();
         if chunk.is_empty() {
             break;
         }
         chunks.push(Mutex::new(Some(chunk)));
     }
-    chunks
-}
-
-/// Take the chunk a morsel task owns.
-fn take_chunk(chunks: &[Mutex<Option<Vec<Row>>>], i: usize) -> Vec<Row> {
-    chunks[i].lock().expect("chunk poisoned").take().expect("chunk taken once")
+    stat.morsels = chunks.len() as u64;
+    fan_out(mode, chunks.len(), &|i| {
+        core(chunks[i].lock().expect("chunk poisoned").take().expect("chunk taken once"))
+    })
 }
 
 /// Concatenate per-morsel batches in morsel order, recycling the drained
-/// buffers.
-fn concat(outs: Vec<Vec<Row>>) -> Vec<Row> {
+/// buffers. One batch passes through untouched.
+fn concat(outs: impl IntoIterator<Item = Vec<Row>>) -> Vec<Row> {
     let mut it = outs.into_iter();
     let Some(mut all) = it.next() else {
         return batch::take(0);
@@ -457,212 +288,147 @@ fn concat(outs: Vec<Vec<Row>>) -> Vec<Row> {
     all
 }
 
-/// Run a node for a read-only consumer, children morsel-parallel.
-fn run_node_ref_par<'a>(
-    node: &Node,
-    b: &Bindings<'a>,
-    par: &Par<'_>,
-    m: OptMeter<'_>,
-) -> Result<Batch<'a>> {
-    match node {
-        Node::FusedScan { leaf, ops, .. } if ops.is_empty() => {
-            let t = leaf.resolve(b)?;
-            if let Some(mm) = m {
-                let n = t.len() as u64;
-                mm.slot().merge(&OpMetrics { rows_in: n, rows_out: n, ..Default::default() });
-            }
-            Ok(Batch::Borrowed(t.rows()))
-        }
-        other => Ok(Batch::Owned(run_node_par(other, b, par, m)?)),
+/// Merge per-morsel group maps in morsel order.
+fn merge_maps(maps: Vec<GroupMap<'_>>) -> GroupMap<'_> {
+    let mut it = maps.into_iter();
+    let mut base = it.next().expect("at least one morsel map");
+    for m in it {
+        base.merge(m);
     }
+    base
 }
 
-/// Run a node morsel-parallel to a materialized row batch. Inputs at or
-/// below the morsel size fall back to the sequential core inline — the
-/// scheduler is only engaged where a split exists (those delegations
-/// record through [`run_node`]'s meter, so metrics stay complete).
-pub(super) fn run_node_par(
+/// Run a node to a materialized row batch under a resolved [`ExecMode`]
+/// (see [`ExecMode::resolved`]): `mode.morsel` is the split size,
+/// `mode.rowwise` selects the row-at-a-time kernels for fused-scan
+/// segments — everything downstream of the chunk→row boundary is
+/// identical either way.
+pub(super) fn run_node(
     node: &Node,
     b: &Bindings<'_>,
-    par: &Par<'_>,
+    mode: &ExecMode<'_>,
     m: OptMeter<'_>,
 ) -> Result<Vec<Row>> {
     let t0 = m.is_some().then(Instant::now);
     let mut stat = OpMetrics::default();
+    let vec = !mode.rowwise;
     let out = match node {
         Node::FusedScan { leaf, ops, vops } => {
             let t = leaf.resolve(b)?;
-            let rows = t.rows();
-            // A bare scan is a plain copy; splitting it buys nothing.
-            if ops.is_empty() || rows.len() <= par.morsel {
-                return run_node(node, b, par.vec, m);
-            }
-            stat.rows_in = rows.len() as u64;
-            if par.vec && super::column::profitable(vops) {
-                // Morsels are chunk ranges over the one shared column set:
-                // the leaf conversion happens (at most) once per epoch, not
-                // per morsel.
+            stat.rows_in = t.len() as u64;
+            if ops.is_empty() {
+                // Bare scan: every row survives; clone the rows, skip the
+                // per-row op dispatch. A plain copy — splitting it buys
+                // nothing.
+                let mut out = batch::take(t.len());
+                out.extend_from_slice(t.rows());
+                out
+            } else if vec && profitable(vops) {
+                // Leaf conversion: the bound table's cached columnar
+                // projection (built once per mutation epoch). Morsels are
+                // chunk ranges over that one shared column set.
                 let cols = t.columns();
                 let cols = &*cols;
-                let rs = ranges(cols.len, par.morsel);
-                stat.morsels = rs.len() as u64;
+                let rs = ranges(cols.len, mode.morsel);
+                stat.morsels = fanned(rs.len());
                 stat.vec_chunks = rs.len() as u64;
-                // Zone skips are per-morsel facts; they flow straight into
-                // the slot's atomics (commutative adds — deterministic).
-                let slot = m.map(|mm| mm.slot());
-                let outs = fan_out(par, rs.len(), &|i| {
-                    let (out, zone_skips) = run_vec_segment(cols, vops, rs[i].0, rs[i].1);
-                    if let Some(s) = slot {
-                        s.add_zone_skips(u64::from(zone_skips));
-                    }
-                    Ok(out)
+                let outs = fan_out(mode, rs.len(), &|i| {
+                    Ok(run_vec_segment(cols, vops, rs[i].0, rs[i].1))
                 })?;
-                concat(outs)
+                concat(outs.into_iter().map(|(out, zone_skips)| {
+                    stat.zone_skips += u64::from(zone_skips);
+                    out
+                }))
             } else {
-                let rs = ranges(rows.len(), par.morsel);
-                stat.morsels = rs.len() as u64;
+                let rows = t.rows();
+                let rs = ranges(rows.len(), mode.morsel);
+                stat.morsels = fanned(rs.len());
                 stat.row_batches = rs.len() as u64;
-                let outs = fan_out(par, rs.len(), &|i| {
-                    let (lo, hi) = rs[i];
+                concat(fan_out(mode, rs.len(), &|i| {
                     let mut out = batch::take(0);
-                    for row in &rows[lo..hi] {
+                    for row in &rows[rs[i].0..rs[i].1] {
                         feed_borrowed(row, ops, &mut out);
                     }
                     Ok(out)
-                })?;
-                concat(outs)
+                })?)
             }
         }
         Node::Fused { input, ops } => {
-            let mut rows = run_node_par(input, b, par, child(m, 1))?;
+            let rows = run_node(input, b, mode, child(m, 1))?;
             stat.rows_in = rows.len() as u64;
-            if rows.len() <= par.morsel {
-                stat.row_batches = 1;
-                let mut out = batch::take(rows.len());
-                for row in rows.drain(..) {
+            let outs = map_chunks(mode, rows, &mut stat, &|mut chunk| {
+                let mut out = batch::take(chunk.len());
+                for row in chunk.drain(..) {
                     feed_owned(row, ops, &mut out);
                 }
-                batch::recycle(rows);
-                out
-            } else {
-                let chunks = owned_chunks(rows, par.morsel);
-                stat.morsels = chunks.len() as u64;
-                stat.row_batches = chunks.len() as u64;
-                let outs = fan_out(par, chunks.len(), &|i| {
-                    let mut chunk = take_chunk(&chunks, i);
-                    let mut out = batch::take(chunk.len());
-                    for row in chunk.drain(..) {
-                        feed_owned(row, ops, &mut out);
-                    }
-                    batch::recycle(chunk);
-                    Ok(out)
-                })?;
-                concat(outs)
-            }
+                batch::recycle(chunk);
+                Ok(out)
+            })?;
+            stat.row_batches = outs.len() as u64;
+            concat(outs)
         }
         Node::Join { left, right, kind, on_idx, pad_left, pad_right } => {
-            let mut lrows = run_node_par(left, b, par, child(m, 1))?;
+            let lrows = run_node(left, b, mode, child(m, 1))?;
             stat.probe_rows = lrows.len() as u64;
             let left_cols: Vec<usize> = on_idx.iter().map(|&(l, _)| l).collect();
             let out = match right {
                 JoinRight::PkProbeLeaf(leaf) => {
                     let t = leaf.resolve(b)?;
                     stat.build_rows = t.len() as u64;
-                    if lrows.len() <= par.morsel {
-                        let mut out = batch::take(lrows.len());
+                    concat(map_chunks(mode, lrows, &mut stat, &|mut chunk| {
+                        let mut out = batch::take(chunk.len());
                         join_rows_pk_probe_into(
-                            &mut lrows, t, *kind, &left_cols, *pad_right, &mut out,
+                            &mut chunk, t, *kind, &left_cols, *pad_right, &mut out,
                         );
-                        batch::recycle(lrows);
-                        out
-                    } else {
-                        let chunks = owned_chunks(lrows, par.morsel);
-                        stat.morsels = chunks.len() as u64;
-                        let outs = fan_out(par, chunks.len(), &|i| {
-                            let mut chunk = take_chunk(&chunks, i);
-                            let mut out = batch::take(chunk.len());
-                            join_rows_pk_probe_into(
-                                &mut chunk, t, *kind, &left_cols, *pad_right, &mut out,
-                            );
-                            batch::recycle(chunk);
-                            Ok(out)
-                        })?;
-                        concat(outs)
-                    }
+                        batch::recycle(chunk);
+                        Ok(out)
+                    })?)
                 }
                 JoinRight::Build(rnode) => {
                     // Build side constructed once; every morsel probes it
-                    // read-only. A bare leaf resolves inline (instead of
-                    // through `run_node_ref_par`) so the partition scatter
-                    // can hash its cached columnar projection directly.
-                    let rm = child(m, 1 + left.subtree_size());
-                    let (rrows, leaf_cols) = match &**rnode {
-                        Node::FusedScan { leaf, ops, .. } if ops.is_empty() => {
-                            let t = leaf.resolve(b)?;
-                            if let Some(mm) = rm {
-                                let n = t.len() as u64;
-                                mm.slot().merge(&OpMetrics {
-                                    rows_in: n,
-                                    rows_out: n,
-                                    ..Default::default()
-                                });
-                            }
-                            (Batch::Borrowed(t.rows()), par.vec.then(|| t.columns()))
-                        }
-                        other => (Batch::Owned(run_node_par(other, b, par, rm)?), None),
-                    };
+                    // read-only.
+                    let rrows = run_node_ref(rnode, b, mode, child(m, 1 + left.subtree_size()))?;
                     stat.build_rows = rrows.len() as u64;
-                    let parts = resolve_parts(par.parts, rrows.len());
-                    let build = if parts == 1 || rrows.len() <= par.morsel {
+                    let parts = resolve_parts(mode.partitions, rrows.len());
+                    let build = if parts == 1 || rrows.len() <= mode.morsel {
                         // Too small to fan out: build the shards inline —
                         // same maps, same probe results, by construction.
                         JoinBuild::with_partitions(&rrows, on_idx, parts)
                     } else {
+                        // A bare leaf's partition scatter hashes its cached
+                        // columnar projection directly.
+                        let cols = match &rrows {
+                            Batch::Borrowed(t) if vec => Some(t.columns()),
+                            _ => None,
+                        };
                         super::partition::build_join_par(
                             &rrows,
-                            leaf_cols.as_deref(),
+                            cols.as_deref(),
                             on_idx,
                             parts,
-                            par,
+                            mode,
                         )?
                     };
                     stat.partitions = build.partition_count() as u64;
                     stat.part_max_rows = build.max_partition_rows();
-                    let mut out;
+                    let outs = map_chunks(mode, lrows, &mut stat, &|mut chunk| {
+                        let mut rows = batch::take(chunk.len());
+                        let mut hit: Vec<u32> = Vec::new();
+                        build.probe(&mut chunk, *kind, &left_cols, *pad_right, &mut rows, &mut hit);
+                        batch::recycle(chunk);
+                        Ok((rows, hit))
+                    })?;
+                    // Barrier: concatenate probe outputs in morsel order
+                    // and union the matched right indices.
                     let mut matched: Vec<u32> = Vec::new();
-                    if lrows.len() <= par.morsel {
-                        out = batch::take(lrows.len());
-                        build.probe(
-                            &mut lrows,
-                            *kind,
-                            &left_cols,
-                            *pad_right,
-                            &mut out,
-                            &mut matched,
-                        );
-                        batch::recycle(lrows);
-                    } else {
-                        let chunks = owned_chunks(lrows, par.morsel);
-                        stat.morsels = chunks.len() as u64;
-                        let outs = fan_out(par, chunks.len(), &|i| {
-                            let mut chunk = take_chunk(&chunks, i);
-                            let mut rows = batch::take(chunk.len());
-                            let mut hit: Vec<u32> = Vec::new();
-                            build.probe(
-                                &mut chunk, *kind, &left_cols, *pad_right, &mut rows, &mut hit,
-                            );
-                            batch::recycle(chunk);
-                            Ok((rows, hit))
-                        })?;
-                        // Barrier: concatenate probe outputs in morsel
-                        // order and union the matched right indices.
-                        let mut batches = Vec::with_capacity(outs.len());
-                        for (rows, hit) in outs {
-                            batches.push(rows);
+                    let mut out = concat(outs.into_iter().map(|(rows, hit)| {
+                        if matched.is_empty() {
+                            matched = hit;
+                        } else {
                             matched.extend(hit);
                         }
-                        out = concat(batches);
-                    }
+                        rows
+                    }));
                     if matches!(kind, JoinKind::Right | JoinKind::Full) {
                         build.emit_unmatched_right(&matched, *pad_left, &mut out);
                     }
@@ -675,63 +441,48 @@ pub(super) fn run_node_par(
             out
         }
         Node::Aggregate { input, group_idx, aggs, groups_hint } => {
-            // Per-morsel group maps, merged in morsel order at the barrier
-            // (the group-map core accepts borrowed rows, so partial maps
-            // merge without re-hashing values).
+            // One group map per morsel range, merged in morsel order at the
+            // barrier (the group-map core accepts borrowed rows, so partial
+            // maps merge without re-hashing values). A catalog hint
+            // pre-sizes each map, capped by the range it will see.
             let make = |len: usize| match groups_hint {
                 Some(h) => GroupMap::with_capacity(group_idx, aggs, (*h).min(len.max(8))),
                 None => GroupMap::with_input_len(group_idx, aggs, len),
             };
             let cm = child(m, 1);
-            let merged = match &**input {
+            let maps = match &**input {
+                // γ over a fused scan: the filtered input batch never
+                // exists. Vectorized, kernels refine the selection first
+                // and only survivors are gathered (into a reused scratch
+                // row) for group accumulation — same order, so the group
+                // map contents are identical to the row path's. The scan
+                // never "runs" as a node, so its slot is filled from here.
                 Node::FusedScan { leaf, ops, vops } => {
                     let t = leaf.resolve(b)?;
-                    let rows = t.rows();
-                    if rows.len() <= par.morsel {
-                        return run_node(node, b, par.vec, m);
-                    }
-                    if par.vec && !ops.is_empty() && super::column::profitable(vops) {
+                    let mut scan = OpMetrics { rows_in: t.len() as u64, ..Default::default() };
+                    let parts = if vec && !ops.is_empty() && profitable(vops) {
                         let cols = t.columns();
                         let cols = &*cols;
-                        let rs = ranges(cols.len, par.morsel);
-                        stat.morsels = rs.len() as u64;
-                        let maps = fan_out(par, rs.len(), &|i| {
-                            let (lo, hi) = rs[i];
-                            let mut chunk = ColumnChunk::over(cols, lo, hi);
+                        let rs = ranges(cols.len, mode.morsel);
+                        scan.vec_chunks = rs.len() as u64;
+                        fan_out(mode, rs.len(), &|i| {
+                            let mut chunk = ColumnChunk::over(cols, rs[i].0, rs[i].1);
                             let mut scratch = Row::new();
                             let zone_skips = run_ops(&mut chunk, vops, &mut scratch);
                             let mut gm = make(chunk.len());
                             let cs = chunk.columns();
-                            for i in chunk.sel.iter() {
-                                cs.gather_row(i, &mut scratch);
+                            for j in chunk.sel.iter() {
+                                cs.gather_row(j, &mut scratch);
                                 gm.push(&scratch);
                             }
                             Ok((gm, chunk.len() as u64, zone_skips))
-                        })?;
-                        let mut survivors = 0u64;
-                        let mut zone_skips = 0u64;
-                        let mut gms = Vec::with_capacity(maps.len());
-                        for (gm, n, zs) in maps {
-                            survivors += n;
-                            zone_skips += u64::from(zs);
-                            gms.push(gm);
-                        }
-                        if let Some(c) = cm {
-                            c.slot().merge(&OpMetrics {
-                                rows_in: rows.len() as u64,
-                                rows_out: survivors,
-                                vec_chunks: rs.len() as u64,
-                                zone_skips,
-                                ..Default::default()
-                            });
-                        }
-                        stat.rows_in = survivors;
-                        merge_maps(gms)
+                        })?
                     } else {
-                        let rs = ranges(rows.len(), par.morsel);
-                        stat.morsels = rs.len() as u64;
+                        let rows = t.rows();
+                        let rs = ranges(rows.len(), mode.morsel);
+                        scan.row_batches = rs.len() as u64;
                         let metered = m.is_some();
-                        let maps = fan_out(par, rs.len(), &|i| {
+                        fan_out(mode, rs.len(), &|i| {
                             let (lo, hi) = rs[i];
                             let mut gm = make(hi - lo);
                             let mut survivors = 0u64;
@@ -745,115 +496,89 @@ pub(super) fn run_node_par(
                                     feed_borrowed(row, ops, &mut gm);
                                 }
                             }
-                            Ok((gm, survivors))
-                        })?;
-                        let mut survivors = 0u64;
-                        let mut gms = Vec::with_capacity(maps.len());
-                        for (gm, n) in maps {
-                            survivors += n;
-                            gms.push(gm);
-                        }
-                        if let Some(c) = cm {
-                            c.slot().merge(&OpMetrics {
-                                rows_in: rows.len() as u64,
-                                rows_out: survivors,
-                                row_batches: rs.len() as u64,
-                                ..Default::default()
-                            });
-                        }
-                        stat.rows_in = survivors;
-                        merge_maps(gms)
+                            Ok((gm, survivors, 0))
+                        })?
+                    };
+                    stat.morsels = fanned(parts.len());
+                    let mut maps = Vec::with_capacity(parts.len());
+                    for (gm, survivors, zone_skips) in parts {
+                        scan.rows_out += survivors;
+                        scan.zone_skips += u64::from(zone_skips);
+                        maps.push(gm);
                     }
+                    if let Some(c) = cm {
+                        c.slot().merge(&scan);
+                    }
+                    stat.rows_in = scan.rows_out;
+                    maps
                 }
                 other => {
-                    let rows = run_node_par(other, b, par, cm)?;
+                    let rows = run_node(other, b, mode, cm)?;
                     stat.rows_in = rows.len() as u64;
-                    let merged = if rows.len() <= par.morsel {
-                        let mut gm = make(rows.len());
-                        for row in &rows {
+                    let rs = ranges(rows.len(), mode.morsel);
+                    stat.morsels = fanned(rs.len());
+                    let maps = fan_out(mode, rs.len(), &|i| {
+                        let (lo, hi) = rs[i];
+                        let mut gm = make(hi - lo);
+                        for row in &rows[lo..hi] {
                             gm.push(row);
                         }
-                        gm
-                    } else {
-                        let rs = ranges(rows.len(), par.morsel);
-                        stat.morsels = rs.len() as u64;
-                        let maps = fan_out(par, rs.len(), &|i| {
-                            let (lo, hi) = rs[i];
-                            let mut gm = make(hi - lo);
-                            for row in &rows[lo..hi] {
-                                gm.push(row);
-                            }
-                            Ok(gm)
-                        })?;
-                        merge_maps(maps)
-                    };
+                        Ok(gm)
+                    })?;
                     batch::recycle(rows);
-                    merged
+                    maps
                 }
             };
+            let merged = merge_maps(maps);
             stat.groups = merged.group_count() as u64;
             let mut out = batch::take(merged.group_count());
             merged.finish_into(&mut out);
             out
         }
         Node::SetOp { kind, left, right } => {
-            // Children run morsel-parallel. The dedup itself partitions by
-            // whole-row hash when the combined input is worth fanning out
-            // (equal rows share a partition, so partition-local sets answer
-            // global membership; the merge drains inputs in order — output
-            // bit-identical to the sequential cores, see
-            // [`super::partition`]). Small inputs keep the driver-side
-            // single-set pass.
+            // The dedup partitions by whole-row hash when the combined
+            // input is worth fanning out (equal rows share a partition, so
+            // partition-local sets answer global membership; the merge
+            // drains inputs in order — output bit-identical to the
+            // driver-side cores, see [`super::partition`]). Inputs that fit
+            // one morsel, and modes resolving to one partition, keep the
+            // driver-side single-set pass.
             let rm = child(m, 1 + left.subtree_size());
-            let mut lrows = run_node_par(left, b, par, child(m, 1))?;
+            let mut lrows = run_node(left, b, mode, child(m, 1))?;
             stat.rows_in = lrows.len() as u64;
             let mut out = batch::take(lrows.len());
-            match kind {
-                crate::derive::SetOpKind::Union => {
-                    let mut rrows = run_node_par(right, b, par, rm)?;
-                    stat.rows_in += rrows.len() as u64;
-                    let total = lrows.len() + rrows.len();
-                    let parts = resolve_parts(par.parts, total);
-                    if parts > 1 && total > par.morsel {
+            let split = |total: usize| {
+                let parts = resolve_parts(mode.partitions, total);
+                (parts > 1 && total > mode.morsel).then_some(parts)
+            };
+            if matches!(kind, SetOpKind::Union) {
+                let mut rrows = run_node(right, b, mode, rm)?;
+                stat.rows_in += rrows.len() as u64;
+                match split(lrows.len() + rrows.len()) {
+                    Some(parts) => {
                         stat.partitions = parts as u64;
                         stat.part_max_rows = super::partition::union_rows_par(
-                            &mut lrows, &mut rrows, parts, par, &mut out,
+                            &mut lrows, &mut rrows, parts, mode, &mut out,
                         )?;
-                    } else {
-                        union_rows_into(&mut lrows, &mut rrows, &mut out);
                     }
-                    batch::recycle(rrows);
+                    None => union_rows_into(&mut lrows, &mut rrows, &mut out),
                 }
-                crate::derive::SetOpKind::Intersect => {
-                    let rrows = run_node_ref_par(right, b, par, rm)?;
-                    stat.rows_in += rrows.len() as u64;
-                    let total = lrows.len() + rrows.len();
-                    let parts = resolve_parts(par.parts, total);
-                    if parts > 1 && total > par.morsel {
+                batch::recycle(rrows);
+            } else {
+                let intersect = matches!(kind, SetOpKind::Intersect);
+                let rrows = run_node_ref(right, b, mode, rm)?;
+                stat.rows_in += rrows.len() as u64;
+                match split(lrows.len() + rrows.len()) {
+                    Some(parts) => {
                         stat.partitions = parts as u64;
                         stat.part_max_rows = super::partition::filter_rows_par(
-                            true, &mut lrows, &rrows, parts, par, &mut out,
+                            intersect, &mut lrows, &rrows, parts, mode, &mut out,
                         )?;
-                    } else {
-                        intersect_rows_into(&mut lrows, &rrows, &mut out);
                     }
-                    rrows.recycle();
+                    None if intersect => intersect_rows_into(&mut lrows, &rrows, &mut out),
+                    None => difference_rows_into(&mut lrows, &rrows, &mut out),
                 }
-                crate::derive::SetOpKind::Difference => {
-                    let rrows = run_node_ref_par(right, b, par, rm)?;
-                    stat.rows_in += rrows.len() as u64;
-                    let total = lrows.len() + rrows.len();
-                    let parts = resolve_parts(par.parts, total);
-                    if parts > 1 && total > par.morsel {
-                        stat.partitions = parts as u64;
-                        stat.part_max_rows = super::partition::filter_rows_par(
-                            false, &mut lrows, &rrows, parts, par, &mut out,
-                        )?;
-                    } else {
-                        difference_rows_into(&mut lrows, &rrows, &mut out);
-                    }
-                    rrows.recycle();
-                }
+                rrows.recycle();
             }
             batch::recycle(lrows);
             out
@@ -865,16 +590,6 @@ pub(super) fn run_node_par(
         mm.slot().merge(&stat);
     }
     Ok(out)
-}
-
-/// Merge per-morsel group maps in morsel order.
-fn merge_maps(maps: Vec<GroupMap<'_>>) -> GroupMap<'_> {
-    let mut it = maps.into_iter();
-    let mut base = it.next().expect("at least one morsel map");
-    for m in it {
-        base.merge(m);
-    }
-    base
 }
 
 /// Wrap the root batch into the output [`Table`], building the key index

@@ -2,17 +2,17 @@
 //!
 //! A [`MetricsSink`] holds one [`OpSlot`] per physical plan node (slot `i`
 //! ↔ the node at pre-order position `i` of the compiled tree). The
-//! executor's drivers accumulate an [`OpMetrics`] on the stack — per node
-//! sequentially, per morsel task in parallel — and [`OpSlot::merge`] folds
-//! it into the slot with relaxed atomic adds at the end. Merging is
-//! commutative over unsigned sums, so the recorded totals are a function
-//! of the morsel split only, never of scheduler interleaving: the
-//! morsel-determinism contract extends to the metrics.
+//! executor's walker accumulates an [`OpMetrics`] on the stack per node —
+//! per-morsel facts ride back with the morsel results — and
+//! [`OpSlot::merge`] folds it into the slot with relaxed atomic adds at the
+//! end. Merging is commutative over unsigned sums, so the recorded totals
+//! are a function of the morsel split only, never of scheduler
+//! interleaving: the morsel-determinism contract extends to the metrics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One operator's execution metrics — a plain-value snapshot or a
-/// stack-local accumulator (the executor fills one per node/morsel and
+/// stack-local accumulator (the executor fills one per node and
 /// merges it into the shared [`OpSlot`] once).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct OpMetrics {
@@ -103,13 +103,6 @@ impl OpSlot {
             if v != 0 {
                 cell.fetch_add(v, Ordering::Relaxed);
             }
-        }
-    }
-
-    /// Count zone-map short-circuits from a morsel task.
-    pub fn add_zone_skips(&self, n: u64) {
-        if n != 0 {
-            self.zone_skips.fetch_add(n, Ordering::Relaxed);
         }
     }
 

@@ -18,7 +18,7 @@ use stale_view_cleaning::cluster::minibatch::BatchPipeline;
 use stale_view_cleaning::ivm::view::{maintenance_bindings, MaterializedView};
 use stale_view_cleaning::relalg::aggregate::{AggFunc, AggSpec};
 use stale_view_cleaning::relalg::eval::{evaluate_materializing, Bindings};
-use stale_view_cleaning::relalg::exec::compile;
+use stale_view_cleaning::relalg::exec::{compile, ExecMode};
 use stale_view_cleaning::relalg::optimizer::optimize;
 use stale_view_cleaning::relalg::plan::{JoinKind, Plan};
 use stale_view_cleaning::relalg::scalar::{col, lit};
@@ -241,7 +241,7 @@ proptest! {
         );
         // The vectorized kernels (default) and the row-at-a-time reference
         // path must agree bit for bit, row for row, in order.
-        let rowwise = compiled.run_rowwise(&b).unwrap();
+        let rowwise = compiled.run_with(&b, ExecMode::sequential().rowwise()).unwrap();
         prop_assert!(
             got.rows() == rowwise.rows(),
             "variant {} (hashed {}, optimized {}): vectorized and rowwise paths diverged",
@@ -252,7 +252,7 @@ proptest! {
         // per-node row counts.
         let sink = compiled.metrics_sink();
         let metered = compiled
-            .run_with_metrics(&b, stale_view_cleaning::relalg::exec::ExecMode::sequential(), &sink)
+            .run_with_metrics(&b, ExecMode::sequential(), &sink)
             .unwrap();
         prop_assert!(metered.rows() == got.rows(), "metering changed the result");
         prop_assert_eq!(sink.snapshot(0).rows_out as usize, got.len());
@@ -262,7 +262,7 @@ proptest! {
         compiled
             .run_with_metrics(
                 &b,
-                stale_view_cleaning::relalg::exec::ExecMode::sequential().rowwise(),
+                ExecMode::sequential().rowwise(),
                 &row_sink,
             )
             .unwrap();
@@ -323,7 +323,7 @@ proptest! {
             "view kind {}: maintenance execution diverged, {} vs {} rows",
             view_kind, got.len(), expected.len()
         );
-        let rowwise = compiled.run_rowwise(&bindings).unwrap();
+        let rowwise = compiled.run_with(&bindings, ExecMode::sequential().rowwise()).unwrap();
         prop_assert!(
             got.rows() == rowwise.rows(),
             "view kind {view_kind}: vectorized and rowwise maintenance paths diverged"
@@ -364,7 +364,7 @@ proptest! {
             "mixed variant {} (hashed {}): executor diverged, {} vs {} rows",
             variant, hashed, got.len(), expected.len()
         );
-        let rowwise = compiled.run_rowwise(&b).unwrap();
+        let rowwise = compiled.run_with(&b, ExecMode::sequential().rowwise()).unwrap();
         prop_assert!(
             got.rows() == rowwise.rows(),
             "mixed variant {variant} (hashed {hashed}): vectorized and rowwise paths diverged"
@@ -397,7 +397,7 @@ proptest! {
             "adversarial skew {} variant {}: executor diverged, {} vs {} rows",
             skew, variant, got.len(), expected.len()
         );
-        let rowwise = compiled.run_rowwise(&b).unwrap();
+        let rowwise = compiled.run_with(&b, ExecMode::sequential().rowwise()).unwrap();
         prop_assert!(
             got.rows() == rowwise.rows(),
             "adversarial skew {skew} variant {variant}: vectorized and rowwise paths diverged"

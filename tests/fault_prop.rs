@@ -716,3 +716,42 @@ fn fallback_failure_quarantines_whole_pending_and_recovers() {
     assert!(v.table().same_contents(&fresh_expected));
     assert!(!v.is_dirty() && pipeline.quarantined().is_empty());
 }
+
+/// Cost shape of the single plan walker: `EXEC_MORSEL` sits on the
+/// scheduler fan-out, so a run that splits nothing — sequential, or a
+/// morsel mode whose every input fits one morsel — never passes it, while
+/// the same plans under a smaller morsel pass it once per morsel task.
+#[test]
+fn unsplit_runs_never_pass_the_morsel_failpoint() {
+    use stale_view_cleaning::ivm::view::maintenance_bindings;
+    use stale_view_cleaning::relalg::eval::Bindings;
+    use stale_view_cleaning::relalg::exec::{compile, ExecMode, SequentialScheduler};
+
+    let _g = chaos_guard();
+    let db = chaos_db();
+    let view = MaterializedView::create("v", visit_view(), &db).unwrap();
+    let deltas = log_stream(&db, 300);
+    let (maint, _) = view.build_maintenance_plan(&db, &deltas).unwrap();
+    let base = Bindings::from_database(&db);
+    let mb = maintenance_bindings(&db, &deltas, view.table());
+    for (plan, b) in [(visit_view(), &base), (maint, &mb)] {
+        let compiled = compile(&plan, b).unwrap();
+        // Armed but never firing: the registry only counts armed sites.
+        let armed = FailSpec { skip: u64::MAX, count: 0, action: FailAction::Error };
+        fault::set(site::EXEC_MORSEL, armed);
+        let sequential = compiled.run_with(b, ExecMode::sequential()).unwrap();
+        let fits =
+            compiled.run_with(b, ExecMode::morsel(&SequentialScheduler, usize::MAX)).unwrap();
+        assert_eq!(fault::hits(site::EXEC_MORSEL), 0, "an unsplit run reached the morsel site");
+        assert!(fits.rows() == sequential.rows());
+
+        let sink = compiled.metrics_sink();
+        let mode = ExecMode::morsel(&SequentialScheduler, 64);
+        let split = compiled.run_with_metrics(b, mode, &sink).unwrap();
+        let morsels: u64 = sink.snapshots().iter().map(|m| m.morsels).sum();
+        assert!(morsels > 0, "64-row morsels must split a 1200-row scan");
+        assert_eq!(fault::hits(site::EXEC_MORSEL), morsels, "one hit per morsel task");
+        assert!(split.same_contents(&sequential));
+        fault::clear_all();
+    }
+}

@@ -1,15 +1,15 @@
 //! The parallel-vs-sequential equivalence harness for morsel-parallel
 //! execution: for randomized databases, plan shapes (reusing the
 //! `exec_prop.rs` generators), and signed maintenance workloads,
-//! `PhysicalPlan::run_parallel` across a matrix of worker counts {1, 2, 4}
-//! and morsel sizes {1, 7, 64, whole-table} must agree with the sequential
-//! `run()` **row for row and in output order** — exactly on every
-//! non-float column, and up to float-sum rounding on aggregate columns
-//! (per-morsel partial sums combine at the γ barrier). Independent of the
-//! rounding caveat, the parallel result must be *bit-identical across
-//! worker counts* for a fixed morsel size: the morsel decomposition and
-//! the barrier merge order are functions of the morsel size only, never of
-//! scheduler interleaving.
+//! `PhysicalPlan::run_with` under `ExecMode::morsel` across a matrix of
+//! worker counts {1, 2, 4} and morsel sizes {1, 7, 64, whole-table} must
+//! agree with the sequential `run()` **row for row and in output order** —
+//! exactly on every non-float column, and up to float-sum rounding on
+//! aggregate columns (per-morsel partial sums combine at the γ barrier).
+//! Independent of the rounding caveat, the parallel result must be
+//! *bit-identical across worker counts* for a fixed morsel size: the morsel
+//! decomposition and the barrier merge order are functions of the morsel
+//! size only, never of scheduler interleaving.
 
 use proptest::prelude::*;
 
@@ -20,15 +20,49 @@ use stale_view_cleaning::cluster::executor::WorkerPool;
 use stale_view_cleaning::ivm::view::{maintenance_bindings, MaterializedView};
 use stale_view_cleaning::relalg::aggregate::{AggFunc, AggSpec};
 use stale_view_cleaning::relalg::eval::Bindings;
-use stale_view_cleaning::relalg::exec::{compile, MorselScheduler, SequentialScheduler};
+use stale_view_cleaning::relalg::exec::{
+    compile, ExecMode, MorselScheduler, PhysicalPlan, SequentialScheduler,
+};
 use stale_view_cleaning::relalg::optimizer::optimize;
 use stale_view_cleaning::relalg::plan::{JoinKind, Plan};
 use stale_view_cleaning::relalg::scalar::{col, lit};
 use stale_view_cleaning::storage::{HashSpec, Table, Value};
+use stale_view_cleaning::telemetry::OpMetrics;
 
 /// The morsel-size axis of the matrix (whole-table = one morsel covers any
-/// input, so every node takes its sequential inline path).
+/// input, so every node runs its core once, inline).
 const MORSELS: [usize; 4] = [1, 7, 64, usize::MAX];
+
+/// An inline scheduler that counts the sessions it is asked to run — the
+/// probe for "the scheduler is only engaged where a split exists".
+#[derive(Default)]
+struct CountingScheduler {
+    sessions: std::sync::atomic::AtomicUsize,
+}
+
+impl MorselScheduler for CountingScheduler {
+    fn run_tasks(
+        &self,
+        n: usize,
+        task: &(dyn Fn(usize) + Sync),
+    ) -> stale_view_cleaning::storage::Result<()> {
+        self.sessions.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        SequentialScheduler.run_tasks(n, task)
+    }
+}
+
+/// Run `compiled` metered under `morsel`-row morsels on a counting
+/// scheduler: the scheduler sessions opened, and the per-node metrics.
+fn scheduler_sessions(
+    compiled: &PhysicalPlan,
+    bindings: &Bindings<'_>,
+    morsel: usize,
+) -> (usize, Vec<OpMetrics>) {
+    let counting = CountingScheduler::default();
+    let sink = compiled.metrics_sink();
+    compiled.run_with_metrics(bindings, ExecMode::morsel(&counting, morsel), &sink).unwrap();
+    (counting.sessions.into_inner(), sink.snapshots())
+}
 
 /// Row-for-row, in-order comparison with float tolerance on the values —
 /// the "row-set identical including deterministic output ordering at the
@@ -54,20 +88,19 @@ fn approx_same_rows_in_order(a: &Table, b: &Table, eps: f64) -> bool {
 }
 
 /// Assert the full matrix for one compiled plan under one binding set:
-/// sequential `run()` as the oracle, `run_parallel` across schedulers ×
+/// sequential `run()` as the oracle, morsel modes across schedulers ×
 /// morsel sizes, bit-identical across schedulers for a fixed morsel size.
 /// The row-at-a-time reference path rides along on both axes: sequential
-/// `run_rowwise` must be bit-identical to `run`, and the parallel rowwise
-/// mode bit-identical to the parallel vectorized anchor per morsel size.
+/// rowwise must be bit-identical to `run`, and the parallel rowwise mode
+/// bit-identical to the parallel vectorized anchor per morsel size.
 fn assert_matrix(
-    compiled: &stale_view_cleaning::relalg::exec::PhysicalPlan,
+    compiled: &PhysicalPlan,
     bindings: &Bindings<'_>,
     pools: &[WorkerPool],
     label: &str,
 ) {
-    use stale_view_cleaning::relalg::exec::ExecMode;
     let sequential = compiled.run(bindings).unwrap();
-    let rowwise = compiled.run_rowwise(bindings).unwrap();
+    let rowwise = compiled.run_with(bindings, ExecMode::sequential().rowwise()).unwrap();
     assert!(
         rowwise.rows() == sequential.rows() && rowwise.schema() == sequential.schema(),
         "{label}: sequential vectorized and rowwise paths diverged"
@@ -105,10 +138,31 @@ fn assert_matrix(
             pool.workers()
         );
     }
+    // Cost shape: a sequential run splits nothing and partitions nothing;
+    // a morsel mode whose every input fits one morsel never opens a
+    // scheduler session; and a smaller morsel opens one exactly when some
+    // node's input split.
+    let sink = compiled.metrics_sink();
+    compiled.run_with_metrics(bindings, ExecMode::sequential(), &sink).unwrap();
+    for (id, m) in sink.snapshots().iter().enumerate() {
+        assert!(
+            m.morsels == 0 && m.partitions <= 1,
+            "{label}: sequential node {id} recorded a split ({m:?})"
+        );
+    }
+    let (sessions, _) = scheduler_sessions(compiled, bindings, usize::MAX);
+    assert_eq!(sessions, 0, "{label}: whole-input morsels must not engage the scheduler");
+    let (sessions, nodes) = scheduler_sessions(compiled, bindings, 7);
+    assert_eq!(
+        sessions > 0,
+        nodes.iter().any(|m| m.morsels > 0),
+        "{label}: {sessions} scheduler sessions, per-node metrics {nodes:?}"
+    );
     for &morsel in &MORSELS {
         // The inline scheduler anchors the morsel decomposition; pools of
         // every worker count must reproduce it bit for bit.
-        let anchor = compiled.run_parallel(bindings, &SequentialScheduler, morsel).unwrap();
+        let anchor =
+            compiled.run_with(bindings, ExecMode::morsel(&SequentialScheduler, morsel)).unwrap();
         let anchor_rw = compiled
             .run_with(bindings, ExecMode::morsel(&SequentialScheduler, morsel).rowwise())
             .unwrap();
@@ -144,7 +198,7 @@ fn assert_matrix(
             );
         }
         for pool in pools {
-            let par = compiled.run_parallel(bindings, pool, morsel).unwrap();
+            let par = compiled.run_with(bindings, ExecMode::morsel(pool, morsel)).unwrap();
             assert!(
                 par.rows() == anchor.rows() && par.schema() == anchor.schema(),
                 "{label}: morsel {morsel} on {} workers differs from the inline \
@@ -189,6 +243,10 @@ proptest! {
         let compiled = compile(&plan, &b).unwrap();
         let pools = [WorkerPool::new(1), WorkerPool::new(2), WorkerPool::new(4)];
         assert_matrix(&compiled, &b, &pools, &format!("variant {variant}"));
+        // Every query shape filters, joins or groups `fact` (≥ 30 rows):
+        // one-row morsels must reach the scheduler.
+        let (sessions, _) = scheduler_sessions(&compiled, &b, 1);
+        prop_assert!(sessions > 0, "variant {}: one-row morsels never fanned out", variant);
     }
 
     /// Maintenance-strategy plans from svc-ivm (signed change tables,
@@ -282,15 +340,16 @@ fn parallel_execution_is_reproducible_and_interleaving_safe() {
     let compiled = compile(&plan, &b).unwrap();
     let pool = WorkerPool::new(4);
 
-    let once = compiled.run_parallel(&b, &pool, 37).unwrap();
-    let again = compiled.run_parallel(&b, &pool, 37).unwrap();
+    let mode = ExecMode::morsel(&pool, 37);
+    let once = compiled.run_with(&b, mode).unwrap();
+    let again = compiled.run_with(&b, mode).unwrap();
     assert!(once.rows() == again.rows(), "same morsel size must be bit-for-bit reproducible");
 
     // Two threads hammer the same pool with the same plan: the shared
     // queue interleaves their morsels, results stay bit-identical.
     std::thread::scope(|s| {
         let handles: Vec<_> =
-            (0..2).map(|_| s.spawn(|| compiled.run_parallel(&b, &pool, 37).unwrap())).collect();
+            (0..2).map(|_| s.spawn(|| compiled.run_with(&b, mode).unwrap())).collect();
         for h in handles {
             let out = h.join().unwrap();
             assert!(out.rows() == once.rows(), "interleaved run diverged");
@@ -298,20 +357,43 @@ fn parallel_execution_is_reproducible_and_interleaving_safe() {
     });
 }
 
-/// Zero morsel size is rejected, not looped on.
+/// Morsel size 0 has one meaning — auto-tune, the same mode as
+/// `morsel_auto` — and is neither rejected nor looped on.
 #[test]
-fn zero_morsel_size_is_rejected() {
+fn zero_morsel_size_means_auto() {
     let db = build_db(50, 5, 1);
     let b = Bindings::from_database(&db);
-    let compiled = compile(&Plan::scan("fact"), &b).unwrap();
-    assert!(compiled.run_parallel(&b, &SequentialScheduler, 0).is_err());
+    let compiled = compile(&Plan::scan("fact").select(col("x").gt(lit(0.5))), &b).unwrap();
+    let zero = compiled.run_with(&b, ExecMode::morsel(&SequentialScheduler, 0)).unwrap();
+    let auto = compiled.run_with(&b, ExecMode::morsel_auto(&SequentialScheduler)).unwrap();
+    assert!(zero.rows() == auto.rows());
+    assert!(zero.rows() == compiled.run(&b).unwrap().rows());
+    assert_eq!(
+        format!("{:?}", ExecMode::morsel(&SequentialScheduler, 0)),
+        format!("{:?}", ExecMode::morsel_auto(&SequentialScheduler))
+    );
+}
+
+/// The cost shape on a fixed input: a σ over 200 rows opens one scheduler
+/// session of ⌈200/16⌉ morsels under 16-row morsels, and none at all once
+/// the morsel covers the table.
+#[test]
+fn scheduler_is_engaged_only_where_an_input_splits() {
+    let db = build_db(200, 8, 3);
+    let b = Bindings::from_database(&db);
+    let compiled = compile(&Plan::scan("fact").select(col("x").gt(lit(0.5))), &b).unwrap();
+    let (sessions, nodes) = scheduler_sessions(&compiled, &b, 16);
+    assert_eq!((sessions, nodes[0].morsels), (1, 13));
+    assert_eq!(nodes[0].vec_chunks + nodes[0].row_batches, 13, "one kernel pass per range");
+    let (sessions, nodes) = scheduler_sessions(&compiled, &b, 200);
+    assert_eq!((sessions, nodes[0].morsels), (0, 0));
+    assert_eq!(nodes[0].vec_chunks + nodes[0].row_batches, 1);
 }
 
 /// The scheduler trait object is what `ExecMode` carries; make sure the
 /// mode dispatches to the parallel path end to end.
 #[test]
 fn exec_mode_dispatches_to_parallel() {
-    use stale_view_cleaning::relalg::exec::ExecMode;
     let db = build_db(200, 8, 3);
     let b = Bindings::from_database(&db);
     let plan = Plan::scan("fact").select(col("x").gt(lit(0.5)));

@@ -224,8 +224,8 @@ fn uninstrumented_runs_allocate_no_metric_state() {
 
     let before = metric_allocs();
     compiled.run(&bindings).unwrap();
-    compiled.run_rowwise(&bindings).unwrap();
-    compiled.run_parallel(&bindings, &SequentialScheduler, 64).unwrap();
+    compiled.run_with(&bindings, ExecMode::sequential().rowwise()).unwrap();
+    compiled.run_with(&bindings, ExecMode::morsel(&SequentialScheduler, 64)).unwrap();
     assert_eq!(
         metric_allocs(),
         before,
