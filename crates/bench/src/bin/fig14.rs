@@ -109,15 +109,12 @@ fn main() {
         })
         .collect();
 
-    // Best of two curves per arm: a single scheduling hiccup on a loaded
-    // (CI) machine must not invert the throughput ordering.
+    // Best of two runs per point and arm: a single scheduling hiccup on a
+    // loaded (CI) machine must not invert the throughput ordering. Each run
+    // maintains a fresh clone of the view over the same deltas.
     let best_curve = || -> Vec<f64> {
-        let curves: Vec<_> = (0..2)
-            .map(|_| pipeline.throughput_curve(&db, &view, &deltas, &batch_sizes).expect("curve"))
-            .collect();
-        (0..batch_sizes.len())
-            .map(|i| curves.iter().map(|c| c[i].throughput).fold(0.0, f64::max))
-            .collect()
+        let run = |b| pipeline.maintain(&db, &mut view.clone(), &deltas, b).expect("curve");
+        batch_sizes.iter().map(|&b| run(b).throughput().max(run(b).throughput())).collect()
     };
     let solo = best_curve();
     let stop = AtomicBool::new(false);

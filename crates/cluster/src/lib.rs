@@ -37,5 +37,5 @@ pub mod minibatch;
 pub mod timeline;
 
 pub use executor::{PoolMetrics, WorkerPool};
-pub use minibatch::{BatchPipeline, BatchRun, PipelineMetrics, ThroughputPoint};
+pub use minibatch::{BatchPipeline, BatchRun, PipelineMetrics};
 pub use timeline::{timeline_max_error, TimelineConfig, TimelineResult};

@@ -43,15 +43,6 @@ use svc_telemetry::{Counter, Gauge, TraceRecorder};
 
 use crate::executor::{panic_text, WorkerPool};
 
-/// One measured point of the throughput curve.
-#[derive(Debug, Clone, Copy)]
-pub struct ThroughputPoint {
-    /// Batch size in records.
-    pub batch_size: usize,
-    /// Records per second achieved.
-    pub throughput: f64,
-}
-
 /// What one [`BatchPipeline::maintain`] call did.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchRun {
@@ -162,10 +153,9 @@ pub struct BatchPipeline {
     /// of non-change-table views — executes morsel-parallel on the shared
     /// pool (`ExecMode::morsel`), its scans split into row ranges
     /// that interleave with other sessions' tasks on the shared queue.
-    /// `Some(0)` means "morsel-parallel, size auto-tuned": the size is
-    /// derived per plan from the attached catalog's row counts (or the
-    /// live tables when no catalog is attached), targeting ~64k values
-    /// per column chunk ([`svc_relalg::exec::auto_morsel_size`]).
+    /// `Some(0)` means "morsel-parallel, size auto-tuned": the executor
+    /// derives it per plan from the largest bound leaf, targeting ~64k
+    /// values per column chunk ([`svc_relalg::exec::auto_morsel_size`]).
     /// Per-partition change plans keep their inter-plan fan-out (many
     /// small plans already saturate the pool).
     pub morsel_size: Option<usize>,
@@ -208,7 +198,7 @@ struct PipelineCounters {
     fold_ns: Counter,
     /// Change-table folds performed.
     folds: Counter,
-    /// Batch plan sets compiled (the `plan_compiles` observable).
+    /// Batch plan sets compiled.
     compiles: Counter,
     /// Compile-cache hits.
     cache_hits: Counter,
@@ -388,46 +378,6 @@ impl BatchPipeline {
         self
     }
 
-    /// Resolve the configured [`BatchPipeline::morsel_size`] for one plan
-    /// run over `leaves` and the stale view: `None` stays sequential, an
-    /// explicit size passes through, and `Some(0)` derives a size from the
-    /// catalog's row counts — falling back to the live tables when no
-    /// catalog is attached — via [`svc_relalg::exec::auto_morsel_size`] on
-    /// the largest input.
-    fn resolved_morsel(&self, db: &Database, leaves: &[&str], stale: &Table) -> Option<usize> {
-        let morsel = self.morsel_size?;
-        if morsel != 0 {
-            return Some(morsel);
-        }
-        let mut best = (0usize, 1usize);
-        let mut note = |rows: usize, width: usize| {
-            if rows > best.0 {
-                best = (rows, width);
-            }
-        };
-        for leaf in leaves {
-            match self.catalog.as_deref().and_then(|c| c.stats(leaf)) {
-                Some(s) => note(s.rows as usize, s.schema.len()),
-                None => {
-                    if let Ok(t) = db.table(leaf) {
-                        note(t.len(), t.schema().len());
-                    }
-                }
-            }
-        }
-        note(stale.len(), stale.schema().len());
-        Some(svc_relalg::exec::auto_morsel_size(best.0, best.1))
-    }
-
-    /// How many batch-plan sets this pipeline has compiled so far — the
-    /// observable behind the "compile at most once per partitioning epoch"
-    /// guarantee (tests assert it stays flat across repeated batches and
-    /// resets work after a repartition). Thin shim over the pipeline's
-    /// telemetry counters ([`BatchPipeline::metrics`]).
-    pub fn plan_compiles(&self) -> usize {
-        self.counters.compiles.get() as usize
-    }
-
     /// Snapshot the pipeline's subsystem metrics: current delta backlog,
     /// cumulative fold latency, and compile-cache hit/miss counts.
     /// Lock-free; shared across pipeline clones (same cache, same
@@ -486,7 +436,7 @@ impl BatchPipeline {
     ///
     /// Mini-batching applies when the view is change-table eligible for the
     /// pending deltas and the exactness condition of
-    /// [`chunk_parallel_exact`] holds (change-table contributions of
+    /// `chunk_parallel_exact` holds (change-table contributions of
     /// disjoint delta subsets are then independent and additive). Otherwise
     /// the whole delta set runs as a single batch — through the full
     /// sequential maintenance plan for non-eligible views — still as real
@@ -821,7 +771,7 @@ impl BatchPipeline {
             let maintained = view.maintained(db, pending, est, mode)?;
             Ok(maintained.expect("maintain returns early on empty deltas").0)
         };
-        match self.resolved_morsel(db, &view.canonical().plan.leaf_tables(), view.table()) {
+        match self.morsel_size {
             Some(morsel) => {
                 run(ExecMode::morsel(self.pool.as_ref(), morsel).partitions(self.join_partitions))
             }
@@ -932,26 +882,6 @@ impl BatchPipeline {
         self.cache_lock().store(&self.catalog, key, compiled.clone());
         self.counters.compiles.inc();
         Ok(compiled)
-    }
-
-    /// Measure throughput across batch sizes on real plans (Figure 14a,
-    /// plan-driven): each point maintains a fresh clone of `view` over the
-    /// same pending deltas.
-    pub fn throughput_curve(
-        &self,
-        db: &Database,
-        view: &MaterializedView,
-        pending: &Deltas,
-        batch_sizes: &[usize],
-    ) -> Result<Vec<ThroughputPoint>> {
-        batch_sizes
-            .iter()
-            .map(|&b| {
-                let mut v = view.clone();
-                let run = self.maintain(db, &mut v, pending, b)?;
-                Ok(ThroughputPoint { batch_size: b, throughput: run.throughput() })
-            })
-            .collect()
     }
 }
 
@@ -1287,19 +1217,19 @@ mod tests {
         let mut v = view.clone();
         let run = pipeline.maintain(&db, &mut v, &deltas, 50).unwrap();
         assert_eq!(run.batches, 8);
-        assert_eq!(pipeline.plan_compiles(), 1, "one signature, one compile across 8 batches");
+        assert_eq!(pipeline.metrics().compiles, 1, "one signature, one compile across 8 batches");
 
         // A second maintenance pass with the same shape replays the cache.
         let mut v2 = view.clone();
         pipeline.maintain(&db, &mut v2, &deltas, 50).unwrap();
-        assert_eq!(pipeline.plan_compiles(), 1, "identical stream must not recompile");
+        assert_eq!(pipeline.metrics().compiles, 1, "identical stream must not recompile");
 
         // Repartitioning starts a new epoch: the old plans are invalid
         // (different chunk count) and exactly one new set is compiled.
         pipeline.partitions = 3;
         let mut v3 = view.clone();
         pipeline.maintain(&db, &mut v3, &deltas, 60).unwrap();
-        assert_eq!(pipeline.plan_compiles(), 2, "repartition compiles a fresh set");
+        assert_eq!(pipeline.metrics().compiles, 2, "repartition compiles a fresh set");
         let expected = view.recompute_fresh(&db, &deltas).unwrap();
         assert!(v3.table().approx_same_contents(&expected, 1e-9));
         assert!(v.table().approx_same_contents(&expected, 1e-9));
@@ -1412,8 +1342,8 @@ mod tests {
 
     /// `morsel_size` changes scheduling only, never results: the fallback
     /// plan produces the same table with and without it — including
-    /// `Some(0)`, the catalog-derived auto-tuned size — and the
-    /// change-table path ignores it.
+    /// `Some(0)`, the auto-tuned size — and the change-table path ignores
+    /// it.
     #[test]
     fn morsel_size_is_result_invariant() {
         let db = db();
@@ -1423,11 +1353,6 @@ mod tests {
             let expected = view.recompute_fresh(&db, &deltas).unwrap();
             for morsel in [Some(0), Some(1), Some(33), Some(usize::MAX), None] {
                 let mut pipeline = BatchPipeline::new(2);
-                if morsel == Some(0) {
-                    // Auto-tuning should read row counts off the catalog when
-                    // one is attached (and off the live tables otherwise).
-                    pipeline = pipeline.with_catalog(Arc::new(Catalog::build(&db)));
-                }
                 pipeline.morsel_size = morsel;
                 let mut v = view.clone();
                 pipeline.maintain(&db, &mut v, &deltas, 80).unwrap();
@@ -1598,8 +1523,6 @@ mod tests {
         }
         let expected = view.recompute_fresh(&db, &deltas).unwrap();
         let pipeline = BatchPipeline::new(2);
-        let curve = pipeline.throughput_curve(&db, &view, &deltas, &[250, 1_000, 4_000]).unwrap();
-        assert_eq!(curve.len(), 3);
 
         let mut plans_before = usize::MAX;
         let mut first: Option<Table> = None;

@@ -1,23 +1,31 @@
 //! Query result estimation (Section 5): SVC+AQP direct estimates and
 //! SVC+CORR corrections, with confidence machinery per aggregate class.
 //!
-//! * `sum`/`count`/`avg` — sample means: per-row `trans` transformation
-//!   (`1/m·attr·cond` for sum, `1/m·cond` for count, `attr where cond` for
-//!   avg) and CLT intervals (Section 5.2.1);
+//! Every estimator is one walk of the corresponding samples `(Ŝ, Ŝ′)`
+//! (`correspond`: the per-row `trans` table of Section 5.2.1, whose
+//! SVC+CORR form is the correspondence difference `−̇` of Definition 4)
+//! followed by the finisher of the query's aggregate class:
+//!
+//! * `sum`/`count`/`avg` — sample means (`1/m·attr·cond` for sum,
+//!   `1/m·cond` for count, `attr where cond` for avg) with CLT intervals
+//!   (Section 5.2.1);
 //! * `median`/percentiles — statistical bootstrap (Section 5.2.5);
 //! * `min`/`max` — correction by extreme paired difference plus a Cantelli
 //!   probability that a more extreme unsampled element exists
 //!   (Appendix 12.1.1).
+//!
+//! SVC+AQP is the walk with no stale side. Rows are visited in table order,
+//! so every sum — and with it every estimate — is bit-repeatable.
 
 use svc_stats::bootstrap::{bootstrap_ci, bootstrap_paired_diff};
+use svc_stats::cantelli::cantelli_exceedance;
 use svc_stats::clt::{mean_interval, sum_interval, ConfidenceInterval};
 use svc_stats::moments::Moments;
 use svc_stats::quantile::quantile;
-use svc_storage::{Result, StorageError, Table};
+use svc_storage::{KeyTuple, Result, StorageError, Table};
 
 use crate::config::SvcConfig;
-use crate::diff::{correspondence_subtract, trans_table, TransTable};
-use crate::query::{AggQuery, QueryAgg};
+use crate::query::{aggregate, AggQuery, QueryAgg};
 
 /// How an answer was produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,144 +57,241 @@ pub struct Estimate {
     pub exceedance_probability: Option<f64>,
 }
 
-fn err_empty(context: &str) -> StorageError {
-    StorageError::Invalid(format!("cannot estimate from an empty sample ({context})"))
+impl Estimate {
+    /// `scale · self + shift`, for merging in an exact (zero-variance) term:
+    /// the interval moves with the value and only `scale` widens or narrows
+    /// it (Section 6.3).
+    pub(crate) fn affine(mut self, scale: f64, shift: f64) -> Estimate {
+        self.value = scale * self.value + shift;
+        if let Some(ci) = &mut self.ci {
+            ci.estimate = self.value;
+            ci.half_width *= scale;
+        }
+        self
+    }
 }
 
-/// Per-row `trans` values for the sample-mean class: every sample row gets
-/// an entry (predicate-failing rows map to 0), as in the paper's rewriting
-/// of `cond(*)` into the SELECT clause.
-fn trans_scaled(table: &Table, q: &AggQuery, m: f64) -> Result<TransTable> {
-    let bound = q.bind(table)?;
-    Ok(trans_table(table, |row| {
-        let cond = bound.matches(row);
-        Some(match q.agg {
-            QueryAgg::Sum => {
-                if cond {
-                    bound.attr.eval(row).as_f64().unwrap_or(0.0) / m
-                } else {
-                    0.0
-                }
+/// The corresponding samples `(Ŝ, Ŝ′)` joined by key under one query: for
+/// each key of `Ŝ ∪ Ŝ′` the attribute value on either side, `None` where
+/// that side has no such row, the row fails the predicate, or its attribute
+/// is not numeric (Definition 4's "nulls are zero" full outer join, with
+/// the zero left to the finisher).
+pub(crate) struct Correspondence {
+    /// `(stale, clean)`: the clean sample's rows in table order, then the
+    /// rows only the stale sample has, in its table order.
+    pub(crate) pairs: Vec<(Option<f64>, Option<f64>)>,
+    /// Clean-sample rows walked; they are `pairs[..clean_rows]`.
+    pub(crate) clean_rows: usize,
+}
+
+/// The one walk of `(Ŝ, Ŝ′)`. `stale` is absent for SVC+AQP; rows whose
+/// key any `skip` table holds (the outlier sets of Section 6.3) are left
+/// out on both sides.
+fn correspond(
+    stale: Option<&Table>,
+    clean: &Table,
+    skip: &[&Table],
+    q: &AggQuery,
+) -> Result<Correspondence> {
+    let clean_q = q.bind(clean)?;
+    let stale = stale.map(|s| q.bind(s).map(|bound| (s, bound))).transpose()?;
+    let skipped = |key: &KeyTuple| skip.iter().any(|o| o.contains_key(key));
+    let keyed = stale.is_some() || !skip.is_empty();
+
+    let mut pairs = Vec::with_capacity(clean.len());
+    for row in clean.rows() {
+        let mut partner = None;
+        if keyed {
+            let key = clean.key_of(row);
+            if skipped(&key) {
+                continue;
             }
-            QueryAgg::Count => {
-                if cond {
-                    1.0 / m
-                } else {
-                    0.0
-                }
+            if let Some((s, stale_q)) = &stale {
+                partner = s.get(&key).and_then(|r| stale_q.value(r));
             }
-            _ => unreachable!("trans_scaled is for sum/count only"),
+        }
+        pairs.push((partner, clean_q.value(row)));
+    }
+    let clean_rows = pairs.len();
+    if let Some((s, stale_q)) = &stale {
+        for row in s.rows() {
+            let key = s.key_of(row);
+            if !clean.contains_key(&key) && !skipped(&key) {
+                pairs.push((stale_q.value(row), None));
+            }
+        }
+    }
+    Ok(Correspondence { pairs, clean_rows })
+}
+
+fn moments(values: impl Iterator<Item = f64>) -> Moments {
+    let mut m = Moments::new();
+    values.for_each(|v| m.push(v));
+    m
+}
+
+impl Correspondence {
+    fn clean(&self) -> impl Iterator<Item = f64> + '_ {
+        self.pairs.iter().filter_map(|p| p.1)
+    }
+
+    fn stale(&self) -> impl Iterator<Item = f64> + '_ {
+        self.pairs.iter().filter_map(|p| p.0)
+    }
+
+    /// Finish the walk into an estimate of `agg`: `stale_result` is the
+    /// full stale answer SVC+CORR corrects, `None` for SVC+AQP.
+    pub(crate) fn finish(
+        &self,
+        agg: QueryAgg,
+        stale_result: Option<f64>,
+        m: f64,
+        cfg: &SvcConfig,
+    ) -> Result<Estimate> {
+        let predicate_rows = self.clean().count();
+        if predicate_rows == 0 && !matches!(agg, QueryAgg::Sum | QueryAgg::Count) {
+            return Err(StorageError::Invalid(format!(
+                "cannot estimate {agg:?}: no sample row satisfies the predicate"
+            )));
+        }
+        let (value, half_width, exceedance_probability) = match agg {
+            QueryAgg::Sum | QueryAgg::Count | QueryAgg::Avg => {
+                let (value, half_width) = self.sample_mean(agg, stale_result, m, cfg.confidence);
+                (value, Some(half_width), None)
+            }
+            QueryAgg::Median | QueryAgg::Percentile(_) => {
+                let (value, half_width) = self.order_statistic(agg, stale_result, cfg);
+                (value, half_width, None)
+            }
+            QueryAgg::Min | QueryAgg::Max => {
+                let (value, exceedance) = self.extreme(agg, stale_result);
+                (value, None, Some(exceedance))
+            }
+        };
+        Ok(Estimate {
+            value,
+            ci: half_width.map(|half_width| ConfidenceInterval {
+                estimate: value,
+                half_width,
+                confidence: cfg.confidence,
+            }),
+            method: if stale_result.is_some() { Method::Correction } else { Method::AqpDirect },
+            sample_size: self.clean_rows,
+            predicate_rows,
+            exceedance_probability,
         })
-    }))
+    }
+
+    /// Sample-mean class (Section 5.2.1): the mean of the per-row `trans`
+    /// differences with a CLT interval. Returns `(value, half_width)`.
+    fn sample_mean(
+        &self,
+        agg: QueryAgg,
+        stale_result: Option<f64>,
+        m: f64,
+        confidence: f64,
+    ) -> (f64, f64) {
+        let avg = agg == QueryAgg::Avg;
+        let trans = |v: Option<f64>| match (agg, v) {
+            (_, None) => 0.0,
+            (QueryAgg::Sum, Some(x)) => x / m,
+            (QueryAgg::Count, Some(_)) => 1.0 / m,
+            (_, Some(x)) => x,
+        };
+        // sum/count scale every sample row (a failed predicate is a zero
+        // term); avg only sees rows that satisfy it on some side.
+        let diffs = moments(
+            self.pairs
+                .iter()
+                .filter(|(s, c)| !avg || s.is_some() || c.is_some())
+                .map(|&(s, c)| trans(c) - trans(s)),
+        );
+        let base = stale_result.unwrap_or(0.0);
+        if !avg {
+            let ci = sum_interval(diffs.sum(), diffs.variance(), diffs.count(), confidence);
+            return (base + diffs.sum(), ci.half_width);
+        }
+        let (clean, stale) = (moments(self.clean()), moments(self.stale()));
+        // A stale sample with no row under the predicate gives SVC+CORR
+        // nothing to difference against: the stale answer stands.
+        let correction = if stale_result.is_some() && stale.count() == 0 {
+            0.0
+        } else {
+            clean.mean() - stale.mean()
+        };
+        let ci = mean_interval(correction, diffs.variance(), diffs.count(), confidence);
+        (base + correction, ci.half_width)
+    }
+
+    /// Order-statistic class (Section 5.2.5): bootstrap the statistic, or
+    /// for SVC+CORR its clean−stale difference. Returns `(value, half_width)`.
+    fn order_statistic(
+        &self,
+        agg: QueryAgg,
+        stale_result: Option<f64>,
+        cfg: &SvcConfig,
+    ) -> (f64, Option<f64>) {
+        let statistic = |xs: &[f64]| aggregate(agg, xs);
+        let clean: Vec<f64> = self.clean().collect();
+        let Some(stale_result) = stale_result else {
+            let ci =
+                bootstrap_ci(&clean, statistic, cfg.bootstrap_iterations, cfg.confidence, cfg.seed);
+            return (ci.estimate, Some(ci.half_width));
+        };
+        let stale: Vec<f64> = self.stale().collect();
+        if stale.is_empty() {
+            return (stale_result, None);
+        }
+        let value = stale_result + (statistic(&clean) - statistic(&stale));
+        let dist =
+            bootstrap_paired_diff(&clean, &stale, statistic, cfg.bootstrap_iterations, cfg.seed);
+        let alpha = 1.0 - cfg.confidence;
+        let (lo, hi) = (quantile(&dist, alpha / 2.0), quantile(&dist, 1.0 - alpha / 2.0));
+        (value, Some(((hi - lo) / 2.0).abs()))
+    }
+
+    /// Extreme class (Appendix 12.1.1): the sample extreme, or for SVC+CORR
+    /// the stale extreme moved by the extreme row-by-row difference over
+    /// rows present in BOTH samples. Returns `(value, exceedance)`, the
+    /// Cantelli bound on a more extreme unsampled element.
+    fn extreme(&self, agg: QueryAgg, stale_result: Option<f64>) -> (f64, f64) {
+        let clean: Vec<f64> = self.clean().collect();
+        let value = match stale_result {
+            None => aggregate(agg, &clean),
+            Some(stale_result) => {
+                let diffs: Vec<f64> =
+                    self.pairs.iter().filter_map(|&(s, c)| Some(c? - s?)).collect();
+                if diffs.is_empty() {
+                    stale_result
+                } else {
+                    stale_result + aggregate(agg, &diffs)
+                }
+            }
+        };
+        let spread = Moments::of(&clean);
+        (value, cantelli_exceedance(spread.variance(), (value - spread.mean()).abs()))
+    }
 }
 
-/// Unscaled attribute values of predicate-satisfying rows keyed by row
-/// (the `avg`/order-statistic trans table).
-fn trans_plain(table: &Table, q: &AggQuery) -> Result<TransTable> {
-    let bound = q.bind(table)?;
-    Ok(trans_table(
-        table,
-        |row| {
-            if bound.matches(row) {
-                bound.attr.eval(row).as_f64()
-            } else {
-                None
-            }
-        },
-    ))
+/// The body of every estimator: walk the samples, finish by class. `stale`
+/// is SVC+CORR's `(q(S), Ŝ)`; `skip` holds the outlier sets whose rows are
+/// accounted for exactly elsewhere.
+pub(crate) fn estimate(
+    stale: Option<(f64, &Table)>,
+    clean_sample: &Table,
+    skip: &[&Table],
+    q: &AggQuery,
+    m: f64,
+    cfg: &SvcConfig,
+) -> Result<Estimate> {
+    let (stale_result, stale_sample) = stale.unzip();
+    correspond(stale_sample, clean_sample, skip, q)?.finish(q.agg, stale_result, m, cfg)
 }
 
 /// SVC+AQP: estimate `q(S′)` directly from the clean sample with scaling
 /// factor `1/m` for sum/count and 1 for avg (Section 5.1).
 pub fn svc_aqp(clean_sample: &Table, q: &AggQuery, m: f64, cfg: &SvcConfig) -> Result<Estimate> {
-    let k = clean_sample.len();
-    let bound = q.bind(clean_sample)?;
-    let matching = bound.matching_values(clean_sample);
-    let predicate_rows = matching.len();
-
-    let est = match q.agg {
-        QueryAgg::Sum | QueryAgg::Count => {
-            let trans = trans_scaled(clean_sample, q, m)?;
-            let moments = Moments::of(&trans.values().copied().collect::<Vec<_>>());
-            let value = moments.sum();
-            let ci = sum_interval(value, moments.variance(), moments.count(), cfg.confidence);
-            Estimate {
-                value,
-                ci: Some(ci),
-                method: Method::AqpDirect,
-                sample_size: k,
-                predicate_rows,
-                exceedance_probability: None,
-            }
-        }
-        QueryAgg::Avg => {
-            if matching.is_empty() {
-                return Err(err_empty("avg"));
-            }
-            let moments = Moments::of(&matching);
-            let ci =
-                mean_interval(moments.mean(), moments.variance(), moments.count(), cfg.confidence);
-            Estimate {
-                value: moments.mean(),
-                ci: Some(ci),
-                method: Method::AqpDirect,
-                sample_size: k,
-                predicate_rows,
-                exceedance_probability: None,
-            }
-        }
-        QueryAgg::Median | QueryAgg::Percentile(_) => {
-            if matching.is_empty() {
-                return Err(err_empty("median/percentile"));
-            }
-            let p = match q.agg {
-                QueryAgg::Median => 0.5,
-                QueryAgg::Percentile(p) => p,
-                _ => unreachable!(),
-            };
-            let ci = bootstrap_ci(
-                &matching,
-                |xs| quantile(xs, p),
-                cfg.bootstrap_iterations,
-                cfg.confidence,
-                cfg.seed,
-            );
-            Estimate {
-                value: ci.estimate,
-                ci: Some(ci),
-                method: Method::AqpDirect,
-                sample_size: k,
-                predicate_rows,
-                exceedance_probability: None,
-            }
-        }
-        QueryAgg::Min | QueryAgg::Max => {
-            if matching.is_empty() {
-                return Err(err_empty("min/max"));
-            }
-            let value = extreme(&matching, q.agg);
-            let moments = Moments::of(&matching);
-            let eps = (value - moments.mean()).abs();
-            let p = svc_stats::cantelli::cantelli_exceedance(moments.variance(), eps);
-            Estimate {
-                value,
-                ci: None,
-                method: Method::AqpDirect,
-                sample_size: k,
-                predicate_rows,
-                exceedance_probability: Some(p),
-            }
-        }
-    };
-    Ok(est)
-}
-
-fn extreme(vals: &[f64], agg: QueryAgg) -> f64 {
-    match agg {
-        QueryAgg::Min => vals.iter().copied().fold(f64::INFINITY, f64::min),
-        QueryAgg::Max => vals.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        _ => unreachable!(),
-    }
+    estimate(None, clean_sample, &[], q, m, cfg)
 }
 
 /// SVC+CORR: estimate the correction `c = q(S′) − q(S)` from the
@@ -200,141 +305,23 @@ pub fn svc_corr(
     m: f64,
     cfg: &SvcConfig,
 ) -> Result<Estimate> {
-    let k = clean_sample.len();
-    let clean_bound = q.bind(clean_sample)?;
-    let predicate_rows = clean_bound.matching_values(clean_sample).len();
+    estimate(Some((stale_result, stale_sample)), clean_sample, &[], q, m, cfg)
+}
 
-    let est = match q.agg {
-        QueryAgg::Sum | QueryAgg::Count => {
-            let clean_t = trans_scaled(clean_sample, q, m)?;
-            let stale_t = trans_scaled(stale_sample, q, m)?;
-            let diffs = correspondence_subtract(&clean_t, &stale_t);
-            let moments = Moments::of(&diffs);
-            let correction = moments.sum();
-            let ci0 = sum_interval(correction, moments.variance(), moments.count(), cfg.confidence);
-            Estimate {
-                value: stale_result + correction,
-                ci: Some(ConfidenceInterval {
-                    estimate: stale_result + correction,
-                    half_width: ci0.half_width,
-                    confidence: cfg.confidence,
-                }),
-                method: Method::Correction,
-                sample_size: k,
-                predicate_rows,
-                exceedance_probability: None,
-            }
-        }
-        QueryAgg::Avg => {
-            let clean_t = trans_plain(clean_sample, q)?;
-            let stale_t = trans_plain(stale_sample, q)?;
-            if clean_t.is_empty() {
-                return Err(err_empty("avg correction"));
-            }
-            let clean_mean = clean_t.values().sum::<f64>() / clean_t.len() as f64;
-            let stale_mean = if stale_t.is_empty() {
-                clean_mean
-            } else {
-                stale_t.values().sum::<f64>() / stale_t.len() as f64
-            };
-            let correction = clean_mean - stale_mean;
-            let diffs = correspondence_subtract(&clean_t, &stale_t);
-            let dm = Moments::of(&diffs);
-            let ci0 = mean_interval(correction, dm.variance(), dm.count(), cfg.confidence);
-            Estimate {
-                value: stale_result + correction,
-                ci: Some(ConfidenceInterval {
-                    estimate: stale_result + correction,
-                    half_width: ci0.half_width,
-                    confidence: cfg.confidence,
-                }),
-                method: Method::Correction,
-                sample_size: k,
-                predicate_rows,
-                exceedance_probability: None,
-            }
-        }
-        QueryAgg::Median | QueryAgg::Percentile(_) => {
-            let p = match q.agg {
-                QueryAgg::Median => 0.5,
-                QueryAgg::Percentile(p) => p,
-                _ => unreachable!(),
-            };
-            let clean_vals: Vec<f64> = trans_plain(clean_sample, q)?.into_values().collect();
-            let stale_vals: Vec<f64> = trans_plain(stale_sample, q)?.into_values().collect();
-            if clean_vals.is_empty() {
-                return Err(err_empty("median correction"));
-            }
-            let correction = if stale_vals.is_empty() {
-                0.0
-            } else {
-                quantile(&clean_vals, p) - quantile(&stale_vals, p)
-            };
-            let value = stale_result + correction;
-            // Bootstrap the correction's distribution (the SVC+CORR variant
-            // of Section 5.2.5).
-            let ci = if stale_vals.is_empty() {
-                None
-            } else {
-                let mut dist = bootstrap_paired_diff(
-                    &clean_vals,
-                    &stale_vals,
-                    |xs| quantile(xs, p),
-                    cfg.bootstrap_iterations,
-                    cfg.seed,
-                );
-                dist.sort_by(f64::total_cmp);
-                let alpha = 1.0 - cfg.confidence;
-                let lo = quantile(&dist, alpha / 2.0);
-                let hi = quantile(&dist, 1.0 - alpha / 2.0);
-                Some(ConfidenceInterval {
-                    estimate: value,
-                    half_width: ((hi - lo) / 2.0).abs(),
-                    confidence: cfg.confidence,
-                })
-            };
-            Estimate {
-                value,
-                ci,
-                method: Method::Correction,
-                sample_size: k,
-                predicate_rows,
-                exceedance_probability: None,
-            }
-        }
-        QueryAgg::Min | QueryAgg::Max => {
-            // Appendix 12.1.1: correct the stale extreme by the extreme
-            // row-by-row difference, bound by Cantelli.
-            let clean_t = trans_plain(clean_sample, q)?;
-            let stale_t = trans_plain(stale_sample, q)?;
-            if clean_t.is_empty() {
-                return Err(err_empty("min/max correction"));
-            }
-            // Appendix 12.1.1: the row-by-row difference is taken over rows
-            // present in BOTH samples.
-            let diffs: Vec<f64> =
-                clean_t.iter().filter_map(|(k, v)| stale_t.get(k).map(|s| v - s)).collect();
-            let c = if diffs.is_empty() {
-                0.0
-            } else {
-                extreme(&diffs, if q.agg == QueryAgg::Max { QueryAgg::Max } else { QueryAgg::Min })
-            };
-            let value = stale_result + c;
-            let clean_vals: Vec<f64> = clean_t.values().copied().collect();
-            let moments = Moments::of(&clean_vals);
-            let eps = (value - moments.mean()).abs();
-            let p = svc_stats::cantelli::cantelli_exceedance(moments.variance(), eps);
-            Estimate {
-                value,
-                ci: None,
-                method: Method::Correction,
-                sample_size: k,
-                predicate_rows,
-                exceedance_probability: Some(p),
-            }
-        }
-    };
-    Ok(est)
+/// Break-even test of Section 5.2.2, read off the same pairs: SVC+CORR has
+/// the lower variance while `σ²_S ≤ 2·cov(S, S′)`.
+pub(crate) fn break_even(
+    stale_sample: &Table,
+    clean_sample: &Table,
+    q: &AggQuery,
+) -> Result<Method> {
+    let pass = correspond(Some(stale_sample), clean_sample, &[], q)?;
+    let paired = || pass.pairs.iter().filter_map(|&(s, c)| Some((s?, c?)));
+    let stale = moments(paired().map(|(s, _)| s));
+    let clean_mean = moments(pass.clean()).mean();
+    let co_moment: f64 = paired().map(|(s, c)| (s - stale.mean()) * (c - clean_mean)).sum();
+    let cov = if stale.count() > 1 { co_moment / (stale.count() - 1) as f64 } else { 0.0 };
+    Ok(if stale.variance() <= 2.0 * cov { Method::Correction } else { Method::AqpDirect })
 }
 
 /// The stale baseline as an [`Estimate`] (for uniform reporting).
@@ -472,5 +459,69 @@ mod tests {
         let (_, _, _, f_hat) = samples(0.25);
         let q = AggQuery::avg(col("x")).filter(col("id").gt(lit(10_000i64)));
         assert!(svc_aqp(&f_hat, &q, 0.25, &SvcConfig::default()).is_err());
+    }
+
+    fn keyed(rows: &[(i64, f64)]) -> Table {
+        let schema = Schema::from_pairs(&[("id", DataType::Int), ("x", DataType::Float)]).unwrap();
+        let rows = rows.iter().map(|&(id, x)| vec![Value::Int(id), Value::Float(x)]).collect();
+        Table::from_rows(schema, vec![0], rows).unwrap()
+    }
+
+    #[test]
+    fn pass_pairs_rows_by_key() {
+        let (clean, dirty) = (keyed(&[(1, 5.0), (2, 7.0)]), keyed(&[(2, 7.0), (1, 4.0)]));
+        let q = AggQuery::sum(col("x"));
+        let pass = correspond(Some(&dirty), &clean, &[], &q).unwrap();
+        assert_eq!(pass.pairs, vec![(Some(4.0), Some(5.0)), (Some(7.0), Some(7.0))]);
+        // `clean −̇ dirty` is what SVC+CORR adds to the stale answer.
+        let est = svc_corr(100.0, &dirty, &clean, &q, 1.0, &SvcConfig::default()).unwrap();
+        assert_eq!(est.value, 101.0);
+    }
+
+    #[test]
+    fn pass_counts_missing_and_superfluous_keys_as_zero() {
+        // Key 3 only in clean (a missing row now sampled); key 9 only in
+        // dirty (a superfluous row removed by cleaning).
+        let (clean, dirty) = (keyed(&[(1, 5.0), (3, 2.0)]), keyed(&[(9, 4.0), (1, 5.0)]));
+        let q = AggQuery::sum(col("x"));
+        let pass = correspond(Some(&dirty), &clean, &[], &q).unwrap();
+        assert_eq!(pass.pairs, vec![(Some(5.0), Some(5.0)), (None, Some(2.0)), (Some(4.0), None)]);
+        assert_eq!(pass.clean_rows, 2);
+        let est = svc_corr(0.0, &dirty, &clean, &q, 1.0, &SvcConfig::default()).unwrap();
+        assert_eq!(est.value, 2.0 - 4.0);
+    }
+
+    #[test]
+    fn pass_keeps_predicate_failing_rows_without_a_value() {
+        let clean = keyed(&[(1, 5.0), (2, -3.0)]);
+        let q = AggQuery::avg(col("x")).filter(col("x").gt(lit(0.0)));
+        // The failing row still counts toward sum/count's k, not avg's.
+        assert_eq!(
+            correspond(None, &clean, &[], &q).unwrap().pairs,
+            vec![(None, Some(5.0)), (None, None)]
+        );
+        let est = svc_aqp(&clean, &q, 1.0, &SvcConfig::default()).unwrap();
+        assert_eq!((est.value, est.sample_size, est.predicate_rows), (5.0, 2, 1));
+    }
+
+    #[test]
+    fn pass_walks_in_table_order_and_skips_outlier_keys() {
+        let clean = keyed(&[(3, 1.0), (1, 2.0), (2, 3.0)]);
+        let dirty = keyed(&[(8, 8.0), (2, 0.5), (7, 7.0)]);
+        let q = AggQuery::sum(col("x"));
+        // Clean rows as stored, then the stale-only rows as stored.
+        let pass = correspond(Some(&dirty), &clean, &[], &q).unwrap();
+        let walked = vec![
+            (None, Some(1.0)),
+            (None, Some(2.0)),
+            (Some(0.5), Some(3.0)),
+            (Some(8.0), None),
+            (Some(7.0), None),
+        ];
+        assert_eq!(pass.pairs, walked);
+        // Keys 1 and 7 are left out on both sides.
+        let pass = correspond(Some(&dirty), &clean, &[&keyed(&[(1, 0.0), (7, 0.0)])], &q).unwrap();
+        assert_eq!(pass.pairs, vec![(None, Some(1.0)), (Some(0.5), Some(3.0)), (Some(8.0), None)]);
+        assert_eq!(pass.clean_rows, 2);
     }
 }

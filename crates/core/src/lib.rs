@@ -13,8 +13,9 @@
 //!    up-to-date view for a fraction of full maintenance cost.
 //! 2. **Query result estimation** (Problem 2): [`estimate::svc_aqp`]
 //!    (direct estimate) and [`estimate::svc_corr`] (correction of the stale
-//!    answer), with CLT confidence intervals for `sum`/`count`/`avg`,
-//!    bootstrap intervals for `median`/percentiles, and Cantelli bounds for
+//!    answer) — one key-joined walk of the corresponding samples, finished
+//!    with CLT confidence intervals for `sum`/`count`/`avg`, bootstrap
+//!    intervals for `median`/percentiles, and Cantelli bounds for
 //!    `min`/`max` (Section 5, Appendix 12.1.1).
 //! 3. **Outlier indexing** (Section 6): [`outlier::OutlierIndex`] on a base
 //!    relation attribute, pushed up through the view per Definition 5 and
@@ -64,7 +65,6 @@
 //! ```
 
 pub mod config;
-pub mod diff;
 pub mod estimate;
 pub mod outlier;
 pub mod query;

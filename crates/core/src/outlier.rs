@@ -27,8 +27,8 @@ use svc_relalg::eval::evaluate;
 use svc_relalg::plan::{JoinKind, Plan};
 
 use crate::config::SvcConfig;
-use crate::estimate::{svc_aqp, svc_corr, Estimate, Method};
-use crate::query::{AggQuery, QueryAgg};
+use crate::estimate::{estimate, svc_aqp, svc_corr, Estimate};
+use crate::query::{aggregate, AggQuery, QueryAgg};
 
 /// How the index threshold is chosen (Section 6.1).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -253,17 +253,9 @@ fn distinct_keys(table: &Table, k: usize) -> Result<Table> {
     Ok(out)
 }
 
-/// Split a (public-schema) sample into non-outlier rows and drop outlier
-/// keys; returns the filtered sample.
-fn exclude_keys(sample: &Table, keys: &HashSet<KeyTuple>) -> Table {
-    let rows =
-        sample.rows().iter().filter(|r| !keys.contains(&sample.key_of(r))).cloned().collect();
-    Table::from_rows(sample.schema().clone(), sample.key().to_vec(), rows)
-        .expect("filtering preserves keys")
-}
-
-/// SVC+AQP with an outlier index (Section 6.3): sample estimate over
-/// `S′ − O` plus the deterministic contribution of `O`.
+/// SVC+AQP with an outlier index (Section 6.3): the sample estimate over
+/// `S′ − O` — the clean sample walked with `O`'s keys skipped — merged with
+/// the deterministic contribution of `O`.
 pub fn estimate_aqp_with_outliers(
     clean_sample_public: &Table,
     outliers_fresh_public: &Table,
@@ -271,38 +263,20 @@ pub fn estimate_aqp_with_outliers(
     m: f64,
     cfg: &SvcConfig,
 ) -> Result<Estimate> {
-    let okeys: HashSet<KeyTuple> = outliers_fresh_public.iter_keyed().map(|(k, _)| k).collect();
-    let reg_sample = exclude_keys(clean_sample_public, &okeys);
-    let out_bound = q.bind(outliers_fresh_public)?;
-    let out_vals = out_bound.matching_values(outliers_fresh_public);
-    let l = out_vals.len() as f64;
-
-    match q.agg {
-        QueryAgg::Sum | QueryAgg::Count => {
-            let mut reg = svc_aqp(&reg_sample, q, m, cfg)?;
-            let out_contrib = match q.agg {
-                QueryAgg::Sum => out_vals.iter().sum::<f64>(),
-                _ => l,
-            };
-            reg.value += out_contrib;
-            if let Some(ci) = &mut reg.ci {
-                ci.estimate += out_contrib;
-            }
-            Ok(reg)
-        }
-        QueryAgg::Avg => {
-            let reg = svc_aqp(&reg_sample, q, m, cfg)?;
-            // N̂ = estimated non-outlier count + l; v = (N−l)/N·reg + l/N·out.
-            let count_q = AggQuery { agg: QueryAgg::Count, ..q.clone() };
-            let n_reg = svc_aqp(&reg_sample, &count_q, m, cfg)?.value;
-            let n = n_reg + l;
-            let out_avg = if l > 0.0 { out_vals.iter().sum::<f64>() / l } else { 0.0 };
-            let value =
-                if n > 0.0 { (n_reg / n) * reg.value + (l / n) * out_avg } else { reg.value };
-            Ok(Estimate { value, ..reg })
-        }
-        _ => svc_aqp(clean_sample_public, q, m, cfg),
+    if !q.agg.is_sample_mean() {
+        return svc_aqp(clean_sample_public, q, m, cfg);
     }
+    let reg = estimate(None, clean_sample_public, &[outliers_fresh_public], q, m, cfg)?;
+    let out = q.bind(outliers_fresh_public)?.matching_values(outliers_fresh_public);
+    if q.agg != QueryAgg::Avg {
+        return Ok(reg.affine(1.0, aggregate(q.agg, &out)));
+    }
+    // v = (N−l)/N·c_reg + l/N·c_out with N̂ = estimated non-outlier count
+    // + l. The outlier term is exact, so the interval keeps its centre on
+    // `v` and only the regular weight scales its width.
+    let n_reg = reg.predicate_rows as f64 / m;
+    let n = n_reg + out.len() as f64;
+    Ok(reg.affine(n_reg / n, aggregate(QueryAgg::Sum, &out) / n))
 }
 
 /// SVC+CORR with an outlier index (Section 6.3): the correction from the
@@ -319,42 +293,20 @@ pub fn estimate_corr_with_outliers(
     m: f64,
     cfg: &SvcConfig,
 ) -> Result<Estimate> {
-    let okeys: HashSet<KeyTuple> = outliers_fresh_public
-        .iter_keyed()
-        .map(|(k, _)| k)
-        .chain(outliers_stale_public.iter_keyed().map(|(k, _)| k))
-        .collect();
-    let reg_clean = exclude_keys(clean_sample_public, &okeys);
-    let reg_stale = exclude_keys(stale_sample_public, &okeys);
-
-    match q.agg {
-        QueryAgg::Sum | QueryAgg::Count => {
-            let reg = svc_corr(stale_result, &reg_stale, &reg_clean, q, m, cfg)?;
-            // Exact outlier correction: fresh contribution − stale
-            // contribution over the outlier keys.
-            let fresh_contrib = contribution(outliers_fresh_public, q)?;
-            let stale_contrib = contribution(outliers_stale_public, q)?;
-            let c_out = fresh_contrib - stale_contrib;
-            let mut est = reg;
-            est.value += c_out;
-            if let Some(ci) = &mut est.ci {
-                ci.estimate += c_out;
-            }
-            est.method = Method::Correction;
-            Ok(est)
-        }
-        _ => svc_corr(stale_result, stale_sample_public, clean_sample_public, q, m, cfg),
+    if !matches!(q.agg, QueryAgg::Sum | QueryAgg::Count) {
+        return svc_corr(stale_result, stale_sample_public, clean_sample_public, q, m, cfg);
     }
-}
-
-fn contribution(table: &Table, q: &AggQuery) -> Result<f64> {
-    let bound = q.bind(table)?;
-    let vals = bound.matching_values(table);
-    Ok(match q.agg {
-        QueryAgg::Sum => vals.iter().sum(),
-        QueryAgg::Count => vals.len() as f64,
-        _ => 0.0,
-    })
+    let reg = estimate(
+        Some((stale_result, stale_sample_public)),
+        clean_sample_public,
+        &[outliers_fresh_public, outliers_stale_public],
+        q,
+        m,
+        cfg,
+    )?;
+    // Exact outlier correction: fresh contribution − stale contribution
+    // over the outlier keys.
+    Ok(reg.affine(1.0, q.exact(outliers_fresh_public)? - q.exact(outliers_stale_public)?))
 }
 
 /// The stale view's rows at the outlier keys (for the exact stale-side
@@ -422,21 +374,19 @@ mod tests {
         deltas
     }
 
+    fn top_k(db: &Database, deltas: &Deltas, capacity: usize) -> OutlierIndex {
+        let spec = OutlierIndexSpec {
+            table: "orders".into(),
+            attr: "price".into(),
+            policy: ThresholdPolicy::TopK,
+            capacity,
+        };
+        OutlierIndex::build(spec, db, deltas).unwrap()
+    }
+
     #[test]
     fn build_respects_capacity_and_threshold() {
-        let db = skewed_db();
-        let deltas = Deltas::new();
-        let idx = OutlierIndex::build(
-            OutlierIndexSpec {
-                table: "orders".into(),
-                attr: "price".into(),
-                policy: ThresholdPolicy::TopK,
-                capacity: 20,
-            },
-            &db,
-            &deltas,
-        )
-        .unwrap();
+        let idx = top_k(&skewed_db(), &Deltas::new(), 20);
         assert_eq!(idx.records.len(), 20);
         // Every kept record beats the threshold; the threshold is the k-th
         // largest price.
@@ -497,17 +447,7 @@ mod tests {
         let deltas = skewed_deltas(&db);
         let cfg = SvcConfig::with_ratio(0.1);
         let svc = SvcView::create("v", cust_view(), &db, cfg).unwrap();
-        let idx = OutlierIndex::build(
-            OutlierIndexSpec {
-                table: "orders".into(),
-                attr: "price".into(),
-                policy: ThresholdPolicy::TopK,
-                capacity: 100,
-            },
-            &db,
-            &deltas,
-        )
-        .unwrap();
+        let idx = top_k(&db, &deltas, 100);
 
         let cleaned = svc.clean_sample(&db, &deltas).unwrap();
         assert!(idx.eligible(&cleaned.report.sampled_leaves));
@@ -540,5 +480,30 @@ mod tests {
         )
         .unwrap();
         assert!(relative_error(corr.value, truth) < 0.2);
+    }
+
+    #[test]
+    fn avg_interval_is_centred_on_the_merged_value() {
+        // The index holds the ~20 heaviest groups; the regular rows keep
+        // their own spread, so the Section 6.3 interval — exact outlier
+        // term, regular term scaled by (N−l)/N — must bracket the truth
+        // around the merged value, not around the non-outlier mean.
+        let db = skewed_db();
+        let deltas = skewed_deltas(&db);
+        let cfg = SvcConfig::with_ratio(0.2);
+        let svc = SvcView::create("v", cust_view(), &db, cfg).unwrap();
+        let cleaned = svc.clean_sample(&db, &deltas).unwrap();
+        let o_canonical = top_k(&db, &deltas, 20).push_up(&svc.view, &db, &deltas).unwrap();
+        let o_fresh = svc.view.public_of(&o_canonical).unwrap();
+
+        let q = AggQuery::avg(col("revenue"));
+        let truth = svc.query_fresh_oracle(&db, &deltas, &q).unwrap();
+        let est =
+            estimate_aqp_with_outliers(&cleaned.public, &o_fresh, &q, cfg.ratio, &cfg).unwrap();
+        let ci = est.ci.unwrap();
+        assert_eq!(ci.estimate, est.value);
+        assert!(ci.contains(truth), "{} ± {} misses {truth}", est.value, ci.half_width);
+        let plain = svc.estimate_aqp(&cleaned, &q).unwrap();
+        assert!(ci.half_width < plain.ci.unwrap().half_width, "the exact term narrows the bound");
     }
 }

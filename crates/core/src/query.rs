@@ -98,35 +98,23 @@ impl AggQuery {
     /// Evaluate exactly on a full table (no sampling, no scaling): the
     /// ground-truth answer `q(S)`.
     pub fn exact(&self, table: &Table) -> Result<f64> {
-        let bound = self.bind(table)?;
-        let vals = bound.matching_values(table);
-        Ok(match self.agg {
-            QueryAgg::Sum => vals.iter().sum(),
-            QueryAgg::Count => vals.len() as f64,
-            QueryAgg::Avg => {
-                if vals.is_empty() {
-                    f64::NAN
-                } else {
-                    vals.iter().sum::<f64>() / vals.len() as f64
-                }
-            }
-            QueryAgg::Median => {
-                if vals.is_empty() {
-                    f64::NAN
-                } else {
-                    quantile(&vals, 0.5)
-                }
-            }
-            QueryAgg::Percentile(p) => {
-                if vals.is_empty() {
-                    f64::NAN
-                } else {
-                    quantile(&vals, p)
-                }
-            }
-            QueryAgg::Min => vals.iter().copied().fold(f64::INFINITY, f64::min),
-            QueryAgg::Max => vals.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        })
+        Ok(aggregate(self.agg, &self.bind(table)?.matching_values(table)))
+    }
+}
+
+/// `agg` over plain values, `NaN` where an empty input has no answer — the
+/// one definition behind [`AggQuery::exact`], the estimators' order
+/// statistics and extremes, and the outlier rows' exact contribution.
+pub(crate) fn aggregate(agg: QueryAgg, values: &[f64]) -> f64 {
+    match agg {
+        QueryAgg::Sum => values.iter().sum(),
+        QueryAgg::Count => values.len() as f64,
+        QueryAgg::Min => values.iter().copied().fold(f64::INFINITY, f64::min),
+        QueryAgg::Max => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        QueryAgg::Avg | QueryAgg::Median | QueryAgg::Percentile(_) if values.is_empty() => f64::NAN,
+        QueryAgg::Avg => values.iter().sum::<f64>() / values.len() as f64,
+        QueryAgg::Median => quantile(values, 0.5),
+        QueryAgg::Percentile(p) => quantile(values, p),
     }
 }
 
@@ -144,15 +132,20 @@ impl BoundQuery {
         self.predicate.as_ref().is_none_or(|p| p.matches(row))
     }
 
+    /// The row's numeric attribute value, if it satisfies the predicate
+    /// (NULLs and non-numeric values give `None`).
+    pub(crate) fn value(&self, row: &svc_storage::Row) -> Option<f64> {
+        if self.matches(row) {
+            self.attr.eval(row).as_f64()
+        } else {
+            None
+        }
+    }
+
     /// Numeric attribute values of predicate-satisfying rows (NULLs and
     /// non-numeric values are skipped).
     pub fn matching_values(&self, table: &Table) -> Vec<f64> {
-        table
-            .rows()
-            .iter()
-            .filter(|r| self.matches(r))
-            .filter_map(|r| self.attr.eval(r).as_f64())
-            .collect()
+        table.rows().iter().filter_map(|r| self.value(r)).collect()
     }
 }
 

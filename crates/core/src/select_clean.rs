@@ -8,21 +8,18 @@
 //! class is estimated by rewriting the select as `count` queries (three
 //! "confidence" intervals).
 
-use std::collections::HashSet;
-
 use svc_catalog::TableStats;
 use svc_relalg::eval::Bindings;
 use svc_relalg::plan::Plan;
 use svc_relalg::scalar::Expr;
-use svc_stats::clt::sum_interval;
-use svc_stats::moments::Moments;
-use svc_storage::{KeyTuple, Result, Table};
+use svc_storage::{Result, Table};
 
 /// Leaf name the stale view binds to inside the select-cleaning pipeline.
 const VIEW_LEAF: &str = "__select_view";
 
 use crate::config::SvcConfig;
-use crate::estimate::{Estimate, Method};
+use crate::estimate::{Correspondence, Estimate};
+use crate::query::QueryAgg;
 
 /// The outcome of cleaning a select query.
 #[derive(Debug, Clone)]
@@ -42,20 +39,12 @@ pub struct CleanSelectResult {
 }
 
 fn count_estimate(hits: usize, sample_size: usize, m: f64, cfg: &SvcConfig) -> Estimate {
-    // Scaled indicator sum with a CLT bound, as for `count` queries.
-    let mut moments = Moments::new();
-    for i in 0..sample_size {
-        moments.push(if i < hits { 1.0 / m } else { 0.0 });
-    }
-    let value = moments.sum();
-    Estimate {
-        value,
-        ci: Some(sum_interval(value, moments.variance(), moments.count(), cfg.confidence)),
-        method: Method::Correction,
-        sample_size,
-        predicate_rows: hits,
-        exceedance_probability: None,
-    }
+    // A `count` correction of the empty relation, as for `count` queries:
+    // `hits` indicator rows among `sample_size`, scaled `1/m`, CLT bound.
+    let pairs = (0..sample_size).map(|i| (None, (i < hits).then_some(1.0))).collect();
+    Correspondence { pairs, clean_rows: sample_size }
+        .finish(QueryAgg::Count, Some(0.0), m, cfg)
+        .expect("a count is defined on any sample")
 }
 
 /// Clean a select query against the stale view using the corresponding
@@ -108,7 +97,6 @@ pub fn clean_select_with(
     let mut removed = 0usize;
 
     // Pass 1: clean-sample rows patch the result.
-    let clean_keys: HashSet<KeyTuple> = clean_sample.iter_keyed().map(|(k, _)| k).collect();
     for (key, row) in clean_sample.iter_keyed() {
         let in_stale_view = stale_view.get(&key);
         let satisfies = pred.matches(row);
@@ -137,7 +125,7 @@ pub fn clean_select_with(
 
     // Pass 2: sampled superfluous rows (in Ŝ but gone from Ŝ′) are removed.
     for (key, row) in stale_sample.iter_keyed() {
-        if !clean_keys.contains(&key) && pred.matches(row) {
+        if !clean_sample.contains_key(&key) && pred.matches(row) {
             removed += 1;
             if result.contains_key(&key) {
                 result.delete(&key);
@@ -158,9 +146,10 @@ pub fn clean_select_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use svc_relalg::scalar::{col, lit};
     use svc_sampling::operator::sample_by_key;
-    use svc_storage::{DataType, HashSpec, Schema, Value};
+    use svc_storage::{DataType, HashSpec, KeyTuple, Schema, Value};
 
     fn views() -> (Table, Table) {
         let schema = Schema::from_pairs(&[("id", DataType::Int), ("v", DataType::Int)]).unwrap();

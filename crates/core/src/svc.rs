@@ -22,7 +22,7 @@ use svc_sampling::operator::sample_by_key;
 use svc_sampling::pushdown::PushdownReport;
 
 use crate::config::SvcConfig;
-use crate::estimate::{stale_answer, svc_aqp, svc_corr, Estimate, Method};
+use crate::estimate::{break_even, stale_answer, svc_aqp, svc_corr, Estimate, Method};
 use crate::query::AggQuery;
 
 /// A materialized view managed by SVC: full stale state + stale sample +
@@ -151,7 +151,7 @@ impl SvcView {
             }
             None => optimize(&hashed, &cat)?,
         };
-        Ok((optimized, report.eta.into(), kind))
+        Ok((optimized, report.eta, kind))
     }
 
     /// The catalog overlay for a cleaning plan: stale view and delta
@@ -278,44 +278,7 @@ impl SvcView {
         if !q.agg.is_sample_mean() {
             return Ok(Method::AqpDirect);
         }
-        let stale_pub = self.stale_sample_public()?;
-        let bound_stale = q.bind(&stale_pub)?;
-        let bound_clean = q.bind(&cleaned.public)?;
-        let mut stale_vals: std::collections::HashMap<svc_storage::KeyTuple, f64> =
-            Default::default();
-        for (k, row) in stale_pub.iter_keyed() {
-            if bound_stale.matches(row) {
-                if let Some(v) = bound_stale.attr.eval(row).as_f64() {
-                    stale_vals.insert(k, v);
-                }
-            }
-        }
-        let mut s_var = svc_stats::moments::Moments::new();
-        let mut cov_acc = 0.0;
-        let mut pairs = 0usize;
-        let mut clean_m = svc_stats::moments::Moments::new();
-        let mut paired: Vec<(f64, f64)> = Vec::new();
-        for (k, row) in cleaned.public.iter_keyed() {
-            if bound_clean.matches(row) {
-                if let Some(v) = bound_clean.attr.eval(row).as_f64() {
-                    clean_m.push(v);
-                    if let Some(&sv) = stale_vals.get(&k) {
-                        paired.push((sv, v));
-                    }
-                }
-            }
-        }
-        for &(sv, _) in &paired {
-            s_var.push(sv);
-        }
-        let s_mean = s_var.mean();
-        let c_mean = clean_m.mean();
-        for &(sv, cv) in &paired {
-            cov_acc += (sv - s_mean) * (cv - c_mean);
-            pairs += 1;
-        }
-        let cov = if pairs > 1 { cov_acc / (pairs - 1) as f64 } else { 0.0 };
-        Ok(if s_var.variance() <= 2.0 * cov { Method::Correction } else { Method::AqpDirect })
+        break_even(&self.stale_sample_public()?, &cleaned.public, q)
     }
 
     /// Full incremental maintenance (the IVM baseline): update the view,
@@ -508,10 +471,22 @@ mod tests {
     fn preferred_method_switches_with_staleness() {
         let db = db();
         let svc = SvcView::create("v", visit_view(), &db, SvcConfig::with_ratio(0.25)).unwrap();
-        let q = AggQuery::avg(col("visitCount"));
-        // Small update: corrections should be preferred.
-        let small = skewed_deltas(&db, 200);
-        let cleaned = svc.clean_sample(&db, &small).unwrap();
-        assert_eq!(svc.preferred_method(&cleaned, &q).unwrap(), Method::Correction);
+        // Skewed insertions leave the samples correlated, so corrections
+        // stay preferred from a small backlog to one as large as the base;
+        // order statistics always estimate directly.
+        for n in [200, 8000] {
+            let cleaned = svc.clean_sample(&db, &skewed_deltas(&db, n)).unwrap();
+            for (q, pick) in [
+                (AggQuery::avg(col("visitCount")), Method::Correction),
+                (
+                    AggQuery::sum(col("visitCount")).filter(col("videoId").lt(lit(20i64))),
+                    Method::Correction,
+                ),
+                (AggQuery::count(), Method::Correction),
+                (AggQuery::median(col("visitCount")), Method::AqpDirect),
+            ] {
+                assert_eq!(svc.preferred_method(&cleaned, &q).unwrap(), pick, "{n}: {q:?}");
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! (`min`/`max`: mergeable only under insert-only deltas; `median`: never):
 //!
 //! * `avg(e)` becomes a hidden `sum(e)` / `count(e)` pair, recombined in a
-//!   public projection (the standard trick the paper inherits from [22]);
+//!   public projection (the standard trick the paper inherits from \[22\]);
 //! * a hidden `__svc_cnt = count(1)` column tracks group liveness so that
 //!   groups whose rows were all deleted are recognized as *superfluous* and
 //!   dropped by the maintenance plan.

@@ -7,7 +7,7 @@
 //! the cleaning path needs (η pushes through it), but a maintenance path
 //! that already holds the change table only has to touch the groups it
 //! names: look each change row up by key, merge a matched group with the
-//! plan's own merge expressions ([`merged_columns`]), insert an unmatched
+//! plan's own merge expressions (`merged_columns`), insert an unmatched
 //! one, drop a group whose `__svc_cnt` falls to zero. O(|change|) per fold.
 //!
 //! Edits are *staged* ([`StagedEdits`]) before they are applied, so a caller
@@ -23,7 +23,7 @@ use crate::canon::Canonical;
 use crate::strategy::{group_is_live, merged_columns, CanonNames, CHANGE_PREFIX};
 
 /// The fold of one view, bound once: the merge expressions of
-/// [`merged_columns`] over a stale row followed by its group's change row,
+/// `merged_columns` over a stale row followed by its group's change row,
 /// and the liveness predicate over a canonical row.
 #[derive(Debug)]
 pub struct KeyedFold {

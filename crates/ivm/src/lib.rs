@@ -18,7 +18,7 @@
 //! * [`delta`] — derives insertion/deletion delta plans for SPJ(U)
 //!   expressions (the classic join delta rules);
 //! * [`strategy`] — builds the maintenance plan: the change-table method of
-//!   Gupta & Mumick [22,23] used by the paper's experiments, with a
+//!   Gupta & Mumick \[22,23\] used by the paper's experiments, with a
 //!   recomputation fallback expressed *as a plan* so sampling still applies;
 //! * [`fold`] — the keyed change-table fold: apply a materialized change
 //!   table to the view group by group, O(|change|), staged then committed;

@@ -6,7 +6,7 @@
 //! up-to-date view. Three shapes are produced:
 //!
 //! * **Change-table** (top-level aggregates, the method of the paper's
-//!   experiments [22,23,27]): aggregate the insertion/deletion deltas into a
+//!   experiments \[22,23,27\]): aggregate the insertion/deletion deltas into a
 //!   signed *change table*, then merge it with the stale view. The paper's
 //!   Example 1 writes the merge as a full outer join followed by a
 //!   generalized projection with NULL-as-0; we emit the equivalent

@@ -294,7 +294,7 @@ impl<'a> GroupMap<'a> {
     /// Merge a per-morsel partial map into this one — the γ barrier of
     /// morsel-parallel execution. Both maps must have been built with the
     /// same `group_idx` and `aggs`; groups are matched by key value and
-    /// their accumulators folded with [`Acc::merge`], so merging never
+    /// their accumulators folded with `Acc::merge`, so merging never
     /// re-hashes or re-evaluates input rows. The merge is exact except for
     /// float sums/averages, which combine partial sums (callers that merge
     /// partials in a deterministic order get deterministic output).

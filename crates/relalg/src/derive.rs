@@ -107,7 +107,7 @@ pub fn derive(plan: &Plan, leaves: &(impl LeafProvider + ?Sized)) -> Result<Deri
 /// One [`derive_tree`] pass costs O(nodes) total because each node's type is
 /// computed from its children's already-derived types. The optimizer rules
 /// walk a plan and its `DerivedTree` in lockstep instead of calling
-/// [`derive`] (an O(subtree) recursion) at every node they visit, which is
+/// [`derive()`] (an O(subtree) recursion) at every node they visit, which is
 /// what kept a full optimize() sweep at O(n²) derive work before.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DerivedTree {

@@ -66,7 +66,7 @@ fn derived_of(t: &Table) -> Derived {
 /// Evaluate a plan against bindings, producing a keyed table.
 ///
 /// This is a thin wrapper over the streaming executor: the plan is
-/// compiled ([`crate::exec::compile`]) and run once. Callers that evaluate
+/// compiled ([`crate::exec::compile()`]) and run once. Callers that evaluate
 /// the same plan repeatedly should compile once themselves and reuse the
 /// [`crate::exec::PhysicalPlan`]. Callers that want the plan optimized
 /// should run it through [`crate::optimizer::optimize`] first — evaluation

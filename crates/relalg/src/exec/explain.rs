@@ -7,7 +7,7 @@
 //! physical [`Node`] tree: a fused chain of `k` unary ops corresponds to
 //! the `k` `Select`/`Project`/`Hash` wrappers above its source, a join
 //! node to `Plan::Join`, and so on — the same correspondence the lowering
-//! in [`super::compile`] establishes. Nodes where the walk loses sync (or
+//! in [`super::compile()`] establishes. Nodes where the walk loses sync (or
 //! where estimation fails) simply render without an estimate; actuals are
 //! never affected.
 

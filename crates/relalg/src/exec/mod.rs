@@ -1,6 +1,6 @@
 //! The compile-once streaming executor.
 //!
-//! [`compile`] lowers a [`Plan`] into a [`PhysicalPlan`]: every schema is
+//! [`compile()`] lowers a [`Plan`] into a [`PhysicalPlan`]: every schema is
 //! derived, every predicate/projection/aggregate bound, every join column
 //! resolved — once. [`PhysicalPlan::run`] then evaluates against
 //! [`Bindings`] with none of that per-call work, and with a radically
@@ -352,7 +352,7 @@ pub fn compile(plan: &Plan, leaves: &(impl LeafProvider + ?Sized)) -> Result<Phy
     compile_with(plan, leaves, None)
 }
 
-/// [`compile`] with an optional cardinality estimator: γ group maps are
+/// [`compile()`] with an optional cardinality estimator: γ group maps are
 /// then pre-sized from catalog NDV estimates instead of the input-length
 /// heuristic.
 pub fn compile_with(

@@ -11,13 +11,13 @@
 //! * [`plan`] — the relational expression tree: σ, Π, ⋈ (inner / left /
 //!   right / full / semi / anti equi-joins), γ group-by aggregates, ∪, ∩, −,
 //!   plus the SVC hashing operator η as a first-class node.
-//! * [`derive`] — output schema and **primary-key derivation** for every
+//! * [`mod@derive`] — output schema and **primary-key derivation** for every
 //!   node (Definition 2): every derived relation is keyed, which is the
 //!   provenance mechanism that makes hash push-down sound.
 //! * [`eval`] — plan evaluation producing [`svc_storage::Table`]s from
 //!   plans bound to concrete relations; [`eval::evaluate`] is a thin
 //!   compile-and-run wrapper over the streaming executor.
-//! * [`exec`] — the compile-once streaming executor: [`exec::compile`]
+//! * [`exec`] — the compile-once streaming executor: [`exec::compile()`]
 //!   binds schemas/predicates/projections once, [`exec::PhysicalPlan::run`]
 //!   streams fused `Scan→σ→Π→η` chains over borrowed rows with pipeline
 //!   breakers materializing plain row batches (no intermediate keyed

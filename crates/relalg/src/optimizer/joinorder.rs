@@ -3,7 +3,7 @@
 //! Maximal regions of adjacent **inner** equi-joins are flattened into a
 //! join graph — relations are the non-inner-join subplans hanging off the
 //! region, edges are the equality pairs — and rebuilt in the cheapest order
-//! the [`CardEstimator`](crate::optimizer::cost::CardEstimator) can find:
+//! the [`CardEstimator`] can find:
 //! dynamic programming over connected subsets (bushy trees, the Selinger
 //! family) up to [`DP_MAX`] relations, a greedy smallest-result-first
 //! heuristic beyond. The cost of a tree is `C_out`, the sum of estimated

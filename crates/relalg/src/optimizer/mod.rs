@@ -15,7 +15,7 @@
 //! * [`projection`] — **projection pruning**: drops columns that no
 //!   ancestor needs below joins, aggregates, and set operations, always
 //!   preserving the primary-key columns that Definition 2 key derivation
-//!   ([`crate::derive`]) requires;
+//!   ([`mod@crate::derive`]) requires;
 //! * [`eta`] — **η hash-sampling pushdown**: the paper's Definition 3
 //!   rewrite (Section 4.3/4.4 legality conditions) expressed as a rule, so
 //!   that cleaning a sample touches only hash-selected rows;

@@ -12,7 +12,7 @@
 //!
 //! * **keys survive** — every inserted or narrowed projection retains the
 //!   primary-key columns of its input, so Definition 2 key derivation
-//!   ([`crate::derive`]) produces the same keys everywhere and every
+//!   ([`mod@crate::derive`]) produces the same keys everywhere and every
 //!   intermediate stays a valid keyed table;
 //! * **names survive** — join outputs rename right-side columns that
 //!   collide with left-side names (`Schema::concat`); pruning simulates the

@@ -1,6 +1,6 @@
 //! Columnar integrity checks: selection vectors and column chunks.
 //!
-//! The vectorized kernels refine a [`SelVec`] over a [`ColumnSet`] whose
+//! The vectorized kernels refine a [`SelVec`] over a [`svc_storage::ColumnSet`] whose
 //! columns must stay mutually consistent — equal lengths, validity masks
 //! matching, `SelVec::Idx` strictly increasing and in bounds. The checks
 //! are always compiled; [`debug_check_chunk`] is the `debug_assert`-style

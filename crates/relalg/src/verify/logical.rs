@@ -1,7 +1,7 @@
 //! Logical plan well-formedness and rewrite-soundness checking.
 //!
 //! [`verify_plan`] re-derives a plan bottom-up with the same Definition 2
-//! rules as [`crate::derive`], layering on checks derivation alone does not
+//! rules as [`mod@crate::derive`], layering on checks derivation alone does not
 //! make — predicate expressions must be *type-consistent* (σ predicates
 //! Bool-typed, logic over Bool operands, arithmetic over numerics) — and
 //! wrapping any failure with the offending subtree so the error points at

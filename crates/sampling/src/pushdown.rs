@@ -18,42 +18,18 @@ use svc_relalg::derive::LeafProvider;
 use svc_relalg::optimizer::{EtaReport, Optimizer};
 use svc_relalg::plan::Plan;
 
-/// What the rewriter did: how far hashes moved and where they stopped.
-#[derive(Debug, Clone, Default)]
-pub struct PushdownReport {
-    /// Number of operators the hash was pushed through.
-    pub descended: usize,
-    /// Human-readable reasons the push stopped somewhere above a leaf.
-    pub blockers: Vec<String>,
-    /// Leaf relations that ended up with a hash directly above them; only
-    /// these are eligible carriers for outlier indexes (Section 6.2).
-    pub sampled_leaves: Vec<String>,
-}
-
-impl PushdownReport {
-    /// True iff every hash reached the leaves unimpeded.
-    pub fn fully_pushed(&self) -> bool {
-        self.blockers.is_empty()
-    }
-}
-
-impl From<EtaReport> for PushdownReport {
-    fn from(r: EtaReport) -> PushdownReport {
-        PushdownReport {
-            descended: r.descended,
-            blockers: r.blockers,
-            sampled_leaves: r.sampled_leaves,
-        }
-    }
-}
+/// What the rewriter did: how far hashes moved and where they stopped —
+/// the optimizer's own η report, named for this crate's callers.
+pub type PushdownReport = EtaReport;
 
 /// Rewrite `plan`, pushing every η node as deep as Definition 3 allows.
 /// Returns the rewritten plan (which materializes the identical sample,
 /// Theorem 1) and a report of what happened.
 pub fn push_down(plan: &Plan, leaves: &impl LeafProvider) -> Result<(Plan, PushdownReport)> {
     let (out, report) = Optimizer::eta_only().run(plan, leaves)?;
-    Ok((out, report.eta.into()))
+    Ok((out, report.eta))
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;

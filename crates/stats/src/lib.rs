@@ -12,7 +12,7 @@
 //!   sample means (`median`, percentiles; Section 5.2.5);
 //! * [`cantelli`] — Cantelli-inequality tail bounds for `min`/`max`
 //!   (Appendix 12.1.1);
-//! * [`quantile`] — exact quantiles of small vectors.
+//! * [`mod@quantile`] — exact quantiles of small vectors.
 
 pub mod bootstrap;
 pub mod cantelli;

@@ -58,7 +58,7 @@ fn splitmix64(mut z: u64) -> u64 {
 
 /// Incremental accumulation state for one key hash: obtained from
 /// [`HashSpec::begin`], fed canonical value bytes with [`HashState::write`],
-/// finalized with [`HashState::finish`]. [`HashSpec::hash_values`] is
+/// finalized with [`HashState::finish`]. `HashSpec::hash_values` is
 /// defined in terms of this state, so a caller streaming the same canonical
 /// bytes — e.g. the vectorized η kernel reading typed column slices without
 /// materializing `Value`s — produces *identical* hashes to the row-based

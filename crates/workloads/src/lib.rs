@@ -5,7 +5,7 @@
 //! Data and query generators reproducing the paper's evaluation workloads
 //! (Section 7) at laptop scale:
 //!
-//! * [`zipf`] — Zipfian sampling (the TPCD-Skew `z` parameter [8,37]);
+//! * [`zipf`] — Zipfian sampling (the TPCD-Skew `z` parameter \[8,37\]);
 //! * [`tpcd`] — a TPCD-Skew-shaped database (region/nation/customer/
 //!   orders/lineitem/part/supplier) plus the update workload (insertions
 //!   and updates to `lineitem`/`orders`, Section 7.1);

@@ -1,6 +1,6 @@
 //! TPCD-Skew-shaped data generation (Section 7.1).
 //!
-//! The paper evaluates on a 10 GB TPCD-Skew database [8]: the TPC-D schema
+//! The paper evaluates on a 10 GB TPCD-Skew database \[8\]: the TPC-D schema
 //! with Zipfian-distributed values, skew `z ∈ {1,2,3,4}` (`z = 2` unless
 //! noted). We reproduce the schema shape and skew at an in-memory scale:
 //! `scale = 1.0` ≈ 60k lineitems, with the standard TPC-H row-count ratios.

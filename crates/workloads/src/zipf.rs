@@ -1,4 +1,4 @@
-//! Zipfian sampling: the skew knob of TPCD-Skew [8].
+//! Zipfian sampling: the skew knob of TPCD-Skew \[8\].
 //!
 //! `P(k) ∝ 1/k^z` over the domain `1..=n`. `z = 1` corresponds to the basic
 //! TPCD benchmark in the paper's setup and `z ∈ {1,2,3,4}` is swept in the

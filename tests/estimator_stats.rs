@@ -1,13 +1,23 @@
 //! Statistical contract tests for the estimators: near-unbiasedness across
 //! independent hash seeds, CLT coverage, and the Section 5.2.2 variance
-//! claim that corrections beat direct estimates while staleness is small.
+//! claim that corrections beat direct estimates while staleness is small —
+//! plus the contracts of the one correspondence pass behind them all:
+//! bit-repeatability, AQP as the pass with no stale side, the outlier skip
+//! test against physical filtering, and the break-even picks.
 
-use stale_view_cleaning::core::estimate::{svc_aqp, svc_corr};
-use stale_view_cleaning::core::{AggQuery, SvcConfig};
-use stale_view_cleaning::relalg::scalar::col;
+use rand::SeedableRng;
+
+use stale_view_cleaning::core::estimate::{svc_aqp, svc_corr, Estimate};
+use stale_view_cleaning::core::outlier::{
+    estimate_aqp_with_outliers, estimate_corr_with_outliers, stale_rows_at,
+};
+use stale_view_cleaning::core::{AggQuery, Method, SvcConfig, SvcView};
+use stale_view_cleaning::relalg::scalar::{col, lit};
 use stale_view_cleaning::sampling::operator::sample_by_key;
 use stale_view_cleaning::stats::Moments;
 use stale_view_cleaning::storage::{DataType, HashSpec, Schema, Table, Value};
+use stale_view_cleaning::workloads::tpcd::{TpcdConfig, TpcdData};
+use stale_view_cleaning::workloads::tpcd_views::{join_view, join_view_queries};
 
 /// Population of 4000 rows; the fresh version perturbs 5% of them slightly.
 fn views() -> (Table, Table) {
@@ -148,4 +158,132 @@ fn corrections_degrade_gracefully_as_staleness_grows() {
         aqp_err.mean(),
         corr_err.mean()
     );
+}
+
+/// `(S, S′, Ŝ, Ŝ′)`: [`views`] and their corresponding samples at ratio `m`.
+fn samples(m: f64, seed: u64) -> (Table, Table, Table, Table) {
+    let (stale, fresh) = views();
+    let spec = HashSpec::with_seed(seed);
+    let (s_hat, f_hat) = (sample_by_key(&stale, m, spec), sample_by_key(&fresh, m, spec));
+    (stale, fresh, s_hat, f_hat)
+}
+
+#[test]
+fn estimates_are_bit_repeatable() {
+    // Sums run in table order, so repeated calls agree to the last bit
+    // (a per-call `HashMap` walk does not: its order is reseeded).
+    let m = 0.1;
+    let (stale, _, s_hat, f_hat) = samples(m, 5);
+    let cfg = SvcConfig::with_ratio(m);
+    let bits = |e: Estimate| {
+        (e.value.to_bits(), e.ci.map(|ci| ci.half_width.to_bits()), e.exceedance_probability)
+    };
+    for q in [
+        AggQuery::sum(col("x")),
+        AggQuery::count().filter(col("x").gt(lit(50.0))),
+        AggQuery::avg(col("x")),
+        AggQuery::median(col("x")),
+        AggQuery::max(col("x")),
+    ] {
+        let stale_result = q.exact(&stale).unwrap();
+        let aqp = || bits(svc_aqp(&f_hat, &q, m, &cfg).unwrap());
+        let corr = || bits(svc_corr(stale_result, &s_hat, &f_hat, &q, m, &cfg).unwrap());
+        let first = (aqp(), corr());
+        for _ in 0..20 {
+            assert_eq!((aqp(), corr()), first, "{q:?}");
+        }
+    }
+}
+
+#[test]
+fn aqp_is_the_correction_of_an_empty_stale_sample() {
+    let m = 0.1;
+    let (_, _, _, f_hat) = samples(m, 5);
+    let cfg = SvcConfig::with_ratio(m);
+    for q in [AggQuery::sum(col("x")), AggQuery::count().filter(col("x").gt(lit(50.0)))] {
+        let aqp = svc_aqp(&f_hat, &q, m, &cfg).unwrap();
+        let corr = svc_corr(0.0, &f_hat.empty_like(), &f_hat, &q, m, &cfg).unwrap();
+        assert_eq!(corr.value.to_bits(), aqp.value.to_bits(), "{q:?}");
+        let (corr_ci, aqp_ci) = (corr.ci.unwrap(), aqp.ci.unwrap());
+        assert_eq!(corr_ci.half_width.to_bits(), aqp_ci.half_width.to_bits(), "{q:?}");
+    }
+}
+
+#[test]
+fn outlier_skip_test_equals_physical_filtering() {
+    let m = 0.2;
+    let (stale, fresh, s_hat, f_hat) = samples(m, 9);
+    let cfg = SvcConfig::with_ratio(m);
+    // "Outliers": the largest fresh values, some of them updated rows.
+    let o_rows = fresh.rows().iter().filter(|r| r[1].as_f64().unwrap() > 165.0).cloned().collect();
+    let o_fresh = Table::from_rows(fresh.schema().clone(), fresh.key().to_vec(), o_rows).unwrap();
+    let o_stale = stale_rows_at(&stale, &o_fresh);
+    assert!(f_hat.rows().iter().any(|r| o_fresh.contains_key(&f_hat.key_of(r))));
+    // The reference: rebuild each sample without the outlier keys and run
+    // the plain estimators on it.
+    let exclude_keys = |sample: &Table| {
+        let keep = |r: &&Vec<Value>| !o_fresh.contains_key(&sample.key_of(r));
+        let rows = sample.rows().iter().filter(keep).cloned().collect();
+        Table::from_rows(sample.schema().clone(), sample.key().to_vec(), rows).unwrap()
+    };
+    let (reg_clean, reg_stale) = (exclude_keys(&f_hat), exclude_keys(&s_hat));
+    let close = |a: f64, b: f64, what: &str| {
+        assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0), "{what}: {a} vs {b}");
+    };
+
+    for q in [
+        AggQuery::sum(col("x")),
+        AggQuery::count().filter(col("x").gt(lit(50.0))),
+        AggQuery::sum(col("x")).filter(col("id").rem(lit(3i64)).eq(lit(0i64))),
+    ] {
+        let (out_fresh, out_stale) = (q.exact(&o_fresh).unwrap(), q.exact(&o_stale).unwrap());
+        let aqp = estimate_aqp_with_outliers(&f_hat, &o_fresh, &q, m, &cfg).unwrap();
+        let reg = svc_aqp(&reg_clean, &q, m, &cfg).unwrap();
+        close(aqp.value, reg.value + out_fresh, "aqp value");
+        close(aqp.ci.unwrap().half_width, reg.ci.unwrap().half_width, "aqp half-width");
+        assert_eq!((aqp.sample_size, aqp.predicate_rows), (reg.sample_size, reg.predicate_rows));
+
+        let s = q.exact(&stale).unwrap();
+        let corr = estimate_corr_with_outliers(s, &s_hat, &f_hat, &o_fresh, &o_stale, &q, m, &cfg)
+            .unwrap();
+        let reg = svc_corr(s, &reg_stale, &reg_clean, &q, m, &cfg).unwrap();
+        close(corr.value, reg.value + (out_fresh - out_stale), "corr value");
+        close(corr.ci.unwrap().half_width, reg.ci.unwrap().half_width, "corr half-width");
+    }
+
+    // avg: v = (N−l)/N·c_reg + l/N·c_out with N̂ = n̂_reg + l, and an
+    // interval centred on v whose width only the regular weight scales.
+    let q = AggQuery::avg(col("x"));
+    let avg = estimate_aqp_with_outliers(&f_hat, &o_fresh, &q, m, &cfg).unwrap();
+    let reg = svc_aqp(&reg_clean, &q, m, &cfg).unwrap();
+    let n_reg = svc_aqp(&reg_clean, &AggQuery::count(), m, &cfg).unwrap().value;
+    let n = n_reg + o_fresh.len() as f64;
+    let sum_out = AggQuery::sum(col("x")).exact(&o_fresh).unwrap();
+    close(avg.value, (n_reg * reg.value + sum_out) / n, "avg value");
+    let ci = avg.ci.unwrap();
+    assert_eq!(ci.estimate, avg.value);
+    close(ci.half_width, n_reg / n * reg.ci.unwrap().half_width, "avg half-width");
+}
+
+#[test]
+fn preferred_method_picks_on_the_benchmark_shape() {
+    // The TPCD join view and its query templates under a small and a large
+    // update backlog, as `svc_bench` drives them. Pinned picks: every one is
+    // a correction except Q7 under the 40 % backlog.
+    let data = TpcdData::generate(TpcdConfig { scale: 0.05, skew: 2.0, seed: 42 }).unwrap();
+    let cfg = SvcConfig::with_ratio(0.1);
+    let svc = SvcView::create("joinView", join_view(), &data.db, cfg).unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+    let mut direct = Vec::new();
+    for pct in [0.05, 0.4] {
+        let deltas = data.updates(pct, 7).unwrap();
+        let cleaned = svc.clean_sample(&data.db, &deltas).unwrap();
+        for template in join_view_queries() {
+            let q = template.instance(&mut rng);
+            if svc.preferred_method(&cleaned, &q).unwrap() == Method::AqpDirect {
+                direct.push((pct, template.id));
+            }
+        }
+    }
+    assert_eq!(direct, vec![(0.4, "Q7")]);
 }

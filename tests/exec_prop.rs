@@ -46,9 +46,9 @@ fn batch_pipeline_cache_survives_repartitions_exactly() {
     let mut v = view.clone();
     let run = pipeline.maintain(&db, &mut v, &deltas, 30).unwrap();
     assert!(run.batches > 3, "enough batches to exercise the cache");
-    let first_epoch_compiles = pipeline.plan_compiles();
+    let first_epoch_compiles = pipeline.metrics().compiles;
     assert!(
-        first_epoch_compiles < run.batches,
+        first_epoch_compiles < run.batches as u64,
         "cache must amortize: {first_epoch_compiles} compiles over {} batches",
         run.batches
     );
@@ -57,7 +57,7 @@ fn batch_pipeline_cache_survives_repartitions_exactly() {
     // Same stream again: every signature is already compiled.
     let mut v2 = view.clone();
     pipeline.maintain(&db, &mut v2, &deltas, 30).unwrap();
-    assert_eq!(pipeline.plan_compiles(), first_epoch_compiles, "replay must not recompile");
+    assert_eq!(pipeline.metrics().compiles, first_epoch_compiles, "replay must not recompile");
     assert!(v2.table().approx_same_contents(&expected, 1e-9));
 
     // Repartition: new epoch, plans recompile, results stay exact.
@@ -65,7 +65,7 @@ fn batch_pipeline_cache_survives_repartitions_exactly() {
     let mut v3 = view;
     pipeline.maintain(&db, &mut v3, &deltas, 30).unwrap();
     assert!(
-        pipeline.plan_compiles() > first_epoch_compiles,
+        pipeline.metrics().compiles > first_epoch_compiles,
         "repartition must invalidate the compiled-plan cache"
     );
     assert!(v3.table().approx_same_contents(&expected, 1e-9), "post-repartition diverged");
@@ -106,7 +106,7 @@ fn batch_pipeline_cache_is_shared_across_catalogs() {
         p.maintain(&db, &mut v, &deltas, 30).unwrap();
         assert!(v.table().approx_same_contents(&expected, 1e-9));
     }
-    let warm = p1.plan_compiles();
+    let warm = p1.metrics().compiles;
     assert_eq!(warm, 2, "one compile per catalog identity");
 
     // Alternating catalogs must replay the cache, not thrash it.
@@ -118,7 +118,7 @@ fn batch_pipeline_cache_is_shared_across_catalogs() {
         }
     }
     assert_eq!(
-        p1.plan_compiles(),
+        p1.metrics().compiles,
         warm,
         "clones on different catalogs must not wipe each other's cache entries"
     );
@@ -144,7 +144,7 @@ fn batch_pipeline_recompiles_on_base_schema_change() {
     let mut pipeline = BatchPipeline::new(2);
     let mut v = view.clone();
     pipeline.maintain(&db, &mut v, &deltas, 40).unwrap();
-    let warm_compiles = pipeline.plan_compiles();
+    let warm_compiles = pipeline.metrics().compiles;
     assert!(warm_compiles >= 1);
     assert!(v.table().approx_same_contents(&view.recompute_fresh(&db, &deltas).unwrap(), 1e-9));
 
@@ -179,7 +179,7 @@ fn batch_pipeline_recompiles_on_base_schema_change() {
         .maintain(&db2, &mut v2, &deltas2, 40)
         .expect("schema change must recompile, not fail leaf validation");
     assert!(
-        pipeline.plan_compiles() > warm_compiles,
+        pipeline.metrics().compiles > warm_compiles,
         "the schema change must key to a fresh compiled-plan entry"
     );
     assert!(v2.table().approx_same_contents(&expected2, 1e-9), "post-schema-change diverged");
