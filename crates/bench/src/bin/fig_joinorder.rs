@@ -35,19 +35,11 @@ struct JoinQuery {
 /// output — the deterministic quantity the cost model minimizes, used for
 /// the small-scale assertion where wall-clock is scheduler noise.
 fn join_work(plan: &Plan, b: &Bindings<'_>) -> usize {
-    match plan {
-        Plan::Join { left, right, .. } => {
-            evaluate(plan, b).expect("join work").len() + join_work(left, b) + join_work(right, b)
-        }
-        Plan::Select { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Aggregate { input, .. }
-        | Plan::Hash { input, .. } => join_work(input, b),
-        Plan::Scan { .. } => 0,
-        Plan::Union { left, right }
-        | Plan::Intersect { left, right }
-        | Plan::Difference { left, right } => join_work(left, b) + join_work(right, b),
-    }
+    let own = match plan {
+        Plan::Join { .. } => evaluate(plan, b).expect("join work").len(),
+        _ => 0,
+    };
+    own + plan.children().map(|child| join_work(child, b)).sum::<usize>()
 }
 
 /// The query suite: builder order joins the big tables first and leaves

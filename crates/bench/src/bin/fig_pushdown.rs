@@ -59,20 +59,7 @@ fn deep_plan(depth: usize) -> Plan {
 fn rederive_every_node(plan: &Plan, db: &Database) -> f64 {
     fn walk(plan: &Plan, db: &Database) {
         derive(plan, db).expect("derive");
-        match plan {
-            Plan::Scan { .. } => {}
-            Plan::Select { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Aggregate { input, .. }
-            | Plan::Hash { input, .. } => walk(input, db),
-            Plan::Join { left, right, .. }
-            | Plan::Union { left, right }
-            | Plan::Intersect { left, right }
-            | Plan::Difference { left, right } => {
-                walk(left, db);
-                walk(right, db);
-            }
-        }
+        plan.children().for_each(|child| walk(child, db));
     }
     time(|| walk(plan, db)).1
 }

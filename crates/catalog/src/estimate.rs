@@ -21,10 +21,10 @@
 
 use svc_relalg::derive::{
     derive_aggregate, derive_hash, derive_join, derive_project, derive_select, derive_setop,
-    Derived, LeafProvider, SetOpKind,
+    Derived, LeafProvider,
 };
 use svc_relalg::optimizer::cost::{CardEstimator, RelCard};
-use svc_relalg::plan::{JoinKind, Plan};
+use svc_relalg::plan::{JoinKind, Plan, SetOpKind};
 use svc_relalg::scalar::{BinOp, Expr};
 use svc_storage::{Result, StorageError};
 
@@ -181,39 +181,37 @@ fn est_plan(
             cols.extend(aggregates.iter().map(|_| ColEst::opaque(rows)));
             (out, RelEst { rows, cols })
         }
-        Plan::Union { left, right } => {
+        Plan::SetOp { kind, left, right } => {
             let (ld, le) = est_plan(left, leaves, provider)?;
             let (rd, re) = est_plan(right, leaves, provider)?;
-            let out = derive_setop(&ld, &rd, SetOpKind::Union)?;
-            let rows = (le.rows + re.rows).max(1.0);
-            let cols = le
-                .cols
-                .into_iter()
-                .zip(re.cols)
-                .map(|(a, b)| ColEst {
-                    distinct: (a.distinct + b.distinct).min(rows),
-                    min: opt_min(a.min, b.min),
-                    max: opt_max(a.max, b.max),
-                    hist: None,
-                    null_frac: (a.null_frac + b.null_frac) / 2.0,
-                })
-                .collect();
-            (out, RelEst { rows, cols })
-        }
-        Plan::Intersect { left, right } => {
-            let (ld, le) = est_plan(left, leaves, provider)?;
-            let (rd, re) = est_plan(right, leaves, provider)?;
-            let out = derive_setop(&ld, &rd, SetOpKind::Intersect)?;
-            let rows = le.rows.min(re.rows).max(1.0);
-            (out, le.scaled(rows))
-        }
-        Plan::Difference { left, right } => {
-            let (ld, le) = est_plan(left, leaves, provider)?;
-            let (rd, re) = est_plan(right, leaves, provider)?;
-            let out = derive_setop(&ld, &rd, SetOpKind::Difference)?;
-            let rows = le.rows.max(1.0);
-            let _ = re;
-            (out, le.scaled(rows))
+            let out = derive_setop(&ld, &rd, *kind)?;
+            let est = match kind {
+                SetOpKind::Union => {
+                    let rows = (le.rows + re.rows).max(1.0);
+                    let cols = le
+                        .cols
+                        .into_iter()
+                        .zip(re.cols)
+                        .map(|(a, b)| ColEst {
+                            distinct: (a.distinct + b.distinct).min(rows),
+                            min: opt_min(a.min, b.min),
+                            max: opt_max(a.max, b.max),
+                            hist: None,
+                            null_frac: (a.null_frac + b.null_frac) / 2.0,
+                        })
+                        .collect();
+                    RelEst { rows, cols }
+                }
+                SetOpKind::Intersect => {
+                    let rows = le.rows.min(re.rows).max(1.0);
+                    le.scaled(rows)
+                }
+                SetOpKind::Difference => {
+                    let rows = le.rows.max(1.0);
+                    le.scaled(rows)
+                }
+            };
+            (out, est)
         }
         Plan::Hash { input, key, ratio, .. } => {
             let (d, e) = est_plan(input, leaves, provider)?;

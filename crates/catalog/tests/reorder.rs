@@ -65,17 +65,11 @@ fn bad_order_plan() -> Plan {
 /// `C_out` on the real data: the summed sizes of every join's
 /// materialized output — exactly the quantity the cost model minimizes.
 fn join_work(plan: &Plan, b: &Bindings<'_>) -> usize {
-    match plan {
-        Plan::Join { left, right, .. } => {
-            evaluate(plan, b).unwrap().len() + join_work(left, b) + join_work(right, b)
-        }
-        Plan::Select { input, .. } | Plan::Project { input, .. } => join_work(input, b),
-        Plan::Aggregate { input, .. } | Plan::Hash { input, .. } => join_work(input, b),
-        Plan::Scan { .. } => 0,
-        Plan::Union { left, right }
-        | Plan::Intersect { left, right }
-        | Plan::Difference { left, right } => join_work(left, b) + join_work(right, b),
-    }
+    let own = match plan {
+        Plan::Join { .. } => evaluate(plan, b).unwrap().len(),
+        _ => 0,
+    };
+    own + plan.children().map(|child| join_work(child, b)).sum::<usize>()
 }
 
 #[test]

@@ -1,8 +1,5 @@
 //! A worker pool with a **shared work queue** and per-worker busy-time
-//! accounting ([`PoolMetrics::busy_ns`] — the gauge Figure 16 reads), plus
-//! the mini-batch plan-evaluation entry point
-//! ([`WorkerPool::evaluate_plans`]) that routes every plan through the
-//! `svc-relalg` optimizer exactly once before scheduling it.
+//! accounting ([`PoolMetrics::busy_ns`] — the gauge Figure 16 reads).
 //!
 //! The pool owns `workers` persistent threads that pull tasks off one
 //! shared queue. Every entry point ([`WorkerPool::submit`],
@@ -22,9 +19,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use svc_relalg::eval::Bindings;
-use svc_relalg::exec::{compile, MorselScheduler, PhysicalPlan};
-use svc_relalg::optimizer::optimize;
-use svc_relalg::plan::Plan;
+use svc_relalg::exec::{MorselScheduler, PhysicalPlan};
 use svc_storage::{Result, StorageError, Table};
 use svc_telemetry::{Counter, Gauge};
 
@@ -304,25 +299,6 @@ impl WorkerPool {
         session_outcome(p.panic_msg.take())
     }
 
-    /// Evaluate a batch of plans against shared bindings on the pool — the
-    /// mini-batch maintenance path: one plan per view (or per delta chunk),
-    /// all reading the same bound relations.
-    ///
-    /// Each plan is run through the standard optimizer and **compiled
-    /// exactly once** before it runs; both happen *inside* the worker tasks
-    /// (the rule engine and bindings are read-only), so the compile cost
-    /// parallelizes with the evaluation instead of serializing on the
-    /// driver. Results come back in input order; once any plan errors,
-    /// workers stop picking up new plans (in-flight evaluations finish) and
-    /// the error is returned. Callers that reuse plans across calls should
-    /// compile themselves and use [`WorkerPool::run_compiled`].
-    pub fn evaluate_plans(&self, plans: &[Plan], bindings: &Bindings<'_>) -> Result<Vec<Table>> {
-        self.run_batch(plans.len(), |i| {
-            let (optimized, _) = optimize(&plans[i], bindings)?;
-            compile(&optimized, bindings)?.run(bindings)
-        })
-    }
-
     /// Evaluate pre-compiled physical plans against shared bindings — the
     /// zero-recompilation fan-out used by `BatchPipeline`'s per-epoch plan
     /// cache: every batch after the first skips optimization, schema
@@ -444,8 +420,24 @@ mod tests {
     use super::*;
     use svc_relalg::aggregate::AggSpec;
     use svc_relalg::eval::evaluate;
+    use svc_relalg::exec::compile;
+    use svc_relalg::optimizer::optimize;
+    use svc_relalg::plan::Plan;
     use svc_relalg::scalar::{col, lit};
     use svc_storage::{DataType, Database, Schema, Value};
+
+    /// One `run_batch` task per plan — optimize, compile, run — which is
+    /// how the mini-batch pipeline fans a batch of plans out.
+    fn evaluate_batch(
+        pool: &WorkerPool,
+        plans: &[Plan],
+        bindings: &Bindings<'_>,
+    ) -> Result<Vec<Table>> {
+        pool.run_batch(plans.len(), |i| {
+            let (optimized, _) = optimize(&plans[i], bindings)?;
+            compile(&optimized, bindings)?.run(bindings)
+        })
+    }
 
     #[test]
     fn evaluate_plans_matches_serial_evaluation() {
@@ -483,7 +475,7 @@ mod tests {
             .collect();
 
         let pool = WorkerPool::new(3);
-        let parallel = pool.evaluate_plans(&plans, &bindings).unwrap();
+        let parallel = evaluate_batch(&pool, &plans, &bindings).unwrap();
         for (plan, got) in plans.iter().zip(&parallel) {
             let (optimized, _) = optimize(plan, &db).unwrap();
             let expected = evaluate(&optimized, &bindings).unwrap();
@@ -496,7 +488,7 @@ mod tests {
         let db = Database::new();
         let bindings = Bindings::from_database(&db);
         let pool = WorkerPool::new(2);
-        let err = pool.evaluate_plans(&[Plan::scan("missing")], &bindings);
+        let err = evaluate_batch(&pool, &[Plan::scan("missing")], &bindings);
         assert!(err.is_err());
     }
 
@@ -520,7 +512,7 @@ mod tests {
         let mut plans: Vec<Plan> = (0..8).map(|_| Plan::scan("t")).collect();
         plans[3] = Plan::scan("no_such_table");
         let pool = WorkerPool::new(2);
-        let err = pool.evaluate_plans(&plans, &bindings).unwrap_err();
+        let err = evaluate_batch(&pool, &plans, &bindings).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("no_such_table"), "expected the original error, got: {msg}");
         assert!(!msg.contains("plan was not evaluated"), "placeholder leaked: {msg}");

@@ -6,7 +6,8 @@
 //! chunks, compiles every chunk into a signed change-table plan
 //! (`svc_ivm::batch_change_plans` — all chunks share one plan shape and one
 //! binding set, the multi-query batch-evaluation setting), evaluates the
-//! batch on the shared [`WorkerPool`] (`WorkerPool::evaluate_plans`), and
+//! batch on the shared [`WorkerPool`] (`WorkerPool::run_batch` compiling
+//! cache misses, `WorkerPool::run_compiled` running the batch), and
 //! folds the resulting change tables into the materialized view by group
 //! key (`svc_ivm::KeyedFold`): each change row is looked up, merged or
 //! inserted, so a fold costs what its change table holds, not what the view
@@ -24,6 +25,7 @@
 //! back to `MaterializedView::maintained`, the same optimize → compile →
 //! run every other maintenance call takes, still evaluated on the pool.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -482,36 +484,19 @@ impl BatchPipeline {
             // Splitting it into mini-batches would be unsound: each batch's
             // plan reads the *original* base tables, so earlier batches
             // would be forgotten.
-            let committed = match self.policy {
-                FailurePolicy::Strict => {
-                    let result = self.fallback_table(db, view, &pending).map_err(|e| {
-                        StorageError::Invalid(format!(
-                            "fallback maintenance failed; view kept its pre-maintain epoch, \
-                             deltas unconsumed: {e}"
-                        ))
-                    })?;
-                    view.set_table(result);
-                    true
-                }
-                FailurePolicy::RetryQuarantine { retries, backoff_ms } => {
-                    let attempt = self.with_retries(retries, backoff_ms, &mut run, || {
-                        self.fallback_table(db, view, &pending)
-                    });
-                    match attempt {
-                        Ok(result) => {
-                            view.set_table(result);
-                            true
-                        }
-                        Err(e) => {
-                            self.quarantine_batch(view, 0, pending.clone(), retries + 1, &e);
-                            run.quarantined += 1;
-                            false
-                        }
-                    }
-                }
-            };
+            let maintained = self.under_policy(
+                view,
+                0,
+                "fallback maintenance",
+                pending,
+                &mut run,
+                |view, pending| self.fallback_table(db, view, &pending),
+            )?;
             run.batches = 1;
-            run.plans_evaluated = usize::from(committed);
+            run.plans_evaluated = usize::from(maintained.is_some());
+            if let Some(table) = maintained {
+                view.set_table(table);
+            }
             run.fallback_batches = 1;
             run.seconds = start.elapsed().as_secs_f64();
             return Ok(run);
@@ -564,9 +549,20 @@ impl BatchPipeline {
         for (idx, batch) in batches.into_iter().enumerate() {
             let records = batch.len();
             let _batch_span = self.tracer.as_deref().map(|t| t.span("batch", "pipeline"));
-            if let Some((staged, plans)) =
-                self.fold_one_batch(&call, view, batch, shadow.as_ref(), idx, &mut run)?
-            {
+            // Stage against the shadow folded so far (the view itself
+            // before the first batch landed); `None` = batch quarantined.
+            let staged = self.under_policy(
+                view,
+                idx,
+                format_args!("mini-batch {}/{}", idx + 1, call.batches),
+                batch,
+                &mut run,
+                |view, batch| {
+                    let target = shadow.as_ref().unwrap_or_else(|| view.table());
+                    self.stage_change_batch(&call, batch.into_owned(), target)
+                },
+            )?;
+            if let Some((staged, plans)) = staged {
                 let apply_start = Instant::now();
                 let _apply_span = self.tracer.as_deref().map(|t| t.span("apply", "pipeline"));
                 staged.apply(shadow.get_or_insert_with(|| view.table().clone()));
@@ -583,43 +579,36 @@ impl BatchPipeline {
         Ok(run)
     }
 
-    /// Stage one mini-batch's edits against the shadow table (or the view,
-    /// before the first batch landed) under the pipeline's failure policy.
-    /// Returns the staged edits and the plan count, or `Ok(None)` when the
-    /// batch was quarantined (retry policy only).
-    fn fold_one_batch(
+    /// Run one batch's `attempt` over `deltas` under the pipeline's failure
+    /// policy — the one place the policy is spelled. Strict runs it once,
+    /// bare (a driver-side panic propagates, the batch is handed over
+    /// owned), and wraps the error with `label`; the retry policy re-runs it
+    /// on a borrowed batch and, once retries are exhausted, quarantines the
+    /// batch under `idx` and returns `Ok(None)`.
+    fn under_policy<T>(
         &self,
-        call: &MaintainCall<'_>,
         view: &mut MaterializedView,
-        batch: Deltas,
-        shadow: Option<&Table>,
         idx: usize,
+        label: impl std::fmt::Display,
+        deltas: Deltas,
         run: &mut BatchRun,
-    ) -> Result<Option<(StagedEdits, usize)>> {
-        let target = shadow.unwrap_or_else(|| view.table());
-        match self.policy {
-            FailurePolicy::Strict => {
-                self.stage_change_batch(call, batch, target).map(Some).map_err(|e| {
-                    StorageError::Invalid(format!(
-                        "mini-batch {}/{} failed; view kept its pre-maintain epoch, deltas \
-                         unconsumed: {e}",
-                        idx + 1,
-                        call.batches
-                    ))
-                })
-            }
-            FailurePolicy::RetryQuarantine { retries, backoff_ms } => {
-                let attempt = self.with_retries(retries, backoff_ms, run, || {
-                    self.stage_change_batch(call, batch.clone(), target)
-                });
-                match attempt {
-                    Ok(staged) => Ok(Some(staged)),
-                    Err(e) => {
-                        self.quarantine_batch(view, idx, batch, retries + 1, &e);
-                        run.quarantined += 1;
-                        Ok(None)
-                    }
-                }
+        attempt: impl Fn(&MaterializedView, Cow<'_, Deltas>) -> Result<T>,
+    ) -> Result<Option<T>> {
+        let FailurePolicy::RetryQuarantine { retries, backoff_ms } = self.policy else {
+            return attempt(view, Cow::Owned(deltas)).map(Some).map_err(|e| {
+                StorageError::Invalid(format!(
+                    "{label} failed; view kept its pre-maintain epoch, deltas unconsumed: {e}"
+                ))
+            });
+        };
+        let retried =
+            self.with_retries(retries, backoff_ms, run, || attempt(view, Cow::Borrowed(&deltas)));
+        match retried {
+            Ok(value) => Ok(Some(value)),
+            Err(e) => {
+                self.quarantine_batch(view, idx, deltas, retries + 1, &e);
+                run.quarantined += 1;
+                Ok(None)
             }
         }
     }
@@ -937,17 +926,7 @@ fn chunk_parallel_exact(canonical_plan: &Plan, batch: &Deltas) -> bool {
 }
 
 fn has_binary_node(plan: &Plan) -> bool {
-    match plan {
-        Plan::Scan { .. } => false,
-        Plan::Select { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Aggregate { input, .. }
-        | Plan::Hash { input, .. } => has_binary_node(input),
-        Plan::Join { .. }
-        | Plan::Union { .. }
-        | Plan::Intersect { .. }
-        | Plan::Difference { .. } => true,
-    }
+    plan.children().count() == 2 || plan.children().any(has_binary_node)
 }
 
 #[cfg(test)]
@@ -1303,7 +1282,8 @@ mod tests {
             let broken = s.spawn(move || {
                 // A doomed batch: missing leaf (error path) …
                 let b = Bindings::new();
-                let err = pool_err.evaluate_plans(&[Plan::scan("missing")], &b);
+                let err = pool_err
+                    .run_batch(1, |_| svc_relalg::eval::evaluate(&Plan::scan("missing"), &b));
                 // … and a panicking morsel session (panic path).
                 let panicked = pool_err.submit(6, &|i, _w| {
                     if i == 2 {

@@ -17,9 +17,9 @@
 
 use std::collections::HashSet;
 
-use svc_storage::{Database, Deltas, KeyTuple, Result, StorageError, Table};
+use svc_storage::{Database, Deltas, KeyTuple, Result, Table};
 
-use svc_ivm::delta::{new_state, DeltaInfo};
+use svc_ivm::delta::DeltaInfo;
 use svc_ivm::strategy::{recompute_plan, MaintCatalog};
 use svc_ivm::view::{maintenance_bindings, MaterializedView};
 use svc_relalg::derive::derive;
@@ -194,49 +194,17 @@ const OUTLIER_LEAF: &str = "__outliers";
 const KEYS_LEAF: &str = "__okeys";
 
 /// Replace `Scan target` with `Scan __outliers` and every other scan with
-/// its new state.
+/// its new state: `__outliers` has no deltas, so recomputation leaves it as
+/// the bare scan.
 fn substitute_new_states(
     plan: &Plan,
     target: &str,
     info: &DeltaInfo,
     cat: &MaintCatalog<'_>,
 ) -> Result<Plan> {
-    Ok(match plan {
-        Plan::Scan { table } if table == target => Plan::scan(OUTLIER_LEAF),
-        Plan::Scan { .. } => new_state(plan, info, cat)?,
-        Plan::Select { input, predicate } => Plan::Select {
-            input: Box::new(substitute_new_states(input, target, info, cat)?),
-            predicate: predicate.clone(),
-        },
-        Plan::Project { input, columns } => Plan::Project {
-            input: Box::new(substitute_new_states(input, target, info, cat)?),
-            columns: columns.clone(),
-        },
-        Plan::Join { left, right, kind, on } => Plan::Join {
-            left: Box::new(substitute_new_states(left, target, info, cat)?),
-            right: Box::new(substitute_new_states(right, target, info, cat)?),
-            kind: *kind,
-            on: on.clone(),
-        },
-        Plan::Aggregate { input, group_by, aggregates } => Plan::Aggregate {
-            input: Box::new(substitute_new_states(input, target, info, cat)?),
-            group_by: group_by.clone(),
-            aggregates: aggregates.clone(),
-        },
-        Plan::Union { left, right } => Plan::Union {
-            left: Box::new(substitute_new_states(left, target, info, cat)?),
-            right: Box::new(substitute_new_states(right, target, info, cat)?),
-        },
-        Plan::Intersect { left, right } => Plan::Intersect {
-            left: Box::new(substitute_new_states(left, target, info, cat)?),
-            right: Box::new(substitute_new_states(right, target, info, cat)?),
-        },
-        Plan::Difference { left, right } => Plan::Difference {
-            left: Box::new(substitute_new_states(left, target, info, cat)?),
-            right: Box::new(substitute_new_states(right, target, info, cat)?),
-        },
-        Plan::Hash { .. } => return Err(StorageError::Invalid("η inside view definition".into())),
-    })
+    let marked =
+        plan.clone().rename_leaves(&mut |table| (table == target).then(|| OUTLIER_LEAF.into()));
+    recompute_plan(&marked, cat, info)
 }
 
 /// Distinct prefixes (group keys) of a table's rows as a keyed table.

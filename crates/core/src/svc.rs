@@ -290,12 +290,6 @@ impl SvcView {
         Ok(kind)
     }
 
-    /// Adopt a cleaned sample as the new stale sample — SVC's cheap
-    /// maintenance step between full refreshes.
-    pub fn adopt_clean_sample(&mut self, cleaned: CleanedSample) {
-        self.stale_sample = cleaned.canonical;
-    }
-
     /// Redraw the stale sample from the current full view.
     pub fn resample(&mut self) {
         self.stale_sample =
@@ -454,17 +448,6 @@ mod tests {
         // Sample got refreshed too.
         let frac = svc.stale_sample().len() as f64 / svc.view.len() as f64;
         assert!((frac - 0.2).abs() < 0.06);
-    }
-
-    #[test]
-    fn adopt_clean_sample_moves_the_sample_forward() {
-        let db = db();
-        let mut svc = SvcView::create("v", visit_view(), &db, SvcConfig::with_ratio(0.2)).unwrap();
-        let deltas = skewed_deltas(&db, 1000);
-        let cleaned = svc.clean_sample(&db, &deltas).unwrap();
-        let cleaned_table = cleaned.canonical.clone();
-        svc.adopt_clean_sample(cleaned);
-        assert!(svc.stale_sample().same_contents(&cleaned_table));
     }
 
     #[test]

@@ -67,11 +67,6 @@ pub struct AggShape {
 }
 
 impl Canonical {
-    /// True iff every canonical column merges additively.
-    pub fn fully_additive(&self) -> bool {
-        self.agg.as_ref().is_some_and(|a| a.cols.iter().all(|c| c.rule == MergeRule::Additive))
-    }
-
     /// True iff change-table maintenance applies given whether any base
     /// deletions are pending. Min/max tolerate insert-only deltas; median
     /// never merges.
@@ -193,7 +188,7 @@ mod tests {
         assert_eq!(shape.group_by, vec!["videoId"]);
         // __svc_cnt + count + (sum, count) for avg
         assert_eq!(shape.cols.len(), 4);
-        assert!(c.fully_additive());
+        assert!(shape.cols.iter().all(|c| c.rule == MergeRule::Additive));
         let public = c.public.as_ref().unwrap();
         assert_eq!(public.len(), 3); // videoId, visits, avgDur
         assert_eq!(public[0].0, "videoId");

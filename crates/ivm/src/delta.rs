@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 use svc_storage::{Deltas, Result, StorageError};
 
 use svc_relalg::derive::{derive, LeafProvider};
-use svc_relalg::plan::{JoinKind, Plan};
+use svc_relalg::plan::{JoinKind, Plan, SetOpKind};
 
 /// Leaf name of the insertion delta for `table`.
 pub fn ins_leaf(table: &str) -> String {
@@ -124,7 +124,7 @@ pub fn new_state(plan: &Plan, info: &DeltaInfo, cat: &impl LeafProvider) -> Resu
     let d = derive_delta(plan, info, cat)?;
     let mut out = minus(plan.clone(), &d.del, cat)?;
     if let Some(ins) = d.ins {
-        out = Plan::Union { left: Box::new(out), right: Box::new(ins) };
+        out = out.union(ins);
     }
     Ok(out)
 }
@@ -132,7 +132,7 @@ pub fn new_state(plan: &Plan, info: &DeltaInfo, cat: &impl LeafProvider) -> Resu
 fn union_opt(a: Option<Plan>, b: Option<Plan>) -> Option<Plan> {
     match (a, b) {
         (None, x) | (x, None) => x,
-        (Some(a), Some(b)) => Some(Plan::Union { left: Box::new(a), right: Box::new(b) }),
+        (Some(a), Some(b)) => Some(a.union(b)),
     }
 }
 
@@ -183,7 +183,7 @@ pub fn derive_delta(plan: &Plan, info: &DeltaInfo, cat: &impl LeafProvider) -> R
 
             DeltaPlan { ins: union_opt(ins_a, ins_b), del: union_opt(del_a, del_b) }
         }
-        Plan::Union { left, right } => {
+        Plan::SetOp { kind: SetOpKind::Union, left, right } => {
             // Set-semantics union: a row enters the result iff it is new to
             // *both* old sides, and leaves iff it is gone from *both* new
             // sides.
@@ -194,15 +194,13 @@ pub fn derive_delta(plan: &Plan, info: &DeltaInfo, cat: &impl LeafProvider) -> R
             }
             let raw_ins = union_opt(dl.ins, dr.ins);
             let raw_del = union_opt(dl.del, dr.del);
-            let diff =
-                |p: Plan, q: Plan| Plan::Difference { left: Box::new(p), right: Box::new(q) };
-            let ins = raw_ins.map(|p| diff(diff(p, (**left).clone()), (**right).clone()));
+            let ins = raw_ins.map(|p| p.difference((**left).clone()).difference((**right).clone()));
             let del = match raw_del {
                 None => None,
                 Some(p) => {
                     let nl = new_state(left, info, cat)?;
                     let nr = new_state(right, info, cat)?;
-                    Some(diff(diff(p, nl), nr))
+                    Some(p.difference(nl).difference(nr))
                 }
             };
             DeltaPlan { ins, del }
@@ -221,7 +219,7 @@ pub fn derive_delta(plan: &Plan, info: &DeltaInfo, cat: &impl LeafProvider) -> R
                     .into(),
             ))
         }
-        Plan::Intersect { .. } | Plan::Difference { .. } => {
+        Plan::SetOp { kind: SetOpKind::Intersect | SetOpKind::Difference, .. } => {
             return Err(StorageError::Invalid(
                 "delta derivation for ∩/− is not implemented; falling back to recomputation".into(),
             ))

@@ -133,7 +133,7 @@ pub fn maintenance_plan(
                 };
             }
             if let Some(ins) = d.ins {
-                out = Plan::Union { left: Box::new(out), right: Box::new(ins) };
+                out = out.union(ins);
             }
             Ok((out, PlanKind::DeltaApply))
         }
@@ -374,7 +374,7 @@ fn change_table_plan(
 /// Compile a batch of delta chunks into per-partition change-table plans.
 /// Chunk `p`'s plan reads its deltas through the partition-suffixed leaves
 /// `__ins.T@p` / `__del.T@p`, so the whole batch shares one [`Bindings`]
-/// set and can be evaluated side by side (`WorkerPool::evaluate_plans`);
+/// set and can be evaluated side by side (`WorkerPool::run_compiled`);
 /// the plans also share the change-table subtree *shape*, the multi-query
 /// setting where batch evaluation amortizes optimization.
 ///
@@ -409,43 +409,13 @@ pub fn batch_change_plans(
 /// Recomputation expressed as a plan: every base scan becomes its new state
 /// `(T ▷ ∇T) ∪ ∆T`.
 pub fn recompute_plan(def: &Plan, cat: &MaintCatalog<'_>, info: &DeltaInfo) -> Result<Plan> {
-    Ok(match def {
-        Plan::Scan { .. } => new_state(def, info, cat)?,
-        Plan::Select { input, predicate } => Plan::Select {
-            input: Box::new(recompute_plan(input, cat, info)?),
-            predicate: predicate.clone(),
-        },
-        Plan::Project { input, columns } => Plan::Project {
-            input: Box::new(recompute_plan(input, cat, info)?),
-            columns: columns.clone(),
-        },
-        Plan::Join { left, right, kind, on } => Plan::Join {
-            left: Box::new(recompute_plan(left, cat, info)?),
-            right: Box::new(recompute_plan(right, cat, info)?),
-            kind: *kind,
-            on: on.clone(),
-        },
-        Plan::Aggregate { input, group_by, aggregates } => Plan::Aggregate {
-            input: Box::new(recompute_plan(input, cat, info)?),
-            group_by: group_by.clone(),
-            aggregates: aggregates.clone(),
-        },
-        Plan::Union { left, right } => Plan::Union {
-            left: Box::new(recompute_plan(left, cat, info)?),
-            right: Box::new(recompute_plan(right, cat, info)?),
-        },
-        Plan::Intersect { left, right } => Plan::Intersect {
-            left: Box::new(recompute_plan(left, cat, info)?),
-            right: Box::new(recompute_plan(right, cat, info)?),
-        },
-        Plan::Difference { left, right } => Plan::Difference {
-            left: Box::new(recompute_plan(left, cat, info)?),
-            right: Box::new(recompute_plan(right, cat, info)?),
-        },
-        Plan::Hash { .. } => {
-            return Err(StorageError::Invalid("unexpected η node inside a view definition".into()))
-        }
-    })
+    fn has_eta(plan: &Plan) -> bool {
+        matches!(plan, Plan::Hash { .. }) || plan.children().any(has_eta)
+    }
+    if has_eta(def) {
+        return Err(StorageError::Invalid("unexpected η node inside a view definition".into()));
+    }
+    def.clone().substitute_leaves(&mut |table| new_state(&Plan::Scan { table }, info, cat))
 }
 
 #[cfg(test)]

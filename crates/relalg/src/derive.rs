@@ -19,7 +19,7 @@
 use svc_storage::{DataType, Database, Field, Result, Schema, StorageError};
 
 use crate::aggregate::AggSpec;
-use crate::plan::{JoinKind, Plan};
+use crate::plan::{JoinKind, Plan, SetOpKind};
 use crate::scalar::Expr;
 
 /// The derived "type" of a relation: its schema plus primary-key positions.
@@ -58,47 +58,7 @@ impl LeafProvider for Database {
 
 /// Derive schema and key for a whole plan.
 pub fn derive(plan: &Plan, leaves: &(impl LeafProvider + ?Sized)) -> Result<Derived> {
-    match plan {
-        Plan::Scan { table } => {
-            leaves.leaf(table).ok_or_else(|| StorageError::UnknownTable(table.clone()))
-        }
-        Plan::Select { input, predicate } => {
-            let d = derive(input, leaves)?;
-            derive_select(&d, predicate)
-        }
-        Plan::Project { input, columns } => {
-            let d = derive(input, leaves)?;
-            derive_project(&d, columns)
-        }
-        Plan::Join { left, right, kind, on } => {
-            let l = derive(left, leaves)?;
-            let r = derive(right, leaves)?;
-            Ok(derive_join(&l, &r, *kind, on, right.name_hint())?.0)
-        }
-        Plan::Aggregate { input, group_by, aggregates } => {
-            let d = derive(input, leaves)?;
-            derive_aggregate(&d, group_by, aggregates)
-        }
-        Plan::Union { left, right } => {
-            let l = derive(left, leaves)?;
-            let r = derive(right, leaves)?;
-            derive_setop(&l, &r, SetOpKind::Union)
-        }
-        Plan::Intersect { left, right } => {
-            let l = derive(left, leaves)?;
-            let r = derive(right, leaves)?;
-            derive_setop(&l, &r, SetOpKind::Intersect)
-        }
-        Plan::Difference { left, right } => {
-            let l = derive(left, leaves)?;
-            let r = derive(right, leaves)?;
-            derive_setop(&l, &r, SetOpKind::Difference)
-        }
-        Plan::Hash { input, key, ratio, .. } => {
-            let d = derive(input, leaves)?;
-            derive_hash(&d, key, *ratio)
-        }
-    }
+    Ok(derive_tree(plan, leaves)?.derived)
 }
 
 /// The derived type of every node of a plan, mirroring the plan's tree
@@ -118,11 +78,6 @@ pub struct DerivedTree {
 }
 
 impl DerivedTree {
-    /// A leaf (no children).
-    pub fn leaf(derived: Derived) -> DerivedTree {
-        DerivedTree { derived, children: Vec::new() }
-    }
-
     /// A unary node above `child`.
     pub fn unary(derived: Derived, child: DerivedTree) -> DerivedTree {
         DerivedTree { derived, children: vec![child] }
@@ -146,51 +101,36 @@ impl DerivedTree {
 
 /// Derive the whole plan bottom-up in one O(nodes) pass.
 pub fn derive_tree(plan: &Plan, leaves: &(impl LeafProvider + ?Sized)) -> Result<DerivedTree> {
-    Ok(match plan {
-        Plan::Scan { table } => DerivedTree::leaf(
-            leaves.leaf(table).ok_or_else(|| StorageError::UnknownTable(table.clone()))?,
-        ),
-        Plan::Select { input, predicate } => {
-            let c = derive_tree(input, leaves)?;
-            DerivedTree::unary(derive_select(&c.derived, predicate)?, c)
+    let children =
+        plan.children().map(|child| derive_tree(child, leaves)).collect::<Result<Vec<_>>>()?;
+    derive_node(plan, children, leaves)
+}
+
+/// The type of one node from its inputs' already-derived trees (`children`,
+/// in [`Plan::children`] order) — the one place a plan variant is mapped to
+/// its Definition 2 rule.
+pub(crate) fn derive_node(
+    plan: &Plan,
+    children: Vec<DerivedTree>,
+    leaves: &(impl LeafProvider + ?Sized),
+) -> Result<DerivedTree> {
+    let input = |i: usize| &children[i].derived;
+    let derived = match plan {
+        Plan::Scan { table } => {
+            leaves.leaf(table).ok_or_else(|| StorageError::UnknownTable(table.clone()))?
         }
-        Plan::Project { input, columns } => {
-            let c = derive_tree(input, leaves)?;
-            DerivedTree::unary(derive_project(&c.derived, columns)?, c)
+        Plan::Select { predicate, .. } => derive_select(input(0), predicate)?,
+        Plan::Project { columns, .. } => derive_project(input(0), columns)?,
+        Plan::Join { right, kind, on, .. } => {
+            derive_join(input(0), input(1), *kind, on, right.name_hint())?.0
         }
-        Plan::Join { left, right, kind, on } => {
-            let l = derive_tree(left, leaves)?;
-            let r = derive_tree(right, leaves)?;
-            let d = derive_join(&l.derived, &r.derived, *kind, on, right.name_hint())?.0;
-            DerivedTree::binary(d, l, r)
+        Plan::Aggregate { group_by, aggregates, .. } => {
+            derive_aggregate(input(0), group_by, aggregates)?
         }
-        Plan::Aggregate { input, group_by, aggregates } => {
-            let c = derive_tree(input, leaves)?;
-            DerivedTree::unary(derive_aggregate(&c.derived, group_by, aggregates)?, c)
-        }
-        Plan::Union { left, right } => {
-            let l = derive_tree(left, leaves)?;
-            let r = derive_tree(right, leaves)?;
-            let d = derive_setop(&l.derived, &r.derived, SetOpKind::Union)?;
-            DerivedTree::binary(d, l, r)
-        }
-        Plan::Intersect { left, right } => {
-            let l = derive_tree(left, leaves)?;
-            let r = derive_tree(right, leaves)?;
-            let d = derive_setop(&l.derived, &r.derived, SetOpKind::Intersect)?;
-            DerivedTree::binary(d, l, r)
-        }
-        Plan::Difference { left, right } => {
-            let l = derive_tree(left, leaves)?;
-            let r = derive_tree(right, leaves)?;
-            let d = derive_setop(&l.derived, &r.derived, SetOpKind::Difference)?;
-            DerivedTree::binary(d, l, r)
-        }
-        Plan::Hash { input, key, ratio, .. } => {
-            let c = derive_tree(input, leaves)?;
-            DerivedTree::unary(derive_hash(&c.derived, key, *ratio)?, c)
-        }
-    })
+        Plan::SetOp { kind, .. } => derive_setop(input(0), input(1), *kind)?,
+        Plan::Hash { key, ratio, .. } => derive_hash(input(0), key, *ratio)?,
+    };
+    Ok(DerivedTree { derived, children })
 }
 
 /// σ: validate the predicate binds; schema and key pass through.
@@ -302,31 +242,6 @@ pub fn derive_aggregate(input: &Derived, group_by: &[String], aggs: &[AggSpec]) 
     }
     let schema = Schema::new(fields)?;
     Ok(Derived { schema, key: (0..group_by.len()).collect() })
-}
-
-/// Which set operation a [`derive_setop`] call is for. Also used by the
-/// optimizer rules as the shared tag when destructuring and rebuilding
-/// set-operation nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SetOpKind {
-    /// ∪
-    Union,
-    /// ∩
-    Intersect,
-    /// −
-    Difference,
-}
-
-impl SetOpKind {
-    /// Rebuild the matching [`Plan`] node from two inputs.
-    pub fn rebuild(self, left: Plan, right: Plan) -> Plan {
-        let (left, right) = (Box::new(left), Box::new(right));
-        match self {
-            SetOpKind::Union => Plan::Union { left, right },
-            SetOpKind::Intersect => Plan::Intersect { left, right },
-            SetOpKind::Difference => Plan::Difference { left, right },
-        }
-    }
 }
 
 /// ∪ / ∩ / −: inputs must agree positionally on types; output takes the left
@@ -522,17 +437,7 @@ mod tests {
         let leaves = leaves();
         fn check(plan: &Plan, tree: &DerivedTree, leaves: &Leaves) {
             assert_eq!(tree.derived, derive(plan, leaves).unwrap());
-            let children: Vec<&Plan> = match plan {
-                Plan::Scan { .. } => vec![],
-                Plan::Select { input, .. }
-                | Plan::Project { input, .. }
-                | Plan::Aggregate { input, .. }
-                | Plan::Hash { input, .. } => vec![input],
-                Plan::Join { left, right, .. }
-                | Plan::Union { left, right }
-                | Plan::Intersect { left, right }
-                | Plan::Difference { left, right } => vec![left, right],
-            };
+            let children: Vec<&Plan> = plan.children().collect();
             assert_eq!(children.len(), tree.children.len());
             for (c, t) in children.iter().zip(&tree.children) {
                 check(c, t, leaves);

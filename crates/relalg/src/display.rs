@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use crate::plan::{JoinKind, Plan};
+use crate::plan::{JoinKind, Plan, SetOpKind};
 
 impl Plan {
     fn fmt_node(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
@@ -41,18 +41,13 @@ impl Plan {
                 writeln!(f, "{pad}Aggregate γ[by {}; {}]", group_by.join(","), aggs.join(", "))?;
                 input.fmt_node(f, indent + 1)
             }
-            Plan::Union { left, right } => {
-                writeln!(f, "{pad}Union ∪")?;
-                left.fmt_node(f, indent + 1)?;
-                right.fmt_node(f, indent + 1)
-            }
-            Plan::Intersect { left, right } => {
-                writeln!(f, "{pad}Intersect ∩")?;
-                left.fmt_node(f, indent + 1)?;
-                right.fmt_node(f, indent + 1)
-            }
-            Plan::Difference { left, right } => {
-                writeln!(f, "{pad}Difference −")?;
+            Plan::SetOp { kind, left, right } => {
+                let label = match kind {
+                    SetOpKind::Union => "Union ∪",
+                    SetOpKind::Intersect => "Intersect ∩",
+                    SetOpKind::Difference => "Difference −",
+                };
+                writeln!(f, "{pad}{label}")?;
                 left.fmt_node(f, indent + 1)?;
                 right.fmt_node(f, indent + 1)
             }

@@ -14,11 +14,11 @@ use crate::aggregate::bind_aggs;
 use crate::aggregate::run_aggregate;
 use crate::derive::{
     derive_aggregate, derive_hash, derive_join, derive_project, derive_select, derive_setop,
-    Derived, LeafProvider, SetOpKind,
+    Derived, LeafProvider,
 };
 use crate::join::run_join;
 use crate::plan::Plan;
-use crate::setops::{run_difference, run_intersect, run_union};
+use crate::setops::run_setop;
 
 /// Leaf-name → table bindings for evaluation.
 #[derive(Debug, Clone, Default)]
@@ -117,23 +117,11 @@ pub fn evaluate_materializing(plan: &Plan, bindings: &Bindings<'_>) -> Result<Ta
             let aggs = bind_aggs(aggregates, child.schema())?;
             run_aggregate(&child, &group_idx, &aggs, &out, None)
         }
-        Plan::Union { left, right } => {
+        Plan::SetOp { kind, left, right } => {
             let l = evaluate_materializing(left, bindings)?;
             let r = evaluate_materializing(right, bindings)?;
-            let out = derive_setop(&derived_of(&l), &derived_of(&r), SetOpKind::Union)?;
-            run_union(l, r, &out)
-        }
-        Plan::Intersect { left, right } => {
-            let l = evaluate_materializing(left, bindings)?;
-            let r = evaluate_materializing(right, bindings)?;
-            let out = derive_setop(&derived_of(&l), &derived_of(&r), SetOpKind::Intersect)?;
-            run_intersect(l, &r, &out)
-        }
-        Plan::Difference { left, right } => {
-            let l = evaluate_materializing(left, bindings)?;
-            let r = evaluate_materializing(right, bindings)?;
-            let out = derive_setop(&derived_of(&l), &derived_of(&r), SetOpKind::Difference)?;
-            run_difference(l, &r, &out)
+            let out = derive_setop(&derived_of(&l), &derived_of(&r), *kind)?;
+            run_setop(*kind, l, r, &out)
         }
         Plan::Hash { input, key, ratio, spec } => {
             let child = evaluate_materializing(input, bindings)?;

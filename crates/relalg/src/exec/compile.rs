@@ -6,9 +6,9 @@
 use svc_storage::{DataType, Result, Schema, StorageError, Table};
 
 use crate::aggregate::{bind_aggs, AggFunc};
-use crate::derive::{derive_join, derive_tree, DerivedTree, LeafProvider, SetOpKind};
+use crate::derive::{derive_join, derive_tree, DerivedTree, LeafProvider};
 use crate::optimizer::cost::CardEstimator;
-use crate::plan::{JoinKind, Plan};
+use crate::plan::{JoinKind, Plan, SetOpKind};
 use crate::scalar::BoundExpr;
 
 use super::column::{compile_map, compile_pred, VecOp};
@@ -281,28 +281,14 @@ impl Lowering<'_> {
                 let groups_hint = self.groups_hint(input, &group_idx);
                 Node::Aggregate { input: Box::new(child), group_idx, aggs, groups_hint }
             }
-            Plan::Union { left, right } => self.lower_setop(SetOpKind::Union, left, right, tree)?,
-            Plan::Intersect { left, right } => {
-                self.lower_setop(SetOpKind::Intersect, left, right, tree)?
+            Plan::SetOp { kind, left, right } => {
+                let (lt, rt) = tree.pair();
+                Node::SetOp {
+                    kind: *kind,
+                    left: Box::new(self.lower(left, lt)?),
+                    right: Box::new(self.lower(right, rt)?),
+                }
             }
-            Plan::Difference { left, right } => {
-                self.lower_setop(SetOpKind::Difference, left, right, tree)?
-            }
-        })
-    }
-
-    fn lower_setop(
-        &self,
-        kind: SetOpKind,
-        left: &Plan,
-        right: &Plan,
-        tree: &DerivedTree,
-    ) -> Result<Node> {
-        let (lt, rt) = tree.pair();
-        Ok(Node::SetOp {
-            kind,
-            left: Box::new(self.lower(left, lt)?),
-            right: Box::new(self.lower(right, rt)?),
         })
     }
 

@@ -257,11 +257,7 @@ fn annotate(
         }
         Node::SetOp { left, right, .. } => {
             let (lp, rp) = match plan {
-                Some(
-                    Plan::Union { left, right }
-                    | Plan::Intersect { left, right }
-                    | Plan::Difference { left, right },
-                ) => (Some(&**left), Some(&**right)),
+                Some(Plan::SetOp { left, right, .. }) => (Some(&**left), Some(&**right)),
                 _ => (None, None),
             };
             annotate(left, lp, depth + 1, est, bindings, out);

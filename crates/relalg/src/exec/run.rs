@@ -35,10 +35,9 @@ use svc_storage::{Result, Row, StorageError, Table, Value};
 use svc_telemetry::{MetricsSink, OpMetrics, OpSlot};
 
 use crate::aggregate::GroupMap;
-use crate::derive::SetOpKind;
 use crate::eval::Bindings;
 use crate::join::{join_rows_pk_probe_into, JoinBuild};
-use crate::plan::JoinKind;
+use crate::plan::{JoinKind, SetOpKind};
 use crate::setops::{difference_rows_into, intersect_rows_into, union_rows_into};
 
 use super::batch;

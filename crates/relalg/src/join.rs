@@ -1,6 +1,6 @@
 //! Hash-based equi-join execution for all [`JoinKind`]s.
 //!
-//! Two layers: row-based cores ([`join_rows`], [`join_rows_pk_probe`]) that
+//! Two layers: row-based cores ([`join_rows`], [`join_rows_pk_probe_into`]) that
 //! operate on plain `Vec<Row>` batches — these are what the streaming
 //! executor (`crate::exec`) calls, and they never allocate a `KeyTuple` per
 //! probed row (keys are hashed in place via [`join_hash`] and candidates
@@ -261,24 +261,11 @@ pub fn join_rows(
 /// probes against large base relations cheap (the FK-join pattern of every
 /// maintenance plan). Left rows are moved, never cloned; the probe tuple's
 /// `Vec` is allocated once and reused across rows.
-pub fn join_rows_pk_probe(
-    left: Vec<Row>,
-    right: &Table,
-    kind: JoinKind,
-    left_cols: &[usize],
-    pad_right: usize,
-) -> Vec<Row> {
-    let mut left = left;
-    let mut rows: Vec<Row> = Vec::new();
-    join_rows_pk_probe_into(&mut left, right, kind, left_cols, pad_right, &mut rows);
-    rows
-}
-
-/// [`join_rows_pk_probe`] draining `left` into a caller-provided output
-/// buffer: the per-chunk core shared by the sequential executor (which
-/// recycles the emptied left buffer) and the morsel-parallel executor
-/// (which probes chunks concurrently — each probe only reads the right
-/// table's index).
+///
+/// Drains `left` into a caller-provided output buffer: the per-chunk core
+/// shared by the sequential executor (which recycles the emptied left
+/// buffer) and the morsel-parallel executor (which probes chunks
+/// concurrently — each probe only reads the right table's index).
 pub fn join_rows_pk_probe_into(
     left: &mut Vec<Row>,
     right: &Table,
@@ -343,7 +330,16 @@ pub fn run_join(
     let pad_right = right.schema().len();
     let rows = if pk_probe_applies(kind, &right_cols, right.key()) {
         let left_cols: Vec<usize> = on_idx.iter().map(|&(l, _)| l).collect();
-        join_rows_pk_probe(left.into_rows(), right, kind, &left_cols, pad_right)
+        let mut rows = Vec::new();
+        join_rows_pk_probe_into(
+            &mut left.into_rows(),
+            right,
+            kind,
+            &left_cols,
+            pad_right,
+            &mut rows,
+        );
+        rows
     } else {
         join_rows(left.into_rows(), right.rows(), kind, on_idx, pad_left, pad_right)
     };
@@ -447,8 +443,10 @@ mod tests {
         let r = right();
         for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti] {
             let generic = join_rows(l.rows().to_vec(), r.rows(), kind, &[(1, 0)], 2, 2);
-            let probed = join_rows_pk_probe(l.rows().to_vec(), &r, kind, &[1], 2);
-            assert_eq!(generic, probed, "{kind:?} diverged");
+            // `run_join` takes the PK-probe path here: `right` is joined on
+            // its whole key.
+            assert!(pk_probe_applies(kind, &[0], r.key()));
+            assert_eq!(generic, run(kind).rows(), "{kind:?} diverged");
         }
     }
 

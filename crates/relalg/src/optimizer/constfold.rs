@@ -32,17 +32,20 @@ pub fn fold(plan: Plan, leaves: &dyn LeafProvider, folded: &mut usize) -> Result
 }
 
 fn fold_plan(plan: Plan, dt: &DerivedTree, folded: &mut usize) -> Result<Plan> {
+    // Inputs first (folding never changes a schema, so `dt` stays exact),
+    // then the expressions this node itself carries.
+    let mut child_dts = dt.children.iter();
+    let plan = plan.map_children(&mut |child| {
+        fold_plan(child, child_dts.next().expect("derived tree mirrors the plan"), folded)
+    })?;
     Ok(match plan {
-        Plan::Scan { .. } => plan,
         Plan::Select { input, predicate } => {
-            let in_schema = &dt.input().derived.schema;
-            let predicate = fold_expr(predicate, in_schema, folded)?;
-            let inner = fold_plan(*input, dt.input(), folded)?;
+            let predicate = fold_expr(predicate, &dt.input().derived.schema, folded)?;
             if predicate == Expr::Lit(Value::Bool(true)) {
                 *folded += 1;
-                inner
+                *input
             } else {
-                Plan::Select { input: Box::new(inner), predicate }
+                Plan::Select { input, predicate }
             }
         }
         Plan::Project { input, columns } => {
@@ -51,7 +54,7 @@ fn fold_plan(plan: Plan, dt: &DerivedTree, folded: &mut usize) -> Result<Plan> {
                 .into_iter()
                 .map(|(n, e)| Ok((n, fold_expr(e, in_schema, folded)?)))
                 .collect::<Result<Vec<_>>>()?;
-            Plan::Project { input: Box::new(fold_plan(*input, dt.input(), folded)?), columns }
+            Plan::Project { input, columns }
         }
         Plan::Aggregate { input, group_by, aggregates } => {
             let in_schema = &dt.input().derived.schema;
@@ -62,45 +65,9 @@ fn fold_plan(plan: Plan, dt: &DerivedTree, folded: &mut usize) -> Result<Plan> {
                     Ok(spec)
                 })
                 .collect::<Result<Vec<_>>>()?;
-            Plan::Aggregate {
-                input: Box::new(fold_plan(*input, dt.input(), folded)?),
-                group_by,
-                aggregates,
-            }
+            Plan::Aggregate { input, group_by, aggregates }
         }
-        Plan::Hash { input, key, ratio, spec } => {
-            Plan::Hash { input: Box::new(fold_plan(*input, dt.input(), folded)?), key, ratio, spec }
-        }
-        Plan::Join { left, right, kind, on } => {
-            let (l_t, r_t) = dt.pair();
-            Plan::Join {
-                left: Box::new(fold_plan(*left, l_t, folded)?),
-                right: Box::new(fold_plan(*right, r_t, folded)?),
-                kind,
-                on,
-            }
-        }
-        Plan::Union { left, right } => {
-            let (l_t, r_t) = dt.pair();
-            Plan::Union {
-                left: Box::new(fold_plan(*left, l_t, folded)?),
-                right: Box::new(fold_plan(*right, r_t, folded)?),
-            }
-        }
-        Plan::Intersect { left, right } => {
-            let (l_t, r_t) = dt.pair();
-            Plan::Intersect {
-                left: Box::new(fold_plan(*left, l_t, folded)?),
-                right: Box::new(fold_plan(*right, r_t, folded)?),
-            }
-        }
-        Plan::Difference { left, right } => {
-            let (l_t, r_t) = dt.pair();
-            Plan::Difference {
-                left: Box::new(fold_plan(*left, l_t, folded)?),
-                right: Box::new(fold_plan(*right, r_t, folded)?),
-            }
-        }
+        other => other,
     })
 }
 

@@ -36,10 +36,10 @@
 //! exercised by this module's callers: `svc_sampling::pushdown` (a thin
 //! wrapper kept for the legacy API) and the workspace-level property tests.
 
-use svc_storage::{HashSpec, Result};
+use svc_storage::{HashSpec, Result, StorageError};
 
-use crate::derive::{derive_tree, DerivedTree, LeafProvider, SetOpKind};
-use crate::plan::{JoinKind, Plan};
+use crate::derive::{derive_tree, DerivedTree, LeafProvider};
+use crate::plan::{JoinKind, Plan, SetOpKind};
 
 /// What the η rule did: how far hashes moved and where they stopped.
 #[derive(Debug, Clone, Default)]
@@ -82,68 +82,21 @@ fn take_binary(dt: DerivedTree) -> (crate::derive::Derived, DerivedTree, Derived
 }
 
 fn rewrite(plan: Plan, dt: DerivedTree, report: &mut EtaReport) -> Result<(Plan, DerivedTree)> {
-    Ok(match plan {
-        Plan::Hash { input, key, ratio, spec } => {
-            let (_, input_dt) = take_unary(dt);
-            let (inner, inner_dt) = rewrite(*input, input_dt, report)?;
-            push(key, ratio, spec, inner, inner_dt, report)?
-        }
-        Plan::Scan { .. } => (plan, dt),
-        Plan::Select { input, predicate } => {
-            let (d, input_dt) = take_unary(dt);
-            let (inner, inner_dt) = rewrite(*input, input_dt, report)?;
-            (Plan::Select { input: Box::new(inner), predicate }, DerivedTree::unary(d, inner_dt))
-        }
-        Plan::Project { input, columns } => {
-            let (d, input_dt) = take_unary(dt);
-            let (inner, inner_dt) = rewrite(*input, input_dt, report)?;
-            (Plan::Project { input: Box::new(inner), columns }, DerivedTree::unary(d, inner_dt))
-        }
-        Plan::Aggregate { input, group_by, aggregates } => {
-            let (d, input_dt) = take_unary(dt);
-            let (inner, inner_dt) = rewrite(*input, input_dt, report)?;
-            (
-                Plan::Aggregate { input: Box::new(inner), group_by, aggregates },
-                DerivedTree::unary(d, inner_dt),
-            )
-        }
-        Plan::Join { left, right, kind, on } => {
-            let (d, l_dt, r_dt) = take_binary(dt);
-            let (l, l_dt) = rewrite(*left, l_dt, report)?;
-            let (r, r_dt) = rewrite(*right, r_dt, report)?;
-            (
-                Plan::Join { left: Box::new(l), right: Box::new(r), kind, on },
-                DerivedTree::binary(d, l_dt, r_dt),
-            )
-        }
-        Plan::Union { left, right } => {
-            let (d, l_dt, r_dt) = take_binary(dt);
-            let (l, l_dt) = rewrite(*left, l_dt, report)?;
-            let (r, r_dt) = rewrite(*right, r_dt, report)?;
-            (
-                Plan::Union { left: Box::new(l), right: Box::new(r) },
-                DerivedTree::binary(d, l_dt, r_dt),
-            )
-        }
-        Plan::Intersect { left, right } => {
-            let (d, l_dt, r_dt) = take_binary(dt);
-            let (l, l_dt) = rewrite(*left, l_dt, report)?;
-            let (r, r_dt) = rewrite(*right, r_dt, report)?;
-            (
-                Plan::Intersect { left: Box::new(l), right: Box::new(r) },
-                DerivedTree::binary(d, l_dt, r_dt),
-            )
-        }
-        Plan::Difference { left, right } => {
-            let (d, l_dt, r_dt) = take_binary(dt);
-            let (l, l_dt) = rewrite(*left, l_dt, report)?;
-            let (r, r_dt) = rewrite(*right, r_dt, report)?;
-            (
-                Plan::Difference { left: Box::new(l), right: Box::new(r) },
-                DerivedTree::binary(d, l_dt, r_dt),
-            )
-        }
-    })
+    let DerivedTree { derived, children } = dt;
+    let mut old = children.into_iter();
+    let mut next_old = move || old.next().expect("derived tree mirrors the plan");
+    if let Plan::Hash { input, key, ratio, spec } = plan {
+        let (inner, inner_dt) = rewrite(*input, next_old(), report)?;
+        return push(key, ratio, spec, inner, inner_dt, report);
+    }
+    // Every other node keeps its type: η below it filters rows, not columns.
+    let mut children = Vec::new();
+    let plan = plan.map_children(&mut |child| {
+        let (child, child_dt) = rewrite(child, next_old(), report)?;
+        children.push(child_dt);
+        Ok::<_, StorageError>(child)
+    })?;
+    Ok((plan, DerivedTree { derived, children }))
 }
 
 /// Push one hash (with `key`/`ratio`/`spec`) into `input`, which has already
@@ -285,14 +238,8 @@ fn push(
         Plan::Join { left, right, kind, on } => {
             push_join(key, ratio, spec, *left, *right, kind, on, input_dt, report)
         }
-        Plan::Union { left, right } => {
-            push_setop(key, ratio, spec, *left, *right, SetOpKind::Union, input_dt, report)
-        }
-        Plan::Intersect { left, right } => {
-            push_setop(key, ratio, spec, *left, *right, SetOpKind::Intersect, input_dt, report)
-        }
-        Plan::Difference { left, right } => {
-            push_setop(key, ratio, spec, *left, *right, SetOpKind::Difference, input_dt, report)
+        Plan::SetOp { kind, left, right } => {
+            push_setop(key, ratio, spec, *left, *right, kind, input_dt, report)
         }
     }
 }
@@ -321,7 +268,8 @@ fn push_setop(
     report.descended += 1;
     let (l, l_dt) = push(key, ratio, spec, left, l_dt, report)?;
     let (r, r_dt) = push(right_key, ratio, spec, right, r_dt, report)?;
-    Ok((op.rebuild(l, r), DerivedTree::binary(d, l_dt, r_dt)))
+    let plan = Plan::SetOp { kind: op, left: Box::new(l), right: Box::new(r) };
+    Ok((plan, DerivedTree::binary(d, l_dt, r_dt)))
 }
 
 #[allow(clippy::too_many_arguments)]

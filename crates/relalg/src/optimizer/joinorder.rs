@@ -28,11 +28,10 @@
 //! the old key's columns) the whole rewrite is abandoned and the original
 //! plan kept — reordering is an optimization, never an obligation.
 
-use svc_storage::{Result, Schema};
+use svc_storage::{Result, Schema, StorageError};
 
 use crate::derive::{
-    derive_aggregate, derive_hash, derive_join, derive_project, derive_select, derive_setop,
-    derive_tree, Derived, DerivedTree, LeafProvider, SetOpKind,
+    derive_join, derive_node, derive_project, derive_tree, Derived, DerivedTree, LeafProvider,
 };
 use crate::optimizer::cost::CardEstimator;
 use crate::plan::{JoinKind, Plan};
@@ -61,11 +60,6 @@ pub fn reorder(
         // projection) is not an error of the input plan: keep it as written.
         Err(_) => Ok(plan),
     }
-}
-
-fn take_unary(dt: DerivedTree) -> DerivedTree {
-    let DerivedTree { mut children, .. } = dt;
-    children.pop().expect("unary node has one child")
 }
 
 fn take_binary(dt: DerivedTree) -> (DerivedTree, DerivedTree) {
@@ -112,71 +106,23 @@ fn rewrite(
     est: &dyn CardEstimator,
     count: &mut usize,
 ) -> Result<(Plan, DerivedTree)> {
-    Ok(match plan {
-        Plan::Join { kind: JoinKind::Inner, .. } => reorder_region(plan, dt, leaves, est, count)?,
-        Plan::Scan { .. } => (plan, dt),
-        Plan::Select { input, predicate } => {
-            let (inner, inner_dt) = rewrite(*input, take_unary(dt), leaves, est, count)?;
-            let d = derive_select(&inner_dt.derived, &predicate)?;
-            (Plan::Select { input: Box::new(inner), predicate }, DerivedTree::unary(d, inner_dt))
+    match plan {
+        Plan::Join { kind: JoinKind::Inner, .. } => {
+            return reorder_region(plan, dt, leaves, est, count)
         }
-        Plan::Project { input, columns } => {
-            let (inner, inner_dt) = rewrite(*input, take_unary(dt), leaves, est, count)?;
-            let d = derive_project(&inner_dt.derived, &columns)?;
-            (Plan::Project { input: Box::new(inner), columns }, DerivedTree::unary(d, inner_dt))
-        }
-        Plan::Aggregate { input, group_by, aggregates } => {
-            let (inner, inner_dt) = rewrite(*input, take_unary(dt), leaves, est, count)?;
-            let d = derive_aggregate(&inner_dt.derived, &group_by, &aggregates)?;
-            (
-                Plan::Aggregate { input: Box::new(inner), group_by, aggregates },
-                DerivedTree::unary(d, inner_dt),
-            )
-        }
-        Plan::Hash { input, key, ratio, spec } => {
-            let (inner, inner_dt) = rewrite(*input, take_unary(dt), leaves, est, count)?;
-            let d = derive_hash(&inner_dt.derived, &key, ratio)?;
-            (
-                Plan::Hash { input: Box::new(inner), key, ratio, spec },
-                DerivedTree::unary(d, inner_dt),
-            )
-        }
-        Plan::Join { left, right, kind, on } => {
-            let (l_dt, r_dt) = take_binary(dt);
-            let (l, l_dt) = rewrite(*left, l_dt, leaves, est, count)?;
-            let (r, r_dt) = rewrite(*right, r_dt, leaves, est, count)?;
-            let d = derive_join(&l_dt.derived, &r_dt.derived, kind, &on, r.name_hint())?.0;
-            (
-                Plan::Join { left: Box::new(l), right: Box::new(r), kind, on },
-                DerivedTree::binary(d, l_dt, r_dt),
-            )
-        }
-        Plan::Union { left, right } => {
-            rewrite_setop(*left, *right, SetOpKind::Union, dt, leaves, est, count)?
-        }
-        Plan::Intersect { left, right } => {
-            rewrite_setop(*left, *right, SetOpKind::Intersect, dt, leaves, est, count)?
-        }
-        Plan::Difference { left, right } => {
-            rewrite_setop(*left, *right, SetOpKind::Difference, dt, leaves, est, count)?
-        }
-    })
-}
-
-fn rewrite_setop(
-    left: Plan,
-    right: Plan,
-    op: SetOpKind,
-    dt: DerivedTree,
-    leaves: &dyn LeafProvider,
-    est: &dyn CardEstimator,
-    count: &mut usize,
-) -> Result<(Plan, DerivedTree)> {
-    let (l_dt, r_dt) = take_binary(dt);
-    let (l, l_dt) = rewrite(left, l_dt, leaves, est, count)?;
-    let (r, r_dt) = rewrite(right, r_dt, leaves, est, count)?;
-    let d = derive_setop(&l_dt.derived, &r_dt.derived, op)?;
-    Ok((op.rebuild(l, r), DerivedTree::binary(d, l_dt, r_dt)))
+        Plan::Scan { .. } => return Ok((plan, dt)),
+        _ => {}
+    }
+    let mut old = dt.children.into_iter();
+    let mut children = Vec::new();
+    let plan = plan.map_children(&mut |child| {
+        let child_dt = old.next().expect("derived tree mirrors the plan");
+        let (child, child_dt) = rewrite(child, child_dt, leaves, est, count)?;
+        children.push(child_dt);
+        Ok::<_, StorageError>(child)
+    })?;
+    let dt = derive_node(&plan, children, leaves)?;
+    Ok((plan, dt))
 }
 
 /// Flatten the inner-join region rooted at `plan` into `region`, rewriting

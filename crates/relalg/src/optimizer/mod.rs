@@ -309,24 +309,11 @@ mod tests {
 
     /// Count the `Hash` nodes of a plan and return the minimum ratio seen.
     fn hash_nodes(plan: &Plan) -> (usize, f64) {
-        match plan {
-            Plan::Hash { input, ratio, .. } => {
-                let (n, r) = hash_nodes(input);
-                (n + 1, r.min(*ratio))
-            }
-            Plan::Scan { .. } => (0, f64::INFINITY),
-            Plan::Select { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Aggregate { input, .. } => hash_nodes(input),
-            Plan::Join { left, right, .. }
-            | Plan::Union { left, right }
-            | Plan::Intersect { left, right }
-            | Plan::Difference { left, right } => {
-                let (ln, lr) = hash_nodes(left);
-                let (rn, rr) = hash_nodes(right);
-                (ln + rn, lr.min(rr))
-            }
-        }
+        let own = match plan {
+            Plan::Hash { ratio, .. } => (1, *ratio),
+            _ => (0, f64::INFINITY),
+        };
+        plan.children().map(hash_nodes).fold(own, |(n, r), (cn, cr)| (n + cn, r.min(cr)))
     }
 
     #[test]

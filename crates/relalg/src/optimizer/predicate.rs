@@ -27,8 +27,8 @@
 
 use svc_storage::{Result, Schema};
 
-use crate::derive::{derive_tree, DerivedTree, LeafProvider, SetOpKind};
-use crate::plan::{JoinKind, Plan};
+use crate::derive::{derive_tree, DerivedTree, LeafProvider};
+use crate::plan::{JoinKind, Plan, SetOpKind};
 use crate::scalar::{BinOp, Expr};
 
 /// Push every selection in `plan` as deep as legality allows. `moved`
@@ -232,15 +232,7 @@ fn push(plan: Plan, dt: &DerivedTree, mut preds: Vec<Expr>, moved: &mut usize) -
             let r = push(*right, r_t, r_preds, moved)?;
             Ok(wrap(Plan::Join { left: Box::new(l), right: Box::new(r), kind, on }, above))
         }
-        Plan::Union { left, right } => {
-            push_setop(*left, *right, dt, SetOpKind::Union, &preds, moved)
-        }
-        Plan::Intersect { left, right } => {
-            push_setop(*left, *right, dt, SetOpKind::Intersect, &preds, moved)
-        }
-        Plan::Difference { left, right } => {
-            push_setop(*left, *right, dt, SetOpKind::Difference, &preds, moved)
-        }
+        Plan::SetOp { kind, left, right } => push_setop(*left, *right, dt, kind, &preds, moved),
     }
 }
 
@@ -257,11 +249,6 @@ fn push_setop(
     moved: &mut usize,
 ) -> Result<Plan> {
     let (l_t, r_t) = dt.pair();
-    if preds.is_empty() {
-        let l = push(left, l_t, Vec::new(), moved)?;
-        let r = push(right, r_t, Vec::new(), moved)?;
-        return Ok(op.rebuild(l, r));
-    }
     let l_schema = &l_t.derived.schema;
     let r_schema = &r_t.derived.schema;
     let mut l_preds = Vec::with_capacity(preds.len());
@@ -273,7 +260,7 @@ fn push_setop(
     *moved += preds.len();
     let l = push(left, l_t, l_preds, moved)?;
     let r = push(right, r_t, r_preds, moved)?;
-    Ok(op.rebuild(l, r))
+    Ok(Plan::SetOp { kind: op, left: Box::new(l), right: Box::new(r) })
 }
 
 #[cfg(test)]

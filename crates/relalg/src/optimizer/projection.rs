@@ -25,9 +25,9 @@ use svc_storage::{Result, Schema};
 
 use crate::derive::{
     derive_aggregate, derive_hash, derive_join, derive_project, derive_select, derive_setop,
-    derive_tree, Derived, DerivedTree, LeafProvider, SetOpKind,
+    derive_tree, Derived, DerivedTree, LeafProvider,
 };
-use crate::plan::{JoinKind, Plan};
+use crate::plan::{JoinKind, Plan, SetOpKind};
 use crate::scalar::{col, Expr};
 
 /// Prune unused columns below joins, aggregates, and set operations.
@@ -280,14 +280,8 @@ fn prune_node(
             let out = derive_join(&l_d2, &r_d2, kind, &on, &right_hint)?.0;
             Ok((Plan::Join { left: Box::new(l), right: Box::new(r), kind, on }, out))
         }
-        Plan::Union { left, right } => {
-            prune_setop(*left, *right, dt, SetOpKind::Union, required.as_ref(), pruned)
-        }
-        Plan::Intersect { left, right } => {
-            prune_setop(*left, *right, dt, SetOpKind::Intersect, required.as_ref(), pruned)
-        }
-        Plan::Difference { left, right } => {
-            prune_setop(*left, *right, dt, SetOpKind::Difference, required.as_ref(), pruned)
+        Plan::SetOp { kind, left, right } => {
+            prune_setop(*left, *right, dt, kind, required.as_ref(), pruned)
         }
     }
 }
@@ -325,7 +319,7 @@ fn prune_setop(
     let (l, l_d2) = wrap_keep(l, l_d2, &l_keep, pruned)?;
     let (r, r_d2) = wrap_keep(r, r_d2, &r_keep, pruned)?;
     let out = derive_setop(&l_d2, &r_d2, shape)?;
-    Ok((shape.rebuild(l, r), out))
+    Ok((Plan::SetOp { kind: shape, left: Box::new(l), right: Box::new(r) }, out))
 }
 
 #[cfg(test)]

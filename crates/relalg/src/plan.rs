@@ -3,6 +3,8 @@
 //! first-class node so that maintenance strategies and their sampled
 //! variants are all just plans.
 
+use std::convert::Infallible;
+
 use svc_storage::HashSpec;
 
 use crate::aggregate::AggSpec;
@@ -26,6 +28,17 @@ pub enum JoinKind {
     Semi,
     /// Left anti-join: left rows with no match.
     Anti,
+}
+
+/// The three set operations, the tag of [`Plan::SetOp`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SetOpKind {
+    /// ∪
+    Union,
+    /// ∩
+    Intersect,
+    /// − (left minus right)
+    Difference,
 }
 
 /// A relational expression. Leaves are named relations resolved at
@@ -73,22 +86,11 @@ pub enum Plan {
         /// Aggregate outputs.
         aggregates: Vec<AggSpec>,
     },
-    /// Set union (duplicate rows collapse).
-    Union {
-        /// Left input.
-        left: Box<Plan>,
-        /// Right input.
-        right: Box<Plan>,
-    },
-    /// Set intersection.
-    Intersect {
-        /// Left input.
-        left: Box<Plan>,
-        /// Right input.
-        right: Box<Plan>,
-    },
-    /// Set difference (left minus right).
-    Difference {
+    /// A set operation ∪ / ∩ / − under set semantics (duplicate rows
+    /// collapse); both inputs agree positionally on column types.
+    SetOp {
+        /// Which of the three operations.
+        kind: SetOpKind,
         /// Left input.
         left: Box<Plan>,
         /// Right input.
@@ -147,17 +149,17 @@ impl Plan {
 
     /// Set union.
     pub fn union(self, other: Plan) -> Plan {
-        Plan::Union { left: Box::new(self), right: Box::new(other) }
+        self.set_op(SetOpKind::Union, other)
     }
 
     /// Set intersection.
     pub fn intersect(self, other: Plan) -> Plan {
-        Plan::Intersect { left: Box::new(self), right: Box::new(other) }
+        self.set_op(SetOpKind::Intersect, other)
     }
 
     /// Set difference.
     pub fn difference(self, other: Plan) -> Plan {
-        Plan::Difference { left: Box::new(self), right: Box::new(other) }
+        self.set_op(SetOpKind::Difference, other)
     }
 
     /// Wrap in the η hashing operator.
@@ -167,6 +169,64 @@ impl Plan {
             key: key.iter().map(|s| s.to_string()).collect(),
             ratio,
             spec,
+        }
+    }
+
+    fn set_op(self, kind: SetOpKind, other: Plan) -> Plan {
+        Plan::SetOp { kind, left: Box::new(self), right: Box::new(other) }
+    }
+
+    /// This node's inputs in plan order — none for a leaf, `input` for a
+    /// unary node, `left` then `right` for a binary one. Read-only walkers
+    /// fold over this instead of matching on every variant.
+    pub fn children(&self) -> impl Iterator<Item = &Plan> {
+        let (first, second) = match self {
+            Plan::Scan { .. } => (None, None),
+            Plan::Select { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Aggregate { input, .. }
+            | Plan::Hash { input, .. } => (Some(&**input), None),
+            Plan::Join { left, right, .. } | Plan::SetOp { left, right, .. } => {
+                (Some(&**left), Some(&**right))
+            }
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// Rebuild this node around its inputs transformed by `f` (called in
+    /// [`Plan::children`] order); every other field is kept as it is and the
+    /// first error aborts the rebuild. A pass that changes only some nodes
+    /// handles those and sends the rest through here.
+    pub fn map_children<E>(self, f: &mut impl FnMut(Plan) -> Result<Plan, E>) -> Result<Plan, E> {
+        let mut go = |child: Box<Plan>| f(*child).map(Box::new);
+        Ok(match self {
+            Plan::Scan { .. } => self,
+            Plan::Select { input, predicate } => Plan::Select { input: go(input)?, predicate },
+            Plan::Project { input, columns } => Plan::Project { input: go(input)?, columns },
+            Plan::Join { left, right, kind, on } => {
+                Plan::Join { left: go(left)?, right: go(right)?, kind, on }
+            }
+            Plan::Aggregate { input, group_by, aggregates } => {
+                Plan::Aggregate { input: go(input)?, group_by, aggregates }
+            }
+            Plan::SetOp { kind, left, right } => {
+                Plan::SetOp { kind, left: go(left)?, right: go(right)? }
+            }
+            Plan::Hash { input, key, ratio, spec } => {
+                Plan::Hash { input: go(input)?, key, ratio, spec }
+            }
+        })
+    }
+
+    /// Replace every leaf by the plan `f` returns for its name, visiting
+    /// leaves in [`Plan::leaf_tables`] order; non-leaf nodes are untouched.
+    pub fn substitute_leaves<E>(
+        self,
+        f: &mut impl FnMut(String) -> Result<Plan, E>,
+    ) -> Result<Plan, E> {
+        match self {
+            Plan::Scan { table } => f(table),
+            node => node.map_children(&mut |child| child.substitute_leaves(f)),
         }
     }
 
@@ -180,15 +240,7 @@ impl Plan {
     fn collect_leaves<'a>(&'a self, out: &mut Vec<&'a str>) {
         match self {
             Plan::Scan { table } => out.push(table),
-            Plan::Select { input, .. } | Plan::Project { input, .. } => input.collect_leaves(out),
-            Plan::Aggregate { input, .. } | Plan::Hash { input, .. } => input.collect_leaves(out),
-            Plan::Join { left, right, .. }
-            | Plan::Union { left, right }
-            | Plan::Intersect { left, right }
-            | Plan::Difference { left, right } => {
-                left.collect_leaves(out);
-                right.collect_leaves(out);
-            }
+            node => node.children().for_each(|child| child.collect_leaves(out)),
         }
     }
 
@@ -196,41 +248,11 @@ impl Plan {
     /// the mini-batch maintenance path to give each delta chunk its own
     /// `__ins.T@p` / `__del.T@p` bindings while sharing one plan shape.
     pub fn rename_leaves(self, f: &mut impl FnMut(&str) -> Option<String>) -> Plan {
-        match self {
-            Plan::Scan { table } => {
-                let table = f(&table).unwrap_or(table);
-                Plan::Scan { table }
-            }
-            Plan::Select { input, predicate } => {
-                Plan::Select { input: Box::new(input.rename_leaves(f)), predicate }
-            }
-            Plan::Project { input, columns } => {
-                Plan::Project { input: Box::new(input.rename_leaves(f)), columns }
-            }
-            Plan::Join { left, right, kind, on } => Plan::Join {
-                left: Box::new(left.rename_leaves(f)),
-                right: Box::new(right.rename_leaves(f)),
-                kind,
-                on,
-            },
-            Plan::Aggregate { input, group_by, aggregates } => {
-                Plan::Aggregate { input: Box::new(input.rename_leaves(f)), group_by, aggregates }
-            }
-            Plan::Union { left, right } => Plan::Union {
-                left: Box::new(left.rename_leaves(f)),
-                right: Box::new(right.rename_leaves(f)),
-            },
-            Plan::Intersect { left, right } => Plan::Intersect {
-                left: Box::new(left.rename_leaves(f)),
-                right: Box::new(right.rename_leaves(f)),
-            },
-            Plan::Difference { left, right } => Plan::Difference {
-                left: Box::new(left.rename_leaves(f)),
-                right: Box::new(right.rename_leaves(f)),
-            },
-            Plan::Hash { input, key, ratio, spec } => {
-                Plan::Hash { input: Box::new(input.rename_leaves(f)), key, ratio, spec }
-            }
+        let renamed: Result<Plan, Infallible> = self
+            .substitute_leaves(&mut |table| Ok(Plan::Scan { table: f(&table).unwrap_or(table) }));
+        match renamed {
+            Ok(plan) => plan,
+            Err(never) => match never {},
         }
     }
 
@@ -243,25 +265,15 @@ impl Plan {
             Plan::Hash { input, .. } => input.name_hint(),
             Plan::Aggregate { .. } => "agg",
             Plan::Join { .. } => "join",
-            Plan::Union { .. } => "union",
-            Plan::Intersect { .. } => "intersect",
-            Plan::Difference { .. } => "diff",
+            Plan::SetOp { kind: SetOpKind::Union, .. } => "union",
+            Plan::SetOp { kind: SetOpKind::Intersect, .. } => "intersect",
+            Plan::SetOp { kind: SetOpKind::Difference, .. } => "diff",
         }
     }
 
     /// Number of operator nodes in the tree (leaves included).
     pub fn node_count(&self) -> usize {
-        match self {
-            Plan::Scan { .. } => 1,
-            Plan::Select { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Aggregate { input, .. }
-            | Plan::Hash { input, .. } => 1 + input.node_count(),
-            Plan::Join { left, right, .. }
-            | Plan::Union { left, right }
-            | Plan::Intersect { left, right }
-            | Plan::Difference { left, right } => 1 + left.node_count() + right.node_count(),
-        }
+        1 + self.children().map(Plan::node_count).sum::<usize>()
     }
 }
 
@@ -285,5 +297,93 @@ mod tests {
     fn name_hint_passes_through_unary_ops() {
         let plan = Plan::scan("video").select(col("duration").gt(lit(1.5)));
         assert_eq!(plan.name_hint(), "video");
+    }
+
+    /// One plan of every variant (set operations: one per kind), each over
+    /// leaves named in left-to-right order.
+    fn one_of_each() -> Vec<Plan> {
+        let spec = HashSpec::with_seed(7);
+        vec![
+            Plan::scan("a"),
+            Plan::scan("a").select(col("x").gt(lit(1i64))),
+            Plan::scan("a").project(vec![("x", col("x"))]),
+            Plan::scan("a").join(Plan::scan("b"), JoinKind::Left, &[("x", "y")]),
+            Plan::scan("a").aggregate(&["x"], vec![AggSpec::count_all("n")]),
+            Plan::scan("a").union(Plan::scan("b")),
+            Plan::scan("a").intersect(Plan::scan("b")),
+            Plan::scan("a").difference(Plan::scan("b")),
+            Plan::scan("a").hash(&["x"], 0.25, spec),
+        ]
+    }
+
+    #[test]
+    fn children_follow_arity_in_left_then_right_order() {
+        let arities: Vec<usize> = one_of_each().iter().map(|p| p.children().count()).collect();
+        assert_eq!(arities, vec![0, 1, 1, 2, 1, 2, 2, 2, 1]);
+        for plan in one_of_each() {
+            let leaves: Vec<&str> = plan.children().flat_map(Plan::leaf_tables).collect();
+            assert_eq!(leaves, ["a", "b"][..plan.children().count()]);
+        }
+    }
+
+    #[test]
+    fn map_children_identity_rebuilds_an_equal_plan() {
+        for plan in one_of_each() {
+            let rebuilt = plan.clone().map_children(&mut Ok::<Plan, ()>).unwrap();
+            assert_eq!(rebuilt, plan);
+        }
+        // The first failing input aborts the rebuild.
+        let mut seen = 0;
+        let failed = Plan::scan("a").union(Plan::scan("b")).map_children(&mut |_| {
+            seen += 1;
+            Err::<Plan, _>("stop")
+        });
+        assert_eq!((failed, seen), (Err("stop"), 1));
+    }
+
+    #[test]
+    fn leaf_substitution_visits_leaf_tables_order_and_keeps_other_fields() {
+        let plan = Plan::scan("log")
+            .join(Plan::scan("video"), JoinKind::Inner, &[("videoId", "videoId")])
+            .aggregate(&["videoId"], vec![AggSpec::count_all("n")])
+            .difference(Plan::scan("log").hash(&["videoId"], 0.5, HashSpec::with_seed(3)))
+            .select(col("n").gt(lit(1i64)));
+        let mut visited = Vec::new();
+        let renamed = plan.clone().rename_leaves(&mut |name| {
+            visited.push(name.to_string());
+            (name == "log").then(|| "log@1".to_string())
+        });
+        assert_eq!(visited, plan.leaf_tables());
+        assert_eq!(renamed.leaf_tables(), vec!["log@1", "video", "log@1"]);
+        // Renaming back restores the plan exactly: nothing but leaves moved.
+        let back = renamed.rename_leaves(&mut |name| name.strip_suffix("@1").map(str::to_string));
+        assert_eq!(back, plan);
+
+        // A leaf may become a whole subplan.
+        let grown = Plan::scan("a")
+            .union(Plan::scan("b"))
+            .substitute_leaves(&mut |t| Ok::<_, ()>(Plan::scan(t).select(lit(true))))
+            .unwrap();
+        assert_eq!(
+            grown,
+            Plan::scan("a").select(lit(true)).union(Plan::scan("b").select(lit(true)))
+        );
+    }
+
+    #[test]
+    fn set_operations_keep_their_display_labels_and_name_hints() {
+        let plans = one_of_each();
+        let labels: Vec<(String, &str)> = plans[5..8]
+            .iter()
+            .map(|p| (p.to_string().lines().next().unwrap().to_string(), p.name_hint()))
+            .collect();
+        assert_eq!(
+            labels,
+            vec![
+                ("Union ∪".to_string(), "union"),
+                ("Intersect ∩".to_string(), "intersect"),
+                ("Difference −".to_string(), "diff"),
+            ]
+        );
     }
 }

@@ -1,10 +1,10 @@
 //! Set operations ∪, ∩, − with set (duplicate-eliminating) semantics over
 //! whole rows.
 //!
-//! The row-based cores ([`union_rows`], [`intersect_rows`],
-//! [`difference_rows`]) are shared by the streaming executor
-//! (`crate::exec`), which works on plain `Vec<Row>` batches; the `run_*`
-//! wrappers keep the legacy table-in/table-out shape for the materializing
+//! The row-based cores ([`union_rows_into`], [`intersect_rows_into`],
+//! [`difference_rows_into`]) are shared by the streaming executor
+//! (`crate::exec`), which works on plain `Vec<Row>` batches; [`run_setop`]
+//! keeps the legacy table-in/table-out shape for the materializing
 //! evaluator.
 
 use std::collections::HashSet;
@@ -12,19 +12,11 @@ use std::collections::HashSet;
 use svc_storage::{Result, Row, Table};
 
 use crate::derive::Derived;
+use crate::plan::SetOpKind;
 
-/// Union core: all distinct rows from both inputs, moved into the output;
-/// only the dedup set pays a clone per distinct row.
-pub fn union_rows(left: Vec<Row>, right: Vec<Row>) -> Vec<Row> {
-    let mut left = left;
-    let mut right = right;
-    let mut rows = Vec::with_capacity(left.len() + right.len());
-    union_rows_into(&mut left, &mut right, &mut rows);
-    rows
-}
-
-/// [`union_rows`] draining both inputs into a caller-provided output
-/// buffer, so the streaming executor can recycle all three batch buffers.
+/// Union core: all distinct rows from both inputs, drained into a
+/// caller-provided output buffer (so the streaming executor can recycle all
+/// three batch buffers); only the dedup set pays a clone per distinct row.
 pub fn union_rows_into(left: &mut Vec<Row>, right: &mut Vec<Row>, rows: &mut Vec<Row>) {
     let cap = left.len() + right.len();
     let mut seen: HashSet<Row> = HashSet::with_capacity(cap);
@@ -37,15 +29,8 @@ pub fn union_rows_into(left: &mut Vec<Row>, right: &mut Vec<Row>, rows: &mut Vec
     }
 }
 
-/// Intersection core: distinct left rows present in the right input.
-pub fn intersect_rows(left: Vec<Row>, right: &[Row]) -> Vec<Row> {
-    let mut left = left;
-    let mut rows = Vec::new();
-    intersect_rows_into(&mut left, right, &mut rows);
-    rows
-}
-
-/// [`intersect_rows`] draining `left` into a caller-provided buffer.
+/// Intersection core: distinct left rows present in the right input,
+/// drained into a caller-provided buffer.
 pub fn intersect_rows_into(left: &mut Vec<Row>, right: &[Row], rows: &mut Vec<Row>) {
     let right_set: HashSet<&Row> = right.iter().collect();
     let mut seen: HashSet<Row> = HashSet::new();
@@ -57,15 +42,8 @@ pub fn intersect_rows_into(left: &mut Vec<Row>, right: &[Row], rows: &mut Vec<Ro
     }
 }
 
-/// Difference core: distinct left rows not present in the right input.
-pub fn difference_rows(left: Vec<Row>, right: &[Row]) -> Vec<Row> {
-    let mut left = left;
-    let mut rows = Vec::new();
-    difference_rows_into(&mut left, right, &mut rows);
-    rows
-}
-
-/// [`difference_rows`] draining `left` into a caller-provided buffer.
+/// Difference core: distinct left rows not present in the right input,
+/// drained into a caller-provided buffer.
 pub fn difference_rows_into(left: &mut Vec<Row>, right: &[Row], rows: &mut Vec<Row>) {
     let right_set: HashSet<&Row> = right.iter().collect();
     let mut seen: HashSet<Row> = HashSet::new();
@@ -77,21 +55,17 @@ pub fn difference_rows_into(left: &mut Vec<Row>, right: &[Row], rows: &mut Vec<R
     }
 }
 
-/// Union: all distinct rows from both inputs.
-pub fn run_union(left: Table, right: Table, out: &Derived) -> Result<Table> {
-    let rows = union_rows(left.into_rows(), right.into_rows());
-    Table::from_rows(out.schema.clone(), out.key.clone(), rows)
-}
-
-/// Intersection: distinct rows present in both inputs.
-pub fn run_intersect(left: Table, right: &Table, out: &Derived) -> Result<Table> {
-    let rows = intersect_rows(left.into_rows(), right.rows());
-    Table::from_rows(out.schema.clone(), out.key.clone(), rows)
-}
-
-/// Difference: distinct left rows not present in the right input.
-pub fn run_difference(left: Table, right: &Table, out: &Derived) -> Result<Table> {
-    let rows = difference_rows(left.into_rows(), right.rows());
+/// One set operation between materialized tables: ∪ keeps all distinct
+/// rows of both inputs, ∩ the distinct left rows also in the right input,
+/// − the distinct left rows that are not.
+pub fn run_setop(kind: SetOpKind, left: Table, right: Table, out: &Derived) -> Result<Table> {
+    let (mut left, mut right) = (left.into_rows(), right.into_rows());
+    let mut rows = Vec::new();
+    match kind {
+        SetOpKind::Union => union_rows_into(&mut left, &mut right, &mut rows),
+        SetOpKind::Intersect => intersect_rows_into(&mut left, &right, &mut rows),
+        SetOpKind::Difference => difference_rows_into(&mut left, &right, &mut rows),
+    }
     Table::from_rows(out.schema.clone(), out.key.clone(), rows)
 }
 
@@ -122,26 +96,27 @@ mod tests {
 
     #[test]
     fn union_dedupes() {
-        let out = run_union(t(&[1, 2, 3]), t(&[2, 3, 4]), &d()).unwrap();
+        let out = run_setop(SetOpKind::Union, t(&[1, 2, 3]), t(&[2, 3, 4]), &d()).unwrap();
         assert_eq!(ids(&out), vec![1, 2, 3, 4]);
     }
 
     #[test]
     fn intersect_keeps_common() {
-        let out = run_intersect(t(&[1, 2, 3]), &t(&[2, 3, 4]), &d()).unwrap();
+        let out = run_setop(SetOpKind::Intersect, t(&[1, 2, 3]), t(&[2, 3, 4]), &d()).unwrap();
         assert_eq!(ids(&out), vec![2, 3]);
     }
 
     #[test]
     fn difference_removes_right() {
-        let out = run_difference(t(&[1, 2, 3]), &t(&[2, 3, 4]), &d()).unwrap();
+        let out = run_setop(SetOpKind::Difference, t(&[1, 2, 3]), t(&[2, 3, 4]), &d()).unwrap();
         assert_eq!(ids(&out), vec![1]);
     }
 
     #[test]
     fn empty_inputs() {
-        assert_eq!(run_union(t(&[]), t(&[1]), &d()).unwrap().len(), 1);
-        assert_eq!(run_intersect(t(&[]), &t(&[1]), &d()).unwrap().len(), 0);
-        assert_eq!(run_difference(t(&[1]), &t(&[]), &d()).unwrap().len(), 1);
+        let len = |kind, l: &[i64], r: &[i64]| run_setop(kind, t(l), t(r), &d()).unwrap().len();
+        assert_eq!(len(SetOpKind::Union, &[], &[1]), 1);
+        assert_eq!(len(SetOpKind::Intersect, &[], &[1]), 0);
+        assert_eq!(len(SetOpKind::Difference, &[1], &[]), 1);
     }
 }

@@ -18,7 +18,7 @@ use svc_storage::{DataType, Result, Schema, StorageError};
 
 use crate::derive::{
     derive_aggregate, derive_hash, derive_join, derive_project, derive_select, derive_setop,
-    Derived, LeafProvider, SetOpKind,
+    Derived, LeafProvider,
 };
 use crate::plan::Plan;
 use crate::scalar::{BinOp, Expr, Func};
@@ -168,30 +168,16 @@ fn verify_inner(plan: &Plan, leaves: &dyn LeafProvider) -> Result<Derived> {
             })()
             .map_err(|e| located(&e, plan))
         }
-        Plan::Union { left, right } => verify_setop(plan, left, right, SetOpKind::Union, leaves),
-        Plan::Intersect { left, right } => {
-            verify_setop(plan, left, right, SetOpKind::Intersect, leaves)
-        }
-        Plan::Difference { left, right } => {
-            verify_setop(plan, left, right, SetOpKind::Difference, leaves)
+        Plan::SetOp { kind, left, right } => {
+            let l = verify_inner(left, leaves)?;
+            let r = verify_inner(right, leaves)?;
+            derive_setop(&l, &r, *kind).map_err(|e| located(&e, plan))
         }
         Plan::Hash { input, key, ratio, .. } => {
             let d = verify_inner(input, leaves)?;
             derive_hash(&d, key, *ratio).map_err(|e| located(&e, plan))
         }
     }
-}
-
-fn verify_setop(
-    plan: &Plan,
-    left: &Plan,
-    right: &Plan,
-    kind: SetOpKind,
-    leaves: &dyn LeafProvider,
-) -> Result<Derived> {
-    let l = verify_inner(left, leaves)?;
-    let r = verify_inner(right, leaves)?;
-    derive_setop(&l, &r, kind).map_err(|e| located(&e, plan))
 }
 
 /// The rewrite-boundary check: after `rule` reported a change, the

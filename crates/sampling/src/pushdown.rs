@@ -212,20 +212,10 @@ mod tests {
         // Extract the hash directly above the log scan and evaluate it.
         fn find_leaf_hash(plan: &Plan, table: &str) -> Option<Plan> {
             match plan {
-                Plan::Hash { input, .. } => match input.as_ref() {
-                    Plan::Scan { table: t } if t == table => Some(plan.clone()),
-                    _ => find_leaf_hash(input, table),
-                },
-                Plan::Select { input, .. }
-                | Plan::Project { input, .. }
-                | Plan::Aggregate { input, .. } => find_leaf_hash(input, table),
-                Plan::Join { left, right, .. }
-                | Plan::Union { left, right }
-                | Plan::Intersect { left, right }
-                | Plan::Difference { left, right } => {
-                    find_leaf_hash(left, table).or_else(|| find_leaf_hash(right, table))
+                Plan::Hash { input, .. } if matches!(&**input, Plan::Scan { table: t } if t == table) => {
+                    Some(plan.clone())
                 }
-                Plan::Scan { .. } => None,
+                _ => plan.children().find_map(|child| find_leaf_hash(child, table)),
             }
         }
         let log_sample = find_leaf_hash(&optimized, "log").expect("log is sampled");

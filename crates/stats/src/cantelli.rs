@@ -17,12 +17,6 @@ pub fn cantelli_exceedance(variance: f64, epsilon: f64) -> f64 {
     variance / (variance + epsilon * epsilon)
 }
 
-/// Cantelli lower-tail bound: probability that a random element falls below
-/// the mean by at least `epsilon` — symmetric to the upper bound.
-pub fn cantelli_subceedance(variance: f64, epsilon: f64) -> f64 {
-    cantelli_exceedance(variance, epsilon)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,7 +21,7 @@ pub mod moments;
 pub mod quantile;
 
 pub use bootstrap::{bootstrap_ci, bootstrap_distribution};
-pub use cantelli::{cantelli_exceedance, cantelli_subceedance};
+pub use cantelli::cantelli_exceedance;
 pub use clt::{gaussian_gamma, ConfidenceInterval};
 pub use moments::Moments;
 pub use quantile::{median, quantile};

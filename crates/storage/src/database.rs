@@ -52,16 +52,6 @@ impl Database {
         self.tables.get_mut(name).ok_or_else(|| StorageError::UnknownTable(name.to_string()))
     }
 
-    /// True iff the table exists.
-    pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(name)
-    }
-
-    /// Names of all tables, sorted.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(|s| s.as_str()).collect()
-    }
-
     /// Iterate over `(name, table)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Table)> {
         self.tables.iter().map(|(n, t)| (n.as_str(), t))
@@ -137,11 +127,11 @@ mod tests {
     #[test]
     fn table_registry() {
         let mut db = video_db();
-        assert!(db.has_table("video"));
+        assert!(db.table("video").is_ok());
         assert!(db.table("nope").is_err());
         db.table_mut("log").unwrap().insert(vec![Value::Int(1), Value::Int(10)]).unwrap();
         assert_eq!(db.total_rows(), 1);
-        assert_eq!(db.table_names(), vec!["log", "video"]);
+        assert_eq!(db.iter().map(|(name, _)| name).collect::<Vec<_>>(), vec!["log", "video"]);
     }
 
     #[test]

@@ -344,5 +344,13 @@ proptest! {
             "view kind {}: optimizer changed maintenance result, {} vs {} rows after {} passes",
             view_kind, got.len(), expected.len(), report.passes
         );
+        // The structural primitives every pass walks with agree with the tree.
+        for p in [&plan, &optimized] {
+            prop_assert!(
+                p.node_count() == 1 + p.children().map(Plan::node_count).sum::<usize>()
+                    && p.clone().map_children(&mut Ok::<Plan, ()>).as_ref() == Ok(p),
+                "children() / map_children(identity) disagree with the plan:\n{}", p
+            );
+        }
     }
 }

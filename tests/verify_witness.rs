@@ -327,7 +327,7 @@ fn join_condition_out_of_range_is_rejected() {
 
 #[test]
 fn setop_node_arity_mismatch_is_rejected() {
-    use stale_view_cleaning::relalg::derive::SetOpKind;
+    use stale_view_cleaning::relalg::plan::SetOpKind;
     let narrowed = scan(
         vec![FusedOp::Map(vec![BoundExpr::Col(0)])],
         vec![VecOp::Map(stale_view_cleaning::relalg::exec::column::kernels::compile_map(
