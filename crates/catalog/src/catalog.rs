@@ -108,7 +108,7 @@ impl Catalog {
         Ok(())
     }
 
-    /// An overlay for plans with non-base leaves (`__stale`, `__ins.T@p`,
+    /// An overlay for plans with non-base leaves (`__stale`, `__ins.T`,
     /// ...): bind stats for the concrete tables, fall through to this
     /// catalog otherwise.
     pub fn scoped(&self) -> ScopedStats<'_> {

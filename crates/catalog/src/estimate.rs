@@ -44,22 +44,23 @@ pub const DEFAULT_ROWS: f64 = 1_000.0;
 pub const DEFAULT_SEL: f64 = 1.0 / 3.0;
 const MIN_SEL: f64 = 5e-4;
 
-/// Per-column summary carried through the estimation recursion.
-#[derive(Debug, Clone)]
-struct ColEst {
+/// Per-column summary carried through the estimation recursion. The
+/// histogram stays where the [`StatsProvider`] keeps it.
+#[derive(Debug, Clone, Copy)]
+struct ColEst<'a> {
     distinct: f64,
     min: Option<f64>,
     max: Option<f64>,
-    hist: Option<Histogram>,
+    hist: Option<&'a Histogram>,
     null_frac: f64,
 }
 
-impl ColEst {
-    fn opaque(rows: f64) -> ColEst {
+impl<'a> ColEst<'a> {
+    fn opaque(rows: f64) -> ColEst<'a> {
         ColEst { distinct: rows.max(1.0), min: None, max: None, hist: None, null_frac: 0.0 }
     }
 
-    fn capped(mut self, rows: f64) -> ColEst {
+    fn capped(mut self, rows: f64) -> ColEst<'a> {
         self.distinct = self.distinct.min(rows).max(1.0);
         self
     }
@@ -67,20 +68,20 @@ impl ColEst {
 
 /// Row count plus column summaries of one plan node.
 #[derive(Debug, Clone)]
-struct RelEst {
+struct RelEst<'a> {
     rows: f64,
-    cols: Vec<ColEst>,
+    cols: Vec<ColEst<'a>>,
 }
 
-impl RelEst {
-    fn scaled(mut self, rows: f64) -> RelEst {
+impl<'a> RelEst<'a> {
+    fn scaled(mut self, rows: f64) -> RelEst<'a> {
         self.rows = rows;
         self.cols = self.cols.into_iter().map(|c| c.capped(rows)).collect();
         self
     }
 }
 
-fn leaf_est(stats: Option<&TableStats>, derived: &Derived) -> RelEst {
+fn leaf_est<'a>(stats: Option<&'a TableStats>, derived: &Derived) -> RelEst<'a> {
     match stats {
         Some(s) => {
             let rows = (s.rows as f64).max(1.0);
@@ -91,7 +92,7 @@ fn leaf_est(stats: Option<&TableStats>, derived: &Derived) -> RelEst {
                     distinct: c.distinct().min(rows),
                     min: c.min,
                     max: c.max,
-                    hist: c.histogram.clone(),
+                    hist: c.histogram.as_ref(),
                     null_frac: (c.nulls as f64 / rows).clamp(0.0, 1.0),
                 })
                 .collect();
@@ -106,11 +107,11 @@ fn leaf_est(stats: Option<&TableStats>, derived: &Derived) -> RelEst {
 
 /// Estimate one plan bottom-up. Returns the node's derived type alongside
 /// so parents can resolve column names without re-deriving subtrees.
-fn est_plan(
+fn est_plan<'a>(
     plan: &Plan,
     leaves: &dyn LeafProvider,
-    provider: &dyn StatsProvider,
-) -> Result<(Derived, RelEst)> {
+    provider: &'a dyn StatsProvider,
+) -> Result<(Derived, RelEst<'a>)> {
     Ok(match plan {
         Plan::Scan { table } => {
             let d = leaves.leaf(table).ok_or_else(|| StorageError::UnknownTable(table.clone()))?;
@@ -132,7 +133,7 @@ fn est_plan(
                 .map(|(_, expr)| {
                     expr.as_col()
                         .and_then(|n| d.schema.resolve(n).ok())
-                        .map(|i| e.cols[i].clone())
+                        .map(|i| e.cols[i])
                         .unwrap_or_else(|| ColEst::opaque(e.rows))
                 })
                 .collect();
@@ -175,7 +176,7 @@ fn est_plan(
                 .iter()
                 .map(|g| {
                     let i = d.schema.resolve(g).expect("validated above");
-                    e.cols[i].clone().capped(rows)
+                    e.cols[i].capped(rows)
                 })
                 .collect();
             cols.extend(aggregates.iter().map(|_| ColEst::opaque(rows)));
@@ -237,11 +238,11 @@ fn opt_max(a: Option<f64>, b: Option<f64>) -> Option<f64> {
 }
 
 /// Selectivity of a predicate against column summaries.
-fn selectivity(pred: &Expr, d: &Derived, cols: &[ColEst]) -> f64 {
+fn selectivity(pred: &Expr, d: &Derived, cols: &[ColEst<'_>]) -> f64 {
     sel_expr(pred, d, cols).clamp(MIN_SEL, 1.0)
 }
 
-fn col_of<'a>(e: &Expr, d: &Derived, cols: &'a [ColEst]) -> Option<&'a ColEst> {
+fn col_of<'a, 'h>(e: &Expr, d: &Derived, cols: &'a [ColEst<'h>]) -> Option<&'a ColEst<'h>> {
     e.as_col().and_then(|n| d.schema.resolve(n).ok()).map(|i| &cols[i])
 }
 
@@ -262,7 +263,7 @@ fn flip(op: BinOp) -> BinOp {
     }
 }
 
-fn sel_expr(e: &Expr, d: &Derived, cols: &[ColEst]) -> f64 {
+fn sel_expr(e: &Expr, d: &Derived, cols: &[ColEst<'_>]) -> f64 {
     match e {
         Expr::Binary { op: BinOp::And, left, right } => {
             sel_expr(left, d, cols) * sel_expr(right, d, cols)
@@ -301,14 +302,14 @@ fn sel_expr(e: &Expr, d: &Derived, cols: &[ColEst]) -> f64 {
     }
 }
 
-fn sel_cmp(op: BinOp, c: &ColEst, v: &svc_storage::Value) -> f64 {
+fn sel_cmp(op: BinOp, c: &ColEst<'_>, v: &svc_storage::Value) -> f64 {
     let not_null = 1.0 - c.null_frac;
     match op {
         BinOp::Eq => not_null / c.distinct.max(1.0),
         BinOp::Ne => not_null * (1.0 - 1.0 / c.distinct.max(1.0)),
         BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
             let Some(x) = v.as_f64() else { return DEFAULT_SEL };
-            let frac_le = if let Some(h) = &c.hist {
+            let frac_le = if let Some(h) = c.hist {
                 h.fraction_le(x)
             } else if let (Some(lo), Some(hi)) = (c.min, c.max) {
                 if hi > lo {
@@ -336,7 +337,7 @@ impl TableStats {
     pub fn estimate_filter_rows(&self, pred: &Expr) -> f64 {
         let d = Derived { schema: self.schema.clone(), key: vec![] };
         let rows = (self.rows as f64).max(0.0);
-        let cols: Vec<ColEst> = leaf_est(Some(self), &d).cols;
+        let cols = leaf_est(Some(self), &d).cols;
         rows * selectivity(pred, &d, &cols)
     }
 

@@ -18,9 +18,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use svc_relalg::eval::Bindings;
-use svc_relalg::exec::{MorselScheduler, PhysicalPlan};
-use svc_storage::{Result, StorageError, Table};
+use svc_relalg::exec::MorselScheduler;
+use svc_storage::{Result, StorageError};
 use svc_telemetry::{Counter, Gauge};
 
 /// One unit of queued work: an index into its session's task range.
@@ -299,18 +298,6 @@ impl WorkerPool {
         session_outcome(p.panic_msg.take())
     }
 
-    /// Evaluate pre-compiled physical plans against shared bindings — the
-    /// zero-recompilation fan-out used by `BatchPipeline`'s per-epoch plan
-    /// cache: every batch after the first skips optimization, schema
-    /// derivation, and predicate binding entirely.
-    pub fn run_compiled(
-        &self,
-        plans: &[PhysicalPlan],
-        bindings: &Bindings<'_>,
-    ) -> Result<Vec<Table>> {
-        self.run_batch(plans.len(), |i| plans[i].run(bindings))
-    }
-
     /// Run `n` numbered tasks off the shared queue and collect their
     /// results in index order. Once any task errors, later tasks of this
     /// batch are skipped as they come up (in-flight evaluations finish) and
@@ -419,15 +406,14 @@ fn worker_loop(shared: &PoolShared, pool_id: usize, w: usize) {
 mod tests {
     use super::*;
     use svc_relalg::aggregate::AggSpec;
-    use svc_relalg::eval::evaluate;
+    use svc_relalg::eval::{evaluate, Bindings};
     use svc_relalg::exec::compile;
     use svc_relalg::optimizer::optimize;
     use svc_relalg::plan::Plan;
     use svc_relalg::scalar::{col, lit};
-    use svc_storage::{DataType, Database, Schema, Value};
+    use svc_storage::{DataType, Database, Schema, Table, Value};
 
-    /// One `run_batch` task per plan — optimize, compile, run — which is
-    /// how the mini-batch pipeline fans a batch of plans out.
+    /// One `run_batch` task per plan: optimize, compile, run.
     fn evaluate_batch(
         pool: &WorkerPool,
         plans: &[Plan],

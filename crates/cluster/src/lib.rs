@@ -18,8 +18,8 @@
 //! 1. **batch amortization** — per-batch driver work (partitioning,
 //!    dispatch, the fold's per-group lookups) makes small batches slow
 //!    (Figure 14a). [`minibatch::BatchPipeline`] measures this on *real*
-//!    maintenance plans: delta chunks compile to per-partition change
-//!    tables (`svc-ivm`), evaluate on the pool, and fold into the view;
+//!    maintenance plans: one compiled change plan (`svc-ivm`) runs once per
+//!    delta chunk on the pool, and the change tables fold into the view;
 //! 2. **contention** — two concurrent maintenance pipelines share the
 //!    worker pool and reduce each other's throughput, less so at large
 //!    batch sizes (Figure 14b);

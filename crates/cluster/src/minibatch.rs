@@ -2,16 +2,16 @@
 //! trade-off (Section 7.6.2, Figure 14).
 //!
 //! [`BatchPipeline`] is a real mini-batch IVM executor: it drains pending
-//! [`Deltas`] into batches, splits each batch into per-partition delta
-//! chunks, compiles every chunk into a signed change-table plan
-//! (`svc_ivm::batch_change_plans` — all chunks share one plan shape and one
-//! binding set, the multi-query batch-evaluation setting), evaluates the
-//! batch on the shared [`WorkerPool`] (`WorkerPool::run_batch` compiling
-//! cache misses, `WorkerPool::run_compiled` running the batch), and
-//! folds the resulting change tables into the materialized view by group
-//! key (`svc_ivm::KeyedFold`): each change row is looked up, merged or
-//! inserted, so a fold costs what its change table holds, not what the view
-//! holds. Larger batches amortize the per-batch driver work (partitioning,
+//! [`Deltas`] into batches, splits each batch into delta chunks, gets one
+//! compiled signed change-table plan per *delta signature* in the batch
+//! (`svc_ivm::strategy::change_table_expr` over the plain `__ins.T` /
+//! `__del.T` leaves — normally one plan, shared by every chunk: one
+//! expression evaluated over many inputs), runs it once per chunk on the
+//! shared [`WorkerPool`] (`WorkerPool::run_batch`, each chunk under its own
+//! `Bindings`), and folds the resulting change tables into the
+//! materialized view by group key (`svc_ivm::KeyedFold`): each change row is
+//! looked up, merged or inserted, so a fold costs what its change table
+//! holds, not what the view holds. Larger batches amortize the per-batch driver work (partitioning,
 //! dispatch, the fold's per-group lookups) over more records — the
 //! Figure 14 shape, measured on real plans (`fig14`).
 //!
@@ -32,13 +32,13 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use svc_catalog::Catalog;
-use svc_ivm::delta::{del_leaf, del_leaf_at, ins_leaf, ins_leaf_at};
+use svc_core::maintenance_stats;
 use svc_ivm::fold::{KeyedFold, StagedEdits};
-use svc_ivm::strategy::{batch_change_plans, change_table_expr, MaintCatalog, STALE_LEAF};
-use svc_ivm::view::MaterializedView;
-use svc_relalg::eval::Bindings;
+use svc_ivm::strategy::{change_table_expr, MaintCatalog};
+use svc_ivm::view::{maintenance_bindings, MaterializedView};
+use svc_ivm::DeltaInfo;
 use svc_relalg::exec::{ExecMode, PhysicalPlan};
-use svc_relalg::optimizer::{optimize, optimize_with, CardEstimator};
+use svc_relalg::optimizer::CardEstimator;
 use svc_relalg::plan::Plan;
 use svc_storage::{Database, Deltas, Result, StorageError, Table};
 use svc_telemetry::{Counter, Gauge, TraceRecorder};
@@ -52,7 +52,8 @@ pub struct BatchRun {
     pub records: usize,
     /// Number of batches executed.
     pub batches: usize,
-    /// Change-table (or fallback maintenance) plans evaluated on the pool.
+    /// Plan runs on the pool: one per delta chunk of a change-table batch,
+    /// one per fallback maintenance plan.
     pub plans_evaluated: usize,
     /// Batches that could not use chunk-parallel change tables and ran the
     /// sequential maintenance plan instead.
@@ -158,13 +159,13 @@ pub struct BatchPipeline {
     /// `Some(0)` means "morsel-parallel, size auto-tuned": the executor
     /// derives it per plan from the largest bound leaf, targeting ~64k
     /// values per column chunk ([`svc_relalg::exec::auto_morsel_size`]).
-    /// Per-partition change plans keep their inter-plan fan-out (many
-    /// small plans already saturate the pool).
+    /// Change plans keep their per-chunk fan-out (many small runs already
+    /// saturate the pool).
     pub morsel_size: Option<usize>,
     /// Hash-partition count for join builds and set-op dedup inside the
     /// morsel-parallel run of the fallback maintenance plan; distinct from
-    /// [`BatchPipeline::partitions`], which chunks *deltas* across change
-    /// plans. `0` (the default) auto-tunes from the build input size
+    /// [`BatchPipeline::partitions`], which chunks *deltas* across runs of
+    /// the change plan. `0` (the default) auto-tunes from the build input size
     /// ([`svc_relalg::exec::auto_partition_count`]); any value is rounded
     /// up to a power of two. Results are identical for every value — this
     /// is purely a parallelism/skew knob. Ignored when `morsel_size` is
@@ -181,10 +182,10 @@ pub struct BatchPipeline {
     /// Dead-letter queue of quarantined batches, shared by clones like the
     /// cache.
     quarantine: Arc<Mutex<Vec<QuarantinedBatch>>>,
-    /// Compiled per-partition change plans, cached across batches and
-    /// `maintain` calls. Shared by clones (same pipeline, same cache);
-    /// entries are keyed by the partitioning-epoch knobs and the attached
-    /// catalog's identity — see [`CompileCache`].
+    /// Compiled change plans, cached across batches and `maintain` calls.
+    /// Shared by clones (same pipeline, same cache); entries are keyed by
+    /// view, delta signature and the attached catalog's identity — see
+    /// [`CompileCache`].
     cache: Arc<Mutex<CompileCache>>,
     /// Live pipeline counters, shared by clones like the cache.
     counters: Arc<PipelineCounters>,
@@ -200,7 +201,7 @@ struct PipelineCounters {
     fold_ns: Counter,
     /// Change-table folds performed.
     folds: Counter,
-    /// Batch plan sets compiled.
+    /// Change plans compiled.
     compiles: Counter,
     /// Compile-cache hits.
     cache_hits: Counter,
@@ -227,7 +228,7 @@ pub struct PipelineMetrics {
     pub fold_ns: u64,
     /// Change-table folds performed.
     pub folds: u64,
-    /// Batch plan sets compiled.
+    /// Change plans compiled (one per compile-cache miss).
     pub compiles: u64,
     /// Compile-cache hits.
     pub cache_hits: u64,
@@ -261,34 +262,34 @@ impl Drop for BacklogGuard<'_> {
     }
 }
 
-/// The cache of compiled batch plans.
+/// The cache of compiled change plans: one per (view, delta signature,
+/// catalog).
 ///
-/// Everything a compiled plan set depends on is part of its key: the
-/// partition count (the *partitioning epoch* knob — a repartition
-/// therefore never sees stale plans, it simply keys to a fresh entry and
-/// recompiles exactly once), the canonical view plan and
-/// stale type, the batch's chunk signature (chunk count and, per chunk,
-/// which tables have pending insertions/deletions), and the statistics
+/// Everything a compiled plan depends on is part of its key: the canonical
+/// view plan, stale type and base-table shapes (the *view key*), which
+/// tables have pending insertions/deletions (the *delta signature* — the
+/// change-table expression prunes absent delta sides), and the statistics
 /// catalog the entry was optimized under — by *identity*, since cached
-/// join orders reflect that catalog's statistics. Keying rather than
-/// clearing lets two live pipeline clones with different knobs — or
-/// different catalogs — share the cache without thrashing each other. (An
-/// earlier revision held a single catalog and flushed every entry when a
-/// different one showed up; two clones attached to different catalogs
-/// then wiped each other's entries on every lookup and recompiled every
-/// batch forever.)
+/// join orders reflect that catalog's statistics. How a batch is chunked is
+/// *not*: every chunk binds its deltas under the same leaf names, so a
+/// repartition replays the same plan. Keying rather than clearing lets two
+/// live pipeline clones with different catalogs share the cache without
+/// thrashing each other. (An earlier revision held a single catalog and
+/// flushed every entry when a different one showed up; two clones attached
+/// to different catalogs then wiped each other's entries on every lookup
+/// and recompiled every batch forever.)
 #[derive(Debug, Default)]
 struct CompileCache {
     /// Catalogs with live entries, retained so the address component of
     /// entry keys stays unambiguous: a dropped catalog's allocation can
     /// never be recycled into a new catalog that false-hits old entries.
     catalogs: Vec<Arc<Catalog>>,
-    /// Compiled plan sets, keyed by catalog identity then plan-set key.
-    entries: HashMap<usize, HashMap<String, Arc<Vec<PhysicalPlan>>>>,
+    /// Compiled plans, keyed by catalog identity then view key + signature.
+    entries: HashMap<usize, HashMap<String, Arc<PhysicalPlan>>>,
 }
 
 /// Entry cap: one long-lived pipeline maintaining many views over
-/// shifting chunk signatures must not grow without bound. A full flush at
+/// shifting delta signatures must not grow without bound. A full flush at
 /// the cap is crude but safe — everything recompiles at most once after.
 const COMPILE_CACHE_CAP: usize = 64;
 
@@ -300,21 +301,12 @@ fn catalog_token(catalog: &Option<Arc<Catalog>>) -> usize {
 
 impl CompileCache {
     /// The entry for `key` under the caller's catalog.
-    fn lookup(
-        &mut self,
-        catalog: &Option<Arc<Catalog>>,
-        key: &str,
-    ) -> Option<Arc<Vec<PhysicalPlan>>> {
+    fn lookup(&mut self, catalog: &Option<Arc<Catalog>>, key: &str) -> Option<Arc<PhysicalPlan>> {
         self.entries.get(&catalog_token(catalog))?.get(key).cloned()
     }
 
-    /// Insert a freshly compiled plan set.
-    fn store(
-        &mut self,
-        catalog: &Option<Arc<Catalog>>,
-        key: String,
-        plans: Arc<Vec<PhysicalPlan>>,
-    ) {
+    /// Insert a freshly compiled plan.
+    fn store(&mut self, catalog: &Option<Arc<Catalog>>, key: String, plan: Arc<PhysicalPlan>) {
         if self.entries.values().map(HashMap::len).sum::<usize>() >= COMPILE_CACHE_CAP {
             self.entries.clear();
             self.catalogs.clear();
@@ -324,7 +316,7 @@ impl CompileCache {
                 self.catalogs.push(c.clone());
             }
         }
-        self.entries.entry(catalog_token(catalog)).or_default().insert(key, plans);
+        self.entries.entry(catalog_token(catalog)).or_default().insert(key, plan);
     }
 }
 
@@ -336,9 +328,9 @@ struct MaintainCall<'a> {
     cat: &'a MaintCatalog<'a>,
     /// The view's keyed fold, bound once per call.
     fold: &'a KeyedFold,
-    /// Cache identity of the view's batch plans (see `maintain`).
+    /// Cache identity of the view's change plans (see `maintain`).
     view_key: &'a str,
-    /// Whether batches may split into per-partition chunks
+    /// Whether batches may split into delta chunks
     /// ([`chunk_parallel_exact`]).
     chunk_parallel: bool,
     /// Mini-batches in the call, for diagnoses.
@@ -504,9 +496,9 @@ impl BatchPipeline {
 
         // The keyed fold is invariant across batches: bind it once per call.
         let fold = KeyedFold::new(&canonical, view.table())?;
-        // Cache identity of this view's batch plans: the generated plan
-        // set is a pure function of the canonical plan and the stale type
-        // (plus the chunk signature appended per batch) — and the compiled
+        // Cache identity of this view's change plans: the generated plan is
+        // a pure function of the canonical plan and the stale type (plus
+        // the delta signature appended per lookup) — and the compiled
         // plans additionally bake in the base-table shapes their leaves
         // validate against at run time. Fingerprinting those shapes here
         // means a base-schema (or key) change keys to a fresh entry and
@@ -748,12 +740,10 @@ impl BatchPipeline {
         pending: &Deltas,
     ) -> Result<Table> {
         svc_fault::fail_point!(svc_fault::site::BATCH_FALLBACK, StorageError::Invalid);
-        // The maintenance plan reads the stale view and the plain
-        // `__ins.T`/`__del.T` leaves; overlay stats for both.
-        let scoped = self
-            .catalog
-            .as_deref()
-            .map(|c| delta_leaf_stats(c, Some(view.table()), std::slice::from_ref(pending), false));
+        // The maintenance plan reads the stale view and the delta leaves;
+        // overlay stats for both.
+        let scoped =
+            self.catalog.as_deref().map(|c| maintenance_stats(c, Some(view.table()), pending));
         let est = scoped.as_ref().map(|s| s.estimator());
         let est = est.as_ref().map(|e| e as &dyn CardEstimator);
         let run = |mode: ExecMode<'_>| {
@@ -774,34 +764,44 @@ impl BatchPipeline {
 
     /// Execute one change-table mini-batch and stage its keyed edits
     /// against `target` (the shadow folded so far) without touching it;
-    /// returns the staged edits and the plan count.
+    /// returns the staged edits and the number of chunk runs.
     fn stage_change_batch(
         &self,
         call: &MaintainCall<'_>,
         batch: Deltas,
         target: &Table,
     ) -> Result<(StagedEdits, usize)> {
-        // Map stage: one signed change table per delta chunk, all plans
-        // bound side by side (`Deltas::partition` never emits empty chunks,
-        // so no worker slot is burned on a no-op partition). The batch is
-        // consumed — partitioning moves rows into their chunks.
+        // Map stage: one signed change table per delta chunk
+        // (`Deltas::partition` never emits empty chunks, so no worker slot
+        // is burned on a no-op partition). The batch is consumed —
+        // partitioning moves rows into their chunks.
         let chunks =
             if call.chunk_parallel { batch.partition(self.partitions) } else { vec![batch] };
-        let compiled = self.compiled_batch_plans(call, &chunks)?;
-        let mut bindings = Bindings::from_database(call.db);
-        for (p, chunk) in chunks.iter().enumerate() {
-            for (name, set) in chunk.iter() {
-                bindings.bind(ins_leaf_at(name, p), &set.insertions);
-                bindings.bind(del_leaf_at(name, p), &set.deletions);
+        // One plan per distinct delta signature in the batch — normally one
+        // — looked up once, however many chunks carry it.
+        let mut plans: Vec<(DeltaInfo, Arc<PhysicalPlan>)> = Vec::new();
+        let mut plan_of = Vec::with_capacity(chunks.len());
+        for chunk in &chunks {
+            let info = DeltaInfo::of(chunk);
+            let known = plans.iter().position(|(seen, _)| *seen == info);
+            plan_of.push(known.unwrap_or(plans.len()));
+            if known.is_none() {
+                let plan = self.compiled_change_plan(call, chunk, &info)?;
+                plans.push((info, plan));
             }
         }
         svc_fault::fail_point!(svc_fault::site::BATCH_EVALUATE, StorageError::Invalid);
-        let changes = self.pool.run_compiled(&compiled, &bindings)?;
+        // Every chunk names its deltas the way any maintenance plan reads
+        // them, so the shared plan runs unchanged under each chunk's own
+        // bindings.
+        let changes = self.pool.run_batch(chunks.len(), |i| {
+            plans[plan_of[i]].1.run(&maintenance_bindings(call.db, &chunks[i], target))
+        })?;
 
-        // Reduce stage (driver): fold each change table, in plan order, into
-        // the staged edits — O(|change|) lookups by group key, the target
-        // only read. Plan order is chunk order, so the result is the same
-        // for every worker count.
+        // Reduce stage (driver): fold each change table, in chunk order,
+        // into the staged edits — O(|change|) lookups by group key, the
+        // target only read — so the result is the same for every worker
+        // count.
         let fold_start = Instant::now();
         let _fold_span = self.tracer.as_deref().map(|t| t.span("fold", "pipeline"));
         let mut staged = StagedEdits::default();
@@ -811,35 +811,21 @@ impl BatchPipeline {
         }
         self.counters.fold_ns.add(fold_start.elapsed().as_nanos() as u64);
         self.counters.folds.add(changes.len() as u64);
-        Ok((staged, compiled.len()))
+        Ok((staged, changes.len()))
     }
 
-    /// The compiled per-partition change plans for one batch: served from
-    /// the epoch cache when this chunk signature was seen before, compiled
-    /// (optimize → compile, once per plan) and cached otherwise.
-    fn compiled_batch_plans(
+    /// The compiled change plan for one delta signature of the view: served
+    /// from the cache when the signature was seen before, otherwise built,
+    /// optimized, compiled — priced on `chunk`, the first one carrying the
+    /// signature — and cached.
+    fn compiled_change_plan(
         &self,
         call: &MaintainCall<'_>,
-        chunks: &[Deltas],
-    ) -> Result<Arc<Vec<PhysicalPlan>>> {
-        use std::fmt::Write;
+        chunk: &Deltas,
+        info: &DeltaInfo,
+    ) -> Result<Arc<PhysicalPlan>> {
         let MaintainCall { canonical, cat, view_key, .. } = *call;
-        // The generated plan set depends on the epoch knobs, the view, the
-        // chunk count, and per chunk which tables have pending
-        // insertions/deletions (the change-table expression prunes absent
-        // delta sides). Record exactly that.
-        let mut key = format!("p{}|{view_key}", self.partitions);
-        for chunk in chunks {
-            key.push(';');
-            for (name, set) in chunk.iter() {
-                let _ = write!(
-                    key,
-                    "{name}:{}{},",
-                    u8::from(!set.insertions.is_empty()),
-                    u8::from(!set.deletions.is_empty())
-                );
-            }
-        }
+        let key = format!("{view_key}|{info:?}");
         if let Some(hit) = self.cache_lock().lookup(&self.catalog, &key) {
             self.counters.cache_hits.inc();
             return Ok(hit);
@@ -848,58 +834,22 @@ impl BatchPipeline {
         svc_fault::fail_point!(svc_fault::site::BATCH_COMPILE, StorageError::Invalid);
         let _compile_span = self.tracer.as_deref().map(|t| t.span("compile", "pipeline"));
 
-        let plans = batch_change_plans(canonical, cat, chunks)?;
-        // With a catalog attached, overlay stats for every chunk's delta
-        // leaves (tiny tables — the build scan is noise) so the
-        // per-partition change plans get cost-based join order too. Change
-        // plans never read `__stale` (the keyed fold does the merge), so no
-        // view-wide stats build.
-        // Optimization + compilation fan out on the pool: this is the
-        // once-per-epoch cold path, but with many partitions it still
-        // should not serialize on the driver.
-        let scoped = self.catalog.as_deref().map(|c| delta_leaf_stats(c, None, chunks, true));
+        let change = change_table_expr(canonical, cat, info)?.ok_or_else(|| {
+            StorageError::Invalid("delta chunk is empty; partition before batching".into())
+        })?;
+        // With a catalog attached, overlay stats for the chunk's delta
+        // leaves (tiny tables — the build scan is noise) so the change plan
+        // gets cost-based join order too. Change plans never read `__stale`
+        // (the keyed fold does the merge), so no view-wide stats build.
+        let scoped = self.catalog.as_deref().map(|c| maintenance_stats(c, None, chunk));
         let est = scoped.as_ref().map(|s| s.estimator());
         let est = est.as_ref().map(|e| e as &dyn CardEstimator);
-        let compiled: Vec<PhysicalPlan> = self.pool.run_batch(plans.len(), |i| {
-            let (optimized, _) = match est {
-                Some(e) => optimize_with(&plans[i], cat, e)?,
-                None => optimize(&plans[i], cat)?,
-            };
-            svc_relalg::exec::compile_with(&optimized, cat, est)
-        })?;
-        let compiled = Arc::new(compiled);
+        let (optimized, _) = cat.optimize(&change, est)?;
+        let compiled = Arc::new(svc_relalg::exec::compile_with(&optimized, cat, est)?);
         self.cache_lock().store(&self.catalog, key, compiled.clone());
         self.counters.compiles.inc();
         Ok(compiled)
     }
-}
-
-/// Catalog overlay for the delta leaves a maintenance or batch plan reads:
-/// one stats build per (small) delta table, plus the stale view when the
-/// plan actually scans it. `suffixed` selects the partition-suffixed
-/// `__ins.T@p` names of batch plans (one chunk per index).
-fn delta_leaf_stats<'a>(
-    catalog: &'a Catalog,
-    stale: Option<&svc_storage::Table>,
-    chunks: &[Deltas],
-    suffixed: bool,
-) -> svc_catalog::ScopedStats<'a> {
-    let mut scoped = catalog.scoped();
-    if let Some(stale) = stale {
-        scoped.bind_table(STALE_LEAF, stale);
-    }
-    for (p, chunk) in chunks.iter().enumerate() {
-        for (name, set) in chunk.iter() {
-            let (ins, del) = if suffixed {
-                (ins_leaf_at(name, p), del_leaf_at(name, p))
-            } else {
-                (ins_leaf(name), del_leaf(name))
-            };
-            scoped.bind_table(ins, &set.insertions);
-            scoped.bind_table(del, &set.deletions);
-        }
-    }
-    scoped
 }
 
 /// True iff evaluating per-chunk change tables independently is exact:
@@ -933,6 +883,7 @@ fn has_binary_node(plan: &Plan) -> bool {
 mod tests {
     use super::*;
     use svc_relalg::aggregate::{AggFunc, AggSpec};
+    use svc_relalg::eval::Bindings;
     use svc_relalg::plan::JoinKind;
     use svc_relalg::scalar::{col, lit};
     use svc_storage::{DataType, Schema, Table, Value};
@@ -1183,11 +1134,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_plans_compile_once_per_partitioning_epoch() {
+    fn change_plan_compiles_once_per_delta_signature() {
         let db = db();
         let view = MaterializedView::create("v", visit_view(), &db).unwrap();
-        // Insert-only stream: every batch has the same chunk signature, so
-        // one compiled plan set serves all of them.
+        // Insert-only stream: every chunk of every batch has the same delta
+        // signature, so one compiled plan serves all of them.
         let mut deltas = Deltas::new();
         for s in 2_000..2_400i64 {
             deltas.insert(&db, "log", vec![Value::Int(s), Value::Int(s % 80)]).unwrap();
@@ -1195,24 +1146,57 @@ mod tests {
         let mut pipeline = BatchPipeline::new(2);
         let mut v = view.clone();
         let run = pipeline.maintain(&db, &mut v, &deltas, 50).unwrap();
-        assert_eq!(run.batches, 8);
-        assert_eq!(pipeline.metrics().compiles, 1, "one signature, one compile across 8 batches");
+        assert_eq!((run.batches, run.plans_evaluated), (8, 32), "8 batches x 4 chunks");
+        assert_eq!(pipeline.metrics().compiles, 1, "one signature, one compile across 32 runs");
 
         // A second maintenance pass with the same shape replays the cache.
         let mut v2 = view.clone();
         pipeline.maintain(&db, &mut v2, &deltas, 50).unwrap();
         assert_eq!(pipeline.metrics().compiles, 1, "identical stream must not recompile");
 
-        // Repartitioning starts a new epoch: the old plans are invalid
-        // (different chunk count) and exactly one new set is compiled.
+        // So does a repartition: chunks bind their deltas under the same
+        // leaf names however many of them a batch splits into.
         pipeline.partitions = 3;
         let mut v3 = view.clone();
         pipeline.maintain(&db, &mut v3, &deltas, 60).unwrap();
-        assert_eq!(pipeline.metrics().compiles, 2, "repartition compiles a fresh set");
+        assert_eq!(pipeline.metrics().compiles, 1, "repartition must replay the same plan");
         let expected = view.recompute_fresh(&db, &deltas).unwrap();
         assert!(v3.table().approx_same_contents(&expected, 1e-9));
         assert!(v.table().approx_same_contents(&expected, 1e-9));
         assert!(v2.table().approx_same_contents(&expected, 1e-9));
+    }
+
+    /// Chunks of one batch may carry different delta signatures: each
+    /// distinct signature compiles its own plan, every chunk runs under the
+    /// plan of its signature, and the fold is still the exact view.
+    #[test]
+    fn mixed_signature_chunks_compile_one_plan_each() {
+        let db = db();
+        let view = MaterializedView::create("v", visit_view(), &db).unwrap();
+        // 40 insertions and a single deletion over 4 chunks: exactly one
+        // chunk carries the deletion, the others are insert-only.
+        let mut deltas = Deltas::new();
+        for s in 2_000..2_040i64 {
+            deltas.insert(&db, "log", vec![Value::Int(s), Value::Int(s % 80)]).unwrap();
+        }
+        deltas.delete(&db, "log", &vec![Value::Int(7), Value::Null]).unwrap();
+        let signatures: std::collections::BTreeSet<String> = (deltas.clone().partition(4).iter())
+            .map(|chunk| format!("{:?}", DeltaInfo::of(chunk)))
+            .collect();
+        assert_eq!(signatures.len(), 2, "setup: an insert-only chunk and one with the deletion");
+
+        let pipeline = BatchPipeline::new(2);
+        let mut v = view.clone();
+        let run = pipeline.maintain(&db, &mut v, &deltas, 1_000).unwrap();
+        assert_eq!((run.batches, run.plans_evaluated), (1, 4));
+        let m = pipeline.metrics();
+        assert_eq!(
+            (m.compiles, m.cache_misses, m.cache_hits),
+            (2, 2, 0),
+            "one lookup per signature"
+        );
+        let expected = view.recompute_fresh(&db, &deltas).unwrap();
+        assert!(v.table().approx_same_contents(&expected, 1e-9));
     }
 
     /// Two pipelines share one `WorkerPool` and maintain disjoint views
@@ -1491,12 +1475,12 @@ mod tests {
     /// Figure 14's amortization in counts, not seconds: the same 4 000
     /// records at growing batch sizes run fewer batches and evaluate fewer
     /// plans (the per-batch driver work that small batches pay), off one
-    /// compiled plan set, to the identical view.
+    /// compiled plan, to the identical view.
     #[test]
     fn larger_batches_amortize_per_batch_work() {
         let db = db();
         let view = MaterializedView::create("v", visit_view(), &db).unwrap();
-        // Insert-only: every batch has the same chunk signature.
+        // Insert-only: every chunk has the same delta signature.
         let mut deltas = Deltas::new();
         for s in 2_000..6_000i64 {
             deltas.insert(&db, "log", vec![Value::Int(s), Value::Int(s % 80)]).unwrap();
@@ -1520,7 +1504,7 @@ mod tests {
             let first = first.get_or_insert_with(|| v.table().clone());
             assert!(v.table().same_contents(first), "result depends on the batch size");
         }
-        assert_eq!(pipeline.metrics().compiles, 1, "one chunk signature, one compile");
+        assert_eq!(pipeline.metrics().compiles, 1, "one delta signature, one compile");
     }
 
     /// A panic while the compile cache is held must not wedge the pipeline

@@ -46,8 +46,8 @@ pub struct TimelineResult {
 /// profile. `make_chunk(db, t)` must generate non-conflicting keys per `t`.
 ///
 /// Every IVM refresh drains the pending deltas through a plan-driven
-/// [`BatchPipeline`] on two workers (real per-partition change-table plans
-/// on the worker pool), then redraws the SVC sample.
+/// [`BatchPipeline`] on two workers (a real change-table plan run per
+/// delta chunk on the worker pool), then redraws the SVC sample.
 pub fn timeline_max_error(
     base: &Database,
     view_def: Plan,

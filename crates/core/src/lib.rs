@@ -74,4 +74,4 @@ pub mod svc;
 pub use config::SvcConfig;
 pub use estimate::{Estimate, Method};
 pub use query::{AggQuery, QueryAgg};
-pub use svc::{SvcMetrics, SvcView};
+pub use svc::{maintenance_stats, SvcMetrics, SvcView};

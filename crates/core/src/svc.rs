@@ -16,7 +16,7 @@ use svc_ivm::delta::{del_leaf, ins_leaf};
 use svc_ivm::strategy::{PlanKind, STALE_LEAF};
 use svc_ivm::view::{maintenance_bindings, MaterializedView};
 
-use svc_relalg::optimizer::{optimize, optimize_with};
+use svc_relalg::optimizer::CardEstimator;
 use svc_relalg::plan::Plan;
 use svc_sampling::operator::sample_by_key;
 use svc_sampling::pushdown::PushdownReport;
@@ -24,6 +24,25 @@ use svc_sampling::pushdown::PushdownReport;
 use crate::config::SvcConfig;
 use crate::estimate::{break_even, stale_answer, svc_aqp, svc_corr, Estimate, Method};
 use crate::query::AggQuery;
+
+/// The catalog overlay for a maintenance, cleaning or change plan: the
+/// delta relations — and the stale view, for plans that scan it — bound by
+/// their plan leaf names, one stats build per (small) bound table.
+pub fn maintenance_stats<'a>(
+    catalog: &'a Catalog,
+    stale: Option<&Table>,
+    deltas: &Deltas,
+) -> ScopedStats<'a> {
+    let mut scoped = catalog.scoped();
+    if let Some(stale) = stale {
+        scoped.bind_table(STALE_LEAF, stale);
+    }
+    for (name, set) in deltas.iter() {
+        scoped.bind_table(ins_leaf(name), &set.insertions);
+        scoped.bind_table(del_leaf(name), &set.deletions);
+    }
+    scoped
+}
 
 /// A materialized view managed by SVC: full stale state + stale sample +
 /// the machinery to clean the sample and estimate query answers.
@@ -144,32 +163,18 @@ impl SvcView {
         let key_refs: Vec<&str> = key_names.iter().map(|s| s.as_str()).collect();
         let hashed = mplan.hash(&key_refs, self.config.ratio, self.config.hash_spec());
         let cat = self.view.maint_catalog(db);
-        let (optimized, report) = match catalog {
-            Some(c) => {
-                let scoped = self.maintenance_stats(c, deltas);
-                optimize_with(&hashed, &cat, &scoped.estimator())?
-            }
-            None => optimize(&hashed, &cat)?,
-        };
+        // The stale leaf is priced from the **stale sample** — that is the
+        // relation `clean_sample` actually binds when η reaches every stale
+        // leaf (the common case), and scanning the sample keeps this path
+        // O(sample), not O(view). When η is blocked and the full view gets
+        // bound instead, every stale branch is under-priced by the same
+        // factor `m`, which leaves the ordinal comparisons the reorderer
+        // makes intact.
+        let scoped = catalog.map(|c| maintenance_stats(c, Some(&self.stale_sample), deltas));
+        let est = scoped.as_ref().map(ScopedStats::estimator);
+        let est = est.as_ref().map(|e| e as &dyn CardEstimator);
+        let (optimized, report) = cat.optimize(&hashed, est)?;
         Ok((optimized, report.eta, kind))
-    }
-
-    /// The catalog overlay for a cleaning plan: stale view and delta
-    /// relations bound by their plan leaf names. The stale leaf is priced
-    /// from the **stale sample** — that is the relation `clean_sample`
-    /// actually binds when η reaches every stale leaf (the common case),
-    /// and scanning the sample keeps this path O(sample), not O(view).
-    /// When η is blocked and the full view gets bound instead, every stale
-    /// branch is under-priced by the same factor `m`, which leaves the
-    /// ordinal comparisons the reorderer makes intact.
-    fn maintenance_stats<'a>(&self, catalog: &'a Catalog, deltas: &Deltas) -> ScopedStats<'a> {
-        let mut scoped = catalog.scoped();
-        scoped.bind_table(STALE_LEAF, &self.stale_sample);
-        for (name, set) in deltas.iter() {
-            scoped.bind_table(ins_leaf(name), &set.insertions);
-            scoped.bind_table(del_leaf(name), &set.deletions);
-        }
-        scoped
     }
 
     /// Problem 1 — stale sample view cleaning: materialize `Ŝ′`, the

@@ -35,20 +35,9 @@ pub fn del_leaf(table: &str) -> String {
     format!("__del.{table}")
 }
 
-/// Leaf name of partition `part`'s insertion delta for `table`, used when a
-/// batch of delta chunks is bound side by side for parallel evaluation.
-pub fn ins_leaf_at(table: &str, part: usize) -> String {
-    format!("__ins.{table}@{part}")
-}
-
-/// Leaf name of partition `part`'s deletion delta for `table`.
-pub fn del_leaf_at(table: &str, part: usize) -> String {
-    format!("__del.{table}@{part}")
-}
-
 /// Which base tables have pending insertions / deletions. Used to prune
 /// provably-empty delta branches.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaInfo {
     /// Tables with at least one pending insertion.
     pub ins: BTreeSet<String>,

@@ -34,5 +34,5 @@ pub mod view;
 pub use canon::{canonicalize, Canonical};
 pub use delta::{derive_delta, DeltaInfo, DeltaPlan};
 pub use fold::{KeyedFold, StagedEdits};
-pub use strategy::{batch_change_plans, maintenance_plan, MaintCatalog, PlanKind, STALE_LEAF};
+pub use strategy::{maintenance_plan, MaintCatalog, PlanKind, STALE_LEAF};
 pub use view::MaterializedView;

@@ -23,6 +23,7 @@
 use svc_storage::{Database, Result, Schema, StorageError};
 
 use svc_relalg::derive::{derive, Derived, LeafProvider};
+use svc_relalg::optimizer::{optimize, optimize_with, CardEstimator, OptimizeReport};
 use svc_relalg::plan::{JoinKind, Plan};
 use svc_relalg::scalar::{col, lit, Expr, Func};
 
@@ -54,6 +55,22 @@ pub struct MaintCatalog<'a> {
     pub stale: Derived,
 }
 
+impl MaintCatalog<'_> {
+    /// Optimize a maintenance plan against this catalog — the one spelling
+    /// of "cost-based when there is an estimator, rule-based otherwise"
+    /// every maintenance and cleaning path shares.
+    pub fn optimize(
+        &self,
+        plan: &Plan,
+        est: Option<&dyn CardEstimator>,
+    ) -> Result<(Plan, OptimizeReport)> {
+        match est {
+            Some(est) => optimize_with(plan, self, est),
+            None => optimize(plan, self),
+        }
+    }
+}
+
 impl LeafProvider for MaintCatalog<'_> {
     fn leaf(&self, name: &str) -> Option<Derived> {
         if name == STALE_LEAF {
@@ -61,15 +78,6 @@ impl LeafProvider for MaintCatalog<'_> {
         }
         let base =
             name.strip_prefix("__ins.").or_else(|| name.strip_prefix("__del.")).unwrap_or(name);
-        // Partition-suffixed delta leaves (`__ins.T@3`) share T's schema.
-        let base = match base.rsplit_once('@') {
-            Some((t, p))
-                if base != name && !p.is_empty() && p.bytes().all(|b| b.is_ascii_digit()) =>
-            {
-                t
-            }
-            _ => base,
-        };
         self.db.leaf(base)
     }
 }
@@ -371,41 +379,6 @@ fn change_table_plan(
     }
 }
 
-/// Compile a batch of delta chunks into per-partition change-table plans.
-/// Chunk `p`'s plan reads its deltas through the partition-suffixed leaves
-/// `__ins.T@p` / `__del.T@p`, so the whole batch shares one [`Bindings`]
-/// set and can be evaluated side by side (`WorkerPool::run_compiled`);
-/// the plans also share the change-table subtree *shape*, the multi-query
-/// setting where batch evaluation amortizes optimization.
-///
-/// Errors when the view is not change-table eligible for a chunk's deltas
-/// (min/max under deletions, median, non-aggregate views) — callers fall
-/// back to sequential maintenance in that case — or when a chunk is empty
-/// (partition first; `Deltas::partition` never emits empty chunks).
-///
-/// [`Bindings`]: svc_relalg::eval::Bindings
-pub fn batch_change_plans(
-    canonical: &Canonical,
-    cat: &MaintCatalog<'_>,
-    chunks: &[svc_storage::Deltas],
-) -> Result<Vec<Plan>> {
-    let mut plans = Vec::with_capacity(chunks.len());
-    for (p, chunk) in chunks.iter().enumerate() {
-        let change =
-            change_table_expr(canonical, cat, &DeltaInfo::of(chunk))?.ok_or_else(|| {
-                StorageError::Invalid(format!(
-                    "delta chunk {p} is empty; partition before batching"
-                ))
-            })?;
-        let suffixed = change.rename_leaves(&mut |name| {
-            (name.starts_with("__ins.") || name.starts_with("__del."))
-                .then(|| format!("{name}@{p}"))
-        });
-        plans.push(suffixed);
-    }
-    Ok(plans)
-}
-
 /// Recomputation expressed as a plan: every base scan becomes its new state
 /// `(T ▷ ∇T) ∪ ∆T`.
 pub fn recompute_plan(def: &Plan, cat: &MaintCatalog<'_>, info: &DeltaInfo) -> Result<Plan> {
@@ -424,7 +397,7 @@ mod tests {
     use svc_storage::{DataType, Database, Schema, Table, Value};
 
     #[test]
-    fn maint_catalog_resolves_partition_suffixed_delta_leaves() {
+    fn maint_catalog_resolves_delta_leaves() {
         let mut db = Database::new();
         let mut t = Table::new(
             Schema::from_pairs(&[("id", DataType::Int), ("x", DataType::Float)]).unwrap(),
@@ -436,15 +409,13 @@ mod tests {
         let stale = db.leaf("log").unwrap();
         let cat = MaintCatalog { db: &db, stale };
 
-        // Plain, partitioned, and special leaves all resolve.
-        for name in ["log", "__ins.log", "__del.log", "__ins.log@0", "__del.log@17"] {
+        for name in ["log", "__ins.log", "__del.log"] {
             let d = cat.leaf(name).unwrap_or_else(|| panic!("`{name}` must resolve"));
             assert_eq!(d.schema.names(), vec!["id", "x"], "schema of `{name}`");
         }
         assert!(cat.leaf(STALE_LEAF).is_some());
-        // Non-numeric or prefix-less '@' names are not partition suffixes.
-        assert!(cat.leaf("__ins.log@x7").is_none());
-        assert!(cat.leaf("log@3").is_none());
-        assert!(cat.leaf("__ins.missing@0").is_none());
+        // A delta leaf is named after its table and nothing else.
+        assert!(cat.leaf("__ins.log@0").is_none());
+        assert!(cat.leaf("__ins.missing").is_none());
     }
 }

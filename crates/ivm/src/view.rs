@@ -7,7 +7,7 @@ use svc_storage::{Database, Deltas, Result, StorageError, Table};
 
 use svc_relalg::derive::{derive_project, Derived};
 use svc_relalg::eval::{evaluate, Bindings};
-use svc_relalg::optimizer::{optimize, optimize_with};
+use svc_relalg::optimizer::optimize;
 use svc_relalg::plan::Plan;
 use svc_relalg::scalar::Expr;
 
@@ -251,10 +251,7 @@ impl MaterializedView {
         // the plan is built: optimize once, compile against the maintenance
         // catalog (schemas only), run against the concrete bindings.
         let run = |plan: &Plan| -> Result<Table> {
-            let (optimized, _report) = match est {
-                Some(est) => optimize_with(plan, &cat, est)?,
-                None => optimize(plan, &cat)?,
-            };
+            let (optimized, _report) = cat.optimize(plan, est)?;
             let compiled = svc_relalg::exec::compile_with(&optimized, &cat, est)?;
             compiled.run_with(&maintenance_bindings(db, deltas, &self.table), mode)
         };
@@ -502,9 +499,6 @@ mod tests {
 
     #[test]
     fn batched_change_plans_fold_to_full_maintenance() {
-        use crate::delta::{del_leaf_at, ins_leaf_at};
-        use crate::strategy::batch_change_plans;
-
         let db = db();
         let mut view = MaterializedView::create("v", visit_view(), &db).unwrap();
         // A single-table stream (insertions, deletions, updates of `log`):
@@ -522,20 +516,17 @@ mod tests {
         let cat = view.maint_catalog(&db);
         let chunks = deltas.clone().partition(4);
         assert!(chunks.len() > 1, "enough records to actually partition");
-        let plans = batch_change_plans(view.canonical(), &cat, &chunks).unwrap();
-        assert_eq!(plans.len(), chunks.len());
+        // One change plan for the batch's delta signature, run once per
+        // chunk against that chunk's own bindings.
+        let plan = change_table_expr(view.canonical(), &cat, &DeltaInfo::of(&deltas))
+            .unwrap()
+            .expect("the deltas touch the view");
+        let changes: Vec<Table> = chunks
+            .iter()
+            .map(|chunk| evaluate(&plan, &maintenance_bindings(&db, chunk, view.table())).unwrap())
+            .collect();
 
-        // Shared bindings: every chunk's deltas bound side by side.
-        let mut b = Bindings::from_database(&db);
-        for (p, chunk) in chunks.iter().enumerate() {
-            for (name, set) in chunk.iter() {
-                b.bind(ins_leaf_at(name, p), &set.insertions);
-                b.bind(del_leaf_at(name, p), &set.deletions);
-            }
-        }
-        let changes: Vec<Table> = plans.iter().map(|pl| evaluate(pl, &b).unwrap()).collect();
-
-        // Fold the per-partition change tables into the view one at a time.
+        // Fold the per-chunk change tables into the view one at a time.
         let mut current = view.table().clone();
         let fold = KeyedFold::new(view.canonical(), &current).unwrap();
         for c in &changes {

@@ -26,8 +26,8 @@
 //!
 //! Compiled plans are reusable: [`PhysicalPlan::run`] only looks leaves up
 //! by name and validates their shape, so the mini-batch maintenance path
-//! compiles its per-partition change plans once per partitioning epoch and
-//! reruns them across batches (`svc-cluster`'s `BatchPipeline`).
+//! compiles one change plan per delta signature and reruns it for every
+//! delta chunk of every batch (`svc-cluster`'s `BatchPipeline`).
 
 mod batch;
 pub mod column;

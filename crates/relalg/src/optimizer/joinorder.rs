@@ -10,6 +10,16 @@
 //! intermediate result sizes, which is what dominates the hash-join
 //! evaluator's work.
 //!
+//! The rule **prices, then builds**. The search is arithmetic over small
+//! priced records — rows, per-column distincts, `C_out`, which relation
+//! each output column came from — with no plan and no types in them: the
+//! estimator is consulted once per relation of a region, joins are priced
+//! from those cardinalities, and only the winner is ever constructed and
+//! typed, in the one builder. A region of two relations has a single order
+//! up to mirroring, which ties on the symmetric cost model, so it is never
+//! searched and never estimated; a plan in which no region changes is
+//! handed back untouched, nothing rebuilt.
+//!
 //! Inner joins are freely commutative and associative: every equality pair
 //! is applied exactly once, at the tree node where its two relations first
 //! meet (their join-tree LCA), so any order computes the identical relation.
@@ -28,10 +38,12 @@
 //! the old key's columns) the whole rewrite is abandoned and the original
 //! plan kept — reordering is an optimization, never an obligation.
 
-use svc_storage::{Result, Schema, StorageError};
+use std::borrow::Cow;
+
+use svc_storage::{Result, StorageError};
 
 use crate::derive::{
-    derive_join, derive_node, derive_project, derive_tree, Derived, DerivedTree, LeafProvider,
+    derive_join, derive_node, derive_project, derive_tree, DerivedTree, LeafProvider,
 };
 use crate::optimizer::cost::CardEstimator;
 use crate::plan::{JoinKind, Plan};
@@ -51,153 +63,136 @@ pub fn reorder(
 ) -> Result<Plan> {
     let tree = derive_tree(&plan, leaves)?;
     let mut count = 0;
-    match rewrite(plan.clone(), tree, leaves, est, &mut count) {
-        Ok((out, _)) => {
+    match rewrite(&plan, &tree, leaves, est, &mut count) {
+        Ok(Some((out, _))) => {
             *reordered += count;
             Ok(out)
         }
-        // A rewrite that an ancestor rejects (changed key under a narrow
-        // projection) is not an error of the input plan: keep it as written.
-        Err(_) => Ok(plan),
+        // No region changes — or a rewrite that an ancestor rejects (changed
+        // key under a narrow projection), which is not an error of the input
+        // plan: keep it as written.
+        Ok(None) | Err(_) => Ok(plan),
     }
 }
 
-fn take_binary(dt: DerivedTree) -> (DerivedTree, DerivedTree) {
-    let DerivedTree { mut children, .. } = dt;
-    let right = children.pop().expect("binary node has two children");
-    let left = children.pop().expect("binary node has two children");
-    (left, right)
+/// One relation of a join region: a non-inner-join subplan and its derived
+/// tree, borrowed from the incoming plan — owned once a region inside it
+/// was reordered.
+struct Rel<'p> {
+    plan: Cow<'p, Plan>,
+    dt: Cow<'p, DerivedTree>,
 }
 
-/// One relation of a join region: a non-inner-join subplan (already
-/// recursively reordered) and its derived tree.
-struct Rel {
-    plan: Plan,
-    dt: DerivedTree,
+impl Rel<'_> {
+    /// The output layout of relation `i`: its own columns, in order.
+    fn layout(&self, i: usize) -> Vec<Origin> {
+        (0..self.dt.derived.schema.len()).map(|c| (i, c)).collect()
+    }
 }
 
 /// A column's origin: `(relation index, column index within the relation)`.
 type Origin = (usize, usize);
 
 #[derive(Default)]
-struct Region {
-    rels: Vec<Rel>,
+struct Region<'p> {
+    rels: Vec<Rel<'p>>,
     /// Equality pairs between relation columns.
     edges: Vec<(Origin, Origin)>,
 }
 
-/// The original join tree over relation indices, with the original `on`
-/// spellings. Rebuilding from the shape reproduces the incoming tree
-/// (modulo rewritten relation subplans), which is both the cost baseline a
-/// candidate order must strictly beat and the stable fallback — mirror
-/// orientations of a join tie on the symmetric cost model, and without a
-/// strict-improvement gate the rule would flip between them every sweep.
-enum Shape {
-    Leaf(usize),
-    Join { left: Box<Shape>, right: Box<Shape>, on: Vec<(String, String)> },
+/// A join tree over relation indices. The incoming tree carries its
+/// original `on` spellings: rebuilding from it reproduces the input (modulo
+/// rewritten relation subplans), which is both the cost baseline a searched
+/// order must strictly beat and the stable fallback — mirror orientations
+/// of a join tie on the symmetric cost model, and without a
+/// strict-improvement gate the rule would flip between them every sweep. A
+/// searched tree has no spelling yet (`None`): its joins take every region
+/// edge that crosses them.
+enum Tree<'p> {
+    Rel(usize),
+    Join { left: Box<Tree<'p>>, right: Box<Tree<'p>>, on: Option<&'p [(String, String)]> },
 }
 
-/// Rewrite the plan bottom-up, re-deriving every node (keys below a
-/// reordered region may change, and ancestors must accept them).
+/// Rewrite the plan bottom-up. `None` means nothing below changed and the
+/// caller keeps its borrowed subtree; a changed subtree comes back rebuilt,
+/// every node above the reordered region re-derived (its key may have
+/// changed, and ancestors must accept it).
 fn rewrite(
-    plan: Plan,
-    dt: DerivedTree,
+    plan: &Plan,
+    dt: &DerivedTree,
     leaves: &dyn LeafProvider,
     est: &dyn CardEstimator,
     count: &mut usize,
-) -> Result<(Plan, DerivedTree)> {
-    match plan {
-        Plan::Join { kind: JoinKind::Inner, .. } => {
-            return reorder_region(plan, dt, leaves, est, count)
-        }
-        Plan::Scan { .. } => return Ok((plan, dt)),
-        _ => {}
+) -> Result<Option<(Plan, DerivedTree)>> {
+    if matches!(plan, Plan::Join { kind: JoinKind::Inner, .. }) {
+        return reorder_region(plan, dt, leaves, est, count);
     }
-    let mut old = dt.children.into_iter();
+    let mut new = Vec::new();
+    for (child, child_dt) in plan.children().zip(&dt.children) {
+        new.push(rewrite(child, child_dt, leaves, est, count)?);
+    }
+    if new.iter().all(Option::is_none) {
+        return Ok(None);
+    }
+    // Only the spine above a reordered region gets here, once per region
+    // and optimizer run: copy the node and swap the changed inputs in.
+    let mut new = new.into_iter().zip(&dt.children);
     let mut children = Vec::new();
-    let plan = plan.map_children(&mut |child| {
-        let child_dt = old.next().expect("derived tree mirrors the plan");
-        let (child, child_dt) = rewrite(child, child_dt, leaves, est, count)?;
+    let plan = plan.clone().map_children(&mut |old| {
+        let (new, old_dt) = new.next().expect("derived tree mirrors the plan");
+        let (child, child_dt) = new.unwrap_or_else(|| (old, old_dt.clone()));
         children.push(child_dt);
         Ok::<_, StorageError>(child)
     })?;
     let dt = derive_node(&plan, children, leaves)?;
-    Ok((plan, dt))
+    Ok(Some((plan, dt)))
 }
 
 /// Flatten the inner-join region rooted at `plan` into `region`, rewriting
 /// each relation subplan recursively. Returns the layout of this subtree's
-/// output (position → column origin) and its shape.
-fn flatten(
-    plan: Plan,
-    dt: DerivedTree,
-    region: &mut Region,
+/// output (position → column origin) and its tree.
+fn flatten<'p>(
+    plan: &'p Plan,
+    dt: &'p DerivedTree,
+    region: &mut Region<'p>,
     leaves: &dyn LeafProvider,
     est: &dyn CardEstimator,
     count: &mut usize,
-) -> Result<(Vec<Origin>, Shape)> {
+) -> Result<(Vec<Origin>, Tree<'p>)> {
     match plan {
         Plan::Join { left, right, kind: JoinKind::Inner, on } => {
-            let (l_dt, r_dt) = take_binary(dt);
-            let l_schema = l_dt.derived.schema.clone();
-            let r_schema = r_dt.derived.schema.clone();
-            let (l_layout, l_shape) = flatten(*left, l_dt, region, leaves, est, count)?;
-            let (r_layout, r_shape) = flatten(*right, r_dt, region, leaves, est, count)?;
-            for (ln, rn) in &on {
-                let li = l_schema.resolve(ln)?;
-                let ri = r_schema.resolve(rn)?;
+            let (l_dt, r_dt) = dt.pair();
+            let (l_layout, l_tree) = flatten(left, l_dt, region, leaves, est, count)?;
+            let (r_layout, r_tree) = flatten(right, r_dt, region, leaves, est, count)?;
+            for (ln, rn) in on {
+                let li = l_dt.derived.schema.resolve(ln)?;
+                let ri = r_dt.derived.schema.resolve(rn)?;
                 region.edges.push((l_layout[li], r_layout[ri]));
             }
             let mut layout = l_layout;
             layout.extend(r_layout);
-            Ok((layout, Shape::Join { left: Box::new(l_shape), right: Box::new(r_shape), on }))
+            let tree = Tree::Join { left: Box::new(l_tree), right: Box::new(r_tree), on: Some(on) };
+            Ok((layout, tree))
         }
         other => {
-            let (p, pdt) = rewrite(other, dt, leaves, est, count)?;
-            let idx = region.rels.len();
-            let ncols = pdt.derived.schema.len();
-            region.rels.push(Rel { plan: p, dt: pdt });
-            Ok(((0..ncols).map(|c| (idx, c)).collect(), Shape::Leaf(idx)))
-        }
-    }
-}
-
-/// Rebuild the incoming tree from its shape (original `on` spellings, so
-/// the result is plan-equal to the input when no relation changed) and
-/// price it with the same cost model DP candidates use — except that the
-/// joins keep their original `on` lists verbatim.
-fn entry_from_shape(
-    shape: &Shape,
-    region: &Region,
-    est: &dyn CardEstimator,
-    leaves: &dyn LeafProvider,
-) -> Result<Entry> {
-    match shape {
-        Shape::Leaf(i) => Entry::leaf(*i, &region.rels[*i], est, leaves),
-        Shape::Join { left, right, on } => {
-            let l = entry_from_shape(left, region, est, leaves)?;
-            let r = entry_from_shape(right, region, est, leaves)?;
-            // Price with the shared arithmetic (every region edge crossing
-            // this split — identical to what a DP candidate of this shape
-            // would be charged), but keep the original `on` spellings so
-            // the rebuilt plan is equal to the input.
-            let priced = join_entries(&l, &r, region)?;
-            let plan = Plan::Join {
-                left: Box::new(l.plan),
-                right: Box::new(r.plan),
-                kind: JoinKind::Inner,
-                on: on.clone(),
+            let rel = match rewrite(other, dt, leaves, est, count)? {
+                Some((plan, dt)) => Rel { plan: Cow::Owned(plan), dt: Cow::Owned(dt) },
+                None => Rel { plan: Cow::Borrowed(other), dt: Cow::Borrowed(dt) },
             };
-            Ok(Entry { plan, ..priced })
+            let idx = region.rels.len();
+            let layout = rel.layout(idx);
+            region.rels.push(rel);
+            Ok((layout, Tree::Rel(idx)))
         }
     }
 }
 
-/// A candidate (partial) join tree over a subset of the region's relations.
-#[derive(Clone)]
-struct Entry {
-    plan: Plan,
-    derived: Derived,
+/// What the search knows of a (partial) join tree over a subset of the
+/// region's relations: arithmetic only — no plan, no types. Candidates live
+/// in one arena per region whose first entries are the relations themselves.
+struct Priced {
+    /// The two arena entries joined here; `None` for a relation.
+    split: Option<(usize, usize)>,
     /// Output position → column origin.
     layout: Vec<Origin>,
     rows: f64,
@@ -207,30 +202,20 @@ struct Entry {
     cost: f64,
 }
 
-impl Entry {
-    /// A region relation: one estimator call (the only place the DP
-    /// consults the estimator — candidate joins are priced arithmetically
-    /// from the leaf cardinalities).
-    fn leaf(
-        i: usize,
-        rel: &Rel,
-        est: &dyn CardEstimator,
-        leaves: &dyn LeafProvider,
-    ) -> Result<Entry> {
-        let card = est.estimate(&rel.plan, leaves)?;
-        let rows = sane(card.rows);
-        let ncols = rel.dt.derived.schema.len();
-        let mut distinct = card.distinct;
-        distinct.resize(ncols, rows);
-        Ok(Entry {
-            plan: rel.plan.clone(),
-            derived: rel.dt.derived.clone(),
-            layout: (0..ncols).map(|c| (i, c)).collect(),
-            rows,
-            distinct,
-            cost: 0.0,
-        })
-    }
+/// Price relation `i`: one estimator call, the only kind the rule makes —
+/// joins are priced arithmetically from these cardinalities.
+fn price_rel(
+    i: usize,
+    rel: &Rel<'_>,
+    est: &dyn CardEstimator,
+    leaves: &dyn LeafProvider,
+) -> Result<Priced> {
+    let card = est.estimate(&rel.plan, leaves)?;
+    let rows = sane(card.rows);
+    let layout = rel.layout(i);
+    let mut distinct = card.distinct;
+    distinct.resize(layout.len(), rows);
+    Ok(Priced { split: None, layout, rows, distinct, cost: 0.0 })
 }
 
 fn sane(rows: f64) -> f64 {
@@ -241,61 +226,62 @@ fn sane(rows: f64) -> f64 {
     }
 }
 
-/// Join two entries with every region edge that crosses them. Cardinality
-/// is the textbook equi-join estimate over the entries' column distincts:
-/// `|L|·|R| · ∏ 1/max(ndv_l, ndv_r)`.
-fn join_entries(e1: &Entry, e2: &Entry, region: &Region) -> Result<Entry> {
+/// The region edges that cross from `left` to `right`, in edge order, as
+/// `(position in left, position in right)`.
+fn crossing<'a>(
+    left: &'a [Origin],
+    right: &'a [Origin],
+    region: &'a Region<'_>,
+) -> impl Iterator<Item = (usize, usize)> + 'a {
     let pos = |layout: &[Origin], o: Origin| layout.iter().position(|&x| x == o);
-    let mut on = Vec::new();
+    region.edges.iter().filter_map(move |&(a, b)| {
+        pos(left, a).zip(pos(right, b)).or_else(|| pos(left, b).zip(pos(right, a)))
+    })
+}
+
+/// Price the join of arena entries `l` and `r` on every region edge that
+/// crosses them. Cardinality is the textbook equi-join estimate over the
+/// entries' column distincts: `|L|·|R| · ∏ 1/max(ndv_l, ndv_r)`.
+fn price_join(arena: &[Priced], l: usize, r: usize, region: &Region<'_>) -> Priced {
+    let (e1, e2) = (&arena[l], &arena[r]);
     let mut rows = e1.rows * e2.rows;
-    for &(a, b) in &region.edges {
-        let (lp, rp) = match (pos(&e1.layout, a), pos(&e2.layout, b)) {
-            (Some(lp), Some(rp)) => (lp, rp),
-            _ => match (pos(&e1.layout, b), pos(&e2.layout, a)) {
-                (Some(lp), Some(rp)) => (lp, rp),
-                _ => continue, // intra-subset or outside: handled elsewhere
-            },
-        };
+    for (lp, rp) in crossing(&e1.layout, &e2.layout, region) {
         rows /= e1.distinct[lp].max(e2.distinct[rp]).max(1.0);
-        on.push((
-            e1.derived.schema.field(lp).name.clone(),
-            e2.derived.schema.field(rp).name.clone(),
-        ));
     }
     let rows = sane(rows);
-    let plan = Plan::Join {
-        left: Box::new(e1.plan.clone()),
-        right: Box::new(e2.plan.clone()),
-        kind: JoinKind::Inner,
-        on: on.clone(),
-    };
-    let hint = match &plan {
-        Plan::Join { right, .. } => right.name_hint().to_string(),
-        _ => unreachable!(),
-    };
-    let derived = derive_join(&e1.derived, &e2.derived, JoinKind::Inner, &on, &hint)?.0;
     let mut layout = e1.layout.clone();
     layout.extend(e2.layout.iter().copied());
-    let distinct: Vec<f64> = e1.distinct.iter().chain(&e2.distinct).map(|&d| d.min(rows)).collect();
-    Ok(Entry { plan, derived, layout, rows, distinct, cost: e1.cost + e2.cost + rows })
+    let distinct = e1.distinct.iter().chain(&e2.distinct).map(|&d| d.min(rows)).collect();
+    Priced { split: Some((l, r)), layout, rows, distinct, cost: e1.cost + e2.cost + rows }
+}
+
+/// Price a given tree with the arithmetic searched orders are charged by;
+/// returns its arena entry.
+fn price_tree(tree: &Tree<'_>, arena: &mut Vec<Priced>, region: &Region<'_>) -> usize {
+    match tree {
+        Tree::Rel(i) => *i,
+        Tree::Join { left, right, .. } => {
+            let l = price_tree(left, arena, region);
+            let r = price_tree(right, arena, region);
+            arena.push(price_join(arena, l, r, region));
+            arena.len() - 1
+        }
+    }
 }
 
 /// True iff some region edge connects the two entries' relation sets.
-fn connected(e1: &Entry, e2: &Entry, region: &Region) -> bool {
-    let has = |layout: &[Origin], r: usize| layout.iter().any(|&(ri, _)| ri == r);
-    region.edges.iter().any(|&((ra, _), (rb, _))| {
-        (has(&e1.layout, ra) && has(&e2.layout, rb)) || (has(&e1.layout, rb) && has(&e2.layout, ra))
-    })
+fn connected(e1: &Priced, e2: &Priced, region: &Region<'_>) -> bool {
+    crossing(&e1.layout, &e2.layout, region).next().is_some()
 }
 
 /// Exhaustive DP over connected subsets (cross products only when a subset
 /// has no connected split). Deterministic: strictly-better cost wins.
-fn dp_order(region: &Region, est: &dyn CardEstimator, leaves: &dyn LeafProvider) -> Result<Entry> {
-    let n = region.rels.len();
+/// Returns the arena entry of the best tree over all `n` relations.
+fn dp_order(arena: &mut Vec<Priced>, n: usize, region: &Region<'_>) -> Result<usize> {
     let full: usize = (1 << n) - 1;
-    let mut table: Vec<Option<Entry>> = vec![None; 1 << n];
-    for (i, rel) in region.rels.iter().enumerate() {
-        table[1 << i] = Some(Entry::leaf(i, rel, est, leaves)?);
+    let mut table: Vec<Option<usize>> = vec![None; 1 << n];
+    for i in 0..n {
+        table[1 << i] = Some(i);
     }
     for mask in 1..=full {
         if (mask as u32).count_ones() < 2 {
@@ -304,13 +290,12 @@ fn dp_order(region: &Region, est: &dyn CardEstimator, leaves: &dyn LeafProvider)
         // Two passes: connected splits first; cross products only if the
         // subset admits no connected split at all.
         for require_edge in [true, false] {
-            let mut best: Option<Entry> = None;
+            let mut best: Option<Priced> = None;
             let mut s1 = (mask - 1) & mask;
             while s1 != 0 {
-                let s2 = mask ^ s1;
-                if let (Some(e1), Some(e2)) = (&table[s1], &table[s2]) {
-                    if !require_edge || connected(e1, e2, region) {
-                        let cand = join_entries(e1, e2, region)?;
+                if let (Some(l), Some(r)) = (table[s1], table[mask ^ s1]) {
+                    if !require_edge || connected(&arena[l], &arena[r], region) {
+                        let cand = price_join(arena, l, r, region);
                         if best.as_ref().is_none_or(|b| cand.cost < b.cost) {
                             best = Some(cand);
                         }
@@ -318,38 +303,29 @@ fn dp_order(region: &Region, est: &dyn CardEstimator, leaves: &dyn LeafProvider)
                 }
                 s1 = (s1 - 1) & mask;
             }
-            if best.is_some() {
-                table[mask] = best;
+            if let Some(best) = best {
+                table[mask] = Some(arena.len());
+                arena.push(best);
                 break;
             }
         }
     }
-    table[full].take().ok_or_else(|| {
-        svc_storage::StorageError::Invalid("join region could not be ordered".into())
-    })
+    table[full].ok_or_else(|| StorageError::Invalid("join region could not be ordered".into()))
 }
 
 /// Greedy smallest-result-first ordering for regions past [`DP_MAX`].
-fn greedy_order(
-    region: &Region,
-    est: &dyn CardEstimator,
-    leaves: &dyn LeafProvider,
-) -> Result<Entry> {
-    let mut entries: Vec<Entry> = region
-        .rels
-        .iter()
-        .enumerate()
-        .map(|(i, rel)| Entry::leaf(i, rel, est, leaves))
-        .collect::<Result<_>>()?;
+fn greedy_order(arena: &mut Vec<Priced>, n: usize, region: &Region<'_>) -> usize {
+    let mut entries: Vec<usize> = (0..n).collect();
     while entries.len() > 1 {
-        let mut best: Option<(usize, usize, Entry)> = None;
+        let mut best: Option<(usize, usize, Priced)> = None;
         for require_edge in [true, false] {
             for i in 0..entries.len() {
                 for j in 0..entries.len() {
-                    if i == j || (require_edge && !connected(&entries[i], &entries[j], region)) {
+                    let (l, r) = (entries[i], entries[j]);
+                    if i == j || (require_edge && !connected(&arena[l], &arena[r], region)) {
                         continue;
                     }
-                    let cand = join_entries(&entries[i], &entries[j], region)?;
+                    let cand = price_join(arena, l, r, region);
                     if best.as_ref().is_none_or(|(_, _, b)| cand.rows < b.rows) {
                         best = Some((i, j, cand));
                     }
@@ -363,97 +339,115 @@ fn greedy_order(
         let (hi, lo) = if i > j { (i, j) } else { (j, i) };
         entries.swap_remove(hi);
         entries.swap_remove(lo);
-        entries.push(joined);
+        entries.push(arena.len());
+        arena.push(joined);
     }
-    Ok(entries.pop().expect("one entry remains"))
+    entries[0]
 }
 
-/// Rebuild the derived tree of a DP-produced join tree: region relations
-/// appear left-to-right in `order`, everything else is `Join{Inner}` nodes.
-fn derive_winner(
-    plan: &Plan,
-    order: &mut std::vec::IntoIter<usize>,
-    rels: &[Rel],
-) -> Result<DerivedTree> {
-    match plan {
-        Plan::Join { left, right, kind: JoinKind::Inner, on } => {
-            let l = derive_winner(left, order, rels)?;
-            let r = derive_winner(right, order, rels)?;
-            let d = derive_join(&l.derived, &r.derived, JoinKind::Inner, on, right.name_hint())?.0;
-            Ok(DerivedTree::binary(d, l, r))
-        }
-        _ => {
-            let i = order.next().expect("layout covers every relation");
-            Ok(rels[i].dt.clone())
-        }
+/// The searched tree behind arena entry `idx`.
+fn tree_of<'p>(arena: &[Priced], idx: usize) -> Tree<'p> {
+    match arena[idx].split {
+        None => Tree::Rel(idx),
+        Some((l, r)) => Tree::Join {
+            left: Box::new(tree_of(arena, l)),
+            right: Box::new(tree_of(arena, r)),
+            on: None,
+        },
     }
 }
 
-/// Reorder one region rooted at an inner join. The incoming tree is the
-/// baseline: a candidate order is adopted only when its estimated cost is
+/// Construct and type `tree` over the region's relations — the one place a
+/// region's plan is assembled, and the one place relation subplans are
+/// copied. Returns the plan, its derived tree and its output layout.
+fn build(tree: &Tree<'_>, region: &Region<'_>) -> Result<(Plan, DerivedTree, Vec<Origin>)> {
+    match tree {
+        Tree::Rel(i) => {
+            let rel = &region.rels[*i];
+            Ok((rel.plan.clone().into_owned(), rel.dt.clone().into_owned(), rel.layout(*i)))
+        }
+        Tree::Join { left, right, on } => {
+            let (left, l_dt, mut layout) = build(left, region)?;
+            let (right, r_dt, r_layout) = build(right, region)?;
+            let on = match on {
+                Some(on) => on.to_vec(),
+                None => crossing(&layout, &r_layout, region)
+                    .map(|(lp, rp)| {
+                        let name = |dt: &DerivedTree, p| dt.derived.schema.field(p).name.clone();
+                        (name(&l_dt, lp), name(&r_dt, rp))
+                    })
+                    .collect(),
+            };
+            let kind = JoinKind::Inner;
+            let derived =
+                derive_join(&l_dt.derived, &r_dt.derived, kind, &on, right.name_hint())?.0;
+            layout.extend(r_layout);
+            let plan = Plan::Join { left: Box::new(left), right: Box::new(right), kind, on };
+            Ok((plan, DerivedTree::binary(derived, l_dt, r_dt), layout))
+        }
+    }
+}
+
+/// Reorder one region rooted at an inner join: price the incoming tree and
+/// the best searched one, build whichever wins. The incoming tree is the
+/// baseline: a searched order is adopted only when its estimated cost is
 /// *strictly* lower, which is what makes the rule a fixed point — mirror
 /// orientations tie on the symmetric cost model and must not flip-flop.
 fn reorder_region(
-    plan: Plan,
-    dt: DerivedTree,
+    plan: &Plan,
+    dt: &DerivedTree,
     leaves: &dyn LeafProvider,
     est: &dyn CardEstimator,
     count: &mut usize,
-) -> Result<(Plan, DerivedTree)> {
-    let orig_schema: Schema = dt.derived.schema.clone();
+) -> Result<Option<(Plan, DerivedTree)>> {
     let mut region = Region::default();
     let (orig_layout, shape) = flatten(plan, dt, &mut region, leaves, est, count)?;
-
-    // Rebuild the derived tree of a region tree from its layout (each
-    // relation's columns form one contiguous block, so the layout yields
-    // the left-to-right relation order).
-    let derive_entry = |entry: &Entry, region: &Region| -> Result<DerivedTree> {
-        let mut order = Vec::new();
-        for &(r, _) in &entry.layout {
-            if order.last() != Some(&r) {
-                order.push(r);
-            }
-        }
-        derive_winner(&entry.plan, &mut order.into_iter(), &region.rels)
-    };
-
-    let baseline = entry_from_shape(&shape, &region, est, leaves)?;
     let n = region.rels.len();
+    // Two relations have one order up to mirroring, and mirrors tie: only
+    // from three on is there anything to search — or to estimate.
     if n >= 3 {
-        let candidate = if n <= DP_MAX {
-            dp_order(&region, est, leaves)?
+        let mut arena = (region.rels.iter().enumerate())
+            .map(|(i, rel)| price_rel(i, rel, est, leaves))
+            .collect::<Result<Vec<_>>>()?;
+        let baseline = price_tree(&shape, &mut arena, &region);
+        let best = if n <= DP_MAX {
+            dp_order(&mut arena, n, &region)?
         } else {
-            greedy_order(&region, est, leaves)?
+            greedy_order(&mut arena, n, &region)
         };
         // Strict improvement with a small relative margin, so float noise
         // between equal-cost orders can never trigger a rewrite.
-        if candidate.cost < baseline.cost * (1.0 - 1e-9) {
-            let win_dt = derive_entry(&candidate, &region)?;
+        if arena[best].cost < arena[baseline].cost * (1.0 - 1e-9) {
             // Restoring projection: original names and order on top of the
             // new tree. Every column of the new output appears exactly
             // once, so the new key always survives (bare references).
-            let columns: Vec<(String, crate::scalar::Expr)> = orig_layout
-                .iter()
-                .enumerate()
-                .map(|(i, origin)| {
-                    let p = candidate
-                        .layout
-                        .iter()
-                        .position(|o| o == origin)
-                        .expect("reordered tree carries every region column");
-                    (
-                        orig_schema.field(i).name.clone(),
-                        col(candidate.derived.schema.field(p).name.clone()),
-                    )
-                })
-                .collect();
-            let proj_d = derive_project(&candidate.derived, &columns)?;
-            *count += 1;
-            let dt = DerivedTree::unary(proj_d, win_dt);
-            return Ok((Plan::Project { input: Box::new(candidate.plan), columns }, dt));
+            let restored = || -> Result<(Plan, DerivedTree)> {
+                let (input, win_dt, layout) = build(&tree_of(&arena, best), &region)?;
+                let columns: Vec<_> = (orig_layout.iter().zip(dt.derived.schema.names()))
+                    .map(|(origin, name)| {
+                        let p = layout
+                            .iter()
+                            .position(|o| o == origin)
+                            .expect("reordered tree carries every region column");
+                        (name.to_string(), col(win_dt.derived.schema.field(p).name.clone()))
+                    })
+                    .collect();
+                let proj_d = derive_project(&win_dt.derived, &columns)?;
+                let plan = Plan::Project { input: Box::new(input), columns };
+                Ok((plan, DerivedTree::unary(proj_d, win_dt)))
+            };
+            // A winner that does not type is not worth an error: fall
+            // through to the incoming order.
+            if let Ok(restored) = restored() {
+                *count += 1;
+                return Ok(Some(restored));
+            }
         }
     }
-    // Keep the incoming order (with any rewritten relation subplans).
-    let dt = derive_entry(&baseline, &region)?;
-    Ok((baseline.plan, dt))
+    // Keep the incoming order, rebuilt only around relations that changed.
+    if region.rels.iter().any(|rel| matches!(rel.plan, Cow::Owned(_))) {
+        let (plan, dt, _) = build(&shape, &region)?;
+        return Ok(Some((plan, dt)));
+    }
+    Ok(None)
 }

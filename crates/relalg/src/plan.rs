@@ -244,9 +244,7 @@ impl Plan {
         }
     }
 
-    /// Rewrite every leaf name through `f` (`None` keeps the name). Used by
-    /// the mini-batch maintenance path to give each delta chunk its own
-    /// `__ins.T@p` / `__del.T@p` bindings while sharing one plan shape.
+    /// Rewrite every leaf name through `f` (`None` keeps the name).
     pub fn rename_leaves(self, f: &mut impl FnMut(&str) -> Option<String>) -> Plan {
         let renamed: Result<Plan, Infallible> = self
             .substitute_leaves(&mut |table| Ok(Plan::Scan { table: f(&table).unwrap_or(table) }));

@@ -9,15 +9,21 @@
 //!   for insert-only sketches/bounds; conservatively under deletions);
 //! * the distinct-count register sketch and histogram selectivities stay
 //!   accurate on Zipf-distributed data (`svc_workloads::zipf`);
-//! * σ pushed below a blocked η reaches a fixed point (no rule ping-pong).
+//! * σ pushed below a blocked η reaches a fixed point (no rule ping-pong);
+//! * the cost shape of join ordering, in estimator calls: none for regions
+//!   of two relations, one per relation per sweep for a searched region.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
 use stale_view_cleaning::catalog::{Catalog, StatsConfig, TableStats};
 use stale_view_cleaning::ivm::view::{maintenance_bindings, MaterializedView};
 use stale_view_cleaning::relalg::aggregate::{AggFunc, AggSpec};
+use stale_view_cleaning::relalg::derive::LeafProvider;
 use stale_view_cleaning::relalg::eval::{evaluate, Bindings};
-use stale_view_cleaning::relalg::optimizer::{optimize, optimize_with};
+use stale_view_cleaning::relalg::optimizer::cost::RelCard;
+use stale_view_cleaning::relalg::optimizer::{optimize, optimize_with, CardEstimator};
 use stale_view_cleaning::relalg::plan::{JoinKind, Plan};
 use stale_view_cleaning::relalg::scalar::{col, lit};
 use stale_view_cleaning::storage::{DataType, Database, Deltas, HashSpec, Schema, Table, Value};
@@ -408,4 +414,98 @@ fn histogram_selectivity_on_zipf_data() {
             "z {z}: estimated {est_rows:.0} rows vs true {truth:.0}"
         );
     }
+}
+
+/// Counts the estimator walks the optimizer asks for.
+struct Counting<E>(E, AtomicUsize);
+
+impl<E: CardEstimator> Counting<E> {
+    fn calls(&self) -> usize {
+        self.1.load(Ordering::Relaxed)
+    }
+}
+
+impl<E: CardEstimator> CardEstimator for Counting<E> {
+    fn estimate(
+        &self,
+        plan: &Plan,
+        leaves: &dyn LeafProvider,
+    ) -> stale_view_cleaning::storage::Result<RelCard> {
+        self.1.fetch_add(1, Ordering::Relaxed);
+        self.0.estimate(plan, leaves)
+    }
+}
+
+fn inner_joins(plan: &Plan) -> usize {
+    usize::from(matches!(plan, Plan::Join { kind: JoinKind::Inner, .. }))
+        + plan.children().map(inner_joins).sum::<usize>()
+}
+
+/// Cost shape, not wall clock: a join region of two relations has one
+/// order up to mirroring, so ordering it must not consult the estimator at
+/// all — the TPC-D join view's cleaning plan, all of whose regions are
+/// `lineitem ⋈ orders` in some delta variant, optimizes with zero calls,
+/// to the very plan `cleaning_plan_with` returns.
+#[test]
+fn two_relation_regions_cost_no_estimator_calls() {
+    use stale_view_cleaning::core::{maintenance_stats, SvcConfig, SvcView};
+    use stale_view_cleaning::workloads::tpcd::{TpcdConfig, TpcdData};
+    use stale_view_cleaning::workloads::tpcd_views::join_view;
+
+    let data = TpcdData::generate(TpcdConfig { scale: 0.02, skew: 2.0, seed: 42 }).unwrap();
+    let deltas = data.updates(0.1, 7).unwrap();
+    let catalog = Catalog::build(&data.db);
+    let svc =
+        SvcView::create("joinView", join_view(), &data.db, SvcConfig::with_ratio(0.1)).unwrap();
+
+    // `cleaning_plan_with`, spelled out so the estimator can be wrapped.
+    let (mplan, _) = svc.view.build_maintenance_plan(&data.db, &deltas).unwrap();
+    let keys = svc.view.key_names();
+    let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+    let hashed = mplan.hash(&keys, svc.config.ratio, svc.config.hash_spec());
+    let scoped = maintenance_stats(&catalog, Some(svc.stale_sample()), &deltas);
+    let est = Counting(scoped.estimator(), Default::default());
+    let (optimized, _) = optimize_with(&hashed, &svc.view.maint_catalog(&data.db), &est).unwrap();
+
+    assert!(inner_joins(&optimized) >= 2, "the plan must actually hold join regions");
+    assert_eq!(est.calls(), 0, "two-relation regions must never reach the estimator");
+    let (expected, _, _) = svc.cleaning_plan_with(&data.db, &deltas, Some(&catalog)).unwrap();
+    assert_eq!(optimized, expected);
+}
+
+/// A region of three or more relations is searched, and the search is
+/// arithmetic: each sweep of the rule estimates every relation exactly
+/// once — not once per candidate, and not again for the baseline.
+#[test]
+fn a_searched_region_costs_one_estimator_call_per_relation_per_sweep() {
+    let db = snowflake_db(400, 8, 16, 5, 7);
+    let cat = Catalog::build(&db);
+    let plan = snowflake_plan(0, 40, 5);
+    let est = Counting(cat.estimator(), Default::default());
+    let (reordered, report) = optimize_with(&plan, &db, &est).unwrap();
+    assert!(report.joins_reordered > 0, "the builder order must be beaten: {report:?}");
+    assert_eq!(inner_joins(&reordered), 3, "one region of four relations");
+    assert_eq!(est.calls(), 4 * report.passes, "{report:?}");
+}
+
+/// Reordering is an optimization, never an obligation: when the cheaper
+/// order re-derives a key an ancestor cannot accept, the whole plan stays
+/// as written. Here `dim2 ⋈ dim2` on the non-key `d3` first is cheaper, but
+/// makes the first `dim2`'s key part of the region key — which the
+/// projection above (keeping only the incoming key) drops.
+#[test]
+fn a_reorder_an_ancestor_rejects_keeps_the_plan_as_written() {
+    let db = snowflake_db(400, 8, 16, 5, 7);
+    let cat = Catalog::build(&db);
+    let region = Plan::scan("fact")
+        .join(Plan::scan("dim2"), JoinKind::Inner, &[("d2", "d2")])
+        .join(Plan::scan("dim2"), JoinKind::Inner, &[("d3", "d3")]);
+    let (_, report) = optimize_with(&region, &db, &cat.estimator()).unwrap();
+    assert_eq!(report.joins_reordered, 1, "setup: the bare region is reordered");
+
+    let narrow =
+        region.project(vec![("fid", col("fid")), ("other", col("dim2.d2#2")), ("x", col("x"))]);
+    let (kept, report) = optimize_with(&narrow, &db, &cat.estimator()).unwrap();
+    assert_eq!(report.joins_reordered, 0, "{kept}");
+    assert_eq!(kept, optimize(&narrow, &db).unwrap().0);
 }
