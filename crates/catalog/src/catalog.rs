@@ -15,12 +15,14 @@
 //!
 //! Plans whose leaves are not base tables — the `__stale`, `__ins.T`,
 //! `__del.T` leaves of maintenance and cleaning plans — are covered by a
-//! [`ScopedStats`] overlay: the caller binds stats for the concrete tables
-//! it is about to evaluate against (delta tables are small, so building
-//! their stats on the fly is cheap), and lookups fall through to the base
-//! catalog.
+//! [`ScopedStats`] overlay: the caller binds the concrete tables it is
+//! about to evaluate against, their stats are built when an estimate first
+//! reads them (delta tables are small, so that build is cheap — and a plan
+//! the optimizer never prices pays nothing), and lookups fall through to
+//! the base catalog.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use svc_storage::{Database, Deltas, Result, Table};
 
@@ -109,8 +111,8 @@ impl Catalog {
     }
 
     /// An overlay for plans with non-base leaves (`__stale`, `__ins.T`,
-    /// ...): bind stats for the concrete tables, fall through to this
-    /// catalog otherwise.
+    /// ...): bind the concrete tables, fall through to this catalog
+    /// otherwise.
     pub fn scoped(&self) -> ScopedStats<'_> {
         ScopedStats { base: self, extra: BTreeMap::new() }
     }
@@ -127,18 +129,20 @@ impl StatsProvider for Catalog {
     }
 }
 
-/// A catalog overlay binding extra leaf names to ad-hoc statistics.
+/// A catalog overlay binding extra leaf names to concrete tables, whose
+/// statistics are built the first time an estimate reads them.
 pub struct ScopedStats<'a> {
     base: &'a Catalog,
-    extra: BTreeMap<String, TableStats>,
+    extra: BTreeMap<String, (&'a Table, OnceLock<TableStats>)>,
 }
 
-impl ScopedStats<'_> {
-    /// Bind `name` to freshly-built stats over `table`. Intended for the
-    /// small relations of a maintenance plan (delta chunks, the stale
-    /// view), where the build scan is negligible.
-    pub fn bind_table(&mut self, name: impl Into<String>, table: &Table) -> &mut Self {
-        self.extra.insert(name.into(), TableStats::build(table, &self.base.config));
+impl<'a> ScopedStats<'a> {
+    /// Bind `name` to `table`. Nothing is scanned here: a plan whose join
+    /// regions are never priced drops the overlay unread, one that is pays
+    /// one build scan per bound leaf it asks about (delta chunks, the stale
+    /// sample — the small relations of a maintenance plan).
+    pub fn bind_table(&mut self, name: impl Into<String>, table: &'a Table) -> &mut Self {
+        self.extra.insert(name.into(), (table, OnceLock::new()));
         self
     }
 
@@ -150,7 +154,12 @@ impl ScopedStats<'_> {
 
 impl StatsProvider for ScopedStats<'_> {
     fn stats(&self, name: &str) -> Option<&TableStats> {
-        self.extra.get(name).or_else(|| self.base.stats(name))
+        match self.extra.get(name) {
+            Some((table, stats)) => {
+                Some(stats.get_or_init(|| TableStats::build(table, &self.base.config)))
+            }
+            None => self.base.stats(name),
+        }
     }
 }
 
@@ -226,5 +235,46 @@ mod tests {
         assert_eq!(scoped.stats("__ins.t@0").unwrap().rows, 1);
         assert_eq!(scoped.stats("t").unwrap().rows, 300, "fallthrough to the base catalog");
         assert!(scoped.stats("missing").is_none());
+    }
+
+    #[test]
+    fn overlay_stats_are_built_when_read_not_when_bound() {
+        use svc_relalg::optimizer::optimize_with;
+        use svc_relalg::plan::{JoinKind, Plan};
+
+        // A four-relation star: `t` and three small relations keyed like it.
+        let mut db = db();
+        let small = |n: i64| {
+            let mut s = Table::new(db.table("t").unwrap().schema().clone(), &["id"]).unwrap();
+            for i in 0..n {
+                s.insert(vec![Value::Int(i), Value::Float(i as f64)]).unwrap();
+            }
+            s
+        };
+        let (a, b, c, unused) = (small(5), small(50), small(20), small(3));
+        for (name, table) in [("a", &a), ("b", &b), ("c", &c)] {
+            db.create_table(name, table.clone());
+        }
+        let cat = Catalog::build(&db);
+        let join = |l: Plan, r: &str| l.join(Plan::scan(r), JoinKind::Inner, &[("id", "id")]);
+        let built = |scoped: &ScopedStats<'_>| -> Vec<String> {
+            let built = scoped.extra.iter().filter(|(_, (_, stats))| stats.get().is_some());
+            built.map(|(name, _)| name.clone()).collect()
+        };
+
+        let mut scoped = cat.scoped();
+        scoped.bind_table("a", &a).bind_table("b", &b).bind_table("unused", &unused);
+        assert!(built(&scoped).is_empty(), "binding scans nothing");
+
+        // A region of two relations has one order: nothing is priced.
+        optimize_with(&join(Plan::scan("t"), "a"), &db, &scoped.estimator()).unwrap();
+        assert!(built(&scoped).is_empty(), "an unpriced plan reads no stats");
+
+        // The star is searched: every bound leaf it prices is built once,
+        // `c` comes from the base catalog, `unused` is never scanned.
+        let star = join(join(join(Plan::scan("t"), "b"), "c"), "a");
+        optimize_with(&star, &db, &scoped.estimator()).unwrap();
+        assert_eq!(built(&scoped), vec!["a", "b"]);
+        assert_eq!(scoped.stats("a").unwrap().rows, 5);
     }
 }

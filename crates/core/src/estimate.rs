@@ -231,7 +231,7 @@ impl Correspondence {
         stale_result: Option<f64>,
         cfg: &SvcConfig,
     ) -> (f64, Option<f64>) {
-        let statistic = |xs: &[f64]| aggregate(agg, xs);
+        let statistic = |xs: &[f64]| aggregate(agg, xs.iter().copied());
         let clean: Vec<f64> = self.clean().collect();
         let Some(stale_result) = stale_result else {
             let ci =
@@ -255,20 +255,18 @@ impl Correspondence {
     /// rows present in BOTH samples. Returns `(value, exceedance)`, the
     /// Cantelli bound on a more extreme unsampled element.
     fn extreme(&self, agg: QueryAgg, stale_result: Option<f64>) -> (f64, f64) {
-        let clean: Vec<f64> = self.clean().collect();
         let value = match stale_result {
-            None => aggregate(agg, &clean),
+            None => aggregate(agg, self.clean()),
             Some(stale_result) => {
-                let diffs: Vec<f64> =
-                    self.pairs.iter().filter_map(|&(s, c)| Some(c? - s?)).collect();
-                if diffs.is_empty() {
+                let mut diffs = self.pairs.iter().filter_map(|&(s, c)| Some(c? - s?)).peekable();
+                if diffs.peek().is_none() {
                     stale_result
                 } else {
-                    stale_result + aggregate(agg, &diffs)
+                    stale_result + aggregate(agg, diffs)
                 }
             }
         };
-        let spread = Moments::of(&clean);
+        let spread = moments(self.clean());
         (value, cantelli_exceedance(spread.variance(), (value - spread.mean()).abs()))
     }
 }

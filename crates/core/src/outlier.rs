@@ -237,14 +237,14 @@ pub fn estimate_aqp_with_outliers(
     let reg = estimate(None, clean_sample_public, &[outliers_fresh_public], q, m, cfg)?;
     let out = q.bind(outliers_fresh_public)?.matching_values(outliers_fresh_public);
     if q.agg != QueryAgg::Avg {
-        return Ok(reg.affine(1.0, aggregate(q.agg, &out)));
+        return Ok(reg.affine(1.0, aggregate(q.agg, out.iter().copied())));
     }
     // v = (N−l)/N·c_reg + l/N·c_out with N̂ = estimated non-outlier count
     // + l. The outlier term is exact, so the interval keeps its centre on
     // `v` and only the regular weight scales its width.
     let n_reg = reg.predicate_rows as f64 / m;
     let n = n_reg + out.len() as f64;
-    Ok(reg.affine(n_reg / n, aggregate(QueryAgg::Sum, &out) / n))
+    Ok(reg.affine(n_reg / n, aggregate(QueryAgg::Sum, out.iter().copied()) / n))
 }
 
 /// SVC+CORR with an outlier index (Section 6.3): the correction from the

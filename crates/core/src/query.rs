@@ -5,7 +5,7 @@
 use svc_relalg::scalar::{lit, BoundExpr, Expr};
 use svc_storage::{Result, Table};
 
-use svc_stats::quantile::quantile;
+use svc_stats::quantile::quantile_sorted;
 
 /// The aggregate function of a query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,7 +34,10 @@ impl QueryAgg {
     }
 }
 
-/// An aggregate query over a (public-schema) view.
+/// An aggregate query, written over a view's public schema. It evaluates
+/// against whatever table it is bound to: [`crate::SvcView`] rewrites it
+/// through the view's public projection and binds it to the canonical
+/// state, the free-standing estimators bind it as given.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggQuery {
     /// The aggregate.
@@ -96,25 +99,40 @@ impl AggQuery {
     }
 
     /// Evaluate exactly on a full table (no sampling, no scaling): the
-    /// ground-truth answer `q(S)`.
+    /// ground-truth answer `q(S)`, folded in table order — only the order
+    /// statistics hold the matching values at once.
     pub fn exact(&self, table: &Table) -> Result<f64> {
-        Ok(aggregate(self.agg, &self.bind(table)?.matching_values(table)))
+        let bound = self.bind(table)?;
+        Ok(aggregate(self.agg, table.rows().iter().filter_map(|r| bound.value(r))))
     }
 }
 
 /// `agg` over plain values, `NaN` where an empty input has no answer — the
 /// one definition behind [`AggQuery::exact`], the estimators' order
 /// statistics and extremes, and the outlier rows' exact contribution.
-pub(crate) fn aggregate(agg: QueryAgg, values: &[f64]) -> f64 {
+pub(crate) fn aggregate(agg: QueryAgg, values: impl Iterator<Item = f64>) -> f64 {
     match agg {
-        QueryAgg::Sum => values.iter().sum(),
-        QueryAgg::Count => values.len() as f64,
-        QueryAgg::Min => values.iter().copied().fold(f64::INFINITY, f64::min),
-        QueryAgg::Max => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        QueryAgg::Avg | QueryAgg::Median | QueryAgg::Percentile(_) if values.is_empty() => f64::NAN,
-        QueryAgg::Avg => values.iter().sum::<f64>() / values.len() as f64,
-        QueryAgg::Median => quantile(values, 0.5),
-        QueryAgg::Percentile(p) => quantile(values, p),
+        QueryAgg::Sum => values.sum(),
+        QueryAgg::Count => values.count() as f64,
+        QueryAgg::Min => values.fold(f64::INFINITY, f64::min),
+        QueryAgg::Max => values.fold(f64::NEG_INFINITY, f64::max),
+        QueryAgg::Avg => {
+            let mut n = 0usize;
+            let sum: f64 = values.inspect(|_| n += 1).sum();
+            if n == 0 {
+                f64::NAN
+            } else {
+                sum / n as f64
+            }
+        }
+        QueryAgg::Median | QueryAgg::Percentile(_) => {
+            let mut sorted: Vec<f64> = values.collect();
+            if sorted.is_empty() {
+                return f64::NAN;
+            }
+            sorted.sort_by(f64::total_cmp);
+            quantile_sorted(&sorted, if let QueryAgg::Percentile(p) = agg { p } else { 0.5 })
+        }
     }
 }
 

@@ -16,6 +16,7 @@ use svc_ivm::delta::{del_leaf, ins_leaf};
 use svc_ivm::strategy::{PlanKind, STALE_LEAF};
 use svc_ivm::view::{maintenance_bindings, MaterializedView};
 
+use svc_relalg::derive::{derive_project, Derived};
 use svc_relalg::optimizer::CardEstimator;
 use svc_relalg::plan::Plan;
 use svc_sampling::operator::sample_by_key;
@@ -27,11 +28,12 @@ use crate::query::AggQuery;
 
 /// The catalog overlay for a maintenance, cleaning or change plan: the
 /// delta relations — and the stale view, for plans that scan it — bound by
-/// their plan leaf names, one stats build per (small) bound table.
+/// their plan leaf names; a bound table's stats are built if the optimizer
+/// prices a region that reads it.
 pub fn maintenance_stats<'a>(
     catalog: &'a Catalog,
-    stale: Option<&Table>,
-    deltas: &Deltas,
+    stale: Option<&'a Table>,
+    deltas: &'a Deltas,
 ) -> ScopedStats<'a> {
     let mut scoped = catalog.scoped();
     if let Some(stale) = stale {
@@ -80,7 +82,8 @@ pub struct SvcMetrics {
 pub struct CleanedSample {
     /// Canonical-schema sample of the up-to-date view (`Ŝ′`).
     pub canonical: Table,
-    /// Public-schema projection of the sample.
+    /// Public-schema projection of the sample, for display and the
+    /// outlier helpers; [`SvcView`]'s estimators read `canonical`.
     pub public: Table,
     /// What the push-down rewrite achieved.
     pub report: PushdownReport,
@@ -121,7 +124,8 @@ impl SvcView {
         &self.stale_sample
     }
 
-    /// The stale sample in the public schema.
+    /// The stale sample materialized in the public schema — the display
+    /// form; the estimators read [`SvcView::stale_sample`] in place.
     pub fn stale_sample_public(&self) -> Result<Table> {
         self.view.public_of(&self.stale_sample)
     }
@@ -226,7 +230,28 @@ impl SvcView {
     /// `q(S)`: the (possibly stale) full-view answer — the "No Maintenance"
     /// baseline.
     pub fn query_stale(&self, q: &AggQuery) -> Result<f64> {
-        q.exact(&self.view.public_table()?)
+        self.lowered(q)?.exact(self.view.table())
+    }
+
+    /// `q`, written over the public schema, rewritten onto the canonical
+    /// one: each column reference becomes the public projection's defining
+    /// expression. The projection is row-local and key-preserving
+    /// (Definition 2), so `q(Π(S)) = (q∘Π)(S)` and every answer path reads
+    /// the canonical tables in place. Names resolve against the *public*
+    /// schema only: canonical-only columns stay unaddressable.
+    fn lowered(&self, q: &AggQuery) -> Result<AggQuery> {
+        let Some(public) = self.view.canonical().public.as_deref() else {
+            return Ok(q.clone());
+        };
+        let table = self.view.table();
+        let canonical = Derived { schema: table.schema().clone(), key: table.key().to_vec() };
+        let schema = derive_project(&canonical, public)?.schema;
+        let mut lower = |name: &str| Ok(public[schema.resolve(name)?].1.clone());
+        Ok(AggQuery {
+            agg: q.agg,
+            attr: q.attr.map_cols(&mut lower)?,
+            predicate: q.predicate.as_ref().map(|p| p.map_cols(&mut lower)).transpose()?,
+        })
     }
 
     /// `q(S′)`: the ground-truth fresh answer, by full recomputation.
@@ -238,17 +263,18 @@ impl SvcView {
 
     /// SVC+AQP on an already-cleaned sample.
     pub fn estimate_aqp(&self, cleaned: &CleanedSample, q: &AggQuery) -> Result<Estimate> {
-        svc_aqp(&cleaned.public, q, self.config.ratio, &self.config)
+        svc_aqp(&cleaned.canonical, &self.lowered(q)?, self.config.ratio, &self.config)
     }
 
     /// SVC+CORR on an already-cleaned sample.
     pub fn estimate_corr(&self, cleaned: &CleanedSample, q: &AggQuery) -> Result<Estimate> {
-        let stale_result = self.query_stale(q)?;
+        let q = self.lowered(q)?;
+        let stale_result = q.exact(self.view.table())?;
         svc_corr(
             stale_result,
-            &self.stale_sample_public()?,
-            &cleaned.public,
-            q,
+            &self.stale_sample,
+            &cleaned.canonical,
+            &q,
             self.config.ratio,
             &self.config,
         )
@@ -283,7 +309,7 @@ impl SvcView {
         if !q.agg.is_sample_mean() {
             return Ok(Method::AqpDirect);
         }
-        break_even(&self.stale_sample_public()?, &cleaned.public, q)
+        break_even(&self.stale_sample, &cleaned.canonical, &self.lowered(q)?)
     }
 
     /// Full incremental maintenance (the IVM baseline): update the view,

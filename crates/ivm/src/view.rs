@@ -19,10 +19,13 @@ use crate::strategy::{change_table_expr, maintenance_plan, MaintCatalog, PlanKin
 /// A materialized view: the user-facing definition, its canonical
 /// (change-table maintainable) form, and the materialized canonical state.
 ///
-/// The *canonical* table is what SVC samples and maintains; the *public*
-/// projection (e.g. recombining `avg = sum / count`) is applied on demand —
-/// both to the full view and to samples of it, which is sound because the
-/// projection is row-local and keeps the primary key (Definition 2).
+/// The *canonical* table is what SVC samples, maintains and reads. The
+/// *public* projection (e.g. recombining `avg = sum / count`) is row-local
+/// and keeps the primary key (Definition 2), so a query over the public
+/// schema is answered by rewriting its expressions through the projection
+/// and scanning the canonical state in place — the full view and samples
+/// of it alike. [`MaterializedView::public_of`] materializes the projected
+/// relation only for display.
 #[derive(Debug, Clone)]
 pub struct MaterializedView {
     /// View name.
@@ -123,8 +126,8 @@ impl MaterializedView {
         self.table.is_empty()
     }
 
-    /// Apply the public projection to an arbitrary canonical-shaped table
-    /// (the full view or a sample of it).
+    /// Materialize the public projection of an arbitrary canonical-shaped
+    /// table (the full view or a sample of it) — the display form.
     pub fn public_of(&self, canonical_table: &Table) -> Result<Table> {
         project_table(canonical_table, self.canonical.public.as_deref())
     }
@@ -284,8 +287,23 @@ impl MaterializedView {
     }
 }
 
-/// Apply an optional projection to a table (row-local, key-preserving).
+thread_local! {
+    static PROJECTIONS_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+static PROJECTIONS: svc_telemetry::LocalCounter =
+    svc_telemetry::LocalCounter::new(&PROJECTIONS_CELL);
+
+/// [`project_table`] calls made **on this thread** — the cost-shape hook
+/// beside `Table::clone_count`: answering a query must leave it unchanged.
+pub fn projection_count() -> u64 {
+    PROJECTIONS.get()
+}
+
+/// Materialize an optional projection of a table (row-local,
+/// key-preserving): the *display* form of a view or a sample, O(rows) per
+/// call. Answer paths lower the query instead and never come here.
 pub fn project_table(table: &Table, columns: Option<&[(String, Expr)]>) -> Result<Table> {
+    PROJECTIONS.bump();
     let Some(columns) = columns else {
         return Ok(table.clone());
     };

@@ -25,11 +25,11 @@
 //! intermediates the evaluator materializes, so Definition 2 key
 //! uniqueness is preserved everywhere.
 
-use svc_storage::{Result, Schema};
+use svc_storage::Result;
 
 use crate::derive::{derive_tree, DerivedTree, LeafProvider};
 use crate::plan::{JoinKind, Plan, SetOpKind};
-use crate::scalar::{BinOp, Expr};
+use crate::scalar::{col, BinOp, Expr};
 
 /// Push every selection in `plan` as deep as legality allows. `moved`
 /// counts conjuncts that crossed at least one operator boundary.
@@ -80,45 +80,6 @@ fn wrap(plan: Plan, preds: Vec<Expr>) -> Plan {
     }
 }
 
-/// Replace every column reference with the projection expression defining
-/// it, moving the predicate below a generalized projection.
-fn substitute(e: &Expr, out_schema: &Schema, columns: &[(String, Expr)]) -> Result<Expr> {
-    Ok(match e {
-        Expr::Col(name) => columns[out_schema.resolve(name)?].1.clone(),
-        Expr::Lit(v) => Expr::Lit(v.clone()),
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(substitute(left, out_schema, columns)?),
-            right: Box::new(substitute(right, out_schema, columns)?),
-        },
-        Expr::Not(x) => Expr::Not(Box::new(substitute(x, out_schema, columns)?)),
-        Expr::IsNull(x) => Expr::IsNull(Box::new(substitute(x, out_schema, columns)?)),
-        Expr::Call { func, args } => Expr::Call {
-            func: *func,
-            args: args.iter().map(|a| substitute(a, out_schema, columns)).collect::<Result<_>>()?,
-        },
-    })
-}
-
-/// Rewrite every column reference through `rename`.
-fn rename_cols(e: &Expr, rename: &dyn Fn(&str) -> Result<String>) -> Result<Expr> {
-    Ok(match e {
-        Expr::Col(name) => Expr::Col(rename(name)?),
-        Expr::Lit(v) => Expr::Lit(v.clone()),
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(rename_cols(left, rename)?),
-            right: Box::new(rename_cols(right, rename)?),
-        },
-        Expr::Not(x) => Expr::Not(Box::new(rename_cols(x, rename)?)),
-        Expr::IsNull(x) => Expr::IsNull(Box::new(rename_cols(x, rename)?)),
-        Expr::Call { func, args } => Expr::Call {
-            func: *func,
-            args: args.iter().map(|a| rename_cols(a, rename)).collect::<Result<_>>()?,
-        },
-    })
-}
-
 /// Core recursion: `preds` are conjuncts filtering this node's output,
 /// with names resolvable against this node's output schema. `dt` is the
 /// derived tree of `plan` (pre-rewrite; predicate movement never changes
@@ -155,7 +116,7 @@ fn push(plan: Plan, dt: &DerivedTree, mut preds: Vec<Expr>, moved: &mut usize) -
             let out_schema = &dt.derived.schema;
             let lowered = preds
                 .into_iter()
-                .map(|p| substitute(&p, out_schema, &columns))
+                .map(|p| p.map_cols(&mut |n| Ok(columns[out_schema.resolve(n)?].1.clone())))
                 .collect::<Result<Vec<_>>>()?;
             *moved += lowered.len();
             let inner = push(*input, dt.input(), lowered, moved)?;
@@ -173,7 +134,7 @@ fn push(plan: Plan, dt: &DerivedTree, mut preds: Vec<Expr>, moved: &mut usize) -
                 if group_only && !p.referenced_columns().is_empty() {
                     // A group-column filter removes whole groups; rows of the
                     // surviving groups are untouched, so it commutes below γ.
-                    below.push(rename_cols(&p, &|n| Ok(group_by[out_schema.resolve(n)?].clone()))?);
+                    below.push(p.map_cols(&mut |n| Ok(col(&group_by[out_schema.resolve(n)?])))?);
                 } else {
                     above.push(p);
                 }
@@ -213,15 +174,15 @@ fn push(plan: Plan, dt: &DerivedTree, mut preds: Vec<Expr>, moved: &mut usize) -
                 }
                 if positions.iter().all(|&i| i < l_arity) && push_left_ok {
                     // Left output columns keep their input names verbatim.
-                    l_preds.push(rename_cols(&p, &|n| {
-                        Ok(out_schema.field(out_schema.resolve(n)?).name.clone())
+                    l_preds.push(p.map_cols(&mut |n| {
+                        Ok(col(&out_schema.field(out_schema.resolve(n)?).name))
                     })?);
                 } else if positions.iter().all(|&i| i >= l_arity) && push_right_ok {
                     // Right output columns may carry a disambiguation prefix;
                     // map positions back to the right input's names.
-                    r_preds.push(rename_cols(&p, &|n| {
+                    r_preds.push(p.map_cols(&mut |n| {
                         let i = out_schema.resolve(n)?;
-                        Ok(r_d.schema.field(i - l_arity).name.clone())
+                        Ok(col(&r_d.schema.field(i - l_arity).name))
                     })?);
                 } else {
                     above.push(p);
@@ -254,8 +215,8 @@ fn push_setop(
     let mut l_preds = Vec::with_capacity(preds.len());
     let mut r_preds = Vec::with_capacity(preds.len());
     for p in preds {
-        l_preds.push(rename_cols(p, &|n| Ok(l_schema.field(l_schema.resolve(n)?).name.clone()))?);
-        r_preds.push(rename_cols(p, &|n| Ok(r_schema.field(l_schema.resolve(n)?).name.clone()))?);
+        l_preds.push(p.map_cols(&mut |n| Ok(col(&l_schema.field(l_schema.resolve(n)?).name)))?);
+        r_preds.push(p.map_cols(&mut |n| Ok(col(&r_schema.field(l_schema.resolve(n)?).name)))?);
     }
     *moved += preds.len();
     let l = push(left, l_t, l_preds, moved)?;

@@ -179,6 +179,28 @@ impl Expr {
         }
     }
 
+    /// This expression with every column reference replaced by `f(name)`:
+    /// a rename when `f` returns a column, a substitution when it returns
+    /// the expression defining one (a predicate moving below a projection,
+    /// a query lowered onto a view's canonical schema).
+    pub fn map_cols(&self, f: &mut impl FnMut(&str) -> Result<Expr>) -> Result<Expr> {
+        Ok(match self {
+            Expr::Col(name) => f(name)?,
+            Expr::Lit(v) => Expr::Lit(v.clone()),
+            Expr::Binary { op, left, right } => Expr::Binary {
+                op: *op,
+                left: Box::new(left.map_cols(f)?),
+                right: Box::new(right.map_cols(f)?),
+            },
+            Expr::Not(e) => Expr::Not(Box::new(e.map_cols(f)?)),
+            Expr::IsNull(e) => Expr::IsNull(Box::new(e.map_cols(f)?)),
+            Expr::Call { func, args } => Expr::Call {
+                func: *func,
+                args: args.iter().map(|a| a.map_cols(f)).collect::<Result<_>>()?,
+            },
+        })
+    }
+
     /// Resolve column names to positions in `schema`.
     pub fn bind(&self, schema: &Schema) -> Result<BoundExpr> {
         Ok(match self {

@@ -17,7 +17,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
-use stale_view_cleaning::catalog::{Catalog, StatsConfig, TableStats};
+use stale_view_cleaning::catalog::{
+    Catalog, CatalogEstimator, ScopedStats, StatsConfig, StatsProvider, TableStats,
+};
 use stale_view_cleaning::ivm::view::{maintenance_bindings, MaterializedView};
 use stale_view_cleaning::relalg::aggregate::{AggFunc, AggSpec};
 use stale_view_cleaning::relalg::derive::LeafProvider;
@@ -436,6 +438,16 @@ impl<E: CardEstimator> CardEstimator for Counting<E> {
     }
 }
 
+/// Counts the leaf statistics an estimator reads from the overlay.
+struct StatsReads<'a>(&'a ScopedStats<'a>, AtomicUsize);
+
+impl StatsProvider for StatsReads<'_> {
+    fn stats(&self, name: &str) -> Option<&TableStats> {
+        self.1.fetch_add(1, Ordering::Relaxed);
+        self.0.stats(name)
+    }
+}
+
 fn inner_joins(plan: &Plan) -> usize {
     usize::from(matches!(plan, Plan::Join { kind: JoinKind::Inner, .. }))
         + plan.children().map(inner_joins).sum::<usize>()
@@ -464,11 +476,15 @@ fn two_relation_regions_cost_no_estimator_calls() {
     let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
     let hashed = mplan.hash(&keys, svc.config.ratio, svc.config.hash_spec());
     let scoped = maintenance_stats(&catalog, Some(svc.stale_sample()), &deltas);
-    let est = Counting(scoped.estimator(), Default::default());
+    let reads = StatsReads(&scoped, Default::default());
+    let est = Counting(CatalogEstimator::new(&reads), Default::default());
     let (optimized, _) = optimize_with(&hashed, &svc.view.maint_catalog(&data.db), &est).unwrap();
 
     assert!(inner_joins(&optimized) >= 2, "the plan must actually hold join regions");
     assert_eq!(est.calls(), 0, "two-relation regions must never reach the estimator");
+    // Overlay stats are built inside `stats`, on first read: no read, no
+    // build scan of the stale sample or of any delta table.
+    assert_eq!(reads.1.load(Ordering::Relaxed), 0, "the overlay is dropped unread");
     let (expected, _, _) = svc.cleaning_plan_with(&data.db, &deltas, Some(&catalog)).unwrap();
     assert_eq!(optimized, expected);
 }

@@ -3,7 +3,10 @@
 //! claim that corrections beat direct estimates while staleness is small —
 //! plus the contracts of the one correspondence pass behind them all:
 //! bit-repeatability, AQP as the pass with no stale side, the outlier skip
-//! test against physical filtering, and the break-even picks.
+//! test against physical filtering, and the break-even picks. Last, the
+//! answer path's own contract: `SvcView` lowers the query onto the canonical
+//! state instead of materializing the public relation, so its answers must
+//! equal the materialized public path bit for bit and project nothing.
 
 use rand::SeedableRng;
 
@@ -11,13 +14,25 @@ use stale_view_cleaning::core::estimate::{svc_aqp, svc_corr, Estimate};
 use stale_view_cleaning::core::outlier::{
     estimate_aqp_with_outliers, estimate_corr_with_outliers, stale_rows_at,
 };
+use stale_view_cleaning::core::query::QueryAgg;
+use stale_view_cleaning::core::svc::CleanedSample;
 use stale_view_cleaning::core::{AggQuery, Method, SvcConfig, SvcView};
+use stale_view_cleaning::ivm::view::projection_count;
+use stale_view_cleaning::relalg::aggregate::{AggFunc, AggSpec};
+use stale_view_cleaning::relalg::plan::{JoinKind, Plan};
 use stale_view_cleaning::relalg::scalar::{col, lit};
 use stale_view_cleaning::sampling::operator::sample_by_key;
 use stale_view_cleaning::stats::Moments;
-use stale_view_cleaning::storage::{DataType, HashSpec, Schema, Table, Value};
+use stale_view_cleaning::storage::{
+    DataType, Database, Deltas, HashSpec, Result, Schema, Table, Value,
+};
+use stale_view_cleaning::workloads::conviva::{self, ConvivaConfig};
+use stale_view_cleaning::workloads::cube::{base_cube, CUBE_DIMS};
+use stale_view_cleaning::workloads::querygen::random_queries;
 use stale_view_cleaning::workloads::tpcd::{TpcdConfig, TpcdData};
-use stale_view_cleaning::workloads::tpcd_views::{join_view, join_view_queries};
+use stale_view_cleaning::workloads::tpcd_views::{
+    complex_views, join_view, join_view_queries, ComplexView,
+};
 
 /// Population of 4000 rows; the fresh version perturbs 5% of them slightly.
 fn views() -> (Table, Table) {
@@ -286,4 +301,264 @@ fn preferred_method_picks_on_the_benchmark_shape() {
         }
     }
     assert_eq!(direct, vec![(0.4, "Q7")]);
+}
+
+/// Every field of an estimate (or its error text), floats by bit pattern.
+type EstimateBits = (u64, Option<(u64, u64)>, Option<u64>, Method, usize, usize);
+
+fn estimate_bits(e: Result<Estimate>) -> std::result::Result<EstimateBits, String> {
+    e.map_err(|err| err.to_string()).map(|e| {
+        (
+            e.value.to_bits(),
+            e.ci.map(|ci| (ci.estimate.to_bits(), ci.half_width.to_bits())),
+            e.exceedance_probability.map(f64::to_bits),
+            e.method,
+            e.sample_size,
+            e.predicate_rows,
+        )
+    })
+}
+
+/// `q`'s attribute and predicate under each of the seven aggregates.
+fn under_every_agg(q: &AggQuery) -> impl Iterator<Item = AggQuery> + '_ {
+    [
+        QueryAgg::Sum,
+        QueryAgg::Count,
+        QueryAgg::Avg,
+        QueryAgg::Median,
+        QueryAgg::Percentile(0.9),
+        QueryAgg::Min,
+        QueryAgg::Max,
+    ]
+    .into_iter()
+    .map(move |agg| AggQuery { agg, ..q.clone() })
+}
+
+/// The answer path as it was before queries were lowered: an identity view
+/// over `svc`'s *materialized* public table, whose stale sample is the
+/// public stale sample and whose cleaned sample is `cleaned.public`.
+fn public_reference(svc: &SvcView, cleaned: &CleanedSample) -> (SvcView, CleanedSample) {
+    let mut db = Database::new();
+    db.create_table("public", svc.view.public_table().unwrap());
+    let reference = SvcView::create("ref", Plan::scan("public"), &db, svc.config).unwrap();
+    assert_eq!(reference.stale_sample().rows(), svc.stale_sample_public().unwrap().rows());
+    let public = CleanedSample { canonical: cleaned.public.clone(), ..cleaned.clone() };
+    (reference, public)
+}
+
+/// Test (a): every answer `SvcView` gives by lowering `q` equals, field by
+/// field and bit by bit, the same estimator run over the materialized
+/// public tables. Returns how many comparisons produced an estimate.
+fn assert_lowered_equals_public(svc: &SvcView, cleaned: &CleanedSample, qs: &[AggQuery]) -> usize {
+    let public_view = svc.view.public_table().unwrap();
+    let public_stale = svc.stale_sample_public().unwrap();
+    let (reference, reference_cleaned) = public_reference(svc, cleaned);
+    let (m, cfg) = (svc.config.ratio, &svc.config);
+    let mut answered = 0;
+    for q in qs.iter().flat_map(under_every_agg) {
+        let label = format!("{} {q:?}", svc.view.name);
+        let stale = q.exact(&public_view).unwrap();
+        assert_eq!(svc.query_stale(&q).unwrap().to_bits(), stale.to_bits(), "{label}");
+        let corr = estimate_bits(svc.estimate_corr(cleaned, &q));
+        let aqp = estimate_bits(svc.estimate_aqp(cleaned, &q));
+        assert_eq!(
+            corr,
+            estimate_bits(svc_corr(stale, &public_stale, &cleaned.public, &q, m, cfg)),
+            "{label}"
+        );
+        assert_eq!(aqp, estimate_bits(svc_aqp(&cleaned.public, &q, m, cfg)), "{label}");
+        assert_eq!(
+            svc.preferred_method(cleaned, &q).unwrap(),
+            reference.preferred_method(&reference_cleaned, &q).unwrap(),
+            "{label}"
+        );
+        answered += usize::from(corr.is_ok()) + usize::from(aqp.is_ok());
+    }
+    answered
+}
+
+/// `deltas` without its deletions, and without the insertions that replace
+/// an existing row (the insert half of an update).
+fn insertions_only(db: &Database, deltas: &Deltas) -> Deltas {
+    let mut out = Deltas::new();
+    for (name, set) in deltas.iter() {
+        let base = db.table(name).unwrap();
+        for row in set.insertions.rows() {
+            if !base.contains_key(&base.key_of(row)) {
+                out.insert(db, name, row.clone()).unwrap();
+            }
+        }
+    }
+    out
+}
+
+fn quick_config() -> SvcConfig {
+    SvcConfig { bootstrap_iterations: 12, ..SvcConfig::with_ratio(0.2) }
+}
+
+#[test]
+fn lowered_answers_equal_the_public_path_on_the_tpcd_views() {
+    let data = TpcdData::generate(TpcdConfig { scale: 0.01, skew: 2.0, seed: 42 }).unwrap();
+    let mixed = data.updates(0.1, 7).unwrap();
+    let delta_sets = [insertions_only(&data.db, &mixed), mixed];
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    let mut answered = 0;
+
+    let join = SvcView::create("joinView", join_view(), &data.db, quick_config()).unwrap();
+    let join_qs: Vec<AggQuery> = join_view_queries().iter().map(|t| t.instance(&mut rng)).collect();
+    let mut fleet = vec![(join, join_qs)];
+    for v in complex_views().into_iter().chain([cube_view()]) {
+        let svc = SvcView::create(v.id, v.plan, &data.db, quick_config()).unwrap();
+        let public = svc.view.public_table().unwrap();
+        let qs = random_queries(&public, &v.dims, &v.measures, 4, &mut rng).unwrap();
+        fleet.push((svc, qs));
+    }
+    for (svc, qs) in &fleet {
+        for deltas in &delta_sets {
+            let cleaned = svc.clean_sample(&data.db, deltas).unwrap();
+            answered += assert_lowered_equals_public(svc, &cleaned, qs);
+        }
+    }
+    assert!(answered > 1000, "most comparisons must be of real estimates: {answered}");
+}
+
+/// `base_cube()` in the shape of a complex view, so it rides the same loop.
+fn cube_view() -> ComplexView {
+    ComplexView {
+        id: "cube",
+        plan: base_cube(),
+        dims: CUBE_DIMS.to_vec(),
+        measures: vec!["revenue", "n"],
+        blocked: false,
+    }
+}
+
+#[test]
+fn lowered_answers_equal_the_public_path_on_the_conviva_views() {
+    let cfg = ConvivaConfig { base_events: 4_000, ..ConvivaConfig::default() };
+    let db = conviva::generate(cfg).unwrap();
+    let appended = conviva::appended_updates(&db, cfg, 600, 3).unwrap();
+    let mut mixed = appended.clone();
+    for row in db.table("activity").unwrap().rows().iter().step_by(17) {
+        mixed.delete(&db, "activity", row).unwrap();
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+    let mut answered = 0;
+    for v in conviva::views() {
+        let svc = SvcView::create(v.id, v.plan, &db, quick_config()).unwrap();
+        let public = svc.view.public_table().unwrap();
+        let qs = random_queries(&public, &v.dims, &v.measures, 4, &mut rng).unwrap();
+        for deltas in [&appended, &mixed] {
+            let cleaned = svc.clean_sample(&db, deltas).unwrap();
+            answered += assert_lowered_equals_public(&svc, &cleaned, &qs);
+        }
+    }
+    assert!(answered > 500, "most comparisons must be of real estimates: {answered}");
+}
+
+/// Test (b), cost shape rather than wall clock: once a sample is cleaned,
+/// answering projects nothing and clones no table — on the join view, whose
+/// public "projection" used to be a clone of the whole view, and on a view
+/// with a real one (`avg` recombination).
+#[test]
+fn answering_projects_nothing_and_clones_no_table() {
+    let data = TpcdData::generate(TpcdConfig { scale: 0.01, skew: 2.0, seed: 42 }).unwrap();
+    let deltas = data.updates(0.1, 7).unwrap();
+    let avg_view = Plan::scan("lineitem")
+        .aggregate(&["l_orderkey"], vec![AggSpec::new("avgQty", AggFunc::Avg, col("l_quantity"))]);
+    for (def, q) in [
+        (join_view(), AggQuery::sum(col("l_quantity")).filter(col("l_quantity").gt(lit(2.0)))),
+        (avg_view, AggQuery::avg(col("avgQty")).filter(col("avgQty").gt(lit(1.0)))),
+    ] {
+        let svc = SvcView::create("v", def, &data.db, quick_config()).unwrap();
+        let cleaned = svc.clean_sample(&data.db, &deltas).unwrap();
+        let before = (projection_count(), Table::clone_count());
+        for _ in 0..100 {
+            svc.query_stale(&q).unwrap();
+            svc.estimate_corr(&cleaned, &q).unwrap();
+            svc.estimate_aqp(&cleaned, &q).unwrap();
+            svc.preferred_method(&cleaned, &q).unwrap();
+        }
+        assert_eq!((projection_count(), Table::clone_count()), before, "{q:?}");
+        // The display form still projects, and is counted when it does.
+        svc.stale_sample_public().unwrap();
+        assert_eq!(projection_count(), before.0 + 1);
+    }
+}
+
+/// Test (c): a query names public columns only. Canonical-only columns and
+/// misspellings fail exactly as they do against the materialized public
+/// table; a short public name of a qualified group column resolves.
+#[test]
+fn lowering_resolves_names_against_the_public_schema_only() {
+    // `canon.rs::qualified_group_columns_get_short_public_names`' view: both
+    // inputs have a `videoId`, so the group column is `video.videoId` in the
+    // canonical state and `videoId` in public.
+    let mut db = Database::new();
+    let mut log = Table::new(
+        Schema::from_pairs(&[("sessionId", DataType::Int), ("videoId", DataType::Int)]).unwrap(),
+        &["sessionId"],
+    )
+    .unwrap();
+    let mut video = Table::new(
+        Schema::from_pairs(&[
+            ("videoId", DataType::Int),
+            ("ownerId", DataType::Int),
+            ("duration", DataType::Float),
+        ])
+        .unwrap(),
+        &["videoId"],
+    )
+    .unwrap();
+    for v in 0..200i64 {
+        video
+            .insert(vec![Value::Int(v), Value::Int(v % 40), Value::Float(v as f64 / 8.0)])
+            .unwrap();
+    }
+    for s in 0..3000i64 {
+        log.insert(vec![Value::Int(s), Value::Int(s * 7 % 40)]).unwrap();
+    }
+    db.create_table("log", log);
+    db.create_table("video", video);
+    let mut deltas = Deltas::new();
+    for s in 3000..3300i64 {
+        deltas.insert(&db, "log", vec![Value::Int(s), Value::Int(s % 40)]).unwrap();
+    }
+    let def = Plan::scan("log")
+        .join(Plan::scan("video"), JoinKind::Inner, &[("videoId", "ownerId")])
+        .aggregate(
+            &["video.videoId"],
+            vec![AggSpec::count_all("n"), AggSpec::new("avgDur", AggFunc::Avg, col("duration"))],
+        );
+    let svc = SvcView::create("v", def, &db, quick_config()).unwrap();
+    let cleaned = svc.clean_sample(&db, &deltas).unwrap();
+    let public = svc.view.public_table().unwrap();
+    assert_eq!(public.schema().names(), vec!["videoId", "n", "avgDur"]);
+    assert!(svc.view.table().schema().names().contains(&"video.videoId"));
+
+    let canonical_only: Vec<String> = svc
+        .view
+        .table()
+        .schema()
+        .names()
+        .into_iter()
+        .filter(|n| public.schema().resolve(n).is_err())
+        .map(String::from)
+        .collect();
+    assert!(canonical_only.iter().any(|n| n == "__svc_cnt"), "{canonical_only:?}");
+    assert!(canonical_only.iter().any(|n| n == "video.videoId"), "{canonical_only:?}");
+    assert!(canonical_only.len() >= 4, "the avg's sum and count are hidden too");
+    for name in canonical_only.iter().map(String::as_str).chain(["avgDurr"]) {
+        for q in [AggQuery::sum(col(name)), AggQuery::count().filter(col(name).gt(lit(0i64)))] {
+            let expected = q.exact(&public).unwrap_err().to_string();
+            assert!(expected.contains(name), "{expected}");
+            assert_eq!(svc.query_stale(&q).unwrap_err().to_string(), expected);
+            assert_eq!(svc.estimate_corr(&cleaned, &q).unwrap_err().to_string(), expected);
+            assert_eq!(svc.estimate_aqp(&cleaned, &q).unwrap_err().to_string(), expected);
+            assert_eq!(svc.preferred_method(&cleaned, &q).unwrap_err().to_string(), expected);
+        }
+    }
+
+    let q = AggQuery::sum(col("n")).filter(col("videoId").gt(lit(10i64)));
+    assert_eq!(assert_lowered_equals_public(&svc, &cleaned, &[q]), 14);
 }
