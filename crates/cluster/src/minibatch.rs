@@ -3,17 +3,18 @@
 //!
 //! [`BatchPipeline`] is a real mini-batch IVM executor: it drains pending
 //! [`Deltas`] into batches, splits each batch into delta chunks, gets one
-//! compiled signed change-table plan per *delta signature* in the batch
-//! (`svc_ivm::strategy::change_table_expr` over the plain `__ins.T` /
-//! `__del.T` leaves — normally one plan, shared by every chunk: one
-//! expression evaluated over many inputs), runs it once per chunk on the
-//! shared [`WorkerPool`] (`WorkerPool::run_batch`, each chunk under its own
-//! `Bindings`), and folds the resulting change tables into the
-//! materialized view by group key (`svc_ivm::KeyedFold`): each change row is
-//! looked up, merged or inserted, so a fold costs what its change table
-//! holds, not what the view holds. Larger batches amortize the per-batch driver work (partitioning,
-//! dispatch, the fold's per-group lookups) over more records — the
-//! Figure 14 shape, measured on real plans (`fig14`).
+//! compiled pair of signed change-table plans — γ(∆) and γ(∇),
+//! `svc_ivm::strategy::change_table_expr` over the plain `__ins.T` /
+//! `__del.T` leaves — per *delta signature* in the batch (normally one pair,
+//! shared by every chunk: one expression evaluated over many inputs), runs
+//! it once per chunk on the shared [`WorkerPool`] (`WorkerPool::run_batch`,
+//! each chunk under its own `Bindings`), and folds the resulting change
+//! tables into the materialized view by group key (`svc_ivm::KeyedFold`):
+//! each change row is looked up, merged or inserted, so a fold costs what
+//! its change table holds, not what the view holds. Larger batches amortize
+//! the per-batch driver work (partitioning, dispatch, the fold's per-group
+//! lookups) over more records — the Figure 14 shape, measured on real plans
+//! (`fig14`).
 //!
 //! Chunk-level parallelism is exact when no cross-chunk delta interactions
 //! exist: single-table batches through tree-shaped views (each touched
@@ -36,7 +37,7 @@ use svc_core::maintenance_stats;
 use svc_ivm::fold::{KeyedFold, StagedEdits};
 use svc_ivm::strategy::{change_table_expr, MaintCatalog};
 use svc_ivm::view::{maintenance_bindings, MaterializedView};
-use svc_ivm::DeltaInfo;
+use svc_ivm::{DeltaInfo, Signed};
 use svc_relalg::exec::{ExecMode, PhysicalPlan};
 use svc_relalg::optimizer::CardEstimator;
 use svc_relalg::plan::Plan;
@@ -262,8 +263,8 @@ impl Drop for BacklogGuard<'_> {
     }
 }
 
-/// The cache of compiled change plans: one per (view, delta signature,
-/// catalog).
+/// The cache of compiled change plans: one pair (γ(∆), γ(∇)) per (view,
+/// delta signature, catalog).
 ///
 /// Everything a compiled plan depends on is part of its key: the canonical
 /// view plan, stale type and base-table shapes (the *view key*), which
@@ -284,8 +285,9 @@ struct CompileCache {
     /// entry keys stays unambiguous: a dropped catalog's allocation can
     /// never be recycled into a new catalog that false-hits old entries.
     catalogs: Vec<Arc<Catalog>>,
-    /// Compiled plans, keyed by catalog identity then view key + signature.
-    entries: HashMap<usize, HashMap<String, Arc<PhysicalPlan>>>,
+    /// Compiled change plans — one entry is the pair γ(∆), γ(∇) — keyed by
+    /// catalog identity then view key + signature.
+    entries: HashMap<usize, HashMap<String, Arc<Signed<PhysicalPlan>>>>,
 }
 
 /// Entry cap: one long-lived pipeline maintaining many views over
@@ -301,12 +303,21 @@ fn catalog_token(catalog: &Option<Arc<Catalog>>) -> usize {
 
 impl CompileCache {
     /// The entry for `key` under the caller's catalog.
-    fn lookup(&mut self, catalog: &Option<Arc<Catalog>>, key: &str) -> Option<Arc<PhysicalPlan>> {
+    fn lookup(
+        &mut self,
+        catalog: &Option<Arc<Catalog>>,
+        key: &str,
+    ) -> Option<Arc<Signed<PhysicalPlan>>> {
         self.entries.get(&catalog_token(catalog))?.get(key).cloned()
     }
 
-    /// Insert a freshly compiled plan.
-    fn store(&mut self, catalog: &Option<Arc<Catalog>>, key: String, plan: Arc<PhysicalPlan>) {
+    /// Insert a freshly compiled pair.
+    fn store(
+        &mut self,
+        catalog: &Option<Arc<Catalog>>,
+        key: String,
+        plan: Arc<Signed<PhysicalPlan>>,
+    ) {
         if self.entries.values().map(HashMap::len).sum::<usize>() >= COMPILE_CACHE_CAP {
             self.entries.clear();
             self.catalogs.clear();
@@ -777,9 +788,9 @@ impl BatchPipeline {
         // partitioning moves rows into their chunks.
         let chunks =
             if call.chunk_parallel { batch.partition(self.partitions) } else { vec![batch] };
-        // One plan per distinct delta signature in the batch — normally one
-        // — looked up once, however many chunks carry it.
-        let mut plans: Vec<(DeltaInfo, Arc<PhysicalPlan>)> = Vec::new();
+        // One pair of plans per distinct delta signature in the batch —
+        // normally one — looked up once, however many chunks carry it.
+        let mut plans: Vec<(DeltaInfo, Arc<Signed<PhysicalPlan>>)> = Vec::new();
         let mut plan_of = Vec::with_capacity(chunks.len());
         for chunk in &chunks {
             let info = DeltaInfo::of(chunk);
@@ -792,10 +803,12 @@ impl BatchPipeline {
         }
         svc_fault::fail_point!(svc_fault::site::BATCH_EVALUATE, StorageError::Invalid);
         // Every chunk names its deltas the way any maintenance plan reads
-        // them, so the shared plan runs unchanged under each chunk's own
-        // bindings.
+        // them, so the shared pair runs unchanged under each chunk's own
+        // bindings: one task per chunk evaluates γ(∆), then γ(∇).
         let changes = self.pool.run_batch(chunks.len(), |i| {
-            plans[plan_of[i]].1.run(&maintenance_bindings(call.db, &chunks[i], target))
+            let bindings = maintenance_bindings(call.db, &chunks[i], target);
+            let pair: &Signed<PhysicalPlan> = &plans[plan_of[i]].1;
+            pair.as_ref().try_map(|side| side.run(&bindings))
         })?;
 
         // Reduce stage (driver): fold each change table, in chunk order,
@@ -814,16 +827,16 @@ impl BatchPipeline {
         Ok((staged, changes.len()))
     }
 
-    /// The compiled change plan for one delta signature of the view: served
-    /// from the cache when the signature was seen before, otherwise built,
-    /// optimized, compiled — priced on `chunk`, the first one carrying the
-    /// signature — and cached.
+    /// The compiled change plans — γ(∆) and γ(∇), one cache entry — for one
+    /// delta signature of the view: served from the cache when the signature
+    /// was seen before, otherwise built, optimized, compiled — priced on
+    /// `chunk`, the first one carrying the signature — and cached.
     fn compiled_change_plan(
         &self,
         call: &MaintainCall<'_>,
         chunk: &Deltas,
         info: &DeltaInfo,
-    ) -> Result<Arc<PhysicalPlan>> {
+    ) -> Result<Arc<Signed<PhysicalPlan>>> {
         let MaintainCall { canonical, cat, view_key, .. } = *call;
         let key = format!("{view_key}|{info:?}");
         if let Some(hit) = self.cache_lock().lookup(&self.catalog, &key) {
@@ -834,18 +847,23 @@ impl BatchPipeline {
         svc_fault::fail_point!(svc_fault::site::BATCH_COMPILE, StorageError::Invalid);
         let _compile_span = self.tracer.as_deref().map(|t| t.span("compile", "pipeline"));
 
-        let change = change_table_expr(canonical, cat, info)?.ok_or_else(|| {
-            StorageError::Invalid("delta chunk is empty; partition before batching".into())
-        })?;
+        let change = change_table_expr(canonical, cat, info)?;
+        if change.is_empty() {
+            return Err(StorageError::Invalid(
+                "delta chunk is empty; partition before batching".into(),
+            ));
+        }
         // With a catalog attached, overlay stats for the chunk's delta
-        // leaves (tiny tables — the build scan is noise) so the change plan
-        // gets cost-based join order too. Change plans never read `__stale`
+        // leaves (tiny tables — the build scan is noise) so the change plans
+        // get cost-based join order too. Change plans never read `__stale`
         // (the keyed fold does the merge), so no view-wide stats build.
         let scoped = self.catalog.as_deref().map(|c| maintenance_stats(c, None, chunk));
         let est = scoped.as_ref().map(|s| s.estimator());
         let est = est.as_ref().map(|e| e as &dyn CardEstimator);
-        let (optimized, _) = cat.optimize(&change, est)?;
-        let compiled = Arc::new(svc_relalg::exec::compile_with(&optimized, cat, est)?);
+        let compiled = Arc::new(change.try_map(|side| {
+            let (optimized, _) = cat.optimize(&side, est)?;
+            svc_relalg::exec::compile_with(&optimized, cat, est)
+        })?);
         self.cache_lock().store(&self.catalog, key, compiled.clone());
         self.counters.compiles.inc();
         Ok(compiled)
@@ -1138,7 +1156,7 @@ mod tests {
         let db = db();
         let view = MaterializedView::create("v", visit_view(), &db).unwrap();
         // Insert-only stream: every chunk of every batch has the same delta
-        // signature, so one compiled plan serves all of them.
+        // signature, so one compiled pair (γ(∆) alone here) serves them all.
         let mut deltas = Deltas::new();
         for s in 2_000..2_400i64 {
             deltas.insert(&db, "log", vec![Value::Int(s), Value::Int(s % 80)]).unwrap();
@@ -1167,8 +1185,10 @@ mod tests {
     }
 
     /// Chunks of one batch may carry different delta signatures: each
-    /// distinct signature compiles its own plan, every chunk runs under the
-    /// plan of its signature, and the fold is still the exact view.
+    /// distinct signature compiles its own pair of plans — one cache entry,
+    /// one `compiles` tick, γ(∇) present only where the signature has
+    /// deletions — every chunk runs under the pair of its signature, and the
+    /// fold is still the exact view.
     #[test]
     fn mixed_signature_chunks_compile_one_plan_each() {
         let db = db();
@@ -1195,6 +1215,12 @@ mod tests {
             (2, 2, 0),
             "one lookup per signature"
         );
+        let mut sides: Vec<(bool, bool)> = (pipeline.cache_lock().entries.values())
+            .flat_map(|by_key| by_key.values())
+            .map(|pair| (pair.ins.is_some(), pair.del.is_some()))
+            .collect();
+        sides.sort();
+        assert_eq!(sides, [(true, false), (true, true)], "one entry per signature, each a pair");
         let expected = view.recompute_fresh(&db, &deltas).unwrap();
         assert!(v.table().approx_same_contents(&expected, 1e-9));
     }

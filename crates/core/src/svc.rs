@@ -4,16 +4,19 @@
 //! hash-sample of it. Between maintenance periods it can:
 //!
 //! * *clean* the stale sample into an up-to-date sample (Problem 1) by
-//!   pushing η through the view's maintenance plan — Figure 3's optimized
-//!   expression, built here from `svc-ivm` + `svc-sampling`;
+//!   pushing η through the view's maintenance strategy (Figure 3), built
+//!   here from `svc-ivm` + `svc-sampling`: a change table is evaluated once
+//!   under η and folded into the sample by group key; every other strategy
+//!   runs as the η-wrapped maintenance plan;
 //! * answer aggregate queries via SVC+AQP or SVC+CORR (Problem 2);
 //! * run full maintenance at period boundaries and re-sample.
 
 use svc_storage::{Database, Deltas, Result, StorageError, Table};
 
 use svc_catalog::{Catalog, ScopedStats};
-use svc_ivm::delta::{del_leaf, ins_leaf};
-use svc_ivm::strategy::{PlanKind, STALE_LEAF};
+use svc_ivm::delta::{del_leaf, ins_leaf, DeltaInfo};
+use svc_ivm::fold::KeyedFold;
+use svc_ivm::strategy::{change_table_expr, PlanKind, STALE_LEAF};
 use svc_ivm::view::{maintenance_bindings, MaterializedView};
 
 use svc_relalg::derive::{derive_project, Derived};
@@ -132,7 +135,9 @@ impl SvcView {
 
     /// Build the optimized cleaning expression `C` (η pushed through the
     /// maintenance plan) without evaluating it. Exposed for inspection and
-    /// for the benchmarks that count how far hashes push.
+    /// for the benchmarks that count how far hashes push; it is what
+    /// [`SvcView::clean_sample`] runs for SPJ and recomputed views, and the
+    /// reference its fold of a change-table view is tested equal to.
     ///
     /// The η-wrapped maintenance plan goes through the standard optimizer —
     /// predicate pushdown, projection pruning, and the Definition 3 η rule
@@ -158,14 +163,7 @@ impl SvcView {
         catalog: Option<&Catalog>,
     ) -> Result<(Plan, PushdownReport, PlanKind)> {
         let (mplan, kind) = self.view.build_maintenance_plan(db, deltas)?;
-        let key_names = self.view.key_names();
-        if key_names.is_empty() {
-            return Err(StorageError::Invalid(
-                "cannot sample a view with an empty primary key (global aggregate)".into(),
-            ));
-        }
-        let key_refs: Vec<&str> = key_names.iter().map(|s| s.as_str()).collect();
-        let hashed = mplan.hash(&key_refs, self.config.ratio, self.config.hash_spec());
+        let hashed = self.hashed(mplan)?;
         let cat = self.view.maint_catalog(db);
         // The stale leaf is priced from the **stale sample** — that is the
         // relation `clean_sample` actually binds when η reaches every stale
@@ -181,6 +179,18 @@ impl SvcView {
         Ok((optimized, report.eta, kind))
     }
 
+    /// `η(plan)` on the view's primary key with this view's ratio and hash.
+    fn hashed(&self, plan: Plan) -> Result<Plan> {
+        let key_names = self.view.key_names();
+        if key_names.is_empty() {
+            return Err(StorageError::Invalid(
+                "cannot sample a view with an empty primary key (global aggregate)".into(),
+            ));
+        }
+        let key_refs: Vec<&str> = key_names.iter().map(|s| s.as_str()).collect();
+        Ok(plan.hash(&key_refs, self.config.ratio, self.config.hash_spec()))
+    }
+
     /// Problem 1 — stale sample view cleaning: materialize `Ŝ′`, the
     /// corresponding up-to-date sample, for a fraction of full maintenance
     /// cost.
@@ -190,6 +200,10 @@ impl SvcView {
 
     /// [`SvcView::clean_sample`] with an optional statistics catalog (see
     /// [`SvcView::cleaning_plan_with`]).
+    ///
+    /// A change-table view is cleaned the way it is maintained: its change
+    /// table is evaluated once and folded by group key — here under η, into
+    /// the stale sample. Every other view runs its cleaning plan.
     pub fn clean_sample_with(
         &self,
         db: &Database,
@@ -197,15 +211,68 @@ impl SvcView {
         catalog: Option<&Catalog>,
     ) -> Result<CleanedSample> {
         svc_fault::fail_point!(svc_fault::site::CORE_CLEAN, StorageError::Invalid);
+        let (canonical, report, plan_kind) = match self.folded_sample(db, deltas, catalog)? {
+            Some((canonical, report)) => (canonical, report, PlanKind::ChangeTable),
+            None => self.planned_sample(db, deltas, catalog)?,
+        };
+        let public = self.view.public_of(&canonical)?;
+        self.counters.cleanings.inc();
+        self.counters.rows_cleaned.add(canonical.len() as u64);
+        Ok(CleanedSample { canonical, public, report, plan_kind })
+    }
+
+    /// `Ŝ′ = fold(Ŝ, η(γ(∆)), η(γ(∇)))` for a view in the change-table class
+    /// whose pending deltas reach it, `None` otherwise. η on the group key
+    /// pushes through each γ into its delta joins exactly as it pushes
+    /// through the merge of the plan form; the stale sample *is* `η(S)`, and
+    /// a matched group, a new one (its key hashes into the sample) and a dead
+    /// one are the fold's three cases. Each side is optimized, compiled and
+    /// run once, and the stale view is never read — not even when η stops
+    /// short of a leaf. The report is the union of the two sides' (it has no
+    /// `__stale` entry).
+    fn folded_sample(
+        &self,
+        db: &Database,
+        deltas: &Deltas,
+        catalog: Option<&Catalog>,
+    ) -> Result<Option<(Table, PushdownReport)>> {
+        let cat = self.view.maint_catalog(db);
+        let change = match change_table_expr(self.view.canonical(), &cat, &DeltaInfo::of(deltas)) {
+            Ok(change) if !change.is_empty() => change,
+            _ => return Ok(None),
+        };
+        let scoped = catalog.map(|c| maintenance_stats(c, None, deltas));
+        let est = scoped.as_ref().map(ScopedStats::estimator);
+        let est = est.as_ref().map(|e| e as &dyn CardEstimator);
+        let bindings = maintenance_bindings(db, deltas, &self.stale_sample);
+        let mut report = PushdownReport::default();
+        let change = change.try_map(|side| {
+            let (optimized, side_report) = cat.optimize(&self.hashed(side)?, est)?;
+            report.descended += side_report.eta.descended;
+            report.blockers.extend(side_report.eta.blockers);
+            report.sampled_leaves.extend(side_report.eta.sampled_leaves);
+            svc_relalg::exec::compile(&optimized, &bindings)?.run(&bindings)
+        })?;
+        let mut cleaned = self.stale_sample.clone();
+        KeyedFold::new(self.view.canonical(), &cleaned)?.fold(&mut cleaned, &change)?;
+        Ok(Some((cleaned, report)))
+    }
+
+    /// `Ŝ′` by running the cleaning plan — SPJ delta application, recompute
+    /// fallbacks and deltas that do not reach the view.
+    fn planned_sample(
+        &self,
+        db: &Database,
+        deltas: &Deltas,
+        catalog: Option<&Catalog>,
+    ) -> Result<(Table, PushdownReport, PlanKind)> {
         let (plan, report, plan_kind) = self.cleaning_plan_with(db, deltas, catalog)?;
         // When the η reached every stale-view leaf, those branches read only
         // hash-selected rows, so binding the (much smaller) stale sample is
         // the exact same relation — the hash is idempotent on it. Blockers
-        // elsewhere (e.g. inside the delta branch of a multi-dimension cube)
-        // don't matter for this substitution. If some stale-view scan is
-        // NOT under a hash, bind the full stale view: the un-pushed hash
-        // above still samples correctly, it is merely more work (the
-        // paper's V21/V22 regime).
+        // elsewhere don't matter for this substitution. If some stale-view
+        // scan is NOT under a hash, bind the full stale view: the un-pushed
+        // hash above still samples correctly, it is merely more work.
         let stale_scans = count_scans(&plan, STALE_LEAF);
         let stale_sampled =
             report.sampled_leaves.iter().filter(|l| l.as_str() == STALE_LEAF).count();
@@ -214,17 +281,12 @@ impl SvcView {
         } else {
             self.view.table()
         };
-        let canonical = {
-            // Compile the cleaning expression once and stream it: the η
-            // filters run over borrowed base/delta/stale rows, cloning
-            // only hash-selected survivors.
-            let bindings = maintenance_bindings(db, deltas, stale_binding);
-            svc_relalg::exec::compile(&plan, &bindings)?.run(&bindings)?
-        };
-        let public = self.view.public_of(&canonical)?;
-        self.counters.cleanings.inc();
-        self.counters.rows_cleaned.add(canonical.len() as u64);
-        Ok(CleanedSample { canonical, public, report, plan_kind })
+        // Compile the cleaning expression once and stream it: the η filters
+        // run over borrowed base/delta/stale rows, cloning only
+        // hash-selected survivors.
+        let bindings = maintenance_bindings(db, deltas, stale_binding);
+        let canonical = svc_relalg::exec::compile(&plan, &bindings)?.run(&bindings)?;
+        Ok((canonical, report, plan_kind))
     }
 
     /// `q(S)`: the (possibly stale) full-view answer — the "No Maintenance"

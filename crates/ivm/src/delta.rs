@@ -71,18 +71,39 @@ impl DeltaInfo {
     }
 }
 
-/// The insertion and deletion plans for a derived relation. `None` means
-/// provably empty.
+/// One value per sign of a change: the insertion (∆) side and the deletion
+/// (∇) side. `None` means provably empty.
 #[derive(Debug, Clone)]
-pub struct DeltaPlan {
-    /// Plan computing rows inserted into the result.
-    pub ins: Option<Plan>,
-    /// Plan computing rows deleted from the result.
-    pub del: Option<Plan>,
+pub struct Signed<T> {
+    /// The inserted side.
+    pub ins: Option<T>,
+    /// The deleted side.
+    pub del: Option<T>,
 }
 
-impl DeltaPlan {
-    const EMPTY: DeltaPlan = DeltaPlan { ins: None, del: None };
+/// The insertion and deletion plans for a derived relation.
+pub type DeltaPlan = Signed<Plan>;
+
+impl<T> Signed<T> {
+    const EMPTY: Signed<T> = Signed { ins: None, del: None };
+
+    /// True iff both sides are provably empty.
+    pub fn is_empty(&self) -> bool {
+        self.ins.is_none() && self.del.is_none()
+    }
+
+    /// Both sides by reference.
+    pub fn as_ref(&self) -> Signed<&T> {
+        Signed { ins: self.ins.as_ref(), del: self.del.as_ref() }
+    }
+
+    /// Both sides through `f`, the inserted one first.
+    pub fn try_map<U>(self, mut f: impl FnMut(T) -> Result<U>) -> Result<Signed<U>> {
+        Ok(Signed {
+            ins: self.ins.map(&mut f).transpose()?,
+            del: self.del.map(&mut f).transpose()?,
+        })
+    }
 }
 
 /// Key-equality pairs `(k, k)` for a plan's derived primary key, used for

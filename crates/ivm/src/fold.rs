@@ -1,14 +1,23 @@
-//! The keyed change-table fold: apply one signed change table to a
-//! materialized aggregate view by group key.
+//! The keyed change-table fold: apply one signed change table to a keyed
+//! aggregate relation — the materialized view, or a hash sample of it — by
+//! group key.
 //!
-//! The change-table *plan* (`strategy::maintenance_plan`) merges the stale
-//! view with a change table through an inner join and two anti-joins — three
-//! scans of the view, whatever the size of the change. That shape is what
-//! the cleaning path needs (η pushes through it), but a maintenance path
-//! that already holds the change table only has to touch the groups it
-//! names: look each change row up by key, merge a matched group with the
-//! plan's own merge expressions (`merged_columns`), insert an unmatched
-//! one, drop a group whose `__svc_cnt` falls to zero. O(|change|) per fold.
+//! A change table is evaluated once and folded. The strategy hands it over
+//! as two keyed tables, γ(∆) and γ(∇) (`strategy::change_table_expr`); the
+//! fold walks them once, nets a group that appears on both sides, looks the
+//! group up in the target, merges a matched group, inserts an unmatched one
+//! and drops a group whose `__svc_cnt` falls to zero — O(|change|) per fold,
+//! whatever the size of the target. The arithmetic is the plan form's own
+//! (`net_columns`, `negated_columns`, `merged_columns`, `group_is_live`), so
+//! the fold equals evaluating `strategy::maintenance_plan`'s merge — which
+//! embeds the change table three times and each of its sides three times
+//! more, and which nothing runs — exactly.
+//!
+//! The target only has to be keyed by the group columns: `MaterializedView`
+//! folds into a copy of the view, the mini-batch pipeline into its shadow,
+//! and `SvcView::clean_sample` folds η(γ(∆)), η(γ(∇)) into a copy of the
+//! stale sample — the sample *is* η(S), and matched / new / dead groups are
+//! the fold's three cases.
 //!
 //! Edits are *staged* ([`StagedEdits`]) before they are applied, so a caller
 //! can fold several change tables, fail or retry anywhere in between, and
@@ -16,18 +25,26 @@
 
 use std::collections::HashMap;
 
-use svc_relalg::scalar::BoundExpr;
+use svc_relalg::scalar::{BoundExpr, Expr};
 use svc_storage::{Field, KeyTuple, Result, Row, Schema, StorageError, Table};
 
 use crate::canon::Canonical;
-use crate::strategy::{group_is_live, merged_columns, CanonNames, CHANGE_PREFIX};
+use crate::delta::Signed;
+use crate::strategy::{
+    group_is_live, merged_columns, negated_columns, net_columns, CanonNames, CHANGE_PREFIX,
+    DEL_PREFIX,
+};
 
-/// The fold of one view, bound once: the merge expressions of
-/// `merged_columns` over a stale row followed by its group's change row,
-/// and the liveness predicate over a canonical row.
+/// The fold of one view, bound once: the plan form's column expressions over
+/// rows laid side by side, and the liveness predicate over a canonical row.
 #[derive(Debug)]
 pub struct KeyedFold {
     key: Vec<usize>,
+    /// `net_columns` over a group's γ(∆) row followed by its γ(∇) row.
+    net: Vec<BoundExpr>,
+    /// `negated_columns` over a γ(∇) row.
+    negated: Vec<BoundExpr>,
+    /// `merged_columns` over a stale row followed by its group's change row.
     merge: Vec<BoundExpr>,
     live: BoundExpr,
 }
@@ -49,85 +66,124 @@ impl StagedEdits {
     }
 }
 
+/// `schema` with every column renamed to `{prefix}{name}`.
+fn prefixed(schema: &Schema, prefix: &str) -> Vec<Field> {
+    schema.fields().iter().map(|f| Field::new(format!("{prefix}{}", f.name), f.dtype)).collect()
+}
+
+fn bind_all(columns: &[(String, Expr)], fields: Vec<Field>) -> Result<Vec<BoundExpr>> {
+    let schema = Schema::new(fields)?;
+    columns.iter().map(|(_, e)| e.bind(&schema)).collect()
+}
+
+/// `exprs` over `left` followed by `right`, laid out in `scratch`.
+fn beside(scratch: &mut Row, left: &Row, right: &Row, exprs: &[BoundExpr]) -> Row {
+    scratch.clear();
+    scratch.extend_from_slice(left);
+    scratch.extend_from_slice(right);
+    exprs.iter().map(|e| e.eval(scratch)).collect()
+}
+
 impl KeyedFold {
     /// Bind the fold of `canonical` against the schema and key of its
-    /// materialized `view` table. Errors for views outside the change-table
-    /// class (non-aggregates, median).
+    /// materialized `view` table (or of a sample of it). Errors for views
+    /// outside the change-table class (non-aggregates, median).
     pub fn new(canonical: &Canonical, view: &Table) -> Result<KeyedFold> {
         let schema = view.schema();
         let shape = canonical.agg.as_ref().ok_or_else(|| {
             StorageError::Invalid("change-table fold requires an aggregate view".into())
         })?;
         let names = CanonNames::new(schema, shape.group_by.len())?;
-        // A stale row and its change row side by side, as the join of the
-        // merge plan lays them out.
-        let mut fields = schema.fields().to_vec();
-        fields.extend(
-            schema
-                .fields()
-                .iter()
-                .map(|f| Field::new(format!("{CHANGE_PREFIX}{}", f.name), f.dtype)),
-        );
-        let side_by_side = Schema::new(fields)?;
-        let merge = merged_columns(shape, &names)?
-            .iter()
-            .map(|(_, e)| e.bind(&side_by_side))
-            .collect::<Result<_>>()?;
-        Ok(KeyedFold { key: view.key().to_vec(), merge, live: group_is_live().bind(schema)? })
+        // Two rows side by side, as the joins of the plan form lay them out.
+        let side_by_side = |prefix: &str| {
+            let mut fields = schema.fields().to_vec();
+            fields.extend(prefixed(schema, prefix));
+            fields
+        };
+        Ok(KeyedFold {
+            key: view.key().to_vec(),
+            net: bind_all(&net_columns(&names), side_by_side(DEL_PREFIX))?,
+            negated: bind_all(&negated_columns(&names), prefixed(schema, DEL_PREFIX))?,
+            merge: bind_all(&merged_columns(shape, &names)?, side_by_side(CHANGE_PREFIX))?,
+            live: group_is_live().bind(schema)?,
+        })
     }
 
-    /// Stage the fold of `change` into `target` on top of the edits already
-    /// in `staged` (a group touched twice merges with its staged row).
-    /// Reads `target`, writes only `staged`.
-    pub fn stage(&self, target: &Table, staged: &mut StagedEdits, change: &Table) -> Result<()> {
+    /// Stage the fold of the signed `change` (γ(∆), γ(∇)) into `target` on
+    /// top of the edits already in `staged` (a group touched twice merges
+    /// with its staged row). Reads `target`, writes only `staged`.
+    pub fn stage(
+        &self,
+        target: &Table,
+        staged: &mut StagedEdits,
+        change: &Signed<Table>,
+    ) -> Result<()> {
         let width = self.merge.len();
-        if target.schema().len() != width || change.schema().len() != width {
+        let sides = || change.ins.iter().chain(&change.del);
+        if target.schema().len() != width || sides().any(|c| c.schema().len() != width) {
             return Err(StorageError::Invalid(format!(
-                "change-table fold over {width} columns got a {}-column view and a {}-column \
-                 change table",
+                "change-table fold over {width} columns got a {}-column view and change tables \
+                 of {:?} columns",
                 target.schema().len(),
-                change.schema().len()
+                sides().map(|c| c.schema().len()).collect::<Vec<_>>()
             )));
         }
-        if target.key() != self.key || change.key() != self.key {
+        if target.key() != self.key || sides().any(|c| c.key() != self.key) {
             return Err(StorageError::Invalid(
                 "change-table fold: view and change table must be keyed by the group columns"
                     .into(),
             ));
         }
-        let mut pair: Row = Vec::with_capacity(2 * width);
-        for delta in change.rows() {
-            let key = KeyTuple::of(delta, &self.key);
-            let slot = staged.index.get(&key).copied();
-            let current = match slot {
-                Some(i) => staged.edits[i].1.as_ref(),
-                None => target.get(&key),
-            };
-            let next = match current {
-                Some(row) => {
-                    pair.clear();
-                    pair.extend_from_slice(row);
-                    pair.extend_from_slice(delta);
-                    self.merge.iter().map(|e| e.eval(&pair)).collect()
+        // The signed change table row by row, in the plan form's three cases:
+        // groups of γ(∆), netted when γ(∇) has them too, then γ(∇)-only ones.
+        let mut scratch: Row = Vec::with_capacity(2 * width);
+        let key_of = |row: &Row| KeyTuple::of(row, &self.key);
+        for row in change.ins.iter().flat_map(|ins| ins.rows()) {
+            match change.del.as_ref().and_then(|del| del.get(&key_of(row))) {
+                Some(deleted) => {
+                    let net = beside(&mut scratch, row, deleted, &self.net);
+                    self.stage_row(target, staged, &net, &mut scratch);
                 }
-                None => delta.clone(),
-            };
-            let next = self.live.matches(&next).then_some(next);
-            match slot {
-                Some(i) => staged.edits[i].1 = next,
-                // A dead group the target never held needs no edit.
-                None if next.is_none() && current.is_none() => {}
-                None => {
-                    staged.index.insert(key.clone(), staged.edits.len());
-                    staged.edits.push((key, next));
-                }
+                None => self.stage_row(target, staged, row, &mut scratch),
             }
+        }
+        for row in change.del.iter().flat_map(|del| del.rows()) {
+            if change.ins.as_ref().is_some_and(|ins| ins.contains_key(&key_of(row))) {
+                continue;
+            }
+            let negated = self.negated.iter().map(|e| e.eval(row)).collect();
+            self.stage_row(target, staged, &negated, &mut scratch);
         }
         Ok(())
     }
 
-    /// Fold `change` into `target` in place.
-    pub fn fold(&self, target: &mut Table, change: &Table) -> Result<()> {
+    /// Stage one change row: merge it with its group's current row (staged
+    /// edits overlay the target), or insert it, or drop the group.
+    fn stage_row(&self, target: &Table, staged: &mut StagedEdits, delta: &Row, scratch: &mut Row) {
+        let key = KeyTuple::of(delta, &self.key);
+        let slot = staged.index.get(&key).copied();
+        let current = match slot {
+            Some(i) => staged.edits[i].1.as_ref(),
+            None => target.get(&key),
+        };
+        let next = match current {
+            Some(current) => beside(scratch, current, delta, &self.merge),
+            None => delta.clone(),
+        };
+        let next = self.live.matches(&next).then_some(next);
+        match slot {
+            Some(i) => staged.edits[i].1 = next,
+            // A dead group the target never held needs no edit.
+            None if next.is_none() && current.is_none() => {}
+            None => {
+                staged.index.insert(key.clone(), staged.edits.len());
+                staged.edits.push((key, next));
+            }
+        }
+    }
+
+    /// Fold the signed `change` into `target` in place.
+    pub fn fold(&self, target: &mut Table, change: &Signed<Table>) -> Result<()> {
         let mut staged = StagedEdits::default();
         self.stage(target, &mut staged, change)?;
         staged.apply(target);
@@ -148,10 +204,7 @@ mod tests {
 
     use super::*;
     use crate::canon::canonicalize;
-    use crate::strategy::{merge_with_stale, MaintCatalog, STALE_LEAF};
-
-    /// Name the reference plan reads the change table under.
-    const CHANGE: &str = "chg";
+    use crate::strategy::{merge_with_stale, signed_change_plan, MaintCatalog, STALE_LEAF};
 
     struct Rng(svc_fault::SplitMix64);
 
@@ -241,19 +294,30 @@ mod tests {
         out
     }
 
-    /// Fold `changes` one at a time with the merge *plan* — the reference.
+    /// Fold `changes` one at a time with the merge *plan* — the reference:
+    /// `signed_change_plan` over the two sides, merged by `merge_with_stale`.
     fn plan_fold(
         db: &mut Database,
         canonical: &Canonical,
         stale: &Table,
-        changes: &[Table],
+        changes: &[Signed<Table>],
     ) -> Table {
         let like = Derived { schema: stale.schema().clone(), key: stale.key().to_vec() };
+        let names = CanonNames::new(stale.schema(), stale.key().len()).unwrap();
         let mut current = stale.clone();
         for change in changes {
-            db.create_table(CHANGE, change.clone());
+            // The reference plan reads each side it has under its own name.
+            let mut bound = |name: &str, side: &Option<Table>| {
+                side.as_ref().map(|table| {
+                    db.create_table(name, table.clone());
+                    Plan::scan(name)
+                })
+            };
+            let scans =
+                Signed { ins: bound("chg_ins", &change.ins), del: bound("chg_del", &change.del) };
             let cat = MaintCatalog { db, stale: like.clone() };
-            let plan = merge_with_stale(canonical, &cat, Plan::scan(CHANGE)).unwrap();
+            let change = signed_change_plan(&names, scans).expect("one side is present");
+            let plan = merge_with_stale(canonical, &cat, change).unwrap();
             let mut b = Bindings::from_database(db);
             b.bind(STALE_LEAF, &current);
             current = evaluate(&plan, &b).unwrap();
@@ -261,14 +325,21 @@ mod tests {
         current
     }
 
+    /// A single signed table, as a change with no γ(∇) side.
+    fn ins_only(change: Table) -> Signed<Table> {
+        Signed { ins: Some(change), del: None }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Keyed fold ≡ the merge plan on the same `(stale, change…)` input,
-        /// exactly (`same_contents`): new groups, groups deleted to zero and
-        /// re-inserted, dead groups the view never held, NULL aggregates,
-        /// Int and Float additive columns and insert-only min/max — both
-        /// applied per change table and staged across all of them.
+        /// Keyed fold ≡ the merge plan on the same `(stale, γ(∆), γ(∇)…)`
+        /// input, exactly (`same_contents`): every mix of sides (∆ only, ∇
+        /// only, both — groups on one side, on both, netting to zero), new
+        /// groups, groups deleted to zero and re-inserted, dead groups the
+        /// view never held, NULL aggregates, Int and Float additive columns
+        /// and insert-only min/max — both applied per change table and
+        /// staged across all of them.
         #[test]
         fn keyed_fold_equals_the_merge_plan(
             seed in 1u64..u64::MAX,
@@ -284,16 +355,27 @@ mod tests {
             let canonical = canonicalize(&view(with_min_max));
             let like = derive(&canonical.plan, &db).unwrap();
             let stale = random_table(&mut rng, &like, groups, stale_rows, false);
-            let changes: Vec<Table> = (0..n_changes)
+            let changes: Vec<Signed<Table>> = (0..n_changes)
                 .map(|_| {
                     // Min/max merge only under insert-only deltas.
                     let mut c = random_table(&mut rng, &like, groups, change_rows, !with_min_max);
-                    if !with_min_max {
-                        for row in stale.rows().iter().filter(|_| rng.below(5) == 0) {
-                            c.upsert(negated(row)).unwrap();
-                        }
+                    if with_min_max {
+                        return ins_only(c);
                     }
-                    c
+                    for row in stale.rows().iter().filter(|_| rng.below(5) == 0) {
+                        c.upsert(negated(row)).unwrap();
+                    }
+                    // γ(∇): absent, or its own groups — some of γ(∆)'s among
+                    // them, one in four of those cancelling it exactly.
+                    let mut del = random_table(&mut rng, &like, groups, change_rows, false);
+                    for row in c.rows().iter().filter(|_| rng.below(4) == 0) {
+                        del.upsert(row.clone()).unwrap();
+                    }
+                    match rng.below(3) {
+                        0 => ins_only(c),
+                        1 => Signed { ins: None, del: Some(del) },
+                        _ => Signed { ins: Some(c), del: Some(del) },
+                    }
                 })
                 .collect();
             let expected = plan_fold(&mut db, &canonical, &stale, &changes);
@@ -328,7 +410,7 @@ mod tests {
         let like = derive(&canonical.plan, &db).unwrap();
         let mut rng = Rng(svc_fault::SplitMix64::new(7));
         let stale = random_table(&mut rng, &like, 12, 12, false);
-        let change = random_table(&mut rng, &like, 12, 12, true);
+        let change = ins_only(random_table(&mut rng, &like, 12, 12, true));
         let before = stale.clone();
         let fold = KeyedFold::new(&canonical, &stale).unwrap();
         let mut staged = StagedEdits::default();
@@ -359,9 +441,12 @@ mod tests {
         let like = derive(&canonical.plan, &db).unwrap();
         let stale = Table::with_key_indices(like.schema.clone(), like.key.clone()).unwrap();
         let fold = KeyedFold::new(&canonical, &stale).unwrap();
-        let narrow = db.table("t").unwrap();
-        assert!(fold.stage(&stale, &mut StagedEdits::default(), narrow).is_err());
+        let narrow = db.table("t").unwrap().clone();
         let rekeyed = Table::with_key_indices(like.schema, vec![0]).unwrap();
-        assert!(fold.stage(&stale, &mut StagedEdits::default(), &rekeyed).is_err());
+        for bad in [narrow, rekeyed] {
+            let as_del = Signed { ins: None, del: Some(bad.clone()) };
+            assert!(fold.stage(&stale, &mut StagedEdits::default(), &as_del).is_err());
+            assert!(fold.stage(&stale, &mut StagedEdits::default(), &ins_only(bad)).is_err());
+        }
     }
 }

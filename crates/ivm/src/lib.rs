@@ -20,8 +20,9 @@
 //! * [`strategy`] — builds the maintenance plan: the change-table method of
 //!   Gupta & Mumick \[22,23\] used by the paper's experiments, with a
 //!   recomputation fallback expressed *as a plan* so sampling still applies;
-//! * [`fold`] — the keyed change-table fold: apply a materialized change
-//!   table to the view group by group, O(|change|), staged then committed;
+//! * [`fold`] — the keyed change-table fold: apply an evaluated change
+//!   table to the view — or to a hash sample of it — group by group,
+//!   O(|change|), staged then committed;
 //! * [`view`] — [`view::MaterializedView`]: definition + materialized state
 //!   + staleness bookkeeping + `maintain()`.
 
@@ -32,7 +33,7 @@ pub mod strategy;
 pub mod view;
 
 pub use canon::{canonicalize, Canonical};
-pub use delta::{derive_delta, DeltaInfo, DeltaPlan};
+pub use delta::{derive_delta, DeltaInfo, DeltaPlan, Signed};
 pub use fold::{KeyedFold, StagedEdits};
 pub use strategy::{maintenance_plan, MaintCatalog, PlanKind, STALE_LEAF};
 pub use view::MaterializedView;

@@ -7,12 +7,17 @@
 //!
 //! * **Change-table** (top-level aggregates, the method of the paper's
 //!   experiments \[22,23,27\]): aggregate the insertion/deletion deltas into a
-//!   signed *change table*, then merge it with the stale view. The paper's
-//!   Example 1 writes the merge as a full outer join followed by a
-//!   generalized projection with NULL-as-0; we emit the equivalent
-//!   three-way form — `matched ∪ stale-only ∪ change-only` over keyed
-//!   inner/anti joins — because it preserves Definition 2 keys on every
-//!   node, which is exactly what the η push-down needs (Figure 3).
+//!   signed *change table* — γ(∆) and γ(∇), [`change_table_expr`] — then
+//!   merge it with the stale view. The paper's Example 1 writes both steps
+//!   as a full outer join followed by a generalized projection with
+//!   NULL-as-0; as a plan we emit the equivalent three-way form —
+//!   `matched ∪ left-only ∪ right-only` over keyed inner/anti joins —
+//!   because it preserves Definition 2 keys on every node. That plan is the
+//!   inspectable expression and the tested reference only: it evaluates the
+//!   change table three times (and each sign three times more), so every
+//!   path that *applies* a change table runs γ(∆) and γ(∇) once each and
+//!   folds them by group key ([`crate::fold`]) — into the view, or, under
+//!   η, into the stale sample.
 //! * **Delta-apply** (SPJ views): `(S ▷ ∇V) ∪ ∆V` by primary key.
 //! * **Recompute** (anything else — nested aggregates, outer joins, median):
 //!   the definition with every base scan replaced by its new state
@@ -28,7 +33,7 @@ use svc_relalg::plan::{JoinKind, Plan};
 use svc_relalg::scalar::{col, lit, Expr, Func};
 
 use crate::canon::{AggShape, Canonical, MergeRule, SVC_CNT};
-use crate::delta::{derive_delta, new_state, DeltaInfo};
+use crate::delta::{derive_delta, new_state, DeltaInfo, Signed};
 
 /// Leaf name bound to the stale view inside maintenance plans.
 pub const STALE_LEAF: &str = "__stale";
@@ -213,23 +218,57 @@ pub(crate) fn group_is_live() -> Expr {
     col(SVC_CNT).gt(lit(0i64))
 }
 
+/// Prefix of a group's γ(∇) row wherever it sits beside its γ(∆) row: the
+/// join output of [`signed_change_plan`] and the concatenated row of the keyed
+/// fold ([`crate::fold`]).
+pub(crate) const DEL_PREFIX: &str = "__d_";
+
+/// The change row of a group with both insertions and deletions, over the
+/// schema `[names…, __d_names…]`: every aggregate is `γ(∆) − γ(∇)` with
+/// NULL as 0. Shared, like [`merged_columns`], by the plan form and the fold.
+pub(crate) fn net_columns(names: &CanonNames) -> Vec<(String, Expr)> {
+    let mut cols: Vec<(String, Expr)> =
+        names.group.iter().map(|g| (g.clone(), col(g.clone()))).collect();
+    for a in &names.agg {
+        let deleted = col(format!("{DEL_PREFIX}{a}"));
+        cols.push((a.clone(), coalesce0(col(a.clone())).sub(coalesce0(deleted))));
+    }
+    cols
+}
+
+/// The change row of a group with deletions only, over `[__d_names…]`: its
+/// γ(∇) row with every aggregate negated.
+pub(crate) fn negated_columns(names: &CanonNames) -> Vec<(String, Expr)> {
+    let mut cols: Vec<(String, Expr)> =
+        names.group.iter().map(|g| (g.clone(), col(format!("{DEL_PREFIX}{g}")))).collect();
+    for a in &names.agg {
+        cols.push((a.clone(), lit(0i64).sub(col(format!("{DEL_PREFIX}{a}")))));
+    }
+    cols
+}
+
 /// The *signed change table* of a canonical aggregate view for the given
-/// deltas, as a plan over `{base tables, __ins.T, __del.T}` — the γ half of
-/// the change-table strategy, without the stale-view merge. Returns `None`
-/// when the deltas cannot touch the view (every branch pruned).
+/// deltas — the γ half of the change-table strategy, without the stale-view
+/// merge — as one keyed plan per sign over `{base tables, __ins.T,
+/// __del.T}`: γ(∆) and γ(∇), the view's own aggregate over the derived
+/// insertions and deletions of its input. Both sides `None` when the deltas
+/// cannot touch the view (every branch pruned). A group's change row is
+/// γ(∆) − γ(∇) (`net_columns` / `negated_columns`); whoever applies the
+/// pair evaluates each side once and combines by group key
+/// ([`crate::fold::KeyedFold::stage`]).
 ///
 /// This is also the strategy's eligibility gate, shared by every
-/// maintenance path (`maintenance_plan`, `MaterializedView::maintain`, the
-/// mini-batch pipeline): it errors when the view is not a top-level
-/// aggregate, when a merge rule rules the deltas out (min/max under
-/// deletions, median), and when the aggregate's input has no delta
-/// derivation (nested aggregates, outer joins) — callers fall back to
+/// maintenance path (`maintenance_plan`, `MaterializedView::maintained`,
+/// `SvcView::clean_sample`, the mini-batch pipeline): it errors when the
+/// view is not a top-level aggregate, when a merge rule rules the deltas out
+/// (min/max under deletions, median), and when the aggregate's input has no
+/// delta derivation (nested aggregates, outer joins) — callers fall back to
 /// their full maintenance plan on any error.
 pub fn change_table_expr(
     canonical: &Canonical,
     cat: &MaintCatalog<'_>,
     info: &DeltaInfo,
-) -> Result<Option<Plan>> {
+) -> Result<Signed<Plan>> {
     let shape = canonical
         .agg
         .as_ref()
@@ -244,43 +283,32 @@ pub fn change_table_expr(
     }
 
     let d = derive_delta(&shape.input, info, cat)?;
-    let names = canon_names(canonical, cat)?;
     let gamma = |input: Plan| Plan::Aggregate {
         input: Box::new(input),
         group_by: group_by.clone(),
         aggregates: aggregates.clone(),
     };
-    let negate_cols = |prefix: &str| -> Vec<(String, Expr)> {
-        let mut cols: Vec<(String, Expr)> =
-            names.group.iter().map(|g| (g.clone(), col(format!("{prefix}{g}")))).collect();
-        for a in &names.agg {
-            cols.push((a.clone(), lit(0i64).sub(col(format!("{prefix}{a}")))));
-        }
-        cols
-    };
+    Ok(Signed { ins: d.ins.map(gamma), del: d.del.map(gamma) })
+}
 
-    Ok(match (d.ins, d.del) {
-        (Some(ins), None) => Some(gamma(ins)),
-        (None, Some(del)) => Some(Plan::Project {
-            input: Box::new(rename_all(gamma(del), &names.all, "__d_")),
-            columns: negate_cols("__d_"),
-        }),
-        (Some(ins), Some(del)) => {
-            let gi = gamma(ins);
-            let gd = rename_all(gamma(del), &names.all, "__d_");
+/// The signed pair as *one* change-table plan: the full outer join of γ(∆)
+/// and γ(∇) on the group key, spelled `matched ∪ ∆-only ∪ ∇-only` over keyed
+/// inner/anti joins so every node keeps a Definition 2 key. Only the plan
+/// form of the strategy ([`maintenance_plan`]) needs it — it embeds each
+/// side three times; the keyed fold combines the pair row by row instead.
+pub(crate) fn signed_change_plan(names: &CanonNames, change: Signed<Plan>) -> Option<Plan> {
+    let deleted = |gd: Plan| rename_all(gd, &names.all, DEL_PREFIX);
+    match (change.ins, change.del) {
+        (ins, None) => ins,
+        (None, Some(gd)) => {
+            Some(Plan::Project { input: Box::new(deleted(gd)), columns: negated_columns(names) })
+        }
+        (Some(gi), Some(gd)) => {
+            let gd = deleted(gd);
             let on: Vec<(String, String)> =
-                names.group.iter().map(|g| (g.clone(), format!("__d_{g}"))).collect();
+                names.group.iter().map(|g| (g.clone(), format!("{DEL_PREFIX}{g}"))).collect();
             let on_rev: Vec<(String, String)> =
                 on.iter().map(|(l, r)| (r.clone(), l.clone())).collect();
-
-            let mut matched_cols: Vec<(String, Expr)> =
-                names.group.iter().map(|g| (g.clone(), col(g.clone()))).collect();
-            for a in &names.agg {
-                matched_cols.push((
-                    a.clone(),
-                    coalesce0(col(a.clone())).sub(coalesce0(col(format!("__d_{a}")))),
-                ));
-            }
             let matched = Plan::Project {
                 input: Box::new(Plan::Join {
                     left: Box::new(gi.clone()),
@@ -288,7 +316,7 @@ pub fn change_table_expr(
                     kind: JoinKind::Inner,
                     on: on.clone(),
                 }),
-                columns: matched_cols,
+                columns: net_columns(names),
             };
             let ins_only = Plan::Join {
                 left: Box::new(gi.clone()),
@@ -303,12 +331,11 @@ pub fn change_table_expr(
                     kind: JoinKind::Anti,
                     on: on_rev,
                 }),
-                columns: negate_cols("__d_"),
+                columns: negated_columns(names),
             };
             Some(matched.union(ins_only.union(del_only)))
         }
-        (None, None) => None,
-    })
+    }
 }
 
 /// Merge an arbitrary change-table-shaped plan with `Scan __stale` using the
@@ -364,16 +391,19 @@ pub(crate) fn merge_with_stale(
     Ok(merged.select(group_is_live()))
 }
 
-/// The change-table strategy for a canonical top-level aggregate: signed
-/// change table over the deltas, merged with the stale view. Kept as a plan
-/// (rather than a keyed fold) for the cleaning path, where η pushes through
-/// the merge.
+/// The change-table strategy for a canonical top-level aggregate *as a
+/// plan*: the signed change table merged with `Scan __stale`. This is the
+/// inspectable expression (`SvcView::cleaning_plan`) and the reference the
+/// fold is tested against; no maintenance or cleaning path runs it — each
+/// evaluates the two sides of [`change_table_expr`] once and folds them by
+/// key, into the view or into the stale sample.
 fn change_table_plan(
     canonical: &Canonical,
     cat: &MaintCatalog<'_>,
     info: &DeltaInfo,
 ) -> Result<Plan> {
-    match change_table_expr(canonical, cat, info)? {
+    let change = change_table_expr(canonical, cat, info)?;
+    match signed_change_plan(&canon_names(canonical, cat)?, change) {
         None => Ok(Plan::scan(STALE_LEAF)),
         Some(change) => merge_with_stale(canonical, cat, change),
     }

@@ -259,16 +259,15 @@ impl MaterializedView {
             compiled.run_with(&maintenance_bindings(db, deltas, &self.table), mode)
         };
         Ok(Some(match change_table_expr(&self.canonical, &cat, &info) {
-            // Change-table class: evaluate the signed change table alone and
-            // fold it into a copy of the view by group key — the merge plan
-            // would scan the whole view three times for the same rows.
-            Ok(Some(change)) => {
-                let change = run(&change)?;
+            // Change-table class: evaluate γ(∆) and γ(∇) once each and fold
+            // them into a copy of the view by group key.
+            Ok(change) => {
+                let change = change.try_map(|side| run(&side))?;
                 let mut next = Table::clone(&self.table);
                 KeyedFold::new(&self.canonical, &next)?.fold(&mut next, &change)?;
                 (next, PlanKind::ChangeTable)
             }
-            _ => {
+            Err(_) => {
                 let (plan, kind) = maintenance_plan(&self.canonical, &cat, &info)?;
                 (run(&plan)?, kind)
             }
@@ -318,6 +317,7 @@ pub fn project_table(table: &Table, columns: Option<&[(String, Expr)]>) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::Signed;
     use svc_relalg::aggregate::{AggFunc, AggSpec};
     use svc_relalg::plan::JoinKind;
     use svc_relalg::scalar::{col, lit};
@@ -534,14 +534,16 @@ mod tests {
         let cat = view.maint_catalog(&db);
         let chunks = deltas.clone().partition(4);
         assert!(chunks.len() > 1, "enough records to actually partition");
-        // One change plan for the batch's delta signature, run once per
-        // chunk against that chunk's own bindings.
-        let plan = change_table_expr(view.canonical(), &cat, &DeltaInfo::of(&deltas))
-            .unwrap()
-            .expect("the deltas touch the view");
-        let changes: Vec<Table> = chunks
+        // One pair of change plans for the batch's delta signature, run once
+        // per chunk against that chunk's own bindings.
+        let plans = change_table_expr(view.canonical(), &cat, &DeltaInfo::of(&deltas)).unwrap();
+        assert!(plans.ins.is_some() && plans.del.is_some(), "the deltas touch the view both ways");
+        let changes: Vec<Signed<Table>> = chunks
             .iter()
-            .map(|chunk| evaluate(&plan, &maintenance_bindings(&db, chunk, view.table())).unwrap())
+            .map(|chunk| {
+                let bindings = maintenance_bindings(&db, chunk, view.table());
+                plans.as_ref().try_map(|plan| evaluate(plan, &bindings)).unwrap()
+            })
             .collect();
 
         // Fold the per-chunk change tables into the view one at a time.

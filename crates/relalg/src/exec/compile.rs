@@ -28,6 +28,19 @@ pub struct LeafRef {
     pub key: Vec<usize>,
 }
 
+thread_local! {
+    static LEAF_SCANS: std::cell::RefCell<std::collections::BTreeMap<String, u64>> =
+        const { std::cell::RefCell::new(std::collections::BTreeMap::new()) };
+}
+
+/// How often each leaf was read by plans run **on this thread** since it
+/// started, by binding name — the cost-shape hook beside
+/// `Table::clone_count`: take a reading, run something, compare, and a path
+/// that evaluates a sub-plan more than once shows up as a multiple.
+pub fn leaf_scan_counts() -> std::collections::BTreeMap<String, u64> {
+    LEAF_SCANS.with_borrow(Clone::clone)
+}
+
 impl LeafRef {
     /// Look the leaf up in `bindings` and verify it still has the compiled
     /// shape — schema **and** key: fused-scan roots skip duplicate-key
@@ -36,6 +49,10 @@ impl LeafRef {
     /// primary key must be rejected, not silently mis-executed.
     pub fn resolve<'a>(&self, bindings: &crate::eval::Bindings<'a>) -> Result<&'a Table> {
         let t = bindings.table(&self.name)?;
+        LEAF_SCANS.with_borrow_mut(|scans| match scans.get_mut(&self.name) {
+            Some(n) => *n += 1,
+            None => drop(scans.insert(self.name.clone(), 1)),
+        });
         if t.schema() != &self.schema {
             return Err(StorageError::Invalid(format!(
                 "leaf `{}` was rebound with schema [{}], but the plan was compiled against [{}]",

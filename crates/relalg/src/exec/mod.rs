@@ -49,7 +49,7 @@ use crate::plan::Plan;
 
 pub use batch::fresh_batch_count;
 pub use column::{ColPred, ColumnChunk, MapPlan, SelVec, VecOp};
-pub use compile::{JoinRight, LeafRef, Node};
+pub use compile::{leaf_scan_counts, JoinRight, LeafRef, Node};
 pub use explain::{explain_analyze, Explain, ExplainNode};
 pub use pipeline::{FusedOp, RowSink};
 

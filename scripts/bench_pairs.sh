@@ -12,8 +12,10 @@
 # box cancels. Each run's last output line is its result JSON. Prints, per
 # workload x end-to-end metric: both medians, the parent's interquartile
 # range, how many pairs the change won and whether the median stays inside
-# the metric's bound; sums `failed`; writes BENCH_<date>_<sha>.json (machine,
-# both shas, medians, IQR, every pair) at the repository root.
+# the metric's bound — and per workload and side the paper's headline,
+# clean_speedup = median ivm_answer_ms / median svc_answer_ms; sums `failed`;
+# writes BENCH_<date>_<sha>.json (machine, both shas, medians, IQR,
+# clean_speedup, every pair) at the repository root.
 #
 # Run it from the repository root on an otherwise idle box.
 set -euo pipefail
@@ -50,7 +52,7 @@ def iqr(values):
     q = statistics.quantiles(values, n=4)
     return q[2] - q[0]
 
-summary, failed, incorrect = {}, 0, 0
+summary, clean_speedup, failed, incorrect = {}, {}, 0, 0
 print(f"{'workload':<18} {'metric':<24} {'parent':>11} {'change':>11} {'delta':>8} "
       f"{'parent IQR':>10} {'wins':>6}  bound")
 for workload in dict.fromkeys(r["workload"] for r in rows):
@@ -78,6 +80,12 @@ for workload in dict.fromkeys(r["workload"] for r in rows):
         }
         print(f"{workload:<18} {name:<24} {p_med:>11.5g} {c_med:>11.5g} {delta:>+8.1%} "
               f"{spread:>10.1%} {wins:>3}/{len(pairs):<2}  {'ok' if holds else 'WORSE'}")
+    answers = summary[workload]
+    clean_speedup[workload] = {
+        side: answers["ivm_answer_ms"][f"{side}_median"] / answers["svc_answer_ms"][f"{side}_median"]
+        for side in ("parent", "change")}
+    print(f"{workload:<18} {'clean_speedup':<24} {clean_speedup[workload]['parent']:>10.2f}x "
+          f"{clean_speedup[workload]['change']:>10.2f}x  (median ivm_answer_ms / svc_answer_ms)")
 print(f"runs {len(rows)}, failed operations {failed}, incorrect runs {incorrect}")
 
 json.dump({
@@ -86,7 +94,7 @@ json.dump({
                 "cpu": cpu_model(), "cores": os.cpu_count(), "mem_mb": mem_total_mb()},
     "parent": parent_sha, "change": change_sha,
     "run_seconds": bench["run_seconds"], "failed": failed, "incorrect": incorrect,
-    "summary": summary, "runs": rows,
+    "summary": summary, "clean_speedup": clean_speedup, "runs": rows,
 }, open(out, "w"), indent=1)
 print(f"wrote {out}")
 bad = [f"{w}.{m}" for w, ms in summary.items() for m, s in ms.items() if not s["bound_holds"]]
@@ -114,7 +122,9 @@ if [ "${1:-}" = --self-test ]; then
   cat "$tmp/table"
   grep -Eq 'svc_answer_ms +100 +60 +-40\.0% .* 1/1 +ok' "$tmp/table"
   grep -Eq 'estimates_per_s +1000 +700 +-30\.0% .* 0/1 +WORSE' "$tmp/table"
-  python3 -c 'import json, sys; b = json.load(open(sys.argv[1])); assert len(b["runs"]) == 2 and b["parent"] == "aaaaaaa" and b["machine"]["cores"]' "$tmp/out.json"
+  # ivm_answer_ms is 50 on both sides: 50/100 and 50/60.
+  grep -Eq 'clean_speedup +0\.50x +0\.83x' "$tmp/table"
+  python3 -c 'import json, sys; b = json.load(open(sys.argv[1])); assert len(b["runs"]) == 2 and b["parent"] == "aaaaaaa" and b["machine"]["cores"] and b["clean_speedup"]["canned"] == {"parent": 0.5, "change": 50 / 60}' "$tmp/out.json"
   echo "self-test ok"
   exit 0
 fi

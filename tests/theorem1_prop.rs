@@ -1,14 +1,31 @@
-//! Property test for Theorem 1: the hash push-down rewrite materializes the
-//! *identical* sample, for randomized data and randomized plan shapes.
+//! Property tests for Theorem 1: the hash push-down rewrite materializes the
+//! *identical* sample, for randomized data and randomized plan shapes — and
+//! so does cleaning by fold: a change-table view's stale sample, with
+//! η(γ(∆)) and η(γ(∇)) folded in, is the sample its cleaning plan
+//! materializes (on randomized deltas and on every workload view), at the
+//! cost of evaluating each change table once.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use stale_view_cleaning::catalog::Catalog;
+use stale_view_cleaning::core::{SvcConfig, SvcView};
+use stale_view_cleaning::ivm::strategy::{change_table_expr, PlanKind};
+use stale_view_cleaning::ivm::view::maintenance_bindings;
+use stale_view_cleaning::ivm::DeltaInfo;
 use stale_view_cleaning::relalg::aggregate::{AggFunc, AggSpec};
 use stale_view_cleaning::relalg::eval::{evaluate, Bindings};
+use stale_view_cleaning::relalg::exec::{compile, leaf_scan_counts, ExecMode};
 use stale_view_cleaning::relalg::plan::{JoinKind, Plan};
 use stale_view_cleaning::relalg::scalar::{col, lit};
-use stale_view_cleaning::sampling::push_down;
-use stale_view_cleaning::storage::{DataType, Database, HashSpec, Schema, Table, Value};
+use stale_view_cleaning::sampling::operator::sample_by_key;
+use stale_view_cleaning::sampling::{check_correspondence, push_down};
+use stale_view_cleaning::storage::{DataType, Database, Deltas, HashSpec, Schema, Table, Value};
+use stale_view_cleaning::workloads::conviva::{self, ConvivaConfig};
+use stale_view_cleaning::workloads::cube::base_cube;
+use stale_view_cleaning::workloads::tpcd::{TpcdConfig, TpcdData};
+use stale_view_cleaning::workloads::tpcd_views::{complex_views, join_view};
 
 fn build_db(facts: &[(i64, i64, f64)], dims: &[(i64, f64)]) -> Database {
     let mut db = Database::new();
@@ -36,6 +53,26 @@ fn build_db(facts: &[(i64, i64, f64)], dims: &[(i64, f64)]) -> Database {
     db.create_table("dim", dim);
     db.create_table("fact", fact);
     db
+}
+
+/// Deterministic pseudo-random stream from `seed`.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+    move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    }
+}
+
+fn random_db(n_facts: usize, n_dims: usize, next: &mut impl FnMut() -> u64) -> Database {
+    let dims: Vec<(i64, f64)> =
+        (0..n_dims).map(|i| (i as i64, (next() % 100) as f64 / 100.0)).collect();
+    let facts: Vec<(i64, i64, f64)> = (0..n_facts)
+        .map(|i| (i as i64, (next() % n_dims as u64) as i64, (next() % 1000) as f64 / 1000.0))
+        .collect();
+    build_db(&facts, &dims)
 }
 
 /// The plan shapes exercised: σ, Π, FK join, equality join + γ, ∪, −.
@@ -87,23 +124,7 @@ proptest! {
         seed in 0u64..1000,
         data_seed in 0u64..100,
     ) {
-        // Deterministic pseudo-random data from data_seed.
-        let mut s = data_seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let mut next = move || {
-            s ^= s << 13; s ^= s >> 7; s ^= s << 17; s
-        };
-        let dims: Vec<(i64, f64)> =
-            (0..n_dims).map(|i| (i as i64, (next() % 100) as f64 / 100.0)).collect();
-        let facts: Vec<(i64, i64, f64)> = (0..n_facts)
-            .map(|i| {
-                (
-                    i as i64,
-                    (next() % n_dims as u64) as i64,
-                    (next() % 1000) as f64 / 1000.0,
-                )
-            })
-            .collect();
-        let db = build_db(&facts, &dims);
+        let db = random_db(n_facts, n_dims, &mut xorshift(data_seed));
 
         let (plan, key) = plan_variant(variant);
         let hashed = plan.hash(&key, ratio, HashSpec::with_seed(seed));
@@ -119,4 +140,231 @@ proptest! {
             variant, ratio, seed, pushed.len(), unpushed.len()
         );
     }
+}
+
+/// `Ŝ′` of `svc` under `deltas` against its two references: the staged run
+/// of `cleaning_plan_with`'s plan — exactly — and Property 1 against the
+/// recomputed view. Returns the strategy cleaning derived from.
+fn assert_cleans_like_its_plan(
+    svc: &SvcView,
+    db: &Database,
+    deltas: &Deltas,
+    fresh: &Table,
+    catalog: Option<&Catalog>,
+    label: &str,
+) -> PlanKind {
+    let cleaned = svc.clean_sample_with(db, deltas, catalog).unwrap();
+    let (plan, _, kind) = svc.cleaning_plan_with(db, deltas, catalog).unwrap();
+    assert_eq!(cleaned.plan_kind, kind, "{label}");
+    // Binding the whole view is right wherever η ended up: on a `__stale`
+    // leaf it selects exactly the stale sample, above one it samples later.
+    let bindings = maintenance_bindings(db, deltas, svc.view.table());
+    let reference = compile(&plan, &bindings).unwrap().run(&bindings).unwrap();
+    assert!(
+        cleaned.canonical.same_contents(&reference),
+        "{label}: cleaned sample ({} rows) differs from its cleaning plan's ({} rows)",
+        cleaned.canonical.len(),
+        reference.len()
+    );
+    let (m, spec) = (svc.config.ratio, svc.config.hash_spec());
+    let violations = check_correspondence(
+        svc.stale_sample(),
+        &cleaned.canonical,
+        svc.view.table(),
+        fresh,
+        m,
+        spec,
+    );
+    assert!(violations.is_empty(), "{label}: {violations:?}");
+    assert!(
+        cleaned.canonical.approx_same_contents(&sample_by_key(fresh, m, spec), 1e-9),
+        "{label}: cleaned sample is not the hash sample of the fresh view"
+    );
+    kind
+}
+
+/// `deltas` split by sign: its insertions of new keys only, its deletions
+/// only, and all of it.
+fn by_sign(db: &Database, deltas: &Deltas) -> [(&'static str, Deltas); 3] {
+    let (mut ins, mut del) = (Deltas::new(), Deltas::new());
+    for (name, set) in deltas.iter() {
+        let base = db.table(name).unwrap();
+        for row in set.insertions.rows().iter().filter(|r| !base.contains_key(&base.key_of(r))) {
+            ins.insert(db, name, row.clone()).unwrap();
+        }
+        for row in set.deletions.rows() {
+            del.delete(db, name, row).unwrap();
+        }
+    }
+    [("insert-only", ins), ("delete-only", del), ("mixed", deltas.clone())]
+}
+
+/// Every `(view, delta sign, hash seed, catalog on/off)` cell through
+/// [`assert_cleans_like_its_plan`]; returns how many cleaned by fold.
+fn assert_views_clean_like_their_plans(
+    db: &Database,
+    views: Vec<(&str, Plan)>,
+    mixed: &Deltas,
+) -> usize {
+    let catalog = Catalog::build(db);
+    let mut folded = 0;
+    for (id, plan) in views {
+        let mut svc = SvcView::create(id, plan, db, SvcConfig::with_ratio(0.2)).unwrap();
+        for (sign, deltas) in by_sign(db, mixed) {
+            let fresh = svc.view.recompute_fresh(db, &deltas).unwrap();
+            for seed in [0x51a1e, 7, 99] {
+                svc.config = svc.config.reseeded(seed);
+                svc.resample();
+                for catalog in [None, Some(&catalog)] {
+                    let label = format!("{id} {sign} seed {seed} catalog {}", catalog.is_some());
+                    let kind =
+                        assert_cleans_like_its_plan(&svc, db, &deltas, &fresh, catalog, &label);
+                    folded += usize::from(kind == PlanKind::ChangeTable);
+                }
+            }
+        }
+    }
+    folded
+}
+
+#[test]
+fn fold_cleaning_equals_the_cleaning_plan_on_the_tpcd_views() {
+    let data = TpcdData::generate(TpcdConfig { scale: 0.01, skew: 2.0, seed: 42 }).unwrap();
+    // Insertions into `orders` and `lineitem`, re-priced lineitems — and
+    // whole orders deleted, so groups die and `__del.orders` is exercised.
+    let mut mixed = data.updates(0.1, 7).unwrap();
+    for row in data.db.table("orders").unwrap().rows().iter().step_by(40) {
+        mixed.delete(&data.db, "orders", row).unwrap();
+    }
+    let mut views = vec![("joinView", join_view()), ("cube", base_cube())];
+    views.extend(complex_views().into_iter().map(|v| (v.id, v.plan)));
+    let folded = assert_views_clean_like_their_plans(&data.db, views, &mixed);
+    assert!(folded >= 8 * 18, "most cells must take the fold path: {folded}");
+}
+
+#[test]
+fn fold_cleaning_equals_the_cleaning_plan_on_the_conviva_views() {
+    let cfg = ConvivaConfig { base_events: 4_000, ..ConvivaConfig::default() };
+    let db = conviva::generate(cfg).unwrap();
+    let mut mixed = conviva::appended_updates(&db, cfg, 600, 3).unwrap();
+    for row in db.table("activity").unwrap().rows().iter().step_by(17) {
+        mixed.delete(&db, "activity", row).unwrap();
+    }
+    let views = conviva::views().into_iter().map(|v| (v.id, v.plan)).collect();
+    let folded = assert_views_clean_like_their_plans(&db, views, &mixed);
+    assert!(folded >= 4 * 18, "the single-aggregate views must take the fold path: {folded}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Cleaning the γ-over-join view under random insertions, deletions and
+    /// updates — always including a sampled group whose rows are all deleted
+    /// (it dies in the sample) and a brand-new group whose key hashes into
+    /// the sample (it appears there).
+    #[test]
+    fn fold_cleaning_materializes_the_corresponding_sample(
+        n_facts in 20usize..120,
+        n_dims in 3usize..15,
+        ratio in 0.2f64..0.9,
+        seed in 0u64..1000,
+        data_seed in 0u64..100,
+    ) {
+        let mut next = xorshift(data_seed);
+        let db = random_db(n_facts, n_dims, &mut next);
+        let (view, _) = plan_variant(3);
+        let config = SvcConfig::with_ratio(ratio).reseeded(seed);
+        let svc = SvcView::create("v", view, &db, config).unwrap();
+        let spec = config.hash_spec();
+        let sampled = |id: i64| spec.selects(&[Value::Int(id)], ratio);
+
+        let fact = db.table("fact").unwrap();
+        let mut deltas = Deltas::new();
+        // A group of the stale sample loses every row and gains none.
+        let dying = svc.stale_sample().rows().first().map(|r| r[0].clone());
+        let mut surviving_dim = || loop {
+            let dim = Value::Int((next() % n_dims as u64) as i64);
+            if Some(&dim) != dying.as_ref() {
+                return dim;
+            }
+        };
+        for (i, row) in fact.rows().iter().enumerate() {
+            if Some(&row[1]) == dying.as_ref() || i % 5 == 0 {
+                deltas.delete(&db, "fact", row).unwrap();
+            } else if i % 7 == 0 {
+                let moved = vec![row[0].clone(), surviving_dim(), row[2].clone()];
+                deltas.update(&db, "fact", moved).unwrap();
+            }
+        }
+        // A dimension the view has never seen, chosen so η selects it.
+        let born = (n_dims as i64..).find(|&id| sampled(id)).unwrap();
+        deltas.insert(&db, "dim", vec![Value::Int(born), Value::Float(0.5)]).unwrap();
+        for i in 0..5 + (n_facts / 8) as i64 {
+            let dim = if i < 2 { Value::Int(born) } else { surviving_dim() };
+            let x = Value::Float((i * 37 % 1000) as f64 / 1000.0);
+            deltas.insert(&db, "fact", vec![Value::Int(n_facts as i64 + i), dim, x]).unwrap();
+        }
+
+        let fresh = svc.view.recompute_fresh(&db, &deltas).unwrap();
+        let kind = assert_cleans_like_its_plan(&svc, &db, &deltas, &fresh, None, "proptest");
+        prop_assert_eq!(kind, PlanKind::ChangeTable);
+        let cleaned = svc.clean_sample(&db, &deltas).unwrap().canonical;
+        let key = |id: &Value| cleaned.key_of(&vec![id.clone(), Value::Null, Value::Null]);
+        prop_assert!(cleaned.contains_key(&key(&Value::Int(born))), "the new group is sampled");
+        if let Some(dying) = dying {
+            prop_assert!(!cleaned.contains_key(&key(&dying)), "the emptied group left the sample");
+        }
+    }
+}
+
+/// Leaf reads made on this thread since `before`.
+fn scans_since(before: &BTreeMap<String, u64>) -> BTreeMap<String, u64> {
+    let mut now = leaf_scan_counts();
+    now.retain(|leaf, n| {
+        *n -= before.get(leaf).copied().unwrap_or(0);
+        *n > 0
+    });
+    now
+}
+
+/// Cost shape, no wall clock: cleaning V5 under mixed `lineitem` + `orders`
+/// deltas reads every leaf — each `__ins.*` / `__del.*` relation and each
+/// base table — exactly as often as one γ(∆) plus one γ(∇) name it, never
+/// reads `__stale`, and clones one table (the stale sample). The same bound
+/// holds for full maintenance. (The merge plan read each delta join nine
+/// times to clean and three times to maintain.)
+#[test]
+fn cleaning_and_maintaining_evaluate_each_change_table_once() {
+    let data = TpcdData::generate(TpcdConfig { scale: 0.01, skew: 2.0, seed: 42 }).unwrap();
+    let db = &data.db;
+    let deltas = data.updates(0.1, 7).unwrap();
+    let info = DeltaInfo::of(&deltas);
+    assert!(info.ins.contains("orders") && info.ins.contains("lineitem"));
+    assert!(info.del.contains("lineitem"), "setup: a mixed delta set");
+    let v5 = complex_views().into_iter().find(|v| v.id == "V5").unwrap();
+    let svc = SvcView::create(v5.id, v5.plan, db, SvcConfig::with_ratio(0.2)).unwrap();
+    let catalog = Catalog::build(db);
+
+    let change = change_table_expr(svc.view.canonical(), &svc.view.maint_catalog(db), &info)
+        .expect("V5 is a change-table view");
+    let mut once: BTreeMap<String, u64> = BTreeMap::new();
+    for side in [change.ins.expect("γ(∆)"), change.del.expect("γ(∇)")] {
+        for leaf in side.leaf_tables() {
+            *once.entry(leaf.to_string()).or_default() += 1;
+        }
+    }
+    assert!(once.keys().any(|leaf| leaf.starts_with("__ins.")), "{once:?}");
+    assert!(once.keys().any(|leaf| leaf.starts_with("__del.")), "{once:?}");
+
+    for catalog in [None, Some(&catalog)] {
+        let (scans, clones) = (leaf_scan_counts(), Table::clone_count());
+        svc.clean_sample_with(db, &deltas, catalog).unwrap();
+        assert_eq!(scans_since(&scans), once, "clean, catalog {}", catalog.is_some());
+        assert_eq!(Table::clone_count() - clones, 1, "one clone: the stale sample");
+    }
+
+    let (scans, clones) = (leaf_scan_counts(), Table::clone_count());
+    svc.view.maintained(db, &deltas, None, ExecMode::sequential()).unwrap().expect("deltas pend");
+    assert_eq!(scans_since(&scans), once, "maintain");
+    assert_eq!(Table::clone_count() - clones, 1, "one clone: the view");
 }
