@@ -3,28 +3,30 @@
 //!
 //! [`BatchPipeline`] is a real mini-batch IVM executor: it drains pending
 //! [`Deltas`] into batches, splits each batch into delta chunks, gets one
-//! compiled pair of signed change-table plans — γ(∆) and γ(∇),
-//! `svc_ivm::strategy::change_table_expr` over the plain `__ins.T` /
-//! `__del.T` leaves — per *delta signature* in the batch (normally one pair,
-//! shared by every chunk: one expression evaluated over many inputs), runs
-//! it once per chunk on the shared [`WorkerPool`] (`WorkerPool::run_batch`,
-//! each chunk under its own `Bindings`), and folds the resulting change
-//! tables into the materialized view by group key (`svc_ivm::KeyedFold`):
-//! each change row is looked up, merged or inserted, so a fold costs what
-//! its change table holds, not what the view holds. Larger batches amortize
-//! the per-batch driver work (partitioning, dispatch, the fold's per-group
-//! lookups) over more records — the Figure 14 shape, measured on real plans
-//! (`fig14`).
+//! compiled pair of signed change-table plans — γ(∆) and γ(∇), the keyed pair
+//! of `svc_ivm::strategy::view_delta` over the plain `__ins.T` / `__del.T`
+//! leaves — per *delta signature* in the batch (normally one pair, shared by
+//! every chunk: one expression evaluated over many inputs), runs it once per
+//! chunk on the shared [`WorkerPool`] (`WorkerPool::run_batch`, each chunk
+//! under its own `Bindings`), and folds the resulting change tables into the
+//! materialized view by group key (`svc_ivm::KeyedFold`): each change row is
+//! looked up, merged or inserted, so a fold costs what its change table
+//! holds, not what the view holds. Larger batches amortize the per-batch
+//! driver work (partitioning, dispatch, the fold's per-group lookups) over
+//! more records — the Figure 14 shape, measured on real plans (`fig14`).
 //!
 //! Chunk-level parallelism is exact when no cross-chunk delta interactions
 //! exist: single-table batches through tree-shaped views (each touched
 //! table scanned once). Batches that violate that condition — several
 //! tables touched under a join, or a touched table scanned by more than
-//! one leaf — run as one chunk; views outside the change-table class
-//! (min/max under deletions, median, non-aggregate or nested-aggregate
-//! views — whatever `svc_ivm::strategy::change_table_expr` rejects) fall
-//! back to `MaterializedView::maintained`, the same optimize → compile →
-//! run every other maintenance call takes, still evaluated on the pool.
+//! one leaf — run as one chunk. Only change tables are staged per chunk:
+//! their contributions over disjoint delta subsets add up. Whatever else the
+//! gate answers — an SPJ view's ∆V / ∇V, where a key's deletion and its
+//! re-insertion must meet in one batch, or a recompute (min/max under
+//! deletions, median, nested aggregates) — falls back to
+//! `MaterializedView::maintained` over the whole pending set: the same gate,
+//! the same optimize → compile → run → fold every other maintenance call
+//! takes, still evaluated on the pool.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -35,7 +37,7 @@ use std::time::{Duration, Instant};
 use svc_catalog::Catalog;
 use svc_core::maintenance_stats;
 use svc_ivm::fold::{KeyedFold, StagedEdits};
-use svc_ivm::strategy::{change_table_expr, MaintCatalog};
+use svc_ivm::strategy::{view_delta, MaintCatalog, PlanKind, ViewDelta};
 use svc_ivm::view::{maintenance_bindings, MaterializedView};
 use svc_ivm::{DeltaInfo, Signed};
 use svc_relalg::exec::{ExecMode, PhysicalPlan};
@@ -54,10 +56,10 @@ pub struct BatchRun {
     /// Number of batches executed.
     pub batches: usize,
     /// Plan runs on the pool: one per delta chunk of a change-table batch,
-    /// one per fallback maintenance plan.
+    /// one per fallback batch.
     pub plans_evaluated: usize,
-    /// Batches that could not use chunk-parallel change tables and ran the
-    /// sequential maintenance plan instead.
+    /// Batches that could not use chunk-parallel change tables and went
+    /// through `MaterializedView::maintained` instead.
     pub fallback_batches: usize,
     /// Re-attempts after transient batch failures (retry policy only).
     pub retries: usize,
@@ -149,12 +151,12 @@ pub struct BatchPipeline {
     /// Maximum delta chunks (map tasks) per batch.
     pub partitions: usize,
     /// Base-table statistics catalog; when set, batch plans additionally
-    /// get cost-based join reordering, with the delta-chunk and stale-view
-    /// leaves overlaid on the fly.
+    /// get cost-based join reordering, with the delta leaves overlaid on the
+    /// fly.
     pub catalog: Option<Arc<Catalog>>,
     /// Morsel size for intra-plan parallelism. When set, the one plan that
-    /// runs as a *single* task — the sequential fallback maintenance plan
-    /// of non-change-table views — executes morsel-parallel on the shared
+    /// runs as a *single* task — the fallback maintenance of views whose
+    /// deltas are not chunk-additive — executes morsel-parallel on the shared
     /// pool (`ExecMode::morsel`), its scans split into row ranges
     /// that interleave with other sessions' tasks on the shared queue.
     /// `Some(0)` means "morsel-parallel, size auto-tuned": the executor
@@ -164,7 +166,7 @@ pub struct BatchPipeline {
     /// saturate the pool).
     pub morsel_size: Option<usize>,
     /// Hash-partition count for join builds and set-op dedup inside the
-    /// morsel-parallel run of the fallback maintenance plan; distinct from
+    /// morsel-parallel run of the fallback maintenance; distinct from
     /// [`BatchPipeline::partitions`], which chunks *deltas* across runs of
     /// the change plan. `0` (the default) auto-tunes from the build input size
     /// ([`svc_relalg::exec::auto_partition_count`]); any value is rounded
@@ -443,8 +445,8 @@ impl BatchPipeline {
     /// pending deltas and the exactness condition of
     /// `chunk_parallel_exact` holds (change-table contributions of
     /// disjoint delta subsets are then independent and additive). Otherwise
-    /// the whole delta set runs as a single batch — through the full
-    /// sequential maintenance plan for non-eligible views — still as real
+    /// the whole delta set runs as a single batch — through
+    /// [`MaterializedView::maintained`] for every other view — still as real
     /// plans on the pool.
     pub fn maintain(
         &self,
@@ -477,16 +479,18 @@ impl BatchPipeline {
         // The catalog depends only on the canonical view and the stale
         // schema/key, which are invariant across every batch of this call.
         let cat = view.maint_catalog(db);
-        // The change-table strategy's own gate decides, as it does for
-        // `maintenance_plan`: merge rules the deltas rule out (min/max under
-        // deletions, median), non-aggregates and inputs without a delta
-        // derivation (nested aggregates) all take the fallback below.
-        if change_table_expr(&canonical, &cat, &info).is_err() {
-            // Fallback: the whole pending set through the view's
-            // maintenance plan — a real plan (delta-apply or recompute).
-            // Splitting it into mini-batches would be unsound: each batch's
-            // plan reads the *original* base tables, so earlier batches
-            // would be forgotten.
+        // The strategy's gate decides; only change tables are chunk-additive.
+        let change_table = match view_delta(&canonical, &cat, &info)? {
+            ViewDelta::NoOp => return Ok(run),
+            ViewDelta::Keyed { kind, .. } => kind == PlanKind::ChangeTable,
+            ViewDelta::Recompute(_) => false,
+        };
+        if !change_table {
+            // Fallback: the whole pending set through
+            // `MaterializedView::maintained` — ∆V / ∇V folded by key, or a
+            // recompute. Splitting it into mini-batches would be unsound:
+            // each batch's plans read the *original* base tables, so earlier
+            // batches would be forgotten.
             let maintained = self.under_policy(
                 view,
                 0,
@@ -738,12 +742,12 @@ impl BatchPipeline {
     }
 
     /// The whole pending set through [`MaterializedView::maintained`]
-    /// (non-eligible views), executed **on the pool**: with a morsel size
-    /// set, the plan runs morsel-parallel (a lone sequential plan is exactly
-    /// where intra-plan parallelism pays); otherwise it runs as one pool
-    /// task, so dispatch failpoints, panic isolation and the busy-time
-    /// gauges see it like any other plan. Returns the new view table
-    /// without committing it.
+    /// (views whose deltas are not chunk-additive), executed **on the pool**:
+    /// with a morsel size set, its plans run morsel-parallel (a lone
+    /// sequential plan is exactly where intra-plan parallelism pays);
+    /// otherwise they run as one pool task, so dispatch failpoints, panic
+    /// isolation and the busy-time gauges see it like any other plan.
+    /// Returns the new view table without committing it.
     fn fallback_table(
         &self,
         db: &Database,
@@ -751,15 +755,14 @@ impl BatchPipeline {
         pending: &Deltas,
     ) -> Result<Table> {
         svc_fault::fail_point!(svc_fault::site::BATCH_FALLBACK, StorageError::Invalid);
-        // The maintenance plan reads the stale view and the delta leaves;
-        // overlay stats for both.
-        let scoped =
-            self.catalog.as_deref().map(|c| maintenance_stats(c, Some(view.table()), pending));
+        // No plan `maintained` runs reads the stale view: overlay stats for
+        // the delta leaves alone.
+        let scoped = self.catalog.as_deref().map(|c| maintenance_stats(c, None, pending));
         let est = scoped.as_ref().map(|s| s.estimator());
         let est = est.as_ref().map(|e| e as &dyn CardEstimator);
         let run = |mode: ExecMode<'_>| {
             let maintained = view.maintained(db, pending, est, mode)?;
-            Ok(maintained.expect("maintain returns early on empty deltas").0)
+            Ok(maintained.expect("the gate found pending deltas that reach the view").0)
         };
         match self.morsel_size {
             Some(morsel) => {
@@ -847,12 +850,12 @@ impl BatchPipeline {
         svc_fault::fail_point!(svc_fault::site::BATCH_COMPILE, StorageError::Invalid);
         let _compile_span = self.tracer.as_deref().map(|t| t.span("compile", "pipeline"));
 
-        let change = change_table_expr(canonical, cat, info)?;
-        if change.is_empty() {
+        // A chunk of a change-table batch is a change-table delta itself.
+        let ViewDelta::Keyed { change, .. } = view_delta(canonical, cat, info)? else {
             return Err(StorageError::Invalid(
-                "delta chunk is empty; partition before batching".into(),
+                "delta chunk does not reach the view; partition before batching".into(),
             ));
-        }
+        };
         // With a catalog attached, overlay stats for the chunk's delta
         // leaves (tiny tables — the build scan is noise) so the change plans
         // get cost-based join order too. Change plans never read `__stale`

@@ -5,9 +5,10 @@
 //!
 //! * *clean* the stale sample into an up-to-date sample (Problem 1) by
 //!   pushing η through the view's maintenance strategy (Figure 3), built
-//!   here from `svc-ivm` + `svc-sampling`: a change table is evaluated once
-//!   under η and folded into the sample by group key; every other strategy
-//!   runs as the η-wrapped maintenance plan;
+//!   here from `svc-ivm` + `svc-sampling`: the strategy's one gate
+//!   (`svc_ivm::strategy::view_delta`) answers with a keyed pair — evaluated
+//!   once under η and folded into the sample by key — or a recompute plan,
+//!   run under η; neither reads the stale view;
 //! * answer aggregate queries via SVC+AQP or SVC+CORR (Problem 2);
 //! * run full maintenance at period boundaries and re-sample.
 
@@ -16,7 +17,7 @@ use svc_storage::{Database, Deltas, Result, StorageError, Table};
 use svc_catalog::{Catalog, ScopedStats};
 use svc_ivm::delta::{del_leaf, ins_leaf, DeltaInfo};
 use svc_ivm::fold::KeyedFold;
-use svc_ivm::strategy::{change_table_expr, PlanKind, STALE_LEAF};
+use svc_ivm::strategy::{view_delta, PlanKind, ViewDelta, STALE_LEAF};
 use svc_ivm::view::{maintenance_bindings, MaterializedView};
 
 use svc_relalg::derive::{derive_project, Derived};
@@ -94,11 +95,6 @@ pub struct CleanedSample {
     pub plan_kind: PlanKind,
 }
 
-/// Number of `Scan name` leaves in a plan.
-fn count_scans(plan: &Plan, name: &str) -> usize {
-    plan.leaf_tables().iter().filter(|t| **t == name).count()
-}
-
 impl SvcView {
     /// Create the view, materialize it, and draw the initial sample.
     pub fn create(
@@ -134,10 +130,10 @@ impl SvcView {
     }
 
     /// Build the optimized cleaning expression `C` (η pushed through the
-    /// maintenance plan) without evaluating it. Exposed for inspection and
-    /// for the benchmarks that count how far hashes push; it is what
-    /// [`SvcView::clean_sample`] runs for SPJ and recomputed views, and the
-    /// reference its fold of a change-table view is tested equal to.
+    /// maintenance plan) without evaluating it: the view's strategy as *one*
+    /// plan over `__stale`. Exposed for inspection and for the benchmarks that
+    /// count how far hashes push; [`SvcView::clean_sample`] does not run it —
+    /// it is the reference that method is tested equal to, on every strategy.
     ///
     /// The η-wrapped maintenance plan goes through the standard optimizer —
     /// predicate pushdown, projection pruning, and the Definition 3 η rule
@@ -165,13 +161,12 @@ impl SvcView {
         let (mplan, kind) = self.view.build_maintenance_plan(db, deltas)?;
         let hashed = self.hashed(mplan)?;
         let cat = self.view.maint_catalog(db);
-        // The stale leaf is priced from the **stale sample** — that is the
-        // relation `clean_sample` actually binds when η reaches every stale
-        // leaf (the common case), and scanning the sample keeps this path
-        // O(sample), not O(view). When η is blocked and the full view gets
-        // bound instead, every stale branch is under-priced by the same
-        // factor `m`, which leaves the ordinal comparisons the reorderer
-        // makes intact.
+        // The stale leaf is priced from the **stale sample** — the relation
+        // a run of this plan may bind when η reached every stale leaf (the
+        // common case; the hash is idempotent on it). When η is blocked and
+        // the full view must be bound instead, every stale branch is
+        // under-priced by the same factor `m`, which leaves the ordinal
+        // comparisons the reorderer makes intact.
         let scoped = catalog.map(|c| maintenance_stats(c, Some(&self.stale_sample), deltas));
         let est = scoped.as_ref().map(ScopedStats::estimator);
         let est = est.as_ref().map(|e| e as &dyn CardEstimator);
@@ -201,9 +196,18 @@ impl SvcView {
     /// [`SvcView::clean_sample`] with an optional statistics catalog (see
     /// [`SvcView::cleaning_plan_with`]).
     ///
-    /// A change-table view is cleaned the way it is maintained: its change
-    /// table is evaluated once and folded by group key — here under η, into
-    /// the stale sample. Every other view runs its cleaning plan.
+    /// A view is cleaned the way it is maintained, under η on the view key.
+    /// `view_delta` decides once. A keyed pair — γ(∆), γ(∇) of a change-table
+    /// view, ∆V, ∇V of an SPJ view — has each side η-wrapped, optimized,
+    /// compiled and run once (η pushes through γ and the delta joins exactly
+    /// as through the plan form) and is folded by key into one clone of the
+    /// stale sample: `Ŝ′ = fold(Ŝ, η(∆), η(∇))`. The stale sample *is*
+    /// `η(S)`; a matched key, a new one that hashes into the sample and a
+    /// dead one are the fold's three cases. A recompute runs η(plan). Deltas
+    /// that do not reach the view hand the stale sample back. No case reads
+    /// the stale view — not even when η stops short of a leaf — and the
+    /// report is the union of the reports of the plans that ran (it has no
+    /// `__stale` entry).
     pub fn clean_sample_with(
         &self,
         db: &Database,
@@ -211,82 +215,34 @@ impl SvcView {
         catalog: Option<&Catalog>,
     ) -> Result<CleanedSample> {
         svc_fault::fail_point!(svc_fault::site::CORE_CLEAN, StorageError::Invalid);
-        let (canonical, report, plan_kind) = match self.folded_sample(db, deltas, catalog)? {
-            Some((canonical, report)) => (canonical, report, PlanKind::ChangeTable),
-            None => self.planned_sample(db, deltas, catalog)?,
-        };
-        let public = self.view.public_of(&canonical)?;
-        self.counters.cleanings.inc();
-        self.counters.rows_cleaned.add(canonical.len() as u64);
-        Ok(CleanedSample { canonical, public, report, plan_kind })
-    }
-
-    /// `Ŝ′ = fold(Ŝ, η(γ(∆)), η(γ(∇)))` for a view in the change-table class
-    /// whose pending deltas reach it, `None` otherwise. η on the group key
-    /// pushes through each γ into its delta joins exactly as it pushes
-    /// through the merge of the plan form; the stale sample *is* `η(S)`, and
-    /// a matched group, a new one (its key hashes into the sample) and a dead
-    /// one are the fold's three cases. Each side is optimized, compiled and
-    /// run once, and the stale view is never read — not even when η stops
-    /// short of a leaf. The report is the union of the two sides' (it has no
-    /// `__stale` entry).
-    fn folded_sample(
-        &self,
-        db: &Database,
-        deltas: &Deltas,
-        catalog: Option<&Catalog>,
-    ) -> Result<Option<(Table, PushdownReport)>> {
         let cat = self.view.maint_catalog(db);
-        let change = match change_table_expr(self.view.canonical(), &cat, &DeltaInfo::of(deltas)) {
-            Ok(change) if !change.is_empty() => change,
-            _ => return Ok(None),
-        };
         let scoped = catalog.map(|c| maintenance_stats(c, None, deltas));
         let est = scoped.as_ref().map(ScopedStats::estimator);
         let est = est.as_ref().map(|e| e as &dyn CardEstimator);
         let bindings = maintenance_bindings(db, deltas, &self.stale_sample);
         let mut report = PushdownReport::default();
-        let change = change.try_map(|side| {
-            let (optimized, side_report) = cat.optimize(&self.hashed(side)?, est)?;
-            report.descended += side_report.eta.descended;
-            report.blockers.extend(side_report.eta.blockers);
-            report.sampled_leaves.extend(side_report.eta.sampled_leaves);
+        let mut sampled = |plan: Plan| -> Result<Table> {
+            let (optimized, ran) = cat.optimize(&self.hashed(plan)?, est)?;
+            report.descended += ran.eta.descended;
+            report.blockers.extend(ran.eta.blockers);
+            report.sampled_leaves.extend(ran.eta.sampled_leaves);
             svc_relalg::exec::compile(&optimized, &bindings)?.run(&bindings)
-        })?;
-        let mut cleaned = self.stale_sample.clone();
-        KeyedFold::new(self.view.canonical(), &cleaned)?.fold(&mut cleaned, &change)?;
-        Ok(Some((cleaned, report)))
-    }
-
-    /// `Ŝ′` by running the cleaning plan — SPJ delta application, recompute
-    /// fallbacks and deltas that do not reach the view.
-    fn planned_sample(
-        &self,
-        db: &Database,
-        deltas: &Deltas,
-        catalog: Option<&Catalog>,
-    ) -> Result<(Table, PushdownReport, PlanKind)> {
-        let (plan, report, plan_kind) = self.cleaning_plan_with(db, deltas, catalog)?;
-        // When the η reached every stale-view leaf, those branches read only
-        // hash-selected rows, so binding the (much smaller) stale sample is
-        // the exact same relation — the hash is idempotent on it. Blockers
-        // elsewhere don't matter for this substitution. If some stale-view
-        // scan is NOT under a hash, bind the full stale view: the un-pushed
-        // hash above still samples correctly, it is merely more work.
-        let stale_scans = count_scans(&plan, STALE_LEAF);
-        let stale_sampled =
-            report.sampled_leaves.iter().filter(|l| l.as_str() == STALE_LEAF).count();
-        let stale_binding: &Table = if stale_scans == 0 || stale_scans == stale_sampled {
-            &self.stale_sample
-        } else {
-            self.view.table()
         };
-        // Compile the cleaning expression once and stream it: the η filters
-        // run over borrowed base/delta/stale rows, cloning only
-        // hash-selected survivors.
-        let bindings = maintenance_bindings(db, deltas, stale_binding);
-        let canonical = svc_relalg::exec::compile(&plan, &bindings)?.run(&bindings)?;
-        Ok((canonical, report, plan_kind))
+        let (canonical, plan_kind) =
+            match view_delta(self.view.canonical(), &cat, &DeltaInfo::of(deltas))? {
+                ViewDelta::NoOp => (self.stale_sample.clone(), PlanKind::NoOp),
+                ViewDelta::Keyed { change, kind } => {
+                    let change = change.try_map(&mut sampled)?;
+                    let mut cleaned = self.stale_sample.clone();
+                    KeyedFold::new(self.view.canonical(), &cleaned)?.fold(&mut cleaned, &change)?;
+                    (cleaned, kind)
+                }
+                ViewDelta::Recompute(plan) => (sampled(plan)?, PlanKind::Recompute),
+            };
+        let public = self.view.public_of(&canonical)?;
+        self.counters.cleanings.inc();
+        self.counters.rows_cleaned.add(canonical.len() as u64);
+        Ok(CleanedSample { canonical, public, report, plan_kind })
     }
 
     /// `q(S)`: the (possibly stale) full-view answer — the "No Maintenance"
@@ -387,11 +343,6 @@ impl SvcView {
     pub fn resample(&mut self) {
         self.stale_sample =
             sample_by_key(self.view.table(), self.config.ratio, self.config.hash_spec());
-    }
-
-    /// The leaf name the stale view binds to inside maintenance plans.
-    pub fn stale_leaf() -> &'static str {
-        STALE_LEAF
     }
 }
 

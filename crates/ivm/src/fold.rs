@@ -1,56 +1,66 @@
-//! The keyed change-table fold: apply one signed change table to a keyed
-//! aggregate relation — the materialized view, or a hash sample of it — by
-//! group key.
+//! The keyed fold: apply one signed pair of keyed relations — the answer of
+//! `strategy::view_delta`, each side evaluated once — to a relation keyed
+//! like the view: the materialized view, or a hash sample of it.
 //!
-//! A change table is evaluated once and folded. The strategy hands it over
-//! as two keyed tables, γ(∆) and γ(∇) (`strategy::change_table_expr`); the
-//! fold walks them once, nets a group that appears on both sides, looks the
-//! group up in the target, merges a matched group, inserts an unmatched one
-//! and drops a group whose `__svc_cnt` falls to zero — O(|change|) per fold,
-//! whatever the size of the target. The arithmetic is the plan form's own
-//! (`net_columns`, `negated_columns`, `merged_columns`, `group_is_live`), so
-//! the fold equals evaluating `strategy::maintenance_plan`'s merge — which
-//! embeds the change table three times and each of its sides three times
-//! more, and which nothing runs — exactly.
+//! Two rules, one mechanism. For a **change-table** view the pair is γ(∆) and
+//! γ(∇): the fold walks them once, nets a group that appears on both sides,
+//! looks the group up in the target, merges a matched group, inserts an
+//! unmatched one and drops a group whose `__svc_cnt` falls to zero. The
+//! arithmetic is the plan form's own (`net_columns`, `negated_columns`,
+//! `merged_columns`, `group_is_live`). For an **SPJ** view the pair is ∆V and
+//! ∇V: every ∇V key is dropped, then every ∆V row is put — `(S ▷ ∇V) ∪ ∆V`
+//! without reading `S`, with the same refusal to store two different rows
+//! under one key. Either way the fold costs O(|pair|), whatever the size of
+//! the target, and equals evaluating `strategy::maintenance_plan` — which
+//! nothing runs — exactly.
 //!
-//! The target only has to be keyed by the group columns: `MaterializedView`
-//! folds into a copy of the view, the mini-batch pipeline into its shadow,
-//! and `SvcView::clean_sample` folds η(γ(∆)), η(γ(∇)) into a copy of the
-//! stale sample — the sample *is* η(S), and matched / new / dead groups are
-//! the fold's three cases.
+//! The target only has to be keyed like the view: `MaterializedView` folds
+//! into a copy of the view, the mini-batch pipeline into its shadow, and
+//! `SvcView::clean_sample` folds the η-sampled pair into a copy of the stale
+//! sample — the sample *is* η(S), and matched / new / dead keys are the
+//! fold's three cases.
 //!
 //! Edits are *staged* ([`StagedEdits`]) before they are applied, so a caller
-//! can fold several change tables, fail or retry anywhere in between, and
-//! only then commit: staging reads the target, applying is infallible.
+//! can fold several pairs, fail or retry anywhere in between, and only then
+//! commit: staging reads the target, applying is infallible.
 
 use std::collections::HashMap;
 
 use svc_relalg::scalar::{BoundExpr, Expr};
 use svc_storage::{Field, KeyTuple, Result, Row, Schema, StorageError, Table};
 
-use crate::canon::Canonical;
+use crate::canon::{AggShape, Canonical};
 use crate::delta::Signed;
 use crate::strategy::{
     group_is_live, merged_columns, negated_columns, net_columns, CanonNames, CHANGE_PREFIX,
     DEL_PREFIX,
 };
 
-/// The fold of one view, bound once: the plan form's column expressions over
-/// rows laid side by side, and the liveness predicate over a canonical row.
+/// The fold of one view, bound once against the view's schema and key.
 #[derive(Debug)]
 pub struct KeyedFold {
     key: Vec<usize>,
+    width: usize,
+    /// The merge arithmetic of a change-table view; `None` for an SPJ view,
+    /// whose keys are dropped and replaced.
+    merge: Option<GroupMerge>,
+}
+
+/// The plan form's column expressions over rows laid side by side, and the
+/// liveness predicate over a canonical row.
+#[derive(Debug)]
+struct GroupMerge {
     /// `net_columns` over a group's γ(∆) row followed by its γ(∇) row.
     net: Vec<BoundExpr>,
     /// `negated_columns` over a γ(∇) row.
     negated: Vec<BoundExpr>,
     /// `merged_columns` over a stale row followed by its group's change row.
-    merge: Vec<BoundExpr>,
+    merged: Vec<BoundExpr>,
     live: BoundExpr,
 }
 
 /// Keyed edits staged against a target table and not yet applied: the new
-/// row of every touched group, or `None` for a group that died. Kept in
+/// row of every touched key, or `None` for a key that left. Kept in
 /// first-touch order so applying them is deterministic.
 #[derive(Debug, Default)]
 pub struct StagedEdits {
@@ -64,6 +74,29 @@ impl StagedEdits {
     pub fn apply(self, target: &mut Table) {
         target.apply_edits(self.edits);
     }
+
+    /// The row under `key` as staged so far — staged edits overlay the target
+    /// — and the key's edit slot, if it was touched before.
+    fn lookup<'a>(&'a self, target: &'a Table, key: &KeyTuple) -> (Option<usize>, Option<&'a Row>) {
+        match self.index.get(key) {
+            Some(&slot) => (Some(slot), self.edits[slot].1.as_ref()),
+            None => (None, target.get(key)),
+        }
+    }
+
+    /// Stage `next` as the row under `key`, given what [`Self::lookup`] found
+    /// there: its slot and whether it `held` a row.
+    fn set(&mut self, slot: Option<usize>, key: KeyTuple, next: Option<Row>, held: bool) {
+        match slot {
+            Some(slot) => self.edits[slot].1 = next,
+            // A dead key the target never held needs no edit.
+            None if next.is_none() && !held => {}
+            None => {
+                self.index.insert(key.clone(), self.edits.len());
+                self.edits.push((key, next));
+            }
+        }
+    }
 }
 
 /// `schema` with every column renamed to `{prefix}{name}`.
@@ -76,6 +109,14 @@ fn bind_all(columns: &[(String, Expr)], fields: Vec<Field>) -> Result<Vec<BoundE
     columns.iter().map(|(_, e)| e.bind(&schema)).collect()
 }
 
+/// The rows of one side of a pair, each under its key.
+fn keyed_rows<'a>(
+    side: &'a Option<Table>,
+    key: &'a [usize],
+) -> impl Iterator<Item = (KeyTuple, &'a Row)> {
+    side.iter().flat_map(|t| t.rows()).map(move |row| (KeyTuple::of(row, key), row))
+}
+
 /// `exprs` over `left` followed by `right`, laid out in `scratch`.
 fn beside(scratch: &mut Row, left: &Row, right: &Row, exprs: &[BoundExpr]) -> Row {
     scratch.clear();
@@ -84,15 +125,8 @@ fn beside(scratch: &mut Row, left: &Row, right: &Row, exprs: &[BoundExpr]) -> Ro
     exprs.iter().map(|e| e.eval(scratch)).collect()
 }
 
-impl KeyedFold {
-    /// Bind the fold of `canonical` against the schema and key of its
-    /// materialized `view` table (or of a sample of it). Errors for views
-    /// outside the change-table class (non-aggregates, median).
-    pub fn new(canonical: &Canonical, view: &Table) -> Result<KeyedFold> {
-        let schema = view.schema();
-        let shape = canonical.agg.as_ref().ok_or_else(|| {
-            StorageError::Invalid("change-table fold requires an aggregate view".into())
-        })?;
+impl GroupMerge {
+    fn new(shape: &AggShape, schema: &Schema) -> Result<GroupMerge> {
         let names = CanonNames::new(schema, shape.group_by.len())?;
         // Two rows side by side, as the joins of the plan form lay them out.
         let side_by_side = |prefix: &str| {
@@ -100,86 +134,130 @@ impl KeyedFold {
             fields.extend(prefixed(schema, prefix));
             fields
         };
-        Ok(KeyedFold {
-            key: view.key().to_vec(),
+        Ok(GroupMerge {
             net: bind_all(&net_columns(&names), side_by_side(DEL_PREFIX))?,
             negated: bind_all(&negated_columns(&names), prefixed(schema, DEL_PREFIX))?,
-            merge: bind_all(&merged_columns(shape, &names)?, side_by_side(CHANGE_PREFIX))?,
+            merged: bind_all(&merged_columns(shape, &names)?, side_by_side(CHANGE_PREFIX))?,
             live: group_is_live().bind(schema)?,
         })
     }
+}
 
-    /// Stage the fold of the signed `change` (γ(∆), γ(∇)) into `target` on
-    /// top of the edits already in `staged` (a group touched twice merges
-    /// with its staged row). Reads `target`, writes only `staged`.
+impl KeyedFold {
+    /// Bind the fold of `canonical` against the schema and key of its
+    /// materialized `view` table (or of a sample of it). Errors for an
+    /// aggregate view outside the change-table class (median).
+    pub fn new(canonical: &Canonical, view: &Table) -> Result<KeyedFold> {
+        let schema = view.schema();
+        let merge =
+            canonical.agg.as_ref().map(|shape| GroupMerge::new(shape, schema)).transpose()?;
+        Ok(KeyedFold { key: view.key().to_vec(), width: schema.len(), merge })
+    }
+
+    /// Stage the fold of the signed `change` — γ(∆), γ(∇) or ∆V, ∇V — into
+    /// `target` on top of the edits already in `staged` (a key touched twice
+    /// continues from its staged row). Reads `target`, writes only `staged`,
+    /// and writes nothing when it errors.
     pub fn stage(
         &self,
         target: &Table,
         staged: &mut StagedEdits,
         change: &Signed<Table>,
     ) -> Result<()> {
-        let width = self.merge.len();
+        let width = self.width;
         let sides = || change.ins.iter().chain(&change.del);
         if target.schema().len() != width || sides().any(|c| c.schema().len() != width) {
             return Err(StorageError::Invalid(format!(
-                "change-table fold over {width} columns got a {}-column view and change tables \
-                 of {:?} columns",
+                "keyed fold over {width} columns got a {}-column view and change tables of {:?} \
+                 columns",
                 target.schema().len(),
                 sides().map(|c| c.schema().len()).collect::<Vec<_>>()
             )));
         }
         if target.key() != self.key || sides().any(|c| c.key() != self.key) {
             return Err(StorageError::Invalid(
-                "change-table fold: view and change table must be keyed by the group columns"
-                    .into(),
+                "keyed fold: view and change tables must be keyed by the view's key".into(),
             ));
         }
-        // The signed change table row by row, in the plan form's three cases:
-        // groups of γ(∆), netted when γ(∇) has them too, then γ(∇)-only ones.
-        let mut scratch: Row = Vec::with_capacity(2 * width);
-        let key_of = |row: &Row| KeyTuple::of(row, &self.key);
-        for row in change.ins.iter().flat_map(|ins| ins.rows()) {
-            match change.del.as_ref().and_then(|del| del.get(&key_of(row))) {
-                Some(deleted) => {
-                    let net = beside(&mut scratch, row, deleted, &self.net);
-                    self.stage_row(target, staged, &net, &mut scratch);
-                }
-                None => self.stage_row(target, staged, row, &mut scratch),
-            }
-        }
-        for row in change.del.iter().flat_map(|del| del.rows()) {
-            if change.ins.as_ref().is_some_and(|ins| ins.contains_key(&key_of(row))) {
-                continue;
-            }
-            let negated = self.negated.iter().map(|e| e.eval(row)).collect();
-            self.stage_row(target, staged, &negated, &mut scratch);
+        match &self.merge {
+            Some(merge) => self.stage_merge(merge, target, staged, change),
+            None => self.stage_replace(target, staged, change)?,
         }
         Ok(())
     }
 
-    /// Stage one change row: merge it with its group's current row (staged
-    /// edits overlay the target), or insert it, or drop the group.
-    fn stage_row(&self, target: &Table, staged: &mut StagedEdits, delta: &Row, scratch: &mut Row) {
-        let key = KeyTuple::of(delta, &self.key);
-        let slot = staged.index.get(&key).copied();
-        let current = match slot {
-            Some(i) => staged.edits[i].1.as_ref(),
-            None => target.get(&key),
+    /// The change-table rule: the signed change table row by row, in the plan
+    /// form's three cases — groups of γ(∆), netted when γ(∇) has them too,
+    /// then γ(∇)-only ones — each merged with its group's current row, or
+    /// inserted, or the group dropped.
+    fn stage_merge(
+        &self,
+        rule: &GroupMerge,
+        target: &Table,
+        staged: &mut StagedEdits,
+        change: &Signed<Table>,
+    ) {
+        let mut scratch: Row = Vec::with_capacity(2 * self.width);
+        let keyed = |side| keyed_rows(side, &self.key);
+        // A change row carries its group's key through unchanged.
+        let mut stage_row = |key: KeyTuple, delta: &Row, scratch: &mut Row| {
+            let (slot, current) = staged.lookup(target, &key);
+            let next = match current {
+                Some(current) => beside(scratch, current, delta, &rule.merged),
+                None => delta.clone(),
+            };
+            let held = current.is_some();
+            staged.set(slot, key, rule.live.matches(&next).then_some(next), held);
         };
-        let next = match current {
-            Some(current) => beside(scratch, current, delta, &self.merge),
-            None => delta.clone(),
-        };
-        let next = self.live.matches(&next).then_some(next);
-        match slot {
-            Some(i) => staged.edits[i].1 = next,
-            // A dead group the target never held needs no edit.
-            None if next.is_none() && current.is_none() => {}
-            None => {
-                staged.index.insert(key.clone(), staged.edits.len());
-                staged.edits.push((key, next));
+        for (key, row) in keyed(&change.ins) {
+            match change.del.as_ref().and_then(|del| del.get(&key)) {
+                Some(deleted) => {
+                    let net = beside(&mut scratch, row, deleted, &rule.net);
+                    stage_row(key, &net, &mut scratch);
+                }
+                None => stage_row(key, row, &mut scratch),
             }
         }
+        for (key, row) in keyed(&change.del) {
+            if change.ins.as_ref().is_some_and(|ins| ins.contains_key(&key)) {
+                continue;
+            }
+            let negated = rule.negated.iter().map(|e| e.eval(row)).collect();
+            stage_row(key, &negated, &mut scratch);
+        }
+    }
+
+    /// The SPJ rule — drop every ∇V key, then put every ∆V row: `(S ▷ ∇V) ∪
+    /// ∆V` by key.
+    fn stage_replace(
+        &self,
+        target: &Table,
+        staged: &mut StagedEdits,
+        change: &Signed<Table>,
+    ) -> Result<()> {
+        let keyed = |side| keyed_rows(side, &self.key);
+        // The union holds one row per key: a ∆V row whose key survives ∇V
+        // must be the row already there (the plan form's `DuplicateKey`).
+        // Checked before anything is staged.
+        let survives = |key: &KeyTuple| !change.del.as_ref().is_some_and(|d| d.contains_key(key));
+        let clash = |(key, row): &(KeyTuple, &Row)| {
+            survives(key) && staged.lookup(target, key).1.is_some_and(|held| held != *row)
+        };
+        if let Some((key, _)) = keyed(&change.ins).find(clash) {
+            return Err(StorageError::DuplicateKey(key.to_string()));
+        }
+        for (key, _) in keyed(&change.del) {
+            let (slot, current) = staged.lookup(target, &key);
+            staged.set(slot, key, None, current.is_some());
+        }
+        for (key, row) in keyed(&change.ins) {
+            let (slot, current) = staged.lookup(target, &key);
+            // Putting the row a key already holds is no edit.
+            if current != Some(row) {
+                staged.set(slot, key, Some(row.clone()), current.is_some());
+            }
+        }
+        Ok(())
     }
 
     /// Fold the signed `change` into `target` in place.
@@ -204,7 +282,7 @@ mod tests {
 
     use super::*;
     use crate::canon::canonicalize;
-    use crate::strategy::{merge_with_stale, signed_change_plan, MaintCatalog, STALE_LEAF};
+    use crate::strategy::{keyed_plan, MaintCatalog, STALE_LEAF};
 
     struct Rng(svc_fault::SplitMix64);
 
@@ -294,16 +372,15 @@ mod tests {
         out
     }
 
-    /// Fold `changes` one at a time with the merge *plan* — the reference:
-    /// `signed_change_plan` over the two sides, merged by `merge_with_stale`.
+    /// Fold `changes` one at a time with the *plan* form — the reference:
+    /// `keyed_plan` over the two sides, each bound as a scan.
     fn plan_fold(
         db: &mut Database,
         canonical: &Canonical,
         stale: &Table,
         changes: &[Signed<Table>],
-    ) -> Table {
+    ) -> Result<Table> {
         let like = Derived { schema: stale.schema().clone(), key: stale.key().to_vec() };
-        let names = CanonNames::new(stale.schema(), stale.key().len()).unwrap();
         let mut current = stale.clone();
         for change in changes {
             // The reference plan reads each side it has under its own name.
@@ -316,13 +393,101 @@ mod tests {
             let scans =
                 Signed { ins: bound("chg_ins", &change.ins), del: bound("chg_del", &change.del) };
             let cat = MaintCatalog { db, stale: like.clone() };
-            let change = signed_change_plan(&names, scans).expect("one side is present");
-            let plan = merge_with_stale(canonical, &cat, change).unwrap();
+            let plan = keyed_plan(canonical, &cat, scans).unwrap();
             let mut b = Bindings::from_database(db);
             b.bind(STALE_LEAF, &current);
-            current = evaluate(&plan, &b).unwrap();
+            current = evaluate(&plan, &b)?;
         }
-        current
+        Ok(current)
+    }
+
+    /// Random signed change tables for the aggregate `view(with_min_max)`
+    /// over `stale`.
+    fn group_changes(
+        rng: &mut Rng,
+        stale: &Table,
+        like: &Derived,
+        (groups, change_rows, n_changes): (u64, usize, usize),
+        with_min_max: bool,
+    ) -> Vec<Signed<Table>> {
+        (0..n_changes)
+            .map(|_| {
+                // Min/max merge only under insert-only deltas.
+                let mut c = random_table(rng, like, groups, change_rows, !with_min_max);
+                if with_min_max {
+                    return ins_only(c);
+                }
+                for row in stale.rows().iter().filter(|_| rng.below(5) == 0) {
+                    c.upsert(negated(row)).unwrap();
+                }
+                // γ(∇): absent, or its own groups — some of γ(∆)'s among
+                // them, one in four of those cancelling it exactly.
+                let mut del = random_table(rng, like, groups, change_rows, false);
+                for row in c.rows().iter().filter(|_| rng.below(4) == 0) {
+                    del.upsert(row.clone()).unwrap();
+                }
+                match rng.below(3) {
+                    0 => ins_only(c),
+                    1 => Signed { ins: None, del: Some(del) },
+                    _ => Signed { ins: Some(c), del: Some(del) },
+                }
+            })
+            .collect()
+    }
+
+    /// A random row of `t` under `id`.
+    fn t_row(rng: &mut Rng, like: &Derived, id: i64) -> Row {
+        let mut row = vec![Value::Int(id)];
+        row.extend(like.schema.fields()[1..].iter().map(|f| rng.measure(f.dtype, 40, 4)));
+        row
+    }
+
+    /// Random ∆V / ∇V pairs for the SPJ view `Scan t` over `stale`, each
+    /// valid against the state the ones before it leave: ∇V names rows the
+    /// view holds and keys it does not (or no longer does); ∆V holds updates
+    /// of ∇V's keys, keys the view does not hold (deleted ones among them)
+    /// and the odd row the view already holds, unchanged. One pair in three
+    /// has only ∆V, one only ∇V.
+    fn key_changes(
+        rng: &mut Rng,
+        stale: &Table,
+        like: &Derived,
+        (ids, change_rows, n_changes): (u64, usize, usize),
+    ) -> Vec<Signed<Table>> {
+        let empty = || Table::with_key_indices(like.schema.clone(), like.key.clone()).unwrap();
+        let put = |side: &mut Table, row: Row| drop(side.upsert(row).unwrap());
+        let mut held = stale.clone();
+        (0..n_changes)
+            .map(|_| {
+                let (mut ins, mut del) = (empty(), empty());
+                let sides = rng.below(3);
+                for _ in 0..change_rows {
+                    let id = rng.below(ids) as i64;
+                    let current = held.get(&KeyTuple(vec![Value::Int(id)])).cloned();
+                    let fresh = t_row(rng, like, id);
+                    match (current, sides, rng.below(3)) {
+                        // ∆V alone: a new key, or the row the view holds.
+                        (None, 0, _) | (None, 2, 1..) => put(&mut ins, fresh),
+                        (Some(row), 0, _) | (Some(row), 2, 1) => put(&mut ins, row),
+                        // ∇V: a held row, or a key the view does not hold.
+                        (None, ..) => put(&mut del, fresh),
+                        (Some(row), 1, _) | (Some(row), 2, 0) => put(&mut del, row),
+                        // An update: the key on both sides.
+                        (Some(row), ..) => {
+                            put(&mut del, row);
+                            put(&mut ins, fresh);
+                        }
+                    }
+                }
+                for row in del.rows() {
+                    held.delete(&del.key_of(row));
+                }
+                for row in ins.rows() {
+                    put(&mut held, row.clone());
+                }
+                Signed { ins: (sides != 1).then_some(ins), del: (sides != 0).then_some(del) }
+            })
+            .collect()
     }
 
     /// A single signed table, as a change with no γ(∇) side.
@@ -333,13 +498,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Keyed fold ≡ the merge plan on the same `(stale, γ(∆), γ(∇)…)`
-        /// input, exactly (`same_contents`): every mix of sides (∆ only, ∇
-        /// only, both — groups on one side, on both, netting to zero), new
-        /// groups, groups deleted to zero and re-inserted, dead groups the
-        /// view never held, NULL aggregates, Int and Float additive columns
-        /// and insert-only min/max — both applied per change table and
-        /// staged across all of them.
+        /// Keyed fold ≡ the plan form on the same `(stale, pair…)` input,
+        /// exactly (`same_contents`), both applied per pair and staged across
+        /// all of them. Change tables: every mix of sides (∆ only, ∇ only,
+        /// both — groups on one side, on both, netting to zero), new groups,
+        /// groups deleted to zero and re-inserted, dead groups the view never
+        /// held, NULL aggregates, Int and Float additive columns and
+        /// insert-only min/max. SPJ pairs (replace-fold ≡ `(S ▷ ∇V) ∪ ∆V`):
+        /// updates (a key on both sides), deletes of absent keys, re-inserted
+        /// keys, unchanged rows.
         #[test]
         fn keyed_fold_equals_the_merge_plan(
             seed in 1u64..u64::MAX,
@@ -347,38 +514,29 @@ mod tests {
             stale_rows in 0usize..40,
             change_rows in 1usize..30,
             n_changes in 1usize..4,
-            with_min_max in 0u8..2,
+            shape in 0u8..3,
         ) {
-            let with_min_max = with_min_max == 1;
             let mut rng = Rng(svc_fault::SplitMix64::new(seed));
             let mut db = base_db();
-            let canonical = canonicalize(&view(with_min_max));
-            let like = derive(&canonical.plan, &db).unwrap();
-            let stale = random_table(&mut rng, &like, groups, stale_rows, false);
-            let changes: Vec<Signed<Table>> = (0..n_changes)
-                .map(|_| {
-                    // Min/max merge only under insert-only deltas.
-                    let mut c = random_table(&mut rng, &like, groups, change_rows, !with_min_max);
-                    if with_min_max {
-                        return ins_only(c);
-                    }
-                    for row in stale.rows().iter().filter(|_| rng.below(5) == 0) {
-                        c.upsert(negated(row)).unwrap();
-                    }
-                    // γ(∇): absent, or its own groups — some of γ(∆)'s among
-                    // them, one in four of those cancelling it exactly.
-                    let mut del = random_table(&mut rng, &like, groups, change_rows, false);
-                    for row in c.rows().iter().filter(|_| rng.below(4) == 0) {
-                        del.upsert(row.clone()).unwrap();
-                    }
-                    match rng.below(3) {
-                        0 => ins_only(c),
-                        1 => Signed { ins: None, del: Some(del) },
-                        _ => Signed { ins: Some(c), del: Some(del) },
-                    }
-                })
-                .collect();
-            let expected = plan_fold(&mut db, &canonical, &stale, &changes);
+            let size = (groups, change_rows, n_changes);
+            let (canonical, stale, changes) = if shape == 2 {
+                let canonical = canonicalize(&Plan::scan("t"));
+                let like = derive(&canonical.plan, &db).unwrap();
+                let mut stale = Table::with_key_indices(like.schema.clone(), like.key.clone()).unwrap();
+                for _ in 0..stale_rows {
+                    let id = rng.below(groups) as i64;
+                    let _ = stale.insert(t_row(&mut rng, &like, id));
+                }
+                let changes = key_changes(&mut rng, &stale, &like, size);
+                (canonical, stale, changes)
+            } else {
+                let canonical = canonicalize(&view(shape == 1));
+                let like = derive(&canonical.plan, &db).unwrap();
+                let stale = random_table(&mut rng, &like, groups, stale_rows, false);
+                let changes = group_changes(&mut rng, &stale, &like, size, shape == 1);
+                (canonical, stale, changes)
+            };
+            let expected = plan_fold(&mut db, &canonical, &stale, &changes).unwrap();
 
             let fold = KeyedFold::new(&canonical, &stale).unwrap();
             let mut one_by_one = stale.clone();
@@ -387,7 +545,7 @@ mod tests {
             }
             prop_assert!(
                 one_by_one.same_contents(&expected),
-                "per-table fold diverged from the merge plan (seed {seed})"
+                "per-table fold diverged from the plan form (shape {shape}, seed {seed})"
             );
 
             let mut staged = StagedEdits::default();
@@ -398,7 +556,7 @@ mod tests {
             staged.apply(&mut at_once);
             prop_assert!(
                 at_once.same_contents(&expected),
-                "staged fold diverged from the merge plan (seed {seed})"
+                "staged fold diverged from the plan form (shape {shape}, seed {seed})"
             );
         }
     }
@@ -430,23 +588,63 @@ mod tests {
         let like = derive(&median.plan, &db).unwrap();
         let empty = Table::with_key_indices(like.schema, like.key).unwrap();
         assert!(KeyedFold::new(&median, &empty).is_err());
+        // An SPJ view binds: its keys are dropped and replaced.
         let spj = canonicalize(&Plan::scan("t"));
-        assert!(KeyedFold::new(&spj, db.table("t").unwrap()).is_err());
+        assert!(KeyedFold::new(&spj, db.table("t").unwrap()).is_ok());
     }
 
     #[test]
     fn mismatched_change_tables_are_rejected() {
         let db = base_db();
-        let canonical = canonicalize(&view(false));
-        let like = derive(&canonical.plan, &db).unwrap();
-        let stale = Table::with_key_indices(like.schema.clone(), like.key.clone()).unwrap();
-        let fold = KeyedFold::new(&canonical, &stale).unwrap();
-        let narrow = db.table("t").unwrap().clone();
-        let rekeyed = Table::with_key_indices(like.schema, vec![0]).unwrap();
-        for bad in [narrow, rekeyed] {
-            let as_del = Signed { ins: None, del: Some(bad.clone()) };
-            assert!(fold.stage(&stale, &mut StagedEdits::default(), &as_del).is_err());
-            assert!(fold.stage(&stale, &mut StagedEdits::default(), &ins_only(bad)).is_err());
+        let narrow_schema = Schema::from_pairs(&[("id", DataType::Int), ("g", DataType::Int)]);
+        let narrow = Table::new(narrow_schema.unwrap(), &["id"]).unwrap();
+        for def in [view(false), Plan::scan("t")] {
+            let canonical = canonicalize(&def);
+            let like = derive(&canonical.plan, &db).unwrap();
+            let stale = Table::with_key_indices(like.schema.clone(), like.key.clone()).unwrap();
+            let fold = KeyedFold::new(&canonical, &stale).unwrap();
+            let rekeyed = Table::with_key_indices(like.schema, vec![1]).unwrap();
+            for bad in [narrow.clone(), rekeyed] {
+                let as_del = Signed { ins: None, del: Some(bad.clone()) };
+                assert!(fold.stage(&stale, &mut StagedEdits::default(), &as_del).is_err());
+                assert!(fold.stage(&stale, &mut StagedEdits::default(), &ins_only(bad)).is_err());
+            }
         }
+    }
+
+    /// The plan form stores one row per key: a ∆V row whose key survives ∇V
+    /// under a different row is its `DuplicateKey`. The fold raises the same
+    /// error before it stages anything; the row a key already holds is no
+    /// edit, and with the key in ∇V the put replaces.
+    #[test]
+    fn a_put_over_a_different_row_is_rejected_and_stages_nothing() {
+        let mut db = base_db();
+        let canonical = canonicalize(&Plan::scan("t"));
+        let like = derive(&canonical.plan, &db).unwrap();
+        let table = |rows: &[&Row]| {
+            let rows = rows.iter().map(|row| (*row).clone()).collect();
+            Table::from_rows(like.schema.clone(), like.key.clone(), rows).unwrap()
+        };
+        let mut rng = Rng(svc_fault::SplitMix64::new(11));
+        let (held, new) = (t_row(&mut rng, &like, 1), t_row(&mut rng, &like, 2));
+        let mut other = held.clone();
+        other[1] = Value::Int(99);
+        let stale = table(&[&held]);
+        let fold = KeyedFold::new(&canonical, &stale).unwrap();
+
+        // A new key ahead of the conflicting one: neither may be staged.
+        let conflict = ins_only(table(&[&new, &other]));
+        let mut staged = StagedEdits::default();
+        let err = fold.stage(&stale, &mut staged, &conflict).unwrap_err();
+        assert!(matches!(err, StorageError::DuplicateKey(_)), "{err}");
+        assert!(staged.edits.is_empty(), "a rejected pair stages nothing");
+        assert_eq!(plan_fold(&mut db, &canonical, &stale, &[conflict]).unwrap_err(), err);
+
+        fold.stage(&stale, &mut staged, &ins_only(table(&[&held]))).unwrap();
+        assert!(staged.edits.is_empty(), "the row the key holds is no edit");
+        let update = Signed { ins: Some(table(&[&other])), del: Some(table(&[&held])) };
+        let mut updated = stale.clone();
+        fold.fold(&mut updated, &update).unwrap();
+        assert!(updated.same_contents(&table(&[&other])));
     }
 }

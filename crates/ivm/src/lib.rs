@@ -17,12 +17,13 @@
 //!   the user-facing schema;
 //! * [`delta`] — derives insertion/deletion delta plans for SPJ(U)
 //!   expressions (the classic join delta rules);
-//! * [`strategy`] — builds the maintenance plan: the change-table method of
-//!   Gupta & Mumick \[22,23\] used by the paper's experiments, with a
-//!   recomputation fallback expressed *as a plan* so sampling still applies;
-//! * [`fold`] — the keyed change-table fold: apply an evaluated change
-//!   table to the view — or to a hash sample of it — group by group,
-//!   O(|change|), staged then committed;
+//! * [`strategy`] — the one gate `view_delta`: a view changes by a signed
+//!   pair of keyed relations (the change-table method of Gupta & Mumick
+//!   \[22,23\] used by the paper's experiments; ∆V / ∇V for SPJ views) or by
+//!   recomputation expressed *as a plan* so sampling still applies — and the
+//!   same decision as one maintenance plan, the reference form;
+//! * [`fold`] — the keyed fold: apply an evaluated pair to the view — or to
+//!   a hash sample of it — key by key, O(|pair|), staged then committed;
 //! * [`view`] — [`view::MaterializedView`]: definition + materialized state
 //!   + staleness bookkeeping + `maintain()`.
 

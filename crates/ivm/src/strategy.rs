@@ -1,29 +1,33 @@
-//! Maintenance strategies as relational plans.
+//! Maintenance strategies: one gate, two ways to land.
 //!
-//! `maintenance_plan` compiles a (canonicalized) view definition plus the
-//! current delta info into a plan `M` over the leaves
-//! `{__stale, base tables, __ins.T, __del.T}` whose evaluation returns the
-//! up-to-date view. Three shapes are produced:
+//! [`view_delta`] is the one place that decides how a (canonicalized) view
+//! takes the pending deltas, and every path that maintains a view or cleans
+//! a sample of it asks it once:
 //!
-//! * **Change-table** (top-level aggregates, the method of the paper's
-//!   experiments \[22,23,27\]): aggregate the insertion/deletion deltas into a
-//!   signed *change table* — γ(∆) and γ(∇), [`change_table_expr`] — then
-//!   merge it with the stale view. The paper's Example 1 writes both steps
-//!   as a full outer join followed by a generalized projection with
-//!   NULL-as-0; as a plan we emit the equivalent three-way form —
-//!   `matched ∪ left-only ∪ right-only` over keyed inner/anti joins —
-//!   because it preserves Definition 2 keys on every node. That plan is the
-//!   inspectable expression and the tested reference only: it evaluates the
-//!   change table three times (and each sign three times more), so every
-//!   path that *applies* a change table runs γ(∆) and γ(∇) once each and
-//!   folds them by group key ([`crate::fold`]) — into the view, or, under
-//!   η, into the stale sample.
-//! * **Delta-apply** (SPJ views): `(S ▷ ∇V) ∪ ∆V` by primary key.
-//! * **Recompute** (anything else — nested aggregates, outer joins, median):
-//!   the definition with every base scan replaced by its new state
-//!   `(T ▷ ∇T) ∪ ∆T`. Still a plan, so sampling still pushes into it where
-//!   Definition 3 allows — mirroring the paper's observation that V21/V22
-//!   benefit less but still work.
+//! * **Keyed pair** — the view changes by a signed pair of keyed relations
+//!   over `{base tables, __ins.T, __del.T}`, each evaluated once and applied
+//!   by key ([`crate::fold`]) to the view, or, under η, to the stale sample.
+//!   For a top-level aggregate (the change-table method of the paper's
+//!   experiments \[22,23,27\]) the pair is γ(∆) and γ(∇), the view's own
+//!   aggregate over the derived insertions and deletions of its input, and a
+//!   group merges by its columns' merge rules; for an SPJ view it is the bare
+//!   `derive_delta` pair ∆V and ∇V, and a key is dropped or replaced — such a
+//!   view is maintainable from (view, ∇V, ∆V) alone.
+//! * **Recompute** (anything else — nested aggregates, outer joins, median,
+//!   min/max under deletions): the definition with every base scan replaced
+//!   by its new state `(T ▷ ∇T) ∪ ∆T`. Still a plan, so sampling still pushes
+//!   into it where Definition 3 allows — mirroring the paper's observation
+//!   that V21/V22 benefit less but still work.
+//!
+//! [`maintenance_plan`] spells the same decision as *one* plan `M` over
+//! `{__stale, base tables, __ins.T, __del.T}` — the paper's Example 1 merge
+//! for a change table (as `matched ∪ left-only ∪ right-only` over keyed
+//! inner/anti joins, so every node keeps a Definition 2 key), `(S ▷ ∇V) ∪ ∆V`
+//! for an SPJ view. It is built from the gate's answer, so plan form and run
+//! path cannot disagree on the class, and it is the inspectable expression
+//! and the tested reference only: the merge evaluates every delta join nine
+//! times and the SPJ form reads the whole stale view to move a few keyed
+//! rows, so nothing that maintains or cleans runs either.
 
 use svc_storage::{Database, Result, Schema, StorageError};
 
@@ -38,17 +42,37 @@ use crate::delta::{derive_delta, new_state, DeltaInfo, Signed};
 /// Leaf name bound to the stale view inside maintenance plans.
 pub const STALE_LEAF: &str = "__stale";
 
-/// Which maintenance strategy a plan implements.
+/// Which maintenance strategy a view takes for a delta set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanKind {
-    /// No deltas pending: the plan is just `Scan __stale`.
+    /// Nothing to apply: no deltas pending, or none that reaches the view.
+    /// As a plan, `Scan __stale`.
     NoOp,
-    /// Signed change-table merge for aggregate views.
+    /// Signed change table of an aggregate view, merged by group key.
     ChangeTable,
-    /// Keyed delta application for SPJ views.
+    /// ∆V / ∇V of an SPJ view, applied by primary key.
     DeltaApply,
     /// Full re-evaluation against the new base state.
     Recompute,
+}
+
+/// How a view takes a delta set — the answer of [`view_delta`].
+#[derive(Debug, Clone)]
+pub enum ViewDelta {
+    /// Nothing pending, or every delta branch pruned: the view stands.
+    NoOp,
+    /// The view changes by a signed pair of relations keyed like the view,
+    /// applied by key ([`crate::fold::KeyedFold`]): γ(∆) / γ(∇) of a
+    /// change-table view, ∆V / ∇V of an SPJ view. At least one side is
+    /// present; a side the deltas cannot reach is `None`.
+    Keyed {
+        /// The two sides, as plans over `{base tables, __ins.T, __del.T}`.
+        change: Signed<Plan>,
+        /// [`PlanKind::ChangeTable`] or [`PlanKind::DeltaApply`].
+        kind: PlanKind,
+    },
+    /// The view is re-evaluated: [`recompute_plan`] of its definition.
+    Recompute(Plan),
 }
 
 /// Leaf resolver for maintenance plans: knows the stale view and maps
@@ -108,50 +132,75 @@ fn rename_all(plan: Plan, names: &[String], prefix: &str) -> Plan {
     }
 }
 
-/// Build the maintenance plan for a canonicalized view.
+/// The strategy's one gate: how `canonical` takes the deltas `info` names.
+///
+/// A top-level aggregate whose merge rules admit the deltas and whose input
+/// has a delta derivation changes by its signed change table; an SPJ view
+/// with a delta derivation by ∆V / ∇V; everything else — median, min/max
+/// under deletions, nested aggregates, outer joins — recomputes. A keyed pair
+/// with both sides pruned means the deltas cannot reach the view.
+pub fn view_delta(
+    canonical: &Canonical,
+    cat: &MaintCatalog<'_>,
+    info: &DeltaInfo,
+) -> Result<ViewDelta> {
+    if info.is_empty() {
+        return Ok(ViewDelta::NoOp);
+    }
+    let (change, kind) = match &canonical.agg {
+        Some(shape) => (change_table_expr(canonical, shape, cat, info), PlanKind::ChangeTable),
+        None => (derive_delta(&canonical.plan, info, cat), PlanKind::DeltaApply),
+    };
+    Ok(match change {
+        Ok(change) if change.is_empty() => ViewDelta::NoOp,
+        Ok(change) => ViewDelta::Keyed { change, kind },
+        Err(_) => ViewDelta::Recompute(recompute_plan(&canonical.plan, cat, info)?),
+    })
+}
+
+/// [`view_delta`] as one maintenance plan `M` over `{__stale, base tables,
+/// __ins.T, __del.T}` whose evaluation returns the up-to-date view. The
+/// inspectable expression (`SvcView::cleaning_plan`) and the reference the
+/// keyed fold is tested against; no maintenance or cleaning path runs it.
 pub fn maintenance_plan(
     canonical: &Canonical,
     cat: &MaintCatalog<'_>,
     info: &DeltaInfo,
 ) -> Result<(Plan, PlanKind)> {
-    if info.is_empty() {
-        return Ok((Plan::scan(STALE_LEAF), PlanKind::NoOp));
-    }
+    Ok(match view_delta(canonical, cat, info)? {
+        ViewDelta::NoOp => (Plan::scan(STALE_LEAF), PlanKind::NoOp),
+        ViewDelta::Keyed { change, kind } => (keyed_plan(canonical, cat, change)?, kind),
+        ViewDelta::Recompute(plan) => (plan, PlanKind::Recompute),
+    })
+}
 
+/// A keyed pair applied to `Scan __stale`, as a plan: the signed change table
+/// merged by group key for an aggregate view, `(S ▷ ∇V) ∪ ∆V` by primary key
+/// for an SPJ view.
+pub(crate) fn keyed_plan(
+    canonical: &Canonical,
+    cat: &MaintCatalog<'_>,
+    change: Signed<Plan>,
+) -> Result<Plan> {
     if canonical.agg.is_some() {
-        // `change_table_expr` (inside `change_table_plan`) is the strategy's
-        // one gate: merge rules the deltas rule out and inputs without a
-        // delta derivation (nested aggregates) error there and recompute.
-        return match change_table_plan(canonical, cat, info) {
-            Ok(plan) => Ok((plan, PlanKind::ChangeTable)),
-            Err(_) => Ok((recompute_plan(&canonical.plan, cat, info)?, PlanKind::Recompute)),
+        return match signed_change_plan(&canon_names(canonical, cat)?, change) {
+            Some(change) => merge_with_stale(canonical, cat, change),
+            None => Ok(Plan::scan(STALE_LEAF)),
         };
     }
-
-    // SPJ view: keyed delta application against the stale view.
-    match derive_delta(&canonical.plan, info, cat) {
-        Ok(d) => {
-            let mut out = Plan::scan(STALE_LEAF);
-            if let Some(del) = d.del {
-                let on: Vec<(String, String)> = derive(&canonical.plan, cat)?
-                    .key_names()
-                    .iter()
-                    .map(|k| (k.to_string(), k.to_string()))
-                    .collect();
-                out = Plan::Join {
-                    left: Box::new(out),
-                    right: Box::new(del),
-                    kind: JoinKind::Anti,
-                    on,
-                };
-            }
-            if let Some(ins) = d.ins {
-                out = out.union(ins);
-            }
-            Ok((out, PlanKind::DeltaApply))
-        }
-        Err(_) => Ok((recompute_plan(&canonical.plan, cat, info)?, PlanKind::Recompute)),
+    let mut out = Plan::scan(STALE_LEAF);
+    if let Some(del) = change.del {
+        let on: Vec<(String, String)> = derive(&canonical.plan, cat)?
+            .key_names()
+            .iter()
+            .map(|k| (k.to_string(), k.to_string()))
+            .collect();
+        out = Plan::Join { left: Box::new(out), right: Box::new(del), kind: JoinKind::Anti, on };
     }
+    if let Some(ins) = change.ins {
+        out = out.union(ins);
+    }
+    Ok(out)
 }
 
 /// Canonical output column names of an aggregate view: group fields
@@ -248,31 +297,20 @@ pub(crate) fn negated_columns(names: &CanonNames) -> Vec<(String, Expr)> {
 }
 
 /// The *signed change table* of a canonical aggregate view for the given
-/// deltas — the γ half of the change-table strategy, without the stale-view
-/// merge — as one keyed plan per sign over `{base tables, __ins.T,
-/// __del.T}`: γ(∆) and γ(∇), the view's own aggregate over the derived
-/// insertions and deletions of its input. Both sides `None` when the deltas
-/// cannot touch the view (every branch pruned). A group's change row is
-/// γ(∆) − γ(∇) (`net_columns` / `negated_columns`); whoever applies the
-/// pair evaluates each side once and combines by group key
-/// ([`crate::fold::KeyedFold::stage`]).
+/// deltas — the aggregate arm of [`view_delta`] — as one keyed plan per sign
+/// over `{base tables, __ins.T, __del.T}`: γ(∆) and γ(∇), the view's own
+/// aggregate over the derived insertions and deletions of its input. A
+/// group's change row is γ(∆) − γ(∇) (`net_columns` / `negated_columns`).
 ///
-/// This is also the strategy's eligibility gate, shared by every
-/// maintenance path (`maintenance_plan`, `MaterializedView::maintained`,
-/// `SvcView::clean_sample`, the mini-batch pipeline): it errors when the
-/// view is not a top-level aggregate, when a merge rule rules the deltas out
-/// (min/max under deletions, median), and when the aggregate's input has no
-/// delta derivation (nested aggregates, outer joins) — callers fall back to
-/// their full maintenance plan on any error.
-pub fn change_table_expr(
+/// Errors when a merge rule rules the deltas out (min/max under deletions,
+/// median) and when the aggregate's input has no delta derivation (nested
+/// aggregates, outer joins); the gate recomputes on any error.
+fn change_table_expr(
     canonical: &Canonical,
+    shape: &AggShape,
     cat: &MaintCatalog<'_>,
     info: &DeltaInfo,
 ) -> Result<Signed<Plan>> {
-    let shape = canonical
-        .agg
-        .as_ref()
-        .ok_or_else(|| StorageError::Invalid("change table requires an aggregate view".into()))?;
     let Plan::Aggregate { aggregates, group_by, .. } = &canonical.plan else {
         return Err(StorageError::Invalid("canonical plan is not an aggregate".into()));
     };
@@ -296,7 +334,7 @@ pub fn change_table_expr(
 /// inner/anti joins so every node keeps a Definition 2 key. Only the plan
 /// form of the strategy ([`maintenance_plan`]) needs it — it embeds each
 /// side three times; the keyed fold combines the pair row by row instead.
-pub(crate) fn signed_change_plan(names: &CanonNames, change: Signed<Plan>) -> Option<Plan> {
+fn signed_change_plan(names: &CanonNames, change: Signed<Plan>) -> Option<Plan> {
     let deleted = |gd: Plan| rename_all(gd, &names.all, DEL_PREFIX);
     match (change.ins, change.del) {
         (ins, None) => ins,
@@ -340,11 +378,7 @@ pub(crate) fn signed_change_plan(names: &CanonNames, change: Signed<Plan>) -> Op
 
 /// Merge an arbitrary change-table-shaped plan with `Scan __stale` using the
 /// canonical merge rules — the second half of the change-table strategy.
-pub(crate) fn merge_with_stale(
-    canonical: &Canonical,
-    cat: &MaintCatalog<'_>,
-    change: Plan,
-) -> Result<Plan> {
+fn merge_with_stale(canonical: &Canonical, cat: &MaintCatalog<'_>, change: Plan) -> Result<Plan> {
     let shape = canonical
         .agg
         .as_ref()
@@ -389,24 +423,6 @@ pub(crate) fn merge_with_stale(
 
     let merged = matched_v.union(stale_only.union(change_only));
     Ok(merged.select(group_is_live()))
-}
-
-/// The change-table strategy for a canonical top-level aggregate *as a
-/// plan*: the signed change table merged with `Scan __stale`. This is the
-/// inspectable expression (`SvcView::cleaning_plan`) and the reference the
-/// fold is tested against; no maintenance or cleaning path runs it — each
-/// evaluates the two sides of [`change_table_expr`] once and folds them by
-/// key, into the view or into the stale sample.
-fn change_table_plan(
-    canonical: &Canonical,
-    cat: &MaintCatalog<'_>,
-    info: &DeltaInfo,
-) -> Result<Plan> {
-    let change = change_table_expr(canonical, cat, info)?;
-    match signed_change_plan(&canon_names(canonical, cat)?, change) {
-        None => Ok(Plan::scan(STALE_LEAF)),
-        Some(change) => merge_with_stale(canonical, cat, change),
-    }
 }
 
 /// Recomputation expressed as a plan: every base scan becomes its new state

@@ -14,7 +14,9 @@ use svc_relalg::scalar::Expr;
 use crate::canon::{canonicalize, Canonical};
 use crate::delta::{del_leaf, ins_leaf, DeltaInfo};
 use crate::fold::KeyedFold;
-use crate::strategy::{change_table_expr, maintenance_plan, MaintCatalog, PlanKind, STALE_LEAF};
+use crate::strategy::{
+    maintenance_plan, view_delta, MaintCatalog, PlanKind, ViewDelta, STALE_LEAF,
+};
 
 /// A materialized view: the user-facing definition, its canonical
 /// (change-table maintainable) form, and the materialized canonical state.
@@ -187,8 +189,10 @@ impl MaterializedView {
         self.maintained_at.elapsed()
     }
 
-    /// Build this view's maintenance plan for the given deltas without
-    /// executing it. Exposed so SVC can wrap it in η and push the hash down.
+    /// This view's maintenance strategy for the given deltas as one plan
+    /// over `__stale` — the reference form ([`maintenance_plan`]); nothing
+    /// that maintains or cleans runs it. Exposed so SVC can wrap it in η and
+    /// show how far the hash pushes down.
     pub fn build_maintenance_plan(
         &self,
         db: &Database,
@@ -211,7 +215,7 @@ impl MaterializedView {
 
     /// Bring the view up to date with respect to `deltas` (which are *not*
     /// consumed — the caller applies them to the base tables when the
-    /// maintenance period ends). The maintenance plan goes through the
+    /// maintenance period ends). Every plan it runs goes through the
     /// optimizer exactly once. Returns the strategy that was used.
     pub fn maintain(&mut self, db: &Database, deltas: &Deltas) -> Result<PlanKind> {
         let Some((new_table, kind)) =
@@ -230,14 +234,16 @@ impl MaterializedView {
     /// **without committing**: `self` is only read, so callers choose their
     /// own commit point ([`MaterializedView::maintain`] commits at once; the
     /// mini-batch pipeline commits under its failure policy). `None` when
-    /// nothing is pending — no copy of the view through the `Scan __stale`
-    /// no-op plan, no new epoch.
+    /// nothing is pending or no pending delta reaches the view — no copy of
+    /// the view, no new epoch.
     ///
-    /// With an estimator the plan's joins are reordered by estimated cost
-    /// before evaluation; a mode carrying a morsel scheduler (e.g.
-    /// `svc-cluster`'s `WorkerPool`) runs the compiled plan morsel-parallel
-    /// — base and delta scans split into row ranges, γ group maps merge at
-    /// the barrier.
+    /// [`view_delta`] decides once: a keyed pair has each side optimized,
+    /// compiled and run once and is folded by key into one clone of the view;
+    /// a recompute runs its plan. With an estimator the joins are reordered
+    /// by estimated cost before evaluation; a mode carrying a morsel
+    /// scheduler (e.g. `svc-cluster`'s `WorkerPool`) runs each compiled plan
+    /// morsel-parallel — base and delta scans split into row ranges, γ group
+    /// maps merge at the barrier.
     pub fn maintained(
         &self,
         db: &Database,
@@ -245,33 +251,25 @@ impl MaterializedView {
         est: Option<&dyn svc_relalg::optimizer::CardEstimator>,
         mode: svc_relalg::exec::ExecMode<'_>,
     ) -> Result<Option<(Table, PlanKind)>> {
-        let info = DeltaInfo::of(deltas);
-        if info.is_empty() {
-            return Ok(None);
-        }
         let cat = self.maint_catalog(db);
         // The compile/run split of the streaming executor, spelled out where
         // the plan is built: optimize once, compile against the maintenance
         // catalog (schemas only), run against the concrete bindings.
-        let run = |plan: &Plan| -> Result<Table> {
-            let (optimized, _report) = cat.optimize(plan, est)?;
+        let run = |plan: Plan| -> Result<Table> {
+            let (optimized, _report) = cat.optimize(&plan, est)?;
             let compiled = svc_relalg::exec::compile_with(&optimized, &cat, est)?;
             compiled.run_with(&maintenance_bindings(db, deltas, &self.table), mode)
         };
-        Ok(Some(match change_table_expr(&self.canonical, &cat, &info) {
-            // Change-table class: evaluate γ(∆) and γ(∇) once each and fold
-            // them into a copy of the view by group key.
-            Ok(change) => {
-                let change = change.try_map(|side| run(&side))?;
+        Ok(match view_delta(&self.canonical, &cat, &DeltaInfo::of(deltas))? {
+            ViewDelta::NoOp => None,
+            ViewDelta::Keyed { change, kind } => {
+                let change = change.try_map(run)?;
                 let mut next = Table::clone(&self.table);
                 KeyedFold::new(&self.canonical, &next)?.fold(&mut next, &change)?;
-                (next, PlanKind::ChangeTable)
+                Some((next, kind))
             }
-            Err(_) => {
-                let (plan, kind) = maintenance_plan(&self.canonical, &cat, &info)?;
-                (run(&plan)?, kind)
-            }
-        }))
+            ViewDelta::Recompute(plan) => Some((run(plan)?, PlanKind::Recompute)),
+        })
     }
 
     /// Ground truth: evaluate the definition against the post-delta base
@@ -463,6 +461,36 @@ mod tests {
         assert!(view.table().approx_same_contents(&expected, 1e-9));
     }
 
+    /// A key declared out of column order stays the view's key: ∆V is a
+    /// union of joins keyed like the view, so the keyed fold accepts it.
+    #[test]
+    fn spj_view_keeps_a_key_declared_out_of_column_order() {
+        let mut db = db();
+        let schema =
+            Schema::from_pairs(&[("day", DataType::Int), ("videoId", DataType::Int)]).unwrap();
+        let mut plays = Table::new(schema, &["videoId", "day"]).unwrap();
+        for i in 0..40i64 {
+            plays.insert(vec![Value::Int(i % 4), Value::Int(i % 13)]).unwrap();
+        }
+        db.create_table("plays", plays);
+        let def = Plan::scan("plays").join(
+            Plan::scan("video"),
+            JoinKind::Inner,
+            &[("videoId", "videoId")],
+        );
+        let mut view = MaterializedView::create("v", def, &db).unwrap();
+        assert_eq!(view.table().key(), [1, 0]);
+        let mut deltas = Deltas::new();
+        deltas.insert(&db, "plays", vec![Value::Int(9), Value::Int(60)]).unwrap();
+        deltas
+            .insert(&db, "video", vec![Value::Int(60), Value::Int(3), Value::Float(2.5)])
+            .unwrap();
+        deltas.delete(&db, "plays", &vec![Value::Int(0), Value::Int(0)]).unwrap();
+        let expected = view.recompute_fresh(&db, &deltas).unwrap();
+        assert_eq!(view.maintain(&db, &deltas).unwrap(), PlanKind::DeltaApply);
+        assert!(view.table().same_contents(&expected));
+    }
+
     #[test]
     fn median_view_falls_back_to_recompute() {
         let db = db();
@@ -536,7 +564,11 @@ mod tests {
         assert!(chunks.len() > 1, "enough records to actually partition");
         // One pair of change plans for the batch's delta signature, run once
         // per chunk against that chunk's own bindings.
-        let plans = change_table_expr(view.canonical(), &cat, &DeltaInfo::of(&deltas)).unwrap();
+        let ViewDelta::Keyed { change: plans, kind: PlanKind::ChangeTable } =
+            view_delta(view.canonical(), &cat, &DeltaInfo::of(&deltas)).unwrap()
+        else {
+            panic!("a change-table view under deltas that reach it");
+        };
         assert!(plans.ins.is_some() && plans.del.is_some(), "the deltas touch the view both ways");
         let changes: Vec<Signed<Table>> = chunks
             .iter()

@@ -266,6 +266,9 @@ pub fn derive_setop(left: &Derived, right: &Derived, op: SetOpKind) -> Result<De
         }
     }
     let key = match op {
+        // Two sides keyed alike keep that key as declared, column order
+        // included: a delta `∆L ⋈ R ∪ L ⋈ ∆R` is keyed exactly like `L ⋈ R`.
+        SetOpKind::Union if left.key == right.key => left.key.clone(),
         SetOpKind::Union => {
             let mut k: Vec<usize> = left.key.iter().chain(right.key.iter()).copied().collect();
             k.sort_unstable();

@@ -10,8 +10,7 @@
 
 use stale_view_cleaning::catalog::Catalog;
 use stale_view_cleaning::cluster::executor::WorkerPool;
-use stale_view_cleaning::core::{SvcConfig, SvcView};
-use stale_view_cleaning::ivm::delta::{del_leaf, ins_leaf};
+use stale_view_cleaning::core::{maintenance_stats, SvcConfig, SvcView};
 use stale_view_cleaning::ivm::view::maintenance_bindings;
 use stale_view_cleaning::relalg::exec::{explain_analyze, ExecMode};
 use stale_view_cleaning::workloads::video;
@@ -30,12 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The estimator sees the same leaf overlay the optimizer did: stale
     // sample and delta relations bound by their maintenance leaf names.
-    let mut scoped = catalog.scoped();
-    scoped.bind_table(SvcView::stale_leaf(), stale_binding);
-    for (name, set) in deltas.iter() {
-        scoped.bind_table(ins_leaf(name), &set.insertions);
-        scoped.bind_table(del_leaf(name), &set.deletions);
-    }
+    let scoped = maintenance_stats(&catalog, Some(stale_binding), &deltas);
     let est = scoped.estimator();
 
     println!("cleaning plan ({kind:?} strategy, η fully pushed: {})\n", report.fully_pushed());

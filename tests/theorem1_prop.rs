@@ -1,9 +1,10 @@
 //! Property tests for Theorem 1: the hash push-down rewrite materializes the
 //! *identical* sample, for randomized data and randomized plan shapes — and
-//! so does cleaning by fold: a change-table view's stale sample, with
-//! η(γ(∆)) and η(γ(∇)) folded in, is the sample its cleaning plan
-//! materializes (on randomized deltas and on every workload view), at the
-//! cost of evaluating each change table once.
+//! so does cleaning by fold: a view's stale sample, with the η-sampled keyed
+//! pair of its strategy folded in (γ(∆), γ(∇) of a change-table view, ∆V, ∇V
+//! of an SPJ view), is the sample its cleaning plan materializes (on
+//! randomized deltas and on every workload view), at the cost of evaluating
+//! each side once and never reading the stale view.
 
 use std::collections::BTreeMap;
 
@@ -11,7 +12,7 @@ use proptest::prelude::*;
 
 use stale_view_cleaning::catalog::Catalog;
 use stale_view_cleaning::core::{SvcConfig, SvcView};
-use stale_view_cleaning::ivm::strategy::{change_table_expr, PlanKind};
+use stale_view_cleaning::ivm::strategy::{view_delta, PlanKind, ViewDelta};
 use stale_view_cleaning::ivm::view::maintenance_bindings;
 use stale_view_cleaning::ivm::DeltaInfo;
 use stale_view_cleaning::relalg::aggregate::{AggFunc, AggSpec};
@@ -327,12 +328,20 @@ fn scans_since(before: &BTreeMap<String, u64>) -> BTreeMap<String, u64> {
     now
 }
 
-/// Cost shape, no wall clock: cleaning V5 under mixed `lineitem` + `orders`
-/// deltas reads every leaf — each `__ins.*` / `__del.*` relation and each
-/// base table — exactly as often as one γ(∆) plus one γ(∇) name it, never
-/// reads `__stale`, and clones one table (the stale sample). The same bound
-/// holds for full maintenance. (The merge plan read each delta join nine
-/// times to clean and three times to maintain.)
+/// Table clones `CleanedSample::public` costs: a view without a public
+/// projection (SPJ) shows its canonical sample, copied.
+fn display_copies(svc: &SvcView) -> usize {
+    usize::from(svc.view.canonical().public.is_none())
+}
+
+/// Cost shape, no wall clock: cleaning a view under mixed `lineitem` +
+/// `orders` deltas reads every leaf — each `__ins.*` / `__del.*` relation and
+/// each base table — exactly as often as the two sides of its keyed pair name
+/// it (γ(∆) plus γ(∇) for V5, ∆V plus ∇V for the join view), never reads
+/// `__stale`, and clones one table (the stale sample). The same bound holds
+/// for full maintenance. (The merge plan read each delta join nine times to
+/// clean and three times to maintain; the SPJ plan scanned the stale view.)
+/// A recomputed view (V21) clones nothing and never reads `__stale` either.
 #[test]
 fn cleaning_and_maintaining_evaluate_each_change_table_once() {
     let data = TpcdData::generate(TpcdConfig { scale: 0.01, skew: 2.0, seed: 42 }).unwrap();
@@ -341,30 +350,80 @@ fn cleaning_and_maintaining_evaluate_each_change_table_once() {
     let info = DeltaInfo::of(&deltas);
     assert!(info.ins.contains("orders") && info.ins.contains("lineitem"));
     assert!(info.del.contains("lineitem"), "setup: a mixed delta set");
-    let v5 = complex_views().into_iter().find(|v| v.id == "V5").unwrap();
-    let svc = SvcView::create(v5.id, v5.plan, db, SvcConfig::with_ratio(0.2)).unwrap();
     let catalog = Catalog::build(db);
+    let complex = |id: &str| complex_views().into_iter().find(|v| v.id == id).unwrap().plan;
 
-    let change = change_table_expr(svc.view.canonical(), &svc.view.maint_catalog(db), &info)
-        .expect("V5 is a change-table view");
-    let mut once: BTreeMap<String, u64> = BTreeMap::new();
-    for side in [change.ins.expect("γ(∆)"), change.del.expect("γ(∇)")] {
-        for leaf in side.leaf_tables() {
-            *once.entry(leaf.to_string()).or_default() += 1;
+    for (id, plan) in [("V5", complex("V5")), ("joinView", join_view()), ("V21", complex("V21"))] {
+        let svc = SvcView::create(id, plan, db, SvcConfig::with_ratio(0.2)).unwrap();
+        // What one evaluation of each side reads, and the one clone a fold
+        // makes; a recompute is only held to never reading `__stale`.
+        let once = match view_delta(svc.view.canonical(), &svc.view.maint_catalog(db), &info) {
+            Ok(ViewDelta::Keyed { change, .. }) => {
+                let mut once: BTreeMap<String, u64> = BTreeMap::new();
+                for side in [change.ins.expect("∆ side"), change.del.expect("∇ side")] {
+                    for leaf in side.leaf_tables() {
+                        *once.entry(leaf.to_string()).or_default() += 1;
+                    }
+                }
+                assert!(once.keys().any(|leaf| leaf.starts_with("__ins.")), "{id}: {once:?}");
+                assert!(once.keys().any(|leaf| leaf.starts_with("__del.")), "{id}: {once:?}");
+                Some(once)
+            }
+            Ok(ViewDelta::Recompute(_)) => None,
+            other => panic!("{id}: the deltas reach the view, got {other:?}"),
+        };
+        assert_eq!(once.is_none(), id == "V21", "{id}");
+        let check = |what: &str, scans: BTreeMap<String, u64>, clones: usize| {
+            assert!(!scans.contains_key("__stale"), "{id} {what}: {scans:?}");
+            if let Some(once) = &once {
+                assert_eq!(&scans, once, "{id} {what}");
+            }
+            assert_eq!(clones, usize::from(once.is_some()), "{id} {what}: the one folded copy");
+        };
+        let display_copy = display_copies(&svc);
+
+        for catalog in [None, Some(&catalog)] {
+            let (scans, clones) = (leaf_scan_counts(), Table::clone_count());
+            svc.clean_sample_with(db, &deltas, catalog).unwrap();
+            let what = format!("clean, catalog {}", catalog.is_some());
+            check(&what, scans_since(&scans), Table::clone_count() - clones - display_copy);
         }
-    }
-    assert!(once.keys().any(|leaf| leaf.starts_with("__ins.")), "{once:?}");
-    assert!(once.keys().any(|leaf| leaf.starts_with("__del.")), "{once:?}");
 
-    for catalog in [None, Some(&catalog)] {
         let (scans, clones) = (leaf_scan_counts(), Table::clone_count());
-        svc.clean_sample_with(db, &deltas, catalog).unwrap();
-        assert_eq!(scans_since(&scans), once, "clean, catalog {}", catalog.is_some());
-        assert_eq!(Table::clone_count() - clones, 1, "one clone: the stale sample");
+        svc.view.maintained(db, &deltas, None, ExecMode::sequential()).unwrap().expect("pending");
+        check("maintain", scans_since(&scans), Table::clone_count() - clones);
     }
+}
 
-    let (scans, clones) = (leaf_scan_counts(), Table::clone_count());
-    svc.view.maintained(db, &deltas, None, ExecMode::sequential()).unwrap().expect("deltas pend");
-    assert_eq!(scans_since(&scans), once, "maintain");
-    assert_eq!(Table::clone_count() - clones, 1, "one clone: the view");
+/// Deltas that cannot reach a view — they touch only tables it never reads —
+/// are a no-op for an aggregate and an SPJ view alike: maintenance copies
+/// nothing, commits no epoch and reports `NoOp`; cleaning hands back the
+/// stale sample (its one clone) without running a plan, and the cleaning
+/// plan, `Scan __stale`, reports `NoOp` too.
+#[test]
+fn unreachable_deltas_are_a_noop() {
+    let data = TpcdData::generate(TpcdConfig { scale: 0.01, skew: 2.0, seed: 42 }).unwrap();
+    let db = &data.db;
+    let mut deltas = Deltas::new();
+    deltas.delete(db, "supplier", &db.table("supplier").unwrap().rows()[0]).unwrap();
+    let v3 = complex_views().into_iter().find(|v| v.id == "V3").unwrap().plan;
+    for (id, plan) in [("V3", v3), ("joinView", join_view())] {
+        assert!(!plan.leaf_tables().contains(&"supplier"), "{id}: setup");
+        let mut svc = SvcView::create(id, plan, db, SvcConfig::with_ratio(0.2)).unwrap();
+        let fresh = svc.view.recompute_fresh(db, &deltas).unwrap();
+
+        let kind = assert_cleans_like_its_plan(&svc, db, &deltas, &fresh, None, id);
+        assert_eq!(kind, PlanKind::NoOp, "{id}");
+        let (scans, clones) = (leaf_scan_counts(), Table::clone_count());
+        let cleaned = svc.clean_sample(db, &deltas).unwrap();
+        assert!(cleaned.canonical.same_contents(svc.stale_sample()), "{id}");
+        assert_eq!(scans_since(&scans), BTreeMap::new(), "{id}: cleaning ran a plan");
+        let clones = Table::clone_count() - clones - display_copies(&svc);
+        assert_eq!(clones, 1, "{id}: one clone, the stale sample");
+
+        let (epoch, clones) = (svc.view.epoch(), Table::clone_count());
+        assert_eq!(svc.view.maintain(db, &deltas).unwrap(), PlanKind::NoOp, "{id}");
+        assert_eq!(svc.view.epoch(), epoch, "{id}: no commit");
+        assert_eq!(Table::clone_count(), clones, "{id}: no copy of the view");
+    }
 }
