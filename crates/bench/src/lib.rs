@@ -232,7 +232,7 @@ pub fn median_of(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return f64::NAN;
     }
-    svc_stats::quantile::median(xs)
+    svc_stats::quantile::quantile(xs, 0.5)
 }
 
 /// Evaluate a plan against a database (full materialization).

@@ -14,14 +14,19 @@
 //!   probability that a more extreme unsampled element exists
 //!   (Appendix 12.1.1).
 //!
-//! SVC+AQP is the walk with no stale side. Rows are visited in table order,
-//! so every sum — and with it every estimate — is bit-repeatable.
+//! SVC+AQP is the walk with no stale side. The walk reads column slices:
+//! each sample's predicate and attribute are evaluated once, by the same
+//! kernels as `q(S)` ([`AggQuery::bind`]), into one value slot per row, and
+//! rows are paired through the key index's row positions with one reused
+//! key buffer. Rows are visited in table order, so every sum — and with it
+//! every estimate — is bit-repeatable. Order statistics (the bootstrap's
+//! statistic and its percentile bounds) are found by selection, not sorting.
 
 use svc_stats::bootstrap::{bootstrap_ci, bootstrap_paired_diff};
 use svc_stats::cantelli::cantelli_exceedance;
 use svc_stats::clt::{mean_interval, sum_interval, ConfidenceInterval};
 use svc_stats::moments::Moments;
-use svc_stats::quantile::quantile;
+use svc_stats::quantile::quantile_in_place;
 use svc_storage::{KeyTuple, Result, StorageError, Table};
 
 use crate::config::SvcConfig;
@@ -84,40 +89,51 @@ pub(crate) struct Correspondence {
     pub(crate) clean_rows: usize,
 }
 
+/// Overwrite `buf` with the key of row `i` of `t`: one buffer per walk, no
+/// per-row allocation.
+fn key_at(t: &Table, i: usize, buf: &mut KeyTuple) {
+    let row = &t.rows()[i];
+    buf.0.clear();
+    buf.0.extend(t.key().iter().map(|&k| row[k].clone()));
+}
+
 /// The one walk of `(Ŝ, Ŝ′)`. `stale` is absent for SVC+AQP; rows whose
 /// key any `skip` table holds (the outlier sets of Section 6.3) are left
-/// out on both sides.
+/// out on both sides. Each sample's values are read once, from its column
+/// slices, into one slot per row; the walk then pairs slots by the key
+/// index's row positions.
 fn correspond(
     stale: Option<&Table>,
     clean: &Table,
     skip: &[&Table],
     q: &AggQuery,
 ) -> Result<Correspondence> {
-    let clean_q = q.bind(clean)?;
-    let stale = stale.map(|s| q.bind(s).map(|bound| (s, bound))).transpose()?;
+    let clean_values = q.bind(clean)?.values_by_row(clean);
+    let stale = stale.map(|s| q.bind(s).map(|bound| (s, bound.values_by_row(s)))).transpose()?;
     let skipped = |key: &KeyTuple| skip.iter().any(|o| o.contains_key(key));
     let keyed = stale.is_some() || !skip.is_empty();
 
+    let mut key = KeyTuple(Vec::with_capacity(clean.key().len()));
     let mut pairs = Vec::with_capacity(clean.len());
-    for row in clean.rows() {
+    for (i, &value) in clean_values.iter().enumerate() {
         let mut partner = None;
         if keyed {
-            let key = clean.key_of(row);
+            key_at(clean, i, &mut key);
             if skipped(&key) {
                 continue;
             }
-            if let Some((s, stale_q)) = &stale {
-                partner = s.get(&key).and_then(|r| stale_q.value(r));
+            if let Some((s, stale_values)) = &stale {
+                partner = s.position(&key).and_then(|j| stale_values[j]);
             }
         }
-        pairs.push((partner, clean_q.value(row)));
+        pairs.push((partner, value));
     }
     let clean_rows = pairs.len();
-    if let Some((s, stale_q)) = &stale {
-        for row in s.rows() {
-            let key = s.key_of(row);
+    if let Some((s, stale_values)) = &stale {
+        for (j, &value) in stale_values.iter().enumerate() {
+            key_at(s, j, &mut key);
             if !clean.contains_key(&key) && !skipped(&key) {
-                pairs.push((stale_q.value(row), None));
+                pairs.push((value, None));
             }
         }
     }
@@ -243,10 +259,11 @@ impl Correspondence {
             return (stale_result, None);
         }
         let value = stale_result + (statistic(&clean) - statistic(&stale));
-        let dist =
+        let mut dist =
             bootstrap_paired_diff(&clean, &stale, statistic, cfg.bootstrap_iterations, cfg.seed);
         let alpha = 1.0 - cfg.confidence;
-        let (lo, hi) = (quantile(&dist, alpha / 2.0), quantile(&dist, 1.0 - alpha / 2.0));
+        let lo = quantile_in_place(&mut dist, alpha / 2.0);
+        let hi = quantile_in_place(&mut dist, 1.0 - alpha / 2.0);
         (value, Some(((hi - lo) / 2.0).abs()))
     }
 
@@ -500,6 +517,111 @@ mod tests {
         );
         let est = svc_aqp(&clean, &q, 1.0, &SvcConfig::default()).unwrap();
         assert_eq!((est.value, est.sample_size, est.predicate_rows), (5.0, 2, 1));
+    }
+
+    /// The walk as it was, row at a time: a key per row, a lookup through
+    /// the key index, the query's bound expressions evaluated on the row.
+    fn row_walk(
+        stale: Option<&Table>,
+        clean: &Table,
+        skip: &[&Table],
+        q: &AggQuery,
+    ) -> Vec<(Option<u64>, Option<u64>)> {
+        let value = |t: &Table, row: &svc_storage::Row| {
+            let attr = q.attr.bind(t.schema()).unwrap();
+            let pred = q.predicate.as_ref().map(|p| p.bind(t.schema()).unwrap());
+            let hit = pred.is_none_or(|p| p.matches(row));
+            hit.then(|| attr.eval(row).as_f64()).flatten().map(f64::to_bits)
+        };
+        let skipped = |key: &KeyTuple| skip.iter().any(|o| o.contains_key(key));
+        let mut pairs = Vec::new();
+        for row in clean.rows() {
+            let key = clean.key_of(row);
+            if !skipped(&key) {
+                let partner = stale.and_then(|s| s.get(&key).and_then(|r| value(s, r)));
+                pairs.push((partner, value(clean, row)));
+            }
+        }
+        for (s, row) in stale.iter().flat_map(|s| s.rows().iter().map(move |r| (*s, r))) {
+            let key = s.key_of(row);
+            if !clean.contains_key(&key) && !skipped(&key) {
+                pairs.push((value(s, row), None));
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn column_walk_equals_the_row_walk() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let schema = Schema::from_pairs(&[
+            ("id", DataType::Int),
+            ("x", DataType::Float),
+            ("m", DataType::Int),
+        ])
+        .unwrap();
+        // Cells from one draw: `x` Float or NULL; `m` a Mixed column of
+        // NULL, Float, Str and Int cells.
+        let row = |id: i64, r: u64| {
+            let x = if r.is_multiple_of(7) { Value::Null } else { Value::Float((r % 50) as f64) };
+            let m = match (r >> 8) % 5 {
+                0 => Value::Null,
+                1 => Value::Float(((r >> 16) % 100) as f64 / 4.0),
+                2 => Value::str("s"),
+                _ => Value::Int(((r >> 16) % 9) as i64),
+            };
+            vec![Value::Int(id), x, m]
+        };
+        let queries = [
+            AggQuery::sum(col("x")),
+            AggQuery::avg(col("m")).filter(col("x").gt(lit(20.0))),
+            AggQuery::sum(col("x").div(col("m"))).filter(lit(1.0).lt(col("m").mul(lit(2i64)))),
+            AggQuery::count().filter(col("m").rem(lit(2i64)).eq(lit(0i64)).or(col("x").is_null())),
+        ];
+        for round in 0..6 {
+            let mut stale = Table::new(schema.clone(), &["id"]).unwrap();
+            for id in 0..200 {
+                stale.insert(row(id, next())).unwrap();
+            }
+            // The cleaned sample as a fold leaves it — the stale copy edited
+            // in place, rows deleted (swap-removed) and appended — or, on
+            // odd rounds, rebuilt in reverse order, so no row sits at its
+            // partner's position.
+            let mut clean = stale.clone();
+            for id in 0..200 {
+                match next() % 6 {
+                    0 => drop(clean.delete(&KeyTuple(vec![Value::Int(id)]))),
+                    1 => drop(clean.upsert(row(id, next())).unwrap()),
+                    _ => {}
+                }
+            }
+            for id in 200..230 {
+                clean.insert(row(id, next())).unwrap();
+            }
+            if round % 2 == 1 {
+                let rows = clean.rows().iter().rev().cloned().collect();
+                clean = Table::from_rows(schema.clone(), vec![0], rows).unwrap();
+            }
+            let outliers = keyed(&[(3, 0.0), (150, 0.0), (210, 0.0)]);
+            for q in &queries {
+                for (s, skip) in
+                    [(None, vec![]), (Some(&stale), vec![]), (Some(&stale), vec![&outliers])]
+                {
+                    let got = correspond(s, &clean, &skip, q).unwrap().pairs;
+                    let got: Vec<_> = got
+                        .into_iter()
+                        .map(|(a, b)| (a.map(f64::to_bits), b.map(f64::to_bits)))
+                        .collect();
+                    assert_eq!(got, row_walk(s, &clean, &skip, q), "round {round} {q:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,25 @@
 //! Aggregate queries over views: `SELECT agg(attr) FROM View WHERE cond(*)`
 //! (the query class of Problem 2; group-by is modeled as part of the
 //! condition, exactly as footnote 1 of the paper does).
+//!
+//! A query is answered from column slices, never row by row. Binding it to
+//! a table ([`AggQuery::bind`]) resolves every column it names against the
+//! table's full schema — so an unknown or ambiguous name fails exactly as
+//! before — and keeps only those columns, renumbered densely in the order
+//! the query names them. The predicate compiles to a selection kernel and
+//! the attribute to the column evaluator (`svc_relalg::exec::column`).
+//! Reading the bound query against a table fetches just those columns from
+//! the table's per-column cache, so a burst of queries between mutations
+//! builds each named column once and never touches the others. Selected
+//! rows come out in table order, which keeps every sum — `q(S)` here, the
+//! estimators' walks in [`crate::estimate`] — bit-identical to a row walk.
 
-use svc_relalg::scalar::{lit, BoundExpr, Expr};
-use svc_storage::{Result, Table};
+use svc_relalg::exec::column::{compile_expr, compile_pred, ColExpr, ColPred};
+use svc_relalg::exec::SelVec;
+use svc_relalg::scalar::{lit, Expr};
+use svc_storage::{ColumnSet, Result, Row, StorageError, Table};
 
-use svc_stats::quantile::quantile_sorted;
+use svc_stats::quantile::quantile_in_place;
 
 /// The aggregate function of a query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,20 +104,40 @@ impl AggQuery {
         self
     }
 
-    /// Bind attr and predicate against a table's schema.
+    /// Bind attr and predicate against a table's schema, through only the
+    /// columns they name. A percentile level outside `[0, 1]` (or NaN) is
+    /// rejected here, so no answer path reaches the quantile with it.
     pub fn bind(&self, table: &Table) -> Result<BoundQuery> {
-        Ok(BoundQuery {
-            attr: self.attr.bind(table.schema())?,
-            predicate: self.predicate.as_ref().map(|p| p.bind(table.schema())).transpose()?,
-        })
+        if let QueryAgg::Percentile(p) = self.agg {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(StorageError::Invalid(format!("percentile level {p} outside [0, 1]")));
+            }
+        }
+        let schema = table.schema();
+        let mut columns: Vec<usize> = Vec::new();
+        let named = self.attr.referenced_columns().into_iter();
+        for name in named.chain(self.predicate.iter().flat_map(Expr::referenced_columns)) {
+            let i = schema.resolve(name)?;
+            if !columns.contains(&i) {
+                columns.push(i);
+            }
+        }
+        // A name resolves in the narrowed schema to the column it resolved
+        // to in the full one: an exact match stays exact, and a unique
+        // suffix match cannot gain a rival from a subset of the fields.
+        let narrow = schema.project(&columns);
+        let predicate = match &self.predicate {
+            Some(p) => Some(compile_pred(&p.bind(&narrow)?)),
+            None => None,
+        };
+        Ok(BoundQuery { attr: compile_expr(&self.attr.bind(&narrow)?), predicate, columns })
     }
 
     /// Evaluate exactly on a full table (no sampling, no scaling): the
     /// ground-truth answer `q(S)`, folded in table order — only the order
     /// statistics hold the matching values at once.
     pub fn exact(&self, table: &Table) -> Result<f64> {
-        let bound = self.bind(table)?;
-        Ok(aggregate(self.agg, table.rows().iter().filter_map(|r| bound.value(r))))
+        Ok(aggregate(self.agg, self.bind(table)?.matching_values(table).into_iter()))
     }
 }
 
@@ -126,44 +160,61 @@ pub(crate) fn aggregate(agg: QueryAgg, values: impl Iterator<Item = f64>) -> f64
             }
         }
         QueryAgg::Median | QueryAgg::Percentile(_) => {
-            let mut sorted: Vec<f64> = values.collect();
-            if sorted.is_empty() {
+            let mut values: Vec<f64> = values.collect();
+            if values.is_empty() {
                 return f64::NAN;
             }
-            sorted.sort_by(f64::total_cmp);
-            quantile_sorted(&sorted, if let QueryAgg::Percentile(p) = agg { p } else { 0.5 })
+            quantile_in_place(&mut values, if let QueryAgg::Percentile(p) = agg { p } else { 0.5 })
         }
     }
 }
 
-/// A query bound to a concrete schema.
+/// A query bound to a table's schema through the columns it names:
+/// `columns` are their positions in the table, and the compiled attribute
+/// and predicate address them densely, in that order.
 pub struct BoundQuery {
-    /// Bound attribute expression.
-    pub attr: BoundExpr,
-    /// Bound predicate.
-    pub predicate: Option<BoundExpr>,
+    columns: Vec<usize>,
+    attr: ColExpr,
+    predicate: Option<ColPred>,
 }
 
 impl BoundQuery {
-    /// Does `row` satisfy the predicate?
-    pub fn matches(&self, row: &svc_storage::Row) -> bool {
-        self.predicate.as_ref().is_none_or(|p| p.matches(row))
-    }
-
-    /// The row's numeric attribute value, if it satisfies the predicate
-    /// (NULLs and non-numeric values give `None`).
-    pub(crate) fn value(&self, row: &svc_storage::Row) -> Option<f64> {
-        if self.matches(row) {
-            self.attr.eval(row).as_f64()
-        } else {
-            None
+    /// Feed `f` the row position and numeric attribute value of every row
+    /// of `table` the predicate selects, in table order (NULL and
+    /// non-numeric values are skipped). `table` has the schema the query
+    /// was bound to.
+    fn scan(&self, table: &Table, mut f: impl FnMut(usize, f64)) {
+        let cols = ColumnSet {
+            cols: self.columns.iter().map(|&c| table.column(c)).collect(),
+            len: table.len(),
+        };
+        let mut sel = SelVec::range(0, table.len());
+        let mut scratch = Row::new();
+        if let Some(p) = &self.predicate {
+            p.apply(&cols, &mut sel, &mut scratch);
         }
+        self.attr.for_each_f64(&cols, &sel, &mut scratch, |i, v| {
+            if let Some(v) = v {
+                f(i, v);
+            }
+        });
     }
 
-    /// Numeric attribute values of predicate-satisfying rows (NULLs and
-    /// non-numeric values are skipped).
+    /// Numeric attribute values of predicate-satisfying rows, in table
+    /// order (NULLs and non-numeric values are skipped).
     pub fn matching_values(&self, table: &Table) -> Vec<f64> {
-        table.rows().iter().filter_map(|r| self.value(r)).collect()
+        let mut out = Vec::new();
+        self.scan(table, |_, v| out.push(v));
+        out
+    }
+
+    /// One entry per row of `table`: its numeric attribute value if it
+    /// satisfies the predicate, `None` otherwise — what the estimators'
+    /// correspondence walk pairs by row position.
+    pub(crate) fn values_by_row(&self, table: &Table) -> Vec<Option<f64>> {
+        let mut out = vec![None; table.len()];
+        self.scan(table, |i, v| out[i] = Some(v));
+        out
     }
 }
 
@@ -225,5 +276,26 @@ mod tests {
         let t = table();
         let q = AggQuery::avg(col("x")).filter(col("id").gt(lit(100i64)));
         assert!(q.exact(&t).unwrap().is_nan());
+    }
+
+    #[test]
+    fn out_of_range_percentiles_are_rejected_where_the_query_is_bound() {
+        let t = table();
+        for p in [1.5, -0.1, f64::NAN, f64::INFINITY] {
+            let err = AggQuery::percentile(col("x"), p).exact(&t).unwrap_err();
+            assert!(matches!(err, StorageError::Invalid(_)), "{p}: {err}");
+            assert!(AggQuery::percentile(col("x"), p).bind(&t).is_err(), "{p}");
+        }
+        assert_eq!(AggQuery::percentile(col("x"), 0.0).exact(&t).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn binding_names_only_the_query_columns_and_keeps_name_errors() {
+        let t = table();
+        let bound = AggQuery::sum(col("x")).filter(col("x").gt(lit(2.0))).bind(&t).unwrap();
+        assert_eq!(bound.columns, vec![1]);
+        assert_eq!(AggQuery::count().bind(&t).unwrap().columns, Vec::<usize>::new());
+        let err = AggQuery::sum(col("nope")).exact(&t).unwrap_err();
+        assert!(matches!(err, StorageError::ColumnNotFound { .. }), "{err}");
     }
 }

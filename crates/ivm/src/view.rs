@@ -143,8 +143,11 @@ impl MaterializedView {
     /// maintenance path: an atomic epoch swap (the old table stays alive
     /// behind outstanding snapshots), bumping [`MaterializedView::epoch`]
     /// and resetting the staleness clock. Does not touch the dirty flag:
-    /// callers that commit a degraded state mark it explicitly.
+    /// callers that commit a degraded state mark it explicitly. The old
+    /// table's column cache is released: a superseded epoch keeps its rows
+    /// for whoever still holds it, not columns built for this view's reads.
     pub fn set_table(&mut self, table: Table) {
+        self.table.release_columns();
         self.table = Arc::new(table);
         self.epoch += 1;
         self.maintained_at = std::time::Instant::now();

@@ -2,7 +2,7 @@
 //!
 //! A [`ColumnChunk`] pairs a set of typed columns with a [`SelVec`] naming
 //! the rows still alive. Chunks over a base table *share* the table's
-//! cached [`ColumnSet`] (`Table::columns`, built once per mutation epoch) —
+//! cached columns (`Table::columns`, built once per mutation) —
 //! a morsel is just a chunk whose initial selection is the morsel's row
 //! range. A projection produces an *owned* column set sized to the
 //! survivors, after which the selection resets to dense.

@@ -1,19 +1,27 @@
 //! Vectorized operator kernels over column slices.
 //!
 //! Each fused-pipeline operator has a columnar counterpart ([`VecOp`]):
-//! filters compile to [`ColPred`] kernels that refine a [`SelVec`] with
-//! typed constant-vs-column and column-vs-column loops, projections become
-//! per-output-column loops ([`MapPlan`]), and η hashes key columns through
-//! [`svc_storage::HashState`] straight from typed storage. Expression
-//! shapes with no fast path keep exact row semantics via a scratch-row
-//! fallback to [`BoundExpr`] evaluation.
+//! filters compile to [`ColPred`] kernels that refine a [`SelVec`],
+//! projections become per-output-column loops ([`MapPlan`]), and η hashes
+//! key columns through [`svc_storage::HashState`] straight from typed
+//! storage. The query answer path (`svc-core`) reads the same kernels: a
+//! predicate selects with [`compile_pred`], an attribute evaluates through
+//! [`compile_expr`].
+//!
+//! There is one arithmetic evaluator, [`ColExpr`]: a tree of columns,
+//! literals and `+ − × ÷ %` read straight out of typed storage. Projection
+//! outputs, query attributes and both sides of a [`ColPred::CmpExpr`]
+//! comparison are such trees; typed constant-vs-column and column-vs-column
+//! loops are the comparison fast paths beside it. Only a node with no
+//! kernel (a function call, a general `NOT`) gathers its row into a scratch
+//! buffer and falls back to [`BoundExpr`] evaluation.
 //!
 //! **Equivalence is the contract.** Every kernel reproduces the row-at-a-
 //! time semantics bit for bit: comparisons coerce numerics through `f64`
 //! `total_cmp` exactly like `eval_cmp` (cross-type pairs order by type
-//! rank), arithmetic replicates `eval_arith` including the
-//! compute-in-`f64`-then-narrow integer path, NULL propagates identically,
-//! and the η byte stream matches [`Value::canonical_bytes`]. The property
+//! rank), arithmetic replicates `eval_arith` — NULL propagation, `÷` always
+//! float, `/0` and `%0` NULL, the compute-in-`f64`-then-narrow integer path
+//! — and the η byte stream matches [`Value::canonical_bytes`]. The property
 //! harnesses (`tests/exec_prop.rs`) hold the two executors to row-for-row
 //! equality.
 //!
@@ -23,6 +31,7 @@
 //! always, satisfy its comparison.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use svc_storage::{
     normalize01, Column, ColumnData, ColumnSet, DataType, HashSpec, HashState, Row, Value,
@@ -70,6 +79,17 @@ pub enum ColPred {
         op: BinOp,
         /// Right column position.
         right: usize,
+    },
+    /// A comparison with an arithmetic side, e.g. a lowered `avg` column
+    /// `s / n >= lit`: both sides through the [`ColExpr`] evaluator. A
+    /// literal operand is normalized to the right (the flipped form).
+    CmpExpr {
+        /// Left operand.
+        left: ColExpr,
+        /// Comparison operator.
+        op: BinOp,
+        /// Right operand.
+        right: ColExpr,
     },
     /// `col IS NULL` / `NOT (col IS NULL)`.
     IsNull {
@@ -131,6 +151,22 @@ fn value_cmp_matches(op: BinOp, l: &Value, r: &Value) -> bool {
     cmp_keeps(op, ord)
 }
 
+/// True for an arithmetic node — the shape [`ColPred::CmpExpr`] compares.
+fn is_arith_node(e: &BoundExpr) -> bool {
+    matches!(e, BoundExpr::Binary { op, .. } if is_arith(*op))
+}
+
+/// `eval_cmp` as a predicate over two cell views: NULL never matches and
+/// numeric pairs compare as `f64` under `total_cmp`; `None` when a
+/// non-numeric value needs the by-type-rank value comparison.
+#[inline]
+fn cells_match(op: BinOp, l: Cell, r: Cell) -> Option<bool> {
+    match (l, r) {
+        (Cell::Null, _) | (_, Cell::Null) => Some(false),
+        _ => Some(cmp_keeps(op, l.as_f64()?.total_cmp(&r.as_f64()?))),
+    }
+}
+
 /// Compile a bound predicate into a columnar kernel. Always succeeds:
 /// shapes with no fast path become [`ColPred::Row`], which keeps exact
 /// row semantics through scratch-row evaluation.
@@ -145,6 +181,11 @@ pub fn compile_pred(e: &BoundExpr) -> ColPred {
             }
             (BoundExpr::Col(a), BoundExpr::Col(b)) => {
                 ColPred::CmpColCol { left: *a, op: *op, right: *b }
+            }
+            (l, r) if is_arith_node(l) || is_arith_node(r) => {
+                let (l, op, r) =
+                    if matches!(l, BoundExpr::Lit(_)) { (r, flip(*op), l) } else { (l, *op, r) };
+                ColPred::CmpExpr { left: compile_expr(l), op, right: compile_expr(r) }
             }
             _ => ColPred::Row(e.clone()),
         },
@@ -192,6 +233,7 @@ impl ColPred {
     pub fn has_kernel(&self) -> bool {
         match self {
             ColPred::CmpColLit { .. } | ColPred::CmpColCol { .. } | ColPred::IsNull { .. } => true,
+            ColPred::CmpExpr { left, right, .. } => left.has_kernel() && right.has_kernel(),
             // Conjuncts are ordered kernels-first at compile time, so the
             // chain has a kernel iff its first conjunct does.
             ColPred::And(ps) => ps.first().is_some_and(ColPred::has_kernel),
@@ -362,6 +404,29 @@ impl ColPred {
                 }
                 0
             }
+            ColPred::CmpExpr { left, op, right } => {
+                // Both trees evaluated a node at a time over a batch of the
+                // selection, compared in one pass; then one refinement.
+                let mut verdicts = Vec::with_capacity(sel.len());
+                sel.for_each_chunk(BATCH, |rows| {
+                    let (l, r) =
+                        (left.cells(cols, rows, scratch), right.cells(cols, rows, scratch));
+                    verdicts.extend(rows.iter().enumerate().map(|(k, &i)| {
+                        cells_match(*op, l.get(k), r.get(k)).unwrap_or_else(|| {
+                            let i = i as usize;
+                            let (l, r) =
+                                (left.eval(cols, i, scratch), right.eval(cols, i, scratch));
+                            value_cmp_matches(*op, &l, &r)
+                        })
+                    }));
+                });
+                let mut k = 0;
+                sel.retain(|_| {
+                    k += 1;
+                    verdicts[k - 1]
+                });
+                0
+            }
             ColPred::IsNull { col, negated } => {
                 let c = &cols.cols[*col];
                 if !c.has_nulls() {
@@ -408,6 +473,9 @@ impl ColPred {
             ColPred::CmpColCol { left, op, right } => {
                 value_cmp_matches(*op, &cols.cols[*left].value(i), &cols.cols[*right].value(i))
             }
+            ColPred::CmpExpr { left, op, right } => {
+                value_cmp_matches(*op, &left.eval(cols, i, scratch), &right.eval(cols, i, scratch))
+            }
             ColPred::IsNull { col, negated } => cols.cols[*col].is_null(i) != *negated,
             ColPred::And(ps) => ps.iter().all(|p| p.matches_at(cols, i, scratch)),
             ColPred::Or(p, q) => p.matches_at(cols, i, scratch) || q.matches_at(cols, i, scratch),
@@ -428,70 +496,57 @@ pub struct MapPlan {
     pub outs: Vec<(DataType, ColExpr)>,
 }
 
-/// One output column of a projection.
+/// A scalar expression compiled over column slices: the one arithmetic
+/// evaluator of the crate, behind projection kernels, comparison kernels
+/// ([`ColPred::CmpExpr`]) and query attributes alike.
 #[derive(Debug, Clone)]
 pub enum ColExpr {
-    /// Pass an input column through.
+    /// An input column.
     Take(usize),
-    /// A constant column.
+    /// A constant.
     Lit(Value),
-    /// Arithmetic over two column/literal operands.
+    /// Arithmetic (`Add`/`Sub`/`Mul`/`Div`/`Mod`) over two subtrees.
     Bin {
-        /// Arithmetic operator (`Add`/`Sub`/`Mul`/`Div`/`Mod`).
+        /// Arithmetic operator.
         op: BinOp,
         /// Left operand.
-        left: Arg,
+        left: Box<ColExpr>,
         /// Right operand.
-        right: Arg,
+        right: Box<ColExpr>,
     },
-    /// No fast path: gather the row and evaluate the bound expression.
+    /// An expression with no kernel (it holds a function call, `NOT`, a
+    /// comparison, ...): gather the row and evaluate the bound expression.
+    /// Never a subtree of [`ColExpr::Bin`].
     Row(BoundExpr),
 }
 
-/// A leaf operand of [`ColExpr::Bin`].
-#[derive(Debug, Clone)]
-pub enum Arg {
-    /// Input column position.
-    Col(usize),
-    /// Constant.
-    Lit(Value),
+/// True for the five arithmetic operators.
+fn is_arith(op: BinOp) -> bool {
+    matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod)
 }
 
-fn arg_of(e: &BoundExpr) -> Option<Arg> {
+/// Compile a bound expression into its columnar form: column references,
+/// literals and arithmetic at any depth become a kernel tree. Any other
+/// node keeps row semantics, and an arithmetic tree holding one is kept
+/// whole as a [`ColExpr::Row`] — its row is gathered once, not per node.
+pub fn compile_expr(e: &BoundExpr) -> ColExpr {
     match e {
-        BoundExpr::Col(i) => Some(Arg::Col(*i)),
-        BoundExpr::Lit(v) => Some(Arg::Lit(v.clone())),
-        _ => None,
+        BoundExpr::Col(i) => ColExpr::Take(*i),
+        BoundExpr::Lit(v) => ColExpr::Lit(v.clone()),
+        BoundExpr::Binary { op, left, right } if is_arith(*op) => {
+            match (compile_expr(left), compile_expr(right)) {
+                (ColExpr::Row(_), _) | (_, ColExpr::Row(_)) => ColExpr::Row(e.clone()),
+                (l, r) => ColExpr::Bin { op: *op, left: Box::new(l), right: Box::new(r) },
+            }
+        }
+        other => ColExpr::Row(other.clone()),
     }
 }
 
 /// Compile projection expressions into a [`MapPlan`] given the declared
 /// output column types.
 pub fn compile_map(exprs: &[BoundExpr], dtypes: &[DataType]) -> MapPlan {
-    let outs = exprs
-        .iter()
-        .zip(dtypes)
-        .map(|(e, &dt)| {
-            let ce = match e {
-                BoundExpr::Col(i) => ColExpr::Take(*i),
-                BoundExpr::Lit(v) => ColExpr::Lit(v.clone()),
-                BoundExpr::Binary { op, left, right }
-                    if matches!(
-                        op,
-                        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
-                    ) =>
-                {
-                    match (arg_of(left), arg_of(right)) {
-                        (Some(l), Some(r)) => ColExpr::Bin { op: *op, left: l, right: r },
-                        _ => ColExpr::Row(e.clone()),
-                    }
-                }
-                other => ColExpr::Row(other.clone()),
-            };
-            (dt, ce)
-        })
-        .collect();
-    MapPlan { outs }
+    MapPlan { outs: exprs.iter().zip(dtypes).map(|(e, &dt)| (dt, compile_expr(e))).collect() }
 }
 
 /// A numeric view of one cell for the arithmetic kernel.
@@ -505,31 +560,68 @@ enum Cell {
     Other,
 }
 
-#[inline]
-fn cell_of_value(v: &Value) -> Cell {
-    match v {
-        Value::Null => Cell::Null,
-        Value::Int(i) => Cell::I(*i),
-        Value::Float(x) => Cell::F(*x),
-        _ => Cell::Other,
+impl Cell {
+    #[inline]
+    fn of(v: &Value) -> Cell {
+        match v {
+            Value::Null => Cell::Null,
+            Value::Int(i) => Cell::I(*i),
+            Value::Float(x) => Cell::F(*x),
+            _ => Cell::Other,
+        }
+    }
+
+    /// Row `i` of a column, read straight out of typed storage.
+    #[inline]
+    fn at(col: &Column, i: usize) -> Cell {
+        if col.is_null(i) {
+            return Cell::Null;
+        }
+        match &col.data {
+            ColumnData::Int(xs) => Cell::I(xs[i]),
+            ColumnData::Float(xs) => Cell::F(xs[i]),
+            ColumnData::Mixed(vs) => Cell::of(&vs[i]),
+            _ => Cell::Other,
+        }
+    }
+
+    #[inline]
+    fn as_f64(self) -> Option<f64> {
+        match self {
+            Cell::I(i) => Some(i as f64),
+            Cell::F(x) => Some(x),
+            _ => None,
+        }
+    }
+
+    /// The value of an arithmetic result (never [`Cell::Other`]).
+    fn value(self) -> Value {
+        match self {
+            Cell::I(x) => Value::Int(x),
+            Cell::F(x) => Value::Float(x),
+            _ => Value::Null,
+        }
     }
 }
 
-#[inline]
-fn load(arg: &Arg, cols: &ColumnSet, i: usize) -> Cell {
-    match arg {
-        Arg::Lit(v) => cell_of_value(v),
-        Arg::Col(c) => {
-            let col = &cols.cols[*c];
-            if col.is_null(i) {
-                return Cell::Null;
-            }
-            match &col.data {
-                ColumnData::Int(xs) => Cell::I(xs[i]),
-                ColumnData::Float(xs) => Cell::F(xs[i]),
-                ColumnData::Mixed(vs) => cell_of_value(&vs[i]),
-                _ => Cell::Other,
-            }
+/// Rows per batch of the expression evaluator: each tree node's temporary
+/// stays small enough for the cache and the allocator's reuse lists.
+const BATCH: usize = 1024;
+
+/// A tree node's cell views over a batch of rows: one per row, or
+/// one for all of them (a literal, or arithmetic over literals only).
+enum Cells {
+    Each(Vec<Cell>),
+    All(Cell),
+}
+
+impl Cells {
+    /// The view at the `k`-th selected row.
+    #[inline]
+    fn get(&self, k: usize) -> Cell {
+        match self {
+            Cells::Each(cs) => cs[k],
+            Cells::All(c) => *c,
         }
     }
 }
@@ -538,26 +630,25 @@ fn load(arg: &Arg, cols: &ColumnSet, i: usize) -> Cell {
 /// float with `/0 → NULL`; `Mod` is integer-only with `%0 → NULL`;
 /// `Add`/`Sub`/`Mul` compute in `f64` and narrow back to `Int` only when
 /// *both* operands were integers — the exact row-path semantics, including
-/// the precision loss of the `f64` round trip on huge integers.
-fn arith(op: BinOp, l: Cell, r: Cell) -> Value {
+/// the precision loss of the `f64` round trip on huge integers. The result
+/// is never [`Cell::Other`].
+// Always inlined: called per element from the recursive batch evaluator,
+// where the compiler otherwise leaves it an out-of-line call.
+#[inline(always)]
+fn arith(op: BinOp, l: Cell, r: Cell) -> Cell {
     if matches!(l, Cell::Null) || matches!(r, Cell::Null) {
-        return Value::Null;
+        return Cell::Null;
     }
-    let as_f = |c: Cell| match c {
-        Cell::I(i) => Some(i as f64),
-        Cell::F(x) => Some(x),
-        _ => None,
-    };
     match op {
-        BinOp::Div => match (as_f(l), as_f(r)) {
-            (Some(a), Some(b)) if b != 0.0 => Value::Float(a / b),
-            _ => Value::Null,
+        BinOp::Div => match (l.as_f64(), r.as_f64()) {
+            (Some(a), Some(b)) if b != 0.0 => Cell::F(a / b),
+            _ => Cell::Null,
         },
         BinOp::Mod => match (l, r) {
-            (Cell::I(a), Cell::I(b)) if b != 0 => Value::Int(a.rem_euclid(b)),
-            _ => Value::Null,
+            (Cell::I(a), Cell::I(b)) if b != 0 => Cell::I(a.rem_euclid(b)),
+            _ => Cell::Null,
         },
-        _ => match (as_f(l), as_f(r)) {
+        _ => match (l.as_f64(), r.as_f64()) {
             (Some(a), Some(b)) => {
                 let x = match op {
                     BinOp::Add => a + b,
@@ -566,13 +657,100 @@ fn arith(op: BinOp, l: Cell, r: Cell) -> Value {
                     _ => unreachable!("arith on non-arithmetic operator"),
                 };
                 if matches!((l, r), (Cell::I(_), Cell::I(_))) {
-                    Value::Int(x as i64)
+                    Cell::I(x as i64)
                 } else {
-                    Value::Float(x)
+                    Cell::F(x)
                 }
             }
-            _ => Value::Null,
+            _ => Cell::Null,
         },
+    }
+}
+
+impl ColExpr {
+    /// True when evaluating this expression never gathers a row.
+    fn has_kernel(&self) -> bool {
+        !matches!(self, ColExpr::Row(_))
+    }
+
+    /// The value at row `i` — exactly `BoundExpr::eval` of the row: the
+    /// row-at-a-time form of [`ColExpr::cells`], for projections and for
+    /// comparisons a batch cannot settle. `scratch` is the row buffer a
+    /// [`ColExpr::Row`] node gathers into.
+    fn eval(&self, cols: &ColumnSet, i: usize, scratch: &mut Row) -> Value {
+        match self {
+            ColExpr::Take(c) => cols.cols[*c].value(i),
+            ColExpr::Lit(v) => v.clone(),
+            ColExpr::Bin { op, left, right } => {
+                let (l, r) = (left.eval(cols, i, scratch), right.eval(cols, i, scratch));
+                arith(*op, Cell::of(&l), Cell::of(&r)).value()
+            }
+            ColExpr::Row(e) => {
+                cols.gather_row(i, scratch);
+                e.eval(scratch)
+            }
+        }
+    }
+
+    /// The numeric views at `rows`, in order: the tree evaluated a node at
+    /// a time over the batch, each column read in one typed loop and a
+    /// literal kept as one value.
+    fn cells(&self, cols: &ColumnSet, rows: &[u32], scratch: &mut Row) -> Cells {
+        Cells::Each(match self {
+            ColExpr::Take(c) => {
+                let col = &cols.cols[*c];
+                match (&col.data, &col.valid) {
+                    (ColumnData::Int(xs), None) => {
+                        rows.iter().map(|&i| Cell::I(xs[i as usize])).collect()
+                    }
+                    (ColumnData::Float(xs), None) => {
+                        rows.iter().map(|&i| Cell::F(xs[i as usize])).collect()
+                    }
+                    _ => rows.iter().map(|&i| Cell::at(col, i as usize)).collect(),
+                }
+            }
+            ColExpr::Lit(v) => return Cells::All(Cell::of(v)),
+            ColExpr::Bin { op, left, right } => {
+                let op = *op;
+                match (left.cells(cols, rows, scratch), right.cells(cols, rows, scratch)) {
+                    (Cells::All(l), Cells::All(r)) => return Cells::All(arith(op, l, r)),
+                    (Cells::Each(mut ls), Cells::All(r)) => {
+                        ls.iter_mut().for_each(|l| *l = arith(op, *l, r));
+                        ls
+                    }
+                    (Cells::All(l), Cells::Each(mut rs)) => {
+                        rs.iter_mut().for_each(|r| *r = arith(op, l, *r));
+                        rs
+                    }
+                    (Cells::Each(mut ls), Cells::Each(rs)) => {
+                        ls.iter_mut().zip(rs).for_each(|(l, r)| *l = arith(op, *l, r));
+                        ls
+                    }
+                }
+            }
+            ColExpr::Row(_) => {
+                rows.iter().map(|&i| Cell::of(&self.eval(cols, i as usize, scratch))).collect()
+            }
+        })
+    }
+
+    /// Call `f` with each selected row and its numeric value
+    /// (`Value::as_f64` of [`BoundExpr::eval`]; `None` where it is NULL or
+    /// not a number), in selection order, evaluating a batch at a time.
+    /// How a query reads its attribute.
+    pub fn for_each_f64(
+        &self,
+        cols: &ColumnSet,
+        sel: &SelVec,
+        scratch: &mut Row,
+        mut f: impl FnMut(usize, Option<f64>),
+    ) {
+        sel.for_each_chunk(BATCH, |rows| {
+            let cells = self.cells(cols, rows, scratch);
+            for (k, &i) in rows.iter().enumerate() {
+                f(i as usize, cells.get(k).as_f64());
+            }
+        });
     }
 }
 
@@ -580,34 +758,13 @@ impl MapPlan {
     /// Build the projected column set over the selected rows.
     pub fn apply(&self, cols: &ColumnSet, sel: &SelVec, scratch: &mut Row) -> ColumnSet {
         let n = sel.len();
-        let mut out: Vec<svc_storage::Column> = Vec::with_capacity(self.outs.len());
+        let mut out = Vec::with_capacity(self.outs.len());
         for (dt, ce) in &self.outs {
             let mut b = svc_storage::ColumnBuilder::new(*dt, n);
-            match ce {
-                ColExpr::Take(c) => {
-                    let src = &cols.cols[*c];
-                    for i in sel.iter() {
-                        b.push(&src.value(i));
-                    }
-                }
-                ColExpr::Lit(v) => {
-                    for _ in 0..n {
-                        b.push(v);
-                    }
-                }
-                ColExpr::Bin { op, left, right } => {
-                    for i in sel.iter() {
-                        b.push(&arith(*op, load(left, cols, i), load(right, cols, i)));
-                    }
-                }
-                ColExpr::Row(e) => {
-                    for i in sel.iter() {
-                        cols.gather_row(i, scratch);
-                        b.push(&e.eval(scratch));
-                    }
-                }
+            for i in sel.iter() {
+                b.push(&ce.eval(cols, i, scratch));
             }
-            out.push(b.finish());
+            out.push(Arc::new(b.finish()));
         }
         ColumnSet { cols: out, len: n }
     }
@@ -774,42 +931,109 @@ mod tests {
 
     #[test]
     fn arith_kernel_replicates_eval_arith() {
-        use crate::scalar::{col, lit};
-        let schema = Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Float)]).unwrap();
+        use crate::scalar::{col, lit, Expr, Func};
+        let schema = Schema::from_pairs(&[
+            ("a", DataType::Int),
+            ("b", DataType::Float),
+            ("m", DataType::Int),
+        ])
+        .unwrap();
+        // `m` holds an Int, a Float, a Str and a NULL: a `Mixed` column.
         let rows: Vec<Row> = vec![
-            vec![Value::Int(7), Value::Float(2.5)],
-            vec![Value::Int(-3), Value::Float(0.0)],
-            vec![Value::Null, Value::Float(1.0)],
-            vec![Value::Int(i64::MAX), Value::Float(f64::NAN)],
+            vec![Value::Int(7), Value::Float(2.5), Value::Int(3)],
+            vec![Value::Int(-3), Value::Float(0.0), Value::Float(-0.0)],
+            vec![Value::Null, Value::Float(1.0), Value::str("x")],
+            vec![Value::Int(i64::MAX), Value::Float(f64::NAN), Value::Null],
+            vec![Value::Int(0), Value::Null, Value::Int(0)],
         ];
         let cols = ColumnSet::from_rows(&schema, &rows);
+        assert!(matches!(cols.cols[2].data, ColumnData::Mixed(_)));
         let sel = SelVec::range(0, rows.len());
         let mut scratch = Row::new();
-        for e in [
-            col("a").add(lit(1i64)),
-            col("a").mul(col("b")),
-            col("a").div(col("b")),
-            col("a").rem(lit(4i64)),
-            col("b").sub(col("a")),
+        let abs = |e| Expr::Call { func: Func::Abs, args: vec![e] };
+        for (e, kernel) in [
+            (col("a").add(lit(1i64)), true),
+            (col("a").mul(col("b")), true),
+            (col("a").div(col("b")), true),
+            (col("a").rem(lit(4i64)), true),
+            (col("b").sub(col("a")), true),
+            // Trees: int × int narrowing through a nested node, ÷0 and %0
+            // at depth, Mixed operands, and a node with no kernel inside.
+            (col("a").mul(col("a")).sub(lit(1i64)), true),
+            (col("a").add(lit(1i64)).div(col("a").mul(lit(0i64))), true),
+            (col("a").rem(col("a").sub(col("a"))).add(col("b")), true),
+            (col("m").mul(lit(2i64)).add(col("a")), true),
+            (col("m").rem(lit(2i64)), true),
+            (abs(col("b")).add(col("a").div(lit(2i64))), false),
         ] {
             let bound = e.bind(&schema).unwrap();
             let dt = e.infer_type(&schema).unwrap();
             let plan = compile_map(std::slice::from_ref(&bound), &[dt]);
-            assert!(
-                matches!(plan.outs[0].1, ColExpr::Bin { .. }),
-                "expected arithmetic kernel for {e}"
-            );
+            // A tree holding a node with no kernel is kept whole.
+            assert_eq!(matches!(plan.outs[0].1, ColExpr::Bin { .. }), kernel, "{e}");
+            assert_eq!(plan.outs[0].1.has_kernel(), kernel, "{e}");
             let out = plan.apply(&cols, &sel, &mut scratch);
             for (i, row) in rows.iter().enumerate() {
                 let want = bound.eval(row);
-                let got = out.cols[0].value(i);
-                match (&got, &want) {
-                    (Value::Float(a), Value::Float(b)) => {
-                        assert_eq!(a.to_bits(), b.to_bits(), "{e} row {i}");
+                for got in [out.cols[0].value(i), plan.outs[0].1.eval(&cols, i, &mut scratch)] {
+                    match (&got, &want) {
+                        (Value::Float(a), Value::Float(b)) => {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{e} row {i}");
+                        }
+                        _ => assert_eq!(got, want, "{e} row {i}"),
                     }
-                    _ => assert_eq!(got, want, "{e} row {i}"),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn expression_comparisons_match_row_semantics() {
+        use crate::scalar::{col, lit};
+        let schema = Schema::from_pairs(&[
+            ("s", DataType::Float),
+            ("n", DataType::Int),
+            ("m", DataType::Int),
+        ])
+        .unwrap();
+        let rows: Vec<Row> = (0..40i64)
+            .map(|i| {
+                let n = if i % 7 == 0 { Value::Int(0) } else { Value::Int(i % 5) };
+                let m = match i % 4 {
+                    0 => Value::Null,
+                    1 => Value::Float(i as f64 / 3.0),
+                    2 => Value::str("z"),
+                    _ => Value::Int(i),
+                };
+                let s = if i % 9 == 0 { Value::Null } else { Value::Float(i as f64 * 1.5) };
+                vec![s, n, m]
+            })
+            .collect();
+        let cols = ColumnSet::from_rows(&schema, &rows);
+        let mut scratch = Row::new();
+        // A lowered avg predicate (`s / n`), its flipped form, int
+        // narrowing, `%0`, a tree against a Mixed column, and a numeric tree
+        // against a Str literal (constant by type rank).
+        for e in [
+            col("s").div(col("n")).ge(lit(6.0)),
+            lit(6.0).ge(col("s").div(col("n"))),
+            lit(2i64).lt(col("n").mul(col("n"))),
+            col("n").rem(col("n")).eq(lit(0i64)),
+            col("m").lt(col("n").add(lit(10i64))),
+            col("s").sub(col("n")).lt(lit("a")),
+        ] {
+            let bound = e.bind(&schema).unwrap();
+            let pred = compile_pred(&bound);
+            assert!(matches!(pred, ColPred::CmpExpr { .. }), "{e}");
+            assert!(pred.has_kernel(), "{e}");
+            let mut sel = SelVec::range(0, rows.len());
+            pred.apply(&cols, &mut sel, &mut scratch);
+            let want: Vec<usize> = (0..rows.len()).filter(|&i| bound.matches(&rows[i])).collect();
+            assert_eq!(sel.iter().collect::<Vec<_>>(), want, "{e}");
+            // And per row, as inside an `Or`.
+            let got: Vec<usize> =
+                (0..rows.len()).filter(|&i| pred.matches_at(&cols, i, &mut scratch)).collect();
+            assert_eq!(got, want, "{e}");
         }
     }
 }

@@ -1,12 +1,14 @@
-//! Columnar chunks and vectorized kernels for the streaming executor.
+//! Columnar chunks and vectorized kernels for the streaming executor and
+//! the query answer path.
 //!
-//! Conversion happens at exactly two boundaries: a leaf turns the bound
-//! [`svc_storage::Table`] into typed columns once per mutation epoch
-//! (`Table::columns`, shared by every chunk and every morsel), and the
-//! survivors of a fused pipeline are gathered back into rows only where a
-//! pipeline breaker (join, γ, set op, the keyed root) needs them. In
-//! between, operators touch per-column typed slices through a selection
-//! vector — no `Value` boxing, no row allocation for non-survivors.
+//! Conversion happens at exactly two boundaries: a leaf reads the bound
+//! [`svc_storage::Table`]'s typed columns (built once per mutation by
+//! the table's per-column cache, shared by every chunk, every morsel and
+//! every query), and the survivors of a fused pipeline are gathered back
+//! into rows only where a pipeline breaker (join, γ, set op, the keyed
+//! root) needs them. In between, operators touch per-column typed slices
+//! through a selection vector — no `Value` boxing, no row allocation for
+//! non-survivors.
 
 pub mod chunk;
 pub mod kernels;
@@ -14,7 +16,9 @@ pub mod selection;
 
 pub use chunk::{ChunkCols, ColumnChunk};
 pub(crate) use kernels::hash_key_at;
-pub use kernels::{apply_hash, compile_map, compile_pred, ColPred, MapPlan, VecOp};
+pub use kernels::{
+    apply_hash, compile_expr, compile_map, compile_pred, ColExpr, ColPred, MapPlan, VecOp,
+};
 pub use selection::SelVec;
 
 use svc_storage::Row;

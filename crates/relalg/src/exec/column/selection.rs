@@ -65,6 +65,25 @@ impl SelVec {
         }
     }
 
+    /// Call `f` with the selected row indices, in increasing order, at most
+    /// `n` at a time.
+    pub(crate) fn for_each_chunk(&self, n: usize, mut f: impl FnMut(&[u32])) {
+        match self {
+            SelVec::Range(lo, hi) => {
+                let mut buf = Vec::with_capacity(n);
+                let mut start = *lo;
+                while start < *hi {
+                    let end = (*hi).min(start.saturating_add(n as u32));
+                    buf.clear();
+                    buf.extend(start..end);
+                    f(&buf);
+                    start = end;
+                }
+            }
+            SelVec::Idx(v) => v.chunks(n).for_each(f),
+        }
+    }
+
     /// Drop every selected row.
     pub fn clear(&mut self) {
         *self = SelVec::Idx(Vec::new());

@@ -323,11 +323,10 @@ pub(super) fn run_node(
                 out.extend_from_slice(t.rows());
                 out
             } else if vec && profitable(vops) {
-                // Leaf conversion: the bound table's cached columnar
-                // projection (built once per mutation epoch). Morsels are
-                // chunk ranges over that one shared column set.
-                let cols = t.columns();
-                let cols = &*cols;
+                // Leaf conversion: the bound table's cached columns (built
+                // once per mutation). Morsels are chunk ranges over that one
+                // shared column set.
+                let cols = &t.columns();
                 let rs = ranges(cols.len, mode.morsel);
                 stat.morsels = fanned(rs.len());
                 stat.vec_chunks = rs.len() as u64;
@@ -402,7 +401,7 @@ pub(super) fn run_node(
                         };
                         super::partition::build_join_par(
                             &rrows,
-                            cols.as_deref(),
+                            cols.as_ref(),
                             on_idx,
                             parts,
                             mode,
@@ -460,8 +459,7 @@ pub(super) fn run_node(
                     let t = leaf.resolve(b)?;
                     let mut scan = OpMetrics { rows_in: t.len() as u64, ..Default::default() };
                     let parts = if vec && !ops.is_empty() && profitable(vops) {
-                        let cols = t.columns();
-                        let cols = &*cols;
+                        let cols = &t.columns();
                         let rs = ranges(cols.len, mode.morsel);
                         scan.vec_chunks = rs.len() as u64;
                         fan_out(mode, rs.len(), &|i| {

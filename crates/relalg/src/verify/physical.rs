@@ -13,7 +13,7 @@
 use svc_storage::{Result, StorageError};
 
 use crate::derive::Derived;
-use crate::exec::column::kernels::{Arg, ColExpr};
+use crate::exec::column::kernels::ColExpr;
 use crate::exec::pipeline::FusedOp;
 use crate::exec::{ColPred, JoinRight, LeafRef, MapPlan, Node, VecOp};
 use crate::plan::JoinKind;
@@ -58,6 +58,10 @@ fn check_pred(p: &ColPred, arity: usize) -> Result<()> {
             col(*left)?;
             col(*right)
         }
+        ColPred::CmpExpr { left, right, .. } => {
+            check_colexpr(left, arity)?;
+            check_colexpr(right, arity)
+        }
         ColPred::And(ps) => ps.iter().try_for_each(|p| check_pred(p, arity)),
         ColPred::Or(a, b) => {
             check_pred(a, arity)?;
@@ -67,24 +71,16 @@ fn check_pred(p: &ColPred, arity: usize) -> Result<()> {
     }
 }
 
+/// Every column position of an evaluator tree, at any depth, is `< arity`.
 fn check_colexpr(ce: &ColExpr, arity: usize) -> Result<()> {
-    let col = |i: usize| {
-        if i >= arity {
-            fail(format!("map kernel column index {i} out of range (arity {arity})"))
-        } else {
-            Ok(())
-        }
-    };
     match ce {
-        ColExpr::Take(i) => col(*i),
-        ColExpr::Lit(_) => Ok(()),
+        ColExpr::Take(i) if *i >= arity => {
+            fail(format!("expression kernel column index {i} out of range (arity {arity})"))
+        }
+        ColExpr::Take(_) | ColExpr::Lit(_) => Ok(()),
         ColExpr::Bin { left, right, .. } => {
-            for a in [left, right] {
-                if let Arg::Col(i) = a {
-                    col(*i)?;
-                }
-            }
-            Ok(())
+            check_colexpr(left, arity)?;
+            check_colexpr(right, arity)
         }
         ColExpr::Row(e) => check_bound(e, arity),
     }

@@ -12,7 +12,7 @@
 //!   sample means (`median`, percentiles; Section 5.2.5);
 //! * [`cantelli`] — Cantelli-inequality tail bounds for `min`/`max`
 //!   (Appendix 12.1.1);
-//! * [`mod@quantile`] — exact quantiles of small vectors.
+//! * [`mod@quantile`] — exact quantiles of small vectors, by selection.
 
 pub mod bootstrap;
 pub mod cantelli;
@@ -24,4 +24,4 @@ pub use bootstrap::{bootstrap_ci, bootstrap_distribution};
 pub use cantelli::cantelli_exceedance;
 pub use clt::{gaussian_gamma, ConfidenceInterval};
 pub use moments::Moments;
-pub use quantile::{median, quantile};
+pub use quantile::{quantile, quantile_in_place};

@@ -1,13 +1,15 @@
 //! Typed columnar projections of a [`crate::Table`]'s rows.
 //!
-//! The streaming executor's vectorized kernels (`svc-relalg`) operate on
-//! per-column typed vectors instead of `Vec<Row>` of boxed [`Value`]s: a
-//! [`ColumnSet`] holds one [`Column`] per schema field, each storing its
-//! values in a primitive vector (`i64` / `f64` / `bool` / `Arc<str>`) with
-//! a validity mask for NULLs. Columns whose cells do not all conform to one
-//! primitive type (legal — cells are dynamically typed) fall back to a
-//! [`ColumnData::Mixed`] vector of plain values, which the kernels handle
-//! through the generic row-semantics path.
+//! The vectorized kernels (`svc-relalg`) — plan execution and every query
+//! answer — operate on per-column typed vectors instead of `Vec<Row>` of
+//! boxed [`Value`]s. A [`Column`] stores one field's values in a primitive
+//! vector (`i64` / `f64` / `bool` / `Arc<str>`) with a validity mask for
+//! NULLs; a table builds each column on first touch and shares it until it
+//! next mutates (`Table::column`), and a [`ColumnSet`] is any bundle of
+//! such shared columns over the same rows. Columns whose cells do not all
+//! conform to one primitive type (legal — cells are dynamically typed) fall
+//! back to a [`ColumnData::Mixed`] vector of plain values, which the kernels
+//! handle through the generic value-semantics path.
 //!
 //! Numeric columns carry a *zone map* — the `total_cmp` min/max of their
 //! non-null values, the same typed min/max the statistics catalog tracks —
@@ -293,32 +295,39 @@ fn zone_of(values: impl Iterator<Item = f64>) -> Option<(f64, f64)> {
     Some((lo, hi))
 }
 
-/// The columnar projection of a row batch: one [`Column`] per schema field,
-/// all of the same length.
+/// Extract the columns at positions `idx` of `rows` laid out per `schema`,
+/// in one row-major pass. Each column is attempted at its declared type and
+/// demoted to mixed storage if any cell disagrees.
+pub(crate) fn extract(schema: &Schema, rows: &[Row], idx: &[usize]) -> Vec<Column> {
+    let mut builders: Vec<ColumnBuilder> =
+        idx.iter().map(|&c| ColumnBuilder::new(schema.field(c).dtype, rows.len())).collect();
+    for row in rows {
+        for (b, &c) in builders.iter_mut().zip(idx) {
+            b.push(&row[c]);
+        }
+    }
+    builders.into_iter().map(ColumnBuilder::finish).collect()
+}
+
+/// A set of columns over the same rows: a table's columnar projection (one
+/// [`Column`] per schema field, `Table::columns`), the columns one query
+/// names (in the order it names them), or a projection kernel's output.
+/// Columns are shared: a table's per-column cache hands out the same `Arc`
+/// to every reader until the table next mutates.
 #[derive(Debug, Clone)]
 pub struct ColumnSet {
-    /// Columns in schema order.
-    pub cols: Vec<Column>,
+    /// The columns.
+    pub cols: Vec<Arc<Column>>,
     /// Number of rows.
     pub len: usize,
 }
 
 impl ColumnSet {
-    /// Extract columns from `rows` laid out per `schema`. Each column is
-    /// attempted at its declared type and demoted to mixed storage if any
-    /// cell disagrees.
+    /// Extract every column of `rows` laid out per `schema`.
     pub fn from_rows(schema: &Schema, rows: &[Row]) -> ColumnSet {
-        let mut builders: Vec<ColumnBuilder> =
-            schema.fields().iter().map(|f| ColumnBuilder::new(f.dtype, rows.len())).collect();
-        for row in rows {
-            for (b, v) in builders.iter_mut().zip(row) {
-                b.push(v);
-            }
-        }
-        ColumnSet {
-            cols: builders.into_iter().map(ColumnBuilder::finish).collect(),
-            len: rows.len(),
-        }
+        let all: Vec<usize> = (0..schema.len()).collect();
+        let cols = extract(schema, rows, &all).into_iter().map(Arc::new).collect();
+        ColumnSet { cols, len: rows.len() }
     }
 
     /// Cheap structural integrity check: every column passes
@@ -333,8 +342,9 @@ impl ColumnSet {
     }
 
     /// Full integrity check: every column passes [`Column::check`],
-    /// including the O(rows) zone-map soundness scan. Run once per
-    /// extraction (`Table::columns`) rather than per chunk.
+    /// including the O(rows) zone-map soundness scan. Run on owned sets a
+    /// projection kernel built rather than per shared chunk (a table's
+    /// cached columns are checked once, when built).
     pub fn check(&self) -> Result<()> {
         for (i, c) in self.cols.iter().enumerate() {
             c.check(self.len).map_err(|e| StorageError::Invalid(format!("column {i}: {e}")))?;

@@ -6,13 +6,18 @@
 //! a primary key; if this is not the case, we can always add an extra column
 //! that assigns an increasing sequence of integers to each record". Derived
 //! relations receive keys via the Definition 2 rules in `svc-relalg`.
+//!
+//! Rows are the write form. Readers — plan execution and every query
+//! answer — read typed columns ([`Table::column`]) from a per-column cache:
+//! a column is built on first touch, shared until the next mutation drops
+//! the cache, and never built for a reader that does not name it.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::columns::ColumnSet;
+use crate::columns::{self, Column, ColumnSet};
 use crate::error::{Result, StorageError};
 use crate::schema::Schema;
 use crate::value::Value;
@@ -72,18 +77,23 @@ pub struct Table {
     key: Vec<usize>,
     rows: Vec<Row>,
     index: HashMap<KeyTuple, usize>,
-    /// Mutation epoch: bumped by every row-changing method, so the cached
-    /// columnar projection below knows when it is stale.
-    epoch: u64,
-    /// Lazily-built columnar projection of `rows` ([`Table::columns`]),
-    /// tagged with the epoch it was built at. Interior mutability because
-    /// extraction happens on shared read paths (plan execution).
-    colcache: Mutex<Option<(u64, Arc<ColumnSet>)>>,
+    /// The per-column projection of `rows` ([`Table::column`]): slot `i`
+    /// holds field `i` once a reader touched it; every row-changing method
+    /// empties it. Interior mutability because columns are built on shared
+    /// read paths (plan execution, query answering).
+    colcache: Mutex<Vec<Option<Arc<Column>>>>,
 }
 
 thread_local! {
     static TABLE_CLONES_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static COLUMN_BUILDS_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
+
+/// Per-thread count of columns built into a table's cache (see
+/// [`Table::column_build_count`]); thread-local for the same reason as
+/// [`TABLE_CLONES`].
+static COLUMN_BUILDS: svc_telemetry::LocalCounter =
+    svc_telemetry::LocalCounter::new(&COLUMN_BUILDS_CELL);
 
 /// Per-thread count of full-table clones (see [`Table::clone_count`]).
 /// A telemetry [`svc_telemetry::LocalCounter`] — thread-local on purpose:
@@ -106,8 +116,7 @@ impl Clone for Table {
             key: self.key.clone(),
             rows: self.rows.clone(),
             index: self.index.clone(),
-            epoch: 0,
-            colcache: Mutex::new(None),
+            colcache: Mutex::default(),
         }
     }
 }
@@ -133,8 +142,7 @@ impl Table {
             key,
             rows: Vec::new(),
             index: HashMap::new(),
-            epoch: 0,
-            colcache: Mutex::new(None),
+            colcache: Mutex::default(),
         })
     }
 
@@ -217,41 +225,90 @@ impl Table {
         KeyTuple::of(row, &self.key)
     }
 
-    /// Record a row mutation so the cached columnar projection goes stale.
+    /// Record a row mutation: the cached columns are stale, so drop them
+    /// now rather than hold them until the next read.
     #[inline]
     fn touch(&mut self) {
-        self.epoch += 1;
+        let cache = self.colcache.get_mut().expect("column cache poisoned");
+        if !cache.is_empty() {
+            *cache = Vec::new();
+        }
     }
 
-    /// The typed columnar projection of this table's rows
-    /// ([`ColumnSet`]), built lazily and cached until the next mutation:
-    /// re-running a compiled vectorized plan against unchanged bindings
-    /// extracts each leaf exactly once per mutation epoch. Cheap to call
-    /// when warm (one lock, one `Arc` clone).
-    pub fn columns(&self) -> Arc<ColumnSet> {
-        let mut guard = self.colcache.lock().expect("column cache poisoned");
-        if let Some((epoch, cols)) = guard.as_ref() {
-            if *epoch == self.epoch {
-                // With the verifier on, prove the epoch cache is honest: a
-                // cache hit whose row count disagrees with the table means
-                // some mutator forgot to bump the epoch.
+    /// Drop every cached column; the next reader rebuilds what it names.
+    /// For a table that has been superseded but lives on behind shared
+    /// readers (an old view epoch): its rows stay readable, its columns
+    /// stop holding memory.
+    pub fn release_columns(&self) {
+        *self.colcache.lock().expect("column cache poisoned") = Vec::new();
+    }
+
+    /// Number of columns built into a table's cache **on this thread** since
+    /// it started — the cost-shape hook for "a reader builds only the
+    /// columns it names, once per mutation". Same mechanism as
+    /// [`Table::clone_count`].
+    pub fn column_build_count() -> usize {
+        COLUMN_BUILDS.get() as usize
+    }
+
+    /// The column cache with every slot in `want` filled, the missing ones
+    /// built in one pass over the rows.
+    fn filled(&self, want: &[usize]) -> MutexGuard<'_, Vec<Option<Arc<Column>>>> {
+        let mut cache = self.colcache.lock().expect("column cache poisoned");
+        if cache.is_empty() {
+            cache.resize(self.schema.len(), None);
+        }
+        let mut missing = Vec::new();
+        for &i in want {
+            match &cache[i] {
+                None => missing.push(i),
+                // With the verifier on, prove the cache is honest: a hit
+                // whose length disagrees with the table means some mutator
+                // skipped `Table::touch`.
                 #[cfg(feature = "verify")]
-                assert_eq!(
-                    cols.len,
+                Some(c) => assert_eq!(
+                    c.len(),
                     self.rows.len(),
-                    "columnar cache hit at epoch {epoch} holds {} rows but the table has {} — \
-                     a mutator skipped Table::touch",
-                    cols.len,
+                    "cached column {i} holds {} rows but the table has {} — a mutator skipped \
+                     Table::touch",
+                    c.len(),
                     self.rows.len()
-                );
-                return Arc::clone(cols);
+                ),
+                #[cfg(not(feature = "verify"))]
+                Some(_) => {}
             }
         }
-        let cols = Arc::new(ColumnSet::from_rows(&self.schema, &self.rows));
-        #[cfg(feature = "verify")]
-        cols.check().expect("freshly extracted ColumnSet failed integrity check");
-        *guard = Some((self.epoch, Arc::clone(&cols)));
-        cols
+        if missing.is_empty() {
+            return cache;
+        }
+        for (i, col) in missing.iter().zip(columns::extract(&self.schema, &self.rows, &missing)) {
+            #[cfg(feature = "verify")]
+            col.check(self.rows.len()).expect("freshly extracted column failed integrity check");
+            COLUMN_BUILDS.bump();
+            cache[*i] = Some(Arc::new(col));
+        }
+        cache
+    }
+
+    /// Column `i` of this table, typed ([`Column`]): built on first touch
+    /// and shared until the next mutation, so a query reads only the columns
+    /// it names and a burst of queries between two mutations builds each
+    /// once. Cheap when warm (one lock, one `Arc` clone).
+    pub fn column(&self, i: usize) -> Arc<Column> {
+        let cache = self.filled(&[i]);
+        Arc::clone(cache[i].as_ref().expect("filled slot"))
+    }
+
+    /// Every column of this table ([`ColumnSet`]), assembled from the same
+    /// per-column cache as [`Table::column`]: only the columns no reader has
+    /// touched since the last mutation are built. Re-running a compiled
+    /// vectorized plan against unchanged bindings therefore extracts each
+    /// leaf once per mutation.
+    pub fn columns(&self) -> ColumnSet {
+        let all: Vec<usize> = (0..self.schema.len()).collect();
+        let cache = self.filled(&all);
+        let cols = cache.iter().map(|c| Arc::clone(c.as_ref().expect("filled slot")));
+        ColumnSet { cols: cols.collect(), len: self.rows.len() }
     }
 
     /// Insert a row; errors on arity mismatch or duplicate key.
@@ -303,6 +360,13 @@ impl Table {
         self.index.get(key).map(|&i| &self.rows[i])
     }
 
+    /// The position of the row stored under `key` — an index into
+    /// [`Table::rows`] and into every [`Table::column`] until the next
+    /// mutation.
+    pub fn position(&self, key: &KeyTuple) -> Option<usize> {
+        self.index.get(key).copied()
+    }
+
     /// True iff a row with this key exists.
     pub fn contains_key(&self, key: &KeyTuple) -> bool {
         self.index.contains_key(key)
@@ -344,8 +408,7 @@ impl Table {
             key: self.key.clone(),
             rows: Vec::new(),
             index: HashMap::new(),
-            epoch: 0,
-            colcache: Mutex::new(None),
+            colcache: Mutex::default(),
         }
     }
 

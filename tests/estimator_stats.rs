@@ -6,9 +6,14 @@
 //! test against physical filtering, and the break-even picks. Last, the
 //! answer path's own contract: `SvcView` lowers the query onto the canonical
 //! state instead of materializing the public relation, so its answers must
-//! equal the materialized public path bit for bit and project nothing.
+//! equal the materialized public path (and the row-at-a-time reference) bit
+//! for bit and project nothing; and a query reads column slices, building
+//! only the columns it names, once per mutation.
 
 use rand::SeedableRng;
+
+mod generators;
+use generators::row_reference;
 
 use stale_view_cleaning::core::estimate::{svc_aqp, svc_corr, Estimate};
 use stale_view_cleaning::core::outlier::{
@@ -348,7 +353,10 @@ fn public_reference(svc: &SvcView, cleaned: &CleanedSample) -> (SvcView, Cleaned
 
 /// Test (a): every answer `SvcView` gives by lowering `q` equals, field by
 /// field and bit by bit, the same estimator run over the materialized
-/// public tables. Returns how many comparisons produced an estimate.
+/// public tables — and the exact answer the row-at-a-time reference. So a
+/// computed public column read as a tree over canonical column slices
+/// answers exactly like the projected rows. Returns how many comparisons
+/// produced an estimate.
 fn assert_lowered_equals_public(svc: &SvcView, cleaned: &CleanedSample, qs: &[AggQuery]) -> usize {
     let public_view = svc.view.public_table().unwrap();
     let public_stale = svc.stale_sample_public().unwrap();
@@ -358,6 +366,7 @@ fn assert_lowered_equals_public(svc: &SvcView, cleaned: &CleanedSample, qs: &[Ag
     for q in qs.iter().flat_map(under_every_agg) {
         let label = format!("{} {q:?}", svc.view.name);
         let stale = q.exact(&public_view).unwrap();
+        assert_eq!(stale.to_bits(), row_reference(&q, &public_view).to_bits(), "{label}");
         assert_eq!(svc.query_stale(&q).unwrap().to_bits(), stale.to_bits(), "{label}");
         let corr = estimate_bits(svc.estimate_corr(cleaned, &q));
         let aqp = estimate_bits(svc.estimate_aqp(cleaned, &q));
@@ -484,6 +493,62 @@ fn answering_projects_nothing_and_clones_no_table() {
         svc.stale_sample_public().unwrap();
         assert_eq!(projection_count(), before.0 + 1);
     }
+}
+
+/// Cost shape, no wall clock: a query builds only the columns it names,
+/// once per mutation. A regression to whole-table projection or to a
+/// per-query rebuild fails here.
+#[test]
+fn queries_build_only_the_columns_they_name_once_per_mutation() {
+    let builds = Table::column_build_count;
+    let data = TpcdData::generate(TpcdConfig { scale: 0.01, skew: 2.0, seed: 42 }).unwrap();
+    let mut lineitem = data.db.table("lineitem").unwrap().clone();
+    let width = lineitem.schema().len();
+    let q = AggQuery::sum(col("l_quantity"))
+        .filter(col("l_discount").gt(lit(0.02)).and(col("l_quantity").lt(lit(40.0))));
+    let before = builds();
+    q.exact(&lineitem).unwrap();
+    assert_eq!(builds() - before, 2, "a cold table builds the two named columns");
+    q.exact(&lineitem).unwrap();
+    assert_eq!(builds() - before, 2, "a warm table builds nothing");
+    // A mutation drops the cache: the next query rebuilds what it names.
+    let row = lineitem.rows()[0].clone();
+    let key = lineitem.key_of(&row);
+    lineitem.apply_edits([(key, Some(row))]);
+    q.exact(&lineitem).unwrap();
+    assert_eq!(builds() - before, 4);
+    // The whole set comes from the same cache: only the missing columns.
+    lineitem.columns();
+    assert_eq!(builds() - before, 4 + width - 2);
+    lineitem.columns();
+    q.exact(&lineitem).unwrap();
+    assert_eq!(builds() - before, 4 + width - 2);
+
+    // A burst of CORR estimates over one clean: each named canonical column
+    // (`n`, and `avgQty`'s sum and count) of the stale view, the stale
+    // sample and the cleaned sample is built once, by the first estimate.
+    let def = Plan::scan("lineitem").aggregate(
+        &["l_orderkey"],
+        vec![AggSpec::new("avgQty", AggFunc::Avg, col("l_quantity")), AggSpec::count_all("n")],
+    );
+    let svc = SvcView::create("v", def, &data.db, quick_config()).unwrap();
+    let deltas = data.updates(0.1, 7).unwrap();
+    let cleaned = svc.clean_sample(&data.db, &deltas).unwrap();
+    let q = AggQuery::sum(col("n")).filter(col("avgQty").gt(lit(20.0)));
+    let before = builds();
+    svc.estimate_corr(&cleaned, &q).unwrap();
+    assert_eq!(builds() - before, 3 * 3);
+    for _ in 0..99 {
+        svc.estimate_corr(&cleaned, &q).unwrap();
+    }
+    assert_eq!(builds() - before, 3 * 3, "99 more estimates rebuild nothing");
+    // A clone shares the view's table; maintaining it supersedes that table,
+    // whose cached columns are released, not kept alive by the other holder:
+    // the next estimate rebuilds the view's three, the samples keep theirs.
+    let mut ivm = svc.clone();
+    ivm.maintain_full(&data.db, &deltas).unwrap();
+    svc.estimate_corr(&cleaned, &q).unwrap();
+    assert_eq!(builds() - before, 3 * 3 + 3);
 }
 
 /// Test (c): a query names public columns only. Canonical-only columns and

@@ -5,25 +5,64 @@
 //! `svc-ivm` compiles (evaluated under full maintenance bindings). Plus
 //! regression tests that `BatchPipeline`'s compiled-plan cache replays
 //! across repartitions and invalidates on schema changes without changing
-//! results.
+//! results. Last, the query answer path, which reads the same kernels over
+//! a table's column slices: every aggregate equals the row-at-a-time
+//! reference bit for bit.
 
 use proptest::prelude::*;
 
 mod generators;
 use generators::{
     adversarial_plan_variant, build_db, build_db_adversarial, build_db_mixed, mixed_plan_variant,
-    plan_variant, random_deltas,
+    plan_variant, random_deltas, row_reference, MIXED_PLAN_VARIANTS,
 };
 
 use stale_view_cleaning::cluster::minibatch::BatchPipeline;
+use stale_view_cleaning::core::query::{AggQuery, QueryAgg};
 use stale_view_cleaning::ivm::view::{maintenance_bindings, MaterializedView};
 use stale_view_cleaning::relalg::aggregate::{AggFunc, AggSpec};
 use stale_view_cleaning::relalg::eval::{evaluate_materializing, Bindings};
 use stale_view_cleaning::relalg::exec::{compile, ExecMode};
 use stale_view_cleaning::relalg::optimizer::optimize;
 use stale_view_cleaning::relalg::plan::{JoinKind, Plan};
-use stale_view_cleaning::relalg::scalar::{col, lit};
+use stale_view_cleaning::relalg::scalar::{col, lit, Expr, Func};
 use stale_view_cleaning::storage::{DataType, Database, HashSpec, Schema, Table, Value};
+
+/// Attributes for the query-path harness over the `mixed` table: plain
+/// Int / Float / Mixed columns, arithmetic trees with `÷0`, `%0` and int
+/// narrowing, a node with no kernel, and `count`'s literal.
+fn query_attr(i: u8) -> Expr {
+    match i % 9 {
+        0 => col("a"),
+        1 => col("x"),
+        2 => col("m"),
+        3 => col("a").add(col("x")),
+        4 => col("a").mul(col("a")).sub(lit(7i64)),
+        5 => col("x").div(col("a")),
+        6 => col("a").rem(lit(3i64)).add(col("m").rem(lit(0i64))),
+        7 => Expr::Call { func: Func::Abs, args: vec![col("x").sub(lit(5.0))] },
+        _ => lit(1i64),
+    }
+}
+
+/// Predicates for the query-path harness: typed and Mixed literal
+/// compares, trees against literals in both orientations, a tree against
+/// a column, Or / Not / IsNull composition and a function call.
+fn query_predicate(i: u8) -> Option<Expr> {
+    Some(match i % 11 {
+        0 => return None,
+        1 => col("a").gt(lit(10i64)),
+        2 => col("x").div(col("a")).ge(lit(0.25)).and(col("x").div(col("a")).le(lit(2.0))),
+        3 => lit(30i64).le(col("a").mul(lit(2i64))),
+        4 => col("a").rem(lit(3i64)).eq(lit(1i64)).or(col("m").is_null()),
+        5 => col("a").add(col("x")).gt(col("m")),
+        6 => col("m").eq(lit("s3")).or(col("m").lt(lit(4.5))),
+        7 => col("a").gt(lit(20i64)).not(),
+        8 => col("a").coalesce(lit(0i64)).lt(lit(5i64)),
+        9 => col("flag").eq(lit(true)).and(col("x").sub(col("a")).lt(lit(0.0))),
+        _ => col("x").mul(lit(0.0)).eq(lit(0.0)).and(col("a").is_null().not()),
+    })
+}
 
 /// Regression: `BatchPipeline` compiles one change plan per delta
 /// signature, replays it across batches, maintenance calls and
@@ -343,7 +382,7 @@ proptest! {
     #[test]
     fn vectorized_matches_rowwise_on_null_heavy_mixed_tables(
         n_rows in 40usize..300,
-        variant in 0u8..7,
+        variant in 0u8..MIXED_PLAN_VARIANTS,
         hashed in 0u8..2,
         ratio in 0.1f64..0.9,
         seed in 0u64..500,
@@ -407,5 +446,51 @@ proptest! {
             got.rows() == rowwise.rows(),
             "adversarial skew {skew} variant {variant}: vectorized and rowwise paths diverged"
         );
+    }
+
+    /// The query answer path reads column slices (named columns only,
+    /// selection kernels, the batch evaluator): every aggregate, and the
+    /// matching values themselves, equal the row-at-a-time reference bit for
+    /// bit on null-heavy, type-mixed tables.
+    #[test]
+    fn query_answers_read_columns_exactly_like_rows(
+        n_rows in 1usize..300,
+        attr in 0u8..9,
+        predicate in 0u8..11,
+        p in 0.0f64..1.0,
+        data_seed in 0u64..200,
+    ) {
+        let db = build_db_mixed(n_rows, data_seed);
+        let t = db.table("mixed").unwrap();
+        let q = AggQuery { agg: QueryAgg::Sum, attr: query_attr(attr), predicate: query_predicate(predicate) };
+        let want: Vec<u64> = {
+            let bound = q.attr.bind(t.schema()).unwrap();
+            let pred = q.predicate.as_ref().map(|e| e.bind(t.schema()).unwrap());
+            t.rows()
+                .iter()
+                .filter(|r| pred.as_ref().is_none_or(|e| e.matches(r)))
+                .filter_map(|r| bound.eval(r).as_f64())
+                .map(f64::to_bits)
+                .collect()
+        };
+        let got: Vec<u64> =
+            q.bind(t).unwrap().matching_values(t).into_iter().map(f64::to_bits).collect();
+        prop_assert_eq!(got, want, "matching values, attr {} predicate {}", attr, predicate);
+        for agg in [
+            QueryAgg::Sum,
+            QueryAgg::Count,
+            QueryAgg::Avg,
+            QueryAgg::Median,
+            QueryAgg::Percentile(p),
+            QueryAgg::Min,
+            QueryAgg::Max,
+        ] {
+            let q = AggQuery { agg, ..q.clone() };
+            prop_assert_eq!(
+                q.exact(t).unwrap().to_bits(),
+                row_reference(&q, t).to_bits(),
+                "{:?}, attr {} predicate {}", agg, attr, predicate
+            );
+        }
     }
 }

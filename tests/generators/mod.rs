@@ -3,12 +3,14 @@
 //! `tests/partition_prop.rs`): a snowflake fact/dim database, plan shapes
 //! covering every operator the executor lowers, adversarial join-key
 //! distributions, and signed delta streams. One copy, so the harnesses
-//! always test the same plan space.
+//! always test the same plan space. Also the row-at-a-time reference every
+//! query answer path is held to ([`row_reference`]).
 
 // Each harness binary compiles its own copy of this module and uses a
 // different subset of the generators.
 #![allow(dead_code)]
 
+use stale_view_cleaning::core::query::{AggQuery, QueryAgg};
 use stale_view_cleaning::relalg::aggregate::{AggFunc, AggSpec};
 use stale_view_cleaning::relalg::plan::{JoinKind, Plan};
 use stale_view_cleaning::relalg::scalar::{col, lit};
@@ -167,9 +169,11 @@ pub fn build_db_mixed(n_rows: usize, data_seed: u64) -> Database {
 /// under validity masks, IsNull (plain and negated), And/Or composition,
 /// column-vs-column with nulls on both sides, cross-type-rank literals,
 /// arithmetic projections over nullable inputs, γ with null group keys,
-/// and η over a nullable key.
+/// η over a nullable key, and arithmetic trees compared against literals
+/// (both orientations), columns and Mixed cells — `÷0`, `%0` and int
+/// narrowing included.
 pub fn mixed_plan_variant(variant: u8) -> Plan {
-    match variant % 7 {
+    match variant % MIXED_PLAN_VARIANTS {
         // Int column vs Int literal: nulls must never match.
         0 => Plan::scan("mixed").select(col("a").gt(lit(10i64))),
         // Float vs literal AND a negated IsNull (the Not(IsNull) kernel).
@@ -191,9 +195,25 @@ pub fn mixed_plan_variant(variant: u8) -> Plan {
         ),
         // Cross-type-rank literal over Mixed (Int literal vs Str values),
         // then η over the (non-null) primary key.
-        _ => Plan::scan("mixed").select(col("m").gt(lit(5i64))),
+        6 => Plan::scan("mixed").select(col("m").gt(lit(5i64))),
+        // Trees vs literals: int narrowing, and the flipped form over a
+        // division whose divisor is sometimes 0 or NULL.
+        7 => Plan::scan("mixed").select(
+            col("a").mul(lit(2i64)).gt(lit(20i64)).and(lit(3.0).le(col("x").div(col("a")))),
+        ),
+        // A `%` tree under Or, beside a tree compared with the Mixed column.
+        8 => Plan::scan("mixed")
+            .select(col("a").rem(lit(3i64)).eq(lit(1i64)).or(col("a").add(col("x")).gt(col("m")))),
+        // A nested int×int tree vs a Float literal, then a projection
+        // dividing by `a % 0` (always NULL).
+        _ => Plan::scan("mixed")
+            .select(col("x").sub(col("a").mul(col("a"))).lt(lit(-100.0)))
+            .project(vec![("id", col("id")), ("q", col("x").div(col("a").rem(lit(0i64))))]),
     }
 }
+
+/// Number of distinct [`mixed_plan_variant`] shapes.
+pub const MIXED_PLAN_VARIANTS: u8 = 10;
 
 /// `n` distinct Int key values whose [`join_hash`] values collide in their
 /// low 12 bits — they land in the same hash partition for every partition
@@ -376,4 +396,38 @@ pub fn random_deltas(db: &Database, ops: &[(u8, u64)]) -> Deltas {
         }
     }
     deltas
+}
+
+/// The row-at-a-time reference for `q` over `t`: the predicate and the
+/// attribute evaluated per row, every aggregate by its definition
+/// (order statistics by a full sort).
+pub fn row_reference(q: &AggQuery, t: &Table) -> f64 {
+    let attr = q.attr.bind(t.schema()).unwrap();
+    let pred = q.predicate.as_ref().map(|p| p.bind(t.schema()).unwrap());
+    let mut values: Vec<f64> = t
+        .rows()
+        .iter()
+        .filter(|r| pred.as_ref().is_none_or(|p| p.matches(r)))
+        .filter_map(|r| attr.eval(r).as_f64())
+        .collect();
+    let n = values.len();
+    match q.agg {
+        QueryAgg::Sum => values.iter().sum(),
+        QueryAgg::Count => n as f64,
+        QueryAgg::Avg if n == 0 => f64::NAN,
+        QueryAgg::Avg => values.iter().sum::<f64>() / n as f64,
+        QueryAgg::Min => values.iter().copied().fold(f64::INFINITY, f64::min),
+        QueryAgg::Max => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        QueryAgg::Median | QueryAgg::Percentile(_) if n == 0 => f64::NAN,
+        QueryAgg::Median | QueryAgg::Percentile(_) => {
+            let p = if let QueryAgg::Percentile(p) = q.agg { p } else { 0.5 };
+            values.sort_by(f64::total_cmp);
+            if n == 1 {
+                return values[0];
+            }
+            let pos = p * (n - 1) as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            values[lo] + (values[hi] - values[lo]) * (pos - lo as f64)
+        }
+    }
 }

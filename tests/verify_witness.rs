@@ -9,15 +9,18 @@
 //! witnesses driven through the real `Optimizer`, physical node witnesses,
 //! and columnar (`ColumnSet`/`SelVec`/chunk) witnesses.
 
+use std::sync::Arc;
+
 use stale_view_cleaning::relalg::derive::{Derived, LeafProvider};
 use stale_view_cleaning::relalg::exec::column::chunk::ChunkCols;
+use stale_view_cleaning::relalg::exec::column::ColExpr;
 use stale_view_cleaning::relalg::exec::{
     ColPred, ColumnChunk, FusedOp, JoinRight, LeafRef, Node, SelVec, VecOp,
 };
 use stale_view_cleaning::relalg::optimizer::rules::Rule;
 use stale_view_cleaning::relalg::optimizer::{OptimizeReport, Optimizer};
 use stale_view_cleaning::relalg::plan::{JoinKind, Plan};
-use stale_view_cleaning::relalg::scalar::{col, lit, BoundExpr};
+use stale_view_cleaning::relalg::scalar::{col, lit, BinOp, BoundExpr};
 use stale_view_cleaning::relalg::verify;
 use stale_view_cleaning::storage::{
     Column, ColumnData, ColumnSet, DataType, Database, HashSpec, Result, Schema, Table, Value,
@@ -261,6 +264,26 @@ fn bound_column_out_of_arity_is_rejected() {
 }
 
 #[test]
+fn expression_kernel_column_out_of_arity_is_rejected() {
+    // The row twin is fine; the tree kernel reads column 7 two levels down.
+    let row = col("x").div(col("id")).gt(lit(1.0)).bind(&leaf().schema).unwrap();
+    let tree = ColExpr::Bin {
+        op: BinOp::Div,
+        left: Box::new(ColExpr::Take(1)),
+        right: Box::new(ColExpr::Bin {
+            op: BinOp::Add,
+            left: Box::new(ColExpr::Take(7)),
+            right: Box::new(ColExpr::Lit(Value::Int(1))),
+        }),
+    };
+    let pred =
+        ColPred::CmpExpr { left: tree, op: BinOp::Gt, right: ColExpr::Lit(Value::Float(1.0)) };
+    let node = scan(vec![FusedOp::Filter(row)], vec![VecOp::Filter(pred)]);
+    let err = verify::verify_node(&node).unwrap_err().to_string();
+    assert!(err.contains("expression kernel column index 7"), "{err}");
+}
+
+#[test]
 fn twin_chain_length_mismatch_is_rejected() {
     let node = scan(vec![FusedOp::Filter(BoundExpr::Col(0))], vec![]);
     let err = verify::verify_node(&node).unwrap_err().to_string();
@@ -375,7 +398,8 @@ fn int_col(vals: &[i64]) -> Column {
 
 #[test]
 fn ragged_column_set_is_rejected() {
-    let cs = ColumnSet { cols: vec![int_col(&[1, 2, 3]), int_col(&[1, 2])], len: 3 };
+    let cs =
+        ColumnSet { cols: vec![Arc::new(int_col(&[1, 2, 3])), Arc::new(int_col(&[1, 2]))], len: 3 };
     let err = cs.check_shape().unwrap_err().to_string();
     assert!(err.contains("column 1"), "{err}");
 }
@@ -384,7 +408,7 @@ fn ragged_column_set_is_rejected() {
 fn wrong_validity_mask_length_is_rejected() {
     let mut c = int_col(&[1, 2, 3]);
     c.valid = Some(vec![true, false]); // mask shorter than data
-    let cs = ColumnSet { cols: vec![c], len: 3 };
+    let cs = ColumnSet { cols: vec![Arc::new(c)], len: 3 };
     assert!(cs.check_shape().is_err());
 }
 
@@ -392,7 +416,7 @@ fn wrong_validity_mask_length_is_rejected() {
 fn lying_zone_map_is_rejected_by_the_full_check() {
     let mut c = int_col(&[1, 2, 99]);
     c.zone = Some((0.0, 10.0)); // claims max 10, data holds 99
-    let cs = ColumnSet { cols: vec![c], len: 3 };
+    let cs = ColumnSet { cols: vec![Arc::new(c)], len: 3 };
     // The cheap shape check cannot see it; the O(rows) check must.
     assert!(cs.check_shape().is_ok());
     let err = cs.check().unwrap_err().to_string();
@@ -404,7 +428,7 @@ fn zone_map_on_string_storage_is_rejected() {
     let mut c =
         Column { data: ColumnData::Str(vec!["a".into(), "b".into()]), valid: None, zone: None };
     c.zone = Some((0.0, 1.0));
-    let cs = ColumnSet { cols: vec![c], len: 2 };
+    let cs = ColumnSet { cols: vec![Arc::new(c)], len: 2 };
     assert!(cs.check_shape().is_err());
 }
 
@@ -416,13 +440,13 @@ fn null_masked_values_are_exempt_from_zone_bounds() {
         valid: Some(vec![true, true, false]),
         zone: Some((1.0, 2.0)),
     };
-    let cs = ColumnSet { cols: vec![c], len: 3 };
+    let cs = ColumnSet { cols: vec![Arc::new(c)], len: 3 };
     assert!(cs.check().is_ok());
 }
 
 #[test]
 fn corrupt_selvec_in_a_chunk_is_rejected() {
-    let cs = ColumnSet { cols: vec![int_col(&[1, 2, 3])], len: 3 };
+    let cs = ColumnSet { cols: vec![Arc::new(int_col(&[1, 2, 3]))], len: 3 };
     let mut chunk = ColumnChunk::over(&cs, 0, 3);
     assert!(verify::check_chunk(&chunk).is_ok());
     chunk.sel = SelVec::Idx(vec![0, 5]); // out of bounds
@@ -437,7 +461,7 @@ fn corrupt_selvec_in_a_chunk_is_rejected() {
 fn owned_chunk_gets_the_full_zone_check() {
     let mut c = int_col(&[1, 2, 99]);
     c.zone = Some((0.0, 10.0));
-    let owned = ColumnSet { cols: vec![c], len: 3 };
+    let owned = ColumnSet { cols: vec![Arc::new(c)], len: 3 };
     let chunk = ColumnChunk { cols: ChunkCols::Owned(owned), sel: SelVec::Range(0, 3) };
     let err = verify::check_chunk(&chunk).unwrap_err().to_string();
     assert!(err.contains("zone"), "{err}");
