@@ -23,10 +23,10 @@
 //! their contributions over disjoint delta subsets add up. Whatever else the
 //! gate answers — an SPJ view's ∆V / ∇V, where a key's deletion and its
 //! re-insertion must meet in one batch, or a recompute (min/max under
-//! deletions, median, nested aggregates) — falls back to
-//! `MaterializedView::maintained` over the whole pending set: the same gate,
-//! the same optimize → compile → run → fold every other maintenance call
-//! takes, still evaluated on the pool.
+//! deletions, median, nested aggregates) — falls back to the view's delta
+//! runner (`MaterializedView::maintained`, without η, on the view itself)
+//! over the whole pending set. That is the call `MaterializedView::maintain`
+//! and sample cleaning make, here run on the pool.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -741,8 +741,8 @@ impl BatchPipeline {
         Ok(())
     }
 
-    /// The whole pending set through [`MaterializedView::maintained`]
-    /// (views whose deltas are not chunk-additive), executed **on the pool**:
+    /// The whole pending set through [`MaterializedView::maintained`], the
+    /// delta runner (views whose deltas are not chunk-additive), on the pool:
     /// with a morsel size set, its plans run morsel-parallel (a lone
     /// sequential plan is exactly where intra-plan parallelism pays);
     /// otherwise they run as one pool task, so dispatch failpoints, panic
@@ -755,13 +755,13 @@ impl BatchPipeline {
         pending: &Deltas,
     ) -> Result<Table> {
         svc_fault::fail_point!(svc_fault::site::BATCH_FALLBACK, StorageError::Invalid);
-        // No plan `maintained` runs reads the stale view: overlay stats for
-        // the delta leaves alone.
+        // No plan the runner runs reads the stale view: overlay stats for the
+        // delta leaves alone.
         let scoped = self.catalog.as_deref().map(|c| maintenance_stats(c, None, pending));
         let est = scoped.as_ref().map(|s| s.estimator());
         let est = est.as_ref().map(|e| e as &dyn CardEstimator);
         let run = |mode: ExecMode<'_>| {
-            let maintained = view.maintained(db, pending, est, mode)?;
+            let maintained = view.maintained(db, pending, view.table(), None, est, mode)?;
             Ok(maintained.expect("the gate found pending deltas that reach the view").0)
         };
         match self.morsel_size {
@@ -833,7 +833,8 @@ impl BatchPipeline {
     /// The compiled change plans — γ(∆) and γ(∇), one cache entry — for one
     /// delta signature of the view: served from the cache when the signature
     /// was seen before, otherwise built, optimized, compiled — priced on
-    /// `chunk`, the first one carrying the signature — and cached.
+    /// `chunk`, the first one carrying the signature — and cached (the delta
+    /// runner runs what it compiles, so this keeps its own two-line step).
     fn compiled_change_plan(
         &self,
         call: &MaintainCall<'_>,

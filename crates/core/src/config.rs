@@ -5,15 +5,15 @@ use svc_storage::{HashFamily, HashSpec};
 /// Tuning knobs for a [`crate::SvcView`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SvcConfig {
-    /// Sampling ratio `m ∈ [0, 1]` — the accuracy/cost dial of the paper.
+    /// Sampling ratio `m ∈ (0, 1]` — the accuracy/cost dial of the paper.
     pub ratio: f64,
     /// Hash family used by η.
     pub family: HashFamily,
     /// Hash seed; different seeds give independent samples.
     pub seed: u64,
-    /// Confidence level for intervals (e.g. 0.95).
+    /// Confidence level for intervals, in `(0, 1)` (e.g. 0.95).
     pub confidence: f64,
-    /// Bootstrap resample count for non-sample-mean aggregates.
+    /// Bootstrap resample count for non-sample-mean aggregates, at least 1.
     pub bootstrap_iterations: usize,
 }
 

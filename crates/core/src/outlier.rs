@@ -17,7 +17,7 @@
 
 use std::collections::HashSet;
 
-use svc_storage::{Database, Deltas, KeyTuple, Result, Table};
+use svc_storage::{Database, Deltas, KeyTuple, Result, StorageError, Table};
 
 use svc_ivm::delta::DeltaInfo;
 use svc_ivm::strategy::{recompute_plan, MaintCatalog};
@@ -70,8 +70,12 @@ pub struct OutlierIndex {
 
 impl OutlierIndex {
     /// Build the index over the new state of the base relation in a single
-    /// pass, evicting the smallest record when capacity is exceeded.
+    /// pass, evicting the smallest record when capacity is exceeded. A
+    /// capacity of 0, which could hold nothing, is [`StorageError::Invalid`].
     pub fn build(spec: OutlierIndexSpec, db: &Database, deltas: &Deltas) -> Result<OutlierIndex> {
+        if spec.capacity == 0 {
+            return Err(StorageError::Invalid("outlier index capacity must be at least 1".into()));
+        }
         let state = deltas.applied_state(db, &spec.table)?;
         let attr_idx = state.schema().resolve(&spec.attr)?;
         let values: Vec<f64> = state.rows().iter().filter_map(|r| r[attr_idx].as_f64()).collect();
@@ -363,6 +367,26 @@ mod tests {
             assert!(row[attr].as_f64().unwrap() >= idx.threshold);
         }
         assert!(idx.threshold >= 5_000.0);
+    }
+
+    /// Top-k at capacity 0 used to index one past the end of the sorted
+    /// values and panic; the other policies built an index that held nothing.
+    #[test]
+    fn zero_capacity_is_rejected_under_every_policy() {
+        let db = skewed_db();
+        for policy in
+            [ThresholdPolicy::TopK, ThresholdPolicy::Above(4_000.0), ThresholdPolicy::StdDevs(3.0)]
+        {
+            let spec = OutlierIndexSpec {
+                table: "orders".into(),
+                attr: "price".into(),
+                policy,
+                capacity: 0,
+            };
+            let err = OutlierIndex::build(spec, &db, &Deltas::new()).unwrap_err();
+            assert!(matches!(err, StorageError::Invalid(_)), "{policy:?}: {err}");
+        }
+        assert_eq!(top_k(&db, &Deltas::new(), 1).records.len(), 1);
     }
 
     #[test]

@@ -3,24 +3,21 @@
 //! [`SvcView`] owns the full (possibly stale) materialized view **and** a
 //! hash-sample of it. Between maintenance periods it can:
 //!
-//! * *clean* the stale sample into an up-to-date sample (Problem 1) by
-//!   pushing η through the view's maintenance strategy (Figure 3), built
-//!   here from `svc-ivm` + `svc-sampling`: the strategy's one gate
-//!   (`svc_ivm::strategy::view_delta`) answers with a keyed pair — evaluated
-//!   once under η and folded into the sample by key — or a recompute plan,
-//!   run under η; neither reads the stale view;
+//! * *clean* the stale sample into an up-to-date sample (Problem 1):
+//!   maintenance with η pushed through it (Figure 3), so `svc-ivm`'s delta
+//!   runner (`MaterializedView::maintained`) on the stale sample under η;
 //! * answer aggregate queries via SVC+AQP or SVC+CORR (Problem 2);
 //! * run full maintenance at period boundaries and re-sample.
 
 use svc_storage::{Database, Deltas, Result, StorageError, Table};
 
 use svc_catalog::{Catalog, ScopedStats};
-use svc_ivm::delta::{del_leaf, ins_leaf, DeltaInfo};
-use svc_ivm::fold::KeyedFold;
-use svc_ivm::strategy::{view_delta, PlanKind, ViewDelta, STALE_LEAF};
-use svc_ivm::view::{maintenance_bindings, MaterializedView};
+use svc_ivm::delta::{del_leaf, ins_leaf};
+use svc_ivm::strategy::{PlanKind, STALE_LEAF};
+use svc_ivm::view::MaterializedView;
 
 use svc_relalg::derive::{derive_project, Derived};
+use svc_relalg::exec::ExecMode;
 use svc_relalg::optimizer::CardEstimator;
 use svc_relalg::plan::Plan;
 use svc_sampling::operator::sample_by_key;
@@ -96,13 +93,23 @@ pub struct CleanedSample {
 }
 
 impl SvcView {
-    /// Create the view, materialize it, and draw the initial sample.
+    /// Create the view, materialize it, and draw the initial sample; a config
+    /// outside `ratio ∈ (0, 1]`, `confidence ∈ (0, 1)`, `bootstrap_iterations
+    /// ≥ 1` is [`StorageError::Invalid`] (the estimators would be wrong).
     pub fn create(
         name: impl Into<String>,
         definition: Plan,
         db: &Database,
         config: SvcConfig,
     ) -> Result<SvcView> {
+        let SvcConfig { ratio, confidence, bootstrap_iterations, .. } = config;
+        if !(ratio > 0.0 && ratio <= 1.0 && confidence > 0.0 && confidence < 1.0)
+            || bootstrap_iterations == 0
+        {
+            return Err(StorageError::Invalid(format!(
+                "need ratio in (0, 1], confidence in (0, 1), bootstrap_iterations >= 1: {config:?}"
+            )));
+        }
         let view = MaterializedView::create(name, definition, db)?;
         let stale_sample = sample_by_key(view.table(), config.ratio, config.hash_spec());
         Ok(SvcView { view, config, stale_sample, counters: SvcCounters::default() })
@@ -159,7 +166,7 @@ impl SvcView {
         catalog: Option<&Catalog>,
     ) -> Result<(Plan, PushdownReport, PlanKind)> {
         let (mplan, kind) = self.view.build_maintenance_plan(db, deltas)?;
-        let hashed = self.hashed(mplan)?;
+        let hashed = self.view.hashed(mplan, (self.config.ratio, self.config.hash_spec()))?;
         let cat = self.view.maint_catalog(db);
         // The stale leaf is priced from the **stale sample** — the relation
         // a run of this plan may bind when η reached every stale leaf (the
@@ -174,18 +181,6 @@ impl SvcView {
         Ok((optimized, report.eta, kind))
     }
 
-    /// `η(plan)` on the view's primary key with this view's ratio and hash.
-    fn hashed(&self, plan: Plan) -> Result<Plan> {
-        let key_names = self.view.key_names();
-        if key_names.is_empty() {
-            return Err(StorageError::Invalid(
-                "cannot sample a view with an empty primary key (global aggregate)".into(),
-            ));
-        }
-        let key_refs: Vec<&str> = key_names.iter().map(|s| s.as_str()).collect();
-        Ok(plan.hash(&key_refs, self.config.ratio, self.config.hash_spec()))
-    }
-
     /// Problem 1 — stale sample view cleaning: materialize `Ŝ′`, the
     /// corresponding up-to-date sample, for a fraction of full maintenance
     /// cost.
@@ -196,18 +191,13 @@ impl SvcView {
     /// [`SvcView::clean_sample`] with an optional statistics catalog (see
     /// [`SvcView::cleaning_plan_with`]).
     ///
-    /// A view is cleaned the way it is maintained, under η on the view key.
-    /// `view_delta` decides once. A keyed pair — γ(∆), γ(∇) of a change-table
-    /// view, ∆V, ∇V of an SPJ view — has each side η-wrapped, optimized,
-    /// compiled and run once (η pushes through γ and the delta joins exactly
-    /// as through the plan form) and is folded by key into one clone of the
-    /// stale sample: `Ŝ′ = fold(Ŝ, η(∆), η(∇))`. The stale sample *is*
-    /// `η(S)`; a matched key, a new one that hashes into the sample and a
-    /// dead one are the fold's three cases. A recompute runs η(plan). Deltas
-    /// that do not reach the view hand the stale sample back. No case reads
-    /// the stale view — not even when η stops short of a leaf — and the
-    /// report is the union of the reports of the plans that ran (it has no
-    /// `__stale` entry).
+    /// Cleaning is maintenance of the sample: the view's delta runner
+    /// ([`MaterializedView::maintained`]) on the stale sample under η. A keyed
+    /// pair lands by the fold, `Ŝ′ = fold(Ŝ, η(∆), η(∇))`: the stale sample
+    /// *is* `η(S)`, and a matched key, a new one that hashes into the sample
+    /// and a dead one are the fold's three cases. A recompute runs η(plan).
+    /// Deltas that do not reach the view hand the stale sample back. Nothing
+    /// reads the stale view; the report has no `__stale` entry.
     pub fn clean_sample_with(
         &self,
         db: &Database,
@@ -215,30 +205,14 @@ impl SvcView {
         catalog: Option<&Catalog>,
     ) -> Result<CleanedSample> {
         svc_fault::fail_point!(svc_fault::site::CORE_CLEAN, StorageError::Invalid);
-        let cat = self.view.maint_catalog(db);
         let scoped = catalog.map(|c| maintenance_stats(c, None, deltas));
         let est = scoped.as_ref().map(ScopedStats::estimator);
         let est = est.as_ref().map(|e| e as &dyn CardEstimator);
-        let bindings = maintenance_bindings(db, deltas, &self.stale_sample);
-        let mut report = PushdownReport::default();
-        let mut sampled = |plan: Plan| -> Result<Table> {
-            let (optimized, ran) = cat.optimize(&self.hashed(plan)?, est)?;
-            report.descended += ran.eta.descended;
-            report.blockers.extend(ran.eta.blockers);
-            report.sampled_leaves.extend(ran.eta.sampled_leaves);
-            svc_relalg::exec::compile(&optimized, &bindings)?.run(&bindings)
-        };
-        let (canonical, plan_kind) =
-            match view_delta(self.view.canonical(), &cat, &DeltaInfo::of(deltas))? {
-                ViewDelta::NoOp => (self.stale_sample.clone(), PlanKind::NoOp),
-                ViewDelta::Keyed { change, kind } => {
-                    let change = change.try_map(&mut sampled)?;
-                    let mut cleaned = self.stale_sample.clone();
-                    KeyedFold::new(self.view.canonical(), &cleaned)?.fold(&mut cleaned, &change)?;
-                    (cleaned, kind)
-                }
-                ViewDelta::Recompute(plan) => (sampled(plan)?, PlanKind::Recompute),
-            };
+        let (sample, mode) = (&self.stale_sample, ExecMode::sequential());
+        let eta = Some((self.config.ratio, self.config.hash_spec()));
+        let cleaned = self.view.maintained(db, deltas, sample, eta, est, mode)?;
+        let (canonical, plan_kind, report) =
+            cleaned.unwrap_or_else(|| (sample.clone(), PlanKind::NoOp, PushdownReport::default()));
         let public = self.view.public_of(&canonical)?;
         self.counters.cleanings.inc();
         self.counters.rows_cleaned.add(canonical.len() as u64);
@@ -492,6 +466,49 @@ mod tests {
         // Sample got refreshed too.
         let frac = svc.stale_sample().len() as f64 / svc.view.len() as f64;
         assert!((frac - 0.2).abs() < 0.06);
+    }
+
+    /// `create` must refuse `config` as `Invalid`.
+    fn assert_rejected(config: SvcConfig) {
+        let err = SvcView::create("v", visit_view(), &db(), config).unwrap_err();
+        assert!(matches!(err, StorageError::Invalid(_)), "{config:?}: {err}");
+    }
+
+    /// η keeps every row above 1, but SVC+AQP still scales by `1/m`: at
+    /// ratio 2 a sum estimate used to come back halved. Ratio 1 is the IVM
+    /// reference and stays legal.
+    #[test]
+    fn ratio_above_one_is_rejected() {
+        assert_rejected(SvcConfig::with_ratio(2.0));
+        assert_rejected(SvcConfig::with_ratio(1.0 + 1e-9));
+        let db = db();
+        let svc = SvcView::create("v", visit_view(), &db, SvcConfig::with_ratio(1.0)).unwrap();
+        assert_eq!(svc.stale_sample().len(), svc.view.len());
+    }
+
+    /// At ratio 0 or below (or NaN) the sample is empty and every sum or
+    /// count used to be estimated as 0.
+    #[test]
+    fn ratio_at_or_below_zero_or_nan_is_rejected() {
+        for ratio in [0.0, -0.5, f64::NAN] {
+            assert_rejected(SvcConfig::with_ratio(ratio));
+        }
+    }
+
+    /// An empty bootstrap distribution used to panic every median or
+    /// percentile estimate.
+    #[test]
+    fn zero_bootstrap_iterations_are_rejected() {
+        assert_rejected(SvcConfig { bootstrap_iterations: 0, ..SvcConfig::with_ratio(0.2) });
+    }
+
+    /// A confidence of 1 or more asked the bootstrap for a quantile level
+    /// above 1, which panicked.
+    #[test]
+    fn confidence_outside_the_open_unit_interval_is_rejected() {
+        for confidence in [1.5, 1.0, 0.0, -0.1, f64::NAN] {
+            assert_rejected(SvcConfig { confidence, ..SvcConfig::with_ratio(0.2) });
+        }
     }
 
     #[test]

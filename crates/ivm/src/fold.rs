@@ -14,11 +14,10 @@
 //! the target, and equals evaluating `strategy::maintenance_plan` — which
 //! nothing runs — exactly.
 //!
-//! The target only has to be keyed like the view: `MaterializedView` folds
-//! into a copy of the view, the mini-batch pipeline into its shadow, and
-//! `SvcView::clean_sample` folds the η-sampled pair into a copy of the stale
-//! sample — the sample *is* η(S), and matched / new / dead keys are the
-//! fold's three cases.
+//! The target only has to be keyed like the view: the delta runner
+//! (`MaterializedView::maintained`) folds into a copy of the view, or, under
+//! η, of the stale sample (which *is* η(S): matched / new / dead keys are the
+//! fold's three cases); the mini-batch pipeline folds into its shadow.
 //!
 //! Edits are *staged* ([`StagedEdits`]) before they are applied, so a caller
 //! can fold several pairs, fail or retry anywhere in between, and only then

@@ -1,13 +1,16 @@
-//! Materialized views: definition + canonical materialized state +
-//! maintenance.
+//! Materialized views: definition + canonical materialized state + the
+//! delta runner, [`MaterializedView::maintained`], which maintenance (on the
+//! view), cleaning (`svc-core`, on the stale sample under η) and the
+//! mini-batch pipeline's fallback (`svc-cluster`) all call.
 
 use std::sync::Arc;
 
-use svc_storage::{Database, Deltas, Result, StorageError, Table};
+use svc_storage::{Database, Deltas, HashSpec, Result, StorageError, Table};
 
 use svc_relalg::derive::{derive_project, Derived};
 use svc_relalg::eval::{evaluate, Bindings};
-use svc_relalg::optimizer::optimize;
+use svc_relalg::exec::{compile_with, ExecMode};
+use svc_relalg::optimizer::{optimize, CardEstimator, EtaReport};
 use svc_relalg::plan::Plan;
 use svc_relalg::scalar::Expr;
 
@@ -218,11 +221,11 @@ impl MaterializedView {
 
     /// Bring the view up to date with respect to `deltas` (which are *not*
     /// consumed — the caller applies them to the base tables when the
-    /// maintenance period ends). Every plan it runs goes through the
-    /// optimizer exactly once. Returns the strategy that was used.
+    /// maintenance period ends): the delta runner on the view itself, without
+    /// η, committed at once. Returns the strategy that was used.
     pub fn maintain(&mut self, db: &Database, deltas: &Deltas) -> Result<PlanKind> {
-        let Some((new_table, kind)) =
-            self.maintained(db, deltas, None, svc_relalg::exec::ExecMode::sequential())?
+        let Some((new_table, kind, _)) =
+            self.maintained(db, deltas, &self.table, None, None, ExecMode::sequential())?
         else {
             return Ok(PlanKind::NoOp);
         };
@@ -233,46 +236,64 @@ impl MaterializedView {
         Ok(kind)
     }
 
-    /// The maintained state for `deltas` and the strategy that produced it,
-    /// **without committing**: `self` is only read, so callers choose their
-    /// own commit point ([`MaterializedView::maintain`] commits at once; the
-    /// mini-batch pipeline commits under its failure policy). `None` when
-    /// nothing is pending or no pending delta reaches the view — no copy of
-    /// the view, no new epoch.
+    /// The delta runner: `target` brought up to date with respect to
+    /// `deltas`, **without committing** (callers choose their commit point).
+    /// `target` is the view's table, or, with `eta` the sample's `(ratio,
+    /// hash)`, its stale sample. `None` when no pending delta reaches the
+    /// view: nothing runs, nothing is copied.
     ///
-    /// [`view_delta`] decides once: a keyed pair has each side optimized,
-    /// compiled and run once and is folded by key into one clone of the view;
-    /// a recompute runs its plan. With an estimator the joins are reordered
-    /// by estimated cost before evaluation; a mode carrying a morsel
-    /// scheduler (e.g. `svc-cluster`'s `WorkerPool`) runs each compiled plan
-    /// morsel-parallel — base and delta scans split into row ranges, γ group
-    /// maps merge at the barrier.
+    /// [`view_delta`] decides once; each plan is η-wrapped under `eta`,
+    /// optimized (joins ordered by `est`), compiled against the maintenance
+    /// catalog and run once under `mode` (morsel-parallel with a scheduler).
+    /// A keyed pair is folded into one clone of `target`. No plan reads the
+    /// stale view. The report unions the plans' η reports.
     pub fn maintained(
         &self,
         db: &Database,
         deltas: &Deltas,
-        est: Option<&dyn svc_relalg::optimizer::CardEstimator>,
-        mode: svc_relalg::exec::ExecMode<'_>,
-    ) -> Result<Option<(Table, PlanKind)>> {
+        target: &Table,
+        eta: Option<(f64, HashSpec)>,
+        est: Option<&dyn CardEstimator>,
+        mode: ExecMode<'_>,
+    ) -> Result<Option<(Table, PlanKind, EtaReport)>> {
         let cat = self.maint_catalog(db);
-        // The compile/run split of the streaming executor, spelled out where
-        // the plan is built: optimize once, compile against the maintenance
-        // catalog (schemas only), run against the concrete bindings.
-        let run = |plan: Plan| -> Result<Table> {
-            let (optimized, _report) = cat.optimize(&plan, est)?;
-            let compiled = svc_relalg::exec::compile_with(&optimized, &cat, est)?;
-            compiled.run_with(&maintenance_bindings(db, deltas, &self.table), mode)
+        let bindings = maintenance_bindings(db, deltas, target);
+        let mut report = EtaReport::default();
+        // γ maps are sized from `est` only without η: pricing a sample's few
+        // groups would build the catalog overlay of every delta leaf.
+        let sizes = if eta.is_some() { None } else { est };
+        let mut run = |plan: Plan| -> Result<Table> {
+            let plan = if let Some(eta) = eta { self.hashed(plan, eta)? } else { plan };
+            let (optimized, ran) = cat.optimize(&plan, est)?;
+            report.descended += ran.eta.descended;
+            report.blockers.extend(ran.eta.blockers);
+            report.sampled_leaves.extend(ran.eta.sampled_leaves);
+            compile_with(&optimized, &cat, sizes)?.run_with(&bindings, mode)
         };
-        Ok(match view_delta(&self.canonical, &cat, &DeltaInfo::of(deltas))? {
-            ViewDelta::NoOp => None,
+        let (table, kind) = match view_delta(&self.canonical, &cat, &DeltaInfo::of(deltas))? {
+            ViewDelta::NoOp => return Ok(None),
             ViewDelta::Keyed { change, kind } => {
-                let change = change.try_map(run)?;
-                let mut next = Table::clone(&self.table);
+                let change = change.try_map(&mut run)?;
+                let mut next = target.clone();
                 KeyedFold::new(&self.canonical, &next)?.fold(&mut next, &change)?;
-                Some((next, kind))
+                (next, kind)
             }
-            ViewDelta::Recompute(plan) => Some((run(plan)?, PlanKind::Recompute)),
-        })
+            ViewDelta::Recompute(plan) => (run(plan)?, PlanKind::Recompute),
+        };
+        Ok(Some((table, kind, report)))
+    }
+
+    /// `η(plan)` on this view's primary key with `(ratio, hash)`: the wrap the
+    /// runner applies under η, and the one the inspectable cleaning plan uses.
+    pub fn hashed(&self, plan: Plan, (ratio, spec): (f64, HashSpec)) -> Result<Plan> {
+        let key_names = self.key_names();
+        if key_names.is_empty() {
+            return Err(StorageError::Invalid(
+                "cannot sample a view with an empty primary key (global aggregate)".into(),
+            ));
+        }
+        let key_refs: Vec<&str> = key_names.iter().map(|s| s.as_str()).collect();
+        Ok(plan.hash(&key_refs, ratio, spec))
     }
 
     /// Ground truth: evaluate the definition against the post-delta base

@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use stale_view_cleaning::catalog::Catalog;
+use stale_view_cleaning::core::svc::CleanedSample;
 use stale_view_cleaning::core::{SvcConfig, SvcView};
 use stale_view_cleaning::ivm::strategy::{view_delta, PlanKind, ViewDelta};
 use stale_view_cleaning::ivm::view::maintenance_bindings;
@@ -145,7 +146,7 @@ proptest! {
 
 /// `Ŝ′` of `svc` under `deltas` against its two references: the staged run
 /// of `cleaning_plan_with`'s plan — exactly — and Property 1 against the
-/// recomputed view. Returns the strategy cleaning derived from.
+/// recomputed view. Returns the cleaned sample.
 fn assert_cleans_like_its_plan(
     svc: &SvcView,
     db: &Database,
@@ -153,7 +154,7 @@ fn assert_cleans_like_its_plan(
     fresh: &Table,
     catalog: Option<&Catalog>,
     label: &str,
-) -> PlanKind {
+) -> CleanedSample {
     let cleaned = svc.clean_sample_with(db, deltas, catalog).unwrap();
     let (plan, _, kind) = svc.cleaning_plan_with(db, deltas, catalog).unwrap();
     assert_eq!(cleaned.plan_kind, kind, "{label}");
@@ -181,7 +182,7 @@ fn assert_cleans_like_its_plan(
         cleaned.canonical.approx_same_contents(&sample_by_key(fresh, m, spec), 1e-9),
         "{label}: cleaned sample is not the hash sample of the fresh view"
     );
-    kind
+    cleaned
 }
 
 /// `deltas` split by sign: its insertions of new keys only, its deletions
@@ -200,27 +201,48 @@ fn by_sign(db: &Database, deltas: &Deltas) -> [(&'static str, Deltas); 3] {
     [("insert-only", ins), ("delete-only", del), ("mixed", deltas.clone())]
 }
 
-/// Every `(view, delta sign, hash seed, catalog on/off)` cell through
-/// [`assert_cleans_like_its_plan`]; returns how many cleaned by fold.
+/// Every `(view, delta sign, config, catalog on/off)` cell through
+/// [`assert_cleans_like_its_plan`]; returns how many cleaned by fold. The
+/// configs are three hash seeds at m = 0.2 and m = 1, where cleaning is
+/// maintenance: the cleaned sample is the view `maintain` commits — exactly
+/// without a catalog, within float-summation rounding with one (η changes
+/// the estimates joins are reordered by).
 fn assert_views_clean_like_their_plans(
     db: &Database,
     views: Vec<(&str, Plan)>,
     mixed: &Deltas,
 ) -> usize {
     let catalog = Catalog::build(db);
+    let configs = [0x51a1e, 7, 99].map(|seed| SvcConfig::with_ratio(0.2).reseeded(seed));
     let mut folded = 0;
     for (id, plan) in views {
-        let mut svc = SvcView::create(id, plan, db, SvcConfig::with_ratio(0.2)).unwrap();
+        let mut svc = SvcView::create(id, plan, db, configs[0]).unwrap();
         for (sign, deltas) in by_sign(db, mixed) {
             let fresh = svc.view.recompute_fresh(db, &deltas).unwrap();
-            for seed in [0x51a1e, 7, 99] {
-                svc.config = svc.config.reseeded(seed);
+            let mut maintained = svc.view.clone();
+            maintained.maintain(db, &deltas).unwrap();
+            for config in configs.into_iter().chain([SvcConfig::with_ratio(1.0)]) {
+                svc.config = config;
                 svc.resample();
                 for catalog in [None, Some(&catalog)] {
-                    let label = format!("{id} {sign} seed {seed} catalog {}", catalog.is_some());
-                    let kind =
+                    let label = format!(
+                        "{id} {sign} m {} seed {} catalog {}",
+                        config.ratio,
+                        config.seed,
+                        catalog.is_some()
+                    );
+                    let cleaned =
                         assert_cleans_like_its_plan(&svc, db, &deltas, &fresh, catalog, &label);
-                    folded += usize::from(kind == PlanKind::ChangeTable);
+                    folded += usize::from(cleaned.plan_kind == PlanKind::ChangeTable);
+                    if config.ratio < 1.0 {
+                        continue;
+                    }
+                    let maintained = maintained.table();
+                    let same = match catalog {
+                        None => cleaned.canonical.same_contents(maintained),
+                        Some(_) => cleaned.canonical.approx_same_contents(maintained, 1e-9),
+                    };
+                    assert!(same, "{label}: cleaning at m = 1 is not maintenance");
                 }
             }
         }
@@ -307,9 +329,9 @@ proptest! {
         }
 
         let fresh = svc.view.recompute_fresh(&db, &deltas).unwrap();
-        let kind = assert_cleans_like_its_plan(&svc, &db, &deltas, &fresh, None, "proptest");
-        prop_assert_eq!(kind, PlanKind::ChangeTable);
-        let cleaned = svc.clean_sample(&db, &deltas).unwrap().canonical;
+        let cleaned = assert_cleans_like_its_plan(&svc, &db, &deltas, &fresh, None, "proptest");
+        prop_assert_eq!(cleaned.plan_kind, PlanKind::ChangeTable);
+        let cleaned = cleaned.canonical;
         let key = |id: &Value| cleaned.key_of(&vec![id.clone(), Value::Null, Value::Null]);
         prop_assert!(cleaned.contains_key(&key(&Value::Int(born))), "the new group is sampled");
         if let Some(dying) = dying {
@@ -390,7 +412,9 @@ fn cleaning_and_maintaining_evaluate_each_change_table_once() {
         }
 
         let (scans, clones) = (leaf_scan_counts(), Table::clone_count());
-        svc.view.maintained(db, &deltas, None, ExecMode::sequential()).unwrap().expect("pending");
+        let mode = ExecMode::sequential();
+        let maintained = svc.view.maintained(db, &deltas, svc.view.table(), None, None, mode);
+        maintained.unwrap().expect("pending");
         check("maintain", scans_since(&scans), Table::clone_count() - clones);
     }
 }
@@ -412,7 +436,7 @@ fn unreachable_deltas_are_a_noop() {
         let mut svc = SvcView::create(id, plan, db, SvcConfig::with_ratio(0.2)).unwrap();
         let fresh = svc.view.recompute_fresh(db, &deltas).unwrap();
 
-        let kind = assert_cleans_like_its_plan(&svc, db, &deltas, &fresh, None, id);
+        let kind = assert_cleans_like_its_plan(&svc, db, &deltas, &fresh, None, id).plan_kind;
         assert_eq!(kind, PlanKind::NoOp, "{id}");
         let (scans, clones) = (leaf_scan_counts(), Table::clone_count());
         let cleaned = svc.clean_sample(db, &deltas).unwrap();
