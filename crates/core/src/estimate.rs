@@ -8,7 +8,7 @@
 //!
 //! * `sum`/`count`/`avg` — sample means (`1/m·attr·cond` for sum,
 //!   `1/m·cond` for count, `attr where cond` for avg) with CLT intervals
-//!   (Section 5.2.1);
+//!   (Section 5.2.1), Horvitz–Thompson ones for the two totals;
 //! * `median`/percentiles — statistical bootstrap (Section 5.2.5);
 //! * `min`/`max` — correction by extreme paired difference plus a Cantelli
 //!   probability that a more extreme unsampled element exists
@@ -24,7 +24,7 @@
 
 use svc_stats::bootstrap::{bootstrap_ci, bootstrap_paired_diff};
 use svc_stats::cantelli::cantelli_exceedance;
-use svc_stats::clt::{mean_interval, sum_interval, ConfidenceInterval};
+use svc_stats::clt::{horvitz_thompson_interval, mean_interval, ConfidenceInterval};
 use svc_stats::moments::Moments;
 use svc_stats::quantile::quantile_in_place;
 use svc_storage::{KeyTuple, Result, StorageError, Table};
@@ -198,8 +198,11 @@ impl Correspondence {
         })
     }
 
-    /// Sample-mean class (Section 5.2.1): the mean of the per-row `trans`
-    /// differences with a CLT interval. Returns `(value, half_width)`.
+    /// Sample-mean class (Section 5.2.1) over the per-row `trans`
+    /// differences `dᵢ`: `sum`/`count` add them up, with the
+    /// Horvitz–Thompson interval of a Bernoulli sample (η draws its size at
+    /// random); `avg` takes their mean, with a CLT interval. Returns
+    /// `(value, half_width)`.
     fn sample_mean(
         &self,
         agg: QueryAgg,
@@ -216,15 +219,17 @@ impl Correspondence {
         };
         // sum/count scale every sample row (a failed predicate is a zero
         // term); avg only sees rows that satisfy it on some side.
-        let diffs = moments(
+        let terms = || {
             self.pairs
                 .iter()
                 .filter(|(s, c)| !avg || s.is_some() || c.is_some())
-                .map(|&(s, c)| trans(c) - trans(s)),
-        );
+                .map(|&(s, c)| trans(c) - trans(s))
+        };
+        let diffs = moments(terms());
         let base = stale_result.unwrap_or(0.0);
         if !avg {
-            let ci = sum_interval(diffs.sum(), diffs.variance(), diffs.count(), confidence);
+            let squares = terms().map(|d| d * d).sum();
+            let ci = horvitz_thompson_interval(diffs.sum(), squares, m, confidence);
             return (base + diffs.sum(), ci.half_width);
         }
         let (clean, stale) = (moments(self.clean()), moments(self.stale()));
@@ -394,6 +399,23 @@ mod tests {
         let rel = (est.value - truth).abs() / truth;
         assert!(rel < 0.15, "AQP sum rel err {rel}");
         assert!(est.ci.unwrap().contains(truth) || rel < 0.05);
+    }
+
+    #[test]
+    fn count_star_interval_counts_the_random_sample_size() {
+        // Every row of a no-predicate count contributes 1/m: a fixed-size
+        // variance is 0, the Horvitz–Thompson one is (1−m)·k/m².
+        let m = 0.2;
+        let (_, fresh, _, f_hat) = samples(m);
+        let est = svc_aqp(&f_hat, &AggQuery::count(), m, &SvcConfig::default()).unwrap();
+        let gamma = svc_stats::gaussian_gamma(0.95);
+        let k = f_hat.len() as f64;
+        let half_width = est.ci.unwrap().half_width;
+        assert!((half_width - gamma * ((1.0 - m) * k).sqrt() / m).abs() < 1e-9 * half_width);
+        // ... which is the population's sampling error, γ·√((1−m)·n/m).
+        let population = gamma * ((1.0 - m) * fresh.len() as f64 / m).sqrt();
+        assert!((half_width / population - 1.0).abs() < 0.1, "{half_width} vs {population}");
+        assert!(est.ci.unwrap().contains(fresh.len() as f64));
     }
 
     #[test]

@@ -13,6 +13,13 @@
 //! builds each named column once and never touches the others. Selected
 //! rows come out in table order, which keeps every sum — `q(S)` here, the
 //! estimators' walks in [`crate::estimate`] — bit-identical to a row walk.
+//!
+//! The exact answer itself is memoized on the table state it was read from
+//! ([`AggQuery::exact`] through [`Table::memoized`]): between two
+//! maintenances the stale view does not change, so a burst of SVC+CORR
+//! estimates evaluates each `q(S)` once and then pays only the sample walk.
+//! Views commit by swapping in a new table, so a maintained view's next
+//! answer is read from its new rows.
 
 use svc_relalg::exec::column::{compile_expr, compile_pred, ColExpr, ColPred};
 use svc_relalg::exec::SelVec;
@@ -135,9 +142,14 @@ impl AggQuery {
 
     /// Evaluate exactly on a full table (no sampling, no scaling): the
     /// ground-truth answer `q(S)`, folded in table order — only the order
-    /// statistics hold the matching values at once.
+    /// statistics hold the matching values at once. Read through the
+    /// table's answer memo ([`Table::memoized`]) under the query's `Debug`
+    /// form, which spells every float literal exactly: the same query over
+    /// an unchanged table state is evaluated once.
     pub fn exact(&self, table: &Table) -> Result<f64> {
-        Ok(aggregate(self.agg, self.bind(table)?.matching_values(table).into_iter()))
+        table.memoized(format!("{self:?}"), || {
+            Ok(aggregate(self.agg, self.bind(table)?.matching_values(table).into_iter()))
+        })
     }
 }
 
@@ -148,8 +160,8 @@ pub(crate) fn aggregate(agg: QueryAgg, values: impl Iterator<Item = f64>) -> f64
     match agg {
         QueryAgg::Sum => values.sum(),
         QueryAgg::Count => values.count() as f64,
-        QueryAgg::Min => values.fold(f64::INFINITY, f64::min),
-        QueryAgg::Max => values.fold(f64::NEG_INFINITY, f64::max),
+        QueryAgg::Min => values.reduce(f64::min).unwrap_or(f64::NAN),
+        QueryAgg::Max => values.reduce(f64::max).unwrap_or(f64::NAN),
         QueryAgg::Avg => {
             let mut n = 0usize;
             let sum: f64 = values.inspect(|_| n += 1).sum();
@@ -276,6 +288,45 @@ mod tests {
         let t = table();
         let q = AggQuery::avg(col("x")).filter(col("id").gt(lit(100i64)));
         assert!(q.exact(&t).unwrap().is_nan());
+    }
+
+    #[test]
+    fn empty_min_max_are_nan() {
+        let t = table();
+        for q in [AggQuery::min(col("x")), AggQuery::max(col("x"))] {
+            assert!(q.filter(col("id").gt(lit(100i64))).exact(&t).unwrap().is_nan());
+        }
+    }
+
+    #[test]
+    fn exact_answers_are_memoized_per_table_state() {
+        let mut t = table();
+        let q = AggQuery::sum(col("x")).filter(col("x").gt(lit(2.0)));
+        assert_eq!(q.exact(&t).unwrap(), 42.0);
+        // A hit reads no column: released columns stay released.
+        t.release_columns();
+        let builds = Table::column_build_count();
+        assert_eq!(q.exact(&t).unwrap(), 42.0);
+        assert_eq!(Table::column_build_count(), builds);
+        // Literals that differ only in sign or in the last bit are distinct
+        // keys.
+        let signed = |zero: f64| AggQuery::max(col("x").mul(lit(zero))).exact(&t).unwrap();
+        assert_eq!((signed(0.0).to_bits(), signed(-0.0).to_bits()), (0, (-0.0f64).to_bits()));
+        let p = AggQuery::percentile(col("x"), 0.5);
+        let next = AggQuery::percentile(col("x"), f64::from_bits(0.5f64.to_bits() + 1));
+        assert_eq!(p.exact(&t).unwrap(), 4.5);
+        assert_ne!(next.exact(&t).unwrap(), 4.5);
+        // An error is not stored: it recurs.
+        for _ in 0..2 {
+            assert!(AggQuery::sum(col("nope")).exact(&t).is_err());
+        }
+        // A mutation drops the memo.
+        t.upsert(vec![Value::Int(9), Value::Float(19.0)]).unwrap();
+        assert_eq!(q.exact(&t).unwrap(), 52.0);
+        // A clone's memo starts empty: its first answer builds its column.
+        let (copy, builds) = (t.clone(), Table::column_build_count());
+        assert_eq!(q.exact(&copy).unwrap(), 52.0);
+        assert_eq!(Table::column_build_count(), builds + 1);
     }
 
     #[test]

@@ -149,6 +149,9 @@ impl MaterializedView {
     /// callers that commit a degraded state mark it explicitly. The old
     /// table's column cache is released: a superseded epoch keeps its rows
     /// for whoever still holds it, not columns built for this view's reads.
+    /// Its memoized answers survive the release, so a holder still reading
+    /// that state (a clone of an `SvcView` answering `q(S)`) rebuilds no
+    /// column for a query it has answered before.
     pub fn set_table(&mut self, table: Table) {
         self.table.release_columns();
         self.table = Arc::new(table);

@@ -3,7 +3,9 @@
 //! For aggregates expressible as sample means, the error `(µ − µ̄)` is
 //! asymptotically `N(0, σ²/k)`, so the interval is `µ̄ ± γ·√(σ²/k)` where γ
 //! is the Gaussian tail value (1.96 for 95%, 2.57 for 99% — the constants
-//! quoted in the paper).
+//! quoted in the paper). Totals read off a Bernoulli sample (`sum`, `count`)
+//! take the Horvitz–Thompson variance instead, which also counts the
+//! randomness of the sample size.
 
 /// A symmetric confidence interval around an estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,9 +99,20 @@ pub fn mean_interval(mean: f64, variance: f64, k: u64, confidence: f64) -> Confi
     ConfidenceInterval { estimate: mean, half_width: gaussian_gamma(confidence) * se, confidence }
 }
 
-/// CI for a *sample sum* `Σ xᵢ` of k iid terms: `sum ± γ·σ·√k`.
-pub fn sum_interval(sum: f64, variance: f64, k: u64, confidence: f64) -> ConfidenceInterval {
-    let se = variance.sqrt() * (k as f64).sqrt();
+/// CI for a Horvitz–Thompson total over a Bernoulli sample: each population
+/// row entered the sample independently with probability `m` and
+/// contributes `dᵢ = yᵢ/m`, so `sum = Σ dᵢ` estimates `Σ yᵢ` and
+/// `(1−m)·Σ dᵢ²` estimates its variance without bias. The interval is
+/// `sum ± γ·√((1−m)·Σ dᵢ²)`; unlike a fixed-size `σ·√k` it counts the
+/// randomness of the sample size, so a constant term (`count(*)`) still
+/// gets a width.
+pub fn horvitz_thompson_interval(
+    sum: f64,
+    sum_of_squares: f64,
+    m: f64,
+    confidence: f64,
+) -> ConfidenceInterval {
+    let se = ((1.0 - m) * sum_of_squares).sqrt();
     ConfidenceInterval { estimate: sum, half_width: gaussian_gamma(confidence) * se, confidence }
 }
 
@@ -153,10 +166,36 @@ mod tests {
     }
 
     #[test]
-    fn sum_interval_scales_with_k() {
-        let a = sum_interval(100.0, 1.0, 100, 0.95);
-        let b = sum_interval(100.0, 1.0, 400, 0.95);
+    fn horvitz_thompson_interval_geometry() {
+        // Four times the squared mass doubles the width; a full sample
+        // (m = 1) has no sampling error at all.
+        let a = horvitz_thompson_interval(100.0, 100.0, 0.1, 0.95);
+        let b = horvitz_thompson_interval(100.0, 400.0, 0.1, 0.95);
         assert!((b.half_width / a.half_width - 2.0).abs() < 1e-9);
+        assert!((a.half_width - gaussian_gamma(0.95) * 90f64.sqrt()).abs() < 1e-9);
+        assert_eq!(horvitz_thompson_interval(100.0, 100.0, 1.0, 0.95).half_width, 0.0);
+    }
+
+    #[test]
+    fn horvitz_thompson_count_covers_a_bernoulli_sample_size() {
+        // count(*) over Bernoulli(m) draws of n rows: every term is 1/m, so a
+        // fixed-size variance is 0, while the sample size itself varies.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut uniform = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let (n, m, trials) = (2000, 0.1, 400);
+        let mut covered = 0;
+        for _ in 0..trials {
+            let k = (0..n).filter(|_| uniform() < m).count() as f64;
+            let ci = horvitz_thompson_interval(k / m, k / (m * m), m, 0.95);
+            covered += usize::from(ci.contains(n as f64));
+        }
+        let rate = covered as f64 / trials as f64;
+        assert!((0.90..=0.99).contains(&rate), "coverage {rate}");
     }
 
     #[test]

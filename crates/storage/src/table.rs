@@ -7,10 +7,16 @@
 //! that assigns an increasing sequence of integers to each record". Derived
 //! relations receive keys via the Definition 2 rules in `svc-relalg`.
 //!
-//! Rows are the write form. Readers — plan execution and every query
-//! answer — read typed columns ([`Table::column`]) from a per-column cache:
-//! a column is built on first touch, shared until the next mutation drops
-//! the cache, and never built for a reader that does not name it.
+//! Rows are the write form. Readers get two things per table state, both
+//! built on first read and dropped by the next mutation:
+//! * typed columns ([`Table::column`]), one cache slot per column, never
+//!   built for a reader that does not name it — what plan execution and
+//!   every query answer read;
+//! * exact query answers ([`Table::memoized`]), one `f64` per query key, so
+//!   a burst of the same query over an unchanged state reads it once.
+//!
+//! [`Table::release_columns`] drops the columns of a superseded state but
+//! keeps its answers: they are a number each, not a copy of the rows.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -82,7 +88,16 @@ pub struct Table {
     /// empties it. Interior mutability because columns are built on shared
     /// read paths (plan execution, query answering).
     colcache: Mutex<Vec<Option<Arc<Column>>>>,
+    /// Exact answers read off this state ([`Table::memoized`]): query key →
+    /// (row count when computed, answer). Emptied with `colcache` by every
+    /// row-changing method, but not by [`Table::release_columns`]; flushed
+    /// whole at `ANSWER_MEMO_CAP` answers.
+    answers: Mutex<HashMap<String, (usize, f64)>>,
 }
+
+/// Answers one table state memoizes before the memo is flushed whole: far
+/// above any query burst's distinct queries, small next to a column.
+const ANSWER_MEMO_CAP: usize = 1024;
 
 thread_local! {
     static TABLE_CLONES_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
@@ -117,6 +132,7 @@ impl Clone for Table {
             rows: self.rows.clone(),
             index: self.index.clone(),
             colcache: Mutex::default(),
+            answers: Mutex::default(),
         }
     }
 }
@@ -143,6 +159,7 @@ impl Table {
             rows: Vec::new(),
             index: HashMap::new(),
             colcache: Mutex::default(),
+            answers: Mutex::default(),
         })
     }
 
@@ -225,22 +242,59 @@ impl Table {
         KeyTuple::of(row, &self.key)
     }
 
-    /// Record a row mutation: the cached columns are stale, so drop them
-    /// now rather than hold them until the next read.
+    /// Record a row mutation: the cached columns and answers are stale, so
+    /// drop them now rather than hold them until the next read.
     #[inline]
     fn touch(&mut self) {
         let cache = self.colcache.get_mut().expect("column cache poisoned");
         if !cache.is_empty() {
             *cache = Vec::new();
         }
+        let answers = self.answers.get_mut().expect("answer memo poisoned");
+        if !answers.is_empty() {
+            *answers = HashMap::new();
+        }
     }
 
     /// Drop every cached column; the next reader rebuilds what it names.
     /// For a table that has been superseded but lives on behind shared
     /// readers (an old view epoch): its rows stay readable, its columns
-    /// stop holding memory.
+    /// stop holding memory. Its memoized answers survive — the state did
+    /// not change, and an answer is one number, not a column.
     pub fn release_columns(&self) {
         *self.colcache.lock().expect("column cache poisoned") = Vec::new();
+    }
+
+    /// The answer stored under `key` for this table state, or `f()`'s,
+    /// stored on success (an error is returned, never stored). `key` must
+    /// name everything the answer depends on besides the rows — for a
+    /// query, the query itself. `f` runs outside the memo's lock, so it may
+    /// read columns. The memo is emptied by every mutation and flushed whole
+    /// once it holds 1024 answers.
+    pub fn memoized(&self, key: String, f: impl FnOnce() -> Result<f64>) -> Result<f64> {
+        let hit = self.answers.lock().expect("answer memo poisoned").get(&key).copied();
+        if let Some((rows, answer)) = hit {
+            // With the verifier on, prove the memo is honest, as `filled`
+            // does for a column: an answer computed at another row count
+            // means some mutator skipped `Table::touch`.
+            #[cfg(feature = "verify")]
+            assert_eq!(
+                rows,
+                self.rows.len(),
+                "memoized answer {key} was computed at {rows} rows but the table has {} — a \
+                 mutator skipped Table::touch",
+                self.rows.len()
+            );
+            let _ = rows;
+            return Ok(answer);
+        }
+        let answer = f()?;
+        let mut answers = self.answers.lock().expect("answer memo poisoned");
+        if answers.len() >= ANSWER_MEMO_CAP {
+            answers.clear();
+        }
+        answers.insert(key, (self.rows.len(), answer));
+        Ok(answer)
     }
 
     /// Number of columns built into a table's cache **on this thread** since
@@ -409,6 +463,7 @@ impl Table {
             rows: Vec::new(),
             index: HashMap::new(),
             colcache: Mutex::default(),
+            answers: Mutex::default(),
         }
     }
 

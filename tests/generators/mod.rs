@@ -416,8 +416,8 @@ pub fn row_reference(q: &AggQuery, t: &Table) -> f64 {
         QueryAgg::Count => n as f64,
         QueryAgg::Avg if n == 0 => f64::NAN,
         QueryAgg::Avg => values.iter().sum::<f64>() / n as f64,
-        QueryAgg::Min => values.iter().copied().fold(f64::INFINITY, f64::min),
-        QueryAgg::Max => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        QueryAgg::Min => values.iter().copied().reduce(f64::min).unwrap_or(f64::NAN),
+        QueryAgg::Max => values.iter().copied().reduce(f64::max).unwrap_or(f64::NAN),
         QueryAgg::Median | QueryAgg::Percentile(_) if n == 0 => f64::NAN,
         QueryAgg::Median | QueryAgg::Percentile(_) => {
             let p = if let QueryAgg::Percentile(p) = q.agg { p } else { 0.5 };
