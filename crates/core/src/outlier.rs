@@ -19,7 +19,7 @@ use std::collections::HashSet;
 
 use svc_storage::{Database, Deltas, KeyTuple, Result, StorageError, Table};
 
-use svc_ivm::delta::DeltaInfo;
+use svc_ivm::delta::{delta_base, DeltaInfo};
 use svc_ivm::strategy::{recompute_plan, MaintCatalog};
 use svc_ivm::view::{maintenance_bindings, MaterializedView};
 use svc_relalg::derive::derive;
@@ -187,10 +187,7 @@ impl OutlierIndex {
     /// sampled" — i.e. the hash pushes down to that relation (or to one of
     /// its delta relations, which carry the same records).
     pub fn eligible(&self, sampled_leaves: &[String]) -> bool {
-        sampled_leaves.iter().any(|l| {
-            let base = l.strip_prefix("__ins.").or_else(|| l.strip_prefix("__del.")).unwrap_or(l);
-            base == self.spec.table
-        })
+        sampled_leaves.iter().any(|l| delta_base(l).unwrap_or(l) == self.spec.table)
     }
 }
 

@@ -16,7 +16,8 @@
 //!   `__svc_cnt` group-liveness counter) with a public projection restoring
 //!   the user-facing schema;
 //! * [`delta`] — derives insertion/deletion delta plans for SPJ(U)
-//!   expressions (the classic join delta rules);
+//!   expressions (the classic join rules, distributed so that a delta meets
+//!   each base relation as itself, probed by key);
 //! * [`strategy`] — the one gate `view_delta`: a view changes by a signed
 //!   pair of keyed relations (the change-table method of Gupta & Mumick
 //!   \[22,23\] used by the paper's experiments; ∆V / ∇V for SPJ views) or by

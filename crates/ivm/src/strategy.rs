@@ -37,7 +37,7 @@ use svc_relalg::plan::{JoinKind, Plan};
 use svc_relalg::scalar::{col, lit, Expr, Func};
 
 use crate::canon::{AggShape, Canonical, MergeRule, SVC_CNT};
-use crate::delta::{derive_delta, new_state, DeltaInfo, Signed};
+use crate::delta::{delta_base, derive_delta, new_state, DeltaInfo, Signed};
 
 /// Leaf name bound to the stale view inside maintenance plans.
 pub const STALE_LEAF: &str = "__stale";
@@ -105,9 +105,7 @@ impl LeafProvider for MaintCatalog<'_> {
         if name == STALE_LEAF {
             return Some(self.stale.clone());
         }
-        let base =
-            name.strip_prefix("__ins.").or_else(|| name.strip_prefix("__del.")).unwrap_or(name);
-        self.db.leaf(base)
+        self.db.leaf(delta_base(name).unwrap_or(name))
     }
 }
 

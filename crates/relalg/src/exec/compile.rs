@@ -76,12 +76,28 @@ impl LeafRef {
 #[derive(Debug, Clone)]
 pub enum JoinRight {
     /// Probe the bound table's existing primary-key index — the right side
-    /// is a bare leaf joined on exactly its key. Zero materialization, no
-    /// build pass: delta-sized left inputs probe large base relations in
-    /// O(|left|).
-    PkProbeLeaf(LeafRef),
+    /// is one leaf under a σ/Π/η chain (or none), joined on exactly its
+    /// derived key, which is the leaf's key kept as bare columns, in order.
+    /// The chain runs on the one probed row; a row it drops is no partner.
+    /// Zero materialization, no build pass: delta-sized left inputs probe
+    /// large base relations in O(|left|).
+    PkProbeLeaf {
+        /// The probed relation.
+        leaf: LeafRef,
+        /// The right side's fused chain, applied to each probed row.
+        ops: Vec<FusedOp>,
+    },
     /// Materialize the right child and hash-build over its join columns.
     Build(Box<Node>),
+}
+
+/// `[ση]`-style tags of a fused chain, empty for no ops.
+pub(super) fn tags(ops: &[FusedOp]) -> String {
+    if ops.is_empty() {
+        String::new()
+    } else {
+        format!("[{}]", ops.iter().map(FusedOp::tag).collect::<String>())
+    }
 }
 
 /// One physical operator. Unary σ/Π/η chains are fused into their source
@@ -182,7 +198,7 @@ impl Node {
             Node::Join { left, right, .. } => {
                 left.subtree_size()
                     + match right {
-                        JoinRight::PkProbeLeaf(_) => 0,
+                        JoinRight::PkProbeLeaf { .. } => 0,
                         JoinRight::Build(r) => r.subtree_size(),
                     }
             }
@@ -191,22 +207,17 @@ impl Node {
         }
     }
 
-    /// Compact structural description (`fused-scan(T)[σ,η] → γ` style) for
+    /// Compact structural description (`γ(fused-scan(T)[ση])` style) for
     /// tests and debugging.
     pub fn describe(&self) -> String {
-        fn tags(ops: &[FusedOp]) -> String {
-            if ops.is_empty() {
-                String::new()
-            } else {
-                format!("[{}]", ops.iter().map(FusedOp::tag).collect::<String>())
-            }
-        }
         match self {
             Node::FusedScan { leaf, ops, .. } => format!("fused-scan({}){}", leaf.name, tags(ops)),
             Node::Fused { input, ops } => format!("fused({}){}", input.describe(), tags(ops)),
             Node::Join { left, right, kind, .. } => {
                 let r = match right {
-                    JoinRight::PkProbeLeaf(leaf) => format!("pk-probe({})", leaf.name),
+                    JoinRight::PkProbeLeaf { leaf, ops } => {
+                        format!("pk-probe({}){}", leaf.name, tags(ops))
+                    }
                     JoinRight::Build(node) => format!("build({})", node.describe()),
                 };
                 format!("join:{kind:?}({}, {r})", left.describe())
@@ -275,18 +286,18 @@ impl Lowering<'_> {
                 let pad_right = rt.derived.schema.len();
                 let right_cols: Vec<usize> = on_idx.iter().map(|&(_, r)| r).collect();
                 let lowered_left = Box::new(self.lower(left, lt)?);
-                // PK-probe only for *bare* leaves: a filtered right side
-                // must materialize so the probe sees post-filter rows.
-                let right = if matches!(&**right, Plan::Scan { .. })
-                    && crate::join::pk_probe_applies(*kind, &right_cols, &rt.derived.key)
-                {
-                    JoinRight::PkProbeLeaf(LeafRef {
-                        name: right.leaf_tables()[0].to_string(),
-                        schema: rt.derived.schema.clone(),
-                        key: rt.derived.key.clone(),
-                    })
-                } else {
-                    JoinRight::Build(Box::new(self.lower(right, rt)?))
+                // A right side fused onto one leaf and joined on its whole
+                // derived key probes the leaf's index: σ and η keep the key,
+                // and Π keeps it as bare columns in key order, so the join
+                // columns are the leaf key. The chain then runs on the one
+                // probed row, so the probe sees exactly the post-chain rows.
+                let right = match self.lower(right, rt)? {
+                    Node::FusedScan { leaf, ops, .. }
+                        if crate::join::pk_probe_applies(*kind, &right_cols, &rt.derived.key) =>
+                    {
+                        JoinRight::PkProbeLeaf { leaf, ops }
+                    }
+                    node => JoinRight::Build(Box::new(node)),
                 };
                 Node::Join { left: lowered_left, right, kind: *kind, on_idx, pad_left, pad_right }
             }

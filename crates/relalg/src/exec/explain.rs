@@ -21,8 +21,7 @@ use crate::eval::Bindings;
 use crate::optimizer::cost::CardEstimator;
 use crate::plan::Plan;
 
-use super::compile::{JoinRight, Node};
-use super::pipeline::FusedOp;
+use super::compile::{tags, JoinRight, Node};
 use super::{compile_with, ExecMode};
 
 /// One annotated node of an explained plan, in pre-order (the metric-slot
@@ -167,18 +166,13 @@ fn est_rows(
 
 /// Single-node label (children rendered as their own lines, not inline).
 fn label(node: &Node) -> String {
-    fn tags(ops: &[FusedOp]) -> String {
-        if ops.is_empty() {
-            String::new()
-        } else {
-            format!("[{}]", ops.iter().map(FusedOp::tag).collect::<String>())
-        }
-    }
     match node {
         Node::FusedScan { leaf, ops, .. } => format!("fused-scan({}){}", leaf.name, tags(ops)),
         Node::Fused { ops, .. } => format!("fused{}", tags(ops)),
         Node::Join { right, kind, .. } => match right {
-            JoinRight::PkProbeLeaf(leaf) => format!("join:{kind:?} pk-probe({})", leaf.name),
+            JoinRight::PkProbeLeaf { leaf, ops } => {
+                format!("join:{kind:?} pk-probe({}){}", leaf.name, tags(ops))
+            }
             JoinRight::Build(_) => format!("join:{kind:?} build"),
         },
         Node::Aggregate { group_idx, .. } => format!("γ(group_cols={group_idx:?})"),
@@ -244,7 +238,7 @@ fn annotate(
             };
             annotate(left, lp, depth + 1, est, bindings, out);
             match right {
-                JoinRight::PkProbeLeaf(_) => {}
+                JoinRight::PkProbeLeaf { .. } => {}
                 JoinRight::Build(r) => annotate(r, rp, depth + 1, est, bindings, out),
             }
         }

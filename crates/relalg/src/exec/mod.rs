@@ -329,7 +329,7 @@ fn largest_leaf(node: &Node, b: &Bindings<'_>) -> (usize, usize) {
             Node::Join { left, right, .. } => {
                 walk(left, b, best);
                 match right {
-                    JoinRight::PkProbeLeaf(leaf) => note(leaf, b, best),
+                    JoinRight::PkProbeLeaf { leaf, .. } => note(leaf, b, best),
                     JoinRight::Build(n) => walk(n, b, best),
                 }
             }
@@ -459,6 +459,40 @@ mod tests {
         assert_eq!(Table::clone_count(), before, "probe side must not be cloned or rebuilt");
         let expected = evaluate_materializing(&plan, &b).unwrap();
         assert!(out.same_contents(&expected));
+    }
+
+    /// A σ-, η- or Π-wrapped right side joined on its key probes the leaf's
+    /// index too, running its chain on the probed row: a row the chain drops
+    /// is no partner (Inner and Semi drop the left row, Left pads it, Anti
+    /// keeps it). Only the plans' own tables are cloned: no build side.
+    #[test]
+    fn chained_right_sides_probe_the_leaf_index() {
+        let db = video_db();
+        let b = Bindings::from_database(&db);
+        let rights = [
+            (Plan::scan("video").select(col("ownerId").lt(lit(4i64))), "[σ]"),
+            (Plan::scan("video").hash(&["videoId"], 0.5, HashSpec::with_seed(5)), "[η]"),
+            (
+                Plan::scan("video")
+                    .project(vec![("videoId", col("videoId")), ("mins", col("duration"))])
+                    .select(col("mins").gt(lit(2.0))),
+                "[πσ]",
+            ),
+        ];
+        for (right, tags) in rights {
+            for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti] {
+                let plan = Plan::scan("log").join(right.clone(), kind, &[("videoId", "videoId")]);
+                let compiled = compile(&plan, &b).unwrap();
+                let want = format!("join:{kind:?}(fused-scan(log), pk-probe(video){tags})");
+                assert_eq!(compiled.describe(), want);
+                let before = Table::clone_count();
+                let got = compiled.run(&b).unwrap();
+                assert_eq!(Table::clone_count(), before, "{want}: nothing is built or copied");
+                let expected = evaluate_materializing(&plan, &b).unwrap();
+                assert!(got.same_contents(&expected), "{want} diverged");
+                assert!(got.len() < 400 || kind != JoinKind::Inner, "{want}: the chain drops rows");
+            }
+        }
     }
 
     /// A compiled plan is reusable against different bindings with the

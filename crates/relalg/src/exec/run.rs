@@ -370,13 +370,13 @@ pub(super) fn run_node(
             stat.probe_rows = lrows.len() as u64;
             let left_cols: Vec<usize> = on_idx.iter().map(|&(l, _)| l).collect();
             let out = match right {
-                JoinRight::PkProbeLeaf(leaf) => {
+                JoinRight::PkProbeLeaf { leaf, ops } => {
                     let t = leaf.resolve(b)?;
                     stat.build_rows = t.len() as u64;
                     concat(map_chunks(mode, lrows, &mut stat, &|mut chunk| {
                         let mut out = batch::take(chunk.len());
                         join_rows_pk_probe_into(
-                            &mut chunk, t, *kind, &left_cols, *pad_right, &mut out,
+                            &mut chunk, t, ops, *kind, &left_cols, *pad_right, &mut out,
                         );
                         batch::recycle(chunk);
                         Ok(out)

@@ -23,6 +23,7 @@ use std::collections::HashMap;
 use svc_storage::{HashSpec, KeyTuple, Result, Row, Table, Value};
 
 use crate::derive::Derived;
+use crate::exec::pipeline::{feed_borrowed, FusedOp, RowSink};
 use crate::plan::JoinKind;
 
 /// The fixed hash function of every hash join build/probe and partitioned
@@ -255,11 +256,33 @@ pub fn join_rows(
     rows
 }
 
+/// What a probed right row becomes after the right side's fused chain: the
+/// table row itself when σ/η keep it, the rebuilt row when a Π ran, and no
+/// partner when the chain drops it.
+#[derive(Default)]
+struct Survivor {
+    kept: bool,
+    built: Option<Row>,
+}
+
+impl RowSink for Survivor {
+    fn owned(&mut self, row: Row) {
+        self.built = Some(row);
+    }
+
+    fn borrowed(&mut self, _row: &[Value]) {
+        self.kept = true;
+    }
+}
+
 /// PK-probe variant: each left row looks up at most one right partner via
 /// the right table's existing primary-key index — O(|left|) probes with no
 /// build pass over the right side at all, which is what makes delta-sized
 /// probes against large base relations cheap (the FK-join pattern of every
-/// maintenance plan). Left rows are moved, never cloned; the probe tuple's
+/// maintenance plan). `chain` is the right side's σ/Π/η chain over that
+/// table (empty for a bare leaf), run on the probed row alone: a row it
+/// drops is no partner — Inner and Semi drop the left row, Left pads it,
+/// Anti keeps it. Left rows are moved, never cloned; the probe tuple's
 /// `Vec` is allocated once and reused across rows.
 ///
 /// Drains `left` into a caller-provided output buffer: the per-chunk core
@@ -269,6 +292,7 @@ pub fn join_rows(
 pub fn join_rows_pk_probe_into(
     left: &mut Vec<Row>,
     right: &Table,
+    chain: &[FusedOp],
     kind: JoinKind,
     left_cols: &[usize],
     pad_right: usize,
@@ -276,12 +300,20 @@ pub fn join_rows_pk_probe_into(
 ) {
     let mut probe = KeyTuple(Vec::with_capacity(left_cols.len()));
     for lrow in left.drain(..) {
-        let partner = if key_has_null(&lrow, left_cols) {
+        let found = if key_has_null(&lrow, left_cols) {
             None
         } else {
             probe.0.clear();
             probe.0.extend(left_cols.iter().map(|&i| lrow[i].clone()));
             right.get(&probe)
+        };
+        let mut through = Survivor::default();
+        let partner: Option<&[Value]> = match found {
+            Some(r) if !chain.is_empty() => {
+                feed_borrowed(r, chain, &mut through);
+                through.built.as_deref().or(through.kept.then_some(r.as_slice()))
+            }
+            found => found.map(Vec::as_slice),
         };
         match kind {
             JoinKind::Semi => {
@@ -334,6 +366,7 @@ pub fn run_join(
         join_rows_pk_probe_into(
             &mut left.into_rows(),
             right,
+            &[],
             kind,
             &left_cols,
             pad_right,

@@ -255,17 +255,20 @@ impl Plan {
     }
 
     /// A short name for the relation produced by this plan, used to
-    /// disambiguate column names on join outputs.
+    /// disambiguate column names on join outputs. Operators that keep their
+    /// left input's schema — σ, Π, η, semi/anti joins and set operations —
+    /// keep its name too, so a table's new state `(T ▷ ∇T) ∪ ∆T` names a
+    /// collided column `T.x`, as `T` itself does.
     pub fn name_hint(&self) -> &str {
         match self {
             Plan::Scan { table } => table,
-            Plan::Select { input, .. } | Plan::Project { input, .. } => input.name_hint(),
-            Plan::Hash { input, .. } => input.name_hint(),
+            Plan::Select { input, .. } | Plan::Project { input, .. } | Plan::Hash { input, .. } => {
+                input.name_hint()
+            }
+            Plan::Join { left, kind: JoinKind::Semi | JoinKind::Anti, .. }
+            | Plan::SetOp { left, .. } => left.name_hint(),
             Plan::Aggregate { .. } => "agg",
             Plan::Join { .. } => "join",
-            Plan::SetOp { kind: SetOpKind::Union, .. } => "union",
-            Plan::SetOp { kind: SetOpKind::Intersect, .. } => "intersect",
-            Plan::SetOp { kind: SetOpKind::Difference, .. } => "diff",
         }
     }
 
@@ -375,13 +378,18 @@ mod tests {
             .iter()
             .map(|p| (p.to_string().lines().next().unwrap().to_string(), p.name_hint()))
             .collect();
+        // A set operation keeps its left input's schema, and its name.
         assert_eq!(
             labels,
             vec![
-                ("Union ∪".to_string(), "union"),
-                ("Intersect ∩".to_string(), "intersect"),
-                ("Difference −".to_string(), "diff"),
+                ("Union ∪".to_string(), "a"),
+                ("Intersect ∩".to_string(), "a"),
+                ("Difference −".to_string(), "a"),
             ]
         );
+        let anti = Plan::scan("a").join(Plan::scan("b"), JoinKind::Anti, &[("x", "y")]);
+        let semi = Plan::scan("a").join(Plan::scan("b"), JoinKind::Semi, &[("x", "y")]);
+        assert_eq!((anti.name_hint(), semi.name_hint()), ("a", "a"));
+        assert_eq!(plans[3].name_hint(), "join", "an outer join's schema is both inputs'");
     }
 }

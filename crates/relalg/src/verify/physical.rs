@@ -201,9 +201,9 @@ pub fn verify_node(node: &Node) -> Result<usize> {
                 ));
             }
             let ra = match right {
-                JoinRight::PkProbeLeaf(leaf) => {
+                JoinRight::PkProbeLeaf { leaf, ops } => {
                     check_leaf(leaf)?;
-                    leaf.schema.len()
+                    ops.iter().try_fold(leaf.schema.len(), |arity, op| check_fused(op, arity))?
                 }
                 JoinRight::Build(n) => verify_node(n)?,
             };

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 mod generators;
 use generators::{
     adversarial_plan_variant, build_db, build_db_adversarial, build_db_mixed, mixed_plan_variant,
-    plan_variant, random_deltas, row_reference, MIXED_PLAN_VARIANTS,
+    plan_variant, random_deltas, row_reference, MIXED_PLAN_VARIANTS, PLAN_VARIANTS,
 };
 
 use stale_view_cleaning::cluster::minibatch::BatchPipeline;
@@ -253,7 +253,7 @@ proptest! {
     fn compiled_execution_matches_legacy_on_query_plans(
         n_facts in 30usize..150,
         n_dims in 4usize..16,
-        variant in 0u8..8,
+        variant in 0u8..PLAN_VARIANTS,
         hashed in 0u8..2,
         optimized in 0u8..2,
         ratio in 0.1f64..0.9,

@@ -14,7 +14,7 @@ use stale_view_cleaning::core::query::{AggQuery, QueryAgg};
 use stale_view_cleaning::relalg::aggregate::{AggFunc, AggSpec};
 use stale_view_cleaning::relalg::plan::{JoinKind, Plan};
 use stale_view_cleaning::relalg::scalar::{col, lit};
-use stale_view_cleaning::storage::{DataType, Database, Deltas, Schema, Table, Value};
+use stale_view_cleaning::storage::{DataType, Database, Deltas, HashSpec, Schema, Table, Value};
 
 pub fn build_db(n_facts: usize, n_dims: usize, data_seed: u64) -> Database {
     let mut s = data_seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -69,12 +69,17 @@ pub fn build_db(n_facts: usize, n_dims: usize, data_seed: u64) -> Database {
 }
 
 /// Plan shapes exercising every operator the executor lowers: fused σ/Π/η
-/// chains, FK joins (PK-probe), non-key joins (hash build), outer joins,
+/// chains, FK joins (PK-probe, of bare and of σ/Π/η-wrapped right sides, for
+/// every kind that probes), non-key joins (hash build), outer joins,
 /// aggregates over fused scans, and set operations.
 pub fn plan_variant(variant: u8) -> Plan {
-    match variant % 8 {
+    match variant % PLAN_VARIANTS {
         0 => Plan::scan("fact")
-            .join(Plan::scan("dim"), JoinKind::Inner, &[("dimId", "dimId")])
+            .join(
+                Plan::scan("dim").select(col("tag").ne(lit(2i64))),
+                JoinKind::Inner,
+                &[("dimId", "dimId")],
+            )
             .select(col("x").gt(lit(0.3)).and(col("weight").lt(lit(0.8)))),
         1 => Plan::scan("fact")
             .join(Plan::scan("dim"), JoinKind::Inner, &[("dimId", "dimId")])
@@ -94,9 +99,18 @@ pub fn plan_variant(variant: u8) -> Plan {
             .select(col("x").lt(lit(0.7)))
             .union(Plan::scan("fact").select(col("x").ge(lit(0.4))))
             .select(col("dimId").lt(lit(6i64))),
+        // A row the right chain drops pads: `weight` is NULL there.
         4 => Plan::scan("fact")
-            .join(Plan::scan("dim"), JoinKind::Left, &[("dimId", "dimId")])
-            .select(col("y").gt(lit(1.0)).and(col("weight").gt(lit(0.1)))),
+            .join(
+                Plan::scan("dim")
+                    .select(col("tag").lt(lit(3i64)))
+                    .project(vec![("dimId", col("dimId")), ("weight", col("weight"))]),
+                JoinKind::Left,
+                &[("dimId", "dimId")],
+            )
+            .select(
+                col("y").gt(lit(1.0)).and(col("weight").gt(lit(0.1)).or(col("weight").is_null())),
+            ),
         5 => Plan::scan("fact")
             .select(col("dimId").lt(lit(8i64)))
             .difference(Plan::scan("fact").select(col("x").gt(lit(0.8))))
@@ -105,11 +119,26 @@ pub fn plan_variant(variant: u8) -> Plan {
             .join(Plan::scan("dim"), JoinKind::Inner, &[("dimId", "dimId")])
             .aggregate(&["dimId", "tag"], vec![AggSpec::new("sy", AggFunc::Sum, col("y"))])
             .project(vec![("dimId", col("dimId")), ("tag", col("tag")), ("sy", col("sy"))]),
-        _ => Plan::scan("fact")
+        7 => Plan::scan("fact")
             .join(Plan::scan("dim"), JoinKind::Full, &[("dimId", "dimId")])
             .select(col("x").gt(lit(0.2)).or(col("weight").gt(lit(0.5)))),
+        8 => Plan::scan("fact").join(
+            Plan::scan("dim").hash(&["dimId"], 0.5, HashSpec::with_seed(11)),
+            JoinKind::Semi,
+            &[("dimId", "dimId")],
+        ),
+        _ => Plan::scan("fact").join(
+            Plan::scan("dim")
+                .project(vec![("dimId", col("dimId")), ("w2", col("weight").mul(lit(2.0)))])
+                .select(col("w2").gt(lit(0.6))),
+            JoinKind::Anti,
+            &[("dimId", "dimId")],
+        ),
     }
 }
+
+/// Number of distinct [`plan_variant`] shapes.
+pub const PLAN_VARIANTS: u8 = 10;
 
 /// A database whose one table is null-heavy and type-mixed: every column
 /// except the key carries a sizable null fraction (exercising the

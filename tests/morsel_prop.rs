@@ -14,7 +14,9 @@
 use proptest::prelude::*;
 
 mod generators;
-use generators::{build_db, build_db_mixed, mixed_plan_variant, plan_variant, random_deltas};
+use generators::{
+    build_db, build_db_mixed, mixed_plan_variant, plan_variant, random_deltas, PLAN_VARIANTS,
+};
 
 use stale_view_cleaning::cluster::executor::WorkerPool;
 use stale_view_cleaning::ivm::view::{maintenance_bindings, MaterializedView};
@@ -218,7 +220,7 @@ proptest! {
     fn morsel_execution_matches_sequential_on_query_plans(
         n_facts in 30usize..150,
         n_dims in 4usize..16,
-        variant in 0u8..8,
+        variant in 0u8..PLAN_VARIANTS,
         hashed in 0u8..2,
         optimized in 0u8..2,
         ratio in 0.1f64..0.9,

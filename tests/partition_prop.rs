@@ -22,6 +22,7 @@ use proptest::prelude::*;
 mod generators;
 use generators::{
     adversarial_plan_variant, build_db, build_db_adversarial, plan_variant, random_deltas,
+    PLAN_VARIANTS,
 };
 
 use stale_view_cleaning::cluster::executor::WorkerPool;
@@ -141,7 +142,7 @@ proptest! {
     fn partitioned_execution_matches_sequential_on_query_plans(
         n_facts in 30usize..150,
         n_dims in 4usize..16,
-        variant in 0u8..8,
+        variant in 0u8..PLAN_VARIANTS,
         optimized in 0u8..2,
         data_seed in 0u64..200,
     ) {

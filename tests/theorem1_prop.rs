@@ -12,13 +12,13 @@ use proptest::prelude::*;
 
 use stale_view_cleaning::catalog::Catalog;
 use stale_view_cleaning::core::svc::CleanedSample;
-use stale_view_cleaning::core::{SvcConfig, SvcView};
+use stale_view_cleaning::core::{maintenance_stats, SvcConfig, SvcView};
 use stale_view_cleaning::ivm::strategy::{view_delta, PlanKind, ViewDelta};
 use stale_view_cleaning::ivm::view::maintenance_bindings;
 use stale_view_cleaning::ivm::DeltaInfo;
 use stale_view_cleaning::relalg::aggregate::{AggFunc, AggSpec};
 use stale_view_cleaning::relalg::eval::{evaluate, Bindings};
-use stale_view_cleaning::relalg::exec::{compile, leaf_scan_counts, ExecMode};
+use stale_view_cleaning::relalg::exec::{compile, explain_analyze, leaf_scan_counts, ExecMode};
 use stale_view_cleaning::relalg::plan::{JoinKind, Plan};
 use stale_view_cleaning::relalg::scalar::{col, lit};
 use stale_view_cleaning::sampling::operator::sample_by_key;
@@ -278,6 +278,80 @@ fn fold_cleaning_equals_the_cleaning_plan_on_the_conviva_views() {
     assert!(folded >= 4 * 18, "the single-aggregate views must take the fold path: {folded}");
 }
 
+/// Recomputed views that name a collided right-side column: `log ⋈ video`
+/// grouped by `video.owner`, with a median and as a nested γ. Recomputation
+/// joins `video`'s new state `(video ▷ ∇video) ∪ ∆video`, which must name
+/// the column `video.owner` as `video` itself does. Both maintain and clean
+/// to the recomputed view, with and without `video` deletions.
+#[test]
+fn recomputed_views_resolve_collided_right_columns() {
+    let mut db = Database::new();
+    let schema = |cols: &[(&str, DataType)]| Schema::from_pairs(cols).unwrap();
+    let mut video = Table::new(
+        schema(&[
+            ("videoId", DataType::Int),
+            ("owner", DataType::Int),
+            ("duration", DataType::Float),
+        ]),
+        &["videoId"],
+    )
+    .unwrap();
+    for v in 0..40i64 {
+        video.insert(vec![Value::Int(v), Value::Int(v % 6), Value::Float((v % 9) as f64)]).unwrap();
+    }
+    let mut log = Table::new(
+        schema(&[
+            ("sessionId", DataType::Int),
+            ("videoId", DataType::Int),
+            ("owner", DataType::Int),
+        ]),
+        &["sessionId"],
+    )
+    .unwrap();
+    for s in 0..300i64 {
+        log.insert(vec![Value::Int(s), Value::Int(s * 7 % 40), Value::Int(s % 4)]).unwrap();
+    }
+    db.create_table("video", video);
+    db.create_table("log", log);
+
+    let log_video =
+        || Plan::scan("log").join(Plan::scan("video"), JoinKind::Inner, &[("videoId", "videoId")]);
+    let median = log_video().aggregate(
+        &["video.owner"],
+        vec![AggSpec::new("medDur", AggFunc::Median, col("duration"))],
+    );
+    let nested = log_video()
+        .aggregate(&["video.owner", "videoId"], vec![AggSpec::count_all("c")])
+        .aggregate(&["video.owner"], vec![AggSpec::new("visits", AggFunc::Sum, col("c"))]);
+
+    let mut without = Deltas::new();
+    for s in 300..340i64 {
+        without.insert(&db, "log", vec![Value::Int(s), Value::Int(s % 45), Value::Int(1)]).unwrap();
+    }
+    for v in 40..45i64 {
+        without
+            .insert(&db, "video", vec![Value::Int(v), Value::Int(2), Value::Float(3.5)])
+            .unwrap();
+    }
+    for s in (0..300i64).step_by(23) {
+        without.delete(&db, "log", &vec![Value::Int(s), Value::Null, Value::Null]).unwrap();
+    }
+    let mut with = without.clone();
+    with.delete(&db, "video", &vec![Value::Int(7), Value::Null, Value::Null]).unwrap();
+    with.update(&db, "video", vec![Value::Int(12), Value::Int(5), Value::Float(8.5)]).unwrap();
+
+    for deltas in [without, with] {
+        for (id, plan) in [("median", median.clone()), ("nested", nested.clone())] {
+            let mut view = SvcView::create(id, plan, &db, SvcConfig::with_ratio(0.5)).unwrap().view;
+            let fresh = view.recompute_fresh(&db, &deltas).unwrap();
+            assert_eq!(view.maintain(&db, &deltas).unwrap(), PlanKind::Recompute, "{id}");
+            assert!(view.table().approx_same_contents(&fresh, 1e-9), "{id}: maintained");
+        }
+        let views = vec![("median", median.clone()), ("nested", nested.clone())];
+        assert_eq!(assert_views_clean_like_their_plans(&db, views, &deltas), 0, "all recompute");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -416,6 +490,59 @@ fn cleaning_and_maintaining_evaluate_each_change_table_once() {
         let maintained = svc.view.maintained(db, &deltas, svc.view.table(), None, None, mode);
         maintained.unwrap().expect("pending");
         check("maintain", scans_since(&scans), Table::clone_count() - clones);
+    }
+}
+
+/// Cost shape, no wall clock: a delta probes, it never builds. Under mixed
+/// `lineitem` + `orders` deltas, EXPLAIN ANALYZE of each side of the join
+/// view's and V5's keyed pair — η-wrapped and optimized with the catalog, as
+/// a clean runs it, and bare, as `maintain` runs it — shows no ∪ taking in
+/// and no hash build holding more rows than the deltas have: `orders` is
+/// only ever probed by key (V5's pruned to the columns it reads), never
+/// scanned into a new state `orders ∪ ∆orders` to hash-build over.
+#[test]
+fn delta_sides_probe_base_tables_by_key() {
+    let data = TpcdData::generate(TpcdConfig { scale: 0.01, skew: 2.0, seed: 42 }).unwrap();
+    let db = &data.db;
+    let deltas = data.updates(0.1, 7).unwrap();
+    let delta_rows: u64 =
+        deltas.iter().map(|(_, set)| (set.insertions.len() + set.deletions.len()) as u64).sum();
+    let catalog = Catalog::build(db);
+    let scoped = maintenance_stats(&catalog, None, &deltas);
+    let est = scoped.estimator();
+    let v5 = complex_views().into_iter().find(|v| v.id == "V5").unwrap().plan;
+    for (id, plan, probe) in
+        [("joinView", join_view(), "pk-probe(orders)"), ("V5", v5, "pk-probe(orders)[π]")]
+    {
+        let svc = SvcView::create(id, plan, db, SvcConfig::with_ratio(0.1)).unwrap();
+        let cat = svc.view.maint_catalog(db);
+        let bindings = maintenance_bindings(db, &deltas, svc.stale_sample());
+        let Ok(ViewDelta::Keyed { change, .. }) =
+            view_delta(svc.view.canonical(), &cat, &DeltaInfo::of(&deltas))
+        else {
+            panic!("{id}: a keyed pair");
+        };
+        for side in [change.ins, change.del].into_iter().flatten() {
+            let eta = (svc.config.ratio, svc.config.hash_spec());
+            let hashed = svc.view.hashed(side.clone(), eta).unwrap();
+            let cleaning = cat.optimize(&hashed, Some(&est)).unwrap().0;
+            let maintaining = cat.optimize(&side, None).unwrap().0;
+            for plan in [cleaning, maintaining] {
+                let ex = explain_analyze(&plan, &bindings, None, ExecMode::sequential()).unwrap();
+                let mut probes = 0;
+                for n in &ex.nodes {
+                    let (label, m) = (&n.label, &n.metrics);
+                    assert!(label != "Union" || m.rows_in <= delta_rows, "{id}: {label}\n{ex}");
+                    let build = label.ends_with(" build");
+                    assert!(!build || m.build_rows <= delta_rows, "{id}: {label}\n{ex}");
+                    if label.contains("(orders)") {
+                        assert!(label.ends_with(probe), "{id}: `orders` read as {label}\n{ex}");
+                        probes += 1;
+                    }
+                }
+                assert!(probes > 0, "{id}: each side reads `orders`\n{ex}");
+            }
+        }
     }
 }
 

@@ -324,7 +324,7 @@ fn eta_ratio_out_of_range_is_rejected_physically() {
 fn join_pad_width_lie_is_rejected() {
     let node = Node::Join {
         left: Box::new(scan(vec![], vec![])),
-        right: JoinRight::PkProbeLeaf(leaf()),
+        right: JoinRight::PkProbeLeaf { leaf: leaf(), ops: vec![] },
         kind: JoinKind::Inner,
         on_idx: vec![(0, 0)],
         pad_left: 2, // leaf arity is 3
@@ -334,11 +334,30 @@ fn join_pad_width_lie_is_rejected() {
     assert!(err.contains("pad_left declares 2"), "{err}");
 }
 
+/// A PK-probed right side's arity is its chain's output arity: a Π keeping
+/// one of the leaf's three columns makes a declared `pad_right` of 3 a lie.
+#[test]
+fn pk_probe_chain_arity_lie_is_rejected() {
+    let node = Node::Join {
+        left: Box::new(scan(vec![], vec![])),
+        right: JoinRight::PkProbeLeaf {
+            leaf: leaf(),
+            ops: vec![FusedOp::Map(vec![BoundExpr::Col(0)])],
+        },
+        kind: JoinKind::Inner,
+        on_idx: vec![(0, 0)],
+        pad_left: 3,
+        pad_right: 3,
+    };
+    let err = verify::verify_node(&node).unwrap_err().to_string();
+    assert!(err.contains("produces arity 1 but pad_right declares 3"), "{err}");
+}
+
 #[test]
 fn join_condition_out_of_range_is_rejected() {
     let node = Node::Join {
         left: Box::new(scan(vec![], vec![])),
-        right: JoinRight::PkProbeLeaf(leaf()),
+        right: JoinRight::PkProbeLeaf { leaf: leaf(), ops: vec![] },
         kind: JoinKind::Inner,
         on_idx: vec![(0, 7)],
         pad_left: 3,
