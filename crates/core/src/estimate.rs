@@ -102,7 +102,7 @@ fn key_at(t: &Table, i: usize, buf: &mut KeyTuple) {
 /// out on both sides. Each sample's values are read once, from its column
 /// slices, into one slot per row; the walk then pairs slots by the key
 /// index's row positions.
-fn correspond(
+pub(crate) fn correspond(
     stale: Option<&Table>,
     clean: &Table,
     skip: &[&Table],
@@ -147,7 +147,7 @@ fn moments(values: impl Iterator<Item = f64>) -> Moments {
 }
 
 impl Correspondence {
-    fn clean(&self) -> impl Iterator<Item = f64> + '_ {
+    pub(crate) fn clean(&self) -> impl Iterator<Item = f64> + '_ {
         self.pairs.iter().filter_map(|p| p.1)
     }
 

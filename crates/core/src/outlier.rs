@@ -25,9 +25,10 @@ use svc_ivm::view::{maintenance_bindings, MaterializedView};
 use svc_relalg::derive::derive;
 use svc_relalg::eval::evaluate;
 use svc_relalg::plan::{JoinKind, Plan};
+use svc_stats::clt::horvitz_thompson_interval;
 
 use crate::config::SvcConfig;
-use crate::estimate::{estimate, svc_aqp, svc_corr, Estimate};
+use crate::estimate::{correspond, estimate, svc_aqp, svc_corr, Estimate};
 use crate::query::{aggregate, AggQuery, QueryAgg};
 
 /// How the index threshold is chosen (Section 6.1).
@@ -224,7 +225,8 @@ fn distinct_keys(table: &Table, k: usize) -> Result<Table> {
 
 /// SVC+AQP with an outlier index (Section 6.3): the sample estimate over
 /// `S′ − O` — the clean sample walked with `O`'s keys skipped — merged with
-/// the deterministic contribution of `O`.
+/// the deterministic contribution of `O`. For `avg` the merge divides by
+/// the estimated row count, and the interval counts that estimate's error.
 pub fn estimate_aqp_with_outliers(
     clean_sample_public: &Table,
     outliers_fresh_public: &Table,
@@ -235,17 +237,23 @@ pub fn estimate_aqp_with_outliers(
     if !q.agg.is_sample_mean() {
         return svc_aqp(clean_sample_public, q, m, cfg);
     }
-    let reg = estimate(None, clean_sample_public, &[outliers_fresh_public], q, m, cfg)?;
+    let walk = correspond(None, clean_sample_public, &[outliers_fresh_public], q)?;
+    let reg = walk.finish(q.agg, None, m, cfg)?;
     let out = q.bind(outliers_fresh_public)?.matching_values(outliers_fresh_public);
     if q.agg != QueryAgg::Avg {
         return Ok(reg.affine(1.0, aggregate(q.agg, out.iter().copied())));
     }
-    // v = (N−l)/N·c_reg + l/N·c_out with N̂ = estimated non-outlier count
-    // + l. The outlier term is exact, so the interval keeps its centre on
-    // `v` and only the regular weight scales its width.
+    // v = (N−l)/N·c_reg + l/N·c_out with N̂ = n_pred/m + l: a ratio whose
+    // denominator is sampled too. Its delta-method interval is the
+    // Horvitz–Thompson width of the residuals (xᵢ − v)/m over N̂.
     let n_reg = reg.predicate_rows as f64 / m;
     let n = n_reg + out.len() as f64;
-    Ok(reg.affine(n_reg / n, aggregate(QueryAgg::Sum, out.iter().copied()) / n))
+    let mut merged = reg.affine(n_reg / n, aggregate(QueryAgg::Sum, out.iter().copied()) / n);
+    let residuals = walk.clean().map(|x| ((x - merged.value) / m).powi(2)).sum();
+    if let Some(ci) = &mut merged.ci {
+        ci.half_width = horvitz_thompson_interval(0.0, residuals, m, cfg.confidence).half_width / n;
+    }
+    Ok(merged)
 }
 
 /// SVC+CORR with an outlier index (Section 6.3): the correction from the

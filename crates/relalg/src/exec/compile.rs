@@ -1,7 +1,8 @@
 //! Lowering [`Plan`]s to physical nodes: schemas derived, predicates and
 //! projections bound, join columns resolved, group maps sized — all
 //! exactly once, at compile time. Running the compiled plan does none of
-//! that work again.
+//! that work again. That includes the zone-checkable key pairs of each
+//! inner/semi join, traced through σ/Π/η down to bare leaf columns.
 
 use svc_storage::{DataType, Result, Schema, StorageError, Table};
 
@@ -42,17 +43,25 @@ pub fn leaf_scan_counts() -> std::collections::BTreeMap<String, u64> {
 }
 
 impl LeafRef {
-    /// Look the leaf up in `bindings` and verify it still has the compiled
-    /// shape — schema **and** key: fused-scan roots skip duplicate-key
-    /// validation trusting the compiled key, and PK-probe joins trust the
-    /// bound table's own index, so a same-schema rebind with a different
-    /// primary key must be rejected, not silently mis-executed.
+    /// The bound leaf, shape-validated like `lookup`, counted as one read
+    /// of the leaf in [`leaf_scan_counts`].
     pub fn resolve<'a>(&self, bindings: &crate::eval::Bindings<'a>) -> Result<&'a Table> {
-        let t = bindings.table(&self.name)?;
+        let t = self.lookup(bindings)?;
         LEAF_SCANS.with_borrow_mut(|scans| match scans.get_mut(&self.name) {
             Some(n) => *n += 1,
             None => drop(scans.insert(self.name.clone(), 1)),
         });
+        Ok(t)
+    }
+
+    /// Look the leaf up in `bindings` and verify it still has the compiled
+    /// shape — schema **and** key: fused-scan roots skip duplicate-key
+    /// validation trusting the compiled key, and PK-probe joins trust the
+    /// bound table's own index, so a same-schema rebind with a different
+    /// primary key must be rejected, not silently mis-executed. Not a read:
+    /// size probes and the zone check look leaves up without counting.
+    pub(crate) fn lookup<'a>(&self, bindings: &crate::eval::Bindings<'a>) -> Result<&'a Table> {
+        let t = bindings.table(&self.name)?;
         if t.schema() != &self.schema {
             return Err(StorageError::Invalid(format!(
                 "leaf `{}` was rebound with schema [{}], but the plan was compiled against [{}]",
@@ -89,6 +98,17 @@ pub enum JoinRight {
     },
     /// Materialize the right child and hash-build over its join columns.
     Build(Box<Node>),
+}
+
+impl JoinRight {
+    /// The leaf this right side reads and the fused chain over it, when it
+    /// is leaf-rooted.
+    pub(crate) fn leaf_chain(&self) -> Option<(&LeafRef, &[FusedOp])> {
+        match self {
+            JoinRight::PkProbeLeaf { leaf, ops } => Some((leaf, ops)),
+            JoinRight::Build(node) => node.leaf_chain(),
+        }
+    }
 }
 
 /// `[ση]`-style tags of a fused chain, empty for no ops.
@@ -139,6 +159,13 @@ pub enum Node {
         pad_left: usize,
         /// Right input arity (NULL padding for left-outer rows).
         pad_right: usize,
+        /// `(left leaf column, right leaf column)` of each `on_idx` pair
+        /// whose two sides carry a declared-`Int` leaf column unchanged —
+        /// recorded on inner and semi joins of two leaf-rooted inputs only.
+        /// The executor answers such a join empty, without running either
+        /// input, when one leaf is empty or some pair's zone maps are
+        /// disjoint.
+        zone_cols: Vec<(usize, usize)>,
     },
     /// γ breaker. When the input is a fused scan, rows stream borrowed from
     /// the base table directly into the group map — the input batch is
@@ -182,6 +209,15 @@ impl Node {
                 Node::Fused { input, ops }
             }
             other => Node::Fused { input: Box::new(other), ops: vec![op] },
+        }
+    }
+
+    /// The leaf this node reads and the fused chain over it, when it is a
+    /// fused scan.
+    pub(crate) fn leaf_chain(&self) -> Option<(&LeafRef, &[FusedOp])> {
+        match self {
+            Node::FusedScan { leaf, ops, .. } => Some((leaf, ops)),
+            _ => None,
         }
     }
 
@@ -299,7 +335,16 @@ impl Lowering<'_> {
                     }
                     node => JoinRight::Build(Box::new(node)),
                 };
-                Node::Join { left: lowered_left, right, kind: *kind, on_idx, pad_left, pad_right }
+                let zone_cols = zone_cols(*kind, &lowered_left, &right, &on_idx);
+                Node::Join {
+                    left: lowered_left,
+                    right,
+                    kind: *kind,
+                    on_idx,
+                    pad_left,
+                    pad_right,
+                    zone_cols,
+                }
             }
             Plan::Aggregate { input, group_by, aggregates } => {
                 let child = self.lower(input, tree.input())?;
@@ -333,6 +378,49 @@ impl Lowering<'_> {
         }
         Some(groups.min(card.rows.max(1.0)).min(MAX_GROUPS_HINT as f64) as usize)
     }
+}
+
+/// The leaf column each output column of a fused chain carries unchanged:
+/// σ and η keep every position, Π keeps a bare column and loses anything
+/// computed.
+fn traced_cols(leaf: &LeafRef, ops: &[FusedOp]) -> Vec<Option<usize>> {
+    let mut cols: Vec<Option<usize>> = (0..leaf.schema.len()).map(Some).collect();
+    for op in ops {
+        if let FusedOp::Map(exprs) = op {
+            cols = exprs
+                .iter()
+                .map(|e| match e {
+                    BoundExpr::Col(i) => cols[*i],
+                    _ => None,
+                })
+                .collect();
+        }
+    }
+    cols
+}
+
+/// The `zone_cols` of a [`Node::Join`]: for an inner or semi join of
+/// two leaf-rooted inputs, each key pair traced to declared-`Int` leaf
+/// columns on both sides. Every other join records none.
+fn zone_cols(
+    kind: JoinKind,
+    left: &Node,
+    right: &JoinRight,
+    on_idx: &[(usize, usize)],
+) -> Vec<(usize, usize)> {
+    let (Some((ll, lops)), Some((rl, rops))) = (left.leaf_chain(), right.leaf_chain()) else {
+        return Vec::new();
+    };
+    if !matches!(kind, JoinKind::Inner | JoinKind::Semi) {
+        return Vec::new();
+    }
+    let (lcols, rcols) = (traced_cols(ll, lops), traced_cols(rl, rops));
+    let int = |leaf: &LeafRef, i: usize| leaf.schema.field(i).dtype == DataType::Int;
+    on_idx
+        .iter()
+        .filter_map(|&(l, r)| Some((lcols[l]?, rcols[r]?)))
+        .filter(|&(l, r)| int(ll, l) && int(rl, r))
+        .collect()
 }
 
 /// Re-derive the tree and lower — the single entry used by

@@ -316,7 +316,7 @@ impl PhysicalPlan {
 /// leaves (caught properly at run time) are skipped.
 fn largest_leaf(node: &Node, b: &Bindings<'_>) -> (usize, usize) {
     fn note(leaf: &LeafRef, b: &Bindings<'_>, best: &mut (usize, usize)) {
-        if let Ok(t) = leaf.resolve(b) {
+        if let Ok(t) = leaf.lookup(b) {
             if t.len() > best.0 {
                 *best = (t.len(), t.schema().len());
             }

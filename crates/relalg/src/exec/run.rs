@@ -27,11 +27,15 @@
 //! skips) riding back with the range results — the same
 //! merge-at-the-barrier shape as the γ group maps, so instrumented totals
 //! are as deterministic as the rows.
+//!
+//! An inner or semi join whose recorded key pairs have disjoint `Int` zone
+//! maps on their leaves is answered empty before either input runs
+//! ([`zone_disjoint`]).
 
 use std::sync::Mutex;
 use std::time::Instant;
 
-use svc_storage::{Result, Row, StorageError, Table, Value};
+use svc_storage::{ColumnData, Result, Row, StorageError, Table, Value};
 use svc_telemetry::{MetricsSink, OpMetrics, OpSlot};
 
 use crate::aggregate::GroupMap;
@@ -365,7 +369,12 @@ pub(super) fn run_node(
             stat.row_batches = outs.len() as u64;
             concat(outs)
         }
-        Node::Join { left, right, kind, on_idx, pad_left, pad_right } => {
+        Node::Join { left, right, zone_cols, .. } if zone_disjoint(left, right, zone_cols, b)? => {
+            // Neither input runs: their slots stay empty.
+            stat.zone_skips = 1;
+            batch::take(0)
+        }
+        Node::Join { left, right, kind, on_idx, pad_left, pad_right, .. } => {
             let lrows = run_node(left, b, mode, child(m, 1))?;
             stat.probe_rows = lrows.len() as u64;
             let left_cols: Vec<usize> = on_idx.iter().map(|&(l, _)| l).collect();
@@ -587,6 +596,41 @@ pub(super) fn run_node(
         mm.slot().merge(&stat);
     }
     Ok(out)
+}
+
+/// True when a join with recorded `zone_cols` (inner or semi, both inputs
+/// leaf-rooted) is empty for want of partners, decided from its two leaves
+/// alone: one is empty, or some key pair is stored as `Int` on both sides
+/// with disjoint zone maps (a zone-less `Int` column has no non-NULL key).
+/// Sound because NULL keys never join and zones exclude NULLs, the inputs
+/// carry leaf values unchanged, and `i64 → f64` widening is monotone, so
+/// equal keys widen equal. Float, string and mixed storage is never used.
+/// The leaves are looked up with shape validation, not counted as reads.
+fn zone_disjoint(
+    left: &Node,
+    right: &JoinRight,
+    zone_cols: &[(usize, usize)],
+    b: &Bindings<'_>,
+) -> Result<bool> {
+    if zone_cols.is_empty() {
+        return Ok(false);
+    }
+    let (Some((l, _)), Some((r, _))) = (left.leaf_chain(), right.leaf_chain()) else {
+        return Ok(false);
+    };
+    let (lt, rt) = (l.lookup(b)?, r.lookup(b)?);
+    if lt.is_empty() || rt.is_empty() {
+        return Ok(true);
+    }
+    let int_zone = |t: &Table, i: usize| {
+        let c = t.column(i);
+        matches!(c.data, ColumnData::Int(_)).then_some(c.zone)
+    };
+    Ok(zone_cols.iter().any(|&(lc, rc)| match (int_zone(lt, lc), int_zone(rt, rc)) {
+        (Some(Some((llo, lhi))), Some(Some((rlo, rhi)))) => lhi < rlo || rhi < llo,
+        (Some(None), Some(_)) | (Some(_), Some(None)) => true,
+        _ => false,
+    }))
 }
 
 /// Wrap the root batch into the output [`Table`], building the key index

@@ -10,7 +10,7 @@
 //! the plan's declared output type. [`crate::exec::compile_with`] runs it
 //! on every compile under the `verify` feature.
 
-use svc_storage::{Result, StorageError};
+use svc_storage::{DataType, Result, StorageError};
 
 use crate::derive::Derived;
 use crate::exec::column::kernels::ColExpr;
@@ -104,6 +104,34 @@ fn check_leaf(leaf: &LeafRef) -> Result<()> {
     Ok(())
 }
 
+/// A join's zone pairs, which let the executor answer it empty unread,
+/// sit on an inner or semi join of two leaf-rooted inputs and name a
+/// declared-`Int` column of each leaf.
+fn check_zone_cols(
+    left: &Node,
+    right: &JoinRight,
+    kind: JoinKind,
+    zone_cols: &[(usize, usize)],
+) -> Result<()> {
+    if zone_cols.is_empty() {
+        return Ok(());
+    }
+    if !matches!(kind, JoinKind::Inner | JoinKind::Semi) {
+        return fail(format!("zone pairs on a {kind:?} join, which disjoint keys do not empty"));
+    }
+    let (Some((ll, _)), Some((rl, _))) = (left.leaf_chain(), right.leaf_chain()) else {
+        return fail("zone pairs on a join whose inputs are not both leaf-rooted".into());
+    };
+    let int = |leaf: &LeafRef, i: usize| {
+        if i < leaf.schema.len() && leaf.schema.field(i).dtype == DataType::Int {
+            Ok(())
+        } else {
+            fail(format!("zone pair column {i} is not an Int column of leaf `{}`", leaf.name))
+        }
+    };
+    zone_cols.iter().try_for_each(|&(l, r)| int(ll, l).and_then(|()| int(rl, r)))
+}
+
 /// Check one row-path fused op against the incoming arity; returns the
 /// outgoing arity.
 fn check_fused(op: &FusedOp, arity: usize) -> Result<usize> {
@@ -193,7 +221,8 @@ pub fn verify_node(node: &Node) -> Result<usize> {
             }
             Ok(arity)
         }
-        Node::Join { left, right, kind, on_idx, pad_left, pad_right } => {
+        Node::Join { left, right, kind, on_idx, pad_left, pad_right, zone_cols } => {
+            check_zone_cols(left, right, *kind, zone_cols)?;
             let la = verify_node(left)?;
             if la != *pad_left {
                 return fail(format!(

@@ -2,7 +2,7 @@
 # Alternated parent/change pairs of the repository's benchmark, summarized
 # the way the benchmark gate judges them, and recorded as a trajectory file.
 #
-#   scripts/bench_pairs.sh <parent-sha> [pairs=10] [first_seed=1]
+#   scripts/bench_pairs.sh <parent-sha> [pairs=10] [first_seed=1] [claim=<workload>/<metric>]
 #   scripts/bench_pairs.sh --self-test
 #
 # Clones <parent-sha> under /root/scratch (or $TMPDIR), builds `svc_bench`
@@ -13,20 +13,27 @@
 # workload x end-to-end metric: both medians, the parent's interquartile
 # range, how many pairs the change won and whether the median stays inside
 # the metric's bound — and per workload and side the paper's headline,
-# clean_speedup = median ivm_answer_ms / median svc_answer_ms; sums `failed`;
-# writes BENCH_<date>_<sha>.json (machine, both shas, medians, IQR,
-# clean_speedup, every pair) at the repository root.
+# clean_speedup = median ivm_answer_ms / median svc_answer_ms, and the
+# failed / attempted operation count. With claim=<workload>/<metric>, prints
+# MET or NOT MET by the gate's rule: the change won at least 9 of every 10
+# pairs and its median is better by more than the parent's IQR. Writes
+# BENCH_<date>_<sha>.json (machine, both shas, medians, IQR, clean_speedup,
+# failure shares, the claim, every pair) at the repository root. Exits
+# non-zero when a metric leaves its bound, the change fails a larger share
+# of operations than the parent, a run is incorrect, or the claim is not met.
 #
 # Run it from the repository root on an otherwise idle box.
 set -euo pipefail
 
-# summarize <raw.jsonl> <BENCHMARK.json> <out.json> <parent-sha> <change-sha>
+# summarize <raw.jsonl> <BENCHMARK.json> <out.json> <parent-sha> <change-sha> [claim]
 summarize() {
   python3 - "$@" <<'PY'
 import json, os, platform, statistics, sys, datetime
 raw, bench, out, parent_sha, change_sha = sys.argv[1:6]
+claim = sys.argv[6] if len(sys.argv) > 6 and sys.argv[6] else None
 bench = json.load(open(bench))
 rows = [json.loads(line) for line in open(raw)]
+higher_is_better = {m["name"]: m["better"] == "higher" for m in bench["end_to_end"]}
 
 def cpu_model():
     try:
@@ -52,19 +59,24 @@ def iqr(values):
     q = statistics.quantiles(values, n=4)
     return q[2] - q[0]
 
-summary, clean_speedup, failed, incorrect = {}, {}, 0, 0
+def share(counts):
+    return counts["failed"] / counts["attempted"] if counts["attempted"] else 0.0
+
+summary, clean_speedup, failures, incorrect = {}, {}, {}, 0
 print(f"{'workload':<18} {'metric':<24} {'parent':>11} {'change':>11} {'delta':>8} "
       f"{'parent IQR':>10} {'wins':>6}  bound")
 for workload in dict.fromkeys(r["workload"] for r in rows):
     pairs = {}
+    failures[workload] = {side: {"failed": 0, "attempted": 0} for side in ("parent", "change")}
     for r in (r for r in rows if r["workload"] == workload):
         pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]
-        failed += r["result"]["failed"]
+        for count in ("failed", "attempted"):
+            failures[workload][r["side"]][count] += r["result"][count]
         incorrect += not r["result"]["correct"]
     pairs = {s: p for s, p in pairs.items() if len(p) == 2}
     summary[workload] = {}
     for metric in bench["end_to_end"]:
-        name, higher = metric["name"], metric["better"] == "higher"
+        name, higher = metric["name"], higher_is_better[metric["name"]]
         value = lambda side: [p[side]["metrics"][name]["value"] for p in pairs.values()]
         parent, change = value("parent"), value("change")
         p_med, c_med = statistics.median(parent), statistics.median(change)
@@ -86,7 +98,22 @@ for workload in dict.fromkeys(r["workload"] for r in rows):
         for side in ("parent", "change")}
     print(f"{workload:<18} {'clean_speedup':<24} {clean_speedup[workload]['parent']:>10.2f}x "
           f"{clean_speedup[workload]['change']:>10.2f}x  (median ivm_answer_ms / svc_answer_ms)")
+    fp, fc = (failures[workload][side] for side in ("parent", "change"))
+    ratio = lambda f: f"{f['failed']}/{f['attempted']}"
+    print(f"{workload:<18} {'failed/attempted':<24} {ratio(fp):>11} {ratio(fc):>11}  "
+          f"{'WORSE' if share(fc) > share(fp) else 'ok'}")
+failed = sum(f["failed"] for sides in failures.values() for f in sides.values())
 print(f"runs {len(rows)}, failed operations {failed}, incorrect runs {incorrect}")
+
+claim_met = None
+if claim:
+    workload, metric = claim.split("/", 1)
+    s = summary[workload][metric]
+    sign = 1 if higher_is_better[metric] else -1
+    gain = sign * (s["change_median"] - s["parent_median"])
+    claim_met = 10 * s["wins"] >= 9 * s["pairs"] and gain > s["parent_iqr"]
+    print(f"claim {claim}: {'MET' if claim_met else 'NOT MET'} ({s['wins']}/{s['pairs']} pairs "
+          f"won, median better by {gain:.5g}, parent IQR {s['parent_iqr']:.5g})")
 
 json.dump({
     "date": datetime.date.today().isoformat(),
@@ -94,42 +121,91 @@ json.dump({
                 "cpu": cpu_model(), "cores": os.cpu_count(), "mem_mb": mem_total_mb()},
     "parent": parent_sha, "change": change_sha,
     "run_seconds": bench["run_seconds"], "failed": failed, "incorrect": incorrect,
+    "failures": failures, "claim": {"name": claim, "met": claim_met},
     "summary": summary, "clean_speedup": clean_speedup, "runs": rows,
 }, open(out, "w"), indent=1)
 print(f"wrote {out}")
 bad = [f"{w}.{m}" for w, ms in summary.items() for m, s in ms.items() if not s["bound_holds"]]
-sys.exit(1 if bad or failed or incorrect else 0)
+more_failures = [w for w, f in failures.items() if share(f["change"]) > share(f["parent"])]
+sys.exit(1 if bad or more_failures or incorrect or claim_met is False else 0)
 PY
 }
 
 cd "$(dirname "$0")/.."
 
+claim=""
+positional=()
+for arg in "$@"; do
+  case "$arg" in
+    claim=*) claim="${arg#claim=}" ;;
+    *) positional+=("$arg") ;;
+  esac
+done
+set -- ${positional[@]+"${positional[@]}"}
+
 if [ "${1:-}" = --self-test ]; then
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
-  result() { # result <svc_answer_ms> <estimates_per_s>
-    printf '{"correct": true, "attempted": 9, "failed": 0, "metrics": {"setup_s": {"value": 0.1, "unit": "s"}, "svc_answer_ms": {"value": %s, "unit": "ms"}, "ivm_answer_ms": {"value": 50, "unit": "ms"}, "maintain_records_per_s": {"value": 1000, "unit": "records/s"}, "estimates_per_s": {"value": %s, "unit": "estimates/s"}, "peak_rss_mb": {"value": 30, "unit": "MB"}}}' "$1" "$2"
+  result() { # result <svc_answer_ms> <estimates_per_s> [failed]
+    printf '{"correct": true, "attempted": 9, "failed": %s, "metrics": {"setup_s": {"value": 0.1, "unit": "s"}, "svc_answer_ms": {"value": %s, "unit": "ms"}, "ivm_answer_ms": {"value": 50, "unit": "ms"}, "maintain_records_per_s": {"value": 1000, "unit": "records/s"}, "estimates_per_s": {"value": %s, "unit": "estimates/s"}, "peak_rss_mb": {"value": 30, "unit": "MB"}}}' "${3:-0}" "$1" "$2"
   }
-  echo "{\"workload\": \"canned\", \"seed\": 1, \"side\": \"parent\", \"first\": true, \"result\": $(result 100 1000)}" >"$tmp/raw.jsonl"
-  echo "{\"workload\": \"canned\", \"seed\": 1, \"side\": \"change\", \"first\": false, \"result\": $(result 60 700)}" >>"$tmp/raw.jsonl"
+  pair() { # pair <raw> <seed> <parent svc_answer_ms> <change svc_answer_ms> [change failed]
+    echo "{\"workload\": \"canned\", \"seed\": $2, \"side\": \"parent\", \"first\": true, \"result\": $(result "$3" 1000)}" >>"$1"
+    echo "{\"workload\": \"canned\", \"seed\": $2, \"side\": \"change\", \"first\": false, \"result\": $(result "$4" 1000 "${5:-0}")}" >>"$1"
+  }
+  expect_fail() { # expect_fail <what> <summarize args...>
+    local what="$1"
+    shift
+    if summarize "$@" >"$tmp/table"; then
+      cat "$tmp/table"
+      echo "self-test: $what must fail the summary" >&2
+      exit 1
+    fi
+    cat "$tmp/table"
+  }
+
   # One pair: the answer got 40 % cheaper (a win, inside any bound) and the
   # estimate rate fell 30 % (no win, past its 20 % bound), so the summary
   # must name both and exit non-zero.
-  if summarize "$tmp/raw.jsonl" BENCHMARK.json "$tmp/out.json" aaaaaaa bbbbbbb >"$tmp/table"; then
-    echo "self-test: a metric past its bound must fail the summary" >&2
-    exit 1
-  fi
-  cat "$tmp/table"
+  echo "{\"workload\": \"canned\", \"seed\": 1, \"side\": \"parent\", \"first\": true, \"result\": $(result 100 1000)}" >"$tmp/raw.jsonl"
+  echo "{\"workload\": \"canned\", \"seed\": 1, \"side\": \"change\", \"first\": false, \"result\": $(result 60 700)}" >>"$tmp/raw.jsonl"
+  expect_fail "a metric past its bound" "$tmp/raw.jsonl" BENCHMARK.json "$tmp/out.json" aaaaaaa bbbbbbb
   grep -Eq 'svc_answer_ms +100 +60 +-40\.0% .* 1/1 +ok' "$tmp/table"
   grep -Eq 'estimates_per_s +1000 +700 +-30\.0% .* 0/1 +WORSE' "$tmp/table"
   # ivm_answer_ms is 50 on both sides: 50/100 and 50/60.
   grep -Eq 'clean_speedup +0\.50x +0\.83x' "$tmp/table"
-  python3 -c 'import json, sys; b = json.load(open(sys.argv[1])); assert len(b["runs"]) == 2 and b["parent"] == "aaaaaaa" and b["machine"]["cores"] and b["clean_speedup"]["canned"] == {"parent": 0.5, "change": 50 / 60}' "$tmp/out.json"
+  grep -Eq 'failed/attempted +0/9 +0/9 +ok' "$tmp/table"
+  python3 -c 'import json, sys; b = json.load(open(sys.argv[1])); assert len(b["runs"]) == 2 and b["parent"] == "aaaaaaa" and b["machine"]["cores"] and b["clean_speedup"]["canned"] == {"parent": 0.5, "change": 50 / 60} and b["claim"] == {"name": None, "met": None}' "$tmp/out.json"
+
+  # Ten pairs, the answer 40 ms cheaper in each, the parent's IQR 5.5 ms:
+  # the claim is met and nothing else moved, so the summary passes.
+  : >"$tmp/met.jsonl"
+  for i in 0 1 2 3 4 5 6 7 8 9; do pair "$tmp/met.jsonl" "$i" $((100 + i)) $((60 + i)); done
+  summarize "$tmp/met.jsonl" BENCHMARK.json "$tmp/out.json" aaaaaaa bbbbbbb canned/svc_answer_ms >"$tmp/table"
+  cat "$tmp/table"
+  grep -Eq 'claim canned/svc_answer_ms: MET \(10/10 pairs won' "$tmp/table"
+  python3 -c 'import json, sys; assert json.load(open(sys.argv[1]))["claim"] == {"name": "canned/svc_answer_ms", "met": True}' "$tmp/out.json"
+
+  # Ten pairs, each won by 5 ms, but the parent's IQR is 55 ms: winning
+  # every pair is not enough, the claim is not met.
+  : >"$tmp/unmet.jsonl"
+  for i in 0 1 2 3 4 5 6 7 8 9; do pair "$tmp/unmet.jsonl" "$i" $((100 + 10 * i)) $((95 + 10 * i)); done
+  expect_fail "an unmet claim" "$tmp/unmet.jsonl" BENCHMARK.json "$tmp/out.json" aaaaaaa bbbbbbb canned/svc_answer_ms
+  grep -Eq 'claim canned/svc_answer_ms: NOT MET \(10/10 pairs won' "$tmp/table"
+
+  # The change fails 2 of 18 operations, the parent none: a larger failure
+  # share fails the summary even though every metric held.
+  : >"$tmp/failed.jsonl"
+  pair "$tmp/failed.jsonl" 1 100 100 2
+  pair "$tmp/failed.jsonl" 2 100 100
+  expect_fail "a larger failure share" "$tmp/failed.jsonl" BENCHMARK.json "$tmp/out.json" aaaaaaa bbbbbbb
+  grep -Eq 'failed/attempted +0/18 +2/18 +WORSE' "$tmp/table"
   echo "self-test ok"
   exit 0
 fi
 
-parent_sha="$(git rev-parse --short "${1:?usage: scripts/bench_pairs.sh <parent-sha> [pairs=10] [first_seed=1]}")"
+usage="usage: scripts/bench_pairs.sh <parent-sha> [pairs=10] [first_seed=1] [claim=<workload>/<metric>]"
+parent_sha="$(git rev-parse --short "${1:?$usage}")"
 pairs="${2:-10}"
 first_seed="${3:-1}"
 change_sha="$(git rev-parse --short HEAD)"
@@ -168,4 +244,4 @@ for workload in $workloads; do
   done
 done
 
-summarize "$raw" BENCHMARK.json "BENCH_$(date +%Y-%m-%d)_$change_sha.json" "$parent_sha" "$change_sha"
+summarize "$raw" BENCHMARK.json "BENCH_$(date +%Y-%m-%d)_$change_sha.json" "$parent_sha" "$change_sha" "$claim"

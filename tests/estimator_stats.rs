@@ -3,7 +3,8 @@
 //! claim that corrections beat direct estimates while staleness is small —
 //! plus the contracts of the one correspondence pass behind them all:
 //! bit-repeatability, AQP as the pass with no stale side, the outlier skip
-//! test against physical filtering, and the break-even picks. Last, the
+//! test against physical filtering and the outlier `avg` interval's
+//! coverage, and the break-even picks. Last, the
 //! answer path's own contract: `SvcView` lowers the query onto the canonical
 //! state instead of materializing the public relation, so its answers must
 //! equal the materialized public path (and the row-at-a-time reference) bit
@@ -18,7 +19,8 @@ use generators::row_reference;
 
 use stale_view_cleaning::core::estimate::{svc_aqp, svc_corr, Estimate};
 use stale_view_cleaning::core::outlier::{
-    estimate_aqp_with_outliers, estimate_corr_with_outliers, stale_rows_at,
+    estimate_aqp_with_outliers, estimate_corr_with_outliers, stale_rows_at, OutlierIndex,
+    OutlierIndexSpec, ThresholdPolicy,
 };
 use stale_view_cleaning::core::query::QueryAgg;
 use stale_view_cleaning::core::svc::CleanedSample;
@@ -28,7 +30,7 @@ use stale_view_cleaning::relalg::aggregate::{AggFunc, AggSpec};
 use stale_view_cleaning::relalg::plan::{JoinKind, Plan};
 use stale_view_cleaning::relalg::scalar::{col, lit};
 use stale_view_cleaning::sampling::operator::sample_by_key;
-use stale_view_cleaning::stats::Moments;
+use stale_view_cleaning::stats::{gaussian_gamma, Moments};
 use stale_view_cleaning::storage::{
     DataType, Database, Deltas, HashSpec, Result, Schema, Table, Value,
 };
@@ -363,7 +365,8 @@ fn outlier_skip_test_equals_physical_filtering() {
     }
 
     // avg: v = (N−l)/N·c_reg + l/N·c_out with N̂ = n̂_reg + l, and an
-    // interval centred on v whose width only the regular weight scales.
+    // interval centred on v: the ratio estimator's delta-method width
+    // γ·√((1−m)·Σ((xᵢ − v)/m)²) / N̂ over the regular rows.
     let q = AggQuery::avg(col("x"));
     let avg = estimate_aqp_with_outliers(&f_hat, &o_fresh, &q, m, &cfg).unwrap();
     let reg = svc_aqp(&reg_clean, &q, m, &cfg).unwrap();
@@ -373,7 +376,79 @@ fn outlier_skip_test_equals_physical_filtering() {
     close(avg.value, (n_reg * reg.value + sum_out) / n, "avg value");
     let ci = avg.ci.unwrap();
     assert_eq!(ci.estimate, avg.value);
-    close(ci.half_width, n_reg / n * reg.ci.unwrap().half_width, "avg half-width");
+    let residuals: f64 =
+        reg_clean.rows().iter().map(|r| ((r[1].as_f64().unwrap() - avg.value) / m).powi(2)).sum();
+    let width = gaussian_gamma(cfg.confidence) * ((1.0 - m) * residuals).sqrt() / n;
+    close(ci.half_width, width, "avg half-width");
+}
+
+/// A skewed `orders` table — every 97th price is huge — and 800 inserted
+/// orders, every 61st larger still: the regime outlier indexing is for.
+fn skewed_orders() -> (Database, Deltas) {
+    let schema = Schema::from_pairs(&[
+        ("orderId", DataType::Int),
+        ("custId", DataType::Int),
+        ("price", DataType::Float),
+    ])
+    .unwrap();
+    let mut orders = Table::new(schema, &["orderId"]).unwrap();
+    let row = |o: i64, price: f64| vec![Value::Int(o), Value::Int(o % 200), Value::Float(price)];
+    for o in 0..4000i64 {
+        let heavy = 5_000.0 + (o % 7) as f64 * 3_000.0;
+        orders.insert(row(o, if o % 97 == 0 { heavy } else { (o % 50) as f64 + 1.0 })).unwrap();
+    }
+    let mut db = Database::new();
+    db.create_table("orders", orders);
+    let mut deltas = Deltas::new();
+    for o in 4000..4800i64 {
+        let price = if o % 61 == 0 { 40_000.0 } else { (o % 50) as f64 + 1.0 };
+        deltas.insert(&db, "orders", row(o, price)).unwrap();
+    }
+    (db, deltas)
+}
+
+/// `avg` with an outlier index is a ratio `(Σ/m + Σ_O) / N̂` whose
+/// denominator `N̂ = n_pred/m + l` is sampled too. Its delta-method interval
+/// carries that error, so it covers the truth at the nominal rate whatever
+/// the index holds: the top 20, 50 or 100 orders, over 100 hash seeds.
+#[test]
+fn outlier_avg_interval_coverage_is_near_nominal() {
+    let (db, deltas) = skewed_orders();
+    let def = Plan::scan("orders").aggregate(
+        &["custId"],
+        vec![AggSpec::new("revenue", AggFunc::Sum, col("price")), AggSpec::count_all("n")],
+    );
+    let mut svc = SvcView::create("v", def, &db, SvcConfig::with_ratio(0.1)).unwrap();
+    let q = AggQuery::avg(col("revenue"));
+    let truth = svc.query_fresh_oracle(&db, &deltas, &q).unwrap();
+    let capacities = [20, 50, 100];
+    let outliers = capacities.map(|capacity| {
+        let spec = OutlierIndexSpec {
+            table: "orders".into(),
+            attr: "price".into(),
+            policy: ThresholdPolicy::TopK,
+            capacity,
+        };
+        let index = OutlierIndex::build(spec, &db, &deltas).unwrap();
+        svc.view.public_of(&index.push_up(&svc.view, &db, &deltas).unwrap()).unwrap()
+    });
+    let seeds = 100;
+    let floor = 0.95 - 3.0 * (0.95 * 0.05 / seeds as f64).sqrt();
+    let mut covered = [0; 3];
+    for seed in 0..seeds {
+        svc.config = svc.config.reseeded(seed * 7 + 1);
+        svc.resample();
+        let cleaned = svc.clean_sample(&db, &deltas).unwrap();
+        for (o, hits) in outliers.iter().zip(&mut covered) {
+            let (m, cfg) = (svc.config.ratio, &svc.config);
+            let est = estimate_aqp_with_outliers(&cleaned.public, o, &q, m, cfg).unwrap();
+            *hits += usize::from(est.ci.unwrap().contains(truth));
+        }
+    }
+    for (capacity, hits) in capacities.into_iter().zip(covered) {
+        let rate = hits as f64 / seeds as f64;
+        assert!(rate >= floor, "capacity {capacity}: covered {hits}/{seeds}, floor {floor:.3}");
+    }
 }
 
 #[test]

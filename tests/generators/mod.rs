@@ -379,6 +379,145 @@ pub fn adversarial_plan_variant(variant: u8) -> Plan {
     }
 }
 
+/// Left anchors of the zone-pruning key windows: small keys, keys past
+/// ±2^53 (where `i64 → f64` widening merges neighbours), and both ends of
+/// `i64`.
+pub const ZONE_ANCHORS: [i64; 6] =
+    [0, -40, (1 << 53) - 5, -(1 << 53) - 5, i64::MIN, i64::MAX - ZONE_WIDTH];
+
+/// Width of a zone-pruning key window.
+const ZONE_WIDTH: i64 = 24;
+
+/// Float join keys a min/max test would get wrong: signed zeros and NaN.
+const FLOAT_KEYS: [f64; 5] = [-0.0, 0.0, f64::NAN, 1.5, -2.0];
+
+/// Two tables for the zone-pruning harness, `zl(id Int key, k Int, x
+/// Float)` and `zr(rk Int key, alt Int, y Float)`, `n` rows each.
+/// `zl.k` lies in `[a, a + 24]` with `a = ZONE_ANCHORS[anchor]`; `zr.rk` and
+/// `zr.alt` lie in a window of the same width placed by `layout % 5`: above
+/// with a gap of 0–2 keys, below with one, touching (starting at `a + 24`),
+/// overlapping, or the same window. Windows saturate at the ends of `i64`
+/// (a saturated duplicate `rk` is not inserted). `nulls % 3` makes no, a
+/// third of, or every `zl.k` NULL; `alt` is NULL in a seventh of the rows.
+/// `x` / `y` draw from [`FLOAT_KEYS`] or NULL. `empty` 1 leaves `zl` empty,
+/// 2 leaves `zr` empty.
+pub fn build_db_zones(
+    n: usize,
+    anchor: u8,
+    layout: u8,
+    nulls: u8,
+    empty: u8,
+    data_seed: u64,
+) -> Database {
+    let mut s = data_seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    let a = ZONE_ANCHORS[anchor as usize % ZONE_ANCHORS.len()];
+    let gap = (data_seed % 3) as i64;
+    let b = match layout % 5 {
+        0 => a.saturating_add(ZONE_WIDTH + 1 + gap),
+        1 => a.saturating_sub(ZONE_WIDTH + 1 + gap),
+        2 => a.saturating_add(ZONE_WIDTH),
+        3 => a.saturating_add(ZONE_WIDTH / 2),
+        _ => a,
+    };
+    let in_window = |lo: i64, r: u64| lo.saturating_add((r % (ZONE_WIDTH as u64 + 1)) as i64);
+    let float = |r: u64| match r % 6 {
+        5 => Value::Null,
+        i => Value::Float(FLOAT_KEYS[i as usize]),
+    };
+    let table = |cols: &[(&str, DataType)], key: &str| {
+        Table::new(Schema::from_pairs(cols).unwrap(), &[key]).unwrap()
+    };
+    let mut zl =
+        table(&[("id", DataType::Int), ("k", DataType::Int), ("x", DataType::Float)], "id");
+    let mut zr =
+        table(&[("rk", DataType::Int), ("alt", DataType::Int), ("y", DataType::Float)], "rk");
+    for i in 0..n {
+        let r = next();
+        if empty != 1 {
+            let k = match nulls % 3 {
+                2 => Value::Null,
+                1 if r % 3 == 0 => Value::Null,
+                _ => Value::Int(in_window(a, r >> 4)),
+            };
+            zl.insert(vec![Value::Int(i as i64), k, float(r >> 24)]).unwrap();
+        }
+        if empty != 2 {
+            let r = next();
+            let alt = match r % 7 {
+                0 => Value::Null,
+                _ => Value::Int(in_window(b, r >> 16)),
+            };
+            let row = vec![Value::Int(in_window(b, r >> 4)), alt, float(r >> 32)];
+            if !zr.contains_key(&zr.key_of(&row)) {
+                zr.insert(row).unwrap();
+            }
+        }
+    }
+    let mut db = Database::new();
+    db.create_table("zl", zl);
+    db.create_table("zr", zr);
+    db
+}
+
+/// A join of [`build_db_zones`]'s tables. `left % 4`: `zl` on `k` bare,
+/// π-renamed under a σ, computed (`k + 0`), or on the Float `x`. `right %
+/// 4`: `zr` PK-probed on `rk` bare or under a σπ chain, or hash-built on
+/// `alt` bare or under an ηπ chain. A Float left key joins `y` instead.
+/// Returns the plan and the `zr` leaf column its right key carries.
+pub fn zone_plan(kind: JoinKind, left: u8, right: u8) -> (Plan, &'static str) {
+    let (lplan, lcol) = match left % 4 {
+        0 => (Plan::scan("zl"), "k"),
+        1 => (
+            Plan::scan("zl").select(col("id").ge(lit(0i64))).project(vec![
+                ("id", col("id")),
+                ("lk", col("k")),
+                ("x", col("x")),
+            ]),
+            "lk",
+        ),
+        2 => (
+            Plan::scan("zl").project(vec![
+                ("id", col("id")),
+                ("lk", col("k").add(lit(0i64))),
+                ("x", col("x")),
+            ]),
+            "lk",
+        ),
+        _ => (Plan::scan("zl"), "x"),
+    };
+    let float = left % 4 == 3;
+    let (rplan, rcol, leaf_col) = match right % 4 {
+        0 => (Plan::scan("zr"), "rk", "rk"),
+        1 => (
+            Plan::scan("zr").select(col("alt").is_null().not()).project(vec![
+                ("rk2", col("rk")),
+                ("alt", col("alt")),
+                ("y", col("y")),
+            ]),
+            "rk2",
+            "rk",
+        ),
+        2 => (Plan::scan("zr"), "alt", "alt"),
+        _ => (
+            Plan::scan("zr").hash(&["rk"], 0.6, HashSpec::with_seed(3)).project(vec![
+                ("rk", col("rk")),
+                ("ra", col("alt")),
+                ("y", col("y")),
+            ]),
+            "ra",
+            "alt",
+        ),
+    };
+    let (rcol, leaf_col) = if float { ("y", "y") } else { (rcol, leaf_col) };
+    (lplan.join(rplan, kind, &[(lcol, rcol)]), leaf_col)
+}
+
 pub fn random_deltas(db: &Database, ops: &[(u8, u64)]) -> Deltas {
     let mut deltas = Deltas::new();
     let n_facts = db.table("fact").unwrap().len() as i64;

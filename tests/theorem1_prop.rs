@@ -18,7 +18,9 @@ use stale_view_cleaning::ivm::view::maintenance_bindings;
 use stale_view_cleaning::ivm::DeltaInfo;
 use stale_view_cleaning::relalg::aggregate::{AggFunc, AggSpec};
 use stale_view_cleaning::relalg::eval::{evaluate, Bindings};
-use stale_view_cleaning::relalg::exec::{compile, explain_analyze, leaf_scan_counts, ExecMode};
+use stale_view_cleaning::relalg::exec::{
+    compile, explain_analyze, leaf_scan_counts, ExecMode, Explain,
+};
 use stale_view_cleaning::relalg::plan::{JoinKind, Plan};
 use stale_view_cleaning::relalg::scalar::{col, lit};
 use stale_view_cleaning::sampling::operator::sample_by_key;
@@ -432,8 +434,9 @@ fn display_copies(svc: &SvcView) -> usize {
 
 /// Cost shape, no wall clock: cleaning a view under mixed `lineitem` +
 /// `orders` deltas reads every leaf — each `__ins.*` / `__del.*` relation and
-/// each base table — exactly as often as the two sides of its keyed pair name
-/// it (γ(∆) plus γ(∇) for V5, ∆V plus ∇V for the join view), never reads
+/// each base table — at most as often as the two sides of its keyed pair name
+/// it (γ(∆) plus γ(∇) for V5, ∆V plus ∇V for the join view; fewer where a
+/// join of disjoint key ranges is answered empty unread), never reads
 /// `__stale`, and clones one table (the stale sample). The same bound holds
 /// for full maintenance. (The merge plan read each delta join nine times to
 /// clean and three times to maintain; the SPJ plan scanned the stale view.)
@@ -472,7 +475,10 @@ fn cleaning_and_maintaining_evaluate_each_change_table_once() {
         let check = |what: &str, scans: BTreeMap<String, u64>, clones: usize| {
             assert!(!scans.contains_key("__stale"), "{id} {what}: {scans:?}");
             if let Some(once) = &once {
-                assert_eq!(&scans, once, "{id} {what}");
+                for (leaf, n) in &scans {
+                    let named = once.get(leaf).copied().unwrap_or(0);
+                    assert!(*n <= named, "{id} {what}: `{leaf}` read {n}× but named {named}×");
+                }
             }
             assert_eq!(clones, usize::from(once.is_some()), "{id} {what}: the one folded copy");
         };
@@ -493,6 +499,36 @@ fn cleaning_and_maintaining_evaluate_each_change_table_once() {
     }
 }
 
+/// The keyed pair `(∆, ∇)` of `svc`'s view under `deltas`.
+fn keyed_pair(svc: &SvcView, db: &Database, deltas: &Deltas) -> (Option<Plan>, Option<Plan>) {
+    let cat = svc.view.maint_catalog(db);
+    match view_delta(svc.view.canonical(), &cat, &DeltaInfo::of(deltas)) {
+        Ok(ViewDelta::Keyed { change, .. }) => (change.ins, change.del),
+        other => panic!("{}: a keyed pair, got {other:?}", svc.view.name),
+    }
+}
+
+/// EXPLAIN ANALYZE of one side of a keyed pair twice: η-wrapped and
+/// optimized with the catalog, as a clean runs it, and bare, as `maintain`
+/// runs it.
+fn explain_side(
+    svc: &SvcView,
+    db: &Database,
+    deltas: &Deltas,
+    catalog: &Catalog,
+    side: &Plan,
+) -> [Explain; 2] {
+    let scoped = maintenance_stats(catalog, None, deltas);
+    let cat = svc.view.maint_catalog(db);
+    let bindings = maintenance_bindings(db, deltas, svc.stale_sample());
+    let eta = (svc.config.ratio, svc.config.hash_spec());
+    let hashed = svc.view.hashed(side.clone(), eta).unwrap();
+    let cleaning = cat.optimize(&hashed, Some(&scoped.estimator())).unwrap().0;
+    let maintaining = cat.optimize(side, None).unwrap().0;
+    [cleaning, maintaining]
+        .map(|plan| explain_analyze(&plan, &bindings, None, ExecMode::sequential()).unwrap())
+}
+
 /// Cost shape, no wall clock: a delta probes, it never builds. Under mixed
 /// `lineitem` + `orders` deltas, EXPLAIN ANALYZE of each side of the join
 /// view's and V5's keyed pair — η-wrapped and optimized with the catalog, as
@@ -508,27 +544,14 @@ fn delta_sides_probe_base_tables_by_key() {
     let delta_rows: u64 =
         deltas.iter().map(|(_, set)| (set.insertions.len() + set.deletions.len()) as u64).sum();
     let catalog = Catalog::build(db);
-    let scoped = maintenance_stats(&catalog, None, &deltas);
-    let est = scoped.estimator();
     let v5 = complex_views().into_iter().find(|v| v.id == "V5").unwrap().plan;
     for (id, plan, probe) in
         [("joinView", join_view(), "pk-probe(orders)"), ("V5", v5, "pk-probe(orders)[π]")]
     {
         let svc = SvcView::create(id, plan, db, SvcConfig::with_ratio(0.1)).unwrap();
-        let cat = svc.view.maint_catalog(db);
-        let bindings = maintenance_bindings(db, &deltas, svc.stale_sample());
-        let Ok(ViewDelta::Keyed { change, .. }) =
-            view_delta(svc.view.canonical(), &cat, &DeltaInfo::of(&deltas))
-        else {
-            panic!("{id}: a keyed pair");
-        };
-        for side in [change.ins, change.del].into_iter().flatten() {
-            let eta = (svc.config.ratio, svc.config.hash_spec());
-            let hashed = svc.view.hashed(side.clone(), eta).unwrap();
-            let cleaning = cat.optimize(&hashed, Some(&est)).unwrap().0;
-            let maintaining = cat.optimize(&side, None).unwrap().0;
-            for plan in [cleaning, maintaining] {
-                let ex = explain_analyze(&plan, &bindings, None, ExecMode::sequential()).unwrap();
+        let (ins, del) = keyed_pair(&svc, db, &deltas);
+        for side in [ins, del].into_iter().flatten() {
+            for ex in explain_side(&svc, db, &deltas, &catalog, &side) {
                 let mut probes = 0;
                 for n in &ex.nodes {
                     let (label, m) = (&n.label, &n.metrics);
@@ -541,6 +564,57 @@ fn delta_sides_probe_base_tables_by_key() {
                     }
                 }
                 assert!(probes > 0, "{id}: each side reads `orders`\n{ex}");
+            }
+        }
+    }
+}
+
+/// Cost shape, no wall clock: fresh keys never scan the old fact table. New
+/// orders carry keys above every existing one, so `lineitem ⋈ ∆orders` joins
+/// disjoint `l_orderkey` / `o_orderkey` zones. Under insert-only deltas,
+/// EXPLAIN ANALYZE of the join view's and V5's ∆ side — η-wrapped and
+/// optimized with the catalog, as a clean runs it, and bare, as `maintain`
+/// runs it — shows `lineitem` reading no row, under a join answered empty
+/// from its zones. Under mixed deltas the updates reach existing orders, so
+/// `∆lineitem ⋈ orders` runs and finds them. Every clean is still the hash
+/// sample of the recomputed view.
+#[test]
+fn fresh_keys_never_scan_the_old_fact_table() {
+    let data = TpcdData::generate(TpcdConfig { scale: 0.01, skew: 2.0, seed: 42 }).unwrap();
+    let db = &data.db;
+    let [(_, inserts), _, (_, mixed)] = by_sign(db, &data.updates(0.1, 7).unwrap());
+    let catalog = Catalog::build(db);
+    let v5 = complex_views().into_iter().find(|v| v.id == "V5").unwrap().plan;
+    for (id, plan) in [("joinView", join_view()), ("V5", v5)] {
+        let svc = SvcView::create(id, plan, db, SvcConfig::with_ratio(0.1)).unwrap();
+        for (sign, deltas) in [("insert-only", &inserts), ("mixed", &mixed)] {
+            let fresh = svc.view.recompute_fresh(db, deltas).unwrap();
+            for cat in [None, Some(&catalog)] {
+                assert_cleans_like_its_plan(&svc, db, deltas, &fresh, cat, &format!("{id} {sign}"));
+            }
+            let ins = keyed_pair(&svc, db, deltas).0.expect("a ∆ side");
+            for ex in explain_side(&svc, db, deltas, &catalog, &ins) {
+                let nodes = &ex.nodes;
+                if sign == "mixed" {
+                    let found = nodes.iter().any(|n| {
+                        n.label.contains("pk-probe(orders)")
+                            && n.metrics.zone_skips == 0
+                            && n.metrics.rows_out > 0
+                    });
+                    assert!(found, "{id} {sign}: updates find their orders\n{ex}");
+                    continue;
+                }
+                let scans: Vec<usize> = (0..nodes.len())
+                    .filter(|&i| nodes[i].label.starts_with("fused-scan(lineitem)"))
+                    .collect();
+                assert!(!scans.is_empty(), "{id} {sign}: `L ⋈ ∆R` names `lineitem`\n{ex}");
+                for i in scans {
+                    let parent = nodes[..i].iter().rev().find(|p| p.depth + 1 == nodes[i].depth);
+                    let parent = parent.expect("a scan under a join");
+                    assert_eq!(nodes[i].metrics.rows_in, 0, "{id} {sign}: scanned\n{ex}");
+                    assert!(parent.label.starts_with("join:"), "{id} {sign}\n{ex}");
+                    assert!(parent.metrics.zone_skips >= 1, "{id} {sign}: not pruned\n{ex}");
+                }
             }
         }
     }

@@ -329,6 +329,7 @@ fn join_pad_width_lie_is_rejected() {
         on_idx: vec![(0, 0)],
         pad_left: 2, // leaf arity is 3
         pad_right: 3,
+        zone_cols: vec![],
     };
     let err = verify::verify_node(&node).unwrap_err().to_string();
     assert!(err.contains("pad_left declares 2"), "{err}");
@@ -348,6 +349,7 @@ fn pk_probe_chain_arity_lie_is_rejected() {
         on_idx: vec![(0, 0)],
         pad_left: 3,
         pad_right: 3,
+        zone_cols: vec![],
     };
     let err = verify::verify_node(&node).unwrap_err().to_string();
     assert!(err.contains("produces arity 1 but pad_right declares 3"), "{err}");
@@ -362,9 +364,33 @@ fn join_condition_out_of_range_is_rejected() {
         on_idx: vec![(0, 7)],
         pad_left: 3,
         pad_right: 3,
+        zone_cols: vec![],
     };
     let err = verify::verify_node(&node).unwrap_err().to_string();
     assert!(err.contains("out of range for arities"), "{err}");
+}
+
+/// A zone pair lets the executor answer a join empty unread, so it must
+/// name an `Int` column of each leaf (`x` is Float: `-0.0 == 0.0` and NaN
+/// defeat a min/max test) and sit on a join that disjoint keys empty.
+#[test]
+fn zone_pair_lies_are_rejected() {
+    let join = |kind, zone_cols| Node::Join {
+        left: Box::new(scan(vec![], vec![])),
+        right: JoinRight::PkProbeLeaf { leaf: leaf(), ops: vec![] },
+        kind,
+        on_idx: vec![(0, 0)],
+        pad_left: 3,
+        pad_right: 3,
+        zone_cols,
+    };
+    assert!(verify::verify_node(&join(JoinKind::Inner, vec![(0, 0)])).is_ok());
+    let err = verify::verify_node(&join(JoinKind::Inner, vec![(1, 0)])).unwrap_err().to_string();
+    assert!(err.contains("column 1 is not an Int column of leaf `t`"), "{err}");
+    let err = verify::verify_node(&join(JoinKind::Semi, vec![(0, 9)])).unwrap_err().to_string();
+    assert!(err.contains("column 9"), "{err}");
+    let err = verify::verify_node(&join(JoinKind::Anti, vec![(0, 0)])).unwrap_err().to_string();
+    assert!(err.contains("Anti join"), "{err}");
 }
 
 #[test]
