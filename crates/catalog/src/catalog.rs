@@ -22,6 +22,7 @@
 //! the base catalog.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use svc_storage::{Database, Deltas, Result, Table};
@@ -38,6 +39,16 @@ pub struct Catalog {
     /// table, so the rebuild happens in [`Catalog::commit_deltas`]).
     pub rebuild_threshold: f64,
     tables: BTreeMap<String, TableStats>,
+    /// See [`Catalog::generation`].
+    generation: u64,
+}
+
+/// The source of [`Catalog::generation`]s: process-wide, so no two stats
+/// states ever share one.
+static GENERATIONS: AtomicU64 = AtomicU64::new(1);
+
+fn next_generation() -> u64 {
+    GENERATIONS.fetch_add(1, Ordering::Relaxed)
 }
 
 impl Catalog {
@@ -50,7 +61,16 @@ impl Catalog {
     pub fn build_with(db: &Database, config: StatsConfig) -> Catalog {
         let tables =
             db.iter().map(|(name, t)| (name.to_string(), TableStats::build(t, &config))).collect();
-        Catalog { config, rebuild_threshold: 0.2, tables }
+        Catalog { config, rebuild_threshold: 0.2, tables, generation: next_generation() }
+    }
+
+    /// The identity of these statistics: drawn fresh from a process-wide
+    /// counter at build and on every stats mutation ([`Catalog::refresh_table`],
+    /// [`Catalog::apply_deltas`], [`Catalog::commit_deltas`]); a clone keeps
+    /// it, since it holds the same stats. Plan caches key cost-based plans
+    /// by it.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// The build parameters.
@@ -76,12 +96,14 @@ impl Catalog {
     /// (Re)build one table's stats from its current contents.
     pub fn refresh_table(&mut self, name: &str, table: &Table) {
         self.tables.insert(name.to_string(), TableStats::build(table, &self.config));
+        self.generation = next_generation();
     }
 
     /// Fold a pending delta set into the stats (the delta relations carry
     /// full rows in both directions, so no base-table scan is needed).
     /// Tables the catalog has never seen are ignored.
     pub fn apply_deltas(&mut self, deltas: &Deltas) {
+        self.generation = next_generation();
         for (name, set) in deltas.iter() {
             if let Some(stats) = self.tables.get_mut(name) {
                 stats.apply_deletes(set.deletions.rows());
@@ -127,6 +149,10 @@ impl StatsProvider for Catalog {
     fn stats(&self, name: &str) -> Option<&TableStats> {
         self.tables.get(name)
     }
+
+    fn generation(&self) -> Option<u64> {
+        Some(self.generation)
+    }
 }
 
 /// A catalog overlay binding extra leaf names to concrete tables, whose
@@ -160,6 +186,11 @@ impl StatsProvider for ScopedStats<'_> {
             }
             None => self.base.stats(name),
         }
+    }
+
+    /// The base catalog's: the overlay only adds per-call leaves.
+    fn generation(&self) -> Option<u64> {
+        Some(self.base.generation)
     }
 }
 
@@ -218,6 +249,32 @@ mod tests {
         assert_eq!(s.staleness(), 0.0, "40% deletions must have forced a rebuild");
         // Post-rebuild the bounds are tight again: ids 0..119 are gone.
         assert_eq!(s.cols[0].min, Some(120.0));
+    }
+
+    /// Plan caches key cost-based plans by the generation: a clone holds the
+    /// same stats and keeps it, every mutator draws a new one, and two
+    /// builds of one database never share one.
+    #[test]
+    fn clones_keep_the_generation_and_every_mutator_changes_it() {
+        let mut db = db();
+        let mut cat = Catalog::build(&db);
+        assert_ne!(cat.generation(), Catalog::build(&db).generation());
+        assert_eq!(cat.clone().generation(), cat.generation());
+        assert_eq!(StatsProvider::generation(&cat.scoped()), Some(cat.generation()));
+        let est = cat.estimator();
+        assert_eq!(svc_relalg::optimizer::CardEstimator::generation(&est), Some(cat.generation()));
+
+        let mut seen = vec![cat.generation()];
+        let mut deltas = Deltas::new();
+        deltas.insert(&db, "t", vec![Value::Int(300), Value::Float(1.0)]).unwrap();
+        cat.apply_deltas(&deltas);
+        seen.push(cat.generation());
+        cat.refresh_table("t", db.table("t").unwrap());
+        seen.push(cat.generation());
+        cat.commit_deltas(&mut db, &mut deltas).unwrap();
+        seen.push(cat.generation());
+        let distinct: std::collections::BTreeSet<_> = seen.iter().collect();
+        assert_eq!(distinct.len(), seen.len(), "every mutator draws a new generation: {seen:?}");
     }
 
     #[test]

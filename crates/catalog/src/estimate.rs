@@ -36,6 +36,12 @@ use crate::stats::TableStats;
 pub trait StatsProvider: Sync {
     /// Statistics of leaf `name`, if collected.
     fn stats(&self, name: &str) -> Option<&TableStats>;
+
+    /// The identity of these statistics, reported by the estimator built on
+    /// top ([`CardEstimator::generation`]); `None`, the default, is unknown.
+    fn generation(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// Assumed row count of a leaf without statistics.
@@ -398,5 +404,9 @@ impl CardEstimator for CatalogEstimator<'_> {
     fn estimate(&self, plan: &Plan, leaves: &dyn LeafProvider) -> Result<RelCard> {
         let (_, e) = est_plan(plan, leaves, self.provider)?;
         Ok(RelCard { rows: e.rows, distinct: e.cols.iter().map(|c| c.distinct).collect() })
+    }
+
+    fn generation(&self) -> Option<u64> {
+        self.provider.generation()
     }
 }

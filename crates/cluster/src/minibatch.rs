@@ -27,20 +27,28 @@
 //! runner (`MaterializedView::maintained`, without η, on the view itself)
 //! over the whole pending set. That is the call `MaterializedView::maintain`
 //! and sample cleaning make, here run on the pool.
+//!
+//! The pipeline keeps no plans of its own. The change pairs, like every
+//! plan the runner runs, come from the view's plan cache (`svc_ivm::plans`:
+//! one per view, shared by its clones, keyed by η spec, delta signature,
+//! base shapes and statistics generation), so a signature the runner or an
+//! earlier batch planned compiles nothing here; the pipeline only counts
+//! its lookups (`PipelineMetrics::{compiles, cache_hits, cache_misses}`).
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use svc_catalog::Catalog;
+use svc_catalog::{Catalog, ScopedStats};
 use svc_core::maintenance_stats;
 use svc_ivm::fold::{KeyedFold, StagedEdits};
-use svc_ivm::strategy::{view_delta, MaintCatalog, PlanKind, ViewDelta};
+use svc_ivm::plans::CompiledDelta;
+use svc_ivm::strategy::{view_delta, PlanKind, ViewDelta};
 use svc_ivm::view::{maintenance_bindings, MaterializedView};
-use svc_ivm::{DeltaInfo, Signed};
-use svc_relalg::exec::{ExecMode, PhysicalPlan};
+use svc_ivm::DeltaInfo;
+use svc_relalg::exec::ExecMode;
 use svc_relalg::optimizer::CardEstimator;
 use svc_relalg::plan::Plan;
 use svc_storage::{Database, Deltas, Result, StorageError, Table};
@@ -183,14 +191,9 @@ pub struct BatchPipeline {
     /// default) or retry-then-quarantine (see [`FailurePolicy`]).
     pub policy: FailurePolicy,
     /// Dead-letter queue of quarantined batches, shared by clones like the
-    /// cache.
+    /// counters.
     quarantine: Arc<Mutex<Vec<QuarantinedBatch>>>,
-    /// Compiled change plans, cached across batches and `maintain` calls.
-    /// Shared by clones (same pipeline, same cache); entries are keyed by
-    /// view, delta signature and the attached catalog's identity — see
-    /// [`CompileCache`].
-    cache: Arc<Mutex<CompileCache>>,
-    /// Live pipeline counters, shared by clones like the cache.
+    /// Live pipeline counters, shared by clones.
     counters: Arc<PipelineCounters>,
 }
 
@@ -206,9 +209,9 @@ struct PipelineCounters {
     folds: Counter,
     /// Change plans compiled.
     compiles: Counter,
-    /// Compile-cache hits.
+    /// Change-plan lookups the view's plan cache served.
     cache_hits: Counter,
-    /// Compile-cache misses (each implies one compile).
+    /// Change-plan lookups it missed (each implies one compile).
     cache_misses: Counter,
     /// Batch re-attempts after transient failures (retry policy).
     retries: Counter,
@@ -217,8 +220,7 @@ struct PipelineCounters {
     /// Successful recoveries: re-folded quarantined batches plus fallback
     /// recomputes.
     recoveries: Counter,
-    /// Poisoned compile-cache locks recovered (cache flushed, poison
-    /// cleared).
+    /// Poisoned plan-cache locks recovered (cache flushed, poison cleared).
     cache_poisons: Counter,
 }
 
@@ -231,11 +233,11 @@ pub struct PipelineMetrics {
     pub fold_ns: u64,
     /// Change-table folds performed.
     pub folds: u64,
-    /// Change plans compiled (one per compile-cache miss).
+    /// Change plans compiled (one per plan-cache miss).
     pub compiles: u64,
-    /// Compile-cache hits.
+    /// Change-plan lookups served by the view's plan cache.
     pub cache_hits: u64,
-    /// Compile-cache misses.
+    /// Change-plan lookups that missed it.
     pub cache_misses: u64,
     /// Batch re-attempts after transient failures.
     pub retries: u64,
@@ -244,7 +246,7 @@ pub struct PipelineMetrics {
     /// Successful recoveries (re-folded quarantined batches, fallback
     /// recomputes).
     pub recoveries: u64,
-    /// Poisoned compile-cache locks recovered.
+    /// Poisoned plan-cache locks recovered.
     pub cache_poisons: u64,
 }
 
@@ -265,84 +267,12 @@ impl Drop for BacklogGuard<'_> {
     }
 }
 
-/// The cache of compiled change plans: one pair (γ(∆), γ(∇)) per (view,
-/// delta signature, catalog).
-///
-/// Everything a compiled plan depends on is part of its key: the canonical
-/// view plan, stale type and base-table shapes (the *view key*), which
-/// tables have pending insertions/deletions (the *delta signature* — the
-/// change-table expression prunes absent delta sides), and the statistics
-/// catalog the entry was optimized under — by *identity*, since cached
-/// join orders reflect that catalog's statistics. How a batch is chunked is
-/// *not*: every chunk binds its deltas under the same leaf names, so a
-/// repartition replays the same plan. Keying rather than clearing lets two
-/// live pipeline clones with different catalogs share the cache without
-/// thrashing each other. (An earlier revision held a single catalog and
-/// flushed every entry when a different one showed up; two clones attached
-/// to different catalogs then wiped each other's entries on every lookup
-/// and recompiled every batch forever.)
-#[derive(Debug, Default)]
-struct CompileCache {
-    /// Catalogs with live entries, retained so the address component of
-    /// entry keys stays unambiguous: a dropped catalog's allocation can
-    /// never be recycled into a new catalog that false-hits old entries.
-    catalogs: Vec<Arc<Catalog>>,
-    /// Compiled change plans — one entry is the pair γ(∆), γ(∇) — keyed by
-    /// catalog identity then view key + signature.
-    entries: HashMap<usize, HashMap<String, Arc<Signed<PhysicalPlan>>>>,
-}
-
-/// Entry cap: one long-lived pipeline maintaining many views over
-/// shifting delta signatures must not grow without bound. A full flush at
-/// the cap is crude but safe — everything recompiles at most once after.
-const COMPILE_CACHE_CAP: usize = 64;
-
-/// The identity token of a catalog binding: the `Arc` allocation address,
-/// or 0 for "no catalog" (never a valid allocation address).
-fn catalog_token(catalog: &Option<Arc<Catalog>>) -> usize {
-    catalog.as_ref().map_or(0, |c| Arc::as_ptr(c) as usize)
-}
-
-impl CompileCache {
-    /// The entry for `key` under the caller's catalog.
-    fn lookup(
-        &mut self,
-        catalog: &Option<Arc<Catalog>>,
-        key: &str,
-    ) -> Option<Arc<Signed<PhysicalPlan>>> {
-        self.entries.get(&catalog_token(catalog))?.get(key).cloned()
-    }
-
-    /// Insert a freshly compiled pair.
-    fn store(
-        &mut self,
-        catalog: &Option<Arc<Catalog>>,
-        key: String,
-        plan: Arc<Signed<PhysicalPlan>>,
-    ) {
-        if self.entries.values().map(HashMap::len).sum::<usize>() >= COMPILE_CACHE_CAP {
-            self.entries.clear();
-            self.catalogs.clear();
-        }
-        if let Some(c) = catalog {
-            if !self.catalogs.iter().any(|held| Arc::ptr_eq(held, c)) {
-                self.catalogs.push(c.clone());
-            }
-        }
-        self.entries.entry(catalog_token(catalog)).or_default().insert(key, plan);
-    }
-}
-
 /// What every mini-batch of one change-table [`BatchPipeline::maintain`]
 /// call shares.
 struct MaintainCall<'a> {
     db: &'a Database,
-    canonical: &'a svc_ivm::Canonical,
-    cat: &'a MaintCatalog<'a>,
     /// The view's keyed fold, bound once per call.
     fold: &'a KeyedFold,
-    /// Cache identity of the view's change plans (see `maintain`).
-    view_key: &'a str,
     /// Whether batches may split into delta chunks
     /// ([`chunk_parallel_exact`]).
     chunk_parallel: bool,
@@ -368,7 +298,6 @@ impl BatchPipeline {
             tracer: None,
             policy: FailurePolicy::default(),
             quarantine: Arc::default(),
-            cache: Arc::default(),
             counters: Arc::default(),
         }
     }
@@ -386,8 +315,8 @@ impl BatchPipeline {
     }
 
     /// Snapshot the pipeline's subsystem metrics: current delta backlog,
-    /// cumulative fold latency, and compile-cache hit/miss counts.
-    /// Lock-free; shared across pipeline clones (same cache, same
+    /// cumulative fold latency, and plan-cache hit/miss counts of its
+    /// change-plan lookups. Lock-free; shared across pipeline clones (same
     /// counters).
     pub fn metrics(&self) -> PipelineMetrics {
         let c = &*self.counters;
@@ -402,25 +331,6 @@ impl BatchPipeline {
             quarantined: c.quarantined.get(),
             recoveries: c.recoveries.get(),
             cache_poisons: c.cache_poisons.get(),
-        }
-    }
-
-    /// Lock the compile cache, recovering from poison: a panic while the
-    /// cache was held may have left a half-written entry behind, so the
-    /// poisoned contents are dropped wholesale (everything recompiles at
-    /// most once — the same crude-but-safe move the entry cap makes) and
-    /// the poison is cleared so later locks return to the fast path.
-    fn cache_lock(&self) -> MutexGuard<'_, CompileCache> {
-        match self.cache.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                let mut guard = poisoned.into_inner();
-                guard.entries.clear();
-                guard.catalogs.clear();
-                self.cache.clear_poison();
-                self.counters.cache_poisons.inc();
-                guard
-            }
         }
     }
 
@@ -475,17 +385,20 @@ impl BatchPipeline {
         let _backlog_reset = BacklogGuard(&self.counters.backlog);
         let _maintain_span = self.tracer.as_deref().map(|t| t.span("maintain", "pipeline"));
 
-        let info = svc_ivm::DeltaInfo::of(&pending);
-        // The catalog depends only on the canonical view and the stale
-        // schema/key, which are invariant across every batch of this call.
-        let cat = view.maint_catalog(db);
-        // The strategy's gate decides; only change tables are chunk-additive.
-        let change_table = match view_delta(&canonical, &cat, &info)? {
-            ViewDelta::NoOp => return Ok(run),
-            ViewDelta::Keyed { kind, .. } => kind == PlanKind::ChangeTable,
-            ViewDelta::Recompute(_) => false,
+        // The strategy's gate decides — read off the view's plan cache when
+        // this signature was planned before, `view_delta` otherwise; only
+        // change tables are chunk-additive.
+        let info = DeltaInfo::of(&pending);
+        let kind = match self
+            .with_estimator(&pending, |est| view.cached_delta_plan(db, &info, None, est))
+        {
+            Some(planned) => planned.delta.kind(),
+            None => view_delta(&canonical, &view.maint_catalog(db), &info)?.kind(),
         };
-        if !change_table {
+        if kind == PlanKind::NoOp {
+            return Ok(run);
+        }
+        if kind != PlanKind::ChangeTable {
             // Fallback: the whole pending set through
             // `MaterializedView::maintained` — ∆V / ∇V folded by key, or a
             // recompute. Splitting it into mini-batches would be unsound:
@@ -511,24 +424,6 @@ impl BatchPipeline {
 
         // The keyed fold is invariant across batches: bind it once per call.
         let fold = KeyedFold::new(&canonical, view.table())?;
-        // Cache identity of this view's change plans: the generated plan is
-        // a pure function of the canonical plan and the stale type (plus
-        // the delta signature appended per lookup) — and the compiled
-        // plans additionally bake in the base-table shapes their leaves
-        // validate against at run time. Fingerprinting those shapes here
-        // means a base-schema (or key) change keys to a fresh entry and
-        // recompiles exactly once, instead of the cached plans failing
-        // leaf validation forever.
-        let view_key = {
-            use std::fmt::Write;
-            let mut key = format!("{:?}|{:?}", canonical.plan, cat.stale);
-            for leaf in canonical.plan.leaf_tables() {
-                if let Ok(t) = db.table(leaf) {
-                    let _ = write!(key, "|{leaf}:[{}]k{:?}", t.schema(), t.key());
-                }
-            }
-            key
-        };
         // Batch boundaries obey the same exactness condition as chunk
         // parallelism: every batch's change table reads the original base
         // state, so batches (like chunks) must not interact.
@@ -543,15 +438,7 @@ impl BatchPipeline {
         // found it — a retry never applies an edit twice, a quarantined
         // batch stays out.
         let batches = pending.partition(n_batches);
-        let call = MaintainCall {
-            db,
-            canonical: &canonical,
-            cat: &cat,
-            fold: &fold,
-            view_key: &view_key,
-            chunk_parallel: exact,
-            batches: batches.len(),
-        };
+        let call = MaintainCall { db, fold: &fold, chunk_parallel: exact, batches: batches.len() };
         let mut shadow: Option<Table> = None;
         for (idx, batch) in batches.into_iter().enumerate() {
             let records = batch.len();
@@ -566,7 +453,7 @@ impl BatchPipeline {
                 &mut run,
                 |view, batch| {
                     let target = shadow.as_ref().unwrap_or_else(|| view.table());
-                    self.stage_change_batch(&call, batch.into_owned(), target)
+                    self.stage_change_batch(&call, view, batch.into_owned(), target)
                 },
             )?;
             if let Some((staged, plans)) = staged {
@@ -757,23 +644,23 @@ impl BatchPipeline {
         svc_fault::fail_point!(svc_fault::site::BATCH_FALLBACK, StorageError::Invalid);
         // No plan the runner runs reads the stale view: overlay stats for the
         // delta leaves alone.
-        let scoped = self.catalog.as_deref().map(|c| maintenance_stats(c, None, pending));
-        let est = scoped.as_ref().map(|s| s.estimator());
-        let est = est.as_ref().map(|e| e as &dyn CardEstimator);
-        let run = |mode: ExecMode<'_>| {
-            let maintained = view.maintained(db, pending, view.table(), None, est, mode)?;
-            Ok(maintained.expect("the gate found pending deltas that reach the view").0)
-        };
-        match self.morsel_size {
-            Some(morsel) => {
-                run(ExecMode::morsel(self.pool.as_ref(), morsel).partitions(self.join_partitions))
+        self.with_estimator(pending, |est| {
+            let run = |mode: ExecMode<'_>| {
+                let maintained = view.maintained(db, pending, view.table(), None, est, mode)?;
+                Ok(maintained.expect("the gate found pending deltas that reach the view").0)
+            };
+            match self.morsel_size {
+                Some(morsel) => {
+                    run(ExecMode::morsel(self.pool.as_ref(), morsel)
+                        .partitions(self.join_partitions))
+                }
+                None => Ok(self
+                    .pool
+                    .run_batch(1, |_| run(ExecMode::sequential()))?
+                    .pop()
+                    .expect("one task, one result")),
             }
-            None => Ok(self
-                .pool
-                .run_batch(1, |_| run(ExecMode::sequential()))?
-                .pop()
-                .expect("one task, one result")),
-        }
+        })
     }
 
     /// Execute one change-table mini-batch and stage its keyed edits
@@ -782,6 +669,7 @@ impl BatchPipeline {
     fn stage_change_batch(
         &self,
         call: &MaintainCall<'_>,
+        view: &MaterializedView,
         batch: Deltas,
         target: &Table,
     ) -> Result<(StagedEdits, usize)> {
@@ -793,15 +681,15 @@ impl BatchPipeline {
             if call.chunk_parallel { batch.partition(self.partitions) } else { vec![batch] };
         // One pair of plans per distinct delta signature in the batch —
         // normally one — looked up once, however many chunks carry it.
-        let mut plans: Vec<(DeltaInfo, Arc<Signed<PhysicalPlan>>)> = Vec::new();
+        let mut plans: Vec<(DeltaInfo, Arc<CompiledDelta>, bool)> = Vec::new();
         let mut plan_of = Vec::with_capacity(chunks.len());
         for chunk in &chunks {
             let info = DeltaInfo::of(chunk);
-            let known = plans.iter().position(|(seen, _)| *seen == info);
+            let known = plans.iter().position(|(seen, ..)| *seen == info);
             plan_of.push(known.unwrap_or(plans.len()));
             if known.is_none() {
-                let plan = self.compiled_change_plan(call, chunk, &info)?;
-                plans.push((info, plan));
+                let (plan, hit) = self.compiled_change_plan(call.db, view, chunk, &info)?;
+                plans.push((info, plan, hit));
             }
         }
         svc_fault::fail_point!(svc_fault::site::BATCH_EVALUATE, StorageError::Invalid);
@@ -810,9 +698,21 @@ impl BatchPipeline {
         // bindings: one task per chunk evaluates γ(∆), then γ(∇).
         let changes = self.pool.run_batch(chunks.len(), |i| {
             let bindings = maintenance_bindings(call.db, &chunks[i], target);
-            let pair: &Signed<PhysicalPlan> = &plans[plan_of[i]].1;
-            pair.as_ref().try_map(|side| side.run(&bindings))
+            let ViewDelta::Keyed { change, .. } = &plans[plan_of[i]].1.delta else {
+                unreachable!("compiled_change_plan hands out keyed pairs only")
+            };
+            change.as_ref().try_map(|side| side.run(&bindings))
         })?;
+        if svc_relalg::verify::ENABLED {
+            for (chunk, &p) in chunks.iter().zip(&plan_of) {
+                let (_, plan, hit) = &plans[p];
+                if *hit {
+                    self.with_estimator(chunk, |est| {
+                        view.verify_plan_hit(call.db, chunk, None, est, plan)
+                    })?;
+                }
+            }
+        }
 
         // Reduce stage (driver): fold each change table, in chunk order,
         // into the staged edits — O(|change|) lookups by group key, the
@@ -830,47 +730,59 @@ impl BatchPipeline {
         Ok((staged, changes.len()))
     }
 
-    /// The compiled change plans — γ(∆) and γ(∇), one cache entry — for one
-    /// delta signature of the view: served from the cache when the signature
-    /// was seen before, otherwise built, optimized, compiled — priced on
-    /// `chunk`, the first one carrying the signature — and cached (the delta
-    /// runner runs what it compiles, so this keeps its own two-line step).
+    /// The compiled change plans — γ(∆) and γ(∇), one entry — for one delta
+    /// signature of the view, from the view's plan cache: a hit when the
+    /// signature was planned before (by any pipeline, the delta runner or a
+    /// clone of the view), otherwise built — priced on `chunk`, the first
+    /// one carrying the signature — and stored. The flag is the hit.
     fn compiled_change_plan(
         &self,
-        call: &MaintainCall<'_>,
+        db: &Database,
+        view: &MaterializedView,
         chunk: &Deltas,
         info: &DeltaInfo,
-    ) -> Result<Arc<Signed<PhysicalPlan>>> {
-        let MaintainCall { canonical, cat, view_key, .. } = *call;
-        let key = format!("{view_key}|{info:?}");
-        if let Some(hit) = self.cache_lock().lookup(&self.catalog, &key) {
-            self.counters.cache_hits.inc();
-            return Ok(hit);
-        }
-        self.counters.cache_misses.inc();
-        svc_fault::fail_point!(svc_fault::site::BATCH_COMPILE, StorageError::Invalid);
-        let _compile_span = self.tracer.as_deref().map(|t| t.span("compile", "pipeline"));
-
-        // A chunk of a change-table batch is a change-table delta itself.
-        let ViewDelta::Keyed { change, .. } = view_delta(canonical, cat, info)? else {
-            return Err(StorageError::Invalid(
-                "delta chunk does not reach the view; partition before batching".into(),
-            ));
-        };
+    ) -> Result<(Arc<CompiledDelta>, bool)> {
         // With a catalog attached, overlay stats for the chunk's delta
         // leaves (tiny tables — the build scan is noise) so the change plans
         // get cost-based join order too. Change plans never read `__stale`
         // (the keyed fold does the merge), so no view-wide stats build.
-        let scoped = self.catalog.as_deref().map(|c| maintenance_stats(c, None, chunk));
-        let est = scoped.as_ref().map(|s| s.estimator());
-        let est = est.as_ref().map(|e| e as &dyn CardEstimator);
-        let compiled = Arc::new(change.try_map(|side| {
-            let (optimized, _) = cat.optimize(&side, est)?;
-            svc_relalg::exec::compile_with(&optimized, cat, est)
-        })?);
-        self.cache_lock().store(&self.catalog, key, compiled.clone());
-        self.counters.compiles.inc();
-        Ok(compiled)
+        let planned = self.with_estimator(chunk, |est| {
+            if let Some(plan) = view.cached_delta_plan(db, info, None, est) {
+                self.counters.cache_hits.inc();
+                return Ok((plan, true));
+            }
+            self.counters.cache_misses.inc();
+            svc_fault::fail_point!(svc_fault::site::BATCH_COMPILE, StorageError::Invalid);
+            let _compile_span = self.tracer.as_deref().map(|t| t.span("compile", "pipeline"));
+            let lookup = view.delta_plan(db, info, None, est)?;
+            if lookup.recovered_poison {
+                self.counters.cache_poisons.inc();
+            }
+            if !lookup.hit {
+                self.counters.compiles.inc();
+            }
+            Ok((lookup.plan, false))
+        })?;
+        // A chunk of a change-table batch is a change-table delta itself.
+        if !matches!(planned.0.delta, ViewDelta::Keyed { .. }) {
+            return Err(StorageError::Invalid(
+                "delta chunk does not reach the view; partition before batching".into(),
+            ));
+        }
+        Ok(planned)
+    }
+
+    /// `f` under the attached catalog's estimator, overlaid with `deltas`'
+    /// leaves (a leaf's stats are built when an estimate reads it); `None`
+    /// without a catalog.
+    fn with_estimator<T>(
+        &self,
+        deltas: &Deltas,
+        f: impl FnOnce(Option<&dyn CardEstimator>) -> T,
+    ) -> T {
+        let scoped = self.catalog.as_deref().map(|c| maintenance_stats(c, None, deltas));
+        let est = scoped.as_ref().map(ScopedStats::estimator);
+        f(est.as_ref().map(|e| e as &dyn CardEstimator))
     }
 }
 
@@ -1204,9 +1116,12 @@ mod tests {
             deltas.insert(&db, "log", vec![Value::Int(s), Value::Int(s % 80)]).unwrap();
         }
         deltas.delete(&db, "log", &vec![Value::Int(7), Value::Null]).unwrap();
-        let signatures: std::collections::BTreeSet<String> = (deltas.clone().partition(4).iter())
-            .map(|chunk| format!("{:?}", DeltaInfo::of(chunk)))
-            .collect();
+        let mut signatures: Vec<DeltaInfo> = Vec::new();
+        for info in deltas.clone().partition(4).iter().map(DeltaInfo::of) {
+            if !signatures.contains(&info) {
+                signatures.push(info);
+            }
+        }
         assert_eq!(signatures.len(), 2, "setup: an insert-only chunk and one with the deletion");
 
         let pipeline = BatchPipeline::new(2);
@@ -1219,12 +1134,15 @@ mod tests {
             (2, 2, 0),
             "one lookup per signature"
         );
-        let mut sides: Vec<(bool, bool)> = (pipeline.cache_lock().entries.values())
-            .flat_map(|by_key| by_key.values())
-            .map(|pair| (pair.ins.is_some(), pair.del.is_some()))
+        assert_eq!(view.plan_metrics().entries, 2, "one entry per signature, on the view");
+        let mut sides: Vec<(bool, bool)> = (signatures.iter())
+            .map(|info| match &view.cached_delta_plan(&db, info, None, None).unwrap().delta {
+                ViewDelta::Keyed { change, .. } => (change.ins.is_some(), change.del.is_some()),
+                other => panic!("a change-table pair, not {:?}", other.kind()),
+            })
             .collect();
         sides.sort();
-        assert_eq!(sides, [(true, false), (true, true)], "one entry per signature, each a pair");
+        assert_eq!(sides, [(true, false), (true, true)], "each entry a pair");
         let expected = view.recompute_fresh(&db, &deltas).unwrap();
         assert!(v.table().approx_same_contents(&expected, 1e-9));
     }
@@ -1537,8 +1455,9 @@ mod tests {
         assert_eq!(pipeline.metrics().compiles, 1, "one delta signature, one compile");
     }
 
-    /// A panic while the compile cache is held must not wedge the pipeline
-    /// forever: the poisoned contents are dropped and maintenance proceeds.
+    /// A panic while the view's plan cache is held must not wedge the
+    /// pipeline forever: the poisoned contents are dropped and maintenance
+    /// proceeds.
     #[test]
     fn poisoned_compile_cache_recovers() {
         let db = db();
@@ -1550,23 +1469,46 @@ mod tests {
         // Warm the cache, then poison it: a thread panics mid-critical-section.
         let mut v = view.clone();
         pipeline.maintain(&db, &mut v, &deltas, 200).unwrap();
-        let cache = pipeline.cache.clone();
-        std::thread::spawn(move || {
-            let _guard = cache.lock().unwrap();
-            panic!("simulated panic while holding the compile cache");
-        })
-        .join()
-        .unwrap_err();
-        assert!(pipeline.cache.is_poisoned(), "setup: cache should be poisoned");
+        let warm = view.plan_metrics();
+        assert!(warm.entries > 0, "setup: the cache is warm");
+        view.poison_plan_cache();
+        assert_eq!(view.plan_metrics().entries, 0, "setup: cache should be poisoned");
 
-        let mut v = view;
+        let mut v = view.clone();
         let run = pipeline.maintain(&db, &mut v, &deltas, 200).unwrap();
         assert!(v.table().approx_same_contents(&expected, 1e-9));
         assert!(run.batches > 0);
-        assert!(!pipeline.cache.is_poisoned(), "poison must be cleared, not just bypassed");
+        assert!(view.plan_metrics().entries > 0, "poison must be cleared, not just bypassed");
         let m = pipeline.metrics();
         assert_eq!(m.cache_poisons, 1, "recovery should be counted exactly once");
         // The poisoned entries were dropped, so this maintain recompiled.
         assert!(m.cache_misses >= 2);
+        assert!(view.plan_metrics().built > warm.built);
+    }
+
+    /// The pipeline reads the one plan cache the delta runner fills: after
+    /// `MaterializedView::maintain` planned a signature, a pipeline on a
+    /// clone of the view compiles nothing and counts hits only.
+    #[test]
+    fn a_warm_view_costs_the_pipeline_no_compile() {
+        let db = db();
+        let view = MaterializedView::create("v", visit_view(), &db).unwrap();
+        let mut deltas = Deltas::new();
+        for s in 2_000..2_300i64 {
+            deltas.insert(&db, "log", vec![Value::Int(s), Value::Int(s % 80)]).unwrap();
+        }
+        view.clone().maintain(&db, &deltas).unwrap();
+        let pipeline = BatchPipeline::new(2);
+        let mut v = view.clone();
+        let optimizes = svc_relalg::optimizer::optimize_count();
+        let run = pipeline.maintain(&db, &mut v, &deltas, 100).unwrap();
+        // The verifier rebuilds every hit to prove it.
+        if !svc_relalg::verify::ENABLED {
+            assert_eq!(svc_relalg::optimizer::optimize_count(), optimizes, "no optimizer run");
+        }
+        let m = pipeline.metrics();
+        assert_eq!((m.compiles, m.cache_misses), (0, 0), "a warm view compiles nothing");
+        assert_eq!(m.cache_hits as usize, run.batches, "one hit per batch: one signature");
+        assert!(v.table().approx_same_contents(&view.recompute_fresh(&db, &deltas).unwrap(), 1e-9));
     }
 }

@@ -76,6 +76,12 @@ pub struct SvcMetrics {
     pub rows_cleaned: u64,
     /// Time since the full view was last maintained (creation counts).
     pub staleness_age: std::time::Duration,
+    /// View deltas the view's plan cache built (derived, optimized,
+    /// compiled) — for cleaning, maintenance and the pipeline alike, since
+    /// the cache is shared by every clone of the view.
+    pub plans_built: u64,
+    /// View deltas served from that cache: runs that paid no planning.
+    pub plan_hits: u64,
 }
 
 /// A cleaned sample plus diagnostics of how it was materialized.
@@ -95,7 +101,9 @@ pub struct CleanedSample {
 impl SvcView {
     /// Create the view, materialize it, and draw the initial sample; a config
     /// outside `ratio ∈ (0, 1]`, `confidence ∈ (0, 1)`, `bootstrap_iterations
-    /// ≥ 1` is [`StorageError::Invalid`] (the estimators would be wrong).
+    /// ≥ 1` is [`StorageError::Invalid`] (the estimators would be wrong), and
+    /// so is a view without a primary key (a global aggregate): η hashes the
+    /// key, so its sample would be empty and no clean could run.
     pub fn create(
         name: impl Into<String>,
         definition: Plan,
@@ -111,17 +119,26 @@ impl SvcView {
             )));
         }
         let view = MaterializedView::create(name, definition, db)?;
+        if view.key_names().is_empty() {
+            return Err(StorageError::Invalid(format!(
+                "view {} has an empty primary key (a global aggregate): it cannot be sampled",
+                view.name
+            )));
+        }
         let stale_sample = sample_by_key(view.table(), config.ratio, config.hash_spec());
         Ok(SvcView { view, config, stale_sample, counters: SvcCounters::default() })
     }
 
-    /// Read this view's telemetry: cleaning counters plus the staleness
-    /// age of the full materialized state.
+    /// Read this view's telemetry: cleaning counters, the staleness age of
+    /// the full materialized state, and its plan cache's counters.
     pub fn metrics(&self) -> SvcMetrics {
+        let plans = self.view.plan_metrics();
         SvcMetrics {
             cleanings: self.counters.cleanings.get(),
             rows_cleaned: self.counters.rows_cleaned.get(),
             staleness_age: self.view.staleness_age(),
+            plans_built: plans.built,
+            plan_hits: plans.hits,
         }
     }
 
@@ -509,6 +526,15 @@ mod tests {
         for confidence in [1.5, 1.0, 0.0, -0.1, f64::NAN] {
             assert_rejected(SvcConfig { confidence, ..SvcConfig::with_ratio(0.2) });
         }
+    }
+
+    /// A global aggregate has an empty primary key: every hash seed drew an
+    /// empty stale sample, and every clean then failed to sample it.
+    #[test]
+    fn global_aggregate_is_rejected() {
+        let def = Plan::scan("log").aggregate(&[], vec![AggSpec::count_all("n")]);
+        let err = SvcView::create("g", def, &db(), SvcConfig::with_ratio(0.2)).unwrap_err();
+        assert!(matches!(err, StorageError::Invalid(_)), "{err}");
     }
 
     #[test]

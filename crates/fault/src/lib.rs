@@ -231,7 +231,7 @@ pub mod site {
     /// `WorkerPool` task dispatch, inside the per-task `catch_unwind` (so
     /// injected failures become session errors, never dead workers).
     pub const POOL_DISPATCH: &str = "cluster::pool::dispatch";
-    /// Compiling a batch's change plans (the compile-cache miss path).
+    /// Compiling a batch's change plans (the plan-cache miss path).
     pub const BATCH_COMPILE: &str = "cluster::batch::compile";
     /// Evaluating a batch's change plans on the pool.
     pub const BATCH_EVALUATE: &str = "cluster::batch::evaluate";

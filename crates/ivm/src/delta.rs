@@ -57,7 +57,7 @@ pub fn delta_base(leaf: &str) -> Option<&str> {
 
 /// Which base tables have pending insertions / deletions. Used to prune
 /// provably-empty delta branches.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct DeltaInfo {
     /// Tables with at least one pending insertion.
     pub ins: BTreeSet<String>,

@@ -25,12 +25,15 @@
 //!   same decision as one maintenance plan, the reference form;
 //! * [`fold`] — the keyed fold: apply an evaluated pair to the view — or to
 //!   a hash sample of it — key by key, O(|pair|), staged then committed;
+//! * [`plans`] — the view's plan cache: each view delta η-wrapped,
+//!   optimized and compiled once per signature, shared by a view's clones;
 //! * [`view`] — [`view::MaterializedView`]: definition + materialized state
 //!   + staleness bookkeeping + `maintain()`.
 
 pub mod canon;
 pub mod delta;
 pub mod fold;
+pub mod plans;
 pub mod strategy;
 pub mod view;
 

@@ -56,9 +56,11 @@ pub enum PlanKind {
     Recompute,
 }
 
-/// How a view takes a delta set — the answer of [`view_delta`].
+/// How a view takes a delta set — the answer of [`view_delta`], as logical
+/// plans; the view's plan cache holds it compiled
+/// (`ViewDelta<svc_relalg::exec::PhysicalPlan>`).
 #[derive(Debug, Clone)]
-pub enum ViewDelta {
+pub enum ViewDelta<P = Plan> {
     /// Nothing pending, or every delta branch pruned: the view stands.
     NoOp,
     /// The view changes by a signed pair of relations keyed like the view,
@@ -67,12 +69,45 @@ pub enum ViewDelta {
     /// present; a side the deltas cannot reach is `None`.
     Keyed {
         /// The two sides, as plans over `{base tables, __ins.T, __del.T}`.
-        change: Signed<Plan>,
+        change: Signed<P>,
         /// [`PlanKind::ChangeTable`] or [`PlanKind::DeltaApply`].
         kind: PlanKind,
     },
     /// The view is re-evaluated: [`recompute_plan`] of its definition.
-    Recompute(Plan),
+    Recompute(P),
+}
+
+impl<P> ViewDelta<P> {
+    /// The strategy this answer takes.
+    pub fn kind(&self) -> PlanKind {
+        match self {
+            ViewDelta::NoOp => PlanKind::NoOp,
+            ViewDelta::Keyed { kind, .. } => *kind,
+            ViewDelta::Recompute(_) => PlanKind::Recompute,
+        }
+    }
+
+    /// Every plan by reference.
+    pub fn as_ref(&self) -> ViewDelta<&P> {
+        match self {
+            ViewDelta::NoOp => ViewDelta::NoOp,
+            ViewDelta::Keyed { change, kind } => {
+                ViewDelta::Keyed { change: change.as_ref(), kind: *kind }
+            }
+            ViewDelta::Recompute(plan) => ViewDelta::Recompute(plan),
+        }
+    }
+
+    /// Every plan through `f` (a keyed pair's inserted side first).
+    pub fn try_map<Q>(self, mut f: impl FnMut(P) -> Result<Q>) -> Result<ViewDelta<Q>> {
+        Ok(match self {
+            ViewDelta::NoOp => ViewDelta::NoOp,
+            ViewDelta::Keyed { change, kind } => {
+                ViewDelta::Keyed { change: change.try_map(f)?, kind }
+            }
+            ViewDelta::Recompute(plan) => ViewDelta::Recompute(f(plan)?),
+        })
+    }
 }
 
 /// Leaf resolver for maintenance plans: knows the stale view and maps

@@ -2,6 +2,11 @@
 //! delta runner, [`MaterializedView::maintained`], which maintenance (on the
 //! view), cleaning (`svc-core`, on the stale sample under η) and the
 //! mini-batch pipeline's fallback (`svc-cluster`) all call.
+//!
+//! Every view carries one plan cache ([`crate::plans`]), shared by its
+//! clones and kept across commits: the runner, and the pipeline's change
+//! plans, derive, optimize and compile a view delta once per signature
+//! ([`MaterializedView::delta_plan`]) and afterwards only run and fold it.
 
 use std::sync::Arc;
 
@@ -9,7 +14,7 @@ use svc_storage::{Database, Deltas, HashSpec, Result, StorageError, Table};
 
 use svc_relalg::derive::{derive_project, Derived};
 use svc_relalg::eval::{evaluate, Bindings};
-use svc_relalg::exec::{compile_with, ExecMode};
+use svc_relalg::exec::{compile_with, ExecMode, PhysicalPlan};
 use svc_relalg::optimizer::{optimize, CardEstimator, EtaReport};
 use svc_relalg::plan::Plan;
 use svc_relalg::scalar::Expr;
@@ -17,6 +22,7 @@ use svc_relalg::scalar::Expr;
 use crate::canon::{canonicalize, Canonical};
 use crate::delta::{del_leaf, ins_leaf, DeltaInfo};
 use crate::fold::KeyedFold;
+use crate::plans::{CompiledDelta, PlanCache, PlanKey, PlanLookup, PlanMetrics};
 use crate::strategy::{
     maintenance_plan, view_delta, MaintCatalog, PlanKind, ViewDelta, STALE_LEAF,
 };
@@ -56,6 +62,9 @@ pub struct MaterializedView {
     /// `maintain*` call, or `set_table`) — the observable behind
     /// [`MaterializedView::staleness_age`].
     maintained_at: std::time::Instant,
+    /// Compiled view deltas by signature ([`crate::plans`]): shared by every
+    /// clone, kept across commits.
+    plans: Arc<PlanCache>,
 }
 
 /// A consistent point-in-time read of a view: the commit epoch and the
@@ -103,6 +112,7 @@ impl MaterializedView {
             epoch: 0,
             dirty: false,
             maintained_at: std::time::Instant::now(),
+            plans: Arc::default(),
         })
     }
 
@@ -245,11 +255,11 @@ impl MaterializedView {
     /// hash)`, its stale sample. `None` when no pending delta reaches the
     /// view: nothing runs, nothing is copied.
     ///
-    /// [`view_delta`] decides once; each plan is η-wrapped under `eta`,
-    /// optimized (joins ordered by `est`), compiled against the maintenance
-    /// catalog and run once under `mode` (morsel-parallel with a scheduler).
-    /// A keyed pair is folded into one clone of `target`. No plan reads the
-    /// stale view. The report unions the plans' η reports.
+    /// The compiled delta comes from the view's plan cache
+    /// ([`MaterializedView::delta_plan`]); each of its plans runs once under
+    /// `mode` (morsel-parallel with a scheduler), and a keyed pair is folded
+    /// into one clone of `target`. No plan reads the stale view. The report
+    /// unions the plans' η reports.
     pub fn maintained(
         &self,
         db: &Database,
@@ -259,31 +269,137 @@ impl MaterializedView {
         est: Option<&dyn CardEstimator>,
         mode: ExecMode<'_>,
     ) -> Result<Option<(Table, PlanKind, EtaReport)>> {
-        let cat = self.maint_catalog(db);
+        let lookup = self.delta_plan(db, &DeltaInfo::of(deltas), eta, est)?;
+        if svc_relalg::verify::ENABLED && lookup.hit {
+            self.verify_plan_hit(db, deltas, eta, est, &lookup.plan)?;
+        }
         let bindings = maintenance_bindings(db, deltas, target);
+        let (table, kind) =
+            match lookup.plan.delta.as_ref().try_map(|plan| plan.run_with(&bindings, mode))? {
+                ViewDelta::NoOp => return Ok(None),
+                ViewDelta::Keyed { change, kind } => {
+                    let mut next = target.clone();
+                    KeyedFold::new(&self.canonical, &next)?.fold(&mut next, &change)?;
+                    (next, kind)
+                }
+                ViewDelta::Recompute(table) => (table, PlanKind::Recompute),
+            };
+        Ok(Some((table, kind, lookup.plan.report.clone())))
+    }
+
+    /// The compiled delta of this view for deltas with signature `info`,
+    /// under `eta` and optimized with `est`: served from the view's plan
+    /// cache, or built and stored.
+    pub fn delta_plan(
+        &self,
+        db: &Database,
+        info: &DeltaInfo,
+        eta: Option<(f64, HashSpec)>,
+        est: Option<&dyn CardEstimator>,
+    ) -> Result<PlanLookup> {
+        let key = self.plan_key(db, info, eta, est);
+        self.plans.get_or_build(key, || self.build_delta_plan(db, info, eta, est))
+    }
+
+    /// [`MaterializedView::delta_plan`]'s entry if it is cached; never builds.
+    pub fn cached_delta_plan(
+        &self,
+        db: &Database,
+        info: &DeltaInfo,
+        eta: Option<(f64, HashSpec)>,
+        est: Option<&dyn CardEstimator>,
+    ) -> Option<Arc<CompiledDelta>> {
+        self.plans.peek(&self.plan_key(db, info, eta, est)?)
+    }
+
+    fn plan_key(
+        &self,
+        db: &Database,
+        info: &DeltaInfo,
+        eta: Option<(f64, HashSpec)>,
+        est: Option<&dyn CardEstimator>,
+    ) -> Option<PlanKey> {
+        PlanKey::new(&self.canonical.plan.leaf_tables(), db, info, eta, est)
+    }
+
+    /// The plan cache's miss path, uncached: [`view_delta`] decides once;
+    /// each plan is η-wrapped under `eta`, optimized (joins ordered by
+    /// `est`) and compiled against the maintenance catalog.
+    fn build_delta_plan(
+        &self,
+        db: &Database,
+        info: &DeltaInfo,
+        eta: Option<(f64, HashSpec)>,
+        est: Option<&dyn CardEstimator>,
+    ) -> Result<CompiledDelta> {
+        let cat = self.maint_catalog(db);
         let mut report = EtaReport::default();
         // γ maps are sized from `est` only without η: pricing a sample's few
         // groups would build the catalog overlay of every delta leaf.
         let sizes = if eta.is_some() { None } else { est };
-        let mut run = |plan: Plan| -> Result<Table> {
+        let delta = view_delta(&self.canonical, &cat, info)?.try_map(|plan| {
             let plan = if let Some(eta) = eta { self.hashed(plan, eta)? } else { plan };
             let (optimized, ran) = cat.optimize(&plan, est)?;
             report.descended += ran.eta.descended;
             report.blockers.extend(ran.eta.blockers);
             report.sampled_leaves.extend(ran.eta.sampled_leaves);
-            compile_with(&optimized, &cat, sizes)?.run_with(&bindings, mode)
+            compile_with(&optimized, &cat, sizes)
+        })?;
+        Ok(CompiledDelta { delta, report })
+    }
+
+    /// Counters of this view's plan cache (shared by its clones).
+    pub fn plan_metrics(&self) -> PlanMetrics {
+        self.plans.metrics()
+    }
+
+    /// Poison the plan cache's lock, as a holder that panics mid-update
+    /// would: the handle poison-recovery tests take.
+    #[doc(hidden)]
+    pub fn poison_plan_cache(&self) {
+        self.plans.poison();
+    }
+
+    /// The verifier's proof that the plan key is complete: `cached`, run
+    /// over `deltas`, returns the same rows (1e-9) with the same
+    /// [`PlanKind`] and η blockers as the delta built anew for them. Panics
+    /// otherwise. Called on every plan-cache hit under the `verify` feature.
+    pub fn verify_plan_hit(
+        &self,
+        db: &Database,
+        deltas: &Deltas,
+        eta: Option<(f64, HashSpec)>,
+        est: Option<&dyn CardEstimator>,
+        cached: &CompiledDelta,
+    ) -> Result<()> {
+        let fresh = self.build_delta_plan(db, &DeltaInfo::of(deltas), eta, est)?;
+        let bindings = maintenance_bindings(db, deltas, &self.table);
+        let run = |delta: &ViewDelta<PhysicalPlan>| delta.as_ref().try_map(|p| p.run(&bindings));
+        let (a, b) = (run(&cached.delta)?, run(&fresh.delta)?);
+        let same = |x: &Table, y: &Table| x.approx_same_contents(y, 1e-9);
+        let same_side = |x: &Option<Table>, y: &Option<Table>| match (x, y) {
+            (Some(x), Some(y)) => same(x, y),
+            (x, y) => x.is_none() && y.is_none(),
         };
-        let (table, kind) = match view_delta(&self.canonical, &cat, &DeltaInfo::of(deltas))? {
-            ViewDelta::NoOp => return Ok(None),
-            ViewDelta::Keyed { change, kind } => {
-                let change = change.try_map(&mut run)?;
-                let mut next = target.clone();
-                KeyedFold::new(&self.canonical, &next)?.fold(&mut next, &change)?;
-                (next, kind)
-            }
-            ViewDelta::Recompute(plan) => (run(plan)?, PlanKind::Recompute),
-        };
-        Ok(Some((table, kind, report)))
+        let same_rows = a.kind() == b.kind()
+            && match (&a, &b) {
+                (ViewDelta::Keyed { change: x, .. }, ViewDelta::Keyed { change: y, .. }) => {
+                    same_side(&x.ins, &y.ins) && same_side(&x.del, &y.del)
+                }
+                (ViewDelta::Recompute(x), ViewDelta::Recompute(y)) => same(x, y),
+                _ => true,
+            };
+        assert!(
+            same_rows && cached.report.blockers == fresh.report.blockers,
+            "view {}: a plan-cache hit diverged from the delta built anew — the plan key misses \
+             something the plan depends on (kinds {:?} vs {:?}, blockers {:?} vs {:?})",
+            self.name,
+            a.kind(),
+            b.kind(),
+            cached.report.blockers,
+            fresh.report.blockers,
+        );
+        Ok(())
     }
 
     /// `η(plan)` on this view's primary key with `(ratio, hash)`: the wrap the

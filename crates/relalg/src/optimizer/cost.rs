@@ -49,10 +49,23 @@ pub trait CardEstimator: Sync {
     fn estimate_rows(&self, plan: &Plan, leaves: &dyn LeafProvider) -> Result<f64> {
         Ok(self.estimate(plan, leaves)?.rows)
     }
+
+    /// Identity of the statistics this estimator prices base tables with,
+    /// for plan caches: two estimators reporting the same generation order
+    /// every join of the same plan alike, up to the sizes of leaves bound
+    /// per call (delta relations). `None`, the default, means unknown: a
+    /// plan optimized under it is never cached.
+    fn generation(&self) -> Option<u64> {
+        None
+    }
 }
 
 impl<T: CardEstimator + ?Sized> CardEstimator for &T {
     fn estimate(&self, plan: &Plan, leaves: &dyn LeafProvider) -> Result<RelCard> {
         (**self).estimate(plan, leaves)
+    }
+
+    fn generation(&self) -> Option<u64> {
+        (**self).generation()
     }
 }

@@ -133,6 +133,7 @@ impl<'e> Optimizer<'e> {
     /// breaks well-formedness or changes the output schema fails here,
     /// blamed by name, instead of surfacing as a wrong answer downstream.
     pub fn run(&self, plan: &Plan, leaves: &impl LeafProvider) -> Result<(Plan, OptimizeReport)> {
+        OPTIMIZES.bump();
         let leaves: &dyn LeafProvider = leaves;
         let mut plan = plan.clone();
         let mut report = OptimizeReport::default();
@@ -170,6 +171,18 @@ impl<'e> Optimizer<'e> {
         }
         Ok((plan, report))
     }
+}
+
+thread_local! {
+    static OPTIMIZES_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+static OPTIMIZES: svc_telemetry::LocalCounter = svc_telemetry::LocalCounter::new(&OPTIMIZES_CELL);
+
+/// [`Optimizer::run`] calls made **on this thread** — the cost-shape hook
+/// beside `ivm::view::projection_count`: a view delta served from its plan
+/// cache must leave it unchanged.
+pub fn optimize_count() -> u64 {
+    OPTIMIZES.get()
 }
 
 /// Optimize with the standard rule set. This is the single entry point the

@@ -7,7 +7,7 @@
 //! growing its own ad-hoc counters.
 //!
 //! * [`Counter`] / [`Gauge`] — shared atomic counters and level gauges for
-//!   subsystem metrics (worker-pool queue depth, compile-cache hits,
+//!   subsystem metrics (worker-pool queue depth, plan-cache hits,
 //!   per-view rows cleaned).
 //! * [`LocalCounter`] — a thread-local counter for hooks that tests read
 //!   synchronously on the executing thread (`Table::clone_count`,
