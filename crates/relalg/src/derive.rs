@@ -65,10 +65,10 @@ pub fn derive(plan: &Plan, leaves: &(impl LeafProvider + ?Sized)) -> Result<Deri
 /// shape: `children` are in plan order (`input`, or `left` then `right`).
 ///
 /// One [`derive_tree`] pass costs O(nodes) total because each node's type is
-/// computed from its children's already-derived types. The optimizer rules
-/// walk a plan and its `DerivedTree` in lockstep instead of calling
+/// computed from its children's already-derived types. The optimizer's
+/// rewrites walk a plan and its `DerivedTree` in lockstep instead of calling
 /// [`derive()`] (an O(subtree) recursion) at every node they visit, which is
-/// what kept a full optimize() sweep at O(n²) derive work before.
+/// what kept a full optimize() run at O(n²) derive work before.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DerivedTree {
     /// This node's derived type.

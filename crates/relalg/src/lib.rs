@@ -23,14 +23,14 @@
 //!   breakers materializing plain row batches (no intermediate keyed
 //!   tables, no scan clones).
 //!
-//! * [`optimizer`] — the rule-driven rewrite engine (predicate pushdown,
-//!   projection pruning, and the Definition 3 η push-down) every evaluated
-//!   plan goes through.
+//! * [`optimizer`] — one pass of four rewrites (predicate pushdown,
+//!   cost-based join reordering, projection pruning, and the Definition 3
+//!   η push-down) every evaluated plan goes through.
 //!
 //! The η operator lives here (not in `svc-sampling`) because the evaluator
 //! must execute it; the *push-down rewrite* of Definition 3 is the
-//! [`optimizer::eta`] rule, re-exported through `svc-sampling` for the
-//! legacy `push_down` API.
+//! [`optimizer::eta`] pass, which `svc-sampling` calls for the legacy
+//! `push_down` API.
 
 pub mod aggregate;
 pub mod derive;
@@ -48,6 +48,6 @@ pub use aggregate::{AggFunc, AggSpec};
 pub use derive::{derive, Derived, LeafProvider};
 pub use eval::{evaluate, evaluate_materializing, Bindings};
 pub use exec::{compile, compile_with, explain_analyze, Explain, ExplainNode, PhysicalPlan};
-pub use optimizer::{optimize, EtaReport, OptimizeReport, Optimizer};
+pub use optimizer::{optimize, EtaReport, OptimizeReport};
 pub use plan::{JoinKind, Plan};
 pub use scalar::{col, lit, BinOp, BoundExpr, Expr, Func};

@@ -1,4 +1,4 @@
-//! The cardinality-estimation interface of the cost-based rules.
+//! The cardinality-estimation interface of cost-based join reordering.
 //!
 //! The optimizer itself owns only the *interface*: a [`CardEstimator`] maps
 //! a plan to an estimated output row count. The statistics that back the
@@ -6,14 +6,14 @@
 //! live in the `svc-catalog` crate, which implements this trait on top of
 //! its catalog. Keeping the trait here (and the stats there) breaks the
 //! dependency cycle: `svc-catalog` depends on `svc-relalg` for [`Plan`],
-//! while the [`JoinReorder`](crate::optimizer::joinorder) rule depends only
-//! on this trait.
+//! while the [join reordering](crate::optimizer::joinorder) pass depends
+//! only on this trait.
 //!
-//! Estimates are *ordinal* information: the reordering rule only compares
+//! Estimates are *ordinal* information: the reordering pass only compares
 //! candidate join trees against each other, so a consistently-biased
 //! estimator still picks good orders. Estimators must be deterministic —
-//! the fixed-point engine relies on the rule producing the same plan when
-//! re-applied to its own output.
+//! plan caches and the idempotence of [`crate::optimizer::optimize_with`]
+//! rely on the same plan being priced the same way every time.
 
 use svc_storage::Result;
 

@@ -105,7 +105,7 @@ struct Region<'p> {
 /// rewritten relation subplans), which is both the cost baseline a searched
 /// order must strictly beat and the stable fallback — mirror orientations
 /// of a join tie on the symmetric cost model, and without a
-/// strict-improvement gate the rule would flip between them every sweep. A
+/// strict-improvement gate re-optimizing a plan would flip between them. A
 /// searched tree has no spelling yet (`None`): its joins take every region
 /// edge that crosses them.
 enum Tree<'p> {
@@ -391,7 +391,7 @@ fn build(tree: &Tree<'_>, region: &Region<'_>) -> Result<(Plan, DerivedTree, Vec
 /// Reorder one region rooted at an inner join: price the incoming tree and
 /// the best searched one, build whichever wins. The incoming tree is the
 /// baseline: a searched order is adopted only when its estimated cost is
-/// *strictly* lower, which is what makes the rule a fixed point — mirror
+/// *strictly* lower, which is what makes the pass idempotent — mirror
 /// orientations tie on the symmetric cost model and must not flip-flop.
 fn reorder_region(
     plan: &Plan,

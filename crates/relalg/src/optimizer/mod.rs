@@ -1,176 +1,101 @@
-//! Rule-driven plan optimization.
+//! Plan optimization: one pass of four rewrites, in order.
 //!
 //! Every plan this system evaluates — view definitions, maintenance
 //! strategies from `svc-ivm`, and the η-wrapped cleaning expressions of
-//! `svc-core` — passes through one rewrite engine. The engine applies a
-//! fixed set of [`rules::Rule`]s repeatedly until a full sweep changes
-//! nothing (or [`Optimizer::max_passes`] is hit), in the style of Polars'
-//! `PredicatePushDown` / projection-pushdown optimizers and noir's
-//! `OptimizationRule`:
+//! `svc-core` — passes through [`optimize`] or [`optimize_with`], which
+//! call each rewrite once:
 //!
-//! * [`predicate`] — **predicate pushdown**: σ nodes dissolve into conjunct
-//!   sets that sink through Π (by substitution), joins (per side), γ (group
-//!   columns only), and set operations, recombining with `AND` where they
-//!   land;
-//! * [`projection`] — **projection pruning**: drops columns that no
-//!   ancestor needs below joins, aggregates, and set operations, always
-//!   preserving the primary-key columns that Definition 2 key derivation
-//!   ([`mod@crate::derive`]) requires;
-//! * [`eta`] — **η hash-sampling pushdown**: the paper's Definition 3
-//!   rewrite (Section 4.3/4.4 legality conditions) expressed as a rule, so
-//!   that cleaning a sample touches only hash-selected rows;
-//! * [`constfold`] — **constant folding**: column-free subexpressions
-//!   evaluate at plan time; `σ(true)` vanishes;
-//! * [`joinorder`] — **cost-based join reordering**: inner-join regions are
-//!   rebuilt in the cheapest order a [`cost::CardEstimator`] can find (DP up
-//!   to 8 relations, greedy beyond). This rule only runs when the caller
-//!   supplies an estimator — see [`optimize_with`] and the `svc-catalog`
-//!   crate, which implements the estimator on top of table statistics.
+//! 1. [`predicate`] — **predicate pushdown**: σ nodes dissolve into conjunct
+//!    sets that sink through Π (by substitution), joins (per side), γ (group
+//!    columns only), and set operations, recombining with `AND` where they
+//!    land;
+//! 2. [`joinorder`] — **cost-based join reordering**: inner-join regions are
+//!    rebuilt in the cheapest order a [`cost::CardEstimator`] can find (DP up
+//!    to 8 relations, greedy beyond). Only [`optimize_with`] runs it; the
+//!    `svc-catalog` crate implements the estimator on top of table
+//!    statistics;
+//! 3. [`projection`] — **projection pruning**: drops columns that no
+//!    ancestor needs below joins, aggregates, and set operations, always
+//!    preserving the primary-key columns that Definition 2 key derivation
+//!    ([`mod@crate::derive`]) requires;
+//! 4. [`eta`] — **η hash-sampling pushdown**: the paper's Definition 3
+//!    rewrite (Section 4.3/4.4 legality conditions), so that cleaning a
+//!    sample touches only hash-selected rows.
 //!
-//! The legacy entry point `svc_sampling::push_down` is now a thin wrapper
-//! over the η rule of this engine.
+//! Each rewrite finishes its own job in one pass, so optimizing an optimized
+//! plan returns it unchanged; the idempotence tests in
+//! `tests/catalog_prop.rs` hold every workload view's delta plans to that.
+//! (Pruning can split a join region that a second reordering would order
+//! differently; only a merge-form reference plan is known to hit this, and
+//! join order never changes rows.) `svc_sampling::push_down` calls the η
+//! pass alone.
 
-pub mod constfold;
 pub mod cost;
 pub mod eta;
 pub mod joinorder;
 pub mod predicate;
 pub mod projection;
-pub mod rules;
 
-use svc_storage::Result;
+use svc_storage::{Result, StorageError};
 
 use crate::derive::LeafProvider;
 use crate::plan::Plan;
+use crate::verify::logical::{verify_plan, verify_rewrite};
 
 pub use cost::CardEstimator;
 pub use eta::EtaReport;
-pub use rules::{
-    ConstantFolding, EtaPushdown, JoinReorder, PredicatePushdown, ProjectionPruning, Rule,
-};
 
-/// What a full optimization run did.
+/// What an optimization run did.
 #[derive(Debug, Clone, Default)]
 pub struct OptimizeReport {
-    /// Number of full rule sweeps executed (including the final no-change
-    /// sweep that confirms the fixed point).
+    /// Passes over the plan: always 1.
     pub passes: usize,
     /// Number of predicate conjuncts that crossed at least one operator.
     pub predicates_pushed: usize,
     /// Number of pruning projections inserted or narrowed.
     pub projections_pruned: usize,
-    /// Number of constant subexpressions folded (and `σ(true)` removed).
-    pub constants_folded: usize,
-    /// Number of join regions whose tree the cost-based rule rebuilt.
+    /// Number of join regions whose tree the cost-based pass rebuilt.
     pub joins_reordered: usize,
-    /// What the η push-down rule achieved (depth, blockers, sampled leaves).
+    /// What the η push-down achieved (depth, blockers, sampled leaves).
     pub eta: EtaReport,
 }
 
-/// A fixed-point rewrite engine over [`Plan`]s. The lifetime bounds rules
-/// that borrow a caller-owned cardinality estimator ([`JoinReorder`]).
-pub struct Optimizer<'e> {
-    rules: Vec<Box<dyn Rule + 'e>>,
-    /// Safety cap on rule sweeps; the standard rule set reaches its fixed
-    /// point in two or three.
-    pub max_passes: usize,
-    /// Run the rewrite-boundary verifier
-    /// ([`crate::verify::logical::verify_rewrite`]) around every rule
-    /// application: the input plan must verify, and after each rule that
-    /// reports a change the plan must still verify with an unchanged output
-    /// schema (and key, for key-preserving rules). Defaults to the `verify`
-    /// cargo feature; [`Optimizer::with_verification`] overrides per
-    /// instance, which is how witness tests arm it in any build.
-    pub verify_rewrites: bool,
-}
-
-impl<'e> Optimizer<'e> {
-    /// Engine with an explicit rule list.
-    pub fn with_rules(rules: Vec<Box<dyn Rule + 'e>>) -> Optimizer<'e> {
-        Optimizer { rules, max_passes: 8, verify_rewrites: crate::verify::ENABLED }
-    }
-
-    /// Explicitly arm or disarm rewrite verification for this engine,
-    /// overriding the `verify` feature default.
-    pub fn with_verification(mut self, on: bool) -> Optimizer<'e> {
-        self.verify_rewrites = on;
-        self
-    }
-
-    /// The standard rule set: constant folding, predicate pushdown,
-    /// projection pruning, and η pushdown, in that order.
-    pub fn standard() -> Optimizer<'static> {
-        Optimizer::with_rules(vec![
-            Box::new(ConstantFolding),
-            Box::new(PredicatePushdown),
-            Box::new(ProjectionPruning),
-            Box::new(EtaPushdown),
-        ])
-    }
-
-    /// The standard rule set plus cost-based join reordering, which slots
-    /// in after predicate pushdown (so filtered leaves carry their σ when
-    /// estimated) and before projection pruning.
-    pub fn standard_with_cost(est: &'e dyn CardEstimator) -> Optimizer<'e> {
-        Optimizer::with_rules(vec![
-            Box::new(ConstantFolding),
-            Box::new(PredicatePushdown),
-            Box::new(JoinReorder { est }),
-            Box::new(ProjectionPruning),
-            Box::new(EtaPushdown),
-        ])
-    }
-
-    /// Engine running only the η rule — the exact Definition 3 rewrite,
-    /// used by the `svc_sampling::push_down` compatibility wrapper.
-    pub fn eta_only() -> Optimizer<'static> {
-        Optimizer::with_rules(vec![Box::new(EtaPushdown)])
-    }
-
-    /// Rewrite `plan` to a fixed point of the rule set. With
-    /// [`Optimizer::verify_rewrites`] on, the input plan is verified once
-    /// up front and re-verified at every rewrite boundary — a rule that
-    /// breaks well-formedness or changes the output schema fails here,
-    /// blamed by name, instead of surfacing as a wrong answer downstream.
-    pub fn run(&self, plan: &Plan, leaves: &impl LeafProvider) -> Result<(Plan, OptimizeReport)> {
-        OPTIMIZES.bump();
-        let leaves: &dyn LeafProvider = leaves;
-        let mut plan = plan.clone();
-        let mut report = OptimizeReport::default();
-        let mut current = if self.verify_rewrites {
-            Some(crate::verify::logical::verify_plan(&plan, &leaves).map_err(|e| {
-                svc_storage::StorageError::Invalid(format!(
-                    "rewrite verifier: input plan is ill-formed before any rule ran: {e}"
-                ))
-            })?)
-        } else {
-            None
-        };
-        for _ in 0..self.max_passes {
-            report.passes += 1;
-            let mut changed = false;
-            for rule in &self.rules {
-                let (next, rule_changed) = rule.apply(plan, leaves, &mut report)?;
-                plan = next;
-                if rule_changed {
-                    if let Some(cur) = &mut current {
-                        *cur = crate::verify::logical::verify_rewrite(
-                            rule.name(),
-                            cur,
-                            &plan,
-                            &leaves,
-                            rule.preserves_key(),
-                        )?;
-                    }
-                }
-                changed |= rule_changed;
-            }
-            if !changed {
-                break;
-            }
+/// The one optimizer pass: the four rewrites, once each, join reordering
+/// only when `est` is given. Under the `verify` feature the input plan is
+/// verified up front and every rewrite's output is re-verified at its
+/// boundary — a rewrite that breaks well-formedness or changes the output
+/// schema fails here, blamed by name, instead of surfacing as a wrong
+/// answer downstream. Only join reordering may change the key claim.
+fn run(
+    plan: &Plan,
+    leaves: &dyn LeafProvider,
+    est: Option<&dyn CardEstimator>,
+) -> Result<(Plan, OptimizeReport)> {
+    OPTIMIZES.bump();
+    let mut report = OptimizeReport { passes: 1, ..OptimizeReport::default() };
+    let mut current =
+        crate::verify::ENABLED.then(|| verify_plan(plan, leaves)).transpose().map_err(|e| {
+            StorageError::Invalid(format!(
+                "rewrite verifier: input plan is ill-formed before any rule ran: {e}"
+            ))
+        })?;
+    let mut verified = |rule: &str, plan: Plan, preserves_key: bool| -> Result<Plan> {
+        if let Some(cur) = &mut current {
+            *cur = verify_rewrite(rule, cur, &plan, leaves, preserves_key)?;
         }
-        Ok((plan, report))
+        Ok(plan)
+    };
+    let plan = predicate::pushdown(plan.clone(), leaves, &mut report.predicates_pushed)?;
+    let mut plan = verified("predicate-pushdown", plan, true)?;
+    if let Some(est) = est {
+        let reordered = joinorder::reorder(plan, leaves, est, &mut report.joins_reordered)?;
+        plan = verified("join-reorder", reordered, false)?;
     }
+    let plan = projection::prune(plan, leaves, &mut report.projections_pruned)?;
+    let plan = verified("projection-pruning", plan, true)?;
+    let plan = eta::pushdown(plan, leaves, &mut report.eta)?;
+    let plan = verified("eta-pushdown", plan, true)?;
+    Ok((plan, report))
 }
 
 thread_local! {
@@ -178,18 +103,18 @@ thread_local! {
 }
 static OPTIMIZES: svc_telemetry::LocalCounter = svc_telemetry::LocalCounter::new(&OPTIMIZES_CELL);
 
-/// [`Optimizer::run`] calls made **on this thread** — the cost-shape hook
-/// beside `ivm::view::projection_count`: a view delta served from its plan
-/// cache must leave it unchanged.
+/// [`optimize`] / [`optimize_with`] calls made **on this thread** — the
+/// cost-shape hook beside `ivm::view::projection_count`: a view delta served
+/// from its plan cache must leave it unchanged.
 pub fn optimize_count() -> u64 {
     OPTIMIZES.get()
 }
 
-/// Optimize with the standard rule set. This is the single entry point the
+/// Optimize without join reordering. This is the single entry point the
 /// evaluation layers (`svc-ivm`, `svc-core`, `svc-cluster`) call, so that
 /// every evaluated plan is optimized exactly once.
 pub fn optimize(plan: &Plan, leaves: &impl LeafProvider) -> Result<(Plan, OptimizeReport)> {
-    Optimizer::standard().run(plan, leaves)
+    run(plan, leaves, None)
 }
 
 /// [`optimize`] plus cost-based join reordering driven by `est` — the
@@ -200,7 +125,7 @@ pub fn optimize_with(
     leaves: &impl LeafProvider,
     est: &dyn CardEstimator,
 ) -> Result<(Plan, OptimizeReport)> {
-    Optimizer::standard_with_cost(est).run(plan, leaves)
+    run(plan, leaves, Some(est))
 }
 
 #[cfg(test)]
@@ -269,6 +194,11 @@ mod tests {
             got.len(),
             expected.len()
         );
+        // One pass is a fixed point: optimizing again changes nothing.
+        let (again, second) = optimize(&optimized, &db).unwrap();
+        assert_eq!(again, optimized, "a second pass changed the plan");
+        assert_eq!(second.eta.blockers, report.eta.blockers);
+        assert_eq!(second.eta.sampled_leaves, report.eta.sampled_leaves);
         report
     }
 
@@ -286,7 +216,7 @@ mod tests {
             .select(col("n").gt(lit(5i64)))
             .select(col("dimId").lt(lit(30i64)));
         let report = check_equivalent(&plan);
-        assert!(report.passes <= 4, "expected a quick fixed point, took {}", report.passes);
+        assert_eq!(report.passes, 1);
         assert!(report.predicates_pushed > 0);
     }
 
@@ -306,18 +236,14 @@ mod tests {
 
     #[test]
     fn stacked_hashes_reach_fixed_point() {
-        // Two adjacent η nodes must not ping-pong (swap positions every
-        // sweep until max_passes); the engine has to converge quickly.
+        // Two adjacent η nodes with different specs must not swap places:
+        // a second pass would swap them back (`check_equivalent` runs it).
         let plan = Plan::scan("fact")
             .select(col("x").gt(lit(1.0)))
             .hash(&["factId"], 0.5, HashSpec::with_seed(1))
             .hash(&["factId"], 0.7, HashSpec::with_seed(2));
         let report = check_equivalent(&plan);
-        assert!(
-            report.passes <= 3,
-            "stacked η should reach a fixed point, took {} passes",
-            report.passes
-        );
+        assert_eq!(report.eta.sampled_leaves, vec!["fact"], "only the inner η rests on the leaf");
     }
 
     /// Count the `Hash` nodes of a plan and return the minimum ratio seen.
@@ -348,6 +274,100 @@ mod tests {
         let (n, min_ratio) = hash_nodes(&optimized);
         assert_eq!(n, 1, "adjacent hashes should compose into one: {optimized:?}");
         assert!((min_ratio - 0.4).abs() < 1e-12, "composed ratio must be min: {min_ratio}");
+    }
+
+    /// The η report describes the output plan: a composed η∘η is one η
+    /// over one leaf, reported once.
+    #[test]
+    fn composed_eta_reports_its_leaf_once() {
+        let spec = HashSpec::with_seed(9);
+        let plan = Plan::scan("fact")
+            .select(col("x").gt(lit(2.0)))
+            .hash(&["factId"], 0.4, spec)
+            .hash(&["factId"], 0.7, spec);
+        let report = check_equivalent(&plan);
+        assert_eq!(report.eta.sampled_leaves, vec!["fact"]);
+        assert!(report.eta.fully_pushed(), "{:?}", report.eta.blockers);
+    }
+
+    /// Both η of a composed pair stop at the same γ (the count is no group
+    /// column); the one η left over it is one blocker.
+    #[test]
+    fn composed_eta_over_a_blocking_aggregate_reports_one_blocker() {
+        let spec = HashSpec::with_seed(4);
+        let plan = Plan::scan("fact")
+            .aggregate(&["dimId"], vec![AggSpec::count_all("n")])
+            .hash(&["n"], 0.4, spec)
+            .hash(&["n"], 0.7, spec);
+        let report = check_equivalent(&plan);
+        assert_eq!(report.eta.blockers.len(), 1, "{:?}", report.eta.blockers);
+        assert!(report.eta.blockers[0].contains("group-by clause (dimId)"));
+        assert!(report.eta.sampled_leaves.is_empty());
+    }
+
+    /// A composed η∘η stopped by a key-transforming Π is one blocker.
+    #[test]
+    fn composed_eta_over_a_blocking_projection_reports_one_blocker() {
+        let spec = HashSpec::with_seed(5);
+        let plan = Plan::scan("fact")
+            .project(vec![("factId", col("factId")), ("x2", col("x").mul(lit(2.0)))])
+            .hash(&["x2"], 0.4, spec)
+            .hash(&["x2"], 0.7, spec);
+        let report = check_equivalent(&plan);
+        assert_eq!(report.eta.blockers.len(), 1, "{:?}", report.eta.blockers);
+        assert!(report.eta.blockers[0].contains("η stays above Π"));
+        assert!(report.eta.sampled_leaves.is_empty());
+    }
+
+    /// η on the dimension's `weight` cannot pass the join (the column is no
+    /// join key); composed with a second η it is still one blocker.
+    #[test]
+    fn composed_eta_over_a_blocking_join_reports_one_blocker() {
+        let spec = HashSpec::with_seed(6);
+        let plan = Plan::scan("fact")
+            .join(Plan::scan("dim"), JoinKind::Inner, &[("dimId", "dimId")])
+            .hash(&["factId", "weight"], 0.4, spec)
+            .hash(&["factId", "weight"], 0.7, spec);
+        let report = check_equivalent(&plan);
+        assert_eq!(report.eta.blockers.len(), 1, "{:?}", report.eta.blockers);
+        assert!(report.eta.blockers[0].starts_with("join blocks η"));
+    }
+
+    /// η on the dimension key sinks only into a join side that is never
+    /// NULL-padded: the right side of a right join, not of a left join.
+    #[test]
+    fn eta_sinks_only_into_unpadded_join_sides() {
+        let eta = |kind| {
+            Plan::scan("fact").join(Plan::scan("dim"), kind, &[("dimId", "dimId")]).hash(
+                &["dim.dimId"],
+                0.5,
+                HashSpec::with_seed(8),
+            )
+        };
+        let right = check_equivalent(&eta(JoinKind::Right));
+        assert_eq!(right.eta.sampled_leaves, vec!["dim"]);
+        let left = check_equivalent(&eta(JoinKind::Left));
+        assert!(left.eta.sampled_leaves.is_empty());
+        assert_eq!(left.eta.blockers.len(), 1, "{:?}", left.eta.blockers);
+    }
+
+    #[test]
+    fn every_optimize_call_counts_one_pass() {
+        struct Flat;
+        impl CardEstimator for Flat {
+            fn estimate(&self, plan: &Plan, leaves: &dyn LeafProvider) -> Result<cost::RelCard> {
+                let arity = crate::derive::derive(plan, leaves)?.schema.len();
+                Ok(cost::RelCard { rows: 100.0, distinct: vec![10.0; arity] })
+            }
+        }
+        let db = db();
+        let plan =
+            Plan::scan("fact").join(Plan::scan("dim"), JoinKind::Inner, &[("dimId", "dimId")]);
+        let before = optimize_count();
+        let (_, plain) = optimize(&plan, &db).unwrap();
+        let (_, costed) = optimize_with(&plan, &db, &Flat).unwrap();
+        assert_eq!(optimize_count() - before, 2);
+        assert_eq!((plain.passes, costed.passes), (1, 1));
     }
 
     #[test]

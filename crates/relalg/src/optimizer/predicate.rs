@@ -8,8 +8,8 @@
 //!   expressions in this system are deterministic and row-local, so the
 //!   substitution is exact, NULL semantics included);
 //! * **⋈** — a conjunct referencing only one input moves to that input,
-//!   provided the join kind cannot fabricate NULL-padded rows for that side
-//!   (left for `Inner`/`Left`/`Semi`/`Anti`, right for `Inner`/`Right`);
+//!   provided the join kind never NULL-pads that side
+//!   (`JoinKind::left_unpadded` / `right_unpadded`);
 //!   `Full` joins and conjuncts spanning both inputs stay above;
 //! * **γ** — a conjunct referencing only group-by columns filters whole
 //!   groups and commutes below the aggregate; anything touching an
@@ -28,7 +28,7 @@
 use svc_storage::Result;
 
 use crate::derive::{derive_tree, DerivedTree, LeafProvider};
-use crate::plan::{JoinKind, Plan, SetOpKind};
+use crate::plan::{Plan, SetOpKind};
 use crate::scalar::{col, BinOp, Expr};
 
 /// Push every selection in `plan` as deep as legality allows. `moved`
@@ -149,10 +149,6 @@ fn push(plan: Plan, dt: &DerivedTree, mut preds: Vec<Expr>, moved: &mut usize) -
             let out_schema = &dt.derived.schema;
             let l_arity = l_d.schema.len();
 
-            let push_left_ok =
-                matches!(kind, JoinKind::Inner | JoinKind::Left | JoinKind::Semi | JoinKind::Anti);
-            let push_right_ok = matches!(kind, JoinKind::Inner | JoinKind::Right);
-
             let mut l_preds = Vec::new();
             let mut r_preds = Vec::new();
             let mut above = Vec::new();
@@ -172,12 +168,12 @@ fn push(plan: Plan, dt: &DerivedTree, mut preds: Vec<Expr>, moved: &mut usize) -
                     above.push(p);
                     continue;
                 }
-                if positions.iter().all(|&i| i < l_arity) && push_left_ok {
+                if positions.iter().all(|&i| i < l_arity) && kind.left_unpadded() {
                     // Left output columns keep their input names verbatim.
                     l_preds.push(p.map_cols(&mut |n| {
                         Ok(col(&out_schema.field(out_schema.resolve(n)?).name))
                     })?);
-                } else if positions.iter().all(|&i| i >= l_arity) && push_right_ok {
+                } else if positions.iter().all(|&i| i >= l_arity) && kind.right_unpadded() {
                     // Right output columns may carry a disambiguation prefix;
                     // map positions back to the right input's names.
                     r_preds.push(p.map_cols(&mut |n| {
@@ -229,6 +225,7 @@ mod tests {
     use super::*;
     use crate::aggregate::AggSpec;
     use crate::eval::{evaluate, Bindings};
+    use crate::plan::JoinKind;
     use crate::scalar::{col, lit};
     use svc_storage::{DataType, Database, Schema as St, Table, Value};
 
@@ -332,6 +329,19 @@ mod tests {
         let (out, moved) = run(plan);
         assert_eq!(moved, 1, "only the fact-side conjunct may sink");
         assert_eq!(top_selects(&out), 1, "the dim-side conjunct guards the padding");
+    }
+
+    #[test]
+    fn right_join_pushes_right_only() {
+        let plan = Plan::scan("fact")
+            .join(Plan::scan("dim"), JoinKind::Right, &[("dimId", "dimId")])
+            .select(col("x").gt(lit(3.0)).and(col("w").lt(lit(2.0))));
+        let (out, moved) = run(plan);
+        assert_eq!(moved, 1, "only the dim-side conjunct may sink");
+        assert_eq!(top_selects(&out), 1, "the fact-side conjunct guards the padding");
+        let Plan::Select { input, .. } = &out else { panic!("σ stays on top: {out:?}") };
+        let Plan::Join { right, .. } = &**input else { panic!("join below σ: {out:?}") };
+        assert!(matches!(**right, Plan::Select { .. }), "the w conjunct sank right: {out:?}");
     }
 
     #[test]

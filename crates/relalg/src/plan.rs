@@ -30,6 +30,21 @@ pub enum JoinKind {
     Anti,
 }
 
+impl JoinKind {
+    /// True when the join never NULL-pads its left input's columns, so a row
+    /// filter (σ or η) over left columns alone commutes into the left input.
+    pub(crate) fn left_unpadded(self) -> bool {
+        matches!(self, JoinKind::Inner | JoinKind::Left | JoinKind::Semi | JoinKind::Anti)
+    }
+
+    /// True when the join never NULL-pads its right input's columns (and
+    /// outputs them at all), so a row filter over right columns alone
+    /// commutes into the right input.
+    pub(crate) fn right_unpadded(self) -> bool {
+        matches!(self, JoinKind::Inner | JoinKind::Right)
+    }
+}
+
 /// The three set operations, the tag of [`Plan::SetOp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SetOpKind {
@@ -391,5 +406,40 @@ mod tests {
         let semi = Plan::scan("a").join(Plan::scan("b"), JoinKind::Semi, &[("x", "y")]);
         assert_eq!((anti.name_hint(), semi.name_hint()), ("a", "a"));
         assert_eq!(plans[3].name_hint(), "join", "an outer join's schema is both inputs'");
+    }
+
+    /// `left_unpadded` / `right_unpadded` agree with evaluation: joining two
+    /// inputs that each hold an unmatched row, a kind NULL-pads a side's
+    /// (never-NULL) key column exactly when it does not report that side
+    /// unpadded; Semi/Anti output no right column at all.
+    #[test]
+    fn unpadded_sides_match_evaluated_joins() {
+        use crate::eval::{evaluate, Bindings};
+        use svc_storage::{DataType, Database, Schema, Table, Value};
+        let mut db = Database::new();
+        for (name, key, ids) in [("l", "id", [1i64, 2]), ("r", "rid", [1, 3])] {
+            let schema = Schema::from_pairs(&[(key, DataType::Int)]).unwrap();
+            let mut t = Table::new(schema, &[key]).unwrap();
+            for id in ids {
+                t.insert(vec![Value::Int(id)]).unwrap();
+            }
+            db.create_table(name, t);
+        }
+        let b = Bindings::from_database(&db);
+        for kind in [
+            JoinKind::Inner,
+            JoinKind::Left,
+            JoinKind::Right,
+            JoinKind::Full,
+            JoinKind::Semi,
+            JoinKind::Anti,
+        ] {
+            let out = evaluate(&Plan::scan("l").join(Plan::scan("r"), kind, &[("id", "rid")]), &b)
+                .unwrap();
+            let padded = |col: usize| out.rows().iter().any(|row| row[col].is_null());
+            let has_right = out.schema().len() == 2;
+            assert_eq!(kind.left_unpadded(), !padded(0), "{kind:?}");
+            assert_eq!(kind.right_unpadded(), has_right && !padded(1), "{kind:?}");
+        }
     }
 }

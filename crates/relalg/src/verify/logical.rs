@@ -7,12 +7,12 @@
 //! wrapping any failure with the offending subtree so the error points at
 //! its node, not at the plan root.
 //!
-//! [`verify_rewrite`] is the optimizer's rewrite-boundary check: after a
-//! rule reports a change, the rewritten plan must still verify *and* must
-//! present the same output schema (and, for key-preserving rules, the same
-//! primary-key claim) as before the rule ran. A broken rewrite therefore
-//! fails at the rule that made it, with the rule's name in the error —
-//! never as a wrong answer downstream.
+//! [`verify_rewrite`] is the optimizer's rewrite-boundary check: after each
+//! rewrite, the plan must still verify *and* must present the same output
+//! schema (and, for key-preserving rewrites, the same primary-key claim) as
+//! before the rewrite ran. A broken rewrite therefore fails at the rewrite
+//! that made it, with its name in the error — never as a wrong answer
+//! downstream.
 
 use svc_storage::{DataType, Result, Schema, StorageError};
 
@@ -180,12 +180,14 @@ fn verify_inner(plan: &Plan, leaves: &dyn LeafProvider) -> Result<Derived> {
     }
 }
 
-/// The rewrite-boundary check: after `rule` reported a change, the
-/// rewritten plan must verify, keep the output schema it had before the
-/// rule ran, and — when the rule claims key preservation — keep the
-/// Definition 2 key too. Returns the (re-derived) output type so the
-/// engine can thread it to the next rule. Errors carry the rule's name and
-/// the rewritten plan.
+/// The rewrite-boundary check: after the rewrite named `rule` ran, the
+/// rewritten plan must verify, keep the output schema it had before, and —
+/// when `preserves_key` — keep the Definition 2 key too. Only join
+/// reordering may change the key: FK key reduction depends on join
+/// association order, so reassociating a region can honestly re-derive a
+/// different, equally valid unique key. Returns the (re-derived) output type
+/// so the optimizer can thread it to the next rewrite. Errors carry the
+/// rewrite's name and the rewritten plan.
 pub fn verify_rewrite(
     rule: &str,
     before: &Derived,

@@ -6,8 +6,8 @@
 //! * [`logical`] — well-formedness of a logical [`crate::plan::Plan`]
 //!   (column references resolve, join/set-op schemas compatible, η specs
 //!   legal, predicates type-consistent), plus rewrite-soundness checking
-//!   that the optimizer's fixed-point engine calls before/after every rule
-//!   application, blaming the offending rule and subtree;
+//!   that the optimizer calls before its pass and after each of its
+//!   rewrites, blaming the offending rewrite and subtree;
 //! * [`physical`] — bound-index and arity checking over a compiled
 //!   [`crate::exec::Node`] tree, including FusedOp/VecOp twin agreement;
 //! * [`columnar`] — [`svc_storage::ColumnSet`] / selection-vector integrity

@@ -1,12 +1,11 @@
-//! Hash push-down: the Definition 3 rewrite — now a thin wrapper over the
-//! η rule of the `svc-relalg` optimizer.
+//! Hash push-down: the Definition 3 rewrite — a thin wrapper over the η
+//! pass of the `svc-relalg` optimizer.
 //!
 //! Historically this module carried its own traversal; that logic moved to
 //! [`svc_relalg::optimizer::eta`] so view definitions, maintenance
-//! strategies, and cleaning expressions all share one rewrite engine. The
-//! public surface here is unchanged: [`push_down`] rewrites a plan and
-//! emits the same [`PushdownReport`] (descent depth, blockers, sampled
-//! leaves) as before.
+//! strategies, and cleaning expressions all share one rewrite. [`push_down`]
+//! runs that pass alone — no predicate pushdown, no pruning — and returns
+//! its [`PushdownReport`] (descent depth, blockers, sampled leaves).
 //!
 //! Theorem 1 — the rewritten plan materializes the *identical* sample — is
 //! exercised by the tests in this module and by property tests at the
@@ -15,7 +14,7 @@
 use svc_storage::Result;
 
 use svc_relalg::derive::LeafProvider;
-use svc_relalg::optimizer::{EtaReport, Optimizer};
+use svc_relalg::optimizer::{eta, EtaReport};
 use svc_relalg::plan::Plan;
 
 /// What the rewriter did: how far hashes moved and where they stopped —
@@ -26,8 +25,9 @@ pub type PushdownReport = EtaReport;
 /// Returns the rewritten plan (which materializes the identical sample,
 /// Theorem 1) and a report of what happened.
 pub fn push_down(plan: &Plan, leaves: &impl LeafProvider) -> Result<(Plan, PushdownReport)> {
-    let (out, report) = Optimizer::eta_only().run(plan, leaves)?;
-    Ok((out, report.eta))
+    let mut report = PushdownReport::default();
+    let out = eta::pushdown(plan.clone(), leaves, &mut report)?;
+    Ok((out, report))
 }
 
 #[cfg(test)]
@@ -165,6 +165,24 @@ mod tests {
         assert!(report.sampled_leaves.is_empty());
         let pushed = evaluate(&optimized, &b).unwrap();
         assert!(pushed.same_contents(&unpushed));
+    }
+
+    #[test]
+    fn pushing_down_a_pushed_plan_changes_nothing() {
+        let db = video_db();
+        let hashed = visit_view().hash(&["videoId"], 0.3, HashSpec::with_seed(2)).hash(
+            &["videoId"],
+            0.6,
+            HashSpec::with_seed(2),
+        );
+        let (once, first) = push_down(&hashed, &db).unwrap();
+        let (twice, second) = push_down(&once, &db).unwrap();
+        assert_eq!(twice, once);
+        assert_eq!(second.descended, 0);
+        assert_eq!(second.sampled_leaves, first.sampled_leaves);
+        let mut sampled = first.sampled_leaves;
+        sampled.sort();
+        assert_eq!(sampled, vec!["log", "video"], "each leaf sampled once");
     }
 
     #[test]

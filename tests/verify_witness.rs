@@ -6,19 +6,19 @@
 //! verify`.
 //!
 //! Layout mirrors `relalg::verify`: logical plan witnesses, rewrite-boundary
-//! witnesses driven through the real `Optimizer`, physical node witnesses,
-//! and columnar (`ColumnSet`/`SelVec`/chunk) witnesses.
+//! witnesses (broken rewrites handed to `verify_rewrite`, and `optimize`
+//! itself), physical node witnesses, and columnar (`ColumnSet`/`SelVec`/
+//! chunk) witnesses.
 
 use std::sync::Arc;
 
-use stale_view_cleaning::relalg::derive::{Derived, LeafProvider};
+use stale_view_cleaning::relalg::derive::Derived;
 use stale_view_cleaning::relalg::exec::column::chunk::ChunkCols;
 use stale_view_cleaning::relalg::exec::column::ColExpr;
 use stale_view_cleaning::relalg::exec::{
     ColPred, ColumnChunk, FusedOp, JoinRight, LeafRef, Node, SelVec, VecOp,
 };
-use stale_view_cleaning::relalg::optimizer::rules::Rule;
-use stale_view_cleaning::relalg::optimizer::{OptimizeReport, Optimizer};
+use stale_view_cleaning::relalg::optimizer::optimize;
 use stale_view_cleaning::relalg::plan::{JoinKind, Plan};
 use stale_view_cleaning::relalg::scalar::{col, lit, BinOp, BoundExpr};
 use stale_view_cleaning::relalg::verify;
@@ -117,53 +117,15 @@ fn innermost_node_is_blamed_not_the_root() {
 
 // ---------------------------------------------------- rewrite boundary
 
-/// A deliberately broken rule: rewrites any plan into a projection of its
-/// first key column only, silently changing the output schema.
-struct SchemaBreaker;
-
-impl Rule for SchemaBreaker {
-    fn name(&self) -> &'static str {
-        "schema-breaker"
-    }
-
-    fn apply(
-        &self,
-        plan: Plan,
-        _leaves: &dyn LeafProvider,
-        _report: &mut OptimizeReport,
-    ) -> Result<(Plan, bool)> {
-        Ok((plan.project(vec![("id", col("id"))]), true))
-    }
-}
-
-/// A rule that claims key preservation but re-keys the plan by projecting
-/// the key through an alias the key-derivation cannot track.
-struct KeyBreaker;
-
-impl Rule for KeyBreaker {
-    fn name(&self) -> &'static str {
-        "key-breaker"
-    }
-
-    fn apply(
-        &self,
-        plan: Plan,
-        _leaves: &dyn LeafProvider,
-        _report: &mut OptimizeReport,
-    ) -> Result<(Plan, bool)> {
-        // Union with a full group-by of the same table: identical schema,
-        // but the Definition 2 key widens from [id] to every column.
-        Ok((plan.union(Plan::scan("t").aggregate(&["id", "x", "s"], vec![])), true))
-    }
-}
-
+/// A broken rewrite that silently changes the output schema — the plan
+/// narrowed to its key column — is caught at the boundary, blamed by name.
 #[test]
 fn broken_rewrite_is_caught_at_the_boundary_with_rule_name_and_plan() {
     let database = db();
     let plan = Plan::scan("t").select(col("x").gt(lit(0.5)));
-    let err = Optimizer::with_rules(vec![Box::new(SchemaBreaker)])
-        .with_verification(true)
-        .run(&plan, &database)
+    let before = verify::verify_plan(&plan, &database).unwrap();
+    let broken = plan.project(vec![("id", col("id"))]);
+    let err = verify::verify_rewrite("schema-breaker", &before, &broken, &database, true)
         .expect_err("broken rewrite must fail at the rewrite boundary")
         .to_string();
     assert!(err.contains("rewrite verifier"), "{err}");
@@ -173,52 +135,43 @@ fn broken_rewrite_is_caught_at_the_boundary_with_rule_name_and_plan() {
     assert!(err.contains("Project"), "{err}");
 }
 
-#[test]
-fn broken_rewrite_passes_silently_when_verification_is_off() {
-    // Sanity check that the catch above really happens at the boundary:
-    // the same broken rule with verification disarmed "succeeds" (and
-    // would surface downstream as a wrong answer).
-    let database = db();
-    let plan = Plan::scan("t").select(col("x").gt(lit(0.5)));
-    let res = Optimizer::with_rules(vec![Box::new(SchemaBreaker)])
-        .with_verification(false)
-        .run(&plan, &database);
-    assert!(res.is_ok(), "without the verifier the miscompile sails through");
-}
-
+/// A rewrite that keeps the schema but re-keys the plan: a union with a
+/// full group-by of the same table widens the Definition 2 key from [id] to
+/// every column.
 #[test]
 fn key_claim_change_is_caught_for_key_preserving_rules() {
     let database = db();
     let plan = Plan::scan("t");
-    let err = Optimizer::with_rules(vec![Box::new(KeyBreaker)])
-        .with_verification(true)
-        .run(&plan, &database)
+    let before = verify::verify_plan(&plan, &database).unwrap();
+    let broken = plan.union(Plan::scan("t").aggregate(&["id", "x", "s"], vec![]));
+    let err = verify::verify_rewrite("key-breaker", &before, &broken, &database, true)
         .expect_err("key-claim change must fail")
         .to_string();
     assert!(err.contains("key-breaker"), "{err}");
 }
 
+/// Positive control: every rewrite of `optimize` passes its boundary check
+/// (under the `verify` feature `optimize` runs them itself), and the
+/// optimized plan keeps the input's schema and key.
 #[test]
 fn standard_rules_verify_clean_on_a_real_plan() {
-    // Positive control: the real rule set under forced verification.
     let database = db();
     let plan = Plan::scan("t")
         .select(col("x").gt(lit(0.25)).and(col("id").lt(lit(4i64))))
         .project(vec![("id", col("id")), ("x2", col("x").mul(lit(2.0)))])
         .hash(&["id"], 0.5, HashSpec::with_seed(7));
-    Optimizer::standard()
-        .with_verification(true)
-        .run(&plan, &database)
-        .expect("standard rules must survive rewrite verification");
+    let before = verify::verify_plan(&plan, &database).unwrap();
+    let (optimized, _) = optimize(&plan, &database).expect("optimize must verify clean");
+    verify::verify_rewrite("optimize", &before, &optimized, &database, true)
+        .expect("the optimized plan keeps schema and key");
 }
 
+#[cfg(feature = "verify")]
 #[test]
 fn ill_formed_input_plan_is_rejected_before_any_rule() {
     let database = db();
     let plan = Plan::scan("t").select(col("x")); // Float predicate
-    let err = Optimizer::standard()
-        .with_verification(true)
-        .run(&plan, &database)
+    let err = optimize(&plan, &database)
         .expect_err("ill-formed input must be rejected up front")
         .to_string();
     assert!(err.contains("before any rule ran"), "{err}");
