@@ -7,7 +7,8 @@
 //!   lookups), so throughput rises with batch size.
 //! * **14b** two concurrent pipelines on ONE shared pool: the same sweep
 //!   while a second pipeline keeps maintaining a median view (the fallback
-//!   plan, morsel-parallel) whose tasks interleave on the shared queue.
+//!   plan, one pool task per round) whose tasks interleave on the shared
+//!   queue.
 //!
 //! Every maintained view is checked against `recompute_fresh`. One more
 //! pass runs with a span recorder attached and exports the
@@ -79,7 +80,7 @@ fn main() {
     let view = MaterializedView::create("visitView", visits, &db).expect("view");
     let expected = view.recompute_fresh(&db, &deltas).expect("recompute oracle");
     // Median blocks the change-table strategy, so the second pipeline
-    // exercises the morsel-parallel fallback maintenance plan.
+    // exercises the fallback maintenance plan.
     let median = log_join_video()
         .aggregate(&["videoId"], vec![AggSpec::new("medDur", AggFunc::Median, col("duration"))]);
     let med_view = MaterializedView::create("medView", median, &db).expect("median view");
@@ -87,8 +88,7 @@ fn main() {
 
     let pool = Arc::new(WorkerPool::new(workers));
     let pipeline = BatchPipeline::on_pool(pool.clone());
-    let mut neighbor = BatchPipeline::on_pool(pool.clone());
-    neighbor.morsel_size = Some(0);
+    let neighbor = BatchPipeline::on_pool(pool.clone());
 
     let batch_sizes: Vec<usize> =
         [32usize, 16, 8, 4, 2, 1].iter().map(|d| (stream_len / d).max(1)).collect();

@@ -10,8 +10,8 @@
 //!    base tables) — counts and histograms stay exact, bounds stay
 //!    conservative (see [`crate::stats`]);
 //! 3. **Rebuild** a table's stats from scratch only when its deleted
-//!    fraction crosses [`Catalog::rebuild_threshold`] — the amortized
-//!    rescan that keeps the conservative bounds tight.
+//!    fraction crosses 20 % — the amortized rescan that keeps the
+//!    conservative bounds tight.
 //!
 //! Plans whose leaves are not base tables — the `__stale`, `__ins.T`,
 //! `__del.T` leaves of maintenance and cleaning plans — are covered by a
@@ -28,16 +28,15 @@ use std::sync::OnceLock;
 use svc_storage::{Database, Deltas, Result, Table};
 
 use crate::estimate::{CatalogEstimator, StatsProvider};
-use crate::stats::{StatsConfig, TableStats};
+use crate::stats::TableStats;
+
+/// Deleted fraction past which [`Catalog::commit_deltas`] rebuilds a
+/// table's sketches and bounds from the live table.
+const REBUILD_THRESHOLD: f64 = 0.2;
 
 /// Per-database statistics catalog.
 #[derive(Debug, Clone)]
 pub struct Catalog {
-    config: StatsConfig,
-    /// Deleted fraction past which a table's sketches/bounds are rebuilt
-    /// on the next [`Catalog::apply_deltas`] touching it (needs the live
-    /// table, so the rebuild happens in [`Catalog::commit_deltas`]).
-    pub rebuild_threshold: f64,
     tables: BTreeMap<String, TableStats>,
     /// See [`Catalog::generation`].
     generation: u64,
@@ -52,16 +51,10 @@ fn next_generation() -> u64 {
 }
 
 impl Catalog {
-    /// Build statistics for every table of `db` with default parameters.
+    /// Build statistics for every table of `db`.
     pub fn build(db: &Database) -> Catalog {
-        Catalog::build_with(db, StatsConfig::default())
-    }
-
-    /// Build with explicit parameters.
-    pub fn build_with(db: &Database, config: StatsConfig) -> Catalog {
-        let tables =
-            db.iter().map(|(name, t)| (name.to_string(), TableStats::build(t, &config))).collect();
-        Catalog { config, rebuild_threshold: 0.2, tables, generation: next_generation() }
+        let tables = db.iter().map(|(name, t)| (name.to_string(), TableStats::build(t))).collect();
+        Catalog { tables, generation: next_generation() }
     }
 
     /// The identity of these statistics: drawn fresh from a process-wide
@@ -71,11 +64,6 @@ impl Catalog {
     /// by it.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// The build parameters.
-    pub fn config(&self) -> &StatsConfig {
-        &self.config
     }
 
     /// Statistics of one table.
@@ -95,7 +83,7 @@ impl Catalog {
 
     /// (Re)build one table's stats from its current contents.
     pub fn refresh_table(&mut self, name: &str, table: &Table) {
-        self.tables.insert(name.to_string(), TableStats::build(table, &self.config));
+        self.tables.insert(name.to_string(), TableStats::build(table));
         self.generation = next_generation();
     }
 
@@ -114,14 +102,14 @@ impl Catalog {
 
     /// The maintenance-period commit: update the stats, apply the deltas
     /// to the base tables, and rebuild any table whose conservative bounds
-    /// have degraded past [`Catalog::rebuild_threshold`].
+    /// have degraded past a 20 % deleted fraction.
     pub fn commit_deltas(&mut self, db: &mut Database, deltas: &mut Deltas) -> Result<()> {
         self.apply_deltas(deltas);
         deltas.apply_to(db)?;
         let worn: Vec<String> = self
             .tables
             .iter()
-            .filter(|(_, s)| s.staleness() > self.rebuild_threshold)
+            .filter(|(_, s)| s.staleness() > REBUILD_THRESHOLD)
             .map(|(n, _)| n.clone())
             .collect();
         for name in worn {
@@ -181,9 +169,7 @@ impl<'a> ScopedStats<'a> {
 impl StatsProvider for ScopedStats<'_> {
     fn stats(&self, name: &str) -> Option<&TableStats> {
         match self.extra.get(name) {
-            Some((table, stats)) => {
-                Some(stats.get_or_init(|| TableStats::build(table, &self.base.config)))
-            }
+            Some((table, stats)) => Some(stats.get_or_init(|| TableStats::build(table))),
             None => self.base.stats(name),
         }
     }
@@ -249,6 +235,24 @@ mod tests {
         assert_eq!(s.staleness(), 0.0, "40% deletions must have forced a rebuild");
         // Post-rebuild the bounds are tight again: ids 0..119 are gone.
         assert_eq!(s.cols[0].min, Some(120.0));
+    }
+
+    /// Below the rebuild threshold a commit stays incremental: the stats
+    /// keep counting the deleted fraction, and their bounds stay the old
+    /// ones.
+    #[test]
+    fn light_deletion_stays_incremental() {
+        let mut db = db();
+        let mut cat = Catalog::build(&db);
+        let mut deltas = Deltas::new();
+        for i in 0..30i64 {
+            deltas.delete(&db, "t", &vec![Value::Int(i), Value::Null]).unwrap();
+        }
+        cat.commit_deltas(&mut db, &mut deltas).unwrap();
+        let s = cat.stats("t").unwrap();
+        assert_eq!(s.rows, 270);
+        assert_eq!(s.staleness(), 0.1, "10% deleted is under the threshold: no rebuild");
+        assert_eq!(s.cols[0].min, Some(0.0), "the deleted minimum stays a conservative bound");
     }
 
     /// Plan caches key cost-based plans by the generation: a clone holds the

@@ -32,4 +32,4 @@ pub use catalog::{Catalog, ScopedStats};
 pub use estimate::{CatalogEstimator, StatsProvider};
 pub use histogram::Histogram;
 pub use sketch::DistinctSketch;
-pub use stats::{ColumnStats, StatsConfig, TableStats};
+pub use stats::{ColumnStats, TableStats};

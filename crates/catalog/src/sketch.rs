@@ -15,39 +15,30 @@
 //! upper bound once deletions have been applied and schedules a rebuild
 //! when the deleted fraction grows past its threshold.
 
-use svc_storage::{HashSpec, Value};
+use svc_storage::{HashFamily, HashSpec, Value};
 
-/// Default register-count exponent: `2^10 = 1024` registers, standard
-/// error `1.04/√1024 ≈ 3.3%`.
-pub const DEFAULT_BITS: u8 = 10;
+/// Register-count exponent: `2^10 = 1024` registers, standard error
+/// `1.04/√1024 ≈ 3.3%`.
+const BITS: u32 = 10;
 
-/// A HyperLogLog-style register sketch over column values.
+/// A fixed seed distinct from the η sampling default: stats hashing must
+/// not correlate with sample selection.
+const SPEC: HashSpec = HashSpec { family: HashFamily::SplitMix, seed: 0xCA7A_1061 };
+
+/// A HyperLogLog-style register sketch over column values. Every sketch has
+/// the same registers and hash, so any two merge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistinctSketch {
-    bits: u8,
     registers: Vec<u8>,
-    spec: HashSpec,
 }
 
 impl Default for DistinctSketch {
     fn default() -> Self {
-        DistinctSketch::new(DEFAULT_BITS)
+        DistinctSketch { registers: vec![0; 1 << BITS] }
     }
 }
 
 impl DistinctSketch {
-    /// A sketch with `2^bits` registers (4 ≤ bits ≤ 16).
-    pub fn new(bits: u8) -> DistinctSketch {
-        assert!((4..=16).contains(&bits), "register exponent out of range");
-        DistinctSketch {
-            bits,
-            registers: vec![0; 1 << bits],
-            // A fixed seed distinct from the η sampling default: stats
-            // hashing must not correlate with sample selection.
-            spec: HashSpec::with_seed(0xCA7A_1061),
-        }
-    }
-
     /// The raw registers (for exactness comparisons in tests).
     pub fn registers(&self) -> &[u8] {
         &self.registers
@@ -55,22 +46,19 @@ impl DistinctSketch {
 
     /// Record one value.
     pub fn insert(&mut self, v: &Value) {
-        let h = self.spec.hash_key(std::slice::from_ref(v));
-        let idx = (h & ((1u64 << self.bits) - 1)) as usize;
-        let rest = h >> self.bits;
+        let h = SPEC.hash_key(std::slice::from_ref(v));
+        let idx = (h & ((1u64 << BITS) - 1)) as usize;
+        let rest = h >> BITS;
         // Rank of the first set bit of the remaining 64-p bits, 1-based;
         // an all-zero remainder gets the maximum rank.
-        let rank = (rest.trailing_zeros().min(63 - self.bits as u32) + 1) as u8;
+        let rank = (rest.trailing_zeros().min(63 - BITS) + 1) as u8;
         if rank > self.registers[idx] {
             self.registers[idx] = rank;
         }
     }
 
-    /// Merge another sketch (register-wise max). Panics on configuration
-    /// mismatch — sketches are only merged within one catalog.
+    /// Merge another sketch (register-wise max).
     pub fn merge(&mut self, other: &DistinctSketch) {
-        assert_eq!(self.bits, other.bits, "sketch register-count mismatch");
-        assert_eq!(self.spec, other.spec, "sketch hash mismatch");
         for (r, o) in self.registers.iter_mut().zip(&other.registers) {
             *r = (*r).max(*o);
         }

@@ -4,7 +4,7 @@
 //! The incremental contract (what the property tests pin down): after
 //! applying a delta set, the stats equal a rebuild-from-scratch over the
 //! post-delta rows *with the same shape* ([`TableStats::rebuilt_like`]:
-//! same histogram boundaries, same sketch configuration) —
+//! same histogram boundaries) —
 //!
 //! * **exactly** for row counts, null counts, and histogram cells (both
 //!   directions of a delta are exact: `∇R` carries full old rows);
@@ -21,20 +21,8 @@ use svc_storage::{DataType, Row, Schema, Table, Value};
 use crate::histogram::Histogram;
 use crate::sketch::DistinctSketch;
 
-/// Build parameters shared by every stats object of one catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StatsConfig {
-    /// Cells per equi-width histogram.
-    pub histogram_buckets: usize,
-    /// Register-count exponent of the distinct sketch (`2^bits` registers).
-    pub sketch_bits: u8,
-}
-
-impl Default for StatsConfig {
-    fn default() -> Self {
-        StatsConfig { histogram_buckets: 64, sketch_bits: crate::sketch::DEFAULT_BITS }
-    }
-}
+/// Cells per equi-width histogram.
+const HISTOGRAM_BUCKETS: usize = 64;
 
 /// Statistics of one column.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,7 +60,6 @@ pub struct TableStats {
     /// the rebuild policy.
     pub deleted_since_build: u64,
     rows_at_build: u64,
-    config: StatsConfig,
 }
 
 fn numeric(dtype: DataType) -> bool {
@@ -82,7 +69,7 @@ fn numeric(dtype: DataType) -> bool {
 impl TableStats {
     /// Build stats from a table: one pass for min/max/nulls/sketches, one
     /// to fill the histograms (whose boundaries need the min/max).
-    pub fn build(table: &Table, config: &StatsConfig) -> TableStats {
+    pub fn build(table: &Table) -> TableStats {
         let schema = table.schema().clone();
         let mut cols: Vec<ColumnStats> = schema
             .fields()
@@ -91,7 +78,7 @@ impl TableStats {
                 nulls: 0,
                 min: None,
                 max: None,
-                sketch: DistinctSketch::new(config.sketch_bits),
+                sketch: DistinctSketch::default(),
                 histogram: None,
             })
             .collect();
@@ -102,7 +89,7 @@ impl TableStats {
         }
         for (c, f) in cols.iter_mut().zip(schema.fields()) {
             if let (true, Some(lo), Some(hi)) = (numeric(f.dtype), c.min, c.max) {
-                c.histogram = Some(Histogram::new(lo, hi, config.histogram_buckets));
+                c.histogram = Some(Histogram::new(lo, hi, HISTOGRAM_BUCKETS));
             }
         }
         for row in table.rows() {
@@ -113,19 +100,12 @@ impl TableStats {
             }
         }
         let rows = table.len() as u64;
-        TableStats {
-            rows,
-            schema,
-            cols,
-            deleted_since_build: 0,
-            rows_at_build: rows,
-            config: *config,
-        }
+        TableStats { rows, schema, cols, deleted_since_build: 0, rows_at_build: rows }
     }
 
     /// Rebuild from scratch over `table` with this object's shape — the
-    /// histogram boundaries and sketch configuration preserved — so the
-    /// result is directly comparable with incrementally-maintained stats.
+    /// histogram boundaries preserved — so the result is directly
+    /// comparable with incrementally-maintained stats.
     pub fn rebuilt_like(&self, table: &Table) -> TableStats {
         let mut out = TableStats {
             rows: 0,
@@ -137,16 +117,15 @@ impl TableStats {
                     nulls: 0,
                     min: None,
                     max: None,
-                    sketch: DistinctSketch::new(self.config.sketch_bits),
+                    sketch: DistinctSketch::default(),
                     histogram: c.histogram.as_ref().map(|h| {
                         let (lo, hi) = h.range();
-                        Histogram::new(lo, hi, self.config.histogram_buckets)
+                        Histogram::new(lo, hi, HISTOGRAM_BUCKETS)
                     }),
                 })
                 .collect(),
             deleted_since_build: 0,
             rows_at_build: table.len() as u64,
-            config: self.config,
         };
         out.apply_inserts(table.rows());
         out
@@ -232,7 +211,7 @@ mod tests {
     #[test]
     fn build_captures_counts_bounds_and_distincts() {
         let t = table(1_000);
-        let s = TableStats::build(&t, &StatsConfig::default());
+        let s = TableStats::build(&t);
         assert_eq!(s.rows, 1_000);
         assert_eq!(s.cols[1].nulls, 100);
         assert_eq!(s.cols[1].min, Some(1.0));
@@ -245,7 +224,7 @@ mod tests {
     #[test]
     fn incremental_inserts_match_rebuild_exactly() {
         let t = table(500);
-        let mut s = TableStats::build(&t, &StatsConfig::default());
+        let mut s = TableStats::build(&t);
         let mut t2 = t;
         let mut added = Vec::new();
         for i in 500..700i64 {
@@ -268,7 +247,7 @@ mod tests {
     #[test]
     fn deletes_keep_counts_exact_and_bounds_conservative() {
         let t = table(400);
-        let mut s = TableStats::build(&t, &StatsConfig::default());
+        let mut s = TableStats::build(&t);
         let deleted: Vec<_> = t.rows().iter().take(120).cloned().collect();
         let mut t2 = t;
         for row in &deleted {

@@ -41,15 +41,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use svc_catalog::{Catalog, ScopedStats};
-use svc_core::maintenance_stats;
 use svc_ivm::fold::{KeyedFold, StagedEdits};
 use svc_ivm::plans::CompiledDelta;
 use svc_ivm::strategy::{view_delta, PlanKind, ViewDelta};
 use svc_ivm::view::{maintenance_bindings, MaterializedView};
 use svc_ivm::DeltaInfo;
-use svc_relalg::exec::ExecMode;
-use svc_relalg::optimizer::CardEstimator;
 use svc_relalg::plan::Plan;
 use svc_storage::{Database, Deltas, Result, StorageError, Table};
 use svc_telemetry::{Counter, Gauge, TraceRecorder};
@@ -158,30 +154,6 @@ pub struct BatchPipeline {
     pub pool: Arc<WorkerPool>,
     /// Maximum delta chunks (map tasks) per batch.
     pub partitions: usize,
-    /// Base-table statistics catalog; when set, batch plans additionally
-    /// get cost-based join reordering, with the delta leaves overlaid on the
-    /// fly.
-    pub catalog: Option<Arc<Catalog>>,
-    /// Morsel size for intra-plan parallelism. When set, the one plan that
-    /// runs as a *single* task — the fallback maintenance of views whose
-    /// deltas are not chunk-additive — executes morsel-parallel on the shared
-    /// pool (`ExecMode::morsel`), its scans split into row ranges
-    /// that interleave with other sessions' tasks on the shared queue.
-    /// `Some(0)` means "morsel-parallel, size auto-tuned": the executor
-    /// derives it per plan from the largest bound leaf, targeting ~64k
-    /// values per column chunk ([`svc_relalg::exec::auto_morsel_size`]).
-    /// Change plans keep their per-chunk fan-out (many small runs already
-    /// saturate the pool).
-    pub morsel_size: Option<usize>,
-    /// Hash-partition count for join builds and set-op dedup inside the
-    /// morsel-parallel run of the fallback maintenance; distinct from
-    /// [`BatchPipeline::partitions`], which chunks *deltas* across runs of
-    /// the change plan. `0` (the default) auto-tunes from the build input size
-    /// ([`svc_relalg::exec::auto_partition_count`]); any value is rounded
-    /// up to a power of two. Results are identical for every value — this
-    /// is purely a parallelism/skew knob. Ignored when `morsel_size` is
-    /// `None` (sequential plan runs build one map).
-    pub join_partitions: usize,
     /// Optional span recorder: when attached, `maintain` records
     /// batch/fold spans into its ring buffer, exportable as chrome-trace
     /// JSON ([`TraceRecorder::chrome_trace_json`]). `None` (the default)
@@ -292,20 +264,11 @@ impl BatchPipeline {
         BatchPipeline {
             pool,
             partitions,
-            catalog: None,
-            morsel_size: None,
-            join_partitions: 0,
             tracer: None,
             policy: FailurePolicy::default(),
             quarantine: Arc::default(),
             counters: Arc::default(),
         }
-    }
-
-    /// Attach a statistics catalog (see [`BatchPipeline::catalog`]).
-    pub fn with_catalog(mut self, catalog: Arc<Catalog>) -> BatchPipeline {
-        self.catalog = Some(catalog);
-        self
     }
 
     /// Set the failure policy (see [`FailurePolicy`]).
@@ -389,9 +352,7 @@ impl BatchPipeline {
         // this signature was planned before, `view_delta` otherwise; only
         // change tables are chunk-additive.
         let info = DeltaInfo::of(&pending);
-        let kind = match self
-            .with_estimator(&pending, |est| view.cached_delta_plan(db, &info, None, est))
-        {
+        let kind = match view.cached_delta_plan(db, &info) {
             Some(planned) => planned.delta.kind(),
             None => view_delta(&canonical, &view.maint_catalog(db), &info)?.kind(),
         };
@@ -629,12 +590,10 @@ impl BatchPipeline {
     }
 
     /// The whole pending set through [`MaterializedView::maintained`], the
-    /// delta runner (views whose deltas are not chunk-additive), on the pool:
-    /// with a morsel size set, its plans run morsel-parallel (a lone
-    /// sequential plan is exactly where intra-plan parallelism pays);
-    /// otherwise they run as one pool task, so dispatch failpoints, panic
-    /// isolation and the busy-time gauges see it like any other plan.
-    /// Returns the new view table without committing it.
+    /// delta runner (views whose deltas are not chunk-additive), as one pool
+    /// task, so dispatch failpoints, panic isolation and the busy-time gauges
+    /// see it like any other plan. Returns the new view table without
+    /// committing it.
     fn fallback_table(
         &self,
         db: &Database,
@@ -642,25 +601,11 @@ impl BatchPipeline {
         pending: &Deltas,
     ) -> Result<Table> {
         svc_fault::fail_point!(svc_fault::site::BATCH_FALLBACK, StorageError::Invalid);
-        // No plan the runner runs reads the stale view: overlay stats for the
-        // delta leaves alone.
-        self.with_estimator(pending, |est| {
-            let run = |mode: ExecMode<'_>| {
-                let maintained = view.maintained(db, pending, view.table(), None, est, mode)?;
-                Ok(maintained.expect("the gate found pending deltas that reach the view").0)
-            };
-            match self.morsel_size {
-                Some(morsel) => {
-                    run(ExecMode::morsel(self.pool.as_ref(), morsel)
-                        .partitions(self.join_partitions))
-                }
-                None => Ok(self
-                    .pool
-                    .run_batch(1, |_| run(ExecMode::sequential()))?
-                    .pop()
-                    .expect("one task, one result")),
-            }
-        })
+        let mut tables = self.pool.run_batch(1, |_| {
+            let maintained = view.maintained(db, pending, view.table(), None, None)?;
+            Ok(maintained.expect("the gate found pending deltas that reach the view").0)
+        })?;
+        Ok(tables.pop().expect("one task, one result"))
     }
 
     /// Execute one change-table mini-batch and stage its keyed edits
@@ -688,7 +633,7 @@ impl BatchPipeline {
             let known = plans.iter().position(|(seen, ..)| *seen == info);
             plan_of.push(known.unwrap_or(plans.len()));
             if known.is_none() {
-                let (plan, hit) = self.compiled_change_plan(call.db, view, chunk, &info)?;
+                let (plan, hit) = self.compiled_change_plan(call.db, view, &info)?;
                 plans.push((info, plan, hit));
             }
         }
@@ -707,9 +652,7 @@ impl BatchPipeline {
             for (chunk, &p) in chunks.iter().zip(&plan_of) {
                 let (_, plan, hit) = &plans[p];
                 if *hit {
-                    self.with_estimator(chunk, |est| {
-                        view.verify_plan_hit(call.db, chunk, None, est, plan)
-                    })?;
+                    view.verify_plan_hit(call.db, chunk, None, None, plan)?;
                 }
             }
         }
@@ -733,36 +676,32 @@ impl BatchPipeline {
     /// The compiled change plans — γ(∆) and γ(∇), one entry — for one delta
     /// signature of the view, from the view's plan cache: a hit when the
     /// signature was planned before (by any pipeline, the delta runner or a
-    /// clone of the view), otherwise built — priced on `chunk`, the first
-    /// one carrying the signature — and stored. The flag is the hit.
+    /// clone of the view), otherwise built and stored. The flag is the hit.
     fn compiled_change_plan(
         &self,
         db: &Database,
         view: &MaterializedView,
-        chunk: &Deltas,
         info: &DeltaInfo,
     ) -> Result<(Arc<CompiledDelta>, bool)> {
-        // With a catalog attached, overlay stats for the chunk's delta
-        // leaves (tiny tables — the build scan is noise) so the change plans
-        // get cost-based join order too. Change plans never read `__stale`
-        // (the keyed fold does the merge), so no view-wide stats build.
-        let planned = self.with_estimator(chunk, |est| {
-            if let Some(plan) = view.cached_delta_plan(db, info, None, est) {
+        let planned = match view.cached_delta_plan(db, info) {
+            Some(plan) => {
                 self.counters.cache_hits.inc();
-                return Ok((plan, true));
+                (plan, true)
             }
-            self.counters.cache_misses.inc();
-            svc_fault::fail_point!(svc_fault::site::BATCH_COMPILE, StorageError::Invalid);
-            let _compile_span = self.tracer.as_deref().map(|t| t.span("compile", "pipeline"));
-            let lookup = view.delta_plan(db, info, None, est)?;
-            if lookup.recovered_poison {
-                self.counters.cache_poisons.inc();
+            None => {
+                self.counters.cache_misses.inc();
+                svc_fault::fail_point!(svc_fault::site::BATCH_COMPILE, StorageError::Invalid);
+                let _compile_span = self.tracer.as_deref().map(|t| t.span("compile", "pipeline"));
+                let lookup = view.delta_plan(db, info, None, None)?;
+                if lookup.recovered_poison {
+                    self.counters.cache_poisons.inc();
+                }
+                if !lookup.hit {
+                    self.counters.compiles.inc();
+                }
+                (lookup.plan, false)
             }
-            if !lookup.hit {
-                self.counters.compiles.inc();
-            }
-            Ok((lookup.plan, false))
-        })?;
+        };
         // A chunk of a change-table batch is a change-table delta itself.
         if !matches!(planned.0.delta, ViewDelta::Keyed { .. }) {
             return Err(StorageError::Invalid(
@@ -770,19 +709,6 @@ impl BatchPipeline {
             ));
         }
         Ok(planned)
-    }
-
-    /// `f` under the attached catalog's estimator, overlaid with `deltas`'
-    /// leaves (a leaf's stats are built when an estimate reads it); `None`
-    /// without a catalog.
-    fn with_estimator<T>(
-        &self,
-        deltas: &Deltas,
-        f: impl FnOnce(Option<&dyn CardEstimator>) -> T,
-    ) -> T {
-        let scoped = self.catalog.as_deref().map(|c| maintenance_stats(c, None, deltas));
-        let est = scoped.as_ref().map(ScopedStats::estimator);
-        f(est.as_ref().map(|e| e as &dyn CardEstimator))
     }
 }
 
@@ -894,42 +820,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pipeline_with_catalog_is_exact() {
-        let db = db();
-        let view = MaterializedView::create("v", visit_view(), &db).unwrap();
-        let deltas = log_stream(&db, 500);
-        let expected = view.recompute_fresh(&db, &deltas).unwrap();
-
-        let pipeline = BatchPipeline::new(2).with_catalog(Arc::new(Catalog::build(&db)));
-        let mut v = view;
-        let run = pipeline.maintain(&db, &mut v, &deltas, 120).unwrap();
-        assert!(
-            v.table().approx_same_contents(&expected, 1e-9),
-            "catalog-driven pipeline diverged from recompute"
-        );
-        assert_eq!(run.fallback_batches, 0);
-
-        // The non-eligible fallback path with a catalog stays exact too.
-        let med = Plan::scan("video").aggregate(
-            &["videoId"],
-            vec![AggSpec::new("medDur", AggFunc::Median, col("duration"))],
-        );
-        let mview = MaterializedView::create("m", med, &db).unwrap();
-        let mut md = Deltas::new();
-        for vid in 80..110i64 {
-            md.insert(&db, "video", vec![Value::Int(vid), Value::Float(1.5)]).unwrap();
-        }
-        let expected = mview.recompute_fresh(&db, &md).unwrap();
-        let mut mv = mview;
-        let run = pipeline.maintain(&db, &mut mv, &md, 10).unwrap();
-        assert!(mv.table().approx_same_contents(&expected, 1e-9));
-        assert_eq!(run.fallback_batches, run.batches);
-    }
-
     /// Views outside the change-table class run as ONE fallback batch, and
-    /// the pipeline (sequential pool task or morsel-parallel), plain
-    /// `MaterializedView::maintain` and `recompute_fresh` all agree exactly.
+    /// the pipeline (one pool task), plain `MaterializedView::maintain` and
+    /// `recompute_fresh` all agree exactly.
     #[test]
     fn non_change_table_views_fall_back_to_sequential_plans() {
         use svc_workloads::conviva;
@@ -990,17 +883,13 @@ mod tests {
             let mut ivm = view.clone();
             ivm.maintain(db, &deltas).unwrap();
             assert!(ivm.table().same_contents(&expected), "{label}: IVM diverged from recompute");
-            for morsel in [None, Some(0)] {
-                let mut pipeline = BatchPipeline::new(2);
-                pipeline.morsel_size = morsel;
-                let mut v = view.clone();
-                let run = pipeline.maintain(db, &mut v, &deltas, 10).unwrap();
-                assert_eq!((run.batches, run.fallback_batches), (1, 1), "{label} {morsel:?}");
-                assert!(
-                    v.table().same_contents(ivm.table()),
-                    "{label}: pipeline (morsel {morsel:?}) diverged from MaterializedView::maintain"
-                );
-            }
+            let mut v = view.clone();
+            let run = BatchPipeline::new(2).maintain(db, &mut v, &deltas, 10).unwrap();
+            assert_eq!((run.batches, run.fallback_batches), (1, 1), "{label}");
+            assert!(
+                v.table().same_contents(ivm.table()),
+                "{label}: pipeline diverged from MaterializedView::maintain"
+            );
         }
     }
 
@@ -1136,7 +1025,7 @@ mod tests {
         );
         assert_eq!(view.plan_metrics().entries, 2, "one entry per signature, on the view");
         let mut sides: Vec<(bool, bool)> = (signatures.iter())
-            .map(|info| match &view.cached_delta_plan(&db, info, None, None).unwrap().delta {
+            .map(|info| match &view.cached_delta_plan(&db, info).unwrap().delta {
                 ViewDelta::Keyed { change, .. } => (change.ins.is_some(), change.del.is_some()),
                 other => panic!("a change-table pair, not {:?}", other.kind()),
             })
@@ -1149,21 +1038,17 @@ mod tests {
 
     /// Two pipelines share one `WorkerPool` and maintain disjoint views
     /// from concurrent driver threads: the shared queue interleaves their
-    /// tasks (plan batches from one, morsel tasks from the other) and both
-    /// converge to the `recompute_fresh` ground truth.
+    /// tasks (chunk plans from one, the fallback task from the other) and
+    /// both converge to the `recompute_fresh` ground truth.
     #[test]
     fn concurrent_pipelines_on_a_shared_pool_both_converge() {
         let db = db();
         let pool = Arc::new(WorkerPool::new(2));
         let p1 = BatchPipeline::on_pool(pool.clone());
-        let mut p2 = BatchPipeline::on_pool(pool);
-        // The second pipeline opts into morsel parallelism, so whole-plan
-        // tasks and morsel tasks interleave on the same queue.
-        p2.morsel_size = Some(64);
+        let p2 = BatchPipeline::on_pool(pool);
 
         let v1 = MaterializedView::create("v1", visit_view(), &db).unwrap();
-        // Median never merges: v2 exercises the fallback maintenance plan,
-        // which under `morsel_size` runs morsel-parallel on the pool.
+        // Median never merges: v2 exercises the fallback maintenance plan.
         let v2def = Plan::scan("video").aggregate(
             &["videoId"],
             vec![AggSpec::new("medDur", svc_relalg::aggregate::AggFunc::Median, col("duration"))],
@@ -1244,59 +1129,50 @@ mod tests {
     }
 
     /// A non-change-table view over the join: median never merges, so it
-    /// takes the fallback plan — the only plan the morsel and
-    /// join-partition knobs still govern.
+    /// takes the fallback plan.
     fn median_join_view() -> Plan {
         Plan::scan("log")
             .join(Plan::scan("video"), JoinKind::Inner, &[("videoId", "videoId")])
             .aggregate(&["videoId"], vec![AggSpec::new("med", AggFunc::Median, col("duration"))])
     }
 
-    /// `morsel_size` changes scheduling only, never results: the fallback
-    /// plan produces the same table with and without it — including
-    /// `Some(0)`, the auto-tuned size — and the change-table path ignores
-    /// it.
+    /// The pool's size changes scheduling only, never results: the change
+    /// path and the fallback task land the same table on one, two or three
+    /// workers.
     #[test]
-    fn morsel_size_is_result_invariant() {
+    fn worker_count_is_result_invariant() {
         let db = db();
         let deltas = log_stream(&db, 400);
         for def in [visit_view(), median_join_view()] {
             let view = MaterializedView::create("v", def, &db).unwrap();
             let expected = view.recompute_fresh(&db, &deltas).unwrap();
-            for morsel in [Some(0), Some(1), Some(33), Some(usize::MAX), None] {
-                let mut pipeline = BatchPipeline::new(2);
-                pipeline.morsel_size = morsel;
+            let mut first: Option<Table> = None;
+            for workers in [1, 2, 3] {
                 let mut v = view.clone();
-                pipeline.maintain(&db, &mut v, &deltas, 80).unwrap();
-                assert!(
-                    v.table().approx_same_contents(&expected, 1e-9),
-                    "morsel_size {morsel:?} changed the maintenance result"
-                );
+                BatchPipeline::new(workers).maintain(&db, &mut v, &deltas, 80).unwrap();
+                assert!(v.table().approx_same_contents(&expected, 1e-9), "{workers} workers");
+                let first = first.get_or_insert_with(|| v.table().clone());
+                assert!(v.table().same_contents(first), "{workers} workers changed the result");
             }
         }
     }
 
-    /// `join_partitions` is a parallelism/skew knob only: every count
-    /// (auto, 1, non-power-of-two, large) maintains to the same view.
+    /// Cost shape of the fallback: a pending set that is not chunk-additive
+    /// runs the delta runner once, as one task of one pool session, however
+    /// small the batch size.
     #[test]
-    fn join_partitions_are_result_invariant() {
+    fn a_fallback_batch_is_one_pool_task() {
         let db = db();
-        let deltas = log_stream(&db, 400);
-        for def in [visit_view(), median_join_view()] {
-            let view = MaterializedView::create("v", def, &db).unwrap();
-            let expected = view.recompute_fresh(&db, &deltas).unwrap();
-            for parts in [0usize, 1, 3, 8, 64] {
-                let mut pipeline = BatchPipeline::new(2);
-                pipeline.morsel_size = Some(16);
-                pipeline.join_partitions = parts;
-                let mut v = view.clone();
-                pipeline.maintain(&db, &mut v, &deltas, 80).unwrap();
-                assert!(
-                    v.table().approx_same_contents(&expected, 1e-9),
-                    "join_partitions {parts} changed the maintenance result"
-                );
-            }
-        }
+        let view = MaterializedView::create("m", median_join_view(), &db).unwrap();
+        let deltas = log_stream(&db, 300);
+        let pipeline = BatchPipeline::new(2);
+        let before = pipeline.pool.metrics();
+        let mut v = view.clone();
+        let run = pipeline.maintain(&db, &mut v, &deltas, 40).unwrap();
+        let after = pipeline.pool.metrics();
+        assert_eq!((run.batches, run.fallback_batches, run.plans_evaluated), (1, 1, 1));
+        assert_eq!((after.sessions - before.sessions, after.tasks - before.tasks), (1, 1));
+        assert!(v.table().approx_same_contents(&view.recompute_fresh(&db, &deltas).unwrap(), 1e-9));
     }
 
     /// Cost shape of the change-table path: however many mini-batches a

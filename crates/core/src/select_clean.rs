@@ -229,13 +229,13 @@ mod tests {
 
     #[test]
     fn stats_prove_empty_selects_and_estimate_matches() {
-        use svc_catalog::{StatsConfig, TableStats};
+        use svc_catalog::TableStats;
         let (stale, fresh) = views();
         let m = 0.3;
         let spec = HashSpec::with_seed(29);
         let s_hat = sample_by_key(&stale, m, spec);
         let f_hat = sample_by_key(&fresh, m, spec);
-        let stats = TableStats::build(&stale, &StatsConfig::default());
+        let stats = TableStats::build(&stale);
         let cfg = SvcConfig::with_ratio(m);
 
         // v ranges over 0..100 in the stale view: a predicate beyond the

@@ -17,7 +17,6 @@ use svc_ivm::strategy::{PlanKind, STALE_LEAF};
 use svc_ivm::view::MaterializedView;
 
 use svc_relalg::derive::{derive_project, Derived};
-use svc_relalg::exec::ExecMode;
 use svc_relalg::optimizer::CardEstimator;
 use svc_relalg::plan::Plan;
 use svc_sampling::operator::sample_by_key;
@@ -225,9 +224,9 @@ impl SvcView {
         let scoped = catalog.map(|c| maintenance_stats(c, None, deltas));
         let est = scoped.as_ref().map(ScopedStats::estimator);
         let est = est.as_ref().map(|e| e as &dyn CardEstimator);
-        let (sample, mode) = (&self.stale_sample, ExecMode::sequential());
+        let sample = &self.stale_sample;
         let eta = Some((self.config.ratio, self.config.hash_spec()));
-        let cleaned = self.view.maintained(db, deltas, sample, eta, est, mode)?;
+        let cleaned = self.view.maintained(db, deltas, sample, eta, est)?;
         let (canonical, plan_kind, report) =
             cleaned.unwrap_or_else(|| (sample.clone(), PlanKind::NoOp, PushdownReport::default()));
         let public = self.view.public_of(&canonical)?;

@@ -14,7 +14,7 @@ use svc_storage::{Database, Deltas, HashSpec, Result, StorageError, Table};
 
 use svc_relalg::derive::{derive_project, Derived};
 use svc_relalg::eval::{evaluate, Bindings};
-use svc_relalg::exec::{compile_with, ExecMode, PhysicalPlan};
+use svc_relalg::exec::{compile_with, PhysicalPlan};
 use svc_relalg::optimizer::{optimize, CardEstimator, EtaReport};
 use svc_relalg::plan::Plan;
 use svc_relalg::scalar::Expr;
@@ -237,8 +237,7 @@ impl MaterializedView {
     /// maintenance period ends): the delta runner on the view itself, without
     /// η, committed at once. Returns the strategy that was used.
     pub fn maintain(&mut self, db: &Database, deltas: &Deltas) -> Result<PlanKind> {
-        let Some((new_table, kind, _)) =
-            self.maintained(db, deltas, &self.table, None, None, ExecMode::sequential())?
+        let Some((new_table, kind, _)) = self.maintained(db, deltas, &self.table, None, None)?
         else {
             return Ok(PlanKind::NoOp);
         };
@@ -256,9 +255,9 @@ impl MaterializedView {
     /// view: nothing runs, nothing is copied.
     ///
     /// The compiled delta comes from the view's plan cache
-    /// ([`MaterializedView::delta_plan`]); each of its plans runs once under
-    /// `mode` (morsel-parallel with a scheduler), and a keyed pair is folded
-    /// into one clone of `target`. No plan reads the stale view. The report
+    /// ([`MaterializedView::delta_plan`]); each of its plans runs once,
+    /// sequentially on the caller's thread, and a keyed pair is folded into
+    /// one clone of `target`. No plan reads the stale view. The report
     /// unions the plans' η reports.
     pub fn maintained(
         &self,
@@ -267,23 +266,21 @@ impl MaterializedView {
         target: &Table,
         eta: Option<(f64, HashSpec)>,
         est: Option<&dyn CardEstimator>,
-        mode: ExecMode<'_>,
     ) -> Result<Option<(Table, PlanKind, EtaReport)>> {
         let lookup = self.delta_plan(db, &DeltaInfo::of(deltas), eta, est)?;
         if svc_relalg::verify::ENABLED && lookup.hit {
             self.verify_plan_hit(db, deltas, eta, est, &lookup.plan)?;
         }
         let bindings = maintenance_bindings(db, deltas, target);
-        let (table, kind) =
-            match lookup.plan.delta.as_ref().try_map(|plan| plan.run_with(&bindings, mode))? {
-                ViewDelta::NoOp => return Ok(None),
-                ViewDelta::Keyed { change, kind } => {
-                    let mut next = target.clone();
-                    KeyedFold::new(&self.canonical, &next)?.fold(&mut next, &change)?;
-                    (next, kind)
-                }
-                ViewDelta::Recompute(table) => (table, PlanKind::Recompute),
-            };
+        let (table, kind) = match lookup.plan.delta.as_ref().try_map(|plan| plan.run(&bindings))? {
+            ViewDelta::NoOp => return Ok(None),
+            ViewDelta::Keyed { change, kind } => {
+                let mut next = target.clone();
+                KeyedFold::new(&self.canonical, &next)?.fold(&mut next, &change)?;
+                (next, kind)
+            }
+            ViewDelta::Recompute(table) => (table, PlanKind::Recompute),
+        };
         Ok(Some((table, kind, lookup.plan.report.clone())))
     }
 
@@ -301,15 +298,10 @@ impl MaterializedView {
         self.plans.get_or_build(key, || self.build_delta_plan(db, info, eta, est))
     }
 
-    /// [`MaterializedView::delta_plan`]'s entry if it is cached; never builds.
-    pub fn cached_delta_plan(
-        &self,
-        db: &Database,
-        info: &DeltaInfo,
-        eta: Option<(f64, HashSpec)>,
-        est: Option<&dyn CardEstimator>,
-    ) -> Option<Arc<CompiledDelta>> {
-        self.plans.peek(&self.plan_key(db, info, eta, est)?)
+    /// The entry [`MaterializedView::maintain`] reads for deltas with
+    /// signature `info` — no η, no estimator — if it is cached; never builds.
+    pub fn cached_delta_plan(&self, db: &Database, info: &DeltaInfo) -> Option<Arc<CompiledDelta>> {
+        self.plans.peek(&self.plan_key(db, info, None, None)?)
     }
 
     fn plan_key(

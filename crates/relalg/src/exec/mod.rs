@@ -82,9 +82,8 @@ impl MorselScheduler for SequentialScheduler {
 /// How a compiled plan executes: sequentially on the calling thread
 /// (default), or morsel-parallel on a scheduler; vectorized fused-scan
 /// kernels (default), or the row-at-a-time reference path. A copyable
-/// knob: `MaterializedView::maintained` takes one, which is how
-/// `BatchPipeline` runs a fallback maintenance plan morsel-parallel on its
-/// pool.
+/// knob for callers of [`PhysicalPlan::run_with`]; the maintenance and
+/// cleaning paths run sequentially and take none.
 #[derive(Clone, Copy, Default)]
 pub struct ExecMode<'a> {
     sched: Option<&'a dyn MorselScheduler>,

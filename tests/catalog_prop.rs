@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use proptest::prelude::*;
 
 use stale_view_cleaning::catalog::{
-    Catalog, CatalogEstimator, ScopedStats, StatsConfig, StatsProvider, TableStats,
+    Catalog, CatalogEstimator, ScopedStats, StatsProvider, TableStats,
 };
 use stale_view_cleaning::core::{maintenance_stats, SvcConfig, SvcView};
 use stale_view_cleaning::ivm::strategy::{view_delta, ViewDelta};
@@ -273,7 +273,6 @@ proptest! {
     ) {
         let db = snowflake_db(n, 6, 12, 4, seed);
         let mut cat = Catalog::build(&db);
-        cat.rebuild_threshold = f64::INFINITY; // keep the incremental path under test
         let mut deltas = Deltas::new();
         for i in 0..inserts as i64 {
             deltas.insert(&db, "fact", vec![
@@ -291,7 +290,9 @@ proptest! {
         }
         let mut db2 = db.clone();
         let had_deletes = deltas.get("fact").is_some_and(|s| !s.deletions.is_empty());
-        cat.commit_deltas(&mut db2, &mut deltas).unwrap();
+        // `apply_deltas` never rebuilds: the incremental path stays under test.
+        cat.apply_deltas(&deltas);
+        deltas.apply_to(&mut db2).unwrap();
 
         let incr = cat.stats("fact").unwrap();
         let rebuilt = incr.rebuilt_like(db2.table("fact").unwrap());
@@ -396,7 +397,7 @@ fn histogram_selectivity_on_zipf_data() {
         for (i, &v) in values.iter().enumerate() {
             t.insert(vec![Value::Int(i as i64), Value::Float(v)]).unwrap();
         }
-        let stats = TableStats::build(&t, &StatsConfig::default());
+        let stats = TableStats::build(&t);
         let hist = stats.cols[1].histogram.as_ref().expect("numeric column gets a histogram");
         // Worst-case interpolation error within one bucket is that
         // bucket's mass; Zipf concentrates mass in the head bucket.

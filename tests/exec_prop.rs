@@ -115,59 +115,6 @@ fn batch_pipeline_cache_survives_repartitions_exactly() {
     assert!(v3.table().approx_same_contents(&expected, 1e-9), "post-repartition diverged");
 }
 
-/// Regression: two live pipeline clones share one compiled-plan cache but
-/// may be attached to *different* statistics catalogs. Entries are keyed
-/// by catalog identity, so alternating maintenance calls replay their own
-/// compiled plans; the pre-fix behavior (one catalog slot, full flush on
-/// mismatch) had the clones wiping each other's entries on every lookup
-/// and recompiling every single pass.
-#[test]
-fn batch_pipeline_cache_is_shared_across_catalogs() {
-    use stale_view_cleaning::catalog::Catalog;
-    use std::sync::Arc;
-
-    let db = build_db(300, 10, 3);
-    let view_def = Plan::scan("fact")
-        .join(Plan::scan("dim"), JoinKind::Inner, &[("dimId", "dimId")])
-        .aggregate(
-            &["dimId"],
-            vec![AggSpec::count_all("n"), AggSpec::new("avgx", AggFunc::Avg, col("x"))],
-        );
-    let view = MaterializedView::create("v", view_def, &db).unwrap();
-    // Insert-only stream: one delta signature, so each catalog should
-    // compile exactly one plan, ever.
-    let ops: Vec<(u8, u64)> = (0..90u64).map(|i| (0u8, i * 131 + 7)).collect();
-    let deltas = random_deltas(&db, &ops);
-    let expected = view.recompute_fresh(&db, &deltas).unwrap();
-
-    let p1 = BatchPipeline::new(2).with_catalog(Arc::new(Catalog::build(&db)));
-    let mut p2 = p1.clone();
-    p2.catalog = Some(Arc::new(Catalog::build(&db)));
-
-    // Warm one entry per clone.
-    for p in [&p1, &p2] {
-        let mut v = view.clone();
-        p.maintain(&db, &mut v, &deltas, 30).unwrap();
-        assert!(v.table().approx_same_contents(&expected, 1e-9));
-    }
-    let warm = p1.metrics().compiles;
-    assert_eq!(warm, 2, "one compile per catalog identity");
-
-    // Alternating catalogs must replay the cache, not thrash it.
-    for _ in 0..3 {
-        for p in [&p1, &p2] {
-            let mut v = view.clone();
-            p.maintain(&db, &mut v, &deltas, 30).unwrap();
-            assert!(v.table().approx_same_contents(&expected, 1e-9));
-        }
-    }
-    assert_eq!(
-        p1.metrics().compiles,
-        warm,
-        "clones on different catalogs must not wipe each other's cache entries"
-    );
-}
-
 /// Regression (ROADMAP item): a base-schema change between maintenance
 /// calls must *invalidate* the compiled-plan cache — recompiling against
 /// the new shapes — instead of the cached plans failing leaf validation

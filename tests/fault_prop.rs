@@ -137,24 +137,17 @@ const BATCH: usize = 97;
 
 /// The failure-free pipeline result (registry cleared first) — the
 /// bit-identical convergence target for every seeded run.
-fn baseline(
-    db: &Database,
-    view: &MaterializedView,
-    deltas: &Deltas,
-    morsel: Option<usize>,
-) -> Table {
+fn baseline(db: &Database, view: &MaterializedView, deltas: &Deltas) -> Table {
     fault::clear_all();
-    let mut pipeline = BatchPipeline::new(2);
-    pipeline.morsel_size = morsel;
+    let pipeline = BatchPipeline::new(2);
     let mut v = view.clone();
     pipeline.maintain(db, &mut v, deltas, BATCH).expect("failure-free baseline run");
     v.table().clone()
 }
 
 /// Sites a change-table maintain pass actually visits.
-const MAINTAIN_SITES: [&str; 6] = [
+const MAINTAIN_SITES: [&str; 5] = [
     site::TABLE_MUTATE,
-    site::EXEC_MORSEL,
     site::POOL_DISPATCH,
     site::BATCH_COMPILE,
     site::BATCH_EVALUATE,
@@ -172,22 +165,15 @@ fn strict_runs_fail_atomically_and_converge() {
     let db = chaos_db();
     let view = MaterializedView::create("v", visit_view(), &db).unwrap();
     let deltas = log_stream(&db, 600);
-    let expected_plain = baseline(&db, &view, &deltas, None);
-    let expected_morsel = baseline(&db, &view, &deltas, Some(16));
-    assert!(expected_plain.same_contents(&expected_morsel), "morsel mode changed results");
+    let expected = baseline(&db, &view, &deltas);
 
     let base = base_seed();
     let mut injected_runs = 0u64;
     for i in 0..140u64 {
         let seed = base.wrapping_mul(1_000_003).wrapping_add(i);
-        // Every third seed runs the merge/fallback plans morsel-parallel so
-        // EXEC_MORSEL is reachable.
-        let morsel = if i % 3 == 0 { Some(16) } else { None };
-        let expected = &expected_plain;
         let schedule = fault::seeded_schedule(seed, &MAINTAIN_SITES, 48);
 
-        let mut pipeline = BatchPipeline::new(2);
-        pipeline.morsel_size = morsel;
+        let pipeline = BatchPipeline::new(2);
         let mut v = view.clone();
         let pre_epoch = v.epoch();
         let pre_table = v.table().clone();
@@ -204,7 +190,7 @@ fn strict_runs_fail_atomically_and_converge() {
             Ok(Ok(run)) => {
                 assert_eq!(run.quarantined, 0, "seed {seed}: strict policy cannot quarantine");
                 assert!(
-                    v.table().same_contents(expected),
+                    v.table().same_contents(&expected),
                     "seed {seed} ({schedule:?}): Ok run diverged from failure-free baseline"
                 );
                 assert_eq!(v.epoch(), pre_epoch + 1, "seed {seed}: exactly one commit");
@@ -242,7 +228,7 @@ fn strict_runs_fail_atomically_and_converge() {
                 panic!("seed {seed}: clean re-run failed after injected failure: {e}")
             });
             assert!(
-                v.table().same_contents(expected),
+                v.table().same_contents(&expected),
                 "seed {seed} ({schedule:?}): clean re-run diverged from baseline"
             );
         }
@@ -266,7 +252,7 @@ fn retry_quarantine_degrades_gracefully_and_recovers() {
     let db = chaos_db();
     let view = MaterializedView::create("v", visit_view(), &db).unwrap();
     let deltas = log_stream(&db, 600);
-    let expected = baseline(&db, &view, &deltas, None);
+    let expected = baseline(&db, &view, &deltas);
     let fresh_expected = view.recompute_fresh(&db, &deltas).unwrap();
     let n_batches = deltas.len().div_ceil(BATCH);
 
@@ -385,7 +371,7 @@ fn dispatch_panic_storms_leave_the_pool_maintaining() {
     let db = chaos_db();
     let view = MaterializedView::create("v", visit_view(), &db).unwrap();
     let deltas = log_stream(&db, 400);
-    let expected = baseline(&db, &view, &deltas, None);
+    let expected = baseline(&db, &view, &deltas);
 
     let base = base_seed();
     let pipeline = BatchPipeline::new(2);
@@ -434,7 +420,7 @@ fn partial_fold_failure_rolls_back_and_names_the_batch() {
     let db = chaos_db();
     let view = MaterializedView::create("v", visit_view(), &db).unwrap();
     let deltas = log_stream(&db, 600);
-    let expected = baseline(&db, &view, &deltas, None);
+    let expected = baseline(&db, &view, &deltas);
 
     let pipeline = BatchPipeline::new(2);
     let mut v = view.clone();
@@ -467,7 +453,7 @@ fn mid_batch_fold_failure_leaves_the_shadow_untouched() {
     let db = chaos_db();
     let view = MaterializedView::create("v", visit_view(), &db).unwrap();
     let deltas = log_stream(&db, 600);
-    let expected = baseline(&db, &view, &deltas, None);
+    let expected = baseline(&db, &view, &deltas);
 
     // Shape of a clean run: change tables per batch and in total.
     let clean = BatchPipeline::new(2);
@@ -560,11 +546,9 @@ fn chaos_db_owner() -> Database {
     db
 }
 
-/// Median keeps the view outside the change-table class (every batch runs
-/// the fallback recompute), and the non-key equi-join forces a hash-map
-/// build on the 64-row video side — larger than the 8-row morsels below,
-/// so with `join_partitions = 4` every batch runs the parallel partitioned
-/// build fan-out.
+/// A non-key equi-join: its build is a hash map over the 64-row video side —
+/// larger than the 8-row morsels below, so with 4 partitions every run fans
+/// the partitioned build out on the pool.
 fn owner_median_view() -> Plan {
     Plan::scan("log")
         .join(Plan::scan("video"), JoinKind::Inner, &[("ownerId", "ownerId")])
@@ -574,53 +558,40 @@ fn owner_median_view() -> Plan {
         )
 }
 
-/// Satellite regression, ~48 seeds: injected errors and panics inside the
-/// partitioned join-build fan-out (scatter/build pass 2) abort the batch
-/// atomically — the view stays bit-identical to its pre-maintain table at
-/// its pre-maintain epoch with every delta unconsumed — and a clean re-run
-/// on the same pipeline and pool converges to the failure-free baseline.
+/// ~48 seeds: injected errors and panics inside the partitioned join-build
+/// fan-out (scatter/build pass 2) reach the caller as an error or an unwind,
+/// never as rows, and the next run on the same pool returns the failure-free
+/// result with the queue drained.
 #[test]
-fn join_build_failures_roll_back_atomically_and_converge() {
+fn join_build_failures_surface_and_the_pool_recovers() {
+    use stale_view_cleaning::cluster::WorkerPool;
+    use stale_view_cleaning::relalg::eval::Bindings;
+    use stale_view_cleaning::relalg::exec::{compile, ExecMode};
+
     let _g = chaos_guard();
     let db = chaos_db_owner();
-    let view = MaterializedView::create("o", owner_median_view(), &db).unwrap();
-    let mut deltas = Deltas::new();
-    for s in 600..840i64 {
-        deltas.insert(&db, "log", vec![Value::Int(s), Value::Int(s % 16)]).unwrap();
-    }
-
-    let mk_pipeline = || {
-        let mut p = BatchPipeline::new(2);
-        p.morsel_size = Some(8);
-        p.join_partitions = 4;
-        p
-    };
+    let bindings = Bindings::from_database(&db);
+    let compiled = compile(&owner_median_view(), &bindings).unwrap();
+    let pool = WorkerPool::new(2);
+    let run = || compiled.run_with(&bindings, ExecMode::morsel(&pool, 8).partitions(4));
     let expected = {
         fault::clear_all();
-        let mut v = view.clone();
-        mk_pipeline().maintain(&db, &mut v, &deltas, BATCH).expect("failure-free baseline");
-        v.table().clone()
+        run().expect("failure-free baseline")
     };
 
     // Reachability gate: an always-on error spec must actually fire inside
-    // this workload's build fan-out, or the whole sweep is vacuous.
-    {
-        let mut v = view.clone();
-        fault::set(site::JOIN_BUILD, FailSpec::immediate(u64::MAX, FailAction::Error));
-        let err = mk_pipeline()
-            .maintain(&db, &mut v, &deltas, BATCH)
-            .expect_err("partitioned build must be on this workload's path");
-        assert!(err.to_string().contains("failpoint"), "got: {err}");
-        assert!(fault::fired(site::JOIN_BUILD) > 0, "JOIN_BUILD failpoint never reached");
-        fault::clear_all();
-        assert!(v.table().same_contents(view.table()) && v.epoch() == view.epoch());
-    }
+    // this plan's build fan-out, or the whole sweep is vacuous.
+    fault::set(site::JOIN_BUILD, FailSpec::immediate(u64::MAX, FailAction::Error));
+    let err = run().expect_err("the partitioned build must be on this plan's path");
+    assert!(err.to_string().contains("failpoint"), "got: {err}");
+    assert!(fault::fired(site::JOIN_BUILD) > 0, "JOIN_BUILD failpoint never reached");
+    fault::clear_all();
 
     let base = base_seed();
     let mut injected_runs = 0u64;
     for i in 0..48u64 {
         let seed = base.wrapping_mul(424_243).wrapping_add(i);
-        // 4 partition tasks per build, one build per batch: keep the skip
+        // 4 partition tasks per build, one build per run: keep the skip
         // inside the first couple of builds so most seeds land mid-build.
         fault::set(
             site::JOIN_BUILD,
@@ -630,31 +601,21 @@ fn join_build_failures_roll_back_atomically_and_converge() {
                 action: if i % 2 == 0 { FailAction::Error } else { FailAction::Panic },
             },
         );
-
-        let pipeline = mk_pipeline();
-        let mut v = view.clone();
-        let pre_epoch = v.epoch();
-        let outcome =
-            catch_unwind(AssertUnwindSafe(|| pipeline.maintain(&db, &mut v, &deltas, BATCH)));
+        let outcome = catch_unwind(AssertUnwindSafe(run));
         let fired = fault::fired(site::JOIN_BUILD);
         fault::clear_all();
         injected_runs += u64::from(fired > 0);
 
         match outcome {
-            Ok(Ok(_)) => {
-                assert_eq!(fired, 0, "seed {seed}: a fired build failpoint cannot commit");
-                assert!(v.table().same_contents(&expected), "seed {seed}: diverged");
+            Ok(Ok(table)) => {
+                assert_eq!(fired, 0, "seed {seed}: a fired build failpoint cannot return rows");
+                assert!(table.same_contents(&expected), "seed {seed}: diverged");
             }
             Ok(Err(e)) => {
                 assert!(
                     e.to_string().contains("failpoint"),
                     "seed {seed}: non-injected error: {e}"
                 );
-                assert!(
-                    v.table().same_contents(view.table()),
-                    "seed {seed}: mid-build failure exposed a partial fold"
-                );
-                assert_eq!(v.epoch(), pre_epoch, "seed {seed}: failed run must not commit");
             }
             Err(payload) => {
                 let msg = payload
@@ -663,26 +624,12 @@ fn join_build_failures_roll_back_atomically_and_converge() {
                     .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
                     .unwrap_or_default();
                 assert!(msg.contains("failpoint"), "seed {seed}: non-injected panic: {msg}");
-                assert!(
-                    v.table().same_contents(view.table()),
-                    "seed {seed}: mid-build panic exposed a partial fold"
-                );
-                assert_eq!(v.epoch(), pre_epoch, "seed {seed}: unwound run must not commit");
             }
         }
 
-        // Deltas were never consumed on failure: the same pipeline and pool
-        // must now converge bit-identically to the baseline.
-        if v.epoch() == pre_epoch {
-            pipeline.maintain(&db, &mut v, &deltas, BATCH).unwrap_or_else(|e| {
-                panic!("seed {seed}: clean re-run failed after injected build failure: {e}")
-            });
-            assert!(
-                v.table().same_contents(&expected),
-                "seed {seed}: clean re-run diverged from baseline"
-            );
-        }
-        assert_eq!(pipeline.pool.metrics().queue_depth, 0, "seed {seed}: queue left non-empty");
+        let again = run().unwrap_or_else(|e| panic!("seed {seed}: clean re-run failed: {e}"));
+        assert!(again.same_contents(&expected), "seed {seed}: clean re-run diverged from baseline");
+        assert_eq!(pool.metrics().queue_depth, 0, "seed {seed}: queue left non-empty");
     }
     assert!(
         injected_runs >= 24,

@@ -157,8 +157,7 @@ proptest! {
         assert_partition_matrix(&compiled, &b, &pools, &format!("variant {variant}"));
     }
 
-    /// Maintenance-strategy plans under maintenance bindings — the exact
-    /// path `BatchPipeline::join_partitions` drives in production.
+    /// Maintenance-strategy plans under maintenance bindings.
     #[test]
     fn partitioned_execution_matches_sequential_on_maintenance_plans(
         n_facts in 40usize..120,

@@ -12,7 +12,6 @@ use stale_view_cleaning::ivm::strategy::PlanKind;
 use stale_view_cleaning::ivm::view::MaterializedView;
 use stale_view_cleaning::ivm::DeltaInfo;
 use stale_view_cleaning::relalg::aggregate::{AggFunc, AggSpec};
-use stale_view_cleaning::relalg::exec::ExecMode;
 use stale_view_cleaning::relalg::optimizer::optimize_count;
 use stale_view_cleaning::relalg::plan::{JoinKind, Plan};
 use stale_view_cleaning::relalg::scalar::col;
@@ -138,6 +137,25 @@ fn a_second_clean_of_a_planned_signature_runs_no_optimizer_and_no_compile() {
     assert_eq!(cloned.generation(), catalog.generation());
 }
 
+/// Two catalogs built over one database are two statistics generations:
+/// each plans the signature once, and cleans alternating between them replay
+/// their own entries instead of evicting each other's.
+#[test]
+fn alternating_catalogs_replay_their_own_plans() {
+    let db = db();
+    let catalogs = [Catalog::build(&db), Catalog::build(&db)];
+    let svc = SvcView::create("v", visit_view(), &db, SvcConfig::with_ratio(0.2)).unwrap();
+    let deltas = log_churn(&db, 3_000, 300, 17);
+    for _ in 0..4 {
+        for catalog in &catalogs {
+            let cleaned = svc.clean_sample_with(&db, &deltas, Some(catalog)).unwrap();
+            assert_corresponds(&svc, &db, &deltas, &cleaned.canonical);
+        }
+    }
+    let m = svc.metrics();
+    assert_eq!((m.plans_built, m.plan_hits), (2, 6), "one plan per generation, then hits only");
+}
+
 #[test]
 fn maintaining_a_clone_after_one_maintain_runs_no_optimizer() {
     let db = db();
@@ -254,7 +272,7 @@ fn a_failed_build_stores_nothing() {
     let deltas = log_churn(&db, 3_000, 50, 31);
     let eta = Some((0.5, HashSpec::default()));
     for _ in 0..2 {
-        let run = view.maintained(&db, &deltas, view.table(), eta, None, ExecMode::sequential());
+        let run = view.maintained(&db, &deltas, view.table(), eta, None);
         assert!(run.is_err(), "η needs a key");
         assert_eq!(view.plan_metrics(), PlanMetrics { built: 0, hits: 0, entries: 0 });
     }

@@ -492,8 +492,7 @@ fn cleaning_and_maintaining_evaluate_each_change_table_once() {
         }
 
         let (scans, clones) = (leaf_scan_counts(), Table::clone_count());
-        let mode = ExecMode::sequential();
-        let maintained = svc.view.maintained(db, &deltas, svc.view.table(), None, None, mode);
+        let maintained = svc.view.maintained(db, &deltas, svc.view.table(), None, None);
         maintained.unwrap().expect("pending");
         check("maintain", scans_since(&scans), Table::clone_count() - clones);
     }
