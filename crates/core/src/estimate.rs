@@ -17,17 +17,20 @@
 //! SVC+AQP is the walk with no stale side. The walk reads column slices:
 //! each sample's predicate and attribute are evaluated once, by the same
 //! kernels as `q(S)` ([`AggQuery::bind`]), into one value slot per row, and
-//! rows are paired through the key index's row positions with one reused
-//! key buffer. Rows are visited in table order, so every sum — and with it
-//! every estimate — is bit-repeatable. Order statistics (the bootstrap's
-//! statistic and its percentile bounds) are found by selection, not sorting.
+//! the slots are paired by row position through the samples' pairing
+//! ([`Table::paired_with`]). Definition 4's join on the key depends on the
+//! two samples, not on the query, so it is built once per cleaned sample
+//! and a burst of queries over it hashes no key. Rows are visited in table
+//! order, so every sum — and with it every estimate — is bit-repeatable.
+//! Order statistics (the bootstrap's statistic and its percentile bounds)
+//! are found by selection, not sorting.
 
 use svc_stats::bootstrap::{bootstrap_ci, bootstrap_paired_diff};
 use svc_stats::cantelli::cantelli_exceedance;
 use svc_stats::clt::{horvitz_thompson_interval, mean_interval, ConfidenceInterval};
 use svc_stats::moments::Moments;
 use svc_stats::quantile::quantile_in_place;
-use svc_storage::{KeyTuple, Result, StorageError, Table};
+use svc_storage::{Result, StorageError, Table};
 
 use crate::config::SvcConfig;
 use crate::query::{aggregate, AggQuery, QueryAgg};
@@ -89,19 +92,30 @@ pub(crate) struct Correspondence {
     pub(crate) clean_rows: usize,
 }
 
-/// Overwrite `buf` with the key of row `i` of `t`: one buffer per walk, no
-/// per-row allocation.
-fn key_at(t: &Table, i: usize, buf: &mut KeyTuple) {
-    let row = &t.rows()[i];
-    buf.0.clear();
-    buf.0.extend(t.key().iter().map(|&k| row[k].clone()));
+/// Per row of `t`: does a `skip` table hold its key? One lookup into `t`
+/// per skip row (the skip tables share the samples' key), so an outlier
+/// set, small next to a sample, is hashed instead of the sample. Empty when
+/// there is nothing to skip.
+fn skipped_rows(t: &Table, skip: &[&Table]) -> Vec<bool> {
+    if skip.is_empty() {
+        return Vec::new();
+    }
+    let mut skipped = vec![false; t.len()];
+    for o in skip {
+        for row in o.rows() {
+            if let Some(i) = t.position(&o.key_of(row)) {
+                skipped[i] = true;
+            }
+        }
+    }
+    skipped
 }
 
 /// The one walk of `(Ŝ, Ŝ′)`. `stale` is absent for SVC+AQP; rows whose
 /// key any `skip` table holds (the outlier sets of Section 6.3) are left
 /// out on both sides. Each sample's values are read once, from its column
-/// slices, into one slot per row; the walk then pairs slots by the key
-/// index's row positions.
+/// slices, into one slot per row; the walk then gathers the slots through
+/// the samples' pairing, memoized on the cleaned sample.
 pub(crate) fn correspond(
     stale: Option<&Table>,
     clean: &Table,
@@ -109,34 +123,26 @@ pub(crate) fn correspond(
     q: &AggQuery,
 ) -> Result<Correspondence> {
     let clean_values = q.bind(clean)?.values_by_row(clean);
-    let stale = stale.map(|s| q.bind(s).map(|bound| (s, bound.values_by_row(s)))).transpose()?;
-    let skipped = |key: &KeyTuple| skip.iter().any(|o| o.contains_key(key));
-    let keyed = stale.is_some() || !skip.is_empty();
-
-    let mut key = KeyTuple(Vec::with_capacity(clean.key().len()));
-    let mut pairs = Vec::with_capacity(clean.len());
-    for (i, &value) in clean_values.iter().enumerate() {
-        let mut partner = None;
-        if keyed {
-            key_at(clean, i, &mut key);
-            if skipped(&key) {
-                continue;
-            }
-            if let Some((s, stale_values)) = &stale {
-                partner = s.position(&key).and_then(|j| stale_values[j]);
-            }
-        }
-        pairs.push((partner, value));
-    }
+    let skipped = skipped_rows(clean, skip);
+    let kept = |i: &usize| skipped.get(*i) != Some(&true);
+    let Some(stale) = stale else {
+        let pairs: Vec<_> =
+            (0..clean.len()).filter(kept).map(|i| (None, clean_values[i])).collect();
+        return Ok(Correspondence { clean_rows: pairs.len(), pairs });
+    };
+    let stale_values = q.bind(stale)?.values_by_row(stale);
+    let pairing = clean.paired_with(stale);
+    let partners = pairing.partners();
+    let mut pairs = Vec::with_capacity(clean.len() + pairing.unmatched().len());
+    pairs.extend(
+        (0..clean.len())
+            .filter(kept)
+            .map(|i| (partners[i].and_then(|j| stale_values[j]), clean_values[i])),
+    );
     let clean_rows = pairs.len();
-    if let Some((s, stale_values)) = &stale {
-        for (j, &value) in stale_values.iter().enumerate() {
-            key_at(s, j, &mut key);
-            if !clean.contains_key(&key) && !skipped(&key) {
-                pairs.push((value, None));
-            }
-        }
-    }
+    let skipped = skipped_rows(stale, skip);
+    let unmatched = pairing.unmatched().iter().filter(|&&j| skipped.get(j) != Some(&true));
+    pairs.extend(unmatched.map(|&j| (stale_values[j], None)));
     Ok(Correspondence { pairs, clean_rows })
 }
 
@@ -361,7 +367,7 @@ mod tests {
     use super::*;
     use svc_relalg::scalar::{col, lit};
     use svc_sampling::operator::sample_by_key;
-    use svc_storage::{DataType, HashSpec, Schema, Value};
+    use svc_storage::{DataType, HashSpec, KeyTuple, Schema, Value};
 
     /// Population with mean 50 over ids 0..1000; "fresh" version shifts a
     /// slice of rows and adds new ones.
@@ -573,6 +579,17 @@ mod tests {
         pairs
     }
 
+    /// [`correspond`]'s pairs, floats by bit pattern.
+    fn walk(
+        stale: Option<&Table>,
+        clean: &Table,
+        skip: &[&Table],
+        q: &AggQuery,
+    ) -> Vec<(Option<u64>, Option<u64>)> {
+        let pairs = correspond(stale, clean, skip, q).unwrap().pairs.into_iter();
+        pairs.map(|(a, b)| (a.map(f64::to_bits), b.map(f64::to_bits))).collect()
+    }
+
     #[test]
     fn column_walk_equals_the_row_walk() {
         let mut seed = 0x9E37_79B9_7F4A_7C15u64;
@@ -606,7 +623,7 @@ mod tests {
             AggQuery::sum(col("x").div(col("m"))).filter(lit(1.0).lt(col("m").mul(lit(2i64)))),
             AggQuery::count().filter(col("m").rem(lit(2i64)).eq(lit(0i64)).or(col("x").is_null())),
         ];
-        for round in 0..6 {
+        for round in 0..6i64 {
             let mut stale = Table::new(schema.clone(), &["id"]).unwrap();
             for id in 0..200 {
                 stale.insert(row(id, next())).unwrap();
@@ -635,14 +652,17 @@ mod tests {
                 for (s, skip) in
                     [(None, vec![]), (Some(&stale), vec![]), (Some(&stale), vec![&outliers])]
                 {
-                    let got = correspond(s, &clean, &skip, q).unwrap().pairs;
-                    let got: Vec<_> = got
-                        .into_iter()
-                        .map(|(a, b)| (a.map(f64::to_bits), b.map(f64::to_bits)))
-                        .collect();
+                    let got = walk(s, &clean, &skip, q);
                     assert_eq!(got, row_walk(s, &clean, &skip, q), "round {round} {q:?}");
                 }
             }
+            // Every walk above but the first read the pairing memoized on
+            // `clean`; an edit of either sample must reach the next walk.
+            let q = &queries[1];
+            stale.delete(&KeyTuple(vec![Value::Int(round)]));
+            assert_eq!(walk(Some(&stale), &clean, &[], q), row_walk(Some(&stale), &clean, &[], q));
+            clean.insert(row(300 + round, next())).unwrap();
+            assert_eq!(walk(Some(&stale), &clean, &[], q), row_walk(Some(&stale), &clean, &[], q));
         }
     }
 

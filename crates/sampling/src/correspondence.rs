@@ -4,8 +4,9 @@
 //! `Ŝ` and the cleaned sample `Ŝ′` being **correlated**: because the hash is
 //! a deterministic function of the primary key, the same keys are selected
 //! on both sides (Proposition 2). This module verifies the four conditions
-//! of Property 1 against concrete tables, and provides the key-pairing used
-//! by the correspondence-subtract operator of Definition 4.
+//! of Property 1 against concrete tables. The key pairing the
+//! correspondence-subtract operator of Definition 4 walks is
+//! `svc_storage::pairing::Pairing`.
 
 use std::collections::HashSet;
 

@@ -29,6 +29,7 @@ pub mod database;
 pub mod delta;
 pub mod error;
 pub mod hash;
+pub mod pairing;
 pub mod schema;
 pub mod table;
 pub mod value;

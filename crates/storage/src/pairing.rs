@@ -1,0 +1,106 @@
+//! Two keyed tables joined on their primary keys, by row position.
+//!
+//! A [`Pairing`] is the full outer join by key of a table `L` with a table
+//! `R` of the same key, stored as positions: for each row of `L` the row of
+//! `R` under the same key, if any, plus the rows of `R` no row of `L`
+//! matches. It depends only on the two table states, so a reader that pairs
+//! the same two states many times — one estimate per query over one cleaned
+//! sample and its stale counterpart — reads it from
+//! [`Table::paired_with`]'s memo and hashes no key after the first call.
+
+use crate::table::{KeyTuple, Table};
+
+/// `L ⟗ R` on the primary key, as row positions (see the module docs).
+#[derive(Debug, PartialEq, Eq)]
+pub struct Pairing {
+    /// Per row of `L`, in table order: the position of `R`'s row under the
+    /// same key.
+    partners: Vec<Option<usize>>,
+    /// Positions of the rows of `R` no row of `L` matches, in table order.
+    unmatched: Vec<usize>,
+}
+
+impl Pairing {
+    /// Pair `left` with `right`: one key lookup into `right` per row of
+    /// `left`, with one reused key buffer; `right`'s unmatched rows are the
+    /// positions no lookup hit, so no key of `right` is hashed.
+    pub(crate) fn of(left: &Table, right: &Table) -> Pairing {
+        let mut matched = vec![false; right.len()];
+        let mut key = KeyTuple(Vec::with_capacity(left.key().len()));
+        let partners = left
+            .rows()
+            .iter()
+            .map(|row| {
+                key.0.clear();
+                key.0.extend(left.key().iter().map(|&k| row[k].clone()));
+                let j = right.position(&key)?;
+                matched[j] = true;
+                Some(j)
+            })
+            .collect();
+        let unmatched = (0..right.len()).filter(|&j| !matched[j]).collect();
+        Pairing { partners, unmatched }
+    }
+
+    /// Per row of `L`, in table order: the position of `R`'s row under the
+    /// same key, `None` where `R` has no such row.
+    pub fn partners(&self) -> &[Option<usize>] {
+        &self.partners
+    }
+
+    /// Positions of the rows of `R` that no row of `L` matches, in table
+    /// order.
+    pub fn unmatched(&self) -> &[usize] {
+        &self.unmatched
+    }
+
+    /// Rows of `R` the pairing covers: the matched ones and the rest.
+    #[cfg(feature = "verify")]
+    pub(crate) fn right_len(&self) -> usize {
+        self.partners.iter().flatten().count() + self.unmatched.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::schema::Schema;
+    use crate::value::{DataType, Value};
+
+    fn keyed(ids: &[i64]) -> Table {
+        let schema = Schema::from_pairs(&[("id", DataType::Int), ("x", DataType::Float)]).unwrap();
+        let rows = ids.iter().map(|&id| vec![Value::Int(id), Value::Float(id as f64)]).collect();
+        Table::from_rows(schema, vec![0], rows).unwrap()
+    }
+
+    #[test]
+    fn pairs_rows_by_key_in_table_order() {
+        let (left, right) = (keyed(&[3, 1, 2]), keyed(&[8, 2, 7, 3]));
+        let p = Pairing::of(&left, &right);
+        assert_eq!(p.partners(), &[Some(3), None, Some(1)]);
+        assert_eq!(p.unmatched(), &[0, 2]);
+        let p = Pairing::of(&left, &left.empty_like());
+        assert_eq!((p.partners(), p.unmatched()), (&[None, None, None][..], &[][..]));
+    }
+
+    #[test]
+    fn paired_with_is_memoized_per_pair_of_states() {
+        let builds = Table::pairing_build_count;
+        let (mut left, mut right) = (keyed(&[3, 1, 2]), keyed(&[8, 2, 7, 3]));
+        let before = builds();
+        let first = left.paired_with(&right);
+        assert_eq!(*left.paired_with(&right), *first);
+        assert_eq!(builds() - before, 1, "a second read hashes no key");
+        // An edit on either side is a new state: the next read pairs again.
+        right.delete(&KeyTuple(vec![Value::Int(3)]));
+        assert_eq!(left.paired_with(&right).partners(), &[None, None, Some(1)]);
+        left.insert(vec![Value::Int(7), Value::Float(7.0)]).unwrap();
+        assert_eq!(left.paired_with(&right).partners(), &[None, None, Some(1), Some(2)]);
+        assert_eq!(builds() - before, 3);
+        // A clone is a state of its own, and the memo holds one pairing.
+        let copy = right.clone();
+        left.paired_with(&copy);
+        left.paired_with(&right);
+        assert_eq!(builds() - before, 5);
+    }
+}

@@ -7,24 +7,30 @@
 //! that assigns an increasing sequence of integers to each record". Derived
 //! relations receive keys via the Definition 2 rules in `svc-relalg`.
 //!
-//! Rows are the write form. Readers get two things per table state, both
+//! Rows are the write form. Readers get three things per table state, all
 //! built on first read and dropped by the next mutation:
 //! * typed columns ([`Table::column`]), one cache slot per column, never
 //!   built for a reader that does not name it — what plan execution and
 //!   every query answer read;
 //! * exact query answers ([`Table::memoized`]), one `f64` per query key, so
-//!   a burst of the same query over an unchanged state reads it once.
+//!   a burst of the same query over an unchanged state reads it once;
+//! * the state's pairing with another table's state by primary key
+//!   ([`Table::paired_with`]), so a burst of estimates over one cleaned
+//!   sample joins it to the stale sample once.
 //!
 //! [`Table::release_columns`] drops the columns of a superseded state but
-//! keeps its answers: they are a number each, not a copy of the rows.
+//! keeps its answers and its pairing: the state did not change, and
+//! neither is a copy of the rows.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::columns::{self, Column, ColumnSet};
 use crate::error::{Result, StorageError};
+use crate::pairing::Pairing;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::Row;
@@ -93,15 +99,27 @@ pub struct Table {
     /// row-changing method, but not by [`Table::release_columns`]; flushed
     /// whole at `ANSWER_MEMO_CAP` answers.
     answers: Mutex<HashMap<String, (usize, f64)>>,
+    /// This state's identity (`state_id`): 0 until a reader asks for it,
+    /// then drawn from `NEXT_STATE`, so no two states — of one table or of
+    /// two — share one. Every row-changing method resets it.
+    state: AtomicU64,
+    /// This state paired with another table's ([`Table::paired_with`]):
+    /// that state's identity and the pairing. Emptied by every row-changing
+    /// method.
+    pairing: Mutex<Option<(u64, Arc<Pairing>)>>,
 }
 
 /// Answers one table state memoizes before the memo is flushed whole: far
 /// above any query burst's distinct queries, small next to a column.
 const ANSWER_MEMO_CAP: usize = 1024;
 
+/// The next table-state identity to hand out; 0 means "none drawn yet".
+static NEXT_STATE: AtomicU64 = AtomicU64::new(1);
+
 thread_local! {
     static TABLE_CLONES_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     static COLUMN_BUILDS_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static PAIRING_BUILDS_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Per-thread count of columns built into a table's cache (see
@@ -109,6 +127,10 @@ thread_local! {
 /// [`TABLE_CLONES`].
 static COLUMN_BUILDS: svc_telemetry::LocalCounter =
     svc_telemetry::LocalCounter::new(&COLUMN_BUILDS_CELL);
+
+/// Per-thread count of pairings built (see [`Table::pairing_build_count`]).
+static PAIRING_BUILDS: svc_telemetry::LocalCounter =
+    svc_telemetry::LocalCounter::new(&PAIRING_BUILDS_CELL);
 
 /// Per-thread count of full-table clones (see [`Table::clone_count`]).
 /// A telemetry [`svc_telemetry::LocalCounter`] — thread-local on purpose:
@@ -133,6 +155,8 @@ impl Clone for Table {
             index: self.index.clone(),
             colcache: Mutex::default(),
             answers: Mutex::default(),
+            state: AtomicU64::new(0),
+            pairing: Mutex::default(),
         }
     }
 }
@@ -160,6 +184,8 @@ impl Table {
             index: HashMap::new(),
             colcache: Mutex::default(),
             answers: Mutex::default(),
+            state: AtomicU64::new(0),
+            pairing: Mutex::default(),
         })
     }
 
@@ -242,8 +268,9 @@ impl Table {
         KeyTuple::of(row, &self.key)
     }
 
-    /// Record a row mutation: the cached columns and answers are stale, so
-    /// drop them now rather than hold them until the next read.
+    /// Record a row mutation: the cached columns, answers and pairing are
+    /// stale, so drop them now rather than hold them until the next read,
+    /// and retire the state's identity.
     #[inline]
     fn touch(&mut self) {
         let cache = self.colcache.get_mut().expect("column cache poisoned");
@@ -254,13 +281,15 @@ impl Table {
         if !answers.is_empty() {
             *answers = HashMap::new();
         }
+        *self.state.get_mut() = 0;
+        *self.pairing.get_mut().expect("pairing memo poisoned") = None;
     }
 
     /// Drop every cached column; the next reader rebuilds what it names.
     /// For a table that has been superseded but lives on behind shared
     /// readers (an old view epoch): its rows stay readable, its columns
-    /// stop holding memory. Its memoized answers survive — the state did
-    /// not change, and an answer is one number, not a column.
+    /// stop holding memory. Its memoized answers and its pairing survive —
+    /// the state did not change, and neither is a column.
     pub fn release_columns(&self) {
         *self.colcache.lock().expect("column cache poisoned") = Vec::new();
     }
@@ -295,6 +324,62 @@ impl Table {
         }
         answers.insert(key, (self.rows.len(), answer));
         Ok(answer)
+    }
+
+    /// This state's identity: the same number until the next mutation, and
+    /// never one another state — of this table or of any other — was given.
+    /// `Relaxed` suffices: the number publishes no data, it is only
+    /// compared.
+    fn state_id(&self) -> u64 {
+        let id = self.state.load(Ordering::Relaxed);
+        if id != 0 {
+            return id;
+        }
+        let drawn = NEXT_STATE.fetch_add(1, Ordering::Relaxed);
+        match self.state.compare_exchange(0, drawn, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => drawn,
+            Err(other) => other,
+        }
+    }
+
+    /// This state joined to `other`'s on the primary key ([`Pairing`]):
+    /// built on the first call for `other`'s current state and kept until
+    /// either table changes, so a burst of estimates over one cleaned
+    /// sample and its stale sample hashes their keys once. The memo holds
+    /// one pairing; asking for another table's replaces it.
+    pub fn paired_with(&self, other: &Table) -> Arc<Pairing> {
+        let id = other.state_id();
+        let mut memo = self.pairing.lock().expect("pairing memo poisoned");
+        if let Some((held, pairing)) = memo.as_ref() {
+            if *held == id {
+                // With the verifier on, prove the memo is honest, as
+                // `memoized` does for an answer.
+                #[cfg(feature = "verify")]
+                assert!(
+                    pairing.partners().len() == self.rows.len()
+                        && pairing.right_len() == other.len(),
+                    "a memoized pairing covers {} and {} rows but the tables hold {} and {} — \
+                     a mutator skipped Table::touch",
+                    pairing.partners().len(),
+                    pairing.right_len(),
+                    self.rows.len(),
+                    other.len()
+                );
+                return Arc::clone(pairing);
+            }
+        }
+        PAIRING_BUILDS.bump();
+        let pairing = Arc::new(Pairing::of(self, other));
+        *memo = Some((id, Arc::clone(&pairing)));
+        pairing
+    }
+
+    /// Number of pairings built ([`Table::paired_with`] misses) **on this
+    /// thread** since it started — the cost-shape hook for "a burst of
+    /// estimates joins the samples by key once". Same mechanism as
+    /// [`Table::clone_count`].
+    pub fn pairing_build_count() -> usize {
+        PAIRING_BUILDS.get() as usize
     }
 
     /// Number of columns built into a table's cache **on this thread** since
@@ -464,6 +549,8 @@ impl Table {
             index: HashMap::new(),
             colcache: Mutex::default(),
             answers: Mutex::default(),
+            state: AtomicU64::new(0),
+            pairing: Mutex::default(),
         }
     }
 
