@@ -123,13 +123,13 @@ pub fn clean_select_with(
         }
     }
 
-    // Pass 2: sampled superfluous rows (in Ŝ but gone from Ŝ′) are removed:
-    // the stale rows the samples' pairing leaves unmatched.
-    for &j in clean_sample.paired_with(stale_sample).unmatched() {
-        let row = &stale_sample.rows()[j];
-        if pred.matches(row) {
+    // Pass 2: sampled superfluous rows (in Ŝ but gone from Ŝ′) are removed.
+    for (key, row) in stale_sample.iter_keyed() {
+        if !clean_sample.contains_key(&key) && pred.matches(row) {
             removed += 1;
-            result.delete(&stale_sample.key_of(row));
+            if result.contains_key(&key) {
+                result.delete(&key);
+            }
         }
     }
 
