@@ -22,11 +22,13 @@
 //! one leaf — run as one chunk. Only change tables are staged per chunk:
 //! their contributions over disjoint delta subsets add up. Whatever else the
 //! gate answers — an SPJ view's ∆V / ∇V, where a key's deletion and its
-//! re-insertion must meet in one batch, or a recompute (min/max under
-//! deletions, median, nested aggregates) — falls back to the view's delta
-//! runner (`MaterializedView::maintained`, without η, on the view itself)
-//! over the whole pending set. That is the call `MaterializedView::maintain`
-//! and sample cleaning make, here run on the pool.
+//! re-insertion must meet in one batch, a recompute (min/max under
+//! deletions, median, other nested aggregates), or a nested aggregate's
+//! change table, which reads its auxiliary table and so must see every
+//! earlier batch — falls back to the view's delta runner
+//! (`MaterializedView::next_state`: the view and its auxiliary table,
+//! without η) over the whole pending set. That is the call
+//! `MaterializedView::maintain` makes, here run on the pool.
 //!
 //! The pipeline keeps no plans of its own. The change pairs, like every
 //! plan the runner runs, come from the view's plan cache (`svc_ivm::plans`:
@@ -44,7 +46,7 @@ use std::time::{Duration, Instant};
 use svc_ivm::fold::{KeyedFold, StagedEdits};
 use svc_ivm::plans::CompiledDelta;
 use svc_ivm::strategy::{view_delta, PlanKind, ViewDelta};
-use svc_ivm::view::{maintenance_bindings, MaterializedView};
+use svc_ivm::view::{MaterializedView, ViewState};
 use svc_ivm::DeltaInfo;
 use svc_relalg::plan::Plan;
 use svc_storage::{Database, Deltas, Result, StorageError, Table};
@@ -63,7 +65,7 @@ pub struct BatchRun {
     /// one per fallback batch.
     pub plans_evaluated: usize,
     /// Batches that could not use chunk-parallel change tables and went
-    /// through `MaterializedView::maintained` instead.
+    /// through `MaterializedView::next_state` instead.
     pub fallback_batches: usize,
     /// Re-attempts after transient batch failures (retry policy only).
     pub retries: usize,
@@ -315,11 +317,11 @@ impl BatchPipeline {
     /// records per mini-batch.
     ///
     /// Mini-batching applies when the view is change-table eligible for the
-    /// pending deltas and the exactness condition of
+    /// pending deltas, has no auxiliary table, and the exactness condition of
     /// `chunk_parallel_exact` holds (change-table contributions of
     /// disjoint delta subsets are then independent and additive). Otherwise
     /// the whole delta set runs as a single batch — through
-    /// [`MaterializedView::maintained`] for every other view — still as real
+    /// [`MaterializedView::next_state`] for every other view — still as real
     /// plans on the pool.
     pub fn maintain(
         &self,
@@ -350,7 +352,7 @@ impl BatchPipeline {
 
         // The strategy's gate decides — read off the view's plan cache when
         // this signature was planned before, `view_delta` otherwise; only
-        // change tables are chunk-additive.
+        // change tables that read no auxiliary table are chunk-additive.
         let info = DeltaInfo::of(&pending);
         let kind = match view.cached_delta_plan(db, &info) {
             Some(planned) => planned.delta.kind(),
@@ -359,24 +361,25 @@ impl BatchPipeline {
         if kind == PlanKind::NoOp {
             return Ok(run);
         }
-        if kind != PlanKind::ChangeTable {
+        if kind != PlanKind::ChangeTable || view.auxiliary().is_some() {
             // Fallback: the whole pending set through
-            // `MaterializedView::maintained` — ∆V / ∇V folded by key, or a
-            // recompute. Splitting it into mini-batches would be unsound:
-            // each batch's plans read the *original* base tables, so earlier
-            // batches would be forgotten.
+            // `MaterializedView::next_state` — ∆V / ∇V folded by key, a
+            // change table over the auxiliary table, or a recompute.
+            // Splitting it into mini-batches would be unsound: each batch's
+            // plans read the *original* base tables (and auxiliary table), so
+            // earlier batches would be forgotten.
             let maintained = self.under_policy(
                 view,
                 0,
                 "fallback maintenance",
                 pending,
                 &mut run,
-                |view, pending| self.fallback_table(db, view, &pending),
+                |view, pending| self.fallback_state(db, view, &pending),
             )?;
             run.batches = 1;
             run.plans_evaluated = usize::from(maintained.is_some());
-            if let Some(table) = maintained {
-                view.set_table(table);
+            if let Some(next) = maintained {
+                view.commit(next);
             }
             run.fallback_batches = 1;
             run.seconds = start.elapsed().as_secs_f64();
@@ -428,7 +431,7 @@ impl BatchPipeline {
             run.batches += 1;
         }
         if let Some(table) = shadow {
-            view.set_table(table);
+            view.commit(ViewState { table, aux: None });
         }
         run.seconds = start.elapsed().as_secs_f64();
         Ok(run)
@@ -571,41 +574,42 @@ impl BatchPipeline {
         Ok(recovered)
     }
 
-    /// Last-resort recovery: recompute the view fresh over base tables plus
-    /// `pending` (which must include the deltas of any quarantined batches),
-    /// commit the result, and drop the view's dead-letter entries. Always
-    /// converges regardless of what state the quarantined folds were in.
+    /// Last-resort recovery: recompute the view (and its auxiliary table)
+    /// fresh over base tables plus `pending` (which must include the deltas
+    /// of any quarantined batches), commit the result, and drop the view's
+    /// dead-letter entries. Always converges regardless of what state the
+    /// quarantined folds were in.
     pub fn recover_via_recompute(
         &self,
         db: &Database,
         view: &mut MaterializedView,
         pending: &Deltas,
     ) -> Result<()> {
-        let fresh = view.recompute_fresh(db, pending)?;
-        view.set_table(fresh);
+        let fresh = view.recomputed(db, pending)?;
+        view.commit(fresh);
         self.quarantine_lock().retain(|e| e.view != view.name);
         view.mark_clean();
         self.counters.recoveries.inc();
         Ok(())
     }
 
-    /// The whole pending set through [`MaterializedView::maintained`], the
-    /// delta runner (views whose deltas are not chunk-additive), as one pool
-    /// task, so dispatch failpoints, panic isolation and the busy-time gauges
-    /// see it like any other plan. Returns the new view table without
-    /// committing it.
-    fn fallback_table(
+    /// The whole pending set through [`MaterializedView::next_state`], the
+    /// delta runner over the view and its auxiliary table (views whose
+    /// deltas are not chunk-additive), as one pool task, so dispatch
+    /// failpoints, panic isolation and the busy-time gauges see it like any
+    /// other plan. Returns the new state without committing it.
+    fn fallback_state(
         &self,
         db: &Database,
         view: &MaterializedView,
         pending: &Deltas,
-    ) -> Result<Table> {
+    ) -> Result<ViewState> {
         svc_fault::fail_point!(svc_fault::site::BATCH_FALLBACK, StorageError::Invalid);
-        let mut tables = self.pool.run_batch(1, |_| {
-            let maintained = view.maintained(db, pending, view.table(), None, None)?;
-            Ok(maintained.expect("the gate found pending deltas that reach the view").0)
+        let mut states = self.pool.run_batch(1, |_| {
+            let next = view.next_state(db, pending)?;
+            Ok(next.expect("the gate found pending deltas that reach the view").0)
         })?;
-        Ok(tables.pop().expect("one task, one result"))
+        Ok(states.pop().expect("one task, one result"))
     }
 
     /// Execute one change-table mini-batch and stage its keyed edits
@@ -642,7 +646,7 @@ impl BatchPipeline {
         // them, so the shared pair runs unchanged under each chunk's own
         // bindings: one task per chunk evaluates γ(∆), then γ(∇).
         let changes = self.pool.run_batch(chunks.len(), |i| {
-            let bindings = maintenance_bindings(call.db, &chunks[i], target);
+            let bindings = view.delta_bindings(call.db, &chunks[i], target);
             let ViewDelta::Keyed { change, .. } = &plans[plan_of[i]].1.delta else {
                 unreachable!("compiled_change_plan hands out keyed pairs only")
             };

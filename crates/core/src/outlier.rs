@@ -20,7 +20,7 @@ use std::collections::HashSet;
 use svc_storage::{Database, Deltas, KeyTuple, Result, StorageError, Table};
 
 use svc_ivm::delta::{delta_base, DeltaInfo};
-use svc_ivm::strategy::{recompute_plan, MaintCatalog};
+use svc_ivm::strategy::{recompute_plan, DeltaCatalog};
 use svc_ivm::view::{maintenance_bindings, MaterializedView};
 use svc_relalg::derive::derive;
 use svc_relalg::eval::evaluate;
@@ -202,7 +202,7 @@ fn substitute_new_states(
     plan: &Plan,
     target: &str,
     info: &DeltaInfo,
-    cat: &MaintCatalog<'_>,
+    cat: &DeltaCatalog<'_>,
 ) -> Result<Plan> {
     let marked =
         plan.clone().rename_leaves(&mut |table| (table == target).then(|| OUTLIER_LEAF.into()));

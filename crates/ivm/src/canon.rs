@@ -10,6 +10,12 @@
 //!   groups whose rows were all deleted are recognized as *superfluous* and
 //!   dropped by the maintenance plan.
 //!
+//! A view whose γ reads one inner γ through an optional σ/Π chain (the
+//! paper's nested-aggregate blocker, V21) also records that inner γ
+//! ([`AuxShape`]): the view materializes it beside itself as an *auxiliary
+//! table*, canonicalized the same way, so its change table reads the stored
+//! inner groups instead of re-aggregating the inner input (Appendix 12.4).
+//!
 //! Non-aggregate (SPJ) views pass through unchanged.
 
 use svc_relalg::aggregate::{AggFunc, AggSpec};
@@ -53,6 +59,21 @@ pub struct Canonical {
     /// For top-level aggregate views: group-by columns and canonical column
     /// merge rules, used by the change-table strategy.
     pub agg: Option<AggShape>,
+    /// For a nested aggregate view in the auxiliary-table class: its inner γ.
+    pub aux: Option<AuxShape>,
+}
+
+/// The inner γ of a nested aggregate view, materialized as the view's
+/// auxiliary table: both levels merge additively (`count`, `sum`, `avg`),
+/// the inner γ groups by at least one column and reads no further γ.
+#[derive(Debug, Clone)]
+pub struct AuxShape {
+    /// The inner γ as the definition writes it: the node the auxiliary leaf
+    /// stands for.
+    pub definition: Plan,
+    /// Its canonical form — the relation the auxiliary table holds, with its
+    /// liveness count and merge rules.
+    pub canonical: Box<Canonical>,
 }
 
 /// Shape information for a canonical top-level aggregate.
@@ -87,9 +108,9 @@ impl Canonical {
 /// wrappers migrate into the public projection side. Everything else passes
 /// through.
 pub fn canonicalize(def: &Plan) -> Canonical {
-    // Only a *top-level* aggregate is canonicalized; nested aggregates make
-    // the view ineligible for change-table maintenance anyway (the paper's
-    // V21/V22 discussion) and are handled by the recomputation strategy.
+    // Only a *top-level* aggregate is canonicalized. An inner γ stays as
+    // written in the plan; in the auxiliary-table class it is canonicalized
+    // on its own, as the auxiliary table (`auxiliary`).
     if let Plan::Aggregate { input, group_by, aggregates } = def {
         let mut canon_aggs: Vec<AggSpec> =
             vec![AggSpec::new(SVC_CNT, AggFunc::Count, svc_relalg::scalar::lit(1i64))];
@@ -150,11 +171,39 @@ pub fn canonicalize(def: &Plan) -> Canonical {
         return Canonical {
             plan,
             public: Some(public),
+            aux: auxiliary(input, &cols),
             agg: Some(AggShape { group_by: group_by.clone(), cols, input: (**input).clone() }),
         };
     }
 
-    Canonical { plan: def.clone(), public: None, agg: None }
+    Canonical { plan: def.clone(), public: None, agg: None, aux: None }
+}
+
+fn additive(cols: &[CanonCol]) -> bool {
+    cols.iter().all(|c| c.rule == MergeRule::Additive)
+}
+
+/// The auxiliary table of a γ over `input` with canonical columns `outer`:
+/// `Some` when `input` is one inner γ under an optional σ/Π chain and the
+/// view is in the auxiliary-table class ([`AuxShape`]).
+fn auxiliary(input: &Plan, outer: &[CanonCol]) -> Option<AuxShape> {
+    fn has_aggregate(plan: &Plan) -> bool {
+        matches!(plan, Plan::Aggregate { .. }) || plan.children().any(has_aggregate)
+    }
+    let mut node = input;
+    while let Plan::Select { input, .. } | Plan::Project { input, .. } = node {
+        node = input;
+    }
+    let Plan::Aggregate { input: inner, group_by, .. } = node else { return None };
+    if !additive(outer) || group_by.is_empty() || has_aggregate(inner) {
+        return None;
+    }
+    let canonical = canonicalize(node);
+    canonical
+        .agg
+        .as_ref()
+        .is_some_and(|shape| additive(&shape.cols))
+        .then(|| AuxShape { definition: node.clone(), canonical: Box::new(canonical) })
 }
 
 /// The unqualified tail of a possibly qualified column name, used for the
@@ -222,6 +271,27 @@ mod tests {
         assert!(c.agg.is_none());
         assert!(c.change_table_eligible(true));
         assert_eq!(c.plan, view);
+    }
+
+    /// A γ over an inner γ under a σ/Π chain records the inner γ as its
+    /// auxiliary table, canonicalized on its own; a median at the outer
+    /// level keeps none.
+    #[test]
+    fn nested_additive_views_record_their_inner_aggregate() {
+        let inner = Plan::scan("log")
+            .aggregate(&["userId"], vec![AggSpec::new("avgDur", AggFunc::Avg, col("duration"))]);
+        let nested = inner
+            .clone()
+            .select(col("avgDur").gt(lit(1.0)))
+            .aggregate(&["avgDur"], vec![AggSpec::count_all("users")]);
+        let aux = canonicalize(&nested).aux.expect("an auxiliary table");
+        assert_eq!(aux.definition, inner);
+        assert_eq!(aux.canonical.plan, canonicalize(&inner).plan);
+        assert!(aux.canonical.aux.is_none());
+
+        let median =
+            inner.aggregate(&["avgDur"], vec![AggSpec::new("m", AggFunc::Median, col("avgDur"))]);
+        assert!(canonicalize(&median).aux.is_none());
     }
 
     #[test]

@@ -26,6 +26,13 @@
 //! anti-joins, the keyed fold and η on the view key all resolve the view's
 //! own names.
 //!
+//! A γ is derived only as the inner γ of a nested aggregate view that
+//! stores it as its auxiliary table (`canon::AuxShape`): its delta reads the
+//! groups the inner input's deltas touch off that table (the leaf
+//! `strategy::AUX_LEAF`) — ∇ their stored rows, ∆ those rows merged with
+//! the inner γ's change table — so it costs O(|∆| + touched groups), and the
+//! inner input is never re-aggregated.
+//!
 //! Leaves follow the naming convention `__ins.<table>` / `__del.<table>`;
 //! `svc-ivm`'s bindings attach the matching delta relations at evaluation
 //! time. Branches whose deltas are provably empty (the table was not
@@ -37,7 +44,10 @@ use svc_storage::{Deltas, Result, Schema, StorageError};
 
 use svc_relalg::derive::{derive, Derived, LeafProvider};
 use svc_relalg::plan::{JoinKind, Plan, SetOpKind};
-use svc_relalg::scalar::col;
+use svc_relalg::scalar::{col, lit, Expr};
+
+use crate::canon::{AuxShape, SVC_CNT};
+use crate::strategy::{as_written, group_is_live, rename_all, CanonNames, AUX_LEAF, DEL_PREFIX};
 
 /// Leaf name of the insertion delta for `table`.
 pub fn ins_leaf(table: &str) -> String {
@@ -139,14 +149,21 @@ impl LeafProvider for DeltaLeaves<'_> {
 
 /// The *new state* of a derived relation as a plan: `(R ▷ ∇R) ∪ ∆R`.
 pub fn new_state(plan: &Plan, info: &DeltaInfo, cat: &impl LeafProvider) -> Result<Plan> {
-    Deriver { info, leaves: DeltaLeaves(cat) }.new_state(plan)
+    Deriver { info, leaves: DeltaLeaves(cat), aux: None }.new_state(plan)
 }
 
-/// Derive the delta plans of `plan`. Errors on constructs outside the
-/// supported SPJ(U) class (nested aggregates, outer joins, η nodes); callers
-/// fall back to the recomputation strategy in that case.
-pub fn derive_delta(plan: &Plan, info: &DeltaInfo, cat: &impl LeafProvider) -> Result<DeltaPlan> {
-    Deriver { info, leaves: DeltaLeaves(cat) }.delta(plan)
+/// Derive the delta plans of `plan`; `aux` is the inner γ a nested aggregate
+/// view stores as its auxiliary table, derived off the leaf
+/// [`AUX_LEAF`] (which `cat` must resolve). Errors on constructs outside the
+/// supported SPJ(U) class (any other γ, outer joins, η nodes); callers fall
+/// back to the recomputation strategy in that case.
+pub fn derive_delta(
+    plan: &Plan,
+    info: &DeltaInfo,
+    cat: &impl LeafProvider,
+    aux: Option<&AuxShape>,
+) -> Result<DeltaPlan> {
+    Deriver { info, leaves: DeltaLeaves(cat), aux }.delta(plan)
 }
 
 /// The ∪ of every present part, `None` when none is.
@@ -174,10 +191,12 @@ fn anti_on_key(
     Plan::Join { left: Box::new(plan), right: Box::new(del.clone()), kind: JoinKind::Anti, on }
 }
 
-/// One derivation: the pending deltas and the leaves to type plans by.
+/// One derivation: the pending deltas, the leaves to type plans by, and the
+/// inner γ stored as an auxiliary table, if any.
 struct Deriver<'a> {
     info: &'a DeltaInfo,
     leaves: DeltaLeaves<'a>,
+    aux: Option<&'a AuxShape>,
 }
 
 impl Deriver<'_> {
@@ -286,13 +305,17 @@ impl Deriver<'_> {
                         .into(),
                 ))
             }
-            Plan::Aggregate { .. } => {
-                return Err(StorageError::Invalid(
-                    "nested aggregate blocks delta derivation (Appendix 12.4); falling back to \
-                     recomputation"
-                        .into(),
-                ))
-            }
+            Plan::Aggregate { .. } => match self.aux {
+                Some(aux) if aux.definition == *plan => self.aux_delta(aux)?,
+                _ => {
+                    return Err(StorageError::Invalid(
+                        "a nested aggregate without an auxiliary table (min, max or median at \
+                         either level, or a deeper nesting) blocks delta derivation (Appendix \
+                         12.4); falling back to recomputation"
+                            .into(),
+                    ))
+                }
+            },
             Plan::SetOp { kind: SetOpKind::Intersect | SetOpKind::Difference, .. } => {
                 return Err(StorageError::Invalid(
                     "delta derivation for ∩/− is not implemented; falling back to recomputation"
@@ -304,6 +327,85 @@ impl Deriver<'_> {
                     "unexpected η node inside a view definition".into(),
                 ))
             }
+        })
+    }
+
+    /// ∆ and ∇ of the inner γ `aux` stores, read off its auxiliary leaf.
+    ///
+    /// `C±` = γ(∆input), γ(∇input) is the inner γ's own change table; its
+    /// keys are the touched groups `T`. ∇ is their stored rows, `aux ⋉ T`.
+    /// ∆ is `T ⟕ aux ⟕ C+ ⟕ C−` merged column by column with the keyed
+    /// fold's arithmetic — `a + (i − d)`, NULL as 0, except that a group new
+    /// to the table with insertions only keeps its `C+` row as is — live
+    /// groups only. Both sides are named as the definition writes the inner γ.
+    fn aux_delta(&self, aux: &AuxShape) -> Result<DeltaPlan> {
+        let (canonical, leaves) = (&aux.canonical, &self.leaves);
+        let (Plan::Aggregate { group_by, aggregates, .. }, Some(shape)) =
+            (&canonical.plan, &canonical.agg)
+        else {
+            return Err(StorageError::Invalid("an auxiliary table holds an aggregate".into()));
+        };
+        let d = self.delta(&shape.input)?;
+        if d.is_empty() {
+            return Ok(DeltaPlan::EMPTY);
+        }
+        let gamma = |input: Plan| Plan::Aggregate {
+            input: Box::new(input),
+            group_by: group_by.clone(),
+            aggregates: aggregates.clone(),
+        };
+        let (ins, del) = (d.ins.map(gamma), d.del.map(gamma));
+        let names = CanonNames::new(&derive(&canonical.plan, leaves)?.schema, group_by.len())?;
+        let group_columns = || names.group.iter().map(|g| (g.clone(), col(g.clone())));
+        let keys = |change: &Plan| Plan::Project {
+            input: Box::new(change.clone()),
+            columns: group_columns().collect(),
+        };
+        let touched = union_all([ins.as_ref().map(keys), del.as_ref().map(keys)])
+            .expect("a non-empty delta has a side");
+        let on = |prefix: &str| -> Vec<(String, String)> {
+            names.group.iter().map(|g| (g.clone(), format!("{prefix}{g}"))).collect()
+        };
+        let stored = Plan::scan(AUX_LEAF);
+        let old = Plan::Join {
+            left: Box::new(stored.clone()),
+            right: Box::new(touched.clone()),
+            kind: JoinKind::Semi,
+            on: on(""),
+        };
+
+        const STORED: &str = "__a_";
+        const INSERTED: &str = "__i_";
+        let side = |prefix: &str, name: &str| col(format!("{prefix}{name}"));
+        let zero = || lit(0i64);
+        // 0 for a group the table or C− holds; NULL for one only C+ has.
+        let mut known = zero().mul(side(STORED, SVC_CNT));
+        if del.is_some() {
+            known = known.coalesce(zero().mul(side(DEL_PREFIX, SVC_CNT)));
+        }
+        let mut columns: Vec<(String, Expr)> = group_columns().collect();
+        for a in &names.agg {
+            let mut change =
+                if ins.is_some() { side(INSERTED, a).coalesce(known.clone()) } else { zero() };
+            if del.is_some() {
+                change = change.sub(side(DEL_PREFIX, a).coalesce(zero()));
+            }
+            columns.push((a.clone(), side(STORED, a).coalesce(zero()).add(change)));
+        }
+        let mut merged = touched;
+        for (prefix, side) in [(STORED, Some(stored)), (INSERTED, ins), (DEL_PREFIX, del)] {
+            let Some(side) = side else { continue };
+            merged = Plan::Join {
+                left: Box::new(merged),
+                right: Box::new(rename_all(side, &names.all, prefix)),
+                kind: JoinKind::Left,
+                on: on(prefix),
+            };
+        }
+        let new = Plan::Project { input: Box::new(merged), columns }.select(group_is_live());
+        Ok(DeltaPlan {
+            ins: Some(as_written(aux, new, leaves)?),
+            del: Some(as_written(aux, old, leaves)?),
         })
     }
 }
@@ -503,7 +605,7 @@ mod tests {
             ["sessionId", "videoId", "owner", "video.videoId", "video.owner", "duration"]
         );
         let info = DeltaInfo::of(&make_deltas(&db()));
-        let change = derive_delta(&log_video(), &info, &db()).unwrap();
+        let change = derive_delta(&log_video(), &info, &db(), None).unwrap();
         for side in [change.ins.unwrap(), change.del.unwrap()] {
             assert_eq!(derive(&side, &DeltaLeaves(&db())).unwrap().schema, d.schema);
         }
@@ -539,12 +641,12 @@ mod tests {
             .insert(&db, "video", vec![Value::Int(99), Value::Int(0), Value::Float(1.0)])
             .unwrap();
         let info = DeltaInfo::of(&deltas);
-        let d = derive_delta(&Plan::scan("log"), &info, &db).unwrap();
+        let d = derive_delta(&Plan::scan("log"), &info, &db, None).unwrap();
         assert!(d.ins.is_none() && d.del.is_none());
         // A join still produces a delta through the video side only.
         let join =
             Plan::scan("log").join(Plan::scan("video"), JoinKind::Inner, &[("videoId", "videoId")]);
-        let d = derive_delta(&join, &info, &db).unwrap();
+        let d = derive_delta(&join, &info, &db, None).unwrap();
         assert!(d.ins.is_some());
         assert!(d.del.is_none());
     }
@@ -555,9 +657,9 @@ mod tests {
         let info = DeltaInfo::default();
         let agg = Plan::scan("log")
             .aggregate(&["videoId"], vec![svc_relalg::aggregate::AggSpec::count_all("n")]);
-        assert!(derive_delta(&agg, &info, &db).is_err());
+        assert!(derive_delta(&agg, &info, &db, None).is_err());
         let outer =
             Plan::scan("log").join(Plan::scan("video"), JoinKind::Left, &[("videoId", "videoId")]);
-        assert!(derive_delta(&outer, &info, &db).is_err());
+        assert!(derive_delta(&outer, &info, &db, None).is_err());
     }
 }

@@ -14,10 +14,12 @@
 //! * [`canon`] — canonicalizes aggregate views into change-table
 //!   maintainable form (`avg` → `sum` + `count`, plus a hidden
 //!   `__svc_cnt` group-liveness counter) with a public projection restoring
-//!   the user-facing schema;
+//!   the user-facing schema, and records a nested aggregate's inner γ as the
+//!   view's auxiliary table;
 //! * [`delta`] — derives insertion/deletion delta plans for SPJ(U)
 //!   expressions (the classic join rules, distributed so that a delta meets
-//!   each base relation as itself, probed by key);
+//!   each base relation as itself, probed by key), and for an inner γ off
+//!   its auxiliary table;
 //! * [`strategy`] — the one gate `view_delta`: a view changes by a signed
 //!   pair of keyed relations (the change-table method of Gupta & Mumick
 //!   \[22,23\] used by the paper's experiments; ∆V / ∇V for SPJ views) or by
@@ -28,7 +30,7 @@
 //! * [`plans`] — the view's plan cache: each view delta η-wrapped,
 //!   optimized and compiled once per signature, shared by a view's clones;
 //! * [`view`] — [`view::MaterializedView`]: definition + materialized state
-//!   + staleness bookkeeping + `maintain()`.
+//!   (and auxiliary table) + staleness bookkeeping + `maintain()`.
 
 pub mod canon;
 pub mod delta;
@@ -40,5 +42,5 @@ pub mod view;
 pub use canon::{canonicalize, Canonical};
 pub use delta::{derive_delta, DeltaInfo, DeltaPlan, Signed};
 pub use fold::{KeyedFold, StagedEdits};
-pub use strategy::{maintenance_plan, MaintCatalog, PlanKind, STALE_LEAF};
+pub use strategy::{maintenance_plan, DeltaCatalog, MaintCatalog, PlanKind, AUX_LEAF, STALE_LEAF};
 pub use view::MaterializedView;

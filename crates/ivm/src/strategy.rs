@@ -13,17 +13,22 @@
 //!   group merges by its columns' merge rules; for an SPJ view it is the bare
 //!   `derive_delta` pair ∆V and ∇V, and a key is dropped or replaced — such a
 //!   view is maintainable from (view, ∇V, ∆V) alone.
-//! * **Recompute** (anything else — nested aggregates, outer joins, median,
-//!   min/max under deletions): the definition with every base scan replaced
-//!   by its new state `(T ▷ ∇T) ∪ ∆T`. Still a plan, so sampling still pushes
-//!   into it where Definition 3 allows — mirroring the paper's observation
-//!   that V21/V22 benefit less but still work.
+//!   A nested aggregate in the auxiliary-table class (V21: a γ over one inner
+//!   γ, additive at both levels) is a change-table view too: its inner γ is
+//!   stored as the view's auxiliary table, bound as the leaf [`AUX_LEAF`],
+//!   and `derive_delta` reads the touched inner groups off it, so neither
+//!   side re-aggregates the inner input.
+//! * **Recompute** (anything else — other nested aggregates, outer joins,
+//!   median, min/max under deletions): the definition with every base scan
+//!   replaced by its new state `(T ▷ ∇T) ∪ ∆T`. Still a plan, so sampling
+//!   still pushes into it where Definition 3 allows.
 //!
 //! [`maintenance_plan`] spells the same decision as *one* plan `M` over
 //! `{__stale, base tables, __ins.T, __del.T}` — the paper's Example 1 merge
 //! for a change table (as `matched ∪ left-only ∪ right-only` over keyed
 //! inner/anti joins, so every node keeps a Definition 2 key), `(S ▷ ∇V) ∪ ∆V`
-//! for an SPJ view. It is built from the gate's answer, so plan form and run
+//! for an SPJ view; an auxiliary leaf is inlined as its definition over the
+//! old base tables. It is built from the gate's answer, so plan form and run
 //! path cannot disagree on the class, and it is the inspectable expression
 //! and the tested reference only: the merge evaluates every delta join nine
 //! times and the SPJ form reads the whole stale view to move a few keyed
@@ -36,11 +41,15 @@ use svc_relalg::optimizer::{optimize, optimize_with, CardEstimator, OptimizeRepo
 use svc_relalg::plan::{JoinKind, Plan};
 use svc_relalg::scalar::{col, lit, Expr, Func};
 
-use crate::canon::{AggShape, Canonical, MergeRule, SVC_CNT};
+use crate::canon::{AggShape, AuxShape, Canonical, MergeRule, SVC_CNT};
 use crate::delta::{delta_base, derive_delta, new_state, DeltaInfo, Signed};
 
 /// Leaf name bound to the stale view inside maintenance plans.
 pub const STALE_LEAF: &str = "__stale";
+
+/// Leaf name bound to a nested aggregate view's auxiliary table (its inner
+/// γ in canonical form) inside its delta plans.
+pub const AUX_LEAF: &str = "__aux";
 
 /// Which maintenance strategy a view takes for a delta set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,10 +128,30 @@ pub struct MaintCatalog<'a> {
     pub stale: Derived,
 }
 
-impl MaintCatalog<'_> {
-    /// Optimize a maintenance plan against this catalog — the one spelling
-    /// of "cost-based when there is an estimator, rule-based otherwise"
-    /// every maintenance and cleaning path shares.
+impl LeafProvider for MaintCatalog<'_> {
+    fn leaf(&self, name: &str) -> Option<Derived> {
+        if name == STALE_LEAF {
+            return Some(self.stale.clone());
+        }
+        self.db.leaf(delta_base(name).unwrap_or(name))
+    }
+}
+
+/// Leaf resolver for a view's delta plans: every leaf of [`MaintCatalog`],
+/// plus, for a nested aggregate view, its auxiliary table under
+/// [`AUX_LEAF`]. The reference form inlines that leaf, so it resolves
+/// against a bare `MaintCatalog` as well.
+pub struct DeltaCatalog<'a> {
+    /// The base tables, their delta relations and the stale view.
+    pub maint: MaintCatalog<'a>,
+    /// The auxiliary table's schema and key, for a view that has one.
+    pub aux: Option<Derived>,
+}
+
+impl DeltaCatalog<'_> {
+    /// Optimize a maintenance or delta plan against this catalog — the one
+    /// spelling of "cost-based when there is an estimator, rule-based
+    /// otherwise" every maintenance and cleaning path shares.
     pub fn optimize(
         &self,
         plan: &Plan,
@@ -135,12 +164,12 @@ impl MaintCatalog<'_> {
     }
 }
 
-impl LeafProvider for MaintCatalog<'_> {
+impl LeafProvider for DeltaCatalog<'_> {
     fn leaf(&self, name: &str) -> Option<Derived> {
-        if name == STALE_LEAF {
-            return Some(self.stale.clone());
+        match &self.aux {
+            Some(aux) if name == AUX_LEAF => Some(aux.clone()),
+            _ => self.maint.leaf(name),
         }
-        self.db.leaf(delta_base(name).unwrap_or(name))
     }
 }
 
@@ -158,7 +187,7 @@ fn coalesce0(e: Expr) -> Expr {
 
 /// Rename every column of `plan` (whose schema is `names`) to
 /// `{prefix}{name}` via a bare-column projection, keeping keys intact.
-fn rename_all(plan: Plan, names: &[String], prefix: &str) -> Plan {
+pub(crate) fn rename_all(plan: Plan, names: &[String], prefix: &str) -> Plan {
     Plan::Project {
         input: Box::new(plan),
         columns: names.iter().map(|n| (format!("{prefix}{n}"), col(n.clone()))).collect(),
@@ -168,13 +197,14 @@ fn rename_all(plan: Plan, names: &[String], prefix: &str) -> Plan {
 /// The strategy's one gate: how `canonical` takes the deltas `info` names.
 ///
 /// A top-level aggregate whose merge rules admit the deltas and whose input
-/// has a delta derivation changes by its signed change table; an SPJ view
+/// has a delta derivation — through its auxiliary leaf for a nested
+/// aggregate in that class — changes by its signed change table; an SPJ view
 /// with a delta derivation by ∆V / ∇V; everything else — median, min/max
-/// under deletions, nested aggregates, outer joins — recomputes. A keyed pair
-/// with both sides pruned means the deltas cannot reach the view.
+/// under deletions, other nested aggregates, outer joins — recomputes. A
+/// keyed pair with both sides pruned means the deltas cannot reach the view.
 pub fn view_delta(
     canonical: &Canonical,
-    cat: &MaintCatalog<'_>,
+    cat: &DeltaCatalog<'_>,
     info: &DeltaInfo,
 ) -> Result<ViewDelta> {
     if info.is_empty() {
@@ -182,7 +212,7 @@ pub fn view_delta(
     }
     let (change, kind) = match &canonical.agg {
         Some(shape) => (change_table_expr(canonical, shape, cat, info), PlanKind::ChangeTable),
-        None => (derive_delta(&canonical.plan, info, cat), PlanKind::DeltaApply),
+        None => (derive_delta(&canonical.plan, info, cat, None), PlanKind::DeltaApply),
     };
     Ok(match change {
         Ok(change) if change.is_empty() => ViewDelta::NoOp,
@@ -195,16 +225,38 @@ pub fn view_delta(
 /// __ins.T, __del.T}` whose evaluation returns the up-to-date view. The
 /// inspectable expression (`SvcView::cleaning_plan`) and the reference the
 /// keyed fold is tested against; no maintenance or cleaning path runs it.
+/// An auxiliary leaf reads as its definition over the old base tables, so
+/// the plan binds like any other view's, and η stays blocked above the inner
+/// γ, as the paper finds for V21.
 pub fn maintenance_plan(
     canonical: &Canonical,
-    cat: &MaintCatalog<'_>,
+    cat: &DeltaCatalog<'_>,
     info: &DeltaInfo,
 ) -> Result<(Plan, PlanKind)> {
-    Ok(match view_delta(canonical, cat, info)? {
+    let (plan, kind) = match view_delta(canonical, cat, info)? {
         ViewDelta::NoOp => (Plan::scan(STALE_LEAF), PlanKind::NoOp),
         ViewDelta::Keyed { change, kind } => (keyed_plan(canonical, cat, change)?, kind),
         ViewDelta::Recompute(plan) => (plan, PlanKind::Recompute),
-    })
+    };
+    let Some(aux) = &canonical.aux else { return Ok((plan, kind)) };
+    let inlined = plan.substitute_leaves(&mut |table| {
+        Ok::<_, StorageError>(match table.as_str() {
+            AUX_LEAF => aux.canonical.plan.clone(),
+            _ => Plan::Scan { table },
+        })
+    })?;
+    Ok((inlined, kind))
+}
+
+/// `input`, a relation of `aux`'s canonical rows, as the view definition
+/// writes its inner γ: the public projection under the definition's own
+/// column names (a qualified group column keeps its qualifier).
+pub(crate) fn as_written(aux: &AuxShape, input: Plan, leaves: &impl LeafProvider) -> Result<Plan> {
+    let public = aux.canonical.public.as_deref().unwrap_or_default();
+    let written = derive(&aux.definition, leaves)?.schema;
+    let columns =
+        written.names().into_iter().zip(public).map(|(n, (_, e))| (n.to_string(), e.clone()));
+    Ok(Plan::Project { input: Box::new(input), columns: columns.collect() })
 }
 
 /// A keyed pair applied to `Scan __stale`, as a plan: the signed change table
@@ -212,7 +264,7 @@ pub fn maintenance_plan(
 /// for an SPJ view.
 pub(crate) fn keyed_plan(
     canonical: &Canonical,
-    cat: &MaintCatalog<'_>,
+    cat: &impl LeafProvider,
     change: Signed<Plan>,
 ) -> Result<Plan> {
     if canonical.agg.is_some() {
@@ -239,9 +291,9 @@ pub(crate) fn keyed_plan(
 /// Canonical output column names of an aggregate view: group fields
 /// followed by aggregate aliases.
 pub(crate) struct CanonNames {
-    all: Vec<String>,
-    group: Vec<String>,
-    agg: Vec<String>,
+    pub(crate) all: Vec<String>,
+    pub(crate) group: Vec<String>,
+    pub(crate) agg: Vec<String>,
 }
 
 impl CanonNames {
@@ -256,7 +308,7 @@ impl CanonNames {
     }
 }
 
-fn canon_names(canonical: &Canonical, cat: &MaintCatalog<'_>) -> Result<CanonNames> {
+fn canon_names(canonical: &Canonical, cat: &impl LeafProvider) -> Result<CanonNames> {
     let Plan::Aggregate { group_by, .. } = &canonical.plan else {
         return Err(StorageError::Invalid("canonical plan is not an aggregate".into()));
     };
@@ -337,11 +389,12 @@ pub(crate) fn negated_columns(names: &CanonNames) -> Vec<(String, Expr)> {
 ///
 /// Errors when a merge rule rules the deltas out (min/max under deletions,
 /// median) and when the aggregate's input has no delta derivation (nested
-/// aggregates, outer joins); the gate recomputes on any error.
+/// aggregates without an auxiliary table, outer joins); the gate recomputes
+/// on any error.
 fn change_table_expr(
     canonical: &Canonical,
     shape: &AggShape,
-    cat: &MaintCatalog<'_>,
+    cat: &DeltaCatalog<'_>,
     info: &DeltaInfo,
 ) -> Result<Signed<Plan>> {
     let Plan::Aggregate { aggregates, group_by, .. } = &canonical.plan else {
@@ -353,7 +406,7 @@ fn change_table_expr(
         ));
     }
 
-    let d = derive_delta(&shape.input, info, cat)?;
+    let d = derive_delta(&shape.input, info, cat, canonical.aux.as_ref())?;
     let gamma = |input: Plan| Plan::Aggregate {
         input: Box::new(input),
         group_by: group_by.clone(),
@@ -411,7 +464,7 @@ fn signed_change_plan(names: &CanonNames, change: Signed<Plan>) -> Option<Plan> 
 
 /// Merge an arbitrary change-table-shaped plan with `Scan __stale` using the
 /// canonical merge rules — the second half of the change-table strategy.
-fn merge_with_stale(canonical: &Canonical, cat: &MaintCatalog<'_>, change: Plan) -> Result<Plan> {
+fn merge_with_stale(canonical: &Canonical, cat: &impl LeafProvider, change: Plan) -> Result<Plan> {
     let shape = canonical
         .agg
         .as_ref()
@@ -460,7 +513,7 @@ fn merge_with_stale(canonical: &Canonical, cat: &MaintCatalog<'_>, change: Plan)
 
 /// Recomputation expressed as a plan: every base scan becomes its new state
 /// `(T ▷ ∇T) ∪ ∆T`.
-pub fn recompute_plan(def: &Plan, cat: &MaintCatalog<'_>, info: &DeltaInfo) -> Result<Plan> {
+pub fn recompute_plan(def: &Plan, cat: &impl LeafProvider, info: &DeltaInfo) -> Result<Plan> {
     fn has_eta(plan: &Plan) -> bool {
         matches!(plan, Plan::Hash { .. }) || plan.children().any(has_eta)
     }

@@ -7,6 +7,13 @@
 //! clones and kept across commits: the runner, and the pipeline's change
 //! plans, derive, optimize and compile a view delta once per signature
 //! ([`MaterializedView::delta_plan`]) and afterwards only run and fold it.
+//!
+//! A nested aggregate view in the auxiliary-table class (`canon::AuxShape`)
+//! also owns its inner γ as a view of its own, the *auxiliary table*: built
+//! in the view's one evaluation at creation, bound beside the base tables
+//! for every delta plan (a clean reads it and never commits it), maintained
+//! by its own keyed fold, and swapped together with the view table at every
+//! commit ([`MaterializedView::commit`]).
 
 use std::sync::Arc;
 
@@ -24,7 +31,8 @@ use crate::delta::{del_leaf, ins_leaf, DeltaInfo};
 use crate::fold::KeyedFold;
 use crate::plans::{CompiledDelta, PlanCache, PlanKey, PlanLookup, PlanMetrics};
 use crate::strategy::{
-    maintenance_plan, view_delta, MaintCatalog, PlanKind, ViewDelta, STALE_LEAF,
+    as_written, maintenance_plan, view_delta, DeltaCatalog, MaintCatalog, PlanKind, ViewDelta,
+    AUX_LEAF, STALE_LEAF,
 };
 
 /// A materialized view: the user-facing definition, its canonical
@@ -59,12 +67,27 @@ pub struct MaterializedView {
     /// ([`MaterializedView::mark_clean`], called by recovery).
     dirty: bool,
     /// When the materialized state was last replaced (creation, a
-    /// `maintain*` call, or `set_table`) — the observable behind
+    /// `maintain*` call, or `commit`) — the observable behind
     /// [`MaterializedView::staleness_age`].
     maintained_at: std::time::Instant,
     /// Compiled view deltas by signature ([`crate::plans`]): shared by every
     /// clone, kept across commits.
     plans: Arc<PlanCache>,
+    /// The auxiliary table of a nested aggregate view: its inner γ as a view
+    /// of its own, committed together with `table`.
+    aux: Option<Box<MaterializedView>>,
+}
+
+/// A view's next materialized state, as one commit installs it
+/// ([`MaterializedView::commit`]): the view table and, for a nested
+/// aggregate view, its auxiliary table (`None` keeps the auxiliary table
+/// as it is).
+#[derive(Debug, Clone)]
+pub struct ViewState {
+    /// The canonical view table.
+    pub table: Table,
+    /// The auxiliary table's new state.
+    pub aux: Option<Table>,
 }
 
 /// A consistent point-in-time read of a view: the commit epoch and the
@@ -98,14 +121,31 @@ pub fn maintenance_bindings<'a>(
 impl MaterializedView {
     /// Create and materialize a view from its definition against `db`. The
     /// canonical plan is run through the optimizer before the initial
-    /// materialization (the definition itself is kept as written).
+    /// materialization (the definition itself is kept as written). A nested
+    /// aggregate view materializes its auxiliary table first and reads its
+    /// inner γ off it.
     pub fn create(name: impl Into<String>, definition: Plan, db: &Database) -> Result<Self> {
+        let name = name.into();
         let canonical = canonicalize(&definition);
-        let (optimized, _) = optimize(&canonical.plan, db)?;
-        let bindings = Bindings::from_database(db);
+        let aux = match &canonical.aux {
+            Some(aux) => Some(Box::new(MaterializedView::create(
+                format!("{name}.aux"),
+                aux.definition.clone(),
+                db,
+            )?)),
+            None => None,
+        };
+        let mut bindings = Bindings::from_database(db);
+        let mut plan = canonical.plan.clone();
+        if let (Some(shape), Some(aux)) = (&canonical.aux, &aux) {
+            bindings.bind(AUX_LEAF, aux.table());
+            let read = as_written(shape, Plan::scan(AUX_LEAF), db)?;
+            plan = replace_node(plan, &shape.definition, &read);
+        }
+        let (optimized, _) = optimize(&plan, &bindings)?;
         let table = evaluate(&optimized, &bindings)?;
         Ok(MaterializedView {
-            name: name.into(),
+            name,
             definition,
             canonical,
             table: Arc::new(table),
@@ -113,6 +153,7 @@ impl MaterializedView {
             dirty: false,
             maintained_at: std::time::Instant::now(),
             plans: Arc::default(),
+            aux,
         })
     }
 
@@ -124,6 +165,12 @@ impl MaterializedView {
     /// The canonicalization record (plan + public projection + merge rules).
     pub fn canonical(&self) -> &Canonical {
         &self.canonical
+    }
+
+    /// The auxiliary table of a nested aggregate view, as the view of its
+    /// inner γ; `None` for every other view.
+    pub fn auxiliary(&self) -> Option<&MaterializedView> {
+        self.aux.as_deref()
     }
 
     /// Primary-key column names of the canonical state.
@@ -155,16 +202,20 @@ impl MaterializedView {
     /// Replace the materialized state — the **commit point** of every
     /// maintenance path: an atomic epoch swap (the old table stays alive
     /// behind outstanding snapshots), bumping [`MaterializedView::epoch`]
-    /// and resetting the staleness clock. Does not touch the dirty flag:
-    /// callers that commit a degraded state mark it explicitly. The old
-    /// table's column cache is released: a superseded epoch keeps its rows
-    /// for whoever still holds it, not columns built for this view's reads.
-    /// Its memoized answers survive the release, so a holder still reading
-    /// that state (a clone of an `SvcView` answering `q(S)`) rebuilds no
-    /// column for a query it has answered before.
-    pub fn set_table(&mut self, table: Table) {
+    /// and resetting the staleness clock, with the auxiliary table swapped
+    /// in the same call. Does not touch the dirty flag: callers that commit
+    /// a degraded state mark it explicitly. The old table's column cache is
+    /// released: a superseded epoch keeps its rows for whoever still holds
+    /// it, not columns built for this view's reads. Its memoized answers
+    /// survive the release, so a holder still reading that state (a clone of
+    /// an `SvcView` answering `q(S)`) rebuilds no column for a query it has
+    /// answered before.
+    pub fn commit(&mut self, next: ViewState) {
+        if let (Some(aux), Some(table)) = (&mut self.aux, next.aux) {
+            aux.commit(ViewState { table, aux: None });
+        }
         self.table.release_columns();
-        self.table = Arc::new(table);
+        self.table = Arc::new(next.table);
         self.epoch += 1;
         self.maintained_at = std::time::Instant::now();
     }
@@ -222,30 +273,64 @@ impl MaterializedView {
         maintenance_plan(&self.canonical, &cat, &info)
     }
 
-    /// The leaf catalog maintenance plans over this view are derived and
-    /// compiled against: `db`'s tables and delta relations plus the stale
-    /// view's own schema and key.
-    pub fn maint_catalog<'a>(&self, db: &'a Database) -> MaintCatalog<'a> {
-        MaintCatalog {
-            db,
-            stale: Derived { schema: self.table.schema().clone(), key: self.table.key().to_vec() },
+    /// The leaf catalog maintenance and delta plans over this view are
+    /// derived and compiled against: `db`'s tables and delta relations, the
+    /// stale view's own schema and key, and the auxiliary table's.
+    pub fn maint_catalog<'a>(&self, db: &'a Database) -> DeltaCatalog<'a> {
+        let derived = |t: &Table| Derived { schema: t.schema().clone(), key: t.key().to_vec() };
+        DeltaCatalog {
+            maint: MaintCatalog { db, stale: derived(&self.table) },
+            aux: self.aux.as_ref().map(|aux| derived(aux.table())),
         }
+    }
+
+    /// The bindings this view's delta plans run under: base tables, delta
+    /// relations and `target` as the stale view ([`maintenance_bindings`]),
+    /// plus the auxiliary table.
+    pub fn delta_bindings<'a>(
+        &'a self,
+        db: &'a Database,
+        deltas: &'a Deltas,
+        target: &'a Table,
+    ) -> Bindings<'a> {
+        let mut bindings = maintenance_bindings(db, deltas, target);
+        if let Some(aux) = &self.aux {
+            bindings.bind(AUX_LEAF, aux.table());
+        }
+        bindings
     }
 
     /// Bring the view up to date with respect to `deltas` (which are *not*
     /// consumed — the caller applies them to the base tables when the
-    /// maintenance period ends): the delta runner on the view itself, without
-    /// η, committed at once. Returns the strategy that was used.
+    /// maintenance period ends): [`MaterializedView::next_state`], committed
+    /// at once. Returns the strategy that was used.
     pub fn maintain(&mut self, db: &Database, deltas: &Deltas) -> Result<PlanKind> {
-        let Some((new_table, kind, _)) = self.maintained(db, deltas, &self.table, None, None)?
-        else {
+        let Some((next, kind)) = self.next_state(db, deltas)? else {
             return Ok(PlanKind::NoOp);
         };
         // Failpoint site: everything above is side-effect free on `self`,
         // so an injected failure here proves the commit is all-or-nothing.
         svc_fault::fail_point!(svc_fault::site::VIEW_MAINTAIN, StorageError::Invalid);
-        self.set_table(new_table);
+        self.commit(next);
         Ok(kind)
+    }
+
+    /// The state a maintenance commits, **without committing it**: the delta
+    /// runner on the view itself, without η, and on its auxiliary table.
+    /// `None` when no pending delta reaches the view.
+    pub fn next_state(
+        &self,
+        db: &Database,
+        deltas: &Deltas,
+    ) -> Result<Option<(ViewState, PlanKind)>> {
+        let Some((table, kind, _)) = self.maintained(db, deltas, &self.table, None, None)? else {
+            return Ok(None);
+        };
+        let aux = match &self.aux {
+            Some(aux) => aux.maintained(db, deltas, aux.table(), None, None)?.map(|next| next.0),
+            None => None,
+        };
+        Ok(Some((ViewState { table, aux }, kind)))
     }
 
     /// The delta runner: `target` brought up to date with respect to
@@ -257,8 +342,9 @@ impl MaterializedView {
     /// The compiled delta comes from the view's plan cache
     /// ([`MaterializedView::delta_plan`]); each of its plans runs once,
     /// sequentially on the caller's thread, and a keyed pair is folded into
-    /// one clone of `target`. No plan reads the stale view. The report
-    /// unions the plans' η reports.
+    /// one clone of `target`. No plan reads the stale view; a nested
+    /// aggregate view's plans read its auxiliary table, which this never
+    /// changes. The report unions the plans' η reports.
     pub fn maintained(
         &self,
         db: &Database,
@@ -271,7 +357,7 @@ impl MaterializedView {
         if svc_relalg::verify::ENABLED && lookup.hit {
             self.verify_plan_hit(db, deltas, eta, est, &lookup.plan)?;
         }
-        let bindings = maintenance_bindings(db, deltas, target);
+        let bindings = self.delta_bindings(db, deltas, target);
         let (table, kind) = match lookup.plan.delta.as_ref().try_map(|plan| plan.run(&bindings))? {
             ViewDelta::NoOp => return Ok(None),
             ViewDelta::Keyed { change, kind } => {
@@ -365,7 +451,7 @@ impl MaterializedView {
         cached: &CompiledDelta,
     ) -> Result<()> {
         let fresh = self.build_delta_plan(db, &DeltaInfo::of(deltas), eta, est)?;
-        let bindings = maintenance_bindings(db, deltas, &self.table);
+        let bindings = self.delta_bindings(db, deltas, &self.table);
         let run = |delta: &ViewDelta<PhysicalPlan>| delta.as_ref().try_map(|p| p.run(&bindings));
         let (a, b) = (run(&cached.delta)?, run(&fresh.delta)?);
         let same = |x: &Table, y: &Table| x.approx_same_contents(y, 1e-9);
@@ -410,12 +496,40 @@ impl MaterializedView {
     /// Ground truth: evaluate the definition against the post-delta base
     /// state. Used as the correctness oracle in tests and benchmarks.
     pub fn recompute_fresh(&self, db: &Database, deltas: &Deltas) -> Result<Table> {
-        let mut db2 = db.clone();
-        let mut d2 = deltas.clone();
-        d2.apply_to(&mut db2)?;
-        let (optimized, _) = optimize(&self.canonical.plan, &db2)?;
-        let bindings = Bindings::from_database(&db2);
-        evaluate(&optimized, &bindings)
+        self.evaluated(&applied(db, deltas)?)
+    }
+
+    /// The view and its auxiliary table recomputed against the post-delta
+    /// base state: the state recovery by recomputation commits.
+    pub fn recomputed(&self, db: &Database, deltas: &Deltas) -> Result<ViewState> {
+        let db2 = applied(db, deltas)?;
+        let aux = self.aux.as_ref().map(|aux| aux.evaluated(&db2)).transpose()?;
+        Ok(ViewState { table: self.evaluated(&db2)?, aux })
+    }
+
+    fn evaluated(&self, db: &Database) -> Result<Table> {
+        let (optimized, _) = optimize(&self.canonical.plan, db)?;
+        evaluate(&optimized, &Bindings::from_database(db))
+    }
+}
+
+/// `db` with `deltas` applied, as a copy.
+fn applied(db: &Database, deltas: &Deltas) -> Result<Database> {
+    let mut db2 = db.clone();
+    deltas.clone().apply_to(&mut db2)?;
+    Ok(db2)
+}
+
+/// `plan` with every subtree equal to `target` replaced by `with`.
+fn replace_node(plan: Plan, target: &Plan, with: &Plan) -> Plan {
+    if plan == *target {
+        return with.clone();
+    }
+    let replaced: std::result::Result<Plan, std::convert::Infallible> =
+        plan.map_children(&mut |child| Ok(replace_node(child, target, with)));
+    match replaced {
+        Ok(plan) => plan,
+        Err(never) => match never {},
     }
 }
 
@@ -731,19 +845,29 @@ mod tests {
         assert!(view.table().approx_same_contents(&current, 1e-9));
     }
 
+    /// The V21 shape, the distribution of visit counts: the inner γ is the
+    /// view's auxiliary table, so the view takes its change table, and one
+    /// commit swaps both tables to their recomputed states.
     #[test]
-    fn nested_aggregate_view_recomputes_correctly() {
-        // The blocked V21-style shape: distribution of visit counts.
+    fn nested_aggregate_view_maintains_through_its_auxiliary_table() {
         let db = db();
-        let def = Plan::scan("log")
-            .aggregate(&["videoId"], vec![AggSpec::count_all("c")])
-            .aggregate(&["c"], vec![AggSpec::count_all("n")]);
+        let inner = Plan::scan("log").aggregate(&["videoId"], vec![AggSpec::count_all("c")]);
+        let def = inner.clone().aggregate(&["c"], vec![AggSpec::count_all("n")]);
         let mut view = MaterializedView::create("v", def, &db).unwrap();
+        let aux = MaterializedView::create("inner", inner, &db).unwrap();
+        assert!(view.auxiliary().unwrap().table().same_contents(aux.table()));
         let deltas = mixed_deltas(&db);
-        let expected = view.recompute_fresh(&db, &deltas).unwrap();
+        let expected = view.recomputed(&db, &deltas).unwrap();
         let kind = view.maintain(&db, &deltas).unwrap();
-        assert_eq!(kind, PlanKind::Recompute);
-        assert!(view.table().approx_same_contents(&expected, 1e-9));
+        assert_eq!(kind, PlanKind::ChangeTable);
+        assert_eq!((view.epoch(), view.auxiliary().unwrap().epoch()), (1, 1));
+        assert!(view.table().same_contents(&expected.table));
+        assert!(view.auxiliary().unwrap().table().same_contents(&expected.aux.unwrap()));
+        // The oracle reads the definition, never the auxiliary table.
+        let mut db2 = db.clone();
+        deltas.clone().apply_to(&mut db2).unwrap();
+        let direct = evaluate(&view.definition, &Bindings::from_database(&db2)).unwrap();
+        assert!(view.public_table().unwrap().same_contents(&direct));
     }
 
     #[test]

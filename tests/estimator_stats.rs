@@ -129,12 +129,21 @@ fn clt_interval_coverage_is_near_nominal() {
 ///   updated group has every paired difference 0, so a zero-width
 ///   interval), CORR `count(*)` is exact (100/100), and the AQP `count(*)`
 ///   mean over the seeds sits 2.6 % from the truth (95/100 covered).
+/// * V21, a view of about ten rows, so a sample of zero to two: every AQP
+///   cell covers 55/100 (insert-only, mixed) or 71/100 (update-only), its
+///   mean 16 % or 6 % from the truth; CORR `sum` and `count(*)` cover
+///   100/100 under insert-only and mixed deltas but their means sit 22 %
+///   from the truth. Under update-only deltas (which leave every supplier's
+///   line count as it is) CORR is exact and passes.
 ///
 /// AQP `count(*)` passes on both views (95–96/100) since its interval is
 /// Horvitz–Thompson: every sample row contributes `1/m`, so a fixed-size
 /// variance gave it zero width, while η draws the sample size at random.
 fn known_miss(view: &str, mix: &str, agg: QueryAgg, method: Method) -> bool {
     let update_only = mix == "update-only";
+    if view == "V21" {
+        return method == Method::AqpDirect || !update_only;
+    }
     if view == "cube" {
         let counted_by = if update_only { Method::Correction } else { Method::AqpDirect };
         return !(agg == QueryAgg::Count && method == counted_by);
@@ -155,10 +164,11 @@ struct CoverageCell {
 }
 
 /// `sum` / `count` / `avg` × AQP / CORR on `base_cube` and the join view,
-/// under insert-only, update-only and mixed deltas, each answered after
-/// `seeds` independent cleanings. Each view is built once and resampled per
-/// seed. Update-only deltas move no key, so the samples' pairing matches
-/// every row and a correction is paired differences alone.
+/// and `sum` / `count` on V21 (cleaned through its auxiliary table), under
+/// insert-only, update-only and mixed deltas, each answered after `seeds`
+/// independent cleanings. Each view is built once and resampled per seed.
+/// Update-only deltas move no key, so the samples' pairing matches every row
+/// and a correction is paired differences alone.
 fn svc_view_coverage_cells(seeds: u64) -> Vec<CoverageCell> {
     let data = TpcdData::generate(TpcdConfig { scale: 0.01, skew: 2.0, seed: 42 }).unwrap();
     let mixed = data.updates(0.1, 7).unwrap();
@@ -168,11 +178,16 @@ fn svc_view_coverage_cells(seeds: u64) -> Vec<CoverageCell> {
         ("mixed", mixed),
     ];
     let mut cells = Vec::new();
-    for (id, plan, measure) in
-        [("cube", base_cube(), "revenue"), ("joinView", join_view(), "l_extendedprice")]
-    {
+    let v21 = complex_views().into_iter().find(|v| v.id == "V21").unwrap().plan;
+    let all = |measure: &str| {
+        vec![AggQuery::sum(col(measure)), AggQuery::count(), AggQuery::avg(col(measure))]
+    };
+    for (id, plan, queries) in [
+        ("cube", base_cube(), all("revenue")),
+        ("joinView", join_view(), all("l_extendedprice")),
+        ("V21", v21, vec![AggQuery::sum(col("suppliers")), AggQuery::count()]),
+    ] {
         let mut svc = SvcView::create(id, plan, &data.db, SvcConfig::with_ratio(0.1)).unwrap();
-        let queries = [AggQuery::sum(col(measure)), AggQuery::count(), AggQuery::avg(col(measure))];
         let first = cells.len();
         for (sign, deltas) in &delta_sets {
             for q in &queries {

@@ -664,6 +664,83 @@ fn fallback_failure_quarantines_whole_pending_and_recovers() {
     assert!(!v.is_dirty() && pipeline.quarantined().is_empty());
 }
 
+/// The V21 shape over `log`: how many videos have each session count. Its
+/// inner γ is an auxiliary table, committed with the view.
+fn nested_view() -> Plan {
+    Plan::scan("log")
+        .aggregate(&["videoId"], vec![AggSpec::count_all("c")])
+        .aggregate(&["c"], vec![AggSpec::count_all("videos")])
+}
+
+/// Auxiliary-table atomicity, 64 seeds per commit path: a nested view's
+/// `maintain` (failing at `VIEW_MAINTAIN` or a table mutation) and its
+/// pipeline fallback (failing at `BATCH_FALLBACK`, dispatch or a table
+/// mutation) either commit the view and its auxiliary table together — both
+/// bit-identical to the failure-free run, both one epoch on — or leave both
+/// at their pre-maintain epoch and rows; a clean re-run then converges.
+#[test]
+fn auxiliary_tables_commit_with_their_view_or_not_at_all() {
+    let _g = chaos_guard();
+    let db = chaos_db();
+    let view = MaterializedView::create("n", nested_view(), &db).unwrap();
+    let deltas = log_stream(&db, 300);
+    let state = |v: &MaterializedView| {
+        let aux = v.auxiliary().expect("a nested view has an auxiliary table");
+        (v.epoch(), aux.epoch(), v.table().clone(), aux.table().clone())
+    };
+    let mut expected = view.clone();
+    expected.maintain(&db, &deltas).unwrap();
+    let (_, _, expected_view, expected_aux) = state(&expected);
+
+    let paths: [(&str, &[&'static str]); 2] = [
+        ("maintain", &[site::VIEW_MAINTAIN, site::TABLE_MUTATE]),
+        ("pipeline", &[site::BATCH_FALLBACK, site::POOL_DISPATCH, site::TABLE_MUTATE]),
+    ];
+    let base = base_seed();
+    for (path, sites) in paths {
+        let (mut injected_runs, mut commit_site_fired) = (0u64, 0u64);
+        for i in 0..64u64 {
+            let seed = base.wrapping_mul(1_000_003).wrapping_add(i);
+            let schedule = fault::seeded_schedule(seed, sites, 3);
+            let pipeline = BatchPipeline::new(2);
+            let mut v = view.clone();
+            let (epoch, aux_epoch, pre_view, pre_aux) = state(&v);
+            let run = |v: &mut MaterializedView| match path {
+                "maintain" => v.maintain(&db, &deltas).map(drop),
+                _ => pipeline.maintain(&db, v, &deltas, BATCH).map(drop),
+            };
+
+            fault::apply_schedule(&schedule);
+            let fires_before = fault::fires_total();
+            let outcome = catch_unwind(AssertUnwindSafe(|| run(&mut v)));
+            let fired = fault::fires_total() - fires_before;
+            commit_site_fired += fault::fired(sites[0]);
+            fault::clear_all();
+            injected_runs += u64::from(fired > 0);
+
+            let (e, ae, table, aux) = state(&v);
+            if matches!(outcome, Ok(Ok(()))) {
+                assert_eq!((e, ae), (epoch + 1, aux_epoch + 1), "seed {seed} {path}: one commit");
+                assert!(table.same_contents(&expected_view), "seed {seed} {path}: view diverged");
+                assert!(aux.same_contents(&expected_aux), "seed {seed} {path}: aux diverged");
+                continue;
+            }
+            if let Ok(Err(err)) = &outcome {
+                assert!(err.to_string().contains("failpoint"), "seed {seed}: {err}");
+            }
+            assert_eq!((e, ae), (epoch, aux_epoch), "seed {seed} {path} ({schedule:?}): committed");
+            assert!(table.same_contents(&pre_view), "seed {seed} {path}: the view moved");
+            assert!(aux.same_contents(&pre_aux), "seed {seed} {path}: the auxiliary table moved");
+
+            run(&mut v).unwrap_or_else(|e| panic!("seed {seed} {path}: clean re-run failed: {e}"));
+            let (_, _, table, aux) = state(&v);
+            assert!(table.same_contents(&expected_view) && aux.same_contents(&expected_aux));
+        }
+        assert!(injected_runs >= 16, "{path}: only {injected_runs}/64 schedules fired");
+        assert!(commit_site_fired > 0, "{path}: `{}` never fired", sites[0]);
+    }
+}
+
 /// Cost shape of the single plan walker: `EXEC_MORSEL` sits on the
 /// scheduler fan-out, so a run that splits nothing — sequential, or a
 /// morsel mode whose every input fits one morsel — never passes it, while

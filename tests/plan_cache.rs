@@ -18,6 +18,8 @@ use stale_view_cleaning::relalg::scalar::col;
 use stale_view_cleaning::relalg::verify;
 use stale_view_cleaning::sampling::operator::sample_by_key;
 use stale_view_cleaning::storage::{DataType, Database, Deltas, HashSpec, Schema, Table, Value};
+use stale_view_cleaning::workloads::tpcd::{TpcdConfig, TpcdData};
+use stale_view_cleaning::workloads::tpcd_views::complex_views;
 
 fn video_schema(extra: bool) -> Schema {
     let mut cols =
@@ -279,4 +281,46 @@ fn a_failed_build_stores_nothing() {
     // The same signature without η plans, stores and maintains.
     view.clone().maintain(&db, &deltas).unwrap();
     assert_eq!(view.plan_metrics(), PlanMetrics { built: 1, hits: 0, entries: 1 });
+}
+
+/// A nested aggregate view's delta plans read its auxiliary table: a second
+/// clean and a second maintain of a planned signature are hits — under the
+/// `verify` feature each hit is rebuilt and run again with the auxiliary
+/// leaf bound — and a rebuild under a new statistics generation cleans to
+/// the same rows as the hit.
+#[test]
+fn a_nested_view_replays_its_plans_and_a_rebuild_lands_the_same_rows() {
+    let data = TpcdData::generate(TpcdConfig { scale: 0.01, skew: 2.0, seed: 42 }).unwrap();
+    let db = &data.db;
+    let v21 = complex_views().into_iter().find(|v| v.id == "V21").unwrap().plan;
+    let svc = SvcView::create("V21", v21, db, SvcConfig::with_ratio(0.5)).unwrap();
+    let (d1, d2) = (data.updates(0.1, 7).unwrap(), data.updates(0.05, 9).unwrap());
+    assert_eq!(DeltaInfo::of(&d1), DeltaInfo::of(&d2), "setup: one signature, two delta sets");
+    let catalog = Catalog::build(db);
+
+    let first = svc.clean_sample_with(db, &d1, Some(&catalog)).unwrap();
+    assert_corresponds(&svc, db, &d1, &first.canonical);
+    let (optimizes, before) = (optimize_count(), svc.metrics());
+    let hit = svc.clean_sample_with(db, &d2, Some(&catalog)).unwrap();
+    assert_no_optimizer_run_since(optimizes);
+    assert_eq!(
+        (hit.plan_kind, svc.metrics().plan_hits),
+        (PlanKind::ChangeTable, before.plan_hits + 1)
+    );
+    assert_corresponds(&svc, db, &d2, &hit.canonical);
+
+    let mut recataloged = catalog;
+    recataloged.refresh_table("lineitem", db.table("lineitem").unwrap());
+    let rebuilt = svc.clean_sample_with(db, &d2, Some(&recataloged)).unwrap();
+    assert_eq!(svc.metrics().plans_built, before.plans_built + 1, "a new generation rebuilds");
+    assert!(rebuilt.canonical.same_contents(&hit.canonical), "the rebuild lands the hit's rows");
+
+    for deltas in [&d1, &d2] {
+        let mut ivm = svc.view.clone();
+        assert_eq!(ivm.maintain(db, deltas).unwrap(), PlanKind::ChangeTable);
+        let expected = svc.view.recompute_fresh(db, deltas).unwrap();
+        assert!(ivm.table().same_contents(&expected));
+    }
+    let m = svc.view.plan_metrics();
+    assert_eq!((m.built, m.hits), (before.plans_built + 2, before.plan_hits + 2));
 }

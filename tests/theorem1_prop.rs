@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use stale_view_cleaning::catalog::Catalog;
 use stale_view_cleaning::core::svc::CleanedSample;
 use stale_view_cleaning::core::{maintenance_stats, SvcConfig, SvcView};
-use stale_view_cleaning::ivm::strategy::{view_delta, PlanKind, ViewDelta};
+use stale_view_cleaning::ivm::strategy::{view_delta, PlanKind, ViewDelta, AUX_LEAF};
 use stale_view_cleaning::ivm::view::maintenance_bindings;
 use stale_view_cleaning::ivm::DeltaInfo;
 use stale_view_cleaning::relalg::aggregate::{AggFunc, AggSpec};
@@ -280,11 +280,13 @@ fn fold_cleaning_equals_the_cleaning_plan_on_the_conviva_views() {
     assert!(folded >= 4 * 18, "the single-aggregate views must take the fold path: {folded}");
 }
 
-/// Recomputed views that name a collided right-side column: `log ⋈ video`
-/// grouped by `video.owner`, with a median and as a nested γ. Recomputation
-/// joins `video`'s new state `(video ▷ ∇video) ∪ ∆video`, which must name
-/// the column `video.owner` as `video` itself does. Both maintain and clean
-/// to the recomputed view, with and without `video` deletions.
+/// Views that name a collided right-side column: `log ⋈ video` grouped by
+/// `video.owner`, with a median and as a nested γ. The median recomputes,
+/// joining `video`'s new state `(video ▷ ∇video) ∪ ∆video`, which must name
+/// the column `video.owner` as `video` itself does. The nested γ takes its
+/// change table through its auxiliary table, keyed by the inner γ's
+/// `video.owner` and `videoId`. Both maintain and clean to the recomputed
+/// view, with and without `video` deletions.
 #[test]
 fn recomputed_views_resolve_collided_right_columns() {
     let mut db = Database::new();
@@ -343,14 +345,20 @@ fn recomputed_views_resolve_collided_right_columns() {
     with.update(&db, "video", vec![Value::Int(12), Value::Int(5), Value::Float(8.5)]).unwrap();
 
     for deltas in [without, with] {
-        for (id, plan) in [("median", median.clone()), ("nested", nested.clone())] {
+        for (id, plan, kind) in [
+            ("median", median.clone(), PlanKind::Recompute),
+            ("nested", nested.clone(), PlanKind::ChangeTable),
+        ] {
             let mut view = SvcView::create(id, plan, &db, SvcConfig::with_ratio(0.5)).unwrap().view;
             let fresh = view.recompute_fresh(&db, &deltas).unwrap();
-            assert_eq!(view.maintain(&db, &deltas).unwrap(), PlanKind::Recompute, "{id}");
+            assert_eq!(view.maintain(&db, &deltas).unwrap(), kind, "{id}");
             assert!(view.table().approx_same_contents(&fresh, 1e-9), "{id}: maintained");
         }
-        let views = vec![("median", median.clone()), ("nested", nested.clone())];
-        assert_eq!(assert_views_clean_like_their_plans(&db, views, &deltas), 0, "all recompute");
+        let median = vec![("median", median.clone())];
+        assert_eq!(assert_views_clean_like_their_plans(&db, median, &deltas), 0, "recomputes");
+        // Three delta signs × four configs × catalog on and off, every one folded.
+        let nested = vec![("nested", nested.clone())];
+        assert_eq!(assert_views_clean_like_their_plans(&db, nested, &deltas), 24, "folds");
     }
 }
 
@@ -435,12 +443,14 @@ fn display_copies(svc: &SvcView) -> usize {
 /// Cost shape, no wall clock: cleaning a view under mixed `lineitem` +
 /// `orders` deltas reads every leaf — each `__ins.*` / `__del.*` relation and
 /// each base table — at most as often as the two sides of its keyed pair name
-/// it (γ(∆) plus γ(∇) for V5, ∆V plus ∇V for the join view; fewer where a
-/// join of disjoint key ranges is answered empty unread), never reads
-/// `__stale`, and clones one table (the stale sample). The same bound holds
-/// for full maintenance. (The merge plan read each delta join nine times to
-/// clean and three times to maintain; the SPJ plan scanned the stale view.)
-/// A recomputed view (V21) clones nothing and never reads `__stale` either.
+/// it (γ(∆) plus γ(∇) for V5, ∆V plus ∇V for the join view, the touched
+/// inner groups for V21; fewer where a join of disjoint key ranges is
+/// answered empty unread), never reads `__stale`, and clones one table (the
+/// stale sample). The same bound holds for full maintenance. (The merge plan
+/// read each delta join nine times to clean and three times to maintain; the
+/// SPJ plan scanned the stale view.) V21's sides name only its `lineitem`
+/// deltas and its auxiliary table: neither a clean nor a maintain reads
+/// `lineitem` (they used to recompute it whole).
 #[test]
 fn cleaning_and_maintaining_evaluate_each_change_table_once() {
     let data = TpcdData::generate(TpcdConfig { scale: 0.01, skew: 2.0, seed: 42 }).unwrap();
@@ -455,7 +465,7 @@ fn cleaning_and_maintaining_evaluate_each_change_table_once() {
     for (id, plan) in [("V5", complex("V5")), ("joinView", join_view()), ("V21", complex("V21"))] {
         let svc = SvcView::create(id, plan, db, SvcConfig::with_ratio(0.2)).unwrap();
         // What one evaluation of each side reads, and the one clone a fold
-        // makes; a recompute is only held to never reading `__stale`.
+        // makes.
         let once = match view_delta(svc.view.canonical(), &svc.view.maint_catalog(db), &info) {
             Ok(ViewDelta::Keyed { change, .. }) => {
                 let mut once: BTreeMap<String, u64> = BTreeMap::new();
@@ -466,21 +476,21 @@ fn cleaning_and_maintaining_evaluate_each_change_table_once() {
                 }
                 assert!(once.keys().any(|leaf| leaf.starts_with("__ins.")), "{id}: {once:?}");
                 assert!(once.keys().any(|leaf| leaf.starts_with("__del.")), "{id}: {once:?}");
-                Some(once)
+                once
             }
-            Ok(ViewDelta::Recompute(_)) => None,
-            other => panic!("{id}: the deltas reach the view, got {other:?}"),
+            other => panic!("{id}: a keyed pair, got {other:?}"),
         };
-        assert_eq!(once.is_none(), id == "V21", "{id}");
+        if id == "V21" {
+            let leaves: Vec<&str> = once.keys().map(String::as_str).collect();
+            assert_eq!(leaves, [AUX_LEAF, "__del.lineitem", "__ins.lineitem"], "{id}");
+        }
         let check = |what: &str, scans: BTreeMap<String, u64>, clones: usize| {
             assert!(!scans.contains_key("__stale"), "{id} {what}: {scans:?}");
-            if let Some(once) = &once {
-                for (leaf, n) in &scans {
-                    let named = once.get(leaf).copied().unwrap_or(0);
-                    assert!(*n <= named, "{id} {what}: `{leaf}` read {n}× but named {named}×");
-                }
+            for (leaf, n) in &scans {
+                let named = once.get(leaf).copied().unwrap_or(0);
+                assert!(*n <= named, "{id} {what}: `{leaf}` read {n}× but named {named}×");
             }
-            assert_eq!(clones, usize::from(once.is_some()), "{id} {what}: the one folded copy");
+            assert_eq!(clones, 1, "{id} {what}: the one folded copy");
         };
         let display_copy = display_copies(&svc);
 
