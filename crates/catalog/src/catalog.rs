@@ -208,7 +208,7 @@ mod tests {
             deltas.insert(&db, "t", vec![Value::Int(i), Value::Float(7.0)]).unwrap();
         }
         for i in 0..20i64 {
-            deltas.delete(&db, "t", &vec![Value::Int(i), Value::Null]).unwrap();
+            deltas.delete(&db, "t", &[Value::Int(i), Value::Null]).unwrap();
         }
         cat.commit_deltas(&mut db, &mut deltas).unwrap();
         assert!(deltas.is_empty(), "commit drains the deltas");
@@ -228,7 +228,7 @@ mod tests {
         let mut cat = Catalog::build(&db);
         let mut deltas = Deltas::new();
         for i in 0..120i64 {
-            deltas.delete(&db, "t", &vec![Value::Int(i), Value::Null]).unwrap();
+            deltas.delete(&db, "t", &[Value::Int(i), Value::Null]).unwrap();
         }
         cat.commit_deltas(&mut db, &mut deltas).unwrap();
         let s = cat.stats("t").unwrap();
@@ -246,7 +246,7 @@ mod tests {
         let mut cat = Catalog::build(&db);
         let mut deltas = Deltas::new();
         for i in 0..30i64 {
-            deltas.delete(&db, "t", &vec![Value::Int(i), Value::Null]).unwrap();
+            deltas.delete(&db, "t", &[Value::Int(i), Value::Null]).unwrap();
         }
         cat.commit_deltas(&mut db, &mut deltas).unwrap();
         let s = cat.stats("t").unwrap();

@@ -16,7 +16,7 @@
 //!   extremum cannot be un-seen without a rescan. [`TableStats::staleness`]
 //!   reports the deleted fraction so the catalog can schedule a rebuild.
 
-use svc_storage::{DataType, Row, Schema, Table, Value};
+use svc_storage::{DataType, Schema, Table, Value};
 
 use crate::histogram::Histogram;
 use crate::sketch::DistinctSketch;
@@ -83,7 +83,7 @@ impl TableStats {
             })
             .collect();
         for row in table.rows() {
-            for (c, v) in cols.iter_mut().zip(row) {
+            for (c, v) in cols.iter_mut().zip(row.iter()) {
                 observe(c, v);
             }
         }
@@ -93,7 +93,7 @@ impl TableStats {
             }
         }
         for row in table.rows() {
-            for (c, v) in cols.iter_mut().zip(row) {
+            for (c, v) in cols.iter_mut().zip(row.iter()) {
                 if let (Some(h), Some(x)) = (c.histogram.as_mut(), v.as_f64()) {
                     h.add(x);
                 }
@@ -132,10 +132,10 @@ impl TableStats {
     }
 
     /// Fold inserted rows into the stats.
-    pub fn apply_inserts(&mut self, rows: &[Row]) {
+    pub fn apply_inserts<R: AsRef<[Value]>>(&mut self, rows: &[R]) {
         self.rows += rows.len() as u64;
         for row in rows {
-            for (c, v) in self.cols.iter_mut().zip(row) {
+            for (c, v) in self.cols.iter_mut().zip(row.as_ref()) {
                 observe(c, v);
                 if let (Some(h), Some(x)) = (c.histogram.as_mut(), v.as_f64()) {
                     h.add(x);
@@ -146,11 +146,11 @@ impl TableStats {
 
     /// Fold deleted rows out of the stats. Counts and histogram cells are
     /// exact; min/max and the sketch stay as conservative bounds.
-    pub fn apply_deletes(&mut self, rows: &[Row]) {
+    pub fn apply_deletes<R: AsRef<[Value]>>(&mut self, rows: &[R]) {
         self.rows = self.rows.saturating_sub(rows.len() as u64);
         self.deleted_since_build += rows.len() as u64;
         for row in rows {
-            for (c, v) in self.cols.iter_mut().zip(row) {
+            for (c, v) in self.cols.iter_mut().zip(row.as_ref()) {
                 if v.is_null() {
                     c.nulls = c.nulls.saturating_sub(1);
                 }

@@ -795,7 +795,7 @@ mod tests {
             deltas.insert(db, "log", vec![Value::Int(s), Value::Int(s % 80)]).unwrap();
         }
         for s in 0..n / 10 {
-            deltas.delete(db, "log", &vec![Value::Int(s * 7), Value::Null]).unwrap();
+            deltas.delete(db, "log", &[Value::Int(s * 7), Value::Null]).unwrap();
         }
         deltas
     }
@@ -837,7 +837,7 @@ mod tests {
         }
         let mut video_churn = video_deltas.clone();
         for v in (0..80i64).step_by(7) {
-            video_churn.delete(&db, "video", &vec![Value::Int(v), Value::Null]).unwrap();
+            video_churn.delete(&db, "video", &[Value::Int(v), Value::Null]).unwrap();
         }
         let cfg = conviva::ConvivaConfig { base_events: 2_000, ..Default::default() };
         let conviva_db = conviva::generate(cfg).unwrap();
@@ -1008,7 +1008,7 @@ mod tests {
         for s in 2_000..2_040i64 {
             deltas.insert(&db, "log", vec![Value::Int(s), Value::Int(s % 80)]).unwrap();
         }
-        deltas.delete(&db, "log", &vec![Value::Int(7), Value::Null]).unwrap();
+        deltas.delete(&db, "log", &[Value::Int(7), Value::Null]).unwrap();
         let mut signatures: Vec<DeltaInfo> = Vec::new();
         for info in deltas.clone().partition(4).iter().map(DeltaInfo::of) {
             if !signatures.contains(&info) {
@@ -1228,7 +1228,7 @@ mod tests {
                 .unwrap();
         }
         for id in (0..90i64).map(|i| i * 601).chain([7_000, 27_000, 47_000]) {
-            deltas.delete(&db, "events", &vec![Value::Int(id), Value::Null, Value::Null]).unwrap();
+            deltas.delete(&db, "events", &[Value::Int(id), Value::Null, Value::Null]).unwrap();
         }
         let expected = view.recompute_fresh(&db, &deltas).unwrap();
         assert!(expected.get(&svc_storage::KeyTuple(vec![Value::Int(7_000)])).is_none());

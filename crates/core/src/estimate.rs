@@ -22,14 +22,15 @@
 //! two samples, not on the query, so it is built once per cleaned sample
 //! and a burst of queries over it hashes no key. Rows are visited in table
 //! order, so every sum — and with it every estimate — is bit-repeatable.
-//! Order statistics (the bootstrap's statistic and its percentile bounds)
-//! are found by selection, not sorting.
+//! The bootstrap reads each resample's quantile off rank counts over the
+//! sample sorted once (`svc_stats::bootstrap`); its percentile bounds are
+//! found by selection, not sorting.
 
-use svc_stats::bootstrap::{bootstrap_ci, bootstrap_paired_diff};
+use svc_stats::bootstrap::{bootstrap_quantile_ci, bootstrap_quantile_paired_diff};
 use svc_stats::cantelli::cantelli_exceedance;
 use svc_stats::clt::{horvitz_thompson_interval, mean_interval, ConfidenceInterval};
 use svc_stats::moments::Moments;
-use svc_stats::quantile::quantile_in_place;
+use svc_stats::quantile::{quantile, quantile_in_place};
 use svc_storage::{Result, StorageError, Table};
 
 use crate::config::SvcConfig;
@@ -258,20 +259,30 @@ impl Correspondence {
         stale_result: Option<f64>,
         cfg: &SvcConfig,
     ) -> (f64, Option<f64>) {
-        let statistic = |xs: &[f64]| aggregate(agg, xs.iter().copied());
+        let level = agg.quantile_level().expect("an order statistic is a quantile");
         let clean: Vec<f64> = self.clean().collect();
         let Some(stale_result) = stale_result else {
-            let ci =
-                bootstrap_ci(&clean, statistic, cfg.bootstrap_iterations, cfg.confidence, cfg.seed);
+            let ci = bootstrap_quantile_ci(
+                &clean,
+                level,
+                cfg.bootstrap_iterations,
+                cfg.confidence,
+                cfg.seed,
+            );
             return (ci.estimate, Some(ci.half_width));
         };
         let stale: Vec<f64> = self.stale().collect();
         if stale.is_empty() {
             return (stale_result, None);
         }
-        let value = stale_result + (statistic(&clean) - statistic(&stale));
-        let mut dist =
-            bootstrap_paired_diff(&clean, &stale, statistic, cfg.bootstrap_iterations, cfg.seed);
+        let value = stale_result + (quantile(&clean, level) - quantile(&stale, level));
+        let mut dist = bootstrap_quantile_paired_diff(
+            &clean,
+            &stale,
+            level,
+            cfg.bootstrap_iterations,
+            cfg.seed,
+        );
         let alpha = 1.0 - cfg.confidence;
         let lo = quantile_in_place(&mut dist, alpha / 2.0);
         let hi = quantile_in_place(&mut dist, 1.0 - alpha / 2.0);
@@ -555,7 +566,7 @@ mod tests {
         skip: &[&Table],
         q: &AggQuery,
     ) -> Vec<(Option<u64>, Option<u64>)> {
-        let value = |t: &Table, row: &svc_storage::Row| {
+        let value = |t: &Table, row: &[svc_storage::Value]| {
             let attr = q.attr.bind(t.schema()).unwrap();
             let pred = q.predicate.as_ref().map(|p| p.bind(t.schema()).unwrap());
             let hit = pred.is_none_or(|p| p.matches(row));

@@ -98,7 +98,7 @@ impl OutlierIndex {
         };
 
         // Single pass with capacity-bounded eviction of the smallest record.
-        let mut kept: Vec<(f64, svc_storage::Row)> = Vec::new();
+        let mut kept: Vec<(f64, svc_storage::SharedRow)> = Vec::new();
         for row in state.rows() {
             let Some(x) = row[attr_idx].as_f64() else { continue };
             if x >= threshold {

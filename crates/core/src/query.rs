@@ -53,6 +53,16 @@ impl QueryAgg {
     pub fn is_sample_mean(&self) -> bool {
         matches!(self, QueryAgg::Sum | QueryAgg::Count | QueryAgg::Avg)
     }
+
+    /// The quantile level of `median` (0.5) or `percentile(p)` (`p`);
+    /// `None` for every other aggregate.
+    pub fn quantile_level(&self) -> Option<f64> {
+        match *self {
+            QueryAgg::Median => Some(0.5),
+            QueryAgg::Percentile(p) => Some(p),
+            _ => None,
+        }
+    }
 }
 
 /// An aggregate query, written over a view's public schema. It evaluates
@@ -176,7 +186,7 @@ pub(crate) fn aggregate(agg: QueryAgg, values: impl Iterator<Item = f64>) -> f64
             if values.is_empty() {
                 return f64::NAN;
             }
-            quantile_in_place(&mut values, if let QueryAgg::Percentile(p) = agg { p } else { 0.5 })
+            quantile_in_place(&mut values, agg.quantile_level().expect("a quantile"))
         }
     }
 }

@@ -471,9 +471,9 @@ mod tests {
                 .insert(db, "video", vec![Value::Int(v), Value::Int(2), Value::Float(9.0)])
                 .unwrap();
         }
-        deltas.delete(db, "log", &vec![Value::Int(3), Value::Null, Value::Null]).unwrap();
+        deltas.delete(db, "log", &[Value::Int(3), Value::Null, Value::Null]).unwrap();
         deltas.update(db, "log", vec![Value::Int(5), Value::Int(49), Value::Int(6)]).unwrap();
-        deltas.delete(db, "video", &vec![Value::Int(7), Value::Null, Value::Null]).unwrap();
+        deltas.delete(db, "video", &[Value::Int(7), Value::Null, Value::Null]).unwrap();
         for v in [11i64, 49] {
             deltas
                 .update(db, "video", vec![Value::Int(v), Value::Int(4), Value::Float(0.5)])

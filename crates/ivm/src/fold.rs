@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 
 use svc_relalg::scalar::{BoundExpr, Expr};
-use svc_storage::{Field, KeyTuple, Result, Row, Schema, StorageError, Table};
+use svc_storage::{Field, KeyTuple, Result, Row, Schema, SharedRow, StorageError, Table, Value};
 
 use crate::canon::{AggShape, Canonical};
 use crate::delta::Signed;
@@ -63,7 +63,7 @@ struct GroupMerge {
 /// first-touch order so applying them is deterministic.
 #[derive(Debug, Default)]
 pub struct StagedEdits {
-    edits: Vec<(KeyTuple, Option<Row>)>,
+    edits: Vec<(KeyTuple, Option<SharedRow>)>,
     index: HashMap<KeyTuple, usize>,
 }
 
@@ -76,7 +76,11 @@ impl StagedEdits {
 
     /// The row under `key` as staged so far — staged edits overlay the target
     /// — and the key's edit slot, if it was touched before.
-    fn lookup<'a>(&'a self, target: &'a Table, key: &KeyTuple) -> (Option<usize>, Option<&'a Row>) {
+    fn lookup<'a>(
+        &'a self,
+        target: &'a Table,
+        key: &KeyTuple,
+    ) -> (Option<usize>, Option<&'a SharedRow>) {
         match self.index.get(key) {
             Some(&slot) => (Some(slot), self.edits[slot].1.as_ref()),
             None => (None, target.get(key)),
@@ -85,7 +89,7 @@ impl StagedEdits {
 
     /// Stage `next` as the row under `key`, given what [`Self::lookup`] found
     /// there: its slot and whether it `held` a row.
-    fn set(&mut self, slot: Option<usize>, key: KeyTuple, next: Option<Row>, held: bool) {
+    fn set(&mut self, slot: Option<usize>, key: KeyTuple, next: Option<SharedRow>, held: bool) {
         match slot {
             Some(slot) => self.edits[slot].1 = next,
             // A dead key the target never held needs no edit.
@@ -112,12 +116,12 @@ fn bind_all(columns: &[(String, Expr)], fields: Vec<Field>) -> Result<Vec<BoundE
 fn keyed_rows<'a>(
     side: &'a Option<Table>,
     key: &'a [usize],
-) -> impl Iterator<Item = (KeyTuple, &'a Row)> {
+) -> impl Iterator<Item = (KeyTuple, &'a SharedRow)> {
     side.iter().flat_map(|t| t.rows()).map(move |row| (KeyTuple::of(row, key), row))
 }
 
 /// `exprs` over `left` followed by `right`, laid out in `scratch`.
-fn beside(scratch: &mut Row, left: &Row, right: &Row, exprs: &[BoundExpr]) -> Row {
+fn beside(scratch: &mut Row, left: &[Value], right: &[Value], exprs: &[BoundExpr]) -> Row {
     scratch.clear();
     scratch.extend_from_slice(left);
     scratch.extend_from_slice(right);
@@ -199,11 +203,11 @@ impl KeyedFold {
         let mut scratch: Row = Vec::with_capacity(2 * self.width);
         let keyed = |side| keyed_rows(side, &self.key);
         // A change row carries its group's key through unchanged.
-        let mut stage_row = |key: KeyTuple, delta: &Row, scratch: &mut Row| {
+        let mut stage_row = |key: KeyTuple, delta: &[Value], scratch: &mut Row| {
             let (slot, current) = staged.lookup(target, &key);
-            let next = match current {
-                Some(current) => beside(scratch, current, delta, &rule.merged),
-                None => delta.clone(),
+            let next: SharedRow = match current {
+                Some(current) => beside(scratch, current, delta, &rule.merged).into(),
+                None => delta.into(),
             };
             let held = current.is_some();
             staged.set(slot, key, rule.live.matches(&next).then_some(next), held);
@@ -221,7 +225,7 @@ impl KeyedFold {
             if change.ins.as_ref().is_some_and(|ins| ins.contains_key(&key)) {
                 continue;
             }
-            let negated = rule.negated.iter().map(|e| e.eval(row)).collect();
+            let negated: Row = rule.negated.iter().map(|e| e.eval(row)).collect();
             stage_row(key, &negated, &mut scratch);
         }
     }
@@ -239,7 +243,7 @@ impl KeyedFold {
         // must be the row already there (the plan form's `DuplicateKey`).
         // Checked before anything is staged.
         let survives = |key: &KeyTuple| !change.del.as_ref().is_some_and(|d| d.contains_key(key));
-        let clash = |(key, row): &(KeyTuple, &Row)| {
+        let clash = |(key, row): &(KeyTuple, &SharedRow)| {
             survives(key) && staged.lookup(target, key).1.is_some_and(|held| held != *row)
         };
         if let Some((key, _)) = keyed(&change.ins).find(clash) {
@@ -361,7 +365,7 @@ mod tests {
     }
 
     /// The exact negation of `row`'s aggregates: folding it kills the group.
-    fn negated(row: &Row) -> Row {
+    fn negated(row: &[Value]) -> Row {
         let mut out = row[..2].to_vec();
         out.extend(row[2..].iter().map(|v| match v {
             Value::Int(i) => Value::Int(-i),
@@ -454,7 +458,7 @@ mod tests {
         (ids, change_rows, n_changes): (u64, usize, usize),
     ) -> Vec<Signed<Table>> {
         let empty = || Table::with_key_indices(like.schema.clone(), like.key.clone()).unwrap();
-        let put = |side: &mut Table, row: Row| drop(side.upsert(row).unwrap());
+        let put = |side: &mut Table, row: SharedRow| drop(side.upsert(row).unwrap());
         let mut held = stale.clone();
         (0..n_changes)
             .map(|_| {
@@ -466,15 +470,15 @@ mod tests {
                     let fresh = t_row(rng, like, id);
                     match (current, sides, rng.below(3)) {
                         // ∆V alone: a new key, or the row the view holds.
-                        (None, 0, _) | (None, 2, 1..) => put(&mut ins, fresh),
+                        (None, 0, _) | (None, 2, 1..) => put(&mut ins, fresh.into()),
                         (Some(row), 0, _) | (Some(row), 2, 1) => put(&mut ins, row),
                         // ∇V: a held row, or a key the view does not hold.
-                        (None, ..) => put(&mut del, fresh),
+                        (None, ..) => put(&mut del, fresh.into()),
                         (Some(row), 1, _) | (Some(row), 2, 0) => put(&mut del, row),
                         // An update: the key on both sides.
                         (Some(row), ..) => {
                             put(&mut del, row);
-                            put(&mut ins, fresh);
+                            put(&mut ins, fresh.into());
                         }
                     }
                 }

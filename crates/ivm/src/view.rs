@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use svc_storage::{Database, Deltas, HashSpec, Result, StorageError, Table};
+use svc_storage::{Database, Deltas, HashSpec, Result, SharedRow, StorageError, Table};
 
 use svc_relalg::derive::{derive_project, Derived};
 use svc_relalg::eval::{evaluate, Bindings};
@@ -557,8 +557,8 @@ pub fn project_table(table: &Table, columns: Option<&[(String, Expr)]>) -> Resul
     let out = derive_project(&input, columns)?;
     let bound: Vec<_> =
         columns.iter().map(|(_, e)| e.bind(table.schema())).collect::<Result<_>>()?;
-    let rows = table.rows().iter().map(|r| bound.iter().map(|e| e.eval(r)).collect()).collect();
-    Table::from_rows(out.schema, out.key, rows)
+    let rows = table.rows().iter().map(|r| bound.iter().map(|e| e.eval(r)).collect());
+    Table::from_rows(out.schema, out.key, rows.collect::<Vec<SharedRow>>())
 }
 
 #[cfg(test)]
@@ -628,7 +628,7 @@ mod tests {
                 .unwrap();
         }
         for s in 0..30i64 {
-            deltas.delete(db, "log", &vec![Value::Int(s * 3), Value::Null]).unwrap();
+            deltas.delete(db, "log", &[Value::Int(s * 3), Value::Null]).unwrap();
         }
         deltas.update(db, "log", vec![Value::Int(1), Value::Int(59)]).unwrap();
         deltas.update(db, "video", vec![Value::Int(10), Value::Int(5), Value::Float(9.9)]).unwrap();
@@ -675,7 +675,7 @@ mod tests {
         let victims: Vec<i64> = (0..700i64).filter(|s| (s * 13 + 7) % 60 == 0).collect();
         assert!(!victims.is_empty());
         for s in &victims {
-            deltas.delete(&db, "log", &vec![Value::Int(*s), Value::Null]).unwrap();
+            deltas.delete(&db, "log", &[Value::Int(*s), Value::Null]).unwrap();
         }
         let before = view.len();
         let expected = view.recompute_fresh(&db, &deltas).unwrap();
@@ -734,7 +734,7 @@ mod tests {
         deltas
             .insert(&db, "video", vec![Value::Int(60), Value::Int(3), Value::Float(2.5)])
             .unwrap();
-        deltas.delete(&db, "plays", &vec![Value::Int(0), Value::Int(0)]).unwrap();
+        deltas.delete(&db, "plays", &[Value::Int(0), Value::Int(0)]).unwrap();
         let expected = view.recompute_fresh(&db, &deltas).unwrap();
         assert_eq!(view.maintain(&db, &deltas).unwrap(), PlanKind::DeltaApply);
         assert!(view.table().same_contents(&expected));
@@ -775,7 +775,7 @@ mod tests {
 
         let mut view = MaterializedView::create("v", def, &db).unwrap();
         let mut with_del = Deltas::new();
-        with_del.delete(&db, "video", &vec![Value::Int(7), Value::Null, Value::Null]).unwrap();
+        with_del.delete(&db, "video", &[Value::Int(7), Value::Null, Value::Null]).unwrap();
         let expected = view.recompute_fresh(&db, &with_del).unwrap();
         let kind = view.maintain(&db, &with_del).unwrap();
         assert_eq!(kind, PlanKind::Recompute);
@@ -803,7 +803,7 @@ mod tests {
             deltas.insert(&db, "log", vec![Value::Int(s), Value::Int(s % 60)]).unwrap();
         }
         for s in 0..40i64 {
-            deltas.delete(&db, "log", &vec![Value::Int(s * 5), Value::Null]).unwrap();
+            deltas.delete(&db, "log", &[Value::Int(s * 5), Value::Null]).unwrap();
         }
         deltas.update(&db, "log", vec![Value::Int(7), Value::Int(59)]).unwrap();
         let expected = view.recompute_fresh(&db, &deltas).unwrap();

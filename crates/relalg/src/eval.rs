@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use svc_storage::{Database, Result, StorageError, Table};
+use svc_storage::{Database, Result, SharedRow, StorageError, Table};
 
 use crate::aggregate::bind_aggs;
 use crate::aggregate::run_aggregate;
@@ -88,8 +88,8 @@ pub fn evaluate_materializing(plan: &Plan, bindings: &Bindings<'_>) -> Result<Ta
             let child = evaluate_materializing(input, bindings)?;
             let out = derive_select(&derived_of(&child), predicate)?;
             let pred = predicate.bind(child.schema())?;
-            // Filtering a keyed table keeps keys unique; move the surviving
-            // rows instead of cloning them.
+            // Filtering a keyed table keeps keys unique; the surviving rows
+            // are shared, not copied.
             let mut rows = child.into_rows();
             rows.retain(|r| pred.matches(r));
             Table::from_unique_rows(out.schema, out.key, rows)
@@ -99,16 +99,15 @@ pub fn evaluate_materializing(plan: &Plan, bindings: &Bindings<'_>) -> Result<Ta
             let out = derive_project(&derived_of(&child), columns)?;
             let bound: Vec<_> =
                 columns.iter().map(|(_, e)| e.bind(child.schema())).collect::<Result<_>>()?;
-            let rows =
-                child.rows().iter().map(|r| bound.iter().map(|e| e.eval(r)).collect()).collect();
-            Table::from_rows(out.schema, out.key, rows)
+            let rows = child.rows().iter().map(|r| bound.iter().map(|e| e.eval(r)).collect());
+            Table::from_rows(out.schema, out.key, rows.collect::<Vec<SharedRow>>())
         }
         Plan::Join { left, right, kind, on } => {
             let l = evaluate_materializing(left, bindings)?;
             let r = evaluate_materializing(right, bindings)?;
             let (out, on_idx) =
                 derive_join(&derived_of(&l), &derived_of(&r), *kind, on, right.name_hint())?;
-            run_join(l, &r, *kind, &on_idx, &out)
+            run_join(&l, &r, *kind, &on_idx, &out)
         }
         Plan::Aggregate { input, group_by, aggregates } => {
             let child = evaluate_materializing(input, bindings)?;
@@ -121,14 +120,14 @@ pub fn evaluate_materializing(plan: &Plan, bindings: &Bindings<'_>) -> Result<Ta
             let l = evaluate_materializing(left, bindings)?;
             let r = evaluate_materializing(right, bindings)?;
             let out = derive_setop(&derived_of(&l), &derived_of(&r), *kind)?;
-            run_setop(*kind, l, r, &out)
+            run_setop(*kind, &l, &r, &out)
         }
         Plan::Hash { input, key, ratio, spec } => {
             let child = evaluate_materializing(input, bindings)?;
             let out = derive_hash(&derived_of(&child), key, *ratio)?;
             let key_idx = child.schema().resolve_all(key)?;
             // Hash the key columns in place (no KeyTuple allocation) and
-            // move the selected rows through.
+            // share the selected rows.
             let mut rows = child.into_rows();
             rows.retain(|r| spec.selects_row(r, &key_idx, *ratio));
             Table::from_unique_rows(out.schema, out.key, rows)

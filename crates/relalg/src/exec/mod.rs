@@ -234,6 +234,9 @@ impl PhysicalPlan {
         m: run::OptMeter<'_>,
     ) -> Result<Table> {
         let mode = mode.resolved(&self.root, bindings);
+        if let Some(table) = run::run_shared_root(&self.root, &self.out, bindings, &mode, m)? {
+            return Ok(table);
+        }
         let rows = run::run_node(&self.root, bindings, &mode, m)?;
         run::finish_root(&self.root, &self.out, rows)
     }
@@ -420,7 +423,9 @@ mod tests {
     }
 
     /// The acceptance guarantee: a fused σ/η pipeline over a `Scan` clones
-    /// zero tables — the legacy evaluator cloned the whole base relation.
+    /// zero tables — the legacy evaluator cloned the whole base relation —
+    /// and, σ and η only dropping rows, its output shares the leaf's rows
+    /// under either kernel mode.
     #[test]
     fn fused_scan_pipeline_performs_zero_table_clones() {
         let db = video_db();
@@ -438,6 +443,13 @@ mod tests {
         assert!(out.len() < 40, "filter + hash must select");
         let expected = evaluate_materializing(&plan, &b).unwrap();
         assert!(out.same_contents(&expected));
+        let log = db.table("log").unwrap();
+        for out in [out, compiled.run_with(&b, ExecMode::sequential().rowwise()).unwrap()] {
+            assert!(out.rows().iter().all(|r| {
+                let at = log.position_of(r, log.key()).expect("a log row");
+                std::sync::Arc::ptr_eq(r, &log.rows()[at])
+            }));
+        }
     }
 
     /// FK joins against a bare base-table leaf probe its existing PK index:

@@ -49,13 +49,13 @@ fn max_partition(scattered: &[Scatter], partitions: usize) -> u64 {
 /// column set when it is a bare leaf (the scatter pass then hashes straight
 /// from typed storage); the result is bit-identical either way, and
 /// bit-identical to [`JoinBuild::with_partitions`] on one thread.
-pub(super) fn build_join_par<'r>(
-    rows: &'r [Row],
+pub(super) fn build_join_par<'r, R: AsRef<[Value]> + Sync>(
+    rows: &'r [R],
     cols: Option<&ColumnSet>,
     on_idx: &[(usize, usize)],
     partitions: usize,
     mode: &ExecMode<'_>,
-) -> Result<JoinBuild<'r>> {
+) -> Result<JoinBuild<'r, R>> {
     let right_cols: Vec<usize> = on_idx.iter().map(|&(_, r)| r).collect();
     let p = partitions.max(1).next_power_of_two();
     let mask = (p - 1) as u64;
@@ -74,6 +74,7 @@ pub(super) fn build_join_par<'r>(
             }
             None => {
                 for (i, row) in rows.iter().enumerate().take(hi).skip(lo) {
+                    let row = row.as_ref();
                     if !key_has_null(row, &right_cols) {
                         let h = spec.hash_row(row, &right_cols);
                         lists[(h & mask) as usize].push((i as u32, h));
@@ -114,9 +115,9 @@ pub(super) fn build_join_par<'r>(
 /// Scatter the concatenation `left ++ right` by whole-row hash. Equal rows
 /// always land in the same partition, so partition-local dedup decisions
 /// equal global ones.
-fn scatter_rows(
+fn scatter_rows<R: AsRef<[Value]> + Sync>(
     l: &[Row],
-    r: &[Row],
+    r: &[R],
     partitions: usize,
     mode: &ExecMode<'_>,
 ) -> Result<Vec<Scatter>> {
@@ -127,7 +128,7 @@ fn scatter_rows(
         let (lo, hi) = rs[t];
         let mut lists: Scatter = vec![Vec::new(); partitions];
         for i in lo..hi {
-            let row: &[Value] = if i < l.len() { &l[i] } else { &r[i - l.len()] };
+            let row: &[Value] = if i < l.len() { &l[i] } else { r[i - l.len()].as_ref() };
             let h = spec.hash_key(row);
             lists[(h & mask) as usize].push((i as u32, h));
         }
@@ -138,19 +139,19 @@ fn scatter_rows(
 /// A partition-local row set over the two backing slices, chained under
 /// pre-computed whole-row hashes; candidates verify by full-row equality,
 /// so hash collisions cannot conflate distinct rows.
-struct RowSet<'a> {
+struct RowSet<'a, R> {
     chains: HashMap<u64, Vec<u32>>,
     l: &'a [Row],
-    r: &'a [Row],
+    r: &'a [R],
 }
 
-impl RowSet<'_> {
+impl<R: AsRef<[Value]>> RowSet<'_, R> {
     fn at(&self, i: u32) -> &[Value] {
         let i = i as usize;
         if i < self.l.len() {
             &self.l[i]
         } else {
-            &self.r[i - self.l.len()]
+            self.r[i - self.l.len()].as_ref()
         }
     }
 
@@ -161,16 +162,10 @@ impl RowSet<'_> {
     /// Insert row `i` unless an equal row is already present; true on
     /// first occurrence.
     fn insert_if_new(&mut self, i: u32, h: u64) -> bool {
-        let chain = self.chains.entry(h).or_default();
-        if chain.iter().any(|&j| {
-            let (a, b) = (j as usize, i as usize);
-            let at =
-                |k: usize| if k < self.l.len() { &self.l[k] } else { &self.r[k - self.l.len()] };
-            at(a).as_slice() == at(b).as_slice()
-        }) {
+        if self.contains(i, h) {
             return false;
         }
-        chain.push(i);
+        self.chains.entry(h).or_default().push(i);
         true
     }
 }
@@ -239,10 +234,10 @@ pub(super) fn union_rows_par(
 /// bit-identical to [`crate::setops::intersect_rows_into`] /
 /// [`crate::setops::difference_rows_into`]. Returns the fullest
 /// partition's row count.
-pub(super) fn filter_rows_par(
+pub(super) fn filter_rows_par<R: AsRef<[Value]> + Sync>(
     intersect: bool,
     left: &mut Vec<Row>,
-    right: &[Row],
+    right: &[R],
     partitions: usize,
     mode: &ExecMode<'_>,
     out: &mut Vec<Row>,

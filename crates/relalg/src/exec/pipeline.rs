@@ -99,6 +99,15 @@ pub fn feed_borrowed(row: &[Value], ops: &[FusedOp], sink: &mut impl RowSink) {
     sink.borrowed(row);
 }
 
+/// True iff `row` passes every op of a chain that only filters (σ and η).
+pub(crate) fn keeps(row: &[Value], ops: &[FusedOp]) -> bool {
+    ops.iter().all(|op| match op {
+        FusedOp::Filter(pred) => pred.matches(row),
+        FusedOp::Hash { key_idx, ratio, spec } => spec.selects_row(row, key_idx, *ratio),
+        FusedOp::Map(_) => unreachable!("a filtering chain has no projection"),
+    })
+}
+
 /// Stream one owned row through `ops` into `sink`; the row moves all the
 /// way (projections rebuild it in place of the old one).
 pub fn feed_owned(mut row: Row, ops: &[FusedOp], sink: &mut impl RowSink) {

@@ -35,7 +35,7 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use svc_storage::{ColumnData, Result, Row, StorageError, Table, Value};
+use svc_storage::{ColumnData, Result, Row, SharedRow, StorageError, Table, Value};
 use svc_telemetry::{MetricsSink, OpMetrics, OpSlot};
 
 use crate::aggregate::GroupMap;
@@ -47,7 +47,7 @@ use crate::setops::{difference_rows_into, intersect_rows_into, union_rows_into};
 use super::batch;
 use super::column::{profitable, run_ops, ColumnChunk};
 use super::compile::{JoinRight, Node};
-use super::pipeline::{feed_borrowed, feed_owned, RowSink};
+use super::pipeline::{feed_borrowed, feed_owned, keeps, FusedOp, RowSink};
 use super::ExecMode;
 
 /// A metering handle for one plan node: the shared sink plus the node's
@@ -113,16 +113,31 @@ impl Batch<'_> {
             batch::recycle(rows);
         }
     }
-}
 
-impl std::ops::Deref for Batch<'_> {
-    type Target = [Row];
-    fn deref(&self) -> &[Row] {
+    fn len(&self) -> usize {
         match self {
-            Batch::Borrowed(t) => t.rows(),
-            Batch::Owned(rows) => rows,
+            Batch::Borrowed(t) => t.len(),
+            Batch::Owned(rows) => rows.len(),
         }
     }
+}
+
+/// Evaluate `$body` with `$rows` bound to the batch's rows: the bound
+/// table's shared rows or the owned buffer — two slice types, so `$body`
+/// is instantiated for each.
+macro_rules! with_rows {
+    ($batch:expr, $rows:ident => $body:expr) => {
+        match $batch {
+            Batch::Borrowed(t) => {
+                let $rows = t.rows();
+                $body
+            }
+            Batch::Owned(v) => {
+                let $rows = &v[..];
+                $body
+            }
+        }
+    };
 }
 
 /// Run a node for a consumer that only reads the batch. A borrowed bare
@@ -324,7 +339,7 @@ pub(super) fn run_node(
                 // per-row op dispatch. A plain copy — splitting it buys
                 // nothing.
                 let mut out = batch::take(t.len());
-                out.extend_from_slice(t.rows());
+                out.extend(t.rows().iter().map(|r| r.to_vec()));
                 out
             } else if vec && profitable(vops) {
                 // Leaf conversion: the bound table's cached columns (built
@@ -397,49 +412,53 @@ pub(super) fn run_node(
                     let rrows = run_node_ref(rnode, b, mode, child(m, 1 + left.subtree_size()))?;
                     stat.build_rows = rrows.len() as u64;
                     let parts = resolve_parts(mode.partitions, rrows.len());
-                    let build = if parts == 1 || rrows.len() <= mode.morsel {
-                        // Too small to fan out: build the shards inline —
-                        // same maps, same probe results, by construction.
-                        JoinBuild::with_partitions(&rrows, on_idx, parts)
-                    } else {
-                        // A bare leaf's partition scatter hashes its cached
-                        // columnar projection directly.
-                        let cols = match &rrows {
-                            Batch::Borrowed(t) if vec => Some(t.columns()),
-                            _ => None,
-                        };
-                        super::partition::build_join_par(
-                            &rrows,
-                            cols.as_ref(),
-                            on_idx,
-                            parts,
-                            mode,
-                        )?
-                    };
-                    stat.partitions = build.partition_count() as u64;
-                    stat.part_max_rows = build.max_partition_rows();
-                    let outs = map_chunks(mode, lrows, &mut stat, &|mut chunk| {
-                        let mut rows = batch::take(chunk.len());
-                        let mut hit: Vec<u32> = Vec::new();
-                        build.probe(&mut chunk, *kind, &left_cols, *pad_right, &mut rows, &mut hit);
-                        batch::recycle(chunk);
-                        Ok((rows, hit))
-                    })?;
-                    // Barrier: concatenate probe outputs in morsel order
-                    // and union the matched right indices.
-                    let mut matched: Vec<u32> = Vec::new();
-                    let mut out = concat(outs.into_iter().map(|(rows, hit)| {
-                        if matched.is_empty() {
-                            matched = hit;
+                    let out = with_rows!(&rrows, right_rows => {
+                        let build = if parts == 1 || rrows.len() <= mode.morsel {
+                            // Too small to fan out: build the shards inline —
+                            // same maps, same probe results, by construction.
+                            JoinBuild::with_partitions(right_rows, on_idx, parts)
                         } else {
-                            matched.extend(hit);
+                            // A bare leaf's partition scatter hashes its
+                            // cached columnar projection directly.
+                            let cols = match &rrows {
+                                Batch::Borrowed(t) if vec => Some(t.columns()),
+                                _ => None,
+                            };
+                            super::partition::build_join_par(
+                                right_rows,
+                                cols.as_ref(),
+                                on_idx,
+                                parts,
+                                mode,
+                            )?
+                        };
+                        stat.partitions = build.partition_count() as u64;
+                        stat.part_max_rows = build.max_partition_rows();
+                        let outs = map_chunks(mode, lrows, &mut stat, &|mut chunk| {
+                            let mut rows = batch::take(chunk.len());
+                            let mut hit: Vec<u32> = Vec::new();
+                            build.probe(
+                                &mut chunk, *kind, &left_cols, *pad_right, &mut rows, &mut hit,
+                            );
+                            batch::recycle(chunk);
+                            Ok((rows, hit))
+                        })?;
+                        // Barrier: concatenate probe outputs in morsel order
+                        // and union the matched right indices.
+                        let mut matched: Vec<u32> = Vec::new();
+                        let mut out = concat(outs.into_iter().map(|(rows, hit)| {
+                            if matched.is_empty() {
+                                matched = hit;
+                            } else {
+                                matched.extend(hit);
+                            }
+                            rows
+                        }));
+                        if matches!(kind, JoinKind::Right | JoinKind::Full) {
+                            build.emit_unmatched_right(&matched, *pad_left, &mut out);
                         }
-                        rows
-                    }));
-                    if matches!(kind, JoinKind::Right | JoinKind::Full) {
-                        build.emit_unmatched_right(&matched, *pad_left, &mut out);
-                    }
-                    drop(build);
+                        out
+                    });
                     rrows.recycle();
                     out
                 }
@@ -574,16 +593,16 @@ pub(super) fn run_node(
                 let intersect = matches!(kind, SetOpKind::Intersect);
                 let rrows = run_node_ref(right, b, mode, rm)?;
                 stat.rows_in += rrows.len() as u64;
-                match split(lrows.len() + rrows.len()) {
+                with_rows!(&rrows, right_rows => match split(lrows.len() + rrows.len()) {
                     Some(parts) => {
                         stat.partitions = parts as u64;
                         stat.part_max_rows = super::partition::filter_rows_par(
-                            intersect, &mut lrows, &rrows, parts, mode, &mut out,
+                            intersect, &mut lrows, right_rows, parts, mode, &mut out,
                         )?;
                     }
-                    None if intersect => intersect_rows_into(&mut lrows, &rrows, &mut out),
-                    None => difference_rows_into(&mut lrows, &rrows, &mut out),
-                }
+                    None if intersect => intersect_rows_into(&mut lrows, right_rows, &mut out),
+                    None => difference_rows_into(&mut lrows, right_rows, &mut out),
+                });
                 rrows.recycle();
             }
             batch::recycle(lrows);
@@ -631,6 +650,62 @@ fn zone_disjoint(
         (Some(None), Some(_)) | (Some(_), Some(None)) => true,
         _ => false,
     }))
+}
+
+/// Run a root fused scan whose chain only filters (σ and η, no Π) as a
+/// selection: its survivors are the bound table's own rows, so the output
+/// table shares them instead of rebuilding each one. `None` for any other
+/// root. Same survivors, order and metrics as [`run_node`]'s fused-scan
+/// arm.
+pub(super) fn run_shared_root(
+    node: &Node,
+    out: &crate::derive::Derived,
+    b: &Bindings<'_>,
+    mode: &ExecMode<'_>,
+    m: OptMeter<'_>,
+) -> Result<Option<Table>> {
+    let Node::FusedScan { leaf, ops, vops } = node else { return Ok(None) };
+    if ops.iter().any(|op| matches!(op, FusedOp::Map(_))) {
+        return Ok(None);
+    }
+    let t0 = m.is_some().then(Instant::now);
+    let t = leaf.resolve(b)?;
+    let mut stat = OpMetrics { rows_in: t.len() as u64, ..Default::default() };
+    let kept: Vec<usize> = if ops.is_empty() {
+        (0..t.len()).collect()
+    } else if !mode.rowwise && profitable(vops) {
+        let cols = &t.columns();
+        let rs = ranges(cols.len, mode.morsel);
+        stat.morsels = fanned(rs.len());
+        stat.vec_chunks = rs.len() as u64;
+        let outs = fan_out(mode, rs.len(), &|i| {
+            let mut chunk = ColumnChunk::over(cols, rs[i].0, rs[i].1);
+            let zone_skips = run_ops(&mut chunk, vops, &mut Row::new());
+            Ok((chunk.sel.iter().collect::<Vec<usize>>(), zone_skips))
+        })?;
+        let mut kept = Vec::new();
+        for (part, zone_skips) in outs {
+            stat.zone_skips += u64::from(zone_skips);
+            kept.extend(part);
+        }
+        kept
+    } else {
+        let rows = t.rows();
+        let rs = ranges(rows.len(), mode.morsel);
+        stat.morsels = fanned(rs.len());
+        stat.row_batches = rs.len() as u64;
+        let parts = fan_out(mode, rs.len(), &|i| {
+            Ok((rs[i].0..rs[i].1).filter(|&j| keeps(&rows[j], ops)).collect::<Vec<usize>>())
+        })?;
+        parts.concat()
+    };
+    if let (Some(mm), Some(t0)) = (m, t0) {
+        stat.rows_out = kept.len() as u64;
+        stat.wall_ns = t0.elapsed().as_nanos() as u64;
+        mm.slot().merge(&stat);
+    }
+    let rows: Vec<SharedRow> = kept.iter().map(|&i| t.rows()[i].clone()).collect();
+    Table::from_unique_rows(out.schema.clone(), out.key.clone(), rows).map(Some)
 }
 
 /// Wrap the root batch into the output [`Table`], building the key index

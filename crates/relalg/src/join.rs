@@ -57,9 +57,10 @@ pub fn pk_probe_applies(kind: JoinKind, right_cols: &[usize], right_key: &[usize
 /// right input — sequentially by [`JoinBuild::with_partitions`], or
 /// partition-parallel by the morsel executor via [`JoinBuild::from_parts`]
 /// — then probed by any number of left-row chunks (probing is read-only,
-/// so `&JoinBuild` is shared across worker threads).
-pub struct JoinBuild<'r> {
-    right: &'r [Row],
+/// so `&JoinBuild` is shared across worker threads). The right rows are
+/// any slice of rows: an operator's owned batch or a table's shared rows.
+pub struct JoinBuild<'r, R = Row> {
+    right: &'r [R],
     right_cols: Vec<usize>,
     spec: HashSpec,
     /// `partition(h) = h & mask`; `parts.len()` is `mask + 1`, a power of
@@ -70,11 +71,11 @@ pub struct JoinBuild<'r> {
     parts: Vec<HashMap<u64, Vec<u32>>>,
 }
 
-impl<'r> JoinBuild<'r> {
+impl<'r, R: AsRef<[Value]>> JoinBuild<'r, R> {
     /// Hash-build over the right join columns — in place, no per-row
     /// `KeyTuple`. Rows with NULL join keys never enter the map (SQL
     /// semantics: they match nothing).
-    pub fn new(right: &'r [Row], on_idx: &[(usize, usize)]) -> JoinBuild<'r> {
+    pub fn new(right: &'r [R], on_idx: &[(usize, usize)]) -> JoinBuild<'r, R> {
         JoinBuild::with_partitions(right, on_idx, 1)
     }
 
@@ -82,10 +83,10 @@ impl<'r> JoinBuild<'r> {
     /// up to a power of two). Single-threaded; the result is bit-identical
     /// to `new` for any partition count — see the module docs.
     pub fn with_partitions(
-        right: &'r [Row],
+        right: &'r [R],
         on_idx: &[(usize, usize)],
         partitions: usize,
-    ) -> JoinBuild<'r> {
+    ) -> JoinBuild<'r, R> {
         let right_cols: Vec<usize> = on_idx.iter().map(|&(_, r)| r).collect();
         let spec = join_hash();
         let p = partitions.max(1).next_power_of_two();
@@ -93,6 +94,7 @@ impl<'r> JoinBuild<'r> {
         let mut parts: Vec<HashMap<u64, Vec<u32>>> =
             (0..p).map(|_| HashMap::with_capacity(right.len() / p)).collect();
         for (i, row) in right.iter().enumerate() {
+            let row = row.as_ref();
             if !key_has_null(row, &right_cols) {
                 let h = spec.hash_row(row, &right_cols);
                 parts[(h & mask) as usize].entry(h).or_default().push(i as u32);
@@ -109,10 +111,10 @@ impl<'r> JoinBuild<'r> {
     /// chained in right-row order under their full hash; `parts.len()`
     /// must be a power of two.
     pub fn from_parts(
-        right: &'r [Row],
+        right: &'r [R],
         on_idx: &[(usize, usize)],
         parts: Vec<HashMap<u64, Vec<u32>>>,
-    ) -> JoinBuild<'r> {
+    ) -> JoinBuild<'r, R> {
         debug_assert!(parts.len().is_power_of_two(), "partition count must be a power of two");
         let right_cols: Vec<usize> = on_idx.iter().map(|&(_, r)| r).collect();
         JoinBuild { right, right_cols, spec: join_hash(), mask: (parts.len() - 1) as u64, parts }
@@ -161,7 +163,7 @@ impl<'r> JoinBuild<'r> {
                         KeyTuple::cols_eq(
                             &lrow,
                             left_cols,
-                            &self.right[ri as usize],
+                            self.right[ri as usize].as_ref(),
                             &self.right_cols,
                         )
                     }));
@@ -187,14 +189,14 @@ impl<'r> JoinBuild<'r> {
                                 matched.push(ri);
                             }
                             let mut row = lrow.clone();
-                            row.extend_from_slice(&self.right[ri as usize]);
+                            row.extend_from_slice(self.right[ri as usize].as_ref());
                             out.push(row);
                         }
                         if matches!(kind, JoinKind::Full | JoinKind::Right) {
                             matched.push(*last);
                         }
                         let mut row = lrow;
-                        row.extend_from_slice(&self.right[*last as usize]);
+                        row.extend_from_slice(self.right[*last as usize].as_ref());
                         out.push(row);
                     }
                     None => {
@@ -220,6 +222,7 @@ impl<'r> JoinBuild<'r> {
             right_matched[ri as usize] = true;
         }
         for (ri, rrow) in self.right.iter().enumerate() {
+            let rrow = rrow.as_ref();
             // Rows with NULL join keys never entered the build map; they
             // are unmatched by construction.
             if !right_matched[ri] || key_has_null(rrow, &self.right_cols) {
@@ -236,9 +239,9 @@ impl<'r> JoinBuild<'r> {
 /// actual matches). `pad_left`/`pad_right` are the input arities, used to
 /// NULL-pad outer-join rows. One [`JoinBuild`] pass over the right side,
 /// one probe pass over the left.
-pub fn join_rows(
+pub fn join_rows<R: AsRef<[Value]>>(
     left: Vec<Row>,
-    right: &[Row],
+    right: &[R],
     kind: JoinKind,
     on_idx: &[(usize, usize)],
     pad_left: usize,
@@ -282,8 +285,8 @@ impl RowSink for Survivor {
 /// maintenance plan). `chain` is the right side's σ/Π/η chain over that
 /// table (empty for a bare leaf), run on the probed row alone: a row it
 /// drops is no partner — Inner and Semi drop the left row, Left pads it,
-/// Anti keeps it. Left rows are moved, never cloned; the probe tuple's
-/// `Vec` is allocated once and reused across rows.
+/// Anti keeps it. Left rows are moved, never cloned, and the probe reads
+/// the key in place ([`Table::position_of`]).
 ///
 /// Drains `left` into a caller-provided output buffer: the per-chunk core
 /// shared by the sequential executor (which recycles the emptied left
@@ -298,22 +301,19 @@ pub fn join_rows_pk_probe_into(
     pad_right: usize,
     rows: &mut Vec<Row>,
 ) {
-    let mut probe = KeyTuple(Vec::with_capacity(left_cols.len()));
     for lrow in left.drain(..) {
         let found = if key_has_null(&lrow, left_cols) {
             None
         } else {
-            probe.0.clear();
-            probe.0.extend(left_cols.iter().map(|&i| lrow[i].clone()));
-            right.get(&probe)
+            right.position_of(&lrow, left_cols).map(|p| &*right.rows()[p])
         };
         let mut through = Survivor::default();
         let partner: Option<&[Value]> = match found {
             Some(r) if !chain.is_empty() => {
                 feed_borrowed(r, chain, &mut through);
-                through.built.as_deref().or(through.kept.then_some(r.as_slice()))
+                through.built.as_deref().or(through.kept.then_some(r))
             }
-            found => found.map(Vec::as_slice),
+            found => found,
         };
         match kind {
             JoinKind::Semi => {
@@ -346,12 +346,11 @@ pub fn join_rows_pk_probe_into(
     }
 }
 
-/// Execute an equi-join between materialized tables. The left input is
-/// consumed so its rows can be *moved* into the output; `on_idx` holds
+/// Execute an equi-join between materialized tables. `on_idx` holds
 /// resolved `(left, right)` column positions; `out` is the derived output
 /// type from [`crate::derive::derive_join`].
 pub fn run_join(
-    left: Table,
+    left: &Table,
     right: &Table,
     kind: JoinKind,
     on_idx: &[(usize, usize)],
@@ -360,21 +359,14 @@ pub fn run_join(
     let right_cols: Vec<usize> = on_idx.iter().map(|&(_, r)| r).collect();
     let pad_left = left.schema().len();
     let pad_right = right.schema().len();
+    let mut left_rows: Vec<Row> = left.rows().iter().map(|r| r.to_vec()).collect();
     let rows = if pk_probe_applies(kind, &right_cols, right.key()) {
         let left_cols: Vec<usize> = on_idx.iter().map(|&(l, _)| l).collect();
         let mut rows = Vec::new();
-        join_rows_pk_probe_into(
-            &mut left.into_rows(),
-            right,
-            &[],
-            kind,
-            &left_cols,
-            pad_right,
-            &mut rows,
-        );
+        join_rows_pk_probe_into(&mut left_rows, right, &[], kind, &left_cols, pad_right, &mut rows);
         rows
     } else {
-        join_rows(left.into_rows(), right.rows(), kind, on_idx, pad_left, pad_right)
+        join_rows(left_rows, right.rows(), kind, on_idx, pad_left, pad_right)
     };
     Table::from_rows(out.schema.clone(), out.key.clone(), rows)
 }
@@ -413,7 +405,7 @@ mod tests {
         let rd = Derived { schema: r.schema().clone(), key: r.key().to_vec() };
         let on = vec![("videoId".to_string(), "videoId".to_string())];
         let (out, on_idx) = derive_join(&ld, &rd, kind, &on, "video").unwrap();
-        run_join(l, &r, kind, &on_idx, &out).unwrap()
+        run_join(&l, &r, kind, &on_idx, &out).unwrap()
     }
 
     #[test]
@@ -460,10 +452,10 @@ mod tests {
         let rd = Derived { schema: r.schema().clone(), key: r.key().to_vec() };
         let on = vec![("videoId".to_string(), "videoId".to_string())];
         let (out, on_idx) = derive_join(&ld, &rd, JoinKind::Inner, &on, "video").unwrap();
-        let t = run_join(l.clone(), &r, JoinKind::Inner, &on_idx, &out).unwrap();
+        let t = run_join(&l, &r, JoinKind::Inner, &on_idx, &out).unwrap();
         assert_eq!(t.len(), 3);
         let (out, on_idx) = derive_join(&ld, &rd, JoinKind::Anti, &on, "video").unwrap();
-        let t = run_join(l, &r, JoinKind::Anti, &on_idx, &out).unwrap();
+        let t = run_join(&l, &r, JoinKind::Anti, &on_idx, &out).unwrap();
         // NULL-keyed row is kept by anti-join (NOT EXISTS semantics).
         assert_eq!(t.len(), 2);
     }
@@ -475,7 +467,12 @@ mod tests {
         let l = left();
         let r = right();
         for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti] {
-            let generic = join_rows(l.rows().to_vec(), r.rows(), kind, &[(1, 0)], 2, 2);
+            let lrows = l.rows().iter().map(|r| r.to_vec()).collect();
+            let generic: Vec<svc_storage::SharedRow> =
+                join_rows(lrows, r.rows(), kind, &[(1, 0)], 2, 2)
+                    .into_iter()
+                    .map(Into::into)
+                    .collect();
             // `run_join` takes the PK-probe path here: `right` is joined on
             // its whole key.
             assert!(pk_probe_applies(kind, &[0], r.key()));

@@ -15,7 +15,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault};
 
-use svc_storage::{Result, Row, Table};
+use svc_storage::{Result, Row, Table, Value};
 
 use crate::derive::Derived;
 use crate::plan::SetOpKind;
@@ -78,22 +78,35 @@ pub fn union_rows_into(left: &mut Vec<Row>, right: &mut Vec<Row>, rows: &mut Vec
 
 /// Intersection core: distinct left rows present in the right input,
 /// drained into a caller-provided buffer.
-pub fn intersect_rows_into(left: &mut Vec<Row>, right: &[Row], rows: &mut Vec<Row>) {
+pub fn intersect_rows_into<R: AsRef<[Value]>>(
+    left: &mut Vec<Row>,
+    right: &[R],
+    rows: &mut Vec<Row>,
+) {
     filter_rows_into(true, left, right, rows);
 }
 
 /// Difference core: distinct left rows not present in the right input,
 /// drained into a caller-provided buffer.
-pub fn difference_rows_into(left: &mut Vec<Row>, right: &[Row], rows: &mut Vec<Row>) {
+pub fn difference_rows_into<R: AsRef<[Value]>>(
+    left: &mut Vec<Row>,
+    right: &[R],
+    rows: &mut Vec<Row>,
+) {
     filter_rows_into(false, left, right, rows);
 }
 
 /// Distinct left rows whose membership in `right` equals `member`.
-fn filter_rows_into(member: bool, left: &mut Vec<Row>, right: &[Row], rows: &mut Vec<Row>) {
-    let right_set: HashSet<&Row> = right.iter().collect();
+fn filter_rows_into<R: AsRef<[Value]>>(
+    member: bool,
+    left: &mut Vec<Row>,
+    right: &[R],
+    rows: &mut Vec<Row>,
+) {
+    let right_set: HashSet<&[Value]> = right.iter().map(AsRef::as_ref).collect();
     let mut kept = Kept::new(rows, 0);
     for row in left.drain(..) {
-        if right_set.contains(&row) == member {
+        if right_set.contains(row.as_slice()) == member {
             kept.push_new(rows, row);
         }
     }
@@ -102,13 +115,14 @@ fn filter_rows_into(member: bool, left: &mut Vec<Row>, right: &[Row], rows: &mut
 /// One set operation between materialized tables: ∪ keeps all distinct
 /// rows of both inputs, ∩ the distinct left rows also in the right input,
 /// − the distinct left rows that are not.
-pub fn run_setop(kind: SetOpKind, left: Table, right: Table, out: &Derived) -> Result<Table> {
-    let (mut left, mut right) = (left.into_rows(), right.into_rows());
+pub fn run_setop(kind: SetOpKind, left: &Table, right: &Table, out: &Derived) -> Result<Table> {
+    let owned = |t: &Table| -> Vec<Row> { t.rows().iter().map(|r| r.to_vec()).collect() };
+    let mut left = owned(left);
     let mut rows = Vec::new();
     match kind {
-        SetOpKind::Union => union_rows_into(&mut left, &mut right, &mut rows),
-        SetOpKind::Intersect => intersect_rows_into(&mut left, &right, &mut rows),
-        SetOpKind::Difference => difference_rows_into(&mut left, &right, &mut rows),
+        SetOpKind::Union => union_rows_into(&mut left, &mut owned(right), &mut rows),
+        SetOpKind::Intersect => intersect_rows_into(&mut left, right.rows(), &mut rows),
+        SetOpKind::Difference => difference_rows_into(&mut left, right.rows(), &mut rows),
     }
     Table::from_rows(out.schema.clone(), out.key.clone(), rows)
 }
@@ -140,19 +154,19 @@ mod tests {
 
     #[test]
     fn union_dedupes() {
-        let out = run_setop(SetOpKind::Union, t(&[1, 2, 3]), t(&[2, 3, 4]), &d()).unwrap();
+        let out = run_setop(SetOpKind::Union, &t(&[1, 2, 3]), &t(&[2, 3, 4]), &d()).unwrap();
         assert_eq!(ids(&out), vec![1, 2, 3, 4]);
     }
 
     #[test]
     fn intersect_keeps_common() {
-        let out = run_setop(SetOpKind::Intersect, t(&[1, 2, 3]), t(&[2, 3, 4]), &d()).unwrap();
+        let out = run_setop(SetOpKind::Intersect, &t(&[1, 2, 3]), &t(&[2, 3, 4]), &d()).unwrap();
         assert_eq!(ids(&out), vec![2, 3]);
     }
 
     #[test]
     fn difference_removes_right() {
-        let out = run_setop(SetOpKind::Difference, t(&[1, 2, 3]), t(&[2, 3, 4]), &d()).unwrap();
+        let out = run_setop(SetOpKind::Difference, &t(&[1, 2, 3]), &t(&[2, 3, 4]), &d()).unwrap();
         assert_eq!(ids(&out), vec![1]);
     }
 
@@ -224,7 +238,7 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let len = |kind, l: &[i64], r: &[i64]| run_setop(kind, t(l), t(r), &d()).unwrap().len();
+        let len = |kind, l: &[i64], r: &[i64]| run_setop(kind, &t(l), &t(r), &d()).unwrap().len();
         assert_eq!(len(SetOpKind::Union, &[], &[1]), 1);
         assert_eq!(len(SetOpKind::Intersect, &[], &[1]), 0);
         assert_eq!(len(SetOpKind::Difference, &[1], &[]), 1);

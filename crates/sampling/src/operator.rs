@@ -1,28 +1,38 @@
 //! Direct application of the η hashing operator to materialized tables.
 //!
 //! The selection predicate hashes each row's key columns *in place*
-//! ([`HashSpec::selects_row`]) — the old implementation extracted a
-//! `KeyTuple` per row, which cloned every key value for every row of the
-//! input whether it survived or not. Survivor rows are cloned exactly once
-//! into a table built with [`Table::from_unique_rows`] (a subset of a keyed
-//! table needs no duplicate-key checking). Sampling an *owned* intermediate
-//! moves rows instead of cloning — that path lives in the evaluator's η
-//! case (`svc_relalg::eval`), which retains over `Table::into_rows`.
+//! ([`HashSpec::selects_row`]), so no key is copied for a row that does not
+//! survive. A survivor is copied into an allocation of its own rather than
+//! shared with the sampled table: a sample is read far more often than it
+//! is drawn — every clean folds into it, every estimate pairs it and builds
+//! its columns — and a sample sharing every tenth row of a view would have
+//! each of those readers stride through the whole view's memory. The copy
+//! is of the sample only, built with [`Table::from_unique_rows`] (a subset
+//! of a keyed table needs no duplicate-key checking). Sampling an *owned*
+//! intermediate shares its rows instead — that path lives in the
+//! evaluator's η case (`svc_relalg::eval`), which retains over
+//! `Table::into_rows`.
 
-use svc_storage::{HashSpec, Result, Table};
+use svc_storage::{HashSpec, Result, SharedRow, Table};
+
+/// The rows of `t` whose `key_idx` columns hash to at most `ratio`, each
+/// in an allocation of its own (see the module docs).
+fn survivors(t: &Table, key_idx: &[usize], ratio: f64, spec: HashSpec) -> Vec<SharedRow> {
+    let kept = t.rows().iter().filter(|r| spec.selects_row(r, key_idx, ratio));
+    kept.map(|r| SharedRow::from(&r[..])).collect()
+}
 
 /// `η_{key,m}(t)`: keep the rows whose hashed key is ≤ `ratio`.
 pub fn sample_table(t: &Table, key_names: &[&str], ratio: f64, spec: HashSpec) -> Result<Table> {
     let key_idx = t.schema().resolve_all(key_names)?;
-    let rows = t.rows().iter().filter(|r| spec.selects_row(r, &key_idx, ratio)).cloned().collect();
+    let rows = survivors(t, &key_idx, ratio, spec);
     Table::from_unique_rows(t.schema().clone(), t.key().to_vec(), rows)
 }
 
 /// `η` keyed by the table's own primary key — the common case of sampling a
 /// view uniformly by its row identity.
 pub fn sample_by_key(t: &Table, ratio: f64, spec: HashSpec) -> Table {
-    let key_idx = t.key().to_vec();
-    let rows = t.rows().iter().filter(|r| spec.selects_row(r, &key_idx, ratio)).cloned().collect();
+    let rows = survivors(t, t.key(), ratio, spec);
     Table::from_unique_rows(t.schema().clone(), t.key().to_vec(), rows)
         .expect("sampling preserves key uniqueness")
 }

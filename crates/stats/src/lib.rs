@@ -20,7 +20,9 @@ pub mod clt;
 pub mod moments;
 pub mod quantile;
 
-pub use bootstrap::{bootstrap_ci, bootstrap_distribution};
+pub use bootstrap::{
+    bootstrap_quantile_ci, bootstrap_quantile_distribution, bootstrap_quantile_paired_diff,
+};
 pub use cantelli::cantelli_exceedance;
 pub use clt::{gaussian_gamma, ConfidenceInterval};
 pub use moments::Moments;

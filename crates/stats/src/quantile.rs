@@ -23,17 +23,37 @@ pub fn quantile_in_place(data: &mut [f64], q: f64) -> f64 {
     if n == 1 {
         return data[0];
     }
-    let pos = q * (n - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    let (_, &mut at_lo, above) = data.select_nth_unstable_by(lo, f64::total_cmp);
-    let at_hi = if hi == lo {
+    let at = Type7::new(n, q);
+    let (_, &mut at_lo, above) = data.select_nth_unstable_by(at.lo, f64::total_cmp);
+    let at_hi = if at.hi == at.lo {
         at_lo
     } else {
         above.iter().copied().min_by(f64::total_cmp).expect("hi < n leaves an upper part")
     };
-    at_lo + (at_hi - at_lo) * frac
+    at.interpolate(at_lo, at_hi)
+}
+
+/// Where the type-7 `q`-quantile of `n > 1` values sits: between the order
+/// statistics at `lo` and `hi` (0-based, `hi ≤ lo + 1`), `frac` of the way.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Type7 {
+    pub(crate) lo: usize,
+    pub(crate) hi: usize,
+    frac: f64,
+}
+
+impl Type7 {
+    pub(crate) fn new(n: usize, q: f64) -> Type7 {
+        let pos = q * (n - 1) as f64;
+        let lo = pos.floor() as usize;
+        Type7 { lo, hi: pos.ceil() as usize, frac: pos - lo as f64 }
+    }
+
+    /// The quantile given the order statistics at `lo` and `hi` — the one
+    /// formula every quantile in this crate ends in.
+    pub(crate) fn interpolate(self, at_lo: f64, at_hi: f64) -> f64 {
+        at_lo + (at_hi - at_lo) * self.frac
+    }
 }
 
 #[cfg(test)]

@@ -298,10 +298,15 @@ fn zone_of(values: impl Iterator<Item = f64>) -> Option<(f64, f64)> {
 /// Extract the columns at positions `idx` of `rows` laid out per `schema`,
 /// in one row-major pass. Each column is attempted at its declared type and
 /// demoted to mixed storage if any cell disagrees.
-pub(crate) fn extract(schema: &Schema, rows: &[Row], idx: &[usize]) -> Vec<Column> {
+pub(crate) fn extract<R: AsRef<[Value]>>(
+    schema: &Schema,
+    rows: &[R],
+    idx: &[usize],
+) -> Vec<Column> {
     let mut builders: Vec<ColumnBuilder> =
         idx.iter().map(|&c| ColumnBuilder::new(schema.field(c).dtype, rows.len())).collect();
     for row in rows {
+        let row = row.as_ref();
         for (b, &c) in builders.iter_mut().zip(idx) {
             b.push(&row[c]);
         }
@@ -324,7 +329,7 @@ pub struct ColumnSet {
 
 impl ColumnSet {
     /// Extract every column of `rows` laid out per `schema`.
-    pub fn from_rows(schema: &Schema, rows: &[Row]) -> ColumnSet {
+    pub fn from_rows<R: AsRef<[Value]>>(schema: &Schema, rows: &[R]) -> ColumnSet {
         let all: Vec<usize> = (0..schema.len()).collect();
         let cols = extract(schema, rows, &all).into_iter().map(Arc::new).collect();
         ColumnSet { cols, len: rows.len() }

@@ -10,7 +10,8 @@ use std::collections::BTreeMap;
 use crate::database::Database;
 use crate::error::{Result, StorageError};
 use crate::table::Table;
-use crate::Row;
+use crate::value::Value;
+use crate::SharedRow;
 
 /// Pending insertions and deletions for one base relation.
 #[derive(Debug, Clone)]
@@ -85,14 +86,14 @@ impl Deltas {
     }
 
     /// Record an insertion of a brand-new row into `table`.
-    pub fn insert(&mut self, db: &Database, table: &str, row: Row) -> Result<()> {
+    pub fn insert(&mut self, db: &Database, table: &str, row: impl Into<SharedRow>) -> Result<()> {
         let set = self.set_for(db, table)?;
         set.insertions.insert(row)
     }
 
     /// Record a deletion of an existing row of `table` (looked up by key in
     /// the *base* table so the deletion relation carries the full old row).
-    pub fn delete(&mut self, db: &Database, table: &str, key_row: &Row) -> Result<()> {
+    pub fn delete(&mut self, db: &Database, table: &str, key_row: &[Value]) -> Result<()> {
         let base = db.table(table)?;
         let key = base.key_of(key_row);
         let old = base
@@ -105,7 +106,13 @@ impl Deltas {
 
     /// Record an update: delete the current row with `new_row`'s key, then
     /// insert `new_row` (the paper's update = deletion + insertion).
-    pub fn update(&mut self, db: &Database, table: &str, new_row: Row) -> Result<()> {
+    pub fn update(
+        &mut self,
+        db: &Database,
+        table: &str,
+        new_row: impl Into<SharedRow>,
+    ) -> Result<()> {
+        let new_row = new_row.into();
         self.delete(db, table, &new_row)?;
         let set = self.set_for(db, table)?;
         set.insertions.insert(new_row)
@@ -250,7 +257,7 @@ mod tests {
         let mut db = db();
         let mut deltas = Deltas::new();
         deltas.insert(&db, "t", vec![Value::Int(100), Value::Int(1)]).unwrap();
-        deltas.delete(&db, "t", &vec![Value::Int(0), Value::Null]).unwrap();
+        deltas.delete(&db, "t", &[Value::Int(0), Value::Null]).unwrap();
         deltas.update(&db, "t", vec![Value::Int(3), Value::Int(999)]).unwrap();
 
         assert!(!deltas.is_empty());
@@ -274,8 +281,8 @@ mod tests {
         for i in 100..107i64 {
             deltas.insert(&db, "t", vec![Value::Int(i), Value::Int(1)]).unwrap();
         }
-        deltas.delete(&db, "t", &vec![Value::Int(0), Value::Null]).unwrap();
-        deltas.delete(&db, "t", &vec![Value::Int(1), Value::Null]).unwrap();
+        deltas.delete(&db, "t", &[Value::Int(0), Value::Null]).unwrap();
+        deltas.delete(&db, "t", &[Value::Int(1), Value::Null]).unwrap();
 
         let chunks = deltas.clone().partition(4);
         assert!(chunks.len() <= 4 && !chunks.is_empty());
@@ -303,7 +310,7 @@ mod tests {
     fn delete_of_missing_row_is_rejected() {
         let db = db();
         let mut deltas = Deltas::new();
-        let err = deltas.delete(&db, "t", &vec![Value::Int(42), Value::Null]);
+        let err = deltas.delete(&db, "t", &[Value::Int(42), Value::Null]);
         assert!(err.is_err());
     }
 
@@ -316,6 +323,6 @@ mod tests {
         assert_eq!(set.insertions.len(), 1);
         assert_eq!(set.deletions.len(), 1);
         // The deletion carries the full OLD row.
-        assert_eq!(set.deletions.rows()[0], vec![Value::Int(2), Value::Int(20)]);
+        assert_eq!(*set.deletions.rows()[0], [Value::Int(2), Value::Int(20)]);
     }
 }

@@ -29,6 +29,7 @@ pub mod database;
 pub mod delta;
 pub mod error;
 pub mod hash;
+mod key_index;
 pub mod pairing;
 pub mod schema;
 pub mod table;
@@ -43,5 +44,11 @@ pub use schema::{Field, Schema};
 pub use table::{KeyTuple, Table};
 pub use value::{DataType, Value};
 
-/// A row is a positional tuple of values, aligned with a [`Schema`].
+/// A row is a positional tuple of values, aligned with a [`Schema`]: the
+/// form operators build and edit.
 pub type Row = Vec<Value>;
+
+/// A row as a [`Table`] stores it: immutable and shared, so cloning a table
+/// or handing its rows to another copies a pointer, never a value. Derefs
+/// to `[Value]`; any [`Row`] converts into one.
+pub type SharedRow = std::sync::Arc<[Value]>;

@@ -8,7 +8,7 @@
 //! sample and its stale counterpart — reads it from
 //! [`Table::paired_with`]'s memo and hashes no key after the first call.
 
-use crate::table::{KeyTuple, Table};
+use crate::table::Table;
 
 /// `L ⟗ R` on the primary key, as row positions (see the module docs).
 #[derive(Debug, PartialEq, Eq)]
@@ -21,19 +21,17 @@ pub struct Pairing {
 }
 
 impl Pairing {
-    /// Pair `left` with `right`: one key lookup into `right` per row of
-    /// `left`, with one reused key buffer; `right`'s unmatched rows are the
-    /// positions no lookup hit, so no key of `right` is hashed.
+    /// Pair `left` with `right`: one borrowed key lookup into `right` per
+    /// row of `left` ([`Table::position_of`]), so no key value is copied;
+    /// `right`'s unmatched rows are the positions no lookup hit, so no key
+    /// of `right` is hashed.
     pub(crate) fn of(left: &Table, right: &Table) -> Pairing {
         let mut matched = vec![false; right.len()];
-        let mut key = KeyTuple(Vec::with_capacity(left.key().len()));
         let partners = left
             .rows()
             .iter()
             .map(|row| {
-                key.0.clear();
-                key.0.extend(left.key().iter().map(|&k| row[k].clone()));
-                let j = right.position(&key)?;
+                let j = right.position_of(row, left.key())?;
                 matched[j] = true;
                 Some(j)
             })
@@ -65,6 +63,7 @@ impl Pairing {
 mod tests {
     use super::*;
     use crate::schema::Schema;
+    use crate::table::KeyTuple;
     use crate::value::{DataType, Value};
 
     fn keyed(ids: &[i64]) -> Table {

@@ -7,8 +7,17 @@
 //! that assigns an increasing sequence of integers to each record". Derived
 //! relations receive keys via the Definition 2 rules in `svc-relalg`.
 //!
-//! Rows are the write form. Readers get three things per table state, all
-//! built on first read and dropped by the next mutation:
+//! Each row is stored once, as an immutable shared row ([`SharedRow`]).
+//! Mutators replace whole rows, so no table sees another's edit, and a
+//! clone copies row pointers and the key index's integers, never a value.
+//! The key index maps a 64-bit hash of the key columns to a row position
+//! and confirms each candidate against the row's own key columns, so it
+//! holds no copy of any key and distinct keys whose hashes collide stay
+//! apart. Lookups take a [`KeyTuple`] or, borrowed, a row and its key
+//! columns ([`Table::position_of`]).
+//!
+//! Readers get three things per table state, all built on first read and
+//! dropped by the next mutation:
 //! * typed columns ([`Table::column`]), one cache slot per column, never
 //!   built for a reader that does not name it — what plan execution and
 //!   every query answer read;
@@ -30,10 +39,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::columns::{self, Column, ColumnSet};
 use crate::error::{Result, StorageError};
+use crate::key_index::KeyIndex;
 use crate::pairing::Pairing;
 use crate::schema::Schema;
 use crate::value::Value;
-use crate::Row;
+use crate::SharedRow;
 
 /// The value tuple of a row's primary key; hashable and comparable.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -41,7 +51,7 @@ pub struct KeyTuple(pub Vec<Value>);
 
 impl KeyTuple {
     /// Extract the key tuple of `row` given key column positions.
-    pub fn of(row: &Row, key_cols: &[usize]) -> KeyTuple {
+    pub fn of(row: &[Value], key_cols: &[usize]) -> KeyTuple {
         KeyTuple(key_cols.iter().map(|&i| row[i].clone()).collect())
     }
 
@@ -81,14 +91,15 @@ impl fmt::Display for KeyTuple {
     }
 }
 
-/// An in-memory relation: a schema, a primary key, and rows with a key
-/// index for point lookups, updates, and deletes.
+/// An in-memory relation: a schema, a primary key, and shared rows with a
+/// key index for point lookups, updates, and deletes.
 #[derive(Debug)]
 pub struct Table {
     schema: Schema,
     key: Vec<usize>,
-    rows: Vec<Row>,
-    index: HashMap<KeyTuple, usize>,
+    rows: Vec<SharedRow>,
+    /// Position of every row under the hash of its key columns.
+    index: KeyIndex,
     /// The per-column projection of `rows` ([`Table::column`]): slot `i`
     /// holds field `i` once a reader touched it; every row-changing method
     /// empties it. Interior mutability because columns are built on shared
@@ -143,12 +154,12 @@ static TABLE_CLONES: svc_telemetry::LocalCounter =
 
 impl Clone for Table {
     fn clone(&self) -> Table {
-        // Cloning a table copies every row *and* rebuilds nothing — the key
-        // index is cloned too. It is exactly the cost the streaming
-        // executor exists to avoid on scan paths, so each clone is counted:
-        // tests assert that fused pipelines never take this path.
+        // Cloning a table copies row pointers and the key index's integers:
+        // no value is copied and nothing is rehashed. The clone is a state of
+        // its own, so its caches start empty. Each clone is still counted:
+        // tests assert that fused pipelines and answer paths never take it.
         TABLE_CLONES.bump();
-        Table {
+        let copy = Table {
             schema: self.schema.clone(),
             key: self.key.clone(),
             rows: self.rows.clone(),
@@ -157,7 +168,9 @@ impl Clone for Table {
             answers: Mutex::default(),
             state: AtomicU64::new(0),
             pairing: Mutex::default(),
-        }
+        };
+        copy.verify_index();
+        copy
     }
 }
 
@@ -181,7 +194,7 @@ impl Table {
             schema,
             key,
             rows: Vec::new(),
-            index: HashMap::new(),
+            index: KeyIndex::default(),
             colcache: Mutex::default(),
             answers: Mutex::default(),
             state: AtomicU64::new(0),
@@ -190,10 +203,14 @@ impl Table {
     }
 
     /// Bulk-build a table from rows, validating arity and key uniqueness.
-    pub fn from_rows(schema: Schema, key: Vec<usize>, rows: Vec<Row>) -> Result<Table> {
+    pub fn from_rows<R: Into<SharedRow>>(
+        schema: Schema,
+        key: Vec<usize>,
+        rows: Vec<R>,
+    ) -> Result<Table> {
         let mut t = Table::with_key_indices(schema, key)?;
         t.rows.reserve(rows.len());
-        t.index.reserve(rows.len());
+        t.index = KeyIndex::with_capacity(rows.len());
         for row in rows {
             t.insert(row)?;
         }
@@ -213,23 +230,31 @@ impl Table {
     /// arity — e.g. a filtered subset of an existing keyed table. Skips the
     /// per-row duplicate-key error path of [`Table::from_rows`] (uniqueness
     /// is debug-asserted), which matters on evaluator hot paths.
-    pub fn from_unique_rows(schema: Schema, key: Vec<usize>, rows: Vec<Row>) -> Result<Table> {
+    pub fn from_unique_rows<R: Into<SharedRow>>(
+        schema: Schema,
+        key: Vec<usize>,
+        rows: Vec<R>,
+    ) -> Result<Table> {
         let mut t = Table::with_key_indices(schema, key)?;
-        let mut index = HashMap::with_capacity(rows.len());
-        for (i, row) in rows.iter().enumerate() {
+        t.rows = rows.into_iter().map(Into::into).collect();
+        t.index = KeyIndex::with_capacity(t.rows.len());
+        for (i, row) in t.rows.iter().enumerate() {
             debug_assert_eq!(row.len(), t.schema.len(), "row arity mismatch");
-            let prev = index.insert(KeyTuple::of(row, &t.key), i);
-            debug_assert!(prev.is_none(), "duplicate key in from_unique_rows");
+            let h = t.row_hash(row);
+            debug_assert!(
+                t.index.find(h, |p| t.key_matches(p, row, &t.key)).is_none(),
+                "duplicate key in from_unique_rows"
+            );
+            t.index.insert(h, i);
         }
-        t.rows = rows;
-        t.index = index;
+        t.verify_index();
         Ok(t)
     }
 
     /// Consume the table, returning its rows (insertion order). The key
-    /// index is dropped; used by the evaluator to move rows through
-    /// filters instead of cloning them.
-    pub fn into_rows(self) -> Vec<Row> {
+    /// index is dropped; used by the evaluator to pass rows through filters
+    /// without copying them.
+    pub fn into_rows(self) -> Vec<SharedRow> {
         self.rows
     }
 
@@ -249,7 +274,8 @@ impl Table {
     }
 
     /// All rows, in insertion order (with holes from deletion compacted).
-    pub fn rows(&self) -> &[Row] {
+    /// Each derefs to `[Value]`; cloning one shares it.
+    pub fn rows(&self) -> &[SharedRow] {
         &self.rows
     }
 
@@ -264,8 +290,53 @@ impl Table {
     }
 
     /// The key tuple of a row of this table.
-    pub fn key_of(&self, row: &Row) -> KeyTuple {
+    pub fn key_of(&self, row: &[Value]) -> KeyTuple {
         KeyTuple::of(row, &self.key)
+    }
+
+    /// The index hash of a row of this table.
+    #[inline]
+    fn row_hash(&self, row: &[Value]) -> u64 {
+        self.index.hash(self.key.iter().map(|&i| &row[i]))
+    }
+
+    /// True iff the row at `pos` has the key that `row` holds in `cols`.
+    #[inline]
+    fn key_matches(&self, pos: usize, row: &[Value], cols: &[usize]) -> bool {
+        KeyTuple::cols_eq(&self.rows[pos], &self.key, row, cols)
+    }
+
+    /// The position of the row stored under the key `row` holds in `cols` —
+    /// the borrowed form of [`Table::position`]: no key is copied. `cols`
+    /// name the key's columns of `row` in this table's key order.
+    #[inline]
+    pub fn position_of(&self, row: &[Value], cols: &[usize]) -> Option<usize> {
+        let h = self.index.hash(cols.iter().map(|&i| &row[i]));
+        self.index.find(h, |p| self.key_matches(p, row, cols))
+    }
+
+    /// With the verifier on, prove the key index honest: one entry per row,
+    /// and every row's key finds that row's own position. A no-op otherwise.
+    #[inline]
+    fn verify_index(&self) {
+        #[cfg(feature = "verify")]
+        {
+            assert_eq!(
+                self.index.len(),
+                self.rows.len(),
+                "the key index holds {} entries for {} rows",
+                self.index.len(),
+                self.rows.len()
+            );
+            for (i, row) in self.rows.iter().enumerate() {
+                assert_eq!(
+                    self.position_of(row, &self.key),
+                    Some(i),
+                    "the key index does not find row {i} (key {}) at its own position",
+                    self.key_of(row)
+                );
+            }
+        }
     }
 
     /// Record a row mutation: the cached columns, answers and pairing are
@@ -451,75 +522,89 @@ impl Table {
     }
 
     /// Insert a row; errors on arity mismatch or duplicate key.
-    pub fn insert(&mut self, row: Row) -> Result<()> {
+    pub fn insert(&mut self, row: impl Into<SharedRow>) -> Result<()> {
         svc_fault::fail_point!(svc_fault::site::TABLE_MUTATE, StorageError::Invalid);
-        if row.len() != self.schema.len() {
-            return Err(StorageError::ArityMismatch {
-                expected: self.schema.len(),
-                found: row.len(),
-            });
-        }
-        let key = self.key_of(&row);
-        if self.index.contains_key(&key) {
-            return Err(StorageError::DuplicateKey(key.to_string()));
+        let row = self.checked(row.into())?;
+        let h = self.row_hash(&row);
+        if self.index.find(h, |p| self.key_matches(p, &row, &self.key)).is_some() {
+            return Err(StorageError::DuplicateKey(self.key_of(&row).to_string()));
         }
         self.touch();
-        self.index.insert(key, self.rows.len());
+        self.index.insert(h, self.rows.len());
         self.rows.push(row);
         Ok(())
     }
 
-    /// Insert or replace by primary key; returns the replaced row, if any.
-    pub fn upsert(&mut self, row: Row) -> Result<Option<Row>> {
-        svc_fault::fail_point!(svc_fault::site::TABLE_MUTATE, StorageError::Invalid);
+    /// `row` if its arity fits the schema.
+    fn checked(&self, row: SharedRow) -> Result<SharedRow> {
         if row.len() != self.schema.len() {
             return Err(StorageError::ArityMismatch {
                 expected: self.schema.len(),
                 found: row.len(),
             });
         }
-        let key = self.key_of(&row);
-        Ok(self.put(key, row))
+        Ok(row)
     }
 
-    /// Store `row` under `key` (its own key), returning the row it replaced.
-    fn put(&mut self, key: KeyTuple, row: Row) -> Option<Row> {
+    /// Insert or replace by primary key; returns the replaced row, if any.
+    pub fn upsert(&mut self, row: impl Into<SharedRow>) -> Result<Option<SharedRow>> {
+        svc_fault::fail_point!(svc_fault::site::TABLE_MUTATE, StorageError::Invalid);
+        let row = self.checked(row.into())?;
+        Ok(self.put(row))
+    }
+
+    /// Store `row` under its key, returning the row it replaced.
+    fn put(&mut self, row: SharedRow) -> Option<SharedRow> {
         self.touch();
-        if let Some(&pos) = self.index.get(&key) {
+        let h = self.row_hash(&row);
+        if let Some(pos) = self.index.find(h, |p| self.key_matches(p, &row, &self.key)) {
             Some(std::mem::replace(&mut self.rows[pos], row))
         } else {
-            self.index.insert(key, self.rows.len());
+            self.index.insert(h, self.rows.len());
             self.rows.push(row);
             None
         }
     }
 
     /// Look up a row by key.
-    pub fn get(&self, key: &KeyTuple) -> Option<&Row> {
-        self.index.get(key).map(|&i| &self.rows[i])
+    pub fn get(&self, key: &KeyTuple) -> Option<&SharedRow> {
+        self.position(key).map(|i| &self.rows[i])
     }
 
     /// The position of the row stored under `key` — an index into
     /// [`Table::rows`] and into every [`Table::column`] until the next
     /// mutation.
     pub fn position(&self, key: &KeyTuple) -> Option<usize> {
-        self.index.get(key).copied()
+        self.hashed_position(key).map(|(_, pos)| pos)
+    }
+
+    /// `key`'s index hash and the position of its row.
+    fn hashed_position(&self, key: &KeyTuple) -> Option<(u64, usize)> {
+        if key.0.len() != self.key.len() {
+            return None;
+        }
+        let h = self.index.hash(key.0.iter());
+        let pos = self
+            .index
+            .find(h, |p| self.key.iter().zip(&key.0).all(|(&i, v)| self.rows[p][i] == *v))?;
+        Some((h, pos))
     }
 
     /// True iff a row with this key exists.
     pub fn contains_key(&self, key: &KeyTuple) -> bool {
-        self.index.contains_key(key)
+        self.position(key).is_some()
     }
 
     /// Delete a row by key, returning it. Uses swap-remove; row order is not
     /// stable across deletions.
-    pub fn delete(&mut self, key: &KeyTuple) -> Option<Row> {
-        let pos = self.index.remove(key)?;
+    pub fn delete(&mut self, key: &KeyTuple) -> Option<SharedRow> {
+        let (h, pos) = self.hashed_position(key)?;
         self.touch();
+        self.index.remove(h, pos);
         let row = self.rows.swap_remove(pos);
         if pos < self.rows.len() {
-            let moved_key = self.key_of(&self.rows[pos]);
-            self.index.insert(moved_key, pos);
+            let moved = self.row_hash(&self.rows[pos]);
+            self.index.relocate(moved, self.rows.len(), pos);
         }
         Some(row)
     }
@@ -528,16 +613,21 @@ impl Table {
     /// stored under the key, `None` deletes it. The commit step of a staged
     /// fold: it must not stop part-way, so unlike [`Table::upsert`] it hosts
     /// no failpoint and a row of the wrong arity or key is a caller bug.
-    pub fn apply_edits(&mut self, edits: impl IntoIterator<Item = (KeyTuple, Option<Row>)>) {
+    pub fn apply_edits<R: Into<SharedRow>>(
+        &mut self,
+        edits: impl IntoIterator<Item = (KeyTuple, Option<R>)>,
+    ) {
         for (key, row) in edits {
             let Some(row) = row else {
                 self.delete(&key);
                 continue;
             };
+            let row = row.into();
             assert_eq!(row.len(), self.schema.len(), "edit row arity");
             debug_assert_eq!(self.key_of(&row), key, "edit row stored under a foreign key");
-            self.put(key, row);
+            self.put(row);
         }
+        self.verify_index();
     }
 
     /// An empty table with the same schema and key.
@@ -546,7 +636,7 @@ impl Table {
             schema: self.schema.clone(),
             key: self.key.clone(),
             rows: Vec::new(),
-            index: HashMap::new(),
+            index: KeyIndex::default(),
             colcache: Mutex::default(),
             answers: Mutex::default(),
             state: AtomicU64::new(0),
@@ -555,8 +645,13 @@ impl Table {
     }
 
     /// Iterate over `(key, row)` pairs.
-    pub fn iter_keyed(&self) -> impl Iterator<Item = (KeyTuple, &Row)> + '_ {
+    pub fn iter_keyed(&self) -> impl Iterator<Item = (KeyTuple, &SharedRow)> + '_ {
         self.rows.iter().map(move |r| (self.key_of(r), r))
+    }
+
+    /// `other`'s row under the key of `row`, a row of this table.
+    fn partner<'a>(&self, other: &'a Table, row: &[Value]) -> Option<&'a SharedRow> {
+        other.position_of(row, &self.key).map(|p| &other.rows[p])
     }
 
     /// Two tables are *equivalent* if they have the same schema, key, and
@@ -565,7 +660,7 @@ impl Table {
         if self.schema != other.schema || self.key != other.key || self.len() != other.len() {
             return false;
         }
-        self.iter_keyed().all(|(k, row)| other.get(&k) == Some(row))
+        self.rows.iter().all(|row| self.partner(other, row) == Some(row))
     }
 
     /// Like [`Table::same_contents`] but floats are compared with relative
@@ -585,8 +680,8 @@ impl Table {
         if self.schema != other.schema || self.key != other.key || self.len() != other.len() {
             return false;
         }
-        self.iter_keyed().all(|(k, row)| match other.get(&k) {
-            Some(o) => row.iter().zip(o).all(|(a, b)| value_close(a, b, eps)),
+        self.rows.iter().all(|row| match self.partner(other, row) {
+            Some(o) => row.iter().zip(o.iter()).all(|(a, b)| value_close(a, b, eps)),
             None => false,
         })
     }
@@ -594,7 +689,10 @@ impl Table {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
+    use crate::key_index::narrow_hashes;
     use crate::schema::Schema;
     use crate::value::DataType;
 
@@ -686,6 +784,171 @@ mod tests {
         let before = Table::clone_count();
         let _copy = t.clone();
         assert!(Table::clone_count() > before, "clone must be counted");
+    }
+
+    #[test]
+    fn a_clone_shares_every_row() {
+        let mut t = table();
+        for i in 0..50 {
+            t.insert(vec![Value::Int(i), Value::str(format!("r{i}"))]).unwrap();
+        }
+        let copy = t.clone();
+        assert_eq!(copy.len(), t.len());
+        assert!(copy.rows().iter().zip(t.rows()).all(|(a, b)| Arc::ptr_eq(a, b)));
+    }
+
+    /// With the key hash narrowed to two bits, 40 keys share four hashes:
+    /// lookups, delete's swap-remove fix-up, upsert and keyed edits must
+    /// still find each key's own row.
+    #[test]
+    fn colliding_key_hashes_keep_lookups_deletes_and_upserts_exact() {
+        narrow_hashes(2);
+        let key = |i: i64| KeyTuple(vec![Value::Int(i)]);
+        let mut t = table();
+        let mut model = BTreeMap::new();
+        for i in 0..40 {
+            t.insert(vec![Value::Int(i), Value::str(format!("r{i}"))]).unwrap();
+            model.insert(i, format!("r{i}"));
+        }
+        assert!(t.insert(vec![Value::Int(7), Value::str("dup")]).is_err(), "a collided duplicate");
+        for i in [0, 39, 17, 4, 23] {
+            assert_eq!(t.delete(&key(i)).unwrap()[0], Value::Int(i));
+            model.remove(&i);
+        }
+        assert!(t.delete(&key(17)).is_none());
+        for i in [5, 40, 41] {
+            t.upsert(vec![Value::Int(i), Value::str("up")]).unwrap();
+            model.insert(i, "up".into());
+        }
+        t.apply_edits([(key(6), None), (key(42), Some(vec![Value::Int(42), Value::str("e")]))]);
+        model.remove(&6);
+        model.insert(42, "e".into());
+        assert_eq!(t.len(), model.len());
+        for (i, row) in t.rows().iter().enumerate() {
+            assert_eq!(t.position_of(row, t.key()), Some(i), "row {i} at its own position");
+        }
+        for i in 0..45 {
+            let got = t.get(&key(i)).map(|r| r[1].as_str().unwrap().to_string());
+            assert_eq!(got.as_ref(), model.get(&i), "key {i}");
+        }
+        narrow_hashes(64);
+    }
+
+    /// Keys the sharing property draws from: few enough that inserts,
+    /// upserts and deletes keep meeting each other.
+    const KEYS: i64 = 24;
+
+    fn int_table() -> Table {
+        let schema = Schema::from_pairs(&[("id", DataType::Int), ("v", DataType::Int)]).unwrap();
+        Table::new(schema, &["id"]).unwrap()
+    }
+
+    /// `t` holds exactly `model`'s rows and finds each at its own position.
+    fn assert_holds(t: &Table, model: &BTreeMap<i64, i64>) {
+        assert_eq!(t.len(), model.len());
+        for (i, row) in t.rows().iter().enumerate() {
+            assert_eq!(t.position_of(row, t.key()), Some(i), "row {i} at its own position");
+        }
+        for k in 0..KEYS {
+            let got = t.get(&KeyTuple(vec![Value::Int(k)])).map(|r| r[1].as_i64().unwrap());
+            assert_eq!(got.as_ref(), model.get(&k), "key {k}");
+        }
+    }
+
+    /// One step of the sharing property on `t` and its model: insert,
+    /// upsert, delete, or three keyed edits from `k` on.
+    fn step(t: &mut Table, model: &mut BTreeMap<i64, i64>, kind: u8, k: i64, v: i64) {
+        let key = |k: i64| KeyTuple(vec![Value::Int(k)]);
+        let old = |r: Option<SharedRow>| r.map(|r| r[1].as_i64().unwrap());
+        match kind {
+            0 => {
+                let fresh = !model.contains_key(&k);
+                assert_eq!(t.insert(vec![Value::Int(k), Value::Int(v)]).is_ok(), fresh);
+                model.entry(k).or_insert(v);
+            }
+            1 => assert_eq!(
+                old(t.upsert(vec![Value::Int(k), Value::Int(v)]).unwrap()),
+                model.insert(k, v)
+            ),
+            2 => assert_eq!(old(t.delete(&key(k))), model.remove(&k)),
+            _ => {
+                let edits: Vec<_> = (0..3)
+                    .map(|j| {
+                        let k = (k + j) % KEYS;
+                        let row = (v >> j & 1 == 0).then(|| vec![Value::Int(k), Value::Int(v + j)]);
+                        match &row {
+                            Some(_) => model.insert(k, v + j),
+                            None => model.remove(&k),
+                        };
+                        (key(k), row)
+                    })
+                    .collect();
+                t.apply_edits(edits);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random insert / upsert / delete / keyed-edit sequences on a table
+        /// and its clones (step kind 4 clones one), with the key hash at
+        /// full width or narrowed to three bits: after every step every
+        /// table equals its own `BTreeMap` model, and an edit of one table
+        /// leaves every other table's lookups, columns, memoized answers and
+        /// pairing as they were.
+        #[test]
+        fn clones_share_rows_and_never_see_each_others_edits(
+            narrow in 0u8..2,
+            steps in proptest::collection::vec((0u8..5, 0i64..KEYS, 0i64..64, 0usize..4), 1..48),
+        ) {
+            narrow_hashes(if narrow == 1 { 3 } else { 64 });
+            let mut partner = int_table();
+            for k in (0..KEYS).step_by(3) {
+                partner.insert(vec![Value::Int(k), Value::Int(-k)]).unwrap();
+            }
+            let mut tables = vec![(int_table(), BTreeMap::new())];
+            for &(kind, k, v, who) in &steps {
+                let who = who % tables.len();
+                if kind == 4 {
+                    let copy = tables[who].0.clone();
+                    let shared = copy.rows().iter().zip(tables[who].0.rows());
+                    assert!(shared.clone().all(|(a, b)| Arc::ptr_eq(a, b)));
+                    assert_eq!(shared.count(), copy.len());
+                    let model = tables[who].1.clone();
+                    tables.push((copy, model));
+                    continue;
+                }
+                // What every other table reads now, and must read after.
+                let sum = |t: &Table| t.rows().iter().map(|r| r[1].as_i64().unwrap() as f64).sum();
+                let before: Vec<_> = tables
+                    .iter()
+                    .map(|(t, _)| {
+                        let answer = t.memoized("sum".into(), || Ok(sum(t))).unwrap();
+                        (t.rows().to_vec(), t.column(1), answer, t.paired_with(&partner))
+                    })
+                    .collect();
+                let (t, model) = &mut tables[who];
+                step(t, model, kind, k, v);
+                for (i, ((t, model), (rows, column, answer, pairing))) in
+                    tables.iter().zip(before).enumerate()
+                {
+                    assert_holds(t, model);
+                    if i == who {
+                        continue;
+                    }
+                    assert!(t.rows().len() == rows.len());
+                    assert!(t.rows().iter().zip(&rows).all(|(a, b)| Arc::ptr_eq(a, b)));
+                    assert!(Arc::ptr_eq(&t.column(1), &column));
+                    let memo = t.memoized("sum".into(), || panic!("the answer was dropped"));
+                    assert_eq!(memo.unwrap().to_bits(), answer.to_bits());
+                    let builds = Table::pairing_build_count();
+                    assert!(Arc::ptr_eq(&t.paired_with(&partner), &pairing));
+                    assert_eq!(Table::pairing_build_count(), builds);
+                }
+            }
+            narrow_hashes(64);
+        }
     }
 
     #[test]

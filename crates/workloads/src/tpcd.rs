@@ -317,7 +317,7 @@ impl TpcdData {
             if !touched.insert(i) {
                 continue;
             }
-            let mut row = lineitem.rows()[i].clone();
+            let mut row = lineitem.rows()[i].to_vec();
             let qty = zip_qty.sample(&mut rng) as f64;
             let rank = zip_rank.sample(&mut rng) as f64;
             row[4] = Value::Float(qty);

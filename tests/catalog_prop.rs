@@ -230,7 +230,7 @@ proptest! {
                     next_fid += 1;
                 }
                 1 => {
-                    let _ = deltas.delete(&db, "fact", &vec![
+                    let _ = deltas.delete(&db, "fact", &[
                         Value::Int((r % n_fact as u64) as i64),
                         Value::Null, Value::Null, Value::Null,
                     ]);
@@ -283,7 +283,7 @@ proptest! {
             ]).unwrap();
         }
         for i in 0..deletes as i64 {
-            let _ = deltas.delete(&db, "fact", &vec![
+            let _ = deltas.delete(&db, "fact", &[
                 Value::Int((i * 7) % n as i64),
                 Value::Null, Value::Null, Value::Null,
             ]);

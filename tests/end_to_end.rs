@@ -26,7 +26,7 @@ fn cleaned_sample_is_exact_subset_of_fresh_view() {
         let fresh = svc.view.recompute_fresh(&data.db, &deltas).unwrap();
         for (k, row) in cleaned.canonical.iter_keyed() {
             let f = fresh.get(&k).unwrap_or_else(|| panic!("{}: key {k} not in fresh", v.id));
-            for (a, b) in row.iter().zip(f) {
+            for (a, b) in row.iter().zip(f.iter()) {
                 match (a.as_f64(), b.as_f64()) {
                     (Some(x), Some(y)) => assert!(
                         (x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1.0),

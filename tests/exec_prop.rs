@@ -157,7 +157,7 @@ fn batch_pipeline_recompiles_on_base_schema_change() {
     )
     .unwrap();
     for row in old_dim.rows() {
-        let mut r = row.clone();
+        let mut r = row.to_vec();
         r.push(Value::Int(7));
         dim2.insert(r).unwrap();
     }
@@ -458,7 +458,7 @@ proptest! {
         };
         answers_like_rows(&copy, "cold");
         answers_like_rows(&copy, "memoized");
-        let mut edited = copy.rows()[data_seed as usize % copy.len()].clone();
+        let mut edited = copy.rows()[data_seed as usize % copy.len()].to_vec();
         edited[1] = Value::Int(data_seed as i64 % 60);
         edited[2] = Value::Float(data_seed as f64 / 16.0);
         copy.apply_edits([(copy.key_of(&edited), Some(edited))]);

@@ -118,7 +118,7 @@ fn log_stream(db: &Database, n: i64) -> Deltas {
         deltas.insert(db, "log", vec![Value::Int(s), Value::Int(s % 64)]).unwrap();
     }
     for s in 0..n / 10 {
-        deltas.delete(db, "log", &vec![Value::Int(s * 7), Value::Null]).unwrap();
+        deltas.delete(db, "log", &[Value::Int(s * 7), Value::Null]).unwrap();
     }
     deltas
 }

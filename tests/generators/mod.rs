@@ -545,7 +545,7 @@ pub fn random_deltas(db: &Database, ops: &[(u8, u64)]) -> Deltas {
                 let _ = deltas.delete(
                     db,
                     "fact",
-                    &vec![Value::Int(id), Value::Null, Value::Null, Value::Null],
+                    &[Value::Int(id), Value::Null, Value::Null, Value::Null],
                 );
             }
             _ => {

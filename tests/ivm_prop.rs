@@ -60,7 +60,7 @@ fn random_deltas(db: &Database, ops: &[(u8, u64)]) -> Deltas {
             1 => {
                 // delete an existing session (if not already deleted)
                 let sid = (r % n_sessions as u64) as i64;
-                let _ = deltas.delete(db, "log", &vec![Value::Int(sid), Value::Null]);
+                let _ = deltas.delete(db, "log", &[Value::Int(sid), Value::Null]);
             }
             _ => {
                 // update an existing session to a different video

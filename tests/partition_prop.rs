@@ -59,7 +59,7 @@ fn approx_same_rows_in_order(a: &Table, b: &Table, eps: f64) -> bool {
         && a.rows()
             .iter()
             .zip(b.rows())
-            .all(|(ra, rb)| ra.iter().zip(rb).all(|(x, y)| value_close(x, y, eps)))
+            .all(|(ra, rb)| ra.iter().zip(rb.iter()).all(|(x, y)| value_close(x, y, eps)))
 }
 
 /// Assert the full partition matrix for one compiled plan: sequential

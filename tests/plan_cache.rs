@@ -80,7 +80,7 @@ fn log_churn(db: &Database, first: i64, n: i64, step: i64) -> Deltas {
         deltas.insert(db, "log", vec![Value::Int(s), Value::Int((s * 7) % 230)]).unwrap();
     }
     for s in (0..3_000i64).step_by(step as usize) {
-        deltas.delete(db, "log", &vec![Value::Int(s), Value::Null]).unwrap();
+        deltas.delete(db, "log", &[Value::Int(s), Value::Null]).unwrap();
     }
     deltas
 }
@@ -224,7 +224,7 @@ fn a_min_max_view_keys_its_strategy_by_signature() {
     }
     let mut churn = inserts.clone();
     for v in (0..200i64).step_by(9) {
-        churn.delete(&db, "video", &vec![Value::Int(v), Value::Null, Value::Null]).unwrap();
+        churn.delete(&db, "video", &[Value::Int(v), Value::Null, Value::Null]).unwrap();
     }
     for _ in 0..2 {
         for (deltas, kind) in [(&inserts, PlanKind::ChangeTable), (&churn, PlanKind::Recompute)] {

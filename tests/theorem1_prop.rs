@@ -6,7 +6,8 @@
 //! randomized deltas and on every workload view), at the cost of evaluating
 //! each side once and never reading the stale view.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -338,10 +339,10 @@ fn recomputed_views_resolve_collided_right_columns() {
             .unwrap();
     }
     for s in (0..300i64).step_by(23) {
-        without.delete(&db, "log", &vec![Value::Int(s), Value::Null, Value::Null]).unwrap();
+        without.delete(&db, "log", &[Value::Int(s), Value::Null, Value::Null]).unwrap();
     }
     let mut with = without.clone();
-    with.delete(&db, "video", &vec![Value::Int(7), Value::Null, Value::Null]).unwrap();
+    with.delete(&db, "video", &[Value::Int(7), Value::Null, Value::Null]).unwrap();
     with.update(&db, "video", vec![Value::Int(12), Value::Int(5), Value::Float(8.5)]).unwrap();
 
     for deltas in [without, with] {
@@ -416,7 +417,7 @@ proptest! {
         let cleaned = assert_cleans_like_its_plan(&svc, &db, &deltas, &fresh, None, "proptest");
         prop_assert_eq!(cleaned.plan_kind, PlanKind::ChangeTable);
         let cleaned = cleaned.canonical;
-        let key = |id: &Value| cleaned.key_of(&vec![id.clone(), Value::Null, Value::Null]);
+        let key = |id: &Value| cleaned.key_of(&[id.clone(), Value::Null, Value::Null]);
         prop_assert!(cleaned.contains_key(&key(&Value::Int(born))), "the new group is sampled");
         if let Some(dying) = dying {
             prop_assert!(!cleaned.contains_key(&key(&dying)), "the emptied group left the sample");
@@ -506,6 +507,56 @@ fn cleaning_and_maintaining_evaluate_each_change_table_once() {
         maintained.unwrap().expect("pending");
         check("maintain", scans_since(&scans), Table::clone_count() - clones);
     }
+}
+
+/// Cleaning and maintaining copy no row the deltas leave alone: every
+/// untouched row of the join view's cleaned sample is the stale sample's own
+/// row, every row of the cleaned sample's public form is the canonical row,
+/// and every untouched row of the maintained view is the previous epoch's
+/// (`Arc::ptr_eq`). A join view row is touched when its lineitem or its
+/// order is in the deltas.
+#[test]
+fn cleaning_and_maintaining_share_every_untouched_row() {
+    let data = TpcdData::generate(TpcdConfig { scale: 0.01, skew: 2.0, seed: 42 }).unwrap();
+    let db = &data.db;
+    let deltas = data.updates(0.1, 7).unwrap();
+    let keys_in = |table: &str, names: &[&str]| -> HashSet<Vec<Value>> {
+        let set = deltas.get(table).expect("a delta set");
+        let cols = set.insertions.schema().resolve_all(names).unwrap();
+        let rows = set.insertions.rows().iter().chain(set.deletions.rows());
+        rows.map(|r| cols.iter().map(|&i| r[i].clone()).collect()).collect()
+    };
+    let (lines, orders) =
+        (keys_in("lineitem", &["l_orderkey", "l_linenumber"]), keys_in("orders", &["o_orderkey"]));
+    let mut svc = SvcView::create("joinView", join_view(), db, SvcConfig::with_ratio(0.2)).unwrap();
+    let schema = svc.view.table().schema();
+    let line_cols = schema.resolve_all(&["l_orderkey", "l_linenumber"]).unwrap();
+    let order_col = schema.resolve("l_orderkey").unwrap();
+    let touched = |row: &[Value]| {
+        lines.contains(&line_cols.iter().map(|&i| row[i].clone()).collect::<Vec<_>>())
+            || orders.contains(&vec![row[order_col].clone()])
+    };
+    // Every untouched row of `next` is `prev`'s row under the same key; most
+    // rows are untouched, so the check is not vacuous.
+    let shares_untouched = |next: &Table, prev: &Table, what: &str| {
+        let mut shared = 0;
+        for row in next.rows().iter().filter(|r| !touched(r)) {
+            let at = prev.position_of(row, next.key()).expect("an untouched key was there before");
+            assert!(Arc::ptr_eq(row, &prev.rows()[at]), "{what}: an untouched row was copied");
+            shared += 1;
+        }
+        assert!(2 * shared > next.len(), "{what}: {shared} of {} rows untouched", next.len());
+    };
+
+    let cleaned = svc.clean_sample(db, &deltas).unwrap();
+    shares_untouched(&cleaned.canonical, svc.stale_sample(), "clean");
+    let (public, canonical) = (cleaned.public.rows(), cleaned.canonical.rows());
+    assert_eq!(public.len(), canonical.len());
+    assert!(public.iter().zip(canonical).all(|(p, c)| Arc::ptr_eq(p, c)), "public copied a row");
+
+    let before = svc.view.table().clone();
+    svc.view.maintain(db, &deltas).unwrap();
+    shares_untouched(svc.view.table(), &before, "maintain");
 }
 
 /// The keyed pair `(∆, ∇)` of `svc`'s view under `deltas`.
