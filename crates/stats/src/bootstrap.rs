@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::clt::ConfidenceInterval;
-use crate::quantile::{quantile_in_place, Type7};
+use crate::quantile::{quantile, quantile_in_place, Type7};
 
 /// A sample sorted once for bootstrapping one of its quantiles.
 struct Ranked {
@@ -44,17 +44,6 @@ impl Ranked {
         }
         let sorted = order.iter().map(|&i| data[i as usize]).collect();
         Ranked { sorted, rank, counts: vec![0; data.len()] }
-    }
-
-    /// The `q`-quantile of the whole sample — [`crate::quantile::quantile`]'s
-    /// value.
-    fn quantile(&self, q: f64) -> f64 {
-        let n = self.sorted.len();
-        if n == 1 {
-            return self.sorted[0];
-        }
-        let at = Type7::new(n, q);
-        at.interpolate(self.sorted[at.lo], self.sorted[at.hi])
     }
 
     /// The `q`-quantile of one resample of `n` draws with replacement.
@@ -110,11 +99,8 @@ pub fn bootstrap_quantile_ci(
     confidence: f64,
     seed: u64,
 ) -> ConfidenceInterval {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut sample = Ranked::new(data);
-    let estimate = sample.quantile(q);
-    let mut dist: Vec<f64> =
-        (0..iterations).map(|_| sample.resample_quantile(&mut rng, q)).collect();
+    let estimate = quantile(data, q);
+    let mut dist = bootstrap_quantile_distribution(data, q, iterations, seed);
     let alpha = 1.0 - confidence;
     let lo = quantile_in_place(&mut dist, alpha / 2.0);
     let hi = quantile_in_place(&mut dist, 1.0 - alpha / 2.0);
@@ -149,7 +135,6 @@ pub fn bootstrap_quantile_paired_diff(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quantile::quantile;
 
     /// The selection path the rank counts replace: materialize each
     /// resample, select its quantile.

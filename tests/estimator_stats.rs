@@ -240,6 +240,8 @@ fn svc_view_coverage_cells(seeds: u64) -> Vec<CoverageCell> {
     cells
 }
 
+const BOOT_ITERATIONS: usize = 80;
+
 /// The bootstrap the rank counts replaced: every resample materialized,
 /// its `q`-quantile selected. Paired when `other` is given: each resample
 /// draws `data`'s rows, then `other`'s, and takes the difference.
@@ -257,8 +259,6 @@ fn selection_bootstrap(data: &[f64], other: Option<&[f64]>, q: f64, seed: u64) -
         })
         .collect()
 }
-
-const BOOT_ITERATIONS: usize = 80;
 
 /// The quantile bootstrap reads each resample off rank counts; on this
 /// file's generators — the perturbed population, join-view samples of
