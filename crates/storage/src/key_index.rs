@@ -18,7 +18,7 @@ use crate::value::Value;
 
 /// Passes a `u64` key through: the index's keys already are hashes.
 #[derive(Default)]
-pub(crate) struct PassThrough(u64);
+struct PassThrough(u64);
 
 impl Hasher for PassThrough {
     fn finish(&self) -> u64 {
