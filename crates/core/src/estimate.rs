@@ -14,27 +14,36 @@
 //!   probability that a more extreme unsampled element exists
 //!   (Appendix 12.1.1).
 //!
-//! SVC+AQP is the walk with no stale side. The walk reads column slices:
-//! each sample's predicate and attribute are evaluated once, by the same
-//! kernels as `q(S)` ([`AggQuery::bind`]), into one value slot per row, and
-//! the slots are paired by row position through the samples' pairing
+//! SVC+AQP is the walk with no stale side. Each sample's predicate and
+//! attribute are evaluated once, by the same kernels as `q(S)`
+//! ([`AggQuery::bind`]), into one value slot per row; the walk pairs the
+//! slots by row position through the samples' pairing
 //! ([`Table::paired_with`]). Definition 4's join on the key depends on the
 //! two samples, not on the query, so it is built once per cleaned sample
-//! and a burst of queries over it hashes no key. Rows are visited in table
-//! order, so every sum — and with it every estimate — is bit-repeatable.
+//! and a burst of queries over it hashes no key. The finishers read the
+//! walk as it goes, with no vector of pairs between: `sum`/`count` add up
+//! `Σd` and `Σd²` in one pass, `avg` takes a second for the squared
+//! deviations, and the order statistics and extremes collect only the
+//! matching values. Rows are visited in table order, so every sum — and
+//! with it every estimate — is bit-repeatable, and at `m = 1` an SVC+AQP
+//! `sum`/`count`/`avg` is `q(Ŝ′)` bit for bit. Every estimate counts the
+//! terms its interval rests on ([`Estimate::n_eff`]).
 //! The bootstrap reads each resample's quantile off rank counts over the
 //! sample sorted once (`svc_stats::bootstrap`); its percentile bounds are
 //! found by selection, not sorting.
+
+use std::sync::Arc;
 
 use svc_stats::bootstrap::{bootstrap_quantile_ci, bootstrap_quantile_paired_diff};
 use svc_stats::cantelli::cantelli_exceedance;
 use svc_stats::clt::{horvitz_thompson_interval, mean_interval, ConfidenceInterval};
 use svc_stats::moments::Moments;
 use svc_stats::quantile::{quantile, quantile_in_place};
+use svc_storage::pairing::Pairing;
 use svc_storage::{Result, StorageError, Table};
 
 use crate::config::SvcConfig;
-use crate::query::{aggregate, AggQuery, QueryAgg};
+use crate::query::{AggQuery, QueryAgg};
 
 /// How an answer was produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,9 +67,12 @@ pub struct Estimate {
     pub method: Method,
     /// Rows of the (clean) sample involved.
     pub sample_size: usize,
-    /// Rows of the sample satisfying the predicate (effective sample size,
-    /// Section 5.2.3).
+    /// Rows of the sample satisfying the predicate (Section 5.2.3).
     pub predicate_rows: usize,
+    /// Terms the interval rests on: the nonzero per-row differences for
+    /// `sum`/`count`; for every other aggregate, the rows under the
+    /// predicate on either side.
+    pub n_eff: usize,
     /// For `min`/`max`: Cantelli bound on the probability that a more
     /// extreme element exists outside the sample (Appendix 12.1.1).
     pub exceedance_probability: Option<f64>,
@@ -80,17 +92,28 @@ impl Estimate {
     }
 }
 
-/// The corresponding samples `(Ŝ, Ŝ′)` joined by key under one query: for
-/// each key of `Ŝ ∪ Ŝ′` the attribute value on either side, `None` where
-/// that side has no such row, the row fails the predicate, or its attribute
-/// is not numeric (Definition 4's "nulls are zero" full outer join, with
-/// the zero left to the finisher).
+/// The corresponding samples `(Ŝ, Ŝ′)` joined by key under one query:
+/// each sample's attribute value per row — `None` where the row fails the
+/// predicate or its attribute is not numeric — and the samples' pairing
+/// (Definition 4's "nulls are zero" full outer join, with the zero left to
+/// the finisher). [`Correspondence::walk`] visits it.
 pub(crate) struct Correspondence {
-    /// `(stale, clean)`: the clean sample's rows in table order, then the
-    /// rows only the stale sample has, in its table order.
-    pub(crate) pairs: Vec<(Option<f64>, Option<f64>)>,
-    /// Clean-sample rows walked; they are `pairs[..clean_rows]`.
-    pub(crate) clean_rows: usize,
+    /// Per row of the cleaned sample `Ŝ′`.
+    clean: Vec<Option<f64>>,
+    /// Rows of `Ŝ′` left out (empty: none).
+    clean_skipped: Vec<bool>,
+    /// `Ŝ`'s side; absent for SVC+AQP.
+    stale: Option<StaleSide>,
+    /// Rows of `Ŝ′` the walk visits.
+    clean_rows: usize,
+}
+
+/// The stale sample's values, per row, and how its rows pair with the
+/// cleaned sample's.
+struct StaleSide {
+    values: Vec<Option<f64>>,
+    skipped: Vec<bool>,
+    pairing: Arc<Pairing>,
 }
 
 /// Per row of `t`: does a `skip` table hold its key? One lookup into `t`
@@ -112,11 +135,11 @@ fn skipped_rows(t: &Table, skip: &[&Table]) -> Vec<bool> {
     skipped
 }
 
-/// The one walk of `(Ŝ, Ŝ′)`. `stale` is absent for SVC+AQP; rows whose
-/// key any `skip` table holds (the outlier sets of Section 6.3) are left
-/// out on both sides. Each sample's values are read once, from its column
-/// slices, into one slot per row; the walk then gathers the slots through
-/// the samples' pairing, memoized on the cleaned sample.
+/// Bind `q` to both samples and read each one's values once, from its
+/// column slices, into one slot per row. `stale` is absent for SVC+AQP;
+/// rows whose key any `skip` table holds (the outlier sets of Section 6.3)
+/// are left out on both sides. The pairing is memoized on the cleaned
+/// sample.
 pub(crate) fn correspond(
     stale: Option<&Table>,
     clean: &Table,
@@ -124,42 +147,75 @@ pub(crate) fn correspond(
     q: &AggQuery,
 ) -> Result<Correspondence> {
     let clean_values = q.bind(clean)?.values_by_row(clean);
-    let skipped = skipped_rows(clean, skip);
-    let kept = |i: &usize| skipped.get(*i) != Some(&true);
-    let Some(stale) = stale else {
-        let pairs: Vec<_> =
-            (0..clean.len()).filter(kept).map(|i| (None, clean_values[i])).collect();
-        return Ok(Correspondence { clean_rows: pairs.len(), pairs });
+    let stale = match stale {
+        None => None,
+        Some(s) => Some(StaleSide {
+            values: q.bind(s)?.values_by_row(s),
+            skipped: skipped_rows(s, skip),
+            pairing: clean.paired_with(s),
+        }),
     };
-    let stale_values = q.bind(stale)?.values_by_row(stale);
-    let pairing = clean.paired_with(stale);
-    let partners = pairing.partners();
-    let mut pairs = Vec::with_capacity(clean.len() + pairing.unmatched().len());
-    pairs.extend(
-        (0..clean.len())
-            .filter(kept)
-            .map(|i| (partners[i].and_then(|j| stale_values[j]), clean_values[i])),
-    );
-    let clean_rows = pairs.len();
-    let skipped = skipped_rows(stale, skip);
-    let unmatched = pairing.unmatched().iter().filter(|&&j| skipped.get(j) != Some(&true));
-    pairs.extend(unmatched.map(|&j| (stale_values[j], None)));
-    Ok(Correspondence { pairs, clean_rows })
+    let clean_skipped = skipped_rows(clean, skip);
+    let clean_rows = clean.len() - clean_skipped.iter().filter(|&&s| s).count();
+    Ok(Correspondence { clean: clean_values, clean_skipped, stale, clean_rows })
 }
 
-fn moments(values: impl Iterator<Item = f64>) -> Moments {
-    let mut m = Moments::new();
-    values.for_each(|v| m.push(v));
-    m
+/// `sum / n`, 0 for no terms.
+fn mean(sum: f64, n: usize) -> f64 {
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
+}
+
+fn nothing_selected(agg: QueryAgg) -> StorageError {
+    StorageError::Invalid(format!("cannot estimate {agg:?}: no sample row satisfies the predicate"))
+}
+
+/// What a finisher read off the walk.
+struct Tally {
+    value: f64,
+    half_width: Option<f64>,
+    exceedance: Option<f64>,
+    /// Clean-sample rows under the predicate.
+    predicate_rows: usize,
+    /// [`Estimate::n_eff`].
+    n_eff: usize,
 }
 
 impl Correspondence {
-    pub(crate) fn clean(&self) -> impl Iterator<Item = f64> + '_ {
-        self.pairs.iter().filter_map(|p| p.1)
+    /// A cleaned sample's values with no stale side and nothing skipped.
+    pub(crate) fn of_clean(clean: Vec<Option<f64>>) -> Correspondence {
+        let clean_rows = clean.len();
+        Correspondence { clean, clean_skipped: Vec::new(), stale: None, clean_rows }
     }
 
-    fn stale(&self) -> impl Iterator<Item = f64> + '_ {
-        self.pairs.iter().filter_map(|p| p.0)
+    /// The one walk: `f(stale, clean)` per key of `Ŝ ∪ Ŝ′` — the cleaned
+    /// sample's rows in table order, each with its partner's value, then
+    /// the rows only the stale sample has, in its table order — leaving the
+    /// skipped keys out.
+    pub(crate) fn walk(&self, mut f: impl FnMut(Option<f64>, Option<f64>)) {
+        let kept = |skipped: &[bool], i: usize| skipped.get(i) != Some(&true);
+        let Some(stale) = &self.stale else {
+            for (i, &c) in self.clean.iter().enumerate() {
+                if kept(&self.clean_skipped, i) {
+                    f(None, c);
+                }
+            }
+            return;
+        };
+        let partners = stale.pairing.partners();
+        for (i, (&c, p)) in self.clean.iter().zip(partners).enumerate() {
+            if kept(&self.clean_skipped, i) {
+                f(p.and_then(|j| stale.values[j]), c);
+            }
+        }
+        for &j in stale.pairing.unmatched() {
+            if kept(&stale.skipped, j) {
+                f(stale.values[j], None);
+            }
+        }
     }
 
     /// Finish the walk into an estimate of `agg`: `stale_result` is the
@@ -171,142 +227,195 @@ impl Correspondence {
         m: f64,
         cfg: &SvcConfig,
     ) -> Result<Estimate> {
-        let predicate_rows = self.clean().count();
-        if predicate_rows == 0 && !matches!(agg, QueryAgg::Sum | QueryAgg::Count) {
-            return Err(StorageError::Invalid(format!(
-                "cannot estimate {agg:?}: no sample row satisfies the predicate"
-            )));
-        }
-        let (value, half_width, exceedance_probability) = match agg {
-            QueryAgg::Sum | QueryAgg::Count | QueryAgg::Avg => {
-                let (value, half_width) = self.sample_mean(agg, stale_result, m, cfg.confidence);
-                (value, Some(half_width), None)
-            }
+        let tally = match agg {
+            QueryAgg::Sum | QueryAgg::Count => self.total(agg, stale_result, m, cfg.confidence),
+            QueryAgg::Avg => self.mean(stale_result, cfg.confidence)?,
             QueryAgg::Median | QueryAgg::Percentile(_) => {
-                let (value, half_width) = self.order_statistic(agg, stale_result, cfg);
-                (value, half_width, None)
+                self.order_statistic(agg, stale_result, cfg)?
             }
-            QueryAgg::Min | QueryAgg::Max => {
-                let (value, exceedance) = self.extreme(agg, stale_result);
-                (value, None, Some(exceedance))
-            }
+            QueryAgg::Min | QueryAgg::Max => self.extreme(agg, stale_result)?,
         };
         Ok(Estimate {
-            value,
-            ci: half_width.map(|half_width| ConfidenceInterval {
-                estimate: value,
+            value: tally.value,
+            ci: tally.half_width.map(|half_width| ConfidenceInterval {
+                estimate: tally.value,
                 half_width,
                 confidence: cfg.confidence,
             }),
             method: if stale_result.is_some() { Method::Correction } else { Method::AqpDirect },
             sample_size: self.clean_rows,
-            predicate_rows,
-            exceedance_probability,
+            predicate_rows: tally.predicate_rows,
+            n_eff: tally.n_eff,
+            exceedance_probability: tally.exceedance,
         })
     }
 
-    /// Sample-mean class (Section 5.2.1) over the per-row `trans`
-    /// differences `dᵢ`: `sum`/`count` add them up, with the
-    /// Horvitz–Thompson interval of a Bernoulli sample (η draws its size at
-    /// random); `avg` takes their mean, with a CLT interval. Returns
-    /// `(value, half_width)`.
-    fn sample_mean(
-        &self,
-        agg: QueryAgg,
-        stale_result: Option<f64>,
-        m: f64,
-        confidence: f64,
-    ) -> (f64, f64) {
-        let avg = agg == QueryAgg::Avg;
+    /// `sum`/`count` (Section 5.2.1): `Σ dᵢ` over the per-row `trans`
+    /// differences — `attr/m` for sum, `1/m` for count, 0 for a failed
+    /// predicate — added to the stale answer, with the Horvitz–Thompson
+    /// interval of a Bernoulli sample (η draws its size at random). One
+    /// walk, in table order.
+    fn total(&self, agg: QueryAgg, stale_result: Option<f64>, m: f64, confidence: f64) -> Tally {
         let trans = |v: Option<f64>| match (agg, v) {
             (_, None) => 0.0,
             (QueryAgg::Sum, Some(x)) => x / m,
-            (QueryAgg::Count, Some(_)) => 1.0 / m,
-            (_, Some(x)) => x,
+            (_, Some(_)) => 1.0 / m,
         };
-        // sum/count scale every sample row (a failed predicate is a zero
-        // term); avg only sees rows that satisfy it on some side.
-        let terms = || {
-            self.pairs
-                .iter()
-                .filter(|(s, c)| !avg || s.is_some() || c.is_some())
-                .map(|&(s, c)| trans(c) - trans(s))
-        };
-        let diffs = moments(terms());
-        let base = stale_result.unwrap_or(0.0);
-        if !avg {
-            let squares = terms().map(|d| d * d).sum();
-            let ci = horvitz_thompson_interval(diffs.sum(), squares, m, confidence);
-            return (base + diffs.sum(), ci.half_width);
+        // −0.0 is the exact additive identity, as in `Iterator::sum`: at
+        // m = 1 an SVC+AQP total is `q(Ŝ′)` bit for bit.
+        let (mut sum, mut squares, mut hits, mut nonzero) = (-0.0, 0.0, 0, 0);
+        self.walk(|s, c| {
+            hits += usize::from(c.is_some());
+            if s.is_some() || c.is_some() {
+                let d = trans(c) - trans(s);
+                sum += d;
+                squares += d * d;
+                nonzero += usize::from(d != 0.0);
+            }
+        });
+        let ci = horvitz_thompson_interval(sum, squares, m, confidence);
+        Tally {
+            value: stale_result.map_or(sum, |base| base + sum),
+            half_width: Some(ci.half_width),
+            exceedance: None,
+            predicate_rows: hits,
+            n_eff: nonzero,
         }
-        let (clean, stale) = (moments(self.clean()), moments(self.stale()));
+    }
+
+    /// `avg` (Section 5.2.1): the clean mean minus the stale mean over the
+    /// rows under the predicate on each side, with a CLT interval from the
+    /// variance of the per-row differences. Two walks: the sums, then the
+    /// squared deviations.
+    fn mean(&self, stale_result: Option<f64>, confidence: f64) -> Result<Tally> {
+        let (mut clean, mut stale, mut diffs) = ((-0.0, 0), (-0.0, 0), (-0.0, 0));
+        self.walk(|s, c| {
+            if let Some(x) = c {
+                clean = (clean.0 + x, clean.1 + 1);
+            }
+            if let Some(x) = s {
+                stale = (stale.0 + x, stale.1 + 1);
+            }
+            if s.is_some() || c.is_some() {
+                diffs = (diffs.0 + (c.unwrap_or(0.0) - s.unwrap_or(0.0)), diffs.1 + 1);
+            }
+        });
+        if clean.1 == 0 {
+            return Err(nothing_selected(QueryAgg::Avg));
+        }
         // A stale sample with no row under the predicate gives SVC+CORR
         // nothing to difference against: the stale answer stands.
-        let correction = if stale_result.is_some() && stale.count() == 0 {
+        let correction = if stale_result.is_some() && stale.1 == 0 {
             0.0
         } else {
-            clean.mean() - stale.mean()
+            mean(clean.0, clean.1) - mean(stale.0, stale.1)
         };
-        let ci = mean_interval(correction, diffs.variance(), diffs.count(), confidence);
-        (base + correction, ci.half_width)
+        let d_mean = mean(diffs.0, diffs.1);
+        let mut deviations = 0.0;
+        self.walk(|s, c| {
+            if s.is_some() || c.is_some() {
+                let e = c.unwrap_or(0.0) - s.unwrap_or(0.0) - d_mean;
+                deviations += e * e;
+            }
+        });
+        let variance = if diffs.1 < 2 { 0.0 } else { deviations / (diffs.1 - 1) as f64 };
+        let ci = mean_interval(correction, variance, diffs.1 as u64, confidence);
+        Ok(Tally {
+            value: stale_result.map_or(correction, |base| base + correction),
+            half_width: Some(ci.half_width),
+            exceedance: None,
+            predicate_rows: clean.1,
+            n_eff: diffs.1,
+        })
     }
 
     /// Order-statistic class (Section 5.2.5): bootstrap the statistic, or
-    /// for SVC+CORR its clean−stale difference. Returns `(value, half_width)`.
+    /// for SVC+CORR its clean−stale difference, over the matching values
+    /// the walk collects.
     fn order_statistic(
         &self,
         agg: QueryAgg,
         stale_result: Option<f64>,
         cfg: &SvcConfig,
-    ) -> (f64, Option<f64>) {
+    ) -> Result<Tally> {
         let level = agg.quantile_level().expect("an order statistic is a quantile");
-        let clean: Vec<f64> = self.clean().collect();
-        let Some(stale_result) = stale_result else {
-            let ci = bootstrap_quantile_ci(
-                &clean,
-                level,
-                cfg.bootstrap_iterations,
-                cfg.confidence,
-                cfg.seed,
-            );
-            return (ci.estimate, Some(ci.half_width));
-        };
-        let stale: Vec<f64> = self.stale().collect();
-        if stale.is_empty() {
-            return (stale_result, None);
+        let (mut clean, mut stale, mut either) = (Vec::new(), Vec::new(), 0);
+        self.walk(|s, c| {
+            clean.extend(c);
+            stale.extend(s);
+            either += usize::from(s.is_some() || c.is_some());
+        });
+        if clean.is_empty() {
+            return Err(nothing_selected(agg));
         }
-        let value = stale_result + (quantile(&clean, level) - quantile(&stale, level));
-        let mut dist = bootstrap_quantile_paired_diff(
-            &clean,
-            &stale,
-            level,
-            cfg.bootstrap_iterations,
-            cfg.seed,
-        );
-        let alpha = 1.0 - cfg.confidence;
-        let lo = quantile_in_place(&mut dist, alpha / 2.0);
-        let hi = quantile_in_place(&mut dist, 1.0 - alpha / 2.0);
-        (value, Some(((hi - lo) / 2.0).abs()))
+        let (value, half_width) = match stale_result {
+            None => {
+                let ci = bootstrap_quantile_ci(
+                    &clean,
+                    level,
+                    cfg.bootstrap_iterations,
+                    cfg.confidence,
+                    cfg.seed,
+                );
+                (ci.estimate, Some(ci.half_width))
+            }
+            Some(stale_result) if stale.is_empty() => (stale_result, None),
+            Some(stale_result) => {
+                let value = stale_result + (quantile(&clean, level) - quantile(&stale, level));
+                let mut dist = bootstrap_quantile_paired_diff(
+                    &clean,
+                    &stale,
+                    level,
+                    cfg.bootstrap_iterations,
+                    cfg.seed,
+                );
+                let alpha = 1.0 - cfg.confidence;
+                let lo = quantile_in_place(&mut dist, alpha / 2.0);
+                let hi = quantile_in_place(&mut dist, 1.0 - alpha / 2.0);
+                (value, Some(((hi - lo) / 2.0).abs()))
+            }
+        };
+        Ok(Tally {
+            value,
+            half_width,
+            exceedance: None,
+            predicate_rows: clean.len(),
+            n_eff: either,
+        })
     }
 
     /// Extreme class (Appendix 12.1.1): the sample extreme, or for SVC+CORR
     /// the stale extreme moved by the extreme row-by-row difference over
-    /// rows present in BOTH samples. Returns `(value, exceedance)`, the
-    /// Cantelli bound on a more extreme unsampled element.
-    fn extreme(&self, agg: QueryAgg, stale_result: Option<f64>) -> (f64, f64) {
-        let value = match stale_result {
-            None => aggregate(agg, self.clean()),
-            Some(stale_result) => {
-                let mut diffs = self.pairs.iter().filter_map(|&(s, c)| Some(c? - s?)).peekable();
-                if diffs.peek().is_none() {
-                    stale_result
-                } else {
-                    stale_result + aggregate(agg, diffs)
-                }
+    /// rows present in BOTH samples, with the Cantelli bound on a more
+    /// extreme unsampled element.
+    fn extreme(&self, agg: QueryAgg, stale_result: Option<f64>) -> Result<Tally> {
+        let pick = if agg == QueryAgg::Min { f64::min } else { f64::max };
+        let fold = |acc: Option<f64>, x: f64| Some(acc.map_or(x, |a| pick(a, x)));
+        let (mut spread, mut clean, mut diff, mut either) = (Moments::new(), None, None, 0);
+        self.walk(|s, c| {
+            if let Some(x) = c {
+                spread.push(x);
+                clean = fold(clean, x);
             }
+            if let (Some(s), Some(c)) = (s, c) {
+                diff = fold(diff, c - s);
+            }
+            either += usize::from(s.is_some() || c.is_some());
+        });
+        let Some(clean) = clean else {
+            return Err(nothing_selected(agg));
         };
-        let spread = moments(self.clean());
-        (value, cantelli_exceedance(spread.variance(), (value - spread.mean()).abs()))
+        let value = match stale_result {
+            None => clean,
+            Some(stale_result) => diff.map_or(stale_result, |d| stale_result + d),
+        };
+        Ok(Tally {
+            value,
+            half_width: None,
+            exceedance: Some(cantelli_exceedance(spread.variance(), (value - spread.mean()).abs())),
+            predicate_rows: spread.count() as usize,
+            n_eff: either,
+        })
     }
 }
 
@@ -345,20 +454,37 @@ pub fn svc_corr(
     estimate(Some((stale_result, stale_sample)), clean_sample, &[], q, m, cfg)
 }
 
-/// Break-even test of Section 5.2.2, read off the same pairs: SVC+CORR has
-/// the lower variance while `σ²_S ≤ 2·cov(S, S′)`.
+/// Break-even test of Section 5.2.2, read off the same walk: SVC+CORR has
+/// the lower variance while `σ²_S ≤ 2·cov(S, S′)`, both over the rows
+/// present in both samples. Two walks: the means, then the deviations.
 pub(crate) fn break_even(
     stale_sample: &Table,
     clean_sample: &Table,
     q: &AggQuery,
 ) -> Result<Method> {
     let pass = correspond(Some(stale_sample), clean_sample, &[], q)?;
-    let paired = || pass.pairs.iter().filter_map(|&(s, c)| Some((s?, c?)));
-    let stale = moments(paired().map(|(s, _)| s));
-    let clean_mean = moments(pass.clean()).mean();
-    let co_moment: f64 = paired().map(|(s, c)| (s - stale.mean()) * (c - clean_mean)).sum();
-    let cov = if stale.count() > 1 { co_moment / (stale.count() - 1) as f64 } else { 0.0 };
-    Ok(if stale.variance() <= 2.0 * cov { Method::Correction } else { Method::AqpDirect })
+    let (mut clean, mut stale) = ((0.0, 0), (0.0, 0));
+    pass.walk(|s, c| {
+        if let Some(c) = c {
+            clean = (clean.0 + c, clean.1 + 1);
+            if let Some(s) = s {
+                stale = (stale.0 + s, stale.1 + 1);
+            }
+        }
+    });
+    let (stale_mean, clean_mean) = (mean(stale.0, stale.1), mean(clean.0, clean.1));
+    let (mut squares, mut co_moment) = (0.0, 0.0);
+    pass.walk(|s, c| {
+        if let (Some(s), Some(c)) = (s, c) {
+            squares += (s - stale_mean) * (s - stale_mean);
+            co_moment += (s - stale_mean) * (c - clean_mean);
+        }
+    });
+    let (variance, cov) = match stale.1 {
+        0 | 1 => (0.0, 0.0),
+        n => (squares / (n - 1) as f64, co_moment / (n - 1) as f64),
+    };
+    Ok(if variance <= 2.0 * cov { Method::Correction } else { Method::AqpDirect })
 }
 
 /// The stale baseline as an [`Estimate`] (for uniform reporting).
@@ -369,6 +495,7 @@ pub fn stale_answer(stale_result: f64) -> Estimate {
         method: Method::Stale,
         sample_size: 0,
         predicate_rows: 0,
+        n_eff: 0,
         exceedance_probability: None,
     }
 }
@@ -526,7 +653,7 @@ mod tests {
         let (clean, dirty) = (keyed(&[(1, 5.0), (2, 7.0)]), keyed(&[(2, 7.0), (1, 4.0)]));
         let q = AggQuery::sum(col("x"));
         let pass = correspond(Some(&dirty), &clean, &[], &q).unwrap();
-        assert_eq!(pass.pairs, vec![(Some(4.0), Some(5.0)), (Some(7.0), Some(7.0))]);
+        assert_eq!(visits(&pass), vec![(Some(4.0), Some(5.0)), (Some(7.0), Some(7.0))]);
         // `clean −̇ dirty` is what SVC+CORR adds to the stale answer.
         let est = svc_corr(100.0, &dirty, &clean, &q, 1.0, &SvcConfig::default()).unwrap();
         assert_eq!(est.value, 101.0);
@@ -539,7 +666,10 @@ mod tests {
         let (clean, dirty) = (keyed(&[(1, 5.0), (3, 2.0)]), keyed(&[(9, 4.0), (1, 5.0)]));
         let q = AggQuery::sum(col("x"));
         let pass = correspond(Some(&dirty), &clean, &[], &q).unwrap();
-        assert_eq!(pass.pairs, vec![(Some(5.0), Some(5.0)), (None, Some(2.0)), (Some(4.0), None)]);
+        assert_eq!(
+            visits(&pass),
+            vec![(Some(5.0), Some(5.0)), (None, Some(2.0)), (Some(4.0), None)]
+        );
         assert_eq!(pass.clean_rows, 2);
         let est = svc_corr(0.0, &dirty, &clean, &q, 1.0, &SvcConfig::default()).unwrap();
         assert_eq!(est.value, 2.0 - 4.0);
@@ -551,7 +681,7 @@ mod tests {
         let q = AggQuery::avg(col("x")).filter(col("x").gt(lit(0.0)));
         // The failing row still counts toward sum/count's k, not avg's.
         assert_eq!(
-            correspond(None, &clean, &[], &q).unwrap().pairs,
+            visits(&correspond(None, &clean, &[], &q).unwrap()),
             vec![(None, Some(5.0)), (None, None)]
         );
         let est = svc_aqp(&clean, &q, 1.0, &SvcConfig::default()).unwrap();
@@ -590,14 +720,21 @@ mod tests {
         pairs
     }
 
-    /// [`correspond`]'s pairs, floats by bit pattern.
+    /// What the walk visits, in order.
+    fn visits(pass: &Correspondence) -> Vec<(Option<f64>, Option<f64>)> {
+        let mut out = Vec::new();
+        pass.walk(|s, c| out.push((s, c)));
+        out
+    }
+
+    /// [`correspond`]'s walk, floats by bit pattern.
     fn walk(
         stale: Option<&Table>,
         clean: &Table,
         skip: &[&Table],
         q: &AggQuery,
     ) -> Vec<(Option<u64>, Option<u64>)> {
-        let pairs = correspond(stale, clean, skip, q).unwrap().pairs.into_iter();
+        let pairs = visits(&correspond(stale, clean, skip, q).unwrap()).into_iter();
         pairs.map(|(a, b)| (a.map(f64::to_bits), b.map(f64::to_bits))).collect()
     }
 
@@ -691,10 +828,65 @@ mod tests {
             (Some(8.0), None),
             (Some(7.0), None),
         ];
-        assert_eq!(pass.pairs, walked);
+        assert_eq!(visits(&pass), walked);
         // Keys 1 and 7 are left out on both sides.
         let pass = correspond(Some(&dirty), &clean, &[&keyed(&[(1, 0.0), (7, 0.0)])], &q).unwrap();
-        assert_eq!(pass.pairs, vec![(None, Some(1.0)), (Some(0.5), Some(3.0)), (Some(8.0), None)]);
+        assert_eq!(
+            visits(&pass),
+            vec![(None, Some(1.0)), (Some(0.5), Some(3.0)), (Some(8.0), None)]
+        );
         assert_eq!(pass.clean_rows, 2);
+    }
+
+    #[test]
+    fn aqp_at_ratio_one_is_the_exact_answer() {
+        // At m = 1 the sample is the whole view: the Horvitz–Thompson
+        // half-width is 0, so only the exact answer lies in the interval.
+        let cfg = SvcConfig::default();
+        for n in [10i64, 100, 1000] {
+            let rows =
+                (0..n).map(|i| (i, ((i * 7919) % 1009) as f64 / 3.0 - 97.1 + 0.1 * i as f64));
+            let t = keyed(&rows.collect::<Vec<_>>());
+            let sample = sample_by_key(&t, 1.0, HashSpec::with_seed(5));
+            assert_eq!(sample.len(), t.len());
+            for base in [AggQuery::sum(col("x")), AggQuery::count(), AggQuery::avg(col("x"))] {
+                for q in [base.clone(), base.filter(col("x").gt(lit(10.0)))] {
+                    let exact = q.exact(&t).unwrap();
+                    let est = svc_aqp(&sample, &q, 1.0, &cfg).unwrap();
+                    assert_eq!(est.value.to_bits(), exact.to_bits(), "n = {n}: {q:?}");
+                    if q.agg != QueryAgg::Avg {
+                        let ci = est.ci.unwrap();
+                        assert_eq!(ci.half_width, 0.0, "n = {n}: {q:?}");
+                        assert!(ci.contains(exact), "n = {n}: {q:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn n_eff_counts_the_terms_an_interval_rests_on() {
+        // Key 1 unchanged (a zero difference), key 2 updated, key 3 only in
+        // Ŝ′, key 4 only in Ŝ, key 5 failing the predicate on both sides
+        // and key 6 failing it only in Ŝ′.
+        let clean = keyed(&[(1, 5.0), (2, 8.0), (3, 2.0), (5, -1.0), (6, -4.0)]);
+        let dirty = keyed(&[(1, 5.0), (2, 6.0), (4, 3.0), (5, -2.0), (6, 4.0)]);
+        let cfg = SvcConfig::default();
+        let positive = |q: AggQuery| q.filter(col("x").gt(lit(0.0)));
+        let n_eff = |q: AggQuery| svc_corr(0.0, &dirty, &clean, &q, 0.5, &cfg).unwrap().n_eff;
+        // sum: nonzero differences at keys 2, 3, 4 and 6.
+        assert_eq!(n_eff(positive(AggQuery::sum(col("x")))), 4);
+        // count: keys 3, 4 and 6 enter or leave the predicate; key 2 stays.
+        assert_eq!(n_eff(positive(AggQuery::count())), 3);
+        // avg, median and max: rows under the predicate on either side.
+        for q in [AggQuery::avg(col("x")), AggQuery::median(col("x")), AggQuery::max(col("x"))] {
+            assert_eq!(n_eff(positive(q)), 5);
+        }
+        // Without a predicate every row is under it, and key 5 differs.
+        assert_eq!(n_eff(AggQuery::sum(col("x"))), 5);
+        assert_eq!(n_eff(AggQuery::avg(col("x"))), 6);
+        // SVC+AQP: every clean row under the predicate is a nonzero term.
+        let aqp = svc_aqp(&clean, &positive(AggQuery::sum(col("x"))), 0.5, &cfg).unwrap();
+        assert_eq!((aqp.n_eff, aqp.predicate_rows, aqp.sample_size), (3, 3, 5));
     }
 }

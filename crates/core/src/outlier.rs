@@ -249,7 +249,12 @@ pub fn estimate_aqp_with_outliers(
     let n_reg = reg.predicate_rows as f64 / m;
     let n = n_reg + out.len() as f64;
     let mut merged = reg.affine(n_reg / n, aggregate(QueryAgg::Sum, out.iter().copied()) / n);
-    let residuals = walk.clean().map(|x| ((x - merged.value) / m).powi(2)).sum();
+    let mut residuals = 0.0;
+    walk.walk(|_, c| {
+        if let Some(x) = c {
+            residuals += ((x - merged.value) / m).powi(2);
+        }
+    });
     if let Some(ci) = &mut merged.ci {
         ci.half_width = horvitz_thompson_interval(0.0, residuals, m, cfg.confidence).half_width / n;
     }

@@ -164,8 +164,8 @@ impl AggQuery {
 }
 
 /// `agg` over plain values, `NaN` where an empty input has no answer — the
-/// one definition behind [`AggQuery::exact`], the estimators' order
-/// statistics and extremes, and the outlier rows' exact contribution.
+/// one definition behind [`AggQuery::exact`] and the outlier rows' exact
+/// contribution.
 pub(crate) fn aggregate(agg: QueryAgg, values: impl Iterator<Item = f64>) -> f64 {
     match agg {
         QueryAgg::Sum => values.sum(),

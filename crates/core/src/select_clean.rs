@@ -41,8 +41,8 @@ pub struct CleanSelectResult {
 fn count_estimate(hits: usize, sample_size: usize, m: f64, cfg: &SvcConfig) -> Estimate {
     // A `count` correction of the empty relation, as for `count` queries:
     // `hits` indicator rows among `sample_size`, scaled `1/m`, CLT bound.
-    let pairs = (0..sample_size).map(|i| (None, (i < hits).then_some(1.0))).collect();
-    Correspondence { pairs, clean_rows: sample_size }
+    let rows = (0..sample_size).map(|i| (i < hits).then_some(1.0)).collect();
+    Correspondence::of_clean(rows)
         .finish(QueryAgg::Count, Some(0.0), m, cfg)
         .expect("a count is defined on any sample")
 }

@@ -12,9 +12,13 @@
 //! literals and `+ − × ÷ %` read straight out of typed storage. Projection
 //! outputs, query attributes and both sides of a [`ColPred::CmpExpr`]
 //! comparison are such trees; typed constant-vs-column and column-vs-column
-//! loops are the comparison fast paths beside it. Only a node with no
-//! kernel (a function call, a general `NOT`) gathers its row into a scratch
-//! buffer and falls back to [`BoundExpr`] evaluation.
+//! loops are the comparison fast paths beside it. A tree runs a batch of
+//! rows a node at a time into typed lanes — `i64` or `f64` values plus a
+//! NULL mask — with each node's operator matched once per batch, and a
+//! comparison of two lanes refines the selection directly. A per-row cell
+//! view is left only where a node meets a Mixed, Str or Bool column; a node
+//! with no kernel (a function call, a general `NOT`) gathers its row into a
+//! scratch buffer and falls back to [`BoundExpr`] evaluation.
 //!
 //! **Equivalence is the contract.** Every kernel reproduces the row-at-a-
 //! time semantics bit for bit: comparisons coerce numerics through `f64`
@@ -30,6 +34,7 @@
 //! constant-vs-column kernel skip scanning a slice that can never, or must
 //! always, satisfy its comparison.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -406,24 +411,13 @@ impl ColPred {
             }
             ColPred::CmpExpr { left, op, right } => {
                 // Both trees evaluated a node at a time over a batch of the
-                // selection, compared in one pass; then one refinement.
-                let mut verdicts = Vec::with_capacity(sel.len());
-                sel.for_each_chunk(BATCH, |rows| {
-                    let (l, r) =
-                        (left.cells(cols, rows, scratch), right.cells(cols, rows, scratch));
-                    verdicts.extend(rows.iter().enumerate().map(|(k, &i)| {
-                        cells_match(*op, l.get(k), r.get(k)).unwrap_or_else(|| {
-                            let i = i as usize;
-                            let (l, r) =
-                                (left.eval(cols, i, scratch), right.eval(cols, i, scratch));
-                            value_cmp_matches(*op, &l, &r)
-                        })
-                    }));
-                });
-                let mut k = 0;
-                sel.retain(|_| {
-                    k += 1;
-                    verdicts[k - 1]
+                // selection, compared straight into the refined selection.
+                sel.retain_batches(BATCH, |rows, kept| {
+                    let (l, r) = (left.lane(cols, rows, scratch), right.lane(cols, rows, scratch));
+                    compare_lanes(*op, (&l, &r), rows, kept, |i| {
+                        let (l, r) = (left.eval(cols, i, scratch), right.eval(cols, i, scratch));
+                        value_cmp_matches(*op, &l, &r)
+                    });
                 });
                 0
             }
@@ -549,7 +543,7 @@ pub fn compile_map(exprs: &[BoundExpr], dtypes: &[DataType]) -> MapPlan {
     MapPlan { outs: exprs.iter().zip(dtypes).map(|(e, &dt)| (dt, compile_expr(e))).collect() }
 }
 
-/// A numeric view of one cell for the arithmetic kernel.
+/// A numeric view of one cell, for the rows a typed lane cannot hold.
 #[derive(Clone, Copy)]
 enum Cell {
     Null,
@@ -571,16 +565,12 @@ impl Cell {
         }
     }
 
-    /// Row `i` of a column, read straight out of typed storage.
+    /// Row `i` of a column no typed lane holds: Mixed, Str or Bool.
     #[inline]
     fn at(col: &Column, i: usize) -> Cell {
-        if col.is_null(i) {
-            return Cell::Null;
-        }
         match &col.data {
-            ColumnData::Int(xs) => Cell::I(xs[i]),
-            ColumnData::Float(xs) => Cell::F(xs[i]),
             ColumnData::Mixed(vs) => Cell::of(&vs[i]),
+            _ if col.is_null(i) => Cell::Null,
             _ => Cell::Other,
         }
     }
@@ -604,25 +594,164 @@ impl Cell {
     }
 }
 
-/// Rows per batch of the expression evaluator: each tree node's temporary
-/// stays small enough for the cache and the allocator's reuse lists.
+/// Rows per batch of the expression evaluator: each tree node's lane stays
+/// small enough for the cache and the allocator's reuse lists.
 const BATCH: usize = 1024;
 
-/// A tree node's cell views over a batch of rows: one per row, or
-/// one for all of them (a literal, or arithmetic over literals only).
-enum Cells {
-    Each(Vec<Cell>),
+/// A lane's validity over a batch: `false` marks a NULL row; `None`, none.
+type Mask<'a> = Option<Cow<'a, [bool]>>;
+
+/// One tree node's values over a batch of rows. A column read over a run
+/// of consecutive rows borrows its slice.
+enum Lane<'a> {
+    /// One value for every row: a literal, or arithmetic over literals only.
     All(Cell),
+    /// Integers, one per row; a NULL row holds an unspecified value.
+    Int(Cow<'a, [i64]>, Mask<'a>),
+    /// Floats, one per row; a NULL row holds an unspecified value.
+    Float(Cow<'a, [f64]>, Mask<'a>),
+    /// Cell views, one per row: a node that met a Mixed, Str or Bool
+    /// column, or a row-evaluated subtree.
+    Cells(Vec<Cell>),
 }
 
-impl Cells {
-    /// The view at the `k`-th selected row.
-    #[inline]
-    fn get(&self, k: usize) -> Cell {
-        match self {
-            Cells::Each(cs) => cs[k],
-            Cells::All(c) => *c,
+/// An `i64` or `f64` lane element, read as the `f64` every comparison and
+/// every arithmetic operator but `%` computes in.
+trait Num: Copy {
+    fn f(self) -> f64;
+}
+
+impl Num for i64 {
+    #[inline(always)]
+    fn f(self) -> f64 {
+        self as f64
+    }
+}
+
+impl Num for f64 {
+    #[inline(always)]
+    fn f(self) -> f64 {
+        self
+    }
+}
+
+/// One operand of a typed loop: a value per row, or one for every row.
+#[derive(Clone, Copy)]
+enum Src<'a, T> {
+    Each(&'a [T]),
+    All(T),
+}
+
+/// A typed lane as loop operands.
+#[derive(Clone, Copy)]
+enum Typed<'a> {
+    I(Src<'a, i64>),
+    F(Src<'a, f64>),
+}
+
+/// Run the generic loop `$f(a, b, args..)` with each operand at its own
+/// element type, so an integer side widens inside the loop.
+macro_rules! typed_pair {
+    ($a:expr, $b:expr, $f:ident($($arg:expr),*)) => {
+        match ($a, $b) {
+            (Typed::I(a), Typed::I(b)) => $f(a, b, $($arg),*),
+            (Typed::I(a), Typed::F(b)) => $f(a, b, $($arg),*),
+            (Typed::F(a), Typed::I(b)) => $f(a, b, $($arg),*),
+            (Typed::F(a), Typed::F(b)) => $f(a, b, $($arg),*),
         }
+    };
+}
+
+/// `f` over the two operands of one batch, row by row, on their `f64`
+/// views.
+#[inline(always)]
+fn zip<A: Num, B: Num, T>(a: Src<A>, b: Src<B>, mut f: impl FnMut(f64, f64) -> T) -> Vec<T> {
+    match (a, b) {
+        (Src::Each(a), Src::Each(b)) => a.iter().zip(b).map(|(x, y)| f(x.f(), y.f())).collect(),
+        (Src::Each(a), Src::All(y)) => a.iter().map(|x| f(x.f(), y.f())).collect(),
+        (Src::All(x), Src::Each(b)) => b.iter().map(|y| f(x.f(), y.f())).collect(),
+        (Src::All(_), Src::All(_)) => unreachable!("two constants fold into one"),
+    }
+}
+
+/// `÷` on a batch: always float, NULL where the divisor is 0.
+fn divide<'a, A: Num, B: Num>(a: Src<A>, b: Src<B>, mask: Mask<'a>) -> Lane<'a> {
+    match b {
+        Src::All(y) if y.f() == 0.0 => Lane::All(Cell::Null),
+        Src::Each(ys) if ys.iter().any(|y| y.f() == 0.0) => {
+            let nonzero = Some(Cow::Owned(ys.iter().map(|y| y.f() != 0.0).collect()));
+            Lane::Float(Cow::Owned(zip(a, b, |x, y| x / y)), and_masks(mask, nonzero))
+        }
+        _ => Lane::Float(Cow::Owned(zip(a, b, |x, y| x / y)), mask),
+    }
+}
+
+/// `%` on a batch of integers: NULL where the divisor is 0.
+fn modulo<'a>(a: Src<i64>, b: Src<i64>, mask: Mask<'a>) -> Lane<'a> {
+    let mask = match b {
+        Src::All(0) => return Lane::All(Cell::Null),
+        Src::Each(ys) if ys.contains(&0) => {
+            and_masks(mask, Some(Cow::Owned(ys.iter().map(|&y| y != 0).collect())))
+        }
+        _ => mask,
+    };
+    let at = |s: Src<i64>, k: usize| match s {
+        Src::Each(xs) => xs[k],
+        Src::All(x) => x,
+    };
+    let n = match (a, b) {
+        (Src::Each(xs), _) | (_, Src::Each(xs)) => xs.len(),
+        _ => unreachable!("two constants fold into one"),
+    };
+    // Only a live row divides: a NULL row's value is unspecified and could
+    // overflow `rem_euclid` where the row path never divides.
+    let xs = (0..n)
+        .map(|k| if live(mask.as_deref(), k) { at(a, k).rem_euclid(at(b, k)) } else { 0 })
+        .collect();
+    Lane::Int(Cow::Owned(xs), mask)
+}
+
+fn and_masks<'a>(a: Mask<'a>, b: Mask<'a>) -> Mask<'a> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.iter().zip(b.iter()).map(|(&x, &y)| x && y).collect()),
+        (a, None) | (None, a) => a,
+    }
+}
+
+/// `xs` at `rows`: the slice itself over a run of consecutive rows (a dense
+/// selection), else a gathered copy.
+fn gather<'a, T: Copy>(xs: &'a [T], rows: &[u32]) -> Cow<'a, [T]> {
+    match (rows.first(), rows.last()) {
+        (Some(&lo), Some(&hi)) if (hi - lo) as usize + 1 == rows.len() => {
+            Cow::Borrowed(&xs[lo as usize..=hi as usize])
+        }
+        _ => Cow::Owned(rows.iter().map(|&i| xs[i as usize]).collect()),
+    }
+}
+
+impl Lane<'_> {
+    /// The view at the `k`-th row of the batch.
+    #[inline]
+    fn cell(&self, k: usize) -> Cell {
+        match self {
+            Lane::All(c) => *c,
+            Lane::Int(xs, m) if live(m.as_deref(), k) => Cell::I(xs[k]),
+            Lane::Float(xs, m) if live(m.as_deref(), k) => Cell::F(xs[k]),
+            Lane::Int(..) | Lane::Float(..) => Cell::Null,
+            Lane::Cells(cs) => cs[k],
+        }
+    }
+
+    /// The typed loops' view of this lane and its mask; `None` for cells
+    /// or a non-numeric constant.
+    fn typed(&self) -> Option<(Typed<'_>, Mask<'_>)> {
+        Some(match self {
+            Lane::Int(xs, m) => (Typed::I(Src::Each(xs)), m.as_deref().map(Cow::Borrowed)),
+            Lane::Float(xs, m) => (Typed::F(Src::Each(xs)), m.as_deref().map(Cow::Borrowed)),
+            Lane::All(Cell::I(x)) => (Typed::I(Src::All(*x)), None),
+            Lane::All(Cell::F(x)) => (Typed::F(Src::All(*x)), None),
+            _ => return None,
+        })
     }
 }
 
@@ -632,9 +761,6 @@ impl Cells {
 /// *both* operands were integers — the exact row-path semantics, including
 /// the precision loss of the `f64` round trip on huge integers. The result
 /// is never [`Cell::Other`].
-// Always inlined: called per element from the recursive batch evaluator,
-// where the compiler otherwise leaves it an out-of-line call.
-#[inline(always)]
 fn arith(op: BinOp, l: Cell, r: Cell) -> Cell {
     if matches!(l, Cell::Null) || matches!(r, Cell::Null) {
         return Cell::Null;
@@ -667,6 +793,125 @@ fn arith(op: BinOp, l: Cell, r: Cell) -> Cell {
     }
 }
 
+/// [`arith`] over two lanes of a batch of `n` rows. Typed lanes run one
+/// loop per node with the operator matched once; a lane of cells takes the
+/// cell-at-a-time path.
+fn arith_lanes<'a>(op: BinOp, l: &Lane, r: &Lane, n: usize) -> Lane<'a> {
+    if let (Lane::All(a), Lane::All(b)) = (l, r) {
+        return Lane::All(arith(op, *a, *b));
+    }
+    // A NULL or non-numeric constant makes every row NULL.
+    if [l, r].iter().any(|x| matches!(x, Lane::All(c) if c.as_f64().is_none())) {
+        return Lane::All(Cell::Null);
+    }
+    let (Some((a, am)), Some((b, bm))) = (l.typed(), r.typed()) else {
+        return Lane::Cells((0..n).map(|k| arith(op, l.cell(k), r.cell(k))).collect());
+    };
+    let mask = and_masks(am, bm).map(|m| Cow::Owned(m.into_owned()));
+    match (op, a, b) {
+        (BinOp::Div, a, b) => typed_pair!(a, b, divide(mask)),
+        (BinOp::Mod, Typed::I(a), Typed::I(b)) => modulo(a, b, mask),
+        (BinOp::Mod, ..) => Lane::All(Cell::Null),
+        // Int ∘ Int computes in `f64` and narrows back.
+        (op, Typed::I(a), Typed::I(b)) => Lane::Int(
+            Cow::Owned(match op {
+                BinOp::Add => zip(a, b, |x, y| (x + y) as i64),
+                BinOp::Sub => zip(a, b, |x, y| (x - y) as i64),
+                _ => zip(a, b, |x, y| (x * y) as i64),
+            }),
+            mask,
+        ),
+        (op, a, b) => Lane::Float(
+            Cow::Owned(match op {
+                BinOp::Add => typed_pair!(a, b, zip(|x, y| x + y)),
+                BinOp::Sub => typed_pair!(a, b, zip(|x, y| x - y)),
+                _ => typed_pair!(a, b, zip(|x, y| x * y)),
+            }),
+            mask,
+        ),
+    }
+}
+
+/// Push onto `kept` the rows of a batch whose two sides, as `f64` under
+/// `total_cmp`, satisfy `keep`, skipping NULL rows.
+#[inline(always)]
+fn keep_where<A: Num, B: Num>(
+    a: Src<A>,
+    b: Src<B>,
+    rows: &[u32],
+    valid: Option<&[bool]>,
+    kept: &mut Vec<u32>,
+    keep: impl Fn(Ordering) -> bool,
+) {
+    // Branch-free: every row is written, and only a kept one advances the
+    // end (a data-dependent branch per row costs more than the loop).
+    let start = kept.len();
+    kept.resize(start + rows.len(), 0);
+    let out = &mut kept[start..];
+    let mut n = 0;
+    let mut push = |i: u32, hit: bool| {
+        out[n] = i;
+        n += usize::from(hit);
+    };
+    let test = |k: usize, x: f64, y: f64| keep(x.total_cmp(&y)) & live(valid, k);
+    let rows = rows.iter().copied().enumerate();
+    match (a, b) {
+        (Src::Each(a), Src::Each(b)) => {
+            for ((k, i), (x, y)) in rows.zip(a.iter().zip(b)) {
+                push(i, test(k, x.f(), y.f()));
+            }
+        }
+        (Src::Each(a), Src::All(y)) => {
+            for ((k, i), x) in rows.zip(a) {
+                push(i, test(k, x.f(), y.f()));
+            }
+        }
+        (Src::All(x), Src::Each(b)) => {
+            for ((k, i), y) in rows.zip(b) {
+                push(i, test(k, x.f(), y.f()));
+            }
+        }
+        (Src::All(x), Src::All(y)) => rows.for_each(|(k, i)| push(i, test(k, x.f(), y.f()))),
+    }
+    kept.truncate(start + n);
+}
+
+/// `eval_cmp` as a predicate over two lanes of a batch: NULL never
+/// matches, numbers compare as `f64` under `total_cmp` in one typed loop
+/// per operator. A lane of cells compares cell by cell, and a pair the
+/// cells cannot settle (a non-numeric value, ordered by type rank) asks
+/// `by_value` with the row.
+fn compare_lanes(
+    op: BinOp,
+    (l, r): (&Lane, &Lane),
+    rows: &[u32],
+    kept: &mut Vec<u32>,
+    mut by_value: impl FnMut(usize) -> bool,
+) {
+    if matches!(l, Lane::All(Cell::Null)) || matches!(r, Lane::All(Cell::Null)) {
+        return;
+    }
+    let (Some((a, am)), Some((b, bm))) = (l.typed(), r.typed()) else {
+        for (k, &i) in rows.iter().enumerate() {
+            if cells_match(op, l.cell(k), r.cell(k)).unwrap_or_else(|| by_value(i as usize)) {
+                kept.push(i);
+            }
+        }
+        return;
+    };
+    let mask = and_masks(am, bm);
+    let valid = mask.as_deref();
+    match op {
+        BinOp::Eq => typed_pair!(a, b, keep_where(rows, valid, kept, Ordering::is_eq)),
+        BinOp::Ne => typed_pair!(a, b, keep_where(rows, valid, kept, Ordering::is_ne)),
+        BinOp::Lt => typed_pair!(a, b, keep_where(rows, valid, kept, Ordering::is_lt)),
+        BinOp::Le => typed_pair!(a, b, keep_where(rows, valid, kept, Ordering::is_le)),
+        BinOp::Gt => typed_pair!(a, b, keep_where(rows, valid, kept, Ordering::is_gt)),
+        BinOp::Ge => typed_pair!(a, b, keep_where(rows, valid, kept, Ordering::is_ge)),
+        _ => unreachable!("compare_lanes on {op:?}"),
+    }
+}
+
 impl ColExpr {
     /// True when evaluating this expression never gathers a row.
     fn has_kernel(&self) -> bool {
@@ -674,9 +919,10 @@ impl ColExpr {
     }
 
     /// The value at row `i` — exactly `BoundExpr::eval` of the row: the
-    /// row-at-a-time form of [`ColExpr::cells`], for projections and for
-    /// comparisons a batch cannot settle. `scratch` is the row buffer a
-    /// [`ColExpr::Row`] node gathers into.
+    /// row-at-a-time form of [`ColExpr::lane`], for comparisons inside an
+    /// `Or`, for pairs a lane cannot settle and for projected columns and
+    /// literals. `scratch` is the row buffer a [`ColExpr::Row`] node
+    /// gathers into.
     fn eval(&self, cols: &ColumnSet, i: usize, scratch: &mut Row) -> Value {
         match self {
             ColExpr::Take(c) => cols.cols[*c].value(i),
@@ -692,46 +938,29 @@ impl ColExpr {
         }
     }
 
-    /// The numeric views at `rows`, in order: the tree evaluated a node at
-    /// a time over the batch, each column read in one typed loop and a
+    /// The values at `rows`, in order: the tree evaluated a node at a time
+    /// over the batch, an Int or Float column read as a typed lane, a
     /// literal kept as one value.
-    fn cells(&self, cols: &ColumnSet, rows: &[u32], scratch: &mut Row) -> Cells {
-        Cells::Each(match self {
+    fn lane<'a>(&self, cols: &'a ColumnSet, rows: &[u32], scratch: &mut Row) -> Lane<'a> {
+        match self {
             ColExpr::Take(c) => {
                 let col = &cols.cols[*c];
-                match (&col.data, &col.valid) {
-                    (ColumnData::Int(xs), None) => {
-                        rows.iter().map(|&i| Cell::I(xs[i as usize])).collect()
-                    }
-                    (ColumnData::Float(xs), None) => {
-                        rows.iter().map(|&i| Cell::F(xs[i as usize])).collect()
-                    }
-                    _ => rows.iter().map(|&i| Cell::at(col, i as usize)).collect(),
+                let mask = || col.valid.as_deref().map(|v| gather(v, rows));
+                match &col.data {
+                    ColumnData::Int(xs) => Lane::Int(gather(xs, rows), mask()),
+                    ColumnData::Float(xs) => Lane::Float(gather(xs, rows), mask()),
+                    _ => Lane::Cells(rows.iter().map(|&i| Cell::at(col, i as usize)).collect()),
                 }
             }
-            ColExpr::Lit(v) => return Cells::All(Cell::of(v)),
+            ColExpr::Lit(v) => Lane::All(Cell::of(v)),
             ColExpr::Bin { op, left, right } => {
-                let op = *op;
-                match (left.cells(cols, rows, scratch), right.cells(cols, rows, scratch)) {
-                    (Cells::All(l), Cells::All(r)) => return Cells::All(arith(op, l, r)),
-                    (Cells::Each(mut ls), Cells::All(r)) => {
-                        ls.iter_mut().for_each(|l| *l = arith(op, *l, r));
-                        ls
-                    }
-                    (Cells::All(l), Cells::Each(mut rs)) => {
-                        rs.iter_mut().for_each(|r| *r = arith(op, l, *r));
-                        rs
-                    }
-                    (Cells::Each(mut ls), Cells::Each(rs)) => {
-                        ls.iter_mut().zip(rs).for_each(|(l, r)| *l = arith(op, *l, r));
-                        ls
-                    }
-                }
+                let (l, r) = (left.lane(cols, rows, scratch), right.lane(cols, rows, scratch));
+                arith_lanes(*op, &l, &r, rows.len())
             }
-            ColExpr::Row(_) => {
-                rows.iter().map(|&i| Cell::of(&self.eval(cols, i as usize, scratch))).collect()
-            }
-        })
+            ColExpr::Row(_) => Lane::Cells(
+                rows.iter().map(|&i| Cell::of(&self.eval(cols, i as usize, scratch))).collect(),
+            ),
+        }
     }
 
     /// Call `f` with each selected row and its numeric value
@@ -745,10 +974,21 @@ impl ColExpr {
         scratch: &mut Row,
         mut f: impl FnMut(usize, Option<f64>),
     ) {
-        sel.for_each_chunk(BATCH, |rows| {
-            let cells = self.cells(cols, rows, scratch);
-            for (k, &i) in rows.iter().enumerate() {
-                f(i as usize, cells.get(k).as_f64());
+        sel.for_each_chunk(BATCH, |rows| match self.lane(cols, rows, scratch) {
+            Lane::Int(xs, m) => {
+                for (k, (&i, &x)) in rows.iter().zip(xs.iter()).enumerate() {
+                    f(i as usize, live(m.as_deref(), k).then_some(x as f64));
+                }
+            }
+            Lane::Float(xs, m) => {
+                for (k, (&i, &x)) in rows.iter().zip(xs.iter()).enumerate() {
+                    f(i as usize, live(m.as_deref(), k).then_some(x));
+                }
+            }
+            lane => {
+                for (k, &i) in rows.iter().enumerate() {
+                    f(i as usize, lane.cell(k).as_f64());
+                }
             }
         });
     }
@@ -761,8 +1001,16 @@ impl MapPlan {
         let mut out = Vec::with_capacity(self.outs.len());
         for (dt, ce) in &self.outs {
             let mut b = svc_storage::ColumnBuilder::new(*dt, n);
-            for i in sel.iter() {
-                b.push(&ce.eval(cols, i, scratch));
+            if let ColExpr::Bin { .. } = ce {
+                // Arithmetic runs on lanes; its results are numbers or NULL.
+                sel.for_each_chunk(BATCH, |rows| {
+                    let lane = ce.lane(cols, rows, scratch);
+                    (0..rows.len()).for_each(|k| b.push(&lane.cell(k).value()));
+                });
+            } else {
+                for i in sel.iter() {
+                    b.push(&ce.eval(cols, i, scratch));
+                }
             }
             out.push(Arc::new(b.finish()));
         }
@@ -981,6 +1229,167 @@ mod tests {
                             assert_eq!(a.to_bits(), b.to_bits(), "{e} row {i}");
                         }
                         _ => assert_eq!(got, want, "{e} row {i}"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Generated columns for the typed-lane edge cases: a nullable Int `a`
+    /// with `i64` extremes, an Int `b` with zeros and negatives (never −1,
+    /// whose `i64::MIN % −1` overflows on both paths), a nullable Float `x`
+    /// with NaN, ±0 and ±∞, a Float `y`, and a Mixed `m`.
+    fn edge_rows(n: usize) -> (Schema, Vec<Row>) {
+        let schema = Schema::from_pairs(&[
+            ("a", DataType::Int),
+            ("b", DataType::Int),
+            ("x", DataType::Float),
+            ("y", DataType::Float),
+            ("m", DataType::Int),
+        ])
+        .unwrap();
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let ints = [0, 1, 3, -3, 7, -7, i64::MAX, i64::MIN, 1 << 62, -(1 << 62), 1 << 53];
+        let floats = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.5, -2.25, 1e300];
+        let rows = (0..n)
+            .map(|_| {
+                let r = next();
+                let pick = |salt: u32, pool: usize| (r.rotate_left(salt) % pool as u64) as usize;
+                let small = ((r >> 20) % 41) as i64 - 20;
+                let a = match r % 5 {
+                    0 => Value::Null,
+                    1 | 2 => Value::Int(ints[pick(7, ints.len())]),
+                    _ => Value::Int(small * 1_000_003),
+                };
+                let b = Value::Int(match (r >> 3) % 3 {
+                    0 => [0, 3, -3, 7, -7, 2][pick(11, 6)],
+                    _ if small == -1 => -2,
+                    _ => small,
+                });
+                let x = match (r >> 5) % 6 {
+                    0 => Value::Null,
+                    1 | 2 => Value::Float(floats[pick(17, floats.len())]),
+                    _ => Value::Float(small as f64 / 4.0),
+                };
+                let y = Value::Float(match (r >> 9) % 4 {
+                    0 => floats[pick(23, floats.len())],
+                    _ => (small as f64) * 0.75,
+                });
+                let m = match (r >> 13) % 5 {
+                    0 => Value::Null,
+                    1 => Value::Float(small as f64 / 2.0),
+                    2 => Value::str("s"),
+                    _ => Value::Int(small),
+                };
+                vec![a, b, x, y, m]
+            })
+            .collect();
+        (schema, rows)
+    }
+
+    #[test]
+    fn typed_lanes_equal_the_row_evaluator_on_edge_cases() {
+        use crate::scalar::{col, lit, Expr};
+        let (schema, rows) = edge_rows(2600);
+        let cols = ColumnSet::from_rows(&schema, &rows);
+        assert!(matches!(cols.cols[4].data, ColumnData::Mixed(_)));
+        assert!(cols.cols[0].valid.is_some() && cols.cols[2].valid.is_some());
+        let mut scratch = Row::new();
+        let batch: Vec<u32> = (0..8).collect();
+        // Int and Float columns read into typed lanes; a Mixed one, cells.
+        assert!(matches!(
+            ColExpr::Take(0).lane(&cols, &batch, &mut scratch),
+            Lane::Int(_, Some(_))
+        ));
+        assert!(matches!(ColExpr::Take(3).lane(&cols, &batch, &mut scratch), Lane::Float(_, None)));
+        assert!(matches!(ColExpr::Take(4).lane(&cols, &batch, &mut scratch), Lane::Cells(_)));
+        let exprs = [
+            col("a").div(col("b")),
+            col("a").mul(col("a")),
+            col("a").add(lit(i64::MAX)),
+            col("a").sub(col("b")).mul(lit(1i64 << 40)),
+            col("a").rem(col("b")),
+            col("b").rem(lit(-3i64)),
+            lit(-7i64).rem(col("b")),
+            col("a").sub(col("b")).rem(col("b")),
+            col("a").rem(lit(0i64)),
+            col("a").div(lit(0i64)),
+            col("x").div(col("y")),
+            col("x").mul(col("a")),
+            col("y").sub(col("x")),
+            lit(1.5).sub(col("x")).div(col("b")),
+            col("x").rem(col("b")),
+            col("m").add(col("a")),
+            col("m").rem(col("b")),
+            col("a").mul(lit(4i64)).div(col("x")).add(col("m")),
+            col("a").add(lit(Value::Null)),
+        ];
+        let every_third: Vec<u32> = (0..rows.len() as u32).filter(|i| i % 3 != 1).collect();
+        let sels =
+            [SelVec::range(0, rows.len()), SelVec::range(37, 2411), SelVec::Idx(every_third)];
+        let values = |sel: &SelVec, e: &ColExpr, scratch: &mut Row| {
+            let mut got = Vec::new();
+            e.for_each_f64(&cols, sel, scratch, |i, v| got.push((i, v.map(f64::to_bits))));
+            got
+        };
+        let bits = |v: Value| match v {
+            Value::Float(x) => Err(x.to_bits()),
+            v => Ok(v),
+        };
+        for e in &exprs {
+            let bound = e.bind(&schema).unwrap();
+            let ce = compile_expr(&bound);
+            assert!(ce.has_kernel(), "{e}");
+            let dt = e.infer_type(&schema).unwrap_or(DataType::Float);
+            let map = compile_map(std::slice::from_ref(&bound), &[dt]);
+            for sel in &sels {
+                assert!(sel.len() > BATCH);
+                let want: Vec<_> = sel
+                    .iter()
+                    .map(|i| (i, bound.eval(&rows[i]).as_f64().map(f64::to_bits)))
+                    .collect();
+                assert_eq!(values(sel, &ce, &mut scratch), want, "{e}");
+                // The projection of the same tree, column by column.
+                let projected = map.apply(&cols, sel, &mut scratch);
+                for (k, i) in sel.iter().enumerate() {
+                    let (got, want) = (projected.cols[0].value(k), bound.eval(&rows[i]));
+                    assert_eq!(bits(got), bits(want), "{e} row {i}");
+                }
+            }
+        }
+        // Every comparison of a tree against a literal (the literal on
+        // either side) and against another tree.
+        let ops = [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
+        let cmp = |op, l: &Expr, r: &Expr| Expr::Binary {
+            op,
+            left: Box::new(l.clone()),
+            right: Box::new(r.clone()),
+        };
+        for (i, e) in exprs.iter().enumerate() {
+            let other = &exprs[(i + 7) % exprs.len()];
+            for op in ops {
+                for pred in [
+                    cmp(op, e, &lit(0i64)),
+                    cmp(op, &lit(-0.0), e),
+                    cmp(op, e, &lit(f64::NAN)),
+                    cmp(op, &lit(7i64), e),
+                    cmp(op, e, other),
+                ] {
+                    let bound = pred.bind(&schema).unwrap();
+                    let kernel = compile_pred(&bound);
+                    assert!(matches!(kernel, ColPred::CmpExpr { .. }), "{pred}");
+                    for sel in &sels {
+                        let mut got = sel.clone();
+                        kernel.apply(&cols, &mut got, &mut scratch);
+                        let want: Vec<usize> =
+                            sel.iter().filter(|&i| bound.matches(&rows[i])).collect();
+                        assert_eq!(got.iter().collect::<Vec<_>>(), want, "{pred}");
                     }
                 }
             }

@@ -84,6 +84,19 @@ impl SelVec {
         }
     }
 
+    /// Refine the selection a batch at a time: `keep` gets the selected
+    /// rows, in increasing order, at most `n` at a time, and pushes the ones
+    /// that stay onto its output, in order.
+    pub(crate) fn retain_batches(&mut self, n: usize, mut keep: impl FnMut(&[u32], &mut Vec<u32>)) {
+        let mut kept = Vec::with_capacity(self.len());
+        self.for_each_chunk(n, |rows| keep(rows, &mut kept));
+        // Keeping every row leaves the selection as it was (a range stays
+        // dense).
+        if kept.len() != self.len() {
+            *self = SelVec::Idx(kept);
+        }
+    }
+
     /// Drop every selected row.
     pub fn clear(&mut self) {
         *self = SelVec::Idx(Vec::new());

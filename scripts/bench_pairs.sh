@@ -16,9 +16,13 @@
 # clean_speedup = median ivm_answer_ms / median svc_answer_ms, and the
 # failed / attempted operation count. With claim=<workload>/<metric>, prints
 # MET or NOT MET by the gate's rule: the change won at least 9 of every 10
-# pairs and its median is better by more than the parent's IQR. Writes
-# BENCH_<date>_<sha>.json (machine, both shas, medians, IQR, clean_speedup,
-# failure shares, the claim, every pair) at the repository root. Exits
+# pairs and its median is better by more than the parent's IQR. After its
+# pairs, each workload runs once more per side with `--trace 1` at the first
+# seed; those runs stay out of the medians, and their per-layer metrics are
+# recorded under layers.<workload>.{parent,change} (the layers that moved by
+# 10 % or more are printed). Writes BENCH_<date>_<sha>.json (machine, both
+# shas, medians, IQR, clean_speedup, failure shares, the claim, the layers,
+# every pair) at the repository root. Exits
 # non-zero when a metric leaves its bound, the change fails a larger share
 # of operations than the parent, a run is incorrect, or the claim is not met.
 #
@@ -33,6 +37,8 @@ raw, bench, out, parent_sha, change_sha = sys.argv[1:6]
 claim = sys.argv[6] if len(sys.argv) > 6 and sys.argv[6] else None
 bench = json.load(open(bench))
 rows = [json.loads(line) for line in open(raw)]
+traced = [r for r in rows if r.get("trace")]
+rows = [r for r in rows if not r.get("trace")]
 higher_is_better = {m["name"]: m["better"] == "higher" for m in bench["end_to_end"]}
 
 def cpu_model():
@@ -105,6 +111,18 @@ for workload in dict.fromkeys(r["workload"] for r in rows):
 failed = sum(f["failed"] for sides in failures.values() for f in sides.values())
 print(f"runs {len(rows)}, failed operations {failed}, incorrect runs {incorrect}")
 
+layers = {}
+for r in traced:
+    values = {name: m["value"] for name, m in r["result"]["metrics"].items()}
+    layers.setdefault(r["workload"], {})[r["side"]] = values
+for workload, sides in layers.items():
+    if len(sides) < 2:
+        continue
+    for name, p in sides["parent"].items():
+        c = sides["change"].get(name)
+        if c is not None and p and abs(c - p) >= 0.1 * abs(p):
+            print(f"{workload:<18} {'layer ' + name:<40} {p:>11.5g} {c:>11.5g} {(c - p) / abs(p):>+8.1%}")
+
 claim_met = None
 if claim:
     workload, metric = claim.split("/", 1)
@@ -122,7 +140,7 @@ json.dump({
     "parent": parent_sha, "change": change_sha,
     "run_seconds": bench["run_seconds"], "failed": failed, "incorrect": incorrect,
     "failures": failures, "claim": {"name": claim, "met": claim_met},
-    "summary": summary, "clean_speedup": clean_speedup, "runs": rows,
+    "summary": summary, "clean_speedup": clean_speedup, "layers": layers, "runs": rows,
 }, open(out, "w"), indent=1)
 print(f"wrote {out}")
 bad = [f"{w}.{m}" for w, ms in summary.items() for m, s in ms.items() if not s["bound_holds"]]
@@ -178,13 +196,25 @@ if [ "${1:-}" = --self-test ]; then
   python3 -c 'import json, sys; b = json.load(open(sys.argv[1])); assert len(b["runs"]) == 2 and b["parent"] == "aaaaaaa" and b["machine"]["cores"] and b["clean_speedup"]["canned"] == {"parent": 0.5, "change": 50 / 60} and b["claim"] == {"name": None, "met": None}' "$tmp/out.json"
 
   # Ten pairs, the answer 40 ms cheaper in each, the parent's IQR 5.5 ms:
-  # the claim is met and nothing else moved, so the summary passes.
+  # the claim is met and nothing else moved, so the summary passes. One
+  # traced run per side carries only per-layer metrics: it must land in the
+  # layers block and stay out of the medians and the runs.
   : >"$tmp/met.jsonl"
   for i in 0 1 2 3 4 5 6 7 8 9; do pair "$tmp/met.jsonl" "$i" $((100 + i)) $((60 + i)); done
+  traced() { # traced <side> <estimate_corr_us> <stats.bootstrap_ms>
+    echo "{\"workload\": \"canned\", \"seed\": 0, \"side\": \"$1\", \"trace\": true, \"result\": {\"correct\": true, \"attempted\": 1, \"failed\": 0, \"metrics\": {\"core.estimate_corr_us\": {\"value\": $2, \"unit\": \"us\"}, \"stats.bootstrap_ms\": {\"value\": $3, \"unit\": \"ms\"}}}}" >>"$tmp/met.jsonl"
+  }
+  traced parent 90.6 0.66
+  traced change 64.7 0.66
   summarize "$tmp/met.jsonl" BENCHMARK.json "$tmp/out.json" aaaaaaa bbbbbbb canned/svc_answer_ms >"$tmp/table"
   cat "$tmp/table"
   grep -Eq 'claim canned/svc_answer_ms: MET \(10/10 pairs won' "$tmp/table"
-  python3 -c 'import json, sys; assert json.load(open(sys.argv[1]))["claim"] == {"name": "canned/svc_answer_ms", "met": True}' "$tmp/out.json"
+  grep -Eq 'layer core.estimate_corr_us +90\.6 +64\.7 +-28\.6%' "$tmp/table"
+  if grep -q 'layer stats.bootstrap_ms' "$tmp/table"; then
+    echo "self-test: a layer that did not move must not be printed" >&2
+    exit 1
+  fi
+  python3 -c 'import json, sys; b = json.load(open(sys.argv[1])); assert b["claim"] == {"name": "canned/svc_answer_ms", "met": True} and len(b["runs"]) == 20 and b["layers"] == {"canned": {"parent": {"core.estimate_corr_us": 90.6, "stats.bootstrap_ms": 0.66}, "change": {"core.estimate_corr_us": 64.7, "stats.bootstrap_ms": 0.66}}}' "$tmp/out.json"
 
   # Ten pairs, each won by 5 ms, but the parent's IQR is 55 ms: winning
   # every pair is not enough, the claim is not met.
@@ -230,6 +260,11 @@ run() { # run <side> <root> <workload> <seed> <went-first>
   line="$(cd "$2" && svc_bench/target/release/svc_bench --workload "$3" --seed "$4" --seconds "$seconds" --trace 0 | tail -n 1)"
   echo "{\"workload\": \"$3\", \"seed\": $4, \"side\": \"$1\", \"first\": $5, \"result\": $line}" >>"$raw"
 }
+run_traced() { # run_traced <side> <root> <workload> <seed>
+  local line
+  line="$(cd "$2" && svc_bench/target/release/svc_bench --workload "$3" --seed "$4" --seconds "$seconds" --trace 1 | tail -n 1)"
+  echo "{\"workload\": \"$3\", \"seed\": $4, \"side\": \"$1\", \"trace\": true, \"result\": $line}" >>"$raw"
+}
 for workload in $workloads; do
   for i in $(seq 0 $((pairs - 1))); do
     seed=$((first_seed + i))
@@ -242,6 +277,9 @@ for workload in $workloads; do
     fi
     echo "$workload pair $((i + 1))/$pairs (seed $seed) done" >&2
   done
+  run_traced parent "$parent_root" "$workload" "$first_seed"
+  run_traced change "$change_root" "$workload" "$first_seed"
+  echo "$workload traced runs (seed $first_seed) done" >&2
 done
 
 summarize "$raw" BENCHMARK.json "BENCH_$(date +%Y-%m-%d)_$change_sha.json" "$parent_sha" "$change_sha" "$claim"
