@@ -198,8 +198,8 @@ fn main() {
     // ── telemetry overhead guard ─────────────────────────────────────────
     // Rerunning a compiled plan with a metrics sink installed must stay
     // within a small factor of the uninstrumented rerun: the executor only
-    // adds one timestamp pair plus one atomic fold per node (or per morsel),
-    // never per row. Min-of-reps keeps shared-runner noise out of the
+    // adds one timestamp pair plus one atomic fold per node, never per
+    // row. Min-of-reps keeps shared-runner noise out of the
     // ratio; the margin is generous because at smoke scales the absolute
     // runtimes sit near timer resolution.
     let overhead_factor = {

@@ -82,7 +82,7 @@ pub fn write_json(name: &str, json: &str) {
 pub fn operator_metrics_json(
     compiled: &PhysicalPlan,
     bindings: &Bindings<'_>,
-    mode: ExecMode<'_>,
+    mode: ExecMode,
 ) -> String {
     let sink = compiled.metrics_sink();
     compiled.run_with_metrics(bindings, mode, &sink).expect("metered run");
@@ -94,21 +94,17 @@ pub fn operator_metrics_json(
         .map(|(id, (label, m))| {
             format!(
                 "{{\"id\":{id},\"op\":\"{}\",\"rows_in\":{},\"rows_out\":{},\"wall_ns\":{},\
-                 \"morsels\":{},\"vec_chunks\":{},\"row_batches\":{},\"zone_skips\":{},\
-                 \"build_rows\":{},\"probe_rows\":{},\"partitions\":{},\
-                 \"part_max_rows\":{},\"groups\":{}}}",
+                 \"vec_chunks\":{},\"row_batches\":{},\"zone_skips\":{},\
+                 \"build_rows\":{},\"probe_rows\":{},\"groups\":{}}}",
                 label.replace('"', "'"),
                 m.rows_in,
                 m.rows_out,
                 m.wall_ns,
-                m.morsels,
                 m.vec_chunks,
                 m.row_batches,
                 m.zone_skips,
                 m.build_rows,
                 m.probe_rows,
-                m.partitions,
-                m.part_max_rows,
                 m.groups
             )
         })

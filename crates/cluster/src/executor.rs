@@ -2,11 +2,10 @@
 //! accounting ([`PoolMetrics::busy_ns`] — the gauge Figure 16 reads).
 //!
 //! The pool owns `workers` persistent threads that pull tasks off one
-//! shared queue. Every entry point ([`WorkerPool::submit`],
-//! [`WorkerPool::run_batch`], and the [`MorselScheduler`] impl behind
-//! `ExecMode::morsel`) enqueues into that same queue, so tasks
-//! from *concurrent* callers — two `BatchPipeline`s maintaining different
-//! views, a plan batch and a morsel-parallel merge — interleave across one
+//! shared queue. Both entry points ([`WorkerPool::submit`] and
+//! [`WorkerPool::run_batch`]) enqueue into that same queue, so tasks from
+//! *concurrent* callers — two `BatchPipeline`s maintaining different views,
+//! each task a whole compiled plan run sequentially — interleave across one
 //! set of workers instead of each call spinning up its own thread scope.
 //! Task panics are caught on the worker, reported as an error to the
 //! submitting session only, and never corrupt or stall other sessions
@@ -18,7 +17,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use svc_relalg::exec::MorselScheduler;
 use svc_storage::{Result, StorageError};
 use svc_telemetry::{Counter, Gauge};
 
@@ -167,8 +165,7 @@ static NEXT_POOL_ID: AtomicUsize = AtomicUsize::new(0);
 
 /// A fixed-size worker pool: `workers` persistent threads pulling from one
 /// shared task queue. [`WorkerPool::run_batch`] is built on top of the
-/// queue, as is the `MorselScheduler` impl that lets compiled plans run
-/// morsel-parallel on the pool.
+/// queue.
 #[derive(Debug)]
 pub struct WorkerPool {
     workers: usize,
@@ -336,15 +333,6 @@ impl WorkerPool {
                     .unwrap_or_else(|| Err(StorageError::Invalid("plan was not evaluated".into())))
             })
             .collect()
-    }
-}
-
-/// Morsel tasks from a plan run under `ExecMode::morsel` land on the same
-/// shared queue as whole-plan tasks, so intra-plan morsels and inter-plan
-/// batches from concurrent callers interleave across one set of workers.
-impl MorselScheduler for WorkerPool {
-    fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync)) -> Result<()> {
-        self.submit(n, &|i, _w| task(i))
     }
 }
 
@@ -530,14 +518,14 @@ mod tests {
         // Two sessions share one pool from different threads: the session
         // with a panicking task gets an error; the other completes with
         // correct results; the pool keeps working afterwards. This is the
-        // isolation contract morsel-parallel plans rely on.
+        // isolation contract `BatchPipeline`'s plan batches rely on.
         let pool = std::sync::Arc::new(WorkerPool::new(2));
         let (pa, pb) = (pool.clone(), pool.clone());
         std::thread::scope(|s| {
             let ha = s.spawn(move || {
                 pa.submit(8, &|i, _w| {
                     if i == 3 {
-                        panic!("morsel exploded");
+                        panic!("task exploded");
                     }
                 })
             });

@@ -1105,10 +1105,10 @@ mod tests {
                 let b = Bindings::new();
                 let err = pool_err
                     .run_batch(1, |_| svc_relalg::eval::evaluate(&Plan::scan("missing"), &b));
-                // … and a panicking morsel session (panic path).
+                // … and a panicking session (panic path).
                 let panicked = pool_err.submit(6, &|i, _w| {
                     if i == 2 {
-                        panic!("injected morsel panic");
+                        panic!("injected task panic");
                     }
                 });
                 (err, panicked)

@@ -216,18 +216,15 @@ macro_rules! fail_point_panic {
 
 /// The named injection sites threaded through the workspace. Naming them
 /// here (rather than as string literals at each site) keeps schedules and
-/// sites in sync and gives harnesses one list to draw from.
+/// sites in sync and gives harnesses one list to draw from. The plan
+/// executor has no site of its own: a run is one sequential pass on the
+/// calling thread, so its failures reach the chaos harness through
+/// [`TABLE_MUTATE`] and the pool and pipeline sites that run whole plans.
 pub mod site {
     /// `Table::insert` / `Table::upsert` — every materialized result table
     /// is built through these, so this site fails plan evaluation on
     /// workers and merge folds on the driver alike.
     pub const TABLE_MUTATE: &str = "storage::table::mutate";
-    /// One morsel task of a parallel plan run (`exec::run` fan-out).
-    pub const EXEC_MORSEL: &str = "relalg::exec::morsel";
-    /// One per-partition map-build task of a partitioned hash join
-    /// (`exec::partition::build_join_par` fan-out), mid-build: the scatter
-    /// pass has run, the build's partition maps are half-assembled.
-    pub const JOIN_BUILD: &str = "relalg::exec::join_build";
     /// `WorkerPool` task dispatch, inside the per-task `catch_unwind` (so
     /// injected failures become session errors, never dead workers).
     pub const POOL_DISPATCH: &str = "cluster::pool::dispatch";
@@ -245,10 +242,8 @@ pub mod site {
     pub const CORE_CLEAN: &str = "core::svc::clean";
 
     /// Every site, for schedule generators.
-    pub const ALL: [&str; 10] = [
+    pub const ALL: [&str; 8] = [
         TABLE_MUTATE,
-        EXEC_MORSEL,
-        JOIN_BUILD,
         POOL_DISPATCH,
         BATCH_COMPILE,
         BATCH_EVALUATE,

@@ -133,47 +133,6 @@ impl Acc {
             }
         }
     }
-
-    /// Fold another accumulator of the same shape into this one — the γ
-    /// pipeline barrier of morsel-parallel execution, where per-morsel
-    /// partial accumulators combine into the final group state. Exact for
-    /// count / integer sum / min / max / median (order-insensitive);
-    /// float sums and averages add partial sums, which can differ from the
-    /// sequential accumulation order by float rounding only.
-    fn merge(&mut self, other: Acc) {
-        match (self, other) {
-            (Acc::Count(n), Acc::Count(m)) => *n += m,
-            (Acc::SumInt(s, seen), Acc::SumInt(t, more)) => {
-                *s += t;
-                *seen |= more;
-            }
-            (Acc::SumFloat(s, seen), Acc::SumFloat(t, more)) => {
-                *s += t;
-                *seen |= more;
-            }
-            (Acc::Avg { sum, n }, Acc::Avg { sum: s2, n: n2 }) => {
-                *sum += s2;
-                *n += n2;
-            }
-            (Acc::Min(cur), Acc::Min(v)) => {
-                if let Some(v) = v {
-                    if cur.as_ref().is_none_or(|c| v < *c) {
-                        *cur = Some(v);
-                    }
-                }
-            }
-            (Acc::Max(cur), Acc::Max(v)) => {
-                if let Some(v) = v {
-                    if cur.as_ref().is_none_or(|c| v > *c) {
-                        *cur = Some(v);
-                    }
-                }
-            }
-            (Acc::Median(vals), Acc::Median(mut more)) => vals.append(&mut more),
-            _ => unreachable!("merging accumulators of different aggregate shapes"),
-        }
-    }
-
     fn finish(self) -> Value {
         match self {
             Acc::Count(n) => Value::Int(n),
@@ -288,37 +247,6 @@ impl<'a> GroupMap<'a> {
         let accs = &mut self.groups[gi].1;
         for (acc, (_, _, expr)) in accs.iter_mut().zip(self.aggs) {
             acc.update(expr.eval(row));
-        }
-    }
-
-    /// Merge a per-morsel partial map into this one — the γ barrier of
-    /// morsel-parallel execution. Both maps must have been built with the
-    /// same `group_idx` and `aggs`; groups are matched by key value and
-    /// their accumulators folded with `Acc::merge`, so merging never
-    /// re-hashes or re-evaluates input rows. The merge is exact except for
-    /// float sums/averages, which combine partial sums (callers that merge
-    /// partials in a deterministic order get deterministic output).
-    pub fn merge(&mut self, other: GroupMap<'_>) {
-        debug_assert_eq!(self.group_idx, other.group_idx, "merging maps of different groupings");
-        debug_assert_eq!(self.aggs.len(), other.aggs.len(), "merging maps of different aggs");
-        // The stored key tuples hold the group values in `group_idx` order,
-        // so hashing them positionally reproduces the probe hash of
-        // [`GroupMap::push`].
-        let key_cols: Vec<usize> = (0..self.group_idx.len()).collect();
-        for (key, accs) in other.groups {
-            let h = KeyTuple::hash_of(&key.0, &key_cols);
-            let chain = self.map.entry(h).or_default();
-            match chain.iter().copied().find(|&g| self.groups[g as usize].0 == key) {
-                Some(g) => {
-                    for (mine, theirs) in self.groups[g as usize].1.iter_mut().zip(accs) {
-                        mine.merge(theirs);
-                    }
-                }
-                None => {
-                    self.groups.push((key, accs));
-                    chain.push((self.groups.len() - 1) as u32);
-                }
-            }
         }
     }
 
@@ -477,48 +405,6 @@ mod tests {
         let out = run_aggregate(&t, &[], &aggs, &out_d, None).unwrap();
         assert_eq!(out.rows()[0][0], Value::Int(2));
         assert_eq!(out.rows()[0][1], Value::Int(1));
-    }
-
-    /// Splitting the input across partial maps and merging them must agree
-    /// with a single-pass map — the γ barrier of morsel-parallel execution.
-    /// All-exact aggregates here, so equality is bitwise.
-    #[test]
-    fn merged_partial_maps_equal_single_pass() {
-        let t = input();
-        let specs = vec![
-            AggSpec::count_all("n"),
-            AggSpec::new("sg", AggFunc::Sum, col("g")),
-            AggSpec::new("lo", AggFunc::Min, col("x")),
-            AggSpec::new("hi", AggFunc::Max, col("x")),
-            AggSpec::new("med", AggFunc::Median, col("x")),
-        ];
-        let group_idx = t.schema().resolve_all(&["g".to_string()]).unwrap();
-        let aggs = bind_aggs(&specs, t.schema()).unwrap();
-
-        let mut single = GroupMap::with_input_len(&group_idx, &aggs, t.len());
-        for row in t.rows() {
-            single.push(row);
-        }
-
-        // Three uneven partials, merged in order.
-        let mut parts: Vec<GroupMap<'_>> =
-            (0..3).map(|_| GroupMap::with_input_len(&group_idx, &aggs, 2)).collect();
-        for (i, row) in t.rows().iter().enumerate() {
-            parts[if i < 1 {
-                0
-            } else if i < 4 {
-                1
-            } else {
-                2
-            }]
-            .push(row);
-        }
-        let mut merged = parts.remove(0);
-        for p in parts {
-            merged.merge(p);
-        }
-        assert_eq!(merged.group_count(), single.group_count());
-        assert_eq!(merged.finish(), single.finish(), "merged partials diverged");
     }
 
     #[test]

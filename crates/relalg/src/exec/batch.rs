@@ -8,11 +8,11 @@
 //! [`recycle`] consumed inputs, so steady-state runs allocate only the one
 //! buffer the output [`svc_storage::Table`] keeps.
 //!
-//! The pool is thread-local on purpose: morsel workers and the driver each
-//! recycle into their own stack with no synchronization, and the
-//! [`fresh_batch_count`] counter reads cleanly from tests (execution on the
-//! counting thread is synchronous, so a reading cannot be polluted by
-//! concurrently running tests — the same design as
+//! The pool is thread-local on purpose: worker-pool threads running whole
+//! plans and the driver each recycle into their own stack with no
+//! synchronization, and the [`fresh_batch_count`] counter reads cleanly
+//! from tests (a run executes on the calling thread, so a reading cannot
+//! be polluted by concurrently running tests — the same design as
 //! [`svc_storage::Table::clone_count`]).
 
 use std::cell::{Cell, RefCell};

@@ -2,8 +2,8 @@
 //!
 //! A [`ColumnChunk`] pairs a set of typed columns with a [`SelVec`] naming
 //! the rows still alive. Chunks over a base table *share* the table's
-//! cached columns (`Table::columns`, built once per mutation) —
-//! a morsel is just a chunk whose initial selection is the morsel's row
+//! cached columns (`Table::columns`, built once per mutation) — a leaf
+//! scan is one chunk whose initial selection is the table's whole row
 //! range. A projection produces an *owned* column set sized to the
 //! survivors, after which the selection resets to dense.
 
@@ -30,7 +30,7 @@ pub struct ColumnChunk<'a> {
 
 impl<'a> ColumnChunk<'a> {
     /// A chunk over the row range `[lo, hi)` of shared columns — how a
-    /// morsel enters the vectorized pipeline.
+    /// leaf scan enters the vectorized pipeline.
     pub fn over(cols: &'a ColumnSet, lo: usize, hi: usize) -> ColumnChunk<'a> {
         debug_assert!(hi <= cols.len);
         ColumnChunk { cols: ChunkCols::Shared(cols), sel: SelVec::range(lo, hi) }

@@ -1050,31 +1050,6 @@ fn write_cell(c: &Column, i: usize, st: &mut HashState) {
     }
 }
 
-/// Hash the key columns of row `i` straight out of typed storage — the
-/// columnar twin of [`HashSpec::hash_row`], producing identical hashes
-/// (both stream the canonical bytes). `None` when any key cell is NULL,
-/// mirroring the join rule that NULL keys never enter a build map. This is
-/// what lets the partitioned join's scatter pass run chunk-at-a-time over
-/// a leaf's shared column set while row-built and column-built partitions
-/// agree bit for bit (`exec::partition`).
-#[inline]
-pub(crate) fn hash_key_at(
-    cols: &ColumnSet,
-    key_idx: &[usize],
-    i: usize,
-    spec: HashSpec,
-) -> Option<u64> {
-    let mut st = spec.begin();
-    for &k in key_idx {
-        let c = &cols.cols[k];
-        if c.is_null(i) {
-            return None;
-        }
-        write_cell(c, i, &mut st);
-    }
-    Some(st.finish())
-}
-
 /// The η kernel: refine `sel` to rows whose key columns hash under
 /// `ratio`, reading key bytes straight out of typed storage.
 pub fn apply_hash(

@@ -3,8 +3,8 @@
 //!
 //! Conversion happens at exactly two boundaries: a leaf reads the bound
 //! [`svc_storage::Table`]'s typed columns (built once per mutation by
-//! the table's per-column cache, shared by every chunk, every morsel and
-//! every query), and the survivors of a fused pipeline are gathered back
+//! the table's per-column cache, shared by every plan run and every
+//! query), and the survivors of a fused pipeline are gathered back
 //! into rows only where a pipeline breaker (join, γ, set op, the keyed
 //! root) needs them. In between, operators touch per-column typed slices
 //! through a selection vector — no `Value` boxing, no row allocation for
@@ -15,7 +15,6 @@ pub mod kernels;
 pub mod selection;
 
 pub use chunk::{ChunkCols, ColumnChunk};
-pub(crate) use kernels::hash_key_at;
 pub use kernels::{
     apply_hash, compile_expr, compile_map, compile_pred, ColExpr, ColPred, MapPlan, VecOp,
 };

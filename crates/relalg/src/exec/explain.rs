@@ -74,9 +74,6 @@ impl fmt::Display for Explain {
                 None => write!(f, " (est -)")?,
             }
             write!(f, "  in={}  wall={}", m.rows_in, fmt_ns(m.wall_ns))?;
-            if m.morsels > 0 {
-                write!(f, "  morsels={}", m.morsels)?;
-            }
             if m.vec_chunks > 0 {
                 write!(f, "  vec_chunks={}", m.vec_chunks)?;
             }
@@ -88,9 +85,6 @@ impl fmt::Display for Explain {
             }
             if m.build_rows > 0 || m.probe_rows > 0 {
                 write!(f, "  build={} probe={}", m.build_rows, m.probe_rows)?;
-            }
-            if m.partitions > 0 {
-                write!(f, "  partitions={} part_max={}", m.partitions, m.part_max_rows)?;
             }
             if m.groups > 0 {
                 write!(f, "  groups={}", m.groups)?;
@@ -117,14 +111,13 @@ fn fmt_ns(ns: u64) -> String {
 /// `None` to explain without a catalog.
 ///
 /// The measured actuals obey the executor's determinism contract: per-node
-/// row counts are identical across schedulers, worker counts, and
-/// vectorized-vs-rowwise modes (only wall times differ). See
-/// `tests/telemetry.rs`.
+/// row counts are identical under vectorized and rowwise modes (only wall
+/// times differ). See `tests/telemetry.rs`.
 pub fn explain_analyze(
     plan: &Plan,
     bindings: &Bindings<'_>,
     est: Option<&dyn CardEstimator>,
-    mode: ExecMode<'_>,
+    mode: ExecMode,
 ) -> Result<Explain> {
     let compiled = compile_with(plan, bindings, est)?;
     let sink = compiled.metrics_sink();

@@ -28,16 +28,20 @@
 //! by name and validates their shape, so the mini-batch maintenance path
 //! compiles one change plan per delta signature and reruns it for every
 //! delta chunk of every batch (`svc-cluster`'s `BatchPipeline`).
+//!
+//! A run is one thread: every operator makes one sequential pass over its
+//! input on the calling thread, and [`ExecMode`] chooses only between the
+//! vectorized fused-scan kernels and the row-at-a-time reference path.
+//! Concurrency lives at the batch level — `BatchPipeline` runs whole
+//! compiled plans as tasks on `svc-cluster`'s worker pool — which is why a
+//! [`PhysicalPlan`] is `Send + Sync`.
 
 mod batch;
 pub mod column;
 pub mod compile;
 pub mod explain;
-mod partition;
 pub mod pipeline;
 mod run;
-
-use std::fmt;
 
 use svc_storage::{Result, StorageError, Table};
 use svc_telemetry::MetricsSink;
@@ -53,142 +57,46 @@ pub use compile::{leaf_scan_counts, JoinRight, LeafRef, Node};
 pub use explain::{explain_analyze, Explain, ExplainNode};
 pub use pipeline::{FusedOp, RowSink};
 
-/// Something that can execute a batch of independent morsel tasks —
-/// typically `svc-cluster`'s `WorkerPool`, whose shared work queue
-/// interleaves morsels from concurrent plans across one set of worker
-/// threads. Implementations must run every index in `0..n` exactly once
-/// (concurrently or not) before returning, and should catch task panics,
-/// reporting them as an `Err` instead of unwinding into unrelated work.
-pub trait MorselScheduler: Sync {
-    /// Execute tasks `0..n` to completion.
-    fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync)) -> Result<()>;
-}
-
-/// Runs every morsel inline on the calling thread — the no-pool fallback,
-/// and the degenerate point of the parallel-vs-sequential equivalence
-/// matrix (`tests/morsel_prop.rs`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SequentialScheduler;
-
-impl MorselScheduler for SequentialScheduler {
-    fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync)) -> Result<()> {
-        for i in 0..n {
-            task(i);
-        }
-        Ok(())
-    }
-}
-
-/// How a compiled plan executes: sequentially on the calling thread
-/// (default), or morsel-parallel on a scheduler; vectorized fused-scan
-/// kernels (default), or the row-at-a-time reference path. A copyable
+/// How a compiled plan executes: the vectorized fused-scan kernels
+/// (default), or the row-at-a-time reference path the equivalence
+/// harnesses compare against. Either way every operator runs one
+/// sequential pass on the calling thread; the two paths produce the same
+/// rows, in the same order, with the same per-node row counts. A copyable
 /// knob for callers of [`PhysicalPlan::run_with`]; the maintenance and
-/// cleaning paths run sequentially and take none.
-#[derive(Clone, Copy, Default)]
-pub struct ExecMode<'a> {
-    sched: Option<&'a dyn MorselScheduler>,
-    /// Rows per morsel; `0` with a scheduler attached means "derive from
-    /// the bound leaf sizes at run time" ([`auto_morsel_size`]).
-    morsel: usize,
-    /// Hash partitions for join builds and set-op dedup; `0` means
-    /// "derive from the build input size at run time"
-    /// ([`auto_partition_count`]). Rounded up to a power of two.
-    partitions: usize,
+/// cleaning paths take none.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExecMode {
     rowwise: bool,
 }
 
-impl<'a> ExecMode<'a> {
-    /// Sequential execution on the calling thread.
-    pub fn sequential() -> ExecMode<'static> {
-        ExecMode { sched: None, morsel: 0, partitions: 0, rowwise: false }
+impl ExecMode {
+    /// Vectorized execution on the calling thread.
+    pub fn sequential() -> ExecMode {
+        ExecMode::default()
     }
 
-    /// Morsel-parallel execution on `sched` with `morsel_size` rows per
-    /// morsel; `0` means auto — the same mode as [`ExecMode::morsel_auto`].
-    pub fn morsel(sched: &'a dyn MorselScheduler, morsel_size: usize) -> ExecMode<'a> {
-        ExecMode { sched: Some(sched), morsel: morsel_size, partitions: 0, rowwise: false }
-    }
-
-    /// Morsel-parallel execution with the morsel size derived from the
-    /// largest bound leaf at run time ([`auto_morsel_size`]).
-    pub fn morsel_auto(sched: &'a dyn MorselScheduler) -> ExecMode<'a> {
-        ExecMode { sched: Some(sched), morsel: 0, partitions: 0, rowwise: false }
-    }
-
-    /// Switch to the row-at-a-time reference path (the vectorized kernels
-    /// are the default). Used by the equivalence harnesses and benches.
-    pub fn rowwise(mut self) -> ExecMode<'a> {
+    /// Switch to the row-at-a-time reference path.
+    pub fn rowwise(mut self) -> ExecMode {
         self.rowwise = true;
         self
     }
 
-    /// Set the hash-partition count for join builds and set-op dedup
-    /// (rounded up to a power of two; `0` restores the size-based auto
-    /// tune). Join results are identical for every value — partitioning a
-    /// chain map by key hash cannot change which rows a probe key finds,
-    /// or their order — so this is purely a parallelism/skew knob.
-    /// Ignored without a scheduler: sequential runs build one map.
-    pub fn partitions(mut self, partitions: usize) -> ExecMode<'a> {
-        self.partitions = partitions;
+    /// [`ExecMode::sequential`], whatever `_pool` is. Kept so callers that
+    /// once asked for intra-plan morsel parallelism still compile; plans
+    /// are too small for a split to pay.
+    pub fn morsel_auto<S: ?Sized>(_pool: &S) -> ExecMode {
+        ExecMode::sequential()
+    }
+
+    /// This mode, unchanged: join builds and set-op dedups use one hash
+    /// map. Kept so callers that once set a partition count still compile.
+    pub fn partitions(self, _partitions: usize) -> ExecMode {
         self
     }
-
-    /// The mode the walker runs under: no scheduler means nothing ever
-    /// splits (`morsel = usize::MAX`, one hash partition), and an auto
-    /// morsel size is derived from the largest leaf `root` reads under
-    /// `bindings`.
-    fn resolved(self, root: &Node, bindings: &Bindings<'_>) -> ExecMode<'a> {
-        match self.sched {
-            None => ExecMode { morsel: usize::MAX, partitions: 1, ..self },
-            Some(_) if self.morsel == 0 => {
-                let (rows, width) = largest_leaf(root, bindings);
-                ExecMode { morsel: auto_morsel_size(rows, width), ..self }
-            }
-            Some(_) => self,
-        }
-    }
 }
 
-impl fmt::Debug for ExecMode<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let path = if self.rowwise { "rowwise" } else { "vectorized" };
-        let parts: &dyn fmt::Display = match self.partitions {
-            0 => &"auto",
-            ref p => p,
-        };
-        match self.sched {
-            Some(_) if self.morsel == 0 => {
-                write!(f, "ExecMode::Morsel(auto, parts={parts}, {path})")
-            }
-            Some(_) => write!(f, "ExecMode::Morsel({}, parts={parts}, {path})", self.morsel),
-            None => write!(f, "ExecMode::Sequential({path})"),
-        }
-    }
-}
-
-/// Rows per morsel targeting ~64k values per column chunk (`rows ×
-/// width`), while still splitting small inputs at least ~8 ways so a pool
-/// has work to steal; clamped to `[256, 65536]` so degenerate shapes
-/// (thousands of columns, tiny tables) stay sane.
-pub fn auto_morsel_size(rows: usize, width: usize) -> usize {
-    const TARGET_VALUES: usize = 64 * 1024;
-    let by_width = TARGET_VALUES / width.max(1);
-    let by_split = rows.div_ceil(8).max(1);
-    by_width.min(by_split).clamp(256, 65_536)
-}
-
-/// Hash partitions for a join build (or set-op dedup) over `rows` input
-/// rows: ~4k rows per partition, always a power of two (so the partition
-/// of a hash is a mask), clamped to `[1, 64]`. Small inputs resolve to 1 —
-/// a single map built inline, no scatter pass — so partitioning only
-/// engages where a fan-out can pay for itself.
-pub fn auto_partition_count(rows: usize) -> usize {
-    const TARGET_ROWS: usize = 4096;
-    (rows / TARGET_ROWS).next_power_of_two().clamp(1, 64)
-}
-
-/// A compiled, reusable physical plan. `Send + Sync`: worker pools share
-/// one compiled plan across threads.
+/// A compiled, reusable physical plan. `Send + Sync`: a worker pool's
+/// tasks share one compiled plan across threads.
 #[derive(Debug, Clone)]
 pub struct PhysicalPlan {
     root: Node,
@@ -205,39 +113,24 @@ impl PhysicalPlan {
         self.run_with(bindings, ExecMode::sequential())
     }
 
-    /// Evaluate under an [`ExecMode`]. Every mode is the same tree walker
-    /// (`exec/run.rs`) with a different morsel size: base scans split into
-    /// morsel-sized chunk ranges over the leaf's shared column set, probe
-    /// and fused inputs into morsel-sized owned chunks, one operator core
-    /// runs per range, join morsels probe a build side constructed once,
-    /// and per-morsel γ group maps merge at the pipeline barrier.
-    /// Hash-join build sides (and large set-op dedups) hash-partition
-    /// ([`auto_partition_count`] partitions by default) and build one map
-    /// shard per partition concurrently — each shard owned by exactly one
-    /// task, probed read-only by every morsel. A scheduler is only engaged
-    /// where an input exceeds one morsel; [`ExecMode::sequential`] has none
-    /// and never splits. The result — including output order at the keyed
-    /// root — is a function of the morsel size only, never of the
-    /// scheduler's thread count, interleaving, or the partition count; a
-    /// split run matches the sequential one exactly up to float-sum
-    /// rounding (partial sums per morsel combine at the barrier).
+    /// Evaluate under an [`ExecMode`]: one tree walker (`exec/run.rs`)
+    /// runs every operator as one sequential pass on the calling thread.
     /// [`ExecMode::rowwise`] swaps the vectorized fused-scan kernels for the
     /// row-at-a-time reference path — row-for-row identical results.
-    pub fn run_with(&self, bindings: &Bindings<'_>, mode: ExecMode<'_>) -> Result<Table> {
+    pub fn run_with(&self, bindings: &Bindings<'_>, mode: ExecMode) -> Result<Table> {
         self.execute(bindings, mode, None)
     }
 
     fn execute(
         &self,
         bindings: &Bindings<'_>,
-        mode: ExecMode<'_>,
+        mode: ExecMode,
         m: run::OptMeter<'_>,
     ) -> Result<Table> {
-        let mode = mode.resolved(&self.root, bindings);
-        if let Some(table) = run::run_shared_root(&self.root, &self.out, bindings, &mode, m)? {
+        if let Some(table) = run::run_shared_root(&self.root, &self.out, bindings, mode, m)? {
             return Ok(table);
         }
-        let rows = run::run_node(&self.root, bindings, &mode, m)?;
+        let rows = run::run_node(&self.root, bindings, mode, m)?;
         run::finish_root(&self.root, &self.out, rows)
     }
 
@@ -268,17 +161,14 @@ impl PhysicalPlan {
 
     /// [`PhysicalPlan::run_with`], recording per-operator execution
     /// metrics into `sink` (not reset first — counts accumulate, so one
-    /// sink can total several runs). Morsel tasks fold stack-local
-    /// counters into the sink's per-node atomic slots at the session
-    /// barrier; the sums are commutative, so recorded totals — like the
-    /// rows themselves — depend on the morsel size only, never on the
-    /// scheduler's thread count. The plain `run*` paths never touch a
-    /// sink: with no sink installed the executor allocates zero metric
-    /// state (see `metric_allocs` and `tests/telemetry.rs`).
+    /// sink can total several runs). Each node adds its stack-local
+    /// counters to its slot once, when it finishes. The plain `run*` paths
+    /// never touch a sink: with no sink installed the executor allocates
+    /// zero metric state (see `metric_allocs` and `tests/telemetry.rs`).
     pub fn run_with_metrics(
         &self,
         bindings: &Bindings<'_>,
-        mode: ExecMode<'_>,
+        mode: ExecMode,
         sink: &MetricsSink,
     ) -> Result<Table> {
         if sink.len() != self.node_count() {
@@ -311,40 +201,6 @@ impl PhysicalPlan {
     pub fn describe(&self) -> String {
         self.root.describe()
     }
-}
-
-/// Row count and width of the largest leaf a plan reads under `bindings`
-/// — the input the morsel auto-tuner sizes chunks for. Unresolvable
-/// leaves (caught properly at run time) are skipped.
-fn largest_leaf(node: &Node, b: &Bindings<'_>) -> (usize, usize) {
-    fn note(leaf: &LeafRef, b: &Bindings<'_>, best: &mut (usize, usize)) {
-        if let Ok(t) = leaf.lookup(b) {
-            if t.len() > best.0 {
-                *best = (t.len(), t.schema().len());
-            }
-        }
-    }
-    fn walk(node: &Node, b: &Bindings<'_>, best: &mut (usize, usize)) {
-        match node {
-            Node::FusedScan { leaf, .. } => note(leaf, b, best),
-            Node::Fused { input, .. } => walk(input, b, best),
-            Node::Join { left, right, .. } => {
-                walk(left, b, best);
-                match right {
-                    JoinRight::PkProbeLeaf { leaf, .. } => note(leaf, b, best),
-                    JoinRight::Build(n) => walk(n, b, best),
-                }
-            }
-            Node::Aggregate { input, .. } => walk(input, b, best),
-            Node::SetOp { left, right, .. } => {
-                walk(left, b, best);
-                walk(right, b, best);
-            }
-        }
-    }
-    let mut best = (0, 1);
-    walk(node, b, &mut best);
-    best
 }
 
 /// Compile a plan against a leaf provider (typically the [`Bindings`] or
@@ -630,49 +486,9 @@ mod tests {
         }
     }
 
-    /// The morsel auto-tuner targets ~64k values per chunk and stays
-    /// inside its clamps for every degenerate shape.
-    #[test]
-    fn auto_morsel_size_bounds() {
-        const TARGET: usize = 64 * 1024;
-        // Nominal shape: rows × width lands on the value target.
-        assert_eq!(auto_morsel_size(10_000_000, 8), TARGET / 8);
-        // Wide tables shrink the morsel; the floor stops the shrinkage.
-        assert_eq!(auto_morsel_size(10_000_000, 1_000_000), 256);
-        // Narrow tables grow it; the ceiling stops the growth.
-        assert_eq!(auto_morsel_size(100_000_000, 1), 65_536);
-        // Small inputs still split ~8 ways so a pool has work to steal…
-        assert_eq!(auto_morsel_size(8_000, 1), 1_000);
-        // …down to the floor, and zero-row/zero-width inputs stay sane.
-        for (rows, width) in [(0, 0), (0, 5), (1, 0), (17, 3), (1 << 30, 1 << 20)] {
-            let m = auto_morsel_size(rows, width);
-            assert!((256..=65_536).contains(&m), "({rows},{width}) gave {m}");
-        }
-        // Never more than the value target per chunk for real widths.
-        for width in [1, 2, 7, 64, 300] {
-            let m = auto_morsel_size(5_000_000, width);
-            assert!(m * width <= TARGET.max(256 * width), "width {width} gave {m}");
-        }
-    }
-
-    /// The partition auto-tuner: powers of two only, `[1, 64]`, and 1 for
-    /// anything too small to be worth a scatter pass.
-    #[test]
-    fn auto_partition_count_bounds() {
-        assert_eq!(auto_partition_count(0), 1);
-        assert_eq!(auto_partition_count(4_095), 1);
-        assert_eq!(auto_partition_count(4_096), 1);
-        assert_eq!(auto_partition_count(8_192), 2);
-        assert_eq!(auto_partition_count(40_000), 16);
-        assert_eq!(auto_partition_count(1 << 30), 64);
-        for rows in [0, 1, 100, 5_000, 123_456, usize::MAX / 2] {
-            let p = auto_partition_count(rows);
-            assert!(p.is_power_of_two() && (1..=64).contains(&p), "{rows} gave {p}");
-        }
-    }
-
-    /// The partition knob never changes results — build joins and set ops
-    /// included — for any count, on either kernel path.
+    /// The partition and morsel aliases kept for old callers change
+    /// nothing: results, order and schema equal the plain mode's on build
+    /// joins and set ops, for any count, on either kernel path.
     #[test]
     fn partition_count_is_result_invariant() {
         let db = video_db();
@@ -685,45 +501,15 @@ mod tests {
         ] {
             let compiled = compile(&plan, &b).unwrap();
             let seq = compiled.run(&b).unwrap();
-            for parts in [1usize, 2, 3, 8, 64] {
-                for rowwise in [false, true] {
-                    let mut mode = ExecMode::morsel(&SequentialScheduler, 16).partitions(parts);
-                    if rowwise {
-                        mode = mode.rowwise();
-                    }
+            let rowwise = compiled.run_with(&b, ExecMode::sequential().rowwise()).unwrap();
+            assert!(rowwise.rows() == seq.rows(), "rowwise changed rows or order on {plan:?}");
+            for parts in [0usize, 1, 3, 64] {
+                let mode = ExecMode::morsel_auto(&()).partitions(parts);
+                for (mode, want) in [(mode, &seq), (mode.rowwise(), &rowwise)] {
                     let got = compiled.run_with(&b, mode).unwrap();
-                    assert!(
-                        got.rows() == seq.rows(),
-                        "parts={parts} rowwise={rowwise} changed rows or order on {plan:?}"
-                    );
+                    assert!(got.rows() == want.rows(), "parts={parts} changed rows on {plan:?}");
+                    assert_eq!(got.schema(), want.schema());
                 }
-            }
-        }
-    }
-
-    /// A morsel mode on the inline scheduler is the sequential run with
-    /// extra seams; results and output order must match exactly.
-    #[test]
-    fn inline_parallel_run_matches_run_exactly() {
-        let db = video_db();
-        let b = Bindings::from_database(&db);
-        for plan in [
-            visit_view(),
-            Plan::scan("log").select(col("videoId").lt(lit(20i64))).hash(
-                &["sessionId"],
-                0.4,
-                HashSpec::with_seed(9),
-            ),
-            Plan::scan("video")
-                .difference(Plan::scan("video").select(col("ownerId").eq(lit(2i64)))),
-        ] {
-            let compiled = compile(&plan, &b).unwrap();
-            let seq = compiled.run(&b).unwrap();
-            for morsel in [1, 13, usize::MAX] {
-                let mode = ExecMode::morsel(&SequentialScheduler, morsel);
-                let par = compiled.run_with(&b, mode).unwrap();
-                assert!(par.rows() == seq.rows(), "morsel {morsel} changed rows or order");
-                assert_eq!(par.schema(), seq.schema());
             }
         }
     }

@@ -6,17 +6,6 @@
 //! probed row (keys are hashed in place via [`join_hash`] and candidates
 //! verified by column equality) — and the legacy table-based wrapper
 //! [`run_join`] used by the materializing evaluator.
-//!
-//! The build side is **hash-partitioned**: [`JoinBuild`] shards its chains
-//! across `P` (a power of two) partition maps by `key_hash & (P - 1)`, each
-//! keyed by the full 64-bit hash within its partition. Because equal keys
-//! hash equal, a probe key's entire candidate chain lives in exactly one
-//! partition, and because rows are inserted in right-row order, that chain
-//! is identical to the chain a single map would hold — so probe output is
-//! bit-for-bit independent of the partition count. Partitioning only
-//! decides *where* a chain lives, which is what lets the morsel-parallel
-//! executor build the `P` maps concurrently with zero cross-thread sharing
-//! (`exec::partition`).
 
 use std::collections::HashMap;
 
@@ -26,12 +15,11 @@ use crate::derive::Derived;
 use crate::exec::pipeline::{feed_borrowed, FusedOp, RowSink};
 use crate::plan::JoinKind;
 
-/// The fixed hash function of every hash join build/probe and partitioned
-/// set-op dedup. A canonical-bytes hash ([`HashSpec::hash_row`] streams
+/// The fixed hash function of every hash join build/probe. A
+/// canonical-bytes hash ([`HashSpec::hash_row`] streams
 /// `Value::canonical_bytes`), so it induces exactly the `Value` equality
-/// classes — and the vectorized partition pass can produce identical
-/// hashes straight from typed column storage. The seed is fixed:
-/// partitioning must be a pure function of the data, never of the process.
+/// classes. The seed is fixed, so a build is a pure function of the data,
+/// never of the process.
 #[inline]
 pub fn join_hash() -> HashSpec {
     HashSpec::with_seed(0x05ca_1ab1_e0dd_ba11 ^ 0x9e37)
@@ -54,21 +42,16 @@ pub fn pk_probe_applies(kind: JoinKind, right_cols: &[usize], right_key: &[usize
 }
 
 /// The build side of a generic hash equi-join: constructed once over the
-/// right input — sequentially by [`JoinBuild::with_partitions`], or
-/// partition-parallel by the morsel executor via [`JoinBuild::from_parts`]
-/// — then probed by any number of left-row chunks (probing is read-only,
-/// so `&JoinBuild` is shared across worker threads). The right rows are
-/// any slice of rows: an operator's owned batch or a table's shared rows.
+/// right input, then probed by any number of left-row chunks. The right
+/// rows are any slice of rows: an operator's owned batch or a table's
+/// shared rows.
 pub struct JoinBuild<'r, R = Row> {
     right: &'r [R],
     right_cols: Vec<usize>,
     spec: HashSpec,
-    /// `partition(h) = h & mask`; `parts.len()` is `mask + 1`, a power of
-    /// two.
-    mask: u64,
-    /// Per-partition chain maps: right row indices chained under the full
-    /// key hash, in right-row order.
-    parts: Vec<HashMap<u64, Vec<u32>>>,
+    /// Right row indices chained under the full key hash, in right-row
+    /// order.
+    chains: HashMap<u64, Vec<u32>>,
 }
 
 impl<'r, R: AsRef<[Value]>> JoinBuild<'r, R> {
@@ -76,64 +59,16 @@ impl<'r, R: AsRef<[Value]>> JoinBuild<'r, R> {
     /// `KeyTuple`. Rows with NULL join keys never enter the map (SQL
     /// semantics: they match nothing).
     pub fn new(right: &'r [R], on_idx: &[(usize, usize)]) -> JoinBuild<'r, R> {
-        JoinBuild::with_partitions(right, on_idx, 1)
-    }
-
-    /// [`JoinBuild::new`] sharded across `partitions` chain maps (rounded
-    /// up to a power of two). Single-threaded; the result is bit-identical
-    /// to `new` for any partition count — see the module docs.
-    pub fn with_partitions(
-        right: &'r [R],
-        on_idx: &[(usize, usize)],
-        partitions: usize,
-    ) -> JoinBuild<'r, R> {
         let right_cols: Vec<usize> = on_idx.iter().map(|&(_, r)| r).collect();
         let spec = join_hash();
-        let p = partitions.max(1).next_power_of_two();
-        let mask = (p - 1) as u64;
-        let mut parts: Vec<HashMap<u64, Vec<u32>>> =
-            (0..p).map(|_| HashMap::with_capacity(right.len() / p)).collect();
+        let mut chains: HashMap<u64, Vec<u32>> = HashMap::with_capacity(right.len());
         for (i, row) in right.iter().enumerate() {
             let row = row.as_ref();
             if !key_has_null(row, &right_cols) {
-                let h = spec.hash_row(row, &right_cols);
-                parts[(h & mask) as usize].entry(h).or_default().push(i as u32);
+                chains.entry(spec.hash_row(row, &right_cols)).or_default().push(i as u32);
             }
         }
-        JoinBuild { right, right_cols, spec, mask, parts }
-    }
-
-    /// Assemble a build from partition maps the caller constructed — the
-    /// seam for the parallel build (`exec::partition::build_join_par`),
-    /// which scatters `(row id, hash)` pairs per partition morsel-parallel
-    /// and builds each map on its own worker. `parts[p]` must hold exactly
-    /// the non-NULL-keyed right rows with `join_hash & (len-1) == p`,
-    /// chained in right-row order under their full hash; `parts.len()`
-    /// must be a power of two.
-    pub fn from_parts(
-        right: &'r [R],
-        on_idx: &[(usize, usize)],
-        parts: Vec<HashMap<u64, Vec<u32>>>,
-    ) -> JoinBuild<'r, R> {
-        debug_assert!(parts.len().is_power_of_two(), "partition count must be a power of two");
-        let right_cols: Vec<usize> = on_idx.iter().map(|&(_, r)| r).collect();
-        JoinBuild { right, right_cols, spec: join_hash(), mask: (parts.len() - 1) as u64, parts }
-    }
-
-    /// Number of partition maps (a power of two, ≥ 1).
-    pub fn partition_count(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Keyed (non-NULL) build rows per partition — the skew profile the
-    /// telemetry layer reports as `part_max_rows`.
-    pub fn partition_sizes(&self) -> Vec<usize> {
-        self.parts.iter().map(|m| m.values().map(Vec::len).sum()).collect()
-    }
-
-    /// Keyed rows in the fullest partition (0 for an empty build).
-    pub fn max_partition_rows(&self) -> u64 {
-        self.partition_sizes().into_iter().max().unwrap_or(0) as u64
+        JoinBuild { right, right_cols, spec, chains }
     }
 
     /// Probe one chunk of left rows, draining them out of `left` (the
@@ -158,7 +93,7 @@ impl<'r, R: AsRef<[Value]>> JoinBuild<'r, R> {
             matches.clear();
             if !key_has_null(&lrow, left_cols) {
                 let h = self.spec.hash_row(&lrow, left_cols);
-                if let Some(chain) = self.parts[(h & self.mask) as usize].get(&h) {
+                if let Some(chain) = self.chains.get(&h) {
                     matches.extend(chain.iter().copied().filter(|&ri| {
                         KeyTuple::cols_eq(
                             &lrow,
@@ -214,8 +149,8 @@ impl<'r, R: AsRef<[Value]>> JoinBuild<'r, R> {
     /// Emit the NULL-padded right rows no probe matched — the post-probe
     /// barrier of `Right`/`Full` joins. `matched` is the union of the
     /// per-chunk match lists from [`JoinBuild::probe`]; iteration is over
-    /// *global* right-row order, so the emitted tail is independent of how
-    /// the probe side was chunked or the build side partitioned.
+    /// right-row order, so the emitted tail is independent of how the
+    /// probe side was chunked.
     pub fn emit_unmatched_right(&self, matched: &[u32], pad_left: usize, out: &mut Vec<Row>) {
         let mut right_matched = vec![false; self.right.len()];
         for &ri in matched {
@@ -288,10 +223,8 @@ impl RowSink for Survivor {
 /// Anti keeps it. Left rows are moved, never cloned, and the probe reads
 /// the key in place ([`Table::position_of`]).
 ///
-/// Drains `left` into a caller-provided output buffer: the per-chunk core
-/// shared by the sequential executor (which recycles the emptied left
-/// buffer) and the morsel-parallel executor (which probes chunks
-/// concurrently — each probe only reads the right table's index).
+/// Drains `left` into a caller-provided output buffer, so the executor can
+/// recycle the emptied left buffer.
 pub fn join_rows_pk_probe_into(
     left: &mut Vec<Row>,
     right: &Table,
@@ -477,53 +410,6 @@ mod tests {
             // its whole key.
             assert!(pk_probe_applies(kind, &[0], r.key()));
             assert_eq!(generic, run(kind).rows(), "{kind:?} diverged");
-        }
-    }
-
-    /// The structural determinism claim of the partitioned build: for any
-    /// partition count, every join kind produces bit-identical output —
-    /// the chain a probe sees in its partition is the chain a single map
-    /// would hold.
-    #[test]
-    fn partition_count_never_changes_join_output() {
-        // Duplicate keys, a NULL key on each side, and both outer sides.
-        let mk = |vals: &[Option<i64>]| -> Vec<Row> {
-            vals.iter()
-                .enumerate()
-                .map(|(i, v)| vec![Value::Int(i as i64), v.map_or(Value::Null, Value::Int)])
-                .collect()
-        };
-        let lrows = mk(&[Some(10), Some(10), Some(20), None, Some(99), Some(20)]);
-        let rrows = mk(&[Some(10), Some(20), Some(20), None, Some(30)]);
-        for kind in
-            [JoinKind::Inner, JoinKind::Left, JoinKind::Right, JoinKind::Full, JoinKind::Semi]
-        {
-            let reference = {
-                let build = JoinBuild::new(&rrows, &[(1, 1)]);
-                let mut l = lrows.clone();
-                let (mut out, mut matched) = (Vec::new(), Vec::new());
-                build.probe(&mut l, kind, &[1], 2, &mut out, &mut matched);
-                if matches!(kind, JoinKind::Right | JoinKind::Full) {
-                    build.emit_unmatched_right(&matched, 2, &mut out);
-                }
-                out
-            };
-            for p in [2usize, 3, 4, 8, 64] {
-                let build = JoinBuild::with_partitions(&rrows, &[(1, 1)], p);
-                assert_eq!(build.partition_count(), p.next_power_of_two());
-                assert_eq!(
-                    build.partition_sizes().iter().sum::<usize>(),
-                    4,
-                    "keyed rows must shard without loss"
-                );
-                let mut l = lrows.clone();
-                let (mut out, mut matched) = (Vec::new(), Vec::new());
-                build.probe(&mut l, kind, &[1], 2, &mut out, &mut matched);
-                if matches!(kind, JoinKind::Right | JoinKind::Full) {
-                    build.emit_unmatched_right(&matched, 2, &mut out);
-                }
-                assert_eq!(out, reference, "{kind:?} with {p} partitions diverged");
-            }
         }
     }
 }

@@ -10,7 +10,7 @@
 //! Zone-map soundness (min/max actually bounding the data, an O(rows)
 //! scan) is checked once per extraction in `Table::columns` and on owned
 //! sets a projection kernel just built — not per shared chunk, where the
-//! same table-wide set would be rescanned per morsel.
+//! same table-wide set would be rescanned on every run.
 
 use svc_storage::{Result, StorageError};
 

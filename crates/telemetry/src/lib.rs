@@ -14,9 +14,9 @@
 //!   `fresh_batch_count`): concurrently-running tests cannot pollute a
 //!   reading.
 //! * [`MetricsSink`] / [`OpMetrics`] — per-operator execution metrics for
-//!   the streaming executor. One slot per physical plan node; morsel
-//!   workers accumulate locally and merge into the slot's atomics at the
-//!   barrier, so collection never adds synchronization to the morsel path.
+//!   the streaming executor. One slot per physical plan node; each node
+//!   accumulates locally and adds to its slot's atomics once, when it
+//!   finishes, so collection adds no per-row work.
 //! * [`TraceRecorder`] — a bounded span ring buffer exporting chrome-trace
 //!   JSON (`chrome://tracing`, Perfetto).
 //!

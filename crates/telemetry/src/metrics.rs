@@ -2,12 +2,10 @@
 //!
 //! A [`MetricsSink`] holds one [`OpSlot`] per physical plan node (slot `i`
 //! ↔ the node at pre-order position `i` of the compiled tree). The
-//! executor's walker accumulates an [`OpMetrics`] on the stack per node —
-//! per-morsel facts ride back with the morsel results — and
-//! [`OpSlot::merge`] folds it into the slot with relaxed atomic adds at the
-//! end. Merging is commutative over unsigned sums, so the recorded totals
-//! are a function of the morsel split only, never of scheduler
-//! interleaving: the morsel-determinism contract extends to the metrics.
+//! executor's walker accumulates an [`OpMetrics`] on the stack per node
+//! and [`OpSlot::merge`] adds it to the slot with relaxed atomic adds once,
+//! when the node finishes. The slots are atomic, so a sink is `Sync` and
+//! may be shared by reference.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -22,8 +20,6 @@ pub struct OpMetrics {
     pub rows_out: u64,
     /// Inclusive wall time (driver-side; covers the node's subtree).
     pub wall_ns: u64,
-    /// Morsel tasks fanned out for this node (0 when run sequentially).
-    pub morsels: u64,
     /// Column chunks driven through the vectorized kernels.
     pub vec_chunks: u64,
     /// Batches processed on the row-at-a-time fallback path.
@@ -34,13 +30,6 @@ pub struct OpMetrics {
     pub build_rows: u64,
     /// Join probe-side rows.
     pub probe_rows: u64,
-    /// Hash partitions of a join build or set-op dedup (0 when the node
-    /// has no hash-partitioned phase).
-    pub partitions: u64,
-    /// Rows landing in the fullest hash partition — the skew profile of
-    /// the partitioned build/dedup (equal to the keyed input under
-    /// all-rows-one-key skew, ~input/partitions when uniform).
-    pub part_max_rows: u64,
     /// Distinct groups a γ produced.
     pub groups: u64,
 }
@@ -51,34 +40,28 @@ impl OpMetrics {
         self.rows_in += other.rows_in;
         self.rows_out += other.rows_out;
         self.wall_ns += other.wall_ns;
-        self.morsels += other.morsels;
         self.vec_chunks += other.vec_chunks;
         self.row_batches += other.row_batches;
         self.zone_skips += other.zone_skips;
         self.build_rows += other.build_rows;
         self.probe_rows += other.probe_rows;
-        self.partitions += other.partitions;
-        self.part_max_rows += other.part_max_rows;
         self.groups += other.groups;
     }
 }
 
 /// The shared accumulator for one plan node: the atomic twin of
-/// [`OpMetrics`]. Workers only ever *add* (relaxed), readers
-/// [`snapshot`](OpSlot::snapshot) after the run has been joined.
+/// [`OpMetrics`]. The executor only ever *adds* (relaxed); readers
+/// [`snapshot`](OpSlot::snapshot) after the run returns.
 #[derive(Debug, Default)]
 pub struct OpSlot {
     rows_in: AtomicU64,
     rows_out: AtomicU64,
     wall_ns: AtomicU64,
-    morsels: AtomicU64,
     vec_chunks: AtomicU64,
     row_batches: AtomicU64,
     zone_skips: AtomicU64,
     build_rows: AtomicU64,
     probe_rows: AtomicU64,
-    partitions: AtomicU64,
-    part_max_rows: AtomicU64,
     groups: AtomicU64,
 }
 
@@ -90,14 +73,11 @@ impl OpSlot {
             (&self.rows_in, m.rows_in),
             (&self.rows_out, m.rows_out),
             (&self.wall_ns, m.wall_ns),
-            (&self.morsels, m.morsels),
             (&self.vec_chunks, m.vec_chunks),
             (&self.row_batches, m.row_batches),
             (&self.zone_skips, m.zone_skips),
             (&self.build_rows, m.build_rows),
             (&self.probe_rows, m.probe_rows),
-            (&self.partitions, m.partitions),
-            (&self.part_max_rows, m.part_max_rows),
             (&self.groups, m.groups),
         ] {
             if v != 0 {
@@ -112,14 +92,11 @@ impl OpSlot {
             rows_in: self.rows_in.load(Ordering::Relaxed),
             rows_out: self.rows_out.load(Ordering::Relaxed),
             wall_ns: self.wall_ns.load(Ordering::Relaxed),
-            morsels: self.morsels.load(Ordering::Relaxed),
             vec_chunks: self.vec_chunks.load(Ordering::Relaxed),
             row_batches: self.row_batches.load(Ordering::Relaxed),
             zone_skips: self.zone_skips.load(Ordering::Relaxed),
             build_rows: self.build_rows.load(Ordering::Relaxed),
             probe_rows: self.probe_rows.load(Ordering::Relaxed),
-            partitions: self.partitions.load(Ordering::Relaxed),
-            part_max_rows: self.part_max_rows.load(Ordering::Relaxed),
             groups: self.groups.load(Ordering::Relaxed),
         }
     }
@@ -130,14 +107,11 @@ impl OpSlot {
             &self.rows_in,
             &self.rows_out,
             &self.wall_ns,
-            &self.morsels,
             &self.vec_chunks,
             &self.row_batches,
             &self.zone_skips,
             &self.build_rows,
             &self.probe_rows,
-            &self.partitions,
-            &self.part_max_rows,
             &self.groups,
         ] {
             cell.store(0, Ordering::Relaxed);

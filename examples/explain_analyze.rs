@@ -2,17 +2,16 @@
 //! η-pushed cleaning plan, run it with a metrics sink installed, and print
 //! the physical operator tree annotated with per-node actual rows, wall
 //! time, and catalog-estimated rows. The same cleaning plan is then
-//! re-explained morsel-parallel on a 4-worker pool: wall times change, the
-//! per-node row counts do not — that is the executor's determinism
+//! re-explained on the row-at-a-time reference path: wall times change,
+//! the per-node row counts do not — that is the executor's determinism
 //! contract, made visible.
 //!
 //! Run with: `cargo run --release --example explain_analyze`
 
 use stale_view_cleaning::catalog::Catalog;
-use stale_view_cleaning::cluster::executor::WorkerPool;
 use stale_view_cleaning::core::{maintenance_stats, SvcConfig, SvcView};
 use stale_view_cleaning::ivm::view::maintenance_bindings;
-use stale_view_cleaning::relalg::exec::{explain_analyze, ExecMode};
+use stale_view_cleaning::relalg::exec::{explain_analyze, ExecMode, ExplainNode};
 use stale_view_cleaning::workloads::video;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,35 +33,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("cleaning plan ({kind:?} strategy, η fully pushed: {})\n", report.fully_pushed());
 
-    println!("EXPLAIN ANALYZE (sequential, vectorized):");
-    let sequential = explain_analyze(&plan, &bindings, Some(&est), ExecMode::sequential())?;
-    print!("{sequential}");
-    println!("=> {} cleaned sample rows\n", sequential.table.len());
+    println!("EXPLAIN ANALYZE (vectorized):");
+    let vectorized = explain_analyze(&plan, &bindings, Some(&est), ExecMode::sequential())?;
+    print!("{vectorized}");
+    println!("=> {} cleaned sample rows\n", vectorized.table.len());
 
-    let pool = WorkerPool::new(4);
-    println!("EXPLAIN ANALYZE (morsel-parallel, 4 workers):");
-    let parallel = explain_analyze(&plan, &bindings, Some(&est), ExecMode::morsel_auto(&pool))?;
-    print!("{parallel}");
+    println!("EXPLAIN ANALYZE (rowwise):");
+    let rowwise = explain_analyze(&plan, &bindings, Some(&est), ExecMode::sequential().rowwise())?;
+    print!("{rowwise}");
 
     // The determinism contract: per-node actual row counts are functions
-    // of the plan and its inputs, never of the scheduler.
-    for (s, p) in sequential.nodes.iter().zip(&parallel.nodes) {
-        assert_eq!(
-            (s.metrics.rows_in, s.metrics.rows_out),
-            (p.metrics.rows_in, p.metrics.rows_out),
-            "node #{} row counts must not depend on the execution mode",
-            s.id
-        );
+    // of the plan and its inputs, never of the kernel path.
+    let rows = |n: &ExplainNode| {
+        let m = &n.metrics;
+        (m.rows_in, m.rows_out, m.build_rows, m.probe_rows, m.groups)
+    };
+    assert_eq!(vectorized.nodes.len(), rowwise.nodes.len());
+    for (v, r) in vectorized.nodes.iter().zip(&rowwise.nodes) {
+        assert_eq!(rows(v), rows(r), "node #{} row counts must not depend on the mode", v.id);
     }
+    assert!(vectorized.table.rows() == rowwise.table.rows(), "the two paths' rows differ");
     println!("\nper-node row counts identical across modes ✓ (only wall times differ)");
-
-    let pm = pool.metrics();
-    println!(
-        "pool: {} sessions, {} tasks, {:.1}ms total worker busy time",
-        pm.sessions,
-        pm.tasks,
-        pm.total_busy_ns() as f64 / 1e6
-    );
 
     // The per-view gauges the cleaning path maintains.
     let cleaned = svc.clean_sample(&db, &deltas)?;
@@ -71,6 +62,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "view: {} cleanings, {} rows cleaned, staleness age {:?}",
         m.cleanings, m.rows_cleaned, m.staleness_age
     );
-    assert_eq!(cleaned.canonical.len(), sequential.table.len());
+    assert_eq!(cleaned.canonical.len(), vectorized.table.len());
     Ok(())
 }

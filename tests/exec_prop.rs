@@ -24,11 +24,23 @@ use stale_view_cleaning::core::query::{AggQuery, QueryAgg};
 use stale_view_cleaning::ivm::view::{maintenance_bindings, MaterializedView};
 use stale_view_cleaning::relalg::aggregate::{AggFunc, AggSpec};
 use stale_view_cleaning::relalg::eval::{evaluate_materializing, Bindings};
-use stale_view_cleaning::relalg::exec::{compile, ExecMode, SequentialScheduler};
+use stale_view_cleaning::relalg::exec::{compile, ExecMode, PhysicalPlan};
 use stale_view_cleaning::relalg::optimizer::optimize;
 use stale_view_cleaning::relalg::plan::{JoinKind, Plan};
 use stale_view_cleaning::relalg::scalar::{col, lit, Expr, Func};
 use stale_view_cleaning::storage::{DataType, Database, HashSpec, Schema, Table, Value};
+
+/// The row-shaped per-node metrics of one metered run — rows in and out,
+/// join build and probe rows, γ groups — in slot order. Wall times and
+/// chunk / batch counts are excluded: they differ between kernel paths.
+fn node_rows(compiled: &PhysicalPlan, b: &Bindings<'_>, mode: ExecMode) -> Vec<[u64; 5]> {
+    let sink = compiled.metrics_sink();
+    compiled.run_with_metrics(b, mode, &sink).unwrap();
+    sink.snapshots()
+        .iter()
+        .map(|m| [m.rows_in, m.rows_out, m.build_rows, m.probe_rows, m.groups])
+        .collect()
+}
 
 /// Attributes for the query-path harness over the `mixed` table: plain
 /// Int / Float / Mixed columns, arithmetic trees with `÷0`, `%0` and int
@@ -267,6 +279,15 @@ proptest! {
              between vectorized and rowwise modes",
             variant, hashed, optimized
         );
+        // Every row-shaped metric, join and γ fields included, is a
+        // function of the plan and its inputs, not of the kernel path.
+        prop_assert_eq!(
+            node_rows(&compiled, &b, ExecMode::sequential()),
+            node_rows(&compiled, &b, ExecMode::sequential().rowwise()),
+            "variant {} (hashed {}, optimized {}): row-shaped per-node metrics differ \
+             between vectorized and rowwise modes",
+            variant, hashed, optimized
+        );
     }
 
     /// Maintenance-strategy plans from svc-ivm, evaluated under maintenance
@@ -324,6 +345,13 @@ proptest! {
         prop_assert!(
             got.rows() == rowwise.rows(),
             "view kind {view_kind}: vectorized and rowwise maintenance paths diverged"
+        );
+        prop_assert_eq!(
+            node_rows(&compiled, &bindings, ExecMode::sequential()),
+            node_rows(&compiled, &bindings, ExecMode::sequential().rowwise()),
+            "view kind {}: row-shaped per-node metrics differ between vectorized and \
+             rowwise modes",
+            view_kind
         );
     }
 
@@ -501,13 +529,7 @@ proptest! {
         let b = Bindings::from_database(&db);
         let expected = evaluate_materializing(&plan, &b).unwrap();
         let compiled = compile(&plan, &b).unwrap();
-        let sched = SequentialScheduler;
-        let modes = [
-            ExecMode::sequential(),
-            ExecMode::morsel(&sched, 7),
-            ExecMode::morsel(&sched, 5).partitions(4),
-            ExecMode::sequential().rowwise(),
-        ];
+        let modes = [ExecMode::sequential(), ExecMode::sequential().rowwise()];
         let mut first = None;
         for mode in modes {
             let sink = compiled.metrics_sink();

@@ -2,10 +2,10 @@
 //! mini-batch maintenance pipeline (`--features failpoints` only).
 //!
 //! For hundreds of seeded failure schedules — injected errors and panics at
-//! table mutation, morsel execution, pool dispatch, batch compile /
-//! evaluate / fold, and the fallback plan — maintenance either commits a
-//! result bit-identical to the failure-free run or leaves the view at its
-//! pre-maintain epoch with every delta unconsumed, and a clean re-run (or
+//! table mutation, pool dispatch, batch compile / evaluate / fold, and the
+//! fallback plan — maintenance either commits a result bit-identical to the
+//! failure-free run or leaves the view at its pre-maintain epoch with every
+//! delta unconsumed, and a clean re-run (or
 //! quarantine recovery) always converges back to the failure-free state.
 //! The base seed comes from `SVC_CHAOS_SEED` (default 0), so CI can sweep
 //! distinct schedule families while any failure stays reproducible from
@@ -508,135 +508,6 @@ fn mid_batch_fold_failure_leaves_the_shadow_untouched() {
     }
 }
 
-/// Database for the partitioned-join chaos sweep: `video` carries a
-/// non-key `ownerId` column, so a join on it cannot take the pk-probe
-/// path — it must build a partitioned hash map, which is where the
-/// `JOIN_BUILD` failpoint lives.
-fn chaos_db_owner() -> Database {
-    let mut db = Database::new();
-    let mut video = Table::new(
-        Schema::from_pairs(&[
-            ("videoId", DataType::Int),
-            ("ownerId", DataType::Int),
-            ("duration", DataType::Float),
-        ])
-        .unwrap(),
-        &["videoId"],
-    )
-    .unwrap();
-    for v in 0..64i64 {
-        video
-            .insert(vec![
-                Value::Int(v),
-                Value::Int(v % 16),
-                Value::Float(0.25 * (1 + v % 13) as f64),
-            ])
-            .unwrap();
-    }
-    let mut log = Table::new(
-        Schema::from_pairs(&[("sessionId", DataType::Int), ("ownerId", DataType::Int)]).unwrap(),
-        &["sessionId"],
-    )
-    .unwrap();
-    for s in 0..600i64 {
-        log.insert(vec![Value::Int(s), Value::Int((s * 13 + 7) % 16)]).unwrap();
-    }
-    db.create_table("video", video);
-    db.create_table("log", log);
-    db
-}
-
-/// A non-key equi-join: its build is a hash map over the 64-row video side —
-/// larger than the 8-row morsels below, so with 4 partitions every run fans
-/// the partitioned build out on the pool.
-fn owner_median_view() -> Plan {
-    Plan::scan("log")
-        .join(Plan::scan("video"), JoinKind::Inner, &[("ownerId", "ownerId")])
-        .aggregate(
-            &["ownerId"],
-            vec![AggSpec::new("medDur", AggFunc::Median, col("duration")), AggSpec::count_all("n")],
-        )
-}
-
-/// ~48 seeds: injected errors and panics inside the partitioned join-build
-/// fan-out (scatter/build pass 2) reach the caller as an error or an unwind,
-/// never as rows, and the next run on the same pool returns the failure-free
-/// result with the queue drained.
-#[test]
-fn join_build_failures_surface_and_the_pool_recovers() {
-    use stale_view_cleaning::cluster::WorkerPool;
-    use stale_view_cleaning::relalg::eval::Bindings;
-    use stale_view_cleaning::relalg::exec::{compile, ExecMode};
-
-    let _g = chaos_guard();
-    let db = chaos_db_owner();
-    let bindings = Bindings::from_database(&db);
-    let compiled = compile(&owner_median_view(), &bindings).unwrap();
-    let pool = WorkerPool::new(2);
-    let run = || compiled.run_with(&bindings, ExecMode::morsel(&pool, 8).partitions(4));
-    let expected = {
-        fault::clear_all();
-        run().expect("failure-free baseline")
-    };
-
-    // Reachability gate: an always-on error spec must actually fire inside
-    // this plan's build fan-out, or the whole sweep is vacuous.
-    fault::set(site::JOIN_BUILD, FailSpec::immediate(u64::MAX, FailAction::Error));
-    let err = run().expect_err("the partitioned build must be on this plan's path");
-    assert!(err.to_string().contains("failpoint"), "got: {err}");
-    assert!(fault::fired(site::JOIN_BUILD) > 0, "JOIN_BUILD failpoint never reached");
-    fault::clear_all();
-
-    let base = base_seed();
-    let mut injected_runs = 0u64;
-    for i in 0..48u64 {
-        let seed = base.wrapping_mul(424_243).wrapping_add(i);
-        // 4 partition tasks per build, one build per run: keep the skip
-        // inside the first couple of builds so most seeds land mid-build.
-        fault::set(
-            site::JOIN_BUILD,
-            FailSpec {
-                skip: seed % 6,
-                count: 1 + seed % 2,
-                action: if i % 2 == 0 { FailAction::Error } else { FailAction::Panic },
-            },
-        );
-        let outcome = catch_unwind(AssertUnwindSafe(run));
-        let fired = fault::fired(site::JOIN_BUILD);
-        fault::clear_all();
-        injected_runs += u64::from(fired > 0);
-
-        match outcome {
-            Ok(Ok(table)) => {
-                assert_eq!(fired, 0, "seed {seed}: a fired build failpoint cannot return rows");
-                assert!(table.same_contents(&expected), "seed {seed}: diverged");
-            }
-            Ok(Err(e)) => {
-                assert!(
-                    e.to_string().contains("failpoint"),
-                    "seed {seed}: non-injected error: {e}"
-                );
-            }
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                    .unwrap_or_default();
-                assert!(msg.contains("failpoint"), "seed {seed}: non-injected panic: {msg}");
-            }
-        }
-
-        let again = run().unwrap_or_else(|e| panic!("seed {seed}: clean re-run failed: {e}"));
-        assert!(again.same_contents(&expected), "seed {seed}: clean re-run diverged from baseline");
-        assert_eq!(pool.metrics().queue_depth, 0, "seed {seed}: queue left non-empty");
-    }
-    assert!(
-        injected_runs >= 24,
-        "only {injected_runs}/48 schedules fired inside the build fan-out — sweep is toothless"
-    );
-}
-
 /// Satellite regression: the non-change-table fallback path quarantines
 /// the whole pending set as one batch and recovers via recompute.
 #[test]
@@ -738,44 +609,5 @@ fn auxiliary_tables_commit_with_their_view_or_not_at_all() {
         }
         assert!(injected_runs >= 16, "{path}: only {injected_runs}/64 schedules fired");
         assert!(commit_site_fired > 0, "{path}: `{}` never fired", sites[0]);
-    }
-}
-
-/// Cost shape of the single plan walker: `EXEC_MORSEL` sits on the
-/// scheduler fan-out, so a run that splits nothing — sequential, or a
-/// morsel mode whose every input fits one morsel — never passes it, while
-/// the same plans under a smaller morsel pass it once per morsel task.
-#[test]
-fn unsplit_runs_never_pass_the_morsel_failpoint() {
-    use stale_view_cleaning::ivm::view::maintenance_bindings;
-    use stale_view_cleaning::relalg::eval::Bindings;
-    use stale_view_cleaning::relalg::exec::{compile, ExecMode, SequentialScheduler};
-
-    let _g = chaos_guard();
-    let db = chaos_db();
-    let view = MaterializedView::create("v", visit_view(), &db).unwrap();
-    let deltas = log_stream(&db, 300);
-    let (maint, _) = view.build_maintenance_plan(&db, &deltas).unwrap();
-    let base = Bindings::from_database(&db);
-    let mb = maintenance_bindings(&db, &deltas, view.table());
-    for (plan, b) in [(visit_view(), &base), (maint, &mb)] {
-        let compiled = compile(&plan, b).unwrap();
-        // Armed but never firing: the registry only counts armed sites.
-        let armed = FailSpec { skip: u64::MAX, count: 0, action: FailAction::Error };
-        fault::set(site::EXEC_MORSEL, armed);
-        let sequential = compiled.run_with(b, ExecMode::sequential()).unwrap();
-        let fits =
-            compiled.run_with(b, ExecMode::morsel(&SequentialScheduler, usize::MAX)).unwrap();
-        assert_eq!(fault::hits(site::EXEC_MORSEL), 0, "an unsplit run reached the morsel site");
-        assert!(fits.rows() == sequential.rows());
-
-        let sink = compiled.metrics_sink();
-        let mode = ExecMode::morsel(&SequentialScheduler, 64);
-        let split = compiled.run_with_metrics(b, mode, &sink).unwrap();
-        let morsels: u64 = sink.snapshots().iter().map(|m| m.morsels).sum();
-        assert!(morsels > 0, "64-row morsels must split a 1200-row scan");
-        assert_eq!(fault::hits(site::EXEC_MORSEL), morsels, "one hit per morsel task");
-        assert!(split.same_contents(&sequential));
-        fault::clear_all();
     }
 }

@@ -1,6 +1,5 @@
 //! Shared randomized-workload generators for the executor equivalence
-//! harnesses (`tests/exec_prop.rs`, `tests/morsel_prop.rs`,
-//! `tests/partition_prop.rs`): a snowflake fact/dim database, plan shapes
+//! harness (`tests/exec_prop.rs`): a snowflake fact/dim database, plan shapes
 //! covering every operator the executor lowers, adversarial join-key
 //! distributions, and signed delta streams. One copy, so the harnesses
 //! always test the same plan space. Also the row-at-a-time reference every
@@ -245,9 +244,8 @@ pub fn mixed_plan_variant(variant: u8) -> Plan {
 pub const MIXED_PLAN_VARIANTS: u8 = 10;
 
 /// `n` distinct Int key values whose [`join_hash`] values collide in their
-/// low 12 bits — they land in the same hash partition for every partition
-/// count up to 4096, driving the partitioned join's skew path as hard as
-/// an adversary can without full 64-bit collisions.
+/// low 12 bits — near-collisions for the hash-build join without full
+/// 64-bit collisions.
 ///
 /// [`join_hash`]: stale_view_cleaning::relalg::join::join_hash
 pub fn colliding_int_keys(n: usize) -> Vec<i64> {
@@ -267,7 +265,7 @@ pub fn colliding_int_keys(n: usize) -> Vec<i64> {
     out
 }
 
-/// Adversarial join-key distributions for the partition equivalence
+/// Adversarial join-key distributions for the executor equivalence
 /// harness: a fact table whose `dimId` column is drawn from one of four
 /// hostile distributions, and a dim table whose non-key `altId` column
 /// carries duplicates (so `dimId = altId` joins always take the hash-build
@@ -275,14 +273,12 @@ pub fn colliding_int_keys(n: usize) -> Vec<i64> {
 ///
 /// `skew % 4` selects the distribution:
 /// * `0` — Zipf-like geometric skew (key `k` with probability `~2^-k`):
-///   a handful of keys hold most rows, deep chains in few partitions.
-/// * `1` — all rows one key: the worst partition imbalance possible; one
-///   partition holds the entire build side.
+///   a handful of keys hold most rows, in deep chains.
+/// * `1` — all rows one key: the whole build side in one chain.
 /// * `2` — null-heavy: ~half the join keys are NULL (never match, never
-///   enter the build maps — exercising the null-skip on both hash twins).
+///   enter the build map).
 /// * `3` — hash-collision-prone: distinct keys whose [`join_hash`] values
-///   share their low 12 bits ([`colliding_int_keys`]), so every key lands
-///   in the same partition at any realistic partition count.
+///   share their low 12 bits ([`colliding_int_keys`]).
 ///
 /// [`join_hash`]: stale_view_cleaning::relalg::join::join_hash
 pub fn build_db_adversarial(n_facts: usize, skew: u8, data_seed: u64) -> Database {
@@ -351,10 +347,10 @@ pub fn build_db_adversarial(n_facts: usize, skew: u8, data_seed: u64) -> Databas
     db
 }
 
-/// Plan shapes over [`build_db_adversarial`] aimed at the partitioned
-/// paths: every join targets the *non-key* `altId` column (hash build,
-/// duplicate right keys, matched-bitmap outer emission) and the set ops
-/// exercise the partitioned whole-row dedup.
+/// Plan shapes over [`build_db_adversarial`] aimed at the hash paths:
+/// every join targets the *non-key* `altId` column (hash build, duplicate
+/// right keys, matched-bitmap outer emission) and the set ops exercise the
+/// whole-row dedup.
 pub fn adversarial_plan_variant(variant: u8) -> Plan {
     match variant % 8 {
         0 => Plan::scan("fact").join(Plan::scan("dim"), JoinKind::Inner, &[("dimId", "altId")]),

@@ -1,22 +1,20 @@
 //! Metrics-correctness tests for the observability layer.
 //!
-//! The executor's metric contract mirrors its morsel-determinism contract:
-//! per-node **row counts** (rows in/out, join build/probe split, γ group
-//! counts) are functions of the plan and its inputs only — identical
-//! across worker counts, schedulers, and vectorized-vs-rowwise modes.
-//! Wall times, morsel counts, and chunk/zone counters are allowed to vary;
-//! the row-shaped fields are not. Plus the zero-cost gate: running a
+//! The executor's metric contract: per-node **row counts** (rows in/out,
+//! join build/probe split, γ group counts) are functions of the plan and
+//! its inputs only — identical under vectorized and rowwise execution.
+//! Wall times and chunk/zone counters are allowed to vary; the row-shaped
+//! fields are not. Plus the zero-cost gate: running a
 //! compiled plan *without* a sink must allocate zero metric state.
 
 use stale_view_cleaning::catalog::Catalog;
-use stale_view_cleaning::cluster::executor::WorkerPool;
 use stale_view_cleaning::core::{SvcConfig, SvcView};
 use stale_view_cleaning::ivm::delta::{del_leaf, ins_leaf};
 use stale_view_cleaning::ivm::strategy::STALE_LEAF;
 use stale_view_cleaning::ivm::view::maintenance_bindings;
 use stale_view_cleaning::relalg::aggregate::{AggFunc, AggSpec};
 use stale_view_cleaning::relalg::eval::Bindings;
-use stale_view_cleaning::relalg::exec::{compile, explain_analyze, ExecMode, SequentialScheduler};
+use stale_view_cleaning::relalg::exec::{compile, explain_analyze, ExecMode};
 use stale_view_cleaning::relalg::plan::{JoinKind, Plan};
 use stale_view_cleaning::relalg::scalar::{col, lit};
 use stale_view_cleaning::storage::{DataType, Database, Deltas, Schema, Table, Value};
@@ -115,8 +113,8 @@ fn row_fields(
 
 /// The acceptance scenario: `explain_analyze` on a ≥3-join cleaning plan
 /// shows per-node actual rows, wall time, and catalog-estimated rows, and
-/// the actual row counts are bit-identical across {1, 4} workers and
-/// {rowwise, vectorized} modes.
+/// the actual row counts are identical under vectorized and rowwise
+/// execution.
 #[test]
 fn explain_analyze_cleaning_plan_is_mode_invariant() {
     let db = star_db();
@@ -155,24 +153,14 @@ fn explain_analyze_cleaning_plan_is_mode_invariant() {
     let rendered = baseline.render();
     assert!(rendered.contains("rows=") && rendered.contains("(est "), "{rendered}");
 
-    let base_rows = row_fields(&baseline);
-    let pool1 = WorkerPool::new(1);
-    let pool4 = WorkerPool::new(4);
-    let modes: Vec<(&str, ExecMode<'_>)> = vec![
-        ("sequential rowwise", ExecMode::sequential().rowwise()),
-        ("1 worker vectorized", ExecMode::morsel(&pool1, 64)),
-        ("4 workers vectorized", ExecMode::morsel(&pool4, 64)),
-        ("4 workers rowwise", ExecMode::morsel(&pool4, 64).rowwise()),
-    ];
-    for (label, mode) in modes {
-        let ex = explain_analyze(&plan, &mb, Some(&est), mode).unwrap();
-        assert_eq!(
-            row_fields(&ex),
-            base_rows,
-            "{label}: per-node row counts diverged from sequential"
-        );
-        assert_eq!(ex.table.len(), baseline.table.len(), "{label}: result length diverged");
-    }
+    let rowwise =
+        explain_analyze(&plan, &mb, Some(&est), ExecMode::sequential().rowwise()).unwrap();
+    assert_eq!(
+        row_fields(&rowwise),
+        row_fields(&baseline),
+        "rowwise: per-node row counts diverged from vectorized"
+    );
+    assert_eq!(rowwise.table.len(), baseline.table.len(), "rowwise: result length diverged");
 }
 
 /// Exact catalog stats make leaf estimates exact: a bare scan's estimated
@@ -225,7 +213,6 @@ fn uninstrumented_runs_allocate_no_metric_state() {
     let before = metric_allocs();
     compiled.run(&bindings).unwrap();
     compiled.run_with(&bindings, ExecMode::sequential().rowwise()).unwrap();
-    compiled.run_with(&bindings, ExecMode::morsel(&SequentialScheduler, 64)).unwrap();
     assert_eq!(
         metric_allocs(),
         before,
