@@ -219,7 +219,8 @@ macro_rules! fail_point_panic {
 /// sites in sync and gives harnesses one list to draw from. The plan
 /// executor has no site of its own: a run is one sequential pass on the
 /// calling thread, so its failures reach the chaos harness through
-/// [`TABLE_MUTATE`] and the pool and pipeline sites that run whole plans.
+/// [`TABLE_MUTATE`](site::TABLE_MUTATE) and the pool and pipeline sites
+/// that run whole plans.
 pub mod site {
     /// `Table::insert` / `Table::upsert` — every materialized result table
     /// is built through these, so this site fails plan evaluation on

@@ -42,9 +42,8 @@ pub fn pk_probe_applies(kind: JoinKind, right_cols: &[usize], right_key: &[usize
 }
 
 /// The build side of a generic hash equi-join: constructed once over the
-/// right input, then probed by any number of left-row chunks. The right
-/// rows are any slice of rows: an operator's owned batch or a table's
-/// shared rows.
+/// right input, then probed with the left rows. The right rows are any
+/// slice of rows: an operator's owned batch or a table's shared rows.
 pub struct JoinBuild<'r, R = Row> {
     right: &'r [R],
     right_cols: Vec<usize>,
@@ -71,12 +70,12 @@ impl<'r, R: AsRef<[Value]>> JoinBuild<'r, R> {
         JoinBuild { right, right_cols, spec, chains }
     }
 
-    /// Probe one chunk of left rows, draining them out of `left` (the
+    /// Probe with the left rows, draining them out of `left` (the
     /// caller can recycle the emptied buffer) and appending joined rows to
     /// `out` in left-row order. For `Right`/`Full` joins the matched right
     /// row indices are appended to `matched` (duplicates allowed); the
-    /// caller merges the chunks' lists and emits the unmatched right rows
-    /// at the barrier via [`JoinBuild::emit_unmatched_right`].
+    /// caller then emits the unmatched right rows via
+    /// [`JoinBuild::emit_unmatched_right`].
     pub fn probe(
         &self,
         left: &mut Vec<Row>,
@@ -146,11 +145,9 @@ impl<'r, R: AsRef<[Value]>> JoinBuild<'r, R> {
         }
     }
 
-    /// Emit the NULL-padded right rows no probe matched — the post-probe
-    /// barrier of `Right`/`Full` joins. `matched` is the union of the
-    /// per-chunk match lists from [`JoinBuild::probe`]; iteration is over
-    /// right-row order, so the emitted tail is independent of how the
-    /// probe side was chunked.
+    /// Emit the NULL-padded right rows no probe matched — the tail of
+    /// `Right`/`Full` joins. `matched` is the match list from
+    /// [`JoinBuild::probe`]; rows are emitted in right-row order.
     pub fn emit_unmatched_right(&self, matched: &[u32], pad_left: usize, out: &mut Vec<Row>) {
         let mut right_matched = vec![false; self.right.len()];
         for &ri in matched {
