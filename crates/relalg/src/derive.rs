@@ -200,8 +200,24 @@ pub fn derive_join(
     }
 
     let schema = Schema::concat(&left.schema, &right.schema, right_hint)?;
-    let right_offset = left.schema.len();
+    let key = join_key(&left.key, &right.key, kind, &on_idx, left.schema.len());
+    Ok((Derived { schema, key }, on_idx))
+}
 
+/// The key of a join of inputs keyed `left_key` and `right_key` on the
+/// resolved pairs `on_idx`, the right columns following the left input's
+/// `right_offset` ones: a semi or anti join keeps the left key; otherwise
+/// Definition 2, with foreign-key reduction.
+pub(crate) fn join_key(
+    left_key: &[usize],
+    right_key: &[usize],
+    kind: JoinKind,
+    on_idx: &[(usize, usize)],
+    right_offset: usize,
+) -> Vec<usize> {
+    if matches!(kind, JoinKind::Semi | JoinKind::Anti) {
+        return left_key.to_vec();
+    }
     let covers = |key: &[usize], join_cols: &[usize]| -> bool {
         !key.is_empty() && key.iter().all(|k| join_cols.contains(k))
     };
@@ -210,21 +226,16 @@ pub fn derive_join(
 
     // Key reduction: joining on the entire key of one side means each row of
     // the other side matches at most one partner (the FK-join case).
-    let key = if matches!(kind, JoinKind::Inner | JoinKind::Left)
-        && covers(&right.key, &right_join_cols)
+    if matches!(kind, JoinKind::Inner | JoinKind::Left) && covers(right_key, &right_join_cols) {
+        left_key.to_vec()
+    } else if matches!(kind, JoinKind::Inner | JoinKind::Right) && covers(left_key, &left_join_cols)
     {
-        left.key.clone()
-    } else if matches!(kind, JoinKind::Inner | JoinKind::Right)
-        && covers(&left.key, &left_join_cols)
-    {
-        right.key.iter().map(|&k| k + right_offset).collect()
+        right_key.iter().map(|&k| k + right_offset).collect()
     } else {
-        let mut k = left.key.clone();
-        k.extend(right.key.iter().map(|&i| i + right_offset));
+        let mut k = left_key.to_vec();
+        k.extend(right_key.iter().map(|&i| i + right_offset));
         k
-    };
-
-    Ok((Derived { schema, key }, on_idx))
+    }
 }
 
 /// γ: schema = group columns followed by aggregate outputs; key = the group
@@ -265,28 +276,33 @@ pub fn derive_setop(left: &Derived, right: &Derived, op: SetOpKind) -> Result<De
             });
         }
     }
-    let key = match op {
+    Ok(Derived { schema: left.schema.clone(), key: setop_key(&left.key, &right.key, op) })
+}
+
+/// The key of a set op over inputs keyed `left_key` and `right_key`
+/// (Definition 2).
+pub(crate) fn setop_key(left_key: &[usize], right_key: &[usize], op: SetOpKind) -> Vec<usize> {
+    match op {
         // Two sides keyed alike keep that key as declared, column order
         // included: a delta `∆L ⋈ R ∪ L ⋈ ∆R` is keyed exactly like `L ⋈ R`.
-        SetOpKind::Union if left.key == right.key => left.key.clone(),
+        SetOpKind::Union if left_key == right_key => left_key.to_vec(),
         SetOpKind::Union => {
-            let mut k: Vec<usize> = left.key.iter().chain(right.key.iter()).copied().collect();
+            let mut k: Vec<usize> = left_key.iter().chain(right_key).copied().collect();
             k.sort_unstable();
             k.dedup();
             k
         }
         SetOpKind::Intersect => {
             let k: Vec<usize> =
-                left.key.iter().copied().filter(|i| right.key.contains(i)).collect();
+                left_key.iter().copied().filter(|i| right_key.contains(i)).collect();
             if k.is_empty() {
-                left.key.clone()
+                left_key.to_vec()
             } else {
                 k
             }
         }
-        SetOpKind::Difference => left.key.clone(),
-    };
-    Ok(Derived { schema: left.schema.clone(), key })
+        SetOpKind::Difference => left_key.to_vec(),
+    }
 }
 
 /// η: key columns must resolve; schema and key pass through.

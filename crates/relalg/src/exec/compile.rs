@@ -188,6 +188,10 @@ pub enum Node {
         left: Box<Node>,
         /// Right input.
         right: Box<Node>,
+        /// The columns its dedup hashes: the sorted union of both inputs'
+        /// derived keys, on which each input is unique (empty: the whole
+        /// row). Candidates are still compared as whole rows.
+        hash_cols: Vec<usize>,
     },
 }
 
@@ -259,7 +263,7 @@ impl Node {
                 format!("join:{kind:?}({}, {r})", left.describe())
             }
             Node::Aggregate { input, .. } => format!("γ({})", input.describe()),
-            Node::SetOp { kind, left, right } => {
+            Node::SetOp { kind, left, right, .. } => {
                 format!("{kind:?}({}, {})", left.describe(), right.describe())
             }
         }
@@ -360,6 +364,7 @@ impl Lowering<'_> {
                     kind: *kind,
                     left: Box::new(self.lower(left, lt)?),
                     right: Box::new(self.lower(right, rt)?),
+                    hash_cols: setop_hash_cols(&lt.derived.key, &rt.derived.key),
                 }
             }
         })
@@ -378,6 +383,17 @@ impl Lowering<'_> {
         }
         Some(groups.min(card.rows.max(1.0)).min(MAX_GROUPS_HINT as f64) as usize)
     }
+}
+
+/// The columns a set op over inputs keyed `left_key` and `right_key`
+/// hashes: the sorted union of the two keys. Each input is unique on its
+/// own key, so on the union too; the op's own derived key (for ∩, the
+/// common key columns) may be unique on neither input.
+fn setop_hash_cols(left_key: &[usize], right_key: &[usize]) -> Vec<usize> {
+    let mut cols: Vec<usize> = left_key.iter().chain(right_key).copied().collect();
+    cols.sort_unstable();
+    cols.dedup();
+    cols
 }
 
 /// The leaf column each output column of a fused chain carries unchanged:

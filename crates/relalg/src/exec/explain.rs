@@ -22,7 +22,7 @@ use crate::optimizer::cost::CardEstimator;
 use crate::plan::Plan;
 
 use super::compile::{tags, JoinRight, Node};
-use super::{compile_with, ExecMode};
+use super::{compile_with, ExecMode, PhysicalPlan};
 
 /// One annotated node of an explained plan, in pre-order (the metric-slot
 /// order).
@@ -60,6 +60,53 @@ impl Explain {
     /// Render the annotated tree (same text as `Display`).
     pub fn render(&self) -> String {
         self.to_string()
+    }
+
+    /// Ids of node `id`'s children, in order.
+    fn children(&self, id: usize) -> impl Iterator<Item = usize> + '_ {
+        let depth = self.nodes[id].depth;
+        self.nodes[id + 1..]
+            .iter()
+            .take_while(move |n| n.depth > depth)
+            .filter(move |n| n.depth == depth + 1)
+            .map(|n| n.id)
+    }
+
+    /// The edges along which rows are not conserved, one line each; empty
+    /// when every node's input count equals what its children report: a
+    /// fused chain's or γ's `rows_in` its child's `rows_out`, a join's
+    /// `probe_rows` its left child's `rows_out` (and a build join's
+    /// `build_rows` its right child's), a set op's `rows_in` the sum of its
+    /// children's `rows_out`. A streamed child counts its rows from the
+    /// stream, so a miscount shows here even where both kernel paths
+    /// agree.
+    pub fn unconserved(&self) -> Vec<String> {
+        let mut broken = Vec::new();
+        for n in &self.nodes {
+            let outs: Vec<u64> =
+                self.children(n.id).map(|c| self.nodes[c].metrics.rows_out).collect();
+            let out = |i: usize| outs.get(i).copied().unwrap_or(0);
+            let m = &n.metrics;
+            let mut check = |what: &str, got: u64, want: u64| {
+                if got != want {
+                    broken.push(format!(
+                        "#{} {}: {what}={got}, but its children report {want}",
+                        n.id, n.label
+                    ));
+                }
+            };
+            if n.label.starts_with("fused[") || n.label.starts_with("γ(") {
+                check("rows_in", m.rows_in, out(0));
+            } else if n.label.starts_with("join:") {
+                check("probe_rows", m.probe_rows, out(0));
+                if n.label.ends_with(" build") {
+                    check("build_rows", m.build_rows, out(1));
+                }
+            } else if !n.label.starts_with("fused-scan(") {
+                check("rows_in", m.rows_in, outs.iter().sum());
+            }
+        }
+        broken
     }
 }
 
@@ -120,10 +167,23 @@ pub fn explain_analyze(
     mode: ExecMode,
 ) -> Result<Explain> {
     let compiled = compile_with(plan, bindings, est)?;
+    explain_compiled(&compiled, Some(plan), bindings, est, mode)
+}
+
+/// Run `compiled` under `mode` with a metrics sink installed and annotate
+/// its tree; `plan`, its logical form, and `est` feed the estimated-rows
+/// column when present.
+pub(super) fn explain_compiled(
+    compiled: &PhysicalPlan,
+    plan: Option<&Plan>,
+    bindings: &Bindings<'_>,
+    est: Option<&dyn CardEstimator>,
+    mode: ExecMode,
+) -> Result<Explain> {
     let sink = compiled.metrics_sink();
     let table = compiled.run_with_metrics(bindings, mode, &sink)?;
     let mut nodes = Vec::with_capacity(sink.len());
-    annotate(&compiled.root, Some(plan), 0, est, bindings, &mut nodes);
+    annotate(&compiled.root, plan, 0, est, bindings, &mut nodes);
     debug_assert_eq!(nodes.len(), sink.len());
     for n in &mut nodes {
         n.metrics = sink.snapshot(n.id);

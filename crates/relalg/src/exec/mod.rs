@@ -181,6 +181,14 @@ impl PhysicalPlan {
         self.execute(bindings, mode, Some(run::Meter { sink, id: 0 }))
     }
 
+    /// EXPLAIN ANALYZE of this compiled plan — a view's cached delta plan,
+    /// say: [`PhysicalPlan::run_with_metrics`] into a fresh sink, and the
+    /// tree annotated with the actuals (no estimates). [`explain_analyze`]
+    /// compiles a logical plan and does the same.
+    pub fn explain(&self, bindings: &Bindings<'_>, mode: ExecMode) -> Result<Explain> {
+        explain::explain_compiled(self, None, bindings, None, mode)
+    }
+
     /// The derived output type (schema + key) of the plan.
     pub fn output(&self) -> &Derived {
         &self.out
@@ -231,7 +239,7 @@ mod tests {
     use super::*;
     use crate::aggregate::{AggFunc, AggSpec};
     use crate::eval::evaluate_materializing;
-    use crate::plan::JoinKind;
+    use crate::plan::{JoinKind, SetOpKind};
     use crate::scalar::{col, lit};
     use svc_storage::{DataType, Database, HashSpec, Schema, Value};
 
@@ -442,6 +450,34 @@ mod tests {
             let got = compile(&plan, &b).unwrap().run(&b).unwrap();
             let expected = evaluate_materializing(&plan, &b).unwrap();
             assert!(got.same_contents(&expected), "divergence on {plan:?}");
+        }
+    }
+
+    /// A set op hashes the union of its inputs' keys: each input is unique
+    /// on it, unlike on ∩'s own derived key (the common key columns, here
+    /// none, so the left key). The result still equals the whole-row
+    /// dedup's.
+    #[test]
+    fn set_ops_hash_the_union_of_their_input_keys() {
+        let mut db = video_db();
+        let video = db.table("video").unwrap().clone();
+        let mut by_duration = Table::new(video.schema().clone(), &["duration"]).unwrap();
+        for row in video.rows().iter().filter(|r| r[1] != Value::Int(3)) {
+            by_duration.insert(row.to_vec()).unwrap();
+        }
+        db.create_table("by_duration", by_duration);
+        let b = Bindings::from_database(&db);
+        for kind in [SetOpKind::Intersect, SetOpKind::Union, SetOpKind::Difference] {
+            let plan = Plan::SetOp {
+                kind,
+                left: Box::new(Plan::scan("video")),
+                right: Box::new(Plan::scan("by_duration")),
+            };
+            let compiled = compile(&plan, &b).unwrap();
+            let Node::SetOp { hash_cols, .. } = &compiled.root else { panic!("a set op root") };
+            assert_eq!(hash_cols, &[0, 2], "{kind:?}");
+            let got = compiled.run(&b).unwrap();
+            assert!(got.same_contents(&evaluate_materializing(&plan, &b).unwrap()), "{kind:?}");
         }
     }
 

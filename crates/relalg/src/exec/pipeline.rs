@@ -1,13 +1,15 @@
 //! Fused row pipelines: maximal `Scan→σ→Π→η` chains execute as one pass.
 //!
 //! A [`FusedOp`] sequence is compiled once (predicates bound, projection
-//! expressions bound, η key columns resolved) and then applied row by row.
-//! Rows enter *borrowed* — straight out of a bound base table or an
-//! upstream batch — and stay borrowed through every filter; a row is only
-//! cloned (or built, for projections) once it has survived the whole chain
-//! and reaches the sink. That is the "clone only survivors" contract: a
-//! selective filter over a large base relation touches every row but
-//! copies almost none.
+//! expressions bound, η key columns resolved) and then applied row by row
+//! by one interpreter, `run_chain`. Rows enter *borrowed* — straight out
+//! of a bound base table, an upstream batch or a join's scratch row — and
+//! stay borrowed through every filter; a projection writes into one of two
+//! reused buffers (`ChainBufs`). The sink decides whether to copy: a
+//! `Vec<Row>` batch copies a survivor once, at its final width, and a γ
+//! group map reads it in place. That is the "copy only survivors"
+//! contract: a selective filter over a large base relation touches every
+//! row but copies almost none.
 
 use svc_storage::{HashSpec, Row, Value};
 
@@ -46,13 +48,13 @@ impl FusedOp {
 }
 
 /// Where surviving rows land. `Vec<Row>` collects materialized batches
-/// (cloning borrowed survivors); [`GroupMap`] accumulates γ groups without
-/// materializing the input at all.
+/// (copying a borrowed survivor once, at its final width); [`GroupMap`]
+/// accumulates γ groups reading each survivor in place.
 pub trait RowSink {
     /// Accept a row the pipeline already owns.
     fn owned(&mut self, row: Row);
-    /// Accept a row still borrowed from its source; implementations clone
-    /// only if they need to keep it.
+    /// Accept a row still borrowed from its source or a chain buffer;
+    /// implementations copy it only if they need to keep it.
     fn borrowed(&mut self, row: &[Value]) {
         self.owned(row.to_vec());
     }
@@ -69,34 +71,101 @@ impl RowSink for GroupMap<'_> {
         self.push(&row);
     }
 
-    /// Group accumulation reads the row in place — no survivor clone.
+    /// Group accumulation reads the row in place — no survivor copy.
     fn borrowed(&mut self, row: &[Value]) {
         self.push(row);
     }
 }
 
-/// Stream one borrowed row through `ops` into `sink`. Filters run on the
-/// borrowed row; the first projection takes over ownership.
-pub fn feed_borrowed(row: &[Value], ops: &[FusedOp], sink: &mut impl RowSink) {
-    for (i, op) in ops.iter().enumerate() {
+/// The two row buffers a chain projects into, reused from row to row: a
+/// Π writes into the buffer its input is not in, so no survivor is built
+/// in a fresh `Vec`.
+#[derive(Debug, Default)]
+pub(crate) struct ChainBufs {
+    a: Row,
+    b: Row,
+}
+
+/// Where a chain left a row that survived it.
+pub(crate) enum Through<'b> {
+    /// The input row itself: the chain only filtered.
+    Input,
+    /// A projection of it, in one of the chain's buffers.
+    Built(&'b [Value]),
+}
+
+/// The chain interpreter: run `ops` over a borrowed row. `None` when a σ
+/// or η drops it; otherwise where the survivor is. Every projection is
+/// written into `bufs`, so a chain allocates nothing once its buffers
+/// have grown to the widest row.
+pub(crate) fn run_chain<'b>(
+    row: &[Value],
+    ops: &[FusedOp],
+    bufs: &'b mut ChainBufs,
+) -> Option<Through<'b>> {
+    let ChainBufs { a, b } = bufs;
+    // Which row the next op reads: the input, `a` or `b`.
+    let mut at = 0u8;
+    for op in ops {
+        let cur: &[Value] = match at {
+            0 => row,
+            1 => a,
+            _ => b,
+        };
         match op {
             FusedOp::Filter(pred) => {
-                if !pred.matches(row) {
-                    return;
+                if !pred.matches(cur) {
+                    return None;
                 }
             }
             FusedOp::Hash { key_idx, ratio, spec } => {
-                if !spec.selects_row(row, key_idx, *ratio) {
-                    return;
+                if !spec.selects_row(cur, key_idx, *ratio) {
+                    return None;
                 }
             }
             FusedOp::Map(exprs) => {
-                let mapped: Row = exprs.iter().map(|e| e.eval(row)).collect();
-                return feed_owned(mapped, &ops[i + 1..], sink);
+                let (src, dst, next): (&[Value], &mut Row, u8) = match at {
+                    0 => (row, a, 1),
+                    1 => (a, b, 2),
+                    _ => (b, a, 1),
+                };
+                dst.clear();
+                dst.extend(exprs.iter().map(|e| e.eval(src)));
+                at = next;
             }
         }
     }
-    sink.borrowed(row);
+    Some(match at {
+        0 => Through::Input,
+        1 => Through::Built(a),
+        _ => Through::Built(b),
+    })
+}
+
+/// Stream one borrowed row through `ops` into `sink`, which copies the
+/// survivor if it keeps rows. Returns whether the row survived.
+pub(crate) fn feed_borrowed(
+    row: &[Value],
+    ops: &[FusedOp],
+    bufs: &mut ChainBufs,
+    sink: &mut impl RowSink,
+) -> bool {
+    match run_chain(row, ops, bufs) {
+        Some(Through::Input) => sink.borrowed(row),
+        Some(Through::Built(built)) => sink.borrowed(built),
+        None => return false,
+    }
+    true
+}
+
+/// Stream one owned row through `ops` into `sink`: a row the chain only
+/// filtered moves into the sink, a projection is copied out of its buffer.
+pub(crate) fn feed_owned(row: Row, ops: &[FusedOp], bufs: &mut ChainBufs, sink: &mut impl RowSink) {
+    match run_chain(&row, ops, bufs) {
+        Some(Through::Input) => sink.owned(row),
+        Some(Through::Built(built)) => sink.borrowed(built),
+        None => {}
+    }
 }
 
 /// True iff `row` passes every op of a chain that only filters (σ and η).
@@ -106,27 +175,4 @@ pub(crate) fn keeps(row: &[Value], ops: &[FusedOp]) -> bool {
         FusedOp::Hash { key_idx, ratio, spec } => spec.selects_row(row, key_idx, *ratio),
         FusedOp::Map(_) => unreachable!("a filtering chain has no projection"),
     })
-}
-
-/// Stream one owned row through `ops` into `sink`; the row moves all the
-/// way (projections rebuild it in place of the old one).
-pub fn feed_owned(mut row: Row, ops: &[FusedOp], sink: &mut impl RowSink) {
-    for op in ops {
-        match op {
-            FusedOp::Filter(pred) => {
-                if !pred.matches(&row) {
-                    return;
-                }
-            }
-            FusedOp::Hash { key_idx, ratio, spec } => {
-                if !spec.selects_row(&row, key_idx, *ratio) {
-                    return;
-                }
-            }
-            FusedOp::Map(exprs) => {
-                row = exprs.iter().map(|e| e.eval(&row)).collect();
-            }
-        }
-    }
-    sink.owned(row);
 }

@@ -10,10 +10,21 @@
 //! level up, where `svc-cluster`'s `BatchPipeline` runs whole plans as
 //! tasks on its worker pool.
 //!
+//! A PK-probe join directly under a fused chain or a γ is not a breaker:
+//! it runs as one streamed pass with its consumer ([`stream_probe`]). The
+//! left input's survivors are probed, the partner's chain runs into a
+//! buffer, the joined row is written into a scratch row, and the
+//! consumer's ops and sink read it in place — so the only row built is a
+//! survivor the consumer's sink keeps. Any other PK-probe join moves each
+//! left row into its output.
+//!
 //! The walker takes an optional [`Meter`]: with `None` (the plain `run`
 //! paths) no metric state is touched or allocated; with a sink installed,
 //! each node accumulates an [`OpMetrics`] on the stack and adds it to the
-//! sink's per-node slot once, at the end.
+//! sink's per-node slot once, at the end. Either way the operators run the
+//! same code. A node run inside its parent's pass — a streamed join, the
+//! fused scan feeding it or a γ directly — reports its row counts with
+//! wall time 0; the node driving the pass carries the inclusive wall.
 //!
 //! An inner or semi join whose recorded key pairs have disjoint `Int` zone
 //! maps on their leaves is answered empty before either input runs
@@ -26,14 +37,14 @@ use svc_telemetry::{MetricsSink, OpMetrics, OpSlot};
 
 use crate::aggregate::GroupMap;
 use crate::eval::Bindings;
-use crate::join::{join_rows_pk_probe_into, JoinBuild};
+use crate::join::{JoinBuild, PkProbe};
 use crate::plan::{JoinKind, SetOpKind};
 use crate::setops::{difference_rows_into, intersect_rows_into, union_rows_into};
 
 use super::batch;
 use super::column::{profitable, run_ops, ColumnChunk};
 use super::compile::{JoinRight, Node};
-use super::pipeline::{feed_borrowed, feed_owned, keeps, FusedOp, RowSink};
+use super::pipeline::{feed_borrowed, feed_owned, keeps, run_chain, ChainBufs, FusedOp, Through};
 use super::ExecMode;
 
 /// A metering handle for one plan node: the shared sink plus the node's
@@ -64,23 +75,10 @@ fn child(m: OptMeter<'_>, off: usize) -> OptMeter<'_> {
     m.map(|mm| mm.at(mm.id + off))
 }
 
-/// A [`RowSink`] adapter counting survivors on their way into a γ group
-/// map — used only when metered, so the uninstrumented streaming path
-/// keeps its direct `feed_borrowed(row, ops, &mut gm)` shape.
-struct Counting<'a, 'g> {
-    gm: &'a mut GroupMap<'g>,
-    n: &'a mut u64,
-}
-
-impl RowSink for Counting<'_, '_> {
-    fn owned(&mut self, row: Row) {
-        *self.n += 1;
-        self.gm.owned(row);
-    }
-
-    fn borrowed(&mut self, row: &[Value]) {
-        *self.n += 1;
-        RowSink::borrowed(self.gm, row);
+/// Add a node's counters to its slot, when metered.
+fn merge(m: OptMeter<'_>, stat: &OpMetrics) {
+    if let Some(mm) = m {
+        mm.slot().merge(stat);
     }
 }
 
@@ -184,22 +182,33 @@ pub(super) fn run_node(
             } else {
                 stat.row_batches = 1;
                 let mut out = batch::take(0);
+                let mut bufs = ChainBufs::default();
                 for row in t.rows() {
-                    feed_borrowed(row, ops, &mut out);
+                    feed_borrowed(row, ops, &mut bufs, &mut out);
                 }
                 out
             }
         }
         Node::Fused { input, ops } => {
-            let mut rows = run_node(input, b, mode, child(m, 1))?;
-            stat.rows_in = rows.len() as u64;
             stat.row_batches = 1;
-            let mut out = batch::take(rows.len());
-            for row in rows.drain(..) {
-                feed_owned(row, ops, &mut out);
+            let mut bufs = ChainBufs::default();
+            if streams(input) {
+                let feed = |out: &mut Vec<Row>, row: &[Value]| {
+                    feed_borrowed(row, ops, &mut bufs, out);
+                };
+                let (out, n) = stream_probe(input, b, mode, child(m, 1), |_| batch::take(0), feed)?;
+                stat.rows_in = n;
+                out
+            } else {
+                let mut rows = run_node(input, b, mode, child(m, 1))?;
+                stat.rows_in = rows.len() as u64;
+                let mut out = batch::take(rows.len());
+                for row in rows.drain(..) {
+                    feed_owned(row, ops, &mut bufs, &mut out);
+                }
+                batch::recycle(rows);
+                out
             }
-            batch::recycle(rows);
-            out
         }
         Node::Join { left, right, zone_cols, .. } if zone_disjoint(left, right, zone_cols, b)? => {
             // Neither input runs: their slots stay empty.
@@ -214,10 +223,11 @@ pub(super) fn run_node(
                 JoinRight::PkProbeLeaf { leaf, ops } => {
                     let t = leaf.resolve(b)?;
                     stat.build_rows = t.len() as u64;
+                    let mut probe = PkProbe::new(t, ops, *kind, &left_cols, *pad_right);
                     let mut out = batch::take(lrows.len());
-                    join_rows_pk_probe_into(
-                        &mut lrows, t, ops, *kind, &left_cols, *pad_right, &mut out,
-                    );
+                    for lrow in lrows.drain(..) {
+                        probe.join_owned(lrow, &mut out);
+                    }
                     out
                 }
                 JoinRight::Build(rnode) => {
@@ -277,22 +287,19 @@ pub(super) fn run_node(
                     } else {
                         scan.row_batches = 1;
                         let mut gm = make(t.len());
-                        if m.is_some() {
-                            let mut sink = Counting { gm: &mut gm, n: &mut scan.rows_out };
-                            for row in t.rows() {
-                                feed_borrowed(row, ops, &mut sink);
-                            }
-                        } else {
-                            for row in t.rows() {
-                                feed_borrowed(row, ops, &mut gm);
-                            }
+                        let mut bufs = ChainBufs::default();
+                        for row in t.rows() {
+                            scan.rows_out += u64::from(feed_borrowed(row, ops, &mut bufs, &mut gm));
                         }
                         gm
                     };
-                    if let Some(c) = cm {
-                        c.slot().merge(&scan);
-                    }
+                    merge(cm, &scan);
                     stat.rows_in = scan.rows_out;
+                    gm
+                }
+                join if streams(join) => {
+                    let (gm, n) = stream_probe(join, b, mode, cm, make, |gm, row| gm.push(row))?;
+                    stat.rows_in = n;
                     gm
                 }
                 other => {
@@ -311,7 +318,7 @@ pub(super) fn run_node(
             gm.finish_into(&mut out);
             out
         }
-        Node::SetOp { kind, left, right } => {
+        Node::SetOp { kind, left, right, hash_cols } => {
             let rm = child(m, 1 + left.subtree_size());
             let mut lrows = run_node(left, b, mode, child(m, 1))?;
             stat.rows_in = lrows.len() as u64;
@@ -319,15 +326,15 @@ pub(super) fn run_node(
             if matches!(kind, SetOpKind::Union) {
                 let mut rrows = run_node(right, b, mode, rm)?;
                 stat.rows_in += rrows.len() as u64;
-                union_rows_into(&mut lrows, &mut rrows, &mut out);
+                union_rows_into(&mut lrows, &mut rrows, hash_cols, &mut out);
                 batch::recycle(rrows);
             } else {
                 let rrows = run_node_ref(right, b, mode, rm)?;
                 stat.rows_in += rrows.len() as u64;
                 with_rows!(&rrows, right_rows => if matches!(kind, SetOpKind::Intersect) {
-                    intersect_rows_into(&mut lrows, right_rows, &mut out);
+                    intersect_rows_into(&mut lrows, right_rows, hash_cols, &mut out);
                 } else {
-                    difference_rows_into(&mut lrows, right_rows, &mut out);
+                    difference_rows_into(&mut lrows, right_rows, hash_cols, &mut out);
                 });
                 rrows.recycle();
             }
@@ -341,6 +348,93 @@ pub(super) fn run_node(
         mm.slot().merge(&stat);
     }
     Ok(out)
+}
+
+/// True for a join that PK-probes a leaf: under a fused chain or a γ it
+/// runs as a streamed pass with that consumer ([`stream_probe`]).
+fn streams(node: &Node) -> bool {
+    matches!(node, Node::Join { right: JoinRight::PkProbeLeaf { .. }, .. })
+}
+
+/// Run a PK-probe join (`node`, metered by `m`) as one pass into its
+/// consumer. In order: the left input's survivors — borrowed from the
+/// bound table when the left is a row-path fused scan, from its
+/// materialized batch when it is vectorized or a breaker — then the probe,
+/// the partner's chain (into a buffer), the joined row (into a scratch
+/// row), and `each`, which runs the consumer's ops into the consumer's
+/// sink. `init` makes that sink from the number of left rows the scan or
+/// batch holds. Returns the sink and the number of joined rows handed to
+/// `each`.
+///
+/// The join and a streamed left scan report their row counts with wall 0;
+/// the consumer driving the pass carries the wall time.
+fn stream_probe<S>(
+    node: &Node,
+    b: &Bindings<'_>,
+    mode: ExecMode,
+    m: OptMeter<'_>,
+    init: impl FnOnce(usize) -> S,
+    mut each: impl FnMut(&mut S, &[Value]),
+) -> Result<(S, u64)> {
+    let Node::Join { left, right, kind, on_idx, pad_right, zone_cols, .. } = node else {
+        unreachable!("only joins stream")
+    };
+    let JoinRight::PkProbeLeaf { leaf, ops: chain } = right else {
+        unreachable!("only PK-probe joins stream")
+    };
+    let mut stat = OpMetrics::default();
+    if zone_disjoint(left, right, zone_cols, b)? {
+        // Neither input runs: their slots stay empty.
+        stat.zone_skips = 1;
+        merge(m, &stat);
+        return Ok((init(0), 0));
+    }
+    let t = leaf.resolve(b)?;
+    stat.build_rows = t.len() as u64;
+    let left_cols: Vec<usize> = on_idx.iter().map(|&(l, _)| l).collect();
+    let mut probe = PkProbe::new(t, chain, *kind, &left_cols, *pad_right);
+    let mut joined = 0u64;
+    let lm = child(m, 1);
+    let sink = match &**left {
+        Node::FusedScan { leaf, ops, vops }
+            if ops.is_empty() || mode.rowwise || !profitable(vops) =>
+        {
+            let lt = leaf.resolve(b)?;
+            let mut scan = OpMetrics {
+                rows_in: lt.len() as u64,
+                row_batches: u64::from(!ops.is_empty()),
+                ..Default::default()
+            };
+            let mut sink = init(lt.len());
+            let mut bufs = ChainBufs::default();
+            for row in lt.rows() {
+                let lrow = match run_chain(row, ops, &mut bufs) {
+                    Some(Through::Input) => &**row,
+                    Some(Through::Built(built)) => built,
+                    None => continue,
+                };
+                scan.rows_out += 1;
+                joined += u64::from(probe.join_borrowed(lrow, |j| each(&mut sink, j)));
+            }
+            merge(lm, &scan);
+            stat.probe_rows = scan.rows_out;
+            sink
+        }
+        other => {
+            let lrows = run_node(other, b, mode, lm)?;
+            stat.probe_rows = lrows.len() as u64;
+            let mut sink = init(lrows.len());
+            for lrow in &lrows {
+                joined += u64::from(probe.join_borrowed(lrow, |j| each(&mut sink, j)));
+            }
+            batch::recycle(lrows);
+            sink
+        }
+    };
+    stat.rows_in = stat.probe_rows + stat.build_rows;
+    stat.rows_out = joined;
+    merge(m, &stat);
+    Ok((sink, joined))
 }
 
 /// True when a join with recorded `zone_cols` (inner or semi, both inputs

@@ -1,18 +1,20 @@
 //! Hash-based equi-join execution for all [`JoinKind`]s.
 //!
-//! Two layers: row-based cores ([`join_rows`], [`join_rows_pk_probe_into`]) that
-//! operate on plain `Vec<Row>` batches — these are what the streaming
-//! executor (`crate::exec`) calls, and they never allocate a `KeyTuple` per
-//! probed row (keys are hashed in place via [`join_hash`] and candidates
-//! verified by column equality) — and the legacy table-based wrapper
-//! [`run_join`] used by the materializing evaluator.
+//! Two layers: row-based cores that the streaming executor (`crate::exec`)
+//! calls, and the legacy table-based wrapper [`run_join`] used by the
+//! materializing evaluator. The cores never allocate a `KeyTuple` per
+//! probed row: [`JoinBuild`] (behind [`join_rows`]) hashes keys in place
+//! via [`join_hash`] and verifies candidates by column equality, and
+//! `PkProbe` reads the right table's own key index. A PK-probe join
+//! either moves its left row into its output or, under a consumer, writes
+//! the joined row into a scratch row the consumer reads in place.
 
 use std::collections::HashMap;
 
 use svc_storage::{HashSpec, KeyTuple, Result, Row, Table, Value};
 
 use crate::derive::Derived;
-use crate::exec::pipeline::{feed_borrowed, FusedOp, RowSink};
+use crate::exec::pipeline::{run_chain, ChainBufs, FusedOp, Through};
 use crate::plan::JoinKind;
 
 /// The fixed hash function of every hash join build/probe. A
@@ -191,88 +193,130 @@ pub fn join_rows<R: AsRef<[Value]>>(
     rows
 }
 
-/// What a probed right row becomes after the right side's fused chain: the
-/// table row itself when σ/η keep it, the rebuilt row when a Π ran, and no
-/// partner when the chain drops it.
-#[derive(Default)]
-struct Survivor {
-    kept: bool,
-    built: Option<Row>,
-}
-
-impl RowSink for Survivor {
-    fn owned(&mut self, row: Row) {
-        self.built = Some(row);
-    }
-
-    fn borrowed(&mut self, _row: &[Value]) {
-        self.kept = true;
-    }
-}
-
-/// PK-probe variant: each left row looks up at most one right partner via
-/// the right table's existing primary-key index — O(|left|) probes with no
-/// build pass over the right side at all, which is what makes delta-sized
-/// probes against large base relations cheap (the FK-join pattern of every
-/// maintenance plan). `chain` is the right side's σ/Π/η chain over that
-/// table (empty for a bare leaf), run on the probed row alone: a row it
-/// drops is no partner — Inner and Semi drop the left row, Left pads it,
-/// Anti keeps it. Left rows are moved, never cloned, and the probe reads
-/// the key in place ([`Table::position_of`]).
+/// A PK-probe join, one left row at a time: each left row looks up at most
+/// one right partner through the right table's existing primary-key index
+/// — O(|left|) probes with no build pass over the right side at all, which
+/// is what makes delta-sized probes against large base relations cheap (the
+/// FK-join pattern of every maintenance plan). The probe reads the key in
+/// place ([`Table::position_of`]). `chain` is the right side's σ/Π/η chain
+/// over that table (empty for a bare leaf), run on the probed row alone
+/// into a reused buffer: a row it drops is no partner — Inner and Semi
+/// drop the left row, Left pads it, Anti keeps it.
 ///
-/// Drains `left` into a caller-provided output buffer, so the executor can
-/// recycle the emptied left buffer.
-pub fn join_rows_pk_probe_into(
-    left: &mut Vec<Row>,
-    right: &Table,
-    chain: &[FusedOp],
+/// One routine serves both shapes of use. With no consumer, an owned left
+/// row moves into the output and the partner is appended to it
+/// ([`PkProbe::join_owned`]). Under a consumer, a borrowed left row and
+/// its partner are written into a scratch row that the consumer reads in
+/// place ([`PkProbe::join_borrowed`]), so nothing is allocated per row.
+pub(crate) struct PkProbe<'a> {
+    right: &'a Table,
+    chain: &'a [FusedOp],
     kind: JoinKind,
-    left_cols: &[usize],
+    left_cols: &'a [usize],
     pad_right: usize,
-    rows: &mut Vec<Row>,
-) {
-    for lrow in left.drain(..) {
-        let found = if key_has_null(&lrow, left_cols) {
+    /// The partner chain's projection buffers.
+    bufs: ChainBufs,
+    /// The joined row a consumer reads.
+    scratch: Row,
+}
+
+/// What one left row joins to.
+enum Joined<'p> {
+    /// Nothing: the left row is dropped.
+    Dropped,
+    /// The left row alone (semi and anti joins).
+    Left,
+    /// The left row followed by this partner.
+    With(&'p [Value]),
+    /// The left row followed by NULLs: a left join's unmatched row.
+    Padded,
+}
+
+impl<'a> PkProbe<'a> {
+    /// A probe of `right` on the left columns `left_cols`; `pad_right` is
+    /// the width of a partner after `chain`.
+    pub(crate) fn new(
+        right: &'a Table,
+        chain: &'a [FusedOp],
+        kind: JoinKind,
+        left_cols: &'a [usize],
+        pad_right: usize,
+    ) -> PkProbe<'a> {
+        assert!(
+            !matches!(kind, JoinKind::Right | JoinKind::Full),
+            "outer joins on the right take the generic path"
+        );
+        PkProbe {
+            right,
+            chain,
+            kind,
+            left_cols,
+            pad_right,
+            bufs: ChainBufs::default(),
+            scratch: Row::new(),
+        }
+    }
+
+    /// Probe for `lrow`'s partner and decide what it joins to, handing back
+    /// the scratch row alongside.
+    fn step(&mut self, lrow: &[Value]) -> (Joined<'_>, &mut Row) {
+        let PkProbe { right, chain, kind, left_cols, bufs, scratch, .. } = self;
+        let (right, left_cols): (&Table, &[usize]) = (right, left_cols);
+        let found = if key_has_null(lrow, left_cols) {
             None
         } else {
-            right.position_of(&lrow, left_cols).map(|p| &*right.rows()[p])
+            right.position_of(lrow, left_cols).map(|p| &*right.rows()[p])
         };
-        let mut through = Survivor::default();
-        let partner: Option<&[Value]> = match found {
-            Some(r) if !chain.is_empty() => {
-                feed_borrowed(r, chain, &mut through);
-                through.built.as_deref().or(through.kept.then_some(r))
-            }
-            found => found,
+        let partner = match found.map(|r| (r, run_chain(r, chain, bufs))) {
+            Some((r, Some(Through::Input))) => Some(r),
+            Some((_, Some(Through::Built(built)))) => Some(built),
+            _ => None,
         };
-        match kind {
-            JoinKind::Semi => {
-                if partner.is_some() {
-                    rows.push(lrow);
-                }
-            }
-            JoinKind::Anti => {
-                if partner.is_none() {
-                    rows.push(lrow);
-                }
-            }
-            JoinKind::Inner => {
-                if let Some(r) = partner {
-                    let mut row = lrow;
-                    row.extend_from_slice(r);
-                    rows.push(row);
-                }
-            }
-            JoinKind::Left => {
-                let mut row = lrow;
-                match partner {
-                    Some(r) => row.extend_from_slice(r),
-                    None => row.extend(std::iter::repeat_n(Value::Null, pad_right)),
-                }
-                rows.push(row);
-            }
-            JoinKind::Right | JoinKind::Full => unreachable!("generic path handles outer joins"),
+        let joined = match (*kind, partner) {
+            (JoinKind::Semi, Some(_)) | (JoinKind::Anti, None) => Joined::Left,
+            (JoinKind::Inner | JoinKind::Left, Some(r)) => Joined::With(r),
+            (JoinKind::Left, None) => Joined::Padded,
+            _ => Joined::Dropped,
+        };
+        (joined, scratch)
+    }
+
+    /// Join an owned left row with no consumer: the row moves into `out`,
+    /// extended by its partner (or NULLs) in place.
+    pub(crate) fn join_owned(&mut self, mut lrow: Row, out: &mut Vec<Row>) {
+        let pad = self.pad_right;
+        match self.step(&lrow).0 {
+            Joined::Dropped => return,
+            Joined::Left => {}
+            Joined::With(r) => lrow.extend_from_slice(r),
+            Joined::Padded => lrow.extend(std::iter::repeat_n(Value::Null, pad)),
         }
+        out.push(lrow);
+    }
+
+    /// Join a borrowed left row for a consumer: `each` reads the joined
+    /// row in place — the left row itself for semi and anti joins, the
+    /// scratch row otherwise. Returns whether a row was handed over.
+    pub(crate) fn join_borrowed(&mut self, lrow: &[Value], each: impl FnOnce(&[Value])) -> bool {
+        let pad = self.pad_right;
+        let (joined, scratch) = self.step(lrow);
+        let tail = match joined {
+            Joined::Dropped => return false,
+            Joined::Left => {
+                each(lrow);
+                return true;
+            }
+            Joined::With(r) => Some(r),
+            Joined::Padded => None,
+        };
+        scratch.clear();
+        scratch.extend_from_slice(lrow);
+        match tail {
+            Some(r) => scratch.extend_from_slice(r),
+            None => scratch.extend(std::iter::repeat_n(Value::Null, pad)),
+        }
+        each(scratch);
+        true
     }
 }
 
@@ -289,14 +333,15 @@ pub fn run_join(
     let right_cols: Vec<usize> = on_idx.iter().map(|&(_, r)| r).collect();
     let pad_left = left.schema().len();
     let pad_right = right.schema().len();
-    let mut left_rows: Vec<Row> = left.rows().iter().map(|r| r.to_vec()).collect();
+    let left_rows = left.rows().iter().map(|r| r.to_vec());
     let rows = if pk_probe_applies(kind, &right_cols, right.key()) {
         let left_cols: Vec<usize> = on_idx.iter().map(|&(l, _)| l).collect();
-        let mut rows = Vec::new();
-        join_rows_pk_probe_into(&mut left_rows, right, &[], kind, &left_cols, pad_right, &mut rows);
+        let mut probe = PkProbe::new(right, &[], kind, &left_cols, pad_right);
+        let mut rows = Vec::with_capacity(left.len());
+        left_rows.for_each(|lrow| probe.join_owned(lrow, &mut rows));
         rows
     } else {
-        join_rows(left_rows, right.rows(), kind, on_idx, pad_left, pad_right)
+        join_rows(left_rows.collect(), right.rows(), kind, on_idx, pad_left, pad_right)
     };
     Table::from_rows(out.schema.clone(), out.key.clone(), rows)
 }

@@ -7,93 +7,150 @@
 //! keeps the legacy table-in/table-out shape for the materializing
 //! evaluator.
 //!
-//! The cores dedup through `Kept`, a hash → row-position chain over the
+//! The cores hash only the columns the caller names — a compiled set op
+//! passes the union of its inputs' derived keys, on which each input is
+//! unique, so a hash chain holds at most one row per input — and compare
+//! candidates as whole rows, so exactly the rows a `HashSet<Row>` would
+//! equate count as duplicates. No hashed columns means the whole row. The
+//! output dedups through `Kept`, a hash → row-position chain over the
 //! output buffer itself: a distinct row is moved into the output once and
-//! never cloned into a set.
+//! never cloned into a set. The right side of ∩ and − is chained the same
+//! way over its own rows.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, BuildHasherDefault};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use svc_storage::{Result, Row, Table, Value};
 
 use crate::derive::Derived;
 use crate::plan::SetOpKind;
 
-/// End of a [`Kept`] chain.
+/// End of a hash chain.
 const END: u32 = u32::MAX;
 
-/// The distinct rows an output buffer has received so far, found by row
-/// hash through a chain of their positions in that buffer, so a candidate
-/// is compared in place. Hashes (`Row: Hash`) and compares (`Row: Eq`) as a
-/// `HashSet<Row>` does: the same rows count as duplicates.
-struct Kept {
-    hasher: BuildHasherDefault<DefaultHasher>,
-    /// Length of the output buffer before the first kept row.
-    base: usize,
-    /// The latest kept position per row hash.
-    heads: HashMap<u64, u32>,
-    /// `chain[i]`: the kept position before `i` with the same hash.
-    chain: Vec<u32>,
+/// The hash of a row's `cols` (of every column when `cols` is empty):
+/// equal rows hash equal.
+fn row_hash(row: &[Value], cols: &[usize]) -> u64 {
+    let mut h = DefaultHasher::new();
+    if cols.is_empty() {
+        row.iter().for_each(|v| v.hash(&mut h));
+    } else {
+        cols.iter().for_each(|&i| row[i].hash(&mut h));
+    }
+    h.finish()
 }
 
-impl Kept {
-    fn new(out: &[Row], capacity: usize) -> Kept {
-        Kept {
-            hasher: BuildHasherDefault::default(),
-            base: out.len(),
-            heads: HashMap::with_capacity(capacity),
-            chain: Vec::with_capacity(capacity),
+/// Row positions `0, 1, …` chained by hash.
+struct Chains {
+    /// The latest position per hash.
+    heads: HashMap<u64, u32>,
+    /// `next[i]`: the position before `i` with the same hash.
+    next: Vec<u32>,
+}
+
+impl Chains {
+    fn with_capacity(capacity: usize) -> Chains {
+        Chains { heads: HashMap::with_capacity(capacity), next: Vec::with_capacity(capacity) }
+    }
+
+    /// Chain the next position under `h` unless a position already
+    /// chained under `h` satisfies `eq`; true when it was chained.
+    fn insert_unless(&mut self, h: u64, eq: impl Fn(usize) -> bool) -> bool {
+        let head = self.heads.entry(h).or_insert(END);
+        let mut at = *head;
+        while at != END {
+            if eq(at as usize) {
+                return false;
+            }
+            at = self.next[at as usize];
         }
+        self.next.push(*head);
+        *head = (self.next.len() - 1) as u32;
+        true
+    }
+
+    /// True when a position chained under `h` satisfies `eq`.
+    fn any(&self, h: u64, eq: impl Fn(usize) -> bool) -> bool {
+        let mut at = self.heads.get(&h).copied().unwrap_or(END);
+        while at != END {
+            if eq(at as usize) {
+                return true;
+            }
+            at = self.next[at as usize];
+        }
+        false
+    }
+}
+
+/// The distinct rows an output buffer has received so far, chained by the
+/// hash of their `cols` through their positions in that buffer, so a
+/// candidate is compared in place, as a whole row.
+struct Kept<'c> {
+    cols: &'c [usize],
+    /// Length of the output buffer before the first kept row.
+    base: usize,
+    chains: Chains,
+}
+
+impl<'c> Kept<'c> {
+    fn new(out: &[Row], cols: &'c [usize], capacity: usize) -> Kept<'c> {
+        Kept { cols, base: out.len(), chains: Chains::with_capacity(capacity) }
     }
 
     /// Move `row` onto `out` unless an equal row is already there.
     fn push_new(&mut self, out: &mut Vec<Row>, row: Row) {
-        let h = self.hasher.hash_one(&row);
-        let head = self.heads.entry(h).or_insert(END);
-        let mut at = *head;
-        while at != END {
-            if out[self.base + at as usize] == row {
-                return;
-            }
-            at = self.chain[at as usize];
+        let h = row_hash(&row, self.cols);
+        self.push_hashed(out, row, h);
+    }
+
+    /// [`Kept::push_new`] with the row's hash already taken.
+    fn push_hashed(&mut self, out: &mut Vec<Row>, row: Row, h: u64) {
+        let base = self.base;
+        if self.chains.insert_unless(h, |at| out[base + at] == row) {
+            out.push(row);
         }
-        self.chain.push(*head);
-        *head = (self.chain.len() - 1) as u32;
-        out.push(row);
     }
 }
 
 /// Union core: all distinct rows from both inputs, drained into a
 /// caller-provided output buffer (so the streaming executor can recycle all
-/// three batch buffers), first occurrences in input order.
-pub fn union_rows_into(left: &mut Vec<Row>, right: &mut Vec<Row>, rows: &mut Vec<Row>) {
+/// three batch buffers), first occurrences in input order. `cols` are the
+/// hashed columns.
+pub fn union_rows_into(
+    left: &mut Vec<Row>,
+    right: &mut Vec<Row>,
+    cols: &[usize],
+    rows: &mut Vec<Row>,
+) {
     let cap = left.len() + right.len();
     rows.reserve(cap);
-    let mut kept = Kept::new(rows, cap);
+    let mut kept = Kept::new(rows, cols, cap);
     for row in left.drain(..).chain(right.drain(..)) {
         kept.push_new(rows, row);
     }
 }
 
 /// Intersection core: distinct left rows present in the right input,
-/// drained into a caller-provided buffer.
+/// drained into a caller-provided buffer. `cols` are the hashed columns.
 pub fn intersect_rows_into<R: AsRef<[Value]>>(
     left: &mut Vec<Row>,
     right: &[R],
+    cols: &[usize],
     rows: &mut Vec<Row>,
 ) {
-    filter_rows_into(true, left, right, rows);
+    filter_rows_into(true, left, right, cols, rows);
 }
 
 /// Difference core: distinct left rows not present in the right input,
-/// drained into a caller-provided buffer.
+/// drained into a caller-provided buffer. `cols` are the hashed columns.
 pub fn difference_rows_into<R: AsRef<[Value]>>(
     left: &mut Vec<Row>,
     right: &[R],
+    cols: &[usize],
     rows: &mut Vec<Row>,
 ) {
-    filter_rows_into(false, left, right, rows);
+    filter_rows_into(false, left, right, cols, rows);
 }
 
 /// Distinct left rows whose membership in `right` equals `member`.
@@ -101,28 +158,34 @@ fn filter_rows_into<R: AsRef<[Value]>>(
     member: bool,
     left: &mut Vec<Row>,
     right: &[R],
+    cols: &[usize],
     rows: &mut Vec<Row>,
 ) {
-    let right_set: HashSet<&[Value]> = right.iter().map(AsRef::as_ref).collect();
-    let mut kept = Kept::new(rows, 0);
+    let mut right_set = Chains::with_capacity(right.len());
+    for r in right {
+        right_set.insert_unless(row_hash(r.as_ref(), cols), |_| false);
+    }
+    let mut kept = Kept::new(rows, cols, 0);
     for row in left.drain(..) {
-        if right_set.contains(row.as_slice()) == member {
-            kept.push_new(rows, row);
+        let h = row_hash(&row, cols);
+        if right_set.any(h, |at| right[at].as_ref() == row.as_slice()) == member {
+            kept.push_hashed(rows, row, h);
         }
     }
 }
 
 /// One set operation between materialized tables: ∪ keeps all distinct
 /// rows of both inputs, ∩ the distinct left rows also in the right input,
-/// − the distinct left rows that are not.
+/// − the distinct left rows that are not. Hashes whole rows: the
+/// reference the keyed cores are held to.
 pub fn run_setop(kind: SetOpKind, left: &Table, right: &Table, out: &Derived) -> Result<Table> {
     let owned = |t: &Table| -> Vec<Row> { t.rows().iter().map(|r| r.to_vec()).collect() };
     let mut left = owned(left);
     let mut rows = Vec::new();
     match kind {
-        SetOpKind::Union => union_rows_into(&mut left, &mut owned(right), &mut rows),
-        SetOpKind::Intersect => intersect_rows_into(&mut left, right.rows(), &mut rows),
-        SetOpKind::Difference => difference_rows_into(&mut left, right.rows(), &mut rows),
+        SetOpKind::Union => union_rows_into(&mut left, &mut owned(right), &[], &mut rows),
+        SetOpKind::Intersect => intersect_rows_into(&mut left, right.rows(), &[], &mut rows),
+        SetOpKind::Difference => difference_rows_into(&mut left, right.rows(), &[], &mut rows),
     }
     Table::from_rows(out.schema.clone(), out.key.clone(), rows)
 }
@@ -130,6 +193,7 @@ pub fn run_setop(kind: SetOpKind, left: &Table, right: &Table, out: &Derived) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use svc_storage::{DataType, Schema, Value};
 
     fn t(ids: &[i64]) -> Table {
@@ -193,7 +257,9 @@ mod tests {
     /// Duplicates within a side and across sides, NULLs, `-0.0` beside
     /// `0.0`, strings and mixed types: every core keeps exactly the rows,
     /// in exactly the order, a `HashSet<Row>` dedup kept — including into an
-    /// output buffer that already holds rows.
+    /// output buffer that already holds rows — whichever columns it hashes.
+    /// Rows share values in either column while differing in the other, so
+    /// a keyed hash puts unequal rows on one chain.
     #[test]
     fn chain_dedup_matches_a_hash_set_dedup_row_for_row() {
         let f = Value::Float;
@@ -219,18 +285,20 @@ mod tests {
             [Value::Float(1.0), f(0.0)],
         ]);
         let prefix = vec![vec![Value::Int(1), f(0.0)]];
-        for kind in [SetOpKind::Union, SetOpKind::Intersect, SetOpKind::Difference] {
-            let mut got = prefix.clone();
-            let (mut l, mut r) = (left.clone(), right.clone());
-            match kind {
-                SetOpKind::Union => union_rows_into(&mut l, &mut r, &mut got),
-                SetOpKind::Intersect => intersect_rows_into(&mut l, &r, &mut got),
-                SetOpKind::Difference => difference_rows_into(&mut l, &r, &mut got),
+        for cols in [&[][..], &[0], &[1], &[0, 1]] {
+            for kind in [SetOpKind::Union, SetOpKind::Intersect, SetOpKind::Difference] {
+                let mut got = prefix.clone();
+                let (mut l, mut r) = (left.clone(), right.clone());
+                match kind {
+                    SetOpKind::Union => union_rows_into(&mut l, &mut r, cols, &mut got),
+                    SetOpKind::Intersect => intersect_rows_into(&mut l, &r, cols, &mut got),
+                    SetOpKind::Difference => difference_rows_into(&mut l, &r, cols, &mut got),
+                }
+                let mut want = prefix.clone();
+                want.extend(set_reference(kind, &left, &right));
+                assert_eq!(got, want, "{kind:?} hashing {cols:?}");
+                assert!(l.is_empty(), "{kind:?} drains its left input");
             }
-            let mut want = prefix.clone();
-            want.extend(set_reference(kind, &left, &right));
-            assert_eq!(got, want, "{kind:?}");
-            assert!(l.is_empty(), "{kind:?} drains its left input");
         }
         // The reference itself collapses what `Value` equates.
         assert_eq!(set_reference(SetOpKind::Union, &left, &right).len(), 7);

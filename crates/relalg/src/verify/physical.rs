@@ -1,18 +1,19 @@
 //! Physical plan verification: bound indices in range, FusedOp/VecOp twins
-//! in agreement, breakers producing their declared arity.
+//! in agreement, breakers producing their declared arity, set ops hashing
+//! columns that cover both inputs' keys.
 //!
 //! The compiled [`Node`] tree carries raw positional references everywhere
 //! — `BoundExpr::Col(usize)`, join `on_idx` pairs, γ group positions,
 //! declared pad widths — and the vectorized twin of every fused-scan chain
 //! must mirror the row-at-a-time ops position for position. [`verify_node`]
-//! walks the tree tracking arity through every operator and checks each of
-//! those claims; [`verify_physical`] additionally ties the root's arity to
+//! walks the tree tracking arity and derived key (Definition 2) through
+//! every operator and checks each of those claims; [`verify_physical`] additionally ties the root's arity to
 //! the plan's declared output type. [`crate::exec::compile_with`] runs it
 //! on every compile under the `verify` feature.
 
 use svc_storage::{DataType, Result, StorageError};
 
-use crate::derive::Derived;
+use crate::derive::{join_key, setop_key, Derived};
 use crate::exec::column::kernels::ColExpr;
 use crate::exec::pipeline::FusedOp;
 use crate::exec::{ColPred, JoinRight, LeafRef, MapPlan, Node, VecOp};
@@ -193,8 +194,43 @@ fn check_twin(op: &FusedOp, vop: &VecOp, arity: usize) -> Result<usize> {
     Ok(out)
 }
 
+/// What a verified node produces: its arity and its derived key, traced
+/// through the tree by the rules of Definition 2.
+struct Shape {
+    arity: usize,
+    key: Vec<usize>,
+}
+
+/// A Π's output key: each input key column at its first bare-column
+/// output position. Definition 2 requires the key to survive a Π.
+fn map_key(key: &[usize], exprs: &[BoundExpr]) -> Result<Vec<usize>> {
+    key.iter()
+        .map(|&k| match exprs.iter().position(|e| matches!(e, BoundExpr::Col(i) if *i == k)) {
+            Some(p) => Ok(p),
+            None => fail(format!("Π drops key column {k}")),
+        })
+        .collect()
+}
+
+/// Check a row-path fused chain over an input of `shape`; returns the
+/// chain's output shape.
+fn check_chain(ops: &[FusedOp], mut shape: Shape) -> Result<Shape> {
+    for op in ops {
+        shape.arity = check_fused(op, shape.arity)?;
+        if let FusedOp::Map(exprs) = op {
+            shape.key = map_key(&shape.key, exprs)?;
+        }
+    }
+    Ok(shape)
+}
+
 /// Verify a physical node tree and return its output arity.
 pub fn verify_node(node: &Node) -> Result<usize> {
+    check_node(node).map(|shape| shape.arity)
+}
+
+/// Verify a physical node tree and return its output shape.
+fn check_node(node: &Node) -> Result<Shape> {
     match node {
         Node::FusedScan { leaf, ops, vops } => {
             check_leaf(leaf)?;
@@ -212,30 +248,26 @@ pub fn verify_node(node: &Node) -> Result<usize> {
                     StorageError::Invalid(format!("{e} (fused op {i} over `{}`)", leaf.name))
                 })?;
             }
-            Ok(arity)
+            check_chain(ops, Shape { arity: leaf.schema.len(), key: leaf.key.clone() })
         }
-        Node::Fused { input, ops } => {
-            let mut arity = verify_node(input)?;
-            for op in ops {
-                arity = check_fused(op, arity)?;
-            }
-            Ok(arity)
-        }
+        Node::Fused { input, ops } => check_chain(ops, check_node(input)?),
         Node::Join { left, right, kind, on_idx, pad_left, pad_right, zone_cols } => {
             check_zone_cols(left, right, *kind, zone_cols)?;
-            let la = verify_node(left)?;
+            let ls = check_node(left)?;
+            let la = ls.arity;
             if la != *pad_left {
                 return fail(format!(
                     "join left input produces arity {la} but pad_left declares {pad_left}"
                 ));
             }
-            let ra = match right {
+            let rs = match right {
                 JoinRight::PkProbeLeaf { leaf, ops } => {
                     check_leaf(leaf)?;
-                    ops.iter().try_fold(leaf.schema.len(), |arity, op| check_fused(op, arity))?
+                    check_chain(ops, Shape { arity: leaf.schema.len(), key: leaf.key.clone() })?
                 }
-                JoinRight::Build(n) => verify_node(n)?,
+                JoinRight::Build(n) => check_node(n)?,
             };
+            let ra = rs.arity;
             if ra != *pad_right {
                 return fail(format!(
                     "join right input produces arity {ra} but pad_right declares {pad_right}"
@@ -248,13 +280,16 @@ pub fn verify_node(node: &Node) -> Result<usize> {
                     ));
                 }
             }
-            Ok(match kind {
-                JoinKind::Semi | JoinKind::Anti => la,
-                _ => la + ra,
+            Ok(Shape {
+                arity: match kind {
+                    JoinKind::Semi | JoinKind::Anti => la,
+                    _ => la + ra,
+                },
+                key: join_key(&ls.key, &rs.key, *kind, on_idx, la),
             })
         }
         Node::Aggregate { input, group_idx, aggs, .. } => {
-            let arity = verify_node(input)?;
+            let arity = check_node(input)?.arity;
             for &g in group_idx {
                 if g >= arity {
                     return fail(format!("γ group index {g} out of range (arity {arity})"));
@@ -263,15 +298,25 @@ pub fn verify_node(node: &Node) -> Result<usize> {
             for (_, _, e) in aggs {
                 check_bound(e, arity)?;
             }
-            Ok(group_idx.len() + aggs.len())
+            Ok(Shape { arity: group_idx.len() + aggs.len(), key: (0..group_idx.len()).collect() })
         }
-        Node::SetOp { left, right, kind } => {
-            let la = verify_node(left)?;
-            let ra = verify_node(right)?;
+        Node::SetOp { left, right, kind, hash_cols } => {
+            let (ls, rs) = (check_node(left)?, check_node(right)?);
+            let (la, ra) = (ls.arity, rs.arity);
             if la != ra {
                 return fail(format!("{kind:?} inputs disagree on arity: {la} vs {ra}"));
             }
-            Ok(la)
+            if let Some(c) = hash_cols.iter().find(|&&c| c >= la) {
+                return fail(format!("{kind:?} hashes column {c} out of range (arity {la})"));
+            }
+            if let Some(k) = ls.key.iter().chain(&rs.key).find(|k| !hash_cols.contains(k)) {
+                return fail(format!(
+                    "{kind:?} hashes {hash_cols:?}, which misses key column {k} of its inputs \
+                     (keys {:?} and {:?})",
+                    ls.key, rs.key
+                ));
+            }
+            Ok(Shape { arity: la, key: setop_key(&ls.key, &rs.key, *kind) })
         }
     }
 }
@@ -281,7 +326,7 @@ pub fn verify_node(node: &Node) -> Result<usize> {
 /// positions in range. [`crate::exec::PhysicalPlan::verify`] is the method
 /// form over a compiled plan's (private) parts.
 pub fn verify_physical(root: &Node, out: &Derived) -> Result<()> {
-    let arity = verify_node(root)?;
+    let arity = check_node(root)?.arity;
     if arity != out.schema.len() {
         return fail(format!(
             "root produces arity {arity} but the declared output schema [{}] has {} columns",

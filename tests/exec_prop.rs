@@ -15,20 +15,26 @@ use proptest::prelude::*;
 mod generators;
 use generators::{
     adversarial_plan_variant, build_db, build_db_adversarial, build_db_mixed, build_db_zones,
-    mixed_plan_variant, plan_variant, random_deltas, row_reference, zone_plan, MIXED_PLAN_VARIANTS,
-    PLAN_VARIANTS,
+    mixed_plan_variant, plan_reference, plan_variant, random_deltas, row_reference, zone_plan,
+    MIXED_PLAN_VARIANTS, PLAN_VARIANTS,
 };
 
+use stale_view_cleaning::catalog::Catalog;
 use stale_view_cleaning::cluster::minibatch::BatchPipeline;
 use stale_view_cleaning::core::query::{AggQuery, QueryAgg};
+use stale_view_cleaning::core::{maintenance_stats, SvcConfig, SvcView};
 use stale_view_cleaning::ivm::view::{maintenance_bindings, MaterializedView};
+use stale_view_cleaning::ivm::DeltaInfo;
 use stale_view_cleaning::relalg::aggregate::{AggFunc, AggSpec};
 use stale_view_cleaning::relalg::eval::{evaluate_materializing, Bindings};
 use stale_view_cleaning::relalg::exec::{compile, ExecMode, PhysicalPlan};
+use stale_view_cleaning::relalg::optimizer::cost::CardEstimator;
 use stale_view_cleaning::relalg::optimizer::optimize;
 use stale_view_cleaning::relalg::plan::{JoinKind, Plan};
 use stale_view_cleaning::relalg::scalar::{col, lit, Expr, Func};
 use stale_view_cleaning::storage::{DataType, Database, HashSpec, Schema, Table, Value};
+use stale_view_cleaning::workloads::tpcd::{TpcdConfig, TpcdData};
+use stale_view_cleaning::workloads::tpcd_views::{complex_views, join_view};
 
 /// The row-shaped per-node metrics of one metered run — rows in and out,
 /// join build and probe rows, γ groups — in slot order. Wall times and
@@ -204,6 +210,51 @@ fn batch_pipeline_recompiles_on_base_schema_change() {
     assert!(v4.table().approx_same_contents(&view.recompute_fresh(&db, &deltas).unwrap(), 1e-9));
 }
 
+/// Row conservation on the plans the workloads run: the cached clean
+/// plans (η, catalog-ordered) and maintain plans of the ten complex views
+/// and the join view under mixed TPCD deltas, under both kernel paths.
+/// Their PK-probe joins stream into their consumers, so a streamed node
+/// that miscounts breaks an edge here.
+#[test]
+fn cached_delta_plans_conserve_rows_on_every_edge() {
+    let data = TpcdData::generate(TpcdConfig { scale: 0.01, skew: 2.0, seed: 42 }).unwrap();
+    let db = &data.db;
+    let deltas = data.updates(0.1, 7).unwrap();
+    let catalog = Catalog::build(db);
+    let scoped = maintenance_stats(&catalog, None, &deltas);
+    let est = scoped.estimator();
+    let info = DeltaInfo::of(&deltas);
+    let views = complex_views().into_iter().map(|v| (v.id, v.plan));
+    let mut streamed = 0;
+    for (id, plan) in views.chain([("joinView", join_view())]) {
+        let svc = SvcView::create(id, plan, db, SvcConfig::with_ratio(0.1)).unwrap();
+        let eta = (svc.config.ratio, svc.config.hash_spec());
+        let clean: (_, Option<&dyn CardEstimator>, _) = (Some(eta), Some(&est), svc.stale_sample());
+        for (eta, est, target) in [clean, (None, None, svc.view.table())] {
+            let lookup = svc.view.delta_plan(db, &info, eta, est).unwrap();
+            let bindings = svc.view.delta_bindings(db, &deltas, target);
+            let check = |plan: &PhysicalPlan| {
+                for mode in [ExecMode::sequential(), ExecMode::sequential().rowwise()] {
+                    let ex = plan.explain(&bindings, mode)?;
+                    let broken = ex.unconserved();
+                    assert!(broken.is_empty(), "{id} (η {}): {broken:?}\n{ex}", eta.is_some());
+                    let labels: Vec<&str> = ex.nodes.iter().map(|n| n.label.as_str()).collect();
+                    streamed += labels
+                        .windows(2)
+                        .filter(|w| {
+                            (w[0].starts_with("fused[") || w[0].starts_with("γ("))
+                                && w[1].contains(" pk-probe(")
+                        })
+                        .count();
+                }
+                Ok(())
+            };
+            lookup.plan.delta.as_ref().try_map(check).unwrap();
+        }
+    }
+    assert!(streamed > 20, "the workload plans stream their probes: {streamed}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -222,21 +273,24 @@ proptest! {
         data_seed in 0u64..200,
     ) {
         let db = build_db(n_facts, n_dims, data_seed);
-        let mut plan = plan_variant(variant);
-        if hashed == 1 {
-            let derived = stale_view_cleaning::relalg::derive::derive(&plan, &db).unwrap();
-            let key: Vec<String> =
-                derived.key_names().iter().map(|s| s.to_string()).collect();
-            if !key.is_empty() {
-                let key_refs: Vec<&str> = key.iter().map(|s| s.as_str()).collect();
-                plan = plan.hash(&key_refs, ratio, HashSpec::with_seed(seed));
+        let shaped = |mut plan: Plan| {
+            if hashed == 1 {
+                let derived = stale_view_cleaning::relalg::derive::derive(&plan, &db).unwrap();
+                let key: Vec<String> =
+                    derived.key_names().iter().map(|s| s.to_string()).collect();
+                if !key.is_empty() {
+                    let key_refs: Vec<&str> = key.iter().map(|s| s.as_str()).collect();
+                    plan = plan.hash(&key_refs, ratio, HashSpec::with_seed(seed));
+                }
             }
-        }
-        if optimized == 1 {
-            plan = optimize(&plan, &db).unwrap().0;
-        }
+            if optimized == 1 {
+                plan = optimize(&plan, &db).unwrap().0;
+            }
+            plan
+        };
+        let plan = shaped(plan_variant(variant));
         let b = Bindings::from_database(&db);
-        let expected = evaluate_materializing(&plan, &b).unwrap();
+        let expected = evaluate_materializing(&shaped(plan_reference(variant)), &b).unwrap();
         let compiled = compile(&plan, &b).unwrap();
         let got = compiled.run(&b).unwrap();
         prop_assert!(
@@ -288,6 +342,15 @@ proptest! {
              between vectorized and rowwise modes",
             variant, hashed, optimized
         );
+        // Every node takes in exactly what its children report putting out.
+        for mode in [ExecMode::sequential(), ExecMode::sequential().rowwise()] {
+            let ex = compiled.explain(&b, mode).unwrap();
+            prop_assert!(
+                ex.unconserved().is_empty(),
+                "variant {} (hashed {}, optimized {}): rows not conserved: {:?}\n{}",
+                variant, hashed, optimized, ex.unconserved(), ex
+            );
+        }
     }
 
     /// Maintenance-strategy plans from svc-ivm, evaluated under maintenance
@@ -353,6 +416,14 @@ proptest! {
              rowwise modes",
             view_kind
         );
+        for mode in [ExecMode::sequential(), ExecMode::sequential().rowwise()] {
+            let ex = compiled.explain(&bindings, mode).unwrap();
+            prop_assert!(
+                ex.unconserved().is_empty(),
+                "view kind {}: rows not conserved: {:?}\n{}",
+                view_kind, ex.unconserved(), ex
+            );
+        }
     }
 
     /// Null-heavy, type-mixed tables: typed kernels with validity masks,

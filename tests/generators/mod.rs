@@ -126,18 +126,59 @@ pub fn plan_variant(variant: u8) -> Plan {
             JoinKind::Semi,
             &[("dimId", "dimId")],
         ),
-        _ => Plan::scan("fact").join(
+        9 => Plan::scan("fact").join(
             Plan::scan("dim")
                 .project(vec![("dimId", col("dimId")), ("w2", col("weight").mul(lit(2.0)))])
                 .select(col("w2").gt(lit(0.6))),
             JoinKind::Anti,
             &[("dimId", "dimId")],
         ),
+        // Two different rows under one key: the union hashes `factId`
+        // alone, so each of its hash chains holds both, and only the
+        // whole-row compare keeps them apart. Under γ, no table is built
+        // to catch a lost row.
+        _ => Plan::scan("fact")
+            .project(vec![("factId", col("factId")), ("x", col("x"))])
+            .union(
+                Plan::scan("fact")
+                    .project(vec![("factId", col("factId")), ("x", col("x").add(lit(1.0)))]),
+            )
+            .aggregate(
+                &["factId"],
+                vec![AggSpec::count_all("n"), AggSpec::new("sx", AggFunc::Sum, col("x"))],
+            ),
     }
 }
 
 /// Number of distinct [`plan_variant`] shapes.
-pub const PLAN_VARIANTS: u8 = 10;
+pub const PLAN_VARIANTS: u8 = 11;
+
+/// The plan the legacy evaluator checks [`plan_variant`]`(variant)`
+/// against: the variant itself, unless one of its intermediate relations
+/// is not unique on its derived key. The legacy evaluator keys every
+/// intermediate table and rejects such a relation, so there it gets an
+/// equivalent plan whose intermediates are unique: each union input
+/// grouped on all its columns first, which changes no row.
+pub fn plan_reference(variant: u8) -> Plan {
+    match variant % PLAN_VARIANTS {
+        10 => {
+            let rekeyed = |p: Plan| {
+                p.aggregate(&["factId", "x"], vec![AggSpec::count_all("one")])
+                    .project(vec![("factId", col("factId")), ("x", col("x"))])
+            };
+            rekeyed(Plan::scan("fact").project(vec![("factId", col("factId")), ("x", col("x"))]))
+                .union(rekeyed(
+                    Plan::scan("fact")
+                        .project(vec![("factId", col("factId")), ("x", col("x").add(lit(1.0)))]),
+                ))
+                .aggregate(
+                    &["factId"],
+                    vec![AggSpec::count_all("n"), AggSpec::new("sx", AggFunc::Sum, col("x"))],
+                )
+        }
+        v => plan_variant(v),
+    }
+}
 
 /// A database whose one table is null-heavy and type-mixed: every column
 /// except the key carries a sizable null fraction (exercising the

@@ -360,9 +360,45 @@ fn setop_node_arity_mismatch_is_rejected() {
         kind: SetOpKind::Union,
         left: Box::new(scan(vec![], vec![])),
         right: Box::new(narrowed),
+        hash_cols: vec![0],
     };
     let err = verify::verify_node(&node).unwrap_err().to_string();
     assert!(err.contains("disagree on arity"), "{err}");
+}
+
+/// A set op's dedup hashes only its recorded columns, so they must lie in
+/// range and cover both inputs' keys: an input key column left out would
+/// let two equal rows hash apart.
+#[test]
+fn setop_hashed_columns_must_cover_both_keys() {
+    use stale_view_cleaning::relalg::plan::SetOpKind;
+    // The right leaf is keyed on `x`, at position 1 once its Π reorders.
+    let swap = vec![BoundExpr::Col(1), BoundExpr::Col(0), BoundExpr::Col(2)];
+    let dtypes = [DataType::Float, DataType::Int, DataType::Str];
+    let mut rekeyed = leaf();
+    rekeyed.schema =
+        Schema::from_pairs(&[("x", DataType::Float), ("id", DataType::Int), ("s", DataType::Str)])
+            .unwrap();
+    let right = Node::FusedScan {
+        leaf: rekeyed,
+        ops: vec![FusedOp::Map(swap.clone())],
+        vops: vec![VecOp::Map(stale_view_cleaning::relalg::exec::column::kernels::compile_map(
+            &swap, &dtypes,
+        ))],
+    };
+    let setop = |hash_cols| Node::SetOp {
+        kind: SetOpKind::Intersect,
+        left: Box::new(scan(vec![], vec![])),
+        right: Box::new(right.clone()),
+        hash_cols,
+    };
+    assert!(verify::verify_node(&setop(vec![0, 1])).is_ok());
+    let err = verify::verify_node(&setop(vec![0])).unwrap_err().to_string();
+    assert!(err.contains("misses key column 1"), "{err}");
+    let err = verify::verify_node(&setop(vec![])).unwrap_err().to_string();
+    assert!(err.contains("misses key column 0"), "{err}");
+    let err = verify::verify_node(&setop(vec![0, 1, 3])).unwrap_err().to_string();
+    assert!(err.contains("hashes column 3 out of range"), "{err}");
 }
 
 #[test]
