@@ -123,7 +123,9 @@ pub(super) fn tags(ops: &[FusedOp]) -> String {
 /// One physical operator. Unary σ/Π/η chains are fused into their source
 /// node ([`Node::FusedScan`] / [`Node::Fused`]); joins, aggregates, and
 /// set operations are pipeline breakers that materialize plain `Vec<Row>`
-/// batches — never an intermediate keyed [`Table`].
+/// batches — never an intermediate keyed [`Table`] — except a PK-probe
+/// join under a [`Node::Fused`] or [`Node::Aggregate`], which streams its
+/// rows into that consumer.
 #[derive(Debug, Clone)]
 pub enum Node {
     /// A fused chain rooted at a leaf: rows are borrowed straight from the
@@ -138,7 +140,8 @@ pub enum Node {
         /// Vectorized counterparts of `ops` (always the same length).
         vops: Vec<VecOp>,
     },
-    /// A fused chain over a materialized child batch; rows move through.
+    /// A fused chain over a materialized child batch, whose rows move
+    /// through, or over a PK-probe join streaming its rows into the chain.
     Fused {
         /// The breaker producing the input batch.
         input: Box<Node>,
@@ -167,9 +170,9 @@ pub enum Node {
         /// disjoint.
         zone_cols: Vec<(usize, usize)>,
     },
-    /// γ breaker. When the input is a fused scan, rows stream borrowed from
-    /// the base table directly into the group map — the input batch is
-    /// never materialized.
+    /// γ breaker. When the input is a fused scan or a PK-probe join, rows
+    /// stream borrowed into the group map — the input batch is never
+    /// materialized.
     Aggregate {
         /// Input node.
         input: Box<Node>,

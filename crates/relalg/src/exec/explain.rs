@@ -10,6 +10,12 @@
 //! in [`super::compile()`] establishes. Nodes where the walk loses sync (or
 //! where estimation fails) simply render without an estimate; actuals are
 //! never affected.
+//!
+//! Wall times are inclusive. A node run inside its parent's pass — a
+//! PK-probe join streamed into the fused chain or γ above it, the fused
+//! scan feeding such a join, a fused scan under γ — shows `wall=0ns`; the
+//! node driving the pass carries its time. Row counts are always the
+//! node's own, and [`Explain::unconserved`] checks them edge by edge.
 
 use std::fmt;
 

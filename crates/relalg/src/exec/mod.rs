@@ -11,16 +11,19 @@
 //!   table. The legacy evaluator cloned the entire base relation —
 //!   including its key index — before filtering it.
 //! * **Fused pipelines.** Maximal `Scan→σ→Π→η` chains run as a single pass
-//!   that borrows source rows and clones only survivors
-//!   ([`pipeline::FusedOp`]).
+//!   that borrows source rows, projects into reused buffers and copies
+//!   only survivors ([`pipeline::FusedOp`]).
 //! * **Plain batches between breakers.** Joins, γ, and set operations
 //!   materialize `Vec<Row>` — not a keyed [`svc_storage::Table`] with a
 //!   rebuilt `HashMap` index that no operator ever probes.
-//! * **Allocation-free probes.** Join build/probe and group-by hash
-//!   borrowed key columns in place ([`svc_storage::KeyTuple::hash_of`])
-//!   and verify candidates by column equality; `KeyTuple`s are allocated
-//!   only for keys that are actually kept (first group insertion, the
-//!   reusable PK-probe buffer).
+//! * **Probes stream into their consumer.** A PK-probe join directly
+//!   under a fused chain or a γ runs as one pass with it: each left
+//!   survivor is probed, joined in a scratch row and handed to the
+//!   consumer's ops and sink in place, so only kept survivors are built.
+//!   Join builds and group-by hash borrowed key columns in place and
+//!   verify candidates by column equality.
+//! * **Set ops hash their key.** A set op hashes the union of its inputs'
+//!   derived keys and compares candidates as whole rows.
 //! * **One keyed table, at the root.** The output `Table` and its index
 //!   are built exactly once, from the final batch.
 //!

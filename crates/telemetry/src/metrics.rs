@@ -18,7 +18,10 @@ pub struct OpMetrics {
     pub rows_in: u64,
     /// Rows the operator produced.
     pub rows_out: u64,
-    /// Inclusive wall time (driver-side; covers the node's subtree).
+    /// Inclusive wall time (driver-side; covers the node's subtree). 0 on
+    /// a node run inside its parent's pass — a PK-probe join streamed into
+    /// its consumer, the fused scan feeding it, a fused scan under γ: the
+    /// node driving the pass carries that time.
     pub wall_ns: u64,
     /// Column chunks driven through the vectorized kernels.
     pub vec_chunks: u64,
