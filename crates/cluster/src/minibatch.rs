@@ -41,7 +41,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use svc_ivm::fold::{KeyedFold, StagedEdits};
 use svc_ivm::plans::CompiledDelta;
@@ -103,7 +103,7 @@ pub enum FailurePolicy {
     #[default]
     Strict,
     /// Degrade gracefully: a failing batch is retried up to `retries`
-    /// times with bounded linear backoff; when retries are exhausted it
+    /// times, back to back; when retries are exhausted it
     /// moves to the dead-letter queue with a diagnosis
     /// ([`BatchPipeline::quarantined`]), the view is marked dirty, and the
     /// pipeline keeps folding subsequent healthy batches (sound because
@@ -116,18 +116,7 @@ pub enum FailurePolicy {
     RetryQuarantine {
         /// Re-attempts per batch after its first failure.
         retries: u32,
-        /// Base backoff: attempt `n` sleeps `n × backoff_ms`, capped at
-        /// `8 × backoff_ms`. Zero disables sleeping.
-        backoff_ms: u64,
     },
-}
-
-impl FailurePolicy {
-    /// Retry each failing batch `retries` times with a 1 ms backoff base,
-    /// then quarantine it.
-    pub fn retry(retries: u32) -> FailurePolicy {
-        FailurePolicy::RetryQuarantine { retries, backoff_ms: 1 }
-    }
 }
 
 /// A mini-batch that exhausted its retries: parked in the pipeline's
@@ -452,15 +441,14 @@ impl BatchPipeline {
         run: &mut BatchRun,
         attempt: impl Fn(&MaterializedView, Cow<'_, Deltas>) -> Result<T>,
     ) -> Result<Option<T>> {
-        let FailurePolicy::RetryQuarantine { retries, backoff_ms } = self.policy else {
+        let FailurePolicy::RetryQuarantine { retries } = self.policy else {
             return attempt(view, Cow::Owned(deltas)).map(Some).map_err(|e| {
                 StorageError::Invalid(format!(
                     "{label} failed; view kept its pre-maintain epoch, deltas unconsumed: {e}"
                 ))
             });
         };
-        let retried =
-            self.with_retries(retries, backoff_ms, run, || attempt(view, Cow::Borrowed(&deltas)));
+        let retried = self.with_retries(retries, run, || attempt(view, Cow::Borrowed(&deltas)));
         match retried {
             Ok(value) => Ok(Some(value)),
             Err(e) => {
@@ -471,15 +459,13 @@ impl BatchPipeline {
         }
     }
 
-    /// Run `attempt` up to `1 + retries` times, sleeping a bounded linear
-    /// backoff between tries. Panics inside an attempt are caught at this
+    /// Run `attempt` up to `1 + retries` times, back to back. Panics inside an attempt are caught at this
     /// boundary and treated as transient failures (the pool already
     /// isolates worker panics per session; this additionally covers
     /// driver-side folds and compilation).
     fn with_retries<T>(
         &self,
         retries: u32,
-        backoff_ms: u64,
         run: &mut BatchRun,
         attempt: impl Fn() -> Result<T>,
     ) -> Result<T> {
@@ -488,12 +474,6 @@ impl BatchPipeline {
             if attempt_no > 0 {
                 run.retries += 1;
                 self.counters.retries.inc();
-                if backoff_ms > 0 {
-                    let sleep = backoff_ms
-                        .saturating_mul(u64::from(attempt_no))
-                        .min(backoff_ms.saturating_mul(8));
-                    std::thread::sleep(Duration::from_millis(sleep));
-                }
             }
             match catch_unwind(AssertUnwindSafe(&attempt)) {
                 Ok(Ok(value)) => return Ok(value),

@@ -6,8 +6,14 @@
 //! scan is one chunk whose initial selection is the table's whole row
 //! range. A projection produces an *owned* column set sized to the
 //! survivors, after which the selection resets to dense.
+//!
+//! Rows leave a chunk at one place, the executor's fused-scan driver.
+//! While a chunk still shares the leaf's columns (the chain only
+//! filtered), its selection names the leaf's own rows, which are handed
+//! over as they are. An owned chunk's survivors are gathered one at a
+//! time into a reused row.
 
-use svc_storage::{ColumnSet, Row};
+use svc_storage::ColumnSet;
 
 use super::selection::SelVec;
 
@@ -61,21 +67,5 @@ impl<'a> ColumnChunk<'a> {
         let n = cols.len;
         self.cols = ChunkCols::Owned(cols);
         self.sel = SelVec::range(0, n);
-    }
-
-    /// Gather the selected rows into `out` as owned [`Row`]s — the
-    /// chunk→row conversion at the pipeline boundary. Values round-trip
-    /// exactly (float bits included), so the gathered rows are bitwise
-    /// identical to what the row-at-a-time path would have produced.
-    pub fn gather_into(&self, out: &mut Vec<Row>) {
-        let cols = self.columns();
-        out.reserve(self.sel.len());
-        for i in self.sel.iter() {
-            let mut row = Row::with_capacity(cols.cols.len());
-            for c in &cols.cols {
-                row.push(c.value(i));
-            }
-            out.push(row);
-        }
     }
 }

@@ -1,12 +1,12 @@
 //! Columnar chunks and vectorized kernels for the streaming executor and
 //! the query answer path.
 //!
-//! Conversion happens at exactly two boundaries: a leaf reads the bound
-//! [`svc_storage::Table`]'s typed columns (built once per mutation by
-//! the table's per-column cache, shared by every plan run and every
-//! query), and the survivors of a fused pipeline are gathered back
-//! into rows only where a pipeline breaker (join, γ, set op, the keyed
-//! root) needs them. In between, operators touch per-column typed slices
+//! A leaf reads the bound [`svc_storage::Table`]'s typed columns (built
+//! once per mutation by the table's per-column cache, shared by every
+//! plan run and every query). Survivors leave a fused pipeline at one
+//! place, the executor's fused-scan driver: a chain that only filtered
+//! hands over the leaf's own rows, and a projecting chain gathers each
+//! survivor once. In between, operators touch per-column typed slices
 //! through a selection vector — no `Value` boxing, no row allocation for
 //! non-survivors.
 

@@ -172,7 +172,9 @@ pub enum Node {
     },
     /// γ breaker. When the input is a fused scan or a PK-probe join, rows
     /// stream borrowed into the group map — the input batch is never
-    /// materialized.
+    /// materialized. Over a fused scan the group map reads each survivor
+    /// in place: the leaf's own row when the chain only filters, a reused
+    /// buffer when it projects.
     Aggregate {
         /// Input node.
         input: Box<Node>,

@@ -58,7 +58,7 @@ pub use batch::fresh_batch_count;
 pub use column::{ColPred, ColumnChunk, MapPlan, SelVec, VecOp};
 pub use compile::{leaf_scan_counts, JoinRight, LeafRef, Node};
 pub use explain::{explain_analyze, Explain, ExplainNode};
-pub use pipeline::{FusedOp, RowSink};
+pub use pipeline::FusedOp;
 
 /// How a compiled plan executes: the vectorized fused-scan kernels
 /// (default), or the row-at-a-time reference path the equivalence

@@ -5,15 +5,17 @@
 //! by one interpreter, `run_chain`. Rows enter *borrowed* — straight out
 //! of a bound base table, an upstream batch or a join's scratch row — and
 //! stay borrowed through every filter; a projection writes into one of two
-//! reused buffers (`ChainBufs`). The sink decides whether to copy: a
-//! `Vec<Row>` batch copies a survivor once, at its final width, and a γ
-//! group map reads it in place. That is the "copy only survivors"
-//! contract: a selective filter over a large base relation touches every
-//! row but copies almost none.
+//! reused buffers (`ChainBufs`). The reader decides whether to copy: a
+//! `Vec<Row>` batch copies a survivor once, at its final width
+//! (`feed_borrowed`, `feed_owned`), and a γ group map or a probe reads it
+//! in place. That is the "copy only survivors" contract: a selective
+//! filter over a large base relation touches every row but copies almost
+//! none. Over a leaf, the executor's one fused-scan driver runs this
+//! interpreter or the vectorized kernels and hands survivors on the same
+//! way.
 
 use svc_storage::{HashSpec, Row, Value};
 
-use crate::aggregate::GroupMap;
 use crate::scalar::BoundExpr;
 
 /// One fused operator. Filters and η never change the row shape; a
@@ -44,36 +46,6 @@ impl FusedOp {
             FusedOp::Map(_) => 'π',
             FusedOp::Hash { .. } => 'η',
         }
-    }
-}
-
-/// Where surviving rows land. `Vec<Row>` collects materialized batches
-/// (copying a borrowed survivor once, at its final width); [`GroupMap`]
-/// accumulates γ groups reading each survivor in place.
-pub trait RowSink {
-    /// Accept a row the pipeline already owns.
-    fn owned(&mut self, row: Row);
-    /// Accept a row still borrowed from its source or a chain buffer;
-    /// implementations copy it only if they need to keep it.
-    fn borrowed(&mut self, row: &[Value]) {
-        self.owned(row.to_vec());
-    }
-}
-
-impl RowSink for Vec<Row> {
-    fn owned(&mut self, row: Row) {
-        self.push(row);
-    }
-}
-
-impl RowSink for GroupMap<'_> {
-    fn owned(&mut self, row: Row) {
-        self.push(&row);
-    }
-
-    /// Group accumulation reads the row in place — no survivor copy.
-    fn borrowed(&mut self, row: &[Value]) {
-        self.push(row);
     }
 }
 
@@ -142,37 +114,27 @@ pub(crate) fn run_chain<'b>(
     })
 }
 
-/// Stream one borrowed row through `ops` into `sink`, which copies the
-/// survivor if it keeps rows. Returns whether the row survived.
+/// Stream one borrowed row through `ops` into `out`, copying a survivor
+/// once, at its final width.
 pub(crate) fn feed_borrowed(
     row: &[Value],
     ops: &[FusedOp],
     bufs: &mut ChainBufs,
-    sink: &mut impl RowSink,
-) -> bool {
+    out: &mut Vec<Row>,
+) {
     match run_chain(row, ops, bufs) {
-        Some(Through::Input) => sink.borrowed(row),
-        Some(Through::Built(built)) => sink.borrowed(built),
-        None => return false,
-    }
-    true
-}
-
-/// Stream one owned row through `ops` into `sink`: a row the chain only
-/// filtered moves into the sink, a projection is copied out of its buffer.
-pub(crate) fn feed_owned(row: Row, ops: &[FusedOp], bufs: &mut ChainBufs, sink: &mut impl RowSink) {
-    match run_chain(&row, ops, bufs) {
-        Some(Through::Input) => sink.owned(row),
-        Some(Through::Built(built)) => sink.borrowed(built),
+        Some(Through::Input) => out.push(row.to_vec()),
+        Some(Through::Built(built)) => out.push(built.to_vec()),
         None => {}
     }
 }
 
-/// True iff `row` passes every op of a chain that only filters (σ and η).
-pub(crate) fn keeps(row: &[Value], ops: &[FusedOp]) -> bool {
-    ops.iter().all(|op| match op {
-        FusedOp::Filter(pred) => pred.matches(row),
-        FusedOp::Hash { key_idx, ratio, spec } => spec.selects_row(row, key_idx, *ratio),
-        FusedOp::Map(_) => unreachable!("a filtering chain has no projection"),
-    })
+/// Stream one owned row through `ops` into `out`: a row the chain only
+/// filtered moves, a projection is copied out of its buffer.
+pub(crate) fn feed_owned(row: Row, ops: &[FusedOp], bufs: &mut ChainBufs, out: &mut Vec<Row>) {
+    match run_chain(&row, ops, bufs) {
+        Some(Through::Input) => out.push(row),
+        Some(Through::Built(built)) => out.push(built.to_vec()),
+        None => {}
+    }
 }

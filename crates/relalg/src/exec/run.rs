@@ -10,6 +10,14 @@
 //! level up, where `svc-cluster`'s `BatchPipeline` runs whole plans as
 //! tasks on its worker pool.
 //!
+//! Every reader of a leaf chain — a fused-scan node, γ over one, the left
+//! input of a streamed probe, a filtering root — gets its survivors from
+//! one driver, [`scan_pass`]. It alone chooses the vectorized kernels or
+//! the row interpreter and fills the scan's metrics, and it hands each
+//! survivor on in place: a chain that only filters hands over the leaf's
+//! own row, a projecting chain a reused buffer. The reader decides what
+//! to copy.
+//!
 //! A PK-probe join directly under a fused chain or a γ is not a breaker:
 //! it runs as one streamed pass with its consumer ([`stream_probe`]). The
 //! left input's survivors are probed, the partner's chain runs into a
@@ -42,9 +50,9 @@ use crate::plan::{JoinKind, SetOpKind};
 use crate::setops::{difference_rows_into, intersect_rows_into, union_rows_into};
 
 use super::batch;
-use super::column::{profitable, run_ops, ColumnChunk};
-use super::compile::{JoinRight, Node};
-use super::pipeline::{feed_borrowed, feed_owned, keeps, run_chain, ChainBufs, FusedOp, Through};
+use super::column::{profitable, run_ops, ChunkCols, ColumnChunk, VecOp};
+use super::compile::{JoinRight, LeafRef, Node};
+use super::pipeline::{feed_borrowed, feed_owned, run_chain, ChainBufs, FusedOp, Through};
 use super::ExecMode;
 
 /// A metering handle for one plan node: the shared sink plus the node's
@@ -147,9 +155,8 @@ fn run_node_ref<'a>(
 }
 
 /// Run a node to a materialized row batch: one sequential pass per
-/// operator. `mode.rowwise` selects the row-at-a-time kernels for
-/// fused-scan chains — everything downstream of the chunk→row boundary is
-/// identical either way.
+/// operator. `mode` reaches only [`scan_pass`], which picks the kernels for
+/// fused-scan chains; everything it hands on is identical either way.
 pub(super) fn run_node(
     node: &Node,
     b: &Bindings<'_>,
@@ -158,36 +165,10 @@ pub(super) fn run_node(
 ) -> Result<Vec<Row>> {
     let t0 = m.is_some().then(Instant::now);
     let mut stat = OpMetrics::default();
-    let vec = !mode.rowwise;
     let out = match node {
         Node::FusedScan { leaf, ops, vops } => {
-            let t = leaf.resolve(b)?;
-            stat.rows_in = t.len() as u64;
-            if ops.is_empty() {
-                // Bare scan: every row survives; clone the rows, skip the
-                // per-row op dispatch.
-                let mut out = batch::take(t.len());
-                out.extend(t.rows().iter().map(|r| r.to_vec()));
-                out
-            } else if vec && profitable(vops) {
-                // Leaf conversion: the bound table's cached columns (built
-                // once per mutation), read as one chunk.
-                let cols = &t.columns();
-                let mut chunk = ColumnChunk::over(cols, 0, cols.len);
-                stat.zone_skips = u64::from(run_ops(&mut chunk, vops, &mut Row::new()));
-                stat.vec_chunks = 1;
-                let mut out = batch::take(chunk.len());
-                chunk.gather_into(&mut out);
-                out
-            } else {
-                stat.row_batches = 1;
-                let mut out = batch::take(0);
-                let mut bufs = ChainBufs::default();
-                for row in t.rows() {
-                    feed_borrowed(row, ops, &mut bufs, &mut out);
-                }
-                out
-            }
+            let copy = |out: &mut Vec<Row>, _: usize, row: &[Value]| out.push(row.to_vec());
+            scan_pass(leaf, ops, vops, b, mode, &mut stat, |_, n| batch::take(n), copy)?
         }
         Node::Fused { input, ops } => {
             stat.row_batches = 1;
@@ -262,37 +243,12 @@ pub(super) fn run_node(
             let cm = child(m, 1);
             let gm = match &**input {
                 // γ over a fused scan: the filtered input batch never
-                // exists. Vectorized, kernels refine the selection first
-                // and only survivors are gathered (into a reused scratch
-                // row) for group accumulation — same order, so the group
-                // map contents are identical to the row path's. The scan
-                // never "runs" as a node, so its slot is filled from here.
+                // exists; the group map reads each survivor in place. The
+                // scan never "runs" as a node, so its slot is filled here.
                 Node::FusedScan { leaf, ops, vops } => {
-                    let t = leaf.resolve(b)?;
-                    let mut scan = OpMetrics { rows_in: t.len() as u64, ..Default::default() };
-                    let gm = if vec && !ops.is_empty() && profitable(vops) {
-                        let cols = &t.columns();
-                        let mut chunk = ColumnChunk::over(cols, 0, cols.len);
-                        let mut scratch = Row::new();
-                        scan.zone_skips = u64::from(run_ops(&mut chunk, vops, &mut scratch));
-                        scan.vec_chunks = 1;
-                        scan.rows_out = chunk.len() as u64;
-                        let mut gm = make(chunk.len());
-                        let cs = chunk.columns();
-                        for j in chunk.sel.iter() {
-                            cs.gather_row(j, &mut scratch);
-                            gm.push(&scratch);
-                        }
-                        gm
-                    } else {
-                        scan.row_batches = 1;
-                        let mut gm = make(t.len());
-                        let mut bufs = ChainBufs::default();
-                        for row in t.rows() {
-                            scan.rows_out += u64::from(feed_borrowed(row, ops, &mut bufs, &mut gm));
-                        }
-                        gm
-                    };
+                    let mut scan = OpMetrics::default();
+                    let push = |gm: &mut GroupMap<'_>, _: usize, row: &[Value]| gm.push(row);
+                    let gm = scan_pass(leaf, ops, vops, b, mode, &mut scan, |_, n| make(n), push)?;
                     merge(cm, &scan);
                     stat.rows_in = scan.rows_out;
                     gm
@@ -357,9 +313,9 @@ fn streams(node: &Node) -> bool {
 }
 
 /// Run a PK-probe join (`node`, metered by `m`) as one pass into its
-/// consumer. In order: the left input's survivors — borrowed from the
-/// bound table when the left is a row-path fused scan, from its
-/// materialized batch when it is vectorized or a breaker — then the probe,
+/// consumer. In order: the left input's survivors — handed over by
+/// [`scan_pass`] when the left is a fused scan, read from its materialized
+/// batch when it is a breaker — then the probe,
 /// the partner's chain (into a buffer), the joined row (into a scratch
 /// row), and `each`, which runs the consumer's ops into the consumer's
 /// sink. `init` makes that sink from the number of left rows the scan or
@@ -396,26 +352,12 @@ fn stream_probe<S>(
     let mut joined = 0u64;
     let lm = child(m, 1);
     let sink = match &**left {
-        Node::FusedScan { leaf, ops, vops }
-            if ops.is_empty() || mode.rowwise || !profitable(vops) =>
-        {
-            let lt = leaf.resolve(b)?;
-            let mut scan = OpMetrics {
-                rows_in: lt.len() as u64,
-                row_batches: u64::from(!ops.is_empty()),
-                ..Default::default()
+        Node::FusedScan { leaf, ops, vops } => {
+            let mut scan = OpMetrics::default();
+            let probe_each = |sink: &mut S, _: usize, lrow: &[Value]| {
+                joined += u64::from(probe.join_borrowed(lrow, |j| each(sink, j)));
             };
-            let mut sink = init(lt.len());
-            let mut bufs = ChainBufs::default();
-            for row in lt.rows() {
-                let lrow = match run_chain(row, ops, &mut bufs) {
-                    Some(Through::Input) => &**row,
-                    Some(Through::Built(built)) => built,
-                    None => continue,
-                };
-                scan.rows_out += 1;
-                joined += u64::from(probe.join_borrowed(lrow, |j| each(&mut sink, j)));
-            }
+            let sink = scan_pass(leaf, ops, vops, b, mode, &mut scan, |_, n| init(n), probe_each)?;
             merge(lm, &scan);
             stat.probe_rows = scan.rows_out;
             sink
@@ -435,6 +377,77 @@ fn stream_probe<S>(
     stat.rows_out = joined;
     merge(m, &stat);
     Ok((sink, joined))
+}
+
+/// The one fused-scan driver: resolve `leaf`, run its chain and call
+/// `each(sink, pos, row)` for every survivor, in leaf order, into the sink
+/// `init(table, n)` makes (`n` bounds the survivors). A bare scan hands
+/// over every row with no op dispatch. Otherwise the vectorized kernels
+/// run when `mode` and the chain's head allow it, else the row
+/// interpreter. A chain that only filters hands over the leaf's own rows,
+/// at their positions `pos` in the leaf; a projected survivor sits in a
+/// reused buffer, gathered once, and its `pos` names no leaf row. `stat`
+/// receives the scan's counters, wall time aside.
+#[allow(clippy::too_many_arguments)]
+fn scan_pass<'a, S>(
+    leaf: &LeafRef,
+    ops: &[FusedOp],
+    vops: &[VecOp],
+    b: &Bindings<'a>,
+    mode: ExecMode,
+    stat: &mut OpMetrics,
+    init: impl FnOnce(&'a Table, usize) -> S,
+    mut each: impl FnMut(&mut S, usize, &[Value]),
+) -> Result<S> {
+    let t = leaf.resolve(b)?;
+    let rows = t.rows();
+    stat.rows_in = rows.len() as u64;
+    if ops.is_empty() {
+        let mut sink = init(t, rows.len());
+        for (j, row) in rows.iter().enumerate() {
+            each(&mut sink, j, row);
+        }
+        stat.rows_out = stat.rows_in;
+        return Ok(sink);
+    }
+    if !mode.rowwise && profitable(vops) {
+        // The bound table's cached columns (built once per mutation),
+        // read as one chunk.
+        let cols = &t.columns();
+        let mut chunk = ColumnChunk::over(cols, 0, cols.len);
+        let mut scratch = Row::new();
+        stat.zone_skips = u64::from(run_ops(&mut chunk, vops, &mut scratch));
+        stat.vec_chunks = 1;
+        stat.rows_out = chunk.len() as u64;
+        let mut sink = init(t, chunk.len());
+        match &chunk.cols {
+            ChunkCols::Shared(_) => {
+                for j in chunk.sel.iter() {
+                    each(&mut sink, j, &rows[j]);
+                }
+            }
+            ChunkCols::Owned(projected) => {
+                for j in chunk.sel.iter() {
+                    projected.gather_row(j, &mut scratch);
+                    each(&mut sink, j, &scratch);
+                }
+            }
+        }
+        return Ok(sink);
+    }
+    stat.row_batches = 1;
+    let mut sink = init(t, rows.len());
+    let mut bufs = ChainBufs::default();
+    for (j, row) in rows.iter().enumerate() {
+        let survivor = match run_chain(row, ops, &mut bufs) {
+            Some(Through::Input) => &**row,
+            Some(Through::Built(built)) => built,
+            None => continue,
+        };
+        stat.rows_out += 1;
+        each(&mut sink, j, survivor);
+    }
+    Ok(sink)
 }
 
 /// True when a join with recorded `zone_cols` (inner or semi, both inputs
@@ -477,10 +490,10 @@ fn zone_disjoint(
 /// table shares them instead of rebuilding each one. `None` for any other
 /// root. Same survivors, order and metrics as [`run_node`]'s fused-scan
 /// arm.
-pub(super) fn run_shared_root(
+pub(super) fn run_shared_root<'a>(
     node: &Node,
     out: &crate::derive::Derived,
-    b: &Bindings<'_>,
+    b: &Bindings<'a>,
     mode: ExecMode,
     m: OptMeter<'_>,
 ) -> Result<Option<Table>> {
@@ -489,27 +502,16 @@ pub(super) fn run_shared_root(
         return Ok(None);
     }
     let t0 = m.is_some().then(Instant::now);
-    let t = leaf.resolve(b)?;
-    let mut stat = OpMetrics { rows_in: t.len() as u64, ..Default::default() };
-    let kept: Vec<usize> = if ops.is_empty() {
-        (0..t.len()).collect()
-    } else if !mode.rowwise && profitable(vops) {
-        let cols = &t.columns();
-        let mut chunk = ColumnChunk::over(cols, 0, cols.len);
-        stat.zone_skips = u64::from(run_ops(&mut chunk, vops, &mut Row::new()));
-        stat.vec_chunks = 1;
-        chunk.sel.iter().collect()
-    } else {
-        stat.row_batches = 1;
-        let rows = t.rows();
-        (0..rows.len()).filter(|&j| keeps(&rows[j], ops)).collect()
+    let mut stat = OpMetrics::default();
+    let init = |t: &'a Table, n| (t.rows(), Vec::with_capacity(n));
+    let keep = |(leaf_rows, kept): &mut (&[SharedRow], Vec<SharedRow>), j: usize, _: &[Value]| {
+        kept.push(leaf_rows[j].clone());
     };
+    let (_, rows) = scan_pass(leaf, ops, vops, b, mode, &mut stat, init, keep)?;
     if let (Some(mm), Some(t0)) = (m, t0) {
-        stat.rows_out = kept.len() as u64;
         stat.wall_ns = t0.elapsed().as_nanos() as u64;
         mm.slot().merge(&stat);
     }
-    let rows: Vec<SharedRow> = kept.iter().map(|&i| t.rows()[i].clone()).collect();
     Table::from_unique_rows(out.schema.clone(), out.key.clone(), rows).map(Some)
 }
 

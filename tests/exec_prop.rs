@@ -214,7 +214,10 @@ fn batch_pipeline_recompiles_on_base_schema_change() {
 /// plans (η, catalog-ordered) and maintain plans of the ten complex views
 /// and the join view under mixed TPCD deltas, under both kernel paths.
 /// Their PK-probe joins stream into their consumers, so a streamed node
-/// that miscounts breaks an edge here.
+/// that miscounts breaks an edge here. Every fused scan reaches its
+/// consumer through one driver: the scan feeding a streamed probe runs
+/// inside the pass (wall 0) on either kernel path, and a bare scan counts
+/// neither a row batch nor a vector chunk wherever it sits.
 #[test]
 fn cached_delta_plans_conserve_rows_on_every_edge() {
     let data = TpcdData::generate(TpcdConfig { scale: 0.01, skew: 2.0, seed: 42 }).unwrap();
@@ -226,6 +229,7 @@ fn cached_delta_plans_conserve_rows_on_every_edge() {
     let info = DeltaInfo::of(&deltas);
     let views = complex_views().into_iter().map(|v| (v.id, v.plan));
     let mut streamed = 0;
+    let mut vectorized_streamed_scans = 0;
     for (id, plan) in views.chain([("joinView", join_view())]) {
         let svc = SvcView::create(id, plan, db, SvcConfig::with_ratio(0.1)).unwrap();
         let eta = (svc.config.ratio, svc.config.hash_spec());
@@ -234,7 +238,9 @@ fn cached_delta_plans_conserve_rows_on_every_edge() {
             let lookup = svc.view.delta_plan(db, &info, eta, est).unwrap();
             let bindings = svc.view.delta_bindings(db, &deltas, target);
             let check = |plan: &PhysicalPlan| {
-                for mode in [ExecMode::sequential(), ExecMode::sequential().rowwise()] {
+                let modes =
+                    [(true, ExecMode::sequential()), (false, ExecMode::sequential().rowwise())];
+                for (vectorized, mode) in modes {
                     let ex = plan.explain(&bindings, mode)?;
                     let broken = ex.unconserved();
                     assert!(broken.is_empty(), "{id} (η {}): {broken:?}\n{ex}", eta.is_some());
@@ -246,6 +252,32 @@ fn cached_delta_plans_conserve_rows_on_every_edge() {
                                 && w[1].contains(" pk-probe(")
                         })
                         .count();
+                    for w in ex.nodes.windows(3) {
+                        let under_stream = (w[0].label.starts_with("fused[")
+                            || w[0].label.starts_with("γ("))
+                            && w[1].label.contains(" pk-probe(");
+                        if under_stream && w[2].label.starts_with("fused-scan(") {
+                            let m = &w[2].metrics;
+                            assert_eq!(
+                                m.wall_ns, 0,
+                                "{id}: a streamed left scan runs in the pass\n{ex}"
+                            );
+                            if vectorized && m.vec_chunks == 1 {
+                                vectorized_streamed_scans += 1;
+                            }
+                        }
+                    }
+                    for n in ex.nodes.iter().filter(|n| n.label.starts_with("fused-scan(")) {
+                        if !n.label.contains('[') {
+                            let m = &n.metrics;
+                            assert_eq!(
+                                (m.row_batches, m.vec_chunks),
+                                (0, 0),
+                                "{id}: bare scan #{} is neither a row batch nor a chunk\n{ex}",
+                                n.id
+                            );
+                        }
+                    }
                 }
                 Ok(())
             };
@@ -253,6 +285,8 @@ fn cached_delta_plans_conserve_rows_on_every_edge() {
         }
     }
     assert!(streamed > 20, "the workload plans stream their probes: {streamed}");
+    eprintln!("vectorized fused scans streamed into a probe: {vectorized_streamed_scans}");
+    assert!(vectorized_streamed_scans >= 1, "a vectorized scan feeds a streamed probe");
 }
 
 proptest! {

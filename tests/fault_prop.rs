@@ -260,8 +260,8 @@ fn retry_quarantine_degrades_gracefully_and_recovers() {
     let mut quarantined_runs = 0u64;
     for i in 0..60u64 {
         let seed = base.wrapping_mul(7_777_777).wrapping_add(1_000 + i);
-        let pipeline = BatchPipeline::new(2)
-            .with_policy(FailurePolicy::RetryQuarantine { retries: 1, backoff_ms: 0 });
+        let pipeline =
+            BatchPipeline::new(2).with_policy(FailurePolicy::RetryQuarantine { retries: 1 });
         let mut v = view.clone();
 
         let forced = i % 2 == 1;
@@ -471,8 +471,8 @@ fn mid_batch_fold_failure_leaves_the_shadow_untouched() {
         let action = if i % 2 == 0 { FailAction::Error } else { FailAction::Panic };
 
         // Arm A: one retry — the batch re-stages from the untouched shadow.
-        let pipeline = BatchPipeline::new(2)
-            .with_policy(FailurePolicy::RetryQuarantine { retries: 1, backoff_ms: 0 });
+        let pipeline =
+            BatchPipeline::new(2).with_policy(FailurePolicy::RetryQuarantine { retries: 1 });
         let mut v = view.clone();
         fault::set(site::BATCH_FOLD, FailSpec { skip, count: 1, action });
         let run = pipeline.maintain(&db, &mut v, &deltas, BATCH).unwrap();
@@ -490,8 +490,8 @@ fn mid_batch_fold_failure_leaves_the_shadow_untouched() {
         assert_eq!(pipeline.metrics().folds, tables as u64, "skip {skip}: folds count landed");
 
         // Arm B: no retry — the batch quarantines and stays out entirely.
-        let pipeline = BatchPipeline::new(2)
-            .with_policy(FailurePolicy::RetryQuarantine { retries: 0, backoff_ms: 0 });
+        let pipeline =
+            BatchPipeline::new(2).with_policy(FailurePolicy::RetryQuarantine { retries: 0 });
         let mut v = view.clone();
         fault::set(site::BATCH_FOLD, FailSpec { skip, count: 1, action });
         let run = pipeline.maintain(&db, &mut v, &deltas, BATCH).unwrap();
@@ -518,8 +518,7 @@ fn fallback_failure_quarantines_whole_pending_and_recovers() {
     let deltas = video_stream(&db, 40);
     let fresh_expected = view.recompute_fresh(&db, &deltas).unwrap();
 
-    let pipeline = BatchPipeline::new(2)
-        .with_policy(FailurePolicy::RetryQuarantine { retries: 1, backoff_ms: 0 });
+    let pipeline = BatchPipeline::new(2).with_policy(FailurePolicy::RetryQuarantine { retries: 1 });
     let mut v = view;
     fault::set(site::BATCH_FALLBACK, FailSpec::immediate(2, FailAction::Error));
     let run = pipeline.maintain(&db, &mut v, &deltas, BATCH).unwrap();
