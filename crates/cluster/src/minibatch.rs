@@ -234,7 +234,7 @@ impl Drop for BacklogGuard<'_> {
 /// call shares.
 struct MaintainCall<'a> {
     db: &'a Database,
-    /// The view's keyed fold, bound once per call.
+    /// The view's keyed fold ([`MaterializedView::keyed_fold`]).
     fold: &'a KeyedFold,
     /// Whether batches may split into delta chunks
     /// ([`chunk_parallel_exact`]).
@@ -375,8 +375,8 @@ impl BatchPipeline {
             return Ok(run);
         }
 
-        // The keyed fold is invariant across batches: bind it once per call.
-        let fold = KeyedFold::new(&canonical, view.table())?;
+        // The view's keyed fold, bound once at its creation.
+        let fold = view.keyed_fold()?;
         // Batch boundaries obey the same exactness condition as chunk
         // parallelism: every batch's change table reads the original base
         // state, so batches (like chunks) must not interact.

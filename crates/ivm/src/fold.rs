@@ -150,7 +150,7 @@ impl KeyedFold {
     /// Bind the fold of `canonical` against the schema and key of its
     /// materialized `view` table (or of a sample of it). Errors for an
     /// aggregate view outside the change-table class (median).
-    pub fn new(canonical: &Canonical, view: &Table) -> Result<KeyedFold> {
+    pub(crate) fn new(canonical: &Canonical, view: &Table) -> Result<KeyedFold> {
         let schema = view.schema();
         let merge =
             canonical.agg.as_ref().map(|shape| GroupMerge::new(shape, schema)).transpose()?;

@@ -73,6 +73,10 @@ pub struct MaterializedView {
     /// Compiled view deltas by signature ([`crate::plans`]): shared by every
     /// clone, kept across commits.
     plans: Arc<PlanCache>,
+    /// The keyed fold bound against the view's schema and key at creation
+    /// ([`MaterializedView::keyed_fold`]), shared by every clone; the
+    /// binding's error for an aggregate outside the change-table class.
+    fold: Result<Arc<KeyedFold>>,
     /// The auxiliary table of a nested aggregate view: its inner γ as a view
     /// of its own, committed together with `table`.
     aux: Option<Box<MaterializedView>>,
@@ -144,6 +148,7 @@ impl MaterializedView {
         }
         let (optimized, _) = optimize(&plan, &bindings)?;
         let table = evaluate(&optimized, &bindings)?;
+        let fold = KeyedFold::new(&canonical, &table).map(Arc::new);
         Ok(MaterializedView {
             name,
             definition,
@@ -153,6 +158,7 @@ impl MaterializedView {
             dirty: false,
             maintained_at: std::time::Instant::now(),
             plans: Arc::default(),
+            fold,
             aux,
         })
     }
@@ -165,6 +171,14 @@ impl MaterializedView {
     /// The canonicalization record (plan + public projection + merge rules).
     pub fn canonical(&self) -> &Canonical {
         &self.canonical
+    }
+
+    /// The view's keyed fold, bound once at creation: it folds a keyed
+    /// pair into the view's table or into any table keyed like it (a
+    /// sample, a shadow). Errors for an aggregate view outside the
+    /// change-table class (median).
+    pub fn keyed_fold(&self) -> Result<Arc<KeyedFold>> {
+        self.fold.clone()
     }
 
     /// The auxiliary table of a nested aggregate view, as the view of its
@@ -361,8 +375,9 @@ impl MaterializedView {
         let (table, kind) = match lookup.plan.delta.as_ref().try_map(|plan| plan.run(&bindings))? {
             ViewDelta::NoOp => return Ok(None),
             ViewDelta::Keyed { change, kind } => {
+                let fold = self.keyed_fold()?;
                 let mut next = target.clone();
-                KeyedFold::new(&self.canonical, &next)?.fold(&mut next, &change)?;
+                fold.fold(&mut next, &change)?;
                 (next, kind)
             }
             ViewDelta::Recompute(table) => (table, PlanKind::Recompute),
@@ -829,7 +844,7 @@ mod tests {
 
         // Fold the per-chunk change tables into the view one at a time.
         let mut current = view.table().clone();
-        let fold = KeyedFold::new(view.canonical(), &current).unwrap();
+        let fold = view.keyed_fold().unwrap();
         for c in &changes {
             fold.fold(&mut current, c).unwrap();
         }

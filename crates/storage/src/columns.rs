@@ -142,6 +142,23 @@ impl Column {
         Ok(())
     }
 
+    /// True iff `other` holds the same cells bit for bit (floats by their
+    /// bits), the same validity mask and the same zone map.
+    #[cfg(any(test, feature = "verify"))]
+    pub(crate) fn same_bits(&self, other: &Column) -> bool {
+        let floats = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let data = match (&self.data, &other.data) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => a == b,
+            (ColumnData::Float(a), ColumnData::Float(b)) => floats(a) == floats(b),
+            (ColumnData::Bool(a), ColumnData::Bool(b)) => a == b,
+            (ColumnData::Str(a), ColumnData::Str(b)) => a == b,
+            (ColumnData::Mixed(a), ColumnData::Mixed(b)) => a == b,
+            _ => false,
+        };
+        let zone = |c: &Column| c.zone.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+        data && self.valid == other.valid && zone(self) == zone(other)
+    }
+
     /// Full integrity check: [`Column::check_shape`] plus the O(rows)
     /// data-dependent invariant that the zone map's min/max actually bound
     /// every non-null value under `total_cmp`.
@@ -177,7 +194,6 @@ impl Column {
 /// first time a non-null cell of a different type arrives.
 #[derive(Debug)]
 pub struct ColumnBuilder {
-    dtype: DataType,
     data: ColumnData,
     /// Invalid row positions seen so far (sparse; most columns have none).
     nulls: Vec<usize>,
@@ -193,7 +209,7 @@ impl ColumnBuilder {
             DataType::Bool => ColumnData::Bool(Vec::with_capacity(cap)),
             DataType::Str => ColumnData::Str(Vec::with_capacity(cap)),
         };
-        ColumnBuilder { dtype, data, nulls: Vec::new(), len: 0 }
+        ColumnBuilder { data, nulls: Vec::new(), len: 0 }
     }
 
     /// Demote the accumulated typed cells to a `Mixed` vector.
@@ -258,18 +274,41 @@ impl ColumnBuilder {
             }
             Some(mask)
         };
-        let zone = match (&self.data, self.dtype) {
-            (ColumnData::Int(xs), _) => zone_of(
-                xs.iter()
-                    .enumerate()
-                    .filter_map(|(i, &x)| (!masked(&valid, i)).then_some(x as f64)),
-            ),
-            (ColumnData::Float(xs), _) => zone_of(
-                xs.iter().enumerate().filter_map(|(i, &x)| (!masked(&valid, i)).then_some(x)),
-            ),
-            _ => None,
-        };
+        let zone = zone(&self.data, &valid);
         Column { data: self.data, valid, zone }
+    }
+}
+
+impl ColumnData {
+    /// Store `v` at row `i`, a placeholder for NULL; false, storing
+    /// nothing, when `v` is of a type this storage does not hold.
+    fn set(&mut self, i: usize, v: &Value) -> bool {
+        match (self, v) {
+            (ColumnData::Int(xs), Value::Int(x)) => xs[i] = *x,
+            (ColumnData::Int(xs), Value::Null) => xs[i] = 0,
+            (ColumnData::Float(xs), Value::Float(x)) => xs[i] = *x,
+            (ColumnData::Float(xs), Value::Null) => xs[i] = 0.0,
+            (ColumnData::Bool(xs), Value::Bool(x)) => xs[i] = *x,
+            (ColumnData::Bool(xs), Value::Null) => xs[i] = false,
+            (ColumnData::Str(xs), Value::Str(x)) => xs[i] = x.clone(),
+            (ColumnData::Str(xs), Value::Null) => xs[i] = Arc::from(""),
+            _ => return false,
+        }
+        true
+    }
+}
+
+/// The zone map of `data` under `valid`: the `total_cmp` min/max of its
+/// non-null numeric cells.
+fn zone(data: &ColumnData, valid: &Option<Vec<bool>>) -> Option<(f64, f64)> {
+    match data {
+        ColumnData::Int(xs) => zone_of(
+            xs.iter().enumerate().filter_map(|(i, &x)| (!masked(valid, i)).then_some(x as f64)),
+        ),
+        ColumnData::Float(xs) => {
+            zone_of(xs.iter().enumerate().filter_map(|(i, &x)| (!masked(valid, i)).then_some(x)))
+        }
+        _ => None,
     }
 }
 
@@ -312,6 +351,50 @@ pub(crate) fn extract<R: AsRef<[Value]>>(
         }
     }
     builders.into_iter().map(ColumnBuilder::finish).collect()
+}
+
+/// Column `c` of `rows`, derived from `origin`: the same column of an
+/// earlier state of the table, whose row at every position `changed` does
+/// not name is the row `rows` holds there (every position past the
+/// origin's end is named). Untouched cells are a typed copy of `origin`'s;
+/// only the rows at `changed` are read. Bit-identical to [`extract`],
+/// validity mask and zone map included; `None` where extraction would
+/// store the column mixed — a mixed origin, or a changed cell of another
+/// type — which is left to [`extract`].
+pub(crate) fn derive<R: AsRef<[Value]>>(
+    origin: &Column,
+    rows: &[R],
+    c: usize,
+    changed: impl Iterator<Item = usize>,
+) -> Option<Column> {
+    let n = rows.len();
+    let kept = n.min(origin.len());
+    fn carried<T: Clone>(xs: &[T], kept: usize, n: usize, fill: T) -> Vec<T> {
+        let mut out = Vec::with_capacity(n);
+        out.extend_from_slice(&xs[..kept]);
+        out.resize(n, fill);
+        out
+    }
+    let mut data = match &origin.data {
+        ColumnData::Int(xs) => ColumnData::Int(carried(xs, kept, n, 0)),
+        ColumnData::Float(xs) => ColumnData::Float(carried(xs, kept, n, 0.0)),
+        ColumnData::Bool(xs) => ColumnData::Bool(carried(xs, kept, n, false)),
+        ColumnData::Str(xs) => ColumnData::Str(carried(xs, kept, n, Arc::from(""))),
+        ColumnData::Mixed(_) => return None,
+    };
+    let mut valid = origin.valid.as_ref().map(|mask| carried(mask, kept, n, true));
+    for i in changed {
+        let cell = &rows[i].as_ref()[c];
+        if !data.set(i, cell) {
+            return None;
+        }
+        if cell.is_null() || valid.is_some() {
+            valid.get_or_insert_with(|| vec![true; n])[i] = !cell.is_null();
+        }
+    }
+    let valid = valid.filter(|mask| mask.contains(&false));
+    let zone = zone(&data, &valid);
+    Some(Column { data, valid, zone })
 }
 
 /// A set of columns over the same rows: a table's columnar projection (one

@@ -7,6 +7,9 @@
 //! the same two states many times — one estimate per query over one cleaned
 //! sample and its stale counterpart — reads it from
 //! [`Table::paired_with`]'s memo and hashes no key after the first call.
+//! When `L` is `R` folded by keyed edits (the cleaned sample is the stale
+//! sample folded), even the first call hashes none: the pairing is read
+//! off the positions the edits moved.
 
 use crate::table::Table;
 
@@ -37,6 +40,27 @@ impl Pairing {
             })
             .collect();
         let unmatched = (0..right.len()).filter(|&j| !matched[j]).collect();
+        Pairing { partners, unmatched }
+    }
+
+    /// Pair a table of `len` rows with `R`, an earlier state of it of
+    /// `right_len` rows, by position alone: row `i` of `L` sits under the
+    /// key of `R`'s row `i`, except at the positions `moved` names, each
+    /// with the position of `R`'s row under its key. No key is read.
+    pub(crate) fn by_position(
+        len: usize,
+        right_len: usize,
+        moved: impl IntoIterator<Item = (usize, Option<usize>)>,
+    ) -> Pairing {
+        let mut partners: Vec<_> = (0..len).map(|i| (i < right_len).then_some(i)).collect();
+        for (i, j) in moved {
+            partners[i] = j;
+        }
+        let mut matched = vec![false; right_len];
+        for &j in partners.iter().flatten() {
+            matched[j] = true;
+        }
+        let unmatched = (0..right_len).filter(|&j| !matched[j]).collect();
         Pairing { partners, unmatched }
     }
 
@@ -96,10 +120,40 @@ mod tests {
         left.insert(vec![Value::Int(7), Value::Float(7.0)]).unwrap();
         assert_eq!(left.paired_with(&right).partners(), &[None, None, Some(1), Some(2)]);
         assert_eq!(builds() - before, 3);
-        // A clone is a state of its own, and the memo holds one pairing.
+        // A clone is its source's state until either mutates, so it pairs
+        // like its source.
         let copy = right.clone();
         left.paired_with(&copy);
         left.paired_with(&right);
-        assert_eq!(builds() - before, 5);
+        assert_eq!(builds() - before, 3);
+    }
+
+    /// A state reached by bulk edits pairs with the state they started from
+    /// by position, with no key lookup, and equals the pairing by key —
+    /// through swap-remove moves, appends and a key deleted and put back;
+    /// so does a clone with its source.
+    #[test]
+    fn edits_pair_with_their_origin_by_position() {
+        let builds = Table::pairing_build_count;
+        let origin = keyed(&[1, 2, 3, 4, 5]);
+        let mut next = origin.clone();
+        let row = |id: i64| Some(vec![Value::Int(id), Value::Float(-(id as f64))]);
+        let key = |id: i64| KeyTuple(vec![Value::Int(id)]);
+        next.apply_edits([(key(2), None), (key(9), row(9)), (key(4), row(4))]);
+        next.apply_edits([(key(1), None), (key(2), row(2)), (key(7), None)]);
+        let before = builds();
+        let pairing = next.paired_with(&origin);
+        assert_eq!(builds(), before, "no key is hashed");
+        let same = origin.clone().paired_with(&origin);
+        assert_eq!(
+            (same.partners(), builds()),
+            (&[Some(0), Some(1), Some(2), Some(3), Some(4)][..], before)
+        );
+        assert_eq!(*pairing, Pairing::of(&next, &origin));
+        assert_eq!(pairing.unmatched(), &[0]);
+        // Another mutator forgets the lineage: the next pairing is by key.
+        next.upsert(vec![Value::Int(3), Value::Float(0.0)]).unwrap();
+        assert_eq!(*next.paired_with(&origin), Pairing::of(&next, &origin));
+        assert_eq!(builds(), before + 1);
     }
 }

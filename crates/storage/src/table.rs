@@ -27,6 +27,15 @@
 //!   ([`Table::paired_with`]), so a burst of estimates over one cleaned
 //!   sample joins it to the stale sample once.
 //!
+//! A clone is its source's state until either mutates: it shares the
+//! source's columns and pairing (its answers start empty). A state reached
+//! by [`Table::apply_edits`] — a fold's commit step — remembers the state
+//! the edits started from and what they changed, so its first reader pairs
+//! it with that state by position and derives each column from that
+//! state's by reading only the edited rows. A fold's output (the cleaned
+//! sample) therefore joins its target (the stale sample) without hashing a
+//! key.
+//!
 //! [`Table::release_columns`] drops the columns of a superseded state but
 //! keeps its answers and its pairing: the state did not change, and
 //! neither is a copy of the rows.
@@ -35,7 +44,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 use crate::columns::{self, Column, ColumnSet};
 use crate::error::{Result, StorageError};
@@ -118,6 +127,81 @@ pub struct Table {
     /// that state's identity and the pairing. Emptied by every row-changing
     /// method.
     pairing: Mutex<Option<(u64, Arc<Pairing>)>>,
+    /// How bulk edits reached this state from an earlier one ([`Lineage`]):
+    /// set by [`Table::apply_edits`], dropped by every other mutator.
+    lineage: Option<Box<Lineage>>,
+}
+
+/// What [`Table::apply_edits`] changed since the state its first call
+/// started from, the *origin*: enough to pair this state with the origin by
+/// position and to derive its columns from the origin's, in memory
+/// proportional to the edits.
+#[derive(Debug)]
+struct Lineage {
+    /// The origin's state identity.
+    origin: u64,
+    /// The origin's row count.
+    origin_len: usize,
+    /// The origin's cached columns when the first edit landed, held weakly:
+    /// a lineage never keeps a column alive, it reads one its origin (or
+    /// any other holder) still has.
+    columns: Vec<Option<Weak<Column>>>,
+    /// Every position whose row is not the origin's row at that position,
+    /// with the origin position of the row under the same key (`None`: a key
+    /// the origin did not hold). Every position past the origin's end is
+    /// here; any other position holds the origin's row.
+    moved: HashMap<usize, Option<usize>>,
+    /// Rows of origin keys an edit deleted, by index hash, with their
+    /// origin position: a later edit that puts the key back pairs it again.
+    vacated: HashMap<u64, Vec<(usize, SharedRow)>>,
+}
+
+impl Lineage {
+    /// A lineage with `table`'s current state as its origin.
+    fn of(table: &Table) -> Box<Lineage> {
+        let cache = table.colcache.lock().expect("column cache poisoned");
+        Box::new(Lineage {
+            origin: table.state_id(),
+            origin_len: table.rows.len(),
+            columns: cache.iter().map(|c| c.as_ref().map(Arc::downgrade)).collect(),
+            moved: HashMap::new(),
+            vacated: HashMap::new(),
+        })
+    }
+
+    /// The origin position of the key at `pos`.
+    fn key_origin(&self, pos: usize) -> Option<usize> {
+        self.moved.get(&pos).copied().unwrap_or(Some(pos))
+    }
+
+    /// The row at `pos` was replaced under its own key.
+    fn replaced(&mut self, pos: usize) {
+        let origin = self.key_origin(pos);
+        self.moved.insert(pos, origin);
+    }
+
+    /// `row`, under a key the table did not hold and index hash `h`, was
+    /// appended at `pos`.
+    fn appended(&mut self, pos: usize, h: u64, row: &[Value], key: &[usize]) {
+        let origin = self.vacated.get_mut(&h).and_then(|rows| {
+            let i = rows.iter().position(|(_, r)| KeyTuple::cols_eq(r, key, row, key))?;
+            Some(rows.swap_remove(i).0)
+        });
+        self.moved.insert(pos, origin);
+    }
+
+    /// `row`, under index hash `h`, was removed from `pos` and the row at
+    /// `last` (the new row count) swapped into its place.
+    fn removed(&mut self, pos: usize, last: usize, h: u64, row: SharedRow) {
+        if let Some(origin) = self.key_origin(pos) {
+            self.vacated.entry(h).or_default().push((origin, row));
+        }
+        if pos < last {
+            let origin = self.key_origin(last);
+            self.moved.insert(pos, origin);
+        }
+        self.moved.remove(&last);
+    }
 }
 
 /// Answers one table state memoizes before the memo is flushed whole: far
@@ -155,19 +239,22 @@ static TABLE_CLONES: svc_telemetry::LocalCounter =
 impl Clone for Table {
     fn clone(&self) -> Table {
         // Cloning a table copies row pointers and the key index's integers:
-        // no value is copied and nothing is rehashed. The clone is a state of
-        // its own, so its caches start empty. Each clone is still counted:
-        // tests assert that fused pipelines and answer paths never take it.
+        // no value is copied and nothing is rehashed. The clone is the same
+        // state as its source until either mutates: it takes the source's
+        // identity and shares its cached columns and its pairing; its answer
+        // memo starts empty. Each clone is still counted: tests assert that
+        // fused pipelines and answer paths never take it.
         TABLE_CLONES.bump();
         let copy = Table {
             schema: self.schema.clone(),
             key: self.key.clone(),
             rows: self.rows.clone(),
             index: self.index.clone(),
-            colcache: Mutex::default(),
+            colcache: Mutex::new(self.colcache.lock().expect("column cache poisoned").clone()),
             answers: Mutex::default(),
-            state: AtomicU64::new(0),
-            pairing: Mutex::default(),
+            state: AtomicU64::new(self.state_id()),
+            pairing: Mutex::new(self.pairing.lock().expect("pairing memo poisoned").clone()),
+            lineage: None,
         };
         copy.verify_index();
         copy
@@ -199,6 +286,7 @@ impl Table {
             answers: Mutex::default(),
             state: AtomicU64::new(0),
             pairing: Mutex::default(),
+            lineage: None,
         })
     }
 
@@ -339,9 +427,9 @@ impl Table {
         }
     }
 
-    /// Record a row mutation: the cached columns, answers and pairing are
-    /// stale, so drop them now rather than hold them until the next read,
-    /// and retire the state's identity.
+    /// Record a row mutation: the cached columns, answers, pairing and
+    /// lineage are stale, so drop them now rather than hold them until the
+    /// next read, and retire the state's identity.
     #[inline]
     fn touch(&mut self) {
         let cache = self.colcache.get_mut().expect("column cache poisoned");
@@ -354,6 +442,7 @@ impl Table {
         }
         *self.state.get_mut() = 0;
         *self.pairing.get_mut().expect("pairing memo poisoned") = None;
+        self.lineage = None;
     }
 
     /// Drop every cached column; the next reader rebuilds what it names.
@@ -417,7 +506,10 @@ impl Table {
     /// built on the first call for `other`'s current state and kept until
     /// either table changes, so a burst of estimates over one cleaned
     /// sample and its stale sample hashes their keys once. The memo holds
-    /// one pairing; asking for another table's replaces it.
+    /// one pairing; asking for another table's replaces it. When `other`
+    /// is this very state (a clone) or the state this one's edits started
+    /// from (a fold's output and its target), the pairing is read off
+    /// positions and no key is hashed at all.
     pub fn paired_with(&self, other: &Table) -> Arc<Pairing> {
         let id = other.state_id();
         let mut memo = self.pairing.lock().expect("pairing memo poisoned");
@@ -439,15 +531,42 @@ impl Table {
                 return Arc::clone(pairing);
             }
         }
-        PAIRING_BUILDS.bump();
-        let pairing = Arc::new(Pairing::of(self, other));
+        let pairing = match self.paired_by_position(id, other.len()) {
+            Some(pairing) => {
+                // With the verifier on, prove the positions honest.
+                #[cfg(feature = "verify")]
+                assert_eq!(
+                    pairing,
+                    Pairing::of(self, other),
+                    "a pairing read off positions differs from the pairing by key"
+                );
+                pairing
+            }
+            None => {
+                PAIRING_BUILDS.bump();
+                Pairing::of(self, other)
+            }
+        };
+        let pairing = Arc::new(pairing);
         *memo = Some((id, Arc::clone(&pairing)));
         pairing
     }
 
-    /// Number of pairings built ([`Table::paired_with`] misses) **on this
-    /// thread** since it started — the cost-shape hook for "a burst of
-    /// estimates joins the samples by key once". Same mechanism as
+    /// This state paired with state `id` of `len` rows by position, if `id`
+    /// is this state or its lineage's origin.
+    fn paired_by_position(&self, id: u64, len: usize) -> Option<Pairing> {
+        if self.state.load(Ordering::Relaxed) == id {
+            return Some(Pairing::by_position(self.rows.len(), len, []));
+        }
+        let lineage = self.lineage.as_deref().filter(|l| l.origin == id)?;
+        let moved = lineage.moved.iter().map(|(&i, &j)| (i, j));
+        Some(Pairing::by_position(self.rows.len(), lineage.origin_len, moved))
+    }
+
+    /// Number of pairings built by key lookup ([`Table::paired_with`]
+    /// misses that could not be read off positions) **on this thread**
+    /// since it started — the cost-shape hook for "a burst of estimates
+    /// joins the samples by key at most once". Same mechanism as
     /// [`Table::clone_count`].
     pub fn pairing_build_count() -> usize {
         PAIRING_BUILDS.get() as usize
@@ -491,6 +610,14 @@ impl Table {
         if missing.is_empty() {
             return cache;
         }
+        missing.retain(|&i| match self.derived(i) {
+            Some(col) => {
+                COLUMN_BUILDS.bump();
+                cache[i] = Some(Arc::new(col));
+                false
+            }
+            None => true,
+        });
         for (i, col) in missing.iter().zip(columns::extract(&self.schema, &self.rows, &missing)) {
             #[cfg(feature = "verify")]
             col.check(self.rows.len()).expect("freshly extracted column failed integrity check");
@@ -498,6 +625,23 @@ impl Table {
             cache[*i] = Some(Arc::new(col));
         }
         cache
+    }
+
+    /// Column `i` derived from the lineage's origin column, if that column
+    /// is still alive: a typed copy with the moved positions' cells read
+    /// off their rows ([`columns::derive`]).
+    fn derived(&self, i: usize) -> Option<Column> {
+        let lineage = self.lineage.as_deref()?;
+        let origin = lineage.columns.get(i)?.as_ref()?.upgrade()?;
+        let col = columns::derive(&origin, &self.rows, i, lineage.moved.keys().copied())?;
+        // With the verifier on, prove the derivation honest.
+        #[cfg(feature = "verify")]
+        {
+            let extracted = columns::extract(&self.schema, &self.rows, &[i]);
+            assert!(col.same_bits(&extracted[0]), "derived column {i} differs from extraction");
+            col.check(self.rows.len()).expect("derived column failed integrity check");
+        }
+        Some(col)
     }
 
     /// Column `i` of this table, typed ([`Column`]): built on first touch
@@ -557,12 +701,18 @@ impl Table {
     fn put(&mut self, row: SharedRow) -> Option<SharedRow> {
         self.touch();
         let h = self.row_hash(&row);
+        self.put_hashed(h, row).1
+    }
+
+    /// Store `row`, whose key hashes to `h`, under its key: its position and
+    /// the row it replaced.
+    fn put_hashed(&mut self, h: u64, row: SharedRow) -> (usize, Option<SharedRow>) {
         if let Some(pos) = self.index.find(h, |p| self.key_matches(p, &row, &self.key)) {
-            Some(std::mem::replace(&mut self.rows[pos], row))
+            (pos, Some(std::mem::replace(&mut self.rows[pos], row)))
         } else {
             self.index.insert(h, self.rows.len());
             self.rows.push(row);
-            None
+            (self.rows.len() - 1, None)
         }
     }
 
@@ -600,33 +750,60 @@ impl Table {
     pub fn delete(&mut self, key: &KeyTuple) -> Option<SharedRow> {
         let (h, pos) = self.hashed_position(key)?;
         self.touch();
+        Some(self.remove(h, pos))
+    }
+
+    /// Remove the row at `pos`, whose key hashes to `h`, by swap-remove.
+    fn remove(&mut self, h: u64, pos: usize) -> SharedRow {
         self.index.remove(h, pos);
         let row = self.rows.swap_remove(pos);
         if pos < self.rows.len() {
             let moved = self.row_hash(&self.rows[pos]);
             self.index.relocate(moved, self.rows.len(), pos);
         }
-        Some(row)
+        row
     }
 
     /// Apply keyed edits in order: `Some(row)` replaces or inserts the row
     /// stored under the key, `None` deletes it. The commit step of a staged
     /// fold: it must not stop part-way, so unlike [`Table::upsert`] it hosts
     /// no failpoint and a row of the wrong arity or key is a caller bug.
+    ///
+    /// The new state remembers the state the first of a run of calls
+    /// started from (its lineage): the positions the edits moved or
+    /// rewrote, and that state's cached columns, held weakly. A reader of
+    /// the new state pairs it with that state by position
+    /// ([`Table::paired_with`]) and derives a column from that state's by
+    /// reading only the edited rows ([`Table::column`]). Any other mutator
+    /// forgets the lineage.
     pub fn apply_edits<R: Into<SharedRow>>(
         &mut self,
         edits: impl IntoIterator<Item = (KeyTuple, Option<R>)>,
     ) {
+        let mut edits = edits.into_iter().peekable();
+        if edits.peek().is_none() {
+            return;
+        }
+        let mut lineage = self.lineage.take().unwrap_or_else(|| Lineage::of(self));
+        self.touch();
         for (key, row) in edits {
             let Some(row) = row else {
-                self.delete(&key);
+                if let Some((h, pos)) = self.hashed_position(&key) {
+                    let row = self.remove(h, pos);
+                    lineage.removed(pos, self.rows.len(), h, row);
+                }
                 continue;
             };
             let row = row.into();
             assert_eq!(row.len(), self.schema.len(), "edit row arity");
             debug_assert_eq!(self.key_of(&row), key, "edit row stored under a foreign key");
-            self.put(row);
+            let h = self.row_hash(&row);
+            match self.put_hashed(h, row) {
+                (pos, Some(_)) => lineage.replaced(pos),
+                (pos, None) => lineage.appended(pos, h, &self.rows[pos], &self.key),
+            }
         }
+        self.lineage = Some(lineage);
         self.verify_index();
     }
 
@@ -641,6 +818,7 @@ impl Table {
             answers: Mutex::default(),
             state: AtomicU64::new(0),
             pairing: Mutex::default(),
+            lineage: None,
         }
     }
 
@@ -843,6 +1021,16 @@ mod tests {
         Table::new(schema, &["id"]).unwrap()
     }
 
+    /// The stored form of the sharing property's value `v`: NULL for every
+    /// fifth, so columns carry validity masks.
+    fn cell(v: i64) -> Value {
+        if v % 5 == 0 {
+            Value::Null
+        } else {
+            Value::Int(v)
+        }
+    }
+
     /// `t` holds exactly `model`'s rows and finds each at its own position.
     fn assert_holds(t: &Table, model: &BTreeMap<i64, i64>) {
         assert_eq!(t.len(), model.len());
@@ -850,32 +1038,33 @@ mod tests {
             assert_eq!(t.position_of(row, t.key()), Some(i), "row {i} at its own position");
         }
         for k in 0..KEYS {
-            let got = t.get(&KeyTuple(vec![Value::Int(k)])).map(|r| r[1].as_i64().unwrap());
-            assert_eq!(got.as_ref(), model.get(&k), "key {k}");
+            let got = t.get(&KeyTuple(vec![Value::Int(k)])).map(|r| r[1].clone());
+            assert_eq!(got, model.get(&k).copied().map(cell), "key {k}");
         }
     }
 
     /// One step of the sharing property on `t` and its model: insert,
-    /// upsert, delete, or three keyed edits from `k` on.
+    /// upsert, delete, or four keyed edits of three keys from `k` on (the
+    /// last edits `k` again, so a key can leave and come back in one call).
     fn step(t: &mut Table, model: &mut BTreeMap<i64, i64>, kind: u8, k: i64, v: i64) {
         let key = |k: i64| KeyTuple(vec![Value::Int(k)]);
-        let old = |r: Option<SharedRow>| r.map(|r| r[1].as_i64().unwrap());
+        let old = |r: Option<SharedRow>| r.map(|r| r[1].clone());
         match kind {
             0 => {
                 let fresh = !model.contains_key(&k);
-                assert_eq!(t.insert(vec![Value::Int(k), Value::Int(v)]).is_ok(), fresh);
+                assert_eq!(t.insert(vec![Value::Int(k), cell(v)]).is_ok(), fresh);
                 model.entry(k).or_insert(v);
             }
             1 => assert_eq!(
-                old(t.upsert(vec![Value::Int(k), Value::Int(v)]).unwrap()),
-                model.insert(k, v)
+                old(t.upsert(vec![Value::Int(k), cell(v)]).unwrap()),
+                model.insert(k, v).map(cell)
             ),
-            2 => assert_eq!(old(t.delete(&key(k))), model.remove(&k)),
+            2 => assert_eq!(old(t.delete(&key(k))), model.remove(&k).map(cell)),
             _ => {
-                let edits: Vec<_> = (0..3)
+                let edits: Vec<_> = (0..4)
                     .map(|j| {
-                        let k = (k + j) % KEYS;
-                        let row = (v >> j & 1 == 0).then(|| vec![Value::Int(k), Value::Int(v + j)]);
+                        let k = (k + j % 3) % KEYS;
+                        let row = (v >> j & 1 == 0).then(|| vec![Value::Int(k), cell(v + j)]);
                         match &row {
                             Some(_) => model.insert(k, v + j),
                             None => model.remove(&k),
@@ -896,7 +1085,11 @@ mod tests {
         /// full width or narrowed to three bits: after every step every
         /// table equals its own `BTreeMap` model, and an edit of one table
         /// leaves every other table's lookups, columns, memoized answers and
-        /// pairing as they were.
+        /// pairing as they were. After keyed edits on a clone whose source
+        /// is unchanged, the clone's column equals one extracted from its
+        /// rows and its pairing with the source equals the pairing by key —
+        /// read off positions, with no key lookup, while keyed edits are
+        /// the only mutations the clone has seen.
         #[test]
         fn clones_share_rows_and_never_see_each_others_edits(
             narrow in 0u8..2,
@@ -908,6 +1101,11 @@ mod tests {
                 partner.insert(vec![Value::Int(k), Value::Int(-k)]).unwrap();
             }
             let mut tables = vec![(int_table(), BTreeMap::new())];
+            // Mutations per table; per clone, its source, the source's
+            // mutation count when cloned, and whether every mutation of the
+            // clone since was a keyed edit.
+            let mut versions = vec![0u64];
+            let mut sources: Vec<Option<(usize, u64, bool)>> = vec![None];
             for &(kind, k, v, who) in &steps {
                 let who = who % tables.len();
                 if kind == 4 {
@@ -917,10 +1115,12 @@ mod tests {
                     assert_eq!(shared.count(), copy.len());
                     let model = tables[who].1.clone();
                     tables.push((copy, model));
+                    versions.push(0);
+                    sources.push(Some((who, versions[who], true)));
                     continue;
                 }
                 // What every other table reads now, and must read after.
-                let sum = |t: &Table| t.rows().iter().map(|r| r[1].as_i64().unwrap() as f64).sum();
+                let sum = |t: &Table| t.rows().iter().map(|r| r[1].as_i64().unwrap_or(0) as f64).sum();
                 let before: Vec<_> = tables
                     .iter()
                     .map(|(t, _)| {
@@ -930,6 +1130,23 @@ mod tests {
                     .collect();
                 let (t, model) = &mut tables[who];
                 step(t, model, kind, k, v);
+                versions[who] += 1;
+                if let Some((_, _, only_edits)) = &mut sources[who] {
+                    *only_edits &= kind == 3;
+                }
+                match sources[who] {
+                    Some((source, version, only_edits)) if kind == 3 && versions[source] == version => {
+                        let (t, source) = (&tables[who].0, &tables[source].0);
+                        let extracted = ColumnSet::from_rows(t.schema(), t.rows());
+                        assert!(t.column(1).same_bits(&extracted.cols[1]));
+                        let builds = Table::pairing_build_count();
+                        assert_eq!(*t.paired_with(source), Pairing::of(t, source));
+                        if only_edits {
+                            assert_eq!(Table::pairing_build_count(), builds, "paired by key");
+                        }
+                    }
+                    _ => {}
+                }
                 for (i, ((t, model), (rows, column, answer, pairing))) in
                     tables.iter().zip(before).enumerate()
                 {

@@ -155,6 +155,21 @@ fn clt_interval_coverage_is_near_nominal() {
 ///   rests on a median of 2–3 nonzero differences: `sum` covers 59–69/100,
 ///   `count(*)` 78/100 under insert-only and mixed deltas, `avg` 59–71/100.
 ///
+/// * the join view at m = 0.05 (a sample of about 100 of 2 027 rows):
+///   every cell but AQP `count(*)` (93–95/100, means 1.6–1.8 % off) and
+///   update-only CORR `count(*)` (exact, 100/100). AQP `sum` covers
+///   85–86/100 with its means 2.3–3.0 % off, and AQP `avg` 87–88/100
+///   (Zipf-skewed prices over about 100 rows, the §6 regime). CORR rests on
+///   a median of 8–10 nonzero differences under insert-only and mixed
+///   deltas (1.5 under update-only): `sum` covers 66–81/100, `avg`
+///   71–81/100, `count(*)` 87/100.
+///
+/// * the join view at m = 0.3 (about 600 rows): CORR under insert-only
+///   deltas (`sum` 82, `count(*)` 86, `avg` 88/100) and CORR `count(*)`
+///   under mixed deltas (86/100), on a median of 47 nonzero differences,
+///   so not a small-sample effect; its cause is not yet measured (ROADMAP
+///   I). Every AQP cell covers 91–93/100 and passes.
+///
 /// AQP `count(*)` passes on both views (95–96/100) since its interval is
 /// Horvitz–Thompson: every sample row contributes `1/m`, so a fixed-size
 /// variance gave it zero width, while η draws the sample size at random.
@@ -165,6 +180,13 @@ fn known_miss(view: &str, mix: &str, agg: QueryAgg, method: Method) -> bool {
     }
     if view == "V3" {
         return !(agg == QueryAgg::Count && method == Method::Correction && update_only);
+    }
+    if view == "joinView m=0.05" {
+        return !(agg == QueryAgg::Count && (method == Method::AqpDirect || update_only));
+    }
+    if view == "joinView m=0.3" {
+        let corr = method == Method::Correction;
+        return corr && (mix == "insert-only" || (agg == QueryAgg::Count && !update_only));
     }
     if view == "cube" {
         let counted_by = if update_only { Method::Correction } else { Method::AqpDirect };
@@ -189,8 +211,10 @@ struct CoverageCell {
 }
 
 /// `sum` / `count` / `avg` / `median` × AQP / CORR on `base_cube` and the
-/// join view, `sum` / `count` on V21 (cleaned through its auxiliary table),
-/// and `sum` / `count` / `avg` on V3 under a range on a lowered column, under
+/// join view, `sum` / `count` / `avg` on the join view at sample ratios 0.05
+/// and 0.3 as well as 0.1, `sum` / `count` on V21 (cleaned through its
+/// auxiliary table), and `sum` / `count` / `avg` on V3 under a range on a
+/// lowered column, under
 /// insert-only, update-only and mixed deltas, each answered after `seeds`
 /// independent cleanings. Each view is built once and resampled per seed.
 /// Update-only deltas move no key, so the samples' pairing matches every row
@@ -219,13 +243,16 @@ fn svc_view_coverage_cells(seeds: u64) -> Vec<CoverageCell> {
     let in_range = || col("orderdate").ge(lit(lo)).and(col("orderdate").le(lit(hi)));
     let v3_queries =
         [AggQuery::sum(col("revenue")), AggQuery::count(), AggQuery::avg(col("revenue"))];
-    for (id, plan, queries) in [
-        ("cube", base_cube(), all("revenue")),
-        ("joinView", join_view(), all("l_extendedprice")),
-        ("V21", view("V21"), vec![AggQuery::sum(col("suppliers")), AggQuery::count()]),
-        ("V3", view("V3"), v3_queries.map(|q| q.filter(in_range())).to_vec()),
+    let means = |measure: &str| all(measure)[..3].to_vec();
+    for (id, ratio, plan, queries) in [
+        ("cube", 0.1, base_cube(), all("revenue")),
+        ("joinView", 0.1, join_view(), all("l_extendedprice")),
+        ("joinView m=0.05", 0.05, join_view(), means("l_extendedprice")),
+        ("joinView m=0.3", 0.3, join_view(), means("l_extendedprice")),
+        ("V21", 0.1, view("V21"), vec![AggQuery::sum(col("suppliers")), AggQuery::count()]),
+        ("V3", 0.1, view("V3"), v3_queries.map(|q| q.filter(in_range())).to_vec()),
     ] {
-        let mut svc = SvcView::create(id, plan, &data.db, SvcConfig::with_ratio(0.1)).unwrap();
+        let mut svc = SvcView::create(id, plan, &data.db, SvcConfig::with_ratio(ratio)).unwrap();
         let first = cells.len();
         for (sign, deltas) in &delta_sets {
             for q in &queries {
@@ -816,12 +843,50 @@ fn answering_projects_nothing_and_clones_no_table() {
             svc.estimate_aqp(&cleaned, &q).unwrap();
             svc.preferred_method(&cleaned, &q).unwrap();
         }
-        // One pairing of the cleaned sample with the stale one serves the
-        // 200 walks that have a stale side.
-        assert_eq!(counts(), (before.0, before.1, before.2 + 1), "{q:?}");
+        // The cleaned sample is the stale one folded, so the 200 walks that
+        // have a stale side pair the two by position: no key is looked up.
+        assert_eq!(counts(), before, "{q:?}");
         // The display form still projects, and is counted when it does.
         svc.stale_sample_public().unwrap();
         assert_eq!(projection_count(), before.0 + 1);
+    }
+}
+
+/// A cleaned sample is its stale sample folded, so it pairs with it by
+/// position and derives its columns from the stale sample's. Every
+/// estimate, under every aggregate, by AQP and CORR, must equal bit for bit
+/// the same estimate over a rebuild of the cleaned sample from its rows,
+/// which pairs by key and extracts its columns — on the join view (rows
+/// replaced by key) and an `avg` view (groups merged).
+#[test]
+fn folded_samples_answer_like_a_rebuild_of_their_rows() {
+    let data = TpcdData::generate(TpcdConfig { scale: 0.01, skew: 2.0, seed: 42 }).unwrap();
+    let deltas = data.updates(0.1, 7).unwrap();
+    let avg_view = Plan::scan("lineitem")
+        .aggregate(&["l_orderkey"], vec![AggSpec::new("avgQty", AggFunc::Avg, col("l_quantity"))]);
+    for (def, measure) in [(join_view(), "l_quantity"), (avg_view, "avgQty")] {
+        let svc = SvcView::create("v", def, &data.db, quick_config()).unwrap();
+        let q = AggQuery::sum(col(measure)).filter(col(measure).gt(lit(2.0)));
+        let answers = |cleaned: &CleanedSample| -> Vec<_> {
+            under_every_agg(&q)
+                .map(|q| {
+                    let corr = estimate_bits(svc.estimate_corr(cleaned, &q));
+                    (corr, estimate_bits(svc.estimate_aqp(cleaned, &q)))
+                })
+                .collect()
+        };
+        // A first clean's estimates build the stale sample's columns, which
+        // the next clean's output derives its own from.
+        answers(&svc.clean_sample(&data.db, &deltas).unwrap());
+        let cleaned = svc.clean_sample(&data.db, &deltas).unwrap();
+        let t = &cleaned.canonical;
+        let rows = Table::from_rows(t.schema().clone(), t.key().to_vec(), t.rows().to_vec());
+        let rebuilt = CleanedSample { canonical: rows.unwrap(), ..cleaned.clone() };
+        let builds = Table::pairing_build_count();
+        let folded = answers(&cleaned);
+        assert_eq!(Table::pairing_build_count(), builds, "the fold's output pairs by position");
+        assert_eq!(folded, answers(&rebuilt));
+        assert_eq!(Table::pairing_build_count(), builds + 1, "the rebuild pairs by key");
     }
 }
 
