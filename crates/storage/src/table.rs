@@ -119,9 +119,11 @@ pub struct Table {
     /// row-changing method, but not by [`Table::release_columns`]; flushed
     /// whole at `ANSWER_MEMO_CAP` answers.
     answers: Mutex<HashMap<String, (usize, f64)>>,
-    /// This state's identity (`state_id`): 0 until a reader asks for it,
-    /// then drawn from `NEXT_STATE`, so no two states — of one table or of
-    /// two — share one. Every row-changing method resets it.
+    /// This state's identity (`state_id`): 0 until a reader (or a clone)
+    /// asks for it, then drawn from `NEXT_STATE`, so no two different
+    /// states — of one table or of two — share one; a clone, the same rows
+    /// in the same order, takes its source's. Every row-changing method
+    /// resets it.
     state: AtomicU64,
     /// This state paired with another table's ([`Table::paired_with`]):
     /// that state's identity and the pairing. Emptied by every row-changing
@@ -487,7 +489,8 @@ impl Table {
     }
 
     /// This state's identity: the same number until the next mutation, and
-    /// never one another state — of this table or of any other — was given.
+    /// never one a different state — of this table or of any other — was
+    /// given.
     /// `Relaxed` suffices: the number publishes no data, it is only
     /// compared.
     fn state_id(&self) -> u64 {
