@@ -697,14 +697,9 @@ impl Table {
     pub fn upsert(&mut self, row: impl Into<SharedRow>) -> Result<Option<SharedRow>> {
         svc_fault::fail_point!(svc_fault::site::TABLE_MUTATE, StorageError::Invalid);
         let row = self.checked(row.into())?;
-        Ok(self.put(row))
-    }
-
-    /// Store `row` under its key, returning the row it replaced.
-    fn put(&mut self, row: SharedRow) -> Option<SharedRow> {
         self.touch();
         let h = self.row_hash(&row);
-        self.put_hashed(h, row).1
+        Ok(self.put_hashed(h, row).1)
     }
 
     /// Store `row`, whose key hashes to `h`, under its key: its position and
