@@ -92,14 +92,63 @@ impl Estimate {
     }
 }
 
+/// One sample's value at one row of the walk: `x` where `hit`; no value
+/// (and `x` = +0.0) where the row fails the predicate, its attribute is not
+/// numeric, or the key is not in the sample.
+///
+/// Whether a row has a value is data — the query's literal decides it — so
+/// the sample-mean finishers never branch on `hit`: they weigh a term by it
+/// ([`Slot::weight`]) or set a sign bit from it ([`Slot::or_nothing`]), and
+/// every row does the same work. A branch (or a float select, which the
+/// compiler may turn into one) on `hit` mispredicts most near a selectivity
+/// of one half, so a walk would cost more or less with the literal.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slot {
+    hit: bool,
+    x: f64,
+}
+
+impl Slot {
+    /// No value.
+    pub(crate) const NONE: Slot = Slot { hit: false, x: 0.0 };
+
+    /// The slot as an option.
+    pub(crate) fn value(self) -> Option<f64> {
+        self.hit.then_some(self.x)
+    }
+
+    /// Drop the value unless `keep`.
+    pub(crate) fn keep_if(&mut self, keep: bool) {
+        self.hit &= keep;
+        self.x = f64::from_bits(self.x.to_bits() & 0u64.wrapping_sub(u64::from(keep)));
+    }
+
+    /// 1.0 where the slot holds a value, 0.0 where not.
+    fn weight(self) -> f64 {
+        f64::from(u8::from(self.hit))
+    }
+
+    /// The value, or −0.0 — the exact additive identity, so a sum may add
+    /// every slot. (`x` is +0.0 where there is no value: only the sign bit
+    /// changes.)
+    fn or_nothing(self) -> f64 {
+        f64::from_bits(self.x.to_bits() | (u64::from(!self.hit) << 63))
+    }
+}
+
+impl From<Option<f64>> for Slot {
+    fn from(v: Option<f64>) -> Slot {
+        Slot { hit: v.is_some(), x: v.unwrap_or(0.0) }
+    }
+}
+
 /// The corresponding samples `(Ŝ, Ŝ′)` joined by key under one query:
-/// each sample's attribute value per row — `None` where the row fails the
-/// predicate or its attribute is not numeric — and the samples' pairing
-/// (Definition 4's "nulls are zero" full outer join, with the zero left to
-/// the finisher). [`Correspondence::walk`] visits it.
+/// each sample's attribute value per row ([`Slot`]) and the samples'
+/// pairing (Definition 4's "nulls are zero" full outer join, with the zero
+/// left to the finisher). [`Correspondence::walk`] visits it.
 pub(crate) struct Correspondence {
     /// Per row of the cleaned sample `Ŝ′`.
-    clean: Vec<Option<f64>>,
+    clean: Vec<Slot>,
     /// Rows of `Ŝ′` left out (empty: none).
     clean_skipped: Vec<bool>,
     /// `Ŝ`'s side; absent for SVC+AQP.
@@ -111,7 +160,7 @@ pub(crate) struct Correspondence {
 /// The stale sample's values, per row, and how its rows pair with the
 /// cleaned sample's.
 struct StaleSide {
-    values: Vec<Option<f64>>,
+    values: Vec<Slot>,
     skipped: Vec<bool>,
     pairing: Arc<Pairing>,
 }
@@ -187,20 +236,21 @@ struct Tally {
 impl Correspondence {
     /// A cleaned sample's values with no stale side and nothing skipped.
     pub(crate) fn of_clean(clean: Vec<Option<f64>>) -> Correspondence {
+        let clean: Vec<Slot> = clean.into_iter().map(Slot::from).collect();
         let clean_rows = clean.len();
         Correspondence { clean, clean_skipped: Vec::new(), stale: None, clean_rows }
     }
 
     /// The one walk: `f(stale, clean)` per key of `Ŝ ∪ Ŝ′` — the cleaned
-    /// sample's rows in table order, each with its partner's value, then
+    /// sample's rows in table order, each with its partner's slot, then
     /// the rows only the stale sample has, in its table order — leaving the
     /// skipped keys out.
-    pub(crate) fn walk(&self, mut f: impl FnMut(Option<f64>, Option<f64>)) {
+    pub(crate) fn walk_slots(&self, mut f: impl FnMut(Slot, Slot)) {
         let kept = |skipped: &[bool], i: usize| skipped.get(i) != Some(&true);
         let Some(stale) = &self.stale else {
             for (i, &c) in self.clean.iter().enumerate() {
                 if kept(&self.clean_skipped, i) {
-                    f(None, c);
+                    f(Slot::NONE, c);
                 }
             }
             return;
@@ -208,14 +258,20 @@ impl Correspondence {
         let partners = stale.pairing.partners();
         for (i, (&c, p)) in self.clean.iter().zip(partners).enumerate() {
             if kept(&self.clean_skipped, i) {
-                f(p.and_then(|j| stale.values[j]), c);
+                f(p.map_or(Slot::NONE, |j| stale.values[j]), c);
             }
         }
         for &j in stale.pairing.unmatched() {
             if kept(&stale.skipped, j) {
-                f(stale.values[j], None);
+                f(stale.values[j], Slot::NONE);
             }
         }
+    }
+
+    /// [`Correspondence::walk_slots`] with each slot as an option, for the
+    /// finishers that keep or compare values.
+    pub(crate) fn walk(&self, mut f: impl FnMut(Option<f64>, Option<f64>)) {
+        self.walk_slots(|s, c| f(s.value(), c.value()));
     }
 
     /// Finish the walk into an estimate of `agg`: `stale_result` is the
@@ -256,22 +312,18 @@ impl Correspondence {
     /// interval of a Bernoulli sample (η draws its size at random). One
     /// walk, in table order.
     fn total(&self, agg: QueryAgg, stale_result: Option<f64>, m: f64, confidence: f64) -> Tally {
-        let trans = |v: Option<f64>| match (agg, v) {
-            (_, None) => 0.0,
-            (QueryAgg::Sum, Some(x)) => x / m,
-            (_, Some(_)) => 1.0 / m,
-        };
+        // `attr/m` or `1/m` weighed by the slot: 0 where there is no value.
+        let trans = |v: Slot| v.weight() * if agg == QueryAgg::Sum { v.x / m } else { 1.0 / m };
         // −0.0 is the exact additive identity, as in `Iterator::sum`: at
-        // m = 1 an SVC+AQP total is `q(Ŝ′)` bit for bit.
+        // m = 1 an SVC+AQP total is `q(Ŝ′)` bit for bit. A key with no value
+        // on either side adds it, so every row does the same work.
         let (mut sum, mut squares, mut hits, mut nonzero) = (-0.0, 0.0, 0, 0);
-        self.walk(|s, c| {
-            hits += usize::from(c.is_some());
-            if s.is_some() || c.is_some() {
-                let d = trans(c) - trans(s);
-                sum += d;
-                squares += d * d;
-                nonzero += usize::from(d != 0.0);
-            }
+        self.walk_slots(|s, c| {
+            hits += usize::from(c.hit);
+            let d = Slot { hit: s.hit | c.hit, x: trans(c) - trans(s) }.or_nothing();
+            sum += d;
+            squares += d * d;
+            nonzero += usize::from(d != 0.0);
         });
         let ci = horvitz_thompson_interval(sum, squares, m, confidence);
         Tally {
@@ -286,19 +338,15 @@ impl Correspondence {
     /// `avg` (Section 5.2.1): the clean mean minus the stale mean over the
     /// rows under the predicate on each side, with a CLT interval from the
     /// variance of the per-row differences. Two walks: the sums, then the
-    /// squared deviations.
+    /// squared deviations. A missing value adds −0.0 to a sum and 0 to a
+    /// count: nothing, exactly, and no branch.
     fn mean(&self, stale_result: Option<f64>, confidence: f64) -> Result<Tally> {
         let (mut clean, mut stale, mut diffs) = ((-0.0, 0), (-0.0, 0), (-0.0, 0));
-        self.walk(|s, c| {
-            if let Some(x) = c {
-                clean = (clean.0 + x, clean.1 + 1);
-            }
-            if let Some(x) = s {
-                stale = (stale.0 + x, stale.1 + 1);
-            }
-            if s.is_some() || c.is_some() {
-                diffs = (diffs.0 + (c.unwrap_or(0.0) - s.unwrap_or(0.0)), diffs.1 + 1);
-            }
+        let add = |acc: (f64, usize), v: Slot| (acc.0 + v.or_nothing(), acc.1 + usize::from(v.hit));
+        self.walk_slots(|s, c| {
+            clean = add(clean, c);
+            stale = add(stale, s);
+            diffs = add(diffs, Slot { hit: s.hit | c.hit, x: c.x - s.x });
         });
         if clean.1 == 0 {
             return Err(nothing_selected(QueryAgg::Avg));
@@ -312,11 +360,11 @@ impl Correspondence {
         };
         let d_mean = mean(diffs.0, diffs.1);
         let mut deviations = 0.0;
-        self.walk(|s, c| {
-            if s.is_some() || c.is_some() {
-                let e = c.unwrap_or(0.0) - s.unwrap_or(0.0) - d_mean;
-                deviations += e * e;
-            }
+        self.walk_slots(|s, c| {
+            let e = c.x - s.x - d_mean;
+            let mut square = Slot { hit: true, x: e * e };
+            square.keep_if(s.hit | c.hit);
+            deviations += square.x;
         });
         let variance = if diffs.1 < 2 { 0.0 } else { deviations / (diffs.1 - 1) as f64 };
         let ci = mean_interval(correction, variance, diffs.1 as u64, confidence);

@@ -28,6 +28,8 @@ use svc_storage::{ColumnSet, Result, Row, StorageError, Table};
 
 use svc_stats::quantile::quantile_in_place;
 
+use crate::estimate::Slot;
+
 /// The aggregate function of a query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QueryAgg {
@@ -201,41 +203,54 @@ pub struct BoundQuery {
 }
 
 impl BoundQuery {
-    /// Feed `f` the row position and numeric attribute value of every row
-    /// of `table` the predicate selects, in table order (NULL and
-    /// non-numeric values are skipped). `table` has the schema the query
-    /// was bound to.
-    fn scan(&self, table: &Table, mut f: impl FnMut(usize, f64)) {
+    /// The columns the query names, read from `table`'s column cache, and
+    /// the rows of `table` its predicate selects. `table` has the schema the
+    /// query was bound to.
+    fn select(&self, table: &Table, scratch: &mut Row) -> (ColumnSet, SelVec) {
         let cols = ColumnSet {
             cols: self.columns.iter().map(|&c| table.column(c)).collect(),
             len: table.len(),
         };
         let mut sel = SelVec::range(0, table.len());
-        let mut scratch = Row::new();
         if let Some(p) = &self.predicate {
-            p.apply(&cols, &mut sel, &mut scratch);
+            p.apply(&cols, &mut sel, scratch);
         }
-        self.attr.for_each_f64(&cols, &sel, &mut scratch, |i, v| {
-            if let Some(v) = v {
-                f(i, v);
-            }
-        });
+        (cols, sel)
     }
 
     /// Numeric attribute values of predicate-satisfying rows, in table
     /// order (NULLs and non-numeric values are skipped).
     pub fn matching_values(&self, table: &Table) -> Vec<f64> {
+        let mut scratch = Row::new();
+        let (cols, sel) = self.select(table, &mut scratch);
         let mut out = Vec::new();
-        self.scan(table, |_, v| out.push(v));
+        self.attr.for_each_f64(&cols, &sel, &mut scratch, |_, v| out.extend(v));
         out
     }
 
-    /// One entry per row of `table`: its numeric attribute value if it
-    /// satisfies the predicate, `None` otherwise — what the estimators'
-    /// correspondence walk pairs by row position.
-    pub(crate) fn values_by_row(&self, table: &Table) -> Vec<Option<f64>> {
-        let mut out = vec![None; table.len()];
-        self.scan(table, |i, v| out[i] = Some(v));
+    /// One slot per row of `table`: its numeric attribute value if it
+    /// satisfies the predicate, none otherwise — what the estimators'
+    /// correspondence walk pairs by row position. The attribute is read on
+    /// every row, over whole column slices, and the rows the predicate drops
+    /// are then cleared: a sample costs the same whatever share of it the
+    /// predicate selects. (Reading a dropped row is safe: the attribute's
+    /// evaluation is total — NULL where it has no value, never a panic.)
+    pub(crate) fn values_by_row(&self, table: &Table) -> Vec<Slot> {
+        let mut scratch = Row::new();
+        let (cols, sel) = self.select(table, &mut scratch);
+        let n = table.len();
+        let mut out = Vec::with_capacity(n);
+        let dense = SelVec::range(0, n);
+        self.attr.for_each_f64(&cols, &dense, &mut scratch, |_, v| out.push(Slot::from(v)));
+        if let SelVec::Idx(kept) = sel {
+            let mut selected = vec![false; n];
+            for i in kept {
+                selected[i as usize] = true;
+            }
+            for (slot, selected) in out.iter_mut().zip(selected) {
+                slot.keep_if(selected);
+            }
+        }
         out
     }
 }

@@ -704,9 +704,9 @@ fn modulo<'a>(a: Src<i64>, b: Src<i64>, mask: Mask<'a>) -> Lane<'a> {
         _ => unreachable!("two constants fold into one"),
     };
     // Only a live row divides: a NULL row's value is unspecified and could
-    // overflow `rem_euclid` where the row path never divides.
+    // be a zero divisor where the row path never divides.
     let xs = (0..n)
-        .map(|k| if live(mask.as_deref(), k) { at(a, k).rem_euclid(at(b, k)) } else { 0 })
+        .map(|k| if live(mask.as_deref(), k) { at(a, k).wrapping_rem_euclid(at(b, k)) } else { 0 })
         .collect();
     Lane::Int(Cow::Owned(xs), mask)
 }
@@ -756,11 +756,11 @@ impl Lane<'_> {
 }
 
 /// `eval_arith` over numeric cell views: NULL propagates; `Div` is always
-/// float with `/0 → NULL`; `Mod` is integer-only with `%0 → NULL`;
-/// `Add`/`Sub`/`Mul` compute in `f64` and narrow back to `Int` only when
-/// *both* operands were integers — the exact row-path semantics, including
-/// the precision loss of the `f64` round trip on huge integers. The result
-/// is never [`Cell::Other`].
+/// float with `/0 → NULL`; `Mod` is integer-only with `%0 → NULL` and
+/// never overflows; `Add`/`Sub`/`Mul` compute in `f64` and narrow back to
+/// `Int` only when *both* operands were integers — the exact row-path
+/// semantics, including the precision loss of the `f64` round trip on huge
+/// integers. The result is never [`Cell::Other`].
 fn arith(op: BinOp, l: Cell, r: Cell) -> Cell {
     if matches!(l, Cell::Null) || matches!(r, Cell::Null) {
         return Cell::Null;
@@ -771,7 +771,7 @@ fn arith(op: BinOp, l: Cell, r: Cell) -> Cell {
             _ => Cell::Null,
         },
         BinOp::Mod => match (l, r) {
-            (Cell::I(a), Cell::I(b)) if b != 0 => Cell::I(a.rem_euclid(b)),
+            (Cell::I(a), Cell::I(b)) if b != 0 => Cell::I(a.wrapping_rem_euclid(b)),
             _ => Cell::Null,
         },
         _ => match (l.as_f64(), r.as_f64()) {
@@ -1211,9 +1211,9 @@ mod tests {
     }
 
     /// Generated columns for the typed-lane edge cases: a nullable Int `a`
-    /// with `i64` extremes, an Int `b` with zeros and negatives (never −1,
-    /// whose `i64::MIN % −1` overflows on both paths), a nullable Float `x`
-    /// with NaN, ±0 and ±∞, a Float `y`, and a Mixed `m`.
+    /// with `i64` extremes, an Int `b` with zeros and negatives (−1 among
+    /// them: `i64::MIN % −1` is 0 on both paths), a nullable Float `x` with
+    /// NaN, ±0 and ±∞, a Float `y`, and a Mixed `m`.
     fn edge_rows(n: usize) -> (Schema, Vec<Row>) {
         let schema = Schema::from_pairs(&[
             ("a", DataType::Int),
@@ -1243,8 +1243,7 @@ mod tests {
                     _ => Value::Int(small * 1_000_003),
                 };
                 let b = Value::Int(match (r >> 3) % 3 {
-                    0 => [0, 3, -3, 7, -7, 2][pick(11, 6)],
-                    _ if small == -1 => -2,
+                    0 => [0, 3, -3, 7, -7, -1][pick(11, 6)],
                     _ => small,
                 });
                 let x = match (r >> 5) % 6 {

@@ -27,7 +27,8 @@ pub enum BinOp {
     Mul,
     /// Division (always float; division by zero yields NULL).
     Div,
-    /// Modulo on integers.
+    /// Euclidean modulo on integers (modulo zero yields NULL; it never
+    /// overflows: `i64::MIN % -1` is 0).
     Mod,
     /// Equality (NULL-propagating).
     Eq,
@@ -320,7 +321,7 @@ fn eval_arith(op: BinOp, l: &Value, r: &Value) -> Value {
             _ => Value::Null,
         },
         BinOp::Mod => match (l.as_i64(), r.as_i64()) {
-            (Some(a), Some(b)) if b != 0 => Value::Int(a.rem_euclid(b)),
+            (Some(a), Some(b)) if b != 0 => Value::Int(a.wrapping_rem_euclid(b)),
             _ => Value::Null,
         },
         _ => match numeric_pair(l, r) {
@@ -499,6 +500,9 @@ mod tests {
         assert_eq!(eval(col("a").div(lit(4i64)), row(2, 0.0, "")), Value::Float(0.5));
         assert_eq!(eval(col("a").div(lit(0i64)), row(2, 0.0, "")), Value::Null);
         assert_eq!(eval(col("a").rem(lit(3i64)), row(7, 0.0, "")), Value::Int(1));
+        assert_eq!(eval(col("a").rem(lit(-3i64)), row(-7, 0.0, "")), Value::Int(2));
+        // The one quotient that overflows `i64` still has a remainder.
+        assert_eq!(eval(col("a").rem(lit(-1i64)), row(i64::MIN, 0.0, "")), Value::Int(0));
     }
 
     #[test]
