@@ -15,15 +15,13 @@
 //!   combined with the deterministic answer over `O`, weighted
 //!   `(N−l)/N · c_reg + l/N · c_out`, which preserves unbiasedness.
 
-use std::collections::HashSet;
-
-use svc_storage::{Database, Deltas, KeyTuple, Result, StorageError, Table};
+use svc_storage::{Database, Deltas, Result, StorageError, Table};
 
 use svc_ivm::delta::{delta_base, DeltaInfo};
-use svc_ivm::strategy::{recompute_plan, DeltaCatalog};
+use svc_ivm::strategy::recompute_plan;
 use svc_ivm::view::{maintenance_bindings, MaterializedView};
-use svc_relalg::derive::derive;
-use svc_relalg::eval::evaluate;
+use svc_relalg::eval::{evaluate, Bindings};
+use svc_relalg::optimizer::optimize;
 use svc_relalg::plan::{JoinKind, Plan};
 use svc_stats::clt::horvitz_thompson_interval;
 
@@ -82,15 +80,14 @@ impl OutlierIndex {
         let values: Vec<f64> = state.rows().iter().filter_map(|r| r[attr_idx].as_f64()).collect();
         let threshold = match spec.policy {
             ThresholdPolicy::Above(t) => t,
-            ThresholdPolicy::TopK => {
-                let mut v = values;
-                v.sort_by(f64::total_cmp);
-                if v.len() > spec.capacity {
-                    v[v.len() - spec.capacity]
-                } else {
-                    f64::NEG_INFINITY
+            // The capacity-th largest value, by selection: no full sort.
+            ThresholdPolicy::TopK => match values.len().checked_sub(spec.capacity) {
+                Some(n) if n > 0 => {
+                    let mut v = values;
+                    *v.select_nth_unstable_by(n, f64::total_cmp).1
                 }
-            }
+                _ => f64::NEG_INFINITY,
+            },
             ThresholdPolicy::StdDevs(c) => {
                 let m = svc_stats::moments::Moments::of(&values);
                 m.mean() + c * m.stddev()
@@ -123,6 +120,14 @@ impl OutlierIndex {
     /// Definition 5 push-up: the outlier rows `O` of the up-to-date view, in
     /// the view's *canonical* schema. `O` is exact: for aggregate views the
     /// affected groups are recomputed in full over the new base state.
+    ///
+    /// Both passes run optimized. The marker pass is the view over the new
+    /// state with the indexed relation bound to the index's records: for
+    /// SPJ views this *is* `O`; for aggregate views its rows, keyed by the
+    /// group key, are the affected groups. The exact pass is the whole
+    /// recompute restricted to them, `recompute ⋉ Scan __okeys` on the
+    /// group columns; the optimizer sinks that semi-join to the leaves, so
+    /// only the affected groups' rows reach the joins and the γ.
     pub fn push_up(
         &self,
         view: &MaterializedView,
@@ -130,57 +135,21 @@ impl OutlierIndex {
         deltas: &Deltas,
     ) -> Result<Table> {
         let info = DeltaInfo::of(deltas);
-        let cat = view.maint_catalog(db);
-        let canon_plan = &view.canonical().plan;
-
-        // Marker pass: the view definition with the indexed relation
-        // restricted to the outlier records and every other relation at its
-        // new state. For SPJ views this *is* O; for aggregate views it
-        // identifies the affected groups.
-        let marker_plan = substitute_new_states(canon_plan, &self.spec.table, &info, &cat)?;
         let mut bindings = maintenance_bindings(db, deltas, view.table());
         bindings.bind(OUTLIER_LEAF, &self.records);
-        let marker = evaluate(&marker_plan, &bindings)?;
-
-        match canon_plan {
-            Plan::Aggregate { input, group_by, aggregates } => {
-                // Affected group keys.
-                let keys: Table = distinct_keys(&marker, group_by.len())?;
-                // Exact recomputation of those groups over the new state.
-                let new_input = recompute_plan(input, &cat, &info)?;
-                let group_cols: Vec<(String, String)> = {
-                    let in_d = derive(&new_input, &cat)?;
-                    group_by
-                        .iter()
-                        .map(|g| {
-                            let i = in_d.schema.resolve(g)?;
-                            Ok((
-                                in_d.schema.field(i).name.clone(),
-                                keys.schema()
-                                    .field(group_by.iter().position(|x| x == g).expect("present"))
-                                    .name
-                                    .clone(),
-                            ))
-                        })
-                        .collect::<Result<_>>()?
-                };
-                let restricted = Plan::Join {
-                    left: Box::new(new_input),
-                    right: Box::new(Plan::scan(KEYS_LEAF)),
-                    kind: JoinKind::Semi,
-                    on: group_cols,
-                };
-                let exact_plan = Plan::Aggregate {
-                    input: Box::new(restricted),
-                    group_by: group_by.clone(),
-                    aggregates: aggregates.clone(),
-                };
-                let mut b2 = maintenance_bindings(db, deltas, view.table());
-                b2.bind(KEYS_LEAF, &keys);
-                evaluate(&exact_plan, &b2)
-            }
-            _ => Ok(marker),
-        }
+        let run = |plan: &Plan, bindings: &Bindings<'_>| {
+            evaluate(&new_state_plan(plan, bindings, &info)?, bindings)
+        };
+        let marked =
+            view.canonical().plan.clone().rename_leaves(&mut |table| {
+                (table == self.spec.table).then(|| OUTLIER_LEAF.into())
+            });
+        let marker = run(&marked, &bindings)?;
+        let Some(restricted) = restricted_to_keys(view, &marker) else {
+            return Ok(marker);
+        };
+        bindings.bind(KEYS_LEAF, &marker);
+        run(&restricted, &bindings)
     }
 
     /// Is this index usable for a given cleaning run? Per Section 6.2,
@@ -195,32 +164,27 @@ impl OutlierIndex {
 const OUTLIER_LEAF: &str = "__outliers";
 const KEYS_LEAF: &str = "__okeys";
 
-/// Replace `Scan target` with `Scan __outliers` and every other scan with
-/// its new state: `__outliers` has no deltas, so recomputation leaves it as
-/// the bare scan.
-fn substitute_new_states(
-    plan: &Plan,
-    target: &str,
-    info: &DeltaInfo,
-    cat: &DeltaCatalog<'_>,
-) -> Result<Plan> {
-    let marked =
-        plan.clone().rename_leaves(&mut |table| (table == target).then(|| OUTLIER_LEAF.into()));
-    recompute_plan(&marked, cat, info)
+/// `plan` over the new base state, optimized: how push-up runs each pass.
+fn new_state_plan(plan: &Plan, bindings: &Bindings<'_>, info: &DeltaInfo) -> Result<Plan> {
+    Ok(optimize(&recompute_plan(plan, bindings, info)?, bindings)?.0)
 }
 
-/// Distinct prefixes (group keys) of a table's rows as a keyed table.
-fn distinct_keys(table: &Table, k: usize) -> Result<Table> {
-    let schema = table.schema().project(&(0..k).collect::<Vec<_>>());
-    let mut out = Table::with_key_indices(schema, (0..k).collect())?;
-    let mut seen: HashSet<KeyTuple> = HashSet::new();
-    for row in table.rows() {
-        let key = KeyTuple(row[..k].to_vec());
-        if seen.insert(key) {
-            out.insert(row[..k].to_vec())?;
-        }
-    }
-    Ok(out)
+/// For an aggregate view, the view restricted to the groups of `keys` (a
+/// table in the view's canonical schema, keyed by the group key):
+/// `view ⋉ Scan __okeys` on the group columns. `None` for an SPJ view.
+fn restricted_to_keys(view: &MaterializedView, keys: &Table) -> Option<Plan> {
+    let plan = &view.canonical().plan;
+    let Plan::Aggregate { group_by, .. } = plan else {
+        return None;
+    };
+    let name = |t: &Table, i: usize| t.schema().field(i).name.clone();
+    let on = (0..group_by.len()).map(|i| (name(view.table(), i), name(keys, i))).collect();
+    Some(Plan::Join {
+        left: Box::new(plan.clone()),
+        right: Box::new(Plan::scan(KEYS_LEAF)),
+        kind: JoinKind::Semi,
+        on,
+    })
 }
 
 /// SVC+AQP with an outlier index (Section 6.3): the sample estimate over
@@ -308,7 +272,7 @@ mod tests {
     use crate::query::relative_error;
     use crate::svc::SvcView;
     use svc_relalg::aggregate::{AggFunc, AggSpec};
-    use svc_relalg::scalar::col;
+    use svc_relalg::scalar::{col, lit};
     use svc_storage::{DataType, Schema, Value};
 
     /// A skewed database: order "prices" follow a rough power law, so a few
@@ -507,5 +471,253 @@ mod tests {
         assert!(ci.contains(truth), "{} ± {} misses {truth}", est.value, ci.half_width);
         let plain = svc.estimate_aqp(&cleaned, &q).unwrap();
         assert!(ci.half_width < plain.ci.unwrap().half_width, "the exact term narrows the bound");
+    }
+
+    /// Ties at the threshold: the selected threshold is the capacity-th
+    /// largest value, and the eviction keeps exactly `capacity` records,
+    /// all at or above it.
+    #[test]
+    fn top_k_threshold_with_ties_is_the_capacity_th_largest_value() {
+        let mut db = Database::new();
+        let mut t = Table::new(
+            Schema::from_pairs(&[("id", DataType::Int), ("x", DataType::Float)]).unwrap(),
+            &["id"],
+        )
+        .unwrap();
+        // Values 1..=5 twice over, then 7.0 three times: sorted descending,
+        // 7 7 7 5 5 4 4 …, so the 4th and 5th largest tie at 5.0.
+        let xs = [1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 7.0, 7.0];
+        for (i, x) in xs.iter().enumerate() {
+            t.insert(vec![Value::Int(i as i64), Value::Float(*x)]).unwrap();
+        }
+        db.create_table("t", t);
+        for (capacity, threshold) in [(1, 7.0), (3, 7.0), (4, 5.0), (5, 5.0), (6, 4.0), (13, -1.0)]
+        {
+            let spec = OutlierIndexSpec {
+                table: "t".into(),
+                attr: "x".into(),
+                policy: ThresholdPolicy::TopK,
+                capacity,
+            };
+            let idx = OutlierIndex::build(spec, &db, &Deltas::new()).unwrap();
+            let want = if threshold < 0.0 { f64::NEG_INFINITY } else { threshold };
+            assert_eq!(idx.threshold.to_bits(), want.to_bits(), "capacity {capacity}");
+            assert_eq!(idx.records.len(), capacity, "capacity {capacity}");
+            let x = idx.records.schema().resolve("x").unwrap();
+            let mut kept: Vec<f64> =
+                idx.records.rows().iter().map(|r| r[x].as_f64().unwrap()).collect();
+            kept.sort_by(|a, b| b.total_cmp(a));
+            let mut top = xs.to_vec();
+            top.sort_by(|a, b| b.total_cmp(a));
+            assert_eq!(kept, top[..capacity], "capacity {capacity}: the largest values are kept");
+        }
+    }
+
+    /// A small database in the TPC-D shape — lineitem → orders → customer
+    /// → nation → region — with every 53rd lineitem price heavy.
+    fn star_db() -> Database {
+        fn table(cols: &[(&str, DataType)], key: &[&str], rows: Vec<Vec<Value>>) -> Table {
+            let mut t = Table::new(Schema::from_pairs(cols).unwrap(), key).unwrap();
+            for row in rows {
+                t.insert(row).unwrap();
+            }
+            t
+        }
+        let int = |i: i64| Value::Int(i);
+        let mut db = Database::new();
+        db.create_table(
+            "region",
+            table(
+                &[("r_regionkey", DataType::Int)],
+                &["r_regionkey"],
+                (0..3).map(|r| vec![int(r)]).collect(),
+            ),
+        );
+        db.create_table(
+            "nation",
+            table(
+                &[("n_nationkey", DataType::Int), ("n_regionkey", DataType::Int)],
+                &["n_nationkey"],
+                (0..8).map(|n| vec![int(n), int(n % 3)]).collect(),
+            ),
+        );
+        db.create_table(
+            "customer",
+            table(
+                &[("c_custkey", DataType::Int), ("c_nationkey", DataType::Int)],
+                &["c_custkey"],
+                (0..40).map(|c| vec![int(c), int(c % 8)]).collect(),
+            ),
+        );
+        db.create_table(
+            "orders",
+            table(
+                &[
+                    ("o_orderkey", DataType::Int),
+                    ("o_custkey", DataType::Int),
+                    ("o_orderdate", DataType::Int),
+                ],
+                &["o_orderkey"],
+                (0..300).map(|o| vec![int(o), int(o % 40), int(o % 90)]).collect(),
+            ),
+        );
+        db.create_table(
+            "lineitem",
+            table(
+                &[
+                    ("l_orderkey", DataType::Int),
+                    ("l_linenumber", DataType::Int),
+                    ("l_partkey", DataType::Int),
+                    ("l_extendedprice", DataType::Float),
+                ],
+                &["l_orderkey", "l_linenumber"],
+                (0..1200).map(|i| star_lineitem(i % 300, i / 300, i)).collect(),
+            ),
+        );
+        db
+    }
+
+    fn star_lineitem(order: i64, line: i64, i: i64) -> Vec<Value> {
+        let price = if i % 53 == 0 { 20_000.0 + i as f64 } else { (i % 40) as f64 + 0.5 };
+        vec![Value::Int(order), Value::Int(line), Value::Int(i % 17), Value::Float(price)]
+    }
+
+    /// Inserted lineitems (heavy ones among them) on old and new orders,
+    /// new orders, and updated and deleted lineitems.
+    fn star_deltas(db: &Database) -> Deltas {
+        let mut deltas = Deltas::new();
+        for o in 300..320 {
+            deltas
+                .insert(db, "orders", vec![Value::Int(o), Value::Int(o % 40), Value::Int(o % 90)])
+                .unwrap();
+        }
+        for i in 1200..1320 {
+            deltas.insert(db, "lineitem", star_lineitem(i % 320, 4 + i / 320, i)).unwrap();
+        }
+        for i in (0..1200).step_by(31) {
+            deltas.update(db, "lineitem", star_lineitem(i % 300, i / 300, i + 7)).unwrap();
+        }
+        for i in (5..1200).step_by(97) {
+            let key = [Value::Int(i % 300), Value::Int(i / 300), Value::Null, Value::Null];
+            deltas.delete(db, "lineitem", &key).unwrap();
+        }
+        deltas
+    }
+
+    fn lineitem_orders() -> Plan {
+        Plan::scan("lineitem").join(
+            Plan::scan("orders"),
+            JoinKind::Inner,
+            &[("l_orderkey", "o_orderkey")],
+        )
+    }
+
+    /// TPC-D V3's shape: revenue per order over lineitem ⋈ orders.
+    fn v3() -> Plan {
+        lineitem_orders().aggregate(
+            &["l_orderkey"],
+            vec![
+                AggSpec::new("revenue", AggFunc::Sum, col("l_extendedprice")),
+                AggSpec::count_all("n"),
+                AggSpec::new("orderdate", AggFunc::Avg, col("o_orderdate")),
+            ],
+        )
+    }
+
+    /// The base cube's shape: the five-way join grouped by keys of four
+    /// relations, which no single join side owns.
+    fn cube() -> Plan {
+        lineitem_orders()
+            .join(Plan::scan("customer"), JoinKind::Inner, &[("o_custkey", "c_custkey")])
+            .join(Plan::scan("nation"), JoinKind::Inner, &[("c_nationkey", "n_nationkey")])
+            .join(Plan::scan("region"), JoinKind::Inner, &[("n_regionkey", "r_regionkey")])
+            .aggregate(
+                &["c_custkey", "n_nationkey", "r_regionkey", "l_partkey"],
+                vec![
+                    AggSpec::new("revenue", AggFunc::Sum, col("l_extendedprice")),
+                    AggSpec::count_all("n"),
+                ],
+            )
+    }
+
+    fn star_index(db: &Database, deltas: &Deltas) -> OutlierIndex {
+        let spec = OutlierIndexSpec {
+            table: "lineitem".into(),
+            attr: "l_extendedprice".into(),
+            policy: ThresholdPolicy::TopK,
+            capacity: 12,
+        };
+        OutlierIndex::build(spec, db, deltas).unwrap()
+    }
+
+    #[test]
+    fn pushed_up_rows_equal_the_fresh_view_at_their_keys() {
+        let db = star_db();
+        let deltas = star_deltas(&db);
+        let idx = star_index(&db, &deltas);
+        let spj = lineitem_orders().select(col("o_orderdate").lt(lit(60i64)));
+        for (name, plan) in [("V3", v3()), ("cube", cube()), ("SPJ", spj)] {
+            let view = MaterializedView::create(name, plan, &db).unwrap();
+            let o = idx.push_up(&view, &db, &deltas).unwrap();
+            let fresh = view.recompute_fresh(&db, &deltas).unwrap();
+            assert!(!o.is_empty(), "{name}: the index marks rows");
+            for (k, row) in o.iter_keyed() {
+                let f =
+                    fresh.get(&k).unwrap_or_else(|| panic!("{name}: {k:?} not in the fresh view"));
+                assert_eq!(row, f, "{name}: pushed-up row differs from the fresh view at {k:?}");
+            }
+        }
+    }
+
+    /// Scans of `plan` with whether each sits under `⋉ __okeys` through
+    /// σ / Π only, and the inner joins found anywhere below such a semi-join.
+    fn restricted_scans(
+        plan: &Plan,
+        under: bool,
+        scans: &mut Vec<(String, bool)>,
+        inner: &mut usize,
+    ) {
+        let keys_join = |p: &Plan| matches!(p, Plan::Join { kind: JoinKind::Semi, right, .. } if right.leaf_tables() == [KEYS_LEAF]);
+        match plan {
+            Plan::Scan { table } => scans.push((table.clone(), under)),
+            Plan::Select { input, .. } | Plan::Project { input, .. } => {
+                restricted_scans(input, under, scans, inner);
+            }
+            Plan::Join { left, .. } if keys_join(plan) => {
+                restricted_scans(left, true, scans, &mut 0);
+                *inner += count_inner_joins(left);
+            }
+            other => other.children().for_each(|c| restricted_scans(c, false, scans, inner)),
+        }
+    }
+
+    fn count_inner_joins(plan: &Plan) -> usize {
+        let own = matches!(plan, Plan::Join { kind: JoinKind::Inner, .. }) as usize;
+        own + plan.children().map(count_inner_joins).sum::<usize>()
+    }
+
+    /// V3's exact pass, optimized: the key restriction reaches every leaf
+    /// of both join sides, so only the affected groups' rows are joined.
+    #[test]
+    fn the_exact_pass_restricts_every_v3_leaf_below_the_join() {
+        let db = star_db();
+        let deltas = star_deltas(&db);
+        let idx = star_index(&db, &deltas);
+        let view = MaterializedView::create("V3", v3(), &db).unwrap();
+        let o = idx.push_up(&view, &db, &deltas).unwrap();
+        let mut bindings = maintenance_bindings(&db, &deltas, view.table());
+        bindings.bind(KEYS_LEAF, &o);
+        let plan = restricted_to_keys(&view, &o).expect("an aggregate view");
+        let optimized = new_state_plan(&plan, &bindings, &DeltaInfo::of(&deltas)).unwrap();
+
+        let (mut scans, mut inner) = (Vec::new(), 0);
+        restricted_scans(&optimized, false, &mut scans, &mut inner);
+        let leaves = ["lineitem", "orders", "__ins.lineitem", "__ins.orders"];
+        for leaf in leaves {
+            let at: Vec<bool> = scans.iter().filter(|(t, _)| t == leaf).map(|s| s.1).collect();
+            assert!(!at.is_empty() && at.iter().all(|&r| r), "{leaf} unrestricted in\n{optimized}");
+        }
+        assert_eq!(inner, 0, "an inner join below the key restriction:\n{optimized}");
+        assert_eq!(count_inner_joins(&optimized), 1, "{optimized}");
     }
 }

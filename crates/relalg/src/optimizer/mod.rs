@@ -8,7 +8,11 @@
 //! 1. [`predicate`] — **predicate pushdown**: σ nodes dissolve into conjunct
 //!    sets that sink through Π (by substitution), joins (per side), γ (group
 //!    columns only), and set operations, recombining with `AND` where they
-//!    land;
+//!    land. A semi-join against a bare leaf (`X ⋉ Scan K`, a key-set
+//!    restriction) sinks with them as one more conjunct, and under an inner
+//!    join crosses the join equalities into both sides, so a whole-view
+//!    recompute restricted to a few keys reads only their rows past the
+//!    leaves;
 //! 2. [`joinorder`] — **cost-based join reordering**: inner-join regions are
 //!    rebuilt in the cheapest order a [`cost::CardEstimator`] can find (DP up
 //!    to 8 relations, greedy beyond). Only [`optimize_with`] runs it; the
@@ -17,7 +21,8 @@
 //! 3. [`projection`] — **projection pruning**: drops columns that no
 //!    ancestor needs below joins, aggregates, and set operations, always
 //!    preserving the primary-key columns that Definition 2 key derivation
-//!    ([`mod@crate::derive`]) requires;
+//!    ([`mod@crate::derive`]) requires; a leaf semi-join is pruned like a
+//!    σ, so its leaf stays bare for the next pass;
 //! 4. [`eta`] — **η hash-sampling pushdown**: the paper's Definition 3
 //!    rewrite (Section 4.3/4.4 legality conditions), so that cleaning a
 //!    sample touches only hash-selected rows.

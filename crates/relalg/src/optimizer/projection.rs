@@ -6,7 +6,8 @@
 //! join conditions, hash keys). Where a child of a join or set operation
 //! produces more columns than required, a bare-column Π is inserted above
 //! it so the evaluator materializes (and the join copies) only what is
-//! needed.
+//! needed. A semi-join against a bare leaf is a filter, pruned like σ: its
+//! inputs stay unwrapped.
 //!
 //! Two invariants keep the rewrite exact:
 //!
@@ -205,6 +206,25 @@ fn prune_node(
             let (inner, inner_d) = prune_node(*input, dt.input(), Some(input_required), pruned)?;
             let out = derive_aggregate(&inner_d, &group_by, &aggregates)?;
             Ok((Plan::Aggregate { input: Box::new(inner), group_by, aggregates }, out))
+        }
+        Plan::Join { left, right, kind: JoinKind::Semi, on }
+            if matches!(*right, Plan::Scan { .. }) =>
+        {
+            // A semi-join against a bare leaf is a row filter that predicate
+            // pushdown sinks like a σ; like a σ it passes the required set
+            // down with its own columns added, and keeps its leaf bare, so
+            // the next pass still sees a leaf semi-join.
+            let (l_t, r_t) = dt.pair();
+            let required = match required {
+                None => None,
+                Some(mut r) => {
+                    exact(&l_t.derived.schema, on.iter().map(|(l, _)| l.as_str()), &mut r)?;
+                    Some(r)
+                }
+            };
+            let (l, l_d) = prune_node(*left, l_t, required, pruned)?;
+            let out = derive_join(&l_d, &r_t.derived, JoinKind::Semi, &on, right.name_hint())?.0;
+            Ok((Plan::Join { left: Box::new(l), right, kind: JoinKind::Semi, on }, out))
         }
         Plan::Join { left, right, kind, on } => {
             let (l_t, r_t) = dt.pair();

@@ -2,7 +2,9 @@
 //! over a heavy-tailed price distribution, where a handful of records
 //! dominate sums and plain sampling struggles.
 //!
-//! Run with: `cargo run --release --example outlier_skew`
+//! Run with: `cargo run --release --example outlier_skew`. It exits
+//! non-zero unless every pushed-up outlier row equals the freshly
+//! recomputed view's row at its key.
 
 use stale_view_cleaning::core::outlier::{
     estimate_aqp_with_outliers, stale_rows_at, OutlierIndex, OutlierIndexSpec, ThresholdPolicy,
@@ -46,7 +48,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _o_stale = stale_rows_at(&svc.view.public_table()?, &o_fresh);
     println!("outlier rows of the view: {}", o_fresh.len());
 
+    // Self-check: every pushed-up row is the fresh view's row at its key.
     let fresh = svc.view.public_of(&svc.view.recompute_fresh(&data.db, &deltas)?)?;
+    let wrong = o_fresh.iter_keyed().filter(|(k, row)| fresh.get(k) != Some(*row)).count();
+    if o_fresh.is_empty() || wrong > 0 {
+        return Err(format!(
+            "push-up differs from the fresh view: {wrong} of {} rows",
+            o_fresh.len()
+        )
+        .into());
+    }
+    println!("every outlier row equals the fresh view's row at its key");
     let q = AggQuery::sum(col("revenue")).filter(col("orderdate").lt(lit(1500.0)));
     let truth = q.exact(&fresh)?;
 

@@ -362,3 +362,138 @@ proptest! {
         }
     }
 }
+
+/// A semi-join against the bare leaf `keys` — the key restriction the
+/// outlier push-up places over a whole-view recompute.
+fn keys_on(plan: Plan, column: &str) -> Plan {
+    plan.join(Plan::scan("keys"), JoinKind::Semi, &[(column, "k")])
+}
+
+/// Leaf semi-joins above Π (renaming and computing), σ, γ (on a group and
+/// on an aggregate column), ∪, ∩, −, ▷, an inner ⋈ (on either side's
+/// column) and a ⟕ (on the preserved and on the padded side's column).
+fn semi_variant(variant: u8) -> Plan {
+    let fact_dim = |kind| Plan::scan("fact").join(Plan::scan("dim"), kind, &[("dimId", "dimId")]);
+    match variant % 13 {
+        0 => keys_on(
+            Plan::scan("fact").project(vec![
+                ("d", col("dimId")),
+                ("factId", col("factId")),
+                ("x2", col("x").mul(lit(2.0))),
+            ]),
+            "d",
+        ),
+        1 => keys_on(
+            Plan::scan("fact")
+                .project(vec![("d", col("dimId").add(lit(1i64))), ("factId", col("factId"))]),
+            "d",
+        ),
+        2 => keys_on(Plan::scan("fact").select(col("x").gt(lit(0.3))), "dimId")
+            .select(col("y").lt(lit(3.0))),
+        3 => keys_on(
+            fact_dim(JoinKind::Inner).aggregate(
+                &["dimId", "tag"],
+                vec![AggSpec::count_all("n"), AggSpec::new("sx", AggFunc::Sum, col("x"))],
+            ),
+            "dimId",
+        ),
+        4 => keys_on(Plan::scan("fact").aggregate(&["dimId"], vec![AggSpec::count_all("n")]), "n"),
+        5 => keys_on(
+            Plan::scan("fact")
+                .select(col("x").lt(lit(0.7)))
+                .union(Plan::scan("fact").select(col("x").ge(lit(0.4)))),
+            "dimId",
+        ),
+        6 => keys_on(
+            Plan::scan("fact")
+                .select(col("x").lt(lit(0.7)))
+                .intersect(Plan::scan("fact").select(col("y").ge(lit(1.0)))),
+            "dimId",
+        ),
+        7 => keys_on(
+            Plan::scan("fact").difference(Plan::scan("fact").select(col("x").gt(lit(0.5)))),
+            "dimId",
+        ),
+        8 => keys_on(
+            Plan::scan("fact").join(
+                Plan::scan("dim").select(col("tag").lt(lit(2i64))),
+                JoinKind::Anti,
+                &[("dimId", "dimId")],
+            ),
+            "dimId",
+        ),
+        9 => keys_on(fact_dim(JoinKind::Inner), "dimId"),
+        10 => keys_on(fact_dim(JoinKind::Inner), "tag").select(col("x").gt(lit(0.2))),
+        11 => keys_on(fact_dim(JoinKind::Left), "dimId"),
+        _ => keys_on(fact_dim(JoinKind::Left), "dim.dimId"),
+    }
+}
+
+/// A semi-join `⋉ Scan keys` that landed where it may not: inside the
+/// NULL-padded side of a ⟕, or below a γ on a column the γ does not group
+/// by. `None` when every one is in place.
+fn misplaced_key_set(plan: &Plan) -> Option<String> {
+    fn key_sets(plan: &Plan, out: &mut Vec<String>) {
+        if let Plan::Join { right, kind: JoinKind::Semi, on, .. } = plan {
+            if **right == Plan::scan("keys") {
+                out.extend(on.iter().map(|(a, _)| a.clone()));
+            }
+        }
+        plan.children().for_each(|c| key_sets(c, out));
+    }
+    let unqualified = |n: &str| n.rsplit('.').next().unwrap_or(n).to_string();
+    let mut found = Vec::new();
+    match plan {
+        Plan::Join { right, kind: JoinKind::Left, .. } => key_sets(right, &mut found),
+        Plan::Aggregate { input, group_by, .. } => {
+            key_sets(input, &mut found);
+            found.retain(|a| !group_by.iter().any(|g| unqualified(g) == unqualified(a)));
+        }
+        _ => {}
+    }
+    match found.first() {
+        Some(a) => Some(format!("⋉ keys on `{a}` below\n{plan}")),
+        None => plan.children().find_map(misplaced_key_set),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Leaf semi-joins sink like conjuncts: the optimized plan evaluates to
+    /// the same rows, is a fixed point, and leaves no key set in a padded
+    /// join side or below a γ on an aggregate column.
+    #[test]
+    fn leaf_semi_joins_sink_equivalently(
+        n_facts in 30usize..150,
+        n_dims in 4usize..16,
+        variant in 0u8..13,
+        keys in proptest::collection::vec(0i64..20, 0..8),
+        data_seed in 0u64..200,
+    ) {
+        let mut db = build_db(n_facts, n_dims, data_seed);
+        let mut table =
+            Table::new(Schema::from_pairs(&[("k", DataType::Int)]).unwrap(), &["k"]).unwrap();
+        for &k in keys.iter().collect::<std::collections::BTreeSet<_>>() {
+            table.insert(vec![Value::Int(k)]).unwrap();
+        }
+        db.create_table("keys", table);
+        let plan = semi_variant(variant);
+
+        let b = Bindings::from_database(&db);
+        let expected = evaluate(&plan, &b).unwrap();
+        let (optimized, _) = optimize(&plan, &db).unwrap();
+        let got = evaluate(&optimized, &b).unwrap();
+        prop_assert!(
+            got.same_contents(&expected),
+            "variant {variant}: {} vs {} rows\n{plan}\noptimized:\n{optimized}",
+            got.len(),
+            expected.len()
+        );
+        let (again, _) = optimize(&optimized, &db).unwrap();
+        prop_assert_eq!(&again, &optimized, "variant {}: a second pass moved the plan", variant);
+        if let Some(wrong) = misplaced_key_set(&optimized) {
+            prop_assert!(false, "variant {variant}: {wrong}");
+        }
+    }
+}
