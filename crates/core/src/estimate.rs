@@ -30,7 +30,18 @@
 //! terms its interval rests on ([`Estimate::n_eff`]).
 //! The bootstrap reads each resample's quantile off rank counts over the
 //! sample sorted once (`svc_stats::bootstrap`); its percentile bounds are
-//! found by selection, not sorting.
+//! found by selection, not sorting. SVC+CORR's median bootstraps the walk's
+//! `(stale, clean)` pairs, one draw per key: the correction's variance is
+//! var(Ŝ′) + var(Ŝ) − 2 cov(Ŝ, Ŝ′), and most keys are unchanged, so two
+//! independent resamples would drop a large covariance and report an
+//! interval several times too wide.
+//!
+//! The cleaned sample is usually the stale sample folded, which pairs by
+//! position and names the rows the fold touched ([`Pairing::changed`]):
+//! every other row of `Ŝ′` is `Ŝ`'s row at the same position. Its slots
+//! are then `Ŝ`'s, copied, and the query runs on `Ŝ′` at the touched rows
+//! only — a few dozen of several hundred — so a burst of corrections pays
+//! for the clean's edits, not for the sample twice.
 
 use std::sync::Arc;
 
@@ -123,6 +134,12 @@ impl Slot {
         self.x = f64::from_bits(self.x.to_bits() & 0u64.wrapping_sub(u64::from(keep)));
     }
 
+    /// The slot as bits, for the verifier's bit-for-bit comparisons.
+    #[cfg(feature = "verify")]
+    fn bits(self) -> (bool, u64) {
+        (self.hit, self.x.to_bits())
+    }
+
     /// 1.0 where the slot holds a value, 0.0 where not.
     fn weight(self) -> f64 {
         f64::from(u8::from(self.hit))
@@ -189,20 +206,47 @@ fn skipped_rows(t: &Table, skip: &[&Table]) -> Vec<bool> {
 /// rows whose key any `skip` table holds (the outlier sets of Section 6.3)
 /// are left out on both sides. The pairing is memoized on the cleaned
 /// sample.
+///
+/// When the cleaned sample is the stale sample folded, the pairing is read
+/// off the fold's positions and names the rows the fold touched
+/// ([`Pairing::changed`]): every other row is the stale sample's own row.
+/// Both samples then share one schema, so `q` is bound once, evaluated on
+/// the whole stale sample and, on the cleaned sample, at the touched rows
+/// only; its other slots are the stale sample's. A pairing by key lookup
+/// evaluates the cleaned sample whole.
 pub(crate) fn correspond(
     stale: Option<&Table>,
     clean: &Table,
     skip: &[&Table],
     q: &AggQuery,
 ) -> Result<Correspondence> {
-    let clean_values = q.bind(clean)?.values_by_row(clean);
-    let stale = match stale {
-        None => None,
-        Some(s) => Some(StaleSide {
-            values: q.bind(s)?.values_by_row(s),
-            skipped: skipped_rows(s, skip),
-            pairing: clean.paired_with(s),
-        }),
+    let (clean_values, stale) = match stale {
+        None => (q.bind(clean)?.values_by_row(clean), None),
+        Some(s) => {
+            let bound = q.bind(s)?;
+            let pairing = clean.paired_with(s);
+            let values = bound.values_by_row(s);
+            let clean_values = match pairing.changed() {
+                Some(changed) => {
+                    let slots = bound.values_at(clean, changed, &values);
+                    // With the verifier on, prove the copied slots honest.
+                    #[cfg(feature = "verify")]
+                    {
+                        let whole = bound.values_by_row(clean);
+                        let bits = |v: &[Slot]| -> Vec<_> { v.iter().map(|s| s.bits()).collect() };
+                        assert_eq!(
+                            bits(&slots),
+                            bits(&whole),
+                            "edit-only clean slots differ from evaluating the cleaned sample whole"
+                        );
+                    }
+                    slots
+                }
+                None => q.bind(clean)?.values_by_row(clean),
+            };
+            let skipped = skipped_rows(s, skip);
+            (clean_values, Some(StaleSide { values, skipped, pairing }))
+        }
     };
     let clean_skipped = skipped_rows(clean, skip);
     let clean_rows = clean.len() - clean_skipped.iter().filter(|&&s| s).count();
@@ -378,8 +422,9 @@ impl Correspondence {
     }
 
     /// Order-statistic class (Section 5.2.5): bootstrap the statistic, or
-    /// for SVC+CORR its clean−stale difference, over the matching values
-    /// the walk collects.
+    /// for SVC+CORR its clean−stale difference over the walk's key pairs,
+    /// from the matching values the walk collects. A correction whose
+    /// every resample drew no value on a side has no interval.
     fn order_statistic(
         &self,
         agg: QueryAgg,
@@ -387,15 +432,17 @@ impl Correspondence {
         cfg: &SvcConfig,
     ) -> Result<Tally> {
         let level = agg.quantile_level().expect("an order statistic is a quantile");
-        let (mut clean, mut stale, mut either) = (Vec::new(), Vec::new(), 0);
+        let mut pairs = Vec::new();
         self.walk(|s, c| {
-            clean.extend(c);
-            stale.extend(s);
-            either += usize::from(s.is_some() || c.is_some());
+            if s.is_some() || c.is_some() {
+                pairs.push((s, c));
+            }
         });
+        let clean: Vec<f64> = pairs.iter().filter_map(|p| p.1).collect();
         if clean.is_empty() {
             return Err(nothing_selected(agg));
         }
+        let stale: Vec<f64> = pairs.iter().filter_map(|p| p.0).collect();
         let (value, half_width) = match stale_result {
             None => {
                 let ci = bootstrap_quantile_ci(
@@ -411,16 +458,19 @@ impl Correspondence {
             Some(stale_result) => {
                 let value = stale_result + (quantile(&clean, level) - quantile(&stale, level));
                 let mut dist = bootstrap_quantile_paired_diff(
-                    &clean,
-                    &stale,
+                    &pairs,
                     level,
                     cfg.bootstrap_iterations,
                     cfg.seed,
-                );
-                let alpha = 1.0 - cfg.confidence;
-                let lo = quantile_in_place(&mut dist, alpha / 2.0);
-                let hi = quantile_in_place(&mut dist, 1.0 - alpha / 2.0);
-                (value, Some(((hi - lo) / 2.0).abs()))
+                )
+                .diffs;
+                let half_width = (!dist.is_empty()).then(|| {
+                    let alpha = 1.0 - cfg.confidence;
+                    let lo = quantile_in_place(&mut dist, alpha / 2.0);
+                    let hi = quantile_in_place(&mut dist, 1.0 - alpha / 2.0);
+                    ((hi - lo) / 2.0).abs()
+                });
+                (value, half_width)
             }
         };
         Ok(Tally {
@@ -428,7 +478,7 @@ impl Correspondence {
             half_width,
             exceedance: None,
             predicate_rows: clean.len(),
-            n_eff: either,
+            n_eff: pairs.len(),
         })
     }
 
@@ -652,6 +702,36 @@ mod tests {
         let stale_res = q.exact(&stale).unwrap();
         let corr = svc_corr(stale_res, &s_hat, &f_hat, &q, 0.25, &cfg).unwrap();
         assert!((corr.value - truth).abs() < 15.0);
+    }
+
+    /// The CORR median bootstraps key pairs: with most keys unchanged its
+    /// interval is narrower than AQP's. A correction whose resamples
+    /// all drew a side empty has no interval — not a zero-width one, and
+    /// no panic — and its point estimate stands.
+    #[test]
+    fn corr_median_intervals_are_key_paired() {
+        let (stale, _, s_hat, f_hat) = samples(0.25);
+        let cfg = SvcConfig::default();
+        let q = AggQuery::median(col("x"));
+        let stale_res = q.exact(&stale).unwrap();
+        let corr = svc_corr(stale_res, &s_hat, &f_hat, &q, 0.25, &cfg).unwrap();
+        let aqp = svc_aqp(&f_hat, &q, 0.25, &cfg).unwrap();
+        let (corr_hw, aqp_hw) = (corr.ci.unwrap().half_width, aqp.ci.unwrap().half_width);
+        assert!(corr_hw < aqp_hw, "CORR {corr_hw} against AQP {aqp_hw}");
+        // One key only in Ŝ, another only in Ŝ′: a resample of two draws
+        // misses a side half of the time.
+        let (dirty, clean) = (keyed(&[(1, 4.0)]), keyed(&[(2, 9.0)]));
+        let mut none = 0;
+        for seed in 0..64 {
+            let cfg = SvcConfig { bootstrap_iterations: 2, ..SvcConfig::default() }.reseeded(seed);
+            let est = svc_corr(10.0, &dirty, &clean, &q, 0.5, &cfg).unwrap();
+            assert_eq!(est.value, 15.0);
+            match est.ci {
+                None => none += 1,
+                Some(ci) => assert_eq!(ci.half_width, 0.0, "every drawn difference is 5"),
+            }
+        }
+        assert!((4..60).contains(&none), "{none} of 64 corrections had no interval");
     }
 
     #[test]

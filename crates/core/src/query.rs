@@ -204,14 +204,13 @@ pub struct BoundQuery {
 
 impl BoundQuery {
     /// The columns the query names, read from `table`'s column cache, and
-    /// the rows of `table` its predicate selects. `table` has the schema the
-    /// query was bound to.
-    fn select(&self, table: &Table, scratch: &mut Row) -> (ColumnSet, SelVec) {
+    /// the rows among `sel` its predicate selects. `table` has the schema
+    /// the query was bound to.
+    fn select(&self, table: &Table, mut sel: SelVec, scratch: &mut Row) -> (ColumnSet, SelVec) {
         let cols = ColumnSet {
             cols: self.columns.iter().map(|&c| table.column(c)).collect(),
             len: table.len(),
         };
-        let mut sel = SelVec::range(0, table.len());
         if let Some(p) = &self.predicate {
             p.apply(&cols, &mut sel, scratch);
         }
@@ -222,7 +221,7 @@ impl BoundQuery {
     /// order (NULLs and non-numeric values are skipped).
     pub fn matching_values(&self, table: &Table) -> Vec<f64> {
         let mut scratch = Row::new();
-        let (cols, sel) = self.select(table, &mut scratch);
+        let (cols, sel) = self.select(table, SelVec::range(0, table.len()), &mut scratch);
         let mut out = Vec::new();
         self.attr.for_each_f64(&cols, &sel, &mut scratch, |_, v| out.extend(v));
         out
@@ -237,8 +236,8 @@ impl BoundQuery {
     /// evaluation is total — NULL where it has no value, never a panic.)
     pub(crate) fn values_by_row(&self, table: &Table) -> Vec<Slot> {
         let mut scratch = Row::new();
-        let (cols, sel) = self.select(table, &mut scratch);
         let n = table.len();
+        let (cols, sel) = self.select(table, SelVec::range(0, n), &mut scratch);
         let mut out = Vec::with_capacity(n);
         let dense = SelVec::range(0, n);
         self.attr.for_each_f64(&cols, &dense, &mut scratch, |_, v| out.push(Slot::from(v)));
@@ -250,6 +249,30 @@ impl BoundQuery {
             for (slot, selected) in out.iter_mut().zip(selected) {
                 slot.keep_if(selected);
             }
+        }
+        out
+    }
+
+    /// [`BoundQuery::values_by_row`] of `table`, a state whose rows are
+    /// `base`'s table's rows at the same positions except at `changed`
+    /// (increasing, naming every row past `base`'s end): `base`'s slots
+    /// copied, the rows at `changed` evaluated — through the same kernels,
+    /// at those rows only — and cleared where the predicate drops them.
+    pub(crate) fn values_at(&self, table: &Table, changed: &[usize], base: &[Slot]) -> Vec<Slot> {
+        let n = table.len();
+        let mut out = base[..base.len().min(n)].to_vec();
+        out.resize(n, Slot::NONE);
+        if changed.is_empty() {
+            return out;
+        }
+        let mut scratch = Row::new();
+        let rows = SelVec::Idx(changed.iter().map(|&i| i as u32).collect());
+        let (cols, sel) = self.select(table, rows.clone(), &mut scratch);
+        self.attr.for_each_f64(&cols, &rows, &mut scratch, |i, v| out[i] = Slot::from(v));
+        let mut kept = sel.iter().peekable();
+        for &i in changed {
+            let keep = kept.next_if_eq(&i).is_some();
+            out[i].keep_if(keep);
         }
         out
     }

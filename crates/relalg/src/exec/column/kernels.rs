@@ -103,6 +103,17 @@ pub enum ColPred {
         /// True for the `NOT` form (keep non-null rows).
         negated: bool,
     },
+    /// A conjunction of comparisons of one arithmetic tree against numeric
+    /// literals — a lowered `avg` column's range, `s / n BETWEEN lo AND
+    /// hi`: the tree is evaluated once per batch and every bound tested in
+    /// one branch-free pass.
+    Interval {
+        /// The tree every bound compares.
+        expr: ColExpr,
+        /// `(operator, numeric literal)` per bound, the literal on the
+        /// right.
+        bounds: Vec<(BinOp, Value)>,
+    },
     /// Conjunction: children refine the selection in sequence.
     And(Vec<ColPred>),
     /// Disjunction: evaluated per row (a row survives if either side
@@ -202,12 +213,15 @@ pub fn compile_pred(e: &BoundExpr) -> ColPred {
             flatten_and(left, &mut ps);
             flatten_and(right, &mut ps);
             // Conjunct refinement is set intersection — the surviving
-            // selection is order-free — so typed kernels run first: any
-            // row-fallback conjunct then gathers only the rows the
-            // kernels already kept.
+            // selection is order-free — so bounds on one tree may fuse into
+            // one test, and typed kernels run first: any row-fallback
+            // conjunct then gathers only the rows the kernels already kept.
             let (mut kernels, fallbacks): (Vec<_>, Vec<_>) =
-                ps.into_iter().partition(ColPred::has_kernel);
+                fuse_intervals(ps).into_iter().partition(ColPred::has_kernel);
             kernels.extend(fallbacks);
+            if kernels.len() == 1 {
+                return kernels.pop().expect("one conjunct");
+            }
             ColPred::And(kernels)
         }
         BoundExpr::Binary { op: BinOp::Or, left, right } => {
@@ -239,6 +253,7 @@ impl ColPred {
         match self {
             ColPred::CmpColLit { .. } | ColPred::CmpColCol { .. } | ColPred::IsNull { .. } => true,
             ColPred::CmpExpr { left, right, .. } => left.has_kernel() && right.has_kernel(),
+            ColPred::Interval { expr, .. } => expr.has_kernel(),
             // Conjuncts are ordered kernels-first at compile time, so the
             // chain has a kernel iff its first conjunct does.
             ColPred::And(ps) => ps.first().is_some_and(ColPred::has_kernel),
@@ -261,6 +276,73 @@ impl VecOp {
             VecOp::Map(_) => false,
             VecOp::Hash { .. } => true,
         }
+    }
+}
+
+/// Fuse the conjuncts that compare one arithmetic tree against a numeric
+/// literal into one [`ColPred::Interval`] per tree, at the place of its
+/// first bound; every other conjunct stays as it is.
+fn fuse_intervals(ps: Vec<ColPred>) -> Vec<ColPred> {
+    let mut out: Vec<ColPred> = Vec::with_capacity(ps.len());
+    for p in ps {
+        let ColPred::CmpExpr { left, op, right: ColExpr::Lit(lit) } = p else {
+            out.push(p);
+            continue;
+        };
+        if !left.has_kernel() || lit.as_f64().is_none() {
+            out.push(ColPred::CmpExpr { left, op, right: ColExpr::Lit(lit) });
+            continue;
+        }
+        let fused = out.iter_mut().find_map(|q| match q {
+            ColPred::Interval { expr, bounds } if same_tree(expr, &left) => Some(bounds),
+            _ => None,
+        });
+        match fused {
+            Some(bounds) => bounds.push((op, lit)),
+            None => out.push(ColPred::Interval { expr: left, bounds: vec![(op, lit)] }),
+        }
+    }
+    // A tree with a single bound stays a plain comparison.
+    out.into_iter()
+        .map(|p| match p {
+            ColPred::Interval { expr, mut bounds } if bounds.len() == 1 => {
+                let (op, lit) = bounds.pop().expect("one bound");
+                ColPred::CmpExpr { left: expr, op, right: ColExpr::Lit(lit) }
+            }
+            p => p,
+        })
+        .collect()
+}
+
+/// Do two kernel trees compute the same value on every row? Structural
+/// equality, literals by exact bits (`0.0` and `-0.0` divide differently).
+fn same_tree(a: &ColExpr, b: &ColExpr) -> bool {
+    match (a, b) {
+        (ColExpr::Take(x), ColExpr::Take(y)) => x == y,
+        (ColExpr::Lit(x), ColExpr::Lit(y)) => match (x, y) {
+            (Value::Null, Value::Null) => true,
+            (Value::Int(x), Value::Int(y)) => x == y,
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => false,
+        },
+        (ColExpr::Bin { op: o, left: l, right: r }, ColExpr::Bin { op: p, left: m, right: q }) => {
+            o == p && same_tree(l, m) && same_tree(r, q)
+        }
+        _ => false,
+    }
+}
+
+/// The orderings a comparison operator keeps, one bit each: bit
+/// `ordering as i8 + 1` (less 0, equal 1, greater 2).
+fn ordering_mask(op: BinOp) -> u8 {
+    match op {
+        BinOp::Lt => 0b001,
+        BinOp::Le => 0b011,
+        BinOp::Eq => 0b010,
+        BinOp::Ne => 0b101,
+        BinOp::Ge => 0b110,
+        BinOp::Gt => 0b100,
+        _ => unreachable!("ordering_mask on non-comparison operator"),
     }
 }
 
@@ -421,6 +503,40 @@ impl ColPred {
                 });
                 0
             }
+            ColPred::Interval { expr, bounds } => {
+                let tests: Vec<(u8, f64)> = bounds
+                    .iter()
+                    .map(|(op, lit)| (ordering_mask(*op), lit.as_f64().expect("numeric bound")))
+                    .collect();
+                sel.retain_batches(BATCH, |rows, kept| {
+                    let lane = expr.lane(cols, rows, scratch);
+                    match lane.typed() {
+                        Some((Typed::I(xs), mask)) => {
+                            keep_within(xs, rows, mask.as_deref(), &tests, kept);
+                        }
+                        Some((Typed::F(xs), mask)) => {
+                            keep_within(xs, rows, mask.as_deref(), &tests, kept);
+                        }
+                        // Cells, or a non-numeric constant: bound by bound,
+                        // by value where a cell cannot settle it.
+                        None => {
+                            for (k, &i) in rows.iter().enumerate() {
+                                let cell = lane.cell(k);
+                                let hit = bounds.iter().all(|(op, lit)| {
+                                    cells_match(*op, cell, Cell::of(lit)).unwrap_or_else(|| {
+                                        let v = expr.eval(cols, i as usize, scratch);
+                                        value_cmp_matches(*op, &v, lit)
+                                    })
+                                });
+                                if hit {
+                                    kept.push(i);
+                                }
+                            }
+                        }
+                    }
+                });
+                0
+            }
             ColPred::IsNull { col, negated } => {
                 let c = &cols.cols[*col];
                 if !c.has_nulls() {
@@ -469,6 +585,10 @@ impl ColPred {
             }
             ColPred::CmpExpr { left, op, right } => {
                 value_cmp_matches(*op, &left.eval(cols, i, scratch), &right.eval(cols, i, scratch))
+            }
+            ColPred::Interval { expr, bounds } => {
+                let v = expr.eval(cols, i, scratch);
+                bounds.iter().all(|(op, lit)| value_cmp_matches(*op, &v, lit))
             }
             ColPred::IsNull { col, negated } => cols.cols[*col].is_null(i) != *negated,
             ColPred::And(ps) => ps.iter().all(|p| p.matches_at(cols, i, scratch)),
@@ -872,6 +992,45 @@ fn keep_where<A: Num, B: Num>(
             }
         }
         (Src::All(x), Src::All(y)) => rows.for_each(|(k, i)| push(i, test(k, x.f(), y.f()))),
+    }
+    kept.truncate(start + n);
+}
+
+/// Push onto `kept` the rows of a batch whose value, as `f64` under
+/// `total_cmp`, passes every test — `(orderings kept, literal)` — skipping
+/// NULL rows. One pass, branch-free: every row is written and only a kept
+/// one advances the end.
+#[inline(always)]
+fn keep_within<A: Num>(
+    xs: Src<A>,
+    rows: &[u32],
+    valid: Option<&[bool]>,
+    tests: &[(u8, f64)],
+    kept: &mut Vec<u32>,
+) {
+    let within = |x: f64| {
+        tests.iter().fold(true, |all, &(keeps, at)| {
+            all & ((keeps >> (x.total_cmp(&at) as i8 + 1)) & 1 == 1)
+        })
+    };
+    let start = kept.len();
+    kept.resize(start + rows.len(), 0);
+    let out = &mut kept[start..];
+    let mut n = 0;
+    match xs {
+        Src::Each(xs) => {
+            for (k, (&i, x)) in rows.iter().zip(xs).enumerate() {
+                out[n] = i;
+                n += usize::from(within(x.f()) & live(valid, k));
+            }
+        }
+        Src::All(x) => {
+            let hit = within(x.f());
+            for (k, &i) in rows.iter().enumerate() {
+                out[n] = i;
+                n += usize::from(hit & live(valid, k));
+            }
+        }
     }
     kept.truncate(start + n);
 }
@@ -1366,6 +1525,71 @@ mod tests {
                         assert_eq!(got.iter().collect::<Vec<_>>(), want, "{pred}");
                     }
                 }
+            }
+        }
+    }
+
+    /// Conjoined bounds on one arithmetic tree fuse into one interval
+    /// test; on the edge-case rows — NULLs, zero divisors, NaN, ±0 and ±∞,
+    /// a Mixed column — its selection is the row path's, in a conjunction
+    /// and per row (inside an `Or`). Bounds on different trees, or on trees
+    /// that differ only in a literal's sign, stay apart.
+    #[test]
+    fn interval_bounds_equal_the_row_path() {
+        use crate::scalar::{col, lit, Expr};
+        let (schema, rows) = edge_rows(2600);
+        let cols = ColumnSet::from_rows(&schema, &rows);
+        let mut scratch = Row::new();
+        let avg = || col("x").div(col("b"));
+        let intervals = [
+            avg().ge(lit(-1.5)).and(avg().le(lit(2.0))),
+            lit(-1.5).le(avg()).and(lit(2i64).gt(avg())),
+            col("a").div(col("b")).gt(lit(-3i64)).and(col("a").div(col("b")).lt(lit(1e6))),
+            avg().ne(lit(0.0)).and(avg().ge(lit(f64::NEG_INFINITY))).and(avg().lt(lit(0.5))),
+            avg().eq(lit(-0.0)).and(avg().le(lit(0.0))),
+            avg().ge(lit(f64::NAN)).and(avg().le(lit(1.0))),
+            col("a").rem(col("b")).ge(lit(0i64)).and(col("a").rem(col("b")).le(lit(2i64))),
+            col("m").add(col("b")).ge(lit(-5i64)).and(col("m").add(col("b")).le(lit(5.5))),
+            col("y")
+                .mul(lit(2.0))
+                .gt(lit(-4.0))
+                .and(col("y").gt(lit(-3.0)))
+                .and(col("y").mul(lit(2.0)).le(lit(10.0))),
+            col("a")
+                .add(lit(Value::Null))
+                .ge(lit(0i64))
+                .and(col("a").add(lit(Value::Null)).le(lit(9i64))),
+        ];
+        let apart: [Expr; 3] = [
+            avg().ge(lit(0.0)).and(col("b").div(col("x")).le(lit(1.0))),
+            col("x").div(lit(0.0)).ge(lit(0.0)).and(col("x").div(lit(-0.0)).le(lit(0.0))),
+            avg().ge(lit(0.0)).and(avg().lt(lit("s"))),
+        ];
+        let every_third: Vec<u32> = (0..rows.len() as u32).filter(|i| i % 3 != 1).collect();
+        let sels =
+            [SelVec::range(0, rows.len()), SelVec::range(37, 2411), SelVec::Idx(every_third)];
+        fn fused(p: &ColPred) -> bool {
+            match p {
+                ColPred::Interval { .. } => true,
+                ColPred::And(ps) => ps.iter().any(fused),
+                _ => false,
+            }
+        }
+        for (e, fuses) in
+            intervals.iter().map(|e| (e, true)).chain(apart.iter().map(|e| (e, false)))
+        {
+            let bound = e.bind(&schema).unwrap();
+            let kernel = compile_pred(&bound);
+            assert_eq!(fused(&kernel), fuses, "{e}: {kernel:?}");
+            assert!(kernel.has_kernel() || !fuses, "{e}");
+            for sel in &sels {
+                let mut got = sel.clone();
+                kernel.apply(&cols, &mut got, &mut scratch);
+                let want: Vec<usize> = sel.iter().filter(|&i| bound.matches(&rows[i])).collect();
+                assert_eq!(got.iter().collect::<Vec<_>>(), want, "{e}");
+                let per_row: Vec<usize> =
+                    sel.iter().filter(|&i| kernel.matches_at(&cols, i, &mut scratch)).collect();
+                assert_eq!(per_row, want, "{e}, per row");
             }
         }
     }

@@ -63,6 +63,7 @@ fn check_pred(p: &ColPred, arity: usize) -> Result<()> {
             check_colexpr(left, arity)?;
             check_colexpr(right, arity)
         }
+        ColPred::Interval { expr, .. } => check_colexpr(expr, arity),
         ColPred::And(ps) => ps.iter().try_for_each(|p| check_pred(p, arity)),
         ColPred::Or(a, b) => {
             check_pred(a, arity)?;

@@ -6,15 +6,25 @@
 //! empirical distribution. SVC+CORR uses the variant that bootstraps the
 //! *difference* `c` between the clean-sample and dirty-sample statistics.
 //!
+//! That difference is bootstrapped **by key**. Theorem 1's correspondence
+//! pairs each key's stale value with its clean value, and the correction's
+//! variance is var(Ŝ′) + var(Ŝ) − 2 cov(Ŝ, Ŝ′): most keys are unchanged,
+//! so the covariance is large, and two independent resamples — one per
+//! sample — would throw it away and report an interval several times too
+//! wide. A resample here draws keys, each with both of its values; a key
+//! with a value on one side only adds it to that side alone, and a
+//! resample that leaves a side with no value has no difference: it is
+//! skipped and counted ([`PairedDiff::skipped`]).
+//!
 //! The statistic is always a type-7 quantile ([`mod@crate::quantile`]), so a
 //! resample is read off counts instead of being materialized and selected
-//! on: the sample is sorted once and each position mapped to its rank; per
+//! on: each side is sorted once and each position mapped to its rank; per
 //! resample the drawn positions — the same `random_range` draws, in the
 //! same order, as materializing the resample would take — are counted by
-//! rank, and a prefix walk over the counts finds the two order statistics.
-//! The result is the selection's bit for bit: values equal under
-//! `f64::total_cmp` are the same bits, so the value at a rank does not
-//! depend on which of its equals was drawn.
+//! rank, and a prefix walk over the counts, a block of ranks at a time,
+//! finds the two order statistics. The result is the selection's bit for
+//! bit: values equal under `f64::total_cmp` are the same bits, so the value
+//! at a rank does not depend on which of its equals was drawn.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,55 +32,89 @@ use rand::{Rng, SeedableRng};
 use crate::clt::ConfidenceInterval;
 use crate::quantile::{quantile, quantile_in_place, Type7};
 
-/// A sample sorted once for bootstrapping one of its quantiles.
+/// Ranks the prefix walk sums at once before it looks inside a block.
+const WALK_BLOCK: usize = 16;
+
+/// One side of a sample sorted once for bootstrapping its quantiles: a
+/// value, or none, per position of the sample.
 struct Ranked {
-    /// The sample in `total_cmp` order.
+    /// The side's values in `total_cmp` order.
     sorted: Vec<f64>,
-    /// `rank[i]`: the position of the sample's `i`-th value in `sorted`.
+    /// `rank[i]`: the position of the `i`-th value in `sorted`; a position
+    /// with no value ranks one past the end (`sorted.len()`).
     rank: Vec<u32>,
-    /// Per rank, how often the current resample drew it.
+    /// Per rank, how often the current resample drew it; the last slot
+    /// counts the drawn positions with no value.
     counts: Vec<u32>,
 }
 
 impl Ranked {
-    fn new(data: &[f64]) -> Ranked {
-        assert!(!data.is_empty(), "bootstrap of an empty sample");
-        assert!(u32::try_from(data.len()).is_ok(), "bootstrap sample beyond u32 positions");
-        let mut order: Vec<u32> = (0..data.len() as u32).collect();
-        order.sort_by(|&a, &b| data[a as usize].total_cmp(&data[b as usize]));
-        let mut rank = vec![0; data.len()];
+    fn new(values: &[Option<f64>]) -> Ranked {
+        assert!(u32::try_from(values.len()).is_ok(), "bootstrap sample beyond u32 positions");
+        let mut order: Vec<u32> =
+            (0..values.len() as u32).filter(|&i| values[i as usize].is_some()).collect();
+        let value = |i: u32| values[i as usize].expect("a position with a value");
+        order.sort_by(|&a, &b| value(a).total_cmp(&value(b)));
+        let mut rank = vec![order.len() as u32; values.len()];
         for (r, &i) in order.iter().enumerate() {
             rank[i as usize] = r as u32;
         }
-        let sorted = order.iter().map(|&i| data[i as usize]).collect();
-        Ranked { sorted, rank, counts: vec![0; data.len()] }
+        let sorted = order.iter().map(|&i| value(i)).collect();
+        Ranked { sorted, rank, counts: vec![0; order.len() + 1] }
     }
 
-    /// The `q`-quantile of one resample of `n` draws with replacement.
-    fn resample_quantile(&mut self, rng: &mut StdRng, q: f64) -> f64 {
-        let n = self.rank.len();
+    /// Count one more draw of position `i`.
+    #[inline(always)]
+    fn draw(&mut self, i: usize) {
+        self.counts[self.rank[i] as usize] += 1;
+    }
+
+    /// The `q`-quantile of the values the current resample drew (`draws`
+    /// positions in all), `None` if it drew none; the counts are cleared
+    /// for the next resample.
+    fn take_quantile(&mut self, draws: usize, q: f64) -> Option<f64> {
+        let (present, missing) = self.counts.split_at(self.sorted.len());
+        let n = draws - missing[0] as usize;
+        let value = (n > 0).then(|| {
+            let at = Type7::new(n, q);
+            let (lo, seen) = first_past(present, at.lo);
+            if n == 1 {
+                return self.sorted[lo];
+            }
+            // The next order statistic is at the same rank while that
+            // rank's draws reach past it, else at the next rank drawn.
+            let hi = if seen > at.hi {
+                lo
+            } else {
+                lo + 1 + present[lo + 1..].iter().position(|&c| c > 0).expect("hi < n")
+            };
+            at.interpolate(self.sorted[lo], self.sorted[hi])
+        });
         self.counts.fill(0);
-        for _ in 0..n {
-            self.counts[self.rank[rng.random_range(0..n)] as usize] += 1;
+        value
+    }
+}
+
+/// The first rank whose running count exceeds `k`, and that running count:
+/// whole blocks of ranks are summed and stepped over while the count stays
+/// at or below `k`, so the walk looks at single ranks in one block only.
+#[inline]
+fn first_past(counts: &[u32], k: usize) -> (usize, usize) {
+    let (mut r, mut seen) = (0, 0usize);
+    for block in counts.chunks_exact(WALK_BLOCK) {
+        let sum = block.iter().sum::<u32>() as usize;
+        if seen + sum > k {
+            break;
         }
-        if n == 1 {
-            return self.sorted[0];
+        seen += sum;
+        r += WALK_BLOCK;
+    }
+    loop {
+        seen += counts[r] as usize;
+        if seen > k {
+            return (r, seen);
         }
-        let at = Type7::new(n, q);
-        // The resample's order statistic at position k lives at the first
-        // rank whose running count exceeds k.
-        let mut seen = 0;
-        let mut at_lo = None;
-        for (r, &c) in self.counts.iter().enumerate() {
-            seen += c as usize;
-            if at_lo.is_none() && seen > at.lo {
-                at_lo = Some(self.sorted[r]);
-            }
-            if seen > at.hi {
-                return at.interpolate(at_lo.expect("lo ≤ hi"), self.sorted[r]);
-            }
-        }
-        unreachable!("a resample of n draws has an order statistic at every position below n")
+        r += 1;
     }
 }
 
@@ -83,9 +127,18 @@ pub fn bootstrap_quantile_distribution(
     iterations: usize,
     seed: u64,
 ) -> Vec<f64> {
+    assert!(!data.is_empty(), "bootstrap of an empty sample");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut sample = Ranked::new(data);
-    (0..iterations).map(|_| sample.resample_quantile(&mut rng, q)).collect()
+    let n = data.len();
+    let mut sample = Ranked::new(&data.iter().copied().map(Some).collect::<Vec<_>>());
+    (0..iterations)
+        .map(|_| {
+            for _ in 0..n {
+                sample.draw(rng.random_range(0..n));
+            }
+            sample.take_quantile(n, q).expect("a resample of a non-empty sample has a value")
+        })
+        .collect()
 }
 
 /// Percentile-method bootstrap confidence interval of the `q`-quantile of
@@ -111,25 +164,47 @@ pub fn bootstrap_quantile_ci(
     ConfidenceInterval { estimate, half_width, confidence }
 }
 
-/// Bootstrap for paired data: the distribution of the `q`-quantile of
-/// `clean` minus that of `dirty` over simultaneous resamples (each
-/// resample draws `clean`'s rows, then `dirty`'s), used by SVC+CORR to
-/// bound the correction `c` (Section 5.2.5).
+/// The key-paired bootstrap of a quantile difference
+/// ([`bootstrap_quantile_paired_diff`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairedDiff {
+    /// Per resample that drew a value on both sides, in draw order: the
+    /// clean side's quantile minus the stale side's.
+    pub diffs: Vec<f64>,
+    /// Resamples that drew no value on a side, and so have no difference.
+    pub skipped: usize,
+}
+
+/// Key-paired bootstrap for SVC+CORR's correction (Section 5.2.5): the
+/// distribution of the `q`-quantile of the clean values minus that of the
+/// stale values over resamples of `pairs`, one `(stale, clean)` value pair
+/// per key (`None`: the key has no value on that side). Each resample
+/// draws `pairs.len()` keys with replacement and takes each side's
+/// quantile over the values its keys have; one with no value on a side is
+/// skipped and counted. Deterministic for a given `seed`.
 pub fn bootstrap_quantile_paired_diff(
-    clean: &[f64],
-    dirty: &[f64],
+    pairs: &[(Option<f64>, Option<f64>)],
     q: f64,
     iterations: usize,
     seed: u64,
-) -> Vec<f64> {
+) -> PairedDiff {
     let mut rng = StdRng::seed_from_u64(seed);
-    let (mut clean, mut dirty) = (Ranked::new(clean), Ranked::new(dirty));
-    (0..iterations)
-        .map(|_| {
-            let c = clean.resample_quantile(&mut rng, q);
-            c - dirty.resample_quantile(&mut rng, q)
-        })
-        .collect()
+    let n = pairs.len();
+    let (stale, clean): (Vec<_>, Vec<_>) = pairs.iter().copied().unzip();
+    let (mut stale, mut clean) = (Ranked::new(&stale), Ranked::new(&clean));
+    let mut out = PairedDiff { diffs: Vec::with_capacity(iterations), skipped: 0 };
+    for _ in 0..iterations {
+        for _ in 0..n {
+            let i = rng.random_range(0..n);
+            stale.draw(i);
+            clean.draw(i);
+        }
+        match (clean.take_quantile(n, q), stale.take_quantile(n, q)) {
+            (Some(c), Some(s)) => out.diffs.push(c - s),
+            _ => out.skipped += 1,
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -169,20 +244,29 @@ mod tests {
             [point, ((hi - lo) / 2.0).max((point - lo).abs().max((hi - point).abs()))]
         }
 
-        pub(super) fn paired(c: &[f64], d: &[f64], q: f64, iters: usize, seed: u64) -> Vec<f64> {
+        /// Key-paired: materialize each resample's pairs, then select each
+        /// side's quantile over the values present; a resample with no value
+        /// on a side is skipped and counted.
+        pub(super) fn paired(
+            pairs: &[(Option<f64>, Option<f64>)],
+            q: f64,
+            iters: usize,
+            seed: u64,
+        ) -> PairedDiff {
             let mut rng = StdRng::seed_from_u64(seed);
-            let (mut cb, mut db) = (vec![0.0; c.len()], vec![0.0; d.len()]);
-            (0..iters)
-                .map(|_| {
-                    for slot in cb.iter_mut() {
-                        *slot = c[rng.random_range(0..c.len())];
-                    }
-                    for slot in db.iter_mut() {
-                        *slot = d[rng.random_range(0..d.len())];
-                    }
-                    quantile(&cb, q) - quantile(&db, q)
-                })
-                .collect()
+            let mut out = PairedDiff { diffs: Vec::new(), skipped: 0 };
+            for _ in 0..iters {
+                let drawn: Vec<_> =
+                    (0..pairs.len()).map(|_| pairs[rng.random_range(0..pairs.len())]).collect();
+                let stale: Vec<f64> = drawn.iter().filter_map(|p| p.0).collect();
+                let clean: Vec<f64> = drawn.iter().filter_map(|p| p.1).collect();
+                if stale.is_empty() || clean.is_empty() {
+                    out.skipped += 1;
+                } else {
+                    out.diffs.push(quantile(&clean, q) - quantile(&stale, q));
+                }
+            }
+            out
         }
     }
 
@@ -222,6 +306,24 @@ mod tests {
         out
     }
 
+    /// Key pairs over two samples: `d` against `other` position by
+    /// position (keys past the shorter one have one side only), every
+    /// third key missing its stale value and every fifth its clean one,
+    /// and all-one-sided pairs of each kind.
+    fn paired_cases(d: &[f64], other: &[f64]) -> Vec<Vec<(Option<f64>, Option<f64>)>> {
+        let n = d.len().max(other.len());
+        let zipped: Vec<_> = (0..n).map(|i| (other.get(i).copied(), d.get(i).copied())).collect();
+        let holed = zipped
+            .iter()
+            .enumerate()
+            .map(|(i, &(s, c))| (s.filter(|_| i % 3 != 1), c.filter(|_| i % 5 != 2 || s.is_none())))
+            .filter(|&(s, c)| s.is_some() || c.is_some())
+            .collect();
+        let stale_only = d.iter().map(|&x| (Some(x), None)).collect();
+        let clean_only = d.iter().map(|&x| (None, Some(x))).collect();
+        vec![zipped, holed, stale_only, clean_only]
+    }
+
     #[test]
     fn rank_counts_equal_the_selection_bit_for_bit() {
         let samples = generated();
@@ -237,11 +339,15 @@ mod tests {
                     "sample {i} q {q}"
                 );
                 let other = &samples[(i + 3) % samples.len()];
-                let want = selection::paired(d, other, q, 60, seed);
-                assert_eq!(
-                    bits(&bootstrap_quantile_paired_diff(d, other, q, 60, seed)),
-                    bits(&want)
-                );
+                for pairs in paired_cases(d, other) {
+                    let want = selection::paired(&pairs, q, 60, seed);
+                    let got = bootstrap_quantile_paired_diff(&pairs, q, 60, seed);
+                    assert_eq!(
+                        (bits(&got.diffs), got.skipped),
+                        (bits(&want.diffs), want.skipped),
+                        "sample {i} q {q}, paired"
+                    );
+                }
             }
         }
     }
@@ -276,10 +382,56 @@ mod tests {
 
     #[test]
     fn paired_diff_centers_near_true_difference() {
-        let clean: Vec<f64> = (0..400).map(|i| (i % 100) as f64 + 10.0).collect();
-        let dirty: Vec<f64> = (0..400).map(|i| (i % 100) as f64).collect();
-        let dist = bootstrap_quantile_paired_diff(&clean, &dirty, 0.5, 200, 5);
-        let m = crate::moments::Moments::of(&dist);
+        let pairs: Vec<_> =
+            (0..400).map(|i| (Some((i % 100) as f64), Some((i % 100) as f64 + 10.0))).collect();
+        let boot = bootstrap_quantile_paired_diff(&pairs, 0.5, 200, 5);
+        let m = crate::moments::Moments::of(&boot.diffs);
         assert!((m.mean() - 10.0).abs() < 2.0, "diff mean {}", m.mean());
+        // Every key moved by exactly 10: each resample's difference is 10.
+        assert!(boot.diffs.iter().all(|&d| d == 10.0) && boot.skipped == 0);
+    }
+
+    /// Pairing keeps the covariance: where most keys are unchanged, the
+    /// key-paired differences spread far less than two independent
+    /// resamples' would.
+    #[test]
+    fn paired_diff_is_narrow_when_most_keys_are_unchanged() {
+        let pairs: Vec<_> = (0..400)
+            .map(|i| {
+                let x = ((i * 37) % 101) as f64;
+                (Some(x), Some(if i % 20 == 0 { x + 5.0 } else { x }))
+            })
+            .collect();
+        let spread = |xs: &[f64]| crate::moments::Moments::of(xs).variance().sqrt();
+        let paired = bootstrap_quantile_paired_diff(&pairs, 0.5, 200, 9).diffs;
+        let (stale, clean): (Vec<f64>, Vec<f64>) =
+            pairs.iter().map(|&(s, c)| (s.unwrap(), c.unwrap())).unzip();
+        let independent: Vec<f64> = bootstrap_quantile_distribution(&clean, 0.5, 200, 9)
+            .iter()
+            .zip(bootstrap_quantile_distribution(&stale, 0.5, 200, 10))
+            .map(|(c, s)| c - s)
+            .collect();
+        assert!(
+            spread(&paired) * 3.0 < spread(&independent),
+            "paired sd {} against independent sd {}",
+            spread(&paired),
+            spread(&independent)
+        );
+    }
+
+    /// A resample with no value on a side is skipped and counted; when
+    /// every one is, there is no difference at all (and no panic).
+    #[test]
+    fn one_sided_resamples_are_skipped_and_counted() {
+        let one_sided = [(Some(1.0), None), (None, Some(2.0))];
+        let boot = bootstrap_quantile_paired_diff(&one_sided, 0.5, 400, 3);
+        assert_eq!(boot.diffs.len() + boot.skipped, 400);
+        assert!(boot.skipped > 0 && !boot.diffs.is_empty(), "{boot:?}");
+        assert!(boot.diffs.iter().all(|&d| d == 1.0));
+        let stale_only = [(Some(1.0), None), (Some(3.0), None)];
+        let boot = bootstrap_quantile_paired_diff(&stale_only, 0.5, 50, 3);
+        assert_eq!((boot.diffs.len(), boot.skipped), (0, 50));
+        let boot = bootstrap_quantile_paired_diff(&[], 0.5, 7, 3);
+        assert_eq!((boot.diffs.len(), boot.skipped), (0, 7));
     }
 }

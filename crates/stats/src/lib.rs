@@ -22,6 +22,7 @@ pub mod quantile;
 
 pub use bootstrap::{
     bootstrap_quantile_ci, bootstrap_quantile_distribution, bootstrap_quantile_paired_diff,
+    PairedDiff,
 };
 pub use cantelli::cantelli_exceedance;
 pub use clt::{gaussian_gamma, ConfidenceInterval};

@@ -9,19 +9,35 @@
 //! [`Table::paired_with`]'s memo and hashes no key after the first call.
 //! When `L` is `R` folded by keyed edits (the cleaned sample is the stale
 //! sample folded), even the first call hashes none: the pairing is read
-//! off the positions the edits moved.
+//! off the positions the edits moved. Such a pairing also knows which rows
+//! of `L` the edits touched ([`Pairing::changed`]); every other row of `L`
+//! *is* `R`'s row at the same position, so a reader that evaluates
+//! something per row of both tables can copy `R`'s results there and
+//! evaluate `L` at the touched rows only.
 
 use crate::table::Table;
 
 /// `L ⟗ R` on the primary key, as row positions (see the module docs).
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct Pairing {
     /// Per row of `L`, in table order: the position of `R`'s row under the
     /// same key.
     partners: Vec<Option<usize>>,
     /// Positions of the rows of `R` no row of `L` matches, in table order.
     unmatched: Vec<usize>,
+    /// [`Pairing::changed`].
+    changed: Option<Vec<usize>>,
 }
+
+/// Two pairings are equal when they join the same rows: what one of them
+/// also knows about unchanged rows is not part of the join.
+impl PartialEq for Pairing {
+    fn eq(&self, other: &Pairing) -> bool {
+        self.partners == other.partners && self.unmatched == other.unmatched
+    }
+}
+
+impl Eq for Pairing {}
 
 impl Pairing {
     /// Pair `left` with `right`: one borrowed key lookup into `right` per
@@ -40,28 +56,33 @@ impl Pairing {
             })
             .collect();
         let unmatched = (0..right.len()).filter(|&j| !matched[j]).collect();
-        Pairing { partners, unmatched }
+        Pairing { partners, unmatched, changed: None }
     }
 
     /// Pair a table of `len` rows with `R`, an earlier state of it of
-    /// `right_len` rows, by position alone: row `i` of `L` sits under the
-    /// key of `R`'s row `i`, except at the positions `moved` names, each
-    /// with the position of `R`'s row under its key. No key is read.
+    /// `right_len` rows, by position alone: row `i` of `L` *is* `R`'s row
+    /// `i`, except at the positions `moved` names — every position from
+    /// `right_len` on among them — each with the position of `R`'s row
+    /// under its key. No key is read.
     pub(crate) fn by_position(
         len: usize,
         right_len: usize,
         moved: impl IntoIterator<Item = (usize, Option<usize>)>,
     ) -> Pairing {
         let mut partners: Vec<_> = (0..len).map(|i| (i < right_len).then_some(i)).collect();
+        let mut changed = Vec::new();
         for (i, j) in moved {
             partners[i] = j;
+            changed.push(i);
         }
+        changed.sort_unstable();
+        debug_assert!(changed.len() >= len.saturating_sub(right_len), "an appended row unnamed");
         let mut matched = vec![false; right_len];
         for &j in partners.iter().flatten() {
             matched[j] = true;
         }
         let unmatched = (0..right_len).filter(|&j| !matched[j]).collect();
-        Pairing { partners, unmatched }
+        Pairing { partners, unmatched, changed: Some(changed) }
     }
 
     /// Per row of `L`, in table order: the position of `R`'s row under the
@@ -74,6 +95,15 @@ impl Pairing {
     /// order.
     pub fn unmatched(&self) -> &[usize] {
         &self.unmatched
+    }
+
+    /// For a pairing read off positions, the rows of `L` whose contents may
+    /// differ from `R`'s row at the same position, in increasing order:
+    /// every other row of `L` is `R`'s row at its own position (the same
+    /// shared row), and every row past `R`'s end is named. `None` for a
+    /// pairing by key lookup, which knows no such thing.
+    pub fn changed(&self) -> Option<&[usize]> {
+        self.changed.as_deref()
     }
 
     /// Rows of `R` the pairing covers: the matched ones and the rest.
@@ -151,6 +181,16 @@ mod tests {
         );
         assert_eq!(*pairing, Pairing::of(&next, &origin));
         assert_eq!(pairing.unmatched(), &[0]);
+        // Every row the edits did not touch is the origin's row at its own
+        // position; a clone touched none, and a key lookup knows nothing.
+        let changed = pairing.changed().unwrap();
+        for i in (0..next.len()).filter(|i| !changed.contains(i)) {
+            assert!(std::sync::Arc::ptr_eq(&next.rows()[i], &origin.rows()[i]), "row {i}");
+        }
+        assert!(changed.windows(2).all(|w| w[0] < w[1]));
+        assert!(changed.len() < next.len(), "{changed:?}");
+        assert_eq!(same.changed(), Some(&[][..]));
+        assert_eq!(Pairing::of(&next, &origin).changed(), None);
         // Another mutator forgets the lineage: the next pairing is by key.
         next.upsert(vec![Value::Int(3), Value::Float(0.0)]).unwrap();
         assert_eq!(*next.paired_with(&origin), Pairing::of(&next, &origin));

@@ -536,13 +536,25 @@ impl Table {
         }
         let pairing = match self.paired_by_position(id, other.len()) {
             Some(pairing) => {
-                // With the verifier on, prove the positions honest.
+                // With the verifier on, prove the positions honest, and
+                // every row they call unchanged the other state's own row.
                 #[cfg(feature = "verify")]
-                assert_eq!(
-                    pairing,
-                    Pairing::of(self, other),
-                    "a pairing read off positions differs from the pairing by key"
-                );
+                {
+                    assert_eq!(
+                        pairing,
+                        Pairing::of(self, other),
+                        "a pairing read off positions differs from the pairing by key"
+                    );
+                    let changed = pairing.changed().expect("a pairing read off positions");
+                    for (i, row) in self.rows.iter().enumerate() {
+                        assert!(
+                            changed.binary_search(&i).is_ok()
+                                || other.rows.get(i).is_some_and(|r| Arc::ptr_eq(r, row)),
+                            "row {i} is not the other state's row at its position, yet the \
+                             pairing calls it unchanged"
+                        );
+                    }
+                }
                 pairing
             }
             None => {
