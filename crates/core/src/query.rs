@@ -351,8 +351,7 @@ mod tests {
         let mut t = table();
         let q = AggQuery::sum(col("x")).filter(col("x").gt(lit(2.0)));
         assert_eq!(q.exact(&t).unwrap(), 42.0);
-        // A hit reads no column: released columns stay released.
-        t.release_columns();
+        // A hit builds no column.
         let builds = Table::column_build_count();
         assert_eq!(q.exact(&t).unwrap(), 42.0);
         assert_eq!(Table::column_build_count(), builds);
@@ -376,6 +375,17 @@ mod tests {
         let (copy, builds) = (t.clone(), Table::column_build_count());
         assert_eq!(q.exact(&copy).unwrap(), 52.0);
         assert_eq!(Table::column_build_count(), builds);
+        // A state reached by keyed edits answers afresh, from the column its
+        // origin built, derived rather than extracted — even once the origin
+        // and its clone are gone.
+        let mut next = copy.clone();
+        let row = vec![Value::Int(9), Value::Float(29.0)];
+        next.apply_edits([(next.key_of(&row), Some(row))]);
+        drop((t, copy));
+        let extracts = Table::column_extract_count();
+        assert_eq!(q.exact(&next).unwrap(), 62.0);
+        assert_eq!(Table::column_build_count(), builds + 1);
+        assert_eq!(Table::column_extract_count(), extracts);
     }
 
     #[test]

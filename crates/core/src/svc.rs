@@ -19,7 +19,7 @@ use svc_ivm::view::MaterializedView;
 use svc_relalg::derive::{derive_project, Derived};
 use svc_relalg::optimizer::CardEstimator;
 use svc_relalg::plan::Plan;
-use svc_sampling::operator::sample_by_key;
+use svc_sampling::operator::KeySample;
 use svc_sampling::pushdown::PushdownReport;
 
 use crate::config::SvcConfig;
@@ -54,7 +54,9 @@ pub struct SvcView {
     pub view: MaterializedView,
     /// Configuration (ratio, hash, confidence, ...).
     pub config: SvcConfig,
-    stale_sample: Table,
+    /// The stale sample `Ŝ` and how it was drawn from the view: the state,
+    /// ratio and hash, and the survivors' positions ([`SvcView::resample`]).
+    stale_sample: KeySample,
     counters: SvcCounters,
 }
 
@@ -124,7 +126,7 @@ impl SvcView {
                 view.name
             )));
         }
-        let stale_sample = sample_by_key(view.table(), config.ratio, config.hash_spec());
+        let stale_sample = KeySample::draw(view.table(), config.ratio, config.hash_spec());
         Ok(SvcView { view, config, stale_sample, counters: SvcCounters::default() })
     }
 
@@ -143,13 +145,13 @@ impl SvcView {
 
     /// The stale sample `Ŝ` (canonical schema).
     pub fn stale_sample(&self) -> &Table {
-        &self.stale_sample
+        self.stale_sample.table()
     }
 
     /// The stale sample materialized in the public schema — the display
     /// form; the estimators read [`SvcView::stale_sample`] in place.
     pub fn stale_sample_public(&self) -> Result<Table> {
-        self.view.public_of(&self.stale_sample)
+        self.view.public_of(self.stale_sample())
     }
 
     /// Build the optimized cleaning expression `C` (η pushed through the
@@ -190,7 +192,7 @@ impl SvcView {
         // the full view must be bound instead, every stale branch is
         // under-priced by the same factor `m`, which leaves the ordinal
         // comparisons the reorderer makes intact.
-        let scoped = catalog.map(|c| maintenance_stats(c, Some(&self.stale_sample), deltas));
+        let scoped = catalog.map(|c| maintenance_stats(c, Some(self.stale_sample()), deltas));
         let est = scoped.as_ref().map(ScopedStats::estimator);
         let est = est.as_ref().map(|e| e as &dyn CardEstimator);
         let (optimized, report) = cat.optimize(&hashed, est)?;
@@ -224,7 +226,7 @@ impl SvcView {
         let scoped = catalog.map(|c| maintenance_stats(c, None, deltas));
         let est = scoped.as_ref().map(ScopedStats::estimator);
         let est = est.as_ref().map(|e| e as &dyn CardEstimator);
-        let sample = &self.stale_sample;
+        let sample = self.stale_sample();
         let eta = Some((self.config.ratio, self.config.hash_spec()));
         let cleaned = self.view.maintained(db, deltas, sample, eta, est)?;
         let (canonical, plan_kind, report) =
@@ -280,7 +282,7 @@ impl SvcView {
         let stale_result = q.exact(self.view.table())?;
         svc_corr(
             stale_result,
-            &self.stale_sample,
+            self.stale_sample(),
             &cleaned.canonical,
             &q,
             self.config.ratio,
@@ -317,7 +319,7 @@ impl SvcView {
         if !q.agg.is_sample_mean() {
             return Ok(Method::AqpDirect);
         }
-        break_even(&self.stale_sample, &cleaned.canonical, &self.lowered(q)?)
+        break_even(self.stale_sample(), &cleaned.canonical, &self.lowered(q)?)
     }
 
     /// Full incremental maintenance (the IVM baseline): update the view,
@@ -329,10 +331,18 @@ impl SvcView {
         Ok(kind)
     }
 
-    /// Redraw the stale sample from the current full view.
+    /// Redraw the stale sample from the current full view:
+    /// `sample_by_key(view, ratio, hash)` bit for bit. When the view's
+    /// state descends by keyed edits from the state the sample was drawn
+    /// from (a `maintain` or `BatchPipeline` fold since the last draw) and
+    /// the ratio and hash are unchanged, only the edited rows are hashed
+    /// and copied, and every other survivor keeps its row
+    /// ([`KeySample::redraw`]); after a recompute, a reseed, a ratio change
+    /// or two maintenances without a redraw between them, the sample is
+    /// drawn whole.
     pub fn resample(&mut self) {
-        self.stale_sample =
-            sample_by_key(self.view.table(), self.config.ratio, self.config.hash_spec());
+        let (ratio, spec) = (self.config.ratio, self.config.hash_spec());
+        self.stale_sample = self.stale_sample.redraw(self.view.table(), ratio, spec);
     }
 }
 

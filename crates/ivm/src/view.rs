@@ -218,17 +218,18 @@ impl MaterializedView {
     /// behind outstanding snapshots), bumping [`MaterializedView::epoch`]
     /// and resetting the staleness clock, with the auxiliary table swapped
     /// in the same call. Does not touch the dirty flag: callers that commit
-    /// a degraded state mark it explicitly. The old table's column cache is
-    /// released: a superseded epoch keeps its rows for whoever still holds
-    /// it, not columns built for this view's reads. Its memoized answers
-    /// survive the release, so a holder still reading that state (a clone of
-    /// an `SvcView` answering `q(S)`) rebuilds no column for a query it has
-    /// answered before.
+    /// a degraded state mark it explicitly. The old table is left as it
+    /// is, columns and answers included: another holder (a clone of this
+    /// view, a snapshot) may still read it as current, and it is dropped
+    /// with its last holder. A state reached by keyed edits
+    /// ([`Table::apply_edits`], every fold) holds the old state's columns
+    /// itself until it derives its own from them, so the first query on
+    /// the new state reads only the edited rows even when this view was
+    /// the old state's only holder.
     pub fn commit(&mut self, next: ViewState) {
         if let (Some(aux), Some(table)) = (&mut self.aux, next.aux) {
             aux.commit(ViewState { table, aux: None });
         }
-        self.table.release_columns();
         self.table = Arc::new(next.table);
         self.epoch += 1;
         self.maintained_at = std::time::Instant::now();

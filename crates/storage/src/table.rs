@@ -34,17 +34,17 @@
 //! it with that state by position and derives each column from that
 //! state's by reading only the edited rows. A fold's output (the cleaned
 //! sample) therefore joins its target (the stale sample) without hashing a
-//! key.
-//!
-//! [`Table::release_columns`] drops the columns of a superseded state but
-//! keeps its answers and its pairing: the state did not change, and
-//! neither is a copy of the rows.
+//! key, and a maintained view's state derives the columns its predecessor
+//! had built even after that predecessor was dropped: the new state keeps
+//! those columns alive until it derives each one, then lets go of it.
+//! [`Table::edited_since`] names the edited positions to readers outside
+//! the table (a sample redrawn from its view's new state).
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::columns::{self, Column, ColumnSet};
 use crate::error::{Result, StorageError};
@@ -116,8 +116,7 @@ pub struct Table {
     colcache: Mutex<Vec<Option<Arc<Column>>>>,
     /// Exact answers read off this state ([`Table::memoized`]): query key →
     /// (row count when computed, answer). Emptied with `colcache` by every
-    /// row-changing method, but not by [`Table::release_columns`]; flushed
-    /// whole at `ANSWER_MEMO_CAP` answers.
+    /// row-changing method; flushed whole at `ANSWER_MEMO_CAP` answers.
     answers: Mutex<HashMap<String, (usize, f64)>>,
     /// This state's identity (`state_id`): 0 until a reader (or a clone)
     /// asks for it, then drawn from `NEXT_STATE`, so no two different
@@ -144,10 +143,12 @@ struct Lineage {
     origin: u64,
     /// The origin's row count.
     origin_len: usize,
-    /// The origin's cached columns when the first edit landed, held weakly:
-    /// a lineage never keeps a column alive, it reads one its origin (or
-    /// any other holder) still has.
-    columns: Vec<Option<Weak<Column>>>,
+    /// The origin's cached columns when the first edit landed, held until
+    /// this state derives each one: the derivation takes its slot, so a
+    /// state never holds both a column and the origin column it came from,
+    /// and the origin itself may be dropped meanwhile (a committed view's
+    /// predecessor).
+    columns: Mutex<Vec<Option<Arc<Column>>>>,
     /// Every position whose row is not the origin's row at that position,
     /// with the origin position of the row under the same key (`None`: a key
     /// the origin did not hold). Every position past the origin's end is
@@ -165,7 +166,7 @@ impl Lineage {
         Box::new(Lineage {
             origin: table.state_id(),
             origin_len: table.rows.len(),
-            columns: cache.iter().map(|c| c.as_ref().map(Arc::downgrade)).collect(),
+            columns: Mutex::new(cache.clone()),
             moved: HashMap::new(),
             vacated: HashMap::new(),
         })
@@ -216,6 +217,7 @@ static NEXT_STATE: AtomicU64 = AtomicU64::new(1);
 thread_local! {
     static TABLE_CLONES_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     static COLUMN_BUILDS_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static COLUMN_EXTRACTS_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     static PAIRING_BUILDS_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
@@ -224,6 +226,12 @@ thread_local! {
 /// [`TABLE_CLONES`].
 static COLUMN_BUILDS: svc_telemetry::LocalCounter =
     svc_telemetry::LocalCounter::new(&COLUMN_BUILDS_CELL);
+
+/// Per-thread count of columns built by extraction from the rows, the
+/// share of [`COLUMN_BUILDS`] not derived from a lineage's origin (see
+/// [`Table::column_extract_count`]).
+static COLUMN_EXTRACTS: svc_telemetry::LocalCounter =
+    svc_telemetry::LocalCounter::new(&COLUMN_EXTRACTS_CELL);
 
 /// Per-thread count of pairings built (see [`Table::pairing_build_count`]).
 static PAIRING_BUILDS: svc_telemetry::LocalCounter =
@@ -447,15 +455,6 @@ impl Table {
         self.lineage = None;
     }
 
-    /// Drop every cached column; the next reader rebuilds what it names.
-    /// For a table that has been superseded but lives on behind shared
-    /// readers (an old view epoch): its rows stay readable, its columns
-    /// stop holding memory. Its memoized answers and its pairing survive —
-    /// the state did not change, and neither is a column.
-    pub fn release_columns(&self) {
-        *self.colcache.lock().expect("column cache poisoned") = Vec::new();
-    }
-
     /// The answer stored under `key` for this table state, or `f()`'s,
     /// stored on success (an error is returned, never stored). `key` must
     /// name everything the answer depends on besides the rows — for a
@@ -490,10 +489,10 @@ impl Table {
 
     /// This state's identity: the same number until the next mutation, and
     /// never one a different state — of this table or of any other — was
-    /// given.
+    /// given. A clone takes its source's.
     /// `Relaxed` suffices: the number publishes no data, it is only
     /// compared.
-    fn state_id(&self) -> u64 {
+    pub fn state_id(&self) -> u64 {
         let id = self.state.load(Ordering::Relaxed);
         if id != 0 {
             return id;
@@ -578,6 +577,22 @@ impl Table {
         Some(Pairing::by_position(self.rows.len(), lineage.origin_len, moved))
     }
 
+    /// The positions, ascending, whose row is not the row state `state`
+    /// held at that position, if this state is `state` (no position) or
+    /// its lineage's origin ([`Table::apply_edits`]); `None` for any other
+    /// state. Every position below [`Table::len`] that is not named holds
+    /// `state`'s row there, the same shared row; every position past
+    /// `state`'s end is named. O(edits): no row is read.
+    pub fn edited_since(&self, state: u64) -> Option<Vec<usize>> {
+        if self.state.load(Ordering::Relaxed) == state {
+            return Some(Vec::new());
+        }
+        let lineage = self.lineage.as_deref().filter(|l| l.origin == state)?;
+        let mut moved: Vec<usize> = lineage.moved.keys().copied().collect();
+        moved.sort_unstable();
+        Some(moved)
+    }
+
     /// Number of pairings built by key lookup ([`Table::paired_with`]
     /// misses that could not be read off positions) **on this thread**
     /// since it started — the cost-shape hook for "a burst of estimates
@@ -593,6 +608,15 @@ impl Table {
     /// [`Table::clone_count`].
     pub fn column_build_count() -> usize {
         COLUMN_BUILDS.get() as usize
+    }
+
+    /// The share of [`Table::column_build_count`] built by extraction, a
+    /// pass over every row, rather than derived from a lineage's origin
+    /// column by reading only the edited rows — the cost-shape hook for "a
+    /// maintained state derives the columns its predecessor had". Same
+    /// mechanism as [`Table::clone_count`].
+    pub fn column_extract_count() -> usize {
+        COLUMN_EXTRACTS.get() as usize
     }
 
     /// The column cache with every slot in `want` filled, the missing ones
@@ -637,17 +661,21 @@ impl Table {
             #[cfg(feature = "verify")]
             col.check(self.rows.len()).expect("freshly extracted column failed integrity check");
             COLUMN_BUILDS.bump();
+            COLUMN_EXTRACTS.bump();
             cache[*i] = Some(Arc::new(col));
         }
         cache
     }
 
-    /// Column `i` derived from the lineage's origin column, if that column
-    /// is still alive: a typed copy with the moved positions' cells read
-    /// off their rows ([`columns::derive`]).
+    /// Column `i` derived from the lineage's origin column, if the origin
+    /// had built it: a typed copy with the moved positions' cells read off
+    /// their rows ([`columns::derive`]). The origin column is let go of
+    /// either way, so this state never holds it beside its own.
     fn derived(&self, i: usize) -> Option<Column> {
         let lineage = self.lineage.as_deref()?;
-        let origin = lineage.columns.get(i)?.as_ref()?.upgrade()?;
+        let mut held = lineage.columns.lock().expect("lineage columns poisoned");
+        let origin = held.get_mut(i)?.take()?;
+        drop(held);
         let col = columns::derive(&origin, &self.rows, i, lineage.moved.keys().copied())?;
         // With the verifier on, prove the derivation honest.
         #[cfg(feature = "verify")]
@@ -781,11 +809,13 @@ impl Table {
     ///
     /// The new state remembers the state the first of a run of calls
     /// started from (its lineage): the positions the edits moved or
-    /// rewrote, and that state's cached columns, held weakly. A reader of
-    /// the new state pairs it with that state by position
+    /// rewrote ([`Table::edited_since`]), and that state's cached columns,
+    /// each held until this state derives its own from it. A reader of the
+    /// new state pairs it with that state by position
     /// ([`Table::paired_with`]) and derives a column from that state's by
-    /// reading only the edited rows ([`Table::column`]). Any other mutator
-    /// forgets the lineage.
+    /// reading only the edited rows ([`Table::column`]), even once that
+    /// state is gone. Any other mutator forgets the lineage and the columns
+    /// it holds.
     pub fn apply_edits<R: Into<SharedRow>>(
         &mut self,
         edits: impl IntoIterator<Item = (KeyTuple, Option<R>)>,
@@ -1153,6 +1183,8 @@ mod tests {
                         assert_eq!(*t.paired_with(source), Pairing::of(t, source));
                         if only_edits {
                             assert_eq!(Table::pairing_build_count(), builds, "paired by key");
+                            let edited = t.edited_since(source.state_id());
+                            assert_eq!(edited.as_deref(), t.paired_with(source).changed());
                         }
                     }
                     _ => {}
@@ -1176,6 +1208,38 @@ mod tests {
             }
             narrow_hashes(64);
         }
+    }
+
+    /// A state reached by keyed edits derives the columns its origin had
+    /// built even after the origin is dropped, reading only the edited
+    /// rows, and lets go of each origin column once it has derived its own;
+    /// a column the origin never built is extracted.
+    #[test]
+    fn a_lineage_keeps_its_origins_columns_until_it_derives_them() {
+        let mut t = int_table();
+        for k in 0..KEYS {
+            t.insert(vec![Value::Int(k), cell(k)]).unwrap();
+        }
+        let origin = t.column(1);
+        let mut next = t.clone();
+        next.apply_edits([
+            (KeyTuple(vec![Value::Int(3)]), None),
+            (KeyTuple(vec![Value::Int(99)]), Some(vec![Value::Int(99), Value::Int(7)])),
+        ]);
+        assert_eq!(next.edited_since(t.state_id()), Some(vec![3, KEYS as usize - 1]));
+        assert_eq!(t.edited_since(t.state_id()), Some(Vec::new()));
+        assert_eq!(t.edited_since(next.state_id()), None);
+        drop(t);
+        assert_eq!(Arc::strong_count(&origin), 2, "the lineage holds the origin's column");
+        let (builds, extracts) = (Table::column_build_count(), Table::column_extract_count());
+        let derived = next.column(1);
+        assert_eq!(Table::column_build_count() - builds, 1);
+        assert_eq!(Table::column_extract_count(), extracts, "derived, not extracted");
+        assert_eq!(Arc::strong_count(&origin), 1, "derived: the origin's column is let go of");
+        let extracted = ColumnSet::from_rows(next.schema(), next.rows());
+        assert!(derived.same_bits(&extracted.cols[1]));
+        next.column(0);
+        assert_eq!(Table::column_extract_count() - extracts, 1, "the origin never built column 0");
     }
 
     #[test]

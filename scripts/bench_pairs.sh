@@ -17,10 +17,13 @@
 # failed / attempted operation count. With claim=<workload>/<metric>, prints
 # MET or NOT MET by the gate's rule: the change won at least 9 of every 10
 # pairs and its median is better by more than the parent's IQR. After its
-# pairs, each workload runs once more per side with `--trace 1` at the first
-# seed; those runs stay out of the medians, and their per-layer metrics are
-# recorded under layers.<workload>.{parent,change} (the layers that moved by
-# 10 % or more are printed). Writes BENCH_<date>_<sha>.json (machine, both
+# pairs, each workload runs three more times per side with `--trace 1` at
+# the first seed, alternating which side goes first; those runs stay out of
+# the medians. Each side's per-layer median is recorded under
+# layers.<workload>.{parent,change} and its [min, max] under
+# layer_ranges.<workload>.{parent,change}; a layer is printed as moved when
+# the medians differ by 10 % or more and the two sides' ranges do not
+# overlap. Writes BENCH_<date>_<sha>.json (machine, both
 # shas, medians, IQR, clean_speedup, failure shares, the claim, the layers,
 # every pair) at the repository root. Exits
 # non-zero when a metric leaves its bound, the change fails a larger share
@@ -111,16 +114,27 @@ for workload in dict.fromkeys(r["workload"] for r in rows):
 failed = sum(f["failed"] for sides in failures.values() for f in sides.values())
 print(f"runs {len(rows)}, failed operations {failed}, incorrect runs {incorrect}")
 
-layers = {}
+# Per-layer metrics: every traced run's value per workload, side and name;
+# each side's median and [min, max].
+traced_values = {}
 for r in traced:
-    values = {name: m["value"] for name, m in r["result"]["metrics"].items()}
-    layers.setdefault(r["workload"], {})[r["side"]] = values
+    sides = traced_values.setdefault(r["workload"], {})
+    for name, m in r["result"]["metrics"].items():
+        sides.setdefault(r["side"], {}).setdefault(name, []).append(m["value"])
+layers = {w: {side: {name: statistics.median(vs) for name, vs in values.items()}
+              for side, values in sides.items()} for w, sides in traced_values.items()}
+layer_ranges = {w: {side: {name: [min(vs), max(vs)] for name, vs in values.items()}
+                    for side, values in sides.items()} for w, sides in traced_values.items()}
 for workload, sides in layers.items():
     if len(sides) < 2:
         continue
+    ranges = layer_ranges[workload]
     for name, p in sides["parent"].items():
         c = sides["change"].get(name)
-        if c is not None and p and abs(c - p) >= 0.1 * abs(p):
+        if c is None or not p or abs(c - p) < 0.1 * abs(p):
+            continue
+        (p_lo, p_hi), (c_lo, c_hi) = ranges["parent"][name], ranges["change"][name]
+        if c_hi < p_lo or p_hi < c_lo:
             print(f"{workload:<18} {'layer ' + name:<40} {p:>11.5g} {c:>11.5g} {(c - p) / abs(p):>+8.1%}")
 
 claim_met = None
@@ -140,7 +154,8 @@ json.dump({
     "parent": parent_sha, "change": change_sha,
     "run_seconds": bench["run_seconds"], "failed": failed, "incorrect": incorrect,
     "failures": failures, "claim": {"name": claim, "met": claim_met},
-    "summary": summary, "clean_speedup": clean_speedup, "layers": layers, "runs": rows,
+    "summary": summary, "clean_speedup": clean_speedup, "layers": layers,
+    "layer_ranges": layer_ranges, "runs": rows,
 }, open(out, "w"), indent=1)
 print(f"wrote {out}")
 bad = [f"{w}.{m}" for w, ms in summary.items() for m, s in ms.items() if not s["bound_holds"]]
@@ -196,25 +211,35 @@ if [ "${1:-}" = --self-test ]; then
   python3 -c 'import json, sys; b = json.load(open(sys.argv[1])); assert len(b["runs"]) == 2 and b["parent"] == "aaaaaaa" and b["machine"]["cores"] and b["clean_speedup"]["canned"] == {"parent": 0.5, "change": 50 / 60} and b["claim"] == {"name": None, "met": None}' "$tmp/out.json"
 
   # Ten pairs, the answer 40 ms cheaper in each, the parent's IQR 5.5 ms:
-  # the claim is met and nothing else moved, so the summary passes. One
-  # traced run per side carries only per-layer metrics: it must land in the
-  # layers block and stay out of the medians and the runs.
+  # the claim is met and nothing else moved, so the summary passes. Three
+  # traced runs per side carry only per-layer metrics: they must land in
+  # the layers block as each side's median and stay out of the medians and
+  # the runs. `core.estimate_corr_us` moved (-28.6 %, disjoint ranges);
+  # `stats.bootstrap_ms` did not move; `optimizer.optimize_us`'s medians
+  # differ by +50 % but one noisy parent run overlaps the change's range,
+  # so it is not printed either.
   : >"$tmp/met.jsonl"
   for i in 0 1 2 3 4 5 6 7 8 9; do pair "$tmp/met.jsonl" "$i" $((100 + i)) $((60 + i)); done
-  traced() { # traced <side> <estimate_corr_us> <stats.bootstrap_ms>
-    echo "{\"workload\": \"canned\", \"seed\": 0, \"side\": \"$1\", \"trace\": true, \"result\": {\"correct\": true, \"attempted\": 1, \"failed\": 0, \"metrics\": {\"core.estimate_corr_us\": {\"value\": $2, \"unit\": \"us\"}, \"stats.bootstrap_ms\": {\"value\": $3, \"unit\": \"ms\"}}}}" >>"$tmp/met.jsonl"
+  traced() { # traced <side> <estimate_corr_us> <stats.bootstrap_ms> <optimizer.optimize_us>
+    echo "{\"workload\": \"canned\", \"seed\": 0, \"side\": \"$1\", \"trace\": true, \"result\": {\"correct\": true, \"attempted\": 1, \"failed\": 0, \"metrics\": {\"core.estimate_corr_us\": {\"value\": $2, \"unit\": \"us\"}, \"stats.bootstrap_ms\": {\"value\": $3, \"unit\": \"ms\"}, \"optimizer.optimize_us\": {\"value\": $4, \"unit\": \"us\"}}}}" >>"$tmp/met.jsonl"
   }
-  traced parent 90.6 0.66
-  traced change 64.7 0.66
+  traced parent 90.6 0.66 100
+  traced change 64.7 0.66 150
+  traced change 66.0 0.67 155
+  traced parent 91.0 0.66 160
+  traced parent 88.0 0.65 98
+  traced change 63.9 0.66 148
   summarize "$tmp/met.jsonl" BENCHMARK.json "$tmp/out.json" aaaaaaa bbbbbbb canned/svc_answer_ms >"$tmp/table"
   cat "$tmp/table"
   grep -Eq 'claim canned/svc_answer_ms: MET \(10/10 pairs won' "$tmp/table"
   grep -Eq 'layer core.estimate_corr_us +90\.6 +64\.7 +-28\.6%' "$tmp/table"
-  if grep -q 'layer stats.bootstrap_ms' "$tmp/table"; then
-    echo "self-test: a layer that did not move must not be printed" >&2
-    exit 1
-  fi
-  python3 -c 'import json, sys; b = json.load(open(sys.argv[1])); assert b["claim"] == {"name": "canned/svc_answer_ms", "met": True} and len(b["runs"]) == 20 and b["layers"] == {"canned": {"parent": {"core.estimate_corr_us": 90.6, "stats.bootstrap_ms": 0.66}, "change": {"core.estimate_corr_us": 64.7, "stats.bootstrap_ms": 0.66}}}' "$tmp/out.json"
+  for layer in stats.bootstrap_ms optimizer.optimize_us; do
+    if grep -q "layer $layer" "$tmp/table"; then
+      echo "self-test: $layer did not move beyond its spread and must not be printed" >&2
+      exit 1
+    fi
+  done
+  python3 -c 'import json, sys; b = json.load(open(sys.argv[1])); assert b["claim"] == {"name": "canned/svc_answer_ms", "met": True} and len(b["runs"]) == 20 and b["layers"] == {"canned": {"parent": {"core.estimate_corr_us": 90.6, "stats.bootstrap_ms": 0.66, "optimizer.optimize_us": 100}, "change": {"core.estimate_corr_us": 64.7, "stats.bootstrap_ms": 0.66, "optimizer.optimize_us": 150}}} and b["layer_ranges"]["canned"]["parent"]["optimizer.optimize_us"] == [98, 160]' "$tmp/out.json"
 
   # Ten pairs, each won by 5 ms, but the parent's IQR is 55 ms: winning
   # every pair is not enough, the claim is not met.
@@ -277,9 +302,16 @@ for workload in $workloads; do
     fi
     echo "$workload pair $((i + 1))/$pairs (seed $seed) done" >&2
   done
-  run_traced parent "$parent_root" "$workload" "$first_seed"
-  run_traced change "$change_root" "$workload" "$first_seed"
-  echo "$workload traced runs (seed $first_seed) done" >&2
+  for j in 0 1 2; do
+    if [ $((j % 2)) -eq 0 ]; then
+      run_traced parent "$parent_root" "$workload" "$first_seed"
+      run_traced change "$change_root" "$workload" "$first_seed"
+    else
+      run_traced change "$change_root" "$workload" "$first_seed"
+      run_traced parent "$parent_root" "$workload" "$first_seed"
+    fi
+  done
+  echo "$workload traced runs (3 per side, seed $first_seed) done" >&2
 done
 
 summarize "$raw" BENCHMARK.json "BENCH_$(date +%Y-%m-%d)_$change_sha.json" "$parent_sha" "$change_sha" "$claim"

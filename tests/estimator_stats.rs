@@ -1083,20 +1083,26 @@ fn queries_build_only_the_columns_they_name_once_per_mutation() {
         svc.estimate_corr(&cleaned, &q).unwrap();
     }
     assert_eq!(builds() - before, 3 * 3, "99 more estimates rebuild nothing");
-    // A clone shares the view's table; maintaining it supersedes that table,
-    // whose cached columns are released, not kept alive by the other holder.
-    // Its memoized `q(S)` survives the release, so the next estimate reads
-    // no column of the view and rebuilds nothing; nor do 100 more after the
-    // view's columns are released once again.
+    // A clone shares the view's table; maintaining it commits a new state
+    // on the clone only. The view's state keeps its columns and its
+    // memoized `q(S)` for the other holder: 100 more estimates build
+    // nothing, and neither does a new query over the same columns.
     let mut ivm = svc.clone();
     ivm.maintain_full(&data.db, &deltas).unwrap();
-    svc.estimate_corr(&cleaned, &q).unwrap();
-    assert_eq!(builds() - before, 3 * 3);
-    svc.view.table().release_columns();
+    let before = builds();
     for _ in 0..100 {
         svc.estimate_corr(&cleaned, &q).unwrap();
     }
-    assert_eq!(builds() - before, 3 * 3, "q(S) is answered once per view state");
+    assert_eq!(builds(), before, "q(S) is answered once per view state");
+    let fresh_literal = AggQuery::sum(col("n")).filter(col("avgQty").gt(lit(21.0)));
+    svc.query_stale(&fresh_literal).unwrap();
+    assert_eq!(builds(), before, "the other holder's commit left the view's columns");
+    // The maintained state derives its named columns from the ones the
+    // view had built, reading only the edited rows: it extracts none.
+    let extracts = Table::column_extract_count();
+    ivm.query_stale(&q).unwrap();
+    assert_eq!(builds() - before, 3, "the three named columns of the maintained view");
+    assert_eq!(Table::column_extract_count(), extracts, "derived, not extracted");
 }
 
 /// A view maintained around `SvcView` (`svc.view.maintain`, as `svc_bench`'s
