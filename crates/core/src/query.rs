@@ -350,11 +350,16 @@ mod tests {
     fn exact_answers_are_memoized_per_table_state() {
         let mut t = table();
         let q = AggQuery::sum(col("x")).filter(col("x").gt(lit(2.0)));
+        let answers = Table::answer_count();
         assert_eq!(q.exact(&t).unwrap(), 42.0);
-        // A hit builds no column.
+        assert_eq!(Table::answer_count(), answers + 1, "a miss computes the answer");
+        // A hit computes nothing and builds no column: the answer is read
+        // off the table's memo, under the query's key.
         let builds = Table::column_build_count();
         assert_eq!(q.exact(&t).unwrap(), 42.0);
+        assert_eq!(Table::answer_count(), answers + 1, "a hit computes nothing");
         assert_eq!(Table::column_build_count(), builds);
+        assert_eq!(t.memoized(format!("{q:?}"), || panic!("recomputed")).unwrap(), 42.0);
         // Literals that differ only in sign or in the last bit are distinct
         // keys.
         let signed = |zero: f64| AggQuery::max(col("x").mul(lit(zero))).exact(&t).unwrap();
@@ -369,12 +374,15 @@ mod tests {
         }
         // A mutation drops the memo.
         t.upsert(vec![Value::Int(9), Value::Float(19.0)]).unwrap();
+        let answers = Table::answer_count();
         assert_eq!(q.exact(&t).unwrap(), 52.0);
+        assert_eq!(Table::answer_count(), answers + 1);
         // A clone's memo starts empty, but it shares its source's columns:
         // its first answer builds none.
         let (copy, builds) = (t.clone(), Table::column_build_count());
         assert_eq!(q.exact(&copy).unwrap(), 52.0);
         assert_eq!(Table::column_build_count(), builds);
+        assert_eq!(Table::answer_count(), answers + 2);
         // A state reached by keyed edits answers afresh, from the column its
         // origin built, derived rather than extracted — even once the origin
         // and its clone are gone.

@@ -61,21 +61,21 @@ impl Pairing {
 
     /// Pair a table of `len` rows with `R`, an earlier state of it of
     /// `right_len` rows, by position alone: row `i` of `L` *is* `R`'s row
-    /// `i`, except at the positions `moved` names — every position from
-    /// `right_len` on among them — each with the position of `R`'s row
-    /// under its key. No key is read.
+    /// `i`, except at the positions `moved` names, ascending — every
+    /// position from `right_len` on among them — each with the position of
+    /// `R`'s row under its key. No key is read.
     pub(crate) fn by_position(
         len: usize,
         right_len: usize,
-        moved: impl IntoIterator<Item = (usize, Option<usize>)>,
+        moved: Vec<(usize, Option<usize>)>,
     ) -> Pairing {
         let mut partners: Vec<_> = (0..len).map(|i| (i < right_len).then_some(i)).collect();
-        let mut changed = Vec::new();
+        let mut changed = Vec::with_capacity(moved.len());
         for (i, j) in moved {
             partners[i] = j;
             changed.push(i);
         }
-        changed.sort_unstable();
+        debug_assert!(changed.windows(2).all(|w| w[0] < w[1]), "moved positions out of order");
         debug_assert!(changed.len() >= len.saturating_sub(right_len), "an appended row unnamed");
         let mut matched = vec![false; right_len];
         for &j in partners.iter().flatten() {

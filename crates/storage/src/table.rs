@@ -141,8 +141,6 @@ pub struct Table {
 struct Lineage {
     /// The origin's state identity.
     origin: u64,
-    /// The origin's row count.
-    origin_len: usize,
     /// The origin's cached columns when the first edit landed, held until
     /// this state derives each one: the derivation takes its slot, so a
     /// state never holds both a column and the origin column it came from,
@@ -165,7 +163,6 @@ impl Lineage {
         let cache = table.colcache.lock().expect("column cache poisoned");
         Box::new(Lineage {
             origin: table.state_id(),
-            origin_len: table.rows.len(),
             columns: Mutex::new(cache.clone()),
             moved: HashMap::new(),
             vacated: HashMap::new(),
@@ -219,6 +216,7 @@ thread_local! {
     static COLUMN_BUILDS_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     static COLUMN_EXTRACTS_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     static PAIRING_BUILDS_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static ANSWERS_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Per-thread count of columns built into a table's cache (see
@@ -232,6 +230,10 @@ static COLUMN_BUILDS: svc_telemetry::LocalCounter =
 /// [`Table::column_extract_count`]).
 static COLUMN_EXTRACTS: svc_telemetry::LocalCounter =
     svc_telemetry::LocalCounter::new(&COLUMN_EXTRACTS_CELL);
+
+/// Per-thread count of answers computed into a table's memo (see
+/// [`Table::answer_count`]).
+static ANSWERS: svc_telemetry::LocalCounter = svc_telemetry::LocalCounter::new(&ANSWERS_CELL);
 
 /// Per-thread count of pairings built (see [`Table::pairing_build_count`]).
 static PAIRING_BUILDS: svc_telemetry::LocalCounter =
@@ -478,6 +480,7 @@ impl Table {
             let _ = rows;
             return Ok(answer);
         }
+        ANSWERS.bump();
         let answer = f()?;
         let mut answers = self.answers.lock().expect("answer memo poisoned");
         if answers.len() >= ANSWER_MEMO_CAP {
@@ -569,12 +572,7 @@ impl Table {
     /// This state paired with state `id` of `len` rows by position, if `id`
     /// is this state or its lineage's origin.
     fn paired_by_position(&self, id: u64, len: usize) -> Option<Pairing> {
-        if self.state.load(Ordering::Relaxed) == id {
-            return Some(Pairing::by_position(self.rows.len(), len, []));
-        }
-        let lineage = self.lineage.as_deref().filter(|l| l.origin == id)?;
-        let moved = lineage.moved.iter().map(|(&i, &j)| (i, j));
-        Some(Pairing::by_position(self.rows.len(), lineage.origin_len, moved))
+        Some(Pairing::by_position(self.rows.len(), len, self.moved_since(id)?))
     }
 
     /// The positions, ascending, whose row is not the row state `state`
@@ -584,12 +582,19 @@ impl Table {
     /// `state`'s row there, the same shared row; every position past
     /// `state`'s end is named. O(edits): no row is read.
     pub fn edited_since(&self, state: u64) -> Option<Vec<usize>> {
+        Some(self.moved_since(state)?.into_iter().map(|(i, _)| i).collect())
+    }
+
+    /// [`Table::edited_since`]'s positions, each with the position of
+    /// `state`'s row under the same key (`None`: a key `state` did not
+    /// hold) — the one rule both it and [`Table::paired_with`] read.
+    fn moved_since(&self, state: u64) -> Option<Vec<(usize, Option<usize>)>> {
         if self.state.load(Ordering::Relaxed) == state {
             return Some(Vec::new());
         }
         let lineage = self.lineage.as_deref().filter(|l| l.origin == state)?;
-        let mut moved: Vec<usize> = lineage.moved.keys().copied().collect();
-        moved.sort_unstable();
+        let mut moved: Vec<_> = lineage.moved.iter().map(|(&i, &j)| (i, j)).collect();
+        moved.sort_unstable_by_key(|&(i, _)| i);
         Some(moved)
     }
 
@@ -600,6 +605,14 @@ impl Table {
     /// [`Table::clone_count`].
     pub fn pairing_build_count() -> usize {
         PAIRING_BUILDS.get() as usize
+    }
+
+    /// Number of answers computed into a table's answer memo
+    /// ([`Table::memoized`] misses) **on this thread** since it started — the
+    /// cost-shape hook for "a burst of the same query over one state answers
+    /// it once". Same mechanism as [`Table::clone_count`].
+    pub fn answer_count() -> usize {
+        ANSWERS.get() as usize
     }
 
     /// Number of columns built into a table's cache **on this thread** since

@@ -1037,8 +1037,9 @@ fn folded_samples_answer_like_a_rebuild_of_their_rows() {
 }
 
 /// Cost shape, no wall clock: a query builds only the columns it names,
-/// once per mutation. A regression to whole-table projection or to a
-/// per-query rebuild fails here.
+/// once per mutation, and answers `q(S)` once per view state. A regression
+/// to whole-table projection, to a per-query rebuild or to a per-call
+/// `q(S)` fails here.
 #[test]
 fn queries_build_only_the_columns_they_name_once_per_mutation() {
     let builds = Table::column_build_count;
@@ -1076,33 +1077,39 @@ fn queries_build_only_the_columns_they_name_once_per_mutation() {
     let deltas = data.updates(0.1, 7).unwrap();
     let cleaned = svc.clean_sample(&data.db, &deltas).unwrap();
     let q = AggQuery::sum(col("n")).filter(col("avgQty").gt(lit(20.0)));
-    let before = builds();
+    let (before, answers) = (builds(), Table::answer_count());
     svc.estimate_corr(&cleaned, &q).unwrap();
     assert_eq!(builds() - before, 3 * 3);
+    assert_eq!(Table::answer_count() - answers, 1, "the first estimate answers q(S)");
     for _ in 0..99 {
         svc.estimate_corr(&cleaned, &q).unwrap();
     }
     assert_eq!(builds() - before, 3 * 3, "99 more estimates rebuild nothing");
+    assert_eq!(Table::answer_count() - answers, 1, "q(S) is answered once per view state");
     // A clone shares the view's table; maintaining it commits a new state
     // on the clone only. The view's state keeps its columns and its
     // memoized `q(S)` for the other holder: 100 more estimates build
-    // nothing, and neither does a new query over the same columns.
+    // nothing and answer nothing afresh, and a new query over the same
+    // columns builds nothing.
     let mut ivm = svc.clone();
     ivm.maintain_full(&data.db, &deltas).unwrap();
-    let before = builds();
+    let (before, answers) = (builds(), Table::answer_count());
     for _ in 0..100 {
         svc.estimate_corr(&cleaned, &q).unwrap();
     }
-    assert_eq!(builds(), before, "q(S) is answered once per view state");
+    assert_eq!(builds(), before, "the other holder's commit left the view's columns");
+    assert_eq!(Table::answer_count(), answers, "and its memoized q(S)");
     let fresh_literal = AggQuery::sum(col("n")).filter(col("avgQty").gt(lit(21.0)));
     svc.query_stale(&fresh_literal).unwrap();
-    assert_eq!(builds(), before, "the other holder's commit left the view's columns");
+    assert_eq!(builds(), before, "a new query over the same columns builds none");
+    assert_eq!(Table::answer_count() - answers, 1, "but answers afresh");
     // The maintained state derives its named columns from the ones the
     // view had built, reading only the edited rows: it extracts none.
     let extracts = Table::column_extract_count();
     ivm.query_stale(&q).unwrap();
     assert_eq!(builds() - before, 3, "the three named columns of the maintained view");
     assert_eq!(Table::column_extract_count(), extracts, "derived, not extracted");
+    assert_eq!(Table::answer_count() - answers, 2, "q(S') is answered on the new state");
 }
 
 /// A view maintained around `SvcView` (`svc.view.maintain`, as `svc_bench`'s
