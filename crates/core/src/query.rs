@@ -292,7 +292,7 @@ pub fn relative_error(estimate: f64, truth: f64) -> f64 {
 mod tests {
     use super::*;
     use svc_relalg::scalar::col;
-    use svc_storage::{DataType, Schema, Value};
+    use svc_storage::{DataType, Schema, StagedEdits, Value};
 
     fn table() -> Table {
         let schema = Schema::from_pairs(&[("id", DataType::Int), ("x", DataType::Float)]).unwrap();
@@ -387,8 +387,9 @@ mod tests {
         // origin built, derived rather than extracted — even once the origin
         // and its clone are gone.
         let mut next = copy.clone();
-        let row = vec![Value::Int(9), Value::Float(29.0)];
-        next.apply_edits([(next.key_of(&row), Some(row))]);
+        let mut edits = StagedEdits::default();
+        edits.put(&next, vec![Value::Int(9), Value::Float(29.0)]);
+        next.apply_edits(edits);
         drop((t, copy));
         let extracts = Table::column_extract_count();
         assert_eq!(q.exact(&next).unwrap(), 62.0);

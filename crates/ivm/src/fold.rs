@@ -21,11 +21,20 @@
 //!
 //! Edits are *staged* ([`StagedEdits`]) before they are applied, so a caller
 //! can fold several pairs, fail or retry anywhere in between, and only then
-//! commit: staging reads the target, applying is infallible.
-
-use std::collections::HashMap;
+//! commit: staging reads the target, applying is infallible. Each change
+//! row's key is hashed once, by the target's own key hasher
+//! ([`Table::key_hash`]); that hash serves every staged lookup of the row
+//! and rides with its edit into the commit ([`Table::apply_edits`]), which
+//! files the key under it without hashing it again. The edits hold their
+//! keys in first-touch order and record the hasher they were staged
+//! against: a clone of the target shares it, so the delta runner stages
+//! against the view and applies to its clone; a table of another hasher
+//! gets every key rehashed first. A change row's partner on the other side
+//! of the pair is found by a borrowed lookup into that side
+//! ([`Table::position_of`]); no key tuple is built and no value copied.
 
 use svc_relalg::scalar::{BoundExpr, Expr};
+pub use svc_storage::StagedEdits;
 use svc_storage::{Field, KeyTuple, Result, Row, Schema, SharedRow, StorageError, Table, Value};
 
 use crate::canon::{AggShape, Canonical};
@@ -58,50 +67,6 @@ struct GroupMerge {
     live: BoundExpr,
 }
 
-/// Keyed edits staged against a target table and not yet applied: the new
-/// row of every touched key, or `None` for a key that left. Kept in
-/// first-touch order so applying them is deterministic.
-#[derive(Debug, Default)]
-pub struct StagedEdits {
-    edits: Vec<(KeyTuple, Option<SharedRow>)>,
-    index: HashMap<KeyTuple, usize>,
-}
-
-impl StagedEdits {
-    /// Commit the staged edits to `target` — the table they were staged
-    /// against. Cannot fail part-way: every row was validated while staging.
-    pub fn apply(self, target: &mut Table) {
-        target.apply_edits(self.edits);
-    }
-
-    /// The row under `key` as staged so far — staged edits overlay the target
-    /// — and the key's edit slot, if it was touched before.
-    fn lookup<'a>(
-        &'a self,
-        target: &'a Table,
-        key: &KeyTuple,
-    ) -> (Option<usize>, Option<&'a SharedRow>) {
-        match self.index.get(key) {
-            Some(&slot) => (Some(slot), self.edits[slot].1.as_ref()),
-            None => (None, target.get(key)),
-        }
-    }
-
-    /// Stage `next` as the row under `key`, given what [`Self::lookup`] found
-    /// there: its slot and whether it `held` a row.
-    fn set(&mut self, slot: Option<usize>, key: KeyTuple, next: Option<SharedRow>, held: bool) {
-        match slot {
-            Some(slot) => self.edits[slot].1 = next,
-            // A dead key the target never held needs no edit.
-            None if next.is_none() && !held => {}
-            None => {
-                self.index.insert(key.clone(), self.edits.len());
-                self.edits.push((key, next));
-            }
-        }
-    }
-}
-
 /// `schema` with every column renamed to `{prefix}{name}`.
 fn prefixed(schema: &Schema, prefix: &str) -> Vec<Field> {
     schema.fields().iter().map(|f| Field::new(format!("{prefix}{}", f.name), f.dtype)).collect()
@@ -112,12 +77,14 @@ fn bind_all(columns: &[(String, Expr)], fields: Vec<Field>) -> Result<Vec<BoundE
     columns.iter().map(|(_, e)| e.bind(&schema)).collect()
 }
 
-/// The rows of one side of a pair, each under its key.
-fn keyed_rows<'a>(
-    side: &'a Option<Table>,
-    key: &'a [usize],
-) -> impl Iterator<Item = (KeyTuple, &'a SharedRow)> {
-    side.iter().flat_map(|t| t.rows()).map(move |row| (KeyTuple::of(row, key), row))
+/// The rows of one side of a pair.
+fn rows(side: &Option<Table>) -> &[SharedRow] {
+    side.as_ref().map_or(&[], |t| t.rows())
+}
+
+/// True iff `side` holds a row under the key `row` holds in `key`.
+fn holds(side: &Option<Table>, row: &[Value], key: &[usize]) -> bool {
+    side.as_ref().is_some_and(|t| t.position_of(row, key).is_some())
 }
 
 /// `exprs` over `left` followed by `right`, laid out in `scratch`.
@@ -200,33 +167,35 @@ impl KeyedFold {
         staged: &mut StagedEdits,
         change: &Signed<Table>,
     ) {
+        let key = &self.key[..];
         let mut scratch: Row = Vec::with_capacity(2 * self.width);
-        let keyed = |side| keyed_rows(side, &self.key);
+        staged.reserve(rows(&change.ins).len() + rows(&change.del).len());
         // A change row carries its group's key through unchanged.
-        let mut stage_row = |key: KeyTuple, delta: &[Value], scratch: &mut Row| {
-            let (slot, current) = staged.lookup(target, &key);
+        let mut stage_row = |row: &SharedRow, delta: &[Value], scratch: &mut Row| {
+            let h = target.key_hash(row, key);
+            let (at, current) = staged.lookup(target, h, row);
             let next: SharedRow = match current {
                 Some(current) => beside(scratch, current, delta, &rule.merged).into(),
                 None => delta.into(),
             };
-            let held = current.is_some();
-            staged.set(slot, key, rule.live.matches(&next).then_some(next), held);
+            staged.set(at, h, row, rule.live.matches(&next).then_some(next));
         };
-        for (key, row) in keyed(&change.ins) {
-            match change.del.as_ref().and_then(|del| del.get(&key)) {
+        let del = change.del.as_ref();
+        for row in rows(&change.ins) {
+            match del.and_then(|del| Some(&del.rows()[del.position_of(row, key)?])) {
                 Some(deleted) => {
                     let net = beside(&mut scratch, row, deleted, &rule.net);
-                    stage_row(key, &net, &mut scratch);
+                    stage_row(row, &net, &mut scratch);
                 }
-                None => stage_row(key, row, &mut scratch),
+                None => stage_row(row, row, &mut scratch),
             }
         }
-        for (key, row) in keyed(&change.del) {
-            if change.ins.as_ref().is_some_and(|ins| ins.contains_key(&key)) {
+        for row in rows(&change.del) {
+            if holds(&change.ins, row, key) {
                 continue;
             }
             let negated: Row = rule.negated.iter().map(|e| e.eval(row)).collect();
-            stage_row(key, &negated, &mut scratch);
+            stage_row(row, &negated, &mut scratch);
         }
     }
 
@@ -238,26 +207,30 @@ impl KeyedFold {
         staged: &mut StagedEdits,
         change: &Signed<Table>,
     ) -> Result<()> {
-        let keyed = |side| keyed_rows(side, &self.key);
+        let key = &self.key[..];
+        let (ins, del) = (rows(&change.ins), rows(&change.del));
+        let hashes: Vec<u64> = ins.iter().map(|row| target.key_hash(row, key)).collect();
         // The union holds one row per key: a ∆V row whose key survives ∇V
         // must be the row already there (the plan form's `DuplicateKey`).
         // Checked before anything is staged.
-        let survives = |key: &KeyTuple| !change.del.as_ref().is_some_and(|d| d.contains_key(key));
-        let clash = |(key, row): &(KeyTuple, &SharedRow)| {
-            survives(key) && staged.lookup(target, key).1.is_some_and(|held| held != *row)
-        };
-        if let Some((key, _)) = keyed(&change.ins).find(clash) {
-            return Err(StorageError::DuplicateKey(key.to_string()));
+        for (row, &h) in ins.iter().zip(&hashes) {
+            let (_, current) = staged.lookup(target, h, row);
+            let clash = current.is_some_and(|held| !holds(&change.del, row, key) && held != row);
+            if clash {
+                return Err(StorageError::DuplicateKey(KeyTuple::of(row, key).to_string()));
+            }
         }
-        for (key, _) in keyed(&change.del) {
-            let (slot, current) = staged.lookup(target, &key);
-            staged.set(slot, key, None, current.is_some());
+        staged.reserve(ins.len() + del.len());
+        for row in del {
+            let h = target.key_hash(row, key);
+            let (at, _) = staged.lookup(target, h, row);
+            staged.set(at, h, row, None);
         }
-        for (key, row) in keyed(&change.ins) {
-            let (slot, current) = staged.lookup(target, &key);
+        for (row, &h) in ins.iter().zip(&hashes) {
+            let (at, current) = staged.lookup(target, h, row);
             // Putting the row a key already holds is no edit.
             if current != Some(row) {
-                staged.set(slot, key, Some(row.clone()), current.is_some());
+                staged.set(at, h, row, Some(row.clone()));
             }
         }
         Ok(())
@@ -640,11 +613,11 @@ mod tests {
         let mut staged = StagedEdits::default();
         let err = fold.stage(&stale, &mut staged, &conflict).unwrap_err();
         assert!(matches!(err, StorageError::DuplicateKey(_)), "{err}");
-        assert!(staged.edits.is_empty(), "a rejected pair stages nothing");
+        assert!(staged.is_empty(), "a rejected pair stages nothing");
         assert_eq!(plan_fold(&mut db, &canonical, &stale, &[conflict]).unwrap_err(), err);
 
         fold.stage(&stale, &mut staged, &ins_only(table(&[&held]))).unwrap();
-        assert!(staged.edits.is_empty(), "the row the key holds is no edit");
+        assert!(staged.is_empty(), "the row the key holds is no edit");
         let update = Signed { ins: Some(table(&[&other])), del: Some(table(&[&held])) };
         let mut updated = stale.clone();
         fold.fold(&mut updated, &update).unwrap();

@@ -28,7 +28,7 @@ use svc_relalg::scalar::Expr;
 
 use crate::canon::{canonicalize, Canonical};
 use crate::delta::{del_leaf, ins_leaf, DeltaInfo};
-use crate::fold::KeyedFold;
+use crate::fold::{KeyedFold, StagedEdits};
 use crate::plans::{CompiledDelta, PlanCache, PlanKey, PlanLookup, PlanMetrics};
 use crate::strategy::{
     as_written, maintenance_plan, view_delta, DeltaCatalog, MaintCatalog, PlanKind, ViewDelta,
@@ -376,9 +376,12 @@ impl MaterializedView {
         let (table, kind) = match lookup.plan.delta.as_ref().try_map(|plan| plan.run(&bindings))? {
             ViewDelta::NoOp => return Ok(None),
             ViewDelta::Keyed { change, kind } => {
-                let fold = self.keyed_fold()?;
+                // Staged against `target`, applied to its clone: the clone
+                // shares the hasher the staged edits carry.
+                let mut staged = StagedEdits::default();
+                self.keyed_fold()?.stage(target, &mut staged, &change)?;
                 let mut next = target.clone();
-                fold.fold(&mut next, &change)?;
+                staged.apply(&mut next);
                 (next, kind)
             }
             ViewDelta::Recompute(table) => (table, PlanKind::Recompute),

@@ -173,7 +173,7 @@ fn same_bits(a: &[svc_storage::Value], b: &[svc_storage::Value]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svc_storage::{DataType, KeyTuple, Schema, Value};
+    use svc_storage::{DataType, Schema, StagedEdits, Value};
 
     fn table(n: i64) -> Table {
         let schema = Schema::from_pairs(&[("id", DataType::Int), ("x", DataType::Float)]).unwrap();
@@ -257,13 +257,15 @@ mod tests {
         for round in 0..40 {
             let mut edited = t.clone();
             for _ in 0..1 + round % 2 {
-                let edits: Vec<_> = (0..1 + next() % 30)
-                    .map(|_| {
-                        let k = (next() % 400) as i64;
-                        let key = KeyTuple(vec![Value::Int(k)]);
-                        (key, (next() % 3 > 0).then(|| vec![Value::Int(k), cell(next())]))
-                    })
-                    .collect();
+                let mut edits = StagedEdits::default();
+                for _ in 0..1 + next() % 30 {
+                    let k = (next() % 400) as i64;
+                    if next() % 3 > 0 {
+                        edits.put(&edited, vec![Value::Int(k), cell(next())]);
+                    } else {
+                        edits.delete(&edited, vec![Value::Int(k), Value::Null]);
+                    }
+                }
                 edited.apply_edits(edits);
             }
             let hashes = eta_hash_count();

@@ -9,10 +9,16 @@
 //! in `first`, any further ones in `more`, which is empty unless a collision
 //! ever happened. The hash is keyed per index ([`RandomState`], as a
 //! `HashMap`'s is), so no chosen set of keys collides in every table.
+//!
+//! A hash is meaningful only to the hasher that computed it. Each hasher
+//! carries an identity ([`KeyIndex::same_hasher`]); a clone of an index, or
+//! an index made to share another's hasher ([`KeyIndex::sharing_hasher`]),
+//! keeps it, so a hash computed for one is valid for the other.
 
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::value::Value;
 
@@ -50,12 +56,29 @@ pub(crate) fn narrow_hashes(bits: u32) {
     HASH_MASK.with(|m| m.set(u64::MAX.checked_shr(64 - bits).unwrap_or(0)));
 }
 
-/// Row positions by key hash (see the module docs).
+/// The next hasher identity to hand out.
+static NEXT_HASHER: AtomicU64 = AtomicU64::new(0);
+
+/// The keyed hash of an index and its identity: two hashers with one
+/// identity hash every key alike.
+#[derive(Debug, Clone)]
+struct KeyHasher {
+    id: u64,
+    state: RandomState,
+}
+
+impl Default for KeyHasher {
+    fn default() -> KeyHasher {
+        KeyHasher { id: NEXT_HASHER.fetch_add(1, Ordering::Relaxed), state: RandomState::new() }
+    }
+}
+
+/// Positions by key hash (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct KeyIndex {
-    /// The keys of [`KeyIndex::hash`]. A clone keeps them: its positions
-    /// sit under the same hashes.
-    state: RandomState,
+    /// The hash of [`KeyIndex::hash`]. A clone keeps it: its positions sit
+    /// under the same hashes.
+    hasher: KeyHasher,
     /// The first position stored under each hash.
     first: ByHash<usize>,
     /// The other positions stored under a hash `first` holds, in insertion
@@ -71,10 +94,30 @@ impl KeyIndex {
         }
     }
 
+    /// An empty index for `n` positions that hashes as this one does.
+    pub(crate) fn sharing_hasher(&self, n: usize) -> KeyIndex {
+        KeyIndex {
+            hasher: self.hasher.clone(),
+            first: ByHash::with_capacity_and_hasher(n, Default::default()),
+            more: ByHash::default(),
+        }
+    }
+
+    /// True iff this index and `other` hash every key alike.
+    #[inline]
+    pub(crate) fn same_hasher(&self, other: &KeyIndex) -> bool {
+        self.hasher.id == other.hasher.id
+    }
+
+    /// Room for `n` more positions under hashes not stored yet.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.first.reserve(n);
+    }
+
     /// The hash of a key given as its values in key order.
     #[inline]
     pub(crate) fn hash<'a>(&self, values: impl Iterator<Item = &'a Value>) -> u64 {
-        let mut h = self.state.build_hasher();
+        let mut h = self.hasher.state.build_hasher();
         for v in values {
             v.hash(&mut h);
         }

@@ -8,7 +8,8 @@
 //! that SVC actually depends on:
 //!
 //! * typed [`Value`]s and [`Schema`]s ([`value`], [`schema`]),
-//! * keyed [`Table`]s with primary-key indexes ([`table`]),
+//! * keyed [`Table`]s with primary-key indexes ([`table`]), edited in bulk
+//!   by keyed edits staged against them ([`staged`]),
 //! * a [`Database`] of base relations with declared foreign keys
 //!   ([`database`]) — foreign keys drive the hash push-down special case of
 //!   Section 4.4 of the paper,
@@ -32,6 +33,7 @@ pub mod hash;
 mod key_index;
 pub mod pairing;
 pub mod schema;
+pub mod staged;
 pub mod table;
 pub mod value;
 
@@ -41,6 +43,7 @@ pub use delta::{DeltaSet, Deltas};
 pub use error::{Result, StorageError};
 pub use hash::{normalize01, HashFamily, HashSpec, HashState};
 pub use schema::{Field, Schema};
+pub use staged::{Staged, StagedEdits};
 pub use table::{KeyTuple, Table};
 pub use value::{DataType, Value};
 

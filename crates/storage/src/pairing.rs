@@ -117,6 +117,7 @@ impl Pairing {
 mod tests {
     use super::*;
     use crate::schema::Schema;
+    use crate::staged::StagedEdits;
     use crate::table::KeyTuple;
     use crate::value::{DataType, Value};
 
@@ -167,10 +168,22 @@ mod tests {
         let builds = Table::pairing_build_count;
         let origin = keyed(&[1, 2, 3, 4, 5]);
         let mut next = origin.clone();
-        let row = |id: i64| Some(vec![Value::Int(id), Value::Float(-(id as f64))]);
-        let key = |id: i64| KeyTuple(vec![Value::Int(id)]);
-        next.apply_edits([(key(2), None), (key(9), row(9)), (key(4), row(4))]);
-        next.apply_edits([(key(1), None), (key(2), row(2)), (key(7), None)]);
+        // Staged and applied in order: a positive id puts its row, a
+        // negative one deletes the key.
+        let edit = |next: &mut Table, ids: [i64; 3]| {
+            let mut edits = StagedEdits::default();
+            for id in ids {
+                let row = vec![Value::Int(id.abs()), Value::Float(-(id.abs() as f64))];
+                if id > 0 {
+                    edits.put(next, row);
+                } else {
+                    edits.delete(next, row);
+                }
+            }
+            next.apply_edits(edits);
+        };
+        edit(&mut next, [-2, 9, 4]);
+        edit(&mut next, [-1, 2, -7]);
         let before = builds();
         let pairing = next.paired_with(&origin);
         assert_eq!(builds(), before, "no key is hashed");

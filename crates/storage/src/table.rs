@@ -39,6 +39,10 @@
 //! those columns alive until it derives each one, then lets go of it.
 //! [`Table::edited_since`] names the edited positions to readers outside
 //! the table (a sample redrawn from its view's new state).
+//!
+//! Keyed edits ([`StagedEdits`]) carry each key's hash by the table's own
+//! hasher ([`Table::key_hash`]) from staging into the commit, so a fold
+//! hashes each change row's key once.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -51,6 +55,7 @@ use crate::error::{Result, StorageError};
 use crate::key_index::KeyIndex;
 use crate::pairing::Pairing;
 use crate::schema::Schema;
+use crate::staged::StagedEdits;
 use crate::value::Value;
 use crate::SharedRow;
 
@@ -217,7 +222,12 @@ thread_local! {
     static COLUMN_EXTRACTS_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     static PAIRING_BUILDS_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     static ANSWERS_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static KEY_HASHES_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
+
+/// Per-thread count of key hashes computed for keyed edits (see
+/// [`Table::key_hash_count`]).
+static KEY_HASHES: svc_telemetry::LocalCounter = svc_telemetry::LocalCounter::new(&KEY_HASHES_CELL);
 
 /// Per-thread count of columns built into a table's cache (see
 /// [`Table::column_build_count`]); thread-local for the same reason as
@@ -412,13 +422,45 @@ impl Table {
     #[inline]
     pub fn position_of(&self, row: &[Value], cols: &[usize]) -> Option<usize> {
         let h = self.index.hash(cols.iter().map(|&i| &row[i]));
+        self.find_hashed(h, row, cols)
+    }
+
+    /// [`Table::position_of`] for a key already hashed to `h` by this
+    /// table's hasher ([`Table::key_hash`]).
+    #[inline]
+    pub(crate) fn find_hashed(&self, h: u64, row: &[Value], cols: &[usize]) -> Option<usize> {
         self.index.find(h, |p| self.key_matches(p, row, cols))
+    }
+
+    /// The hash this table's key index files the key `row` holds in `cols`
+    /// under (`cols` in this table's key order). Valid for this table and
+    /// its clones only: a keyed edit carries it from staging into the
+    /// commit ([`StagedEdits`]), which files the key under it unhashed.
+    #[inline]
+    pub fn key_hash(&self, row: &[Value], cols: &[usize]) -> u64 {
+        KEY_HASHES.bump();
+        self.index.hash(cols.iter().map(|&i| &row[i]))
+    }
+
+    /// The key index, for edits staged against this table.
+    pub(crate) fn index(&self) -> &KeyIndex {
+        &self.index
+    }
+
+    /// Number of key hashes computed for keyed edits **on this thread**
+    /// since it started: by [`Table::key_hash`] (one per change row a fold
+    /// stages), by a swap-remove re-filing the row it moved, and by
+    /// [`Table::apply_edits`] rehashing edits staged under another hasher —
+    /// the cost-shape hook for "a fold hashes each change row's key once".
+    /// Same mechanism as [`Table::clone_count`].
+    pub fn key_hash_count() -> usize {
+        KEY_HASHES.get() as usize
     }
 
     /// With the verifier on, prove the key index honest: one entry per row,
     /// and every row's key finds that row's own position. A no-op otherwise.
     #[inline]
-    fn verify_index(&self) {
+    pub(crate) fn verify_index(&self) {
         #[cfg(feature = "verify")]
         {
             assert_eq!(
@@ -809,16 +851,23 @@ impl Table {
         self.index.remove(h, pos);
         let row = self.rows.swap_remove(pos);
         if pos < self.rows.len() {
+            KEY_HASHES.bump();
             let moved = self.row_hash(&self.rows[pos]);
             self.index.relocate(moved, self.rows.len(), pos);
         }
         row
     }
 
-    /// Apply keyed edits in order: `Some(row)` replaces or inserts the row
-    /// stored under the key, `None` deletes it. The commit step of a staged
-    /// fold: it must not stop part-way, so unlike [`Table::upsert`] it hosts
-    /// no failpoint and a row of the wrong arity or key is a caller bug.
+    /// Commit staged keyed edits ([`StagedEdits`]) in first-touch order:
+    /// `Some(row)` replaces or inserts the row stored under the key, `None`
+    /// deletes it. Each key is found, stored and removed under the hash it
+    /// was staged with, so no key is hashed again — unless the edits were
+    /// staged against a table of another hasher, when each is rehashed with
+    /// this table's first (a clone shares its source's hasher). Only a
+    /// swap-remove hashes: the key of the row it moves. The commit step of
+    /// a staged fold: it must not stop part-way, so unlike
+    /// [`Table::upsert`] it hosts no failpoint and a row of the wrong arity
+    /// or key is a caller bug.
     ///
     /// The new state remembers the state the first of a run of calls
     /// started from (its lineage): the positions the edits moved or
@@ -829,28 +878,26 @@ impl Table {
     /// reading only the edited rows ([`Table::column`]), even once that
     /// state is gone. Any other mutator forgets the lineage and the columns
     /// it holds.
-    pub fn apply_edits<R: Into<SharedRow>>(
-        &mut self,
-        edits: impl IntoIterator<Item = (KeyTuple, Option<R>)>,
-    ) {
-        let mut edits = edits.into_iter().peekable();
-        if edits.peek().is_none() {
+    pub fn apply_edits(&mut self, edits: StagedEdits) {
+        let edits = edits.into_edits(self);
+        if edits.is_empty() {
             return;
         }
         let mut lineage = self.lineage.take().unwrap_or_else(|| Lineage::of(self));
         self.touch();
-        for (key, row) in edits {
+        for (h, key_row, row) in edits {
             let Some(row) = row else {
-                if let Some((h, pos)) = self.hashed_position(&key) {
+                if let Some(pos) = self.find_hashed(h, &key_row, &self.key) {
                     let row = self.remove(h, pos);
                     lineage.removed(pos, self.rows.len(), h, row);
                 }
                 continue;
             };
-            let row = row.into();
             assert_eq!(row.len(), self.schema.len(), "edit row arity");
-            debug_assert_eq!(self.key_of(&row), key, "edit row stored under a foreign key");
-            let h = self.row_hash(&row);
+            debug_assert!(
+                KeyTuple::cols_eq(&row, &self.key, &key_row, &self.key),
+                "edit row stored under a foreign key"
+            );
             match self.put_hashed(h, row) {
                 (pos, Some(_)) => lineage.replaced(pos),
                 (pos, None) => lineage.appended(pos, h, &self.rows[pos], &self.key),
@@ -1051,7 +1098,10 @@ mod tests {
             t.upsert(vec![Value::Int(i), Value::str("up")]).unwrap();
             model.insert(i, "up".into());
         }
-        t.apply_edits([(key(6), None), (key(42), Some(vec![Value::Int(42), Value::str("e")]))]);
+        let mut edits = StagedEdits::default();
+        edits.delete(&t, vec![Value::Int(6), Value::Null]);
+        edits.put(&t, vec![Value::Int(42), Value::str("e")]);
+        t.apply_edits(edits);
         model.remove(&6);
         model.insert(42, "e".into());
         assert_eq!(t.len(), model.len());
@@ -1098,7 +1148,7 @@ mod tests {
 
     /// One step of the sharing property on `t` and its model: insert,
     /// upsert, delete, or four keyed edits of three keys from `k` on (the
-    /// last edits `k` again, so a key can leave and come back in one call).
+    /// last edits `k` again: its slot stays, its last row wins).
     fn step(t: &mut Table, model: &mut BTreeMap<i64, i64>, kind: u8, k: i64, v: i64) {
         let key = |k: i64| KeyTuple(vec![Value::Int(k)]);
         let old = |r: Option<SharedRow>| r.map(|r| r[1].clone());
@@ -1114,17 +1164,17 @@ mod tests {
             ),
             2 => assert_eq!(old(t.delete(&key(k))), model.remove(&k).map(cell)),
             _ => {
-                let edits: Vec<_> = (0..4)
-                    .map(|j| {
-                        let k = (k + j % 3) % KEYS;
-                        let row = (v >> j & 1 == 0).then(|| vec![Value::Int(k), cell(v + j)]);
-                        match &row {
-                            Some(_) => model.insert(k, v + j),
-                            None => model.remove(&k),
-                        };
-                        (key(k), row)
-                    })
-                    .collect();
+                let mut edits = StagedEdits::default();
+                for j in 0..4 {
+                    let k = (k + j % 3) % KEYS;
+                    if v >> j & 1 == 0 {
+                        edits.put(t, vec![Value::Int(k), cell(v + j)]);
+                        model.insert(k, v + j);
+                    } else {
+                        edits.delete(t, vec![Value::Int(k), Value::Null]);
+                        model.remove(&k);
+                    }
+                }
                 t.apply_edits(edits);
             }
         }
@@ -1235,10 +1285,10 @@ mod tests {
         }
         let origin = t.column(1);
         let mut next = t.clone();
-        next.apply_edits([
-            (KeyTuple(vec![Value::Int(3)]), None),
-            (KeyTuple(vec![Value::Int(99)]), Some(vec![Value::Int(99), Value::Int(7)])),
-        ]);
+        let mut edits = StagedEdits::default();
+        edits.delete(&next, vec![Value::Int(3), Value::Null]);
+        edits.put(&next, vec![Value::Int(99), Value::Int(7)]);
+        next.apply_edits(edits);
         assert_eq!(next.edited_since(t.state_id()), Some(vec![3, KEYS as usize - 1]));
         assert_eq!(t.edited_since(t.state_id()), Some(Vec::new()));
         assert_eq!(t.edited_since(next.state_id()), None);

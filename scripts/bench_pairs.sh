@@ -17,13 +17,14 @@
 # failed / attempted operation count. With claim=<workload>/<metric>, prints
 # MET or NOT MET by the gate's rule: the change won at least 9 of every 10
 # pairs and its median is better by more than the parent's IQR. After its
-# pairs, each workload runs three more times per side with `--trace 1` at
+# pairs, each workload runs five more times per side with `--trace 1` at
 # the first seed, alternating which side goes first; those runs stay out of
 # the medians. Each side's per-layer median is recorded under
 # layers.<workload>.{parent,change} and its [min, max] under
 # layer_ranges.<workload>.{parent,change}; a layer is printed as moved when
 # the medians differ by 10 % or more and the two sides' ranges do not
-# overlap. Writes BENCH_<date>_<sha>.json (machine, both
+# overlap. Three runs per side were too few: plan-time layers a change never
+# touched drifted apart by 13-16 % with disjoint ranges. Writes BENCH_<date>_<sha>.json (machine, both
 # shas, medians, IQR, clean_speedup, failure shares, the claim, the layers,
 # every pair) at the repository root. Exits
 # non-zero when a metric leaves its bound, the change fails a larger share
@@ -248,6 +249,43 @@ if [ "${1:-}" = --self-test ]; then
   expect_fail "an unmet claim" "$tmp/unmet.jsonl" BENCHMARK.json "$tmp/out.json" aaaaaaa bbbbbbb canned/svc_answer_ms
   grep -Eq 'claim canned/svc_answer_ms: NOT MET \(10/10 pairs won' "$tmp/table"
 
+  # Five traced runs per side, alternated. `ivm.maintain_ms` fell 20 % with
+  # disjoint ranges: printed. `exec.compile_us`'s medians differ by +14.9 %
+  # and its first three runs per side have disjoint ranges, so three runs
+  # would have printed it; the parent's fifth run (118) overlaps the
+  # change's range, so five do not.
+  : >"$tmp/five.jsonl"
+  pair "$tmp/five.jsonl" 1 100 100
+  layer_run() { # layer_run <raw> <side> <ivm.maintain_ms> <exec.compile_us>
+    echo "{\"workload\": \"canned\", \"seed\": 1, \"side\": \"$2\", \"trace\": true, \"result\": {\"correct\": true, \"attempted\": 1, \"failed\": 0, \"metrics\": {\"ivm.maintain_ms\": {\"value\": $3, \"unit\": \"ms\"}, \"exec.compile_us\": {\"value\": $4, \"unit\": \"us\"}}}}" >>"$1"
+  }
+  : >"$tmp/three.jsonl"
+  pair "$tmp/three.jsonl" 1 100 100
+  i=0
+  for run in "parent 20.1 100" "change 16.0 115" "change 16.3 117" "parent 19.8 102" \
+    "parent 20.4 101" "change 15.9 116" "change 16.1 112" "parent 20.0 99" \
+    "parent 19.9 118" "change 16.2 119"; do
+    # shellcheck disable=SC2086
+    layer_run "$tmp/five.jsonl" $run
+    # The first six runs hold three per side.
+    if [ "$i" -lt 6 ]; then
+      # shellcheck disable=SC2086
+      layer_run "$tmp/three.jsonl" $run
+    fi
+    i=$((i + 1))
+  done
+  summarize "$tmp/three.jsonl" BENCHMARK.json "$tmp/out.json" aaaaaaa bbbbbbb >"$tmp/table"
+  cat "$tmp/table"
+  grep -Eq 'layer exec.compile_us +101 +116 +\+14\.9%' "$tmp/table"
+  summarize "$tmp/five.jsonl" BENCHMARK.json "$tmp/out.json" aaaaaaa bbbbbbb >"$tmp/table"
+  cat "$tmp/table"
+  grep -Eq 'layer ivm.maintain_ms +20 +16.1 +-19\.5%' "$tmp/table"
+  if grep -q "layer exec.compile_us" "$tmp/table"; then
+    echo "self-test: exec.compile_us overlaps over five runs per side and must not be printed" >&2
+    exit 1
+  fi
+  python3 -c 'import json, sys; b = json.load(open(sys.argv[1])); assert b["layer_ranges"]["canned"]["parent"]["exec.compile_us"] == [99, 118] and b["layer_ranges"]["canned"]["change"]["exec.compile_us"] == [112, 119]' "$tmp/out.json"
+
   # The change fails 2 of 18 operations, the parent none: a larger failure
   # share fails the summary even though every metric held.
   : >"$tmp/failed.jsonl"
@@ -302,7 +340,7 @@ for workload in $workloads; do
     fi
     echo "$workload pair $((i + 1))/$pairs (seed $seed) done" >&2
   done
-  for j in 0 1 2; do
+  for j in 0 1 2 3 4; do
     if [ $((j % 2)) -eq 0 ]; then
       run_traced parent "$parent_root" "$workload" "$first_seed"
       run_traced change "$change_root" "$workload" "$first_seed"
@@ -311,7 +349,7 @@ for workload in $workloads; do
       run_traced parent "$parent_root" "$workload" "$first_seed"
     fi
   done
-  echo "$workload traced runs (3 per side, seed $first_seed) done" >&2
+  echo "$workload traced runs (5 per side, seed $first_seed) done" >&2
 done
 
 summarize "$raw" BENCHMARK.json "BENCH_$(date +%Y-%m-%d)_$change_sha.json" "$parent_sha" "$change_sha" "$claim"

@@ -32,7 +32,9 @@ use stale_view_cleaning::relalg::optimizer::cost::CardEstimator;
 use stale_view_cleaning::relalg::optimizer::optimize;
 use stale_view_cleaning::relalg::plan::{JoinKind, Plan};
 use stale_view_cleaning::relalg::scalar::{col, lit, Expr, Func};
-use stale_view_cleaning::storage::{DataType, Database, HashSpec, Schema, Table, Value};
+use stale_view_cleaning::storage::{
+    DataType, Database, HashSpec, Schema, StagedEdits, Table, Value,
+};
 use stale_view_cleaning::workloads::tpcd::{TpcdConfig, TpcdData};
 use stale_view_cleaning::workloads::tpcd_views::{complex_views, join_view};
 
@@ -594,7 +596,9 @@ proptest! {
         let mut edited = copy.rows()[data_seed as usize % copy.len()].to_vec();
         edited[1] = Value::Int(data_seed as i64 % 60);
         edited[2] = Value::Float(data_seed as f64 / 16.0);
-        copy.apply_edits([(copy.key_of(&edited), Some(edited))]);
+        let mut edits = StagedEdits::default();
+        edits.put(&copy, edited);
+        copy.apply_edits(edits);
         answers_like_rows(&copy, "after an edit");
         let last = copy.key_of(&copy.rows()[copy.len() - 1]);
         copy.delete(&last);

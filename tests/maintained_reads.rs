@@ -3,14 +3,18 @@
 //! only the edited rows' keys are hashed — and is the whole draw bit for
 //! bit; the first exact query on the new state derives the columns it
 //! names from the previous state's, which the new state holds across the
-//! commit, instead of extracting them from every row.
+//! commit, instead of extracting them from every row. The fold itself
+//! hashes each change row's key once, by the view's own key hasher, and
+//! carries that hash into the commit.
 
 use stale_view_cleaning::core::{AggQuery, SvcConfig, SvcView};
+use stale_view_cleaning::ivm::delta::DeltaInfo;
+use stale_view_cleaning::ivm::strategy::ViewDelta;
 use stale_view_cleaning::ivm::view::ViewState;
 use stale_view_cleaning::relalg::plan::Plan;
 use stale_view_cleaning::relalg::scalar::{col, lit};
 use stale_view_cleaning::sampling::operator::{eta_hash_count, sample_by_key};
-use stale_view_cleaning::storage::{Database, Deltas, Table, Value};
+use stale_view_cleaning::storage::{Database, Deltas, KeyTuple, Table, Value};
 use stale_view_cleaning::workloads::tpcd::{TpcdConfig, TpcdData};
 use stale_view_cleaning::workloads::tpcd_views::{complex_views, join_view};
 
@@ -71,6 +75,20 @@ fn assert_whole_draw(svc: &SvcView, what: &str) {
     assert!(bits(svc.stale_sample()) == bits(&whole), "{what}: not the whole draw bit for bit");
 }
 
+/// The rows of the keyed pair — both sides — that `maintain` folds into
+/// `svc`'s view for `deltas`.
+fn change_rows(svc: &SvcView, db: &Database, deltas: &Deltas) -> usize {
+    let view = &svc.view;
+    let plan = view.delta_plan(db, &DeltaInfo::of(deltas), None, None).unwrap().plan;
+    let ViewDelta::Keyed { change, .. } = &plan.delta else { panic!("a keyed pair") };
+    let bindings = view.delta_bindings(db, deltas, view.table());
+    [&change.ins, &change.del]
+        .into_iter()
+        .flatten()
+        .map(|side| side.run(&bindings).unwrap().len())
+        .sum()
+}
+
 /// `svc.resample()`, asserting it drew whole: it hashed every row's key.
 fn resample_whole(svc: &mut SvcView, what: &str) {
     let hashes = eta_hash_count();
@@ -128,11 +146,13 @@ fn a_maintained_views_resample_is_the_whole_draw_bit_for_bit() {
 }
 
 /// Cost shape, no wall clock, on the join view and V3: `maintain_full`
-/// makes one table clone and hashes at most the edited rows' keys, and the
-/// first exact query on the maintained state builds the columns it names
-/// by derivation, extracting none. Twice in a row, once while another
-/// handle holds the drawn state and once with the view its only holder, so
-/// the columns cross the commit on their own.
+/// makes one table clone, its fold hashes at most one key per change row
+/// against the view's index plus one per row a swap-remove moves (the
+/// commit reuses the staged hashes), its redraw η-hashes at most the edited
+/// rows' keys, and the first exact query on the maintained state builds
+/// the columns it names by derivation, extracting none. Twice in a row,
+/// once while another handle holds the drawn state and once with the view
+/// its only holder, so the columns cross the commit on their own.
 #[test]
 fn maintaining_a_view_costs_its_edits() {
     let data = tpcd();
@@ -159,9 +179,19 @@ fn maintaining_a_view_costs_its_edits() {
             for (round, (db, deltas)) in [(db, &ins), (&after_ins, &del)].into_iter().enumerate() {
                 let what = format!("{id} round {round} other holder {other_holder}");
                 let origin = svc.view.table().state_id();
+                let change = change_rows(&svc, db, deltas);
+                let keys: Vec<KeyTuple> = svc.view.table().iter_keyed().map(|(k, _)| k).collect();
                 let (clones, hashes) = (Table::clone_count(), eta_hash_count());
+                let key_hashes = Table::key_hash_count();
                 svc.maintain_full(db, deltas).unwrap();
+                let key_hashes = Table::key_hash_count() - key_hashes;
                 assert_eq!(Table::clone_count() - clones, 1, "{what}: the one folded copy");
+                let removed = keys.iter().filter(|k| !svc.view.table().contains_key(k)).count();
+                assert!(
+                    0 < key_hashes && key_hashes <= change + removed,
+                    "{what}: {key_hashes} key hashes for {change} change rows and {removed} \
+                     removed rows"
+                );
                 let edited = svc.view.table().edited_since(origin).expect("a fold's lineage");
                 assert!(2 * edited.len() < svc.view.len(), "{what}: {} edits", edited.len());
                 assert!(eta_hash_count() - hashes <= edited.len(), "{what}: hashed past the edits");
