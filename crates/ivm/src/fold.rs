@@ -222,9 +222,7 @@ impl KeyedFold {
         }
         staged.reserve(ins.len() + del.len());
         for row in del {
-            let h = target.key_hash(row, key);
-            let (at, _) = staged.lookup(target, h, row);
-            staged.set(at, h, row, None);
+            staged.delete(target, SharedRow::clone(row));
         }
         for (row, &h) in ins.iter().zip(&hashes) {
             let (at, current) = staged.lookup(target, h, row);
