@@ -2,26 +2,21 @@
 
 //! Shared harness for the figure-regeneration binaries.
 //!
-//! Every binary `figXX` prints the same series the corresponding figure of
-//! the paper plots (Section 7) and writes a CSV next to it under
-//! `experiments/`. Scales are laptop-sized; the *shapes* (who wins, by what
-//! factor, where crossovers fall) are the reproduction target, not absolute
-//! numbers — see EXPERIMENTS.md.
+//! The `paper` binary runs the paper's figures 4–13 (Section 7) from one
+//! claim table and asserts each claim; `fig14`–`fig16` and the `fig_*`
+//! engine figures print their own series. Every binary writes a CSV per
+//! figure under `experiments/`. Scales are laptop-sized; the *shapes* (who
+//! wins, by what factor, where crossovers fall) are the reproduction target,
+//! not absolute numbers — see the claim table in `src/bin/paper.rs`.
 
 use std::fmt::Display;
 use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use svc_core::query::{relative_error, AggQuery};
-use svc_core::{Method, SvcConfig, SvcView};
-use svc_relalg::eval::{evaluate, Bindings};
+use svc_core::{SvcConfig, SvcView};
+use svc_relalg::eval::Bindings;
 use svc_relalg::exec::{ExecMode, PhysicalPlan};
-use svc_relalg::plan::Plan;
-use svc_storage::{Database, Deltas, Table};
 use svc_workloads::tpcd::{TpcdConfig, TpcdData};
 
 /// Wall-clock seconds of a closure.
@@ -112,15 +107,23 @@ pub fn operator_metrics_json(
     format!("[{}]", ops.join(","))
 }
 
-/// Environment-tunable experiment scale (default 1.0 = the scales used in
-/// EXPERIMENTS.md; smaller is faster).
+/// Environment-tunable experiment scale, `SVC_BENCH_SCALE` (default 1.0,
+/// the scale the `paper` claims were measured at; smaller is faster).
+///
+/// # Panics
+/// On a value that is not a positive finite number.
 pub fn bench_scale() -> f64 {
-    std::env::var("SVC_BENCH_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
+    scale_from(std::env::var("SVC_BENCH_SCALE").ok().as_deref())
 }
 
-/// Number of random query instances per template (paper: 100).
-pub fn bench_queries() -> usize {
-    std::env::var("SVC_BENCH_QUERIES").ok().and_then(|s| s.parse().ok()).unwrap_or(30)
+fn scale_from(value: Option<&str>) -> f64 {
+    match value.filter(|v| !v.is_empty()) {
+        None => 1.0,
+        Some(v) => match v.parse::<f64>() {
+            Ok(scale) if scale.is_finite() && scale > 0.0 => scale,
+            _ => panic!("SVC_BENCH_SCALE={v:?}: need a positive finite number"),
+        },
+    }
 }
 
 /// A results table: printed aligned to stdout and mirrored to
@@ -178,12 +181,19 @@ impl Report {
             println!("{}", fmt_row(row));
         }
 
-        let dir = csv_dir();
+        let dir = experiments_dir();
         let _ = fs::create_dir_all(&dir);
-        let mut csv = self.headers.join(",");
-        csv.push('\n');
-        for row in &self.rows {
-            csv.push_str(&row.join(","));
+        // A cell holding a comma or a quote is quoted, as RFC 4180 asks.
+        let quoted = |c: &String| {
+            if c.contains([',', '"']) {
+                format!("\"{}\"", c.replace('"', "\"\""))
+            } else {
+                c.clone()
+            }
+        };
+        let mut csv = String::new();
+        for row in std::iter::once(&self.headers).chain(&self.rows) {
+            csv.push_str(&row.iter().map(quoted).collect::<Vec<_>>().join(","));
             csv.push('\n');
         }
         let path = dir.join(format!("{}.csv", self.name));
@@ -212,10 +222,6 @@ pub fn experiments_dir() -> PathBuf {
         })
 }
 
-fn csv_dir() -> PathBuf {
-    experiments_dir()
-}
-
 /// The standard single-node setup of Section 7.1: TPCD-Skew data at the
 /// bench scale with skew `z`.
 pub fn tpcd(scale_mult: f64, z: f64, seed: u64) -> TpcdData {
@@ -231,87 +237,6 @@ pub fn median_of(xs: &[f64]) -> f64 {
     svc_stats::quantile::quantile(xs, 0.5)
 }
 
-/// Evaluate a plan against a database (full materialization).
-pub fn materialize(plan: &Plan, db: &Database) -> Table {
-    evaluate(plan, &Bindings::from_database(db)).expect("materialize")
-}
-
-/// Accuracy triple for one query: (stale, aqp, corr) relative errors.
-pub struct ErrTriple {
-    /// "No maintenance" baseline error.
-    pub stale: f64,
-    /// SVC+AQP error.
-    pub aqp: f64,
-    /// SVC+CORR error.
-    pub corr: f64,
-}
-
-/// Run the stale/AQP/CORR error comparison for a batch of queries against
-/// one cleaned sample. The fresh view is materialized once as the oracle.
-pub fn error_triples(
-    svc: &SvcView,
-    db: &Database,
-    deltas: &Deltas,
-    queries: &[AggQuery],
-) -> Vec<ErrTriple> {
-    let cleaned = svc.clean_sample(db, deltas).expect("clean sample");
-    let fresh_canonical = svc.view.recompute_fresh(db, deltas).expect("fresh");
-    let fresh = svc.view.public_of(&fresh_canonical).expect("public fresh");
-    let stale_view = svc.view.public_table().expect("stale public");
-
-    queries
-        .iter()
-        .filter_map(|q| {
-            let truth = q.exact(&fresh).ok()?;
-            if !truth.is_finite() || truth == 0.0 {
-                return None;
-            }
-            let stale = q.exact(&stale_view).ok()?;
-            let aqp = svc.estimate_aqp(&cleaned, q).ok()?;
-            let corr = svc.estimate_corr(&cleaned, q).ok()?;
-            Some(ErrTriple {
-                stale: relative_error(stale, truth),
-                aqp: relative_error(aqp.value, truth),
-                corr: relative_error(corr.value, truth),
-            })
-        })
-        .collect()
-}
-
-/// Deterministic RNG for a figure.
-pub fn rng(tag: u64) -> StdRng {
-    StdRng::seed_from_u64(0xF16_0000 + tag)
-}
-
-/// End-to-end answer timing for Figure 6a: returns
-/// (maintenance_or_clean_time, query_time).
-pub fn answer_times(
-    svc: &mut SvcView,
-    db: &Database,
-    deltas: &Deltas,
-    q: &AggQuery,
-    method: Method,
-) -> (f64, f64) {
-    match method {
-        Method::Stale => {
-            // IVM: full maintenance, then an exact query on the view.
-            let (_, t_maint) = time(|| svc.maintain_full(db, deltas).expect("ivm"));
-            let (_, t_query) = time(|| svc.query_stale(q).expect("query"));
-            (t_maint, t_query)
-        }
-        Method::AqpDirect => {
-            let (cleaned, t_clean) = time(|| svc.clean_sample(db, deltas).expect("clean"));
-            let (_, t_query) = time(|| svc.estimate_aqp(&cleaned, q).expect("aqp"));
-            (t_clean, t_query)
-        }
-        Method::Correction => {
-            let (cleaned, t_clean) = time(|| svc.clean_sample(db, deltas).expect("clean"));
-            let (_, t_query) = time(|| svc.estimate_corr(&cleaned, q).expect("corr"));
-            (t_clean, t_query)
-        }
-    }
-}
-
 /// Shared fixture: the join view SVC instance over TPCD data.
 pub fn join_view_svc(data: &TpcdData, ratio: f64) -> SvcView {
     SvcView::create(
@@ -323,78 +248,19 @@ pub fn join_view_svc(data: &TpcdData, ratio: f64) -> SvcView {
     .expect("join view")
 }
 
-/// Per-roll-up error statistics for Figures 11–13.
-pub struct RollupErrors {
-    /// The roll-up id (Q1..Q13).
-    pub id: String,
-    /// Median over groups of the stale relative error.
-    pub stale_median: f64,
-    /// Median over groups of the SVC+AQP error.
-    pub aqp_median: f64,
-    /// Median over groups of the SVC+CORR error.
-    pub corr_median: f64,
-    /// Maximum group errors (Figure 12).
-    pub stale_max: f64,
-    /// Max SVC+AQP group error.
-    pub aqp_max: f64,
-    /// Max SVC+CORR group error.
-    pub corr_max: f64,
-}
+#[cfg(test)]
+mod tests {
+    use super::scale_from;
 
-/// Run the cube roll-up experiment (Section 7.6.1): TPCD z=1, 10% updates,
-/// m=10%. Each roll-up query set aggregates `agg(measure)` per group value
-/// combination (capped at `max_groups` per roll-up).
-pub fn rollup_errors(agg: svc_core::query::QueryAgg, max_groups: usize) -> Vec<RollupErrors> {
-    use svc_workloads::cube::{base_cube, group_values, rollup_dimension_sets, rollup_query};
-
-    let data = tpcd(1.0, 1.0, 42);
-    let deltas = data.updates(0.10, 7).expect("updates");
-    let svc =
-        SvcView::create("cube", base_cube(), &data.db, SvcConfig::with_ratio(0.1)).expect("cube");
-    let cleaned = svc.clean_sample(&data.db, &deltas).expect("clean");
-    let fresh = svc
-        .view
-        .public_of(&svc.view.recompute_fresh(&data.db, &deltas).expect("fresh"))
-        .expect("public");
-    let stale_view = svc.view.public_table().expect("stale");
-
-    rollup_dimension_sets()
-        .into_iter()
-        .map(|(id, dims)| {
-            let groups = if dims.is_empty() {
-                vec![svc_storage::KeyTuple(vec![])]
-            } else {
-                group_values(&fresh, &dims, max_groups).expect("groups")
-            };
-            let mut stale_e = Vec::new();
-            let mut aqp_e = Vec::new();
-            let mut corr_e = Vec::new();
-            for g in &groups {
-                let q = rollup_query(agg, "revenue", &dims, g);
-                let Ok(truth) = q.exact(&fresh) else { continue };
-                if !truth.is_finite() || truth == 0.0 {
-                    continue;
-                }
-                if let Ok(s) = q.exact(&stale_view) {
-                    stale_e.push(relative_error(s, truth));
-                }
-                if let Ok(est) = svc.estimate_aqp(&cleaned, &q) {
-                    aqp_e.push(relative_error(est.value, truth));
-                }
-                if let Ok(est) = svc.estimate_corr(&cleaned, &q) {
-                    corr_e.push(relative_error(est.value, truth));
-                }
-            }
-            let max = |xs: &[f64]| xs.iter().copied().fold(0.0f64, f64::max);
-            RollupErrors {
-                id: id.to_string(),
-                stale_median: median_of(&stale_e),
-                aqp_median: median_of(&aqp_e),
-                corr_median: median_of(&corr_e),
-                stale_max: max(&stale_e),
-                aqp_max: max(&aqp_e),
-                corr_max: max(&corr_e),
-            }
-        })
-        .collect()
+    #[test]
+    fn a_bad_scale_is_named_not_replaced() {
+        assert_eq!(scale_from(None), 1.0);
+        assert_eq!(scale_from(Some("")), 1.0);
+        assert_eq!(scale_from(Some("0.25")), 0.25);
+        for bad in ["abc", "0", "-1", "NaN", "inf"] {
+            let panic = std::panic::catch_unwind(|| scale_from(Some(bad))).expect_err(bad);
+            let message = panic.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.contains(&format!("SVC_BENCH_SCALE={bad:?}")), "{message}");
+        }
+    }
 }
