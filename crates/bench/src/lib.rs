@@ -159,6 +159,21 @@ impl Report {
         }
     }
 
+    /// Format a float to `digits` significant digits (at least one).
+    pub fn significant(x: f64, digits: usize) -> String {
+        if x == 0.0 || !x.is_finite() {
+            return x.to_string();
+        }
+        let magnitude = x.abs().log10().floor() as i32;
+        let decimals = digits.max(1) as i32 - 1 - magnitude;
+        if decimals >= 0 {
+            format!("{x:.0$}", decimals as usize)
+        } else {
+            let unit = 10f64.powi(-decimals);
+            format!("{:.0}", (x / unit).round() * unit)
+        }
+    }
+
     /// Print to stdout and write the CSV.
     pub fn finish(self, caption: impl Display) {
         println!("\n=== {} — {caption} ===", self.name);
@@ -251,6 +266,17 @@ pub fn join_view_svc(data: &TpcdData, ratio: f64) -> SvcView {
 #[cfg(test)]
 mod tests {
     use super::scale_from;
+
+    #[test]
+    fn significant_digits_keep_small_cells_visible() {
+        use super::Report;
+        let cases = [(0.0234567, "0.0235"), (1.5, "1.50"), (12.34, "12.3"), (1234.5, "1230")];
+        for (x, want) in cases {
+            assert_eq!(Report::significant(x, 3), want, "{x}");
+        }
+        assert_eq!(Report::significant(0.0, 3), "0");
+        assert_eq!(Report::significant(-0.000412, 2), "-0.00041");
+    }
 
     #[test]
     fn a_bad_scale_is_named_not_replaced() {

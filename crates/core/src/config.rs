@@ -13,19 +13,11 @@ pub struct SvcConfig {
     pub seed: u64,
     /// Confidence level for intervals, in `(0, 1)` (e.g. 0.95).
     pub confidence: f64,
-    /// Bootstrap resample count for non-sample-mean aggregates, at least 1.
-    pub bootstrap_iterations: usize,
 }
 
 impl Default for SvcConfig {
     fn default() -> Self {
-        SvcConfig {
-            ratio: 0.1,
-            family: HashFamily::SplitMix,
-            seed: 0x51a1e_u64,
-            confidence: 0.95,
-            bootstrap_iterations: 200,
-        }
+        SvcConfig { ratio: 0.1, family: HashFamily::SplitMix, seed: 0x51a1e_u64, confidence: 0.95 }
     }
 }
 

@@ -9,7 +9,10 @@
 //! * `sum`/`count`/`avg` — sample means (`1/m·attr·cond` for sum,
 //!   `1/m·cond` for count, `attr where cond` for avg) with CLT intervals
 //!   (Section 5.2.1), Horvitz–Thompson ones for the two totals;
-//! * `median`/percentiles — statistical bootstrap (Section 5.2.5);
+//! * `median`/percentiles — the sample quantile with a distribution-free
+//!   interval for SVC+AQP; for SVC+CORR, the stale view's CDF corrected
+//!   and inverted, with Woodruff's interval (Section 5.2.5 bounds both by a
+//!   bootstrap; neither draws a resample here);
 //! * `min`/`max` — correction by extreme paired difference plus a Cantelli
 //!   probability that a more extreme unsampled element exists
 //!   (Appendix 12.1.1).
@@ -24,17 +27,27 @@
 //! walk as it goes, with no vector of pairs between: `sum`/`count` add up
 //! `Σd` and `Σd²` in one pass, `avg` takes a second for the squared
 //! deviations, and the order statistics and extremes collect only the
-//! matching values. Rows are visited in table order, so every sum — and
-//! with it every estimate — is bit-repeatable, and at `m = 1` an SVC+AQP
-//! `sum`/`count`/`avg` is `q(Ŝ′)` bit for bit. Every estimate counts the
-//! terms its interval rests on ([`Estimate::n_eff`]).
-//! The bootstrap reads each resample's quantile off rank counts over the
-//! sample sorted once (`svc_stats::bootstrap`); its percentile bounds are
-//! found by selection, not sorting. SVC+CORR's median bootstraps the walk's
-//! `(stale, clean)` pairs, one draw per key: the correction's variance is
-//! var(Ŝ′) + var(Ŝ) − 2 cov(Ŝ, Ŝ′), and most keys are unchanged, so two
-//! independent resamples would drop a large covariance and report an
-//! interval several times too wide.
+//! matching values, or the changed pairs. Rows are visited in table order,
+//! so every sum — and with it every estimate — is bit-repeatable, and at
+//! `m = 1` an SVC+AQP `sum`/`count`/`avg` is `q(Ŝ′)` bit for bit. Every
+//! estimate counts the terms its interval rests on ([`Estimate::n_eff`]).
+//!
+//! An SVC+CORR order statistic corrects a count, not a quantile: the
+//! fresh view's count of matching values at or below `x` is a `count`
+//! query, so it is the stale view's exact count `N(x)` plus `(ĉ′(x) −
+//! ĉ(x))/m` over the pairs whose slots differ — Theorem 1 cancels every
+//! unchanged pair, as it does for `sum` and `count`. That estimate is
+//! inverted at the type-7 positions `q(S)` is read at, so the step between
+//! neighbouring answers is the full view's spacing, not the sample's; with
+//! no changed pair the answer is `q(S)`, and at `m = 1` it is `q(S′)`, bit
+//! for bit. `N` is read off the stale view's matching values, sorted once
+//! per view state ([`Table::memoized_values`]), and the correction is
+//! constant between consecutive changed values, so an inversion is one
+//! binary search per such segment. Its interval maps the Horvitz–Thompson
+//! interval of the count at the estimate through the same inverse
+//! (Woodruff 1952). This needs the stale view itself, not only `q(S)`:
+//! [`SvcView::estimate_corr`](crate::SvcView::estimate_corr) passes it, and
+//! [`svc_corr`], which takes `q(S)`, refuses an order statistic.
 //!
 //! The cleaned sample is usually the stale sample folded, which pairs by
 //! position and names the rows the fold touched ([`Pairing::changed`]):
@@ -45,11 +58,10 @@
 
 use std::sync::Arc;
 
-use svc_stats::bootstrap::{bootstrap_quantile_ci, bootstrap_quantile_paired_diff};
 use svc_stats::cantelli::cantelli_exceedance;
 use svc_stats::clt::{horvitz_thompson_interval, mean_interval, ConfidenceInterval};
 use svc_stats::moments::Moments;
-use svc_stats::quantile::{quantile, quantile_in_place};
+use svc_stats::quantile::{binomial_ranks, quantile_in_place, quantile_of, woodruff_interval};
 use svc_storage::pairing::Pairing;
 use svc_storage::{Result, StorageError, Table};
 
@@ -81,8 +93,10 @@ pub struct Estimate {
     /// Rows of the sample satisfying the predicate (Section 5.2.3).
     pub predicate_rows: usize,
     /// Terms the interval rests on: the nonzero per-row differences for
-    /// `sum`/`count`; for every other aggregate, the rows under the
-    /// predicate on either side.
+    /// `sum`/`count`; for a median or percentile, the nonzero terms of the
+    /// count at the estimate `x̂` — per row `1[y ≤ x̂] − p`, differenced for
+    /// SVC+CORR, so an unchanged pair adds none; for `avg`, `min` and
+    /// `max`, the rows under the predicate on either side.
     pub n_eff: usize,
     /// For `min`/`max`: Cantelli bound on the probability that a more
     /// extreme element exists outside the sample (Appendix 12.1.1).
@@ -318,22 +332,24 @@ impl Correspondence {
         self.walk_slots(|s, c| f(s.value(), c.value()));
     }
 
-    /// Finish the walk into an estimate of `agg`: `stale_result` is the
-    /// full stale answer SVC+CORR corrects, `None` for SVC+AQP.
+    /// Finish the walk into an estimate of `q`: `stale` is the stale full
+    /// view SVC+CORR corrects, `None` for SVC+AQP.
     pub(crate) fn finish(
         &self,
-        agg: QueryAgg,
-        stale_result: Option<f64>,
+        q: &AggQuery,
+        stale: Option<StaleView<'_>>,
         m: f64,
         cfg: &SvcConfig,
     ) -> Result<Estimate> {
-        let tally = match agg {
-            QueryAgg::Sum | QueryAgg::Count => self.total(agg, stale_result, m, cfg.confidence),
-            QueryAgg::Avg => self.mean(stale_result, cfg.confidence)?,
+        let answer = || stale.map(|s| s.answer(q)).transpose();
+        let tally = match q.agg {
+            QueryAgg::Sum | QueryAgg::Count => self.total(q.agg, answer()?, m, cfg.confidence),
+            QueryAgg::Avg => self.mean(answer()?, cfg.confidence)?,
             QueryAgg::Median | QueryAgg::Percentile(_) => {
-                self.order_statistic(agg, stale_result, cfg)?
+                let view = stale.map(|s| s.sorted_values(q)).transpose()?;
+                self.order_statistic(q.agg, view.as_deref(), m, cfg.confidence)?
             }
-            QueryAgg::Min | QueryAgg::Max => self.extreme(agg, stale_result)?,
+            QueryAgg::Min | QueryAgg::Max => self.extreme(q.agg, answer()?)?,
         };
         Ok(Estimate {
             value: tally.value,
@@ -342,7 +358,7 @@ impl Correspondence {
                 half_width,
                 confidence: cfg.confidence,
             }),
-            method: if stale_result.is_some() { Method::Correction } else { Method::AqpDirect },
+            method: if stale.is_some() { Method::Correction } else { Method::AqpDirect },
             sample_size: self.clean_rows,
             predicate_rows: tally.predicate_rows,
             n_eff: tally.n_eff,
@@ -421,64 +437,85 @@ impl Correspondence {
         })
     }
 
-    /// Order-statistic class (Section 5.2.5): bootstrap the statistic, or
-    /// for SVC+CORR its clean−stale difference over the walk's key pairs,
-    /// from the matching values the walk collects. A correction whose
-    /// every resample drew no value on a side has no interval.
+    /// Order-statistic class (Section 5.2.5), with no resample.
+    ///
+    /// SVC+AQP: the `p`-quantile of the cleaned sample's matching values,
+    /// and the distribution-free interval of a sample quantile
+    /// ([`binomial_ranks`]), widened to be symmetric around it.
+    ///
+    /// SVC+CORR: the stale view's CDF (`view`, its matching values sorted)
+    /// corrected by the pairs whose slots differ ([`CorrectedCdf`]) and
+    /// inverted at the type-7 positions of its estimated count `N̂′`. The
+    /// interval is Woodruff's: the Horvitz–Thompson half-width of those
+    /// pairs' `Σ(1[y ≤ x̂] − p)/m`, a count, taken off the position on both
+    /// sides and mapped through the same inverse. Its ends sit unevenly
+    /// around `x̂` on a discrete column, so the half-width is the larger
+    /// distance to an end, as AQP's is.
     fn order_statistic(
         &self,
         agg: QueryAgg,
-        stale_result: Option<f64>,
-        cfg: &SvcConfig,
+        view: Option<&[f64]>,
+        m: f64,
+        confidence: f64,
     ) -> Result<Tally> {
-        let level = agg.quantile_level().expect("an order statistic is a quantile");
-        let mut pairs = Vec::new();
-        self.walk(|s, c| {
-            if s.is_some() || c.is_some() {
-                pairs.push((s, c));
+        let p = agg.quantile_level().expect("an order statistic is a quantile");
+        // The count's term of a value at the estimate `x̂`.
+        let term = |y: f64, x: f64| f64::from(u8::from(y.total_cmp(&x).is_le())) - p;
+        let Some(view) = view else {
+            let mut values = Vec::new();
+            self.walk(|_, c| values.extend(c));
+            if values.is_empty() {
+                return Err(nothing_selected(agg));
+            }
+            let n = values.len();
+            let value = quantile_in_place(&mut values, p);
+            let (lo, hi) = binomial_ranks(n, p, confidence);
+            let mut select = |k| *values.select_nth_unstable_by(k, f64::total_cmp).1;
+            let (lo, hi) = (select(lo), select(hi));
+            return Ok(Tally {
+                value,
+                half_width: Some((value - lo).abs().max((hi - value).abs())),
+                exceedance: None,
+                predicate_rows: n,
+                n_eff: values.iter().filter(|&&y| term(y, value) != 0.0).count(),
+            });
+        };
+        let (mut hits, mut changed) = (0, Vec::new());
+        self.walk_slots(|s, c| {
+            hits += usize::from(c.hit);
+            if (s.hit, s.x.to_bits()) != (c.hit, c.x.to_bits()) {
+                changed.push((s, c));
             }
         });
-        let clean: Vec<f64> = pairs.iter().filter_map(|p| p.1).collect();
-        if clean.is_empty() {
+        if hits == 0 {
             return Err(nothing_selected(agg));
         }
-        let stale: Vec<f64> = pairs.iter().filter_map(|p| p.0).collect();
-        let (value, half_width) = match stale_result {
-            None => {
-                let ci = bootstrap_quantile_ci(
-                    &clean,
-                    level,
-                    cfg.bootstrap_iterations,
-                    cfg.confidence,
-                    cfg.seed,
-                );
-                (ci.estimate, Some(ci.half_width))
-            }
-            Some(stale_result) if stale.is_empty() => (stale_result, None),
-            Some(stale_result) => {
-                let value = stale_result + (quantile(&clean, level) - quantile(&stale, level));
-                let mut dist = bootstrap_quantile_paired_diff(
-                    &pairs,
-                    level,
-                    cfg.bootstrap_iterations,
-                    cfg.seed,
-                )
-                .diffs;
-                let half_width = (!dist.is_empty()).then(|| {
-                    let alpha = 1.0 - cfg.confidence;
-                    let lo = quantile_in_place(&mut dist, alpha / 2.0);
-                    let hi = quantile_in_place(&mut dist, 1.0 - alpha / 2.0);
-                    ((hi - lo) / 2.0).abs()
-                });
-                (value, half_width)
-            }
-        };
+        let cdf = CorrectedCdf::new(view, &changed, m);
+        let inverse = |rank: usize| cdf.inverse(rank as f64 + 1.0);
+        let value = quantile_of(cdf.total(), p, inverse);
+        // With the verifier on, prove the segment walk honest against the
+        // materialized corrected CDF.
+        #[cfg(feature = "verify")]
+        assert_eq!(
+            value.to_bits(),
+            quantile_of(cdf.total(), p, |rank| brute_force_inverse(view, &changed, m, rank))
+                .to_bits(),
+            "the corrected CDF's segment walk differs from inverting it materialized"
+        );
+        let (mut squares, mut n_eff) = (0.0, 0);
+        for &(s, c) in &changed {
+            let d = (c.weight() * term(c.x, value) - s.weight() * term(s.x, value)) / m;
+            squares += d * d;
+            n_eff += usize::from(d != 0.0);
+        }
+        let count_half_width = horvitz_thompson_interval(0.0, squares, m, confidence).half_width;
+        let (lo, hi) = woodruff_interval(p * (cdf.total() - 1.0), count_half_width, inverse);
         Ok(Tally {
             value,
-            half_width,
+            half_width: Some((value - lo).abs().max((hi - value).abs())),
             exceedance: None,
-            predicate_rows: clean.len(),
-            n_eff: pairs.len(),
+            predicate_rows: hits,
+            n_eff,
         })
     }
 
@@ -517,19 +554,184 @@ impl Correspondence {
     }
 }
 
+/// The fresh view's count of matching values at or below `x`, as SVC+CORR
+/// estimates it: `F̂′(x) = N(x) + k(x)/m`, the stale view's exact count
+/// plus the changed pairs' count difference `k(x) = ĉ′(x) − ĉ(x)` scaled
+/// by the sample. `k` only steps at a changed value, so `F̂′` is read per
+/// segment between steps: a binary search in the view's values, never a
+/// walk over them. Deletes make `k` negative and `F̂′` need not be
+/// monotone; its inverse is the smallest value where it reaches a count.
+struct CorrectedCdf<'a> {
+    /// The stale view's matching values, in `total_cmp` order.
+    view: &'a [f64],
+    m: f64,
+    segments: Vec<Segment>,
+    /// The largest count `F̂′` reaches at a value: where a target above
+    /// it is read.
+    top: f64,
+}
+
+/// Values over which the correction `k` is constant: from `start`
+/// (inclusive; `None`: the first segment, from −∞) to the next segment's
+/// start. `view[at_start..end]` are the view's values inside it after
+/// `start`, and `at_start` is `N(start)`.
+struct Segment {
+    start: Option<f64>,
+    at_start: usize,
+    end: usize,
+    k: i64,
+}
+
+impl<'a> CorrectedCdf<'a> {
+    /// The stale view's sorted matching values corrected by `changed`, the
+    /// `(stale, clean)` slots of the pairs that differ, at ratio `m`.
+    fn new(view: &'a [f64], changed: &[(Slot, Slot)], m: f64) -> CorrectedCdf<'a> {
+        let mut steps: Vec<(f64, i64)> = changed
+            .iter()
+            .flat_map(|&(s, c)| [(c, 1), (s, -1)])
+            .filter_map(|(v, d)| Some((v.value()?, d)))
+            .collect();
+        steps.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let below = |x: f64| view.partition_point(|v| v.total_cmp(&x).is_lt());
+        let at_or_below = |x: f64| view.partition_point(|v| v.total_cmp(&x).is_le());
+        let mut segments = vec![Segment { start: None, at_start: 0, end: view.len(), k: 0 }];
+        for (x, d) in steps {
+            let last = segments.last_mut().expect("the first segment");
+            if last.start.is_some_and(|s| s.total_cmp(&x).is_eq()) {
+                last.k += d;
+                continue;
+            }
+            last.end = below(x);
+            let k = last.k + d;
+            segments.push(Segment { start: Some(x), at_start: at_or_below(x), end: view.len(), k });
+        }
+        // A segment's largest count is at its last value: the start, or
+        // the last view value after it.
+        let top = segments
+            .iter()
+            .filter(|g| g.start.is_some() || g.end > g.at_start)
+            .map(|g| corrected_count(g.end, g.k, m))
+            .fold(f64::NEG_INFINITY, f64::max);
+        CorrectedCdf { view, m, segments, top }
+    }
+
+    fn count(&self, n: usize, k: i64) -> f64 {
+        corrected_count(n, k, self.m)
+    }
+
+    /// The estimated count of matching values, `F̂′(∞)`.
+    fn total(&self) -> f64 {
+        let last = self.segments.last().expect("the first segment");
+        self.count(self.view.len(), last.k)
+    }
+
+    /// The smallest value where `F̂′` reaches `target`, or reaches the
+    /// largest count it reaches at all when that is below `target`.
+    fn inverse(&self, target: f64) -> f64 {
+        let target = target.min(self.top);
+        for g in &self.segments {
+            let reaches = |n: usize| self.count(n, g.k) >= target;
+            if let Some(start) = g.start.filter(|_| reaches(g.at_start)) {
+                return start;
+            }
+            if g.end > g.at_start && reaches(g.end) {
+                return self.view[first_reaching(g.at_start + 1, g.end, reaches) - 1];
+            }
+        }
+        unreachable!("the clamped target is reached where the count tops out")
+    }
+}
+
+/// `F̂′` at a value with `n` view values at or below it and `k` changed
+/// pairs' net count there, at ratio `m`.
+fn corrected_count(n: usize, k: i64, m: f64) -> f64 {
+    n as f64 + k as f64 / m
+}
+
+/// The smallest `n` in `lo..=hi` where `reaches`, which is false and then
+/// true over that range; `hi` if it is only true there.
+fn first_reaching(mut lo: usize, mut hi: usize, reaches: impl Fn(usize) -> bool) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if reaches(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// [`CorrectedCdf::inverse`] at `rank + 1` by brute force: `F̂′`
+/// materialized at every view value and every changed value, each count
+/// taken over the whole view and every changed pair.
+#[cfg(any(test, feature = "verify"))]
+fn brute_force_inverse(view: &[f64], changed: &[(Slot, Slot)], m: f64, rank: usize) -> f64 {
+    let mut points: Vec<f64> = view.to_vec();
+    points.extend(changed.iter().flat_map(|&(s, c)| [s.value(), c.value()]).flatten());
+    points.sort_by(f64::total_cmp);
+    let le = |v: f64, x: f64| v.total_cmp(&x).is_le();
+    let cdf: Vec<f64> = points
+        .iter()
+        .map(|&x| {
+            let n = view.iter().filter(|&&v| le(v, x)).count();
+            let side = |v: Slot| i64::from(v.value().is_some_and(|v| le(v, x)));
+            let k: i64 = changed.iter().map(|&(s, c)| side(c) - side(s)).sum();
+            corrected_count(n, k, m)
+        })
+        .collect();
+    let target = (rank as f64 + 1.0).min(cdf.iter().copied().fold(f64::NEG_INFINITY, f64::max));
+    points[cdf.iter().position(|&f| f >= target).expect("the top is reached")]
+}
+
+/// SVC+CORR's stale full view: the table itself, or only its answer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum StaleView<'a> {
+    /// The view's table: `q(S)` is read off it, and an order statistic's
+    /// matching values.
+    Table(&'a Table),
+    /// `q(S)` alone, which corrects every aggregate but an order statistic.
+    Answer(f64),
+}
+
+impl StaleView<'_> {
+    /// `q(S)`.
+    fn answer(self, q: &AggQuery) -> Result<f64> {
+        match self {
+            StaleView::Table(view) => q.exact(view),
+            StaleView::Answer(answer) => Ok(answer),
+        }
+    }
+
+    /// The view's matching values in `total_cmp` order.
+    fn sorted_values(self, q: &AggQuery) -> Result<Arc<[f64]>> {
+        match self {
+            StaleView::Table(view) => q.sorted_values(view),
+            StaleView::Answer(_) => Err(needs_the_view(q.agg)),
+        }
+    }
+}
+
+fn needs_the_view(agg: QueryAgg) -> StorageError {
+    StorageError::Invalid(format!(
+        "cannot correct {agg:?} from q(S) alone: an order statistic corrects the stale view's \
+         CDF, so use SvcView::estimate_corr"
+    ))
+}
+
 /// The body of every estimator: walk the samples, finish by class. `stale`
-/// is SVC+CORR's `(q(S), Ŝ)`; `skip` holds the outlier sets whose rows are
-/// accounted for exactly elsewhere.
+/// is SVC+CORR's stale view and sample `Ŝ`; `skip` holds the outlier sets
+/// whose rows are accounted for exactly elsewhere.
 pub(crate) fn estimate(
-    stale: Option<(f64, &Table)>,
+    stale: Option<(StaleView<'_>, &Table)>,
     clean_sample: &Table,
     skip: &[&Table],
     q: &AggQuery,
     m: f64,
     cfg: &SvcConfig,
 ) -> Result<Estimate> {
-    let (stale_result, stale_sample) = stale.unzip();
-    correspond(stale_sample, clean_sample, skip, q)?.finish(q.agg, stale_result, m, cfg)
+    let (view, stale_sample) = stale.unzip();
+    correspond(stale_sample, clean_sample, skip, q)?.finish(q, view, m, cfg)
 }
 
 /// SVC+AQP: estimate `q(S′)` directly from the clean sample with scaling
@@ -540,7 +742,10 @@ pub fn svc_aqp(clean_sample: &Table, q: &AggQuery, m: f64, cfg: &SvcConfig) -> R
 
 /// SVC+CORR: estimate the correction `c = q(S′) − q(S)` from the
 /// corresponding samples and add it to the stale full-view answer
-/// (Section 5.1; bounds per Sections 5.2.1/5.2.5 and Appendix 12.1.1).
+/// (Section 5.1; bounds per Section 5.2.1 and Appendix 12.1.1). A median
+/// or percentile corrects the stale view's CDF, which `q(S)` does not
+/// carry: it is [`StorageError::Invalid`] here, and
+/// [`SvcView::estimate_corr`](crate::SvcView::estimate_corr) answers it.
 pub fn svc_corr(
     stale_result: f64,
     stale_sample: &Table,
@@ -549,7 +754,10 @@ pub fn svc_corr(
     m: f64,
     cfg: &SvcConfig,
 ) -> Result<Estimate> {
-    estimate(Some((stale_result, stale_sample)), clean_sample, &[], q, m, cfg)
+    if q.agg.quantile_level().is_some() {
+        return Err(needs_the_view(q.agg));
+    }
+    estimate(Some((StaleView::Answer(stale_result), stale_sample)), clean_sample, &[], q, m, cfg)
 }
 
 /// Break-even test of Section 5.2.2, read off the same walk: SVC+CORR has
@@ -690,48 +898,148 @@ mod tests {
         assert_eq!(est.ci.unwrap().half_width, 0.0);
     }
 
-    #[test]
-    fn median_estimates_with_bootstrap_ci() {
-        let (stale, fresh, s_hat, f_hat) = samples(0.25);
-        let cfg = SvcConfig::default();
-        let q = AggQuery::median(col("x"));
-        let truth = q.exact(&fresh).unwrap();
-        let aqp = svc_aqp(&f_hat, &q, 0.25, &cfg).unwrap();
-        assert!((aqp.value - truth).abs() < 15.0);
-        assert!(aqp.ci.is_some());
-        let stale_res = q.exact(&stale).unwrap();
-        let corr = svc_corr(stale_res, &s_hat, &f_hat, &q, 0.25, &cfg).unwrap();
-        assert!((corr.value - truth).abs() < 15.0);
+    /// SVC+CORR through the stale view itself, as `SvcView::estimate_corr`
+    /// passes it.
+    fn corr_by_view(
+        view: &Table,
+        stale_sample: &Table,
+        clean_sample: &Table,
+        q: &AggQuery,
+        m: f64,
+    ) -> Estimate {
+        let stale = Some((StaleView::Table(view), stale_sample));
+        estimate(stale, clean_sample, &[], q, m, &SvcConfig::default()).unwrap()
     }
 
-    /// The CORR median bootstraps key pairs: with most keys unchanged its
-    /// interval is narrower than AQP's. A correction whose resamples
-    /// all drew a side empty has no interval — not a zero-width one, and
-    /// no panic — and its point estimate stands.
+    #[test]
+    fn median_estimates_with_draw_free_intervals() {
+        let (stale, fresh, s_hat, f_hat) = samples(0.25);
+        let cfg = SvcConfig::default();
+        for q in [AggQuery::median(col("x")), AggQuery::percentile(col("x"), 0.9)] {
+            let truth = q.exact(&fresh).unwrap();
+            let aqp = svc_aqp(&f_hat, &q, 0.25, &cfg).unwrap();
+            assert!((aqp.value - truth).abs() < 15.0);
+            assert!(aqp.ci.unwrap().contains(truth), "{q:?}: AQP {aqp:?} against {truth}");
+            let corr = corr_by_view(&stale, &s_hat, &f_hat, &q, 0.25);
+            assert!((corr.value - truth).abs() < 15.0);
+            assert!(corr.ci.unwrap().contains(truth), "{q:?}: CORR {corr:?} against {truth}");
+            // `q(S)` alone does not carry the stale view's CDF.
+            let stale_result = q.exact(&stale).unwrap();
+            let err = svc_corr(stale_result, &s_hat, &f_hat, &q, 0.25, &cfg).unwrap_err();
+            assert!(err.to_string().contains("SvcView::estimate_corr"), "{err}");
+        }
+    }
+
+    /// The CORR median's interval rests on the key pairs that changed: with
+    /// most keys unchanged it is narrower than AQP's. A correction whose
+    /// stale sample holds no value still has one.
     #[test]
     fn corr_median_intervals_are_key_paired() {
         let (stale, _, s_hat, f_hat) = samples(0.25);
-        let cfg = SvcConfig::default();
         let q = AggQuery::median(col("x"));
-        let stale_res = q.exact(&stale).unwrap();
-        let corr = svc_corr(stale_res, &s_hat, &f_hat, &q, 0.25, &cfg).unwrap();
-        let aqp = svc_aqp(&f_hat, &q, 0.25, &cfg).unwrap();
+        let corr = corr_by_view(&stale, &s_hat, &f_hat, &q, 0.25);
+        let aqp = svc_aqp(&f_hat, &q, 0.25, &SvcConfig::default()).unwrap();
         let (corr_hw, aqp_hw) = (corr.ci.unwrap().half_width, aqp.ci.unwrap().half_width);
         assert!(corr_hw < aqp_hw, "CORR {corr_hw} against AQP {aqp_hw}");
-        // One key only in Ŝ, another only in Ŝ′: a resample of two draws
-        // misses a side half of the time.
+        // One key only in Ŝ, another only in Ŝ′, a view of three values.
+        let view = keyed(&[(1, 4.0), (3, 6.0), (5, 8.0)]);
         let (dirty, clean) = (keyed(&[(1, 4.0)]), keyed(&[(2, 9.0)]));
-        let mut none = 0;
-        for seed in 0..64 {
-            let cfg = SvcConfig { bootstrap_iterations: 2, ..SvcConfig::default() }.reseeded(seed);
-            let est = svc_corr(10.0, &dirty, &clean, &q, 0.5, &cfg).unwrap();
-            assert_eq!(est.value, 15.0);
-            match est.ci {
-                None => none += 1,
-                Some(ci) => assert_eq!(ci.half_width, 0.0, "every drawn difference is 5"),
+        let est = corr_by_view(&view, &dirty, &clean, &q, 0.5);
+        // F̂′ = N − 2·1[x ≥ 4] + 2·1[x ≥ 9] reads −1, 0, 1 and 3 at 4, 6, 8
+        // and 9: N̂′ = 3, and the median is where the count first reaches 2.
+        assert_eq!(est.value, 9.0);
+        assert!(est.ci.unwrap().half_width > 0.0);
+        assert_eq!(est.n_eff, 2);
+    }
+
+    /// `(stale view, fresh view)` pairs whose CDFs are hard to invert:
+    /// ties with ±0, a two-valued (step) column, spread values, and deletes
+    /// of the low values that drive the correction negative. Each fresh
+    /// view updates, deletes and inserts rows.
+    fn cdf_cases() -> Vec<(Table, Table)> {
+        let shapes: [fn(i64) -> f64; 4] = [
+            |i| [0.0, -0.0, 1.0, 1.0, 2.5][(i % 5) as usize],
+            |i| f64::from(u8::from(i % 3 == 0)),
+            |i| ((i * 37) % 101) as f64 / 7.0,
+            |i| (i % 17) as f64,
+        ];
+        shapes
+            .iter()
+            .enumerate()
+            .map(|(case, x)| {
+                let stale: Vec<_> = (0..300).map(|i| (i, x(i))).collect();
+                let mut fresh = Vec::new();
+                for &(i, v) in &stale {
+                    match (case, i % 7) {
+                        (3, _) if v < 6.0 && i % 2 == 0 => {} // delete low values
+                        (_, 0) => fresh.push((i, x(i * 3 + 1))),
+                        (_, 1) => {}
+                        _ => fresh.push((i, v)),
+                    }
+                }
+                fresh.extend((300..360).map(|i| (i, x(i * 5))));
+                (keyed(&stale), keyed(&fresh))
+            })
+            .collect()
+    }
+
+    /// The corrected CDF materialized at every value, inverted at the type-7
+    /// positions `q(S)` is read at: the reference of the segment walk.
+    fn materialized_quantile(view: &[f64], changed: &[(Slot, Slot)], m: f64, p: f64) -> f64 {
+        let k: i64 = changed.iter().map(|(s, c)| i64::from(c.hit) - i64::from(s.hit)).sum();
+        let n = view.len() as f64 + k as f64 / m;
+        let at = |rank: usize| brute_force_inverse(view, changed, m, rank);
+        if n == 1.0 {
+            return at(0);
+        }
+        let pos = (p * (n - 1.0)).max(0.0);
+        let (lo, hi) = (at(pos.floor() as usize), at(pos.ceil() as usize));
+        lo + (hi - lo) * (pos - pos.floor())
+    }
+
+    #[test]
+    fn corrected_quantiles_equal_the_materialized_cdf() {
+        for (case, (stale, fresh)) in cdf_cases().into_iter().enumerate() {
+            for (m, seed) in [(0.3, 1), (0.5, 2), (0.1, 3)] {
+                let spec = HashSpec::with_seed(seed);
+                let (s_hat, f_hat) =
+                    (sample_by_key(&stale, m, spec), sample_by_key(&fresh, m, spec));
+                for p in [0.0, 0.37, 0.5, 1.0] {
+                    for q in [AggQuery::percentile(col("x"), p), AggQuery::median(col("x"))] {
+                        let q = q.filter(col("id").rem(lit(11i64)).ne(lit(4i64)));
+                        let est = corr_by_view(&stale, &s_hat, &f_hat, &q, m);
+                        let mut view = q.bind(&stale).unwrap().matching_values(&stale);
+                        view.sort_by(f64::total_cmp);
+                        let mut changed = Vec::new();
+                        correspond(Some(&s_hat), &f_hat, &[], &q).unwrap().walk_slots(|s, c| {
+                            if s.value().map(f64::to_bits) != c.value().map(f64::to_bits) {
+                                changed.push((s, c));
+                            }
+                        });
+                        let level = q.agg.quantile_level().unwrap();
+                        let want = materialized_quantile(&view, &changed, m, level);
+                        let label = format!("case {case} m {m} {q:?}");
+                        assert_eq!(est.value.to_bits(), want.to_bits(), "{label}");
+                        let ci = est.ci.unwrap();
+                        assert!(ci.half_width >= 0.0, "{label}");
+                        // No changed pair: q(S). The whole views (m = 1): q(S′).
+                        let same = corr_by_view(&stale, &s_hat, &s_hat, &q, m);
+                        let stale_answer = q.exact(&stale).unwrap();
+                        assert_eq!(same.value.to_bits(), stale_answer.to_bits(), "{label}");
+                        assert_eq!((same.ci.unwrap().half_width, same.n_eff), (0.0, 0), "{label}");
+                        let whole = corr_by_view(&stale, &stale, &fresh, &q, 1.0);
+                        let fresh_answer = q.exact(&fresh).unwrap();
+                        assert_eq!(whole.value.to_bits(), fresh_answer.to_bits(), "{label}");
+                    }
+                }
             }
         }
-        assert!((4..60).contains(&none), "{none} of 64 corrections had no interval");
+        // A correction that deletes more than the view holds below a value
+        // keeps the count there negative: the inverse never lands on it.
+        let view = keyed(&[(1, 1.0), (2, 2.0), (3, 3.0)]);
+        let (dirty, clean) = (keyed(&[(1, 1.0), (2, 2.0)]), keyed(&[(4, 3.0)]));
+        let est = corr_by_view(&view, &dirty, &clean, &AggQuery::median(col("x")), 0.5);
+        assert_eq!(est.value, 3.0);
     }
 
     #[test]
@@ -1006,10 +1314,16 @@ mod tests {
         assert_eq!(n_eff(positive(AggQuery::sum(col("x")))), 4);
         // count: keys 3, 4 and 6 enter or leave the predicate; key 2 stays.
         assert_eq!(n_eff(positive(AggQuery::count())), 3);
-        // avg, median and max: rows under the predicate on either side.
-        for q in [AggQuery::avg(col("x")), AggQuery::median(col("x")), AggQuery::max(col("x"))] {
+        // avg and max: rows under the predicate on either side.
+        for q in [AggQuery::avg(col("x")), AggQuery::max(col("x"))] {
             assert_eq!(n_eff(positive(q)), 5);
         }
+        // median: the changed pairs whose term at the estimate differs. With
+        // the stale sample as the view the estimate is 2, so key 2 (6 → 8)
+        // stays above it and adds nothing, and keys 3, 4 and 6 do.
+        let median = positive(AggQuery::median(col("x")));
+        let median = corr_by_view(&dirty, &dirty, &clean, &median, 0.5);
+        assert_eq!((median.value, median.n_eff), (2.0, 3));
         // Without a predicate every row is under it, and key 5 differs.
         assert_eq!(n_eff(AggQuery::sum(col("x"))), 5);
         assert_eq!(n_eff(AggQuery::avg(col("x"))), 6);

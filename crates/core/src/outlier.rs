@@ -26,7 +26,7 @@ use svc_relalg::plan::{JoinKind, Plan};
 use svc_stats::clt::horvitz_thompson_interval;
 
 use crate::config::SvcConfig;
-use crate::estimate::{correspond, estimate, svc_aqp, svc_corr, Estimate};
+use crate::estimate::{correspond, estimate, svc_aqp, svc_corr, Estimate, StaleView};
 use crate::query::{aggregate, AggQuery, QueryAgg};
 
 /// How the index threshold is chosen (Section 6.1).
@@ -202,7 +202,7 @@ pub fn estimate_aqp_with_outliers(
         return svc_aqp(clean_sample_public, q, m, cfg);
     }
     let walk = correspond(None, clean_sample_public, &[outliers_fresh_public], q)?;
-    let reg = walk.finish(q.agg, None, m, cfg)?;
+    let reg = walk.finish(q, None, m, cfg)?;
     let out = q.bind(outliers_fresh_public)?.matching_values(outliers_fresh_public);
     if q.agg != QueryAgg::Avg {
         return Ok(reg.affine(1.0, aggregate(q.agg, out.iter().copied())));
@@ -243,7 +243,7 @@ pub fn estimate_corr_with_outliers(
         return svc_corr(stale_result, stale_sample_public, clean_sample_public, q, m, cfg);
     }
     let reg = estimate(
-        Some((stale_result, stale_sample_public)),
+        Some((StaleView::Answer(stale_result), stale_sample_public)),
         clean_sample_public,
         &[outliers_fresh_public, outliers_stale_public],
         q,

@@ -21,6 +21,8 @@
 //! Views commit by swapping in a new table, so a maintained view's next
 //! answer is read from its new rows.
 
+use std::sync::Arc;
+
 use svc_relalg::exec::column::{compile_expr, compile_pred, ColExpr, ColPred};
 use svc_relalg::exec::SelVec;
 use svc_relalg::scalar::{lit, Expr};
@@ -161,6 +163,20 @@ impl AggQuery {
     pub fn exact(&self, table: &Table) -> Result<f64> {
         table.memoized(format!("{self:?}"), || {
             Ok(aggregate(self.agg, self.bind(table)?.matching_values(table).into_iter()))
+        })
+    }
+
+    /// The matching values of `table` in `f64::total_cmp` order: the CDF an
+    /// SVC+CORR order statistic corrects. Memoized on the table state
+    /// ([`Table::memoized_values`]) under the attribute and predicate, so
+    /// every quantile level of one column and predicate shares one sort of
+    /// the stale view.
+    pub(crate) fn sorted_values(&self, table: &Table) -> Result<Arc<[f64]>> {
+        let key = format!("sorted {:?} where {:?}", self.attr, self.predicate);
+        table.memoized_values(key, || {
+            let mut values = self.bind(table)?.matching_values(table);
+            values.sort_unstable_by(f64::total_cmp);
+            Ok(values)
         })
     }
 }

@@ -18,8 +18,8 @@ use svc_storage::{Result, Table};
 const VIEW_LEAF: &str = "__select_view";
 
 use crate::config::SvcConfig;
-use crate::estimate::{Correspondence, Estimate};
-use crate::query::QueryAgg;
+use crate::estimate::{Correspondence, Estimate, StaleView};
+use crate::query::AggQuery;
 
 /// The outcome of cleaning a select query.
 #[derive(Debug, Clone)]
@@ -43,7 +43,7 @@ fn count_estimate(hits: usize, sample_size: usize, m: f64, cfg: &SvcConfig) -> E
     // `hits` indicator rows among `sample_size`, scaled `1/m`, CLT bound.
     let rows = (0..sample_size).map(|i| (i < hits).then_some(1.0)).collect();
     Correspondence::of_clean(rows)
-        .finish(QueryAgg::Count, Some(0.0), m, cfg)
+        .finish(&AggQuery::count(), Some(StaleView::Answer(0.0)), m, cfg)
         .expect("a count is defined on any sample")
 }
 

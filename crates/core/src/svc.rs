@@ -23,7 +23,7 @@ use svc_sampling::operator::KeySample;
 use svc_sampling::pushdown::PushdownReport;
 
 use crate::config::SvcConfig;
-use crate::estimate::{break_even, stale_answer, svc_aqp, svc_corr, Estimate, Method};
+use crate::estimate::{break_even, estimate, stale_answer, svc_aqp, Estimate, Method, StaleView};
 use crate::query::AggQuery;
 
 /// The catalog overlay for a maintenance, cleaning or change plan: the
@@ -101,22 +101,20 @@ pub struct CleanedSample {
 
 impl SvcView {
     /// Create the view, materialize it, and draw the initial sample; a config
-    /// outside `ratio ∈ (0, 1]`, `confidence ∈ (0, 1)`, `bootstrap_iterations
-    /// ≥ 1` is [`StorageError::Invalid`] (the estimators would be wrong), and
-    /// so is a view without a primary key (a global aggregate): η hashes the
-    /// key, so its sample would be empty and no clean could run.
+    /// outside `ratio ∈ (0, 1]`, `confidence ∈ (0, 1)` is
+    /// [`StorageError::Invalid`] (the estimators would be wrong), and so is
+    /// a view without a primary key (a global aggregate): η hashes the key,
+    /// so its sample would be empty and no clean could run.
     pub fn create(
         name: impl Into<String>,
         definition: Plan,
         db: &Database,
         config: SvcConfig,
     ) -> Result<SvcView> {
-        let SvcConfig { ratio, confidence, bootstrap_iterations, .. } = config;
-        if !(ratio > 0.0 && ratio <= 1.0 && confidence > 0.0 && confidence < 1.0)
-            || bootstrap_iterations == 0
-        {
+        let SvcConfig { ratio, confidence, .. } = config;
+        if !(ratio > 0.0 && ratio <= 1.0 && confidence > 0.0 && confidence < 1.0) {
             return Err(StorageError::Invalid(format!(
-                "need ratio in (0, 1], confidence in (0, 1), bootstrap_iterations >= 1: {config:?}"
+                "need ratio in (0, 1] and confidence in (0, 1): {config:?}"
             )));
         }
         let view = MaterializedView::create(name, definition, db)?;
@@ -276,18 +274,12 @@ impl SvcView {
         svc_aqp(&cleaned.canonical, &self.lowered(q)?, self.config.ratio, &self.config)
     }
 
-    /// SVC+CORR on an already-cleaned sample.
+    /// SVC+CORR on an already-cleaned sample: the stale view's answer —
+    /// for a median or percentile, its CDF — corrected by the samples.
     pub fn estimate_corr(&self, cleaned: &CleanedSample, q: &AggQuery) -> Result<Estimate> {
-        let q = self.lowered(q)?;
-        let stale_result = q.exact(self.view.table())?;
-        svc_corr(
-            stale_result,
-            self.stale_sample(),
-            &cleaned.canonical,
-            &q,
-            self.config.ratio,
-            &self.config,
-        )
+        let stale = Some((StaleView::Table(self.view.table()), self.stale_sample()));
+        let (m, cfg) = (self.config.ratio, &self.config);
+        estimate(stale, &cleaned.canonical, &[], &self.lowered(q)?, m, cfg)
     }
 
     /// End-to-end answer: clean a sample, then estimate with the requested
@@ -521,15 +513,8 @@ mod tests {
         }
     }
 
-    /// An empty bootstrap distribution used to panic every median or
-    /// percentile estimate.
-    #[test]
-    fn zero_bootstrap_iterations_are_rejected() {
-        assert_rejected(SvcConfig { bootstrap_iterations: 0, ..SvcConfig::with_ratio(0.2) });
-    }
-
-    /// A confidence of 1 or more asked the bootstrap for a quantile level
-    /// above 1, which panicked.
+    /// A confidence of 1 or more asked the Gaussian tail for a level
+    /// outside (0, 1), which panicked.
     #[test]
     fn confidence_outside_the_open_unit_interval_is_rejected() {
         for confidence in [1.5, 1.0, 0.0, -0.1, f64::NAN] {

@@ -1,10 +1,16 @@
-//! The statistical bootstrap (Section 5.2.5).
+//! The statistical bootstrap (Section 5.2.5), kept as a reference.
 //!
 //! For aggregates that are not sample means (`median`, percentiles) the
 //! paper bounds estimates empirically: repeatedly subsample *with
 //! replacement*, apply the statistic, and read confidence bounds off the
 //! empirical distribution. SVC+CORR uses the variant that bootstraps the
 //! *difference* `c` between the clean-sample and dirty-sample statistics.
+//!
+//! No estimator draws from here any more: the quantile intervals need no
+//! resample ([`mod@crate::quantile`]: distribution-free binomial ranks for
+//! a sample quantile, Woodruff's inversion for a corrected CDF). What
+//! remains is the reference the tests hold those intervals against, and
+//! is itself held bit for bit to materializing every resample.
 //!
 //! That difference is bootstrapped **by key**. Theorem 1's correspondence
 //! pairs each key's stale value with its clean value, and the correction's

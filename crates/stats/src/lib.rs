@@ -9,10 +9,13 @@
 //! * [`clt`] — Central Limit Theorem confidence intervals for sample-mean
 //!   aggregates (`sum`, `count`, `avg`; Section 5.2.1);
 //! * [`bootstrap`] — the statistical bootstrap for aggregates that are not
-//!   sample means (`median`, percentiles; Section 5.2.5);
+//!   sample means (`median`, percentiles; Section 5.2.5), kept as the
+//!   reference the draw-free quantile intervals are tested against;
 //! * [`cantelli`] — Cantelli-inequality tail bounds for `min`/`max`
 //!   (Appendix 12.1.1);
-//! * [`mod@quantile`] — exact quantiles of small vectors, by selection.
+//! * [`mod@quantile`] — exact quantiles of small vectors, by selection or
+//!   through an inverse CDF, and the quantile intervals that need no
+//!   resample (distribution-free binomial ranks, Woodruff's inversion).
 
 pub mod bootstrap;
 pub mod cantelli;

@@ -22,7 +22,9 @@
 //!   built for a reader that does not name it — what plan execution and
 //!   every query answer read;
 //! * exact query answers ([`Table::memoized`]), one `f64` per query key, so
-//!   a burst of the same query over an unchanged state reads it once;
+//!   a burst of the same query over an unchanged state reads it once — and,
+//!   in the same memo, shared value vectors ([`Table::memoized_values`]),
+//!   such as a query's matching values sorted for its order statistics;
 //! * the state's pairing with another table's state by primary key
 //!   ([`Table::paired_with`]), so a burst of estimates over one cleaned
 //!   sample joins it to the stale sample once.
@@ -119,10 +121,11 @@ pub struct Table {
     /// empties it. Interior mutability because columns are built on shared
     /// read paths (plan execution, query answering).
     colcache: Mutex<Vec<Option<Arc<Column>>>>,
-    /// Exact answers read off this state ([`Table::memoized`]): query key →
-    /// (row count when computed, answer). Emptied with `colcache` by every
-    /// row-changing method; flushed whole at `ANSWER_MEMO_CAP` answers.
-    answers: Mutex<HashMap<String, (usize, f64)>>,
+    /// Answers read off this state ([`Table::memoized`],
+    /// [`Table::memoized_values`]): key → (row count when computed, answer).
+    /// Emptied with `colcache` by every row-changing method; flushed whole
+    /// at `ANSWER_MEMO_CAP` answers.
+    answers: Mutex<HashMap<String, (usize, Memo)>>,
     /// This state's identity (`state_id`): 0 until a reader (or a clone)
     /// asks for it, then drawn from `NEXT_STATE`, so no two different
     /// states — of one table or of two — share one; a clone, the same rows
@@ -207,6 +210,13 @@ impl Lineage {
         }
         self.moved.remove(&last);
     }
+}
+
+/// One memoized answer: a number, or a shared vector of them.
+#[derive(Debug, Clone)]
+enum Memo {
+    Number(f64),
+    Values(Arc<[f64]>),
 }
 
 /// Answers one table state memoizes before the memo is flushed whole: far
@@ -506,7 +516,40 @@ impl Table {
     /// read columns. The memo is emptied by every mutation and flushed whole
     /// once it holds 1024 answers.
     pub fn memoized(&self, key: String, f: impl FnOnce() -> Result<f64>) -> Result<f64> {
-        let hit = self.answers.lock().expect("answer memo poisoned").get(&key).copied();
+        let number = |m: &Memo| match m {
+            Memo::Number(x) => Some(*x),
+            Memo::Values(_) => None,
+        };
+        self.memo(key, f, number, Memo::Number)
+    }
+
+    /// [`Table::memoized`] for an answer that is a vector of numbers: the
+    /// same memo, keys, invalidation and counting. A key holding a number
+    /// is a miss here, and the vector replaces it.
+    pub fn memoized_values(
+        &self,
+        key: String,
+        f: impl FnOnce() -> Result<Vec<f64>>,
+    ) -> Result<Arc<[f64]>> {
+        let values = |m: &Memo| match m {
+            Memo::Values(v) => Some(Arc::clone(v)),
+            Memo::Number(_) => None,
+        };
+        self.memo(key, || f().map(Arc::from), values, Memo::Values)
+    }
+
+    /// The memo's one read: the answer `read` finds under `key`, else
+    /// `f()`'s, stored as `wrap` makes it.
+    fn memo<T: Clone>(
+        &self,
+        key: String,
+        f: impl FnOnce() -> Result<T>,
+        read: impl FnOnce(&Memo) -> Option<T>,
+        wrap: fn(T) -> Memo,
+    ) -> Result<T> {
+        let answers = self.answers.lock().expect("answer memo poisoned");
+        let hit = answers.get(&key).and_then(|(rows, memo)| Some((*rows, read(memo)?)));
+        drop(answers);
         if let Some((rows, answer)) = hit {
             // With the verifier on, prove the memo is honest, as `filled`
             // does for a column: an answer computed at another row count
@@ -528,7 +571,7 @@ impl Table {
         if answers.len() >= ANSWER_MEMO_CAP {
             answers.clear();
         }
-        answers.insert(key, (self.rows.len(), answer));
+        answers.insert(key, (self.rows.len(), wrap(answer.clone())));
         Ok(answer)
     }
 
@@ -1062,6 +1105,29 @@ mod tests {
         let before = Table::clone_count();
         let _copy = t.clone();
         assert!(Table::clone_count() > before, "clone must be counted");
+    }
+
+    /// Numbers and vectors share one memo: a vector is read back as the
+    /// same allocation, a key holding the other kind is a miss that
+    /// replaces it, each miss is counted, and a mutation or a clone starts
+    /// empty.
+    #[test]
+    fn the_memo_holds_numbers_and_vectors_per_state() {
+        let mut t = table();
+        t.insert(vec![Value::Int(1), Value::str("a")]).unwrap();
+        let answers = Table::answer_count();
+        let sorted = t.memoized_values("v".into(), || Ok(vec![1.0, 2.0])).unwrap();
+        let again = t.memoized_values("v".into(), || panic!("recomputed")).unwrap();
+        assert!(Arc::ptr_eq(&sorted, &again));
+        assert_eq!(Table::answer_count(), answers + 1);
+        assert_eq!(t.memoized("v".into(), || Ok(3.0)).unwrap(), 3.0);
+        assert_eq!(t.memoized("v".into(), || panic!("recomputed")).unwrap(), 3.0);
+        assert_eq!(*t.memoized_values("v".into(), || Ok(vec![4.0])).unwrap(), [4.0]);
+        assert_eq!(Table::answer_count(), answers + 3);
+        assert!(t.memoized_values("e".into(), || Err(StorageError::Invalid("no".into()))).is_err());
+        assert_eq!(*t.clone().memoized_values("v".into(), || Ok(vec![5.0])).unwrap(), [5.0]);
+        t.insert(vec![Value::Int(2), Value::str("b")]).unwrap();
+        assert_eq!(*t.memoized_values("v".into(), || Ok(vec![6.0])).unwrap(), [6.0]);
     }
 
     #[test]
