@@ -1,20 +1,28 @@
-//! The paper's figures 4–13 (§7) as one asserted run:
+//! The paper's figures as one asserted run:
 //! `cargo run --release -p svc-bench --bin paper`.
 //!
-//! `FIGURES` is the claim table. Each row names a figure, the setup and
-//! sweep that write its CSV under `experiments/`, and the claims read off
-//! it. The cost sweep times IVM's `maintain` against `clean_sample`; the
-//! accuracy sweep reads stale, SVC+AQP and SVC+CORR relative errors over
-//! seeded queries, so its counts repeat exactly. A time claim is a ratio of
-//! two paths timed in the same run, never an absolute time. A claim that
-//! fails today is in `EXPECTED_FAILURES`; the run exits non-zero when an
-//! unlisted claim fails or a listed one passes.
+//! `FIGURES` is the claim table. Each row names a figure, the scales it
+//! runs at, the setup and sweep that write its CSV under `experiments/`
+//! (`{figure}.csv` at scale 1, `{figure}_x{scale}.csv` at another), and the
+//! claims read off it. Figures 4–13 (§7) are the cost sweep, which times
+//! IVM's `maintain` against `clean_sample`, and the accuracy sweep, which
+//! reads stale, SVC+AQP and SVC+CORR relative errors over seeded queries;
+//! figures 3 and 14–16 and the executor and join-order sheets are in
+//! `svc_bench::engine`. Accuracy counts repeat exactly, and their verdicts
+//! move with the data's size, so the accuracy figures run at scales 1 and
+//! 4. A time claim reads a ratio column of two paths timed in the same run,
+//! never an absolute time. A claim that fails today is in
+//! `EXPECTED_FAILURES`, keyed by figure, scale and claim; the run exits
+//! non-zero when an unlisted claim fails or a listed one passes.
 
 use std::process::ExitCode;
 use std::rc::Rc;
 
 use rand::{rngs::StdRng, SeedableRng};
-use svc_bench::{bench_min_ms, bench_scale, median_of, tpcd, Report};
+use svc_bench::engine::{
+    batch_throughput, exec, join_order, optimize_depth, pushdown, timeline, utilization,
+};
+use svc_bench::{bench_min_ms, median_of, tpcd, Report, Sheet, REPS};
 use svc_core::outlier::{estimate_aqp_with_outliers, estimate_corr_with_outliers, stale_rows_at};
 use svc_core::outlier::{OutlierIndex, OutlierIndexSpec, ThresholdPolicy};
 use svc_core::query::{relative_error, AggQuery, QueryAgg};
@@ -25,11 +33,8 @@ use svc_storage::{Database, Deltas, KeyTuple, Result, Table};
 use svc_workloads::cube::{base_cube, group_values, rollup_dimension_sets, rollup_query};
 use svc_workloads::tpcd_views::{complex_views, join_view, join_view_queries};
 use svc_workloads::{conviva, querygen::random_queries};
-use Check::{AtMost, EverySpeedup, FirstSpeedup, MedianSpeedup, Unpushed};
+use Check::{AtMost, Every, First, Growth, InteriorMin, Leading, Median, MinAtMost, Unpushed};
 
-/// Timed runs per cell; a cell reads the fastest (one run read fig10a's
-/// m = 0.6 cell at twice its neighbours).
-const REPS: usize = 5;
 /// Query instances per template or view (the paper uses 100).
 const QUERIES: usize = 30;
 
@@ -39,49 +44,157 @@ const CORR: &str = "svc_corr10_err";
 const AQP_OUT: &str = "svc_aqp10_out_err";
 const CORR_OUT: &str = "svc_corr10_out_err";
 
-/// A row of the claim table: a figure, the setup and sweep that fill its
-/// sheet, and the claims on it, each judged under the figure's name.
-type Figure = (&'static str, fn() -> Sheet, &'static [Check]);
+/// "Never more than 10 % slower", as a ratio of the reference's time over
+/// the new path's.
+const NO_SLOWER: f64 = 1.0 / 1.1;
+
+/// A row of the claim table: a figure, the scales it runs at, the setup
+/// and sweep that fill its sheet at a scale, and the claims on it.
+type Figure = (&'static str, &'static [f64], fn(f64) -> Sheet, &'static [Check]);
+
+/// Time claims are judged at the default scale; accuracy claims also at
+/// four times it, where their verdicts move.
+const ONE: &[f64] = &[1.0];
+const BOTH: &[f64] = &[1.0, 4.0];
+
+/// Figure 15's claims (the paper's): an interior sampling ratio minimizes
+/// IVM+SVC's max error, and there it is at most IVM alone's.
+const FIG15: &[Check] =
+    &[InteriorMin("ivm_svc_max_err"), MinAtMost("ivm_svc_max_err", "ivm_only_max_err")];
 
 const FIGURES: &[Figure] = &[
-    ("fig04a", || cost(ratios(join_view, 2.0)), &[FirstSpeedup(2.0)]),
-    ("fig04b", || cost(updates(join_view, 2.0, &JOIN_PCTS, 11, 0)), &[MedianSpeedup(1.5)]),
-    ("fig05", || accuracy(templates(), median_of), &[AtMost(CORR, STALE, 10)]),
-    ("fig06a", answer_times, &[EverySpeedup(1.0)]),
+    ("fig03", ONE, pushdown, &[Every("speedup", 1.0)]),
+    ("fig03_depth", ONE, optimize_depth, &[Growth("rederive_over_optimize", 1.0)]),
+    ("fig04a", ONE, |s| cost(ratios(s, join_view, 2.0)), &[First("speedup", 2.0)]),
+    (
+        "fig04b",
+        ONE,
+        |s| cost(updates(s, join_view, 2.0, &JOIN_PCTS, 11, 0)),
+        &[Median("speedup", 1.5)],
+    ),
+    ("fig05", BOTH, |s| accuracy(templates(s), median_of), &[AtMost(CORR, STALE, 10)]),
+    ("fig06a", ONE, answer_times, &[Every("speedup", 1.0)]),
     (
         "fig06b",
-        || accuracy(updates(join_view, 2.0, &BREAK_EVEN, 13, 15), median_of),
+        BOTH,
+        |s| accuracy(updates(s, join_view, 2.0, &BREAK_EVEN, 13, 15), median_of),
         &[AtMost(CORR, AQP, 9)],
     ),
-    ("fig07a", || cost(complex()), &[Unpushed(&["V21", "V22"]), MedianSpeedup(1.0)]),
-    ("fig07b", || accuracy(complex(), median_of), &[AtMost(CORR, STALE, 10)]),
+    ("fig07a", ONE, |s| cost(complex(s)), &[Unpushed(&["V21", "V22"]), Median("speedup", 1.0)]),
+    ("fig07b", BOTH, |s| accuracy(complex(s), median_of), &[AtMost(CORR, STALE, 10)]),
     (
         "fig08a",
-        || accuracy(skews(), |e| quantile(e, 0.75)),
+        BOTH,
+        |s| accuracy(skews(s), |e| quantile(e, 0.75)),
         &[AtMost(CORR_OUT, CORR, 4), AtMost(AQP_OUT, AQP, 3)],
     ),
-    ("fig08b", || cost(indexed()), &[EverySpeedup(1.0)]),
-    ("fig09a", || cost(conviva_views()), &[MedianSpeedup(1.5)]),
-    ("fig09b", || accuracy(conviva_views(), median_of), &[AtMost(CORR, STALE, 7)]),
-    ("fig10a", || cost(ratios(base_cube, 1.0)), &[FirstSpeedup(5.0)]),
-    ("fig10b", || cost(updates(base_cube, 1.0, &CUBE_PCTS, 19, 0)), &[MedianSpeedup(5.0)]),
-    ("fig11", || accuracy(rollups(QueryAgg::Sum, 30), median_of), &[AtMost(CORR, STALE, 11)]),
-    ("fig12", || accuracy(rollups(QueryAgg::Sum, 30), max_of), &[AtMost(CORR, STALE, 13)]),
-    ("fig13", || accuracy(rollups(QueryAgg::Median, 12), median_of), &[AtMost(CORR, STALE, 11)]),
-];
-
-/// Figures whose claims fail today: what they measured when listed, and the
-/// ROADMAP item that owns the fix.
-const EXPECTED_FAILURES: &[(&str, &str, &str)] = &[
-    ("fig07b", "8/10: V21 CORR 1.29 against stale 0.11; V13 0.0248 against 0.0232", "I"),
-    ("fig08b", "4/16: only K = 0 beats IVM (V5 with K = 100 costs 12-16x IVM)", "N(i)"),
-    ("fig10a", "1.8x: the cube's clean is mostly fixed cost", "P"),
-    ("fig10b", "1.7x: not tending to 10x", "P"),
-    ("fig12", "2/13 roll-ups: CORR's worst group is above stale's", "I and N"),
+    ("fig08b", ONE, |s| cost(indexed(s)), &[Every("speedup", 1.0)]),
+    ("fig09a", ONE, |s| cost(conviva_views(s)), &[Median("speedup", 1.5)]),
+    ("fig09b", BOTH, |s| accuracy(conviva_views(s), median_of), &[AtMost(CORR, STALE, 7)]),
+    ("fig10a", ONE, |s| cost(ratios(s, base_cube, 1.0)), &[First("speedup", 5.0)]),
+    (
+        "fig10b",
+        ONE,
+        |s| cost(updates(s, base_cube, 1.0, &CUBE_PCTS, 19, 0)),
+        &[Median("speedup", 5.0)],
+    ),
+    (
+        "fig11",
+        BOTH,
+        |s| accuracy(rollups(s, QueryAgg::Sum, 30), median_of),
+        &[AtMost(CORR, STALE, 11)],
+    ),
+    (
+        "fig12",
+        BOTH,
+        |s| accuracy(rollups(s, QueryAgg::Sum, 30), max_of),
+        &[AtMost(CORR, STALE, 13)],
+    ),
     (
         "fig13",
-        "5/13 roll-ups (3/13 at SVC_BENCH_SCALE=4): a roll-up group of 250-600 rows holds 1-7 \
-         changed pairs, each moving the corrected count by 1/m = 10 rows",
+        BOTH,
+        |s| accuracy(rollups(s, QueryAgg::Median, 12), median_of),
+        &[AtMost(CORR, STALE, 11)],
+    ),
+    // Throughput at the largest batch over the smallest.
+    ("fig14", ONE, batch_throughput, &[Growth("rps_solo", 1.0)]),
+    ("fig15_V2", BOTH, |s| timeline(s, "V2"), FIG15),
+    ("fig15_V5", BOTH, |s| timeline(s, "V5"), FIG15),
+    ("fig16", ONE, utilization, &[Median("svc_over_ivm", 1.0)]),
+    // The streaming executor and its vectorized kernels never lose to their
+    // references, and win at least 2x on the four most selective scans
+    // (selectivity 0.1 and below); metering a run costs at most 1.5x.
+    (
+        "fig_exec",
+        ONE,
+        exec,
+        &[
+            Every("legacy_over_vector", NO_SLOWER),
+            Every("rowwise_over_vector", NO_SLOWER),
+            Leading("legacy_over_vector", 4, 2.0),
+            Leading("rowwise_over_vector", 4, 2.0),
+            Every("vector_over_metered", 1.0 / 1.5),
+        ],
+    ),
+    // Cost-based order beats builder order on the three queries of 3 or
+    // more joins; the last row (2 joins) is the contrast.
+    ("fig_joinorder", ONE, join_order, &[Leading("speedup", 3, 1.0)]),
+];
+
+/// A claim that fails today: the figure, the scale and the claim it names,
+/// what it measured when listed, and the ROADMAP item that owns the fix.
+type Listed = (&'static str, f64, Check, &'static str, &'static str);
+
+const EXPECTED_FAILURES: &[Listed] = &[
+    (
+        "fig07b",
+        1.0,
+        AtMost(CORR, STALE, 10),
+        "8/10: V21 CORR 1.29 against stale 0.11; V13 0.0248 against 0.0232",
+        "I",
+    ),
+    ("fig07b", 4.0, AtMost(CORR, STALE, 10), "7/10: V18 misses too, beside V21 and V13", "I"),
+    ("fig08a", 4.0, AtMost(CORR_OUT, CORR, 4), "3/4: the index helps while samples are small", "N"),
+    ("fig08a", 4.0, AtMost(AQP_OUT, AQP, 3), "2/4: the index helps while samples are small", "N"),
+    (
+        "fig08b",
+        1.0,
+        Every("speedup", 1.0),
+        "4/16: only K = 0 beats IVM (V5 with K = 100 costs 12-16x IVM)",
+        "N(i)",
+    ),
+    ("fig10a", 1.0, First("speedup", 5.0), "1.8x: the cube's clean is mostly fixed cost", "P"),
+    ("fig10b", 1.0, Median("speedup", 5.0), "1.7x: not tending to 10x", "P"),
+    (
+        "fig12",
+        1.0,
+        AtMost(CORR, STALE, 13),
+        "2/13 roll-ups: CORR's worst group is above stale's",
+        "I and N",
+    ),
+    ("fig12", 4.0, AtMost(CORR, STALE, 13), "10/13 roll-ups: mostly a small-sample effect", "I"),
+    (
+        "fig13",
+        1.0,
+        AtMost(CORR, STALE, 11),
+        "5/13 roll-ups: a roll-up group of 250-600 rows holds 1-7 changed pairs, each moving \
+         the corrected count by 1/m = 10 rows",
+        "I",
+    ),
+    ("fig13", 4.0, AtMost(CORR, STALE, 11), "3/13 roll-ups", "I"),
+    (
+        "fig15_V5",
+        1.0,
+        MinAtMost("ivm_svc_max_err", "ivm_only_max_err"),
+        "0.72x: 0.154 at m = 0.03 against IVM alone's 0.112",
+        "I",
+    ),
+    ("fig15_V5", 4.0, InteriorMin("ivm_svc_max_err"), "the minimum is at m = 0.01", "I"),
+    (
+        "fig15_V5",
+        4.0,
+        MinAtMost("ivm_svc_max_err", "ivm_only_max_err"),
+        "0.55x: 0.148 at m = 0.01 against IVM alone's 0.081",
         "I",
     ),
 ];
@@ -90,43 +203,59 @@ const JOIN_PCTS: [f64; 8] = [0.025, 0.05, 0.075, 0.10, 0.125, 0.15, 0.175, 0.20]
 const CUBE_PCTS: [f64; 8] = [0.03, 0.05, 0.08, 0.10, 0.13, 0.15, 0.18, 0.20];
 const BREAK_EVEN: [f64; 9] = [0.03, 0.08, 0.13, 0.18, 0.23, 0.28, 0.33, 0.38, 0.43];
 
-/// A claim on a sheet. A speedup is IVM's time over SVC's in the same run.
-#[derive(Debug, Clone, Copy)]
+/// A claim on a sheet. A ratio claim reads a column of two paths' times
+/// over each other, written by the sweep (`speedup` is IVM's time over
+/// SVC's); every threshold is a lower bound.
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Check {
     /// The first column is at most the second on at least this many rows.
     AtMost(&'static str, &'static str, usize),
-    /// The first row's speedup is at least this.
-    FirstSpeedup(f64),
-    /// The median speedup is at least this.
-    MedianSpeedup(f64),
-    /// Every row's speedup is at least this.
-    EverySpeedup(f64),
+    /// The first row reads at least this.
+    First(&'static str, f64),
+    /// The median row reads at least this.
+    Median(&'static str, f64),
+    /// Every row reads at least this.
+    Every(&'static str, f64),
+    /// Each of the first this-many rows reads at least this.
+    Leading(&'static str, usize, f64),
+    /// The last row over the first reads at least this.
+    Growth(&'static str, f64),
+    /// The row minimizing the column is neither the first nor the last.
+    InteriorMin(&'static str),
+    /// At the row minimizing the first column, it is at most the second.
+    MinAtMost(&'static str, &'static str),
     /// Exactly these rows are not fully pushed down.
     Unpushed(&'static [&'static str]),
 }
 
-/// What a claim measured: `k` of `n` rows hold where it needs `need`, or a
-/// time ratio where it needs at least `min`.
-#[derive(Debug, Clone, Copy)]
+/// What a claim measured: `k` of `n` rows hold where it needs `need`, a
+/// ratio where it needs at least `min`, or the row a column is least at.
+#[derive(Debug)]
 enum Measure {
     Count { k: usize, n: usize, need: usize },
     Ratio { value: f64, min: f64 },
+    MinAt { row: String, interior: bool },
 }
 
 fn main() -> ExitCode {
-    let mut verdicts = Report::new("paper", &["figure", "check", "measured", "verdict"]);
+    let mut verdicts = Report::new("paper", &["figure", "scale", "check", "measured", "verdict"]);
     let mut green = true;
-    for &(figure, sheet, checks) in FIGURES {
-        let sheet = sheet();
-        sheet.write(figure, checks);
-        for check in checks {
-            let measure = check.measure(&sheet);
-            let (verdict, ok) = judge(figure, measure.holds(), EXPECTED_FAILURES);
-            green &= ok;
-            verdicts.row(vec![figure.into(), format!("{check:?}"), measure.to_string(), verdict]);
+    for &(figure, scales, sweep, checks) in FIGURES {
+        for &scale in scales {
+            let sheet = sweep(scale);
+            let name = if scale == 1.0 { figure.to_string() } else { format!("{figure}_x{scale}") };
+            sheet.write(&name, format!("{checks:?}"));
+            for &check in checks {
+                let measure = check.measure(&sheet);
+                let (verdict, ok) =
+                    judge((figure, scale, check), measure.holds(), EXPECTED_FAILURES);
+                green &= ok;
+                let cells = [figure.into(), scale.to_string(), format!("{check:?}")];
+                verdicts.row(cells.into_iter().chain([measure.to_string(), verdict]).collect());
+            }
         }
     }
-    verdicts.finish("one verdict per claim; EXPECTED_FAILURES is in src/bin/paper.rs");
+    verdicts.finish("one verdict per claim and scale; EXPECTED_FAILURES is in src/bin/paper.rs");
     if green {
         ExitCode::SUCCESS
     } else {
@@ -135,21 +264,23 @@ fn main() -> ExitCode {
 }
 
 /// A claim's verdict, and whether the run stays green with it: a listed
-/// figure's claims must fail, an unlisted figure's must hold.
-fn judge(figure: &str, holds: bool, expected: &[(&str, &str, &str)]) -> (String, bool) {
-    match (holds, expected.iter().find(|e| e.0 == figure)) {
+/// claim must fail, an unlisted one must hold.
+fn judge(claim: (&str, f64, Check), holds: bool, expected: &[Listed]) -> (String, bool) {
+    let (figure, scale, check) = claim;
+    match (holds, expected.iter().find(|e| (e.0, e.1, e.2) == (figure, scale, check))) {
         (true, None) => ("pass".into(), true),
         (false, None) => ("FAIL".into(), false),
-        (false, Some((_, was, item))) => (format!("expected fail ({item}; was {was})"), true),
+        (false, Some((.., was, item))) => (format!("expected fail ({item}; was {was})"), true),
         (true, Some(_)) => ("UNEXPECTED PASS: take it off EXPECTED_FAILURES".into(), false),
     }
 }
 
 impl Measure {
-    fn holds(self) -> bool {
-        match self {
+    fn holds(&self) -> bool {
+        match *self {
             Measure::Count { k, need, .. } => k >= need,
             Measure::Ratio { value, min } => value >= min,
+            Measure::MinAt { interior, .. } => interior,
         }
     }
 }
@@ -159,6 +290,7 @@ impl std::fmt::Display for Measure {
         match self {
             Measure::Count { k, n, need } => write!(f, "{k}/{n} (needs {need})"),
             Measure::Ratio { value, min } => write!(f, "{value:.2}x (needs {min}x)"),
+            Measure::MinAt { row, .. } => write!(f, "least at {row} (needs an interior row)"),
         }
     }
 }
@@ -166,9 +298,11 @@ impl std::fmt::Display for Measure {
 impl Check {
     fn measure(self, sheet: &Sheet) -> Measure {
         let every = |k, n| Measure::Count { k, n, need: n };
-        let speedups = || -> Vec<f64> {
-            let svc = sheet.col("svc_ms");
-            sheet.col("ivm_ms").iter().zip(svc).map(|(ivm, svc)| ivm / svc).collect()
+        let count =
+            |rows: &[f64], min: f64| every(rows.iter().filter(|&&x| x >= min).count(), rows.len());
+        // The row a column is least at (the first such row on a tie).
+        let argmin = |values: &[f64]| {
+            (0..values.len()).fold(0, |best, i| if values[i] < values[best] { i } else { best })
         };
         match self {
             AtMost(a, b, need) => {
@@ -179,10 +313,24 @@ impl Check {
                     need,
                 }
             }
-            FirstSpeedup(min) => Measure::Ratio { value: speedups()[0], min },
-            MedianSpeedup(min) => Measure::Ratio { value: median_of(&speedups()), min },
-            EverySpeedup(min) => {
-                every(speedups().iter().filter(|&&s| s >= min).count(), sheet.rows.len())
+            First(c, min) => Measure::Ratio { value: sheet.col(c)[0], min },
+            Median(c, min) => Measure::Ratio { value: median_of(&sheet.col(c)), min },
+            Every(c, min) => count(&sheet.col(c), min),
+            Leading(c, rows, min) => count(&sheet.col(c)[..rows], min),
+            Growth(c, min) => {
+                let values = sheet.col(c);
+                Measure::Ratio { value: values[values.len() - 1] / values[0], min }
+            }
+            InteriorMin(c) => {
+                let values = sheet.col(c);
+                let i = argmin(&values);
+                let interior = i > 0 && i + 1 < values.len();
+                Measure::MinAt { row: sheet.rows[i].0.clone(), interior }
+            }
+            MinAtMost(a, b) => {
+                let (a, b) = (sheet.col(a), sheet.col(b));
+                let i = argmin(&a);
+                Measure::Ratio { value: b[i] / a[i], min: 1.0 }
             }
             Unpushed(ids) => {
                 let rows = sheet.rows.iter().zip(sheet.col("fully_pushed"));
@@ -192,38 +340,6 @@ impl Check {
                 )
             }
         }
-    }
-}
-
-/// A figure's table: one labelled row per cell, a value per later column.
-struct Sheet {
-    headers: Vec<&'static str>,
-    rows: Vec<(String, Vec<f64>)>,
-}
-
-impl Sheet {
-    fn col(&self, name: &str) -> Vec<f64> {
-        let i = self.headers.iter().position(|h| *h == name).expect("a sheet column") - 1;
-        self.rows.iter().map(|(_, values)| values[i]).collect()
-    }
-
-    /// Print the sheet and write its CSV: a time (`*_ms`) to three
-    /// significant digits, so a cell of a few microseconds can move.
-    fn write(&self, figure: &str, checks: &[Check]) {
-        let mut report = Report::new(figure, &self.headers);
-        for (label, values) in &self.rows {
-            let cells = self.headers[1..].iter().zip(values).map(|(header, &x)| {
-                if header.ends_with("_ms") {
-                    Report::significant(x, 3)
-                } else if x.fract() == 0.0 {
-                    x.to_string()
-                } else {
-                    Report::f(x)
-                }
-            });
-            report.row(std::iter::once(label.clone()).chain(cells).collect());
-        }
-        report.finish(format!("{checks:?}"));
     }
 }
 
@@ -349,8 +465,8 @@ fn accuracy((axis, cells): Sweep, stat: fn(&[f64]) -> f64) -> Sheet {
 /// Figure 6a, time to one answer: IVM maintains the view, redraws its
 /// sample and queries it; SVC cleans the sample and estimates by CORR or
 /// AQP. Each the fastest of `REPS` runs.
-fn answer_times() -> Sheet {
-    let (db, deltas) = tpcd10(1.0, 2.0);
+fn answer_times(scale: f64) -> Sheet {
+    let (db, deltas) = tpcd10(scale, 2.0);
     let svc = sampled("joinView", join_view(), &db, 0.1);
     let q = join_view_queries()[0].instance(&mut rng(6));
     let ivm = bench_min_ms(REPS, 1, || {
@@ -380,8 +496,7 @@ fn rng(tag: u64) -> StdRng {
     StdRng::seed_from_u64(0xF16_0000 + tag)
 }
 
-/// TPCD-Skew at `scale` (times the bench scale) and skew `z`, and its 10 %
-/// update set.
+/// TPCD-Skew at `scale` and skew `z`, and its 10 % update set.
 fn tpcd10(scale: f64, z: f64) -> (Rc<Database>, Deltas) {
     let data = tpcd(scale, z, 42);
     let deltas = data.updates(0.10, 7).expect("updates");
@@ -403,16 +518,23 @@ fn index_spec(capacity: usize) -> OutlierIndexSpec {
 }
 
 /// `plan` over TPCD-Skew at skew `z`, 10 % updates, sampled at m = 0.1 .. 1.0.
-fn ratios(plan: fn() -> Plan, z: f64) -> Sweep {
-    let (db, deltas) = tpcd10(1.0, z);
+fn ratios(scale: f64, plan: fn() -> Plan, z: f64) -> Sweep {
+    let (db, deltas) = tpcd10(scale, z);
     let cell = |m: f64| Cell::new(format!("{m:.1}"), sampled("view", plan(), &db, m), &db, &deltas);
     ("sampling_ratio", (1..=10).map(|i| cell(f64::from(i) / 10.0)).collect())
 }
 
 /// `plan` over TPCD-Skew at skew `z`, sampled at m = 0.1, as the update size
 /// grows; each cell reads `per_template` instances of four join-view templates.
-fn updates(plan: fn() -> Plan, z: f64, pcts: &[f64], seed: u64, per_template: usize) -> Sweep {
-    let data = tpcd(1.0, z, 42);
+fn updates(
+    scale: f64,
+    plan: fn() -> Plan,
+    z: f64,
+    pcts: &[f64],
+    seed: u64,
+    per_template: usize,
+) -> Sweep {
+    let data = tpcd(scale, z, 42);
     let deltas: Vec<_> =
         pcts.iter().map(|&pct| data.updates(pct, seed).expect("updates")).collect();
     let db = Rc::new(data.db);
@@ -427,8 +549,8 @@ fn updates(plan: fn() -> Plan, z: f64, pcts: &[f64], seed: u64, per_template: us
 }
 
 /// The join view at m = 0.1, 10 % updates: one cell per query template.
-fn templates() -> Sweep {
-    let (db, deltas) = tpcd10(1.0, 2.0);
+fn templates(scale: f64) -> Sweep {
+    let (db, deltas) = tpcd10(scale, 2.0);
     let (svc, mut r) = (sampled("joinView", join_view(), &db, 0.1), rng(5));
     let cells = join_view_queries().into_iter().map(|t| {
         let queries = (0..QUERIES).map(|_| t.instance(&mut r)).collect();
@@ -455,19 +577,17 @@ fn views<'a>(
 }
 
 /// The ten complex views V3..V22 over TPCD-Skew z = 2, 10 % updates.
-fn complex() -> Sweep {
-    let (db, deltas) = tpcd10(1.0, 2.0);
+fn complex(scale: f64) -> Sweep {
+    let (db, deltas) = tpcd10(scale, 2.0);
     let list = complex_views().into_iter().map(|v| (v.id, v.plan, v.dims, v.measures));
     views(&db, &deltas, 7, list.collect())
 }
 
 /// The eight Conviva-like views; the updates append 10 % of the base volume
 /// (the paper applies the next 10-20 % of its trace).
-fn conviva_views() -> Sweep {
-    let config = conviva::ConvivaConfig {
-        base_events: (30_000.0 * bench_scale()) as usize,
-        ..Default::default()
-    };
+fn conviva_views(scale: f64) -> Sweep {
+    let config =
+        conviva::ConvivaConfig { base_events: (30_000.0 * scale) as usize, ..Default::default() };
     let db = conviva::generate(config).expect("conviva data");
     let deltas =
         conviva::appended_updates(&db, config, config.base_events / 10, 3).expect("updates");
@@ -476,11 +596,11 @@ fn conviva_views() -> Sweep {
 }
 
 /// V3 with a top-100 outlier index on `l_extendedprice` as the skew grows.
-fn skews() -> Sweep {
+fn skews(scale: f64) -> Sweep {
     let v3 = complex_views().into_iter().find(|v| v.id == "V3").expect("V3");
     let mut r = rng(8);
     let cells = [1.0, 2.0, 3.0, 4.0].map(|z| {
-        let (db, deltas) = tpcd10(0.7, z);
+        let (db, deltas) = tpcd10(0.7 * scale, z);
         let cell =
             Cell::new(format!("{z}"), sampled("V3", v3.plan.clone(), &db, 0.1), &db, &deltas);
         let stale = cell.svc.view.public_table().expect("public");
@@ -491,8 +611,8 @@ fn skews() -> Sweep {
 }
 
 /// V3, V5, V10 and V15 with outlier indexes of K = 0, 10, 100 and 1000.
-fn indexed() -> Sweep {
-    let (db, deltas) = tpcd10(0.7, 2.0);
+fn indexed(scale: f64) -> Sweep {
+    let (db, deltas) = tpcd10(0.7 * scale, 2.0);
     let views = complex_views().into_iter().filter(|v| ["V3", "V5", "V10", "V15"].contains(&v.id));
     let cells = views.flat_map(|v| {
         let svc = sampled(v.id, v.plan, &db, 0.1);
@@ -504,8 +624,8 @@ fn indexed() -> Sweep {
 
 /// The cube over TPCD z = 1 at m = 0.1, 10 % updates: one cell per roll-up,
 /// one `agg(revenue)` query per group (at most `max_groups`).
-fn rollups(agg: QueryAgg, max_groups: usize) -> Sweep {
-    let (db, deltas) = tpcd10(1.0, 1.0);
+fn rollups(scale: f64, agg: QueryAgg, max_groups: usize) -> Sweep {
+    let (db, deltas) = tpcd10(scale, 1.0);
     let svc = sampled("cube", base_cube(), &db, 0.1);
     let fresh = fresh_public(&svc, &db, &deltas);
     let cells = rollup_dimension_sets().into_iter().map(|(id, dims)| {
@@ -526,28 +646,43 @@ mod tests {
 
     #[test]
     fn the_judge_holds_the_expected_failure_list_strictly() {
-        let listed = &[("listed", "1/2", "I")];
-        assert!(judge("unlisted", true, listed).1);
-        assert!(!judge("unlisted", false, listed).1, "an unlisted failure fails the run");
-        assert!(judge("listed", false, listed).1, "a listed failure keeps the run green");
-        assert!(!judge("listed", true, listed).1, "a listed pass fails until it is taken off");
-        for (figure, ..) in EXPECTED_FAILURES {
+        let claim = AtMost(CORR, STALE, 2);
+        let listed = &[("listed", 4.0, claim, "1/2", "I")];
+        assert!(judge(("unlisted", 4.0, claim), true, listed).1);
+        assert!(!judge(("unlisted", 4.0, claim), false, listed).1, "an unlisted failure fails");
+        assert!(judge(("listed", 4.0, claim), false, listed).1, "a listed failure stays green");
+        assert!(!judge(("listed", 4.0, claim), true, listed).1, "a listed pass fails the run");
+        assert!(!judge(("listed", 1.0, claim), false, listed).1, "the key names the scale");
+        assert!(!judge(("listed", 4.0, First(CORR, 1.0)), false, listed).1, "and the claim");
+        for &(figure, scale, check, ..) in EXPECTED_FAILURES {
             assert!(
-                FIGURES.iter().any(|f| f.0 == *figure),
-                "{figure} is listed but not in the table"
+                FIGURES
+                    .iter()
+                    .any(|f| f.0 == figure && f.1.contains(&scale) && f.3.contains(&check)),
+                "{figure} at scale {scale}: {check:?} is listed but never runs"
             );
         }
     }
 
     #[test]
     fn a_time_claim_is_a_ratio_never_an_absolute_time() {
-        for scale in [1e-4, 1.0, 1e4] {
-            let sheet = |ivm: f64| Sheet {
-                headers: vec!["axis", "ivm_ms", "svc_ms"],
-                rows: vec![("a".into(), vec![ivm * scale, scale])],
-            };
-            assert!(FirstSpeedup(2.0).measure(&sheet(2.0)).holds());
-            assert!(!FirstSpeedup(2.0).measure(&sheet(1.9)).holds());
+        for &(figure, _, _, checks) in FIGURES {
+            for check in checks {
+                let column = match *check {
+                    First(c, _) | Median(c, _) | Every(c, _) | Leading(c, ..) | Growth(c, _) => c,
+                    _ => continue,
+                };
+                assert!(!column.ends_with("_ms"), "{figure}: {check:?} reads a time");
+            }
         }
+        let sheet = Sheet {
+            headers: vec!["axis", "speedup"],
+            rows: ["1.0", "2.0", "3.0"].map(|x| (x.to_string(), vec![x.parse().unwrap()])).into(),
+        };
+        assert!(Growth("speedup", 3.0).measure(&sheet).holds());
+        assert!(!Growth("speedup", 3.1).measure(&sheet).holds());
+        assert!(Leading("speedup", 2, 1.0).measure(&sheet).holds());
+        assert!(!Leading("speedup", 2, 2.0).measure(&sheet).holds());
+        assert!(!InteriorMin("speedup").measure(&sheet).holds());
     }
 }

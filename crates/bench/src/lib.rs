@@ -1,129 +1,38 @@
 #![forbid(unsafe_code)]
 
-//! Shared harness for the figure-regeneration binaries.
-//!
-//! The `paper` binary runs the paper's figures 4–13 (Section 7) from one
-//! claim table and asserts each claim; `fig14`–`fig16` and the `fig_*`
-//! engine figures print their own series. Every binary writes a CSV per
-//! figure under `experiments/`. Scales are laptop-sized; the *shapes* (who
-//! wins, by what factor, where crossovers fall) are the reproduction target,
-//! not absolute numbers — see the claim table in `src/bin/paper.rs`.
+//! Shared harness for the `paper` binary, which runs the paper's figures
+//! (Section 7, plus the engine figures behind them) from one claim table
+//! and asserts each claim. Every figure is a [`Sheet`] written as a CSV
+//! under `experiments/`. Scales are laptop-sized; the *shapes* (who wins,
+//! by what factor, where crossovers fall) are the reproduction target, not
+//! absolute numbers — see the claim table in `src/bin/paper.rs`.
 
 use std::fmt::Display;
 use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use svc_core::{SvcConfig, SvcView};
-use svc_relalg::eval::Bindings;
-use svc_relalg::exec::{ExecMode, PhysicalPlan};
 use svc_workloads::tpcd::{TpcdConfig, TpcdData};
 
-/// Wall-clock seconds of a closure.
-pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64())
-}
+pub mod engine;
+
+/// Timed runs per cell; a cell reads the fastest (one run read fig10a's
+/// m = 0.6 cell at twice its neighbours).
+pub const REPS: usize = 5;
 
 /// Minimum-of-`reps` timing of `f` in milliseconds, each rep averaging
 /// `iters` inner calls. The minimum is the least load-contaminated sample
-/// on a shared runner — the statistic the "never slower" CI guards use.
+/// on a shared runner.
 pub fn bench_min_ms(reps: usize, iters: usize, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
-        let (_, t) = time(|| {
-            for _ in 0..iters {
-                f();
-            }
-        });
-        best = best.min(t / iters as f64);
+        let start = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        best = best.min(start.elapsed().as_secs_f64() / iters as f64);
     }
     best * 1e3
-}
-
-/// Median-of-`reps` timing of `f` in milliseconds, each rep averaging
-/// `iters` inner calls — robust central tendency for reported columns.
-pub fn bench_median_ms(reps: usize, iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let (_, t) = time(|| {
-            for _ in 0..iters {
-                f();
-            }
-        });
-        samples.push(t / iters as f64);
-    }
-    median_of(&samples) * 1e3
-}
-
-/// Write `experiments/{name}.json` (shared path logic + create/log/warn
-/// boilerplate every JSON emitter used to hand-roll).
-pub fn write_json(name: &str, json: &str) {
-    let dir = experiments_dir();
-    let _ = fs::create_dir_all(&dir);
-    let path = dir.join(format!("{name}.json"));
-    match fs::write(&path, json) {
-        Ok(()) => println!("[written {}]", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-}
-
-/// Run `compiled` once under `mode` with a metrics sink installed and
-/// render the per-operator execution metrics as a JSON array — the
-/// `"operators":[...]` fragment the fig_* emitters embed per scenario row.
-/// Elements are in pre-order (slot-id) order; zero-valued detail fields
-/// are kept so downstream tooling sees a stable shape.
-pub fn operator_metrics_json(
-    compiled: &PhysicalPlan,
-    bindings: &Bindings<'_>,
-    mode: ExecMode,
-) -> String {
-    let sink = compiled.metrics_sink();
-    compiled.run_with_metrics(bindings, mode, &sink).expect("metered run");
-    let labels = compiled.node_labels();
-    let ops: Vec<String> = labels
-        .iter()
-        .zip(sink.snapshots())
-        .enumerate()
-        .map(|(id, (label, m))| {
-            format!(
-                "{{\"id\":{id},\"op\":\"{}\",\"rows_in\":{},\"rows_out\":{},\"wall_ns\":{},\
-                 \"vec_chunks\":{},\"row_batches\":{},\"zone_skips\":{},\
-                 \"build_rows\":{},\"probe_rows\":{},\"groups\":{}}}",
-                label.replace('"', "'"),
-                m.rows_in,
-                m.rows_out,
-                m.wall_ns,
-                m.vec_chunks,
-                m.row_batches,
-                m.zone_skips,
-                m.build_rows,
-                m.probe_rows,
-                m.groups
-            )
-        })
-        .collect();
-    format!("[{}]", ops.join(","))
-}
-
-/// Environment-tunable experiment scale, `SVC_BENCH_SCALE` (default 1.0,
-/// the scale the `paper` claims were measured at; smaller is faster).
-///
-/// # Panics
-/// On a value that is not a positive finite number.
-pub fn bench_scale() -> f64 {
-    scale_from(std::env::var("SVC_BENCH_SCALE").ok().as_deref())
-}
-
-fn scale_from(value: Option<&str>) -> f64 {
-    match value.filter(|v| !v.is_empty()) {
-        None => 1.0,
-        Some(v) => match v.parse::<f64>() {
-            Ok(scale) if scale.is_finite() && scale > 0.0 => scale,
-            _ => panic!("SVC_BENCH_SCALE={v:?}: need a positive finite number"),
-        },
-    }
 }
 
 /// A results table: printed aligned to stdout and mirrored to
@@ -151,7 +60,7 @@ impl Report {
     }
 
     /// Format a float compactly.
-    pub fn f(x: f64) -> String {
+    fn f(x: f64) -> String {
         if x.abs() >= 100.0 {
             format!("{x:.1}")
         } else {
@@ -160,7 +69,7 @@ impl Report {
     }
 
     /// Format a float to `digits` significant digits (at least one).
-    pub fn significant(x: f64, digits: usize) -> String {
+    fn significant(x: f64, digits: usize) -> String {
         if x == 0.0 || !x.is_finite() {
             return x.to_string();
         }
@@ -196,8 +105,6 @@ impl Report {
             println!("{}", fmt_row(row));
         }
 
-        let dir = experiments_dir();
-        let _ = fs::create_dir_all(&dir);
         // A cell holding a comma or a quote is quoted, as RFC 4180 asks.
         let quoted = |c: &String| {
             if c.contains([',', '"']) {
@@ -211,20 +118,65 @@ impl Report {
             csv.push_str(&row.iter().map(quoted).collect::<Vec<_>>().join(","));
             csv.push('\n');
         }
-        let path = dir.join(format!("{}.csv", self.name));
-        if let Err(e) = fs::write(&path, csv) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("[written {}]", path.display());
+        write_experiment(&format!("{}.csv", self.name), &csv);
+    }
+}
+
+/// A figure's table: one labelled row per cell, a value per later column.
+pub struct Sheet {
+    /// The label column's name, then one name per value.
+    pub headers: Vec<&'static str>,
+    /// Each row's label and values.
+    pub rows: Vec<(String, Vec<f64>)>,
+}
+
+impl Sheet {
+    /// The column named `name`, one value per row.
+    ///
+    /// # Panics
+    /// When the sheet has no such value column.
+    pub fn col(&self, name: &str) -> Vec<f64> {
+        let i = self.headers.iter().position(|h| *h == name).expect("a sheet column") - 1;
+        self.rows.iter().map(|(_, values)| values[i]).collect()
+    }
+
+    /// Print the sheet and write it as `experiments/{name}.csv`: a time
+    /// (`*_ms`) to three significant digits, so a cell of a few microseconds
+    /// can move.
+    pub fn write(&self, name: &str, caption: impl Display) {
+        let mut report = Report::new(name, &self.headers);
+        for (label, values) in &self.rows {
+            let cells = self.headers[1..].iter().zip(values).map(|(header, &x)| {
+                if header.ends_with("_ms") {
+                    Report::significant(x, 3)
+                } else if x.fract() == 0.0 {
+                    x.to_string()
+                } else {
+                    Report::f(x)
+                }
+            });
+            report.row(std::iter::once(label.clone()).chain(cells).collect());
         }
+        report.finish(caption);
+    }
+}
+
+/// Write `experiments/{file}`; an unwritable directory is a warning, not a
+/// crash.
+pub(crate) fn write_experiment(file: &str, contents: &str) {
+    let dir = experiments_dir();
+    let _ = fs::create_dir_all(&dir);
+    let path = dir.join(file);
+    match fs::write(&path, contents) {
+        Ok(()) => println!("[written {}]", path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
 }
 
 /// Where result files land: `SVC_EXPERIMENTS_DIR` when set, else
 /// `<repo>/experiments` (manifest-relative, so it does not depend on the
-/// invocation directory). Shared by the CSV reports and the JSON emitters
-/// so paired outputs never split across directories.
-pub fn experiments_dir() -> PathBuf {
+/// invocation directory).
+fn experiments_dir() -> PathBuf {
     std::env::var("SVC_EXPERIMENTS_DIR")
         .ok()
         .filter(|d| !d.is_empty())
@@ -237,11 +189,10 @@ pub fn experiments_dir() -> PathBuf {
         })
 }
 
-/// The standard single-node setup of Section 7.1: TPCD-Skew data at the
-/// bench scale with skew `z`.
-pub fn tpcd(scale_mult: f64, z: f64, seed: u64) -> TpcdData {
-    TpcdData::generate(TpcdConfig { scale: 0.4 * bench_scale() * scale_mult, skew: z, seed })
-        .expect("tpcd generation")
+/// The standard single-node setup of Section 7.1: TPCD-Skew data at
+/// `scale` (1.0 is 60 484 lineitems) with skew `z`.
+pub fn tpcd(scale: f64, z: f64, seed: u64) -> TpcdData {
+    TpcdData::generate(TpcdConfig { scale: 0.4 * scale, skew: z, seed }).expect("tpcd generation")
 }
 
 /// Median of a slice (empty → NaN).
@@ -252,21 +203,8 @@ pub fn median_of(xs: &[f64]) -> f64 {
     svc_stats::quantile::quantile(xs, 0.5)
 }
 
-/// Shared fixture: the join view SVC instance over TPCD data.
-pub fn join_view_svc(data: &TpcdData, ratio: f64) -> SvcView {
-    SvcView::create(
-        "joinView",
-        svc_workloads::tpcd_views::join_view(),
-        &data.db,
-        SvcConfig::with_ratio(ratio),
-    )
-    .expect("join view")
-}
-
 #[cfg(test)]
 mod tests {
-    use super::scale_from;
-
     #[test]
     fn significant_digits_keep_small_cells_visible() {
         use super::Report;
@@ -276,17 +214,5 @@ mod tests {
         }
         assert_eq!(Report::significant(0.0, 3), "0");
         assert_eq!(Report::significant(-0.000412, 2), "-0.00041");
-    }
-
-    #[test]
-    fn a_bad_scale_is_named_not_replaced() {
-        assert_eq!(scale_from(None), 1.0);
-        assert_eq!(scale_from(Some("")), 1.0);
-        assert_eq!(scale_from(Some("0.25")), 0.25);
-        for bad in ["abc", "0", "-1", "NaN", "inf"] {
-            let panic = std::panic::catch_unwind(|| scale_from(Some(bad))).expect_err(bad);
-            let message = panic.downcast_ref::<String>().expect("a formatted panic");
-            assert!(message.contains(&format!("SVC_BENCH_SCALE={bad:?}")), "{message}");
-        }
     }
 }

@@ -350,6 +350,74 @@ pub fn complex_views() -> Vec<ComplexView> {
     views
 }
 
+/// Four TPCD queries written the way a naive view builder emits them: the
+/// two biggest tables joined first, the selective dimension filter joined
+/// last — the shape cost-based join ordering is meant to repair. The
+/// queries of three or more joins come first; the two-join `Q3c`, with
+/// little room to win, is the contrast row at the end.
+pub fn join_order_queries() -> Vec<(&'static str, Plan)> {
+    let lineitem_orders = || {
+        Plan::scan("lineitem").join(
+            Plan::scan("orders"),
+            JoinKind::Inner,
+            &[("l_orderkey", "o_orderkey")],
+        )
+    };
+    let customer = || Plan::scan("customer");
+    let nation = || Plan::scan("nation");
+    let revenue_and_count =
+        || vec![AggSpec::new("revenue", AggFunc::Sum, revenue_expr()), AggSpec::count_all("n")];
+    vec![
+        // One nation's customers: n_name keeps ~1 of 25 nations, so nation
+        // → customer → orders → lineitem is the right order.
+        (
+            "Q5n",
+            lineitem_orders()
+                .join(customer(), JoinKind::Inner, &[("o_custkey", "c_custkey")])
+                .join(nation(), JoinKind::Inner, &[("c_nationkey", "n_nationkey")])
+                .select(col("n_name").eq(lit("NATION#3")))
+                .aggregate(&["n_name"], revenue_and_count()),
+        ),
+        // One region (of 5), through nation: a 4-join chain.
+        (
+            "Q5r",
+            lineitem_orders()
+                .join(customer(), JoinKind::Inner, &[("o_custkey", "c_custkey")])
+                .join(nation(), JoinKind::Inner, &[("c_nationkey", "n_nationkey")])
+                .join(Plan::scan("region"), JoinKind::Inner, &[("n_regionkey", "r_regionkey")])
+                .select(col("r_name").eq(lit("REGION#2")))
+                .aggregate(&["n_name"], revenue_and_count()),
+        ),
+        // Profit of one brand per supplier nation (a Q9 analog): part and
+        // supplier are both selective, orders is dead weight joined first.
+        (
+            "Q9b",
+            lineitem_orders()
+                .join(Plan::scan("part"), JoinKind::Inner, &[("l_partkey", "p_partkey")])
+                .join(Plan::scan("supplier"), JoinKind::Inner, &[("l_suppkey", "s_suppkey")])
+                .select(col("p_brand").eq(lit("Brand#7")))
+                .aggregate(
+                    &["s_nationkey"],
+                    vec![AggSpec::new(
+                        "profit",
+                        AggFunc::Sum,
+                        col("l_extendedprice").mul(col("l_discount")),
+                    )],
+                ),
+        ),
+        (
+            "Q3c",
+            lineitem_orders()
+                .join(customer(), JoinKind::Inner, &[("o_custkey", "c_custkey")])
+                .select(col("c_mktsegment").eq(lit("BUILDING")))
+                .aggregate(
+                    &["c_custkey"],
+                    vec![AggSpec::new("revenue", AggFunc::Sum, revenue_expr())],
+                ),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

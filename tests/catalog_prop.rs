@@ -535,6 +535,33 @@ fn a_reorder_an_ancestor_rejects_keeps_the_plan_as_written() {
     assert_eq!(kept, optimize(&narrow, &db).unwrap().0);
 }
 
+/// Cost shape on real data, not wall clock: on the TPCD join-order queries
+/// (builder order joins the two biggest tables first), the catalog's order
+/// never makes the joins produce more rows in total (`C_out`, the quantity
+/// the cost model minimizes) than the order as written, and answers the
+/// same up to float summation order.
+#[test]
+fn cost_based_order_never_grows_the_join_output_on_tpcd() {
+    use stale_view_cleaning::workloads::tpcd_views::join_order_queries;
+
+    fn join_output_rows(plan: &Plan, b: &Bindings<'_>) -> usize {
+        let own =
+            if matches!(plan, Plan::Join { .. }) { evaluate(plan, b).unwrap().len() } else { 0 };
+        own + plan.children().map(|child| join_output_rows(child, b)).sum::<usize>()
+    }
+    let data = TpcdData::generate(TpcdConfig { scale: 0.04, skew: 2.0, seed: 42 }).unwrap();
+    let (db, b) = (&data.db, Bindings::from_database(&data.db));
+    let catalog = Catalog::build(db);
+    for (id, plan) in join_order_queries() {
+        let (builder, _) = optimize(&plan, db).unwrap();
+        let (by_cost, _) = optimize_with(&plan, db, &catalog.estimator()).unwrap();
+        let (written, reordered) = (join_output_rows(&builder, &b), join_output_rows(&by_cost, &b));
+        assert!(reordered <= written, "{id}: C_out {reordered} against {written} as written");
+        let (a, z) = (evaluate(&builder, &b).unwrap(), evaluate(&by_cost, &b).unwrap());
+        assert!(a.approx_same_contents(&z, 1e-9), "{id}: the reordered plan changed the result");
+    }
+}
+
 /// `deltas` without its deletions, and without the insertions that replace
 /// an existing row (the insert half of an update).
 fn insertions_only(db: &Database, deltas: &Deltas) -> Deltas {
