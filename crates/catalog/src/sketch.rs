@@ -15,7 +15,7 @@
 //! upper bound once deletions have been applied and schedules a rebuild
 //! when the deleted fraction grows past its threshold.
 
-use svc_storage::{HashFamily, HashSpec, Value};
+use svc_storage::{HashSpec, Value};
 
 /// Register-count exponent: `2^10 = 1024` registers, standard error
 /// `1.04/√1024 ≈ 3.3%`.
@@ -23,7 +23,7 @@ const BITS: u32 = 10;
 
 /// A fixed seed distinct from the η sampling default: stats hashing must
 /// not correlate with sample selection.
-const SPEC: HashSpec = HashSpec { family: HashFamily::SplitMix, seed: 0xCA7A_1061 };
+const SPEC: HashSpec = HashSpec::with_seed(0xCA7A_1061);
 
 /// A HyperLogLog-style register sketch over column values. Every sketch has
 /// the same registers and hash, so any two merge.

@@ -1,14 +1,12 @@
 //! SVC configuration.
 
-use svc_storage::{HashFamily, HashSpec};
+use svc_storage::HashSpec;
 
 /// Tuning knobs for a [`crate::SvcView`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SvcConfig {
     /// Sampling ratio `m ∈ (0, 1]` — the accuracy/cost dial of the paper.
     pub ratio: f64,
-    /// Hash family used by η.
-    pub family: HashFamily,
     /// Hash seed; different seeds give independent samples.
     pub seed: u64,
     /// Confidence level for intervals, in `(0, 1)` (e.g. 0.95).
@@ -17,7 +15,7 @@ pub struct SvcConfig {
 
 impl Default for SvcConfig {
     fn default() -> Self {
-        SvcConfig { ratio: 0.1, family: HashFamily::SplitMix, seed: 0x51a1e_u64, confidence: 0.95 }
+        SvcConfig { ratio: 0.1, seed: 0x51a1e_u64, confidence: 0.95 }
     }
 }
 
@@ -34,7 +32,7 @@ impl SvcConfig {
 
     /// The concrete hash function for η.
     pub fn hash_spec(&self) -> HashSpec {
-        HashSpec { family: self.family, seed: self.seed }
+        HashSpec::with_seed(self.seed)
     }
 }
 

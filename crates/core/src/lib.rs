@@ -14,12 +14,14 @@
 //! 2. **Query result estimation** (Problem 2): [`estimate::svc_aqp`]
 //!    (direct estimate) and [`estimate::svc_corr`] (correction of the stale
 //!    answer) — one key-joined walk of the corresponding samples, finished
-//!    with CLT confidence intervals for `sum`/`count`/`avg`, bootstrap
-//!    intervals for `median`/percentiles, and Cantelli bounds for
-//!    `min`/`max` (Section 5, Appendix 12.1.1).
-//! 3. **Outlier indexing** (Section 6): [`outlier::OutlierIndex`] on a base
-//!    relation attribute, pushed up through the view per Definition 5 and
-//!    merged into estimates with the `(N−l)/N · c_reg + l/N · c_out` rule.
+//!    with CLT confidence intervals for `sum`/`count`/`avg`, draw-free
+//!    intervals for `median`/percentiles (binomial order statistics,
+//!    Woodruff's inversion; no bootstrap resamples), and Cantelli bounds
+//!    for `min`/`max` (Section 5, Appendix 12.1.1).
+//! 3. **Outlier indexing** (Section 6): [`outlier::OutlierIndex`] of the
+//!    top-k records by a base relation attribute, pushed up through the
+//!    view per Definition 5 and merged into estimates with the
+//!    `(N−l)/N · c_reg + l/N · c_out` rule.
 //! 4. **Select-query cleaning** (Appendix 12.1.2): [`select_clean`].
 //!
 //! ## Quickstart

@@ -1,9 +1,9 @@
 //! Outlier indexing (Section 6): tame skew by exactly materializing the
 //! view rows that depend on extreme base records.
 //!
-//! * [`OutlierIndex::build`] — index base records whose attribute exceeds a
-//!   threshold (top-k / absolute / c-standard-deviations policies, all from
-//!   Section 6.1), with capacity-bounded eviction of the smallest record;
+//! * [`OutlierIndex::build`] — index the `k` base records with the largest
+//!   attribute values (Section 6.1's top-k threshold), with
+//!   capacity-bounded eviction of the smallest record;
 //! * [`OutlierIndex::push_up`] — Definition 5: propagate the indexed
 //!   records through the view definition to obtain the outlier rows `O ⊆
 //!   S′` of the *up-to-date* view. For group-by views the γ rule applies:
@@ -29,16 +29,15 @@ use crate::config::SvcConfig;
 use crate::estimate::{correspond, estimate, svc_aqp, svc_corr, Estimate, StaleView};
 use crate::query::{aggregate, AggQuery, QueryAgg};
 
-/// How the index threshold is chosen (Section 6.1).
+/// How the index threshold is chosen (Section 6.1). Of the paper's
+/// policies only top-k is built: the threshold is the `capacity`-th largest
+/// value of the indexed attribute. An absolute threshold, or one `c`
+/// standard deviations above the mean, keeps the top records above it, at
+/// most `capacity` of them: a subset of the top-k.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ThresholdPolicy {
     /// Keep the top `capacity` records by the indexed attribute.
     TopK,
-    /// Keep records with attribute above an absolute threshold.
-    Above(f64),
-    /// Keep records more than `c` standard deviations above the mean,
-    /// with the threshold recomputed at build time.
-    StdDevs(f64),
 }
 
 /// Specification of an outlier index on one base-relation attribute.
@@ -63,7 +62,8 @@ pub struct OutlierIndex {
     pub spec: OutlierIndexSpec,
     /// Indexed base records (full rows of the base schema).
     pub records: Table,
-    /// The effective threshold after policy resolution.
+    /// The `capacity`-th largest value of the attribute (−∞ when the
+    /// relation has no more values than `capacity`).
     pub threshold: f64,
 }
 
@@ -78,20 +78,13 @@ impl OutlierIndex {
         let state = deltas.applied_state(db, &spec.table)?;
         let attr_idx = state.schema().resolve(&spec.attr)?;
         let values: Vec<f64> = state.rows().iter().filter_map(|r| r[attr_idx].as_f64()).collect();
-        let threshold = match spec.policy {
-            ThresholdPolicy::Above(t) => t,
-            // The capacity-th largest value, by selection: no full sort.
-            ThresholdPolicy::TopK => match values.len().checked_sub(spec.capacity) {
-                Some(n) if n > 0 => {
-                    let mut v = values;
-                    *v.select_nth_unstable_by(n, f64::total_cmp).1
-                }
-                _ => f64::NEG_INFINITY,
-            },
-            ThresholdPolicy::StdDevs(c) => {
-                let m = svc_stats::moments::Moments::of(&values);
-                m.mean() + c * m.stddev()
+        // The capacity-th largest value, by selection: no full sort.
+        let threshold = match values.len().checked_sub(spec.capacity) {
+            Some(n) if n > 0 => {
+                let mut v = values;
+                *v.select_nth_unstable_by(n, f64::total_cmp).1
             }
+            _ => f64::NEG_INFINITY,
         };
 
         // Single pass with capacity-bounded eviction of the smallest record.
@@ -344,41 +337,19 @@ mod tests {
     }
 
     /// Top-k at capacity 0 used to index one past the end of the sorted
-    /// values and panic; the other policies built an index that held nothing.
+    /// values and panic.
     #[test]
     fn zero_capacity_is_rejected_under_every_policy() {
         let db = skewed_db();
-        for policy in
-            [ThresholdPolicy::TopK, ThresholdPolicy::Above(4_000.0), ThresholdPolicy::StdDevs(3.0)]
-        {
-            let spec = OutlierIndexSpec {
-                table: "orders".into(),
-                attr: "price".into(),
-                policy,
-                capacity: 0,
-            };
-            let err = OutlierIndex::build(spec, &db, &Deltas::new()).unwrap_err();
-            assert!(matches!(err, StorageError::Invalid(_)), "{policy:?}: {err}");
-        }
+        let spec = OutlierIndexSpec {
+            table: "orders".into(),
+            attr: "price".into(),
+            policy: ThresholdPolicy::TopK,
+            capacity: 0,
+        };
+        let err = OutlierIndex::build(spec, &db, &Deltas::new()).unwrap_err();
+        assert!(matches!(err, StorageError::Invalid(_)), "{err}");
         assert_eq!(top_k(&db, &Deltas::new(), 1).records.len(), 1);
-    }
-
-    #[test]
-    fn stddev_policy_tracks_distribution() {
-        let db = skewed_db();
-        let idx = OutlierIndex::build(
-            OutlierIndexSpec {
-                table: "orders".into(),
-                attr: "price".into(),
-                policy: ThresholdPolicy::StdDevs(3.0),
-                capacity: 1000,
-            },
-            &db,
-            &Deltas::new(),
-        )
-        .unwrap();
-        assert!(!idx.records.is_empty());
-        assert!(idx.records.len() < 100);
     }
 
     #[test]
@@ -386,17 +357,7 @@ mod tests {
         let db = skewed_db();
         let deltas = skewed_deltas(&db);
         let view = MaterializedView::create("v", cust_view(), &db).unwrap();
-        let idx = OutlierIndex::build(
-            OutlierIndexSpec {
-                table: "orders".into(),
-                attr: "price".into(),
-                policy: ThresholdPolicy::Above(4_000.0),
-                capacity: 200,
-            },
-            &db,
-            &deltas,
-        )
-        .unwrap();
+        let idx = top_k(&db, &deltas, 50);
         let o = idx.push_up(&view, &db, &deltas).unwrap();
         let fresh = view.recompute_fresh(&db, &deltas).unwrap();
         assert!(!o.is_empty());

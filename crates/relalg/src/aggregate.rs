@@ -8,8 +8,9 @@ use crate::derive::Derived;
 use crate::scalar::{BoundExpr, Expr};
 
 /// Aggregate functions supported on views and queries. `sum`, `count`, and
-/// `avg` are the sample-mean class of Section 5.2.1; `median` requires the
-/// bootstrap (Section 5.2.5); `min`/`max` are handled by the Cantelli
+/// `avg` are the sample-mean class of Section 5.2.1; `median` is bounded
+/// by the bootstrap in the paper (Section 5.2.5) and by draw-free quantile
+/// intervals here; `min`/`max` are handled by the Cantelli
 /// machinery of Appendix 12.1.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {

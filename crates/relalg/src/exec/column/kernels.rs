@@ -1293,11 +1293,7 @@ mod tests {
         let rows: Vec<Row> =
             (0..200).map(|i| vec![Value::Int(i), Value::str(format!("key-{i}"))]).collect();
         let cols = ColumnSet::from_rows(&schema, &rows);
-        for spec in [
-            HashSpec::with_seed(7),
-            HashSpec { family: svc_storage::HashFamily::Fnv1a, seed: 9 },
-            HashSpec { family: svc_storage::HashFamily::Multiplicative, seed: 3 },
-        ] {
+        for spec in [7, 9, 3].map(HashSpec::with_seed) {
             let mut sel = SelVec::range(0, rows.len());
             apply_hash(&cols, &mut sel, &[1, 0], 0.4, spec);
             let got: Vec<usize> = sel.iter().collect();

@@ -18,5 +18,5 @@ pub mod operator;
 pub mod pushdown;
 
 pub use correspondence::check_correspondence;
-pub use operator::{sample_by_key, sample_table, KeySample};
+pub use operator::{sample_by_key, KeySample};
 pub use pushdown::{push_down, PushdownReport};

@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use svc_storage::{HashSpec, Result, SharedRow, Table};
+use svc_storage::{HashSpec, SharedRow, Table};
 
 thread_local! {
     static ETA_HASHES_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
@@ -37,25 +37,12 @@ pub fn eta_hash_count() -> usize {
     ETA_HASHES.get() as usize
 }
 
-/// The rows of `t` whose `key_idx` columns hash to at most `ratio`, each
-/// in an allocation of its own (see the module docs), with their
-/// positions in `t`. Counted in [`eta_hash_count`] by the caller.
-fn survivors(
-    t: &Table,
-    key_idx: &[usize],
-    ratio: f64,
-    spec: HashSpec,
-) -> (Vec<usize>, Vec<SharedRow>) {
-    let kept = t.rows().iter().enumerate().filter(|(_, r)| spec.selects_row(r, key_idx, ratio));
+/// The rows of `t` whose key hashes to at most `ratio`, each in an
+/// allocation of its own (see the module docs), with their positions in
+/// `t`. Counted in [`eta_hash_count`] by the caller.
+fn survivors(t: &Table, ratio: f64, spec: HashSpec) -> (Vec<usize>, Vec<SharedRow>) {
+    let kept = t.rows().iter().enumerate().filter(|(_, r)| spec.selects_row(r, t.key(), ratio));
     kept.map(|(i, r)| (i, SharedRow::from(&r[..]))).unzip()
-}
-
-/// `η_{key,m}(t)`: keep the rows whose hashed key is ≤ `ratio`.
-pub fn sample_table(t: &Table, key_names: &[&str], ratio: f64, spec: HashSpec) -> Result<Table> {
-    let key_idx = t.schema().resolve_all(key_names)?;
-    ETA_HASHES.add(t.len() as u64);
-    let (_, rows) = survivors(t, &key_idx, ratio, spec);
-    Table::from_unique_rows(t.schema().clone(), t.key().to_vec(), rows)
 }
 
 /// `η` keyed by the table's own primary key — the common case of sampling a
@@ -80,7 +67,7 @@ impl KeySample {
     /// [`sample_by_key`] of `t`, drawn whole.
     pub fn draw(t: &Table, ratio: f64, spec: HashSpec) -> KeySample {
         ETA_HASHES.add(t.len() as u64);
-        let (positions, rows) = survivors(t, t.key(), ratio, spec);
+        let (positions, rows) = survivors(t, ratio, spec);
         KeySample::of(t, ratio, spec, positions, rows)
     }
 
@@ -124,7 +111,7 @@ impl KeySample {
         // positions of a whole draw, bit for bit.
         #[cfg(feature = "verify")]
         {
-            let (whole_positions, whole) = survivors(t, t.key(), ratio, spec);
+            let (whole_positions, whole) = survivors(t, ratio, spec);
             assert_eq!(*derived.positions, whole_positions, "a derived sample's positions differ");
             assert_eq!(derived.table.len(), whole.len(), "a derived sample's rows differ");
             for (i, (a, b)) in derived.table.rows().iter().zip(&whole).enumerate() {
@@ -287,13 +274,5 @@ mod tests {
             }
             (t, sample) = (edited, redrawn);
         }
-    }
-
-    #[test]
-    fn explicit_key_names() {
-        let t = table(100);
-        let s = sample_table(&t, &["id"], 0.5, HashSpec::default()).unwrap();
-        assert!(s.len() < 100 && s.len() > 20);
-        assert!(sample_table(&t, &["nope"], 0.5, HashSpec::default()).is_err());
     }
 }

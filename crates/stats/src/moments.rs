@@ -56,29 +56,6 @@ impl Moments {
         }
     }
 
-    /// Population variance (n denominator; 0 when n == 0).
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Standard error of the mean: `σ / √n`.
-    pub fn standard_error(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            (self.variance() / self.n as f64).sqrt()
-        }
-    }
-
     /// Merge two accumulators (parallel Welford).
     pub fn merge(&self, other: &Moments) -> Moments {
         if self.n == 0 {
@@ -105,7 +82,6 @@ mod tests {
         let m = Moments::of(&xs);
         assert_eq!(m.count(), 8);
         assert!((m.mean() - 5.0).abs() < 1e-12);
-        assert!((m.population_variance() - 4.0).abs() < 1e-12);
         assert!((m.variance() - 32.0 / 7.0).abs() < 1e-12);
         assert!((m.sum() - 40.0).abs() < 1e-12);
     }
@@ -124,7 +100,6 @@ mod tests {
         let empty = Moments::new();
         assert_eq!(empty.mean(), 0.0);
         assert_eq!(empty.variance(), 0.0);
-        assert_eq!(empty.standard_error(), 0.0);
         let one = Moments::of(&[42.0]);
         assert_eq!(one.variance(), 0.0);
         assert_eq!(one.mean(), 42.0);

@@ -93,14 +93,14 @@ pub fn binomial_ranks(n: usize, q: f64, confidence: f64) -> (usize, usize) {
 /// Where the type-7 `q`-quantile of `n > 1` values sits: between the order
 /// statistics at `lo` and `hi` (0-based, `hi ≤ lo + 1`), `frac` of the way.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Type7 {
-    pub(crate) lo: usize,
-    pub(crate) hi: usize,
+struct Type7 {
+    lo: usize,
+    hi: usize,
     frac: f64,
 }
 
 impl Type7 {
-    pub(crate) fn new(n: usize, q: f64) -> Type7 {
+    fn new(n: usize, q: f64) -> Type7 {
         Type7::at(q * (n - 1) as f64)
     }
 
@@ -113,7 +113,7 @@ impl Type7 {
 
     /// The quantile given the order statistics at `lo` and `hi` — the one
     /// formula every quantile in this crate ends in.
-    pub(crate) fn interpolate(self, at_lo: f64, at_hi: f64) -> f64 {
+    fn interpolate(self, at_lo: f64, at_hi: f64) -> f64 {
         at_lo + (at_hi - at_lo) * self.frac
     }
 }

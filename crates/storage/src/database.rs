@@ -88,11 +88,6 @@ impl Database {
     pub fn foreign_keys(&self) -> &[ForeignKey] {
         &self.foreign_keys
     }
-
-    /// Total row count across all tables.
-    pub fn total_rows(&self) -> usize {
-        self.tables.values().map(|t| t.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +125,7 @@ mod tests {
         assert!(db.table("video").is_ok());
         assert!(db.table("nope").is_err());
         db.table_mut("log").unwrap().insert(vec![Value::Int(1), Value::Int(10)]).unwrap();
-        assert_eq!(db.total_rows(), 1);
+        assert_eq!(db.table("log").unwrap().len(), 1);
         assert_eq!(db.iter().map(|(name, _)| name).collect::<Vec<_>>(), vec!["log", "video"]);
     }
 

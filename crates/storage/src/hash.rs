@@ -1,47 +1,28 @@
-//! Deterministic uniform hash families: the heart of the `η` operator.
+//! The deterministic uniform hash behind the `η` operator.
 //!
 //! Section 4.4 of the paper samples a relation by hashing its primary key to
 //! `[0, 1]` and keeping rows with `h(a) ≤ m`. Appendix 12.3 discusses the
-//! Simple Uniform Hashing Assumption (SUHA) and the trade-off between fast
-//! but less uniform hashes (a "linear" multiplicative hash) and slower,
-//! highly uniform ones (MD5/SHA1 in MySQL). We reproduce that spectrum with
-//! three in-repo families:
+//! Simple Uniform Hashing Assumption (SUHA): a cheap "linear" hash leaves
+//! the normalized values in a lattice, far from uniform. So the key's
+//! canonical bytes are accumulated with FNV-1a and the result goes through
+//! a SplitMix64 finalizer, which is fast and empirically very uniform.
 //!
-//! * [`HashFamily::SplitMix`] — FNV-1a accumulation with a SplitMix64
-//!   finalizer; fast and empirically very uniform (the default).
-//! * [`HashFamily::Fnv1a`] — plain FNV-1a; fast, decent uniformity.
-//! * [`HashFamily::Multiplicative`] — a weak LCG-style "linear hash" kept to
-//!   mirror the paper's discussion of non-uniform but cheap hashing.
-//!
-//! All families are deterministic functions of `(seed, key bytes)`, which is
+//! The hash is a deterministic function of `(seed, key bytes)`, which is
 //! what makes the stale sample `Ŝ` and the cleaned sample `Ŝ′` *correspond*
 //! (Proposition 2): the same keys are selected on both sides.
 
 use crate::value::Value;
 
-/// The available hash function families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HashFamily {
-    /// FNV-1a accumulation + SplitMix64 finalizer (default; near-uniform).
-    SplitMix,
-    /// Plain FNV-1a.
-    Fnv1a,
-    /// Weak multiplicative ("linear") hash, as discussed in Appendix 12.3.
-    Multiplicative,
-}
-
 /// A concrete, seeded hash function over key tuples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HashSpec {
-    /// Which family to use.
-    pub family: HashFamily,
     /// Seed mixed into the hash; different seeds give independent samples.
     pub seed: u64,
 }
 
 impl Default for HashSpec {
     fn default() -> Self {
-        HashSpec { family: HashFamily::SplitMix, seed: 0x5bd1_e995 }
+        HashSpec::with_seed(0x5bd1_e995)
     }
 }
 
@@ -65,55 +46,35 @@ fn splitmix64(mut z: u64) -> u64 {
 /// [`HashSpec::hash_row`].
 #[derive(Debug, Clone, Copy)]
 pub struct HashState {
-    family: HashFamily,
     h: u64,
 }
 
 impl HashState {
-    /// Absorb a byte slice.
+    /// Absorb a byte slice (FNV-1a).
     #[inline]
     pub fn write(&mut self, bytes: &[u8]) {
-        match self.family {
-            HashFamily::SplitMix | HashFamily::Fnv1a => {
-                for &b in bytes {
-                    self.h = (self.h ^ b as u64).wrapping_mul(FNV_PRIME);
-                }
-            }
-            HashFamily::Multiplicative => {
-                // Deliberately weak: an LCG step per byte, no finalizer.
-                for &b in bytes {
-                    self.h = self.h.wrapping_mul(6364136223846793005).wrapping_add(b as u64 | 1);
-                }
-            }
+        for &b in bytes {
+            self.h = (self.h ^ b as u64).wrapping_mul(FNV_PRIME);
         }
     }
 
-    /// Finalize to the hash value.
+    /// Finalize to the hash value (SplitMix64).
     #[inline]
     pub fn finish(self) -> u64 {
-        match self.family {
-            HashFamily::SplitMix => splitmix64(self.h),
-            HashFamily::Fnv1a | HashFamily::Multiplicative => self.h,
-        }
+        splitmix64(self.h)
     }
 }
 
 impl HashSpec {
-    /// Construct with the default family.
-    pub fn with_seed(seed: u64) -> HashSpec {
-        HashSpec { family: HashFamily::SplitMix, seed }
+    /// The hash with the given seed.
+    pub const fn with_seed(seed: u64) -> HashSpec {
+        HashSpec { seed }
     }
 
     /// Start incremental accumulation (see [`HashState`]).
     #[inline]
     pub fn begin(&self) -> HashState {
-        let h = match self.family {
-            HashFamily::SplitMix | HashFamily::Fnv1a => FNV_OFFSET ^ self.seed,
-            HashFamily::Multiplicative => {
-                self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1)
-            }
-        };
-        HashState { family: self.family, h }
+        HashState { h: FNV_OFFSET ^ self.seed }
     }
 
     /// Hash a sequence of values to a `u64`. Shared by [`HashSpec::hash_key`]
@@ -166,29 +127,28 @@ pub fn normalize01(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// Chi-square statistic of hash values bucketed into `buckets` equal-width
-/// cells of `[0,1)`. Under uniformity its expectation is `buckets - 1`.
-/// Used by tests and by the uniformity micro-benchmarks.
-pub fn chi_square_uniformity(hashes01: &[f64], buckets: usize) -> f64 {
-    assert!(buckets >= 2, "need at least 2 buckets");
-    let mut counts = vec![0usize; buckets];
-    for &h in hashes01 {
-        let b = ((h * buckets as f64) as usize).min(buckets - 1);
-        counts[b] += 1;
-    }
-    let expected = hashes01.len() as f64 / buckets as f64;
-    counts
-        .iter()
-        .map(|&c| {
-            let d = c as f64 - expected;
-            d * d / expected
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Chi-square statistic of hash values bucketed into `buckets` equal-width
+    /// cells of `[0,1)`. Under uniformity its expectation is `buckets - 1`.
+    fn chi_square_uniformity(hashes01: &[f64], buckets: usize) -> f64 {
+        assert!(buckets >= 2, "need at least 2 buckets");
+        let mut counts = vec![0usize; buckets];
+        for &h in hashes01 {
+            let b = ((h * buckets as f64) as usize).min(buckets - 1);
+            counts[b] += 1;
+        }
+        let expected = hashes01.len() as f64 / buckets as f64;
+        counts
+            .iter()
+            .map(|&c| {
+                let d = c as f64 - expected;
+                d * d / expected
+            })
+            .sum()
+    }
 
     fn hashes(spec: HashSpec, n: i64) -> Vec<f64> {
         (0..n).map(|i| spec.hash01(&[Value::Int(i)])).collect()
@@ -220,34 +180,20 @@ mod tests {
         for &m in &[0.05, 0.1, 0.5] {
             let hits = (0..n).filter(|&i| spec.selects(&[Value::Int(i)], m)).count();
             let frac = hits as f64 / n as f64;
-            assert!((frac - m).abs() < 0.01, "family SplitMix ratio {m}: observed {frac}");
+            assert!((frac - m).abs() < 0.01, "ratio {m}: observed {frac}");
         }
     }
 
     #[test]
-    fn splitmix_behaves_like_random_but_multiplicative_does_not() {
+    fn sequential_keys_pass_the_suha_chi_square() {
         // Under SUHA, chi-square with b-1 = 63 degrees of freedom has mean 63
-        // and std ≈ sqrt(2·63) ≈ 11.2. SplitMix should land in a normal band.
-        // The LCG "linear" hash on sequential integers produces a lattice:
-        // its bucket counts are *abnormally even* (chi-square many sigmas
-        // below the mean), which is exactly the kind of SUHA violation the
-        // paper's Appendix 12.3 warns about.
+        // and std ≈ sqrt(2·63) ≈ 11.2: sequential integers must land in a
+        // normal band, not in the lattice of a "linear" hash (Appendix 12.3).
         let n = 50_000;
         let dof = 63.0_f64;
         let sigma = (2.0 * dof).sqrt();
-        let good = chi_square_uniformity(&hashes(HashSpec::default(), n), 64);
-        let weak = chi_square_uniformity(
-            &hashes(HashSpec { family: HashFamily::Multiplicative, seed: 1 }, n),
-            64,
-        );
-        assert!(
-            (good - dof).abs() < 4.0 * sigma,
-            "SplitMix chi-square {good} too far from expectation {dof}"
-        );
-        assert!(
-            (weak - dof).abs() > 4.0 * sigma,
-            "expected multiplicative hash ({weak}) to deviate from SUHA expectation {dof}"
-        );
+        let chi = chi_square_uniformity(&hashes(HashSpec::default(), n), 64);
+        assert!((chi - dof).abs() < 4.0 * sigma, "chi-square {chi} too far from expectation {dof}");
     }
 
     #[test]
@@ -260,12 +206,50 @@ mod tests {
         assert!(chi < 120.0, "composite-key chi-square too high: {chi}");
     }
 
+    /// The hash pinned bit for bit: `hash_key` and its `normalize01` on
+    /// two seeds and every kind of key cell. `0.0` and `-0.0` hash alike.
     #[test]
-    fn fnv_family_works() {
-        let spec = HashSpec { family: HashFamily::Fnv1a, seed: 3 };
-        let n = 20_000;
-        let hits = (0..n).filter(|&i| spec.selects(&[Value::Int(i)], 0.1)).count();
-        let frac = hits as f64 / n as f64;
-        assert!((frac - 0.1).abs() < 0.02, "fnv observed {frac}");
+    fn hashes_are_pinned() {
+        let keys = [
+            vec![Value::Int(42)],
+            vec![Value::str("orders")],
+            vec![Value::Int(7), Value::str("k")],
+            vec![Value::Null],
+            vec![Value::Float(0.0)],
+            vec![Value::Float(-0.0)],
+            vec![Value::Float(f64::NAN)],
+        ];
+        let golden: [(HashSpec, [(u64, u64); 7]); 2] = [
+            (
+                HashSpec::default(),
+                [
+                    (0x088f_b700_cf1d_df36, 0x3fa1_1f6e_019e_3bb0),
+                    (0xa12b_716d_e973_9c22, 0x3fe4_256e_2dbd_2e73),
+                    (0x6d75_f2cc_17f0_7d49, 0x3fdb_5d7c_b305_fc1e),
+                    (0xdb46_682a_657c_a9ba, 0x3feb_68cd_054c_af95),
+                    (0x49f2_e4df_015c_0cb4, 0x3fd2_7cb9_37c0_5702),
+                    (0x49f2_e4df_015c_0cb4, 0x3fd2_7cb9_37c0_5702),
+                    (0xae0f_a796_fcf2_405c, 0x3fe5_c1f4_f2df_9e48),
+                ],
+            ),
+            (
+                HashSpec::with_seed(7),
+                [
+                    (0x4af2_84a3_8bd2_eb8d, 0x3fd2_bca1_28e2_f4ba),
+                    (0xa920_d8e6_462f_9c08, 0x3fe5_241b_1cc8_c5f3),
+                    (0x9f77_8239_6d7d_8ef9, 0x3fe3_eef0_472d_afb1),
+                    (0x72f7_b75d_5981_4224, 0x3fdc_bded_d756_6050),
+                    (0xe75f_9f03_cc0a_562a, 0x3fec_ebf3_e079_814a),
+                    (0xe75f_9f03_cc0a_562a, 0x3fec_ebf3_e079_814a),
+                    (0x6f1d_dd4c_b74a_e284, 0x3fdb_c777_532d_d2b8),
+                ],
+            ),
+        ];
+        for (spec, want) in golden {
+            for (key, (hash, unit)) in keys.iter().zip(want) {
+                let h = spec.hash_key(key);
+                assert_eq!((h, normalize01(h).to_bits()), (hash, unit), "{spec:?} {key:?}");
+            }
+        }
     }
 }

@@ -15,7 +15,7 @@
 //!   Section 4.4 of the paper,
 //! * *delta relations* `∆R` / `∇R` ([`delta`]) — the paper's `∂D`, with
 //!   updates modeled as a deletion followed by an insertion (Section 3.1),
-//! * deterministic uniform hash families mapping key tuples to `[0, 1)`
+//! * a deterministic uniform hash mapping key tuples to `[0, 1)`
 //!   ([`hash`]) — the hashing operator `η` of Section 4.4 and the SUHA
 //!   discussion of Appendix 12.3.
 //!
@@ -41,7 +41,7 @@ pub use columns::{Column, ColumnBuilder, ColumnData, ColumnSet};
 pub use database::{Database, ForeignKey};
 pub use delta::{DeltaSet, Deltas};
 pub use error::{Result, StorageError};
-pub use hash::{normalize01, HashFamily, HashSpec, HashState};
+pub use hash::{normalize01, HashSpec, HashState};
 pub use schema::{Field, Schema};
 pub use staged::{Staged, StagedEdits};
 pub use table::{KeyTuple, Table};

@@ -132,7 +132,7 @@ impl Value {
     }
 
     /// Feed the canonical byte representation of this value to `sink`.
-    /// Used by the hash families in [`crate::hash`], which must not depend
+    /// Used by the hash in [`crate::hash`], which must not depend
     /// on Rust's unspecified default hasher.
     pub fn canonical_bytes(&self, sink: &mut impl FnMut(&[u8])) {
         sink(&[self.type_rank()]);

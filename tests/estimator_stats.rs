@@ -30,10 +30,7 @@ use stale_view_cleaning::relalg::aggregate::{AggFunc, AggSpec};
 use stale_view_cleaning::relalg::plan::{JoinKind, Plan};
 use stale_view_cleaning::relalg::scalar::{col, lit};
 use stale_view_cleaning::sampling::operator::sample_by_key;
-use stale_view_cleaning::stats::{
-    bootstrap_quantile_ci, bootstrap_quantile_distribution, bootstrap_quantile_paired_diff,
-    gaussian_gamma, quantile, quantile_in_place, Moments,
-};
+use stale_view_cleaning::stats::{gaussian_gamma, quantile, quantile_in_place, Moments};
 use stale_view_cleaning::storage::{
     DataType, Database, Deltas, HashSpec, Result, Schema, StagedEdits, Table, Value,
 };
@@ -413,14 +410,13 @@ fn push_coverage_cells(
 /// The cube answered with a top-20 outlier index on `l_extendedprice`.
 const CUBE_OUTLIERS: &str = "cube+outliers";
 
-const BOOT_ITERATIONS: usize = 80;
-
-/// The bootstrap the rank counts replaced: every resample materialized,
-/// its `q`-quantile selected.
-fn selection_bootstrap(data: &[f64], q: f64, seed: u64) -> Vec<f64> {
+/// The percentile bootstrap of Section 5.2.5, the reference the draw-free
+/// intervals are held to: `resamples` resamples with replacement, each
+/// materialized and its `q`-quantile selected.
+fn selection_bootstrap(data: &[f64], q: f64, resamples: usize, seed: u64) -> Vec<f64> {
     use rand::Rng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    (0..BOOT_ITERATIONS)
+    (0..resamples)
         .map(|_| {
             let pick: Vec<f64> =
                 (0..data.len()).map(|_| data[rng.random_range(0..data.len())]).collect();
@@ -429,103 +425,36 @@ fn selection_bootstrap(data: &[f64], q: f64, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// The key-paired bootstrap as a selection path: each resample's
+/// The key-paired bootstrap of SVC+CORR's correction: each resample's
 /// `(stale, clean)` pairs materialized, each side's `q`-quantile selected
-/// over the values present, and a resample with no value on a side
-/// skipped and counted.
-fn selection_paired(pairs: &[(Option<f64>, Option<f64>)], q: f64, seed: u64) -> (Vec<f64>, usize) {
+/// over the values present, and the clean one minus the stale one kept; a
+/// resample with no value on a side has no difference.
+fn selection_paired(
+    pairs: &[(Option<f64>, Option<f64>)],
+    q: f64,
+    resamples: usize,
+    seed: u64,
+) -> Vec<f64> {
     use rand::Rng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let (mut diffs, mut skipped) = (Vec::new(), 0);
-    for _ in 0..BOOT_ITERATIONS {
+    let mut diffs = Vec::new();
+    for _ in 0..resamples {
         let drawn: Vec<_> =
             (0..pairs.len()).map(|_| pairs[rng.random_range(0..pairs.len())]).collect();
         let stale: Vec<f64> = drawn.iter().filter_map(|p| p.0).collect();
         let clean: Vec<f64> = drawn.iter().filter_map(|p| p.1).collect();
-        if stale.is_empty() || clean.is_empty() {
-            skipped += 1;
-        } else {
+        if !stale.is_empty() && !clean.is_empty() {
             diffs.push(quantile(&clean, q) - quantile(&stale, q));
         }
     }
-    (diffs, skipped)
+    diffs
 }
 
-/// The quantile bootstrap reads each resample off rank counts; on this
-/// file's generators — the perturbed population, join-view samples of
-/// `l_extendedprice` and the same with NaN of both signs, ±0 and ±∞ mixed
-/// in — its distributions, key-paired differences and interval are the
-/// selection path's bit for bit. The pairs are each sample against the
-/// next: by position, with holes on either side, and all one-sided.
-#[test]
-fn bootstrap_rank_counts_equal_the_selection_path() {
-    let (stale, fresh) = views();
-    let column = |t: &Table, i: usize| -> Vec<f64> {
-        t.rows().iter().map(|r| r[i].as_f64().unwrap()).collect()
-    };
-    let mut data = vec![column(&stale, 1), column(&fresh, 1)];
-    let tpcd = TpcdData::generate(TpcdConfig { scale: 0.01, skew: 2.0, seed: 42 }).unwrap();
-    let svc = SvcView::create("joinView", join_view(), &tpcd.db, quick_config()).unwrap();
-    let price = svc.view.table().schema().resolve("l_extendedprice").unwrap();
-    for seed in 0..4 {
-        let sample = sample_by_key(svc.view.table(), 0.1, HashSpec::with_seed(seed));
-        let mut prices = column(&sample, price);
-        data.push(prices.clone());
-        let specials = [f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
-        let n = prices.len();
-        for (i, x) in specials.iter().enumerate() {
-            prices[(i * 7 + seed as usize) % n] = *x;
-        }
-        data.push(prices);
-    }
-    data.push(vec![-0.0]);
-    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    for (i, xs) in data.iter().enumerate() {
-        let other = &data[(i + 1) % data.len()];
-        let by_position: Vec<_> = (0..xs.len().max(other.len()))
-            .map(|k| (other.get(k).copied(), xs.get(k).copied()))
-            .collect();
-        let holed: Vec<_> = by_position
-            .iter()
-            .enumerate()
-            .map(|(k, &(s, c))| (s.filter(|_| k % 4 != 1), c.filter(|_| k % 7 != 3)))
-            .filter(|&(s, c)| s.is_some() || c.is_some())
-            .collect();
-        let one_sided: Vec<_> = xs.iter().map(|&x| (Some(x), None)).collect();
-        for (q, seed) in [(0.5, 3 + i as u64), (0.9, 11), (0.05, 19)] {
-            let want = selection_bootstrap(xs, q, seed);
-            let got = bootstrap_quantile_distribution(xs, q, BOOT_ITERATIONS, seed);
-            assert_eq!(bits(&got), bits(&want), "sample {i} q {q}");
-            for pairs in [&by_position, &holed, &one_sided] {
-                let (want, skipped) = selection_paired(pairs, q, seed);
-                let got = bootstrap_quantile_paired_diff(pairs, q, BOOT_ITERATIONS, seed);
-                assert_eq!(
-                    (bits(&got.diffs), got.skipped),
-                    (bits(&want), skipped),
-                    "sample {i} q {q}, paired"
-                );
-            }
-            let ci = bootstrap_quantile_ci(xs, q, BOOT_ITERATIONS, 0.95, seed);
-            let mut dist = selection_bootstrap(xs, q, seed);
-            let alpha = 1.0 - 0.95;
-            let lo = quantile_in_place(&mut dist, alpha / 2.0);
-            let hi = quantile_in_place(&mut dist, 1.0 - alpha / 2.0);
-            let point = quantile(xs, q);
-            let half = ((hi - lo) / 2.0).max((point - lo).abs().max((hi - point).abs()));
-            assert_eq!(
-                bits(&[ci.estimate, ci.half_width]),
-                bits(&[point, half]),
-                "sample {i} q {q}, ci"
-            );
-        }
-    }
-}
-
-/// The draw-free quantile intervals against the bootstraps they replaced,
-/// which stay as the reference: on the join view's cleaned samples over 20
-/// hash seeds, AQP's binomial half-width and CORR's Woodruff half-width,
-/// summed, each stay within a factor of three of the percentile bootstrap's
-/// and of the key-paired bootstrap's (200 resamples).
+/// The draw-free quantile intervals against the bootstraps they replaced:
+/// on the join view's cleaned samples over 20 hash seeds, AQP's binomial
+/// half-width and CORR's Woodruff half-width, summed, each stay within a
+/// factor of three of the percentile bootstrap's and of the key-paired
+/// bootstrap's (200 resamples).
 #[test]
 fn draw_free_quantile_intervals_track_the_bootstrap() {
     let data = TpcdData::generate(TpcdConfig { scale: 0.01, skew: 2.0, seed: 42 }).unwrap();
@@ -553,8 +482,14 @@ fn draw_free_quantile_intervals_track_the_bootstrap() {
         let gone = stale.rows().iter().filter(|r| !clean.contains_key(&stale.key_of(r)));
         pairs.extend(gone.map(|r| (r[price].as_f64(), None)));
         let clean_values: Vec<f64> = pairs.iter().filter_map(|p| p.1).collect();
-        bootstrap[0] += bootstrap_quantile_ci(&clean_values, 0.5, 200, 0.95, seed).half_width;
-        let mut diffs = bootstrap_quantile_paired_diff(&pairs, 0.5, 200, seed).diffs;
+        // The percentile interval at 95 %, symmetrized around the point
+        // estimate.
+        let (point, alpha) = (quantile(&clean_values, 0.5), 1.0 - 0.95);
+        let mut dist = selection_bootstrap(&clean_values, 0.5, 200, seed);
+        let lo = quantile_in_place(&mut dist, alpha / 2.0);
+        let hi = quantile_in_place(&mut dist, 1.0 - alpha / 2.0);
+        bootstrap[0] += ((hi - lo) / 2.0).max((point - lo).abs().max((hi - point).abs()));
+        let mut diffs = selection_paired(&pairs, 0.5, 200, seed);
         let (lo, hi) = (quantile_in_place(&mut diffs, 0.025), quantile_in_place(&mut diffs, 0.975));
         bootstrap[1] += (hi - lo) / 2.0;
     }
