@@ -24,7 +24,7 @@ use svc_relalg::derive::{
     Derived, LeafProvider,
 };
 use svc_relalg::optimizer::cost::{CardEstimator, RelCard};
-use svc_relalg::plan::{JoinKind, Plan, SetOpKind};
+use svc_relalg::plan::{new_state_base, JoinKind, Plan, SetOpKind};
 use svc_relalg::scalar::{BinOp, Expr};
 use svc_storage::{Result, StorageError};
 
@@ -121,7 +121,9 @@ fn est_plan<'a>(
     Ok(match plan {
         Plan::Scan { table } => {
             let d = leaves.leaf(table).ok_or_else(|| StorageError::UnknownTable(table.clone()))?;
-            let e = leaf_est(provider.stats(table), &d);
+            // A new state `__new.T` is priced as `T`.
+            let stats = provider.stats(table);
+            let e = leaf_est(stats.or_else(|| provider.stats(new_state_base(table)?)), &d);
             (d, e)
         }
         Plan::Select { input, predicate } => {

@@ -2,22 +2,33 @@
 //! produce plans computing the rows *inserted into* and *deleted from* its
 //! result when the base relations change.
 //!
-//! For a join `L ⋈ R`, with `L_new = (L ▷ ∇L) ∪ ∆L` (`▷` an anti-join on
-//! the primary key), the join distributes over the new-state union and each
-//! anti-join runs after the join, on the key of the input it filters:
+//! For a join `L ⋈ R`, with `R′ = (R ▷ ∇R) ∪ ∆R` its new state (`▷` an
+//! anti-join on the primary key), the rules are
 //!
 //! ```text
-//! ∆(L ⋈ R) = ((L ⋈ ∆R) ▷_keyL ∇L)  ∪  ((∆L ⋈ R) ▷_keyR ∇R)  ∪  (∆L ⋈ ∆R)
+//! ∆(L ⋈ R) = ((L ⋈ ∆R) ▷_keyL ∇L)  ∪  (∆L ⋈ R′)
 //! ∇(L ⋈ R) = (∇L ⋈ R)              ∪  ((L ⋈ ∇R) ▷_keyL ∇L)
 //! ```
 //!
-//! These are the classic `((L ▷ ∇L) ⋈ ∆R) ∪ (∆L ⋈ R_new)` rules: ⋈
-//! distributes over ∪, and an anti-join on one input's key commutes with an
-//! inner join. The point is the plan shape. A delta-sized input meets a
-//! base relation `R` as that relation itself, which the executor probes by
-//! primary key, instead of meeting a materialized new state
-//! `(R ▷ ∇R) ∪ ∆R` it would have to hash-build over. The new state remains
-//! for recomputation ([`new_state`]) and for the ∪ rule.
+//! the classic `((L ▷ ∇L) ⋈ ∆R) ∪ (∆L ⋈ R_new)` with the anti-join moved
+//! after the join, on the key of the input it filters (an anti-join on one
+//! input's key commutes with an inner join). The point is the plan shape.
+//! When the join is on R's whole primary key and R has pending deltas — R a
+//! σ/Π chain over one base table `T`, on either side of the join — `R′` is
+//! that chain over the new-state leaf `__new.T`, typed as `T`. The executor
+//! probes it by key as one layered lookup: ∆T's row if ∆T holds the key,
+//! else T's unless ∇T holds it. So each change row of ∆L is scanned,
+//! η-hashed and looked up once, and `R′` is never materialized: the
+//! self-maintenance rule that the new state is the old one plus the deltas,
+//! with the shared delta subexpression ∆L evaluated once. Distributing
+//! `∆L ⋈ R′` over the union instead, as `(∆L ⋈ R) ▷ ∇R` and `∆L ⋈ ∆R`,
+//! would read every ∆L row once per branch. When R is on the left,
+//! `L′ ⋈ ∆R` is written `∆R ⋈ L′` and projected back, so ∆R probes. Every
+//! other join keeps the distributed form
+//! `((L ⋈ ∆R) ▷_keyL ∇L) ∪ ((∆L ⋈ R) ▷_keyR ∇R) ∪ (∆L ⋈ ∆R)`, in which a
+//! delta-sized input meets each base relation as that relation itself,
+//! which the executor probes by primary key. The new state as a plan
+//! ([`new_state`]) remains for recomputation and for the ∪ rule.
 //!
 //! Every derived plan names its columns as the expression it derives does.
 //! A join whose right input is a delta plan would name a collided column
@@ -33,7 +44,8 @@
 //! the inner γ's change table — so it costs O(|∆| + touched groups), and the
 //! inner input is never re-aggregated.
 //!
-//! Leaves follow the naming convention `__ins.<table>` / `__del.<table>`;
+//! Leaves follow the naming convention `__ins.<table>` / `__del.<table>`
+//! (and `__new.<table>`, read through those two and the table itself);
 //! `svc-ivm`'s bindings attach the matching delta relations at evaluation
 //! time. Branches whose deltas are provably empty (the table was not
 //! touched) are pruned to `None`.
@@ -49,20 +61,12 @@ use svc_relalg::scalar::{col, lit, Expr};
 use crate::canon::{AuxShape, SVC_CNT};
 use crate::strategy::{as_written, group_is_live, rename_all, CanonNames, AUX_LEAF, DEL_PREFIX};
 
-/// Leaf name of the insertion delta for `table`.
-pub fn ins_leaf(table: &str) -> String {
-    format!("__ins.{table}")
-}
+pub use svc_relalg::plan::{del_leaf, ins_leaf, new_leaf};
 
-/// Leaf name of the deletion delta for `table`.
-pub fn del_leaf(table: &str) -> String {
-    format!("__del.{table}")
-}
-
-/// The table a delta leaf (`__ins.T` / `__del.T`) changes, `None` for any
-/// other leaf name.
+/// The table a delta-plan leaf (`__ins.T`, `__del.T`, `__new.T`) reads,
+/// `None` for any other leaf name.
 pub fn delta_base(leaf: &str) -> Option<&str> {
-    leaf.strip_prefix("__ins.").or_else(|| leaf.strip_prefix("__del."))
+    ["__ins.", "__del.", "__new."].into_iter().find_map(|prefix| leaf.strip_prefix(prefix))
 }
 
 /// Which base tables have pending insertions / deletions. Used to prune
@@ -98,6 +102,11 @@ impl DeltaInfo {
     /// True iff nothing changed at all.
     pub fn is_empty(&self) -> bool {
         self.ins.is_empty() && self.del.is_empty()
+    }
+
+    /// True iff `table` has pending insertions or deletions.
+    fn touches(&self, table: &str) -> bool {
+        self.ins.contains(table) || self.del.contains(table)
     }
 }
 
@@ -171,6 +180,13 @@ fn union_all(parts: impl IntoIterator<Item = Option<Plan>>) -> Option<Plan> {
     parts.into_iter().flatten().reduce(Plan::union)
 }
 
+/// True iff the join columns `cols` of an input typed `input` are its whole
+/// key, in key order: the executor then probes its key index.
+fn on_whole_key<'a>(input: &Derived, cols: impl Iterator<Item = &'a String>) -> bool {
+    let idx: Option<Vec<usize>> = cols.map(|c| input.schema.resolve(c).ok()).collect();
+    !input.key.is_empty() && idx.is_some_and(|idx| idx == input.key)
+}
+
 /// `plan ▷ del` on one input's primary key, the identity without `del`.
 /// `input` is that input's type: its key sits at `offset + k` in `plan`'s
 /// output, named as in `out`, and at `k` in `del`, a delta plan of the input
@@ -212,6 +228,23 @@ impl Deriver<'_> {
         Ok(union_all([Some(kept), d.ins]).expect("the kept rows are always present"))
     }
 
+    /// `plan` read at its new state through one leaf, when it is a σ/Π chain
+    /// over a base table with pending deltas: that chain over `__new.T`.
+    /// `None` for any other plan.
+    fn new_state_leaf(&self, plan: &Plan) -> Option<Plan> {
+        Some(match plan {
+            Plan::Scan { table } if self.info.touches(table) => Plan::scan(new_leaf(table)),
+            Plan::Select { input, predicate } => {
+                self.new_state_leaf(input)?.select(predicate.clone())
+            }
+            Plan::Project { input, columns } => Plan::Project {
+                input: Box::new(self.new_state_leaf(input)?),
+                columns: columns.clone(),
+            },
+            _ => return None,
+        })
+    }
+
     /// `plan`, its columns renamed position for position to `names` where
     /// they differ (a bare-column Π, which keeps the key).
     fn named_like(&self, plan: Plan, names: &Schema) -> Result<Plan> {
@@ -226,6 +259,36 @@ impl Deriver<'_> {
             .map(|(want, is)| (want.name.clone(), col(is.name.clone())))
             .collect();
         Ok(Plan::Project { input: Box::new(plan), columns })
+    }
+
+    /// `L′ ⋈ ∆R` written as `∆R ⋈ L′`, so that ∆R probes L′, then projected
+    /// back to the columns and names `out` of `L ⋈ R` (joined `on`).
+    fn probing(
+        &self,
+        ins_r: &Plan,
+        l_new: &Plan,
+        on: &[(String, String)],
+        out: &Schema,
+    ) -> Result<Plan> {
+        let joined = Plan::Join {
+            left: Box::new(ins_r.clone()),
+            right: Box::new(l_new.clone()),
+            kind: JoinKind::Inner,
+            on: on.iter().map(|(l, r)| (r.clone(), l.clone())).collect(),
+        };
+        let have = derive(&joined, &self.leaves)?.schema;
+        let n_l = have.len() - derive(ins_r, &self.leaves)?.schema.len();
+        let n_r = have.len() - n_l;
+        let columns = out
+            .fields()
+            .iter()
+            .enumerate()
+            .map(|(j, f)| {
+                let from = if j < n_l { n_r + j } else { j - n_l };
+                (f.name.clone(), col(have.field(from).name.clone()))
+            })
+            .collect();
+        Ok(Plan::Project { input: Box::new(joined), columns })
     }
 
     fn delta(&self, plan: &Plan) -> Result<DeltaPlan> {
@@ -263,13 +326,37 @@ impl Deriver<'_> {
                 let but_del_l = |p: Plan| anti_on_key(p, dl.del.as_ref(), &out, &lt, 0);
                 let but_del_r =
                     |p: Plan| anti_on_key(p, dr.del.as_ref(), &out, &rt, lt.schema.len());
-                let both_ins = dl.ins.as_ref().zip(dr.ins.as_ref());
-                DeltaPlan {
-                    ins: union_all([
+                // The keyed input R, when the join is on its whole key and it
+                // has pending deltas: ∆ meets its new state R′ in one join.
+                let r_new = on_whole_key(&rt, on.iter().map(|(_, r)| r))
+                    .then(|| self.new_state_leaf(right))
+                    .flatten();
+                let l_new = match r_new {
+                    None if on_whole_key(&lt, on.iter().map(|(l, _)| l)) => {
+                        self.new_state_leaf(left)
+                    }
+                    _ => None,
+                };
+                let ins = match (r_new, l_new) {
+                    (Some(r_new), _) => union_all([
                         dr.ins.as_ref().map(|ir| join(left, ir)).transpose()?.map(but_del_l),
-                        dl.ins.as_ref().map(|il| join(il, right)).transpose()?.map(but_del_r),
-                        both_ins.map(|(il, ir)| join(il, ir)).transpose()?,
+                        dl.ins.as_ref().map(|il| join(il, &r_new)).transpose()?,
                     ]),
+                    (None, Some(l_new)) => union_all([
+                        dr.ins.as_ref().map(|ir| self.probing(ir, &l_new, on, &out)).transpose()?,
+                        dl.ins.as_ref().map(|il| join(il, right)).transpose()?.map(but_del_r),
+                    ]),
+                    (None, None) => {
+                        let both_ins = dl.ins.as_ref().zip(dr.ins.as_ref());
+                        union_all([
+                            dr.ins.as_ref().map(|ir| join(left, ir)).transpose()?.map(but_del_l),
+                            dl.ins.as_ref().map(|il| join(il, right)).transpose()?.map(but_del_r),
+                            both_ins.map(|(il, ir)| join(il, ir)).transpose()?,
+                        ])
+                    }
+                };
+                DeltaPlan {
+                    ins,
                     del: union_all([
                         dl.del.as_ref().map(|dl| join(dl, right)).transpose()?,
                         dr.del.as_ref().map(|dr| join(left, dr)).transpose()?.map(but_del_l),
@@ -613,6 +700,43 @@ mod tests {
             log_video().select(col("video.owner").lt(lit(3i64))),
             "video.owner",
             "duration",
+        );
+    }
+
+    /// `video ⋈ log`: the keyed input on the left. ∆log probes video′, and
+    /// the view's columns come back in the definition's order.
+    #[test]
+    fn keyed_left_input_maintains() {
+        let on = [("videoId", "videoId")];
+        check_join_shape(
+            Plan::scan("video").join(Plan::scan("log"), JoinKind::Inner, &on),
+            "videoId",
+            "duration",
+        );
+    }
+
+    /// Each change row of the fact side is read once: the ∆ side names
+    /// `__ins.log` once, beside the key side's new state `__new.video`, with
+    /// the keyed input on either side. Without pending deltas on the key
+    /// side, ∆ is `∆log ⋈ video`, as before.
+    #[test]
+    fn a_change_row_meets_the_key_sides_new_state_once() {
+        let db = db();
+        let info = DeltaInfo::of(&make_deltas(&db));
+        let on = [("videoId", "videoId")];
+        for view in [log_video(), Plan::scan("video").join(Plan::scan("log"), JoinKind::Inner, &on)]
+        {
+            let ins = derive_delta(&view, &info, &db, None).unwrap().ins.unwrap();
+            let leaves = ins.leaf_tables();
+            let named = |leaf: &str| leaves.iter().filter(|l| **l == leaf).count();
+            assert_eq!((named("__ins.log"), named("__new.video")), (1, 1), "{leaves:?}");
+        }
+        let mut only_log = Deltas::new();
+        only_log.insert(&db, "log", vec![Value::Int(900), Value::Int(3), Value::Int(0)]).unwrap();
+        let ins = derive_delta(&log_video(), &DeltaInfo::of(&only_log), &db, None).unwrap().ins;
+        assert_eq!(
+            ins,
+            Some(Plan::scan("__ins.log").join(Plan::scan("video"), JoinKind::Inner, &on))
         );
     }
 

@@ -17,7 +17,7 @@ use crate::derive::{
     Derived, LeafProvider,
 };
 use crate::join::run_join;
-use crate::plan::Plan;
+use crate::plan::{del_leaf, ins_leaf, new_state_base, JoinKind, Plan};
 use crate::setops::run_setop;
 
 /// Leaf-name → table bindings for evaluation.
@@ -54,8 +54,10 @@ impl<'a> Bindings<'a> {
 }
 
 impl LeafProvider for Bindings<'_> {
+    /// A bound leaf's type; a new-state leaf (`__new.T`) is typed as `T`.
     fn leaf(&self, name: &str) -> Option<Derived> {
-        self.tables.get(name).map(|t| Derived { schema: t.schema().clone(), key: t.key().to_vec() })
+        let t = self.tables.get(name).or_else(|| self.tables.get(new_state_base(name)?))?;
+        Some(derived_of(t))
     }
 }
 
@@ -76,14 +78,32 @@ pub fn evaluate(plan: &Plan, bindings: &Bindings<'_>) -> Result<Table> {
     crate::exec::compile(plan, bindings)?.run(bindings)
 }
 
+/// `table`'s new state as the plain union `(T ▷ __del.T) ∪ __ins.T`, the
+/// anti-join on the key of `T` as bound.
+fn new_state_union(table: &str, bindings: &Bindings<'_>) -> Result<Plan> {
+    let t = bindings.table(table)?;
+    let key = t.key().iter().map(|&k| t.schema().field(k).name.clone());
+    let kept = Plan::Join {
+        left: Box::new(Plan::scan(table)),
+        right: Box::new(Plan::scan(del_leaf(table))),
+        kind: JoinKind::Anti,
+        on: key.map(|k| (k.clone(), k)).collect(),
+    };
+    Ok(kept.union(Plan::scan(ins_leaf(table))))
+}
+
 /// The legacy recursive evaluator: materializes a keyed [`Table`] (index
 /// included) at *every* node and clones the entire bound relation at every
-/// `Scan`. Kept as the baseline the streaming executor is property-tested
-/// against (`tests/exec_prop.rs`) and benchmarked against (`fig_exec`); new
-/// code should call [`evaluate`].
+/// `Scan`, reading a new-state leaf as its plain union. Kept as the
+/// baseline the streaming executor is property-tested against
+/// (`tests/exec_prop.rs`) and benchmarked against (`fig_exec`); new code
+/// should call [`evaluate`].
 pub fn evaluate_materializing(plan: &Plan, bindings: &Bindings<'_>) -> Result<Table> {
     match plan {
-        Plan::Scan { table } => Ok(bindings.table(table)?.clone()),
+        Plan::Scan { table } => match new_state_base(table) {
+            Some(base) => evaluate_materializing(&new_state_union(base, bindings)?, bindings),
+            None => Ok(bindings.table(table)?.clone()),
+        },
         Plan::Select { input, predicate } => {
             let child = evaluate_materializing(input, bindings)?;
             let out = derive_select(&derived_of(&child), predicate)?;

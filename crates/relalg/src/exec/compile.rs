@@ -9,7 +9,7 @@ use svc_storage::{DataType, Result, Schema, StorageError, Table};
 use crate::aggregate::{bind_aggs, AggFunc};
 use crate::derive::{derive_join, derive_tree, DerivedTree, LeafProvider};
 use crate::optimizer::cost::CardEstimator;
-use crate::plan::{JoinKind, Plan, SetOpKind};
+use crate::plan::{del_leaf, ins_leaf, new_leaf, new_state_base, JoinKind, Plan, SetOpKind};
 use crate::scalar::BoundExpr;
 
 use super::column::{compile_map, compile_pred, VecOp};
@@ -35,11 +35,20 @@ thread_local! {
 }
 
 /// How often each leaf was read by plans run **on this thread** since it
-/// started, by binding name — the cost-shape hook beside
+/// started, by the name the plan gives it — the cost-shape hook beside
 /// `Table::clone_count`: take a reading, run something, compare, and a path
-/// that evaluates a sub-plan more than once shows up as a multiple.
+/// that evaluates a sub-plan more than once shows up as a multiple. A probe
+/// of a new state counts one read of `__new.T`, whose three tables it reads.
 pub fn leaf_scan_counts() -> std::collections::BTreeMap<String, u64> {
     LEAF_SCANS.with_borrow(Clone::clone)
+}
+
+/// Count one read of the leaf `name` in [`leaf_scan_counts`].
+pub(crate) fn count_read(name: &str) {
+    LEAF_SCANS.with_borrow_mut(|scans| match scans.get_mut(name) {
+        Some(n) => *n += 1,
+        None => drop(scans.insert(name.to_string(), 1)),
+    });
 }
 
 impl LeafRef {
@@ -47,10 +56,7 @@ impl LeafRef {
     /// of the leaf in [`leaf_scan_counts`].
     pub fn resolve<'a>(&self, bindings: &crate::eval::Bindings<'a>) -> Result<&'a Table> {
         let t = self.lookup(bindings)?;
-        LEAF_SCANS.with_borrow_mut(|scans| match scans.get_mut(&self.name) {
-            Some(n) => *n += 1,
-            None => drop(scans.insert(self.name.clone(), 1)),
-        });
+        count_read(&self.name);
         Ok(t)
     }
 
@@ -81,6 +87,16 @@ impl LeafRef {
     }
 }
 
+/// The delta layers over a probed base leaf `R`: with them the probe reads
+/// R's new state `R′ = (R ▷ ∇R) ∪ ∆R` as one layered lookup.
+#[derive(Debug, Clone)]
+pub struct Layers {
+    /// `∆R`, typed as `R`.
+    pub ins: LeafRef,
+    /// `∇R`, typed as `R`.
+    pub del: LeafRef,
+}
+
 /// The right input of a physical join.
 #[derive(Debug, Clone)]
 pub enum JoinRight {
@@ -89,12 +105,17 @@ pub enum JoinRight {
     /// derived key, which is the leaf's key kept as bare columns, in order.
     /// The chain runs on the one probed row; a row it drops is no partner.
     /// Zero materialization, no build pass: delta-sized left inputs probe
-    /// large base relations in O(|left|).
+    /// large base relations in O(|left|). With `layers` (the right side of
+    /// an inner join is a new-state leaf `__new.R`) the probe takes ∆R's row
+    /// under the key if ∆R holds one, otherwise R's unless ∇R holds the key,
+    /// so `R′` is never materialized.
     PkProbeLeaf {
-        /// The probed relation.
+        /// The probed relation (`R` itself under `layers`).
         leaf: LeafRef,
         /// The right side's fused chain, applied to each probed row.
         ops: Vec<FusedOp>,
+        /// `∆R` and `∇R` when the probe reads `R′`.
+        layers: Option<Box<Layers>>,
     },
     /// Materialize the right child and hash-build over its join columns.
     Build(Box<Node>),
@@ -102,11 +123,24 @@ pub enum JoinRight {
 
 impl JoinRight {
     /// The leaf this right side reads and the fused chain over it, when it
-    /// is leaf-rooted.
+    /// is leaf-rooted (a layered probe reads three leaves, so it is not).
     pub(crate) fn leaf_chain(&self) -> Option<(&LeafRef, &[FusedOp])> {
         match self {
-            JoinRight::PkProbeLeaf { leaf, ops } => Some((leaf, ops)),
+            JoinRight::PkProbeLeaf { leaf, ops, layers: None } => Some((leaf, ops)),
+            JoinRight::PkProbeLeaf { .. } => None,
             JoinRight::Build(node) => node.leaf_chain(),
+        }
+    }
+
+    /// `pk-probe(T)[ops]` for a probe — `__new.T` when it reads T's new
+    /// state — and `build` for a build side.
+    pub(crate) fn label(&self) -> String {
+        match self {
+            JoinRight::PkProbeLeaf { leaf, ops, layers } => {
+                let name = if layers.is_some() { new_leaf(&leaf.name) } else { leaf.name.clone() };
+                format!("pk-probe({name}){}", tags(ops))
+            }
+            JoinRight::Build(_) => "build".into(),
         }
     }
 }
@@ -197,6 +231,9 @@ pub enum Node {
         /// derived keys, on which each input is unique (empty: the whole
         /// row). Candidates are still compared as whole rows.
         hash_cols: Vec<usize>,
+        /// Each input's derived key. A ∪ whose other input ran empty hands
+        /// on a keyed input's batch as it is: a keyed batch is a set.
+        keys: [Vec<usize>; 2],
     },
 }
 
@@ -260,9 +297,7 @@ impl Node {
             Node::Fused { input, ops } => format!("fused({}){}", input.describe(), tags(ops)),
             Node::Join { left, right, kind, .. } => {
                 let r = match right {
-                    JoinRight::PkProbeLeaf { leaf, ops } => {
-                        format!("pk-probe({}){}", leaf.name, tags(ops))
-                    }
+                    JoinRight::PkProbeLeaf { .. } => right.label(),
                     JoinRight::Build(node) => format!("build({})", node.describe()),
                 };
                 format!("join:{kind:?}({}, {r})", left.describe())
@@ -287,8 +322,17 @@ pub(super) struct Lowering<'a> {
 const MAX_GROUPS_HINT: usize = 1 << 22;
 
 impl Lowering<'_> {
-    /// Lower `plan` against its derived tree (computed once at the root).
+    /// Lower `plan` against its derived tree (computed once at the root),
+    /// for any consumer but a PK probe: a chain over a new-state leaf reads
+    /// that leaf as its plain union.
     pub(super) fn lower(&self, plan: &Plan, tree: &DerivedTree) -> Result<Node> {
+        Ok(expand_new_state(self.lower_chain(plan, tree)?))
+    }
+
+    /// Lower `plan`, leaving a chain over a new-state leaf a fused scan of
+    /// that leaf (for the probe that reads it layered, or
+    /// [`expand_new_state`]).
+    fn lower_chain(&self, plan: &Plan, tree: &DerivedTree) -> Result<Node> {
         Ok(match plan {
             Plan::Scan { table } => Node::FusedScan {
                 leaf: LeafRef {
@@ -300,13 +344,13 @@ impl Lowering<'_> {
                 vops: Vec::new(),
             },
             Plan::Select { input, predicate } => {
-                let child = self.lower(input, tree.input())?;
+                let child = self.lower_chain(input, tree.input())?;
                 let pred = predicate.bind(&tree.input().derived.schema)?;
                 let vop = VecOp::Filter(compile_pred(&pred));
                 child.push_op(FusedOp::Filter(pred), vop)
             }
             Plan::Project { input, columns } => {
-                let child = self.lower(input, tree.input())?;
+                let child = self.lower_chain(input, tree.input())?;
                 let in_schema = &tree.input().derived.schema;
                 let bound: Vec<BoundExpr> =
                     columns.iter().map(|(_, e)| e.bind(in_schema)).collect::<Result<_>>()?;
@@ -318,7 +362,7 @@ impl Lowering<'_> {
                 child.push_op(FusedOp::Map(bound), vop)
             }
             Plan::Hash { input, key, ratio, spec } => {
-                let child = self.lower(input, tree.input())?;
+                let child = self.lower_chain(input, tree.input())?;
                 let key_idx = tree.input().derived.schema.resolve_all(key)?;
                 let vop = VecOp::Hash { key_idx: key_idx.clone(), ratio: *ratio, spec: *spec };
                 child.push_op(FusedOp::Hash { key_idx, ratio: *ratio, spec: *spec }, vop)
@@ -336,13 +380,19 @@ impl Lowering<'_> {
                 // and Π keeps it as bare columns in key order, so the join
                 // columns are the leaf key. The chain then runs on the one
                 // probed row, so the probe sees exactly the post-chain rows.
-                let right = match self.lower(right, rt)? {
+                // Only an inner join probes a new-state leaf, through its
+                // three indexes.
+                let probes = crate::join::pk_probe_applies(*kind, &right_cols, &rt.derived.key);
+                let right = match self.lower_chain(right, rt)? {
                     Node::FusedScan { leaf, ops, .. }
-                        if crate::join::pk_probe_applies(*kind, &right_cols, &rt.derived.key) =>
+                        if probes
+                            && (*kind == JoinKind::Inner
+                                || new_state_base(&leaf.name).is_none()) =>
                     {
-                        JoinRight::PkProbeLeaf { leaf, ops }
+                        let (leaf, layers) = probed_leaf(leaf);
+                        JoinRight::PkProbeLeaf { leaf, ops, layers: layers.map(Box::new) }
                     }
-                    node => JoinRight::Build(Box::new(node)),
+                    node => JoinRight::Build(Box::new(expand_new_state(node))),
                 };
                 let zone_cols = zone_cols(*kind, &lowered_left, &right, &on_idx);
                 Node::Join {
@@ -365,12 +415,12 @@ impl Lowering<'_> {
             }
             Plan::SetOp { kind, left, right } => {
                 let (lt, rt) = tree.pair();
-                Node::SetOp {
-                    kind: *kind,
-                    left: Box::new(self.lower(left, lt)?),
-                    right: Box::new(self.lower(right, rt)?),
-                    hash_cols: setop_hash_cols(&lt.derived.key, &rt.derived.key),
-                }
+                set_op(
+                    *kind,
+                    self.lower(left, lt)?,
+                    self.lower(right, rt)?,
+                    [lt.derived.key.clone(), rt.derived.key.clone()],
+                )
             }
         })
     }
@@ -390,15 +440,51 @@ impl Lowering<'_> {
     }
 }
 
-/// The columns a set op over inputs keyed `left_key` and `right_key`
-/// hashes: the sorted union of the two keys. Each input is unique on its
-/// own key, so on the union too; the op's own derived key (for ∩, the
-/// common key columns) may be unique on neither input.
-fn setop_hash_cols(left_key: &[usize], right_key: &[usize]) -> Vec<usize> {
-    let mut cols: Vec<usize> = left_key.iter().chain(right_key).copied().collect();
-    cols.sort_unstable();
-    cols.dedup();
-    cols
+/// A set op over inputs keyed `keys`. It hashes the sorted union of the two
+/// keys: each input is unique on its own key, so on the union too; the
+/// op's own derived key (for ∩, the common key columns) may be unique on
+/// neither input.
+fn set_op(kind: SetOpKind, left: Node, right: Node, keys: [Vec<usize>; 2]) -> Node {
+    let mut hash_cols: Vec<usize> = keys.concat();
+    hash_cols.sort_unstable();
+    hash_cols.dedup();
+    Node::SetOp { kind, left: Box::new(left), right: Box::new(right), hash_cols, keys }
+}
+
+/// The leaf a probe of `leaf` reads, and, when `leaf` is a new-state leaf
+/// `__new.T`, the delta layers over it: `T` itself with `__ins.T` and
+/// `__del.T`, each typed as `leaf` is.
+fn probed_leaf(leaf: LeafRef) -> (LeafRef, Option<Layers>) {
+    let Some(table) = new_state_base(&leaf.name) else { return (leaf, None) };
+    let typed = |name: String| LeafRef { name, schema: leaf.schema.clone(), key: leaf.key.clone() };
+    let layers = Layers { ins: typed(ins_leaf(table)), del: typed(del_leaf(table)) };
+    (typed(table.to_string()), Some(layers))
+}
+
+/// `node`, unless it is a fused scan of a new-state leaf `__new.T`: that
+/// becomes its chain over the plain union `(T ▷ __del.T) ∪ __ins.T`, the
+/// anti-join a PK probe of `__del.T`.
+fn expand_new_state(node: Node) -> Node {
+    let Node::FusedScan { leaf, ops, vops } = node else { return node };
+    let (base, Some(Layers { ins, del })) = probed_leaf(leaf.clone()) else {
+        return Node::FusedScan { leaf, ops, vops };
+    };
+    let scan = |leaf: LeafRef| Node::FusedScan { leaf, ops: Vec::new(), vops: Vec::new() };
+    let kept = Node::Join {
+        left: Box::new(scan(base)),
+        right: JoinRight::PkProbeLeaf { leaf: del, ops: Vec::new(), layers: None },
+        kind: JoinKind::Anti,
+        on_idx: leaf.key.iter().map(|&k| (k, k)).collect(),
+        pad_left: leaf.schema.len(),
+        pad_right: leaf.schema.len(),
+        zone_cols: Vec::new(),
+    };
+    let union = set_op(SetOpKind::Union, kept, scan(ins), [leaf.key.clone(), leaf.key]);
+    if ops.is_empty() {
+        union
+    } else {
+        Node::Fused { input: Box::new(union), ops }
+    }
 }
 
 /// The leaf column each output column of a fused chain carries unchanged:

@@ -228,12 +228,7 @@ fn label(node: &Node) -> String {
     match node {
         Node::FusedScan { leaf, ops, .. } => format!("fused-scan({}){}", leaf.name, tags(ops)),
         Node::Fused { ops, .. } => format!("fused{}", tags(ops)),
-        Node::Join { right, kind, .. } => match right {
-            JoinRight::PkProbeLeaf { leaf, ops } => {
-                format!("join:{kind:?} pk-probe({}){}", leaf.name, tags(ops))
-            }
-            JoinRight::Build(_) => format!("join:{kind:?} build"),
-        },
+        Node::Join { right, kind, .. } => format!("join:{kind:?} {}", right.label()),
         Node::Aggregate { group_idx, .. } => format!("γ(group_cols={group_idx:?})"),
         Node::SetOp { kind, .. } => format!("{kind:?}"),
     }

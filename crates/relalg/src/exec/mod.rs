@@ -56,7 +56,7 @@ use crate::plan::Plan;
 
 pub use batch::fresh_batch_count;
 pub use column::{ColPred, ColumnChunk, MapPlan, SelVec, VecOp};
-pub use compile::{leaf_scan_counts, JoinRight, LeafRef, Node};
+pub use compile::{leaf_scan_counts, JoinRight, Layers, LeafRef, Node};
 pub use explain::{explain_analyze, Explain, ExplainNode};
 pub use pipeline::FusedOp;
 
@@ -369,6 +369,60 @@ mod tests {
                 let expected = evaluate_materializing(&plan, &b).unwrap();
                 assert!(got.same_contents(&expected), "{want} diverged");
                 assert!(got.len() < 400 || kind != JoinKind::Inner, "{want}: the chain drops rows");
+            }
+        }
+    }
+
+    /// A new-state leaf `__new.video` reads as `(video ▷ __del.video) ∪
+    /// __ins.video` wherever it sits. The right side of an inner join on
+    /// its key probes the three key indexes as one, its chain on the probed
+    /// row; a root, a left input and a semi join's build run the plain
+    /// union. Each equals the materializing evaluator, which reads the
+    /// union, under an update, a deletion and an insertion of videos.
+    #[test]
+    fn new_state_leaves_read_as_their_union_everywhere() {
+        let db = video_db();
+        let video = db.table("video").unwrap();
+        let empty = || Table::new(video.schema().clone(), &["videoId"]).unwrap();
+        let (mut ins, mut del) = (empty(), empty());
+        for v in [7i64, 8] {
+            del.insert(video.rows()[v as usize].clone()).unwrap();
+        }
+        ins.insert(vec![Value::Int(7), Value::Int(1), Value::Float(9.5)]).unwrap();
+        ins.insert(vec![Value::Int(60), Value::Int(2), Value::Float(1.5)]).unwrap();
+        let mut b = Bindings::from_database(&db);
+        b.bind("__ins.video", &ins).bind("__del.video", &del);
+        let new = || Plan::scan("__new.video").select(col("ownerId").lt(lit(5i64)));
+        let (log, on) = (Plan::scan("log"), [("videoId", "videoId")]);
+        let union = "fused(Union(join:Anti(fused-scan(video), pk-probe(__del.video)), \
+                     fused-scan(__ins.video)))[σ]";
+        let plans = [
+            (
+                log.clone().join(new(), JoinKind::Inner, &on),
+                "join:Inner(fused-scan(log), pk-probe(__new.video)[σ])".to_string(),
+            ),
+            (new(), union.to_string()),
+            (
+                new().join(log.clone(), JoinKind::Inner, &on),
+                format!("join:Inner({union}, build(fused-scan(log)))"),
+            ),
+            (
+                log.join(new(), JoinKind::Semi, &on),
+                format!("join:Semi(fused-scan(log), build({union}))"),
+            ),
+        ];
+        for (plan, want) in plans {
+            let compiled = compile(&plan, &b).unwrap();
+            assert_eq!(compiled.describe(), want);
+            let expected = evaluate_materializing(&plan, &b).unwrap();
+            for mode in [ExecMode::sequential(), ExecMode::sequential().rowwise()] {
+                let got = compiled.run_with(&b, mode).unwrap();
+                assert!(
+                    got.same_contents(&expected),
+                    "{want}: {} vs {}",
+                    got.len(),
+                    expected.len()
+                );
             }
         }
     }

@@ -46,12 +46,12 @@ use svc_telemetry::{MetricsSink, OpMetrics, OpSlot};
 use crate::aggregate::GroupMap;
 use crate::eval::Bindings;
 use crate::join::{JoinBuild, PkProbe};
-use crate::plan::{JoinKind, SetOpKind};
+use crate::plan::{new_leaf, JoinKind, SetOpKind};
 use crate::setops::{difference_rows_into, intersect_rows_into, union_rows_into};
 
 use super::batch;
 use super::column::{profitable, run_ops, ChunkCols, ColumnChunk, VecOp};
-use super::compile::{JoinRight, LeafRef, Node};
+use super::compile::{count_read, JoinRight, Layers, LeafRef, Node};
 use super::pipeline::{feed_borrowed, feed_owned, run_chain, ChainBufs, FusedOp, Through};
 use super::ExecMode;
 
@@ -201,10 +201,9 @@ pub(super) fn run_node(
             stat.probe_rows = lrows.len() as u64;
             let left_cols: Vec<usize> = on_idx.iter().map(|&(l, _)| l).collect();
             let out = match right {
-                JoinRight::PkProbeLeaf { leaf, ops } => {
-                    let t = leaf.resolve(b)?;
-                    stat.build_rows = t.len() as u64;
-                    let mut probe = PkProbe::new(t, ops, *kind, &left_cols, *pad_right);
+                JoinRight::PkProbeLeaf { leaf, ops, layers } => {
+                    let (t, layers) = probed(leaf, layers.as_deref(), b, &mut stat)?;
+                    let mut probe = PkProbe::new(t, layers, ops, *kind, &left_cols, *pad_right);
                     let mut out = batch::take(lrows.len());
                     for lrow in lrows.drain(..) {
                         probe.join_owned(lrow, &mut out);
@@ -274,17 +273,38 @@ pub(super) fn run_node(
             gm.finish_into(&mut out);
             out
         }
-        Node::SetOp { kind, left, right, hash_cols } => {
+        Node::SetOp { kind, left, right, hash_cols, keys } => {
             let rm = child(m, 1 + left.subtree_size());
             let mut lrows = run_node(left, b, mode, child(m, 1))?;
             stat.rows_in = lrows.len() as u64;
-            let mut out = batch::take(lrows.len());
             if matches!(kind, SetOpKind::Union) {
                 let mut rrows = run_node(right, b, mode, rm)?;
                 stat.rows_in += rrows.len() as u64;
-                union_rows_into(&mut lrows, &mut rrows, hash_cols, &mut out);
+                // One input ran empty and the other is keyed, so a set: the
+                // hashing pass would hand it on as it is.
+                let passed = match (lrows.is_empty(), rrows.is_empty()) {
+                    (_, true) if !keys[0].is_empty() => Some((&mut lrows, &keys[0])),
+                    (true, _) if !keys[1].is_empty() => Some((&mut rrows, &keys[1])),
+                    _ => None,
+                };
+                let out = match passed {
+                    Some((rows, key)) => {
+                        if crate::verify::ENABLED {
+                            crate::verify::check_set_batch(rows, key)?;
+                        }
+                        std::mem::take(rows)
+                    }
+                    None => {
+                        let mut out = batch::take(lrows.len() + rrows.len());
+                        union_rows_into(&mut lrows, &mut rrows, hash_cols, &mut out);
+                        out
+                    }
+                };
+                batch::recycle(lrows);
                 batch::recycle(rrows);
+                out
             } else {
+                let mut out = batch::take(lrows.len());
                 let rrows = run_node_ref(right, b, mode, rm)?;
                 stat.rows_in += rrows.len() as u64;
                 with_rows!(&rrows, right_rows => if matches!(kind, SetOpKind::Intersect) {
@@ -293,9 +313,9 @@ pub(super) fn run_node(
                     difference_rows_into(&mut lrows, right_rows, hash_cols, &mut out);
                 });
                 rrows.recycle();
+                batch::recycle(lrows);
+                out
             }
-            batch::recycle(lrows);
-            out
         }
     };
     if let (Some(mm), Some(t0)) = (m, t0) {
@@ -335,7 +355,7 @@ fn stream_probe<S>(
     let Node::Join { left, right, kind, on_idx, pad_right, zone_cols, .. } = node else {
         unreachable!("only joins stream")
     };
-    let JoinRight::PkProbeLeaf { leaf, ops: chain } = right else {
+    let JoinRight::PkProbeLeaf { leaf, ops: chain, layers } = right else {
         unreachable!("only PK-probe joins stream")
     };
     let mut stat = OpMetrics::default();
@@ -345,17 +365,16 @@ fn stream_probe<S>(
         merge(m, &stat);
         return Ok((init(0), 0));
     }
-    let t = leaf.resolve(b)?;
-    stat.build_rows = t.len() as u64;
+    let (t, layers) = probed(leaf, layers.as_deref(), b, &mut stat)?;
     let left_cols: Vec<usize> = on_idx.iter().map(|&(l, _)| l).collect();
-    let mut probe = PkProbe::new(t, chain, *kind, &left_cols, *pad_right);
+    let mut probe = PkProbe::new(t, layers, chain, *kind, &left_cols, *pad_right);
     let mut joined = 0u64;
     let lm = child(m, 1);
     let sink = match &**left {
         Node::FusedScan { leaf, ops, vops } => {
             let mut scan = OpMetrics::default();
             let probe_each = |sink: &mut S, _: usize, lrow: &[Value]| {
-                joined += u64::from(probe.join_borrowed(lrow, |j| each(sink, j)));
+                joined += probe.join_borrowed(lrow, |j| each(sink, j));
             };
             let sink = scan_pass(leaf, ops, vops, b, mode, &mut scan, |_, n| init(n), probe_each)?;
             merge(lm, &scan);
@@ -367,7 +386,7 @@ fn stream_probe<S>(
             stat.probe_rows = lrows.len() as u64;
             let mut sink = init(lrows.len());
             for lrow in &lrows {
-                joined += u64::from(probe.join_borrowed(lrow, |j| each(&mut sink, j)));
+                joined += probe.join_borrowed(lrow, |j| each(&mut sink, j));
             }
             batch::recycle(lrows);
             sink
@@ -377,6 +396,26 @@ fn stream_probe<S>(
     stat.rows_out = joined;
     merge(m, &stat);
     Ok((sink, joined))
+}
+
+/// The tables a PK probe reads: the probed leaf, and its delta layers when
+/// it reads a new state — one read of the leaf the plan names, `T` or
+/// `__new.T`. The rows they hold are the join's `build_rows`.
+fn probed<'a>(
+    leaf: &LeafRef,
+    layers: Option<&Layers>,
+    b: &Bindings<'a>,
+    stat: &mut OpMetrics,
+) -> Result<(&'a Table, Option<(&'a Table, &'a Table)>)> {
+    let (t, layers) = match layers {
+        None => (leaf.resolve(b)?, None),
+        Some(Layers { ins, del }) => {
+            count_read(&new_leaf(&leaf.name));
+            (leaf.lookup(b)?, Some((ins.lookup(b)?, del.lookup(b)?)))
+        }
+    };
+    stat.build_rows = (t.len() + layers.map_or(0, |(ins, _)| ins.len())) as u64;
+    Ok((t, layers))
 }
 
 /// The one fused-scan driver: resolve `leaf`, run its chain and call

@@ -208,8 +208,13 @@ pub fn join_rows<R: AsRef<[Value]>>(
 /// ([`PkProbe::join_owned`]). Under a consumer, a borrowed left row and
 /// its partner are written into a scratch row that the consumer reads in
 /// place ([`PkProbe::join_borrowed`]), so nothing is allocated per row.
+///
+/// With `layers` (`∆R`, `∇R`) the probe reads R's new state
+/// `R′ = (R ▷ ∇R) ∪ ∆R` through the three key indexes
+/// ([`PkProbe::rows_under`]), so `R′` is never built.
 pub(crate) struct PkProbe<'a> {
     right: &'a Table,
+    layers: Option<(&'a Table, &'a Table)>,
     chain: &'a [FusedOp],
     kind: JoinKind,
     left_cols: &'a [usize],
@@ -233,10 +238,12 @@ enum Joined<'p> {
 }
 
 impl<'a> PkProbe<'a> {
-    /// A probe of `right` on the left columns `left_cols`; `pad_right` is
-    /// the width of a partner after `chain`.
+    /// A probe of `right` — of its new state under `layers` (`∆R`, `∇R`) —
+    /// on the left columns `left_cols`; `pad_right` is the width of a
+    /// partner after `chain`.
     pub(crate) fn new(
         right: &'a Table,
+        layers: Option<(&'a Table, &'a Table)>,
         chain: &'a [FusedOp],
         kind: JoinKind,
         left_cols: &'a [usize],
@@ -248,6 +255,7 @@ impl<'a> PkProbe<'a> {
         );
         PkProbe {
             right,
+            layers,
             chain,
             kind,
             left_cols,
@@ -257,16 +265,35 @@ impl<'a> PkProbe<'a> {
         }
     }
 
-    /// Probe for `lrow`'s partner and decide what it joins to, handing back
-    /// the scratch row alongside.
-    fn step(&mut self, lrow: &[Value]) -> (Joined<'_>, &mut Row) {
-        let PkProbe { right, chain, kind, left_cols, bufs, scratch, .. } = self;
-        let (right, left_cols): (&Table, &[usize]) = (right, left_cols);
-        let found = if key_has_null(lrow, left_cols) {
-            None
-        } else {
-            right.position_of(lrow, left_cols).map(|p| &*right.rows()[p])
+    /// The rows the probed relation holds under `lrow`'s key, before the
+    /// chain. A table holds at most one. A new state `R′` holds ∆R's row if
+    /// ∆R has one, else R's unless ∇R holds the key. It holds a second row
+    /// only for an insertion that is no update: R's row, different from
+    /// ∆R's, under a key ∇R does not hold. The plain union keeps both, so
+    /// the probe does too, and the key check of whatever consumes the join
+    /// still rejects the deltas.
+    fn rows_under(&self, lrow: &[Value]) -> [Option<&'a [Value]>; 2] {
+        let left_cols = self.left_cols;
+        if key_has_null(lrow, left_cols) {
+            return [None, None];
+        }
+        let find = |t: &'a Table| {
+            let p = if t.is_empty() { None } else { t.position_of(lrow, left_cols) };
+            p.map(|p| &*t.rows()[p])
         };
+        let Some((ins, del)) = self.layers else { return [find(self.right), None] };
+        let deleted = || find(del).is_some();
+        match find(ins) {
+            Some(new) if deleted() => [Some(new), None],
+            Some(new) => [Some(new), find(self.right).filter(|old| *old != new)],
+            None => [find(self.right).filter(|_| !deleted()), None],
+        }
+    }
+
+    /// Decide what a left row joins to given the row `found` under its key,
+    /// handing back the scratch row alongside.
+    fn step(&mut self, found: Option<&'a [Value]>) -> (Joined<'_>, &mut Row) {
+        let PkProbe { chain, kind, bufs, scratch, .. } = self;
         let partner = match found.map(|r| (r, run_chain(r, chain, bufs))) {
             Some((r, Some(Through::Input))) => Some(r),
             Some((_, Some(Through::Built(built)))) => Some(built),
@@ -283,9 +310,17 @@ impl<'a> PkProbe<'a> {
 
     /// Join an owned left row with no consumer: the row moves into `out`,
     /// extended by its partner (or NULLs) in place.
-    pub(crate) fn join_owned(&mut self, mut lrow: Row, out: &mut Vec<Row>) {
+    pub(crate) fn join_owned(&mut self, lrow: Row, out: &mut Vec<Row>) {
+        let [found, twin] = self.rows_under(&lrow);
+        if twin.is_some() {
+            self.join_owned_to(lrow.clone(), twin, out);
+        }
+        self.join_owned_to(lrow, found, out);
+    }
+
+    fn join_owned_to(&mut self, mut lrow: Row, found: Option<&'a [Value]>, out: &mut Vec<Row>) {
         let pad = self.pad_right;
-        match self.step(&lrow).0 {
+        match self.step(found).0 {
             Joined::Dropped => return,
             Joined::Left => {}
             Joined::With(r) => lrow.extend_from_slice(r),
@@ -296,10 +331,21 @@ impl<'a> PkProbe<'a> {
 
     /// Join a borrowed left row for a consumer: `each` reads the joined
     /// row in place — the left row itself for semi and anti joins, the
-    /// scratch row otherwise. Returns whether a row was handed over.
-    pub(crate) fn join_borrowed(&mut self, lrow: &[Value], each: impl FnOnce(&[Value])) -> bool {
+    /// scratch row otherwise. Returns how many rows were handed over.
+    pub(crate) fn join_borrowed(&mut self, lrow: &[Value], mut each: impl FnMut(&[Value])) -> u64 {
+        let [found, twin] = self.rows_under(lrow);
+        let twin = twin.is_some() && self.join_borrowed_to(lrow, twin, &mut each);
+        u64::from(twin) + u64::from(self.join_borrowed_to(lrow, found, &mut each))
+    }
+
+    fn join_borrowed_to(
+        &mut self,
+        lrow: &[Value],
+        found: Option<&'a [Value]>,
+        each: &mut impl FnMut(&[Value]),
+    ) -> bool {
         let pad = self.pad_right;
-        let (joined, scratch) = self.step(lrow);
+        let (joined, scratch) = self.step(found);
         let tail = match joined {
             Joined::Dropped => return false,
             Joined::Left => {
@@ -336,7 +382,7 @@ pub fn run_join(
     let left_rows = left.rows().iter().map(|r| r.to_vec());
     let rows = if pk_probe_applies(kind, &right_cols, right.key()) {
         let left_cols: Vec<usize> = on_idx.iter().map(|&(l, _)| l).collect();
-        let mut probe = PkProbe::new(right, &[], kind, &left_cols, pad_right);
+        let mut probe = PkProbe::new(right, None, &[], kind, &left_cols, pad_right);
         let mut rows = Vec::with_capacity(left.len());
         left_rows.for_each(|lrow| probe.join_owned(lrow, &mut rows));
         rows

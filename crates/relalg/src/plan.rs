@@ -293,6 +293,30 @@ impl Plan {
     }
 }
 
+/// Leaf name of the rows inserted into `table` (`∆T`) in a delta plan.
+pub fn ins_leaf(table: &str) -> String {
+    format!("__ins.{table}")
+}
+
+/// Leaf name of the rows deleted from `table` (`∇T`) in a delta plan.
+pub fn del_leaf(table: &str) -> String {
+    format!("__del.{table}")
+}
+
+/// Leaf name of `table`'s new state `T′ = (T ▷ ∇T) ∪ ∆T`, typed as `table`.
+/// Nothing binds it: the evaluators read it as the plain union
+/// `(T ▷ __del.T) ∪ __ins.T` over the bindings of those three leaves, and
+/// the compiled executor, where it is the right side of an inner join on
+/// its whole key, probes their three key indexes as one layered lookup.
+pub fn new_leaf(table: &str) -> String {
+    format!("__new.{table}")
+}
+
+/// The table a new-state leaf (`__new.T`) reads, `None` for any other leaf.
+pub fn new_state_base(leaf: &str) -> Option<&str> {
+    leaf.strip_prefix("__new.")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,7 +29,7 @@ pub mod physical;
 
 pub use columnar::{check_chunk, check_selvec};
 pub use logical::{verify_plan, verify_rewrite};
-pub use physical::{verify_node, verify_physical};
+pub use physical::{check_set_batch, verify_node, verify_physical};
 
 /// True when the `verify` cargo feature armed the hot-path hooks in this
 /// build. The checker functions work either way; this reports whether they

@@ -11,12 +11,14 @@
 //! the plan's declared output type. [`crate::exec::compile_with`] runs it
 //! on every compile under the `verify` feature.
 
-use svc_storage::{DataType, Result, StorageError};
+use std::collections::HashSet;
+
+use svc_storage::{DataType, KeyTuple, Result, Row, StorageError};
 
 use crate::derive::{join_key, setop_key, Derived};
 use crate::exec::column::kernels::ColExpr;
 use crate::exec::pipeline::FusedOp;
-use crate::exec::{ColPred, JoinRight, LeafRef, MapPlan, Node, VecOp};
+use crate::exec::{ColPred, JoinRight, Layers, LeafRef, MapPlan, Node, VecOp};
 use crate::plan::JoinKind;
 use crate::scalar::BoundExpr;
 
@@ -102,6 +104,37 @@ fn check_leaf(leaf: &LeafRef) -> Result<()> {
                 leaf.schema.len()
             ));
         }
+    }
+    Ok(())
+}
+
+/// A layered probe's delta leaves are typed as its base leaf, and only an
+/// inner join reads a new state through one.
+fn check_layers(base: &LeafRef, layers: &Layers, kind: JoinKind) -> Result<()> {
+    if kind != JoinKind::Inner {
+        return fail(format!("a {kind:?} join probes the new state of `{}`", base.name));
+    }
+    for layer in [&layers.ins, &layers.del] {
+        if layer.schema != base.schema || layer.key != base.key {
+            return fail(format!(
+                "delta leaf `{}` is not typed as its base leaf `{}`",
+                layer.name, base.name
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// A ∪ input's batch handed on as it is, unhashed, because it is keyed
+/// (`key` non-empty) and the other input ran empty, holds no duplicate key.
+pub fn check_set_batch(rows: &[Row], key: &[usize]) -> Result<()> {
+    let mut seen = HashSet::with_capacity(rows.len());
+    for row in rows {
+        let k = KeyTuple(key.iter().map(|&i| row[i].clone()).collect());
+        if seen.contains(&k) {
+            return Err(StorageError::DuplicateKey(k.to_string()));
+        }
+        seen.insert(k);
     }
     Ok(())
 }
@@ -262,8 +295,11 @@ fn check_node(node: &Node) -> Result<Shape> {
                 ));
             }
             let rs = match right {
-                JoinRight::PkProbeLeaf { leaf, ops } => {
+                JoinRight::PkProbeLeaf { leaf, ops, layers } => {
                     check_leaf(leaf)?;
+                    if let Some(layers) = layers {
+                        check_layers(leaf, layers, *kind)?;
+                    }
                     check_chain(ops, Shape { arity: leaf.schema.len(), key: leaf.key.clone() })?
                 }
                 JoinRight::Build(n) => check_node(n)?,
@@ -301,11 +337,17 @@ fn check_node(node: &Node) -> Result<Shape> {
             }
             Ok(Shape { arity: group_idx.len() + aggs.len(), key: (0..group_idx.len()).collect() })
         }
-        Node::SetOp { left, right, kind, hash_cols } => {
+        Node::SetOp { left, right, kind, hash_cols, keys } => {
             let (ls, rs) = (check_node(left)?, check_node(right)?);
             let (la, ra) = (ls.arity, rs.arity);
             if la != ra {
                 return fail(format!("{kind:?} inputs disagree on arity: {la} vs {ra}"));
+            }
+            if [&ls.key, &rs.key] != [&keys[0], &keys[1]] {
+                return fail(format!(
+                    "{kind:?} records input keys {keys:?}, but its inputs derive {:?} and {:?}",
+                    ls.key, rs.key
+                ));
             }
             if let Some(c) = hash_cols.iter().find(|&&c| c >= la) {
                 return fail(format!("{kind:?} hashes column {c} out of range (arity {la})"));

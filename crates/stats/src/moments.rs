@@ -15,15 +15,6 @@ impl Moments {
         Moments::default()
     }
 
-    /// Accumulate all values of a slice.
-    pub fn of(values: &[f64]) -> Moments {
-        let mut m = Moments::new();
-        for &v in values {
-            m.push(v);
-        }
-        m
-    }
-
     /// Add one observation.
     pub fn push(&mut self, x: f64) {
         self.n += 1;
@@ -42,11 +33,6 @@ impl Moments {
         self.mean
     }
 
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.mean * self.n as f64
-    }
-
     /// Unbiased sample variance (n−1 denominator; 0 when n < 2).
     pub fn variance(&self) -> f64 {
         if self.n < 2 {
@@ -55,9 +41,28 @@ impl Moments {
             self.m2 / (self.n - 1) as f64
         }
     }
+}
+
+/// What the tests take beside the estimator's surface: a whole slice at
+/// once, the sum, and the parallel merge.
+#[cfg(test)]
+impl Moments {
+    /// Accumulate all values of a slice.
+    pub(crate) fn of(values: &[f64]) -> Moments {
+        let mut m = Moments::new();
+        for &v in values {
+            m.push(v);
+        }
+        m
+    }
+
+    /// Sum of observations.
+    pub(crate) fn sum(&self) -> f64 {
+        self.mean * self.n as f64
+    }
 
     /// Merge two accumulators (parallel Welford).
-    pub fn merge(&self, other: &Moments) -> Moments {
+    pub(crate) fn merge(&self, other: &Moments) -> Moments {
         if self.n == 0 {
             return *other;
         }

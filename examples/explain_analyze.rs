@@ -12,6 +12,10 @@
 //! the node driving the pass), and every node takes in exactly what its
 //! children report putting out.
 //!
+//! Then the join view's cached IVM ∆ plan (`lineitem ⋈ orders`, TPC-D
+//! scale 1, z = 2, 10 % updates), with and without η: each inserted
+//! lineitem is scanned once and meets orders' new state in one PK probe.
+//!
 //! Run with: `cargo run --release --example explain_analyze`
 
 use stale_view_cleaning::catalog::Catalog;
@@ -21,7 +25,7 @@ use stale_view_cleaning::ivm::view::maintenance_bindings;
 use stale_view_cleaning::ivm::DeltaInfo;
 use stale_view_cleaning::relalg::exec::{explain_analyze, ExecMode, ExplainNode};
 use stale_view_cleaning::workloads::tpcd::{TpcdConfig, TpcdData};
-use stale_view_cleaning::workloads::tpcd_views::complex_views;
+use stale_view_cleaning::workloads::tpcd_views::{complex_views, join_view};
 use stale_view_cleaning::workloads::video;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -74,7 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert_eq!(cleaned.canonical.len(), vectorized.table.len());
 
-    explain_v5()
+    explain_v5()?;
+    explain_join_delta()
 }
 
 /// EXPLAIN ANALYZE of V5's cached clean delta plans, with row conservation
@@ -102,5 +107,42 @@ fn explain_v5() -> Result<(), Box<dyn std::error::Error>> {
         assert!(broken.is_empty(), "rows not conserved on V5's {side} side: {broken:?}");
     }
     println!("\nrows conserved on every edge of V5's cached clean plans ✓");
+    Ok(())
+}
+
+/// EXPLAIN ANALYZE of the join view's cached ∆ plan, as `maintain` (no η)
+/// and the clean (η at m = 0.1) run it: rows conserved on every edge, and
+/// the inserted lineitems scanned exactly once.
+fn explain_join_delta() -> Result<(), Box<dyn std::error::Error>> {
+    let data = TpcdData::generate(TpcdConfig { scale: 1.0, skew: 2.0, seed: 42 })?;
+    let db = &data.db;
+    let deltas = data.updates(0.1, 7)?;
+    let svc = SvcView::create("joinView", join_view(), db, SvcConfig::with_ratio(0.1))?;
+    let info = DeltaInfo::of(&deltas);
+    let eta = (svc.config.ratio, svc.config.hash_spec());
+    for (what, eta, target) in
+        [("IVM", None, svc.view.table()), ("clean", Some(eta), svc.stale_sample())]
+    {
+        let lookup = svc.view.delta_plan(db, &info, eta, None)?;
+        let bindings = svc.view.delta_bindings(db, &deltas, target);
+        let ViewDelta::Keyed { change, .. } = &lookup.plan.delta else {
+            return Err("the join view is maintained by ∆V / ∇V".into());
+        };
+        let ins = change.ins.as_ref().ok_or("the join view has inserted rows")?;
+        let explained = ins.explain(&bindings, ExecMode::sequential())?;
+        println!("\nThe join view's {what} ∆ plan:\n{explained}");
+        let broken = explained.unconserved();
+        assert!(
+            broken.is_empty(),
+            "rows not conserved on the join view's {what} ∆ plan: {broken:?}"
+        );
+        let shape = ins.describe();
+        let count = |node: &str| shape.matches(node).count();
+        let scans = count("fused-scan(__ins.lineitem)");
+        assert_eq!(scans, 1, "the {what} ∆ plan scans the inserted lineitems {scans} times");
+        assert_eq!(count("pk-probe(__new.orders)"), 1, "{what}: one probe of orders′: {shape}");
+        assert!(count("Union(") <= 1, "{what}: at most one ∪: {shape}");
+    }
+    println!("\nthe join view's ∆ plans scan each inserted lineitem once ✓");
     Ok(())
 }

@@ -23,9 +23,11 @@ use stale_view_cleaning::catalog::Catalog;
 use stale_view_cleaning::cluster::minibatch::BatchPipeline;
 use stale_view_cleaning::core::query::{AggQuery, QueryAgg};
 use stale_view_cleaning::core::{maintenance_stats, SvcConfig, SvcView};
+use stale_view_cleaning::ivm::delta::{del_leaf, ins_leaf};
 use stale_view_cleaning::ivm::view::{maintenance_bindings, MaterializedView};
-use stale_view_cleaning::ivm::DeltaInfo;
+use stale_view_cleaning::ivm::{derive_delta, DeltaInfo};
 use stale_view_cleaning::relalg::aggregate::{AggFunc, AggSpec};
+use stale_view_cleaning::relalg::derive::derive;
 use stale_view_cleaning::relalg::eval::{evaluate_materializing, Bindings};
 use stale_view_cleaning::relalg::exec::{compile, ExecMode, PhysicalPlan};
 use stale_view_cleaning::relalg::optimizer::cost::CardEstimator;
@@ -398,7 +400,7 @@ proptest! {
         n_facts in 40usize..120,
         n_dims in 4usize..12,
         view_kind in 0u8..4,
-        ops in proptest::collection::vec((0u8..3, 0u64..1_000_000), 1..50),
+        ops in proptest::collection::vec((0u8..6, 0u64..1_000_000), 1..50),
         data_seed in 0u64..200,
     ) {
         let db = build_db(n_facts, n_dims, data_seed);
@@ -458,6 +460,86 @@ proptest! {
                 ex.unconserved().is_empty(),
                 "view kind {}: rows not conserved: {:?}\n{}",
                 view_kind, ex.unconserved(), ex
+            );
+        }
+    }
+
+    /// The ∆ side of a `fact ⋈ dim` view on dim's key, as the delta rule
+    /// writes it — `((fact ⋈ ∆dim) ▷ ∇fact) ∪ (∆fact ⋈ dim′)`, dim′ read
+    /// through one layered probe — holds the rows of the three-branch form
+    /// `((fact ⋈ ∆dim) ▷ ∇fact) ∪ ((∆fact ⋈ dim) ▷ ∇dim) ∪ (∆fact ⋈ ∆dim)`
+    /// on every delta mix over both tables, with and without η on the view
+    /// key and a σ on dim, under both execution modes and the materializing
+    /// evaluator.
+    #[test]
+    fn new_state_probe_matches_the_three_branch_form(
+        n_facts in 40usize..120,
+        n_dims in 4usize..12,
+        ops in proptest::collection::vec((0u8..6, 0u64..1_000_000), 1..50),
+        data_seed in 0u64..200,
+        filtered in 0u8..2,
+        hashed in 0u8..2,
+    ) {
+        let db = build_db(n_facts, n_dims, data_seed);
+        let deltas = random_deltas(&db, &ops);
+        let empty: Vec<Table> = ["fact", "dim"]
+            .iter()
+            .map(|t| {
+                let base = db.table(t).unwrap();
+                let key: Vec<&str> =
+                    base.key().iter().map(|&k| base.schema().field(k).name.as_str()).collect();
+                Table::new(base.schema().clone(), &key).unwrap()
+            })
+            .collect();
+        let mut b = Bindings::from_database(&db);
+        for (t, empty) in ["fact", "dim"].iter().zip(&empty) {
+            b.bind(ins_leaf(t), deltas.get(t).map_or(empty, |set| &set.insertions));
+            b.bind(del_leaf(t), deltas.get(t).map_or(empty, |set| &set.deletions));
+        }
+        let dim = |leaf: String| match filtered {
+            0 => Plan::scan(leaf),
+            _ => Plan::scan(leaf).select(col("tag").ne(lit(2i64))),
+        };
+        let join = |l: Plan, r: Plan| l.join(r, JoinKind::Inner, &[("dimId", "dimId")]);
+        let view = join(Plan::scan("fact"), dim("dim".into()));
+        let names = derive(&view, &b).unwrap().schema;
+        let anti = |p: Plan, del: &str, on: (&str, &str)| Plan::Join {
+            left: Box::new(p),
+            right: Box::new(Plan::scan(del)),
+            kind: JoinKind::Anti,
+            on: vec![(on.0.to_string(), on.1.to_string())],
+        };
+        let named = |p: Plan| {
+            let have = derive(&p, &b).unwrap().schema;
+            let columns = names
+                .fields()
+                .iter()
+                .zip(have.fields())
+                .map(|(want, is)| (want.name.clone(), col(is.name.clone())))
+                .collect();
+            Plan::Project { input: Box::new(p), columns }
+        };
+        let (fact, ins_fact) = (|| Plan::scan("fact"), || Plan::scan(ins_leaf("fact")));
+        let by_fact = anti(join(fact(), dim(ins_leaf("dim"))), &del_leaf("fact"), ("factId", "factId"));
+        let by_dim = anti(join(ins_fact(), dim("dim".into())), &del_leaf("dim"), ("dim.dimId", "dimId"));
+        let both = join(ins_fact(), dim(ins_leaf("dim")));
+        let three = named(by_fact).union(named(by_dim)).union(named(both));
+        let ins = derive_delta(&view, &DeltaInfo::of(&deltas), &b, None).unwrap().ins;
+        let ins = ins.unwrap_or_else(|| three.clone().difference(three.clone()));
+        let eta = |p: Plan| match hashed {
+            0 => p,
+            _ => optimize(&p.hash(&["factId"], 0.5, HashSpec::with_seed(11)), &b).unwrap().0,
+        };
+        let (ins, three) = (eta(ins), eta(three));
+        let expected = evaluate_materializing(&three, &b).unwrap();
+        prop_assert!(evaluate_materializing(&ins, &b).unwrap().same_contents(&expected));
+        let compiled = compile(&ins, &b).unwrap();
+        for mode in [ExecMode::sequential(), ExecMode::sequential().rowwise()] {
+            let got = compiled.run_with(&b, mode).unwrap();
+            prop_assert!(
+                got.same_contents(&expected),
+                "{}: {} rows, the three-branch form {}",
+                compiled.describe(), got.len(), expected.len()
             );
         }
     }

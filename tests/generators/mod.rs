@@ -555,13 +555,20 @@ pub fn zone_plan(kind: JoinKind, left: u8, right: u8) -> (Plan, &'static str) {
     (lplan.join(rplan, kind, &[(lcol, rcol)]), leaf_col)
 }
 
+/// A signed delta stream over the fact/dim database, one op per `(op, r)`:
+/// by `op % 6`, a fact insert, delete or update, then a dim insert, delete
+/// or update. Fact inserts reference the dims inserted before them too, so
+/// a batch's new facts meet new dims. `op` values below 3 touch only `fact`.
 pub fn random_deltas(db: &Database, ops: &[(u8, u64)]) -> Deltas {
     let mut deltas = Deltas::new();
     let n_facts = db.table("fact").unwrap().len() as i64;
     let n_dims = db.table("dim").unwrap().len() as i64;
-    let mut next_fact = 1_000_000i64;
+    let (mut next_fact, mut next_dim) = (1_000_000i64, n_dims);
+    let dim_row = |id: i64, r: u64| {
+        vec![Value::Int(id), Value::Float((r % 89) as f64 / 89.0), Value::Int((r % 5) as i64)]
+    };
     for &(op, r) in ops {
-        match op % 3 {
+        match op % 6 {
             0 => {
                 deltas
                     .insert(
@@ -569,7 +576,7 @@ pub fn random_deltas(db: &Database, ops: &[(u8, u64)]) -> Deltas {
                         "fact",
                         vec![
                             Value::Int(next_fact),
-                            Value::Int((r % n_dims as u64) as i64),
+                            Value::Int((r % next_dim as u64) as i64),
                             Value::Float((r % 100) as f64 / 100.0),
                             Value::Float((r % 77) as f64 / 10.0),
                         ],
@@ -585,7 +592,7 @@ pub fn random_deltas(db: &Database, ops: &[(u8, u64)]) -> Deltas {
                     &[Value::Int(id), Value::Null, Value::Null, Value::Null],
                 );
             }
-            _ => {
+            2 => {
                 let id = (r % n_facts as u64) as i64;
                 let _ = deltas.update(
                     db,
@@ -597,6 +604,17 @@ pub fn random_deltas(db: &Database, ops: &[(u8, u64)]) -> Deltas {
                         Value::Float((r % 13) as f64),
                     ],
                 );
+            }
+            3 => {
+                deltas.insert(db, "dim", dim_row(next_dim, r)).unwrap();
+                next_dim += 1;
+            }
+            4 => {
+                let id = (r % n_dims as u64) as i64;
+                let _ = deltas.delete(db, "dim", &[Value::Int(id), Value::Null, Value::Null]);
+            }
+            _ => {
+                let _ = deltas.update(db, "dim", dim_row((r % n_dims as u64) as i64, r / 3));
             }
         }
     }

@@ -5,16 +5,21 @@
 //! names from the previous state's, which the new state holds across the
 //! commit, instead of extracting them from every row. The fold itself
 //! hashes each change row's key once, by the view's own key hasher, and
-//! carries that hash into the commit.
+//! carries that hash into the commit. The delta plan reads each inserted
+//! row once, and deltas that are no valid edit stay an error.
 
+use std::collections::BTreeMap;
+
+use stale_view_cleaning::catalog::Catalog;
 use stale_view_cleaning::core::{AggQuery, SvcConfig, SvcView};
 use stale_view_cleaning::ivm::delta::DeltaInfo;
 use stale_view_cleaning::ivm::strategy::ViewDelta;
 use stale_view_cleaning::ivm::view::ViewState;
+use stale_view_cleaning::relalg::exec::leaf_scan_counts;
 use stale_view_cleaning::relalg::plan::Plan;
 use stale_view_cleaning::relalg::scalar::{col, lit};
 use stale_view_cleaning::sampling::operator::{eta_hash_count, sample_by_key};
-use stale_view_cleaning::storage::{Database, Deltas, KeyTuple, Table, Value};
+use stale_view_cleaning::storage::{Database, Deltas, KeyTuple, StorageError, Table, Value};
 use stale_view_cleaning::workloads::tpcd::{TpcdConfig, TpcdData};
 use stale_view_cleaning::workloads::tpcd_views::{complex_views, join_view};
 
@@ -212,4 +217,60 @@ fn maintaining_a_view_costs_its_edits() {
             drop(other);
         }
     }
+}
+
+/// Cost shape, no wall clock: the join view's `maintain` and its clean, with
+/// and without a catalog, each read `__ins.lineitem` once, under deltas
+/// that insert, update and delete lineitems and orders alike: every inserted
+/// lineitem is scanned and η-hashed once and meets orders' new state in one
+/// probe, not once per branch of `orders′ = (orders ▷ ∇orders) ∪ ∆orders`.
+#[test]
+fn each_inserted_lineitem_is_read_once() {
+    let data = tpcd();
+    let db = &data.db;
+    let [_, _, (_, mixed)] = by_sign(&data);
+    let info = DeltaInfo::of(&mixed);
+    assert!(info.ins.contains("orders") && info.del.contains("orders"), "setup");
+    let catalog = Catalog::build(db);
+    let mut svc = SvcView::create("joinView", join_view(), db, SvcConfig::with_ratio(0.1)).unwrap();
+    let reads = |before: &BTreeMap<String, u64>| {
+        leaf_scan_counts().get("__ins.lineitem").copied().unwrap_or(0)
+            - before.get("__ins.lineitem").copied().unwrap_or(0)
+    };
+    for catalog in [None, Some(&catalog)] {
+        let before = leaf_scan_counts();
+        svc.clean_sample_with(db, &mixed, catalog).unwrap();
+        assert_eq!(reads(&before), 1, "clean, catalog {}", catalog.is_some());
+    }
+    let before = leaf_scan_counts();
+    svc.view.maintain(db, &mixed).unwrap();
+    assert_eq!(reads(&before), 1, "maintain");
+}
+
+/// An insertion under a key `orders` already holds, with no deletion of
+/// it, is not an update: `Deltas::apply_to` rejects it, and so do the join
+/// view's `maintain` and `clean_sample`, which leave the view at its epoch.
+/// A new lineitem of that order makes the probe of orders' new state meet
+/// both rows.
+#[test]
+fn an_insertion_under_a_held_key_stays_an_error() {
+    let data = tpcd();
+    let db = &data.db;
+    let order = db.table("orders").unwrap().rows()[3].clone();
+    let mut deltas = Deltas::new();
+    let mut twin = order.to_vec();
+    twin[4] = Value::Float(-1.0);
+    deltas.insert(db, "orders", twin).unwrap();
+    let mut line = db.table("lineitem").unwrap().rows()[0].to_vec();
+    line[0] = order[0].clone();
+    line[1] = Value::Int(1_000);
+    deltas.insert(db, "lineitem", line).unwrap();
+    assert!(deltas.clone().apply_to(&mut db.clone()).is_err(), "apply_to rejects it");
+
+    let mut svc = SvcView::create("joinView", join_view(), db, SvcConfig::with_ratio(1.0)).unwrap();
+    let (epoch, rows) = (svc.view.epoch(), svc.view.len());
+    let twice = StorageError::DuplicateKey("(3, 1000)".into());
+    assert_eq!(svc.clean_sample(db, &deltas).err(), Some(twice.clone()), "clean");
+    assert_eq!(svc.view.maintain(db, &deltas).err(), Some(twice), "maintain");
+    assert_eq!((svc.view.epoch(), svc.view.len()), (epoch, rows), "the view stands");
 }

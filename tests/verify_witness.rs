@@ -277,7 +277,7 @@ fn eta_ratio_out_of_range_is_rejected_physically() {
 fn join_pad_width_lie_is_rejected() {
     let node = Node::Join {
         left: Box::new(scan(vec![], vec![])),
-        right: JoinRight::PkProbeLeaf { leaf: leaf(), ops: vec![] },
+        right: JoinRight::PkProbeLeaf { leaf: leaf(), ops: vec![], layers: None },
         kind: JoinKind::Inner,
         on_idx: vec![(0, 0)],
         pad_left: 2, // leaf arity is 3
@@ -297,6 +297,7 @@ fn pk_probe_chain_arity_lie_is_rejected() {
         right: JoinRight::PkProbeLeaf {
             leaf: leaf(),
             ops: vec![FusedOp::Map(vec![BoundExpr::Col(0)])],
+            layers: None,
         },
         kind: JoinKind::Inner,
         on_idx: vec![(0, 0)],
@@ -312,7 +313,7 @@ fn pk_probe_chain_arity_lie_is_rejected() {
 fn join_condition_out_of_range_is_rejected() {
     let node = Node::Join {
         left: Box::new(scan(vec![], vec![])),
-        right: JoinRight::PkProbeLeaf { leaf: leaf(), ops: vec![] },
+        right: JoinRight::PkProbeLeaf { leaf: leaf(), ops: vec![], layers: None },
         kind: JoinKind::Inner,
         on_idx: vec![(0, 7)],
         pad_left: 3,
@@ -330,7 +331,7 @@ fn join_condition_out_of_range_is_rejected() {
 fn zone_pair_lies_are_rejected() {
     let join = |kind, zone_cols| Node::Join {
         left: Box::new(scan(vec![], vec![])),
-        right: JoinRight::PkProbeLeaf { leaf: leaf(), ops: vec![] },
+        right: JoinRight::PkProbeLeaf { leaf: leaf(), ops: vec![], layers: None },
         kind,
         on_idx: vec![(0, 0)],
         pad_left: 3,
@@ -361,6 +362,7 @@ fn setop_node_arity_mismatch_is_rejected() {
         left: Box::new(scan(vec![], vec![])),
         right: Box::new(narrowed),
         hash_cols: vec![0],
+        keys: [vec![0], vec![0]],
     };
     let err = verify::verify_node(&node).unwrap_err().to_string();
     assert!(err.contains("disagree on arity"), "{err}");
@@ -391,10 +393,19 @@ fn setop_hashed_columns_must_cover_both_keys() {
         left: Box::new(scan(vec![], vec![])),
         right: Box::new(right.clone()),
         hash_cols,
+        keys: [vec![0], vec![1]],
     };
     assert!(verify::verify_node(&setop(vec![0, 1])).is_ok());
     let err = verify::verify_node(&setop(vec![0])).unwrap_err().to_string();
     assert!(err.contains("misses key column 1"), "{err}");
+    // A ∪ hands on a keyed input's batch unhashed when the other ran
+    // empty, so the keys it records must be its inputs' own.
+    let mut lying = setop(vec![0, 1]);
+    if let Node::SetOp { keys, .. } = &mut lying {
+        keys[1] = vec![0];
+    }
+    let err = verify::verify_node(&lying).unwrap_err().to_string();
+    assert!(err.contains("records input keys"), "{err}");
     let err = verify::verify_node(&setop(vec![])).unwrap_err().to_string();
     assert!(err.contains("misses key column 0"), "{err}");
     let err = verify::verify_node(&setop(vec![0, 1, 3])).unwrap_err().to_string();
@@ -513,4 +524,39 @@ fn compiled_plans_pass_physical_verification() {
         .hash(&["id"], 0.7, HashSpec::with_seed(5));
     let physical = compile(&plan, &database).unwrap();
     physical.verify().expect("a freshly compiled plan must verify");
+}
+
+/// A probe of a new state reads delta leaves typed as its base leaf, and
+/// only under an inner join; a keyed batch handed on unhashed holds no
+/// duplicate key.
+#[test]
+fn layered_probe_and_set_batch_lies_are_rejected() {
+    use stale_view_cleaning::relalg::exec::Layers;
+    use stale_view_cleaning::storage::Value;
+    let layers = |del: LeafRef| Layers { ins: LeafRef { name: "__ins.t".into(), ..leaf() }, del };
+    let join = |kind, del| Node::Join {
+        left: Box::new(scan(vec![], vec![])),
+        right: JoinRight::PkProbeLeaf {
+            leaf: leaf(),
+            ops: vec![],
+            layers: Some(Box::new(layers(del))),
+        },
+        kind,
+        on_idx: vec![(0, 0)],
+        pad_left: 3,
+        pad_right: 3,
+        zone_cols: vec![],
+    };
+    let del = LeafRef { name: "__del.t".into(), ..leaf() };
+    assert!(verify::verify_node(&join(JoinKind::Inner, del.clone())).is_ok());
+    let err = verify::verify_node(&join(JoinKind::Semi, del)).unwrap_err().to_string();
+    assert!(err.contains("probes the new state"), "{err}");
+    let rekeyed = LeafRef { name: "__del.t".into(), key: vec![1], ..leaf() };
+    let err = verify::verify_node(&join(JoinKind::Inner, rekeyed)).unwrap_err().to_string();
+    assert!(err.contains("not typed as its base leaf"), "{err}");
+
+    let row = |x: f64| vec![Value::Int(1), Value::Float(x), Value::str("a")];
+    assert!(verify::check_set_batch(&[row(1.0)], &[0]).is_ok());
+    let err = verify::check_set_batch(&[row(1.0), row(2.0)], &[0]).unwrap_err().to_string();
+    assert!(err.to_lowercase().contains("duplicate"), "{err}");
 }
