@@ -13,14 +13,17 @@
 //! 4. A time claim reads a ratio column of two paths timed in the same run,
 //! never an absolute time. A claim that fails today is in
 //! `EXPECTED_FAILURES`, keyed by figure, scale and claim; the run exits
-//! non-zero when an unlisted claim fails or a listed one passes.
+//! non-zero when an unlisted claim fails or a listed one passes. Before
+//! the figures it writes `experiments/plans.txt`, the optimized delta plans
+//! of every workload view (`svc_bench::engine::delta_plans`).
 
 use std::process::ExitCode;
 use std::rc::Rc;
 
 use rand::{rngs::StdRng, SeedableRng};
 use svc_bench::engine::{
-    batch_throughput, exec, join_order, optimize_depth, pushdown, timeline, utilization,
+    batch_throughput, delta_plans, exec, join_order, optimize_depth, pushdown, timeline,
+    utilization,
 };
 use svc_bench::{bench_min_ms, median_of, tpcd, Report, Sheet, REPS};
 use svc_core::outlier::{estimate_aqp_with_outliers, estimate_corr_with_outliers, stale_rows_at};
@@ -240,6 +243,7 @@ enum Measure {
 fn main() -> ExitCode {
     let mut verdicts = Report::new("paper", &["figure", "scale", "check", "measured", "verdict"]);
     let mut green = true;
+    delta_plans();
     for &(figure, scales, sweep, checks) in FIGURES {
         for &scale in scales {
             let sheet = sweep(scale);

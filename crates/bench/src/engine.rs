@@ -4,6 +4,7 @@
 //! against a reference differs; the claim table in `src/bin/paper.rs`
 //! judges the ratios it writes.
 
+use std::fmt::Write;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -12,9 +13,10 @@ use std::time::Instant;
 use svc_catalog::Catalog;
 use svc_cluster::{timeline_max_error, BatchPipeline, TimelineConfig, WorkerPool};
 use svc_core::query::AggQuery;
-use svc_core::{SvcConfig, SvcView};
+use svc_core::{maintenance_stats, SvcConfig, SvcView};
+use svc_ivm::strategy::{view_delta, ViewDelta};
 use svc_ivm::view::maintenance_bindings;
-use svc_ivm::MaterializedView;
+use svc_ivm::{DeltaInfo, MaterializedView};
 use svc_relalg::aggregate::{AggFunc, AggSpec};
 use svc_relalg::derive::derive;
 use svc_relalg::eval::{evaluate, evaluate_materializing, Bindings};
@@ -24,8 +26,11 @@ use svc_relalg::plan::{JoinKind, Plan};
 use svc_relalg::scalar::{col, lit};
 use svc_storage::{DataType, Database, Deltas, HashSpec, Schema, Table, Value};
 use svc_telemetry::TraceRecorder;
-use svc_workloads::conviva::{appended_updates_at, generate, views, ConvivaConfig};
-use svc_workloads::tpcd_views::{join_order_queries, join_view};
+use svc_workloads::conviva::{
+    appended_updates, appended_updates_at, generate, views, ConvivaConfig,
+};
+use svc_workloads::cube::base_cube;
+use svc_workloads::tpcd_views::{complex_views, join_order_queries, join_view};
 
 use crate::{bench_min_ms, tpcd, write_experiment, Sheet, REPS};
 
@@ -426,4 +431,83 @@ pub fn join_order(scale: f64) -> Sheet {
     let headers =
         vec!["query", "joins", "t_builder_ms", "t_cost_ms", "speedup", "est_rows", "rows"];
     Sheet { headers, rows: rows.collect() }
+}
+
+/// The optimized delta plans of every workload view at scale 1 — the join
+/// view, the ten complex views, the Conviva views and the cube — written to
+/// `experiments/plans.txt` as `Plan` prints them. Each view is built and
+/// planned with the inputs its plan cache uses: the clean plan under η
+/// (m = 0.1) ordered by the catalog estimator, as
+/// `SvcView::clean_sample_with` runs it, and the bare plan `maintain` runs
+/// on the view and on its auxiliary table. The file is committed, so a
+/// change that moves any plan shows in the diff.
+pub fn delta_plans() {
+    let tpcd10 = |z| {
+        let data = tpcd(1.0, z, 42);
+        let deltas = data.updates(0.10, 7).expect("updates");
+        (data.db, deltas)
+    };
+    let mut out = String::new();
+    let (db, deltas) = tpcd10(2.0);
+    let fleet = complex_views().into_iter().map(|v| (v.id, v.plan));
+    for (id, plan) in std::iter::once(("joinView", join_view())).chain(fleet) {
+        view_plans(&mut out, id, plan, &db, &deltas);
+    }
+    let config = ConvivaConfig { base_events: 30_000, ..Default::default() };
+    let db = generate(config).expect("conviva data");
+    let deltas = appended_updates(&db, config, config.base_events / 10, 3).expect("updates");
+    for v in views() {
+        view_plans(&mut out, v.id, v.plan, &db, &deltas);
+    }
+    let (db, deltas) = tpcd10(1.0);
+    view_plans(&mut out, "cube", base_cube(), &db, &deltas);
+    write_experiment("plans.txt", &out);
+}
+
+/// Append one view's clean and IVM delta plans to `out` (see
+/// [`delta_plans`]).
+fn view_plans(out: &mut String, id: &str, plan: Plan, db: &Database, deltas: &Deltas) {
+    let svc = SvcView::create(id, plan, db, SvcConfig::with_ratio(0.1)).expect("view");
+    let catalog = Catalog::build(db);
+    let scoped = maintenance_stats(&catalog, None, deltas);
+    let est = scoped.estimator();
+    let info = DeltaInfo::of(deltas);
+    let planned = |view: &MaterializedView, eta, est: Option<&dyn CardEstimator>| {
+        let cat = view.maint_catalog(db);
+        view_delta(view.canonical(), &cat, &info)
+            .and_then(|delta| {
+                delta.try_map(|plan| {
+                    let plan = match eta {
+                        Some(eta) => view.hashed(plan, eta)?,
+                        None => plan,
+                    };
+                    Ok(cat.optimize(&plan, est)?.0)
+                })
+            })
+            .expect("delta plan")
+    };
+    let eta = Some((svc.config.ratio, svc.config.hash_spec()));
+    let mut sections = vec![
+        (format!("{id} clean"), planned(&svc.view, eta, Some(&est))),
+        (format!("{id} ivm"), planned(&svc.view, None, None)),
+    ];
+    if let Some(aux) = svc.view.auxiliary() {
+        sections.push((format!("{id} aux ivm"), planned(aux, None, None)));
+    }
+    for (title, delta) in sections {
+        let _ = writeln!(out, "== {title}: {:?}", delta.kind());
+        match delta {
+            ViewDelta::NoOp => {}
+            ViewDelta::Keyed { change, .. } => {
+                for (side, plan) in [("ins", change.ins), ("del", change.del)] {
+                    if let Some(plan) = plan {
+                        let _ = write!(out, "-- {side}\n{plan}");
+                    }
+                }
+            }
+            ViewDelta::Recompute(plan) => {
+                let _ = write!(out, "{plan}");
+            }
+        }
+    }
 }
