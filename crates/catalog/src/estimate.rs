@@ -348,45 +348,6 @@ impl TableStats {
         let cols = leaf_est(Some(self), &d).cols;
         rows * selectivity(pred, &d, &cols)
     }
-
-    /// True iff the statistics *prove* the filter selects nothing: some
-    /// top-level conjunct compares a numeric column against a literal
-    /// entirely outside its [min, max] envelope. Sound under deletions —
-    /// the stored bounds only ever widen relative to the live data.
-    pub fn prove_empty_filter(&self, pred: &Expr) -> bool {
-        match pred {
-            Expr::Binary { op: BinOp::And, left, right } => {
-                self.prove_empty_filter(left) || self.prove_empty_filter(right)
-            }
-            Expr::Binary { op, left, right } => {
-                let resolve = |e: &Expr| {
-                    e.as_col()
-                        .and_then(|n| self.schema.resolve(n).ok())
-                        .and_then(|i| self.cols.get(i))
-                };
-                let (c, v, op) =
-                    if let (Some(c), Some(Expr::Lit(v))) = (resolve(left), Some(&**right)) {
-                        (c, v, *op)
-                    } else if let (Some(Expr::Lit(v)), Some(c)) = (Some(&**left), resolve(right)) {
-                        (c, v, flip(*op))
-                    } else {
-                        return false;
-                    };
-                let (Some(x), Some(lo), Some(hi)) = (v.as_f64(), c.min, c.max) else {
-                    return false;
-                };
-                match op {
-                    BinOp::Lt => x <= lo,
-                    BinOp::Le => x < lo,
-                    BinOp::Gt => x >= hi,
-                    BinOp::Ge => x > hi,
-                    BinOp::Eq => x < lo || x > hi,
-                    _ => false,
-                }
-            }
-            _ => false,
-        }
-    }
 }
 
 /// A [`CardEstimator`] over any [`StatsProvider`] — the object handed to

@@ -113,6 +113,30 @@ fn reordering_is_a_fixed_point() {
     assert_eq!(report.joins_reordered, 0, "{report:?}");
 }
 
+/// An η the region blocks (its key spans fact and tiny, joined on no key
+/// column) rests on the region's root and stays there when the region is
+/// reordered: the restoring projection goes above it, so re-optimizing
+/// finds nothing to move.
+#[test]
+fn eta_blocked_on_a_reordered_region_stays_on_its_root() {
+    use svc_storage::HashSpec;
+    let db = star_db();
+    let cat = Catalog::build(&db);
+    let plan = bad_order_plan().hash(&["factId", "label"], 0.3, HashSpec::with_seed(12));
+    let bindings = Bindings::from_database(&db);
+    let expected = evaluate(&plan, &bindings).unwrap();
+    let (once, report) = optimize_with(&plan, &db, &cat.estimator()).unwrap();
+    assert!(evaluate(&once, &bindings).unwrap().same_contents(&expected));
+    assert!(report.joins_reordered > 0, "{report:?}");
+    let Plan::Project { input, .. } = &once else { panic!("restoring Π on top: {once}") };
+    let Plan::Hash { input, .. } = &**input else { panic!("η under the Π: {once}") };
+    assert!(matches!(**input, Plan::Join { .. }), "η on the new root: {once}");
+    assert!(report.eta.blockers[0].starts_with("join blocks η"), "{report:?}");
+    let (twice, again) = optimize_with(&once, &db, &cat.estimator()).unwrap();
+    assert_eq!(once, twice, "re-optimizing moved the η");
+    assert_eq!((again.eta.descended, again.eta.blockers), (0, report.eta.blockers));
+}
+
 #[test]
 fn eta_still_pushes_through_reordered_joins() {
     use svc_storage::HashSpec;

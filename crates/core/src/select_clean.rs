@@ -8,7 +8,6 @@
 //! class is estimated by rewriting the select as `count` queries (three
 //! "confidence" intervals).
 
-use svc_catalog::TableStats;
 use svc_relalg::eval::Bindings;
 use svc_relalg::plan::Plan;
 use svc_relalg::scalar::Expr;
@@ -32,10 +31,6 @@ pub struct CleanSelectResult {
     pub added: Estimate,
     /// Estimated number of superfluous rows in the stale result.
     pub removed: Estimate,
-    /// Catalog-estimated number of stale rows the predicate selects (only
-    /// when view statistics were supplied) — lets callers sanity-check the
-    /// patched cardinality against the cost model.
-    pub estimated_stale_matches: Option<f64>,
 }
 
 fn count_estimate(hits: usize, sample_size: usize, m: f64, cfg: &SvcConfig) -> Estimate {
@@ -57,40 +52,16 @@ pub fn clean_select(
     m: f64,
     cfg: &SvcConfig,
 ) -> Result<CleanSelectResult> {
-    clean_select_with(stale_view, stale_sample, clean_sample, predicate, m, cfg, None)
-}
-
-/// [`clean_select`] with optional catalog statistics of the (stale) view:
-/// when the stats *prove* the predicate selects nothing — a numeric
-/// comparison entirely outside the column's conservative [min, max]
-/// envelope — the O(|view|) stale scan is skipped outright, and the
-/// result carries the estimated stale match count either way.
-pub fn clean_select_with(
-    stale_view: &Table,
-    stale_sample: &Table,
-    clean_sample: &Table,
-    predicate: &Expr,
-    m: f64,
-    cfg: &SvcConfig,
-    stats: Option<&TableStats>,
-) -> Result<CleanSelectResult> {
     let pred = predicate.bind(stale_view.schema())?;
-    let estimated_stale_matches = stats.map(|s| s.estimate_filter_rows(predicate));
-    let provably_empty = stats.is_some_and(|s| s.prove_empty_filter(predicate));
 
     // The stale answer: a compiled fused `Scan→σ` pipeline over the bound
     // view — one streaming pass that borrows every row and copies only the
     // matches (a σ over a single leaf has no structure for the optimizer,
-    // so the plan runs as written). When the stats prove emptiness, even
-    // that pass is unnecessary.
-    let mut result = if provably_empty {
-        stale_view.empty_like()
-    } else {
-        let plan = Plan::scan(VIEW_LEAF).select(predicate.clone());
-        let mut bindings = Bindings::new();
-        bindings.bind(VIEW_LEAF, stale_view);
-        svc_relalg::exec::compile(&plan, &bindings)?.run(&bindings)?
-    };
+    // so the plan runs as written).
+    let plan = Plan::scan(VIEW_LEAF).select(predicate.clone());
+    let mut bindings = Bindings::new();
+    bindings.bind(VIEW_LEAF, stale_view);
+    let mut result = svc_relalg::exec::compile(&plan, &bindings)?.run(&bindings)?;
 
     let mut updated = 0usize;
     let mut added = 0usize;
@@ -139,7 +110,6 @@ pub fn clean_select_with(
         updated: count_estimate(updated, k, m, cfg),
         added: count_estimate(added, k, m, cfg),
         removed: count_estimate(removed, k, m, cfg),
-        estimated_stale_matches,
     })
 }
 
@@ -225,42 +195,6 @@ mod tests {
                 "row {k} should have been removed"
             );
         }
-    }
-
-    #[test]
-    fn stats_prove_empty_selects_and_estimate_matches() {
-        use svc_catalog::TableStats;
-        let (stale, fresh) = views();
-        let m = 0.3;
-        let spec = HashSpec::with_seed(29);
-        let s_hat = sample_by_key(&stale, m, spec);
-        let f_hat = sample_by_key(&fresh, m, spec);
-        let stats = TableStats::build(&stale);
-        let cfg = SvcConfig::with_ratio(m);
-
-        // v ranges over 0..100 in the stale view: a predicate beyond the
-        // max is provably empty — no stale scan, but sampled *added* rows
-        // (v ≥ 1000 in fresh) still patch in.
-        let impossible = col("v").gt(lit(5_000i64));
-        let out =
-            clean_select_with(&stale, &s_hat, &f_hat, &impossible, m, &cfg, Some(&stats)).unwrap();
-        assert!(
-            out.estimated_stale_matches.unwrap() < 1.0,
-            "estimate is clamped near zero, got {:?}",
-            out.estimated_stale_matches
-        );
-        assert!(out.rows.is_empty());
-
-        // An ordinary predicate: the estimate tracks the true match count.
-        let predicate = col("v").lt(lit(50i64));
-        let out =
-            clean_select_with(&stale, &s_hat, &f_hat, &predicate, m, &cfg, Some(&stats)).unwrap();
-        let truth = stale.rows().iter().filter(|r| r[1].as_i64().unwrap() < 50).count() as f64;
-        let est = out.estimated_stale_matches.unwrap();
-        assert!((est - truth).abs() / truth < 0.15, "estimate {est} vs true {truth}");
-        // And the patched result is unchanged relative to the no-stats path.
-        let plain = clean_select(&stale, &s_hat, &f_hat, &predicate, m, &cfg).unwrap();
-        assert!(out.rows.same_contents(&plain.rows));
     }
 
     #[test]

@@ -23,14 +23,14 @@
 //!   breakers materializing plain row batches (no intermediate keyed
 //!   tables, no scan clones).
 //!
-//! * [`optimizer`] — one pass of four rewrites (predicate pushdown,
-//!   cost-based join reordering, projection pruning, and the Definition 3
-//!   η push-down) every evaluated plan goes through.
+//! * [`optimizer`] — one pass of three rewrites (filter pushdown of σ,
+//!   leaf key sets and η, cost-based join reordering, projection pruning)
+//!   every evaluated plan goes through.
 //!
 //! The η operator lives here (not in `svc-sampling`) because the evaluator
-//! must execute it; the *push-down rewrite* of Definition 3 is the
-//! [`optimizer::eta`] pass, which `svc-sampling` calls for the legacy
-//! `push_down` API.
+//! must execute it; its Definition 3 push-down is part of the
+//! [`optimizer::predicate`] filter pass, which `svc-sampling`'s `push_down`
+//! runs alone.
 
 pub mod aggregate;
 pub mod derive;

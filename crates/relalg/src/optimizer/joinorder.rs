@@ -124,8 +124,14 @@ fn rewrite(
     est: &dyn CardEstimator,
     count: &mut usize,
 ) -> Result<Option<(Plan, DerivedTree)>> {
-    if matches!(plan, Plan::Join { kind: JoinKind::Inner, .. }) {
-        return reorder_region(plan, dt, leaves, est, count);
+    match plan {
+        Plan::Join { kind: JoinKind::Inner, .. } => {
+            return reorder_region(plan, dt, leaves, est, count);
+        }
+        Plan::Hash { input, .. } if matches!(**input, Plan::Join { kind: JoinKind::Inner, .. }) => {
+            return reorder_under_eta(plan, dt, leaves, est, count);
+        }
+        _ => {}
     }
     let mut new = Vec::new();
     for (child, child_dt) in plan.children().zip(&dt.children) {
@@ -145,6 +151,41 @@ fn rewrite(
         Ok::<_, StorageError>(child)
     })?;
     let dt = derive_node(&plan, children, leaves)?;
+    Ok(Some((plan, dt)))
+}
+
+/// Reorder the region under an η resting on it (`plan`), keeping the η on
+/// the region's root: a restoring projection goes above it, the key renamed
+/// through its bare columns — where the filter pass would sink the η.
+fn reorder_under_eta(
+    plan: &Plan,
+    dt: &DerivedTree,
+    leaves: &dyn LeafProvider,
+    est: &dyn CardEstimator,
+    count: &mut usize,
+) -> Result<Option<(Plan, DerivedTree)>> {
+    let Plan::Hash { input, key, ratio, spec } = plan else {
+        unreachable!("guarded by the caller")
+    };
+    let Some((region, region_dt)) = reorder_region(input, dt.input(), leaves, est, count)? else {
+        return Ok(None);
+    };
+    let eta = |input: Plan, key: Vec<String>, input_dt: DerivedTree| {
+        let plan = Plan::Hash { input: Box::new(input), key, ratio: *ratio, spec: *spec };
+        let dt = derive_node(&plan, vec![input_dt], leaves)?;
+        Ok::<_, StorageError>((plan, dt))
+    };
+    let Plan::Project { input: root, columns } = region else {
+        return eta(region, key.clone(), region_dt).map(Some);
+    };
+    let schema = &region_dt.derived.schema;
+    let key = (key.iter())
+        .map(|k| Ok(columns[schema.resolve(k)?].1.as_col().expect("bare restoring column").into()))
+        .collect::<Result<_>>()?;
+    let root_dt = region_dt.children.into_iter().next().expect("projection has one input");
+    let (eta, eta_dt) = eta(*root, key, root_dt)?;
+    let plan = Plan::Project { input: Box::new(eta), columns };
+    let dt = derive_node(&plan, vec![eta_dt], leaves)?;
     Ok(Some((plan, dt)))
 }
 

@@ -1,18 +1,19 @@
-//! Plan optimization: one pass of four rewrites, in order.
+//! Plan optimization: one pass of three rewrites, in order.
 //!
 //! Every plan this system evaluates — view definitions, maintenance
 //! strategies from `svc-ivm`, and the η-wrapped cleaning expressions of
 //! `svc-core` — passes through [`optimize`] or [`optimize_with`], which
 //! call each rewrite once:
 //!
-//! 1. [`predicate`] — **predicate pushdown**: σ nodes dissolve into conjunct
-//!    sets that sink through Π (by substitution), joins (per side), γ (group
-//!    columns only), and set operations, recombining with `AND` where they
-//!    land. A semi-join against a bare leaf (`X ⋉ Scan K`, a key-set
-//!    restriction) sinks with them as one more conjunct, and under an inner
-//!    join crosses the join equalities into both sides, so a whole-view
-//!    recompute restricted to a few keys reads only their rows past the
-//!    leaves;
+//! 1. [`predicate`] — **filter pushdown**: σ nodes, semi-joins against a
+//!    bare leaf (`X ⋉ Scan K`, a key-set restriction) and η hash samplers
+//!    dissolve into conjunct sets that sink through Π, joins, γ and set
+//!    operations by each filter's legality rules, recombining where they
+//!    land. η follows the paper's Definition 3 (Section 4.3/4.4 legality
+//!    conditions), so cleaning a sample touches only hash-selected rows; a
+//!    key set under an inner join crosses the join equalities into both
+//!    sides, so a whole-view recompute restricted to a few keys reads only
+//!    their rows past the leaves. [`eta`] reports where each η rests;
 //! 2. [`joinorder`] — **cost-based join reordering**: inner-join regions are
 //!    rebuilt in the cheapest order a [`cost::CardEstimator`] can find (DP up
 //!    to 8 relations, greedy beyond). Only [`optimize_with`] runs it; the
@@ -22,18 +23,15 @@
 //!    ancestor needs below joins, aggregates, and set operations, always
 //!    preserving the primary-key columns that Definition 2 key derivation
 //!    ([`mod@crate::derive`]) requires; a leaf semi-join is pruned like a
-//!    σ, so its leaf stays bare for the next pass;
-//! 4. [`eta`] — **η hash-sampling pushdown**: the paper's Definition 3
-//!    rewrite (Section 4.3/4.4 legality conditions), so that cleaning a
-//!    sample touches only hash-selected rows.
+//!    σ, so its leaf stays bare for the next pass.
 //!
 //! Each rewrite finishes its own job in one pass, so optimizing an optimized
 //! plan returns it unchanged; the idempotence tests in
 //! `tests/catalog_prop.rs` hold every workload view's delta plans to that.
 //! (Pruning can split a join region that a second reordering would order
 //! differently; only a merge-form reference plan is known to hit this, and
-//! join order never changes rows.) `svc_sampling::push_down` calls the η
-//! pass alone.
+//! join order never changes rows.) `svc_sampling::push_down` calls the
+//! filter pass alone.
 
 pub mod cost;
 pub mod eta;
@@ -55,7 +53,7 @@ pub use eta::EtaReport;
 pub struct OptimizeReport {
     /// Passes over the plan: always 1.
     pub passes: usize,
-    /// Number of predicate conjuncts that crossed at least one operator.
+    /// Number of σ conjuncts and leaf key sets that crossed an operator.
     pub predicates_pushed: usize,
     /// Number of pruning projections inserted or narrowed.
     pub projections_pruned: usize,
@@ -65,7 +63,7 @@ pub struct OptimizeReport {
     pub eta: EtaReport,
 }
 
-/// The one optimizer pass: the four rewrites, once each, join reordering
+/// The one optimizer pass: the three rewrites, once each, join reordering
 /// only when `est` is given. Under the `verify` feature the input plan is
 /// verified up front and every rewrite's output is re-verified at its
 /// boundary — a rewrite that breaks well-formedness or changes the output
@@ -90,16 +88,17 @@ fn run(
         }
         Ok(plan)
     };
-    let plan = predicate::pushdown(plan.clone(), leaves, &mut report.predicates_pushed)?;
+    let (moved, descended) = (&mut report.predicates_pushed, &mut report.eta.descended);
+    let plan = predicate::pushdown(plan.clone(), leaves, moved, descended)?;
     let mut plan = verified("predicate-pushdown", plan, true)?;
     if let Some(est) = est {
         let reordered = joinorder::reorder(plan, leaves, est, &mut report.joins_reordered)?;
         plan = verified("join-reorder", reordered, false)?;
     }
-    let plan = projection::prune(plan, leaves, &mut report.projections_pruned)?;
+    let (pruned, descended) = (&mut report.projections_pruned, &mut report.eta.descended);
+    let plan = projection::prune(plan, leaves, pruned, descended)?;
     let plan = verified("projection-pruning", plan, true)?;
-    let plan = eta::pushdown(plan, leaves, &mut report.eta)?;
-    let plan = verified("eta-pushdown", plan, true)?;
+    eta::describe(&plan, &mut report.eta);
     Ok((plan, report))
 }
 

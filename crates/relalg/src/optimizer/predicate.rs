@@ -1,55 +1,70 @@
-//! Predicate pushdown, à la Polars' `PredicatePushDown`.
+//! Filter pushdown, à la Polars' `PredicatePushDown`: σ, leaf key sets and
+//! η sink in one pass.
 //!
-//! σ nodes dissolve into sets of conjuncts that descend the tree and
-//! recombine with `AND` wherever they come to rest:
+//! Three kinds of row filter dissolve into a set of conjuncts that descends
+//! the tree and recombines wherever it comes to rest:
 //!
-//! * **Π** — always transparent: the conjunct is rewritten by substituting
-//!   each referenced output column with its defining expression (all scalar
-//!   expressions in this system are deterministic and row-local, so the
-//!   substitution is exact, NULL semantics included);
-//! * **⋈** — a conjunct referencing only one input moves to that input,
+//! * a σ, split into its `AND` conjuncts;
+//! * a semi-join whose right input is a bare leaf, `X ⋉[a = k] Scan K` — keep
+//!   the rows whose `a` values occur in `K`, the move that restricts a
+//!   whole-view recompute to a key set at its leaves;
+//! * the hash operator `η_{a,m}`, a selection on a deterministic predicate
+//!   of its key (the paper's Definition 3), so that cleaning a sample
+//!   touches only hash-selected rows.
+//!
+//! Each operator lets a conjunct through by the same few rules:
+//!
+//! * **Π** — a σ conjunct always crosses, rewritten by substituting each
+//!   referenced output column with its defining expression (all scalar
+//!   expressions here are deterministic and row-local, so the substitution
+//!   is exact, NULL semantics included); a key set or η crosses only where
+//!   every column it reads passes through bare (at most renamed) — a
+//!   key-transforming projection (the paper's V21/V22) stops it;
+//! * **γ** — a conjunct reading only group-by columns filters whole groups
+//!   and commutes below the aggregate; anything touching an aggregate
+//!   output is a HAVING clause and stays above (an η on a non-group column
+//!   is the nested-aggregate blocker of Appendix 12.4);
+//! * **⋈ / ⋉ / ▷** — a conjunct reading only one input moves to that input,
 //!   provided the join kind never NULL-pads that side
-//!   (`JoinKind::left_unpadded` / `right_unpadded`);
-//!   `Full` joins and conjuncts spanning both inputs stay above;
-//! * **γ** — a conjunct referencing only group-by columns filters whole
-//!   groups and commutes below the aggregate; anything touching an
-//!   aggregate output is a HAVING clause and stays above;
+//!   (`JoinKind::left_unpadded` / `right_unpadded`); a ⋉ or ▷ outputs its
+//!   left input only. Join equalities pair a column with its partner on
+//!   every matched row, and `Value` equality is an equivalence, so a filter
+//!   on matched columns holds on both sides alike: an η whose every key
+//!   column is matched by an equality of ⋈, ⋉ or ▷ enters both inputs
+//!   (Section 4.4's equality-join case; the foreign-key case is the
+//!   one-sided move), and a key set on one side of an inner ⋈ is copied
+//!   across its equalities too. Anything else stays above;
 //! * **∪ / ∩ / −** — conjuncts are replicated into both inputs with the
-//!   positional column renaming of the set operation applied;
-//! * **η** — a stopping point by convention: η is itself a deterministic
-//!   filter, and adjacent filters are canonicalized with σ *above* η so this
-//!   rule and the η push-down rule cannot ping-pong a σ/η pair forever.
+//!   positional column renaming of the set operation applied, except that
+//!   a key set enters only the left input of −: restricting the left side
+//!   alone already restricts the output.
 //!
-//! A semi-join whose right input is a bare leaf, `X ⋉[a = k] Scan K`, is a
-//! row filter too — keep the rows whose `a` values occur in `K` — and sinks
-//! as one more conjunct, the move that restricts a whole-view recompute to
-//! a key set at its leaves. It crosses Π only where every `a` passes
-//! through as a bare column, γ only on group columns, ∪ and ∩ into both
-//! inputs, −, ▷ and ⋉ into the left input only, and outer joins into the
-//! preserved side only. Under an inner ⋈ it also takes the join equalities
-//! across: `a = r` on every matched row, and `Value` equality is an
-//! equivalence, so `⋉[r = k] K` restricts the other side to the same
-//! matches. It stops above η. Where filters come to rest, the σ sits
-//! directly on the node and the semi-joins above it, the first one
-//! outermost, so a second pass rebuilds the identical tree.
+//! Two η over the same key and hash spec test the identical hash value, so
+//! when the second dissolves into a set already holding the first they
+//! compose to the smaller ratio, `η_{a,m1} ∘ η_{a,m2} = η_{a,min(m1,m2)}`.
+//! Where filters come to rest, the η sit directly on the node, the σ above
+//! them and the semi-joins above that — the first η and the first semi-join
+//! outermost — so a second pass rebuilds the identical tree.
 //!
 //! Filtering earlier never changes the result set (filters are row-local
 //! and commute with each other), and only ever shrinks the keyed
 //! intermediates the evaluator materializes, so Definition 2 key
-//! uniqueness is preserved everywhere.
+//! uniqueness is preserved everywhere — and a sample drawn below is the
+//! sample drawn above (Theorem 1).
 
-use svc_storage::Result;
+use svc_storage::{HashSpec, Result};
 
 use crate::derive::{derive_tree, DerivedTree, LeafProvider};
 use crate::plan::{JoinKind, Plan, SetOpKind};
 use crate::scalar::{col, BinOp, Expr};
 
-/// One row filter on its way down: a σ conjunct, or a semi-join against a
-/// bare leaf, `⋉[a = k] Scan leaf`, by its `(a, k)` pairs.
+/// One row filter on its way down: a σ conjunct, a semi-join against a bare
+/// leaf, `⋉[a = k] Scan leaf`, by its `(a, k)` pairs, or an η.
 #[derive(Debug, Clone)]
 enum Conjunct {
     Pred(Expr),
     Keys { on: Vec<(String, String)>, leaf: String },
+    Hash { key: Vec<String>, ratio: f64, spec: HashSpec },
 }
 
 impl Conjunct {
@@ -58,6 +73,7 @@ impl Conjunct {
         match self {
             Conjunct::Pred(p) => p.referenced_columns(),
             Conjunct::Keys { on, .. } => on.iter().map(|(a, _)| a.as_str()).collect(),
+            Conjunct::Hash { key, .. } => key.iter().map(String::as_str).collect(),
         }
     }
 
@@ -69,19 +85,50 @@ impl Conjunct {
                 on: on.iter().map(|(a, k)| Ok((f(a)?, k.clone()))).collect::<Result<_>>()?,
                 leaf: leaf.clone(),
             },
+            Conjunct::Hash { key, ratio, spec } => Conjunct::Hash {
+                key: key.iter().map(|k| f(k)).collect::<Result<_>>()?,
+                ratio: *ratio,
+                spec: *spec,
+            },
         })
     }
 }
 
-/// Push every selection in `plan` as deep as legality allows. `moved`
-/// counts conjuncts that crossed at least one operator boundary.
+/// What the pass moved: `moved` counts σ conjuncts and key sets that
+/// crossed an operator (once per copy), `descended` the operators an η
+/// crossed (once per η, into one input or both) and η∘η compositions.
+struct Moves<'a> {
+    moved: &'a mut usize,
+    descended: &'a mut usize,
+}
+
+impl Moves<'_> {
+    /// Count `c` crossing one operator into one input.
+    fn count(&mut self, c: &Conjunct) {
+        match c {
+            Conjunct::Hash { .. } => *self.descended += 1,
+            _ => *self.moved += 1,
+        }
+    }
+}
+
+/// Push every σ, leaf semi-join and η in `plan` as deep as legality allows.
+/// `moved` counts σ conjuncts and key sets that crossed an operator,
+/// `descended` the operators each η crossed (see [`EtaReport`]).
 ///
 /// Schemas come from one bottom-up [`derive_tree`] pass over the input plan;
 /// the recursion descends the plan and the tree in lockstep, so no node's
 /// subtree is ever re-derived.
-pub fn pushdown(plan: Plan, leaves: &dyn LeafProvider, moved: &mut usize) -> Result<Plan> {
+///
+/// [`EtaReport`]: crate::optimizer::EtaReport
+pub fn pushdown(
+    plan: Plan,
+    leaves: &dyn LeafProvider,
+    moved: &mut usize,
+    descended: &mut usize,
+) -> Result<Plan> {
     let tree = derive_tree(&plan, leaves)?;
-    push(plan, &tree, Vec::new(), moved)
+    push(plan, &tree, Vec::new(), &mut Moves { moved, descended })
 }
 
 /// Split a predicate into its top-level conjuncts. SQL `WHERE` keeps a row
@@ -98,38 +145,28 @@ fn split_conjuncts(e: Expr, out: &mut Vec<Conjunct>) {
     }
 }
 
-/// Split the σ chain at the top of `plan` off into its conjuncts (in the
-/// same order [`wrap`] emits them, so strip ∘ wrap is the identity).
-fn strip_top_selects(plan: Plan) -> (Plan, Vec<Conjunct>) {
-    match plan {
-        Plan::Select { input, predicate } => {
-            let (core, mut below) = strip_top_selects(*input);
-            let mut preds = Vec::new();
-            split_conjuncts(predicate, &mut preds);
-            below.extend(preds);
-            (core, below)
-        }
-        other => (other, Vec::new()),
-    }
-}
-
-/// Recombine filters where they come to rest: the σ conjuncts (in
-/// collection order, so repeated passes rebuild an identical tree) as one σ
-/// on `plan`, the leaf semi-joins above it with the first one outermost, as
-/// a second pass collects them; identity when empty.
-fn wrap(plan: Plan, conjuncts: Vec<Conjunct>) -> Plan {
+/// Recombine filters where they come to rest: the η directly on `plan`, the
+/// σ conjuncts (in collection order, so repeated passes rebuild an identical
+/// tree) as one σ above them, the leaf semi-joins above that — the first η
+/// and the first semi-join outermost, as a second pass collects them;
+/// identity when empty.
+fn wrap(mut plan: Plan, conjuncts: Vec<Conjunct>) -> Plan {
     let mut preds = Vec::new();
     let mut keys = Vec::new();
+    let mut hashes = Vec::new();
     for c in conjuncts {
         match c {
             Conjunct::Pred(p) => preds.push(p),
             Conjunct::Keys { on, leaf } => keys.push((on, leaf)),
+            Conjunct::Hash { key, ratio, spec } => hashes.push((key, ratio, spec)),
         }
     }
-    let mut plan = match preds.into_iter().reduce(|a, b| a.and(b)) {
-        None => plan,
-        Some(predicate) => Plan::Select { input: Box::new(plan), predicate },
-    };
+    for (key, ratio, spec) in hashes.into_iter().rev() {
+        plan = Plan::Hash { input: Box::new(plan), key, ratio, spec };
+    }
+    if let Some(predicate) = preds.into_iter().reduce(|a, b| a.and(b)) {
+        plan = Plan::Select { input: Box::new(plan), predicate };
+    }
     for (on, leaf) in keys.into_iter().rev() {
         plan = Plan::Join {
             left: Box::new(plan),
@@ -145,37 +182,30 @@ fn wrap(plan: Plan, conjuncts: Vec<Conjunct>) -> Plan {
 /// with names resolvable against this node's output schema. `dt` is the
 /// derived tree of `plan` (pre-rewrite; filter movement never changes
 /// any node's schema, so the annotation stays exact throughout).
-fn push(plan: Plan, dt: &DerivedTree, mut preds: Vec<Conjunct>, moved: &mut usize) -> Result<Plan> {
+fn push(plan: Plan, dt: &DerivedTree, mut preds: Vec<Conjunct>, moves: &mut Moves) -> Result<Plan> {
     match plan {
         Plan::Select { input, predicate } => {
             split_conjuncts(predicate, &mut preds);
-            push(*input, dt.input(), preds, moved)
+            push(*input, dt.input(), preds, moves)
         }
         Plan::Scan { .. } => Ok(wrap(plan, preds)),
         Plan::Hash { input, key, ratio, spec } => {
-            // σ commutes with η (both are row-local filters), so conjuncts
-            // continue *through* a blocked η toward the operators below it.
-            // The shared canonical form with the η rule is σ-above-η: any
-            // conjunct that would come to rest directly beneath the η is
-            // lifted back above it, so this rule and the η push-down (which
-            // sinks η below σ) can never ping-pong a σ/η pair. Conjuncts
-            // that make real progress deeper — into a join side, below a
-            // γ — stay down there, which is new ground the old rule (a hard
-            // stop at every η) never reached. Leaf semi-joins stop above
-            // the η.
-            // Crossing the η itself is not counted as movement (a lifted
-            // conjunct ends where it started); conjuncts that settle deeper
-            // are counted by the join/γ/Π arms they cross.
-            let (through, keys): (Vec<_>, Vec<_>) =
-                preds.into_iter().partition(|c| matches!(c, Conjunct::Pred(_)));
-            let inner = push(*input, dt.input(), through, moved)?;
-            let (core, mut rest) = strip_top_selects(inner);
-            rest.extend(keys);
-            Ok(wrap(Plan::Hash { input: Box::new(core), key, ratio, spec }, rest))
+            let same = preds.iter_mut().find_map(|c| match c {
+                Conjunct::Hash { key: k, ratio: r, spec: s } if *k == key && *s == spec => Some(r),
+                _ => None,
+            });
+            if let Some(r) = same {
+                // η∘η over one (key, spec): the node is eliminated.
+                *r = r.min(ratio);
+                *moves.descended += 1;
+            } else {
+                preds.push(Conjunct::Hash { key, ratio, spec });
+            }
+            push(*input, dt.input(), preds, moves)
         }
         Plan::Project { input, columns } => {
             if preds.is_empty() {
-                let inner = push(*input, dt.input(), Vec::new(), moved)?;
+                let inner = push(*input, dt.input(), Vec::new(), moves)?;
                 return Ok(Plan::Project { input: Box::new(inner), columns });
             }
             let out_schema = &dt.derived.schema;
@@ -183,29 +213,35 @@ fn push(plan: Plan, dt: &DerivedTree, mut preds: Vec<Conjunct>, moved: &mut usiz
             let mut below = Vec::new();
             let mut above = Vec::new();
             for c in preds {
-                match c {
+                let lowered = match &c {
                     Conjunct::Pred(p) => {
-                        below.push(Conjunct::Pred(p.map_cols(&mut |n| Ok(source(n)?.clone()))?));
+                        Some(Conjunct::Pred(p.map_cols(&mut |n| Ok(source(n)?.clone()))?))
                     }
-                    // A key set crosses only columns that pass through as
-                    // they are (at most renamed); a computed column stops it.
-                    Conjunct::Keys { on, leaf } => {
-                        let mut lowered = Vec::with_capacity(on.len());
-                        for (a, k) in &on {
-                            if let Expr::Col(src) = source(a)? {
-                                lowered.push((src.clone(), k.clone()));
-                            }
-                        }
-                        if lowered.len() == on.len() {
-                            below.push(Conjunct::Keys { on: lowered, leaf });
+                    // A key set or η crosses only columns that pass through
+                    // as they are (at most renamed); a computed column
+                    // stops it.
+                    _ => {
+                        let bare =
+                            c.columns().iter().all(|n| matches!(source(n), Ok(Expr::Col(_))));
+                        if bare {
+                            Some(c.renamed(&mut |n| match source(n)? {
+                                Expr::Col(src) => Ok(src.clone()),
+                                _ => unreachable!("checked bare above"),
+                            })?)
                         } else {
-                            above.push(Conjunct::Keys { on, leaf });
+                            None
                         }
                     }
+                };
+                match lowered {
+                    Some(lowered) => {
+                        moves.count(&lowered);
+                        below.push(lowered);
+                    }
+                    None => above.push(c),
                 }
             }
-            *moved += below.len();
-            let inner = push(*input, dt.input(), below, moved)?;
+            let inner = push(*input, dt.input(), below, moves)?;
             Ok(wrap(Plan::Project { input: Box::new(inner), columns }, above))
         }
         Plan::Aggregate { input, group_by, aggregates } => {
@@ -220,13 +256,13 @@ fn push(plan: Plan, dt: &DerivedTree, mut preds: Vec<Conjunct>, moved: &mut usiz
                 if group_only && !columns.is_empty() {
                     // A group-column filter removes whole groups; rows of the
                     // surviving groups are untouched, so it commutes below γ.
+                    moves.count(&c);
                     below.push(c.renamed(&mut |n| Ok(group_by[out_schema.resolve(n)?].clone()))?);
                 } else {
                     above.push(c);
                 }
             }
-            *moved += below.len();
-            let inner = push(*input, dt.input(), below, moved)?;
+            let inner = push(*input, dt.input(), below, moves)?;
             Ok(wrap(Plan::Aggregate { input: Box::new(inner), group_by, aggregates }, above))
         }
         Plan::Join { left, right, kind: JoinKind::Semi, on }
@@ -235,7 +271,7 @@ fn push(plan: Plan, dt: &DerivedTree, mut preds: Vec<Conjunct>, moved: &mut usiz
             // A leaf semi-join dissolves into a conjunct on its left input.
             let Plan::Scan { table } = *right else { unreachable!("guarded by the match arm") };
             preds.push(Conjunct::Keys { on, leaf: table });
-            push(*left, dt.pair().0, preds, moved)
+            push(*left, dt.pair().0, preds, moves)
         }
         Plan::Join { left, right, kind, on } => {
             let (l_t, r_t) = dt.pair();
@@ -243,14 +279,16 @@ fn push(plan: Plan, dt: &DerivedTree, mut preds: Vec<Conjunct>, moved: &mut usiz
             let out_schema = &dt.derived.schema;
             let l_arity = l_d.schema.len();
             // Output position → that column's name in its input; right
-            // output columns may carry a disambiguation prefix.
+            // output columns may carry a disambiguation prefix. A ⋉ or ▷
+            // outputs its left input only, but its right positions name
+            // the partners of its equalities.
             let name_of = |i: usize| match i.checked_sub(l_arity) {
                 None => l_d.schema.field(i).name.clone(),
                 Some(r) => r_d.schema.field(r).name.clone(),
             };
-            // An inner join's equalities pair output positions across sides.
+            // Equalities pair positions across sides on every matched row.
             let mut equal = Vec::new();
-            if kind == JoinKind::Inner {
+            if matches!(kind, JoinKind::Inner | JoinKind::Semi | JoinKind::Anti) {
                 for (l, r) in &on {
                     let (l, r) = (l_d.schema.resolve(l)?, l_arity + r_d.schema.resolve(r)?);
                     equal.extend([(l, r), (r, l)]);
@@ -268,34 +306,45 @@ fn push(plan: Plan, dt: &DerivedTree, mut preds: Vec<Conjunct>, moved: &mut usiz
                     above.push(c);
                     continue;
                 };
-                let (own, other) = if positions.is_empty() {
-                    above.push(c);
-                    continue;
-                } else if positions.iter().all(|&i| i < l_arity) && kind.left_unpadded() {
-                    (&mut l_preds, &mut r_preds)
-                } else if positions.iter().all(|&i| i >= l_arity) && kind.right_unpadded() {
-                    (&mut r_preds, &mut l_preds)
+                let left_only = !positions.is_empty()
+                    && positions.iter().all(|&i| i < l_arity)
+                    && kind.left_unpadded();
+                let right_only = !positions.is_empty()
+                    && positions.iter().all(|&i| i >= l_arity)
+                    && kind.right_unpadded();
+                // An η crosses the equalities of ⋈, ⋉ and ▷; a key set those
+                // of an inner ⋈, from the one side that holds it.
+                let crosses = match &c {
+                    Conjunct::Pred(_) => false,
+                    Conjunct::Keys { .. } => kind == JoinKind::Inner && (left_only || right_only),
+                    Conjunct::Hash { .. } => !positions.is_empty(),
+                } && positions.iter().all(|&i| partner(i).is_some());
+                let at = |n: &str, left: bool| {
+                    let i = out_schema.resolve(n)?;
+                    let own = (i < l_arity) == left;
+                    Ok(name_of(if own { i } else { partner(i).expect("checked above") }))
+                };
+                if crosses {
+                    l_preds.push(c.renamed(&mut |n| at(n, true))?);
+                    r_preds.push(c.renamed(&mut |n| at(n, false))?);
+                } else if left_only {
+                    l_preds.push(c.renamed(&mut |n| at(n, true))?);
+                } else if right_only {
+                    r_preds.push(c.renamed(&mut |n| at(n, false))?);
                 } else {
                     above.push(c);
                     continue;
-                };
-                // A key set also crosses the equalities into the other side:
-                // on every joined row its columns equal their partners.
-                if matches!(c, Conjunct::Keys { .. })
-                    && positions.iter().all(|&i| partner(i).is_some())
-                {
-                    other.push(c.renamed(&mut |n| {
-                        Ok(name_of(partner(out_schema.resolve(n)?).expect("checked above")))
-                    })?);
                 }
-                own.push(c.renamed(&mut |n| Ok(name_of(out_schema.resolve(n)?)))?);
+                moves.count(&c);
+                if crosses && !matches!(c, Conjunct::Hash { .. }) {
+                    moves.count(&c);
+                }
             }
-            *moved += l_preds.len() + r_preds.len();
-            let l = push(*left, l_t, l_preds, moved)?;
-            let r = push(*right, r_t, r_preds, moved)?;
+            let l = push(*left, l_t, l_preds, moves)?;
+            let r = push(*right, r_t, r_preds, moves)?;
             Ok(wrap(Plan::Join { left: Box::new(l), right: Box::new(r), kind, on }, above))
         }
-        Plan::SetOp { kind, left, right } => push_setop(*left, *right, dt, kind, &preds, moved),
+        Plan::SetOp { kind, left, right } => push_setop(*left, *right, dt, kind, &preds, moves),
     }
 }
 
@@ -310,7 +359,7 @@ fn push_setop(
     dt: &DerivedTree,
     op: SetOpKind,
     preds: &[Conjunct],
-    moved: &mut usize,
+    moves: &mut Moves,
 ) -> Result<Plan> {
     let (l_t, r_t) = dt.pair();
     let l_schema = &l_t.derived.schema;
@@ -318,15 +367,15 @@ fn push_setop(
     let mut l_preds = Vec::with_capacity(preds.len());
     let mut r_preds = Vec::with_capacity(preds.len());
     for c in preds {
+        moves.count(c);
         l_preds.push(c.renamed(&mut |n| Ok(l_schema.field(l_schema.resolve(n)?).name.clone()))?);
-        if op != SetOpKind::Difference || matches!(c, Conjunct::Pred(_)) {
+        if op != SetOpKind::Difference || !matches!(c, Conjunct::Keys { .. }) {
             r_preds
                 .push(c.renamed(&mut |n| Ok(r_schema.field(l_schema.resolve(n)?).name.clone()))?);
         }
     }
-    *moved += preds.len();
-    let l = push(left, l_t, l_preds, moved)?;
-    let r = push(right, r_t, r_preds, moved)?;
+    let l = push(left, l_t, l_preds, moves)?;
+    let r = push(right, r_t, r_preds, moves)?;
     Ok(Plan::SetOp { kind: op, left: Box::new(l), right: Box::new(r) })
 }
 
@@ -374,14 +423,21 @@ mod tests {
         db
     }
 
-    fn run(plan: Plan) -> (Plan, usize) {
+    /// One pass, checked against the plan as written: the output plan, the
+    /// σ conjuncts and key sets moved, and the η descents.
+    fn pass(plan: Plan) -> (Plan, usize, usize) {
         let db = db();
         let b = Bindings::from_database(&db);
         let expected = evaluate(&plan, &b).unwrap();
-        let mut moved = 0;
-        let out = pushdown(plan, &db, &mut moved).unwrap();
+        let (mut moved, mut descended) = (0, 0);
+        let out = pushdown(plan, &db, &mut moved, &mut descended).unwrap();
         let got = evaluate(&out, &b).unwrap();
         assert!(got.same_contents(&expected), "pushdown changed the result");
+        (out, moved, descended)
+    }
+
+    fn run(plan: Plan) -> (Plan, usize) {
+        let (out, moved, _) = pass(plan);
         (out, moved)
     }
 
@@ -473,25 +529,26 @@ mod tests {
     #[test]
     fn conjuncts_continue_below_a_blocked_eta() {
         use svc_storage::HashSpec;
-        // η rests above the join; the σ conjuncts must pass through it and
-        // sink into the join sides instead of stopping at the η.
+        // η on a key spanning both join inputs, not covered by the join
+        // equality, rests above the join; the σ conjuncts pass it and sink
+        // into the join sides instead of stopping at the η.
         let plan = Plan::scan("fact")
             .join(Plan::scan("dim"), JoinKind::Inner, &[("dimId", "dimId")])
-            .hash(&["factId", "dimId"], 0.5, HashSpec::with_seed(5))
+            .hash(&["factId", "w"], 0.5, HashSpec::with_seed(5))
             .select(col("x").gt(lit(3.0)).and(col("w").lt(lit(2.0))));
-        let (out, moved) = run(plan);
-        assert_eq!(moved, 2, "both conjuncts cross the η into the join: {out:?}");
+        let (out, moved, descended) = pass(plan);
+        assert_eq!((moved, descended), (2, 0), "both conjuncts cross the η into the join: {out}");
         assert_eq!(top_selects(&out), 0);
-        let Plan::Hash { input, .. } = &out else { panic!("η stays on top: {out:?}") };
-        assert!(matches!(**input, Plan::Join { .. }), "no σ may rest under the η: {input:?}");
+        let Plan::Hash { input, .. } = &out else { panic!("η stays on top: {out}") };
+        assert!(matches!(**input, Plan::Join { .. }), "no σ may rest under the η: {input}");
     }
 
     #[test]
     fn resting_conjuncts_are_lifted_back_above_eta() {
         use svc_storage::HashSpec;
-        // Nothing below the η to cross: the conjunct is lifted back above
-        // it (canonical σ-above-η), and a σ written below the η is
-        // canonicalized up as well. Neither counts as movement.
+        // Nothing below the η to cross: the σ and the η rest together, the
+        // σ above, whichever way they were written. Neither counts as
+        // movement.
         let spec = HashSpec::with_seed(6);
         let above = Plan::scan("fact").hash(&["factId"], 0.5, spec).select(col("x").gt(lit(3.0)));
         let (out, moved) = run(above.clone());
@@ -507,32 +564,23 @@ mod tests {
     #[test]
     fn eta_and_sigma_pair_reaches_fixed_point() {
         use svc_storage::HashSpec;
-        let db = db();
         let plan = Plan::scan("fact")
             .join(Plan::scan("dim"), JoinKind::Inner, &[("dimId", "dimId")])
             .hash(&["factId", "dimId"], 0.4, HashSpec::with_seed(7))
             .select(col("x").gt(lit(1.0)));
-        let mut moved = 0;
-        let once = pushdown(plan, &db, &mut moved).unwrap();
-        let mut again = 0;
-        let twice = pushdown(once.clone(), &db, &mut again).unwrap();
-        assert_eq!(again, 0, "second pass must be a no-op");
-        assert_eq!(once, twice);
+        let (once, moved, descended) = pass(plan);
+        assert_eq!((moved, descended), (1, 1), "σ and η both sink into fact: {once}");
+        twice_is_once(&once);
     }
 
     #[test]
     fn fixed_point_is_stable() {
-        let db = db();
         let plan = Plan::scan("fact")
             .join(Plan::scan("dim"), JoinKind::Inner, &[("dimId", "dimId")])
             .select(col("x").gt(lit(3.0)));
-        let mut moved = 0;
-        let once = pushdown(plan, &db, &mut moved).unwrap();
+        let (once, moved) = run(plan);
         assert!(moved > 0);
-        let mut again = 0;
-        let twice = pushdown(once.clone(), &db, &mut again).unwrap();
-        assert_eq!(again, 0, "second pass must be a no-op");
-        assert_eq!(once, twice);
+        twice_is_once(&once);
     }
 
     fn keys_on(plan: Plan, column: &str) -> Plan {
@@ -552,9 +600,9 @@ mod tests {
     }
 
     fn twice_is_once(plan: &Plan) {
-        let mut again = 0;
-        let twice = pushdown(plan.clone(), &db(), &mut again).unwrap();
-        assert_eq!((&twice, again), (plan, 0), "a second pass moved a filter");
+        let (mut again, mut descended) = (0, 0);
+        let twice = pushdown(plan.clone(), &db(), &mut again, &mut descended).unwrap();
+        assert_eq!((&twice, again, descended), (plan, 0, 0), "a second pass moved a filter");
     }
 
     #[test]
@@ -622,16 +670,74 @@ mod tests {
         twice_is_once(&out);
     }
 
+    /// η, σ and a leaf ⋉ that come to rest together rest as node → η → σ →
+    /// ⋉, whatever order they were written in: over a scan, and over a γ
+    /// that blocks all three (the η and the ⋉ read an aggregate output).
     #[test]
-    fn a_key_set_stops_above_eta() {
+    fn filters_rest_as_eta_then_sigma_then_key_set() {
         use svc_storage::HashSpec;
-        let hashed = Plan::scan("fact").hash(&["factId"], 0.5, HashSpec::with_seed(3));
-        let plan = keys_on(hashed, "dimId").select(col("x").gt(lit(2.0)));
-        let (out, _) = run(plan);
-        let Plan::Join { left, .. } = &out else { panic!("⋉ on top: {out}") };
-        assert!(
-            matches!(&**left, Plan::Select { input, .. } if matches!(**input, Plan::Hash { .. }))
+        let spec = HashSpec::with_seed(3);
+        let fact = || Plan::scan("fact");
+        let plan =
+            keys_on(fact().hash(&["factId"], 0.5, spec), "dimId").select(col("x").gt(lit(2.0)));
+        let (out, moved, descended) = pass(plan);
+        let rested =
+            keys_on(fact().hash(&["factId"], 0.5, spec).select(col("x").gt(lit(2.0))), "dimId");
+        assert_eq!((&out, moved, descended), (&rested, 0, 0));
+        twice_is_once(&out);
+
+        let agg = || fact().aggregate(&["dimId"], vec![AggSpec::count_all("n")]);
+        let n_big = || col("n").gt(lit(10i64));
+        let plan = keys_on(agg(), "n").select(n_big()).hash(&["n"], 0.5, spec);
+        let (out, moved, descended) = pass(plan);
+        let rested = keys_on(agg().hash(&["n"], 0.5, spec).select(n_big()), "n");
+        assert_eq!((&out, moved, descended), (&rested, 0, 0));
+        twice_is_once(&out);
+    }
+
+    /// η on the key of a ▷ or ⋉ enters both inputs, and η enters both
+    /// inputs of −; a key set over the same plans enters the left input
+    /// only.
+    #[test]
+    fn eta_enters_both_inputs_of_anti_join_and_difference_a_key_set_the_left() {
+        use svc_storage::HashSpec;
+        let spec = HashSpec::with_seed(4);
+        let eta = |plan: Plan, key| plan.hash(&[key], 0.5, spec);
+        let on = [("dimId", "dimId")];
+        let anti = Plan::scan("fact").join(Plan::scan("dim"), JoinKind::Anti, &on);
+        let (out, moved, descended) = pass(eta(keys_on(anti, "dimId"), "dimId"));
+        let sunk = keys_on(eta(Plan::scan("fact"), "dimId"), "dimId").join(
+            eta(Plan::scan("dim"), "dimId"),
+            JoinKind::Anti,
+            &on,
         );
+        assert_eq!((&out, moved, descended), (&sunk, 1, 1), "{out}");
+        twice_is_once(&out);
+
+        let big = || col("x").gt(lit(5.0));
+        let diff = Plan::scan("fact").difference(Plan::scan("fact").select(big()));
+        let (out, moved, descended) = pass(eta(keys_on(diff, "dimId"), "factId"));
+        let left = keys_on(eta(Plan::scan("fact"), "factId"), "dimId");
+        let sunk = left.difference(eta(Plan::scan("fact"), "factId").select(big()));
+        assert_eq!((&out, moved, descended), (&sunk, 1, 1), "{out}");
+        twice_is_once(&out);
+    }
+
+    /// Two η over one (key, spec) compose to the smaller ratio, counted as
+    /// one descent; the composed η moves on as one.
+    #[test]
+    fn stacked_eta_with_one_key_and_spec_compose_to_the_smaller_ratio() {
+        use svc_storage::HashSpec;
+        let spec = HashSpec::with_seed(9);
+        let stacked = Plan::scan("fact").hash(&["factId"], 0.7, spec).hash(&["factId"], 0.4, spec);
+        let (out, _, descended) = pass(stacked);
+        assert_eq!((out, descended), (Plan::scan("fact").hash(&["factId"], 0.4, spec), 1));
+
+        let agg = |plan: Plan| plan.aggregate(&["dimId"], vec![AggSpec::count_all("n")]);
+        let plan = agg(Plan::scan("fact").hash(&["dimId"], 0.4, spec)).hash(&["dimId"], 0.7, spec);
+        let (out, _, descended) = pass(plan);
+        let composed = agg(Plan::scan("fact").hash(&["dimId"], 0.4, spec));
+        assert_eq!((&out, descended), (&composed, 2), "γ crossed, then one composition");
         twice_is_once(&out);
     }
 

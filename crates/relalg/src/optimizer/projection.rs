@@ -32,14 +32,33 @@ use crate::plan::{JoinKind, Plan, SetOpKind};
 use crate::scalar::{col, Expr};
 
 /// Prune unused columns below joins, aggregates, and set operations.
-/// `pruned` counts inserted or narrowed projections.
+/// `pruned` counts inserted or narrowed projections; `descended` counts
+/// the η an inserted projection lands directly on (each now sits one
+/// operator deeper, as if it had crossed it — see
+/// [`EtaReport::descended`](crate::optimizer::EtaReport::descended)).
 ///
 /// Schemas of the *input* plan come from one bottom-up [`derive_tree`]
 /// pass; the recursion returns each *rewritten* node's [`Derived`] so
 /// parents compose their own types in O(1) — no node is ever re-derived.
-pub fn prune(plan: Plan, leaves: &dyn LeafProvider, pruned: &mut usize) -> Result<Plan> {
+pub fn prune(
+    plan: Plan,
+    leaves: &dyn LeafProvider,
+    pruned: &mut usize,
+    descended: &mut usize,
+) -> Result<Plan> {
     let tree = derive_tree(&plan, leaves)?;
-    Ok(prune_node(plan, &tree, None, pruned)?.0)
+    let mut counts = Pruned::default();
+    let out = prune_node(plan, &tree, None, &mut counts)?.0;
+    *pruned += counts.projections;
+    *descended += counts.eta_descents;
+    Ok(out)
+}
+
+/// What the recursion did (see [`prune`]).
+#[derive(Default)]
+struct Pruned {
+    projections: usize,
+    eta_descents: usize,
 }
 
 /// Resolve `names` against `schema`, returning the exact field names.
@@ -61,7 +80,7 @@ fn wrap_keep(
     child: Plan,
     child_d: Derived,
     keep: &BTreeSet<String>,
-    pruned: &mut usize,
+    pruned: &mut Pruned,
 ) -> Result<(Plan, Derived)> {
     if child_d.schema.names().iter().all(|n| keep.contains(*n)) {
         return Ok((child, child_d));
@@ -73,7 +92,8 @@ fn wrap_keep(
         .filter(|n| keep.contains(**n))
         .map(|n| (n.to_string(), col(*n)))
         .collect();
-    *pruned += 1;
+    pruned.projections += 1;
+    pruned.eta_descents += usize::from(matches!(child, Plan::Hash { .. }));
     let out = derive_project(&child_d, &columns)?;
     Ok((Plan::Project { input: Box::new(child), columns }, out))
 }
@@ -119,7 +139,7 @@ fn prune_node(
     plan: Plan,
     dt: &DerivedTree,
     required: Option<BTreeSet<String>>,
-    pruned: &mut usize,
+    pruned: &mut Pruned,
 ) -> Result<(Plan, Derived)> {
     match plan {
         Plan::Scan { .. } => Ok((plan, dt.derived.clone())),
@@ -165,7 +185,7 @@ fn prune_node(
                         .cloned()
                         .collect();
                     if kept.len() < columns.len() {
-                        *pruned += 1;
+                        pruned.projections += 1;
                         kept
                     } else {
                         columns
@@ -190,7 +210,7 @@ fn prune_node(
                     let kept: Vec<_> =
                         aggregates.iter().filter(|spec| r.contains(&spec.alias)).cloned().collect();
                     if kept.len() < aggregates.len() {
-                        *pruned += 1;
+                        pruned.projections += 1;
                         kept
                     } else {
                         aggregates
@@ -314,7 +334,7 @@ fn prune_setop(
     dt: &DerivedTree,
     shape: SetOpKind,
     required: Option<&BTreeSet<String>>,
-    pruned: &mut usize,
+    pruned: &mut Pruned,
 ) -> Result<(Plan, Derived)> {
     let (l_t, r_t) = dt.pair();
     let (l_d, r_d) = (&l_t.derived, &r_t.derived);
@@ -397,7 +417,7 @@ mod tests {
         let b = Bindings::from_database(&db);
         let expected = evaluate(&plan, &b).unwrap();
         let mut count = 0;
-        let out = prune(plan, &db, &mut count).unwrap();
+        let out = prune(plan, &db, &mut count, &mut 0).unwrap();
         let got = evaluate(&out, &b).unwrap();
         assert!(
             got.same_contents(&expected),
@@ -480,10 +500,10 @@ mod tests {
             .join(Plan::scan("dim"), JoinKind::Inner, &[("dimId", "dimId")])
             .aggregate(&["dimId"], vec![AggSpec::new("sx", AggFunc::Sum, col("x"))]);
         let mut c1 = 0;
-        let once = prune(plan, &db, &mut c1).unwrap();
+        let once = prune(plan, &db, &mut c1, &mut 0).unwrap();
         assert!(c1 > 0);
         let mut c2 = 0;
-        let twice = prune(once.clone(), &db, &mut c2).unwrap();
+        let twice = prune(once.clone(), &db, &mut c2, &mut 0).unwrap();
         assert_eq!(c2, 0, "pruning must reach a fixed point: {twice:?}");
         assert_eq!(once, twice);
     }

@@ -1,11 +1,9 @@
-//! Hash push-down: the Definition 3 rewrite — a thin wrapper over the η
-//! pass of the `svc-relalg` optimizer.
+//! Hash push-down: the Definition 3 rewrite — a thin wrapper over the
+//! filter pass of the `svc-relalg` optimizer.
 //!
-//! Historically this module carried its own traversal; that logic moved to
-//! [`svc_relalg::optimizer::eta`] so view definitions, maintenance
-//! strategies, and cleaning expressions all share one rewrite. [`push_down`]
-//! runs that pass alone — no predicate pushdown, no pruning — and returns
-//! its [`PushdownReport`] (descent depth, blockers, sampled leaves).
+//! [`push_down`] runs that pass alone — σ, leaf key sets and η sink
+//! together; no join reordering, no pruning — and returns its
+//! [`PushdownReport`] (descent depth, blockers, sampled leaves).
 //!
 //! Theorem 1 — the rewritten plan materializes the *identical* sample — is
 //! exercised by the tests in this module and by property tests at the
@@ -14,7 +12,7 @@
 use svc_storage::Result;
 
 use svc_relalg::derive::LeafProvider;
-use svc_relalg::optimizer::{eta, EtaReport};
+use svc_relalg::optimizer::{eta, predicate, EtaReport};
 use svc_relalg::plan::Plan;
 
 /// What the rewriter did: how far hashes moved and where they stopped —
@@ -26,7 +24,8 @@ pub type PushdownReport = EtaReport;
 /// Theorem 1) and a report of what happened.
 pub fn push_down(plan: &Plan, leaves: &impl LeafProvider) -> Result<(Plan, PushdownReport)> {
     let mut report = PushdownReport::default();
-    let out = eta::pushdown(plan.clone(), leaves, &mut report)?;
+    let out = predicate::pushdown(plan.clone(), leaves, &mut 0, &mut report.descended)?;
+    eta::describe(&out, &mut report);
     Ok((out, report))
 }
 
