@@ -1,9 +1,10 @@
 //! Outlier indexing (Section 6): tame skew by exactly materializing the
 //! view rows that depend on extreme base records.
 //!
-//! * [`OutlierIndex::build`] — index the `k` base records with the largest
-//!   attribute values (Section 6.1's top-k threshold), with
-//!   capacity-bounded eviction of the smallest record;
+//! * [`OutlierIndex::build`] — index the `k` base records of the new state
+//!   with the largest attribute values (Section 6.1's top-k threshold), in
+//!   one pass over the base relation and its deltas through a `k`-entry
+//!   heap, ties at the threshold going to the smaller key;
 //! * [`OutlierIndex::push_up`] — Definition 5: propagate the indexed
 //!   records through the view definition to obtain the outlier rows `O ⊆
 //!   S′` of the *up-to-date* view. For group-by views the γ rule applies:
@@ -13,13 +14,21 @@
 //! * [`estimate_aqp_with_outliers`] / [`estimate_corr_with_outliers`] —
 //!   Section 6.3's merge: the sample estimate restricted to `S′ − O`
 //!   combined with the deterministic answer over `O`, weighted
-//!   `(N−l)/N · c_reg + l/N · c_out`, which preserves unbiasedness.
+//!   `(N−l)/N · c_reg + l/N · c_out`, which preserves unbiasedness. The
+//!   merge stays unbiased for any outlier set chosen without looking at the
+//!   sample: `O` is a fixed part of `S′`, the sample of `S′ − O` is the
+//!   hash sample of the rest, so which records enter `O` (the tie rule
+//!   included) moves only the variance.
 
-use svc_storage::{Database, Deltas, Result, StorageError, Table};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
-use svc_ivm::delta::{delta_base, DeltaInfo};
+use svc_storage::{Database, Deltas, Result, SharedRow, StorageError, Table, Value};
+
+use svc_ivm::delta::{delta_base, new_leaf, DeltaInfo};
 use svc_ivm::strategy::recompute_plan;
 use svc_ivm::view::{maintenance_bindings, MaterializedView};
+use svc_relalg::derive::derive;
 use svc_relalg::eval::{evaluate, Bindings};
 use svc_relalg::optimizer::optimize;
 use svc_relalg::plan::{JoinKind, Plan};
@@ -54,13 +63,15 @@ pub struct OutlierIndexSpec {
 }
 
 /// A built outlier index: the extreme records of the indexed relation's
-/// *new* state (base ∪ insertions − deletions), maintained in the same pass
-/// as the updates per Section 6.1.
+/// *new* state (base ∪ insertions − deletions). It is built from that
+/// state, read through the base relation and its deltas, for one set of
+/// deltas; it is not maintained from one set to the next.
 #[derive(Debug, Clone)]
 pub struct OutlierIndex {
     /// The specification this index was built from.
     pub spec: OutlierIndexSpec,
-    /// Indexed base records (full rows of the base schema).
+    /// Indexed base records (full rows of the base schema), in rank order:
+    /// value descending under `total_cmp`, the smaller key first on a tie.
     pub records: Table,
     /// The `capacity`-th largest value of the attribute (−∞ when the
     /// relation has no more values than `capacity`).
@@ -68,45 +79,55 @@ pub struct OutlierIndex {
 }
 
 impl OutlierIndex {
-    /// Build the index over the new state of the base relation in a single
-    /// pass, evicting the smallest record when capacity is exceeded. A
+    /// Build the index over the new state `T′ = (T ▷ ∇T) ∪ ∆T` of the base
+    /// relation in one pass, without materializing `T′`: T's rows whose key
+    /// ∇T does not hold, then ∆T's rows, offered to a `capacity`-entry
+    /// min-heap, so the records are T′'s top `capacity` by value under
+    /// `total_cmp`, the smaller key winning a tie, and depend on T′'s
+    /// contents alone. A record with a NULL (non-numeric) value is never
+    /// indexed. ∆T's keys are new, as [`Deltas::insert`] records them; two
+    /// kept records under one key are [`StorageError::DuplicateKey`]. A
     /// capacity of 0, which could hold nothing, is [`StorageError::Invalid`].
     pub fn build(spec: OutlierIndexSpec, db: &Database, deltas: &Deltas) -> Result<OutlierIndex> {
         if spec.capacity == 0 {
             return Err(StorageError::Invalid("outlier index capacity must be at least 1".into()));
         }
-        let state = deltas.applied_state(db, &spec.table)?;
-        let attr_idx = state.schema().resolve(&spec.attr)?;
-        let values: Vec<f64> = state.rows().iter().filter_map(|r| r[attr_idx].as_f64()).collect();
-        // The capacity-th largest value, by selection: no full sort.
-        let threshold = match values.len().checked_sub(spec.capacity) {
-            Some(n) if n > 0 => {
-                let mut v = values;
-                *v.select_nth_unstable_by(n, f64::total_cmp).1
-            }
+        let base = db.table(&spec.table)?;
+        let (attr, key) = (base.schema().resolve(&spec.attr)?, base.key());
+        let value = |row: &[Value]| row[attr].as_f64();
+        let (ins, del) = match deltas.get(&spec.table) {
+            Some(set) => (set.insertions.rows(), Some(&set.deletions)),
+            None => (&[][..], None),
+        };
+        let mut top =
+            TopK { heap: BinaryHeap::with_capacity(spec.capacity), capacity: spec.capacity };
+        // How many values T and ∆T hold.
+        let mut values = 0usize;
+        let offered = base.rows().iter().map(|r| (r, true)).chain(ins.iter().map(|r| (r, false)));
+        for (row, old) in offered {
+            let Some(x) = value(row) else { continue };
+            values += 1;
+            // ∇T is probed only for a row of T the heap would keep.
+            top.offer(Ranked { x, row, key }, || {
+                !old || del.is_none_or(|d| d.position_of(row, key).is_none())
+            });
+        }
+        // T′ holds more values than `capacity`: T's and ∆T's less those of
+        // T's rows ∇T deletes, which are looked up only when their count,
+        // at most |∇T|, could decide it.
+        let deleted_values = || {
+            let held = del.iter().flat_map(|d| d.rows()).filter_map(|r| base.position_of(r, key));
+            held.filter(|&p| value(&base.rows()[p]).is_some()).count()
+        };
+        let more = values > spec.capacity + del.map_or(0, Table::len)
+            || values - deleted_values() > spec.capacity;
+        // The capacity-th largest value under `total_cmp`: the heap's least.
+        let threshold = match top.heap.peek() {
+            Some(least) if more => least.x,
             _ => f64::NEG_INFINITY,
         };
-
-        // Single pass with capacity-bounded eviction of the smallest record.
-        let mut kept: Vec<(f64, svc_storage::SharedRow)> = Vec::new();
-        for row in state.rows() {
-            let Some(x) = row[attr_idx].as_f64() else { continue };
-            if x >= threshold {
-                kept.push((x, row.clone()));
-                if kept.len() > spec.capacity {
-                    let (mi, _) = kept
-                        .iter()
-                        .enumerate()
-                        .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
-                        .expect("non-empty");
-                    kept.swap_remove(mi);
-                }
-            }
-        }
-        let mut records = state.empty_like();
-        for (_, row) in kept {
-            records.insert(row)?;
-        }
+        let kept = top.heap.into_sorted_vec().into_iter().map(|r| r.row.clone()).collect();
+        let records = Table::from_rows(base.schema().clone(), key.to_vec(), kept)?;
         Ok(OutlierIndex { spec, records, threshold })
     }
 
@@ -114,13 +135,16 @@ impl OutlierIndex {
     /// the view's *canonical* schema. `O` is exact: for aggregate views the
     /// affected groups are recomputed in full over the new base state.
     ///
-    /// Both passes run optimized. The marker pass is the view over the new
-    /// state with the indexed relation bound to the index's records: for
-    /// SPJ views this *is* `O`; for aggregate views its rows, keyed by the
-    /// group key, are the affected groups. The exact pass is the whole
-    /// recompute restricted to them, `recompute ⋉ Scan __okeys` on the
-    /// group columns; the optimizer sinks that semi-join to the leaves, so
-    /// only the affected groups' rows reach the joins and the γ.
+    /// Both passes run optimized. The marker pass is the view with the
+    /// indexed relation bound to the index's records and every other
+    /// touched relation `T` read as its new state `__new.T`, so a join of
+    /// the records with `T` on T's key probes T's three key indexes and
+    /// `T′` is never built. For SPJ views its result *is* `O`; for
+    /// aggregate views its rows, keyed by the group key, are the affected
+    /// groups. The exact pass is the whole recompute restricted to them,
+    /// `recompute ⋉ Scan __okeys` on the group columns; the optimizer sinks
+    /// that semi-join to the leaves, so only the affected groups' rows reach
+    /// the joins and the γ.
     pub fn push_up(
         &self,
         view: &MaterializedView,
@@ -133,16 +157,32 @@ impl OutlierIndex {
         let run = |plan: &Plan, bindings: &Bindings<'_>| {
             evaluate(&new_state_plan(plan, bindings, &info)?, bindings)
         };
-        let marked =
-            view.canonical().plan.clone().rename_leaves(&mut |table| {
-                (table == self.spec.table).then(|| OUTLIER_LEAF.into())
-            });
-        let marker = run(&marked, &bindings)?;
+        let marker = run(&self.marked(view, &info, &bindings), &bindings)?;
         let Some(restricted) = restricted_to_keys(view, &marker) else {
             return Ok(marker);
         };
         bindings.bind(KEYS_LEAF, &marker);
         run(&restricted, &bindings)
+    }
+
+    /// The marker pass's plan: the view's canonical plan with the indexed
+    /// relation read as [`OUTLIER_LEAF`] and every other relation with
+    /// pending deltas as its new-state leaf. A new-state leaf names a
+    /// column it collides on after itself, not after `T`; where that would
+    /// rename a column of the view, the other relations keep their names
+    /// and [`new_state_plan`] reads them as their plain new state.
+    fn marked(&self, view: &MaterializedView, info: &DeltaInfo, bindings: &Bindings<'_>) -> Plan {
+        let plan = &view.canonical().plan;
+        let indexed = |table: &str| (table == self.spec.table).then(|| OUTLIER_LEAF.to_string());
+        let probed = plan.clone().rename_leaves(&mut |table| {
+            indexed(table).or_else(|| info.touches(table).then(|| new_leaf(table)))
+        });
+        let names = view.table().schema().names();
+        if derive(&probed, bindings).is_ok_and(|d| d.schema.names() == names) {
+            probed
+        } else {
+            plan.clone().rename_leaves(&mut |table| indexed(table))
+        }
     }
 
     /// Is this index usable for a given cleaning run? Per Section 6.2,
@@ -153,6 +193,63 @@ impl OutlierIndex {
         sampled_leaves.iter().any(|l| delta_base(l).unwrap_or(l) == self.spec.table)
     }
 }
+
+/// The `capacity` best-ranked records offered so far, the worst on top of
+/// the heap.
+struct TopK<'a> {
+    heap: BinaryHeap<Ranked<'a>>,
+    capacity: usize,
+}
+
+impl<'a> TopK<'a> {
+    /// Keep `rec` if the heap has room or `rec` ranks above its worst
+    /// record (then evicted), and `live()`, asked only then, holds.
+    fn offer(&mut self, rec: Ranked<'a>, live: impl FnOnce() -> bool) {
+        if self.heap.len() < self.capacity {
+            if live() {
+                self.heap.push(rec);
+            }
+        } else if self.heap.peek().is_some_and(|worst| rec < *worst) && live() {
+            *self.heap.peek_mut().expect("a full heap") = rec;
+        }
+    }
+}
+
+/// A record offered to a [`TopK`], with its value `x`. Records rank by
+/// value under `total_cmp`, largest first, and by key, smallest first, on
+/// a tie; a worse-ranked record compares greater, so the max-heap keeps the
+/// worst on top.
+struct Ranked<'a> {
+    x: f64,
+    row: &'a SharedRow,
+    key: &'a [usize],
+}
+
+impl Ranked<'_> {
+    fn key_cells(&self) -> impl Iterator<Item = &Value> {
+        self.key.iter().map(|&k| &self.row[k])
+    }
+}
+
+impl Ord for Ranked<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.x.total_cmp(&self.x).then_with(|| self.key_cells().cmp(other.key_cells()))
+    }
+}
+
+impl PartialOrd for Ranked<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked<'_> {}
 
 const OUTLIER_LEAF: &str = "__outliers";
 const KEYS_LEAF: &str = "__okeys";
@@ -265,6 +362,7 @@ mod tests {
     use crate::query::relative_error;
     use crate::svc::SvcView;
     use svc_relalg::aggregate::{AggFunc, AggSpec};
+    use svc_relalg::exec::{explain_analyze, ExecMode, Explain};
     use svc_relalg::scalar::{col, lit};
     use svc_storage::{DataType, Schema, Value};
 
@@ -474,6 +572,147 @@ mod tests {
         }
     }
 
+    /// Rows keyed on `(a, b)` whose values `x` come from a small pool —
+    /// ties, NULL, ±0, ±∞ and a NaN among them — drawn by a xorshift
+    /// stream.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self, below: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % below
+        }
+
+        fn value(&mut self) -> Value {
+            let pool = [1.0, 2.0, 2.0, 3.0, 3.0, 3.0, -0.0, 0.0, f64::INFINITY, f64::NAN, -1.5];
+            match self.next(pool.len() as u64 + 2) as usize {
+                i if i < pool.len() => Value::Float(pool[i]),
+                i if i == pool.len() => Value::Null,
+                _ => Value::Float(f64::NEG_INFINITY),
+            }
+        }
+
+        fn row(&mut self, key: i64) -> Vec<Value> {
+            vec![Value::Int(key % 3), Value::Int(key / 3), self.value()]
+        }
+    }
+
+    /// The reference index: `T′` applied by [`Deltas::applied_state`],
+    /// sorted by value descending under `total_cmp`, then by key, its first
+    /// `capacity` rows; and the threshold as the `capacity`-th largest
+    /// value by selection, −∞ when T′ has no more values than `capacity`.
+    fn reference(db: &Database, deltas: &Deltas, capacity: usize) -> (Vec<SharedRow>, f64) {
+        let state = deltas.applied_state(db, "t").unwrap();
+        let mut ranked: Vec<(f64, &SharedRow)> =
+            state.rows().iter().filter_map(|r| Some((r[2].as_f64()?, r))).collect();
+        let key = |r: &SharedRow| (r[0].clone(), r[1].clone());
+        ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| key(a.1).cmp(&key(b.1))));
+        let mut values: Vec<f64> = ranked.iter().map(|(x, _)| *x).collect();
+        let threshold = match values.len().checked_sub(capacity) {
+            Some(n) if n > 0 => *values.select_nth_unstable_by(n, f64::total_cmp).1,
+            _ => f64::NEG_INFINITY,
+        };
+        (ranked.into_iter().take(capacity).map(|(_, r)| r.clone()).collect(), threshold)
+    }
+
+    /// The one-pass heap build equals the sort of the applied new state
+    /// taken `capacity` deep, on random tables with ties at the threshold,
+    /// NULL and NaN values, deletes, updates (a delete plus an insert) and
+    /// inserts, for every capacity from 1 past |T′|; its threshold is the
+    /// selected one bit for bit; and it clones no table.
+    #[test]
+    fn build_equals_the_sorted_new_state_taken_capacity_deep() {
+        let mut draw = Draw(0x9e37_79b9_7f4a_7c15);
+        for case in 0..60 {
+            let mut db = Database::new();
+            let schema = Schema::from_pairs(&[
+                ("a", DataType::Int),
+                ("b", DataType::Int),
+                ("x", DataType::Float),
+            ])
+            .unwrap();
+            let mut t = Table::new(schema, &["a", "b"]).unwrap();
+            let n = draw.next(40) as i64;
+            for k in 0..n {
+                t.insert(draw.row(k)).unwrap();
+            }
+            db.create_table("t", t);
+            let mut deltas = Deltas::new();
+            for k in 0..n {
+                match draw.next(6) {
+                    0 => deltas.delete(&db, "t", &draw.row(k)).unwrap(),
+                    1 => deltas.update(&db, "t", draw.row(k)).unwrap(),
+                    _ => {}
+                }
+            }
+            for k in n..n + draw.next(8) as i64 {
+                deltas.insert(&db, "t", draw.row(k)).unwrap();
+            }
+            let live = deltas.applied_state(&db, "t").unwrap().len();
+            for capacity in 1..=live + 2 {
+                let spec = OutlierIndexSpec {
+                    table: "t".into(),
+                    attr: "x".into(),
+                    policy: ThresholdPolicy::TopK,
+                    capacity,
+                };
+                let clones = Table::clone_count();
+                let idx = OutlierIndex::build(spec, &db, &deltas).unwrap();
+                assert_eq!(Table::clone_count(), clones, "case {case}: the build clones a table");
+                let (want, threshold) = reference(&db, &deltas, capacity);
+                let bits = |rows: &[SharedRow]| -> Vec<Vec<u64>> {
+                    let cell = |v: &Value| v.as_f64().map_or(u64::MAX, f64::to_bits);
+                    rows.iter().map(|r| r.iter().map(cell).collect()).collect()
+                };
+                let at = format!("case {case}, capacity {capacity}");
+                assert_eq!(bits(idx.records.rows()), bits(&want), "{at}: records");
+                assert_eq!(idx.threshold.to_bits(), threshold.to_bits(), "{at}: threshold");
+            }
+        }
+    }
+
+    /// On the star database the build clones no table, and the push-up
+    /// reads `orders` and `__ins.orders` only through their key indexes:
+    /// the marker pass probes their new state, and the exact pass reads no
+    /// row of either that it then drops.
+    #[test]
+    fn push_up_probes_orders_and_scans_none_of_its_rows() {
+        let db = star_db();
+        let deltas = star_deltas(&db);
+        let clones = Table::clone_count();
+        let idx = star_index(&db, &deltas);
+        assert_eq!(Table::clone_count(), clones, "the build clones a table");
+        let view = MaterializedView::create("V3", v3(), &db).unwrap();
+        let info = DeltaInfo::of(&deltas);
+        let mut bindings = maintenance_bindings(&db, &deltas, view.table());
+        bindings.bind(OUTLIER_LEAF, &idx.records);
+        let explain = |plan: &Plan, bindings: &Bindings<'_>| {
+            let plan = new_state_plan(plan, bindings, &info).unwrap();
+            explain_analyze(&plan, bindings, None, ExecMode::default()).unwrap()
+        };
+        let marker = explain(&idx.marked(&view, &info, &bindings), &bindings);
+        let probes =
+            |e: &Explain| e.nodes.iter().any(|n| n.label.contains("pk-probe(__new.orders)"));
+        assert!(probes(&marker), "the marker pass probes orders′:\n{marker}");
+        bindings.bind(KEYS_LEAF, &marker.table);
+        let exact = explain(&restricted_to_keys(&view, &marker.table).unwrap(), &bindings);
+        for (pass, e) in [("marker", &marker), ("exact", &exact)] {
+            for n in &e.nodes {
+                if n.label.starts_with("fused-scan(orders)")
+                    || n.label.starts_with("fused-scan(__ins.orders)")
+                {
+                    let m = &n.metrics;
+                    assert_eq!(pass, "exact", "the marker pass scans orders:\n{e}");
+                    let keys = marker.table.len() as u64;
+                    assert!(m.rows_in == m.rows_out && m.rows_in <= keys, "{n:?} scans:\n{e}");
+                }
+            }
+        }
+        assert_eq!(exact.table.rows(), idx.push_up(&view, &db, &deltas).unwrap().rows());
+    }
+
     /// A small database in the TPC-D shape — lineitem → orders → customer
     /// → nation → region — with every 53rd lineitem price heavy.
     fn star_db() -> Database {
@@ -626,6 +865,68 @@ mod tests {
                 let f =
                     fresh.get(&k).unwrap_or_else(|| panic!("{name}: {k:?} not in the fresh view"));
                 assert_eq!(row, f, "{name}: pushed-up row differs from the fresh view at {k:?}");
+            }
+        }
+    }
+
+    /// Views that name a collided right-side column, `video.owner` of
+    /// `log ⋈ video`, with `video` updated: read as `__new.video` the column
+    /// would be named `__new.video.owner`, so the marker pass reads `video`
+    /// as its plain new state. The SPJ view's outlier rows, which are the
+    /// marker pass's, and the grouped view's keep the view's schema and
+    /// equal the fresh view's rows.
+    #[test]
+    fn a_collided_right_column_keeps_its_name_in_the_marker_pass() {
+        let mut db = Database::new();
+        let schema = |cols: &[(&str, DataType)]| Schema::from_pairs(cols).unwrap();
+        let mut video = Table::new(
+            schema(&[("videoId", DataType::Int), ("owner", DataType::Int)]),
+            &["videoId"],
+        )
+        .unwrap();
+        for v in 0..40i64 {
+            video.insert(vec![Value::Int(v), Value::Int(v % 6)]).unwrap();
+        }
+        let mut log = Table::new(
+            schema(&[
+                ("sessionId", DataType::Int),
+                ("videoId", DataType::Int),
+                ("owner", DataType::Int),
+                ("mins", DataType::Float),
+            ]),
+            &["sessionId"],
+        )
+        .unwrap();
+        for s in 0..300i64 {
+            let row = [s, s * 7 % 40, s % 4].map(Value::Int);
+            log.insert([&row[..], &[Value::Float((s * 13 % 101) as f64)]].concat()).unwrap();
+        }
+        db.create_table("video", video);
+        db.create_table("log", log);
+        let mut deltas = Deltas::new();
+        for v in (0..40i64).step_by(3) {
+            deltas.update(&db, "video", vec![Value::Int(v), Value::Int(v % 5)]).unwrap();
+        }
+        let log_video = || {
+            Plan::scan("log").join(Plan::scan("video"), JoinKind::Inner, &[("videoId", "videoId")])
+        };
+        let grouped = log_video()
+            .aggregate(&["video.owner"], vec![AggSpec::new("mins", AggFunc::Sum, col("mins"))]);
+        let spec = OutlierIndexSpec {
+            table: "log".into(),
+            attr: "mins".into(),
+            policy: ThresholdPolicy::TopK,
+            capacity: 10,
+        };
+        let idx = OutlierIndex::build(spec, &db, &deltas).unwrap();
+        for plan in [grouped, log_video()] {
+            let view = MaterializedView::create("v", plan, &db).unwrap();
+            let o = idx.push_up(&view, &db, &deltas).unwrap();
+            assert_eq!(o.schema(), view.table().schema());
+            let fresh = view.recompute_fresh(&db, &deltas).unwrap();
+            assert!(!o.is_empty());
+            for (k, row) in o.iter_keyed() {
+                assert_eq!(Some(row), fresh.get(&k), "at {k:?}");
             }
         }
     }

@@ -105,7 +105,7 @@ impl DeltaInfo {
     }
 
     /// True iff `table` has pending insertions or deletions.
-    fn touches(&self, table: &str) -> bool {
+    pub fn touches(&self, table: &str) -> bool {
         self.ins.contains(table) || self.del.contains(table)
     }
 }

@@ -373,6 +373,60 @@ mod tests {
         }
     }
 
+    /// A semi join of a bare leaf with a PK-probed side no larger than it
+    /// finds its hits from that side ([`crate::join::semi_join_hits`]): on
+    /// the leaf's whole key each partner key probes the leaf's index, so the
+    /// scan reads only the hits; on one other `Int` column the leaf's rows
+    /// are tested against a set of the partner keys. A `Float` key or a
+    /// larger probed side keeps the probe per left row. A partner the
+    /// right chain drops and a NULL key match nothing. Every route emits
+    /// the materializing evaluator's rows in leaf order, in both modes.
+    #[test]
+    fn semi_joins_of_a_leaf_find_their_hits_from_the_probed_side() {
+        let db = video_db();
+        let keys = |name: &str, dtype: DataType, cells: &[Value]| {
+            let mut t = Table::new(Schema::from_pairs(&[(name, dtype)]).unwrap(), &[name]).unwrap();
+            for c in cells {
+                t.insert(vec![c.clone()]).unwrap();
+            }
+            t
+        };
+        let ints = |ids: &[i64]| ids.iter().map(|&i| Value::Int(i)).collect::<Vec<_>>();
+        let mut few = ints(&[399, 3, 250, 17, 1_000]);
+        few.push(Value::Null);
+        let (few, many) = (
+            keys("id", DataType::Int, &few),
+            keys("id", DataType::Int, &ints(&(0..60).collect::<Vec<_>>())),
+        );
+        let floats =
+            keys("d", DataType::Float, &[Value::Float(0.7), Value::Float(4.0), Value::Null]);
+        let mut b = Bindings::from_database(&db);
+        b.bind("few", &few).bind("many", &many).bind("floats", &floats);
+        // A Π over the join, which keeps the left key, streams it.
+        let semi = |left: &str, right: Plan, on: (&str, &str), key: &str| {
+            Plan::scan(left).join(right, JoinKind::Semi, &[on]).project(vec![(key, col(key))])
+        };
+        let chained = || Plan::scan("few").select(col("id").lt(lit(300i64)));
+        // (plan, the leaf scanned, the rows its scan reads)
+        let cases = [
+            (semi("log", chained(), ("sessionId", "id"), "sessionId"), "log", 3),
+            (semi("log", chained(), ("videoId", "id"), "sessionId"), "log", 400),
+            (semi("video", Plan::scan("floats"), ("duration", "d"), "videoId"), "video", 50),
+            (semi("video", Plan::scan("many"), ("videoId", "id"), "videoId"), "video", 50),
+        ];
+        for (plan, leaf, reads) in cases {
+            let expected = evaluate_materializing(&plan, &b).unwrap();
+            assert!(!expected.is_empty(), "{plan}");
+            for mode in [ExecMode::sequential(), ExecMode::sequential().rowwise()] {
+                let e = explain_analyze(&plan, &b, None, mode).unwrap();
+                assert_eq!(e.table.rows(), expected.rows(), "{plan}");
+                let scan = e.nodes.iter().find(|n| n.label == format!("fused-scan({leaf})"));
+                assert_eq!(scan.unwrap().metrics.rows_in, reads, "{plan}\n{e}");
+                assert!(e.unconserved().is_empty(), "{:?}", e.unconserved());
+            }
+        }
+    }
+
     /// A new-state leaf `__new.video` reads as `(video ▷ __del.video) ∪
     /// __ins.video` wherever it sits. The right side of an inner join on
     /// its key probes the three key indexes as one, its chain on the probed

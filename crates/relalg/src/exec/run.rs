@@ -45,7 +45,7 @@ use svc_telemetry::{MetricsSink, OpMetrics, OpSlot};
 
 use crate::aggregate::GroupMap;
 use crate::eval::Bindings;
-use crate::join::{JoinBuild, PkProbe};
+use crate::join::{semi_join_hits, JoinBuild, PkProbe};
 use crate::plan::{new_leaf, JoinKind, SetOpKind};
 use crate::setops::{difference_rows_into, intersect_rows_into, union_rows_into};
 
@@ -370,8 +370,34 @@ fn stream_probe<S>(
     let mut probe = PkProbe::new(t, layers, chain, *kind, &left_cols, *pad_right);
     let mut joined = 0u64;
     let lm = child(m, 1);
-    let sink = match &**left {
-        Node::FusedScan { leaf, ops, vops } => {
+    // A semi join of a bare leaf finds its hits from the probed side when
+    // that is cheaper ([`semi_join_hits`]).
+    let keyed = match &**left {
+        Node::FusedScan { leaf, ops, .. }
+            if ops.is_empty() && *kind == JoinKind::Semi && layers.is_none() =>
+        {
+            let lt = leaf.lookup(b)?;
+            semi_join_hits(lt, t, chain, on_idx).map(|hits| (leaf, lt, hits))
+        }
+        _ => None,
+    };
+    let sink = match (keyed, &**left) {
+        (Some((leaf, lt, (hits, read))), _) => {
+            leaf.resolve(b)?;
+            if crate::verify::ENABLED {
+                crate::verify::check_semi_hits(lt, &mut probe, &hits)?;
+            }
+            let read = read as u64;
+            merge(lm, &OpMetrics { rows_in: read, rows_out: read, ..Default::default() });
+            stat.probe_rows = read;
+            let mut sink = init(hits.len());
+            for &j in &hits {
+                each(&mut sink, &lt.rows()[j]);
+            }
+            joined = hits.len() as u64;
+            sink
+        }
+        (None, Node::FusedScan { leaf, ops, vops }) => {
             let mut scan = OpMetrics::default();
             let probe_each = |sink: &mut S, _: usize, lrow: &[Value]| {
                 joined += probe.join_borrowed(lrow, |j| each(sink, j));
@@ -381,7 +407,7 @@ fn stream_probe<S>(
             stat.probe_rows = scan.rows_out;
             sink
         }
-        other => {
+        (None, other) => {
             let lrows = run_node(other, b, mode, lm)?;
             stat.probe_rows = lrows.len() as u64;
             let mut sink = init(lrows.len());

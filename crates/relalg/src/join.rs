@@ -9,7 +9,7 @@
 //! either moves its left row into its output or, under a consumer, writes
 //! the joined row into a scratch row the consumer reads in place.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use svc_storage::{HashSpec, KeyTuple, Result, Row, Table, Value};
 
@@ -364,6 +364,59 @@ impl<'a> PkProbe<'a> {
         each(scratch);
         true
     }
+}
+
+/// The positions of `left`'s rows that a semi join with a PK-probed
+/// `right` keeps, in position order, found from `right`'s side: `right`
+/// no larger than `left`, its rows run through `chain` (a row it drops is
+/// no partner) and their keys gathered once. Joined on `left`'s whole key,
+/// each key probes `left`'s index, so `left` is never scanned. Joined on
+/// one column whose every partner key is an `Int`, `left`'s rows are read
+/// in place and tested against a hash set of those `i64`s (about half the
+/// cost of a probe of `right`'s index per row, which hashes the `Value` and
+/// reads the candidate row's key cells). Returns the hits and how many
+/// `left` rows were read; `None` when neither route applies.
+pub(crate) fn semi_join_hits(
+    left: &Table,
+    right: &Table,
+    chain: &[FusedOp],
+    on_idx: &[(usize, usize)],
+) -> Option<(Vec<usize>, usize)> {
+    if right.len() > left.len() {
+        return None;
+    }
+    let (left_cols, right_cols): (Vec<usize>, Vec<usize>) = on_idx.iter().copied().unzip();
+    let mut bufs = ChainBufs::default();
+    let mut partners = |f: &mut dyn FnMut(&[Value])| {
+        for row in right.rows() {
+            match run_chain(row, chain, &mut bufs) {
+                Some(Through::Input) => f(row),
+                Some(Through::Built(built)) => f(built),
+                None => {}
+            }
+        }
+    };
+    if left_cols == left.key() {
+        let mut hits = Vec::with_capacity(right.len());
+        partners(&mut |r| {
+            if !key_has_null(r, &right_cols) {
+                hits.extend(left.position_of(r, &right_cols));
+            }
+        });
+        hits.sort_unstable();
+        let read = hits.len();
+        return Some((hits, read));
+    }
+    let (&[lc], &[rc]) = (&left_cols[..], &right_cols[..]) else { return None };
+    let (mut keys, mut ints) = (HashSet::new(), true);
+    partners(&mut |r| match r[rc] {
+        Value::Int(x) => drop(keys.insert(x)),
+        Value::Null => {}
+        _ => ints = false,
+    });
+    let rows = left.rows();
+    let kept = |j: &usize| matches!(rows[*j][lc], Value::Int(x) if keys.contains(&x));
+    ints.then(|| ((0..rows.len()).filter(kept).collect(), rows.len()))
 }
 
 /// Execute an equi-join between materialized tables. `on_idx` holds

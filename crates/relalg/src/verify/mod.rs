@@ -29,6 +29,7 @@ pub mod physical;
 
 pub use columnar::{check_chunk, check_selvec};
 pub use logical::{verify_plan, verify_rewrite};
+pub(crate) use physical::check_semi_hits;
 pub use physical::{check_set_batch, verify_node, verify_physical};
 
 /// True when the `verify` cargo feature armed the hot-path hooks in this

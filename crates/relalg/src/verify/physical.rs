@@ -13,12 +13,13 @@
 
 use std::collections::HashSet;
 
-use svc_storage::{DataType, KeyTuple, Result, Row, StorageError};
+use svc_storage::{DataType, KeyTuple, Result, Row, StorageError, Table};
 
 use crate::derive::{join_key, setop_key, Derived};
 use crate::exec::column::kernels::ColExpr;
 use crate::exec::pipeline::FusedOp;
 use crate::exec::{ColPred, JoinRight, Layers, LeafRef, MapPlan, Node, VecOp};
+use crate::join::PkProbe;
 use crate::plan::JoinKind;
 use crate::scalar::BoundExpr;
 
@@ -135,6 +136,19 @@ pub fn check_set_batch(rows: &[Row], key: &[usize]) -> Result<()> {
             return Err(StorageError::DuplicateKey(k.to_string()));
         }
         seen.insert(k);
+    }
+    Ok(())
+}
+
+/// A semi join's hits found from its probed side
+/// ([`crate::join::semi_join_hits`]) are the positions of the `left` rows a
+/// probe per left row keeps, in order.
+pub(crate) fn check_semi_hits(left: &Table, probe: &mut PkProbe<'_>, hits: &[usize]) -> Result<()> {
+    let rows = left.rows().iter().enumerate();
+    let want: Vec<usize> =
+        rows.filter(|(_, row)| probe.join_borrowed(row, |_| {}) > 0).map(|(j, _)| j).collect();
+    if want != hits {
+        return fail(format!("semi join hits {hits:?}, but a probe per row keeps {want:?}"));
     }
     Ok(())
 }

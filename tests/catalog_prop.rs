@@ -34,6 +34,7 @@ use stale_view_cleaning::relalg::plan::{JoinKind, Plan};
 use stale_view_cleaning::relalg::scalar::{col, lit};
 use stale_view_cleaning::storage::{DataType, Database, Deltas, HashSpec, Schema, Table, Value};
 use stale_view_cleaning::workloads::conviva::{self, ConvivaConfig};
+use stale_view_cleaning::workloads::cube::base_cube;
 use stale_view_cleaning::workloads::tpcd::{TpcdConfig, TpcdData};
 use stale_view_cleaning::workloads::tpcd_views::{complex_views, join_view};
 use stale_view_cleaning::workloads::zipf::Zipf;
@@ -621,7 +622,7 @@ fn optimized_delta_plans_of_every_workload_view_are_fixed_points() {
     for row in data.db.table("orders").unwrap().rows().iter().step_by(40) {
         mixed.delete(&data.db, "orders", row).unwrap();
     }
-    let mut views = vec![("joinView", join_view())];
+    let mut views = vec![("joinView", join_view()), ("cube", base_cube())];
     views.extend(complex_views().into_iter().map(|v| (v.id, v.plan)));
     assert_delta_plans_are_fixed_points(&data.db, views, &mixed);
 
