@@ -28,7 +28,6 @@ use svc_storage::{Database, Deltas, Result, SharedRow, StorageError, Table, Valu
 use svc_ivm::delta::{delta_base, new_leaf, DeltaInfo};
 use svc_ivm::strategy::recompute_plan;
 use svc_ivm::view::{maintenance_bindings, MaterializedView};
-use svc_relalg::derive::derive;
 use svc_relalg::eval::{evaluate, Bindings};
 use svc_relalg::optimizer::optimize;
 use svc_relalg::plan::{JoinKind, Plan};
@@ -85,9 +84,11 @@ impl OutlierIndex {
     /// min-heap, so the records are T′'s top `capacity` by value under
     /// `total_cmp`, the smaller key winning a tie, and depend on T′'s
     /// contents alone. A record with a NULL (non-numeric) value is never
-    /// indexed. ∆T's keys are new, as [`Deltas::insert`] records them; two
-    /// kept records under one key are [`StorageError::DuplicateKey`]. A
-    /// capacity of 0, which could hold nothing, is [`StorageError::Invalid`].
+    /// indexed. A ∆T row under a key that T holds and ∇T does not delete
+    /// is [`StorageError::DuplicateKey`], as in [`Deltas::applied_state`]:
+    /// [`Deltas::insert`] checks keys within ∆T only, so each ∆T row probes
+    /// T's key index. A capacity of 0, which could hold nothing, is
+    /// [`StorageError::Invalid`].
     pub fn build(spec: OutlierIndexSpec, db: &Database, deltas: &Deltas) -> Result<OutlierIndex> {
         if spec.capacity == 0 {
             return Err(StorageError::Invalid("outlier index capacity must be at least 1".into()));
@@ -99,6 +100,10 @@ impl OutlierIndex {
             Some(set) => (set.insertions.rows(), Some(&set.deletions)),
             None => (&[][..], None),
         };
+        let deleted = |row: &[Value]| del.is_some_and(|d| d.position_of(row, key).is_some());
+        if let Some(row) = ins.iter().find(|r| base.position_of(r, key).is_some() && !deleted(r)) {
+            return Err(StorageError::DuplicateKey(base.key_of(row).to_string()));
+        }
         let mut top =
             TopK { heap: BinaryHeap::with_capacity(spec.capacity), capacity: spec.capacity };
         // How many values T and ∆T hold.
@@ -108,9 +113,7 @@ impl OutlierIndex {
             let Some(x) = value(row) else { continue };
             values += 1;
             // ∇T is probed only for a row of T the heap would keep.
-            top.offer(Ranked { x, row, key }, || {
-                !old || del.is_none_or(|d| d.position_of(row, key).is_none())
-            });
+            top.offer(Ranked { x, row, key }, || !old || !deleted(row));
         }
         // T′ holds more values than `capacity`: T's and ∆T's less those of
         // T's rows ∇T deletes, which are looked up only when their count,
@@ -157,7 +160,7 @@ impl OutlierIndex {
         let run = |plan: &Plan, bindings: &Bindings<'_>| {
             evaluate(&new_state_plan(plan, bindings, &info)?, bindings)
         };
-        let marker = run(&self.marked(view, &info, &bindings), &bindings)?;
+        let marker = run(&self.marked(view, &info), &bindings)?;
         let Some(restricted) = restricted_to_keys(view, &marker) else {
             return Ok(marker);
         };
@@ -167,22 +170,16 @@ impl OutlierIndex {
 
     /// The marker pass's plan: the view's canonical plan with the indexed
     /// relation read as [`OUTLIER_LEAF`] and every other relation with
-    /// pending deltas as its new-state leaf. A new-state leaf names a
-    /// column it collides on after itself, not after `T`; where that would
-    /// rename a column of the view, the other relations keep their names
-    /// and [`new_state_plan`] reads them as their plain new state.
-    fn marked(&self, view: &MaterializedView, info: &DeltaInfo, bindings: &Bindings<'_>) -> Plan {
-        let plan = &view.canonical().plan;
-        let indexed = |table: &str| (table == self.spec.table).then(|| OUTLIER_LEAF.to_string());
-        let probed = plan.clone().rename_leaves(&mut |table| {
-            indexed(table).or_else(|| info.touches(table).then(|| new_leaf(table)))
-        });
-        let names = view.table().schema().names();
-        if derive(&probed, bindings).is_ok_and(|d| d.schema.names() == names) {
-            probed
-        } else {
-            plan.clone().rename_leaves(&mut |table| indexed(table))
-        }
+    /// pending deltas as its new-state leaf, which names a collided column
+    /// after `T`, as `T` does.
+    fn marked(&self, view: &MaterializedView, info: &DeltaInfo) -> Plan {
+        view.canonical().plan.clone().rename_leaves(&mut |table| {
+            if table == self.spec.table {
+                Some(OUTLIER_LEAF.to_string())
+            } else {
+                info.touches(table).then(|| new_leaf(table))
+            }
+        })
     }
 
     /// Is this index usable for a given cleaning run? Per Section 6.2,
@@ -640,17 +637,36 @@ mod tests {
             }
             db.create_table("t", t);
             let mut deltas = Deltas::new();
+            let mut untouched = None;
             for k in 0..n {
                 match draw.next(6) {
                     0 => deltas.delete(&db, "t", &draw.row(k)).unwrap(),
                     1 => deltas.update(&db, "t", draw.row(k)).unwrap(),
-                    _ => {}
+                    _ => untouched = Some(k),
                 }
             }
             for k in n..n + draw.next(8) as i64 {
                 deltas.insert(&db, "t", draw.row(k)).unwrap();
             }
             let live = deltas.applied_state(&db, "t").unwrap().len();
+            // An insertion under a held key ∇T does not delete is refused
+            // as `applied_state` refuses it, whichever row the heap keeps.
+            if let Some(k) = untouched {
+                let mut clash = deltas.clone();
+                clash.insert(&db, "t", draw.row(k)).unwrap();
+                let dup = |r: Result<_>| matches!(r, Err(StorageError::DuplicateKey(_)));
+                assert!(dup(clash.applied_state(&db, "t").map(drop)), "case {case}");
+                for capacity in 1..=live + 2 {
+                    let spec = OutlierIndexSpec {
+                        table: "t".into(),
+                        attr: "x".into(),
+                        policy: ThresholdPolicy::TopK,
+                        capacity,
+                    };
+                    let built = OutlierIndex::build(spec, &db, &clash).map(drop);
+                    assert!(dup(built), "case {case}, capacity {capacity}: a duplicate key");
+                }
+            }
             for capacity in 1..=live + 2 {
                 let spec = OutlierIndexSpec {
                     table: "t".into(),
@@ -692,7 +708,7 @@ mod tests {
             let plan = new_state_plan(plan, bindings, &info).unwrap();
             explain_analyze(&plan, bindings, None, ExecMode::default()).unwrap()
         };
-        let marker = explain(&idx.marked(&view, &info, &bindings), &bindings);
+        let marker = explain(&idx.marked(&view, &info), &bindings);
         let probes =
             |e: &Explain| e.nodes.iter().any(|n| n.label.contains("pk-probe(__new.orders)"));
         assert!(probes(&marker), "the marker pass probes orders′:\n{marker}");
@@ -870,11 +886,10 @@ mod tests {
     }
 
     /// Views that name a collided right-side column, `video.owner` of
-    /// `log ⋈ video`, with `video` updated: read as `__new.video` the column
-    /// would be named `__new.video.owner`, so the marker pass reads `video`
-    /// as its plain new state. The SPJ view's outlier rows, which are the
-    /// marker pass's, and the grouped view's keep the view's schema and
-    /// equal the fresh view's rows.
+    /// `log ⋈ video`, with `video` updated: read as `__new.video` in the
+    /// marker pass the column keeps its name. The SPJ view's outlier rows,
+    /// which are the marker pass's, and the grouped view's keep the view's
+    /// schema and equal the fresh view's rows.
     #[test]
     fn a_collided_right_column_keeps_its_name_in_the_marker_pass() {
         let mut db = Database::new();

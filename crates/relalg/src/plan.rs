@@ -273,10 +273,11 @@ impl Plan {
     /// disambiguate column names on join outputs. Operators that keep their
     /// left input's schema — σ, Π, η, semi/anti joins and set operations —
     /// keep its name too, so a table's new state `(T ▷ ∇T) ∪ ∆T` names a
-    /// collided column `T.x`, as `T` itself does.
+    /// collided column `T.x`, as `T` itself does; so does its new-state
+    /// leaf `__new.T`.
     pub fn name_hint(&self) -> &str {
         match self {
-            Plan::Scan { table } => table,
+            Plan::Scan { table } => new_state_base(table).unwrap_or(table),
             Plan::Select { input, .. } | Plan::Project { input, .. } | Plan::Hash { input, .. } => {
                 input.name_hint()
             }
@@ -337,6 +338,7 @@ mod tests {
     fn name_hint_passes_through_unary_ops() {
         let plan = Plan::scan("video").select(col("duration").gt(lit(1.5)));
         assert_eq!(plan.name_hint(), "video");
+        assert_eq!(Plan::scan(new_leaf("video")).name_hint(), "video");
     }
 
     /// One plan of every variant (set operations: one per kind), each over
