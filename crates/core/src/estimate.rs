@@ -18,9 +18,9 @@
 //!   (Appendix 12.1.1).
 //!
 //! SVC+AQP is the walk with no stale side. Each sample's predicate and
-//! attribute are evaluated once, by the same kernels as `q(S)`
-//! ([`AggQuery::bind`]), into one value slot per row; the walk pairs the
-//! slots by row position through the samples' pairing
+//! attribute are evaluated by the same kernels as `q(S)`
+//! ([`AggQuery::bind`]) into one value slot per row it visits; the walk
+//! pairs the slots by row position through the samples' pairing
 //! ([`Table::paired_with`]). Definition 4's join on the key depends on the
 //! two samples, not on the query, so it is built once per cleaned sample
 //! and a burst of queries over it hashes no key. The finishers read the
@@ -49,12 +49,24 @@
 //! [`SvcView::estimate_corr`](crate::SvcView::estimate_corr) passes it, and
 //! [`svc_corr`], which takes `q(S)`, refuses an order statistic.
 //!
+//! An SVC+CORR estimate is `Ŝ`'s summary plus the pairs that can differ.
 //! The cleaned sample is usually the stale sample folded, which pairs by
 //! position and names the rows the fold touched ([`Pairing::changed`]):
-//! every other row of `Ŝ′` is `Ŝ`'s row at the same position. Its slots
-//! are then `Ŝ`'s, copied, and the query runs on `Ŝ′` at the touched rows
-//! only — a few dozen of several hundred — so a burst of corrections pays
-//! for the clean's edits, not for the sample twice.
+//! every other row of `Ŝ′` is `Ŝ`'s row at the same position, so its pair's
+//! two slots are one slot and its difference is exactly zero (Theorem 1).
+//! The walk then visits only the touched rows of `Ŝ′`, their partners in
+//! `Ŝ` and `Ŝ`'s unmatched rows, each sample evaluated at those rows alone
+//! — a few dozen of several hundred. The pairs it leaves out are counted
+//! from `Ŝ`'s summary under the query: its rows under the predicate, `n`,
+//! and their values' sum, `Σ`, in its table order, memoized on `Ŝ` beside
+//! `q(S)` — one memo read under one key per estimate, evaluated once per
+//! stale sample and stale view state. `sum`/`count` and the order
+//! statistics read the visited pairs and `n`, and equal the walk over
+//! every pair bit for bit. `avg` reads the clean mean as
+//! `(Σ + δ)/(n + δn)`, with `δ` and `δn` summed over the pairs that
+//! differ, so it is the same number whichever pairs a walk visited. A pairing by key lookup knows no untouched row
+//! and visits every pair; so do SVC+AQP, `min`/`max` and the break-even
+//! test, which read every row.
 
 use std::sync::Arc;
 
@@ -66,7 +78,7 @@ use svc_storage::pairing::Pairing;
 use svc_storage::{Result, StorageError, Table};
 
 use crate::config::SvcConfig;
-use crate::query::{AggQuery, QueryAgg};
+use crate::query::{AggQuery, BoundQuery, QueryAgg};
 
 /// How an answer was produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,12 +160,6 @@ impl Slot {
         self.x = f64::from_bits(self.x.to_bits() & 0u64.wrapping_sub(u64::from(keep)));
     }
 
-    /// The slot as bits, for the verifier's bit-for-bit comparisons.
-    #[cfg(feature = "verify")]
-    fn bits(self) -> (bool, u64) {
-        (self.hit, self.x.to_bits())
-    }
-
     /// 1.0 where the slot holds a value, 0.0 where not.
     fn weight(self) -> f64 {
         f64::from(u8::from(self.hit))
@@ -173,27 +179,73 @@ impl From<Option<f64>> for Slot {
     }
 }
 
-/// The corresponding samples `(Ŝ, Ŝ′)` joined by key under one query:
-/// each sample's attribute value per row ([`Slot`]) and the samples'
-/// pairing (Definition 4's "nulls are zero" full outer join, with the zero
-/// left to the finisher). [`Correspondence::walk`] visits it.
+/// The corresponding samples `(Ŝ, Ŝ′)` joined by key under one query: the
+/// pairs a walk visits, each sample's attribute value per pair ([`Slot`])
+/// under Definition 4's "nulls are zero" full outer join (the zero left to
+/// the finisher), and what the pairs it leaves out hold ([`Rest`]).
+/// [`Correspondence::walk`] visits it.
 pub(crate) struct Correspondence {
-    /// Per row of the cleaned sample `Ŝ′`.
+    /// Per visited pair, `Ŝ`'s slot; absent for SVC+AQP.
+    stale: Option<Vec<Slot>>,
+    /// Per visited pair, `Ŝ′`'s slot: the visited rows of `Ŝ′` in table
+    /// order, then the rows only `Ŝ` has, in its table order. A skipped
+    /// key's pair holds no value on either side.
     clean: Vec<Slot>,
-    /// Rows of `Ŝ′` left out (empty: none).
-    clean_skipped: Vec<bool>,
-    /// `Ŝ`'s side; absent for SVC+AQP.
-    stale: Option<StaleSide>,
-    /// Rows of `Ŝ′` the walk visits.
+    rest: Rest,
+    /// Rows of `Ŝ′` not skipped.
     clean_rows: usize,
 }
 
-/// The stale sample's values, per row, and how its rows pair with the
-/// cleaned sample's.
-struct StaleSide {
-    values: Vec<Slot>,
-    skipped: Vec<bool>,
-    pairing: Arc<Pairing>,
+/// What a walk over the changed pairs leaves out: pairs whose two slots
+/// are one slot — an untouched row of `Ŝ′` and `Ŝ`'s row at its position —
+/// so each difference is exactly zero.
+#[derive(Debug, Clone, Copy, Default)]
+struct Rest {
+    /// Pairs left out under the predicate: the one thing a zero difference
+    /// adds to a finisher is a count.
+    hits: usize,
+    /// `Ŝ`'s rows not skipped ([`Summary::without`]): the stale mean `avg`
+    /// corrects. `None` for SVC+AQP, and where no `avg` reads it.
+    stale: Option<Summary>,
+}
+
+/// One sample under one query, in its table order: the rows with a value
+/// (under the predicate, numeric), their values' sum from −0.0, and the
+/// largest magnitude among them.
+#[derive(Debug, Clone, Copy)]
+struct Summary {
+    hits: usize,
+    sum: f64,
+    bound: f64,
+}
+
+impl Summary {
+    fn of(values: impl IntoIterator<Item = f64>) -> Summary {
+        let mut total = Summary { hits: 0, sum: -0.0, bound: 0.0 };
+        for x in values {
+            total.hits += 1;
+            total.sum += x;
+            total.bound = total.bound.max(x.abs());
+        }
+        total
+    }
+
+    /// The count and sum without the values `rows` hold (their slots, in
+    /// table order): the rows a skip set leaves in. `bound` stays.
+    fn without(mut self, rows: impl IntoIterator<Item = Slot>) -> Summary {
+        for x in rows.into_iter().filter_map(Slot::value) {
+            self.hits -= 1;
+            self.sum -= x;
+        }
+        self
+    }
+
+    /// Whether a pair whose two slots are one slot differs by exactly +0.0
+    /// in every finisher: each value, and each value over `m`, is finite
+    /// (the sum is NaN or infinite where a value is).
+    fn zero_differences(&self, m: f64) -> bool {
+        self.sum.is_finite() && (self.bound / m).is_finite()
+    }
 }
 
 /// Per row of `t`: does a `skip` table hold its key? One lookup into `t`
@@ -215,56 +267,145 @@ fn skipped_rows(t: &Table, skip: &[&Table]) -> Vec<bool> {
     skipped
 }
 
-/// Bind `q` to both samples and read each one's values once, from its
-/// column slices, into one slot per row. `stale` is absent for SVC+AQP;
-/// rows whose key any `skip` table holds (the outlier sets of Section 6.3)
-/// are left out on both sides. The pairing is memoized on the cleaned
-/// sample.
-///
-/// When the cleaned sample is the stale sample folded, the pairing is read
-/// off the fold's positions and names the rows the fold touched
-/// ([`Pairing::changed`]): every other row is the stale sample's own row.
-/// Both samples then share one schema, so `q` is bound once, evaluated on
-/// the whole stale sample and, on the cleaned sample, at the touched rows
-/// only; its other slots are the stale sample's. A pairing by key lookup
-/// evaluates the cleaned sample whole.
+/// The positions [`skipped_rows`] marks, increasing.
+fn positions(skipped: &[bool]) -> impl Iterator<Item = usize> + '_ {
+    skipped.iter().enumerate().filter_map(|(i, &s)| s.then_some(i))
+}
+
+/// Leave a skipped key out of a walk: a pair with no value on either side
+/// adds nothing to any finisher.
+fn leave_out(stale: &mut [Slot], clean: &mut [Slot], visit: usize) {
+    if let Some(s) = stale.get_mut(visit) {
+        *s = Slot::NONE;
+    }
+    clean[visit] = Slot::NONE;
+}
+
+/// Bind `q` to both samples, read each one's values once, from its column
+/// slices, into one slot per row, and visit every pair. `stale` is absent
+/// for SVC+AQP; rows whose key any `skip` table holds (the outlier sets of
+/// Section 6.3) are left out on both sides. The pairing is memoized on the
+/// cleaned sample.
 pub(crate) fn correspond(
     stale: Option<&Table>,
     clean: &Table,
     skip: &[&Table],
     q: &AggQuery,
 ) -> Result<Correspondence> {
-    let (clean_values, stale) = match stale {
-        None => (q.bind(clean)?.values_by_row(clean), None),
-        Some(s) => {
-            let bound = q.bind(s)?;
-            let pairing = clean.paired_with(s);
-            let values = bound.values_by_row(s);
-            let clean_values = match pairing.changed() {
-                Some(changed) => {
-                    let slots = bound.values_at(clean, changed, &values);
-                    // With the verifier on, prove the copied slots honest.
-                    #[cfg(feature = "verify")]
-                    {
-                        let whole = bound.values_by_row(clean);
-                        let bits = |v: &[Slot]| -> Vec<_> { v.iter().map(|s| s.bits()).collect() };
-                        assert_eq!(
-                            bits(&slots),
-                            bits(&whole),
-                            "edit-only clean slots differ from evaluating the cleaned sample whole"
-                        );
-                    }
-                    slots
-                }
-                None => q.bind(clean)?.values_by_row(clean),
-            };
-            let skipped = skipped_rows(s, skip);
-            (clean_values, Some(StaleSide { values, skipped, pairing }))
-        }
-    };
     let clean_skipped = skipped_rows(clean, skip);
-    let clean_rows = clean.len() - clean_skipped.iter().filter(|&&s| s).count();
-    Ok(Correspondence { clean: clean_values, clean_skipped, stale, clean_rows })
+    let clean_rows = clean.len() - positions(&clean_skipped).count();
+    let Some(s) = stale else {
+        let mut clean = q.bind(clean)?.values_by_row(clean);
+        positions(&clean_skipped).for_each(|i| leave_out(&mut [], &mut clean, i));
+        return Ok(Correspondence { stale: None, clean, rest: Rest::default(), clean_rows });
+    };
+    let values = q.bind(s)?.values_by_row(s);
+    let pairing = clean.paired_with(s);
+    let mut clean_slots = q.bind(clean)?.values_by_row(clean);
+    let partners = pairing.partners().iter().map(|p| p.map_or(Slot::NONE, |j| values[j]));
+    let mut stale_slots: Vec<Slot> =
+        partners.chain(pairing.unmatched().iter().map(|&j| values[j])).collect();
+    clean_slots.resize(stale_slots.len(), Slot::NONE);
+    let stale_skipped = skipped_rows(s, skip);
+    // A skipped row of `Ŝ` with a partner is left out with it.
+    for i in positions(&clean_skipped) {
+        leave_out(&mut stale_slots, &mut clean_slots, i);
+    }
+    for (k, &j) in pairing.unmatched().iter().enumerate() {
+        if stale_skipped.get(j) == Some(&true) {
+            leave_out(&mut stale_slots, &mut clean_slots, clean.len() + k);
+        }
+    }
+    // Only `avg` reads the stale sample's total.
+    let total = (q.agg == QueryAgg::Avg).then(|| {
+        let total = Summary::of(values.iter().filter_map(|v| v.value()));
+        total.without(positions(&stale_skipped).map(|j| values[j]))
+    });
+    let rest = Rest { hits: 0, stale: total };
+    Ok(Correspondence { stale: Some(stale_slots), clean: clean_slots, rest, clean_rows })
+}
+
+/// SVC+CORR's walk over the pairs that can differ, when `clean` is `s`
+/// folded and `pairing` was read off the fold: `Ŝ′`'s rows at `changed`
+/// (the rows the fold touched, increasing), their partners in `Ŝ` and
+/// `Ŝ`'s unmatched rows, each sample evaluated at those rows only, through
+/// the column caches a whole evaluation reads. Every pair left out is an
+/// untouched row of `Ŝ′` and `Ŝ`'s row at its position; `total`, `Ŝ`'s
+/// summary under the query, counts what they hold.
+fn changed_pairs(
+    s: &Table,
+    clean: &Table,
+    pairing: &Pairing,
+    changed: &[usize],
+    skip: &[&Table],
+    bound: &BoundQuery,
+    total: Summary,
+) -> Correspondence {
+    let (clean_skipped, stale_skipped) = (skipped_rows(clean, skip), skipped_rows(s, skip));
+    let (partners, unmatched) = (pairing.partners(), pairing.unmatched());
+    // `Ŝ`'s rows the walk reads, and the skipped ones the summary gives back.
+    let mut at: Vec<usize> = changed.iter().filter_map(|&i| partners[i]).collect();
+    at.extend(unmatched.iter().copied().chain(positions(&stale_skipped)));
+    at.sort_unstable();
+    at.dedup();
+    let values = bound.values_at(s, &at);
+    let value = |j: usize| values[at.binary_search(&j).expect("a read row was evaluated")];
+    let partner_values = changed.iter().map(|&i| partners[i].map_or(Slot::NONE, value));
+    let mut stale_slots: Vec<Slot> =
+        partner_values.chain(unmatched.iter().map(|&j| value(j))).collect();
+    let mut clean_slots = bound.values_at(clean, changed);
+    clean_slots.resize(stale_slots.len(), Slot::NONE);
+    for (k, &i) in changed.iter().enumerate() {
+        if clean_skipped.get(i) == Some(&true) {
+            leave_out(&mut stale_slots, &mut clean_slots, k);
+        }
+    }
+    for (k, &j) in unmatched.iter().enumerate() {
+        if stale_skipped.get(j) == Some(&true) {
+            leave_out(&mut stale_slots, &mut clean_slots, changed.len() + k);
+        }
+    }
+    let read = values.iter().filter(|v| v.hit).count();
+    let stale = total.without(positions(&stale_skipped).map(value));
+    Correspondence {
+        stale: Some(stale_slots),
+        clean: clean_slots,
+        rest: Rest { hits: total.hits - read, stale: Some(stale) },
+        clean_rows: clean.len() - positions(&clean_skipped).count(),
+    }
+}
+
+/// `Ŝ`'s summary under `q` and, when `view` is the stale view's table,
+/// `q(S)` beside it: one read of `Ŝ`'s answer memo under one key, so a
+/// burst of corrections over one stale sample evaluates both once per
+/// stale view state.
+fn memoized_summary(
+    view: StaleView<'_>,
+    sample: &Table,
+    bound: &BoundQuery,
+    q: &AggQuery,
+) -> Result<(Option<f64>, Summary)> {
+    let view = match view {
+        StaleView::Table(t) => Some(t),
+        _ => None,
+    };
+    // The query's `Debug` form, formatted once: `q(S)`'s key on the view,
+    // and with the view state's id the key of the entry on `Ŝ`.
+    let exact_key = format!("{q:?}");
+    let mut key = format!("{exact_key} over the sample");
+    if let Some(t) = view {
+        key += &format!(", beside q(S) of state {}", t.state_id());
+    }
+    let memo = sample.memoized_values(key, || {
+        // `q(S)` as `AggQuery::exact` answered it, if it has; computed
+        // afresh otherwise, and kept on `Ŝ` alone.
+        let exact = |t: &Table| t.memoized_answer(&exact_key).map_or_else(|| q.evaluate(t), Ok);
+        let answer = view.map_or(Ok(f64::NAN), exact)?;
+        let total = Summary::of(bound.matching_values(sample));
+        Ok(vec![answer, total.hits as f64, total.sum, total.bound])
+    })?;
+    let total = Summary { hits: memo[1] as usize, sum: memo[2], bound: memo[3] };
+    Ok((view.map(|_| memo[0]), total))
 }
 
 /// `sum / n`, 0 for no terms.
@@ -296,33 +437,17 @@ impl Correspondence {
     pub(crate) fn of_clean(clean: Vec<Option<f64>>) -> Correspondence {
         let clean: Vec<Slot> = clean.into_iter().map(Slot::from).collect();
         let clean_rows = clean.len();
-        Correspondence { clean, clean_skipped: Vec::new(), stale: None, clean_rows }
+        Correspondence { stale: None, clean, rest: Rest::default(), clean_rows }
     }
 
-    /// The one walk: `f(stale, clean)` per key of `Ŝ ∪ Ŝ′` — the cleaned
-    /// sample's rows in table order, each with its partner's slot, then
-    /// the rows only the stale sample has, in its table order — leaving the
-    /// skipped keys out.
+    /// The one walk: `f(stale, clean)` per visited pair, in order — the
+    /// cleaned sample's visited rows in table order, each with its
+    /// partner's slot, then the rows only the stale sample has, in its
+    /// table order — leaving the skipped keys out.
     pub(crate) fn walk_slots(&self, mut f: impl FnMut(Slot, Slot)) {
-        let kept = |skipped: &[bool], i: usize| skipped.get(i) != Some(&true);
-        let Some(stale) = &self.stale else {
-            for (i, &c) in self.clean.iter().enumerate() {
-                if kept(&self.clean_skipped, i) {
-                    f(Slot::NONE, c);
-                }
-            }
-            return;
-        };
-        let partners = stale.pairing.partners();
-        for (i, (&c, p)) in self.clean.iter().zip(partners).enumerate() {
-            if kept(&self.clean_skipped, i) {
-                f(p.map_or(Slot::NONE, |j| stale.values[j]), c);
-            }
-        }
-        for &j in stale.pairing.unmatched() {
-            if kept(&stale.skipped, j) {
-                f(stale.values[j], Slot::NONE);
-            }
+        match &self.stale {
+            None => self.clean.iter().for_each(|&c| f(Slot::NONE, c)),
+            Some(stale) => stale.iter().zip(&self.clean).for_each(|(&s, &c)| f(s, c)),
         }
     }
 
@@ -377,7 +502,7 @@ impl Correspondence {
         // −0.0 is the exact additive identity, as in `Iterator::sum`: at
         // m = 1 an SVC+AQP total is `q(Ŝ′)` bit for bit. A key with no value
         // on either side adds it, so every row does the same work.
-        let (mut sum, mut squares, mut hits, mut nonzero) = (-0.0, 0.0, 0, 0);
+        let (mut sum, mut squares, mut hits, mut nonzero) = (-0.0, 0.0, self.rest.hits, 0);
         self.walk_slots(|s, c| {
             hits += usize::from(c.hit);
             let d = Slot { hit: s.hit | c.hit, x: trans(c) - trans(s) }.or_nothing();
@@ -385,6 +510,11 @@ impl Correspondence {
             squares += d * d;
             nonzero += usize::from(d != 0.0);
         });
+        // A pair left out under the predicate differs by +0.0: all it can
+        // change is the sign of a zero sum.
+        if self.rest.hits > 0 {
+            sum += 0.0;
+        }
         let ci = horvitz_thompson_interval(sum, squares, m, confidence);
         Tally {
             value: stale_result.map_or(sum, |base| base + sum),
@@ -397,43 +527,55 @@ impl Correspondence {
 
     /// `avg` (Section 5.2.1): the clean mean minus the stale mean over the
     /// rows under the predicate on each side, with a CLT interval from the
-    /// variance of the per-row differences. Two walks: the sums, then the
-    /// squared deviations. A missing value adds −0.0 to a sum and 0 to a
-    /// count: nothing, exactly, and no branch.
+    /// variance of the per-row differences `d` over the pairs under it on
+    /// either side. The clean sample's total and count are the stale
+    /// sample's, `Σ` and `n`, plus `δ` and `δn` over the pairs whose slots
+    /// differ; the squared deviations are `(d − d̄)²` over the pairs with
+    /// `d ≠ 0` plus `d̄²` for each with `d = 0`. Every pair a walk may leave
+    /// out adds nothing to either sum, so the estimate is the same, bit for
+    /// bit, whichever pairs it visited. Two walks: the sums, then the
+    /// deviations. A missing value adds −0.0 to a sum and 0 to a count:
+    /// nothing, exactly, and no branch.
     fn mean(&self, stale_result: Option<f64>, confidence: f64) -> Result<Tally> {
-        let (mut clean, mut stale, mut diffs) = ((-0.0, 0), (-0.0, 0), (-0.0, 0));
-        let add = |acc: (f64, usize), v: Slot| (acc.0 + v.or_nothing(), acc.1 + usize::from(v.hit));
+        let stale = self.rest.stale.unwrap_or(Summary { hits: 0, sum: -0.0, bound: 0.0 });
+        let (mut delta, mut delta_n, mut diffs, mut either) = (-0.0, 0, -0.0, self.rest.hits);
         self.walk_slots(|s, c| {
-            clean = add(clean, c);
-            stale = add(stale, s);
-            diffs = add(diffs, Slot { hit: s.hit | c.hit, x: c.x - s.x });
+            let differ = (s.hit, s.x.to_bits()) != (c.hit, c.x.to_bits());
+            delta += Slot { hit: differ, x: c.x - s.x }.or_nothing();
+            delta_n += i64::from(c.hit) - i64::from(s.hit);
+            diffs += Slot { hit: s.hit | c.hit, x: c.x - s.x }.or_nothing();
+            either += usize::from(s.hit | c.hit);
         });
-        if clean.1 == 0 {
+        let clean_hits = usize::try_from(stale.hits as i64 + delta_n).expect("a row count");
+        if clean_hits == 0 {
             return Err(nothing_selected(QueryAgg::Avg));
         }
         // A stale sample with no row under the predicate gives SVC+CORR
         // nothing to difference against: the stale answer stands.
-        let correction = if stale_result.is_some() && stale.1 == 0 {
+        let correction = if stale_result.is_some() && stale.hits == 0 {
             0.0
         } else {
-            mean(clean.0, clean.1) - mean(stale.0, stale.1)
+            mean(stale.sum + delta, clean_hits) - mean(stale.sum, stale.hits)
         };
-        let d_mean = mean(diffs.0, diffs.1);
-        let mut deviations = 0.0;
+        let d_mean = mean(diffs, either);
+        let (mut deviations, mut zeros) = (0.0, self.rest.hits);
         self.walk_slots(|s, c| {
-            let e = c.x - s.x - d_mean;
+            let (d, under) = (c.x - s.x, s.hit | c.hit);
+            let e = d - d_mean;
             let mut square = Slot { hit: true, x: e * e };
-            square.keep_if(s.hit | c.hit);
+            square.keep_if(under & (d != 0.0));
             deviations += square.x;
+            zeros += usize::from(under & (d == 0.0));
         });
-        let variance = if diffs.1 < 2 { 0.0 } else { deviations / (diffs.1 - 1) as f64 };
-        let ci = mean_interval(correction, variance, diffs.1 as u64, confidence);
+        deviations += zeros as f64 * (d_mean * d_mean);
+        let variance = if either < 2 { 0.0 } else { deviations / (either - 1) as f64 };
+        let ci = mean_interval(correction, variance, either as u64, confidence);
         Ok(Tally {
             value: stale_result.map_or(correction, |base| base + correction),
             half_width: Some(ci.half_width),
             exceedance: None,
-            predicate_rows: clean.1,
-            n_eff: diffs.1,
+            predicate_rows: clean_hits,
+            n_eff: either,
         })
     }
 
@@ -480,7 +622,7 @@ impl Correspondence {
                 n_eff: values.iter().filter(|&&y| term(y, value) != 0.0).count(),
             });
         };
-        let (mut hits, mut changed) = (0, Vec::new());
+        let (mut hits, mut changed) = (self.rest.hits, Vec::new());
         self.walk_slots(|s, c| {
             hits += usize::from(c.hit);
             if (s.hit, s.x.to_bits()) != (c.hit, c.x.to_bits()) {
@@ -524,6 +666,7 @@ impl Correspondence {
     /// rows present in BOTH samples, with the Cantelli bound on a more
     /// extreme unsampled element.
     fn extreme(&self, agg: QueryAgg, stale_result: Option<f64>) -> Result<Tally> {
+        debug_assert_eq!(self.rest.hits, 0, "an extreme reads every pair");
         let pick = if agg == QueryAgg::Min { f64::min } else { f64::max };
         let fold = |acc: Option<f64>, x: f64| Some(acc.map_or(x, |a| pick(a, x)));
         let (mut spread, mut clean, mut diff, mut either) = (Moments::new(), None, None, 0);
@@ -692,6 +835,8 @@ pub(crate) enum StaleView<'a> {
     Table(&'a Table),
     /// `q(S)` alone, which corrects every aggregate but an order statistic.
     Answer(f64),
+    /// An order statistic's read of the view: its matching values, sorted.
+    Sorted(&'a Arc<[f64]>),
 }
 
 impl StaleView<'_> {
@@ -700,14 +845,16 @@ impl StaleView<'_> {
         match self {
             StaleView::Table(view) => q.exact(view),
             StaleView::Answer(answer) => Ok(answer),
+            StaleView::Sorted(_) => unreachable!("only an order statistic reads sorted values"),
         }
     }
 
     /// The view's matching values in `total_cmp` order.
     fn sorted_values(self, q: &AggQuery) -> Result<Arc<[f64]>> {
         match self {
-            StaleView::Table(view) => q.sorted_values(view),
+            StaleView::Table(view) => q.sorted_values(view, q.sorted_key()),
             StaleView::Answer(_) => Err(needs_the_view(q.agg)),
+            StaleView::Sorted(values) => Ok(Arc::clone(values)),
         }
     }
 }
@@ -722,6 +869,13 @@ fn needs_the_view(agg: QueryAgg) -> StorageError {
 /// The body of every estimator: walk the samples, finish by class. `stale`
 /// is SVC+CORR's stale view and sample `Ŝ`; `skip` holds the outlier sets
 /// whose rows are accounted for exactly elsewhere.
+///
+/// A correction walks the changed pairs when the cleaned sample pairs with
+/// `Ŝ` by the positions of a fold that left some row untouched, its
+/// finisher reads changed pairs (`sum`, `count`, `avg`, an order statistic)
+/// and every untouched pair differs by exactly zero; it walks every pair
+/// otherwise. The view and `Ŝ` are read under one memo key: `q(S)` beside
+/// `Ŝ`'s summary, or for an order statistic both samples' sorted values.
 pub(crate) fn estimate(
     stale: Option<(StaleView<'_>, &Table)>,
     clean_sample: &Table,
@@ -730,8 +884,74 @@ pub(crate) fn estimate(
     m: f64,
     cfg: &SvcConfig,
 ) -> Result<Estimate> {
-    let (view, stale_sample) = stale.unzip();
-    correspond(stale_sample, clean_sample, skip, q)?.finish(q, view, m, cfg)
+    let Some((view, sample)) = stale else {
+        return correspond(None, clean_sample, skip, q)?.finish(q, None, m, cfg);
+    };
+    let pairing = clean_sample.paired_with(sample);
+    let changed = pairing.changed().filter(|rows| rows.len() < clean_sample.len());
+    let every = || correspond(Some(sample), clean_sample, skip, q);
+    let sorted;
+    let (pass, view) = match (q.agg, view) {
+        (QueryAgg::Sum | QueryAgg::Count | QueryAgg::Avg, _)
+            if changed.is_some() || matches!(view, StaleView::Table(_)) =>
+        {
+            let bound = q.bind(sample)?;
+            let (answer, total) = memoized_summary(view, sample, &bound, q)?;
+            let view = answer.map_or(view, StaleView::Answer);
+            match changed.filter(|_| total.zero_differences(m)) {
+                Some(rows) => {
+                    (changed_pairs(sample, clean_sample, &pairing, rows, skip, &bound, total), view)
+                }
+                None => (every()?, view),
+            }
+        }
+        (QueryAgg::Median | QueryAgg::Percentile(_), StaleView::Table(t)) if changed.is_some() => {
+            let bound = q.bind(sample)?;
+            let key = q.sorted_key();
+            sorted = q.sorted_values(t, key.clone())?;
+            // An order statistic reads the summary's count alone.
+            let hits = q.sorted_values(sample, key)?.len();
+            let total = Summary { hits, sum: f64::NAN, bound: f64::NAN };
+            let rows = changed.expect("a guarded pairing");
+            (
+                changed_pairs(sample, clean_sample, &pairing, rows, skip, &bound, total),
+                StaleView::Sorted(&sorted),
+            )
+        }
+        _ => (every()?, view),
+    };
+    let est = pass.finish(q, Some(view), m, cfg);
+    // With the verifier on, prove the changed-pairs walk honest: the walk
+    // over every pair finishes to the same estimate, bit for bit.
+    #[cfg(feature = "verify")]
+    {
+        let reference = every().and_then(|p| p.finish(q, Some(view), m, cfg));
+        assert_eq!(
+            estimate_bits(&est),
+            estimate_bits(&reference),
+            "a walk over the changed pairs differs from the walk over every pair: {q:?}"
+        );
+    }
+    est
+}
+
+/// Every field of an estimate (or its error text), floats by bit pattern.
+#[cfg(any(test, feature = "verify"))]
+type EstimateBits = (u64, Option<(u64, u64)>, Option<u64>, usize, usize, usize, usize);
+
+#[cfg(any(test, feature = "verify"))]
+fn estimate_bits(e: &Result<Estimate>) -> std::result::Result<EstimateBits, String> {
+    e.as_ref().map_err(ToString::to_string).map(|e| {
+        (
+            e.value.to_bits(),
+            e.ci.map(|ci| (ci.estimate.to_bits(), ci.half_width.to_bits())),
+            e.exceedance_probability.map(f64::to_bits),
+            e.sample_size,
+            e.predicate_rows,
+            e.n_eff,
+            usize::from(e.method == Method::Correction),
+        )
+    })
 }
 
 /// SVC+AQP: estimate `q(S′)` directly from the clean sample with scaling
@@ -811,7 +1031,7 @@ mod tests {
     use super::*;
     use svc_relalg::scalar::{col, lit};
     use svc_sampling::operator::sample_by_key;
-    use svc_storage::{DataType, HashSpec, KeyTuple, Schema, Value};
+    use svc_storage::{DataType, HashSpec, KeyTuple, Schema, StagedEdits, Value};
 
     /// Population with mean 50 over ids 0..1000; "fresh" version shifts a
     /// slice of rows and adds new ones.
@@ -1125,7 +1345,8 @@ mod tests {
     }
 
     /// The walk as it was, row at a time: a key per row, a lookup through
-    /// the key index, the query's bound expressions evaluated on the row.
+    /// the key index, the query's bound expressions evaluated on the row; a
+    /// skipped key is a pair with no value on either side.
     fn row_walk(
         stale: Option<&Table>,
         clean: &Table,
@@ -1142,15 +1363,17 @@ mod tests {
         let mut pairs = Vec::new();
         for row in clean.rows() {
             let key = clean.key_of(row);
-            if !skipped(&key) {
+            if skipped(&key) {
+                pairs.push((None, None));
+            } else {
                 let partner = stale.and_then(|s| s.get(&key).and_then(|r| value(s, r)));
                 pairs.push((partner, value(clean, row)));
             }
         }
         for (s, row) in stale.iter().flat_map(|s| s.rows().iter().map(move |r| (*s, r))) {
             let key = s.key_of(row);
-            if !clean.contains_key(&key) && !skipped(&key) {
-                pairs.push((value(s, row), None));
+            if !clean.contains_key(&key) {
+                pairs.push(if skipped(&key) { (None, None) } else { (value(s, row), None) });
             }
         }
         pairs
@@ -1250,6 +1473,91 @@ mod tests {
         }
     }
 
+    /// The walk over the changed pairs finishes like the walk over every
+    /// pair, bit for bit, under every aggregate, with and without a skip
+    /// set: on a fold holding updates, deletions, appended rows and a key
+    /// deleted then put back, over values with NULLs, ±0 and rows failing
+    /// the predicate — and, with a NaN in the sample, by walking every pair.
+    #[test]
+    fn changed_pairs_finish_like_every_pair() {
+        let schema = Schema::from_pairs(&[("id", DataType::Int), ("x", DataType::Float)]).unwrap();
+        let value = |i: i64| match i % 29 {
+            0 => Value::Null,
+            1 => Value::Float(-0.0),
+            _ => Value::Float(((i * 37) % 101) as f64 / 4.0 - 5.0),
+        };
+        let cfg = SvcConfig::default();
+        let m = 0.5;
+        for nan in [false, true] {
+            let rows = (0..600i64).map(|i| {
+                let x = if nan && i % 50 == 7 { Value::Float(f64::NAN) } else { value(i) };
+                vec![Value::Int(i), x]
+            });
+            let view = Table::from_rows(schema.clone(), vec![0], rows.collect()).unwrap();
+            let sample = sample_by_key(&view, m, HashSpec::with_seed(3));
+            let mut folded = sample.clone();
+            let mut edits = StagedEdits::default();
+            for (k, row) in sample.rows().iter().enumerate() {
+                match k % 9 {
+                    0 => edits.delete(&folded, row.clone()),
+                    1 => edits.put(&folded, vec![row[0].clone(), value(k as i64 * 5 + 2)]),
+                    _ => {}
+                }
+            }
+            for i in 600..640i64 {
+                edits.put(&folded, vec![Value::Int(i), value(i)]);
+            }
+            folded.apply_edits(edits);
+            let back = folded.rows()[2].clone();
+            for put in [false, true] {
+                let mut edits = StagedEdits::default();
+                if put {
+                    edits.put(&folded, back.clone());
+                } else {
+                    edits.delete(&folded, back.clone());
+                }
+                folded.apply_edits(edits);
+            }
+            let pairing = folded.paired_with(&sample);
+            let changed = pairing.changed().expect("a fold pairs by position").len();
+            assert!(0 < changed && changed < folded.len(), "{changed} of {}", folded.len());
+            let skip = keyed(&[(3, 0.0), (40, 0.0), (77, 0.0), (610, 0.0), (599, 0.0)]);
+            for q in [
+                AggQuery::sum(col("x")),
+                AggQuery::count(),
+                AggQuery::avg(col("x")),
+                AggQuery::median(col("x")),
+                AggQuery::percentile(col("x"), 0.9),
+                AggQuery::min(col("x")),
+                AggQuery::max(col("x")),
+            ] {
+                // An extreme's Cantelli bound panics on a NaN variance.
+                if nan && q.agg.quantile_level().is_none() && !q.agg.is_sample_mean() {
+                    continue;
+                }
+                for q in [q.clone(), q.filter(col("x").gt(lit(0.0)))] {
+                    for skip in [vec![], vec![&skip]] {
+                        let view_arg = StaleView::Table(&view);
+                        let got = estimate(Some((view_arg, &sample)), &folded, &skip, &q, m, &cfg);
+                        let every = correspond(Some(&sample), &folded, &skip, &q)
+                            .and_then(|pass| pass.finish(&q, Some(view_arg), m, &cfg));
+                        let label = format!("nan {nan}, {} skipped: {q:?}", skip.len());
+                        assert_eq!(estimate_bits(&got), estimate_bits(&every), "{label}");
+                        assert!(got.is_ok(), "{label}");
+                    }
+                }
+            }
+            // A sum walks the changed pairs only, once its summary is
+            // memoized — unless a NaN keeps an untouched pair's difference
+            // from being an exact zero. (The verifier also walks every pair.)
+            let q = AggQuery::sum(col("x"));
+            let rows = crate::query::rows_evaluated();
+            estimate(Some((StaleView::Table(&view), &sample)), &folded, &[], &q, m, &cfg).unwrap();
+            let read = crate::query::rows_evaluated() - rows;
+            assert!(cfg!(feature = "verify") || (read < sample.len()) != nan, "{read} rows read");
+        }
+    }
+
     #[test]
     fn pass_walks_in_table_order_and_skips_outlier_keys() {
         let clean = keyed(&[(3, 1.0), (1, 2.0), (2, 3.0)]);
@@ -1265,11 +1573,17 @@ mod tests {
             (Some(7.0), None),
         ];
         assert_eq!(visits(&pass), walked);
-        // Keys 1 and 7 are left out on both sides.
+        // Keys 1 and 7 are left out on both sides: pairs with no value.
         let pass = correspond(Some(&dirty), &clean, &[&keyed(&[(1, 0.0), (7, 0.0)])], &q).unwrap();
         assert_eq!(
             visits(&pass),
-            vec![(None, Some(1.0)), (Some(0.5), Some(3.0)), (Some(8.0), None)]
+            vec![
+                (None, Some(1.0)),
+                (None, None),
+                (Some(0.5), Some(3.0)),
+                (Some(8.0), None),
+                (None, None)
+            ]
         );
         assert_eq!(pass.clean_rows, 2);
     }

@@ -161,18 +161,25 @@ impl AggQuery {
     /// form, which spells every float literal exactly: the same query over
     /// an unchanged table state is evaluated once.
     pub fn exact(&self, table: &Table) -> Result<f64> {
-        table.memoized(format!("{self:?}"), || {
-            Ok(aggregate(self.agg, self.bind(table)?.matching_values(table).into_iter()))
-        })
+        table.memoized(format!("{self:?}"), || self.evaluate(table))
+    }
+
+    /// `q(table)` computed afresh: [`AggQuery::exact`] without the memo.
+    pub(crate) fn evaluate(&self, table: &Table) -> Result<f64> {
+        Ok(aggregate(self.agg, self.bind(table)?.matching_values(table).into_iter()))
+    }
+
+    /// The memo key of [`AggQuery::sorted_values`]: the attribute and
+    /// predicate, so every quantile level of one column and predicate
+    /// shares one sort.
+    pub(crate) fn sorted_key(&self) -> String {
+        format!("sorted {:?} where {:?}", self.attr, self.predicate)
     }
 
     /// The matching values of `table` in `f64::total_cmp` order: the CDF an
     /// SVC+CORR order statistic corrects. Memoized on the table state
-    /// ([`Table::memoized_values`]) under the attribute and predicate, so
-    /// every quantile level of one column and predicate shares one sort of
-    /// the stale view.
-    pub(crate) fn sorted_values(&self, table: &Table) -> Result<Arc<[f64]>> {
-        let key = format!("sorted {:?} where {:?}", self.attr, self.predicate);
+    /// ([`Table::memoized_values`]) under `key`, [`AggQuery::sorted_key`].
+    pub(crate) fn sorted_values(&self, table: &Table, key: String) -> Result<Arc<[f64]>> {
         table.memoized_values(key, || {
             let mut values = self.bind(table)?.matching_values(table);
             values.sort_unstable_by(f64::total_cmp);
@@ -223,6 +230,7 @@ impl BoundQuery {
     /// the rows among `sel` its predicate selects. `table` has the schema
     /// the query was bound to.
     fn select(&self, table: &Table, mut sel: SelVec, scratch: &mut Row) -> (ColumnSet, SelVec) {
+        ROWS_EVALUATED.add(sel.len() as u64);
         let cols = ColumnSet {
             cols: self.columns.iter().map(|&c| table.column(c)).collect(),
             len: table.len(),
@@ -269,29 +277,42 @@ impl BoundQuery {
         out
     }
 
-    /// [`BoundQuery::values_by_row`] of `table`, a state whose rows are
-    /// `base`'s table's rows at the same positions except at `changed`
-    /// (increasing, naming every row past `base`'s end): `base`'s slots
-    /// copied, the rows at `changed` evaluated — through the same kernels,
-    /// at those rows only — and cleared where the predicate drops them.
-    pub(crate) fn values_at(&self, table: &Table, changed: &[usize], base: &[Slot]) -> Vec<Slot> {
-        let n = table.len();
-        let mut out = base[..base.len().min(n)].to_vec();
-        out.resize(n, Slot::NONE);
-        if changed.is_empty() {
+    /// [`BoundQuery::values_by_row`] at the rows `at` (increasing) only, one
+    /// slot per entry of `at`: evaluated through the same kernels, over the
+    /// same column cache, and cleared where the predicate drops the row.
+    pub(crate) fn values_at(&self, table: &Table, at: &[usize]) -> Vec<Slot> {
+        let mut out = Vec::with_capacity(at.len());
+        if at.is_empty() {
             return out;
         }
         let mut scratch = Row::new();
-        let rows = SelVec::Idx(changed.iter().map(|&i| i as u32).collect());
+        let rows = SelVec::Idx(at.iter().map(|&i| i as u32).collect());
         let (cols, sel) = self.select(table, rows.clone(), &mut scratch);
-        self.attr.for_each_f64(&cols, &rows, &mut scratch, |i, v| out[i] = Slot::from(v));
+        self.attr.for_each_f64(&cols, &rows, &mut scratch, |_, v| out.push(Slot::from(v)));
         let mut kept = sel.iter().peekable();
-        for &i in changed {
-            let keep = kept.next_if_eq(&i).is_some();
-            out[i].keep_if(keep);
+        for (slot, &i) in out.iter_mut().zip(at) {
+            slot.keep_if(kept.next_if_eq(&i).is_some());
         }
         out
     }
+}
+
+thread_local! {
+    static ROWS_EVALUATED_CELL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Per-thread count of table rows a bound query was evaluated at (see
+/// [`rows_evaluated`]).
+static ROWS_EVALUATED: svc_telemetry::LocalCounter =
+    svc_telemetry::LocalCounter::new(&ROWS_EVALUATED_CELL);
+
+/// Table rows a bound query was evaluated at **on this thread** since it
+/// started: every row an exact answer, a sorted view, a summary or an
+/// estimate's slots read. The cost-shape hook for "an SVC+CORR estimate
+/// evaluates the samples at its changed pairs only"; same mechanism as
+/// [`Table::clone_count`].
+pub fn rows_evaluated() -> usize {
+    ROWS_EVALUATED.get() as usize
 }
 
 /// Relative error `|est − truth| / |truth|` (the paper's accuracy metric),

@@ -16,7 +16,6 @@ use svc_ivm::delta::{del_leaf, ins_leaf};
 use svc_ivm::strategy::{PlanKind, STALE_LEAF};
 use svc_ivm::view::MaterializedView;
 
-use svc_relalg::derive::{derive_project, Derived};
 use svc_relalg::optimizer::CardEstimator;
 use svc_relalg::plan::Plan;
 use svc_sampling::operator::KeySample;
@@ -248,12 +247,11 @@ impl SvcView {
     /// the canonical tables in place. Names resolve against the *public*
     /// schema only: canonical-only columns stay unaddressable.
     fn lowered(&self, q: &AggQuery) -> Result<AggQuery> {
-        let Some(public) = self.view.canonical().public.as_deref() else {
+        let (Some(public), Some(schema)) =
+            (self.view.canonical().public.as_deref(), self.view.public_schema())
+        else {
             return Ok(q.clone());
         };
-        let table = self.view.table();
-        let canonical = Derived { schema: table.schema().clone(), key: table.key().to_vec() };
-        let schema = derive_project(&canonical, public)?.schema;
         let mut lower = |name: &str| Ok(public[schema.resolve(name)?].1.clone());
         Ok(AggQuery {
             agg: q.agg,

@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use svc_storage::{Database, Deltas, HashSpec, Result, SharedRow, StorageError, Table};
+use svc_storage::{Database, Deltas, HashSpec, Result, Schema, SharedRow, StorageError, Table};
 
 use svc_relalg::derive::{derive_project, Derived};
 use svc_relalg::eval::{evaluate, Bindings};
@@ -52,6 +52,9 @@ pub struct MaterializedView {
     /// The definition as written by the user.
     pub definition: Plan,
     canonical: Canonical,
+    /// The schema of the public projection's output, derived once at
+    /// creation ([`MaterializedView::public_schema`]).
+    public_schema: Option<Arc<Schema>>,
     /// The materialized canonical state, behind an `Arc` so commits are
     /// pointer swaps: readers holding a [`ViewSnapshot`] keep the old
     /// epoch's table alive while maintenance installs the next one —
@@ -149,10 +152,18 @@ impl MaterializedView {
         let (optimized, _) = optimize(&plan, &bindings)?;
         let table = evaluate(&optimized, &bindings)?;
         let fold = KeyedFold::new(&canonical, &table).map(Arc::new);
+        let public_schema = match canonical.public.as_deref() {
+            Some(public) => {
+                let input = Derived { schema: table.schema().clone(), key: table.key().to_vec() };
+                Some(Arc::new(derive_project(&input, public)?.schema))
+            }
+            None => None,
+        };
         Ok(MaterializedView {
             name,
             definition,
             canonical,
+            public_schema,
             table: Arc::new(table),
             epoch: 0,
             dirty: false,
@@ -171,6 +182,14 @@ impl MaterializedView {
     /// The canonicalization record (plan + public projection + merge rules).
     pub fn canonical(&self) -> &Canonical {
         &self.canonical
+    }
+
+    /// The schema of the public projection's output over the canonical
+    /// state — the schema [`MaterializedView::public_of`]'s tables have —
+    /// derived once at creation; `None` when the definition was already in
+    /// public form.
+    pub fn public_schema(&self) -> Option<&Schema> {
+        self.public_schema.as_deref()
     }
 
     /// The view's keyed fold, bound once at creation: it folds a keyed

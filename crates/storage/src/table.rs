@@ -523,6 +523,16 @@ impl Table {
         self.memo(key, f, number, Memo::Number)
     }
 
+    /// The answer [`Table::memoized`] holds under `key` for this table
+    /// state, if any: a read that computes and stores nothing.
+    pub fn memoized_answer(&self, key: &str) -> Option<f64> {
+        let answers = self.answers.lock().expect("answer memo poisoned");
+        match answers.get(key)? {
+            (_, Memo::Number(x)) => Some(*x),
+            (_, Memo::Values(_)) => None,
+        }
+    }
+
     /// [`Table::memoized`] for an answer that is a vector of numbers: the
     /// same memo, keys, invalidation and counting. A key holding a number
     /// is a miss here, and the vector replaces it.
@@ -1128,6 +1138,21 @@ mod tests {
         assert_eq!(*t.clone().memoized_values("v".into(), || Ok(vec![5.0])).unwrap(), [5.0]);
         t.insert(vec![Value::Int(2), Value::str("b")]).unwrap();
         assert_eq!(*t.memoized_values("v".into(), || Ok(vec![6.0])).unwrap(), [6.0]);
+    }
+
+    /// `memoized_answer` reads a stored number and nothing else: it
+    /// computes, stores and counts nothing, and a mutation empties it.
+    #[test]
+    fn memoized_answers_are_read_without_computing() {
+        let mut t = table();
+        assert_eq!(t.memoized_answer("n"), None);
+        t.memoized("n".into(), || Ok(7.0)).unwrap();
+        t.memoized_values("v".into(), || Ok(vec![1.0])).unwrap();
+        let answers = Table::answer_count();
+        assert_eq!((t.memoized_answer("n"), t.memoized_answer("v")), (Some(7.0), None));
+        assert_eq!(Table::answer_count(), answers);
+        t.insert(vec![Value::Int(1), Value::str("a")]).unwrap();
+        assert_eq!(t.memoized_answer("n"), None);
     }
 
     #[test]
